@@ -1,6 +1,6 @@
 # Developer workflow for the xmoe reproduction.
 #
-#   make ci      - what a CI job runs: vet, build, race-enabled tests, quick bench
+#   make ci      - what the CI job runs: vet, build, the six race-enabled gates, tests, quick bench
 #   make test    - full test suite (includes the slow sweep tests)
 #   make race    - full race-detector pass (go test -race ./...)
 #   make race-fast - race pass over just the concurrency-heavy packages
@@ -93,7 +93,8 @@ chaos-fast:
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/tensor \
-		./internal/kernels ./internal/moe ./internal/train
+		./internal/kernels ./internal/moe ./internal/rbd ./internal/train \
+		./internal/baselines
 
 bench-figs:
 	$(GO) test -run=NONE -bench=. -benchmem -benchtime=1x .
@@ -110,10 +111,10 @@ bench-save:
 	$(GO) run ./cmd/xmoe-bench -json -experiment abl-overlap,abl-overlap-bwd,abl-faults,abl-engine-delta,abl-zero
 	@echo "BENCH_results.json updated; commit it with this PR"
 
-# Quick CI: vet + build + race tests on the fast packages + the chaos
-# suite + unit tests of the remaining packages + a quick microbenchmark
-# smoke run.
-ci: vet build race-fast chaos-fast verify-rbd verify-ft
+# Quick CI, and the only definition of it (.github/workflows/ci.yml runs
+# this target): vet + build + all six race-detector gates + unit tests of
+# every package + a quick microbenchmark smoke run.
+ci: vet build race-fast chaos-fast verify-devent verify-zero verify-rbd verify-ft
 	$(GO) test ./internal/... .
 	$(GO) test -run=NONE -bench='BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward' \
 		-benchmem -benchtime=10x ./internal/moe ./internal/train

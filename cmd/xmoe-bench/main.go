@@ -5,12 +5,17 @@
 // Usage:
 //
 //	xmoe-bench [-experiment all] [-quick] [-seed 42] [-json]
+//	           [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // With -json, each experiment is additionally run under the Go benchmark
 // harness and a machine-readable record (host ns/op, allocs/op, bytes/op,
 // plus the experiment's simulated headline metrics such as TFLOPs/GPU) is
 // appended to BENCH_results.json, seeding the repository's performance
 // trajectory.
+//
+// -cpuprofile and -memprofile write pprof profiles of the selected
+// experiments (everything between flag validation and the JSON append):
+// a CPU profile, and the allocation profile since process start.
 package main
 
 import (
@@ -18,6 +23,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -76,6 +83,8 @@ func main() {
 	jsonOut := flag.Bool("json", false, "benchmark each experiment and append machine-readable results to "+jsonPath)
 	chunksFlag := flag.String("chunks", "", "comma-separated chunk counts for the overlap ablations (default 1,2,4,8; the C=1 blocking baseline is always included)")
 	engine := flag.String("engine", "analytic", "cost engine for engine-aware experiments ("+bench.EngineSpecs+")")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile (since process start) to this file after the experiments")
 	flag.Parse()
 
 	// Validate -engine up front (experiments panic on a bad spec).
@@ -116,14 +125,30 @@ func main() {
 		return
 	}
 
+	// Resolve the names before any experiment (or profile) starts, so a
+	// typo exits 2 at once instead of after the experiments preceding it.
+	names := order
+	if *exp != "all" {
+		names = strings.Split(*exp, ",")
+		for i, name := range names {
+			names[i] = strings.TrimSpace(name)
+			if _, ok := experiments[names[i]]; !ok {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", names[i])
+				os.Exit(2)
+			}
+		}
+	}
+
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+
 	opts := bench.Options{Seed: *seed, Quick: *quick, Chunks: chunks, Engine: *engine}
 	var records []bench.Record
 	run := func(name string) {
-		fn, ok := experiments[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", name)
-			os.Exit(2)
-		}
+		fn := experiments[name]
 		start := time.Now()
 		fn(os.Stdout, opts)
 		fmt.Printf("  [%s completed in %.1fs]\n", name, time.Since(start).Seconds())
@@ -149,14 +174,12 @@ func main() {
 		}
 	}
 
-	if *exp == "all" {
-		for _, name := range order {
-			run(name)
-		}
-	} else {
-		for _, name := range strings.Split(*exp, ",") {
-			run(strings.TrimSpace(name))
-		}
+	for _, name := range names {
+		run(name)
+	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	if *jsonOut {
 		if err := bench.AppendResults(jsonPath, records); err != nil {
@@ -165,4 +188,41 @@ func main() {
 		}
 		fmt.Printf("  [wrote %d records to %s]\n", len(records), jsonPath)
 	}
+}
+
+// startProfiles begins a CPU profile at cpuPath and returns the function
+// that ends it and writes the allocation profile to memPath. An empty
+// path turns that profile off.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("starting CPU profile: %w", err)
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // the profile reports allocations as of the last completed cycle
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			f.Close()
+			return fmt.Errorf("writing allocation profile: %w", err)
+		}
+		return f.Close()
+	}, nil
 }

@@ -7,6 +7,7 @@ import (
 	"xmoe/internal/memmodel"
 	"xmoe/internal/model"
 	"xmoe/internal/moe"
+	"xmoe/internal/netsim"
 	"xmoe/internal/parallel"
 	"xmoe/internal/perfmodel"
 	"xmoe/internal/rbd"
@@ -137,7 +138,10 @@ func SimulateStep(sys Config, spec RunSpec) StepResult {
 
 // layerRun is one full-layer (fwd+bwd) SPMD simulation outcome.
 type layerRun struct {
-	cluster *simrt.Cluster
+	// net prices the step's tail collectives; holding it instead of the
+	// cluster lets the run's ranks, traces and device-memory maps go
+	// while the next run executes.
+	net *netsim.Network
 	// wall is the slowest rank's fwd+bwd clock.
 	wall float64
 	// fwdBreakdown is the per-stage forward time averaged over ranks
@@ -155,6 +159,78 @@ func gradFamilies(sh model.Shape, plan parallel.Plan) (expertPerLayer, densePerL
 	embedding = sh.EmbeddingParams() / int64(plan.TP) * 2
 	return
 }
+
+// rankRouting is one rank's routing draw held between the layer runs of a
+// SimulateStep. It is packed — flat int32 experts and float32 weights and
+// logits, 12 bytes per assignment — because sixteen ranks' moe.Routing
+// values (8-byte experts plus three slice headers per token) held across
+// the second run would raise the step's live heap by more than the draw
+// is worth; the per-token views are rebuilt on each read.
+type rankRouting struct {
+	s, k    int
+	experts []int32
+	weights []float32
+	logits  []float32
+}
+
+func packRouting(rt moe.Routing) rankRouting {
+	p := rankRouting{s: rt.S, k: rt.K()}
+	n := p.s * p.k
+	p.experts = make([]int32, 0, n)
+	p.weights = make([]float32, 0, n)
+	p.logits = make([]float32, 0, n)
+	for t := 0; t < p.s; t++ {
+		for _, e := range rt.TopExperts[t] {
+			p.experts = append(p.experts, int32(e))
+		}
+		p.weights = append(p.weights, rt.Weights[t]...)
+		p.logits = append(p.logits, rt.Logits[t]...)
+	}
+	return p
+}
+
+// routing rebuilds the moe.Routing the pack was made from. Weight and
+// logit rows alias the pack (the transports only read a routing).
+func (p rankRouting) routing() moe.Routing {
+	rt := moe.Routing{
+		S:          p.s,
+		TopExperts: make([][]int, p.s),
+		Weights:    make([][]float32, p.s),
+		Logits:     make([][]float32, p.s),
+	}
+	experts := make([]int, len(p.experts))
+	for i, e := range p.experts {
+		experts[i] = int(e)
+	}
+	for t := 0; t < p.s; t++ {
+		lo, hi := t*p.k, (t+1)*p.k
+		rt.TopExperts[t] = experts[lo:hi:hi]
+		rt.Weights[t] = p.weights[lo:hi:hi]
+		rt.Logits[t] = p.logits[lo:hi:hi]
+	}
+	return rt
+}
+
+// routingStore holds one draw per rank for the length of a SimulateStep:
+// the first layer run fills it, and the sync-free second run, the ActCkpt
+// replay and SSMB slices of the same length read it back, so a rank's
+// routing is generated once per step. Each rank goroutine touches only
+// its own slot and the runs are sequential, so there is no lock.
+type routingStore []rankRouting
+
+// get returns rank's routing for n tokens, calling draw only when the slot
+// does not hold one of that length.
+func (st routingStore) get(rank, n int, draw func() moe.Routing) moe.Routing {
+	if p := st[rank]; p.experts != nil && p.s == n {
+		return p.routing()
+	}
+	rt := draw()
+	st[rank] = packRouting(rt)
+	return rt
+}
+
+// release drops rank's draw once its last consumer has read it.
+func (st routingStore) release(rank int) { st[rank] = rankRouting{} }
 
 // simulateStepReal is the fixed estimator: one simulated transformer
 // layer runs its real forward and its real symbolic backward (mirrored
@@ -176,17 +252,19 @@ func simulateStepReal(sys Config, spec RunSpec, res StepResult) StepResult {
 	}
 
 	withSync := !spec.BlockingGradSync && (hasEDP || hasDP)
-	primary := runFullLayer(sys, spec, withSync)
+	// Accumulation steps before the last run the same layer without
+	// gradient sync (grads sync once per iteration); a second run prices
+	// that layer on the routing the first one drew.
+	secondRun := withSync && microSteps > 1
+	routings := make(routingStore, spec.World)
+	primary := runFullLayer(sys, spec, withSync, routings, !secondRun)
 	if primary.err != nil {
 		return StepResult{Err: primary.err}
 	}
 	layerSync := primary.wall
 	layerNoSync := primary.wall
-	if withSync && microSteps > 1 {
-		// Accumulation steps before the last run the same layer without
-		// gradient sync (grads sync once per iteration); a second run
-		// prices that layer.
-		plain := runFullLayer(sys, spec, false)
+	if secondRun {
+		plain := runFullLayer(sys, spec, false, routings, true)
 		if plain.err != nil {
 			return StepResult{Err: plain.err}
 		}
@@ -197,7 +275,7 @@ func simulateStepReal(sys Config, spec RunSpec, res StepResult) StepResult {
 	// Fixed per-micro-step overhead: optimizer bookkeeping, data loading,
 	// host-side launch gaps between layers.
 	const microOverhead = 0.03
-	net := primary.cluster.Net
+	net := primary.net
 	layers := float64(spec.Shape.Layers)
 
 	// Synchronisation tails shared by both sync modes: the embedding
@@ -257,8 +335,9 @@ func simulateStepReal(sys Config, spec RunSpec, res StepResult) StepResult {
 
 // runFullLayer simulates one transformer layer's forward and backward on
 // a fresh cluster, optionally with the bucketed overlapped gradient sync
-// issued from the backward.
-func runFullLayer(sys Config, spec RunSpec, withSync bool) layerRun {
+// issued from the backward. Ranks take their routing from routings and,
+// on the step's lastRun, release it once their forward passes are done.
+func runFullLayer(sys Config, spec RunSpec, withSync bool, routings routingStore, lastRun bool) layerRun {
 	cluster := simrt.NewCluster(spec.Machine, spec.World, spec.Seed)
 	cluster.Net.DisableCongestion = !spec.Congestion
 	// One simulated layer stands for all layers, so congestion must enter
@@ -352,15 +431,17 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool) layerRun {
 		}
 
 		// MoE block forward, with state capture for the backward.
-		routing := func(n int, seedOff uint64) moe.Routing {
-			return moe.SyntheticRouting(tensor.NewRNG(spec.Seed+uint64(r.ID)*31+seedOff),
-				n, cfg.NumExperts, cfg.TopK, 0.6)
+		routing := func(n int) moe.Routing {
+			return routings.get(r.ID, n, func() moe.Routing {
+				return moe.SyntheticRouting(tensor.NewRNG(spec.Seed+uint64(r.ID)*31+7),
+					n, cfg.NumExperts, cfg.TopK, 0.6)
+			})
 		}
 		var pftState *moe.PFTFwdState
 		var padState *moe.PaddedFwdState
 		var rbdState *rbd.FwdState
 		runInner := func(n int) {
-			rt := routing(n, 7)
+			rt := routing(n)
 			switch {
 			case sys.RBD:
 				lr := rbd.Forward(r, dispatchers[ep], cfg, n, nil, rt, nil,
@@ -403,6 +484,9 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool) layerRun {
 			// checkpointing MoE blocks).
 			denseFwd()
 			moeFwd()
+		}
+		if lastRun {
+			routings.release(r.ID)
 		}
 
 		var esync, dsync *zero.Syncer
@@ -481,7 +565,7 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool) layerRun {
 		return layerRun{err: err}
 	}
 
-	out := layerRun{cluster: cluster, fwdBreakdown: trace.MergeMaps(fwdBds, true)}
+	out := layerRun{net: cluster.Net, fwdBreakdown: trace.MergeMaps(fwdBds, true)}
 	for _, rk := range ranks {
 		if rk.Clock > out.wall {
 			out.wall = rk.Clock

@@ -128,3 +128,48 @@ func BenchmarkPFTForwardSymbolic(b *testing.B) {
 		}
 	}
 }
+
+// buildPFTBenchInput is the sweep-shaped PFT problem: one rank's routing
+// at the first Fig. 10a point scaled to s tokens (E = 64, k = 6, skew 0.6,
+// capacity factor 1.25), which leaves a third of the experts over
+// capacity.
+func buildPFTBenchInput(s int) (Routing, Config) {
+	cfg := Config{NumExperts: 64, TopK: 6, CapacityFactor: 1.25}
+	return SyntheticRouting(tensor.NewRNG(42), s, cfg.NumExperts, cfg.TopK, 0.6), cfg
+}
+
+// BenchmarkBuildPFT is the ledger rung for PFT construction alone.
+func BenchmarkBuildPFT(b *testing.B) {
+	const s = 8192
+	rt, cfg := buildPFTBenchInput(s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchPFT = BuildPFT(rt, cfg.NumExperts, cfg.Capacity(s), DropByCapacityWeight)
+	}
+}
+
+var benchPFT *PFT
+
+// TestBuildPFTAllocsIndependentOfTokens pins the construction's scratch
+// discipline: the ERI-arrays, the per-expert offsets and one selection
+// buffer — a fixed number of allocations however many tokens are routed
+// or segments overflow.
+func TestBuildPFTAllocsIndependentOfTokens(t *testing.T) {
+	allocs := func(s int) float64 {
+		rt, cfg := buildPFTBenchInput(s)
+		return testing.AllocsPerRun(5, func() {
+			benchPFT = BuildPFT(rt, cfg.NumExperts, cfg.Capacity(s), DropByCapacityWeight)
+		})
+	}
+	small, large := allocs(512), allocs(8192)
+	if benchPFT.Dropped == 0 {
+		t.Fatal("no segment over capacity: the selection path is not exercised")
+	}
+	// Eight today; the slack absorbs the runtime's own mallocs when a GC
+	// cycle lands inside a run, not a per-segment or per-token buffer
+	// (a third of 64 segments overflow here).
+	if large > small+2 || large > 10 {
+		t.Fatalf("BuildPFT allocations: %.0f at S=512, %.0f at S=8192; want a fixed count <= 10", small, large)
+	}
+}

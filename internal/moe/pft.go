@@ -1,9 +1,6 @@
 package moe
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // DropPolicy selects the token-dropping semantics of PFT construction.
 // The paper's §5.6 traces the small loss-curve gap between X-MoE and
@@ -46,16 +43,6 @@ type PFT struct {
 // B returns the number of retained routed-token rows.
 func (p *PFT) B() int { return len(p.TokenIDs) }
 
-// pftEntry is one flattened (token, expert) assignment during
-// construction.
-type pftEntry struct {
-	flat   int // t*k + j, the stable tiebreaker
-	token  int
-	expert int
-	weight float32
-	logit  float32
-}
-
 // BuildPFT constructs the PFT from a routing per Listing 1: flatten the
 // [S, K] assignment array, order entries expert-major, apply the drop
 // policy against maxTokenCount (the expert capacity), and emit the
@@ -78,126 +65,161 @@ func BuildPFTCaps(r Routing, numExperts int, caps []int, policy DropPolicy) *PFT
 	return buildPFT(r, numExperts, caps, 0, policy)
 }
 
+// buildPFT makes two passes over the routing, straight into the final
+// ERI-arrays: a per-expert histogram of the assignments that survive the
+// negative-score drop, then — from its prefix sums — a stable placement
+// that keeps flat (t*k+j) order inside each expert segment. First-come
+// capacity dropping falls out of the placement (a full segment takes no
+// more rows); weight-ordered dropping places every candidate, then
+// compacts the over-capacity segments in place.
 func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy DropPolicy) *PFT {
-	capFor := func(e int) int {
-		if caps != nil {
-			return caps[e]
-		}
-		return maxTokenCount
-	}
 	k := r.K()
-	entries := make([]pftEntry, 0, r.S*k)
+	dropNegative := policy == DropNegativeThenPosition && r.Logits != nil // unknown logits count as positive
+	byWeight := policy == DropByCapacityWeight
+
+	counts := make([]int, numExperts)
 	for t := 0; t < r.S; t++ {
 		for j := 0; j < k; j++ {
-			ent := pftEntry{
-				flat:   t*k + j,
-				token:  t,
-				expert: r.TopExperts[t][j],
-				weight: r.Weights[t][j],
+			if dropNegative && r.Logits[t][j] < 0 {
+				continue
 			}
-			if r.Logits != nil {
-				ent.logit = r.Logits[t][j]
+			counts[r.TopExperts[t][j]]++
+		}
+	}
+
+	// counts[e] becomes the retained rows of expert e; [next[e], end[e])
+	// is the segment the placement fills, which under byWeight still
+	// holds every candidate of an over-capacity expert.
+	next := make([]int, numExperts)
+	end := make([]int, numExperts)
+	placed, maxOver := 0, 0
+	for e, c := range counts {
+		limit := maxTokenCount
+		if caps != nil {
+			limit = caps[e]
+		}
+		next[e] = placed
+		if limit > 0 && c > limit {
+			counts[e] = limit
+			if byWeight {
+				maxOver = max(maxOver, c)
 			} else {
-				ent.logit = 1 // treat unknown logits as positive
-			}
-			entries = append(entries, ent)
-		}
-	}
-
-	if policy == DropNegativeThenPosition {
-		kept := entries[:0]
-		for _, e := range entries {
-			if e.logit >= 0 {
-				kept = append(kept, e)
+				c = limit
 			}
 		}
-		entries = kept
+		placed += c
+		end[e] = placed
 	}
 
-	// Expert-major, stable in flat order (Listing 1 lines 20-21). A
-	// counting sort over the expert bins keeps the flat order within each
-	// expert segment — identical to a stable comparison sort — in
-	// O(B + E) with no comparator indirection; BuildPFT runs once per
-	// rank per simulated layer, so this is sweep-critical.
-	{
-		counts := make([]int, numExperts)
-		for i := range entries {
-			counts[entries[i].expert]++
+	tokenIDs := make([]int, placed)
+	weights := make([]float32, placed)
+	for t := 0; t < r.S; t++ {
+		for j := 0; j < k; j++ {
+			if dropNegative && r.Logits[t][j] < 0 {
+				continue
+			}
+			e := r.TopExperts[t][j]
+			if pos := next[e]; pos < end[e] {
+				tokenIDs[pos] = t
+				weights[pos] = r.Weights[t][j]
+				next[e] = pos + 1
+			}
 		}
-		off := make([]int, numExperts)
-		run := 0
-		for e, c := range counts {
-			off[e] = run
-			run += c
-		}
-		sorted := make([]pftEntry, len(entries))
-		for i := range entries {
-			e := entries[i].expert
-			sorted[off[e]] = entries[i]
-			off[e]++
-		}
-		entries = sorted
 	}
 
-	// Capacity dropping per expert segment.
-	retained := make([]pftEntry, 0, len(entries))
-	dropped := r.S*k - len(entries) // negatives already dropped
-	for lo := 0; lo < len(entries); {
-		hi := lo
-		for hi < len(entries) && entries[hi].expert == entries[lo].expert {
-			hi++
-		}
-		seg := entries[lo:hi]
-		limit := capFor(entries[lo].expert)
-		if limit > 0 && len(seg) > limit {
-			switch policy {
-			case DropByCapacityWeight:
-				// Keep the limit highest-weight entries (Listing 1 lines
-				// 24-33), then restore flat order.
-				idx := make([]int, len(seg))
-				for i := range idx {
-					idx[i] = i
-				}
-				sort.SliceStable(idx, func(a, b int) bool {
-					if seg[idx[a]].weight != seg[idx[b]].weight {
-						return seg[idx[a]].weight > seg[idx[b]].weight
-					}
-					return seg[idx[a]].flat < seg[idx[b]].flat
-				})
-				keep := make([]bool, len(seg))
-				for _, i := range idx[:limit] {
-					keep[i] = true
-				}
-				for i, e := range seg {
-					if keep[i] {
-						retained = append(retained, e)
+	if maxOver > 0 {
+		// Keep the limit highest-weight rows of each over-capacity segment
+		// (Listing 1 lines 24-33) in flat order. Under the strict total
+		// order (weight desc, flat asc) that set is: every row above the
+		// limit-th largest weight, plus the earliest rows equal to it
+		// until the segment is full — so no sort is needed, only the
+		// threshold. One scratch buffer serves every segment.
+		scratch := make([]float32, maxOver)
+		w, lo := 0, 0
+		for e, keep := range counts {
+			hi := end[e]
+			if hi-lo == keep {
+				copy(tokenIDs[w:], tokenIDs[lo:hi])
+				copy(weights[w:], weights[lo:hi])
+				w += keep
+			} else {
+				seg := weights[lo:hi]
+				thr := kthLargest(scratch[:copy(scratch, seg)], keep)
+				ties := keep
+				for _, x := range seg {
+					if x > thr {
+						ties--
 					}
 				}
-			case DropNegativeThenPosition:
-				// First-come-first-served: seg is already flat-ordered.
-				retained = append(retained, seg[:limit]...)
+				for i, x := range seg {
+					if x == thr && ties > 0 {
+						ties-- // an admitted tie
+					} else if x <= thr {
+						continue
+					}
+					tokenIDs[w] = tokenIDs[lo+i]
+					weights[w] = x
+					w++
+				}
 			}
-			dropped += len(seg) - limit
-		} else {
-			retained = append(retained, seg...)
+			lo = hi
 		}
-		lo = hi
+		tokenIDs, weights = tokenIDs[:w:w], weights[:w:w]
 	}
 
-	p := &PFT{
-		TokenIDs:        make([]int, len(retained)),
-		ExpertIDs:       make([]int, len(retained)),
-		CombineWeights:  make([]float32, len(retained)),
-		TokensPerExpert: make([]int, numExperts),
-		Dropped:         dropped,
+	expertIDs := make([]int, len(tokenIDs))
+	row := 0
+	for e, c := range counts {
+		for hi := row + c; row < hi; row++ {
+			expertIDs[row] = e
+		}
 	}
-	for i, e := range retained {
-		p.TokenIDs[i] = e.token
-		p.ExpertIDs[i] = e.expert
-		p.CombineWeights[i] = e.weight
-		p.TokensPerExpert[e.expert]++
+	return &PFT{
+		TokenIDs:        tokenIDs,
+		ExpertIDs:       expertIDs,
+		TokensPerExpert: counts,
+		CombineWeights:  weights,
+		Dropped:         r.S*k - len(tokenIDs),
 	}
-	return p
+}
+
+// kthLargest returns the k-th largest value of a (1 <= k <= len(a)),
+// reordering a. Three-way quickselect with a median-of-three pivot:
+// expected linear time, and a run of equal weights (the tie case) ends in
+// one partition instead of degrading.
+func kthLargest(a []float32, k int) float32 {
+	lo, hi := 0, len(a)
+	for {
+		pivot := a[lo+(hi-lo)/2]
+		if x, y := a[lo], a[hi-1]; (x > pivot) != (x > y) {
+			pivot = x
+		} else if (y > pivot) != (y > x) {
+			pivot = y
+		}
+		// a[lo:gt] > pivot, a[gt:i] == pivot, a[lt:hi] < pivot.
+		gt, i, lt := lo, lo, hi
+		for i < lt {
+			switch x := a[i]; {
+			case x > pivot:
+				a[gt], a[i] = x, a[gt]
+				gt++
+				i++
+			case x < pivot:
+				lt--
+				a[i], a[lt] = a[lt], x
+			default:
+				i++
+			}
+		}
+		switch {
+		case k <= gt:
+			hi = gt
+		case k > lt:
+			lo = lt
+		default:
+			return pivot
+		}
+	}
 }
 
 // Validate checks the PFT's structural invariants: expert-major ordering,

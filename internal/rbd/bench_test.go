@@ -1,0 +1,40 @@
+package rbd
+
+import (
+	"testing"
+
+	"xmoe/internal/model"
+	"xmoe/internal/moe"
+	"xmoe/internal/simrt"
+	"xmoe/internal/tensor"
+)
+
+// BenchmarkStageReplicas is the ledger rung for RBD's Stage-2 staging: one
+// rank of an EP = 8 group grouping the replicas announced by its seven
+// peers and itself, at the Small model's layer shape and the sweep's
+// routing (8192 tokens per rank, k = 6, skew 0.6), symbolic.
+func BenchmarkStageReplicas(b *testing.B) {
+	const world, s = 8, 8192
+	sh := model.Small()
+	cfg := moe.Config{NumExperts: sh.NumExperts, TopK: sh.TopK, HModel: sh.HModel, HFFN: sh.HFFN,
+		CapacityFactor: 1.25, BytesPerElem: 2}
+	c := newCluster(world)
+	d := NewDispatcher(c, c.WorldGroup(), cfg)
+	states := make([]*State, world)
+	ranks, err := c.RunCollect(func(r *simrt.Rank) error {
+		rt := moe.SyntheticRouting(tensor.NewRNG(42+uint64(r.ID)*31), s, cfg.NumExperts, cfg.TopK, 0.6)
+		pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(s), moe.DropByCapacityWeight)
+		states[r.ID] = d.DispatchPilots(r, pft, nil, tensor.NewRNG(uint64(r.ID)), Opts{})
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchParts = d.stageReplicas(ranks[0], states[0], Opts{})
+	}
+}
+
+var benchParts []simrt.Part

@@ -12,7 +12,6 @@ package rbd
 
 import (
 	"fmt"
-	"sort"
 
 	"xmoe/internal/kernels"
 	"xmoe/internal/moe"
@@ -427,7 +426,15 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 
 	// Pilot send order: PFT (expert-major) order restricted to pilots,
 	// so per-destination parts are contiguous and expert-sorted.
-	pilotEntry := make([]int, 0, b)
+	// The state keeps pilotEntry for the combine and the backward, so it is
+	// sized to the pilots (one per (token, node) group), not to all b rows.
+	nPilots := 0
+	for _, pilot := range isPilot {
+		if pilot {
+			nPilots++
+		}
+	}
+	pilotEntry := make([]int, 0, nPilots)
 	pilotSendPos := make([]int, b) // entry -> global send pos (pilots only)
 	for i := 0; i < b; i++ {
 		if isPilot[i] {
@@ -620,72 +627,68 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State, opts Opts) []simrt.
 	comp := r.C.Comp
 	mem := &r.Dev().Mem
 
-	// Group incoming replicas by their destination member within this
-	// node, ordered by ascending expert id (the paper's contiguous,
-	// destination-ordered local exchange buffer).
+	// Group incoming replicas by (destination slot, expert) with one
+	// counting sort: a node's members own ascending, contiguous expert
+	// ranges and slots ascend with member index, so the key
+	// slot*EPR + local expert orders the rows by slot and, within a slot,
+	// by ascending expert id — the paper's contiguous, destination-ordered
+	// local exchange buffer. Placing in (src, ri) visiting order keeps
+	// arrival order within an expert, with no comparison sort.
 	nodeMembers := d.nodeMembers[myNode]
-	type stagedReplica struct {
-		pilotAbs int
-		meta     replicaMeta
-		src, ri  int
+	keyOf := func(expert int) int {
+		dm := d.memberOfExpert(expert)
+		return d.slotOfMember[dm]*d.EPR + expert - dm*d.EPR
 	}
-	// Count per destination slot, then fill flat-backed views.
-	nReplicasIn := 0
-	stagedCount := make([]int, len(nodeMembers)+1)
+	next := make([]int, len(nodeMembers)*d.EPR+1)
 	for src := 0; src < p; src++ {
 		for _, rm := range st.recvMetas[src].replicas {
-			dm := d.memberOfExpert(rm.expert)
-			if d.nodeOfMember[dm] != myNode {
+			if d.NodeOfExpert(rm.expert) != myNode {
 				panic(fmt.Sprintf("rbd: replica for expert %d routed off-node", rm.expert))
 			}
-			stagedCount[d.slotOfMember[dm]+1]++
-			nReplicasIn++
+			next[keyOf(rm.expert)+1]++
 		}
 	}
-	staged := make([][]stagedReplica, len(nodeMembers))
-	stagedFlat := make([]stagedReplica, nReplicasIn)
-	for slot := range staged {
-		stagedCount[slot+1] += stagedCount[slot]
-		staged[slot] = stagedFlat[stagedCount[slot]:stagedCount[slot]]
+	for key := 1; key < len(next); key++ {
+		next[key] += next[key-1]
 	}
+	nReplicasIn := next[len(next)-1]
+	slotStart := make([]int, len(nodeMembers)+1)
+	for slot := range slotStart {
+		slotStart[slot] = next[slot*d.EPR]
+	}
+	// Per-slot metadata and merge targets are views into flat backings.
+	metaFlat := make([]replicaMeta, nReplicasIn)
+	sentFlat := make([]s2Sent, nReplicasIn)
 	for src := 0; src < p; src++ {
 		for ri, rm := range st.recvMetas[src].replicas {
-			abs := st.pilotPartOff[src] + rm.pilotRel // re-encode to absolute
-			slot := d.slotOfMember[d.memberOfExpert(rm.expert)]
-			staged[slot] = append(staged[slot], stagedReplica{pilotAbs: abs, meta: rm, src: src, ri: ri})
+			key := keyOf(rm.expert)
+			pos := next[key]
+			next[key]++
+			metaFlat[pos] = rm
+			// pilotRel re-encodes to an absolute pilot-buffer row.
+			sentFlat[pos] = s2Sent{pilotAbs: st.pilotPartOff[src] + rm.pilotRel, weight: rm.weight, src: src, ri: ri}
 		}
-	}
-	// Stable order by expert id within each destination (the paper keeps
-	// the local exchange buffer contiguous and expert-ordered).
-	for slot := range staged {
-		s := staged[slot]
-		sort.SliceStable(s, func(a, b int) bool { return s[a].meta.expert < s[b].meta.expert })
 	}
 	r.Compute(StageS2Inst, comp.MemBound(perfmodel.ClassTriton, 2*int64(nReplicasIn)*int64(h)*elem))
 	mem.Alloc("rbd_s2_send", int64(nReplicasIn)*int64(h)*elem)
 
 	st.s2SentByMember = make([][]s2Sent, len(nodeMembers))
 	s2Send := make([]simrt.Part, len(nodeMembers))
-	for slot := range staged {
-		rows := staged[slot]
-		meta := make([]replicaMeta, len(rows))
-		sent := make([]s2Sent, len(rows))
+	for slot := range s2Send {
+		lo, hi := slotStart[slot], slotStart[slot+1]
+		sent := sentFlat[lo:hi:hi]
 		var data []float32
 		if opts.Numeric {
-			data = make([]float32, len(rows)*h)
-		}
-		for pos, sr := range rows {
-			meta[pos] = sr.meta
-			sent[pos] = s2Sent{pilotAbs: sr.pilotAbs, weight: sr.meta.weight, src: sr.src, ri: sr.ri}
-			if opts.Numeric {
+			data = make([]float32, len(sent)*h)
+			for pos, sr := range sent {
 				copy(data[pos*h:(pos+1)*h], st.pilotRows.Row(sr.pilotAbs))
 			}
 		}
 		st.s2SentByMember[slot] = sent
 		s2Send[slot] = simrt.Part{
 			Data:  data,
-			Meta:  meta,
-			Bytes: int64(len(rows))*int64(h)*elem + int64(len(rows))*16,
+			Meta:  metaFlat[lo:hi:hi],
+			Bytes: int64(len(sent))*int64(h)*elem + int64(len(sent))*16,
 		}
 	}
 	return s2Send

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -390,4 +391,72 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestStageReplicasOrder pins the Stage-2 send layout: per destination
+// slot the rows are expert-ascending and, within an expert, in (src, ri)
+// arrival order, each row carrying its own metadata and absolute pilot
+// row. k = 8 over 2 nodes makes many replicas of different sources collide
+// on the same expert, the case a non-stable grouping would reorder.
+func TestStageReplicasOrder(t *testing.T) {
+	cfg := rbdConfig(32, 8)
+	const s = 48
+	c := newCluster(16)
+	g := c.WorldGroup()
+	d := NewDispatcher(c, g, cfg)
+	var collisions atomic.Int64
+	err := c.Run(func(r *simrt.Rank) error {
+		rt := moe.SyntheticRouting(tensor.NewRNG(900+uint64(r.ID)), s, cfg.NumExperts, cfg.TopK, 0.7)
+		pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(s), moe.DropByCapacityWeight)
+		st := d.DispatchPilots(r, pft, nil, tensor.NewRNG(50+uint64(r.ID)), Opts{})
+		parts := d.stageReplicas(r, st, Opts{})
+
+		members := d.nodeMembers[d.nodeOfMember[g.IndexOf(r.ID)]]
+		incoming, staged := 0, 0
+		for _, m := range st.recvMetas {
+			incoming += len(m.replicas)
+		}
+		for slot, part := range parts {
+			meta := part.Meta.([]replicaMeta)
+			sent := st.s2SentByMember[slot]
+			if len(meta) != len(sent) {
+				return fmt.Errorf("slot %d: %d metadata rows, %d merge targets", slot, len(meta), len(sent))
+			}
+			staged += len(meta)
+			for pos, rm := range meta {
+				sr := sent[pos]
+				if d.memberOfExpert(rm.expert) != members[slot] {
+					return fmt.Errorf("slot %d pos %d: expert %d belongs to member %d", slot, pos, rm.expert, d.memberOfExpert(rm.expert))
+				}
+				if rm != st.recvMetas[sr.src].replicas[sr.ri] || sr.weight != rm.weight ||
+					sr.pilotAbs != st.pilotPartOff[sr.src]+rm.pilotRel {
+					return fmt.Errorf("slot %d pos %d: row does not carry replica (src %d, ri %d)", slot, pos, sr.src, sr.ri)
+				}
+				if pos == 0 {
+					continue
+				}
+				prev, psr := meta[pos-1], sent[pos-1]
+				switch {
+				case rm.expert < prev.expert:
+					return fmt.Errorf("slot %d pos %d: expert %d after %d", slot, pos, rm.expert, prev.expert)
+				case rm.expert > prev.expert:
+				case sr.src < psr.src || (sr.src == psr.src && sr.ri <= psr.ri):
+					return fmt.Errorf("slot %d pos %d expert %d: (src %d, ri %d) after (src %d, ri %d)",
+						slot, pos, rm.expert, sr.src, sr.ri, psr.src, psr.ri)
+				default:
+					collisions.Add(1)
+				}
+			}
+		}
+		if staged != incoming {
+			return fmt.Errorf("staged %d of %d incoming replicas", staged, incoming)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if collisions.Load() < 1000 {
+		t.Fatalf("only %d same-expert neighbours: the routing does not exercise arrival order", collisions.Load())
+	}
 }

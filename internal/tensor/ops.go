@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // SoftmaxRows applies a numerically stable softmax to each row of a
 // matrix-shaped tensor in place.
@@ -100,17 +97,6 @@ func TopK(t *Tensor, k int) (indices [][]int, values [][]float32) {
 		}
 	})
 	return indices, values
-}
-
-// ArgsortDescending returns the permutation that sorts vals in descending
-// order, stable with respect to the original index order.
-func ArgsortDescending(vals []float32) []int {
-	idx := make([]int, len(vals))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return vals[idx[a]] > vals[idx[b]] })
-	return idx
 }
 
 // Histogram counts occurrences of each value in [0, bins) within ids.

@@ -250,18 +250,6 @@ func TestHistogramAndCumSum(t *testing.T) {
 	}
 }
 
-func TestArgsortDescending(t *testing.T) {
-	got := ArgsortDescending([]float32{0.2, 0.9, 0.5})
-	if got[0] != 1 || got[1] != 2 || got[2] != 0 {
-		t.Fatalf("ArgsortDescending = %v", got)
-	}
-	// Stability on ties.
-	got = ArgsortDescending([]float32{1, 1, 1})
-	if got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("ArgsortDescending not stable: %v", got)
-	}
-}
-
 func TestActivationsForward(t *testing.T) {
 	x := FromSlice([]float32{-2, 0, 2}, 3)
 	r := x.Clone()
