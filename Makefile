@@ -47,11 +47,18 @@ race-full: race
 # suite (flat-topology exactness to 1e-12 s, byte-accounting identities,
 # contention divergence on rail graphs, derate plumbing) plus the
 # determinism tests (identical seeds + concurrent collectives must give
-# bit-identical event logs and clocks), all under the race detector.
+# bit-identical event logs and clocks), all under the race detector. The
+# simrt half is picked by name, so the gate first checks that the pattern
+# still names its four tests: a rename must fail here, not pass vacuously.
+DEVENT_SIMRT_TESTS := Engine|ConcurrentCollectives|CommHandleOverlap|SetLinkDerate
 verify-devent:
 	$(GO) test -race ./internal/devent ./internal/topology
-	$(GO) test -race -run 'Engine|ConcurrentCollectives|CommHandleOverlap|SetLinkDerate' \
-		./internal/simrt
+	@n=$$($(GO) test -list '$(DEVENT_SIMRT_TESTS)' ./internal/simrt | grep -c '^Test'); \
+	if [ "$$n" -lt 4 ]; then \
+		echo "verify-devent: -run '$(DEVENT_SIMRT_TESTS)' names $$n tests in internal/simrt, want >= 4"; \
+		exit 1; \
+	fi
+	$(GO) test -race -run '$(DEVENT_SIMRT_TESTS)' ./internal/simrt
 
 # ZeRO verification gate: the sharded gradient-sync stack under the race
 # detector — async reduction collectives (simrt), bucket partitioning and
@@ -94,7 +101,7 @@ chaos-fast:
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/tensor \
 		./internal/kernels ./internal/moe ./internal/rbd ./internal/train \
-		./internal/baselines
+		./internal/baselines ./internal/devent
 
 bench-figs:
 	$(GO) test -run=NONE -bench=. -benchmem -benchtime=1x .

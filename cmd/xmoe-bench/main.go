@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,6 +31,7 @@ import (
 
 	"xmoe/internal/bench"
 	"xmoe/internal/moe"
+	"xmoe/internal/prof"
 	"xmoe/internal/topology"
 )
 
@@ -139,7 +138,7 @@ func main() {
 		}
 	}
 
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -188,41 +187,4 @@ func main() {
 		}
 		fmt.Printf("  [wrote %d records to %s]\n", len(records), jsonPath)
 	}
-}
-
-// startProfiles begins a CPU profile at cpuPath and returns the function
-// that ends it and writes the allocation profile to memPath. An empty
-// path turns that profile off.
-func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		if cpuFile, err = os.Create(cpuPath); err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, fmt.Errorf("starting CPU profile: %w", err)
-		}
-	}
-	return func() error {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				return err
-			}
-		}
-		if memPath == "" {
-			return nil
-		}
-		f, err := os.Create(memPath)
-		if err != nil {
-			return err
-		}
-		runtime.GC() // the profile reports allocations as of the last completed cycle
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			f.Close()
-			return fmt.Errorf("writing allocation profile: %w", err)
-		}
-		return f.Close()
-	}, nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"xmoe/internal/bench"
 	"xmoe/internal/netsim"
+	"xmoe/internal/prof"
 	"xmoe/internal/topology"
 )
 
@@ -21,7 +22,9 @@ func main() {
 	characterise := flag.Bool("characterize", false, "run the Appendix-D all-to-all characterisation (Figs. 18/19)")
 	graph := flag.String("graph", "", "print the event-engine topology graph instead: flat, rail, or noc")
 	seed := flag.Uint64("seed", 42, "congestion sampling seed")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
+	defer prof.StartCPU(*cpuProfile)()
 
 	var m *topology.Machine
 	switch *machine {

@@ -21,6 +21,7 @@ import (
 	"xmoe/internal/fault"
 	"xmoe/internal/model"
 	"xmoe/internal/moe"
+	"xmoe/internal/prof"
 	"xmoe/internal/topology"
 	"xmoe/internal/trace"
 	"xmoe/internal/train"
@@ -225,7 +226,9 @@ func main() {
 	zeroStage := flag.Int("zero", 0, "distributed mode: ZeRO stage (0 = replicated, 1 = sharded optimizer state, 2 = + sharded gradients)")
 	bucketMB := flag.Int64("bucket-mb", 0, "distributed mode: gradient-sync bucket size in MiB (0 = one bucket per stream)")
 	momentum := flag.Float64("momentum", 0, "distributed mode: SGD momentum (its state shards under -zero >= 1)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
+	defer prof.StartCPU(*cpuProfile)()
 
 	if *dist {
 		if *faults != "" || *mtbf > 0 || *spares > 0 {

@@ -7,14 +7,38 @@ import (
 	"xmoe/internal/topology"
 )
 
-// flowSpec describes one point-to-point transfer of a decomposed
-// collective before simulation: source and destination global ranks, the
-// payload, and the flows (indices into the same plan) that must finish
-// before this one may start.
-type flowSpec struct {
-	src, dst int
-	bytes    int64
+// plan is a collective lowered into point-to-point transfers: flow i moves
+// bytes[i] from global rank src[i] to dst[i], and may start only once the
+// flows deps[depOff[i]:depOff[i+1]] (indices into the same plan) have
+// finished. It lives in a simArena and is refilled, not reallocated, by
+// each query that misses the memo.
+type plan struct {
+	src, dst []int32
+	bytes    []int64
+	depOff   []int32 // len() + 1 offsets into deps
 	deps     []int32
+}
+
+func (p *plan) len() int { return len(p.bytes) }
+
+func (p *plan) reset() {
+	p.src, p.dst, p.bytes, p.deps = p.src[:0], p.dst[:0], p.bytes[:0], p.deps[:0]
+	p.depOff = append(p.depOff[:0], 0)
+}
+
+// add appends a flow gated on deps and returns its index. A negative dep
+// stands for "none", so chain heads pass their -1 cursor unconditionally.
+func (p *plan) add(src, dst int, bytes int64, deps ...int32) int32 {
+	p.src = append(p.src, int32(src))
+	p.dst = append(p.dst, int32(dst))
+	p.bytes = append(p.bytes, bytes)
+	for _, d := range deps {
+		if d >= 0 {
+			p.deps = append(p.deps, d)
+		}
+	}
+	p.depOff = append(p.depOff, int32(len(p.deps)))
+	return int32(len(p.bytes) - 1)
 }
 
 // collective kind tags folded into memo keys.
@@ -40,30 +64,25 @@ func zeroCost() netsim.Cost {
 // analytic egress/ingress sums. Zero-byte pairs are skipped, mirroring the
 // analytic loops.
 func (e *Engine) AlltoAllV(ranks []int, sendBytes [][]int64) netsim.Cost {
-	p := len(ranks)
-	var flows []flowSpec
-	for i := 0; i < p; i++ {
-		prev := int32(-1)
-		for off := 0; off < p; off++ {
-			j := (i + off) % p
-			if sendBytes[i][j] == 0 {
-				continue
-			}
-			var deps []int32
-			if prev >= 0 {
-				deps = []int32{prev}
-			}
-			flows = append(flows, flowSpec{ranks[i], ranks[j], sendBytes[i][j], deps})
-			prev = int32(len(flows) - 1)
-		}
-	}
-	return e.costOf(kindAlltoAllV, "alltoallv", ranks, flows, func(h uint64) uint64 {
+	return e.costOf(kindAlltoAllV, "alltoallv", ranks, func(h uint64) uint64 {
 		for _, row := range sendBytes {
 			for _, b := range row {
 				h = mix(h, uint64(b))
 			}
 		}
 		return h
+	}, func(pl *plan) {
+		p := len(ranks)
+		for i := 0; i < p; i++ {
+			prev := int32(-1)
+			for off := 0; off < p; off++ {
+				j := (i + off) % p
+				if sendBytes[i][j] == 0 {
+					continue
+				}
+				prev = pl.add(ranks[i], ranks[j], sendBytes[i][j], prev)
+			}
+		}
 	})
 }
 
@@ -103,29 +122,26 @@ func ringShards(bytes int64, q int) []int64 {
 // neighbour's step-(s-1) send (which delivered the block being forwarded)
 // — the two-dependency chaining that keeps even rings in lockstep and
 // makes uneven ones wait honestly. entry optionally gates each member's
-// first send on flows of an earlier phase. Returns the extended plan and
-// each member's last send.
-func ringPass(flows []flowSpec, ranks []int, blocks []int64, entry [][]int32) ([]flowSpec, []int32) {
+// first send on flows of an earlier phase. Returns each member's last send.
+func (pl *plan) ringPass(ranks []int, blocks []int64, entry [][]int32) []int32 {
 	q := len(ranks)
-	cur := make([]int32, q)
+	cur, next := make([]int32, q), make([]int32, q)
 	for s := 1; s <= q-1; s++ {
-		next := make([]int32, q)
 		for i := 0; i < q; i++ {
 			blk := ((i-s+1)%q + q) % q
-			var deps []int32
-			if s == 1 {
-				if entry != nil {
-					deps = entry[i]
-				}
-			} else {
-				deps = []int32{cur[i], cur[(i-1+q)%q]}
+			src, dst := ranks[i], ranks[(i+1)%q]
+			switch {
+			case s > 1:
+				next[i] = pl.add(src, dst, blocks[blk], cur[i], cur[(i-1+q)%q])
+			case entry != nil:
+				next[i] = pl.add(src, dst, blocks[blk], entry[i]...)
+			default:
+				next[i] = pl.add(src, dst, blocks[blk])
 			}
-			flows = append(flows, flowSpec{ranks[i], ranks[(i+1)%q], blocks[blk], deps})
-			next[i] = int32(len(flows) - 1)
 		}
-		cur = next
+		cur, next = next, cur
 	}
-	return flows, cur
+	return cur
 }
 
 // AllGather lowers a ring all-gather: p-1 steps, each member forwarding
@@ -134,12 +150,13 @@ func (e *Engine) AllGather(ranks []int, perRankBytes []int64) netsim.Cost {
 	if len(ranks) <= 1 {
 		return zeroCost()
 	}
-	flows, _ := ringPass(nil, ranks, perRankBytes, nil)
-	return e.costOf(kindAllGather, "allgather", ranks, flows, func(h uint64) uint64 {
+	return e.costOf(kindAllGather, "allgather", ranks, func(h uint64) uint64 {
 		for _, b := range perRankBytes {
 			h = mix(h, uint64(b))
 		}
 		return h
+	}, func(pl *plan) {
+		pl.ringPass(ranks, perRankBytes, nil)
 	})
 }
 
@@ -149,21 +166,21 @@ func (e *Engine) ReduceScatter(ranks []int, bytes int64) netsim.Cost {
 	if len(ranks) <= 1 || bytes == 0 {
 		return zeroCost()
 	}
-	flows, _ := ringPass(nil, ranks, ringShards(bytes, len(ranks)), nil)
-	return e.costOf(kindReduceScatter, "reducescatter", ranks, flows, func(h uint64) uint64 {
+	return e.costOf(kindReduceScatter, "reducescatter", ranks, func(h uint64) uint64 {
 		return mix(h, uint64(bytes))
+	}, func(pl *plan) {
+		pl.ringPass(ranks, ringShards(bytes, len(ranks)), nil)
 	})
 }
 
-// allReduceFlows lowers an all-reduce. Single-node groups (and uneven
+// allReduce lowers an all-reduce. Single-node groups (and uneven
 // multi-node layouts) run a global ring reduce-scatter followed by a ring
 // all-gather over the same shards. Even multi-node layouts decompose
 // hierarchically, mirroring the analytic model's phases: per-node ring
 // reduce-scatter, per-slot cross-node ring all-reduce of each member's
 // reduced shard (the g concurrent slot rings are what contend for the
 // shared NIC trunks), then per-node ring all-gather.
-func (e *Engine) allReduceFlows(ranks []int, bytes int64) []flowSpec {
-	m := e.G.M
+func (pl *plan) allReduce(m *topology.Machine, ranks []int, bytes int64) {
 	p := len(ranks)
 	// Group members by node, preserving rank order.
 	nodeOrder := []int{}
@@ -186,16 +203,15 @@ func (e *Engine) allReduceFlows(ranks []int, bytes int64) []flowSpec {
 	}
 	if nodes == 1 || !even || g == 0 {
 		shards := ringShards(bytes, p)
-		flows, last := ringPass(nil, ranks, shards, nil)
+		last := pl.ringPass(ranks, shards, nil)
 		entry := make([][]int32, p)
 		for i := range entry {
 			entry[i] = []int32{last[i], last[(i-1+p)%p]}
 		}
-		flows, _ = ringPass(flows, ranks, shards, entry)
-		return flows
+		pl.ringPass(ranks, shards, entry)
+		return
 	}
 
-	var flows []flowSpec
 	shards := ringShards(bytes, g)
 	// Phase 1: per-node ring reduce-scatter.
 	rsLast := make(map[int][]int32, nodes)
@@ -203,9 +219,7 @@ func (e *Engine) allReduceFlows(ranks []int, bytes int64) []flowSpec {
 		if g == 1 {
 			continue
 		}
-		var last []int32
-		flows, last = ringPass(flows, byNode[nd], shards, nil)
-		rsLast[nd] = last
+		rsLast[nd] = pl.ringPass(byNode[nd], shards, nil)
 	}
 	// Phase 2: per-slot cross-node ring all-reduce of shard k.
 	agEntry := make(map[int][]int32, nodes) // per node: flows gating phase 3
@@ -217,13 +231,12 @@ func (e *Engine) allReduceFlows(ranks []int, bytes int64) []flowSpec {
 			entry[ni] = rsLast[nd]
 		}
 		sub := ringShards(shards[k], nodes)
-		var last []int32
-		flows, last = ringPass(flows, slot, sub, entry)
+		last := pl.ringPass(slot, sub, entry)
 		entry2 := make([][]int32, nodes)
 		for ni := range entry2 {
 			entry2[ni] = []int32{last[ni], last[(ni-1+nodes)%nodes]}
 		}
-		flows, last = ringPass(flows, slot, sub, entry2)
+		last = pl.ringPass(slot, sub, entry2)
 		for ni, nd := range nodeOrder {
 			agEntry[nd] = append(agEntry[nd], last[ni], last[(ni-1+nodes)%nodes])
 		}
@@ -237,9 +250,8 @@ func (e *Engine) allReduceFlows(ranks []int, bytes int64) []flowSpec {
 		for i := range entry {
 			entry[i] = agEntry[nd]
 		}
-		flows, _ = ringPass(flows, byNode[nd], shards, entry)
+		pl.ringPass(byNode[nd], shards, entry)
 	}
-	return flows
 }
 
 // AllReduce lowers a hierarchical (or flat-ring) all-reduce.
@@ -247,9 +259,10 @@ func (e *Engine) AllReduce(ranks []int, bytes int64) netsim.Cost {
 	if len(ranks) <= 1 || bytes == 0 {
 		return zeroCost()
 	}
-	flows := e.allReduceFlows(ranks, bytes)
-	return e.costOf(kindAllReduce, "allreduce", ranks, flows, func(h uint64) uint64 {
+	return e.costOf(kindAllReduce, "allreduce", ranks, func(h uint64) uint64 {
 		return mix(h, uint64(bytes))
+	}, func(pl *plan) {
+		pl.allReduce(e.G.M, ranks, bytes)
 	})
 }
 
@@ -261,23 +274,16 @@ func (e *Engine) Broadcast(ranks []int, bytes int64) netsim.Cost {
 	if p <= 1 || bytes == 0 {
 		return zeroCost()
 	}
-	var flows []flowSpec
-	delivered := make([]int32, p)
-	for i := range delivered {
-		delivered[i] = -1
-	}
-	for dist := 1; dist < p; dist *= 2 {
-		for r := 0; r < dist && r+dist < p; r++ {
-			var deps []int32
-			if delivered[r] >= 0 {
-				deps = []int32{delivered[r]}
-			}
-			flows = append(flows, flowSpec{ranks[r], ranks[r+dist], bytes, deps})
-			delivered[r+dist] = int32(len(flows) - 1)
-		}
-	}
-	return e.costOf(kindBroadcast, "broadcast", ranks, flows, func(h uint64) uint64 {
+	return e.costOf(kindBroadcast, "broadcast", ranks, func(h uint64) uint64 {
 		return mix(h, uint64(bytes))
+	}, func(pl *plan) {
+		delivered := make([]int32, p) // the flow that informed each rank
+		delivered[0] = -1
+		for dist := 1; dist < p; dist *= 2 {
+			for r := 0; r < dist && r+dist < p; r++ {
+				delivered[r+dist] = pl.add(ranks[r], ranks[r+dist], bytes, delivered[r])
+			}
+		}
 	})
 }
 
@@ -290,24 +296,23 @@ func (e *Engine) Barrier(ranks []int) netsim.Cost {
 	if p <= 1 {
 		return zeroCost()
 	}
-	var flows []flowSpec
-	steps := int(math.Ceil(math.Log2(float64(p))))
-	gate := make([][]int32, p)
-	for k := 0; k < steps; k++ {
-		d := 1 << k
-		reqs := make([]int32, p)
-		for i := 0; i < p; i++ {
-			flows = append(flows, flowSpec{ranks[i], ranks[(i+d)%p], 0, gate[i]})
-			reqs[i] = int32(len(flows) - 1)
+	return e.costOf(kindBarrier, "barrier", ranks, func(h uint64) uint64 { return h }, func(pl *plan) {
+		steps := int(math.Ceil(math.Log2(float64(p))))
+		// gate[i] is the ack that let rank i into the current round.
+		gate, next, reqs := make([]int32, p), make([]int32, p), make([]int32, p)
+		for i := range gate {
+			gate[i] = -1
 		}
-		next := make([][]int32, p)
-		for i := 0; i < p; i++ {
-			j := (i + d) % p
-			deps := append([]int32{reqs[i]}, gate[j]...)
-			flows = append(flows, flowSpec{ranks[j], ranks[i], 0, deps})
-			next[i] = []int32{int32(len(flows) - 1)}
+		for k := 0; k < steps; k++ {
+			d := 1 << k
+			for i := 0; i < p; i++ {
+				reqs[i] = pl.add(ranks[i], ranks[(i+d)%p], 0, gate[i])
+			}
+			for i := 0; i < p; i++ {
+				j := (i + d) % p
+				next[i] = pl.add(ranks[j], ranks[i], 0, reqs[i], gate[j])
+			}
+			gate, next = next, gate
 		}
-		gate = next
-	}
-	return e.costOf(kindBarrier, "barrier", ranks, flows, func(h uint64) uint64 { return h })
+	})
 }

@@ -21,7 +21,6 @@
 package devent
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -50,22 +49,34 @@ type CollectiveLog struct {
 }
 
 // Engine simulates collectives event-by-event over a topology graph. It is
-// safe for concurrent use by the simulated ranks: each cost query runs an
-// isolated simulation (fresh link timelines), so results are independent of
-// query order — the property the memo cache and the determinism tests rely
-// on.
+// safe for concurrent use by the simulated ranks. Every cost query that
+// misses the memo runs an isolated simulation inside a simArena it owns
+// for the duration of the query: one arena per in-flight query, taken from
+// and returned to the engine's free list, so concurrent queries (RBD's
+// node groups) never share link or flow state and results are independent
+// of query order — the property the memo cache and the determinism tests
+// rely on. Nothing handed to a caller aliases arena memory: a Cost's
+// BytesByClass map is built fresh per miss (and then shared by every hit,
+// so callers must treat it as immutable, as netsim.Network documents), and
+// a CollectiveLog's Events and Ranks are copies.
 type Engine struct {
 	G *topology.Graph
 
 	mu       sync.Mutex
-	derate   map[topology.LinkClass]float64
+	derate   [numClasses]float64 // per link class, 1 = healthy
 	cache    map[uint64]netsim.Cost
 	recorder func(CollectiveLog)
+	free     []*simArena // idle arenas; grown on demand, never shrunk
 }
+
+// numClasses is the size of the tables indexed by topology.LinkClass.
+const numClasses = int(topology.LinkCrossRack) + 1
 
 // New returns an event engine over graph g.
 func New(g *topology.Graph) *Engine {
-	return &Engine{G: g, cache: make(map[uint64]netsim.Cost)}
+	e := &Engine{G: g, cache: make(map[uint64]netsim.Cost)}
+	e.SetLinkDerate(nil)
+	return e
 }
 
 // EngineName identifies the engine and its graph in traces and benchmark
@@ -78,12 +89,15 @@ func (e *Engine) EngineName() string { return "event:" + e.G.Name }
 // between Cluster.Run calls; derates are folded into memo keys, so stale
 // cached times are never served.
 func (e *Engine) SetLinkDerate(d map[topology.LinkClass]float64) {
-	cp := make(map[topology.LinkClass]float64, len(d))
-	for c, v := range d {
-		cp[c] = v
+	var t [numClasses]float64
+	for c := range t {
+		t[c] = 1
+		if v, ok := d[topology.LinkClass(c)]; ok && v > 1 {
+			t[c] = v
+		}
 	}
 	e.mu.Lock()
-	e.derate = cp
+	e.derate = t
 	e.mu.Unlock()
 }
 
@@ -100,346 +114,72 @@ const cacheBound = 1 << 16
 
 func mix(h, v uint64) uint64 { return (h ^ v) * 1099511628211 }
 
-func (e *Engine) derateOf(d map[topology.LinkClass]float64, class topology.LinkClass) float64 {
-	if v, ok := d[class]; ok && v > 1 {
-		return v
-	}
-	return 1
-}
-
-// costOf memoizes a collective's simulated cost; payload mixes the
-// byte-size arguments into the hash.
-func (e *Engine) costOf(kind uint64, name string, ranks []int, flows []flowSpec, payload func(uint64) uint64) netsim.Cost {
+// costOf memoizes a collective's simulated cost. The key is hashed from
+// the arguments alone — payload mixes the byte-size arguments in — and the
+// memo is consulted before anything is lowered: a hit never calls lower,
+// never takes an arena and allocates nothing. On a miss lower fills the
+// arena's plan, which simulate then runs.
+func (e *Engine) costOf(kind uint64, name string, ranks []int, payload func(uint64) uint64, lower func(*plan)) netsim.Cost {
 	e.mu.Lock()
-	derate := e.derate
-	rec := e.recorder
+	derate, rec := e.derate, e.recorder
+	e.mu.Unlock()
+	var h uint64
+	if rec == nil {
+		h = mix(14695981039346656037, kind)
+		for _, d := range derate {
+			h = mix(h, math.Float64bits(d))
+		}
+		h = mix(h, uint64(len(ranks)))
+		for _, r := range ranks {
+			h = mix(h, uint64(r))
+		}
+		h = payload(h)
+	}
+
+	e.mu.Lock()
+	if rec == nil {
+		if c, ok := e.cache[h]; ok {
+			e.mu.Unlock()
+			return c
+		}
+	}
+	var a *simArena
+	if n := len(e.free); n > 0 {
+		a, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		a = new(simArena)
+	}
+	e.mu.Unlock()
+
+	a.plan.reset()
+	lower(&a.plan)
+	ct := classesOf(e.G.M, &derate)
+	seconds := a.simulate(e.G, &ct, name, len(ranks), rec != nil)
+	cost := netsim.Cost{Seconds: seconds, BytesByClass: make(map[topology.LinkClass]int64, numClasses)}
+	for c, b := range a.byClass {
+		if b > 0 {
+			cost.BytesByClass[topology.LinkClass(c)] = b
+		}
+	}
+	var log CollectiveLog
+	if rec != nil {
+		log = CollectiveLog{
+			Kind: name, Ranks: append([]int(nil), ranks...), Seconds: seconds,
+			Events: append([]Event(nil), a.events...),
+		}
+	}
+
+	e.mu.Lock()
+	if rec == nil {
+		if len(e.cache) >= cacheBound {
+			e.cache = make(map[uint64]netsim.Cost, 256)
+		}
+		e.cache[h] = cost
+	}
+	e.free = append(e.free, a)
 	e.mu.Unlock()
 	if rec != nil {
-		cost, log := e.simulate(name, ranks, flows, derate, true)
 		rec(log)
-		return cost
 	}
-	h := uint64(14695981039346656037)
-	h = mix(h, kind)
-	for class := topology.LinkLocal; class <= topology.LinkCrossRack; class++ {
-		h = mix(h, math.Float64bits(e.derateOf(derate, class)))
-	}
-	h = mix(h, uint64(len(ranks)))
-	for _, r := range ranks {
-		h = mix(h, uint64(r))
-	}
-	h = payload(h)
-	e.mu.Lock()
-	c, ok := e.cache[h]
-	e.mu.Unlock()
-	if ok {
-		return c
-	}
-	c, _ = e.simulate(name, ranks, flows, derate, false)
-	e.mu.Lock()
-	if len(e.cache) >= cacheBound {
-		e.cache = make(map[uint64]netsim.Cost, 256)
-	}
-	e.cache[h] = c
-	e.mu.Unlock()
-	return c
-}
-
-// flow runtime states.
-const (
-	fsWaiting uint8 = iota // dependencies outstanding
-	fsReady                // released, queued for its ports
-	fsGranted              // ports held, latency phase
-	fsActive               // moving bytes
-	fsDone
-)
-
-type simFlow struct {
-	spec       flowSpec
-	class      topology.LinkClass
-	ports      []topology.LinkID // exclusive (unshared) links on the route
-	trunks     []topology.LinkID // shared links on the route
-	cap        float64           // class bandwidth after derate (rate ceiling)
-	latency    float64           // class α plus shared-hop latencies
-	ndeps      int
-	dependents []int32
-	state      uint8
-	// fluid phase bookkeeping (flows with trunks only):
-	rate      float64
-	remaining float64
-	lastT     float64
-	gen       uint32
-}
-
-// simulate runs one collective's flow DAG to completion and returns its
-// cost (and, when record is set, the event log).
-func (e *Engine) simulate(name string, ranks []int, specs []flowSpec, derate map[topology.LinkClass]float64, record bool) (netsim.Cost, CollectiveLog) {
-	g := e.G
-	m := g.M
-	byClass := map[topology.LinkClass]int64{}
-	if len(specs) == 0 {
-		return netsim.Cost{BytesByClass: byClass}, CollectiveLog{Kind: name, Ranks: ranks}
-	}
-
-	flows := make([]simFlow, len(specs))
-	var routeBuf []topology.LinkID
-	trunkCap := make(map[topology.LinkID]float64)
-	for i := range specs {
-		sp := specs[i]
-		f := &flows[i]
-		f.spec = sp
-		f.class = m.Classify(sp.src, sp.dst)
-		if sp.bytes > 0 {
-			byClass[f.class] += sp.bytes
-		}
-		lspec := m.Link(f.class)
-		f.latency = lspec.Latency
-		f.cap = lspec.Bandwidth / e.derateOf(derate, f.class)
-		routeBuf = g.Route(sp.src, sp.dst, routeBuf[:0])
-		for _, id := range routeBuf {
-			l := g.Link(id)
-			if l.Shared {
-				f.trunks = append(f.trunks, id)
-				f.latency += l.Latency
-				if _, ok := trunkCap[id]; !ok {
-					trunkCap[id] = l.Bandwidth / e.derateOf(derate, l.Class)
-				}
-			} else {
-				f.ports = append(f.ports, id)
-			}
-		}
-		f.ndeps = len(sp.deps)
-	}
-	for i := range specs {
-		for _, d := range specs[i].deps {
-			flows[d].dependents = append(flows[d].dependents, int32(i))
-		}
-	}
-
-	var (
-		q        eventQueue
-		seq      uint64
-		now      float64
-		portBusy = make(map[topology.LinkID]bool)
-		readyQ   []int32
-		active   []int32 // fluid flows (with trunks) currently draining
-		events   []Event
-		makespan float64
-		done     int
-	)
-	push := func(t float64, k eventKind, fl int32, gen uint32) {
-		seq++
-		q.push(event{t: t, seq: seq, kind: k, flow: fl, gen: gen})
-	}
-	logEv := func(kind string, f *simFlow) {
-		if record {
-			events = append(events, Event{
-				T: now, Kind: kind, Src: f.spec.src, Dst: f.spec.dst,
-				Bytes: f.spec.bytes, Class: f.class,
-			})
-		}
-	}
-
-	// grant scans the ready queue in release order and starts every flow
-	// whose ports are all free. Single pass: ports are only freed by
-	// finish events, never by a grant.
-	grant := func() {
-		out := readyQ[:0]
-		for _, fl := range readyQ {
-			f := &flows[fl]
-			free := true
-			for _, p := range f.ports {
-				if portBusy[p] {
-					free = false
-					break
-				}
-			}
-			if !free {
-				out = append(out, fl)
-				continue
-			}
-			for _, p := range f.ports {
-				portBusy[p] = true
-			}
-			f.state = fsGranted
-			logEv("start", f)
-			push(now+f.latency, evActivate, fl, f.gen)
-		}
-		readyQ = out
-	}
-
-	// recompute runs progressive water-filling over the fluid flows: all
-	// rates rise together until a flow hits its class cap or a trunk
-	// saturates; saturated parties freeze and filling continues. Flows
-	// whose rate changed get their remaining bytes settled at the old rate
-	// and a rescheduled finish. Flows without trunks never enter here, so
-	// their port-exclusive timing stays bit-exact.
-	recompute := func() {
-		if len(active) == 0 {
-			return
-		}
-		type lk struct {
-			rem float64
-			n   int
-		}
-		links := map[topology.LinkID]*lk{}
-		var order []topology.LinkID
-		for _, fl := range active {
-			for _, id := range flows[fl].trunks {
-				l := links[id]
-				if l == nil {
-					l = &lk{rem: trunkCap[id]}
-					links[id] = l
-					order = append(order, id)
-				}
-				l.n++
-			}
-		}
-		newRate := make([]float64, len(active))
-		frozen := make([]bool, len(active))
-		for unfrozen := len(active); unfrozen > 0; {
-			inc := math.Inf(1)
-			for k, fl := range active {
-				if !frozen[k] {
-					if d := flows[fl].cap - newRate[k]; d < inc {
-						inc = d
-					}
-				}
-			}
-			for _, id := range order {
-				if l := links[id]; l.n > 0 {
-					if s := l.rem / float64(l.n); s < inc {
-						inc = s
-					}
-				}
-			}
-			if inc < 0 || math.IsInf(inc, 1) {
-				inc = 0
-			}
-			for k := range active {
-				if !frozen[k] {
-					newRate[k] += inc
-				}
-			}
-			for _, id := range order {
-				l := links[id]
-				l.rem -= inc * float64(l.n)
-			}
-			progressed := false
-			for k, fl := range active {
-				if frozen[k] {
-					continue
-				}
-				f := &flows[fl]
-				stop := newRate[k] >= f.cap*(1-1e-12)
-				if !stop {
-					for _, id := range f.trunks {
-						if links[id].rem <= trunkCap[id]*1e-12 {
-							stop = true
-							break
-						}
-					}
-				}
-				if stop {
-					frozen[k] = true
-					unfrozen--
-					progressed = true
-					for _, id := range f.trunks {
-						links[id].n--
-					}
-				}
-			}
-			if !progressed {
-				break
-			}
-		}
-		for k, fl := range active {
-			f := &flows[fl]
-			r := newRate[k]
-			if r <= 0 {
-				// Numerical corner: never stall a flow entirely.
-				r = f.cap * 1e-9
-			}
-			if r != f.rate {
-				f.remaining -= f.rate * (now - f.lastT)
-				if f.remaining < 0 {
-					f.remaining = 0
-				}
-				f.lastT = now
-				f.rate = r
-				f.gen++
-				push(now+f.remaining/r, evFinish, fl, f.gen)
-			}
-		}
-	}
-
-	for i := range flows {
-		if flows[i].ndeps == 0 {
-			flows[i].state = fsReady
-			readyQ = append(readyQ, int32(i))
-		}
-	}
-	grant()
-
-	for q.len() > 0 {
-		ev := q.pop()
-		f := &flows[ev.flow]
-		if ev.kind == evFinish && (ev.gen != f.gen || f.state == fsDone) {
-			continue
-		}
-		now = ev.t
-		switch ev.kind {
-		case evActivate:
-			f.state = fsActive
-			if len(f.trunks) == 0 || f.spec.bytes == 0 {
-				t := now
-				if f.spec.bytes > 0 {
-					t = now + float64(f.spec.bytes)/f.cap
-				}
-				push(t, evFinish, ev.flow, f.gen)
-			} else {
-				f.rate = 0
-				f.remaining = float64(f.spec.bytes)
-				f.lastT = now
-				active = append(active, ev.flow)
-				recompute()
-			}
-		case evFinish:
-			f.state = fsDone
-			done++
-			if now > makespan {
-				makespan = now
-			}
-			logEv("finish", f)
-			for _, p := range f.ports {
-				portBusy[p] = false
-			}
-			wasFluid := false
-			for k, fl := range active {
-				if fl == ev.flow {
-					active = append(active[:k], active[k+1:]...)
-					wasFluid = true
-					break
-				}
-			}
-			for _, d := range f.dependents {
-				df := &flows[d]
-				df.ndeps--
-				if df.ndeps == 0 {
-					df.state = fsReady
-					readyQ = append(readyQ, d)
-				}
-			}
-			grant()
-			if wasFluid {
-				recompute()
-			}
-		}
-	}
-	if done != len(flows) {
-		panic(fmt.Sprintf("devent: %s over %d ranks deadlocked with %d/%d flows done",
-			name, len(ranks), done, len(flows)))
-	}
-	return netsim.Cost{Seconds: makespan, BytesByClass: byClass},
-		CollectiveLog{Kind: name, Ranks: append([]int(nil), ranks...), Seconds: makespan, Events: events}
+	return cost
 }

@@ -88,6 +88,10 @@ type Dispatcher struct {
 	EPR int
 	// nodeOfMember[m] is the machine node of EP member m.
 	nodeOfMember []int
+	// memberOf[e] and nodeOf[e] are the EP member owning global expert e
+	// and the machine node hosting it: tables, because the dispatch hot
+	// paths ask once per (entry, node) pair.
+	memberOf, nodeOf []int32
 	// nodeGroups maps node id -> intra-node communicator (EP members on
 	// that node).
 	nodeGroups map[int]*simrt.Group
@@ -109,6 +113,8 @@ func NewDispatcher(c *simrt.Cluster, ep *simrt.Group, cfg moe.Config) *Dispatche
 		EP:           ep,
 		EPR:          cfg.NumExperts / ep.Size(),
 		nodeOfMember: make([]int, ep.Size()),
+		memberOf:     make([]int32, cfg.NumExperts),
+		nodeOf:       make([]int32, cfg.NumExperts),
 		nodeGroups:   map[int]*simrt.Group{},
 		nodeMembers:  map[int][]int{},
 		slotOfMember: make([]int, ep.Size()),
@@ -126,14 +132,18 @@ func NewDispatcher(c *simrt.Cluster, ep *simrt.Group, cfg moe.Config) *Dispatche
 		}
 		d.nodeGroups[node] = c.NewGroup(ranks)
 	}
+	for e := range d.memberOf {
+		d.memberOf[e] = int32(e / d.EPR)
+		d.nodeOf[e] = int32(d.nodeOfMember[e/d.EPR])
+	}
 	return d
 }
 
 // memberOfExpert returns the EP member owning global expert e.
-func (d *Dispatcher) memberOfExpert(e int) int { return e / d.EPR }
+func (d *Dispatcher) memberOfExpert(e int) int { return int(d.memberOf[e]) }
 
 // NodeOfExpert returns the machine node hosting global expert e.
-func (d *Dispatcher) NodeOfExpert(e int) int { return d.nodeOfMember[d.memberOfExpert(e)] }
+func (d *Dispatcher) NodeOfExpert(e int) int { return int(d.nodeOf[e]) }
 
 // replicaMeta describes one local replica travelling (as metadata only)
 // alongside its pilot in Stage 1.
@@ -367,10 +377,10 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 	// Group PFT entries by (token, destination node); pick one pilot per
 	// group at random, the rest become replicas referencing it. Grouping
 	// is map-free: entries are bucketed by token (counting sort), then
-	// each token's ≤k entries are partitioned by node with a small linear
-	// scan. Groups are visited in deterministic (token, first-seen-node)
-	// order, so the randomized pilot choice is reproducible for a fixed
-	// seed.
+	// each token's ≤k entries are classified by node once and partitioned
+	// by comparing those classes. Groups are visited in deterministic
+	// (token, first-seen-node) order, so the randomized pilot choice is
+	// reproducible for a fixed seed.
 	numTokens := 0
 	for _, t := range pft.TokenIDs {
 		if t >= numTokens {
@@ -383,7 +393,8 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 	{
 		// Per-token scratch, bounded by the routing fan-out and reused
 		// across tokens (the fan-out k is small, so the scans are cheap).
-		nodes := make([]int, 0, 16)
+		entNode := make([]int32, 0, 16) // node of each of the token's entries
+		nodes := make([]int32, 0, 16)
 		grp := make([]int, 0, 16)
 		for t := 0; t < numTokens; t++ {
 			ents := byToken.Sources(t)
@@ -391,9 +402,10 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 				continue
 			}
 			// Distinct destination nodes in first-seen (PFT) order.
-			nodes = nodes[:0]
+			entNode, nodes = entNode[:0], nodes[:0]
 			for _, i := range ents {
-				n := d.NodeOfExpert(pft.ExpertIDs[i])
+				n := d.nodeOf[pft.ExpertIDs[i]]
+				entNode = append(entNode, n)
 				seen := false
 				for _, nn := range nodes {
 					if nn == n {
@@ -407,8 +419,8 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 			}
 			for _, n := range nodes {
 				grp = grp[:0]
-				for _, i := range ents {
-					if d.NodeOfExpert(pft.ExpertIDs[i]) == n {
+				for j, i := range ents {
+					if entNode[j] == n {
 						grp = append(grp, i)
 					}
 				}
