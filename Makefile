@@ -1,6 +1,6 @@
 # Developer workflow for the xmoe reproduction.
 #
-#   make ci      - what the CI job runs: vet, build, the six race-enabled gates, tests, quick bench
+#   make ci      - what the CI job runs: gofmt, vet, build, the six race-enabled gates, tests, quick bench
 #   make test    - full test suite (includes the slow sweep tests)
 #   make race    - full race-detector pass (go test -race ./...)
 #   make race-fast - race pass over just the concurrency-heavy packages
@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-fast race-full chaos-fast verify-devent verify-zero verify-rbd verify-ft bench bench-figs bench-json bench-save ci
+.PHONY: all build fmt-check vet test race race-fast race-full chaos-fast verify-devent verify-zero verify-rbd verify-ft bench bench-figs bench-json bench-save ci
 
 all: build
 
@@ -18,6 +18,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any file is not gofmt-clean (gofmt -l prints its name).
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -37,28 +41,36 @@ race:
 race-fast:
 	$(GO) test -race ./internal/tensor ./internal/simrt ./internal/netsim \
 		./internal/trace ./internal/moe ./internal/kernels ./internal/rbd \
-		./internal/collective ./internal/train ./internal/fault \
-		./internal/devent ./internal/topology
+		./internal/train ./internal/fault ./internal/devent ./internal/topology
 
 # Kept as an alias for the historical target name.
 race-full: race
+
+# $(call race-named,<gate>,<-run pattern>,<package:floor ...>) runs the
+# tests a gate picks by name, under the race detector — after checking
+# that `go test -list` still names at least <floor> tests for the pattern
+# in each package, so a rename fails the gate instead of passing it
+# vacuously. Floors are the counts at the commit that last touched them.
+define race-named
+	@for pf in $(3); do \
+		pkg=$${pf%%:*}; floor=$${pf##*:}; \
+		n=$$($(GO) test -list '$(2)' $$pkg | grep -c '^Test'); \
+		if [ "$$n" -lt "$$floor" ]; then \
+			echo "$(1): -run '$(2)' names $$n tests in $$pkg, want >= $$floor"; \
+			exit 1; \
+		fi; \
+	done
+	$(GO) test -race -run '$(2)' $(foreach pf,$(3),$(firstword $(subst :, ,$(pf))))
+endef
 
 # Event-engine verification gate: the analytic/event cross-validation
 # suite (flat-topology exactness to 1e-12 s, byte-accounting identities,
 # contention divergence on rail graphs, derate plumbing) plus the
 # determinism tests (identical seeds + concurrent collectives must give
-# bit-identical event logs and clocks), all under the race detector. The
-# simrt half is picked by name, so the gate first checks that the pattern
-# still names its four tests: a rename must fail here, not pass vacuously.
-DEVENT_SIMRT_TESTS := Engine|ConcurrentCollectives|CommHandleOverlap|SetLinkDerate
+# bit-identical event logs and clocks), all under the race detector.
 verify-devent:
 	$(GO) test -race ./internal/devent ./internal/topology
-	@n=$$($(GO) test -list '$(DEVENT_SIMRT_TESTS)' ./internal/simrt | grep -c '^Test'); \
-	if [ "$$n" -lt 4 ]; then \
-		echo "verify-devent: -run '$(DEVENT_SIMRT_TESTS)' names $$n tests in internal/simrt, want >= 4"; \
-		exit 1; \
-	fi
-	$(GO) test -race -run '$(DEVENT_SIMRT_TESTS)' ./internal/simrt
+	$(call race-named,verify-devent,Engine|ConcurrentCollectives|CommHandleOverlap|SetLinkDerate,./internal/simrt:4)
 
 # ZeRO verification gate: the sharded gradient-sync stack under the race
 # detector — async reduction collectives (simrt), bucket partitioning and
@@ -67,17 +79,17 @@ verify-devent:
 # invariants (netsim).
 verify-zero:
 	$(GO) test -race ./internal/zero
-	$(GO) test -race -run 'ZeRO|StateBytes|ShardRange|ReduceAsync|AllReduceAsync|ReduceScatterAsync|AllGatherAsync|OnDWReady|Bucketed' \
-		./internal/simrt ./internal/moe ./internal/train ./internal/memmodel ./internal/netsim
+	$(call race-named,verify-zero,ZeRO|StateBytes|ShardRange|ReduceAsync|AllReduceAsync|ReduceScatterAsync|AllGatherAsync|OnDWReady|Bucketed,\
+		./internal/simrt:5 ./internal/moe:2 ./internal/train:7 ./internal/memmodel:1 ./internal/netsim:3)
 
 # RBD verification gate: the hierarchical dispatch/combine stack under the
-# race detector (rbd), the backward determinism matrix and gradient-parity
-# pins (chunked==blocking and pooled==fresh bitwise, RBD==PFT/padded at
-# float tolerance), and the RBD rows of the distributed trainer —
+# race detector (rbd: the C = 1 golden bits, the chunk-count determinism
+# matrix and the gradient-parity pins — pooled==fresh bitwise, RBD==PFT/
+# padded at float tolerance), and the RBD rows of the distributed trainer —
 # checkpoint/shrink cycles, ZeRO stages, typed option rejections.
 verify-rbd:
 	$(GO) test -race ./internal/rbd
-	$(GO) test -race -run 'RBD|Redundancy' ./internal/train ./internal/bench ./internal/baselines
+	$(call race-named,verify-rbd,RBD|Redundancy,./internal/train:6 ./internal/bench:2 ./internal/baselines:1)
 
 # Fault-tolerance verification gate: the elastic-resilience stack under
 # the race detector — the fault plan grammar and injector windows,
@@ -87,16 +99,16 @@ verify-rbd:
 # acceptance run.
 verify-ft:
 	$(GO) test -race ./internal/fault
-	$(GO) test -race -run 'GrowShrink|AsyncCkpt|Spare|Mitigation|FaultTolerant|Rebalance|CheckpointBytes|BuildPFTCaps|BusyTimes' \
-		./internal/train ./internal/moe ./internal/memmodel ./internal/simrt
+	$(call race-named,verify-ft,GrowShrink|AsyncCkpt|Spare|Mitigation|FaultTolerant|Rebalance|CheckpointBytes|BuildPFTCaps,\
+		./internal/train:12 ./internal/moe:3 ./internal/memmodel:1)
 
 # Chaos pass: the seeded fault-injection suite under the race detector —
 # rank crashes mid-collective, stragglers, flaky retries, degraded links,
 # checkpoint rollback and elastic recovery. Every schedule is
 # deterministic (fault.Plan seeds), so failures reproduce exactly.
 chaos-fast:
-	$(GO) test -race -run 'Crash|Fault|Inject|Straggler|Flaky|Desync|ReducerPanic|Checkpoint|Gone|Derate' \
-		./internal/simrt ./internal/fault ./internal/netsim ./internal/train
+	$(call race-named,chaos-fast,Crash|Fault|Inject|Straggler|Flaky|Desync|ReducerPanic|Checkpoint|Gone|Derate,\
+		./internal/simrt:8 ./internal/fault:7 ./internal/netsim:1 ./internal/train:10)
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/tensor \
@@ -119,9 +131,9 @@ bench-save:
 	@echo "BENCH_results.json updated; commit it with this PR"
 
 # Quick CI, and the only definition of it (.github/workflows/ci.yml runs
-# this target): vet + build + all six race-detector gates + unit tests of
-# every package + a quick microbenchmark smoke run.
-ci: vet build race-fast chaos-fast verify-devent verify-zero verify-rbd verify-ft
+# this target): gofmt + vet + build + all six race-detector gates + unit
+# tests of every package + a quick microbenchmark smoke run.
+ci: fmt-check vet build race-fast chaos-fast verify-devent verify-zero verify-rbd verify-ft
 	$(GO) test ./internal/... .
 	$(GO) test -run=NONE -bench='BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward' \
 		-benchmem -benchtime=10x ./internal/moe ./internal/train

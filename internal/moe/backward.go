@@ -47,388 +47,156 @@ type BackwardResult struct {
 //
 // opts selects the execution mode: Numeric moves real gradients (dOut and
 // params must be set), otherwise the pass is timing-only; OverlapChunks
-// selects the chunked overlapped backward, whose gradients are
-// bit-identical to the blocking backward for any chunk count (see
-// pftBackwardOverlap).
+// splits the combine gradient along the forward's per-expert ChunkRange
+// boundaries, so each chunk's dX GEMM chain runs while the next chunk's
+// transfer is in flight and the dW GEMMs, deferred to the complete
+// segments, hide the tail of the reverse dispatch (see overlap.go for the
+// model and for what a single chunk skips). Gradients are bit-identical
+// for any chunk count.
 func PFTBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdState,
 	dOut *tensor.Tensor, params *ExpertParams, opts PipelineOpts) BackwardResult {
 
-	if opts.chunks() > 1 {
-		return pftBackwardOverlap(r, g, cfg, st, dOut, params, opts)
-	}
-	epr := epCheck(cfg, g)
-	p := g.Size()
-	h, f := cfg.HModel, cfg.HFFN
-	elem := int64(cfg.BytesPerElem)
-	comp := r.C.Comp
-	pft := st.PFT
-	b := pft.B()
-	bExp := st.bExp()
-	// Rank-local backward scratch comes from the per-rank arena;
-	// gradients returned to the caller and buffers crossing the
-	// all-to-alls stay allocate-fresh (see PFTForward).
-	pool := r.Pool()
-
-	// --- Scatter-combine backward ----------------------------------------
-	// The forward pass saved combineIn (the returned expert outputs in
-	// PFT order); the scatter's backward yields the per-row gradients
-	// and the combine-weight gradients in one pass.
-	r.Compute(StageBwdCombine, comp.MemBound(perfmodel.ClassTriton, 2*int64(b)*int64(h)*elem))
-	var dCombineIn *tensor.Tensor
-	var dWeights []float32
-	if opts.Numeric {
-		dCombineIn, dWeights = kernels.ScatterCombineBackward(dOut, st.CombineIn, pft.TokenIDs, pft.CombineWeights)
-	}
-
-	// --- Reverse combine all-to-all ---------------------------------------
-	// Forward combine moved rows experts→source; its gradient moves
-	// source→experts with identical segmentation (the dispatch layout).
-	segStart := pft.ExpertSegments()
-	send := make([]simrt.Part, p)
-	for dst := 0; dst < p; dst++ {
-		lo := segStart[dst*epr]
-		hi := b
-		if dst < p-1 {
-			hi = segStart[(dst+1)*epr]
-		}
-		part := simrt.Part{Bytes: int64(hi-lo) * int64(h) * elem}
-		if opts.Numeric && hi > lo {
-			part.Data = dCombineIn.Data[lo*h : hi*h]
-		}
-		send[dst] = part
-	}
-	recv := r.AlltoAllV(g, StageBwdCombineA2A, send)
-
-	// Received: src-major, per-src rows ordered by local expert — the
-	// same layout as the forward dispatch receive; reorder expert-major.
-	var dExpertOut *tensor.Tensor
-	if opts.Numeric {
-		dExpertOut = pool.Get(bExp, h)
-		for src := 0; src < p; src++ {
-			data := recv[src].Data
-			pos := 0
-			for le := 0; le < epr; le++ {
-				c := st.RecvCounts[src][le]
-				if c == 0 {
-					continue
-				}
-				copy(dExpertOut.Data[st.BlockOff[le][src]*h:(st.BlockOff[le][src]+c)*h],
-					data[pos*h:(pos+c)*h])
-				pos += c
-			}
-		}
-	}
-
-	// --- Expert FFN backward ----------------------------------------------
-	bwdTime := comp.SequentialGEMM(st.RowsPerLE, h, f)*2 +
-		comp.SequentialGEMM(st.RowsPerLE, f, h)*2 +
-		comp.MemBound(perfmodel.ClassTriton, 2*int64(bExp)*int64(f)*elem)
-	r.Compute(StageBwdExperts, bwdTime)
-	// dW1/dW2 are returned to the caller, so they allocate fresh; the
-	// hidden-layer gradient chain is pure rank-local scratch.
-	var dW1, dW2 []*tensor.Tensor
-	var dExpertIn *tensor.Tensor
-	if opts.Numeric {
-		dW2 = newGradTensors(params.W2)
-		dHidAct := pool.Get(bExp, f)
-		kernels.SequentialGEMMBackwardInto(dHidAct, dW2, dExpertOut, st.HidAct, st.RowsPerLE, params.W2)
-		pool.Put(dExpertOut)
-		dHidPre := pool.Get(bExp, f)
-		tensor.GeLUBackwardInto(dHidPre, dHidAct, st.HidPre)
-		pool.Put(dHidAct)
-		dW1 = newGradTensors(params.W1)
-		dExpertIn = pool.Get(bExp, h)
-		kernels.SequentialGEMMBackwardInto(dExpertIn, dW1, dHidPre, st.ExpertIn, st.RowsPerLE, params.W1)
-		pool.Put(dHidPre)
-	}
-
-	// --- Reverse dispatch all-to-all ---------------------------------------
-	// Reorder expert-major gradients back to src-major and return them to
-	// their source ranks.
-	sendBack := make([]simrt.Part, p)
-	for src := 0; src < p; src++ {
-		rows := 0
-		for _, c := range st.RecvCounts[src] {
-			rows += c
-		}
-		part := simrt.Part{Bytes: int64(rows) * int64(h) * elem}
-		if opts.Numeric {
-			buf := make([]float32, rows*h)
-			pos := 0
-			for le := 0; le < epr; le++ {
-				c := st.RecvCounts[src][le]
-				if c == 0 {
-					continue
-				}
-				copy(buf[pos*h:(pos+c)*h],
-					dExpertIn.Data[st.BlockOff[le][src]*h:(st.BlockOff[le][src]+c)*h])
-				pos += c
-			}
-			part.Data = buf
-		}
-		sendBack[src] = part
-	}
-	if opts.Numeric {
-		// dExpertIn is fully staged into the send-back buffers.
-		pool.Put(dExpertIn)
-	}
-	back := r.AlltoAllV(g, StageBwdDispA2A, sendBack)
-	if opts.OnDWReady != nil {
-		// dW is complete and the backward's last blocking collective has
-		// retired: gradient sync issued here overlaps the gather backward
-		// and every earlier layer's backward compute.
-		opts.OnDWReady()
-	}
-
-	var dx *tensor.Tensor
-	if opts.Numeric {
-		dDispIn := pool.Get(b, h)
-		pos := 0
-		for dst := 0; dst < p; dst++ {
-			d := back[dst].Data
-			copy(dDispIn.Data[pos:pos+len(d)], d)
-			pos += len(d)
-		}
-		// --- Gather backward ------------------------------------------------
-		r.Compute(StageBwdDispatch, comp.MemBound(perfmodel.ClassTriton, 2*int64(b)*int64(h)*elem))
-		dx = kernels.GatherBackward(dDispIn, pft.TokenIDs, st.S)
-		pool.Put(dDispIn)
-		// The forward state is consumed: its saved intermediates return to
-		// the arena so the next layer's forward pass reuses them.
-		pool.PutAll(st.ExpertIn, st.HidPre, st.HidAct, st.CombineIn)
-		st.ExpertIn, st.HidPre, st.HidAct, st.CombineIn = nil, nil, nil, nil
-	} else {
-		r.Compute(StageBwdDispatch, comp.MemBound(perfmodel.ClassTriton, 2*int64(b)*int64(h)*elem))
-	}
-
-	return BackwardResult{DX: dx, DW1: dW1, DW2: dW2, DCombineWeights: dWeights}
-}
-
-// pftBackwardOverlap is the chunked overlapped backward: the combine
-// gradient is split along the same per-expert ChunkRange boundaries as
-// the overlapped forward, all C combine-gradient all-to-alls are issued
-// non-blocking up front, and each chunk's dX GEMM chain runs while the
-// next chunk's transfer is in flight. The dW GEMMs are deferred until
-// every chunk's gradients have landed in the full expert-major buffers
-// and then run once over the complete segments — exactly the blocking
-// backward's reduction, so the weight gradients are bit-identical for
-// any chunk count (per-chunk partial dW accumulation would reorder the
-// float summation) — which also makes them the classic bubble filler:
-// they hide the tail of the in-flight reverse dispatch all-to-alls.
-func pftBackwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdState,
-	dOut *tensor.Tensor, params *ExpertParams, opts PipelineOpts) BackwardResult {
-
+	opts.mustCheck()
 	chunks := opts.chunks()
 	epr := epCheck(cfg, g)
 	p := g.Size()
 	h, f := cfg.HModel, cfg.HFFN
 	elem := int64(cfg.BytesPerElem)
 	comp := r.C.Comp
+	// Rank-local backward scratch comes from the per-rank arena;
+	// gradients returned to the caller and buffers crossing the
+	// all-to-alls stay allocate-fresh (see PFTForward).
 	pool := r.Pool()
 	pft := st.PFT
 	b := pft.B()
 	bExp := st.bExp()
 	segStart := pft.ExpertSegments()
 
-	// --- Per-chunk scatter-combine backward + non-blocking reverse combine
-	// Chunk c covers rows ChunkRange(cnt_e, chunks, c) of every expert
-	// segment, the same split as the overlapped forward dispatch, so both
-	// ends agree without extra metadata on the wire.
+	// --- Per-chunk scatter-combine backward + reverse combine all-to-all --
+	// The forward saved combineIn (the returned expert outputs in PFT
+	// order); the scatter's backward yields the per-row gradients and the
+	// combine-weight gradients in one pass. Forward combine moved rows
+	// experts→source; its gradient moves source→experts with the dispatch
+	// segmentation. A single chunk crosses the exchange as views of
+	// dCombineIn, which must then be allocate-fresh: a nil arena is.
+	sendPool := pool
+	if chunks == 1 {
+		sendPool = nil
+	}
 	var dCombineIn *tensor.Tensor
 	var dWeights []float32
 	if opts.Numeric {
-		dCombineIn = pool.Get(b, h)
+		dCombineIn = sendPool.Get(b, h)
 		dWeights = make([]float32, b)
 	}
-	sendFlat := make([]simrt.Part, chunks*p)
-	combineH := make([]*simrt.CommHandle, chunks)
+	parts := make([]simrt.Part, 2*chunks*p)
+	exchanges := make([]simrt.Exchange, 2*chunks)
+	combineX, dispatchX := exchanges[:chunks], exchanges[chunks:]
 	for c := 0; c < chunks; c++ {
-		send := sendFlat[c*p : (c+1)*p]
-		chunkRows := 0
-		for dst := 0; dst < p; dst++ {
-			rows := 0
-			for le := 0; le < epr; le++ {
-				e := dst*epr + le
-				lo, hi := simrt.ChunkRange(pft.TokensPerExpert[e], chunks, c)
-				rows += hi - lo
-				if opts.Numeric {
-					for i := segStart[e] + lo; i < segStart[e]+hi; i++ {
-						// Row i of the combine backward, exactly the
-						// blocking kernel's per-row arithmetic.
-						gRow := dOut.Row(pft.TokenIDs[i])
-						xRow := st.CombineIn.Row(i)
-						w := pft.CombineWeights[i]
-						dRow := dCombineIn.Row(i)
-						var dot float32
-						for j := range gRow {
-							dRow[j] = gRow[j] * w
-							dot += gRow[j] * xRow[j]
-						}
-						dWeights[i] = dot
+		if opts.Numeric {
+			for e, cnt := range pft.TokensPerExpert {
+				lo, hi := simrt.ChunkRange(cnt, chunks, c)
+				for i := segStart[e] + lo; i < segStart[e]+hi; i++ {
+					gRow := dOut.Row(pft.TokenIDs[i])
+					xRow := st.CombineIn.Row(i)
+					w := pft.CombineWeights[i]
+					dRow := dCombineIn.Row(i)
+					var dot float32
+					for j := range gRow {
+						dRow[j] = gRow[j] * w
+						dot += gRow[j] * xRow[j]
 					}
+					dWeights[i] = dot
 				}
 			}
-			chunkRows += rows
-			part := simrt.Part{Bytes: int64(rows) * int64(h) * elem}
-			if opts.Numeric && rows > 0 {
-				// Staged allocate-fresh: the buffer crosses a collective.
-				buf := make([]float32, rows*h)
-				pos := 0
-				for le := 0; le < epr; le++ {
-					e := dst*epr + le
-					lo, hi := simrt.ChunkRange(pft.TokensPerExpert[e], chunks, c)
-					if hi > lo {
-						copy(buf[pos*h:(pos+hi-lo)*h],
-							dCombineIn.Data[(segStart[e]+lo)*h:(segStart[e]+hi)*h])
-						pos += hi - lo
-					}
-				}
-				part.Data = buf
-			}
-			send[dst] = part
 		}
+		send := parts[c*p : (c+1)*p]
+		chunkRows := packSegments(send, dCombineIn, pft.TokensPerExpert, segStart, epr, h, elem, chunks, c)
 		r.Compute(StageBwdCombine, comp.MemBound(perfmodel.ClassTriton, 2*int64(chunkRows)*int64(h)*elem))
-		// Charge the strided chunk pack the blocking backward avoids by
-		// sending contiguous views.
-		r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(chunkRows)*int64(h)*elem))
-		combineH[c] = r.AlltoAllVAsync(g, StageBwdCombineA2A, send)
+		if chunks > 1 {
+			// The strided chunk pack; one chunk is sent as contiguous views.
+			r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(chunkRows)*int64(h)*elem))
+		}
+		combineX[c] = r.AlltoAllVChunk(g, StageBwdCombineA2A, send, chunks)
 	}
-	if opts.Numeric {
-		pool.Put(dCombineIn) // fully staged into the send buffers
-	}
+	sendPool.Put(dCombineIn) // packed chunks are fully staged
 
 	// --- Per-chunk dX GEMM chain, reverse dispatch issued per chunk ------
-	// Gradients land directly in full expert-major buffers (the blocking
-	// layout) so the deferred dW GEMMs see complete segments; the dX
-	// chain runs per (src, le) sub-block — contiguous in the full layout
-	// — and is row-independent, hence bit-identical to blocking.
-	var dExpertOut, dHidAct, dHidPre, dExpertIn *tensor.Tensor
+	// Gradients land directly in full expert-major buffers (the saved
+	// state's layout) so the dW GEMMs see complete segments; block
+	// (src, le) of a chunk sits at the block's offset plus its ChunkRange
+	// start. Received parts are src-major with rows ordered by local expert,
+	// the layout of the forward dispatch receive.
+	var grads ffnGrads
 	if opts.Numeric {
-		dExpertOut = pool.Get(bExp, h)
-		dHidAct = pool.Get(bExp, f)
-		dHidPre = pool.Get(bExp, f)
-		dExpertIn = pool.Get(bExp, h)
+		grads = newFFNGrads(pool, bExp, h, f)
 	}
-	chunkRowsPerLE := make([]int, epr)
-	backFlat := make([]simrt.Part, chunks*p)
-	dispatchH := make([]*simrt.CommHandle, chunks)
+	nb := epr * p
+	ints := make([]int, 2*nb+epr)
+	n, at, chunkRowsPerLE := ints[:nb], ints[nb:2*nb], ints[2*nb:]
 	for c := 0; c < chunks; c++ {
-		recv := combineH[c].Wait()
+		recv := combineX[c].Wait()
 		bc := 0
 		for le := 0; le < epr; le++ {
 			chunkRowsPerLE[le] = 0
 			for src := 0; src < p; src++ {
 				lo, hi := simrt.ChunkRange(st.RecvCounts[src][le], chunks, c)
+				n[le*p+src], at[le*p+src] = hi-lo, st.BlockOff[le][src]+lo
 				chunkRowsPerLE[le] += hi - lo
 			}
 			bc += chunkRowsPerLE[le]
 		}
-
-		// Reorder this chunk's received rows into the full expert-major
-		// gradient buffer (charged: the blocking backward's reorder is a
-		// contiguous pass, this one lands strided sub-blocks).
-		r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(h)*elem))
+		strided := comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(h)*elem)
+		if chunks == 1 {
+			// One chunk: the received rows reorder in one contiguous pass
+			// inside the fused kernel, which computes dX and dW of each
+			// expert segment together, before the reverse exchange.
+			r.Compute(StageBwdExperts, comp.SequentialGEMM(st.RowsPerLE, h, f)*2+
+				comp.SequentialGEMM(st.RowsPerLE, f, h)*2+
+				comp.MemBound(perfmodel.ClassTriton, 2*int64(bExp)*int64(f)*elem))
+		} else {
+			// Landing the chunk's strided sub-blocks in the full buffer,
+			// then the dX chain over them: dHidAct = dY·W2ᵀ, GeLU backward,
+			// dExpertIn = dHidPre·W1ᵀ.
+			r.Compute(StageOthers, strided)
+			r.Compute(StageBwdExperts, comp.SequentialGEMM(chunkRowsPerLE, h, f)+
+				comp.SequentialGEMM(chunkRowsPerLE, f, h)+
+				comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(f)*elem))
+		}
 		if opts.Numeric {
-			for src := 0; src < p; src++ {
-				data := recv[src].Data
-				pos := 0
-				for le := 0; le < epr; le++ {
-					lo, hi := simrt.ChunkRange(st.RecvCounts[src][le], chunks, c)
-					if hi > lo {
-						o := st.BlockOff[le][src] + lo
-						copy(dExpertOut.Data[o*h:(o+hi-lo)*h], data[pos*h:(pos+hi-lo)*h])
-						pos += hi - lo
-					}
-				}
-			}
+			landBlocks(grads.dOut.Data, recv, n, at, h)
+			grads.dxChain(st.HidPre, params, n, at, p)
 		}
 
-		// dX chain over this chunk's sub-blocks: dHidAct = dY·W2ᵀ, GeLU
-		// backward, dExpertIn = dHidPre·W1ᵀ — all row-independent.
-		r.Compute(StageBwdExperts, comp.SequentialGEMM(chunkRowsPerLE, h, f)+
-			comp.SequentialGEMM(chunkRowsPerLE, f, h)+
-			comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(f)*elem))
-		if opts.Numeric {
-			for le := 0; le < epr; le++ {
-				for src := 0; src < p; src++ {
-					lo, hi := simrt.ChunkRange(st.RecvCounts[src][le], chunks, c)
-					n := hi - lo
-					if n == 0 {
-						continue
-					}
-					o := st.BlockOff[le][src] + lo
-					dyBlk := tensor.FromSlice(dExpertOut.Data[o*h:(o+n)*h], n, h)
-					daBlk := tensor.FromSlice(dHidAct.Data[o*f:(o+n)*f], n, f)
-					tensor.MatMulTInto(daBlk, dyBlk, params.W2[le])
-					dpBlk := tensor.FromSlice(dHidPre.Data[o*f:(o+n)*f], n, f)
-					preBlk := tensor.FromSlice(st.HidPre.Data[o*f:(o+n)*f], n, f)
-					tensor.GeLUBackwardInto(dpBlk, daBlk, preBlk)
-					dxBlk := tensor.FromSlice(dExpertIn.Data[o*h:(o+n)*h], n, h)
-					tensor.MatMulTInto(dxBlk, dpBlk, params.W1[le])
-				}
-			}
+		// Pack this chunk's input gradients src-major and send them home;
+		// the transfer hides behind the remaining chunks' GEMMs and the
+		// deferred dW computation.
+		sendBack := parts[(chunks+c)*p : (chunks+c+1)*p]
+		packBlocks(sendBack, grads.dIn, n, at, h, elem)
+		if chunks > 1 {
+			// The strided return pack of the sub-blocks.
+			r.Compute(StageOthers, strided)
 		}
-
-		// Pack this chunk's input gradients src-major and send them home
-		// non-blocking; the transfer hides behind the remaining chunks'
-		// GEMMs and the deferred dW computation.
-		sendBack := backFlat[c*p : (c+1)*p]
-		for src := 0; src < p; src++ {
-			rows := 0
-			for le := 0; le < epr; le++ {
-				lo, hi := simrt.ChunkRange(st.RecvCounts[src][le], chunks, c)
-				rows += hi - lo
-			}
-			part := simrt.Part{Bytes: int64(rows) * int64(h) * elem}
-			if opts.Numeric && rows > 0 {
-				buf := make([]float32, rows*h)
-				pos := 0
-				for le := 0; le < epr; le++ {
-					lo, hi := simrt.ChunkRange(st.RecvCounts[src][le], chunks, c)
-					if hi > lo {
-						o := st.BlockOff[le][src] + lo
-						copy(buf[pos*h:(pos+hi-lo)*h], dExpertIn.Data[o*h:(o+hi-lo)*h])
-						pos += hi - lo
-					}
-				}
-				part.Data = buf
-			}
-			sendBack[src] = part
-		}
-		r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(h)*elem))
-		dispatchH[c] = r.AlltoAllVAsync(g, StageBwdDispA2A, sendBack)
+		dispatchX[c] = r.AlltoAllVChunk(g, StageBwdDispA2A, sendBack, chunks)
 	}
 
-	// --- Deferred dW GEMMs over the complete segments ---------------------
-	// One TMatMul per expert over the full segment: the blocking
-	// backward's exact summation order, overlapping the in-flight
-	// reverse dispatch transfers.
-	r.Compute(StageBwdExperts, comp.SequentialGEMM(st.RowsPerLE, h, f)+
-		comp.SequentialGEMM(st.RowsPerLE, f, h))
+	// --- dW GEMMs over the complete segments ------------------------------
+	if chunks > 1 {
+		// Deferred dW GEMMs, the bubble filler of the in-flight reverse
+		// dispatch transfers; one chunk charged them in the fused kernel.
+		r.Compute(StageBwdExperts, comp.SequentialGEMM(st.RowsPerLE, h, f)+
+			comp.SequentialGEMM(st.RowsPerLE, f, h))
+	}
 	var dW1, dW2 []*tensor.Tensor
 	if opts.Numeric {
-		dW1 = newGradTensors(params.W1)
-		dW2 = newGradTensors(params.W2)
-		off := 0
-		for le, rows := range st.RowsPerLE {
-			if rows == 0 {
-				continue
-			}
-			segAct := tensor.FromSlice(st.HidAct.Data[off*f:(off+rows)*f], rows, f)
-			segDY := tensor.FromSlice(dExpertOut.Data[off*h:(off+rows)*h], rows, h)
-			tensor.TMatMulInto(dW2[le], segAct, segDY)
-			segIn := tensor.FromSlice(st.ExpertIn.Data[off*h:(off+rows)*h], rows, h)
-			segDP := tensor.FromSlice(dHidPre.Data[off*f:(off+rows)*f], rows, f)
-			tensor.TMatMulInto(dW1[le], segIn, segDP)
-			off += rows
-		}
-		pool.PutAll(dExpertOut, dHidAct, dHidPre, dExpertIn)
+		dW1, dW2 = grads.dW(pool, st.ExpertIn, st.HidAct, params, st.RowsPerLE)
 	}
 	if opts.OnDWReady != nil {
-		// dW is complete; the only remaining collectives are the already
-		// in-flight reverse dispatch chunks, so gradient sync issued here
-		// queues behind them on the comm stream and overlaps the drain
-		// and gather backward.
+		// dW is complete and no blocking collective remains (one chunk: the
+		// reverse dispatch has retired; chunked: its chunks are in flight),
+		// so gradient sync issued here queues behind them on the comm
+		// stream and overlaps the drain, the gather backward and every
+		// earlier layer's backward compute.
 		opts.OnDWReady()
 	}
 
@@ -438,22 +206,9 @@ func pftBackwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdSta
 		dDispIn = pool.Get(b, h)
 	}
 	for c := 0; c < chunks; c++ {
-		back := dispatchH[c].Wait()
-		if !opts.Numeric {
-			continue
-		}
-		for dst := 0; dst < p; dst++ {
-			data := back[dst].Data
-			pos := 0
-			for le := 0; le < epr; le++ {
-				e := dst*epr + le
-				lo, hi := simrt.ChunkRange(pft.TokensPerExpert[e], chunks, c)
-				if hi > lo {
-					copy(dDispIn.Data[(segStart[e]+lo)*h:(segStart[e]+hi)*h],
-						data[pos*h:(pos+hi-lo)*h])
-					pos += hi - lo
-				}
-			}
+		back := dispatchX[c].Wait()
+		if opts.Numeric {
+			unpackSegments(dDispIn, back, pft.TokensPerExpert, segStart, epr, h, chunks, c)
 		}
 	}
 
@@ -463,19 +218,11 @@ func pftBackwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdSta
 	if opts.Numeric {
 		dx = kernels.GatherBackward(dDispIn, pft.TokenIDs, st.S)
 		pool.Put(dDispIn)
-		// The forward state is consumed (see the blocking path).
+		// The forward state is consumed: its saved intermediates return to
+		// the arena so the next layer's forward pass reuses them.
 		pool.PutAll(st.ExpertIn, st.HidPre, st.HidAct, st.CombineIn)
 		st.ExpertIn, st.HidPre, st.HidAct, st.CombineIn = nil, nil, nil, nil
 	}
 
 	return BackwardResult{DX: dx, DW1: dW1, DW2: dW2, DCombineWeights: dWeights}
-}
-
-// newGradTensors allocates one zero gradient tensor per weight tensor.
-func newGradTensors(ws []*tensor.Tensor) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(ws))
-	for e, w := range ws {
-		out[e] = tensor.New(w.Rows(), w.Cols())
-	}
-	return out
 }

@@ -60,20 +60,20 @@ type PipelineOpts struct {
 	// tensors), in symbolic mode the exchange geometry only, so a
 	// timing-only backward pass can mirror the forward volumes.
 	SaveForBackward bool
-	// OverlapChunks selects the chunked comm/compute-overlap execution of
-	// the dispatch -> experts -> combine middle section: the routed
-	// tokens are split into OverlapChunks per-expert chunks, chunk i+1's
-	// dispatch all-to-all overlaps chunk i's expert GEMMs on the
-	// communication stream, and chunk i's combine all-to-all overlaps
-	// chunk i+1's GEMMs (FastMoE smart scheduling / Megatron Core MoE
-	// overlap). Values <= 1 select the blocking pipeline. Numeric output
-	// is bit-identical to the blocking pipeline for any chunk count (the
-	// expert FFN is row-independent and chunking never reorders the
-	// per-row arithmetic). Composes with SaveForBackward: the overlapped
-	// forward scatters its per-chunk intermediates into the same
-	// full-layout buffers the blocking forward saves, and the backward
-	// passes accept the same chunk count to overlap their mirrored
-	// all-to-alls (see PFTBackward).
+	// OverlapChunks is the number of chunks the dispatch -> experts ->
+	// combine middle section runs in: the routed tokens are split into
+	// OverlapChunks per-expert chunks, chunk i+1's dispatch all-to-all
+	// overlaps chunk i's expert GEMMs on the communication stream, and
+	// chunk i's combine all-to-all overlaps chunk i+1's GEMMs (FastMoE
+	// smart scheduling / Megatron Core MoE overlap). Values <= 1 mean one
+	// chunk, which is the blocking pipeline (overlap.go says what a single
+	// chunk skips). Numeric output is bit-identical for any chunk count
+	// (the expert FFN is row-independent and chunking never reorders the
+	// per-row arithmetic). Composes with SaveForBackward: the forward
+	// scatters its per-chunk intermediates into full-layout buffers, so
+	// the saved state does not depend on the chunk count, and the backward
+	// passes accept the same option to overlap their mirrored all-to-alls
+	// (see PFTBackward).
 	OverlapChunks int
 	// CapacityByExpert, when non-nil, overrides the uniform
 	// Config.Capacity with a per-expert capacity vector (one entry per
@@ -84,9 +84,9 @@ type PipelineOpts struct {
 	// uniform capacity).
 	CapacityByExpert []int
 	// OnDWReady, when set, is invoked exactly once per backward pass
-	// (PFTBackward / PaddedBackward, blocking or chunked) at the point
-	// where the layer's weight gradients are complete and the backward's
-	// last blocking collective has retired — the hook point for issuing
+	// (PFTBackward / PaddedBackward, any chunk count) at the point where
+	// the layer's weight gradients are complete and the backward's last
+	// blocking collective has retired — the hook point for issuing
 	// bucketed asynchronous gradient synchronisation (internal/zero) so
 	// the sync overlaps the remaining backward compute instead of
 	// serialising after it. Forward-only calls never invoke it.
@@ -269,7 +269,9 @@ func epCheck(cfg Config, g *simrt.Group) int {
 // dispatch, uneven all-to-all, expert-major reorder, sequential GEMM
 // experts, reverse all-to-all, and the weight-scaling scatter combine. s
 // is the local token count; x is the [s, H] input (nil in symbolic mode);
-// routing is the gate decision for the local tokens.
+// routing is the gate decision for the local tokens. The exchange and
+// expert stages run in opts.chunks() chunks (see overlap.go); one chunk
+// is the blocking pipeline.
 func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams, opts PipelineOpts) LayerResult {
 	opts.mustCheck()
 	epr := epCheck(cfg, g)
@@ -277,6 +279,7 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 	h, f := cfg.HModel, cfg.HFFN
 	elem := int64(cfg.BytesPerElem)
 	combElem := int64(opts.combineBytes(cfg))
+	chunks := opts.chunks()
 	mem := &r.Dev().Mem
 	comp := r.C.Comp
 	// Rank-local intermediates come from the per-rank arena so the steady
@@ -304,157 +307,131 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 	}
 	mem.Alloc("dispatch_in", int64(b)*int64(h)*elem)
 
-	// Chunked comm/compute-overlap execution of the middle section.
-	if opts.chunks() > 1 {
-		return pftForwardOverlap(r, g, cfg, s, pft, dispIn, params, opts)
-	}
-
-	// --- Uneven all-to-all (dispatch) ------------------------------------
-	// Exchange per-destination token counts, then the token payload.
+	// --- Uneven all-to-all (dispatch), every chunk issued up front -------
+	// Chunk c of global expert e covers rows ChunkRange(cnt_e, chunks, c)
+	// of e's contiguous PFT segment. The full per-expert counts ride with
+	// chunk 0, later chunks are derived by both ends from the same split.
+	// Part slices and exchanges of both directions and all chunks view two
+	// backing arrays, so the allocation count is independent of C.
 	segStart := pft.ExpertSegments()
-	send := make([]simrt.Part, p)
 	countsFlat := make([]int, p*epr)
-	for dst := 0; dst < p; dst++ {
-		lo := segStart[dst*epr]
-		hi := b
-		if dst < p-1 {
-			hi = segStart[(dst+1)*epr]
+	copy(countsFlat, pft.TokensPerExpert)
+	parts := make([]simrt.Part, 2*chunks*p)
+	exchanges := make([]simrt.Exchange, 2*chunks)
+	dispatchX, combineX := exchanges[:chunks], exchanges[chunks:]
+	for c := 0; c < chunks; c++ {
+		send := parts[c*p : (c+1)*p]
+		chunkRows := packSegments(send, dispIn, pft.TokensPerExpert, segStart, epr, h, elem, chunks, c)
+		if c == 0 {
+			for dst := range send {
+				send[dst].Meta = countsFlat[dst*epr : (dst+1)*epr]
+				send[dst].Bytes += int64(epr) * 8
+			}
 		}
-		counts := countsFlat[dst*epr : (dst+1)*epr]
-		for le := 0; le < epr; le++ {
-			counts[le] = pft.TokensPerExpert[dst*epr+le]
+		if chunks > 1 {
+			// Strided per-expert chunk rows are packed into send buffers, a
+			// memory-bound pass; one chunk is sent as contiguous views.
+			r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(chunkRows)*int64(h)*elem))
 		}
-		part := simrt.Part{Meta: counts, Bytes: int64(hi-lo)*int64(h)*elem + int64(epr)*8}
-		if opts.Numeric && hi > lo {
-			part.Data = dispIn.Data[lo*h : hi*h]
-		}
-		send[dst] = part
+		dispatchX[c] = r.AlltoAllVChunk(g, StageDispatchA2A, send, chunks)
 	}
-	recv := r.AlltoAllV(g, StageDispatchA2A, send)
 
-	// Received layout: src-major, each src's rows ordered by local expert.
-	recvCounts := make([][]int, p) // [src][localExpert]
-	bExp := 0
-	for src, part := range recv {
-		recvCounts[src] = part.Meta.([]int)
-		for _, c := range recvCounts[src] {
-			bExp += c
-		}
-	}
-	mem.Alloc("A_dispatch", int64(bExp)*int64(h)*elem)
-
-	// --- Expert-major reorder (sequential GEMM input prep) ---------------
-	// The paper notes this data transformation as the small expert-stage
-	// overhead of the sequential GEMM (§5.4.1).
-	r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(bExp)*int64(h)*elem))
-	rowsPerLE := make([]int, epr)
-	for _, counts := range recvCounts {
-		for le, c := range counts {
-			rowsPerLE[le] += c
-		}
-	}
-	// blockOff[le][src] = row offset of block (src, le) in expert-major
-	// layout (rows are views into one flat backing array).
+	// --- Per-chunk expert stage, combine issued as soon as a chunk ends --
+	// One int backing holds the full-layout geometry the backward needs
+	// (blockOff[le][src] expert-major block offsets, fullRowsPerLE) and
+	// the per-chunk scratch: n/at as overlap.go describes, saveAt[k] the
+	// chunk block's row in the full layout.
+	nb := epr * p
+	ints := make([]int, 4*nb+2*epr)
+	fullAt, n, at, saveAt := ints[:nb], ints[nb:2*nb], ints[2*nb:3*nb], ints[3*nb:4*nb]
+	fullRowsPerLE, rowsPerLE := ints[4*nb:4*nb+epr:4*nb+epr], ints[4*nb+epr:]
 	blockOff := make([][]int, epr)
-	{
-		blockOffFlat := make([]int, epr*p)
-		off := 0
-		for le := 0; le < epr; le++ {
-			blockOff[le] = blockOffFlat[le*p : (le+1)*p]
-			for src := 0; src < p; src++ {
-				blockOff[le][src] = off
-				off += recvCounts[src][le]
+	var recvCounts [][]int // [src][localExpert] full totals, from chunk 0
+	bExp := 0
+	var expertIn, hidPre, hidAct *tensor.Tensor
+	for c := 0; c < chunks; c++ {
+		recv := dispatchX[c].Wait()
+		if c == 0 {
+			// Received layout: src-major, each src's rows ordered by local
+			// expert.
+			recvCounts = make([][]int, p)
+			for src, part := range recv {
+				recvCounts[src] = part.Meta.([]int)
 			}
-		}
-	}
-	var expertIn *tensor.Tensor
-	if opts.Numeric {
-		expertIn = pool.Get(bExp, h)
-		for src := 0; src < p; src++ {
-			data := recv[src].Data
-			pos := 0
 			for le := 0; le < epr; le++ {
-				c := recvCounts[src][le]
-				if c == 0 {
-					continue
+				blockOff[le] = fullAt[le*p : (le+1)*p : (le+1)*p]
+				for src := 0; src < p; src++ {
+					blockOff[le][src] = bExp
+					bExp += recvCounts[src][le]
+					fullRowsPerLE[le] += recvCounts[src][le]
 				}
-				copy(expertIn.Data[blockOff[le][src]*h:(blockOff[le][src]+c)*h],
-					data[pos*h:(pos+c)*h])
-				pos += c
+			}
+			mem.Alloc("A_dispatch", int64(bExp)*int64(h)*elem)
+			mem.Alloc("A0_interm", int64(bExp)*int64(f)*elem)
+			mem.Alloc("A1_interm", int64(bExp)*int64(f)*elem)
+			if opts.SaveForBackward && opts.Numeric {
+				expertIn = pool.Get(bExp, h)
+				hidPre = pool.Get(bExp, f)
+				hidAct = pool.Get(bExp, f)
 			}
 		}
-	}
-
-	// --- Sequential GEMM experts ----------------------------------------
-	expertTime := comp.SequentialGEMM(rowsPerLE, h, f) +
-		comp.SequentialGEMM(rowsPerLE, f, h) +
-		comp.MemBound(perfmodel.ClassTriton, 2*int64(bExp)*int64(f)*elem) // activation
-	r.Compute(StageExperts, expertTime)
-	mem.Alloc("A0_interm", int64(bExp)*int64(f)*elem)
-	mem.Alloc("A1_interm", int64(bExp)*int64(f)*elem)
-	var expertOut *tensor.Tensor
-	var hidPre, hidAct *tensor.Tensor
-	if opts.Numeric {
-		hidPre = pool.Get(bExp, f)
-		kernels.SequentialGEMMInto(hidPre, expertIn, rowsPerLE, params.W1)
-		hidAct = hidPre
-		if opts.SaveForBackward {
-			hidAct = pool.Get(bExp, f)
-			hidAct.Copy(hidPre)
-		}
-		tensor.GeLU(hidAct)
-		expertOut = pool.Get(bExp, h)
-		kernels.SequentialGEMMInto(expertOut, hidAct, rowsPerLE, params.W2)
-	}
-
-	// --- Reverse reorder to src-major -----------------------------------
-	r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(bExp)*int64(h)*elem))
-	sendBack := make([]simrt.Part, p)
-	{
-		for src := 0; src < p; src++ {
-			rows := 0
-			for _, c := range recvCounts[src] {
-				rows += c
+		bc := 0
+		for le := 0; le < epr; le++ {
+			rowsPerLE[le] = 0
+			for src := 0; src < p; src++ {
+				lo, hi := simrt.ChunkRange(recvCounts[src][le], chunks, c)
+				k := le*p + src
+				n[k], at[k], saveAt[k] = hi-lo, bc, fullAt[k]+lo
+				bc += hi - lo
+				rowsPerLE[le] += hi - lo
 			}
-			part := simrt.Part{Bytes: int64(rows) * int64(h) * combElem}
-			if opts.Numeric {
-				buf := make([]float32, rows*h)
-				pos := 0
-				for le := 0; le < epr; le++ {
-					c := recvCounts[src][le]
-					if c == 0 {
-						continue
-					}
-					copy(buf[pos*h:(pos+c)*h],
-						expertOut.Data[blockOff[le][src]*h:(blockOff[le][src]+c)*h])
-					pos += c
-				}
-				part.Data = buf
-			}
-			sendBack[src] = part
 		}
+
+		// Expert-major reorder of this chunk (sequential GEMM input prep,
+		// the small expert-stage overhead the paper notes in §5.4.1).
+		r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(h)*elem))
+		// Sequential GEMM experts over the chunk's uneven segments.
+		expertTime := comp.SequentialGEMM(rowsPerLE, h, f) +
+			comp.SequentialGEMM(rowsPerLE, f, h) +
+			comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(f)*elem) // activation
+		r.Compute(StageExperts, expertTime)
+		var chunkOut *tensor.Tensor
+		if opts.Numeric {
+			chunkIn := pool.Get(bc, h)
+			landBlocks(chunkIn.Data, recv, n, at, h)
+			interm := pool.Get(bc, f)
+			kernels.SequentialGEMMInto(interm, chunkIn, rowsPerLE, params.W1)
+			if opts.SaveForBackward {
+				scatterBlocks(expertIn, chunkIn, n, at, saveAt)
+				scatterBlocks(hidPre, interm, n, at, saveAt)
+			}
+			tensor.GeLU(interm)
+			if opts.SaveForBackward {
+				scatterBlocks(hidAct, interm, n, at, saveAt)
+			}
+			chunkOut = pool.Get(bc, h)
+			kernels.SequentialGEMMInto(chunkOut, interm, rowsPerLE, params.W2)
+			pool.PutAll(chunkIn, interm)
+		}
+
+		// Reverse reorder to src-major and issue this chunk's combine.
+		r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(h)*elem))
+		sendBack := parts[(chunks+c)*p : (chunks+c+1)*p]
+		packBlocks(sendBack, chunkOut, n, at, h, combElem)
+		combineX[c] = r.AlltoAllVChunk(g, StageCombineA2A, sendBack, chunks)
+		pool.Put(chunkOut) // fully staged into the send-back buffers
 	}
 
-	// --- Uneven all-to-all (combine) -------------------------------------
-	if opts.Numeric {
-		// expertOut is fully staged into the send-back buffers; recycle
-		// it (and the activation intermediates when not saved) before the
-		// collective so the next layer reuses the memory.
-		pool.Put(expertOut)
-		if !opts.SaveForBackward {
-			pool.PutAll(expertIn, hidPre)
-		}
-	}
-	back := r.AlltoAllV(g, StageCombineA2A, sendBack)
+	// --- Drain combine chunks into the PFT-ordered combine buffer --------
 	mem.Alloc("A_combine", int64(b)*int64(h)*combElem)
 	var combineIn *tensor.Tensor
 	if opts.Numeric {
 		combineIn = pool.Get(b, h)
-		pos := 0
-		for dst := 0; dst < p; dst++ {
-			d := back[dst].Data
-			copy(combineIn.Data[pos:pos+len(d)], d)
-			pos += len(d)
+	}
+	for c := 0; c < chunks; c++ {
+		back := combineX[c].Wait()
+		if opts.Numeric {
+			unpackSegments(combineIn, back, pft.TokensPerExpert, segStart, epr, h, chunks, c)
 		}
 	}
 
@@ -491,7 +468,7 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 			PFT:        pft,
 			RecvCounts: recvCounts,
 			BlockOff:   blockOff,
-			RowsPerLE:  rowsPerLE,
+			RowsPerLE:  fullRowsPerLE,
 			ExpertIn:   expertIn,
 			HidPre:     hidPre,
 			HidAct:     hidAct,
@@ -506,7 +483,8 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 // Appendix B.1): dispatch-mask construction, einsum dispatch into
 // fixed-capacity [E, C, H] buffers, an even all-to-all that carries the
 // padding, batched padded expert GEMMs, the reverse all-to-all, and the
-// mask-einsum combine.
+// mask-einsum combine. The exchanges and the expert GEMMs run in
+// opts.chunks() chunks of capacity slots (see overlap.go).
 func PaddedForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams, opts PipelineOpts) LayerResult {
 	opts.mustCheck()
 	if opts.CapacityByExpert != nil {
@@ -519,6 +497,7 @@ func PaddedForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.T
 	capTokens := cfg.Capacity(s)
 	elem := int64(cfg.BytesPerElem)
 	combElem := int64(opts.combineBytes(cfg))
+	chunks := opts.chunks()
 	mem := &r.Dev().Mem
 	comp := r.C.Comp
 	pool := r.Pool()
@@ -562,93 +541,107 @@ func PaddedForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.T
 	}
 	mem.Alloc("disp_buffer", bufBytes)
 
-	// Chunked comm/compute-overlap execution of the middle section.
-	if opts.chunks() > 1 {
-		return paddedForwardOverlap(r, g, cfg, s, pa, dispBuf, params, opts, kernelClass, maskBytes, intermBytes)
-	}
-
-	// --- Even all-to-all (dispatch) ---------------------------------------
-	// Every pair exchanges the full padded slice for the destination's
-	// experts: EPR * C * H regardless of real occupancy.
+	// --- Even all-to-all (dispatch), every chunk issued up front ----------
+	// Every pair exchanges the padded slice for the destination's experts,
+	// EPR * C * H regardless of real occupancy. Chunk c covers capacity
+	// slots ChunkRange(capTokens, chunks, c) of every expert buffer; both
+	// ends derive the same slot split, so no metadata is needed at all.
 	pairBytes := int64(epr) * int64(capTokens) * int64(h) * elem
-	send := make([]simrt.Part, p)
-	for dst := 0; dst < p; dst++ {
-		part := simrt.Part{Bytes: pairBytes}
-		if opts.Numeric {
-			lo := dst * epr * capTokens * h
-			hi := (dst + 1) * epr * capTokens * h
-			part.Data = dispBuf.Data[lo:hi]
-		}
-		send[dst] = part
-	}
-	recv := r.AlltoAllV(g, StageDispatchA2A, send)
-	mem.Alloc("A_dispatch", int64(p)*pairBytes)
-
-	// --- Expert compute on padded buffers ---------------------------------
-	// Reshape [P, EPR, C, H] -> [EPR, P*C, H] (a permute the frameworks
-	// pay as a fallback op), then batched GEMMs over all padded rows.
-	r.Compute(StageOthers, comp.MemBound(kernelClass, 2*int64(p)*pairBytes))
 	rowsPerExpert := p * capTokens
-	expertTime := comp.BatchedPaddedGEMM(epr, rowsPerExpert, h, f) +
-		comp.BatchedPaddedGEMM(epr, rowsPerExpert, f, h) +
-		comp.MemBound(perfmodel.ClassVendor, 2*int64(epr*rowsPerExpert)*int64(f)*elem)
-	r.Compute(StageExperts, expertTime)
+	parts := make([]simrt.Part, 2*chunks*p)
+	exchanges := make([]simrt.Exchange, 2*chunks)
+	dispatchX, combineX := exchanges[:chunks], exchanges[chunks:]
+	for c := 0; c < chunks; c++ {
+		slo, shi := simrt.ChunkRange(capTokens, chunks, c)
+		send := parts[c*p : (c+1)*p]
+		packSlots(send, dispBuf, epr, capTokens, h, elem, chunks, c)
+		if chunks > 1 {
+			// The strided slot-chunk pack; the full slot range of one
+			// chunk is a contiguous zero-copy send.
+			r.Compute(StageOthers, comp.MemBound(kernelClass, 2*int64(p*epr*(shi-slo))*int64(h)*elem))
+		}
+		dispatchX[c] = r.AlltoAllVChunk(g, StageDispatchA2A, send, chunks)
+	}
+	mem.Alloc("A_dispatch", int64(p)*pairBytes)
 	mem.Alloc("A0_interm", int64(epr*rowsPerExpert)*int64(f)*elem)
 	mem.Alloc("A1_interm", int64(epr*rowsPerExpert)*int64(f)*elem)
-	var expertOut *tensor.Tensor
+
+	// Full-layout saved state (SaveForBackward): expert-major padded rows,
+	// (le*P + src)*C + slot.
 	var expertIn, hidPre, hidAct *tensor.Tensor
-	if opts.Numeric {
-		// Expert-major view: rows of local expert le from all sources.
+	if opts.SaveForBackward && opts.Numeric {
 		expertIn = pool.Get(epr*rowsPerExpert, h)
-		for src := 0; src < p; src++ {
-			data := recv[src].Data
-			for le := 0; le < epr; le++ {
-				srcBlock := data[le*capTokens*h : (le+1)*capTokens*h]
-				dstOff := (le*p + src) * capTokens * h
-				copy(expertIn.Data[dstOff:dstOff+capTokens*h], srcBlock)
-			}
-		}
-		rows := make([]int, epr)
-		for i := range rows {
-			rows[i] = rowsPerExpert
-		}
 		hidPre = pool.Get(epr*rowsPerExpert, f)
-		kernels.SequentialGEMMInto(hidPre, expertIn, rows, params.W1)
-		hidAct = hidPre
-		if opts.SaveForBackward {
-			hidAct = pool.Get(epr*rowsPerExpert, f)
-			hidAct.Copy(hidPre)
-		}
-		tensor.GeLU(hidAct)
-		expertOut = pool.Get(epr*rowsPerExpert, h)
-		kernels.SequentialGEMMInto(expertOut, hidAct, rows, params.W2)
-		if !opts.SaveForBackward {
-			pool.PutAll(expertIn, hidPre)
-		}
+		hidAct = pool.Get(epr*rowsPerExpert, f)
 	}
 
-	// --- Even all-to-all (combine) -----------------------------------------
-	// The wire stays half precision; Tutel's fp32 quirk applies to the
-	// materialised A_combine buffer (Table 4), not the exchange.
-	r.Compute(StageOthers, comp.MemBound(kernelClass, 2*int64(p)*pairBytes))
-	sendBack := make([]simrt.Part, p)
-	for dst := 0; dst < p; dst++ {
-		part := simrt.Part{Bytes: int64(epr) * int64(capTokens) * int64(h) * elem}
+	// --- Per-chunk padded expert stage ------------------------------------
+	nb := epr * p
+	ints := make([]int, 3*nb+epr)
+	n, at, saveAt, rows := ints[:nb], ints[nb:2*nb], ints[2*nb:3*nb], ints[3*nb:]
+	for c := 0; c < chunks; c++ {
+		recv := dispatchX[c].Wait()
+		slo, shi := simrt.ChunkRange(capTokens, chunks, c)
+		cl := shi - slo
+		chunkRows := p * cl
+		for k := range n {
+			n[k], at[k], saveAt[k] = cl, k*cl, k*capTokens+slo
+		}
+		for le := range rows {
+			rows[le] = chunkRows
+		}
+
+		// Reshape [P, EPR, cl, H] -> [EPR, P*cl, H] (a permute the
+		// frameworks pay as a fallback op), then batched GEMMs over all
+		// padded rows of the chunk.
+		r.Compute(StageOthers, comp.MemBound(kernelClass, 2*int64(p*epr*cl)*int64(h)*elem))
+		var chunkOut *tensor.Tensor
 		if opts.Numeric {
-			buf := make([]float32, epr*capTokens*h)
-			for le := 0; le < epr; le++ {
-				srcOff := (le*p + dst) * capTokens * h
-				copy(buf[le*capTokens*h:(le+1)*capTokens*h],
-					expertOut.Data[srcOff:srcOff+capTokens*h])
+			chunkIn := pool.Get(epr*chunkRows, h)
+			landBlocks(chunkIn.Data, recv, n, at, h)
+			interm := pool.Get(epr*chunkRows, f)
+			kernels.SequentialGEMMInto(interm, chunkIn, rows, params.W1)
+			if opts.SaveForBackward {
+				scatterBlocks(expertIn, chunkIn, n, at, saveAt)
+				scatterBlocks(hidPre, interm, n, at, saveAt)
 			}
-			part.Data = buf
+			tensor.GeLU(interm)
+			if opts.SaveForBackward {
+				scatterBlocks(hidAct, interm, n, at, saveAt)
+			}
+			chunkOut = pool.Get(epr*chunkRows, h)
+			kernels.SequentialGEMMInto(chunkOut, interm, rows, params.W2)
+			pool.PutAll(chunkIn, interm)
 		}
-		sendBack[dst] = part
-	}
-	back := r.AlltoAllV(g, StageCombineA2A, sendBack)
-	mem.Alloc("A_combine", int64(e)*int64(capTokens)*int64(h)*combElem)
+		expertTime := comp.BatchedPaddedGEMM(epr, chunkRows, h, f) +
+			comp.BatchedPaddedGEMM(epr, chunkRows, f, h) +
+			comp.MemBound(perfmodel.ClassVendor, 2*int64(epr*chunkRows)*int64(f)*elem)
+		r.Compute(StageExperts, expertTime)
 
-	// --- Buffer combine -------------------------------------------------------
+		// Reverse reshape and issue this chunk's combine. The wire stays
+		// half precision; Tutel's fp32 quirk applies to the materialised
+		// A_combine buffer (Table 4), not the exchange.
+		r.Compute(StageOthers, comp.MemBound(kernelClass, 2*int64(p*epr*cl)*int64(h)*elem))
+		sendBack := parts[(chunks+c)*p : (chunks+c+1)*p]
+		packBlocks(sendBack, chunkOut, n, at, h, elem)
+		combineX[c] = r.AlltoAllVChunk(g, StageCombineA2A, sendBack, chunks)
+		pool.Put(chunkOut) // fully staged into the send-back buffers
+	}
+
+	// --- Drain combine chunks into the padded combine buffer -------------
+	mem.Alloc("A_combine", int64(e)*int64(capTokens)*int64(h)*combElem)
+	var full *tensor.Tensor
+	if opts.Numeric {
+		full = pool.Get(e*capTokens, h)
+	}
+	for c := 0; c < chunks; c++ {
+		back := combineX[c].Wait()
+		if opts.Numeric {
+			unpackSlots(full, back, epr, capTokens, h, chunks, c)
+		}
+	}
+
+	// --- Buffer combine -----------------------------------------------------
 	if vendor {
 		r.Compute(StageCombine, comp.MemBound(perfmodel.ClassVendor,
 			2*int64(e)*int64(capTokens)*int64(h)*combElem))
@@ -656,15 +649,7 @@ func PaddedForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.T
 		r.Compute(StageCombine, comp.MaskEinsum(s, e, capTokens, h))
 	}
 	var out *tensor.Tensor
-	var full *tensor.Tensor
 	if opts.Numeric {
-		// expertOut is fully staged into the send-back buffers.
-		pool.Put(expertOut)
-		full = pool.Get(e*capTokens, h)
-		for dst := 0; dst < p; dst++ {
-			d := back[dst].Data
-			copy(full.Data[dst*epr*capTokens*h:(dst*epr+epr)*capTokens*h], d)
-		}
 		out = kernels.PaddedCombine(full.Reshape(e, capTokens, h), pa.SlotToken, pa.SlotWeight, capTokens, s)
 		if !opts.SaveForBackward {
 			pool.Put(full)
@@ -675,7 +660,7 @@ func PaddedForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.T
 	if !opts.RetainActivations {
 		mem.Free("mask", maskBytes)
 		mem.Free("mask_interm", intermBytes)
-		mem.Free("disp_buffer", int64(e)*int64(capTokens)*int64(h)*elem)
+		mem.Free("disp_buffer", bufBytes)
 		mem.Free("A_dispatch", int64(p)*pairBytes)
 		mem.Free("A0_interm", int64(epr*rowsPerExpert)*int64(f)*elem)
 		mem.Free("A1_interm", int64(epr*rowsPerExpert)*int64(f)*elem)

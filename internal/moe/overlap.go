@@ -1,564 +1,254 @@
 package moe
 
-// Chunked comm/compute-overlap execution of the MoE middle section
-// (dispatch all-to-all -> expert GEMMs -> combine all-to-all), the
-// optimisation FastMoE's smart scheduling and Megatron Core's MoE overlap
-// apply to hide the paper's dominant all-to-all cost (Fig. 11) behind the
-// expert computation:
+// The chunked comm/compute-overlap model shared by every pipeline body in
+// this package (PFTForward, PFTBackward, PaddedForward, PaddedBackward),
+// the optimisation FastMoE's smart scheduling and Megatron Core's MoE
+// overlap apply to hide the paper's dominant all-to-all cost (Fig. 11)
+// behind the expert computation. Each pipeline is ONE body parameterised
+// by the chunk count C = PipelineOpts.OverlapChunks:
 //
-//   - The routed tokens are split into C chunks along each (destination
-//     rank, local expert) segment, using the same ChunkRange split on both
-//     ends so no extra metadata crosses the wire (full per-expert counts
-//     ride with chunk 0 only, exactly the blocking pipeline's volume).
-//   - All C dispatch all-to-alls are issued non-blocking up front; they
-//     serialise on the rank's communication stream, so chunk i+1's
-//     transfer flies while chunk i's expert GEMMs run on the device.
-//   - Each chunk's combine all-to-all is issued non-blocking right after
-//     its GEMMs, overlapping the remaining chunks' compute; the waits at
-//     the end charge only the uncovered tail.
+//   - The routed rows are split into C chunks along each (destination
+//     rank, local expert) segment — capacity slots for the padded layout —
+//     using the same ChunkRange split on both ends so no extra metadata
+//     crosses the wire (full per-expert counts ride with chunk 0 only).
+//   - All C source-side all-to-alls are issued up front through
+//     Rank.AlltoAllVChunk; they serialise on the rank's communication
+//     stream, so chunk i+1's transfer flies while chunk i's expert GEMMs
+//     run on the device.
+//   - Each chunk's return all-to-all is issued right after its GEMMs,
+//     overlapping the remaining chunks' compute; the waits at the end
+//     charge only the uncovered tail. The backward defers the dW GEMMs to
+//     the complete segments, where they hide the last return transfers.
 //
-// Numeric output is bit-identical to the blocking pipeline: the expert
-// FFN is row-independent, chunking only re-times row groups without
-// reordering any per-row arithmetic, and every returned row is written to
-// the exact position the blocking pipeline would use.
+// C = 1 is the blocking pipeline, by two rules rather than a second body.
+// (a) AlltoAllVChunk makes a single chunk's exchange the blocking
+// collective. (b) The passes that exist only because rows are chunked are
+// skipped: with one chunk a destination's rows are one contiguous run of
+// the source buffer, sent as a view, so the strided pack (and, in the PFT
+// backward, the strided landing and return pack) is neither executed nor
+// charged, and the expert backward is the fused per-expert dX + dW kernel
+// charged once before the return exchange instead of a dX chain per chunk
+// plus deferred dW GEMMs. Each such site is a `chunks > 1` / `chunks == 1`
+// guard naming the pass.
 //
-// With SaveForBackward, the overlapped pipelines additionally scatter
-// each chunk's intermediates (expert input, pre-activation, post-GeLU
-// activation) into the same full-layout buffers the blocking forward
-// saves — chunk rows of block (src, le) land at the block's expert-major
-// offset plus the chunk's ChunkRange start — so PFTBackward /
-// PaddedBackward consume an identical state regardless of the forward
-// chunk count.
+// Numeric output is bit-identical for every C: the expert FFN is
+// row-independent, chunking only re-times row groups without reordering
+// any per-row arithmetic, every row is written to the position a single
+// chunk would use, and dW is always one reduction over the full segment.
+// With SaveForBackward each chunk's intermediates are scattered into the
+// full expert-major layout, so the saved state — and the backward that
+// consumes it — does not depend on the forward's chunk count.
+//
+// Expert-side geometry is described per chunk by parallel arrays indexed
+// k = le*P + src (expert-major blocks): n[k] rows of block (src, le) sit
+// at row at[k] of the buffer the chunk's expert stage works on.
 
 import (
-	"xmoe/internal/kernels"
-	"xmoe/internal/perfmodel"
 	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
 )
 
-// pftForwardOverlap continues PFTForward after gating, PFT construction
-// and the dispatch gather, executing the exchange and expert stages in
-// opts.chunks() overlapped chunks.
-func pftForwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, s int, pft *PFT,
-	dispIn *tensor.Tensor, params *ExpertParams, opts PipelineOpts) LayerResult {
-
-	chunks := opts.chunks()
-	p := g.Size()
-	epr := cfg.NumExperts / p
-	h, f := cfg.HModel, cfg.HFFN
-	elem := int64(cfg.BytesPerElem)
-	combElem := int64(opts.combineBytes(cfg))
-	mem := &r.Dev().Mem
-	comp := r.C.Comp
-	pool := r.Pool()
-	b := pft.B()
-	segStart := pft.ExpertSegments()
-
-	// --- Issue every dispatch chunk non-blocking -------------------------
-	// Chunk c of global expert e covers rows ChunkRange(cnt_e, chunks, c)
-	// of e's contiguous PFT segment; a chunk part concatenates the
-	// destination rank's experts' chunk rows in expert order. The full
-	// per-expert counts ride with chunk 0 (blocking wire volume), later
-	// chunks are derived by both ends from the same split. Part slices
-	// for all chunks view one flat backing array so the steady-state
-	// allocation count stays independent of the chunk count.
-	countsFlat := make([]int, p*epr)
-	copy(countsFlat, pft.TokensPerExpert)
-	sendFlat := make([]simrt.Part, chunks*p)
-	dispatchH := make([]*simrt.CommHandle, chunks)
-	for c := 0; c < chunks; c++ {
-		send := sendFlat[c*p : (c+1)*p]
-		chunkRows := 0
-		for dst := 0; dst < p; dst++ {
-			rows := 0
-			for le := 0; le < epr; le++ {
-				lo, hi := simrt.ChunkRange(pft.TokensPerExpert[dst*epr+le], chunks, c)
-				rows += hi - lo
-			}
-			chunkRows += rows
-			part := simrt.Part{Bytes: int64(rows) * int64(h) * elem}
-			if c == 0 {
-				part.Meta = countsFlat[dst*epr : (dst+1)*epr]
-				part.Bytes += int64(epr) * 8
-			}
-			if opts.Numeric && rows > 0 {
-				// Staged allocate-fresh: the buffer crosses a collective.
-				buf := make([]float32, rows*h)
-				pos := 0
-				for le := 0; le < epr; le++ {
-					e := dst*epr + le
-					lo, hi := simrt.ChunkRange(pft.TokensPerExpert[e], chunks, c)
-					if hi > lo {
-						copy(buf[pos*h:(pos+hi-lo)*h],
-							dispIn.Data[(segStart[e]+lo)*h:(segStart[e]+hi)*h])
-						pos += hi - lo
-					}
-				}
-				part.Data = buf
-			}
-			send[dst] = part
+// packSegments fills send (one part per destination rank) with chunk c of
+// every expert segment of the PFT-ordered [B, h] buffer src (nil in
+// symbolic mode) and returns the chunk's row count. counts and segStart
+// are the PFT's per-expert row counts and segment offsets. A single chunk
+// is each destination's whole contiguous run and is sent as a view — src
+// must then outlive the exchange; a real chunk is strided per-expert row
+// ranges packed into a fresh buffer.
+func packSegments(send []simrt.Part, src *tensor.Tensor, counts, segStart []int, epr, h int, elem int64, chunks, c int) int {
+	chunkRows := 0
+	for dst := range send {
+		rows := 0
+		for e := dst * epr; e < (dst+1)*epr; e++ {
+			lo, hi := simrt.ChunkRange(counts[e], chunks, c)
+			rows += hi - lo
 		}
-		// The chunked path packs strided per-expert chunk rows into send
-		// buffers — a real memory-bound pass the blocking pipeline avoids
-		// by sending contiguous views — so it is charged, keeping the
-		// overlap-vs-blocking comparison honest.
-		r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(chunkRows)*int64(h)*elem))
-		dispatchH[c] = r.AlltoAllVAsync(g, StageDispatchA2A, send)
+		chunkRows += rows
+		part := simrt.Part{Bytes: int64(rows) * int64(h) * elem}
+		switch {
+		case src == nil || rows == 0:
+		case chunks == 1:
+			lo := segStart[dst*epr]
+			part.Data = src.Data[lo*h : (lo+rows)*h]
+		default:
+			buf := make([]float32, 0, rows*h)
+			for e := dst * epr; e < (dst+1)*epr; e++ {
+				lo, hi := simrt.ChunkRange(counts[e], chunks, c)
+				buf = append(buf, src.Data[(segStart[e]+lo)*h:(segStart[e]+hi)*h]...)
+			}
+			part.Data = buf
+		}
+		send[dst] = part
 	}
-
-	// --- Per-chunk expert stage, combine issued as soon as a chunk ends --
-	var recvCounts [][]int // [src][localExpert] full totals, from chunk 0
-	bExp := 0
-	combineH := make([]*simrt.CommHandle, chunks)
-	rowsPerLE := make([]int, epr)
-	// Per-chunk geometry scratch, reused across chunks: chunkLen[src*epr+le]
-	// is the (src, le) sub-block's row count, chunkLo its ChunkRange start
-	// within the block, partPos[src*epr+le] its offset within src's part
-	// (send and receive sides share the layout: local experts ascending),
-	// blockOff[le*p+src] its offset within the chunk's expert-major
-	// buffer. Precomputed prefix sums keep packing O(p*epr) per chunk, as
-	// the blocking path's blockOff table does.
-	chunkLen := make([]int, p*epr)
-	chunkLo := make([]int, p*epr)
-	partPos := make([]int, p*epr)
-	blockOff := make([]int, epr*p)
-	backFlat := make([]simrt.Part, chunks*p)
-	// Full-layout saved state (SaveForBackward): blockOffFull mirrors the
-	// blocking pipeline's [le][src] expert-major offsets; the chunk
-	// intermediates are scattered into full-size buffers at those offsets.
-	var blockOffFull [][]int
-	var fullRowsPerLE []int
-	var expertIn, hidPre, hidAct *tensor.Tensor
-	for c := 0; c < chunks; c++ {
-		recv := dispatchH[c].Wait()
-		if c == 0 {
-			recvCounts = make([][]int, p)
-			for src, part := range recv {
-				recvCounts[src] = part.Meta.([]int)
-				for _, n := range recvCounts[src] {
-					bExp += n
-				}
-			}
-			mem.Alloc("A_dispatch", int64(bExp)*int64(h)*elem)
-			mem.Alloc("A0_interm", int64(bExp)*int64(f)*elem)
-			mem.Alloc("A1_interm", int64(bExp)*int64(f)*elem)
-			if opts.SaveForBackward {
-				blockOffFull = make([][]int, epr)
-				fullRowsPerLE = make([]int, epr)
-				flat := make([]int, epr*p)
-				off := 0
-				for le := 0; le < epr; le++ {
-					blockOffFull[le] = flat[le*p : (le+1)*p]
-					for src := 0; src < p; src++ {
-						blockOffFull[le][src] = off
-						off += recvCounts[src][le]
-						fullRowsPerLE[le] += recvCounts[src][le]
-					}
-				}
-				if opts.Numeric {
-					expertIn = pool.Get(bExp, h)
-					hidPre = pool.Get(bExp, f)
-					hidAct = pool.Get(bExp, f)
-				}
-			}
-		}
-
-		// Chunk geometry: sub-block lengths, then prefix offsets.
-		bc := 0
-		for le := 0; le < epr; le++ {
-			rowsPerLE[le] = 0
-			for src := 0; src < p; src++ {
-				lo, hi := simrt.ChunkRange(recvCounts[src][le], chunks, c)
-				chunkLen[src*epr+le] = hi - lo
-				chunkLo[src*epr+le] = lo
-				rowsPerLE[le] += hi - lo
-			}
-			bc += rowsPerLE[le]
-		}
-		{
-			off := 0
-			for le := 0; le < epr; le++ {
-				for src := 0; src < p; src++ {
-					blockOff[le*p+src] = off
-					off += chunkLen[src*epr+le]
-				}
-			}
-			for src := 0; src < p; src++ {
-				pos := 0
-				for le := 0; le < epr; le++ {
-					partPos[src*epr+le] = pos
-					pos += chunkLen[src*epr+le]
-				}
-			}
-		}
-
-		// Expert-major reorder of this chunk (paper §5.4.1 overhead,
-		// charged proportionally to the chunk's rows).
-		r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(h)*elem))
-		var chunkIn *tensor.Tensor
-		if opts.Numeric {
-			chunkIn = pool.Get(bc, h)
-			for le := 0; le < epr; le++ {
-				for src := 0; src < p; src++ {
-					n := chunkLen[src*epr+le]
-					if n == 0 {
-						continue
-					}
-					off, pos := blockOff[le*p+src], partPos[src*epr+le]
-					copy(chunkIn.Data[off*h:(off+n)*h],
-						recv[src].Data[pos*h:(pos+n)*h])
-				}
-			}
-		}
-
-		// Sequential GEMM experts over the chunk's uneven segments.
-		expertTime := comp.SequentialGEMM(rowsPerLE, h, f) +
-			comp.SequentialGEMM(rowsPerLE, f, h) +
-			comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(f)*elem)
-		r.Compute(StageExperts, expertTime)
-		var chunkOut *tensor.Tensor
-		if opts.Numeric {
-			interm := pool.Get(bc, f)
-			kernels.SequentialGEMMInto(interm, chunkIn, rowsPerLE, params.W1)
-			if opts.SaveForBackward {
-				// Scatter this chunk's intermediates into the blocking
-				// pipeline's full expert-major layout before/after the
-				// activation so the saved state is chunk-count invariant.
-				scatterChunkRows(expertIn.Data, chunkIn.Data, h, epr, p, blockOffFull, blockOff, chunkLen, chunkLo)
-				scatterChunkRows(hidPre.Data, interm.Data, f, epr, p, blockOffFull, blockOff, chunkLen, chunkLo)
-			}
-			tensor.GeLU(interm)
-			if opts.SaveForBackward {
-				scatterChunkRows(hidAct.Data, interm.Data, f, epr, p, blockOffFull, blockOff, chunkLen, chunkLo)
-			}
-			chunkOut = pool.Get(bc, h)
-			kernels.SequentialGEMMInto(chunkOut, interm, rowsPerLE, params.W2)
-			pool.PutAll(chunkIn, interm)
-		}
-
-		// Reverse reorder to src-major and issue this chunk's combine.
-		r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(h)*elem))
-		sendBack := backFlat[c*p : (c+1)*p]
-		for src := 0; src < p; src++ {
-			rows := 0
-			for le := 0; le < epr; le++ {
-				rows += chunkLen[src*epr+le]
-			}
-			part := simrt.Part{Bytes: int64(rows) * int64(h) * combElem}
-			if opts.Numeric && rows > 0 {
-				buf := make([]float32, rows*h)
-				for le := 0; le < epr; le++ {
-					n := chunkLen[src*epr+le]
-					if n == 0 {
-						continue
-					}
-					off, pos := blockOff[le*p+src], partPos[src*epr+le]
-					copy(buf[pos*h:(pos+n)*h], chunkOut.Data[off*h:(off+n)*h])
-				}
-				part.Data = buf
-			}
-			sendBack[src] = part
-		}
-		combineH[c] = r.AlltoAllVAsync(g, StageCombineA2A, sendBack)
-		if opts.Numeric {
-			pool.Put(chunkOut) // fully staged into the send-back buffers
-		}
-	}
-
-	// --- Drain combine chunks into the PFT-ordered combine buffer --------
-	mem.Alloc("A_combine", int64(b)*int64(h)*combElem)
-	var combineIn *tensor.Tensor
-	if opts.Numeric {
-		combineIn = pool.Get(b, h)
-	}
-	for c := 0; c < chunks; c++ {
-		back := combineH[c].Wait()
-		if !opts.Numeric {
-			continue
-		}
-		for dst := 0; dst < p; dst++ {
-			data := back[dst].Data
-			pos := 0
-			for le := 0; le < epr; le++ {
-				e := dst*epr + le
-				lo, hi := simrt.ChunkRange(pft.TokensPerExpert[e], chunks, c)
-				if hi > lo {
-					copy(combineIn.Data[(segStart[e]+lo)*h:(segStart[e]+hi)*h],
-						data[pos*h:(pos+hi-lo)*h])
-					pos += hi - lo
-				}
-			}
-		}
-	}
-
-	// --- Scatter combine (identical to the blocking pipeline) ------------
-	r.Compute(StageCombine, comp.MemBound(perfmodel.ClassTriton, 2*int64(b)*int64(h)*combElem))
-	var out *tensor.Tensor
-	if opts.Numeric {
-		out = kernels.ScatterCombine(combineIn, pft.TokenIDs, pft.CombineWeights, s)
-		if !opts.SaveForBackward {
-			pool.Put(combineIn)
-		}
-	}
-	mem.Alloc("output", int64(s)*int64(h)*elem)
-
-	if !opts.RetainActivations {
-		mem.Free("dispatch_in", int64(b)*int64(h)*elem)
-		mem.Free("A_dispatch", int64(bExp)*int64(h)*elem)
-		mem.Free("A0_interm", int64(bExp)*int64(f)*elem)
-		mem.Free("A1_interm", int64(bExp)*int64(f)*elem)
-		mem.Free("A_combine", int64(b)*int64(h)*combElem)
-		mem.Free("eri", pft.ERIBytes())
-	}
-
-	res := LayerResult{
-		Output:       out,
-		PFT:          pft,
-		RoutedTokens: b,
-		RecvTokens:   bExp,
-		Dropped:      pft.Dropped,
-	}
-	if opts.SaveForBackward {
-		res.State = &PFTFwdState{
-			S:          s,
-			PFT:        pft,
-			RecvCounts: recvCounts,
-			BlockOff:   blockOffFull,
-			RowsPerLE:  fullRowsPerLE,
-			ExpertIn:   expertIn,
-			HidPre:     hidPre,
-			HidAct:     hidAct,
-			CombineIn:  combineIn,
-		}
-	}
-	return res
+	return chunkRows
 }
 
-// scatterChunkRows copies the (src, le) sub-blocks of a chunk-contiguous
-// buffer into the blocking pipeline's full expert-major layout: chunk
-// rows of block (src, le) land at the block's full offset plus the
-// chunk's ChunkRange start. width is the row width of both buffers.
-func scatterChunkRows(full, chunk []float32, width, epr, p int,
-	blockOffFull [][]int, blockOff, chunkLen, chunkLo []int) {
-	for le := 0; le < epr; le++ {
-		for src := 0; src < p; src++ {
-			n := chunkLen[src*epr+le]
-			if n == 0 {
-				continue
-			}
-			src0 := blockOff[le*p+src] * width
-			dst0 := (blockOffFull[le][src] + chunkLo[src*epr+le]) * width
-			copy(full[dst0:dst0+n*width], chunk[src0:src0+n*width])
+// unpackSegments is the inverse on the same rank: parts[m] holds chunk c
+// of member m's experts' rows, experts ascending, and lands in the
+// PFT-ordered buffer dst.
+func unpackSegments(dst *tensor.Tensor, parts []simrt.Part, counts, segStart []int, epr, h, chunks, c int) {
+	for m, part := range parts {
+		pos := 0
+		for e := m * epr; e < (m+1)*epr; e++ {
+			lo, hi := simrt.ChunkRange(counts[e], chunks, c)
+			pos += copy(dst.Data[(segStart[e]+lo)*h:(segStart[e]+hi)*h], part.Data[pos:])
 		}
 	}
 }
 
-// paddedForwardOverlap continues PaddedForward after gating, plan
-// construction and the padded dispatch, executing the even exchanges and
-// the batched expert GEMMs in opts.chunks() overlapped chunks of capacity
-// slots.
-func paddedForwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, s int,
-	pa *PaddedAssignment, dispBuf *tensor.Tensor, params *ExpertParams,
-	opts PipelineOpts, kernelClass perfmodel.KernelClass, maskBytes, intermBytes int64) LayerResult {
-
-	chunks := opts.chunks()
-	p := g.Size()
-	e := cfg.NumExperts
-	epr := e / p
-	h, f := cfg.HModel, cfg.HFFN
-	capTokens := cfg.Capacity(s)
-	elem := int64(cfg.BytesPerElem)
-	combElem := int64(opts.combineBytes(cfg))
-	vendor := kernelClass == perfmodel.ClassVendor
-	mem := &r.Dev().Mem
-	comp := r.C.Comp
-	pool := r.Pool()
-	pairBytes := int64(epr) * int64(capTokens) * int64(h) * elem
-
-	// --- Issue every dispatch chunk non-blocking -------------------------
-	// Chunk c covers capacity slots ChunkRange(capTokens, chunks, c) of
-	// every expert buffer; both ends derive the same slot split, so the
-	// even exchange needs no metadata at all. Part slices for all chunks
-	// view one flat backing array (constant allocation count in C).
-	sendFlat := make([]simrt.Part, chunks*p)
-	dispatchH := make([]*simrt.CommHandle, chunks)
-	for c := 0; c < chunks; c++ {
-		slo, shi := simrt.ChunkRange(capTokens, chunks, c)
-		cl := shi - slo
-		send := sendFlat[c*p : (c+1)*p]
-		for dst := 0; dst < p; dst++ {
-			part := simrt.Part{Bytes: int64(epr) * int64(cl) * int64(h) * elem}
-			if opts.Numeric && cl > 0 {
-				buf := make([]float32, epr*cl*h)
-				for le := 0; le < epr; le++ {
-					base := ((dst*epr+le)*capTokens + slo) * h
-					copy(buf[le*cl*h:(le+1)*cl*h], dispBuf.Data[base:base+cl*h])
-				}
-				part.Data = buf
-			}
-			send[dst] = part
-		}
-		// Charge the strided slot-chunk pack the blocking pipeline's
-		// contiguous zero-copy send avoids.
-		r.Compute(StageOthers, comp.MemBound(kernelClass, 2*int64(p*epr*cl)*int64(h)*elem))
-		dispatchH[c] = r.AlltoAllVAsync(g, StageDispatchA2A, send)
-	}
-	mem.Alloc("A_dispatch", int64(p)*pairBytes)
-	rowsPerExpert := p * capTokens
-	mem.Alloc("A0_interm", int64(epr*rowsPerExpert)*int64(f)*elem)
-	mem.Alloc("A1_interm", int64(epr*rowsPerExpert)*int64(f)*elem)
-
-	// Full-layout saved state (SaveForBackward), expert-major padded rows
-	// ((le*P + src)*C + slot), exactly the blocking pipeline's layout.
-	var expertIn, hidPre, hidAct *tensor.Tensor
-	if opts.SaveForBackward && opts.Numeric {
-		expertIn = pool.Get(epr*rowsPerExpert, h)
-		hidPre = pool.Get(epr*rowsPerExpert, f)
-		hidAct = pool.Get(epr*rowsPerExpert, f)
-	}
-
-	// --- Per-chunk padded expert stage ------------------------------------
-	combineH := make([]*simrt.CommHandle, chunks)
-	backFlat := make([]simrt.Part, chunks*p)
-	rows := make([]int, epr)
-	for c := 0; c < chunks; c++ {
-		recv := dispatchH[c].Wait()
-		slo, shi := simrt.ChunkRange(capTokens, chunks, c)
-		cl := shi - slo
-		chunkRows := p * cl
-
-		// saveChunk scatters this chunk's [EPR, P*cl] buffer into the
-		// full [EPR, P*C] layout at slot offset slo.
-		saveChunk := func(full, chunk []float32, width int) {
-			for le := 0; le < epr; le++ {
-				for src := 0; src < p; src++ {
-					src0 := ((le*p + src) * cl) * width
-					dst0 := ((le*p+src)*capTokens + slo) * width
-					copy(full[dst0:dst0+cl*width], chunk[src0:src0+cl*width])
-				}
-			}
-		}
-
-		// Reshape [P, EPR, cl, H] -> [EPR, P*cl, H].
-		r.Compute(StageOthers, comp.MemBound(kernelClass, 2*int64(p*epr*cl)*int64(h)*elem))
-		var chunkOut *tensor.Tensor
-		if opts.Numeric {
-			chunkIn := pool.Get(epr*chunkRows, h)
-			for src := 0; src < p; src++ {
-				data := recv[src].Data
-				for le := 0; le < epr; le++ {
-					srcBlock := data[le*cl*h : (le+1)*cl*h]
-					dstOff := (le*p + src) * cl * h
-					copy(chunkIn.Data[dstOff:dstOff+cl*h], srcBlock)
-				}
-			}
-			for i := range rows {
-				rows[i] = chunkRows
-			}
-			interm := pool.Get(epr*chunkRows, f)
-			kernels.SequentialGEMMInto(interm, chunkIn, rows, params.W1)
-			if opts.SaveForBackward {
-				saveChunk(expertIn.Data, chunkIn.Data, h)
-				saveChunk(hidPre.Data, interm.Data, f)
-			}
-			tensor.GeLU(interm)
-			if opts.SaveForBackward {
-				saveChunk(hidAct.Data, interm.Data, f)
-			}
-			chunkOut = pool.Get(epr*chunkRows, h)
-			kernels.SequentialGEMMInto(chunkOut, interm, rows, params.W2)
-			pool.PutAll(chunkIn, interm)
-		}
-		expertTime := comp.BatchedPaddedGEMM(epr, chunkRows, h, f) +
-			comp.BatchedPaddedGEMM(epr, chunkRows, f, h) +
-			comp.MemBound(perfmodel.ClassVendor, 2*int64(epr*chunkRows)*int64(f)*elem)
-		r.Compute(StageExperts, expertTime)
-
-		// Reverse reshape and issue this chunk's combine.
-		r.Compute(StageOthers, comp.MemBound(kernelClass, 2*int64(p*epr*cl)*int64(h)*elem))
-		sendBack := backFlat[c*p : (c+1)*p]
-		for dst := 0; dst < p; dst++ {
-			part := simrt.Part{Bytes: int64(epr) * int64(cl) * int64(h) * elem}
-			if opts.Numeric && cl > 0 {
-				buf := make([]float32, epr*cl*h)
-				for le := 0; le < epr; le++ {
-					srcOff := (le*p + dst) * cl * h
-					copy(buf[le*cl*h:(le+1)*cl*h], chunkOut.Data[srcOff:srcOff+cl*h])
-				}
-				part.Data = buf
-			}
-			sendBack[dst] = part
-		}
-		combineH[c] = r.AlltoAllVAsync(g, StageCombineA2A, sendBack)
-		if opts.Numeric {
-			pool.Put(chunkOut) // fully staged into the send-back buffers
-		}
-	}
-
-	// --- Drain combine chunks into the padded combine buffer -------------
-	mem.Alloc("A_combine", int64(e)*int64(capTokens)*int64(h)*combElem)
-	var full *tensor.Tensor
-	if opts.Numeric {
-		full = pool.Get(e*capTokens, h)
-	}
-	for c := 0; c < chunks; c++ {
-		back := combineH[c].Wait()
-		if !opts.Numeric {
-			continue
-		}
-		slo, shi := simrt.ChunkRange(capTokens, chunks, c)
-		cl := shi - slo
-		for dst := 0; dst < p; dst++ {
-			data := back[dst].Data
+// packSlots is packSegments for the padded [E, C, h] buffer: chunk c of
+// the capacity slots of every expert of each destination. A single chunk
+// is each destination's whole contiguous slice, sent as a view.
+func packSlots(send []simrt.Part, src *tensor.Tensor, epr, capTokens, h int, elem int64, chunks, c int) {
+	slo, shi := simrt.ChunkRange(capTokens, chunks, c)
+	cl := shi - slo
+	for dst := range send {
+		part := simrt.Part{Bytes: int64(epr) * int64(cl) * int64(h) * elem}
+		switch {
+		case src == nil || cl == 0:
+		case chunks == 1:
+			lo := dst * epr * capTokens * h
+			part.Data = src.Data[lo : lo+epr*capTokens*h]
+		default:
+			buf := make([]float32, 0, epr*cl*h)
 			for le := 0; le < epr; le++ {
 				base := ((dst*epr+le)*capTokens + slo) * h
-				copy(full.Data[base:base+cl*h], data[le*cl*h:(le+1)*cl*h])
+				buf = append(buf, src.Data[base:base+cl*h]...)
 			}
+			part.Data = buf
+		}
+		send[dst] = part
+	}
+}
+
+// unpackSlots lands chunk c of every member's experts' slots in the padded
+// [E, C, h] buffer dst.
+func unpackSlots(dst *tensor.Tensor, parts []simrt.Part, epr, capTokens, h, chunks, c int) {
+	slo, shi := simrt.ChunkRange(capTokens, chunks, c)
+	cl := shi - slo
+	for m, part := range parts {
+		for le := 0; le < epr; le++ {
+			base := ((m*epr+le)*capTokens + slo) * h
+			copy(dst.Data[base:base+cl*h], part.Data[le*cl*h:])
 		}
 	}
+}
 
-	// --- Buffer combine (identical to the blocking pipeline) -------------
-	if vendor {
-		r.Compute(StageCombine, comp.MemBound(perfmodel.ClassVendor,
-			2*int64(e)*int64(capTokens)*int64(h)*combElem))
-	} else {
-		r.Compute(StageCombine, comp.MaskEinsum(s, e, capTokens, h))
-	}
-	var out *tensor.Tensor
-	if opts.Numeric {
-		out = kernels.PaddedCombine(full.Reshape(e, capTokens, h), pa.SlotToken, pa.SlotWeight, capTokens, s)
-		if !opts.SaveForBackward {
-			pool.Put(full)
+// landBlocks copies the received src-major parts (each holding its blocks
+// in local-expert order) to their expert-major rows in dst, w floats wide.
+func landBlocks(dst []float32, recv []simrt.Part, n, at []int, w int) {
+	p := len(recv)
+	for src, part := range recv {
+		pos := 0
+		for k := src; k < len(n); k += p {
+			pos += copy(dst[at[k]*w:(at[k]+n[k])*w], part.Data[pos:])
 		}
 	}
-	mem.Alloc("output", int64(s)*int64(h)*elem)
+}
 
-	if !opts.RetainActivations {
-		mem.Free("mask", maskBytes)
-		mem.Free("mask_interm", intermBytes)
-		mem.Free("disp_buffer", int64(e)*int64(capTokens)*int64(h)*elem)
-		mem.Free("A_dispatch", int64(p)*pairBytes)
-		mem.Free("A0_interm", int64(epr*rowsPerExpert)*int64(f)*elem)
-		mem.Free("A1_interm", int64(epr*rowsPerExpert)*int64(f)*elem)
-		mem.Free("A_combine", int64(e)*int64(capTokens)*int64(h)*combElem)
+// packBlocks is the reverse: it fills send (one part per source rank) with
+// that rank's blocks of the expert-major buffer src (nil in symbolic
+// mode), local experts ascending, in fresh buffers.
+func packBlocks(send []simrt.Part, src *tensor.Tensor, n, at []int, w int, elem int64) {
+	p := len(send)
+	for m := range send {
+		rows := 0
+		for k := m; k < len(n); k += p {
+			rows += n[k]
+		}
+		part := simrt.Part{Bytes: int64(rows) * int64(w) * elem}
+		if src != nil && rows > 0 {
+			buf := make([]float32, 0, rows*w)
+			for k := m; k < len(n); k += p {
+				buf = append(buf, src.Data[at[k]*w:(at[k]+n[k])*w]...)
+			}
+			part.Data = buf
+		}
+		send[m] = part
 	}
+}
 
-	res := LayerResult{
-		Output:       out,
-		RoutedTokens: pa.Occupied,
-		RecvTokens:   epr * rowsPerExpert,
-		Dropped:      pa.Dropped,
+// scatterBlocks copies every block of a chunk-contiguous buffer to row
+// saveAt[k] of the full expert-major layout SaveForBackward keeps.
+func scatterBlocks(full, chunk *tensor.Tensor, n, at, saveAt []int) {
+	w := full.Cols()
+	for k, rows := range n {
+		copy(full.Data[saveAt[k]*w:(saveAt[k]+rows)*w], chunk.Data[at[k]*w:])
 	}
-	if opts.SaveForBackward {
-		res.PaddedState = &PaddedFwdState{
-			S:           s,
-			PA:          pa,
-			ExpertIn:    expertIn,
-			HidPre:      hidPre,
-			HidAct:      hidAct,
-			CombineFull: full,
+}
+
+// ffnGrads holds the expert-FFN backward buffers in the full expert-major
+// layout of the saved forward state.
+type ffnGrads struct {
+	dOut, dAct, dPre, dIn *tensor.Tensor // [rows, H], [rows, F], [rows, F], [rows, H]
+}
+
+func newFFNGrads(pool *tensor.Pool, rows, h, f int) ffnGrads {
+	return ffnGrads{pool.Get(rows, h), pool.Get(rows, f), pool.Get(rows, f), pool.Get(rows, h)}
+}
+
+// dxChain runs dAct = dOut·W2ᵀ, the GeLU backward and dIn = dPre·W1ᵀ over
+// every block of the chunk. The chain is row-independent, so row-adjacent
+// blocks of one expert are multiplied as one run — with a single chunk,
+// one run per expert.
+func (g ffnGrads) dxChain(hidPre *tensor.Tensor, params *ExpertParams, n, at []int, p int) {
+	h, f := g.dOut.Cols(), g.dAct.Cols()
+	run := func(le, lo, rows int) {
+		view := func(t *tensor.Tensor, w int) *tensor.Tensor {
+			return tensor.FromSlice(t.Data[lo*w:(lo+rows)*w], rows, w)
+		}
+		da, dp := view(g.dAct, f), view(g.dPre, f)
+		tensor.MatMulTInto(da, view(g.dOut, h), params.W2[le])
+		tensor.GeLUBackwardInto(dp, da, view(hidPre, f))
+		tensor.MatMulTInto(view(g.dIn, h), dp, params.W1[le])
+	}
+	for le := 0; le*p < len(n); le++ {
+		lo, rows := 0, 0
+		for k := le * p; k < (le+1)*p; k++ {
+			if rows > 0 && n[k] > 0 && at[k] != lo+rows {
+				run(le, lo, rows)
+				rows = 0
+			}
+			if rows == 0 {
+				lo = at[k]
+			}
+			rows += n[k]
+		}
+		if rows > 0 {
+			run(le, lo, rows)
 		}
 	}
-	return res
+}
+
+// dW computes the weight gradients with one TMatMul per expert over its
+// complete segment — the summation order of a single chunk, so the
+// gradients are bit-identical for any chunk count (per-chunk partial dW
+// accumulation would reorder the float sums) — and returns the gradient
+// buffers to the arena.
+func (g ffnGrads) dW(pool *tensor.Pool, expertIn, hidAct *tensor.Tensor, params *ExpertParams, rowsPerLE []int) (dW1, dW2 []*tensor.Tensor) {
+	h, f := g.dOut.Cols(), g.dAct.Cols()
+	dW1, dW2 = newGradTensors(params.W1), newGradTensors(params.W2)
+	off := 0
+	for le, rows := range rowsPerLE {
+		if rows == 0 {
+			continue
+		}
+		seg := func(t *tensor.Tensor, w int) *tensor.Tensor {
+			return tensor.FromSlice(t.Data[off*w:(off+rows)*w], rows, w)
+		}
+		tensor.TMatMulInto(dW2[le], seg(hidAct, f), seg(g.dOut, h))
+		tensor.TMatMulInto(dW1[le], seg(expertIn, h), seg(g.dPre, f))
+		off += rows
+	}
+	pool.PutAll(g.dOut, g.dAct, g.dPre, g.dIn)
+	return dW1, dW2
+}
+
+// newGradTensors allocates one zero gradient tensor per weight tensor.
+func newGradTensors(ws []*tensor.Tensor) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, len(ws))
+	for e, w := range ws {
+		out[e] = tensor.New(w.Rows(), w.Cols())
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package moe
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -197,14 +198,25 @@ func symbolicOverlapAllocs(t *testing.T, transport string, chunks int) float64 {
 }
 
 // TestOverlapSteadyStateAllocsChunkInvariant is the allocation regression
-// for the overlapped paths: per-chunk tensor scratch must come from the
+// for the one-body pipelines: per-chunk tensor scratch must come from the
 // rank arenas and the part slices from flat backing arrays, so growing
 // the chunk count from 2 to 8 may only add the async-handle machinery's
-// few allocations per extra chunk — not per-chunk buffer allocations.
+// few allocations per extra chunk — not per-chunk buffer allocations —
+// and C = 1 must not allocate more than the separate blocking bodies did
+// (the ceilings are their per-rank counts, measured at PR 18).
 func TestOverlapSteadyStateAllocsChunkInvariant(t *testing.T) {
-	for _, transport := range []string{"pft", "padded"} {
-		a2 := symbolicOverlapAllocs(t, transport, 2)
-		a8 := symbolicOverlapAllocs(t, transport, 8)
+	for _, tc := range []struct {
+		transport  string
+		blockingAt float64
+	}{{"pft", 51}, {"padded", 55}} {
+		// +2: the race detector's runtime adds up to 1.3 to either body.
+		a1 := symbolicOverlapAllocs(t, tc.transport, 1)
+		if a1 > tc.blockingAt+2 {
+			t.Errorf("%s: C=1 allocates %.1f per rank-iteration, the blocking body allocated %.1f",
+				tc.transport, a1, tc.blockingAt)
+		}
+		a2 := symbolicOverlapAllocs(t, tc.transport, 2)
+		a8 := symbolicOverlapAllocs(t, tc.transport, 8)
 		perChunk := (a8 - a2) / 6
 		// Each extra chunk costs two async issues (dispatch-side +
 		// combine-side, fwd + bwd = 4 handles) with a handful of
@@ -212,7 +224,7 @@ func TestOverlapSteadyStateAllocsChunkInvariant(t *testing.T) {
 		// appear here.
 		if perChunk > 20 {
 			t.Errorf("%s: %.1f allocs per extra chunk per rank-iteration (C=2: %.1f, C=8: %.1f); per-chunk buffers are not pooled",
-				transport, perChunk, a2, a8)
+				tc.transport, perChunk, a2, a8)
 		}
 	}
 }
@@ -270,26 +282,34 @@ func TestPipelineOptsCheck(t *testing.T) {
 	}
 }
 
-// TestPipelineRejectsInvalidOpts: the pipelines surface the Check error
-// instead of silently misbehaving.
+// TestPipelineRejectsInvalidOpts: all four pipelines surface the Check
+// error on entry instead of silently misbehaving (the backward passes used
+// to skip the check their forwards make).
 func TestPipelineRejectsInvalidOpts(t *testing.T) {
 	cfg := distConfig(8, 3)
 	c := newMoECluster(t, 4)
 	g := c.WorldGroup()
-	err := c.Run(func(r *simrt.Rank) error {
-		defer func() {
-			if recover() == nil {
-				t.Error("invalid PipelineOpts must panic with the Check error")
-			}
-			// The panic fires before any collective, so no rendezvous is
-			// pending and peers are not blocked.
-		}()
-		routing := SyntheticRouting(tensor.NewRNG(uint64(r.ID)), 16, cfg.NumExperts, cfg.TopK, 0.5)
-		PFTForward(r, g, cfg, 16, nil, routing, nil, PipelineOpts{OverlapChunks: -4})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	bad := PipelineOpts{OverlapChunks: -4}
+	for name, call := range map[string]func(r *simrt.Rank, routing Routing){
+		"PFTForward":     func(r *simrt.Rank, rt Routing) { PFTForward(r, g, cfg, 16, nil, rt, nil, bad) },
+		"PaddedForward":  func(r *simrt.Rank, rt Routing) { PaddedForward(r, g, cfg, 16, nil, rt, nil, bad) },
+		"PFTBackward":    func(r *simrt.Rank, _ Routing) { PFTBackward(r, g, cfg, nil, nil, nil, bad) },
+		"PaddedBackward": func(r *simrt.Rank, _ Routing) { PaddedBackward(r, g, cfg, nil, nil, nil, bad) },
+	} {
+		err := c.Run(func(r *simrt.Rank) error {
+			defer func() {
+				// The panic fires before any collective, so no rendezvous is
+				// pending and peers are not blocked.
+				if msg, _ := recover().(string); !strings.Contains(msg, "OverlapChunks") {
+					t.Errorf("%s: invalid PipelineOpts must panic with the Check error, got %q", name, msg)
+				}
+			}()
+			call(r, SyntheticRouting(tensor.NewRNG(uint64(r.ID)), 16, cfg.NumExperts, cfg.TopK, 0.5))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -31,7 +31,6 @@ package rbd
 import (
 	"fmt"
 
-	"xmoe/internal/kernels"
 	"xmoe/internal/moe"
 	"xmoe/internal/perfmodel"
 	"xmoe/internal/simrt"
@@ -85,15 +84,27 @@ func bwdS1MetaBytes(nPilot, nReplica int) int64 {
 	return int64(nPilot+nReplica) * 4
 }
 
-// ensureRowRefs populates the split row maps (pilotAbs, replicaRef,
-// ReplicaRowsPerLE) when the forward ran the blocking path, which tracks
-// rows through expertRows instead. The enumeration is the overlapped
-// forward's exact order — per local expert: pilots source-ascending, then
-// replicas (part, pos)-ascending — which is also the blocking buffer
-// order, so both forwards produce one canonical backward layout.
-func (d *Dispatcher) ensureRowRefs(r *simrt.Rank, st *State) {
+// ensureRowRefs populates the split row maps (ReplicaRowsPerLE and, for a
+// numeric pass, pilotAbs and replicaRef) when the forward ran the blocking
+// schedule, which tracks rows through expertRows instead. The enumeration
+// is the overlapped forward's exact order — per local expert: pilots
+// source-ascending, then replicas (part, pos)-ascending — which is also
+// the blocking buffer order, so both forwards produce one canonical
+// backward layout.
+func (d *Dispatcher) ensureRowRefs(r *simrt.Rank, st *State, numeric bool) {
 	me := d.EP.IndexOf(r.ID)
 	p := d.EP.Size()
+	if st.ReplicaRowsPerLE == nil {
+		st.ReplicaRowsPerLE = make([]int, d.EPR)
+		for src := range st.s2RecvMeta {
+			for _, rm := range st.s2RecvMeta[src] {
+				st.ReplicaRowsPerLE[rm.expert-me*d.EPR]++
+			}
+		}
+	}
+	if !numeric {
+		return
+	}
 	if st.pilotAbs == nil {
 		nPilot := 0
 		for _, c := range st.PilotRowsPerLE {
@@ -108,14 +119,6 @@ func (d *Dispatcher) ensureRowRefs(r *simrt.Rank, st *State) {
 					st.pilotAbs = append(st.pilotAbs, st.pilotPartOff[src]+posOfLE[src]+i)
 				}
 				posOfLE[src] += c
-			}
-		}
-	}
-	if st.ReplicaRowsPerLE == nil {
-		st.ReplicaRowsPerLE = make([]int, d.EPR)
-		for src := range st.s2RecvMeta {
-			for _, rm := range st.s2RecvMeta[src] {
-				st.ReplicaRowsPerLE[rm.expert-me*d.EPR]++
 			}
 		}
 	}
@@ -140,35 +143,43 @@ func (d *Dispatcher) ensureRowRefs(r *simrt.Rank, st *State) {
 	}
 }
 
-// bwdGeom bundles the derived index maps shared by the blocking and
-// overlapped backward paths.
+// bwdGeom bundles the index maps the backward derives from the forward
+// state. A symbolic pass moves no rows and gets the wire geometry only.
 type bwdGeom struct {
-	bExp       int
-	rowsOff    []int // full-layout offset per local expert
-	pilotFull  []int // pilotAbs index -> full-layout row
-	replFull   []int // replicaRef index -> full-layout row
-	wByAbs     []float32
-	sentTo     []int // pilots this rank sent to each EP member
-	partStart  []int // pilot send-order boundaries per member
-	fullOfPart [][]int // (s2 part, pos) -> full-layout row
+	bExp      int
+	rowsOff   []int // full-layout offset per local expert
+	sentTo    []int // pilots this rank sent to each EP member
+	partStart []int // pilot send-order boundaries per member
+	// Numeric only: row maps into the full layout and pilot weights.
+	fullOfPilot []int // absolute pilot row -> full-layout row
+	replFull    []int // replicaRef index -> full-layout row
+	wByAbs      []float32
+	fullOfPart  [][]int // (s2 part, pos) -> full-layout row
 }
 
-func (d *Dispatcher) backwardGeom(r *simrt.Rank, st *State) *bwdGeom {
+func (d *Dispatcher) backwardGeom(r *simrt.Rank, st *State, numeric bool) *bwdGeom {
 	p := d.EP.Size()
-	d.ensureRowRefs(r, st)
-	g := &bwdGeom{}
+	d.ensureRowRefs(r, st, numeric)
+	g := &bwdGeom{sentTo: d.sentTo(st)}
 	g.rowsOff = make([]int, d.EPR+1)
 	for le := 0; le < d.EPR; le++ {
 		g.rowsOff[le+1] = g.rowsOff[le] + st.RowsPerLE[le]
 	}
 	g.bExp = g.rowsOff[d.EPR]
-	g.pilotFull = make([]int, len(st.pilotAbs))
+	g.partStart = make([]int, p+1)
+	for dst := 0; dst < p; dst++ {
+		g.partStart[dst+1] = g.partStart[dst] + g.sentTo[dst]
+	}
+	if !numeric {
+		return g
+	}
+	g.fullOfPilot = make([]int, st.pilotRowsTotal)
 	g.replFull = make([]int, len(st.replicaRef))
 	{
 		i, j := 0, 0
 		for le := 0; le < d.EPR; le++ {
 			for k := 0; k < st.PilotRowsPerLE[le]; k++ {
-				g.pilotFull[i] = g.rowsOff[le] + k
+				g.fullOfPilot[st.pilotAbs[i]] = g.rowsOff[le] + k
 				i++
 			}
 			for k := 0; k < st.ReplicaRowsPerLE[le]; k++ {
@@ -182,14 +193,6 @@ func (d *Dispatcher) backwardGeom(r *simrt.Rank, st *State) *bwdGeom {
 		for pos, w := range st.recvPilotW[src] {
 			g.wByAbs[st.pilotPartOff[src]+pos] = w
 		}
-	}
-	g.sentTo = make([]int, p)
-	for _, ent := range st.pilotEntry {
-		g.sentTo[d.memberOfExpert(st.pft.ExpertIDs[ent])]++
-	}
-	g.partStart = make([]int, p+1)
-	for dst := 0; dst < p; dst++ {
-		g.partStart[dst+1] = g.partStart[dst] + g.sentTo[dst]
 	}
 	g.fullOfPart = make([][]int, len(st.s2RecvCount))
 	for part := range g.fullOfPart {
@@ -209,18 +212,19 @@ func (d *Dispatcher) backwardGeom(r *simrt.Rank, st *State) *bwdGeom {
 // combine-weight gradients. In symbolic mode (opts.Numeric false) the pass
 // charges its modeled times and integer-exact wire volumes only.
 //
-// opts.OverlapChunks selects the chunked overlapped backward: the
-// reverse-C1 merged-gradient return is chunked so per-chunk merge backward
-// hides the transfers, the intra-node reverse C2/S2 exchanges fly
-// non-blocking under the pilot/replica dX GEMM chains, dW GEMMs are
-// deferred to the complete segments (the blocking summation order), and
-// the reverse-S1 chunks drain under the final scatter staging. Gradients
-// are bit-identical to the blocking backward for any chunk count.
+// It is one body parameterised by opts.OverlapChunks (the model of
+// moe/overlap.go): the reverse-C1 merged-gradient return is split by the
+// forward C1 return's per-part ChunkRange so each chunk's merge backward
+// hides the next transfer, the intra-node reverse C2/S2 exchanges fly
+// under the pilot/replica dX GEMM chains and the dW GEMMs, which are
+// deferred to the complete segments, and the reverse-S1 chunks drain into
+// a staging buffer before one scatter pass in pilot send order. With one
+// chunk every exchange is blocking and the expert backward is the fused
+// dX + dW kernel, charged once between reverse C2 and reverse S2.
+// Gradients are bit-identical for any chunk count.
 //
-// opts.OnDWReady, when set, fires exactly once: on the blocking path right
-// after the reverse-S1 all-to-all (the last blocking collective) retires;
-// on the overlapped path after dW completes and every reverse-S1 chunk is
-// in flight.
+// opts.OnDWReady, when set, fires exactly once, after dW completes and
+// every reverse-S1 exchange is issued (one chunk: has retired).
 func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 	dOut *tensor.Tensor, params *moe.ExpertParams, opts moe.PipelineOpts) moe.BackwardResult {
 
@@ -233,9 +237,6 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 	if opts.Numeric && fwd.ExpertIn == nil {
 		panic((&moe.OptionError{Opt: "Numeric", Detail: "rbd: numeric Backward, but the forward state was captured symbolically (SaveForBackward ran without Numeric)"}).Error())
 	}
-	if opts.OverlapChunks > 1 {
-		return backwardOverlap(r, d, cfg, fwd, dOut, params, opts)
-	}
 
 	st := fwd.St
 	pft := st.pft
@@ -245,280 +246,24 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 	comp := r.C.Comp
 	pool := r.Pool()
 	nodeGroup := st.nodeGroup
-	g := d.backwardGeom(r, st)
+	chunks := Opts{OverlapChunks: opts.OverlapChunks}.chunks()
+	g := d.backwardGeom(r, st, opts.Numeric)
 	nPilotSent := len(st.pilotEntry)
+	parts := make([]simrt.Part, 2*chunks*p)
+	exchanges := make([]simrt.Exchange, 2*chunks)
+	c1X, s1X := exchanges[:chunks], exchanges[chunks:]
 
-	// --- Reverse CScatter: fan dOut back out over the sent pilots ----------
+	// --- Reverse CScatter + reverse C1 (inter-node), per chunk --------------
 	// The forward scatter-added each returned merged row into its token's
 	// output row unscaled, so the row gradient is a pure gather of dOut.
-	r.Compute(StageBwdCScatter, comp.MemBound(perfmodel.ClassTriton, 2*int64(nPilotSent)*int64(h)*elem))
-	var dRet *tensor.Tensor
-	if opts.Numeric {
-		// Crosses the collective below: allocate fresh. Rows are already
-		// destination-contiguous (pilot send order is expert-major).
-		dRet = tensor.New(nPilotSent, h)
-		for i, ent := range st.pilotEntry {
-			copy(dRet.Row(i), dOut.Row(pft.TokenIDs[ent]))
-		}
-	}
-
-	// --- Reverse C1 (inter-node): merged-row gradients to pilot holders ----
-	send := make([]simrt.Part, p)
-	for dst := 0; dst < p; dst++ {
-		lo, hi := g.partStart[dst], g.partStart[dst+1]
-		part := simrt.Part{Bytes: int64(hi-lo) * int64(h) * elem}
-		if opts.Numeric && hi > lo {
-			part.Data = dRet.Data[lo*h : hi*h]
-		}
-		send[dst] = part
-	}
-	recv := r.AlltoAllV(d.EP, StageBwdC1A2A, send)
-
-	var dMerged *tensor.Tensor
-	if opts.Numeric {
-		dMerged = pool.Get(st.pilotRowsTotal, h)
-		for src, part := range recv {
-			if len(part.Data) > 0 {
-				copy(dMerged.Data[st.pilotPartOff[src]*h:], part.Data)
-			}
-		}
-	}
-
-	// --- Merge backward + combine-weight gradients --------------------------
-	nMerge := 0
-	for _, sent := range st.s2SentByMember {
-		nMerge += len(sent)
-	}
-	// Two passes over every merged row and replica row: the gradient
-	// scaling and the weight-gradient dot against the saved outputs.
-	r.Compute(StageBwdCMerge, comp.MemBoundN(perfmodel.ClassTriton, 2,
-		2*int64(st.pilotRowsTotal+nMerge)*int64(h)*elem))
-	var dExpertOut *tensor.Tensor
-	var wgAbs []float32
-	var wgRepBySlot [][]float32
-	dRepRet := make([][]float32, len(st.s2SentByMember))
-	if opts.Numeric {
-		dExpertOut = pool.Get(g.bExp, h)
-		wgAbs = make([]float32, st.pilotRowsTotal)
-		for i, abs := range st.pilotAbs {
-			w := g.wByAbs[abs]
-			gRow := dMerged.Row(abs)
-			oRow := fwd.PilotOut.Row(abs)
-			dRow := dExpertOut.Row(g.pilotFull[i])
-			var dot float32
-			for j, v := range gRow {
-				dRow[j] = w * v
-				dot += v * oRow[j]
-			}
-			wgAbs[abs] = dot
-		}
-		wgRepBySlot = make([][]float32, len(st.s2SentByMember))
-		for slot, sent := range st.s2SentByMember {
-			// Crosses reverse C2: allocate fresh.
-			buf := make([]float32, len(sent)*h)
-			wg := make([]float32, len(sent))
-			back := fwd.S2Back[slot]
-			for pos, sRec := range sent {
-				gRow := dMerged.Row(sRec.pilotAbs)
-				oRow := back[pos*h : (pos+1)*h]
-				dst := buf[pos*h : (pos+1)*h]
-				var dot float32
-				for j, v := range gRow {
-					dst[j] = sRec.weight * v
-					dot += v * oRow[j]
-				}
-				wg[pos] = dot
-			}
-			dRepRet[slot] = buf
-			wgRepBySlot[slot] = wg
-		}
-		pool.Put(dMerged)
-	}
-
-	// --- Reverse C2 (intra-node): replica-output gradients to expert ranks -
-	c2Send := make([]simrt.Part, nodeGroup.Size())
-	for slot := range c2Send {
-		n := len(st.s2SentByMember[slot])
-		part := simrt.Part{Bytes: int64(n) * int64(h) * elem}
-		if opts.Numeric {
-			part.Data = dRepRet[slot]
-		}
-		c2Send[slot] = part
-	}
-	c2Recv := r.AlltoAllV(nodeGroup, StageBwdC2A2A, c2Send)
-	if opts.Numeric {
-		for i, ref := range st.replicaRef {
-			copy(dExpertOut.Row(g.replFull[i]), c2Recv[ref.part].Data[ref.pos*h:(ref.pos+1)*h])
-		}
-	}
-
-	// --- Expert FFN backward ------------------------------------------------
-	r.Compute(moe.StageBwdExperts, comp.SequentialGEMM(st.RowsPerLE, h, f)*2+
-		comp.SequentialGEMM(st.RowsPerLE, f, h)*2+
-		comp.MemBound(perfmodel.ClassTriton, 2*int64(g.bExp)*int64(f)*elem))
-	var dW1, dW2 []*tensor.Tensor
-	var dExpertIn *tensor.Tensor
-	if opts.Numeric {
-		dW2 = newGradTensors(params.W2)
-		dHidAct := pool.Get(g.bExp, f)
-		kernels.SequentialGEMMBackwardInto(dHidAct, dW2, dExpertOut, fwd.HidAct, st.RowsPerLE, params.W2)
-		pool.Put(dExpertOut)
-		dHidPre := pool.Get(g.bExp, f)
-		tensor.GeLUBackwardInto(dHidPre, dHidAct, fwd.HidPre)
-		pool.Put(dHidAct)
-		dW1 = newGradTensors(params.W1)
-		dExpertIn = pool.Get(g.bExp, h)
-		kernels.SequentialGEMMBackwardInto(dExpertIn, dW1, dHidPre, fwd.ExpertIn, st.RowsPerLE, params.W1)
-		pool.Put(dHidPre)
-	}
-
-	// --- Reverse S2 (intra-node): replica-input gradients to pilot holders -
-	s2Send := make([]simrt.Part, nodeGroup.Size())
-	for src := range s2Send {
-		n := st.s2RecvCount[src]
-		part := simrt.Part{Bytes: int64(n) * int64(h) * elem}
-		if opts.Numeric && n > 0 {
-			buf := make([]float32, n*h)
-			for pos := 0; pos < n; pos++ {
-				copy(buf[pos*h:(pos+1)*h], dExpertIn.Row(g.fullOfPart[src][pos]))
-			}
-			part.Data = buf
-		}
-		s2Send[src] = part
-	}
-	s2Grad := r.AlltoAllV(nodeGroup, StageBwdS2A2A, s2Send)
-
-	// --- Replica-gradient reduction onto pilot rows -------------------------
-	r.Compute(StageBwdS2Red, comp.MemBound(perfmodel.ClassTriton,
-		2*int64(st.pilotRowsTotal+nMerge)*int64(h)*elem))
-	var dPilotIn *tensor.Tensor
-	if opts.Numeric {
-		// Crosses reverse S1 (sent as per-part views): allocate fresh.
-		dPilotIn = tensor.New(st.pilotRowsTotal, h)
-		for i, abs := range st.pilotAbs {
-			copy(dPilotIn.Row(abs), dExpertIn.Row(g.pilotFull[i]))
-		}
-		for slot, sent := range st.s2SentByMember {
-			data := s2Grad[slot].Data
-			for pos, sRec := range sent {
-				gRow := data[pos*h : (pos+1)*h]
-				dst := dPilotIn.Row(sRec.pilotAbs)
-				for j, v := range gRow {
-					dst[j] += v
-				}
-			}
-		}
-		pool.Put(dExpertIn)
-	}
-
-	// --- Reverse S1 (inter-node): pilot gradients + weight grads home ------
-	backSend := make([]simrt.Part, p)
-	for src := 0; src < p; src++ {
-		n := len(st.recvPilotW[src])
-		nRep := len(st.recvMetas[src].replicas)
-		part := simrt.Part{Bytes: int64(n)*int64(h)*elem + bwdS1MetaBytes(n, nRep)}
-		if opts.Numeric {
-			if n > 0 {
-				lo := st.pilotPartOff[src]
-				part.Data = dPilotIn.Data[lo*h : (lo+n)*h]
-			}
-			repWG := make([]float32, nRep)
-			part.Meta = bwdS1Meta{pilotWG: wgAbs[st.pilotPartOff[src] : st.pilotPartOff[src]+n], replicaWG: repWG}
-		}
-		backSend[src] = part
-	}
-	if opts.Numeric {
-		// Replica weight gradients route to the source that announced the
-		// replica in its s1Meta, indexed by its position there.
-		for slot, sent := range st.s2SentByMember {
-			for pos, sRec := range sent {
-				backSend[sRec.src].Meta.(bwdS1Meta).replicaWG[sRec.ri] = wgRepBySlot[slot][pos]
-			}
-		}
-	}
-	back := r.AlltoAllV(d.EP, StageBwdS1A2A, backSend)
-	if opts.OnDWReady != nil {
-		// dW is complete and the backward's last blocking collective has
-		// retired: gradient sync issued here overlaps the scatter backward
-		// and every earlier layer's backward compute.
-		opts.OnDWReady()
-	}
-
-	// --- Scatter backward into dX + combine-weight gradient mapping --------
-	r.Compute(StageBwdS1Scat, comp.MemBound(perfmodel.ClassTriton, 2*int64(nPilotSent)*int64(h)*elem))
-	var dx *tensor.Tensor
-	var dWeights []float32
-	if opts.Numeric {
-		dx = tensor.New(fwd.S, h)
-		dWeights = make([]float32, pft.B())
-		pos := make([]int, p)
-		for _, ent := range st.pilotEntry {
-			dst := d.memberOfExpert(pft.ExpertIDs[ent])
-			m := back[dst].Meta.(bwdS1Meta)
-			row := back[dst].Data[pos[dst]*h : (pos[dst]+1)*h]
-			dWeights[ent] = m.pilotWG[pos[dst]]
-			pos[dst]++
-			dstRow := dx.Row(pft.TokenIDs[ent])
-			for j, v := range row {
-				dstRow[j] += v
-			}
-		}
-		for dst := 0; dst < p; dst++ {
-			if len(st.replicaEntry) == 0 {
-				break
-			}
-			var m bwdS1Meta
-			if back[dst].Meta != nil {
-				m = back[dst].Meta.(bwdS1Meta)
-			}
-			for ri, ent := range st.replicaEntry[dst] {
-				dWeights[ent] = m.replicaWG[ri]
-			}
-		}
-		// The forward state is consumed: its saved intermediates return to
-		// the arena for the next layer's pass.
-		pool.PutAll(fwd.ExpertIn, fwd.HidPre, fwd.HidAct, fwd.PilotOut)
-		fwd.ExpertIn, fwd.HidPre, fwd.HidAct, fwd.PilotOut = nil, nil, nil, nil
-		fwd.S2Back = nil
-	}
-
-	return moe.BackwardResult{DX: dx, DW1: dW1, DW2: dW2, DCombineWeights: dWeights}
-}
-
-// backwardOverlap is the chunked overlapped RBD backward. The reverse-C1
-// merged-gradient all-to-alls are issued non-blocking up front (chunked by
-// the same per-part ChunkRange split as the forward C1 return), each
-// chunk's merge backward runs while the next chunk is in flight, the
-// intra-node reverse C2 and reverse S2 exchanges fly non-blocking under
-// the pilot and replica dX GEMM chains, the dW GEMMs are deferred to the
-// complete blocking-layout segments (bit-identical summation order), and
-// the reverse-S1 chunks drain into a staging buffer before one scatter
-// pass in pilot send order — the blocking accumulation order, so the
-// gradients are bit-identical for any chunk count.
-func backwardOverlap(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
-	dOut *tensor.Tensor, params *moe.ExpertParams, opts moe.PipelineOpts) moe.BackwardResult {
-
-	st := fwd.St
-	pft := st.pft
-	h, f := cfg.HModel, cfg.HFFN
-	elem := int64(cfg.BytesPerElem)
-	p := d.EP.Size()
-	comp := r.C.Comp
-	pool := r.Pool()
-	nodeGroup := st.nodeGroup
-	chunks := opts.OverlapChunks
-	g := d.backwardGeom(r, st)
-	nPilotSent := len(st.pilotEntry)
-
-	// --- Chunked reverse CScatter + non-blocking reverse C1 -----------------
+	// It crosses the collective as views (rows are destination-contiguous:
+	// pilot send order is expert-major), so it is allocated fresh.
 	var dRet *tensor.Tensor
 	if opts.Numeric {
 		dRet = tensor.New(nPilotSent, h)
 	}
-	c1H := make([]*simrt.CommHandle, chunks)
-	sendFlat := make([]simrt.Part, chunks*p)
-	for c := 0; c < chunks; c++ {
-		send := sendFlat[c*p : (c+1)*p]
+	for c := range c1X {
+		send := parts[c*p : (c+1)*p]
 		chunkRows := 0
 		for dst := 0; dst < p; dst++ {
 			lo := g.partStart[dst]
@@ -534,170 +279,134 @@ func backwardOverlap(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState
 			send[dst] = part
 		}
 		r.Compute(StageBwdCScatter, comp.MemBound(perfmodel.ClassTriton, 2*int64(chunkRows)*int64(h)*elem))
-		c1H[c] = r.AlltoAllVAsync(d.EP, StageBwdC1A2A, send)
+		c1X[c] = r.AlltoAllVChunk(d.EP, StageBwdC1A2A, send, chunks)
 	}
 
-	// --- Per-chunk merge backward while later chunks are in flight ----------
-	// Replica work lists per chunk preserve (slot, pos) order, as the
-	// forward's chunked merge did; each replica's gradient is a single
-	// write, so chunk partitioning never reorders arithmetic.
-	type mergeRef struct{ slot, pos int }
-	chunkOf := make([]int, st.pilotRowsTotal)
-	for src := 0; src < p; src++ {
-		n := len(st.recvPilotW[src])
-		for c := 0; c < chunks; c++ {
-			clo, chi := simrt.ChunkRange(n, chunks, c)
-			for pos := clo; pos < chi; pos++ {
-				chunkOf[st.pilotPartOff[src]+pos] = c
-			}
-		}
-	}
-	mergeByChunk := make([][]mergeRef, chunks)
-	for slot, sent := range st.s2SentByMember {
-		for pos, sRec := range sent {
-			c := chunkOf[sRec.pilotAbs]
-			mergeByChunk[c] = append(mergeByChunk[c], mergeRef{slot: slot, pos: pos})
-		}
-	}
-	// pilotFullOfAbs maps an absolute pilot row to its full-layout row (the
-	// per-chunk merge visits rows abs-major).
-	pilotFullOfAbs := make([]int, st.pilotRowsTotal)
-	for i, abs := range st.pilotAbs {
-		pilotFullOfAbs[abs] = g.pilotFull[i]
-	}
-
-	nMerge := 0
-	for _, sent := range st.s2SentByMember {
-		nMerge += len(sent)
-	}
-	var dMerged, dExpertOut *tensor.Tensor
+	// --- Per-chunk merge backward + combine-weight gradients ----------------
+	// Pilot scaling and replica weighting differentiate; the weight
+	// gradients are dot products against the saved expert outputs. Each
+	// replica's gradient is a single write, so chunk partitioning never
+	// reorders arithmetic.
+	mergeOff, merges := st.mergesByChunk(chunks, opts.Numeric)
+	// Expert-FFN gradients in the full layout of the saved state.
+	var dMerged, dExpertOut, dHidAct, dHidPre, dExpertIn *tensor.Tensor
 	var wgAbs []float32
 	var wgRepBySlot [][]float32
 	dRepRet := make([][]float32, len(st.s2SentByMember))
 	if opts.Numeric {
 		dMerged = pool.Get(st.pilotRowsTotal, h)
-		dExpertOut = pool.Get(g.bExp, h)
+		dExpertOut, dExpertIn = pool.Get(g.bExp, h), pool.Get(g.bExp, h)
+		dHidAct, dHidPre = pool.Get(g.bExp, f), pool.Get(g.bExp, f)
 		wgAbs = make([]float32, st.pilotRowsTotal)
 		wgRepBySlot = make([][]float32, len(st.s2SentByMember))
 		for slot, sent := range st.s2SentByMember {
-			dRepRet[slot] = make([]float32, len(sent)*h)
+			dRepRet[slot] = make([]float32, len(sent)*h) // crosses reverse C2
 			wgRepBySlot[slot] = make([]float32, len(sent))
 		}
 	}
-	for c := 0; c < chunks; c++ {
-		recv := c1H[c].Wait()
+	// gradAndDot writes dst = w * gRow and returns <gRow, oRow>.
+	gradAndDot := func(dst, gRow, oRow []float32, w float32) (dot float32) {
+		for j, v := range gRow {
+			dst[j] = w * v
+			dot += v * oRow[j]
+		}
+		return dot
+	}
+	for c := range c1X {
+		recv := c1X[c].Wait()
 		chunkRows := 0
 		for src := 0; src < p; src++ {
-			n := len(st.recvPilotW[src])
-			clo, chi := simrt.ChunkRange(n, chunks, c)
+			clo, chi := simrt.ChunkRange(len(st.recvPilotW[src]), chunks, c)
 			chunkRows += chi - clo
-			if opts.Numeric && chi > clo {
-				copy(dMerged.Data[(st.pilotPartOff[src]+clo)*h:(st.pilotPartOff[src]+chi)*h], recv[src].Data)
-				for pos := clo; pos < chi; pos++ {
-					abs := st.pilotPartOff[src] + pos
-					w := g.wByAbs[abs]
-					gRow := dMerged.Row(abs)
-					oRow := fwd.PilotOut.Row(abs)
-					dRow := dExpertOut.Row(pilotFullOfAbs[abs])
-					var dot float32
-					for j, v := range gRow {
-						dRow[j] = w * v
-						dot += v * oRow[j]
-					}
-					wgAbs[abs] = dot
-				}
+			if !opts.Numeric || chi == clo {
+				continue
+			}
+			off := st.pilotPartOff[src]
+			copy(dMerged.Data[(off+clo)*h:(off+chi)*h], recv[src].Data)
+			for abs := off + clo; abs < off+chi; abs++ {
+				wgAbs[abs] = gradAndDot(dExpertOut.Row(g.fullOfPilot[abs]), dMerged.Row(abs), fwd.PilotOut.Row(abs), g.wByAbs[abs])
 			}
 		}
 		if opts.Numeric {
-			for _, mr := range mergeByChunk[c] {
-				sRec := st.s2SentByMember[mr.slot][mr.pos]
-				gRow := dMerged.Row(sRec.pilotAbs)
-				oRow := fwd.S2Back[mr.slot][mr.pos*h : (mr.pos+1)*h]
-				dst := dRepRet[mr.slot][mr.pos*h : (mr.pos+1)*h]
-				var dot float32
-				for j, v := range gRow {
-					dst[j] = sRec.weight * v
-					dot += v * oRow[j]
-				}
-				wgRepBySlot[mr.slot][mr.pos] = dot
+			for _, mr := range merges[mergeOff[c]:mergeOff[c+1]] {
+				slot, pos := mr.slot, mr.pos
+				sRec := st.s2SentByMember[slot][pos]
+				wgRepBySlot[slot][pos] = gradAndDot(dRepRet[slot][pos*h:(pos+1)*h], dMerged.Row(sRec.pilotAbs),
+					fwd.S2Back[slot][pos*h:(pos+1)*h], sRec.weight)
 			}
 		}
+		// Two passes over every merged row and replica row: the gradient
+		// scaling and the weight-gradient dot.
 		r.Compute(StageBwdCMerge, comp.MemBoundN(perfmodel.ClassTriton, 2,
-			2*int64(chunkRows+len(mergeByChunk[c]))*int64(h)*elem))
+			2*int64(chunkRows+mergeOff[c+1]-mergeOff[c])*int64(h)*elem))
 	}
-	if opts.Numeric {
-		pool.Put(dMerged)
-	}
+	pool.Put(dMerged)
 
-	// --- Reverse C2 non-blocking under the pilot dX chain -------------------
+	// --- Reverse C2 (intra-node): replica-output gradients to expert ranks --
+	// Chunked, it flies under the pilot dX chain: per-le pilot blocks are
+	// contiguous in the full layout and the chain is row-independent, so
+	// computing them ahead of the replica rows changes no bit.
 	c2Send := make([]simrt.Part, nodeGroup.Size())
 	for slot := range c2Send {
-		n := len(st.s2SentByMember[slot])
-		part := simrt.Part{Bytes: int64(n) * int64(h) * elem}
-		if opts.Numeric {
-			part.Data = dRepRet[slot]
+		c2Send[slot] = simrt.Part{Data: dRepRet[slot], Bytes: int64(len(st.s2SentByMember[slot])) * int64(h) * elem}
+	}
+	c2X := r.AlltoAllVChunk(nodeGroup, StageBwdC2A2A, c2Send, chunks)
+	// chainCost is the dX chain (two GEMMs and the GeLU backward) over the
+	// given per-expert rows.
+	chainCost := func(rowsPerLE []int) float64 {
+		rows := 0
+		for _, c := range rowsPerLE {
+			rows += c
 		}
-		c2Send[slot] = part
+		return comp.SequentialGEMM(rowsPerLE, h, f) +
+			comp.SequentialGEMM(rowsPerLE, f, h) +
+			comp.MemBound(perfmodel.ClassTriton, 2*int64(rows)*int64(f)*elem)
 	}
-	c2H := r.AlltoAllVAsync(nodeGroup, StageBwdC2A2A, c2Send)
-
-	// Pilot dX chain: per-le pilot blocks are contiguous in the full
-	// layout, and the chain is row-independent, so computing them ahead of
-	// the replica rows is bit-identical to the blocking pass.
-	var dHidAct, dHidPre, dExpertIn *tensor.Tensor
-	if opts.Numeric {
-		dHidAct = pool.Get(g.bExp, f)
-		dHidPre = pool.Get(g.bExp, f)
-		dExpertIn = pool.Get(g.bExp, h)
+	if chunks > 1 {
+		// The pilot rows' dX chain, hiding the in-flight reverse C2.
+		r.Compute(moe.StageBwdExperts, chainCost(st.PilotRowsPerLE))
 	}
-	nPilot := 0
-	for _, c := range st.PilotRowsPerLE {
-		nPilot += c
-	}
-	r.Compute(moe.StageBwdExperts, comp.SequentialGEMM(st.PilotRowsPerLE, h, f)+
-		comp.SequentialGEMM(st.PilotRowsPerLE, f, h)+
-		comp.MemBound(perfmodel.ClassTriton, 2*int64(nPilot)*int64(f)*elem))
+	// dxChain runs dHidAct = dY·W2ᵀ, the GeLU backward and dExpertIn =
+	// dHidPre·W1ᵀ over rows [lo, lo+n) of local expert le.
 	dxChain := func(lo, n, le int) {
-		dyBlk := tensor.FromSlice(dExpertOut.Data[lo*h:(lo+n)*h], n, h)
-		daBlk := tensor.FromSlice(dHidAct.Data[lo*f:(lo+n)*f], n, f)
-		tensor.MatMulTInto(daBlk, dyBlk, params.W2[le])
-		dpBlk := tensor.FromSlice(dHidPre.Data[lo*f:(lo+n)*f], n, f)
-		preBlk := tensor.FromSlice(fwd.HidPre.Data[lo*f:(lo+n)*f], n, f)
-		tensor.GeLUBackwardInto(dpBlk, daBlk, preBlk)
-		dxBlk := tensor.FromSlice(dExpertIn.Data[lo*h:(lo+n)*h], n, h)
-		tensor.MatMulTInto(dxBlk, dpBlk, params.W1[le])
+		view := func(t *tensor.Tensor, w int) *tensor.Tensor {
+			return tensor.FromSlice(t.Data[lo*w:(lo+n)*w], n, w)
+		}
+		da, dp := view(dHidAct, f), view(dHidPre, f)
+		tensor.MatMulTInto(da, view(dExpertOut, h), params.W2[le])
+		tensor.GeLUBackwardInto(dp, da, view(fwd.HidPre, f))
+		tensor.MatMulTInto(view(dExpertIn, h), dp, params.W1[le])
 	}
 	if opts.Numeric {
-		for le := 0; le < d.EPR; le++ {
-			if n := st.PilotRowsPerLE[le]; n > 0 {
+		for le, n := range st.PilotRowsPerLE {
+			if n > 0 {
 				dxChain(g.rowsOff[le], n, le)
 			}
 		}
 	}
-
-	// --- Collect reverse C2, replica dX chain -------------------------------
-	c2Recv := c2H.Wait()
+	c2Recv := c2X.Wait()
+	if chunks == 1 {
+		// One chunk: the fused kernel computes dX and dW of each expert
+		// segment in one pass, between reverse C2 and reverse S2.
+		r.Compute(moe.StageBwdExperts, comp.SequentialGEMM(st.RowsPerLE, h, f)*2+
+			comp.SequentialGEMM(st.RowsPerLE, f, h)*2+
+			comp.MemBound(perfmodel.ClassTriton, 2*int64(g.bExp)*int64(f)*elem))
+	} else {
+		// The replica rows' dX chain.
+		r.Compute(moe.StageBwdExperts, chainCost(st.ReplicaRowsPerLE))
+	}
 	if opts.Numeric {
 		for i, ref := range st.replicaRef {
 			copy(dExpertOut.Row(g.replFull[i]), c2Recv[ref.part].Data[ref.pos*h:(ref.pos+1)*h])
 		}
-	}
-	nReplica := 0
-	for _, c := range st.ReplicaRowsPerLE {
-		nReplica += c
-	}
-	r.Compute(moe.StageBwdExperts, comp.SequentialGEMM(st.ReplicaRowsPerLE, h, f)+
-		comp.SequentialGEMM(st.ReplicaRowsPerLE, f, h)+
-		comp.MemBound(perfmodel.ClassTriton, 2*int64(nReplica)*int64(f)*elem))
-	if opts.Numeric {
-		for le := 0; le < d.EPR; le++ {
-			if n := st.ReplicaRowsPerLE[le]; n > 0 {
+		for le, n := range st.ReplicaRowsPerLE {
+			if n > 0 {
 				dxChain(g.rowsOff[le]+st.PilotRowsPerLE[le], n, le)
 			}
 		}
 	}
 
-	// --- Reverse S2 non-blocking under the deferred dW GEMMs ----------------
+	// --- Reverse S2 (intra-node): replica-input gradients to pilot holders --
 	s2Send := make([]simrt.Part, nodeGroup.Size())
 	for src := range s2Send {
 		n := st.s2RecvCount[src]
@@ -711,63 +420,64 @@ func backwardOverlap(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState
 		}
 		s2Send[src] = part
 	}
-	s2H := r.AlltoAllVAsync(nodeGroup, StageBwdS2A2A, s2Send)
-
-	// Deferred dW GEMMs over the complete segments: the blocking backward's
-	// exact summation order, hiding the in-flight reverse S2 transfer.
-	r.Compute(moe.StageBwdExperts, comp.SequentialGEMM(st.RowsPerLE, h, f)+
-		comp.SequentialGEMM(st.RowsPerLE, f, h))
+	s2X := r.AlltoAllVChunk(nodeGroup, StageBwdS2A2A, s2Send, chunks)
+	if chunks > 1 {
+		// Deferred dW GEMMs over the complete segments, hiding the
+		// in-flight reverse S2; one chunk charged them in the fused kernel.
+		r.Compute(moe.StageBwdExperts, comp.SequentialGEMM(st.RowsPerLE, h, f)+
+			comp.SequentialGEMM(st.RowsPerLE, f, h))
+	}
 	var dW1, dW2 []*tensor.Tensor
+	var dPilotIn *tensor.Tensor
 	if opts.Numeric {
-		dW1 = newGradTensors(params.W1)
-		dW2 = newGradTensors(params.W2)
+		// Crosses reverse S1 (sent as per-part views): allocate fresh.
+		dPilotIn = tensor.New(st.pilotRowsTotal, h)
+		for abs, row := range g.fullOfPilot {
+			copy(dPilotIn.Row(abs), dExpertIn.Row(row))
+		}
+		// One TMatMul per expert over its complete segment: the summation
+		// order of a single chunk for every chunk count.
+		dW1, dW2 = newGradTensors(params.W1), newGradTensors(params.W2)
 		for le, rows := range st.RowsPerLE {
 			if rows == 0 {
 				continue
 			}
-			off := g.rowsOff[le]
-			segAct := tensor.FromSlice(fwd.HidAct.Data[off*f:(off+rows)*f], rows, f)
-			segDY := tensor.FromSlice(dExpertOut.Data[off*h:(off+rows)*h], rows, h)
-			tensor.TMatMulInto(dW2[le], segAct, segDY)
-			segIn := tensor.FromSlice(fwd.ExpertIn.Data[off*h:(off+rows)*h], rows, h)
-			segDP := tensor.FromSlice(dHidPre.Data[off*f:(off+rows)*f], rows, f)
-			tensor.TMatMulInto(dW1[le], segIn, segDP)
+			seg := func(t *tensor.Tensor, w int) *tensor.Tensor {
+				return tensor.FromSlice(t.Data[g.rowsOff[le]*w:g.rowsOff[le+1]*w], rows, w)
+			}
+			tensor.TMatMulInto(dW2[le], seg(fwd.HidAct, f), seg(dExpertOut, h))
+			tensor.TMatMulInto(dW1[le], seg(fwd.ExpertIn, h), seg(dHidPre, f))
 		}
-		pool.PutAll(dExpertOut, dHidAct, dHidPre)
+		pool.PutAll(dExpertOut, dHidAct, dHidPre, dExpertIn)
 	}
 
-	// --- Collect reverse S2, reduce replica gradients onto pilots -----------
-	s2Grad := s2H.Wait()
-	nMergeRows := nMerge
+	// --- Replica-gradient reduction onto pilot rows -------------------------
+	s2Grad := s2X.Wait()
+	nMerge := mergeOff[chunks]
 	r.Compute(StageBwdS2Red, comp.MemBound(perfmodel.ClassTriton,
-		2*int64(st.pilotRowsTotal+nMergeRows)*int64(h)*elem))
-	var dPilotIn *tensor.Tensor
+		2*int64(st.pilotRowsTotal+nMerge)*int64(h)*elem))
 	if opts.Numeric {
-		dPilotIn = tensor.New(st.pilotRowsTotal, h)
-		for i, abs := range st.pilotAbs {
-			copy(dPilotIn.Row(abs), dExpertIn.Row(g.pilotFull[i]))
-		}
 		for slot, sent := range st.s2SentByMember {
-			data := s2Grad[slot].Data
 			for pos, sRec := range sent {
-				gRow := data[pos*h : (pos+1)*h]
 				dst := dPilotIn.Row(sRec.pilotAbs)
-				for j, v := range gRow {
+				for j, v := range s2Grad[slot].Data[pos*h : (pos+1)*h] {
 					dst[j] += v
 				}
 			}
 		}
-		pool.Put(dExpertIn)
 	}
 
-	// --- Chunked reverse S1; weight-grad metadata rides chunk 0 -------------
+	// --- Reverse S1 (inter-node): pilot gradients + weight grads home -------
+	// The combine-weight gradients ride chunk 0's metadata; a replica's
+	// routes to the source that announced it in its s1Meta, indexed by its
+	// position there.
 	var wgMeta []bwdS1Meta
 	if opts.Numeric {
 		wgMeta = make([]bwdS1Meta, p)
-		for src := 0; src < p; src++ {
-			n := len(st.recvPilotW[src])
+		for src := range wgMeta {
+			off := st.pilotPartOff[src]
 			wgMeta[src] = bwdS1Meta{
-				pilotWG:   wgAbs[st.pilotPartOff[src] : st.pilotPartOff[src]+n],
+				pilotWG:   wgAbs[off : off+len(st.recvPilotW[src])],
 				replicaWG: make([]float32, len(st.recvMetas[src].replicas)),
 			}
 		}
@@ -777,59 +487,30 @@ func backwardOverlap(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState
 			}
 		}
 	}
-	s1H := make([]*simrt.CommHandle, chunks)
-	backFlat := make([]simrt.Part, chunks*p)
-	for c := 0; c < chunks; c++ {
-		send := backFlat[c*p : (c+1)*p]
-		for src := 0; src < p; src++ {
-			n := len(st.recvPilotW[src])
-			clo, chi := simrt.ChunkRange(n, chunks, c)
-			part := simrt.Part{Bytes: int64(chi-clo) * int64(h) * elem}
-			if c == 0 {
-				part.Bytes += bwdS1MetaBytes(n, len(st.recvMetas[src].replicas))
+	for c := range s1X {
+		send := parts[(chunks+c)*p : (chunks+c+1)*p]
+		st.returnParts(send, dPilotIn, h, elem, chunks, c)
+		if c == 0 {
+			for src := range send {
+				send[src].Bytes += bwdS1MetaBytes(len(st.recvPilotW[src]), len(st.recvMetas[src].replicas))
 				if opts.Numeric {
-					part.Meta = wgMeta[src]
+					send[src].Meta = wgMeta[src]
 				}
 			}
-			if opts.Numeric && chi > clo {
-				lo := st.pilotPartOff[src] + clo
-				part.Data = dPilotIn.Data[lo*h : (lo+chi-clo)*h]
-			}
-			send[src] = part
 		}
-		s1H[c] = r.AlltoAllVAsync(d.EP, StageBwdS1A2A, send)
+		s1X[c] = r.AlltoAllVChunk(d.EP, StageBwdS1A2A, send, chunks)
 	}
 	if opts.OnDWReady != nil {
-		// dW is complete; the only remaining collectives are the already
-		// in-flight reverse-S1 chunks, so gradient sync issued here queues
-		// behind them on the comm stream and overlaps the drain and the
-		// scatter backward.
+		// dW is complete and no blocking collective remains (one chunk:
+		// reverse S1 has retired; chunked: its chunks are in flight), so
+		// gradient sync issued here queues behind them on the comm stream
+		// and overlaps the drain, the scatter backward and every earlier
+		// layer's backward compute.
 		opts.OnDWReady()
 	}
 
-	// --- Drain the reverse-S1 chunks, then one blocking-order scatter -------
-	retData := make([][]float32, p)
-	retMeta := make([]bwdS1Meta, p)
-	for c, hnd := range s1H {
-		backParts := hnd.Wait()
-		for dst := 0; dst < p; dst++ {
-			if c == 0 && backParts[dst].Meta != nil {
-				retMeta[dst] = backParts[dst].Meta.(bwdS1Meta)
-			}
-			if !opts.Numeric {
-				continue
-			}
-			n := g.sentTo[dst]
-			if retData[dst] == nil && n > 0 {
-				retData[dst] = make([]float32, n*h)
-			}
-			clo, _ := simrt.ChunkRange(n, chunks, c)
-			if len(backParts[dst].Data) > 0 {
-				copy(retData[dst][clo*h:], backParts[dst].Data)
-			}
-		}
-	}
-
+	// --- Drain reverse S1, then scatter into dX in pilot send order ---------
+	retData, back := drainReturn(s1X, g.sentTo, h, opts.Numeric)
 	r.Compute(StageBwdS1Scat, comp.MemBound(perfmodel.ClassTriton, 2*int64(nPilotSent)*int64(h)*elem))
 	var dx *tensor.Tensor
 	var dWeights []float32
@@ -839,19 +520,20 @@ func backwardOverlap(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState
 		pos := make([]int, p)
 		for _, ent := range st.pilotEntry {
 			dst := d.memberOfExpert(pft.ExpertIDs[ent])
-			row := retData[dst][pos[dst]*h : (pos[dst]+1)*h]
-			dWeights[ent] = retMeta[dst].pilotWG[pos[dst]]
-			pos[dst]++
+			dWeights[ent] = back[dst].Meta.(bwdS1Meta).pilotWG[pos[dst]]
 			dstRow := dx.Row(pft.TokenIDs[ent])
-			for j, v := range row {
+			for j, v := range retData[dst][pos[dst]*h : (pos[dst]+1)*h] {
 				dstRow[j] += v
 			}
+			pos[dst]++
 		}
 		for dst := 0; dst < p && len(st.replicaEntry) > 0; dst++ {
 			for ri, ent := range st.replicaEntry[dst] {
-				dWeights[ent] = retMeta[dst].replicaWG[ri]
+				dWeights[ent] = back[dst].Meta.(bwdS1Meta).replicaWG[ri]
 			}
 		}
+		// The forward state is consumed: its saved intermediates return to
+		// the arena for the next layer's pass.
 		pool.PutAll(fwd.ExpertIn, fwd.HidPre, fwd.HidAct, fwd.PilotOut)
 		fwd.ExpertIn, fwd.HidPre, fwd.HidAct, fwd.PilotOut = nil, nil, nil, nil
 		fwd.S2Back = nil

@@ -352,6 +352,25 @@ func TestRBDCheckOptsRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// Forward validates on entry like Backward. It used to run to
+	// completion on options only the backward rejected, so the step died
+	// mid-way.
+	for _, bad := range []moe.PipelineOpts{{CombineBytes: 4}, {OverlapChunks: 5000}} {
+		err = c.Run(func(r *simrt.Rank) error {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "CombineBytes") && !strings.Contains(msg, "OverlapChunks") {
+					t.Errorf("rank %d: Forward(%+v) must panic with the CheckOpts error, got %q", r.ID, bad, msg)
+				}
+			}()
+			routing := moe.SyntheticRouting(tensor.NewRNG(uint64(r.ID)), 16, cfg.NumExperts, cfg.TopK, 0.5)
+			Forward(r, d, cfg, 16, nil, routing, nil, tensor.NewRNG(uint64(r.ID)), bad)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // binom returns C(n, k) as an exact big.Rat.

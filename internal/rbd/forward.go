@@ -25,6 +25,9 @@ type LayerResult struct {
 func Forward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, x *tensor.Tensor,
 	routing moe.Routing, params *moe.ExpertParams, pilotRNG *tensor.RNG, opts moe.PipelineOpts) LayerResult {
 
+	if err := CheckOpts(opts); err != nil {
+		panic(err.Error())
+	}
 	h, f := cfg.HModel, cfg.HFFN
 	elem := int64(cfg.BytesPerElem)
 	mem := &r.Dev().Mem
@@ -47,75 +50,20 @@ func Forward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, x *tensor.Tens
 	}
 	mem.Alloc("dispatch_in", int64(b)*int64(h)*elem)
 
-	// RBD dispatch (stages 0-2 + expert input reconstruction). The
-	// chunked overlap mode splits the inter-node pilot exchanges so they
-	// hide behind the adjacent compute AND interleaves the expert GEMMs
-	// with the intra-node S2/C2 exchanges (see overlap.go): pilot-row
-	// GEMMs run while S2 is in flight, the C2 return leaves non-blocking
-	// under the pilot-scaling merge. Output is bit-identical either way.
+	// RBD dispatch, experts and combine. The forward keeps two schedules,
+	// chosen by the chunk count: with chunks the expert input is split
+	// into pilot and replica rows whose GEMMs run around the in-flight
+	// intra-node exchanges (forwardOverlap) — a different algorithm, not a
+	// re-timing, and only worth its extra launches and staging when there
+	// are transfers to hide; with one chunk the experts run once over the
+	// reconstructed input between blocking exchanges. Output is
+	// bit-identical either way.
 	rbdOpts := Opts{Numeric: opts.Numeric, OverlapChunks: opts.OverlapChunks, Save: opts.SaveForBackward}
+	schedule := forwardBlocking
 	if rbdOpts.chunks() > 1 {
-		out, bExp, ost := forwardOverlap(r, d, cfg, s, pft, dispIn, params, pilotRNG, rbdOpts)
-		if !opts.RetainActivations {
-			mem.Free("eri", pft.ERIBytes())
-			mem.Free("dispatch_in", int64(b)*int64(h)*elem)
-			mem.Free("A0_interm", int64(bExp)*int64(f)*elem)
-			mem.Free("A1_interm", int64(bExp)*int64(f)*elem)
-		}
-		res := LayerResult{LayerResult: moe.LayerResult{
-			Output:       out,
-			PFT:          pft,
-			RoutedTokens: b,
-			RecvTokens:   bExp,
-			Dropped:      pft.Dropped,
-		}}
-		if ost.save != nil {
-			ost.save.S = s
-			res.State = ost.save
-		}
-		return res
+		schedule = forwardOverlap
 	}
-	st, expertIn := d.Dispatch(r, pft, dispIn, pilotRNG, rbdOpts)
-
-	// Sequential GEMM experts over the reconstructed uneven segments.
-	bExp := 0
-	for _, c := range st.RowsPerLE {
-		bExp += c
-	}
-	expertTime := comp.SequentialGEMM(st.RowsPerLE, h, f) +
-		comp.SequentialGEMM(st.RowsPerLE, f, h) +
-		comp.MemBound(perfmodel.ClassTriton, 2*int64(bExp)*int64(f)*elem)
-	r.Compute(moe.StageExperts, expertTime)
-	mem.Alloc("A0_interm", int64(bExp)*int64(f)*elem)
-	mem.Alloc("A1_interm", int64(bExp)*int64(f)*elem)
-	var expertOut *tensor.Tensor
-	if opts.Numeric {
-		pool := r.Pool()
-		interm := pool.Get(bExp, f)
-		kernels.SequentialGEMMInto(interm, expertIn, st.RowsPerLE, params.W1)
-		hidAct := interm
-		if st.save != nil {
-			// Backward needs both the pre-activation (GeLU') and the
-			// activated hidden buffer (dW2 operand): keep interm as the
-			// pre-activation and GeLU a copy, as PFTForward does.
-			hidAct = pool.Get(bExp, f)
-			hidAct.Copy(interm)
-		}
-		tensor.GeLU(hidAct)
-		expertOut = pool.Get(bExp, h)
-		kernels.SequentialGEMMInto(expertOut, hidAct, st.RowsPerLE, params.W2)
-		if st.save != nil {
-			st.save.ExpertIn = expertIn
-			st.save.HidPre = interm
-			st.save.HidAct = hidAct
-		} else {
-			pool.PutAll(expertIn, interm)
-		}
-	}
-
-	// RBD combine (replica gather, merge, pilot return, reconstruction).
-	out := d.Combine(r, st, expertOut, s, rbdOpts)
-	r.Pool().Put(expertOut)
+	out, bExp, st := schedule(r, d, cfg, s, pft, dispIn, params, pilotRNG, rbdOpts)
 
 	if !opts.RetainActivations {
 		mem.Free("eri", pft.ERIBytes())
@@ -123,7 +71,6 @@ func Forward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, x *tensor.Tens
 		mem.Free("A0_interm", int64(bExp)*int64(f)*elem)
 		mem.Free("A1_interm", int64(bExp)*int64(f)*elem)
 	}
-
 	res := LayerResult{LayerResult: moe.LayerResult{
 		Output:       out,
 		PFT:          pft,
@@ -136,4 +83,54 @@ func Forward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, x *tensor.Tens
 		res.State = st.save
 	}
 	return res
+}
+
+// forwardBlocking is the one-chunk RBD layer: blocking dispatch (stages
+// 0-2 + expert input reconstruction), one sequential-GEMM pass over the
+// reconstructed uneven segments, blocking combine.
+func forwardBlocking(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, pft *moe.PFT,
+	dispIn *tensor.Tensor, params *moe.ExpertParams, pilotRNG *tensor.RNG, rbdOpts Opts) (*tensor.Tensor, int, *State) {
+
+	h, f := cfg.HModel, cfg.HFFN
+	elem := int64(cfg.BytesPerElem)
+	mem := &r.Dev().Mem
+	comp := r.C.Comp
+	pool := r.Pool()
+
+	st, expertIn := d.Dispatch(r, pft, dispIn, pilotRNG, rbdOpts)
+	bExp := 0
+	for _, c := range st.RowsPerLE {
+		bExp += c
+	}
+	expertTime := comp.SequentialGEMM(st.RowsPerLE, h, f) +
+		comp.SequentialGEMM(st.RowsPerLE, f, h) +
+		comp.MemBound(perfmodel.ClassTriton, 2*int64(bExp)*int64(f)*elem)
+	r.Compute(moe.StageExperts, expertTime)
+	mem.Alloc("A0_interm", int64(bExp)*int64(f)*elem)
+	mem.Alloc("A1_interm", int64(bExp)*int64(f)*elem)
+	var expertOut *tensor.Tensor
+	if rbdOpts.Numeric {
+		interm := pool.Get(bExp, f)
+		kernels.SequentialGEMMInto(interm, expertIn, st.RowsPerLE, params.W1)
+		hidAct := interm
+		if st.save != nil {
+			// Backward needs both the pre-activation (GeLU') and the
+			// activated hidden buffer (dW2 operand): keep interm as the
+			// pre-activation and GeLU a copy.
+			hidAct = pool.Get(bExp, f)
+			hidAct.Copy(interm)
+		}
+		tensor.GeLU(hidAct)
+		expertOut = pool.Get(bExp, h)
+		kernels.SequentialGEMMInto(expertOut, hidAct, st.RowsPerLE, params.W2)
+		if st.save != nil {
+			st.save.ExpertIn, st.save.HidPre, st.save.HidAct = expertIn, interm, hidAct
+		} else {
+			pool.PutAll(expertIn, interm)
+		}
+	}
+
+	out := d.Combine(r, st, expertOut, s, rbdOpts)
+	pool.Put(expertOut)
+	return out, bExp, st
 }

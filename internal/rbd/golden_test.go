@@ -1,0 +1,271 @@
+package rbd
+
+import (
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
+	"sort"
+	"strings"
+	"testing"
+
+	"xmoe/internal/moe"
+	"xmoe/internal/simrt"
+	"xmoe/internal/tensor"
+	"xmoe/internal/trace"
+)
+
+// blockingGolden is what one fwd+bwd at OverlapChunks <= 1 produced at the
+// commit that still had a separate blocking body per pipeline (PR 18).
+// Hashes are FNV-1a over bit patterns, ranks in ascending order.
+type blockingGolden struct {
+	// maxClock is Float64bits(simrt.MaxClock); clocks hashes every rank's
+	// final Clock and its Clock when OnDWReady fired.
+	maxClock, clocks uint64
+	// events hashes every rank's full span list (name, start, duration) in
+	// recorded order; stages hashes, per stage name, every rank's
+	// Trace.Breakdown() entry.
+	events  uint64
+	stages  map[string]uint64
+	peakMem int64
+	// tensors hashes Output, DX, DW1, DW2 and DCombineWeights (numeric only).
+	tensors uint64
+}
+
+// bitHash is FNV-1a over bit patterns.
+type bitHash struct{ h hash.Hash64 }
+
+func newBitHash() bitHash { return bitHash{fnv.New64a()} }
+
+func (b bitHash) u64(v uint64) {
+	var buf [8]byte
+	for i := range buf {
+		buf[i] = byte(v >> (8 * i))
+	}
+	b.h.Write(buf[:])
+}
+func (b bitHash) f64(v float64) { b.u64(math.Float64bits(v)) }
+func (b bitHash) str(s string)  { b.h.Write([]byte(s)); b.u64(uint64(len(s))) }
+func (b bitHash) f32s(vs []float32) {
+	b.u64(uint64(len(vs)))
+	for _, v := range vs {
+		b.u64(uint64(math.Float32bits(v)))
+	}
+}
+func (b bitHash) tensor(t *tensor.Tensor) {
+	if t == nil {
+		b.u64(0)
+		return
+	}
+	b.f32s(t.Data)
+}
+
+// runBlockingLayer executes one fwd+bwd of the transport with
+// OverlapChunks = 0 on a fresh Frontier cluster and digests everything the
+// simulation produced.
+func runBlockingLayer(t *testing.T, transport string, numeric bool) blockingGolden {
+	t.Helper()
+	// Symbolic: four nodes, strongly skewed routing. Numeric: two nodes,
+	// a layer small enough to multiply out in milliseconds.
+	world, s, skew := 32, 512, 0.8
+	cfg := moe.Config{NumExperts: 64, TopK: 6, HModel: 1024, HFFN: 512, CapacityFactor: 1.25, BytesPerElem: 2}
+	if numeric {
+		world, s, skew = 16, 24, 0.6
+		cfg = bwdCfg
+	}
+	c := newCluster(world)
+	g := c.WorldGroup()
+	d := NewDispatcher(c, g, cfg)
+	epr := cfg.NumExperts / world
+	drop := moe.DropByCapacityWeight
+	if transport == "padded" {
+		drop = moe.DropNegativeThenPosition
+	}
+	hookClock := make([]float64, world)
+	tensors := make([]uint64, world)
+	ranks, err := c.RunCollect(func(r *simrt.Rank) error {
+		rng := tensor.NewRNG(7300 + uint64(r.ID))
+		routing := moe.SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, skew)
+		var x, dOut *tensor.Tensor
+		var params *moe.ExpertParams
+		if numeric {
+			x = tensor.Randn(rng, 1, s, cfg.HModel)
+			params = &moe.ExpertParams{W1: make([]*tensor.Tensor, epr), W2: make([]*tensor.Tensor, epr)}
+			for le := 0; le < epr; le++ {
+				params.W1[le], params.W2[le] = expertWeights(g.IndexOf(r.ID)*epr+le, cfg.HModel, cfg.HFFN)
+			}
+			dOut = tensor.New(s, cfg.HModel)
+			for i := range dOut.Data {
+				dOut.Data[i] = float32(i%7)*0.15 - 0.4
+			}
+		}
+		fwd := moe.PipelineOpts{Numeric: numeric, DropPolicy: drop, SaveForBackward: true}
+		bwd := moe.PipelineOpts{Numeric: numeric, DropPolicy: drop,
+			OnDWReady: func() { hookClock[r.ID] = r.Clock }}
+		var out *tensor.Tensor
+		var grads moe.BackwardResult
+		switch transport {
+		case "pft":
+			res := moe.PFTForward(r, g, cfg, s, x, routing, params, fwd)
+			out, grads = res.Output, moe.PFTBackward(r, g, cfg, res.State, dOut, params, bwd)
+		case "padded":
+			res := moe.PaddedForward(r, g, cfg, s, x, routing, params, fwd)
+			out, grads = res.Output, moe.PaddedBackward(r, g, cfg, res.PaddedState, dOut, params, bwd)
+		case "rbd":
+			res := Forward(r, d, cfg, s, x, routing, params, tensor.NewRNG(91+uint64(r.ID)), fwd)
+			out, grads = res.Output, Backward(r, d, cfg, res.State, dOut, params, bwd)
+		}
+		h := newBitHash()
+		h.tensor(out)
+		h.tensor(grads.DX)
+		for le := range grads.DW1 {
+			h.tensor(grads.DW1[le])
+			h.tensor(grads.DW2[le])
+		}
+		h.f32s(grads.DCombineWeights)
+		tensors[r.ID] = h.h.Sum64()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got := blockingGolden{maxClock: math.Float64bits(simrt.MaxClock(ranks)), peakMem: c.PeakMemory()}
+	clocks, events, tens := newBitHash(), newBitHash(), newBitHash()
+	recorders := make([]*trace.Recorder, world)
+	for _, r := range ranks {
+		recorders[r.ID] = r.Trace
+	}
+	stageHash := map[string]bitHash{}
+	for id, rec := range recorders {
+		if ob := rec.OverlapBreakdown(); len(ob) != 0 {
+			t.Errorf("%s rank %d: OverlapChunks <= 1 recorded overlapped spans %v", transport, id, ob)
+		}
+		for _, ev := range rec.Events() {
+			events.str(ev.Name)
+			events.f64(ev.Start)
+			events.f64(ev.Dur)
+		}
+		events.u64(uint64(id))
+		for name := range rec.Breakdown() {
+			if _, ok := stageHash[name]; !ok {
+				stageHash[name] = newBitHash()
+			}
+		}
+	}
+	for _, r := range ranks {
+		clocks.f64(r.Clock)
+		clocks.f64(hookClock[r.ID])
+	}
+	// Second pass so a stage a rank never charged hashes as zero there.
+	got.stages = map[string]uint64{}
+	for name, h := range stageHash {
+		for _, rec := range recorders {
+			h.f64(rec.Breakdown()[name])
+		}
+		got.stages[name] = h.h.Sum64()
+	}
+	for _, v := range tensors {
+		tens.u64(v)
+	}
+	got.clocks, got.events = clocks.h.Sum64(), events.h.Sum64()
+	if numeric {
+		got.tensors = tens.h.Sum64()
+	}
+	return got
+}
+
+// literal renders g as the Go literal the table below holds.
+func (g blockingGolden) literal() string {
+	names := make([]string, 0, len(g.stages))
+	for name := range g.stages {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "{maxClock: %#x, clocks: %#x, events: %#x, peakMem: %d, tensors: %#x, stages: map[string]uint64{",
+		g.maxClock, g.clocks, g.events, g.peakMem, g.tensors)
+	for i, name := range names {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "%q: %#x", name, g.stages[name])
+	}
+	sb.WriteString("}}")
+	return sb.String()
+}
+
+// TestBlockingGoldenBits pins OverlapChunks <= 1 of all three transports to
+// the bits the deleted blocking bodies produced: per-rank clocks, the
+// OnDWReady instant, every recorded span, every Breakdown stage, no
+// overlapped span, peak memory and (numeric) every output and gradient.
+// The values were recorded at the parent commit of the PR that folded the
+// blocking bodies into the chunked ones; they are the reference now, so a
+// mismatch is a model change that must be declared, not re-recorded.
+func TestBlockingGoldenBits(t *testing.T) {
+	for _, transport := range []string{"pft", "padded", "rbd"} {
+		for _, numeric := range []bool{false, true} {
+			name := transport + "/symbolic"
+			if numeric {
+				name = transport + "/numeric"
+			}
+			t.Run(name, func(t *testing.T) {
+				got := runBlockingLayer(t, transport, numeric)
+				if w := blockingGoldens[name]; got.literal() != w.literal() {
+					t.Errorf("golden mismatch\n got: %q: %s,\nwant: %q: %s,", name, got.literal(), name, w.literal())
+				}
+			})
+		}
+	}
+}
+
+var blockingGoldens = map[string]blockingGolden{
+	"pft/symbolic": {maxClock: 0x3f5a7bfdb11193d5, clocks: 0x6827eca947583fb4, events: 0x97c0ec3c90de4a93, peakMem: 20303044, tensors: 0x0,
+		stages: map[string]uint64{
+			"a2a_combine": 0x2caeec23683e28b8, "a2a_dispatch": 0xdb92efeb41be50f2, "bwd_a2a_combine": 0xc23f28d6c8a6265e,
+			"bwd_a2a_dispatch": 0x63cfc890dba84db4, "bwd_combine": 0x4b46f1ae880a0813, "bwd_dispatch": 0x4b46f1ae880a0813,
+			"bwd_experts": 0x618208d5b1c55693, "combine": 0x4b46f1ae880a0813, "dispatch": 0x4b46f1ae880a0813,
+			"experts": 0x854cbfbf9af05ed7, "gate": 0x50087090fbd8c665, "others": 0x4122d5eed0b48263,
+		}},
+	"pft/numeric": {maxClock: 0x3f3846cae811a2f0, clocks: 0x8637167e090f9ac9, events: 0x86b1ee3b10f3014a, peakMem: 10624, tensors: 0xd5dce9d0adbdef22,
+		stages: map[string]uint64{
+			"a2a_combine": 0x22f15104cf841edb, "a2a_dispatch": 0x7cdafe26b3e6ec8c, "bwd_a2a_combine": 0x99d2a86706e123,
+			"bwd_a2a_dispatch": 0x23e135b8f4a87b73, "bwd_combine": 0xb1c558431638395a, "bwd_dispatch": 0xb1c558431638395a,
+			"bwd_experts": 0x9d874005302b9c9e, "combine": 0xb1c558431638395a, "dispatch": 0xb1c558431638395a,
+			"experts": 0x9e2cf4a66206d2ac, "gate": 0x650ce7d49dc02645, "others": 0x4f5155be13dee13c,
+		}},
+	"padded/symbolic": {maxClock: 0x3f7197bbb90d4dc0, clocks: 0xea779eaaa13c5be5, events: 0xdd7ac9c4a998c3a5, peakMem: 45088768, tensors: 0x0,
+		stages: map[string]uint64{
+			"a2a_combine": 0x5494e1dab94a85e5, "a2a_dispatch": 0xd0104c1069c64a25, "bwd_a2a_combine": 0xfe9ecca4c767ade5,
+			"bwd_a2a_dispatch": 0xd4f1a2e78dc48ae5, "bwd_combine": 0x514ecb940f397de5, "bwd_dispatch": 0x514ecb940f397de5,
+			"bwd_experts": 0xb7f9e6e38e15125, "combine": 0x514ecb940f397de5, "dispatch": 0x514ecb940f397de5,
+			"experts": 0xf07fe03e58eab725, "gate": 0xa61d3664fb4942e5, "others": 0xa42c30f79be29725,
+		}},
+	"padded/numeric": {maxClock: 0x3f4ec78853a13598, clocks: 0xe6044d37f4c8885, events: 0xf6909d244736ca65, peakMem: 52320, tensors: 0x96e3b67277685604,
+		stages: map[string]uint64{
+			"a2a_combine": 0x8d81932dcb3929e5, "a2a_dispatch": 0x8d81932dcb3929e5, "bwd_a2a_combine": 0x8d81932dcb3929e5,
+			"bwd_a2a_dispatch": 0x8d81932dcb3929e5, "bwd_combine": 0xe209ba3e135323c5, "bwd_dispatch": 0xe209ba3e135323c5,
+			"bwd_experts": 0xc54b9ee1cd9e2e5, "combine": 0xe209ba3e135323c5, "dispatch": 0xe209ba3e135323c5,
+			"experts": 0xf95a5a457c51ba5, "gate": 0xa0aec53dedce57e5, "others": 0x1829557e2557b0e5,
+		}},
+	"rbd/symbolic": {maxClock: 0x3f59477e0bab3980, clocks: 0xc1f6d40f8da29c56, events: 0xea91ded8550e4ea, peakMem: 28646452, tensors: 0x0,
+		stages: map[string]uint64{
+			"bwd_experts": 0x618208d5b1c55693, "dispatch": 0x4b46f1ae880a0813, "experts": 0x854cbfbf9af05ed7,
+			"gate": 0x50087090fbd8c665, "rbd_bwd_comb_merge": 0xd06e6844d18d0700, "rbd_bwd_comb_s1_a2a": 0x400db346fd6a77e,
+			"rbd_bwd_comb_s2_a2a": 0xfbffbfce738e8009, "rbd_bwd_comb_scatter": 0x4c8a3d7a41746fe, "rbd_bwd_s1_a2a": 0x207d62e04e2af148,
+			"rbd_bwd_s1_scatter": 0x4c8a3d7a41746fe, "rbd_bwd_s2_a2a": 0xdefa976fa0b309fe, "rbd_bwd_s2_reduce": 0x2acb5c7f66c8284c,
+			"rbd_comb_merge": 0x2acb5c7f66c8284c, "rbd_comb_s1_a2a": 0x5a690015a782fcbf, "rbd_comb_s2_a2a": 0x4bd8be7dc9337193,
+			"rbd_comb_scatter": 0x4c8a3d7a41746fe, "rbd_reconstruct": 0x6f9b0e5d0cf55dcc, "rbd_s1_a2a": 0x20749da192f6744f,
+			"rbd_s1_inst": 0x4c8a3d7a41746fe, "rbd_s2_a2a": 0x5dae6216fd6c837f, "rbd_s2_inst": 0x198882a6ab0df0ce,
+		}},
+	"rbd/numeric": {maxClock: 0x3f3dc83b8ff9b941, clocks: 0xf3b3f2c9cae12680, events: 0x5297667c9c5b972d, peakMem: 14244, tensors: 0xa4e89a5d26446cfe,
+		stages: map[string]uint64{
+			"bwd_experts": 0x9d874005302b9c9e, "dispatch": 0xb1c558431638395a, "experts": 0x9e2cf4a66206d2ac,
+			"gate": 0x650ce7d49dc02645, "rbd_bwd_comb_merge": 0x2edef3b906fbd097, "rbd_bwd_comb_s1_a2a": 0x575590c5911f24f5,
+			"rbd_bwd_comb_s2_a2a": 0xd6f47a8c56d51d4a, "rbd_bwd_comb_scatter": 0x474324f8608da882, "rbd_bwd_s1_a2a": 0x20626a306f83199b,
+			"rbd_bwd_s1_scatter": 0x474324f8608da882, "rbd_bwd_s2_a2a": 0x7c90d6f69e48ece7, "rbd_bwd_s2_reduce": 0xc2310b143d9d9bd4,
+			"rbd_comb_merge": 0xc2310b143d9d9bd4, "rbd_comb_s1_a2a": 0x63661b7a8d7774be, "rbd_comb_s2_a2a": 0x9b7d6fc813778031,
+			"rbd_comb_scatter": 0x474324f8608da882, "rbd_reconstruct": 0xfe15afa7c4560fdc, "rbd_s1_a2a": 0xe90eff132fa59d80,
+			"rbd_s1_inst": 0x474324f8608da882, "rbd_s2_a2a": 0x98b58a560d9700ff, "rbd_s2_inst": 0x3714ae57dbb453c9,
+		}},
+}

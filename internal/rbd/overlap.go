@@ -192,81 +192,29 @@ func (d *Dispatcher) CombineOverlap(r *simrt.Rank, st *State, pilotOut, replicaO
 		r.Pool().PutAll(pilotOut, replicaOut)
 	}
 
-	// --- Combine stage 2 (intra-node), non-blocking -----------------------
-	s2Send := make([]simrt.Part, nodeGroup.Size())
-	for slot := 0; slot < nodeGroup.Size(); slot++ {
-		part := simrt.Part{Bytes: int64(st.s2RecvCount[slot]) * int64(h) * elem}
-		if opts.Numeric {
-			part.Data = replicaParts[slot]
-		}
-		s2Send[slot] = part
-	}
-	c2Handle := r.AlltoAllVAsync(nodeGroup, StageC2A2A, s2Send)
-
-	// --- Pilot scaling while C2 is in flight -------------------------------
-	// Each pilot row's scaling precedes its replica accumulations in the
-	// blocking path too, so hoisting the whole scaling pass preserves the
+	// --- Combine stage 2 (intra-node), in flight under the pilot scaling ---
+	// Each pilot row's scaling precedes its replica accumulations in
+	// Combine too, so hoisting the whole scaling pass preserves the
 	// per-row arithmetic order.
+	c2 := r.AlltoAllVAsync(nodeGroup, StageC2A2A, st.c2Parts(replicaParts, h, elem))
 	var merged *tensor.Tensor
-	if opts.Numeric {
-		merged = tensor.New(st.pilotRowsTotal, h)
-	}
 	mem.Alloc("rbd_merged", int64(st.pilotRowsTotal)*int64(h)*elem)
 	if opts.Numeric {
-		for src := 0; src < p; src++ {
-			for pos, w := range st.recvPilotW[src] {
-				abs := st.pilotPartOff[src] + pos
-				out := pilotAbsOut.Row(abs)
-				dst := merged.Row(abs)
-				for j, v := range out {
-					dst[j] = w * v
-				}
-			}
-		}
+		merged = st.scalePilots(pilotAbsOut, h)
 	}
 	r.Compute(StageCMerge, comp.MemBound(perfmodel.ClassTriton, 2*int64(st.pilotRowsTotal)*int64(h)*elem))
-
-	s2Back := c2Handle.Wait()
-	if st.save != nil && opts.Numeric {
-		// Backward dots the merged-row gradients against these (the
-		// replica return payloads are sender-fresh, the abs-indexed pilot
-		// outputs become FwdState.PilotOut).
-		st.save.S2Back = make([][]float32, nodeGroup.Size())
-		for slot := range st.save.S2Back {
-			st.save.S2Back[slot] = s2Back[slot].Data
-		}
-		st.save.PilotOut = pilotAbsOut
-	} else if opts.Numeric {
-		r.Pool().Put(pilotAbsOut)
+	s2Back := c2.Wait()
+	if opts.Numeric {
+		st.keepOutputs(r, pilotAbsOut, s2Back)
 	}
 
 	// --- Per-chunk replica accumulation + chunked C1 pilot return ----------
-	// Work lists per chunk preserve (slot, pos) order inside each chunk,
-	// as the pre-overlap chunked merge did.
-	type mergeRef struct{ slot, pos int }
-	chunkOf := make([]int, st.pilotRowsTotal)
-	for src := 0; src < p; src++ {
-		n := len(st.recvPilotW[src])
-		for c := 0; c < chunks; c++ {
-			clo, chi := simrt.ChunkRange(n, chunks, c)
-			for pos := clo; pos < chi; pos++ {
-				chunkOf[st.pilotPartOff[src]+pos] = c
-			}
-		}
-	}
-	mergeByChunk := make([][]mergeRef, chunks)
-	for slot, sent := range st.s2SentByMember {
-		for pos, sRec := range sent {
-			c := chunkOf[sRec.pilotAbs]
-			mergeByChunk[c] = append(mergeByChunk[c], mergeRef{slot: slot, pos: pos})
-		}
-	}
-
-	c1H := make([]*simrt.CommHandle, chunks)
+	mergeOff, merges := st.mergesByChunk(chunks, opts.Numeric)
+	c1 := make([]simrt.Exchange, chunks)
 	sendFlat := make([]simrt.Part, chunks*p)
-	for c := 0; c < chunks; c++ {
+	for c := range c1 {
 		if opts.Numeric {
-			for _, mr := range mergeByChunk[c] {
+			for _, mr := range merges[mergeOff[c]:mergeOff[c+1]] {
 				sRec := st.s2SentByMember[mr.slot][mr.pos]
 				src := s2Back[mr.slot].Data[mr.pos*h : (mr.pos+1)*h]
 				dst := merged.Row(sRec.pilotAbs)
@@ -276,64 +224,13 @@ func (d *Dispatcher) CombineOverlap(r *simrt.Rank, st *State, pilotOut, replicaO
 			}
 		}
 		r.Compute(StageCMerge, comp.MemBound(perfmodel.ClassTriton,
-			2*int64(len(mergeByChunk[c]))*int64(h)*elem))
+			2*int64(mergeOff[c+1]-mergeOff[c])*int64(h)*elem))
 
 		sendBack := sendFlat[c*p : (c+1)*p]
-		for src := 0; src < p; src++ {
-			n := len(st.recvPilotW[src])
-			clo, chi := simrt.ChunkRange(n, chunks, c)
-			part := simrt.Part{Bytes: int64(chi-clo) * int64(h) * elem}
-			if opts.Numeric && chi > clo {
-				lo := st.pilotPartOff[src] + clo
-				part.Data = merged.Data[lo*h : (lo+chi-clo)*h]
-			}
-			sendBack[src] = part
-		}
-		c1H[c] = r.AlltoAllVAsync(d.EP, StageC1A2A, sendBack)
+		st.returnParts(sendBack, merged, h, elem, chunks, c)
+		c1[c] = r.AlltoAllVChunk(d.EP, StageC1A2A, sendBack, chunks)
 	}
-
-	// --- Drain the C1 chunks and reconstruct the source-side output --------
-	retData := make([][]float32, p)
-	sentTo := make([]int, p)
-	for _, ent := range st.pilotEntry {
-		sentTo[d.memberOfExpert(st.pft.ExpertIDs[ent])]++
-	}
-	for c, hnd := range c1H {
-		back := hnd.Wait()
-		if !opts.Numeric {
-			continue
-		}
-		for dst := 0; dst < p; dst++ {
-			n := sentTo[dst]
-			if retData[dst] == nil && n > 0 {
-				retData[dst] = make([]float32, n*h)
-			}
-			clo, _ := simrt.ChunkRange(n, chunks, c)
-			if len(back[dst].Data) > 0 {
-				copy(retData[dst][clo*h:], back[dst].Data)
-			}
-		}
-	}
-
-	r.Compute(StageCScatter, comp.MemBound(perfmodel.ClassTriton,
-		2*int64(len(st.pilotEntry))*int64(h)*elem))
-	mem.Alloc("output", int64(s)*int64(h)*elem)
-	if !opts.Numeric {
-		return nil
-	}
-	out := tensor.New(s, h)
-	pos := make([]int, p)
-	for _, ent := range st.pilotEntry {
-		dst := d.memberOfExpert(st.pft.ExpertIDs[ent])
-		data := retData[dst]
-		rowStart := pos[dst] * h
-		pos[dst]++
-		dstRow := out.Row(st.pft.TokenIDs[ent])
-		for j := 0; j < h; j++ {
-			dstRow[j] += data[rowStart+j]
-		}
-	}
-	return out
+	return d.finishCombine(r, st, c1, s, opts)
 }
 
 // forwardOverlap is the overlapped RBD layer: chunked S1 exchange, pilot

@@ -141,6 +141,56 @@ func TestExpertGEMMsHideS2C2(t *testing.T) {
 	}
 }
 
+// symbolicAllocs returns the steady-state allocations per rank-iteration
+// of one symbolic RBD fwd+bwd at the given chunk count on two nodes
+// (cluster, dispatcher and routing warm; see the moe twin,
+// symbolicOverlapAllocs).
+func symbolicAllocs(t *testing.T, chunks int) float64 {
+	t.Helper()
+	cfg := bwdCfg
+	const world, s, iters = 16, 48, 4
+	c := newCluster(world)
+	g := c.WorldGroup()
+	d := NewDispatcher(c, g, cfg)
+	opts := moe.PipelineOpts{DropPolicy: moe.DropByCapacityWeight, SaveForBackward: true, OverlapChunks: chunks}
+	routings := make([]moe.Routing, world)
+	for i := range routings {
+		routings[i] = moe.SyntheticRouting(tensor.NewRNG(uint64(6300+i)), s, cfg.NumExperts, cfg.TopK, 0.6)
+	}
+	step := func(n int) {
+		for it := 0; it < n; it++ {
+			if err := c.Run(func(r *simrt.Rank) error {
+				res := Forward(r, d, cfg, s, nil, routings[r.ID], nil, tensor.NewRNG(uint64(r.ID)), opts)
+				Backward(r, d, cfg, res.State, nil, nil, opts)
+				return nil
+			}); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	step(2)
+	base := testing.AllocsPerRun(5, func() { step(0) })
+	loaded := testing.AllocsPerRun(5, func() { step(iters) })
+	return (loaded - base) / (world * iters)
+}
+
+// TestSteadyStateAllocs is the allocation regression of the one-body RBD
+// pipelines: C = 1 must not allocate more than the separate blocking
+// bodies did (the ceiling is their per-rank count, measured at PR 18), and
+// an extra chunk may add the async-handle machinery of its four inter-node
+// exchanges, not per-row index lists.
+func TestSteadyStateAllocs(t *testing.T) {
+	const blockingAt = 129
+	a1 := symbolicAllocs(t, 1)
+	if a1 > blockingAt {
+		t.Errorf("C=1 allocates %.1f per rank-iteration, the blocking bodies allocated %.1f", a1, float64(blockingAt))
+	}
+	a2, a8 := symbolicAllocs(t, 2), symbolicAllocs(t, 8)
+	if perChunk := (a8 - a2) / 6; perChunk > 20 {
+		t.Errorf("%.1f allocs per extra chunk per rank-iteration (C=2: %.1f, C=8: %.1f)", perChunk, a2, a8)
+	}
+}
+
 // TestExpectedRedundancyRateMatchesMonteCarlo compares the closed-form
 // redundancy rate against AnalyzeRedundancy on uniform routing. The
 // closed form sums the exact per-node hit probability over the canonical

@@ -53,14 +53,14 @@ type Opts struct {
 	Numeric bool
 	// Pilots selects the pilot-selection strategy (default PilotRandom).
 	Pilots PilotPolicy
-	// OverlapChunks selects chunked comm/compute overlap of the
-	// inter-node stages: the Stage-1 pilot exchange is split into
-	// OverlapChunks non-blocking chunks so chunk i+1's pilot-buffer
-	// instantiation hides behind chunk i's transfer, and symmetrically
-	// the combine-side pilot return overlaps the per-chunk weight-scaled
-	// merge. The intra-node Stage-2 exchanges stay blocking (they ride
-	// the fast links RBD already exploits). Values <= 1 select the
-	// blocking path; numeric output is bit-identical either way.
+	// OverlapChunks selects chunked comm/compute overlap: the inter-node
+	// Stage-1 pilot exchange and the combine-side pilot return are split
+	// into OverlapChunks chunks issued through Rank.AlltoAllVChunk, so
+	// chunk i+1's pilot-buffer instantiation (or weight-scaled merge)
+	// hides behind chunk i's transfer, and the intra-node Stage-2
+	// exchanges fly under the expert GEMMs (Forward, Backward). Values
+	// <= 1 are the blocking schedule; numeric output is bit-identical
+	// either way.
 	OverlapChunks int
 	// Save keeps the hierarchical exchange state and the expert-FFN
 	// intermediates needed by Backward (the SaveForBackward analogue):
@@ -352,8 +352,8 @@ func (d *Dispatcher) Dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor
 }
 
 // DispatchPilots runs RBD stages 0-1 for rank r: pilot selection, pilot
-// buffer instantiation, and the inter-node pilot exchange (chunked
-// non-blocking when opts.OverlapChunks > 1). The returned state holds the
+// buffer instantiation, and the inter-node pilot exchange in
+// opts.chunks() chunks. The returned state holds the
 // received pilot payload and full Stage-1 metadata; the caller continues
 // with either the blocking Stage 2 (Dispatch) or the overlapped
 // IssueS2/PilotInput/FinishS2 sequence.
@@ -525,23 +525,23 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 	}
 
 	// --- Stage 1: pilot instantiation + inter-node exchange ----------------
-	// Blocking: one gather pass then one all-to-all. Chunked: each
-	// destination part is split into opts.chunks() row ranges; chunk c's
-	// pilot rows are instantiated (gather compute) and its all-to-all
-	// issued non-blocking, so chunk c+1's instantiation hides behind
-	// chunk c's transfer. The full s1Meta rides with chunk 0 only, so
-	// the wire volume matches the blocking exchange exactly; both ends
-	// derive later chunk boundaries from the same ChunkRange split.
+	// Each destination part is split into opts.chunks() row ranges; chunk
+	// c's pilot rows are instantiated (gather compute) and its all-to-all
+	// issued, so chunk c+1's instantiation hides behind chunk c's transfer
+	// (one chunk: one gather pass, then the blocking exchange). The full
+	// s1Meta rides with chunk 0 only, so the wire volume does not depend on
+	// the chunk count; both ends derive later chunk boundaries from the
+	// same ChunkRange split.
 	chunks := opts.chunks()
 	var pilotBuf *tensor.Tensor
 	if opts.Numeric {
 		pilotBuf = tensor.New(len(pilotEntry), h)
 	}
 	mem.Alloc("rbd_pilot_send", int64(len(pilotEntry))*int64(h)*elem)
-	s1H := make([]*simrt.CommHandle, 0, chunks)
-	var recvBlocking []simrt.Part
-	for c := 0; c < chunks; c++ {
-		send := make([]simrt.Part, p)
+	sendFlat := make([]simrt.Part, chunks*p)
+	s1 := make([]simrt.Exchange, chunks)
+	for c := range s1 {
+		send := sendFlat[c*p : (c+1)*p]
 		instRows := 0
 		for dst := 0; dst < p; dst++ {
 			lo, hi := partStart[dst], partStart[dst+1]
@@ -561,58 +561,35 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 			send[dst] = part
 		}
 		r.Compute(StageS1Inst, comp.MemBound(perfmodel.ClassTriton, 2*int64(instRows)*int64(h)*elem))
-		if chunks == 1 {
-			recvBlocking = r.AlltoAllV(d.EP, StageS1A2A, send)
-		} else {
-			s1H = append(s1H, r.AlltoAllVAsync(d.EP, StageS1A2A, send))
-		}
+		s1[c] = r.AlltoAllVChunk(d.EP, StageS1A2A, send, chunks)
 	}
 
 	st.recvPilotCounts = make([][]int, p)
 	st.recvPilotW = make([][]float32, p)
 	st.pilotPartOff = make([]int, p)
 	st.recvMetas = make([]s1Meta, p)
-	extractMetas := func(recv []simrt.Part) {
-		total := 0
-		for src, part := range recv {
-			m := part.Meta.(s1Meta)
-			st.recvMetas[src] = m
-			st.recvPilotCounts[src] = m.counts
-			st.recvPilotW[src] = m.weights
-			st.pilotPartOff[src] = total
-			total += len(m.weights)
-		}
-		st.pilotRowsTotal = total
-		mem.Alloc("rbd_pilot_recv", int64(total)*int64(h)*elem)
-		if opts.Numeric {
-			st.pilotRows = r.Pool().Get(total, h)
-		}
-	}
-	if chunks == 1 {
-		extractMetas(recvBlocking)
-		if opts.Numeric {
-			for src, part := range recvBlocking {
-				if len(part.Data) > 0 {
-					copy(st.pilotRows.Data[st.pilotPartOff[src]*h:], part.Data)
-				}
-			}
-		}
-	} else {
-		for c, hnd := range s1H {
-			recv := hnd.Wait()
-			if c == 0 {
-				extractMetas(recv)
-			}
-			if !opts.Numeric {
-				continue
-			}
+	for c, x := range s1 {
+		recv := x.Wait()
+		if c == 0 {
 			for src, part := range recv {
-				if len(part.Data) == 0 {
-					continue
-				}
-				clo, _ := simrt.ChunkRange(len(st.recvPilotW[src]), chunks, c)
-				copy(st.pilotRows.Data[(st.pilotPartOff[src]+clo)*h:], part.Data)
+				m := part.Meta.(s1Meta)
+				st.recvMetas[src] = m
+				st.recvPilotCounts[src] = m.counts
+				st.recvPilotW[src] = m.weights
+				st.pilotPartOff[src] = st.pilotRowsTotal
+				st.pilotRowsTotal += len(m.weights)
 			}
+			mem.Alloc("rbd_pilot_recv", int64(st.pilotRowsTotal)*int64(h)*elem)
+			if opts.Numeric {
+				st.pilotRows = r.Pool().Get(st.pilotRowsTotal, h)
+			}
+		}
+		if !opts.Numeric {
+			continue
+		}
+		for src, part := range recv {
+			clo, _ := simrt.ChunkRange(len(st.recvPilotW[src]), chunks, c)
+			copy(st.pilotRows.Data[(st.pilotPartOff[src]+clo)*h:], part.Data)
 		}
 	}
 
@@ -742,204 +719,210 @@ func (d *Dispatcher) Combine(r *simrt.Rank, st *State, expertOut *tensor.Tensor,
 	}
 
 	// --- Combine stage 2 (intra-node): return replica outputs --------------
-	nodeGroup := st.nodeGroup
-	s2Send := make([]simrt.Part, nodeGroup.Size())
-	for slot := 0; slot < nodeGroup.Size(); slot++ {
-		n := st.s2RecvCount[slot]
-		part := simrt.Part{Bytes: int64(n) * int64(h) * elem}
-		if opts.Numeric {
-			part.Data = replicaOut[slot]
-		}
-		s2Send[slot] = part
-	}
-	s2Back := r.AlltoAllV(nodeGroup, StageC2A2A, s2Send)
-	if st.save != nil && opts.Numeric {
-		// Backward dots the merged-row gradients against these replica
-		// expert outputs; senders allocated the payloads fresh, so the
-		// views stay valid past the rendezvous.
-		st.save.S2Back = make([][]float32, nodeGroup.Size())
-		for slot := range st.save.S2Back {
-			st.save.S2Back[slot] = s2Back[slot].Data
-		}
-	}
+	s2Back := r.AlltoAllV(st.nodeGroup, StageC2A2A, st.c2Parts(replicaOut, h, elem))
 
 	// --- Merge replicas into pilots + inter-node pilot return --------------
-	// Blocking: one weight-scaled merge pass, then one all-to-all.
-	// Chunked: the received pilot rows are split into opts.chunks() row
-	// ranges per source part; chunk c's merge (pilot scaling plus the
-	// replica accumulations targeting its rows) runs on the device while
-	// chunk c-1's return transfer is in flight. Per-row arithmetic order
-	// is unchanged — a pilot row's scaling always precedes its replica
-	// accumulations, which keep their (slot, pos) order — so the output
-	// is bit-identical to the blocking path.
-	chunks := opts.chunks()
+	// One weight-scaled merge pass — every pilot row is scaled first, then
+	// receives its replica accumulations in (slot, pos) order — and one
+	// all-to-all. CombineOverlap splits both per C1 chunk.
 	nMerge := 0
 	for _, sent := range st.s2SentByMember {
 		nMerge += len(sent)
 	}
 	var merged *tensor.Tensor
-	if opts.Numeric {
-		merged = tensor.New(st.pilotRowsTotal, h)
-	}
 	mem.Alloc("rbd_merged", int64(st.pilotRowsTotal)*int64(h)*elem)
-
-	// Replica-merge work lists per chunk, preserving (slot, pos) order
-	// inside each chunk.
-	type mergeRef struct{ slot, pos int }
-	var mergeByChunk [][]mergeRef
-	if chunks > 1 {
-		chunkOf := make([]int, st.pilotRowsTotal)
-		for src := 0; src < p; src++ {
-			n := len(st.recvPilotW[src])
-			for c := 0; c < chunks; c++ {
-				clo, chi := simrt.ChunkRange(n, chunks, c)
-				for pos := clo; pos < chi; pos++ {
-					chunkOf[st.pilotPartOff[src]+pos] = c
-				}
-			}
-		}
-		mergeByChunk = make([][]mergeRef, chunks)
-		for slot, sent := range st.s2SentByMember {
-			for pos, sRec := range sent {
-				c := chunkOf[sRec.pilotAbs]
-				mergeByChunk[c] = append(mergeByChunk[c], mergeRef{slot: slot, pos: pos})
-			}
-		}
-	}
-
-	c1H := make([]*simrt.CommHandle, 0, chunks)
-	var backBlocking []simrt.Part
-	for c := 0; c < chunks; c++ {
-		// Merge this chunk's rows: scale pilots, then accumulate the
-		// replica outputs whose pilot lands in the chunk.
-		chunkRows, chunkMerges := 0, 0
-		for src := 0; src < p; src++ {
-			n := len(st.recvPilotW[src])
-			clo, chi := simrt.ChunkRange(n, chunks, c)
-			chunkRows += chi - clo
-			if opts.Numeric {
-				for pos := clo; pos < chi; pos++ {
-					abs := st.pilotPartOff[src] + pos
-					w := st.recvPilotW[src][pos]
-					out := pilotOut.Row(abs)
-					dst := merged.Row(abs)
-					for j, v := range out {
-						dst[j] = w * v
-					}
-				}
-			}
-		}
-		if chunks == 1 {
-			chunkMerges = nMerge
-			if opts.Numeric {
-				for slot, sent := range st.s2SentByMember {
-					data := s2Back[slot].Data
-					for pos, sRec := range sent {
-						src := data[pos*h : (pos+1)*h]
-						dst := merged.Row(sRec.pilotAbs)
-						for j, v := range src {
-							dst[j] += sRec.weight * v
-						}
-					}
-				}
-			}
-		} else {
-			chunkMerges = len(mergeByChunk[c])
-			if opts.Numeric {
-				for _, mr := range mergeByChunk[c] {
-					sRec := st.s2SentByMember[mr.slot][mr.pos]
-					src := s2Back[mr.slot].Data[mr.pos*h : (mr.pos+1)*h]
-					dst := merged.Row(sRec.pilotAbs)
-					for j, v := range src {
-						dst[j] += sRec.weight * v
-					}
-				}
-			}
-		}
-		r.Compute(StageCMerge, comp.MemBound(perfmodel.ClassTriton,
-			2*int64(chunkMerges+chunkRows)*int64(h)*elem))
-
-		// Return this chunk's merged pilot rows to their source ranks.
-		sendBack := make([]simrt.Part, p)
-		for src := 0; src < p; src++ {
-			n := len(st.recvPilotW[src])
-			clo, chi := simrt.ChunkRange(n, chunks, c)
-			part := simrt.Part{Bytes: int64(chi-clo) * int64(h) * elem}
-			if opts.Numeric && chi > clo {
-				lo := st.pilotPartOff[src] + clo
-				part.Data = merged.Data[lo*h : (lo+chi-clo)*h]
-			}
-			sendBack[src] = part
-		}
-		if chunks == 1 {
-			backBlocking = r.AlltoAllV(d.EP, StageC1A2A, sendBack)
-		} else {
-			c1H = append(c1H, r.AlltoAllVAsync(d.EP, StageC1A2A, sendBack))
-		}
-	}
 	if opts.Numeric {
-		if st.save != nil {
-			st.save.PilotOut = pilotOut
-		} else {
-			r.Pool().Put(pilotOut)
-		}
-	}
-
-	// Reassemble the per-destination return buffers (chunk parts land at
-	// their deterministic ChunkRange offsets; blocking parts are already
-	// whole).
-	retData := make([][]float32, p)
-	if chunks == 1 {
-		for dst := 0; dst < p; dst++ {
-			retData[dst] = backBlocking[dst].Data
-		}
-	} else {
-		// sentTo[dst] is the number of pilot rows this rank sent to dst —
-		// the length of dst's return part, which dst chunked by the same
-		// ChunkRange split.
-		sentTo := make([]int, p)
-		for _, ent := range st.pilotEntry {
-			sentTo[d.memberOfExpert(st.pft.ExpertIDs[ent])]++
-		}
-		for c, hnd := range c1H {
-			back := hnd.Wait()
-			if !opts.Numeric {
-				continue
-			}
-			for dst := 0; dst < p; dst++ {
-				n := sentTo[dst]
-				if retData[dst] == nil && n > 0 {
-					retData[dst] = make([]float32, n*h)
-				}
-				clo, _ := simrt.ChunkRange(n, chunks, c)
-				if len(back[dst].Data) > 0 {
-					copy(retData[dst][clo*h:], back[dst].Data)
+		merged = st.scalePilots(pilotOut, h)
+		for slot, sent := range st.s2SentByMember {
+			data := s2Back[slot].Data
+			for pos, sRec := range sent {
+				dst := merged.Row(sRec.pilotAbs)
+				for j, v := range data[pos*h : (pos+1)*h] {
+					dst[j] += sRec.weight * v
 				}
 			}
 		}
+		st.keepOutputs(r, pilotOut, s2Back)
 	}
+	r.Compute(StageCMerge, comp.MemBound(perfmodel.ClassTriton,
+		2*int64(nMerge+st.pilotRowsTotal)*int64(h)*elem))
 
-	// --- Final reconstruction on the source rank ----------------------------
-	r.Compute(StageCScatter, comp.MemBound(perfmodel.ClassTriton,
+	sendBack := make([]simrt.Part, p)
+	st.returnParts(sendBack, merged, h, elem, 1, 0)
+	c1 := r.AlltoAllVChunk(d.EP, StageC1A2A, sendBack, 1)
+	return d.finishCombine(r, st, []simrt.Exchange{c1}, s, opts)
+}
+
+// c2Parts wraps the replica expert outputs, one payload per node member
+// (nil in symbolic mode), as the C2 intra-node return parts.
+func (st *State) c2Parts(replicaOut [][]float32, h int, elem int64) []simrt.Part {
+	send := make([]simrt.Part, len(st.s2RecvCount))
+	for slot, n := range st.s2RecvCount {
+		send[slot] = simrt.Part{Data: replicaOut[slot], Bytes: int64(n) * int64(h) * elem}
+	}
+	return send
+}
+
+// scalePilots starts the merge buffer: every held pilot row's expert
+// output (pilotOut, absolute-indexed) scaled by its combine weight, which
+// precedes any replica accumulation onto the row.
+func (st *State) scalePilots(pilotOut *tensor.Tensor, h int) *tensor.Tensor {
+	merged := tensor.New(st.pilotRowsTotal, h)
+	for src, weights := range st.recvPilotW {
+		for pos, w := range weights {
+			abs := st.pilotPartOff[src] + pos
+			dst := merged.Row(abs)
+			for j, v := range pilotOut.Row(abs) {
+				dst[j] = w * v
+			}
+		}
+	}
+	return merged
+}
+
+// keepOutputs hands the pre-scaling expert outputs to the saved forward
+// state — Backward dots the merged-row gradients against them; the replica
+// return payloads are sender-fresh, so the views stay valid past the
+// rendezvous — or recycles pilotOut when nothing is saved.
+func (st *State) keepOutputs(r *simrt.Rank, pilotOut *tensor.Tensor, s2Back []simrt.Part) {
+	if st.save == nil {
+		r.Pool().Put(pilotOut)
+		return
+	}
+	st.save.PilotOut = pilotOut
+	st.save.S2Back = make([][]float32, len(s2Back))
+	for slot := range s2Back {
+		st.save.S2Back[slot] = s2Back[slot].Data
+	}
+}
+
+// returnParts fills send with chunk c of every source's merged pilot rows
+// (views of merged, nil in symbolic mode): the C1 return parts.
+func (st *State) returnParts(send []simrt.Part, merged *tensor.Tensor, h int, elem int64, chunks, c int) {
+	for src := range send {
+		clo, chi := simrt.ChunkRange(len(st.recvPilotW[src]), chunks, c)
+		part := simrt.Part{Bytes: int64(chi-clo) * int64(h) * elem}
+		if merged != nil && chi > clo {
+			lo := st.pilotPartOff[src] + clo
+			part.Data = merged.Data[lo*h : (lo+chi-clo)*h]
+		}
+		send[src] = part
+	}
+}
+
+// sentTo returns how many pilot rows this rank sent to each EP member —
+// the length of that member's return part, which it chunks by the same
+// ChunkRange split.
+func (d *Dispatcher) sentTo(st *State) []int {
+	n := make([]int, d.EP.Size())
+	for _, ent := range st.pilotEntry {
+		n[d.memberOfExpert(st.pft.ExpertIDs[ent])]++
+	}
+	return n
+}
+
+// drainReturn waits the chunks of an inter-node return exchange on the
+// source rank and, in numeric mode, reassembles each member's returned
+// rows (sentTo[dst] of them, h wide, in pilot send order): a chunk that is
+// the member's whole part is used as it arrived, smaller ones land at
+// their ChunkRange offsets. It also returns chunk 0's parts, which carry
+// the exchange's metadata.
+func drainReturn(xs []simrt.Exchange, sentTo []int, h int, numeric bool) (ret [][]float32, first []simrt.Part) {
+	if numeric {
+		ret = make([][]float32, len(sentTo))
+	}
+	for c, x := range xs {
+		back := x.Wait()
+		if c == 0 {
+			first = back
+		}
+		if !numeric {
+			continue
+		}
+		for dst, n := range sentTo {
+			data := back[dst].Data
+			if len(data) == n*h {
+				ret[dst] = data
+			} else if len(data) > 0 {
+				if ret[dst] == nil {
+					ret[dst] = make([]float32, n*h)
+				}
+				clo, _ := simrt.ChunkRange(n, len(xs), c)
+				copy(ret[dst][clo*h:], data)
+			}
+		}
+	}
+	return ret, first
+}
+
+// finishCombine drains the C1 pilot-return chunks on the source rank and
+// reconstructs the [s, H] layer output from them.
+func (d *Dispatcher) finishCombine(r *simrt.Rank, st *State, c1 []simrt.Exchange, s int, opts Opts) *tensor.Tensor {
+	h := d.Cfg.HModel
+	elem := int64(d.Cfg.BytesPerElem)
+	var sentTo []int
+	if opts.Numeric {
+		sentTo = d.sentTo(st)
+	}
+	retData, _ := drainReturn(c1, sentTo, h, opts.Numeric)
+
+	r.Compute(StageCScatter, r.C.Comp.MemBound(perfmodel.ClassTriton,
 		2*int64(len(st.pilotEntry))*int64(h)*elem))
-	mem.Alloc("output", int64(s)*int64(h)*elem)
+	r.Dev().Mem.Alloc("output", int64(s)*int64(h)*elem)
 	if !opts.Numeric {
 		return nil
 	}
 	out := tensor.New(s, h)
 	// Parts return in member order; rows align with the pilot send order.
-	pos := make([]int, p)
+	pos := make([]int, len(sentTo))
 	for _, ent := range st.pilotEntry {
 		dst := d.memberOfExpert(st.pft.ExpertIDs[ent])
-		data := retData[dst]
-		rowStart := pos[dst] * h
+		row := retData[dst][pos[dst]*h : (pos[dst]+1)*h]
 		pos[dst]++
 		dstRow := out.Row(st.pft.TokenIDs[ent])
-		for j := 0; j < h; j++ {
-			dstRow[j] += data[rowStart+j]
+		for j, v := range row {
+			dstRow[j] += v
 		}
 	}
 	return out
+}
+
+// mergeRef locates one Stage-2 replica row: st.s2SentByMember[slot][pos].
+type mergeRef struct{ slot, pos int }
+
+// mergesByChunk buckets the replica merges by the C1 chunk their pilot row
+// returns in (chunk c of a source's part is its rows ChunkRange(n, chunks,
+// c)), keeping (slot, pos) order inside a chunk — the order a pilot row's
+// accumulations must keep. off[c]:off[c+1] delimits chunk c in refs; refs
+// is nil in symbolic mode, which needs only the counts.
+func (st *State) mergesByChunk(chunks int, numeric bool) (off []int, refs []mergeRef) {
+	// The chunk of row pos of an n-row part inverts ChunkRange's floor split.
+	chunkOf := func(sRec s2Sent) int {
+		pos := sRec.pilotAbs - st.pilotPartOff[sRec.src]
+		return ((pos+1)*chunks - 1) / len(st.recvPilotW[sRec.src])
+	}
+	off = make([]int, chunks+1)
+	for _, sent := range st.s2SentByMember {
+		for _, sRec := range sent {
+			off[chunkOf(sRec)+1]++
+		}
+	}
+	for c := 0; c < chunks; c++ {
+		off[c+1] += off[c]
+	}
+	if !numeric {
+		return off, nil
+	}
+	refs = make([]mergeRef, off[chunks])
+	next := append([]int(nil), off[:chunks]...)
+	for slot, sent := range st.s2SentByMember {
+		for pos, sRec := range sent {
+			c := chunkOf(sRec)
+			refs[next[c]] = mergeRef{slot: slot, pos: pos}
+			next[c]++
+		}
+	}
+	return off, refs
 }
 
 // Redundancy analyses a routing against an expert->node placement: total

@@ -143,6 +143,38 @@ func (r *Rank) AlltoAllVAsync(g *Group, name string, send []Part) *CommHandle {
 	return h
 }
 
+// Exchange is one all-to-all-v of a pipeline that splits its traffic into
+// chunks: what AlltoAllVChunk issued, to be collected with Wait. It is a
+// value (no allocation) wrapping either an in-flight CommHandle or the
+// parts a blocking exchange already delivered.
+type Exchange struct {
+	h    *CommHandle
+	recv []Part
+}
+
+// AlltoAllVChunk issues one of the chunks exchanges a pipeline stage is
+// split into, and is the one place that decides what a chunk count means
+// for the transport: a single chunk has no sibling transfer or compute to
+// hide behind, so it is the blocking AlltoAllV itself — same comm-stream
+// drain, fault hooks and single charged span, no overlapped span — and
+// Wait only hands its parts over; with more chunks it is AlltoAllVAsync
+// and Wait charges the uncovered remainder.
+func (r *Rank) AlltoAllVChunk(g *Group, name string, send []Part, chunks int) Exchange {
+	if chunks <= 1 {
+		return Exchange{recv: r.AlltoAllV(g, name, send)}
+	}
+	return Exchange{h: r.AlltoAllVAsync(g, name, send)}
+}
+
+// Wait returns the received parts (indexed by source member), blocking the
+// rank's virtual clock first when the exchange is still in flight.
+func (x Exchange) Wait() []Part {
+	if x.h != nil {
+		return x.h.Wait()
+	}
+	return x.recv
+}
+
 // WaitDeadline is Wait with a timeout anchored at issue time: if the
 // collective's modeled completion lands more than timeout seconds after
 // it was issued, the rank charges its clock only up to the deadline

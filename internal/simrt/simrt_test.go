@@ -353,6 +353,40 @@ func TestAsyncImmediateWaitMatchesBlocking(t *testing.T) {
 	}
 }
 
+// TestAlltoAllVChunkSingleChunkIsBlocking pins the rule the pipelines rely
+// on: one chunk is the blocking collective (clock charged at issue, one
+// span, nothing overlapped, Wait free), more chunks fly under compute.
+func TestAlltoAllVChunkSingleChunkIsBlocking(t *testing.T) {
+	c := testCluster(4)
+	g := c.WorldGroup()
+	const bytes = 4 << 20
+	cost := c.Net.AlltoAllV(g.Ranks(), evenMatrix(4, bytes)).Seconds
+	err := c.Run(func(r *Rank) error {
+		x := r.AlltoAllVChunk(g, "one", evenParts(4, bytes), 1)
+		if r.Clock != cost {
+			return fmt.Errorf("single chunk: clock %.9f after issue, want the blocking cost %.9f", r.Clock, cost)
+		}
+		r.Compute("gemm", cost)
+		if got := len(x.Wait()); got != 4 || r.Clock != 2*cost {
+			return fmt.Errorf("single chunk: Wait returned %d parts at clock %.9f, want 4 at %.9f", got, r.Clock, 2*cost)
+		}
+		if r.Trace.OverlappedTotal("one") != 0 || r.Trace.Total("one") != cost {
+			return fmt.Errorf("single chunk: charged %.9f, overlapped %.9f; want %.9f and 0",
+				r.Trace.Total("one"), r.Trace.OverlappedTotal("one"), cost)
+		}
+		before := r.Clock
+		y := r.AlltoAllVChunk(g, "two", evenParts(4, bytes), 2)
+		r.Compute("gemm", 3*cost)
+		if y.Wait(); r.Clock != before+3*cost || r.Trace.Total("two") != 0 {
+			return fmt.Errorf("chunked: covered exchange charged %.9f", r.Trace.Total("two"))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAsyncCommStreamSerialises pins the per-rank comm-stream model: two
 // in-flight collectives do not overlap each other, so waiting on both
 // costs the sum of their durations, not the max.

@@ -30,7 +30,7 @@ func New(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, append([]int(nil), shape...)))
 		}
 		n *= d
 	}
@@ -47,7 +47,7 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 		n *= d
 	}
 	if n != len(data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d elements)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d elements)", len(data), append([]int(nil), shape...), n))
 	}
 	s := make([]int, len(shape))
 	copy(s, shape)
