@@ -1,15 +1,16 @@
 # Developer workflow for the xmoe reproduction.
 #
-#   make ci      - what the CI job runs: gofmt, vet, build, the six race-enabled gates, tests, quick bench
+#   make ci      - what the CI job runs: gofmt, vet, build, the six race-enabled gates, fuzz smoke, tests, quick bench
 #   make test    - full test suite (includes the slow sweep tests)
 #   make race    - full race-detector pass (go test -race ./...)
 #   make race-fast - race pass over just the concurrency-heavy packages
+#   make fuzz-smoke - every Fuzz target in the tree for 10 s each
 #   make bench   - package microbenchmarks with allocation counts
 #   make bench-figs - paper-figure benchmarks (slow)
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race race-fast race-full chaos-fast verify-devent verify-zero verify-rbd verify-ft bench bench-figs bench-json bench-save ci
+.PHONY: all build fmt-check vet test race race-fast race-full chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke bench bench-figs bench-json bench-save ci
 
 all: build
 
@@ -110,6 +111,20 @@ chaos-fast:
 	$(call race-named,chaos-fast,Crash|Fault|Inject|Straggler|Flaky|Desync|ReducerPanic|Checkpoint|Gone|Derate,\
 		./internal/simrt:8 ./internal/fault:7 ./internal/netsim:1 ./internal/train:10)
 
+# Every fuzz target of every package for ten seconds each, against its
+# checked-in seeds and whatever the engine mutates from them: the targets
+# compare rewritten code with the reference it replaced (PFT construction,
+# the event engine's all-to-all-v, the tiled GEMMs), which `go test` alone
+# only runs on the seeds. Fails when the tree lists no target, so a rename
+# cannot pass vacuously.
+fuzz-smoke:
+	@targets=$$($(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ {names[n++] = $$1} /^ok/ {for (i = 0; i < n; i++) print $$2 ":" names[i]; n = 0}'); \
+	if [ -z "$$targets" ]; then echo "fuzz-smoke: go test -list '^Fuzz' names no target"; exit 1; fi; \
+	for t in $$targets; do \
+		echo "fuzz-smoke: $${t%%:*} $${t##*:}"; \
+		$(GO) test -run=NONE -fuzz="^$${t##*:}\$$" -fuzztime=10s $${t%%:*} || exit 1; \
+	done
+
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/tensor \
 		./internal/kernels ./internal/moe ./internal/rbd ./internal/train \
@@ -131,9 +146,10 @@ bench-save:
 	@echo "BENCH_results.json updated; commit it with this PR"
 
 # Quick CI, and the only definition of it (.github/workflows/ci.yml runs
-# this target): gofmt + vet + build + all six race-detector gates + unit
-# tests of every package + a quick microbenchmark smoke run.
-ci: fmt-check vet build race-fast chaos-fast verify-devent verify-zero verify-rbd verify-ft
+# this target): gofmt + vet + build + all six race-detector gates + the
+# fuzz smoke + unit tests of every package + a quick microbenchmark smoke
+# run.
+ci: fmt-check vet build race-fast chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke
 	$(GO) test ./internal/... .
 	$(GO) test -run=NONE -bench='BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward' \
 		-benchmem -benchtime=10x ./internal/moe ./internal/train

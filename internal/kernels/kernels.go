@@ -214,41 +214,52 @@ func SequentialGEMM(x *tensor.Tensor, rows []int, weights []*tensor.Tensor) *ten
 }
 
 // SequentialGEMMInto is SequentialGEMM into the preallocated out [B, N],
-// which is fully overwritten (zero-row segments stay zero, so out must be
-// zero-filled when any expert has no tokens — tensor.Pool.Get and
-// tensor.New both satisfy this).
+// which is fully overwritten: the segments tile its rows, and a zero-row
+// segment owns none of them.
 func SequentialGEMMInto(out, x *tensor.Tensor, rows []int, weights []*tensor.Tensor) {
-	if len(rows) != len(weights) {
-		panic(fmt.Sprintf("kernels: %d segments but %d weight matrices", len(rows), len(weights)))
-	}
-	total := 0
-	for _, r := range rows {
-		total += r
-	}
-	if total != x.Rows() {
-		panic(fmt.Sprintf("kernels: segments cover %d rows, x has %d", total, x.Rows()))
-	}
 	k := x.Cols()
 	n := 0
 	if len(weights) > 0 {
 		n = weights[0].Cols()
 	}
-	if out.Rows() != total || out.Cols() != n {
-		panic(fmt.Sprintf("kernels: sequential-gemm dst shape %v, want [%d,%d]", out.Shape(), total, n))
+	checkSegments(rows, weights, x.Rows(), k, n)
+	if out.Rows() != x.Rows() || out.Cols() != n {
+		panic(fmt.Sprintf("kernels: sequential-gemm dst shape %v, want [%d,%d]", out.Shape(), x.Rows(), n))
 	}
 	off := 0
 	for e, r := range rows {
 		if r == 0 {
 			continue
 		}
-		w := weights[e]
-		if w.Rows() != k || w.Cols() != n {
-			panic(fmt.Sprintf("kernels: expert %d weight shape %v, want [%d,%d]", e, w.Shape(), k, n))
-		}
 		seg := tensor.FromSlice(x.Data[off*k:(off+r)*k], r, k)
 		dst := tensor.FromSlice(out.Data[off*n:(off+r)*n], r, n)
-		tensor.MatMulInto(dst, seg, w)
+		tensor.MatMulInto(dst, seg, weights[e])
 		off += r
+	}
+}
+
+// checkSegments panics unless rows cuts a [total, k] input into one
+// segment per weight matrix: as many non-negative counts as weights,
+// summing to total, and a [k, n] weight for every segment that has rows.
+// Both directions run it before they write anything.
+func checkSegments(rows []int, weights []*tensor.Tensor, total, k, n int) {
+	if len(rows) != len(weights) {
+		panic(fmt.Sprintf("kernels: %d segments but %d weight matrices", len(rows), len(weights)))
+	}
+	covered := 0
+	for e, r := range rows {
+		if r < 0 {
+			panic(fmt.Sprintf("kernels: expert %d has %d rows", e, r))
+		}
+		covered += r
+	}
+	if covered != total {
+		panic(fmt.Sprintf("kernels: segments cover %d rows, x has %d", covered, total))
+	}
+	for e, w := range weights {
+		if rows[e] > 0 && (w.Rows() != k || w.Cols() != n) {
+			panic(fmt.Sprintf("kernels: expert %d weight shape %v, want [%d,%d]", e, w.Shape(), k, n))
+		}
 	}
 }
 
@@ -274,9 +285,17 @@ func SequentialGEMMBackwardInto(dx *tensor.Tensor, dws []*tensor.Tensor, dy, x *
 		panic(fmt.Sprintf("kernels: sequential-gemm-backward dst shape %v/%d, want [%d,%d]/%d",
 			dx.Shape(), len(dws), x.Rows(), k, len(weights)))
 	}
+	if dy.Rows() != x.Rows() {
+		panic(fmt.Sprintf("kernels: dy has %d rows, x has %d", dy.Rows(), x.Rows()))
+	}
+	checkSegments(rows, weights, x.Rows(), k, n)
+	for e, dw := range dws {
+		if dw.Rows() != k || dw.Cols() != n {
+			panic(fmt.Sprintf("kernels: expert %d weight-gradient shape %v, want [%d,%d]", e, dw.Shape(), k, n))
+		}
+	}
 	off := 0
 	for e, r := range rows {
-		w := weights[e]
 		if r == 0 {
 			dws[e].Zero()
 			continue
@@ -284,7 +303,7 @@ func SequentialGEMMBackwardInto(dx *tensor.Tensor, dws []*tensor.Tensor, dy, x *
 		segX := tensor.FromSlice(x.Data[off*k:(off+r)*k], r, k)
 		segDY := tensor.FromSlice(dy.Data[off*n:(off+r)*n], r, n)
 		segDX := tensor.FromSlice(dx.Data[off*k:(off+r)*k], r, k)
-		tensor.MatMulTInto(segDX, segDY, w) // dY [r,n] · (W [k,n])ᵀ = [r,k]
+		tensor.MatMulTInto(segDX, segDY, weights[e]) // dY [r,n] · (W [k,n])ᵀ = [r,k]
 		tensor.TMatMulInto(dws[e], segX, segDY)
 		off += r
 	}

@@ -1,7 +1,9 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -120,29 +122,77 @@ func TestSequentialGEMMMatchesPerSegmentMatMul(t *testing.T) {
 	}
 }
 
+// TestSequentialGEMMValidation drives every rejection of both directions,
+// one case per message, and requires that nothing was written first.
 func TestSequentialGEMMValidation(t *testing.T) {
+	w := func(shapes ...[2]int) []*tensor.Tensor {
+		ws := make([]*tensor.Tensor, len(shapes))
+		for i, sh := range shapes {
+			ws[i] = tensor.New(sh[0], sh[1])
+		}
+		return ws
+	}
+	// The backward cases share x [3,2], dy [3,4] and two [2,4] experts;
+	// each breaks one argument.
+	x, dy := tensor.New(3, 2), tensor.New(3, 4)
 	for _, tc := range []struct {
-		name string
-		fn   func()
+		name, want string
+		fn         func(out *tensor.Tensor)
 	}{
-		{"segment/weight count", func() {
-			SequentialGEMM(tensor.New(2, 2), []int{2}, nil)
+		{"segment/weight count", "1 segments but 0 weight matrices", func(out *tensor.Tensor) {
+			SequentialGEMMInto(out, tensor.New(2, 2), []int{2}, nil)
 		}},
-		{"row coverage", func() {
-			SequentialGEMM(tensor.New(3, 2), []int{2}, []*tensor.Tensor{tensor.New(2, 2)})
+		{"row coverage", "segments cover 2 rows, x has 3", func(out *tensor.Tensor) {
+			SequentialGEMMInto(out, tensor.New(3, 2), []int{2}, w([2]int{2, 2}))
 		}},
-		{"weight shape", func() {
-			SequentialGEMM(tensor.New(2, 2), []int{2}, []*tensor.Tensor{tensor.New(3, 2)})
+		{"negative segment", "expert 1 has -1 rows", func(out *tensor.Tensor) {
+			SequentialGEMMInto(out, tensor.New(3, 2), []int{4, -1}, w([2]int{2, 2}, [2]int{2, 2}))
+		}},
+		{"weight shape", "expert 1 weight shape [3 2], want [2,2]", func(out *tensor.Tensor) {
+			SequentialGEMMInto(out, tensor.New(3, 2), []int{2, 1}, w([2]int{2, 2}, [2]int{3, 2}))
+		}},
+		{"dst shape", "sequential-gemm dst shape [3 2], want [2,2]", func(out *tensor.Tensor) {
+			SequentialGEMMInto(out, tensor.New(2, 2), []int{2}, w([2]int{2, 2}))
+		}},
+		{"bwd dx shape", "sequential-gemm-backward dst shape [3 2]/1, want [3,2]/2", func(out *tensor.Tensor) {
+			SequentialGEMMBackwardInto(out, w([2]int{2, 4}), dy, x, []int{2, 1}, w([2]int{2, 4}, [2]int{2, 4}))
+		}},
+		{"bwd dy rows", "dy has 2 rows, x has 3", func(out *tensor.Tensor) {
+			SequentialGEMMBackwardInto(out, w([2]int{2, 4}, [2]int{2, 4}), tensor.New(2, 4), x, []int{2, 1}, w([2]int{2, 4}, [2]int{2, 4}))
+		}},
+		{"bwd segment/weight count", "3 segments but 2 weight matrices", func(out *tensor.Tensor) {
+			SequentialGEMMBackwardInto(out, w([2]int{2, 4}, [2]int{2, 4}), dy, x, []int{1, 1, 1}, w([2]int{2, 4}, [2]int{2, 4}))
+		}},
+		{"bwd row coverage", "segments cover 2 rows, x has 3", func(out *tensor.Tensor) {
+			SequentialGEMMBackwardInto(out, w([2]int{2, 4}, [2]int{2, 4}), dy, x, []int{1, 1}, w([2]int{2, 4}, [2]int{2, 4}))
+		}},
+		{"bwd negative segment", "expert 0 has -1 rows", func(out *tensor.Tensor) {
+			SequentialGEMMBackwardInto(out, w([2]int{2, 4}, [2]int{2, 4}), dy, x, []int{-1, 4}, w([2]int{2, 4}, [2]int{2, 4}))
+		}},
+		{"bwd weight shape", "expert 1 weight shape [4 2], want [2,4]", func(out *tensor.Tensor) {
+			SequentialGEMMBackwardInto(out, w([2]int{2, 4}, [2]int{2, 4}), dy, x, []int{2, 1}, w([2]int{2, 4}, [2]int{4, 2}))
+		}},
+		{"bwd dw shape", "expert 1 weight-gradient shape [2 3], want [2,4]", func(out *tensor.Tensor) {
+			SequentialGEMMBackwardInto(out, w([2]int{2, 4}, [2]int{2, 3}), dy, x, []int{2, 1}, w([2]int{2, 4}, [2]int{2, 4}))
 		}},
 	} {
+		out := tensor.New(3, 2)
+		out.Fill(7)
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic", tc.name)
+				msg := fmt.Sprint(recover())
+				if !strings.HasPrefix(msg, "kernels: ") || !strings.Contains(msg, tc.want) {
+					t.Errorf("%s: panic %q, want \"kernels: ...%s\"", tc.name, msg, tc.want)
 				}
 			}()
-			tc.fn()
+			tc.fn(out)
 		}()
+		for i, v := range out.Data {
+			if v != 7 {
+				t.Errorf("%s: out[%d] written before the rejection", tc.name, i)
+				break
+			}
+		}
 	}
 }
 

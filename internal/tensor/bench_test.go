@@ -80,6 +80,35 @@ func BenchmarkTMatMul(b *testing.B) {
 	}
 }
 
+// benchGEMMInto times one *Into kernel at the shapes a rank of the numeric
+// trainer runs it at (the same the benchmark's tensor probes use) and
+// reports GFLOP/s beside ns/op.
+func benchGEMMInto(b *testing.B, kernel func(c, a, w *Tensor), c, a, w *Tensor) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kernel(c, a, w)
+	}
+	// FLOPs per nanosecond is GFLOP/s.
+	flops := float64(MatMulFLOPs(trainRows, trainH, trainF)) * float64(b.N)
+	b.ReportMetric(flops/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+}
+
+func BenchmarkMatMulInto(b *testing.B) {
+	rng := NewRNG(1)
+	benchGEMMInto(b, MatMulInto, New(trainRows, trainF), Randn(rng, 1, trainRows, trainH), Randn(rng, 1, trainH, trainF))
+}
+
+func BenchmarkMatMulTInto(b *testing.B) {
+	rng := NewRNG(1)
+	benchGEMMInto(b, MatMulTInto, New(trainRows, trainH), Randn(rng, 1, trainRows, trainF), Randn(rng, 1, trainH, trainF))
+}
+
+func BenchmarkTMatMulInto(b *testing.B) {
+	rng := NewRNG(1)
+	benchGEMMInto(b, TMatMulInto, New(trainH, trainF), Randn(rng, 1, trainRows, trainH), Randn(rng, 1, trainRows, trainF))
+}
+
 func BenchmarkGeLUBackward(b *testing.B) {
 	rng := NewRNG(1)
 	x := Randn(rng, 1, 256, 128)
