@@ -1,6 +1,6 @@
 # Developer workflow for the xmoe reproduction.
 #
-#   make ci      - what the CI job runs: gofmt, vet, build, the six race-enabled gates, fuzz smoke, tests, quick bench
+#   make ci      - what the CI job runs: gofmt, the transport-name grep, vet, build, the six race-enabled gates, fuzz smoke, tests, quick bench
 #   make test    - full test suite (includes the slow sweep tests)
 #   make race    - full race-detector pass (go test -race ./...)
 #   make race-fast - race pass over just the concurrency-heavy packages
@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race race-fast race-full chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke bench bench-figs bench-json bench-save ci
+.PHONY: all build fmt-check no-transport-strings vet test race race-fast race-full chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke bench bench-figs bench-json bench-save ci
 
 all: build
 
@@ -23,6 +23,13 @@ vet:
 # Fails when any file is not gofmt-clean (gofmt -l prints its name).
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# Fails when a transport is selected by comparing its name outside
+# internal/transport: everything else takes a transport.Kind, so a fourth
+# transport is one implementation there, not a hunt for string switches.
+no-transport-strings:
+	@out=$$(grep -rnE '"(pft|padded|rbd)"' --include='*.go' internal cmd | grep -v _test.go | grep -v '^internal/transport/'); \
+	if [ -n "$$out" ]; then echo "transport names outside internal/transport:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -37,12 +44,14 @@ race:
 # The concurrency-critical packages only: worker pool + tensor arenas
 # (tensor), rank goroutines, rendezvous collectives and async handles
 # (simrt), cost memoization (netsim), overlapped-span recording (trace),
-# pooled + chunked pipelines (moe, rbd, kernels), and the overlapped
-# distributed trainer (train).
+# pooled + chunked pipelines (moe, rbd, kernels), the layer every caller
+# drives them through (transport), and the overlapped distributed trainer
+# (train).
 race-fast:
 	$(GO) test -race ./internal/tensor ./internal/simrt ./internal/netsim \
 		./internal/trace ./internal/moe ./internal/kernels ./internal/rbd \
-		./internal/train ./internal/fault ./internal/devent ./internal/topology
+		./internal/transport ./internal/train ./internal/fault ./internal/devent \
+		./internal/topology
 
 # Kept as an alias for the historical target name.
 race-full: race
@@ -86,11 +95,12 @@ verify-zero:
 # RBD verification gate: the hierarchical dispatch/combine stack under the
 # race detector (rbd: the C = 1 golden bits, the chunk-count determinism
 # matrix and the gradient-parity pins — pooled==fresh bitwise, RBD==PFT/
-# padded at float tolerance), and the RBD rows of the distributed trainer —
-# checkpoint/shrink cycles, ZeRO stages, typed option rejections.
+# padded at float tolerance), the RBD rows of the distributed trainer —
+# checkpoint/shrink cycles, ZeRO stages, typed option rejections — and the
+# golden bits of the two single-layer bench harnesses.
 verify-rbd:
 	$(GO) test -race ./internal/rbd
-	$(call race-named,verify-rbd,RBD|Redundancy,./internal/train:6 ./internal/bench:2 ./internal/baselines:1)
+	$(call race-named,verify-rbd,RBD|Redundancy|LayerHarness,./internal/train:6 ./internal/bench:3 ./internal/baselines:1)
 
 # Fault-tolerance verification gate: the elastic-resilience stack under
 # the race detector — the fault plan grammar and injector windows,
@@ -146,10 +156,10 @@ bench-save:
 	@echo "BENCH_results.json updated; commit it with this PR"
 
 # Quick CI, and the only definition of it (.github/workflows/ci.yml runs
-# this target): gofmt + vet + build + all six race-detector gates + the
-# fuzz smoke + unit tests of every package + a quick microbenchmark smoke
-# run.
-ci: fmt-check vet build race-fast chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke
+# this target): gofmt + the transport-name grep + vet + build + all six
+# race-detector gates + the fuzz smoke + unit tests of every package + a
+# quick microbenchmark smoke run.
+ci: fmt-check no-transport-strings vet build race-fast chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke
 	$(GO) test ./internal/... .
 	$(GO) test -run=NONE -bench='BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward' \
 		-benchmem -benchtime=10x ./internal/moe ./internal/train

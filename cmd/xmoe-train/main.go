@@ -25,13 +25,14 @@ import (
 	"xmoe/internal/topology"
 	"xmoe/internal/trace"
 	"xmoe/internal/train"
+	"xmoe/internal/transport"
 )
 
 // runDistFT executes the fault-tolerant distributed run: train under a
 // deterministic fault plan (explicit -faults spec and/or Poisson crashes
 // drawn for -mtbf), checkpointing every -ckpt-every steps, recovering
 // from crashes by rollback + elastic shrink, and reporting goodput.
-func runDistFT(transport string, world, tokens, overlap, iters int, seed uint64,
+func runDistFT(kind transport.Kind, world, tokens, overlap, iters int, seed uint64,
 	faults string, mtbf float64, ckptEvery int, asyncCkpt bool, spares int, mitigate float64,
 	zeroStage int, bucketMB int64, momentum float64) {
 
@@ -43,7 +44,7 @@ func runDistFT(transport string, world, tokens, overlap, iters int, seed uint64,
 			CapacityFactor: 1.25, BytesPerElem: 2,
 		},
 		World: world, Tokens: tokens, LR: 1e-2, Seed: seed,
-		Transport: transport,
+		Transport: kind.String(),
 		Opts:      moe.PipelineOpts{OverlapChunks: overlap},
 		ZeROStage: zeroStage, BucketBytes: bucketMB << 20, Momentum: momentum,
 		Mitigation: mitigate,
@@ -75,8 +76,8 @@ func runDistFT(transport string, world, tokens, overlap, iters int, seed uint64,
 	if asyncCkpt {
 		mode = "async"
 	}
-	fmt.Printf("fault-tolerant %s trainer: EP=%d, %d tokens/rank, %d steps, %s ckpt every %d\n",
-		transport, world, tokens, iters, mode, ckptEvery)
+	fmt.Printf("fault-tolerant %v trainer: EP=%d, %d tokens/rank, %d steps, %s ckpt every %d\n",
+		kind, world, tokens, iters, mode, ckptEvery)
 	if plan.Spares > 0 {
 		fmt.Printf("hot-spare pool: %d\n", plan.Spares)
 	}
@@ -110,7 +111,7 @@ func runDistFT(transport string, world, tokens, overlap, iters int, seed uint64,
 // cost engine for the timing-at-scale replay (bench.NewEngine vocabulary);
 // the numeric loss runs always use the analytic fast path, which the
 // event engine is cross-validated against.
-func runDist(transport string, world, tokens, overlap, iters int, seed uint64, engine string,
+func runDist(kind transport.Kind, world, tokens, overlap, iters int, seed uint64, engine string,
 	zeroStage int, bucketMB int64, momentum float64) {
 
 	sh := model.Small()
@@ -122,7 +123,7 @@ func runDist(transport string, world, tokens, overlap, iters int, seed uint64, e
 				CapacityFactor: 1.25, BytesPerElem: 2,
 			},
 			World: world, Tokens: tokens, LR: 1e-2, Seed: seed,
-			Transport: transport,
+			Transport: kind.String(),
 			Opts:      moe.PipelineOpts{OverlapChunks: chunks},
 			ZeROStage: zeroStage, BucketBytes: bucketMB << 20, Momentum: momentum,
 		}
@@ -154,7 +155,7 @@ func runDist(transport string, world, tokens, overlap, iters int, seed uint64, e
 		return losses, wall, last
 	}
 
-	fmt.Printf("distributed %s trainer: EP=%d, %d tokens/rank, %d steps\n", transport, world, tokens, iters)
+	fmt.Printf("distributed %v trainer: EP=%d, %d tokens/rank, %d steps\n", kind, world, tokens, iters)
 	blockLoss, blockWall, _ := run(1)
 	chunkLoss, chunkWall, last := run(overlap)
 
@@ -198,8 +199,8 @@ func runDist(transport string, world, tokens, overlap, iters int, seed uint64, e
 	}
 	fmt.Printf("\ntiming at scale (symbolic fwd+bwd step, H=%d, EP=%d, engine %s):\n",
 		symCfg.HModel, symWorld, engName)
-	symBlock := bench.StepClock(topology.Frontier(), symCfg, symWorld, symTokens, transport, 1, 1, seed, engine)
-	symChunk := bench.StepClock(topology.Frontier(), symCfg, symWorld, symTokens, transport, overlap, overlap, seed, engine)
+	symBlock := bench.StepClock(topology.Frontier(), symCfg, symWorld, symTokens, kind, 1, 1, seed, engine)
+	symChunk := bench.StepClock(topology.Frontier(), symCfg, symWorld, symTokens, kind, overlap, overlap, seed, engine)
 	fmt.Printf("  blocking %.3fms, C=%d %.3fms (%.2fx)\n",
 		symBlock*1e3, overlap, symChunk*1e3, symBlock/symChunk)
 }
@@ -211,7 +212,7 @@ func main() {
 	capacity := flag.Float64("capacity", 1.1, "expert capacity factor")
 	window := flag.Int("smooth", 25, "moving-average window for the printed curve")
 	dist := flag.Bool("dist", false, "run the simulated distributed EP trainer (blocking vs overlapped)")
-	transport := flag.String("transport", "pft", "distributed transport: pft, padded, or rbd")
+	transportName := flag.String("transport", transport.PFT.String(), "distributed transport: "+fmt.Sprint(transport.Kinds()))
 	world := flag.Int("ep", 8, "distributed mode: expert-parallel group size")
 	tokens := flag.Int("tokens", 128, "distributed mode: tokens per rank per step")
 	overlap := flag.Int("overlap", 4, "distributed mode: comm/compute overlap chunk count")
@@ -231,8 +232,13 @@ func main() {
 	defer prof.StartCPU(*cpuProfile)()
 
 	if *dist {
+		kind, err := transport.Parse(*transportName)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 		if *faults != "" || *mtbf > 0 || *spares > 0 {
-			runDistFT(*transport, *world, *tokens, *overlap, *distIters, *seed,
+			runDistFT(kind, *world, *tokens, *overlap, *distIters, *seed,
 				*faults, *mtbf, *ckptEvery, *asyncCkpt, *spares, *mitigate,
 				*zeroStage, *bucketMB, *momentum)
 			return
@@ -241,7 +247,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		runDist(*transport, *world, *tokens, *overlap, *distIters, *seed, *engine,
+		runDist(kind, *world, *tokens, *overlap, *distIters, *seed, *engine,
 			*zeroStage, *bucketMB, *momentum)
 		return
 	}

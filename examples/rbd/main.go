@@ -50,8 +50,8 @@ func main() {
 		rng := tensor.NewRNG(uint64(r.ID))
 		rt := moe.SyntheticRouting(rng, sTok, cfg.NumExperts, cfg.TopK, 0)
 		pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(sTok), moe.DropByCapacityWeight)
-		st, _ := d.Dispatch(r, pft, nil, tensor.NewRNG(99+uint64(r.ID)), rbd.Opts{})
-		d.Combine(r, st, nil, sTok, rbd.Opts{})
+		st, _ := d.Dispatch(r, pft, nil, tensor.NewRNG(99+uint64(r.ID)), moe.PipelineOpts{})
+		d.Combine(r, st, nil, sTok, moe.PipelineOpts{})
 		return nil
 	})
 	if err != nil {

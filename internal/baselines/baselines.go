@@ -10,6 +10,7 @@ import (
 	"xmoe/internal/moe"
 	"xmoe/internal/parallel"
 	"xmoe/internal/topology"
+	"xmoe/internal/transport"
 )
 
 // System identifies a training framework.
@@ -129,6 +130,18 @@ func For(sys System, m *topology.Machine) Config {
 			MaxEP:      256,
 		}
 	}
+}
+
+// Transport is the transport the system's MoE layers run over: RBD when
+// enabled (it rides the PFT pipeline), else the pipeline's flat exchange.
+func (c Config) Transport() transport.Kind {
+	switch {
+	case c.RBD:
+		return transport.RBD
+	case c.Pipeline == memmodel.PipelinePFT:
+		return transport.PFT
+	}
+	return transport.Padded
 }
 
 // PipelineOpts converts the system config into moe pipeline options.

@@ -8,6 +8,7 @@ import (
 	"xmoe/internal/moe"
 	"xmoe/internal/parallel"
 	"xmoe/internal/topology"
+	"xmoe/internal/transport"
 )
 
 func TestPresetsDifferentiateSystems(t *testing.T) {
@@ -19,6 +20,12 @@ func TestPresetsDifferentiateSystems(t *testing.T) {
 
 	if ds.Pipeline != memmodel.PipelinePadded || x.Pipeline != memmodel.PipelinePFT {
 		t.Fatal("pipeline presets wrong")
+	}
+	flat := x
+	flat.RBD = false
+	if ds.Transport() != transport.Padded || tutel.Transport() != transport.Padded ||
+		x.Transport() != transport.RBD || flat.Transport() != transport.PFT {
+		t.Fatal("transport derived from Pipeline + RBD wrong")
 	}
 	if ds.SupportsTP || !ted.SupportsTP || !x.SupportsTP {
 		t.Fatal("TP support presets wrong")
@@ -186,24 +193,9 @@ func TestBackwardCostExceedsForward(t *testing.T) {
 	}
 }
 
-func TestIsCommStage(t *testing.T) {
-	for _, comm := range []string{"a2a_dispatch", "ssmb_allgather", "tp_allreduce", "barrier", "rbd_s1_a2a"} {
-		if !isCommStage(comm) {
-			t.Errorf("%q should be communication", comm)
-		}
-	}
-	for _, compute := range []string{"gate", "experts", "dense_gemm", "combine"} {
-		if isCommStage(compute) {
-			t.Errorf("%q should be compute", compute)
-		}
-	}
-}
-
 // TestSimulateStepRBDNativeBackward pins the native RBD backward in the
 // step estimator: the X-MoE (RBD) step simulates cleanly through the
-// reversed hierarchical stages, and the retired mirrored-flat estimate —
-// still reachable behind RunSpec.LegacyBackward for delta reporting —
-// prices the step differently, so sweeps can report the correction.
+// reversed hierarchical stages.
 func TestSimulateStepRBDNativeBackward(t *testing.T) {
 	m := topology.Frontier()
 	cfg := For(XMoE, m)
@@ -216,15 +208,4 @@ func TestSimulateStepRBDNativeBackward(t *testing.T) {
 	if native.Err != nil || native.IterSeconds <= 0 {
 		t.Fatalf("native RBD step failed: %+v", native)
 	}
-	spec.LegacyBackward = true
-	legacy := SimulateStep(cfg, spec)
-	if legacy.Err != nil || legacy.IterSeconds <= 0 {
-		t.Fatalf("legacy RBD step failed: %+v", legacy)
-	}
-	if native.IterSeconds == legacy.IterSeconds {
-		t.Fatal("native hierarchical backward priced identically to the legacy mirrored-flat estimate")
-	}
-	t.Logf("RBD step: native %.3f ms vs legacy mirrored-flat %.3f ms (%+.1f%%)",
-		native.IterSeconds*1e3, legacy.IterSeconds*1e3,
-		100*(native.IterSeconds-legacy.IterSeconds)/legacy.IterSeconds)
 }

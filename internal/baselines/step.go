@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"fmt"
-	"strings"
 
 	"xmoe/internal/memmodel"
 	"xmoe/internal/model"
@@ -10,11 +9,11 @@ import (
 	"xmoe/internal/netsim"
 	"xmoe/internal/parallel"
 	"xmoe/internal/perfmodel"
-	"xmoe/internal/rbd"
 	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
 	"xmoe/internal/topology"
 	"xmoe/internal/trace"
+	"xmoe/internal/transport"
 	"xmoe/internal/zero"
 )
 
@@ -42,12 +41,6 @@ type RunSpec struct {
 	// fit device memory — used by layer-level microbenchmarks (Fig. 11)
 	// that the paper measures in isolation.
 	SkipMemCheck bool
-	// LegacyBackward selects the pre-fix backward estimate (2x forward
-	// compute + 1x identical communication scaled from the forward
-	// trace) instead of the real symbolic per-layer backward; kept so
-	// the sweeps can report the delta between the estimate and the
-	// simulated backward.
-	LegacyBackward bool
 	// BlockingGradSync disables the bucketed overlapped gradient sync
 	// and charges the classic blocking tail synchronisation after the
 	// last micro-step instead — the baseline the abl-zero ablation
@@ -92,20 +85,11 @@ type StepResult struct {
 	Err error
 }
 
-// isCommStage reports whether a trace stage name denotes communication
-// (charged once more in backward) rather than compute (charged twice).
-func isCommStage(name string) bool {
-	return strings.Contains(name, "a2a") || strings.Contains(name, "allgather") ||
-		strings.Contains(name, "allreduce") || name == "barrier"
-}
-
 // SimulateStep estimates one training iteration of the given system and
 // spec: the memory-model OOM verdict, a one-layer SPMD simulation of the
-// forward AND backward passes (real symbolic backward through
-// PFTBackward/PaddedBackward with bucketed, overlapped ZeRO gradient
-// sync — or the legacy forward-trace estimate when LegacyBackward is
-// set), scaled to the full depth, gradient accumulation, and the
-// end-of-iteration synchronisation tails.
+// forward AND backward passes (the system's transport.Layer, symbolic, with
+// bucketed, overlapped ZeRO gradient sync), scaled to the full depth,
+// gradient accumulation, and the end-of-iteration synchronisation tails.
 func SimulateStep(sys Config, spec RunSpec) StepResult {
 	if err := spec.Plan.Validate(); err != nil {
 		return StepResult{Err: err}
@@ -130,10 +114,7 @@ func SimulateStep(sys Config, spec RunSpec) StepResult {
 		return res
 	}
 
-	if spec.LegacyBackward {
-		return simulateStepLegacy(sys, spec, res)
-	}
-	return simulateStepReal(sys, spec, res)
+	return simulateTiming(sys, spec, res)
 }
 
 // layerRun is one full-layer (fwd+bwd) SPMD simulation outcome.
@@ -232,13 +213,13 @@ func (st routingStore) get(rank, n int, draw func() moe.Routing) moe.Routing {
 // release drops rank's draw once its last consumer has read it.
 func (st routingStore) release(rank int) { st[rank] = rankRouting{} }
 
-// simulateStepReal is the fixed estimator: one simulated transformer
-// layer runs its real forward and its real symbolic backward (mirrored
-// all-to-alls, dW/dX GEMM costs) on the cluster. Gradient sync either
-// overlaps the backward (bucketed async reduce issued from the
-// backward's OnDWReady hook, ZeRO stage from the plan) or, with
-// BlockingGradSync, is charged as the classic blocking tail.
-func simulateStepReal(sys Config, spec RunSpec, res StepResult) StepResult {
+// simulateTiming is the timing half of SimulateStep, for a configuration
+// that fits: one simulated transformer layer runs its forward and its
+// symbolic backward (mirrored all-to-alls, dW/dX GEMM costs) on the
+// cluster. Gradient sync either overlaps the backward (bucketed async
+// reduce issued from the backward's OnDWReady hook, ZeRO stage from the
+// plan) or, with BlockingGradSync, is charged as the classic blocking tail.
+func simulateTiming(sys Config, spec RunSpec, res StepResult) StepResult {
 	expertPerLayer, densePerLayer, embedBytes := gradFamilies(spec.Shape, spec.Plan)
 	edpGroups := spec.Plan.ExpertDPGroups()
 	dpGroups := spec.Plan.DPGroups()
@@ -344,13 +325,12 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool, routings routingStore
 	// as its expectation rather than a single sample.
 	cluster.Net.ExpectedCongestion = true
 
-	epOfRank := make([]*simrt.Group, spec.World)
-	epGroups := make([]*simrt.Group, 0)
+	cfg := moe.LayerOf(spec.Shape)
+	layerOfRank := make([]transport.Layer, spec.World)
 	for _, ranks := range spec.Plan.EPGroups() {
-		g := cluster.NewGroup(ranks)
-		epGroups = append(epGroups, g)
+		layer := transport.New(sys.Transport(), cluster, cluster.NewGroup(ranks), cfg)
 		for _, r := range ranks {
-			epOfRank[r] = g
+			layerOfRank[r] = layer
 		}
 	}
 	tpOfRank := make([]*simrt.Group, spec.World)
@@ -383,24 +363,11 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool, routings routingStore
 		}
 	}
 
-	cfg := moe.Config{
-		NumExperts:     spec.Shape.NumExperts,
-		TopK:           spec.Shape.TopK,
-		HModel:         spec.Shape.HModel,
-		HFFN:           spec.Shape.HFFN,
-		CapacityFactor: 1.25,
-		BytesPerElem:   2,
-	}
-	var dispatchers map[*simrt.Group]*rbd.Dispatcher
-	if sys.RBD {
-		dispatchers = make(map[*simrt.Group]*rbd.Dispatcher, len(epGroups))
-		for _, g := range epGroups {
-			dispatchers[g] = rbd.NewDispatcher(cluster, g, cfg)
-		}
-	}
-
 	opts := sys.PipelineOpts()
 	opts.SaveForBackward = true
+	if err := layerOfRank[0].Check(opts); err != nil {
+		return layerRun{err: err}
+	}
 	sTokens := spec.MicroBatch * spec.Shape.SeqLen
 	h := spec.Shape.HModel
 	expertPerLayer, densePerLayer, _ := gradFamilies(spec.Shape, spec.Plan)
@@ -410,7 +377,7 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool, routings routingStore
 
 	ranks, err := cluster.RunCollect(func(r *simrt.Rank) error {
 		comp := r.C.Comp
-		ep := epOfRank[r.ID]
+		layer := layerOfRank[r.ID]
 		tp := tpOfRank[r.ID]
 		tpDeg := spec.Plan.TP
 
@@ -437,23 +404,11 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool, routings routingStore
 					n, cfg.NumExperts, cfg.TopK, 0.6)
 			})
 		}
-		var pftState *moe.PFTFwdState
-		var padState *moe.PaddedFwdState
-		var rbdState *rbd.FwdState
+		// saved is the state of the rank's latest forward — the ActCkpt
+		// replay replaces the first pass's — and is what the backward reverses.
+		var saved transport.Saved
 		runInner := func(n int) {
-			rt := routing(n)
-			switch {
-			case sys.RBD:
-				lr := rbd.Forward(r, dispatchers[ep], cfg, n, nil, rt, nil,
-					tensor.NewRNG(spec.Seed^uint64(r.ID)), opts)
-				rbdState = lr.State
-			case sys.Pipeline == memmodel.PipelinePFT:
-				lr := moe.PFTForward(r, ep, cfg, n, nil, rt, nil, opts)
-				pftState = lr.State
-			default:
-				lr := moe.PaddedForward(r, ep, cfg, n, nil, rt, nil, opts)
-				padState = lr.PaddedState
-			}
+			_, saved = layer.Forward(r, n, nil, routing(n), nil, tensor.NewRNG(spec.Seed^uint64(r.ID)), opts)
 		}
 		moeFwd := func() {
 			if sys.SSMB && tp != nil {
@@ -509,23 +464,10 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool, routings routingStore
 			}
 		}
 
-		moeBwd := func(n int, bopts moe.PipelineOpts) {
-			switch {
-			case sys.RBD:
-				// The forward saved its hierarchical exchange state, so the
-				// backward reverses the real C2/C1 and S2/S1 stages — no
-				// geometry rebuild, no mirrored-flat pricing.
-				rbd.Backward(r, dispatchers[ep], cfg, rbdState, nil, nil, bopts)
-			case sys.Pipeline == memmodel.PipelinePFT:
-				moe.PFTBackward(r, ep, cfg, pftState, nil, nil, bopts)
-			default:
-				moe.PaddedBackward(r, ep, cfg, padState, nil, nil, bopts)
-			}
-		}
 		if sys.SSMB && tp != nil {
 			parallel.SSMBBackward(r, tp, sTokens, h, cfg.BytesPerElem, nil,
 				func(lo, hi int, _ *tensor.Tensor) *tensor.Tensor {
-					moeBwd(hi-lo, opts)
+					saved.Backward(r, nil, nil, opts)
 					return nil
 				})
 			// The SSMB backward ends in a blocking all-gather that would
@@ -538,7 +480,7 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool, routings routingStore
 			} else {
 				bopts.OnDWReady = nil
 			}
-			moeBwd(sTokens, bopts)
+			saved.Backward(r, nil, nil, bopts)
 		}
 		// Gate backward: dScores GEMM + dX GEMM of the [n, H] x [H, E]
 		// gating projection.
@@ -583,153 +525,6 @@ func finishThroughput(res *StepResult, spec RunSpec, dataDP int) {
 	flops := spec.Shape.FLOPsPerToken() * tokens
 	res.TFLOPsPerGPU = flops / res.IterSeconds / float64(spec.World) / 1e12
 	res.AggPFLOPs = flops / res.IterSeconds / 1e15
-}
-
-// simulateStepLegacy is the pre-fix estimator, kept behind
-// RunSpec.LegacyBackward for delta reporting: forward-only simulation
-// with the backward charged as 2x compute + 1x identical communication
-// and a blocking gradient-sync tail.
-func simulateStepLegacy(sys Config, spec RunSpec, res StepResult) StepResult {
-	cluster := simrt.NewCluster(spec.Machine, spec.World, spec.Seed)
-	cluster.Net.DisableCongestion = !spec.Congestion
-	cluster.Net.ExpectedCongestion = true
-
-	epGroups := make([]*simrt.Group, 0)
-	groupOfRank := make([]*simrt.Group, spec.World)
-	for _, ranks := range spec.Plan.EPGroups() {
-		g := cluster.NewGroup(ranks)
-		epGroups = append(epGroups, g)
-		for _, r := range ranks {
-			groupOfRank[r] = g
-		}
-	}
-	tpOfRank := make([]*simrt.Group, spec.World)
-	if spec.Plan.TP > 1 {
-		for _, ranks := range spec.Plan.TPGroups() {
-			g := cluster.NewGroup(ranks)
-			for _, r := range ranks {
-				tpOfRank[r] = g
-			}
-		}
-	}
-	var dispatchers map[*simrt.Group]*rbd.Dispatcher
-	if sys.RBD {
-		dispatchers = make(map[*simrt.Group]*rbd.Dispatcher, len(epGroups))
-	}
-
-	cfg := moe.Config{
-		NumExperts:     spec.Shape.NumExperts,
-		TopK:           spec.Shape.TopK,
-		HModel:         spec.Shape.HModel,
-		HFFN:           spec.Shape.HFFN,
-		CapacityFactor: 1.25,
-		BytesPerElem:   2,
-	}
-	if sys.RBD {
-		for _, g := range epGroups {
-			dispatchers[g] = rbd.NewDispatcher(cluster, g, cfg)
-		}
-	}
-
-	opts := sys.PipelineOpts()
-	sTokens := spec.MicroBatch * spec.Shape.SeqLen
-	h := spec.Shape.HModel
-
-	ranks, err := cluster.RunCollect(func(r *simrt.Rank) error {
-		comp := r.C.Comp
-		ep := groupOfRank[r.ID]
-		tp := tpOfRank[r.ID]
-
-		tpDeg := spec.Plan.TP
-		r.Compute("dense_gemm",
-			comp.GEMM(sTokens, h, 4*h/tpDeg)+
-				comp.GEMM(sTokens, h/tpDeg, spec.Shape.SeqLen)+
-				comp.GEMM(sTokens, spec.Shape.SeqLen, h/tpDeg))
-		r.Kernel("dense_elemwise", perfmodel.ClassVendor, 6*int64(sTokens)*int64(h)*2)
-		if tp != nil {
-			r.AllReduce(tp, "tp_allreduce", nil, int64(sTokens)*int64(h)*2)
-		}
-
-		routing := func(n int, seedOff uint64) moe.Routing {
-			return moe.SyntheticRouting(tensor.NewRNG(spec.Seed+uint64(r.ID)*31+seedOff),
-				n, cfg.NumExperts, cfg.TopK, 0.6)
-		}
-		runInner := func(n int) {
-			rt := routing(n, 7)
-			switch {
-			case sys.RBD:
-				rbd.Forward(r, dispatchers[ep], cfg, n, nil, rt, nil,
-					tensor.NewRNG(spec.Seed^uint64(r.ID)), opts)
-			case sys.Pipeline == memmodel.PipelinePFT:
-				moe.PFTForward(r, ep, cfg, n, nil, rt, nil, opts)
-			default:
-				moe.PaddedForward(r, ep, cfg, n, nil, rt, nil, opts)
-			}
-		}
-		if sys.SSMB && tp != nil {
-			parallel.SSMBForward(r, tp, sTokens, h, cfg.BytesPerElem, nil,
-				func(lo, hi int, _ *tensor.Tensor) *tensor.Tensor {
-					runInner(hi - lo)
-					return nil
-				})
-		} else {
-			runInner(sTokens)
-		}
-		return nil
-	})
-	if err != nil {
-		return StepResult{Err: err}
-	}
-
-	var layerFwd, layerBwd float64
-	for _, rk := range ranks {
-		var comm, compT float64
-		for name, d := range rk.Trace.Breakdown() {
-			if isCommStage(name) {
-				comm += d
-			} else {
-				compT += d
-			}
-		}
-		fwd := rk.Clock
-		bwd := 2*compT + comm
-		if spec.ActCkpt {
-			bwd += compT + comm
-		}
-		if fwd+bwd > layerFwd+layerBwd {
-			layerFwd, layerBwd = fwd, bwd
-		}
-	}
-	recs := make([]*trace.Recorder, len(ranks))
-	for i, rk := range ranks {
-		recs[i] = rk.Trace
-	}
-	res.LayerForward = trace.Merge(recs, true)
-
-	const microOverhead = 0.03
-	microTime := float64(spec.Shape.Layers)*(layerFwd+layerBwd) + microOverhead
-
-	dataDP := spec.World / spec.Plan.TP
-	microSteps := spec.GlobalBatch / (spec.MicroBatch * dataDP)
-	if microSteps < 1 {
-		microSteps = 1
-	}
-
-	expertGradBytes := int64(spec.Shape.Layers) * spec.Shape.ExpertParamsPerLayer() / int64(spec.Plan.EP) * 2
-	denseGradBytes := (int64(spec.Shape.Layers)*(spec.Shape.AttentionParamsPerLayer()/int64(spec.Plan.TP)+spec.Shape.RouterParamsPerLayer()) +
-		spec.Shape.EmbeddingParams()/int64(spec.Plan.TP)) * 2
-	var syncTime float64
-	if g := spec.Plan.ExpertDPGroups(); len(g) > 0 && len(g[0]) > 1 {
-		syncTime += cluster.Net.AllReduce(g[0], expertGradBytes).Seconds
-	}
-	if g := spec.Plan.DPGroups(); len(g) > 0 && len(g[0]) > 1 {
-		syncTime += cluster.Net.AllReduce(g[0], denseGradBytes).Seconds
-	}
-
-	res.MicroSteps = microSteps
-	res.IterSeconds = float64(microSteps)*microTime + syncTime
-	finishThroughput(&res, spec, dataDP)
-	return res
 }
 
 // MaxMicroBatch returns the largest power-of-two micro-batch (>=1, up to

@@ -13,6 +13,7 @@ import (
 	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
 	"xmoe/internal/topology"
+	"xmoe/internal/transport"
 )
 
 // AblationPilotResult compares pilot-selection strategies.
@@ -36,27 +37,8 @@ func AblationPilotSelection(w io.Writer, opts Options) AblationPilotResult {
 	}
 
 	run := func(policy rbd.PilotPolicy) float64 {
-		c := simrt.NewCluster(m, 32, opts.Seed)
-		c.Net.DisableCongestion = true
-		g := c.WorldGroup()
-		d := rbd.NewDispatcher(c, g, cfg)
-		ranks, err := c.RunCollect(func(r *simrt.Rank) error {
-			rng := tensor.NewRNG(opts.Seed + uint64(r.ID))
-			rt := moe.SyntheticRouting(rng, sTokens, cfg.NumExperts, cfg.TopK, 0)
-			pft := moe.BuildPFT(rt, cfg.NumExperts, 0, moe.DropByCapacityWeight)
-			st, _ := d.Dispatch(r, pft, nil, tensor.NewRNG(opts.Seed^uint64(r.ID)),
-				rbd.Opts{Pilots: policy})
-			d.Combine(r, st, nil, sTokens, rbd.Opts{Pilots: policy})
-			return nil
-		})
-		if err != nil {
-			panic(err)
-		}
-		var total float64
-		for _, rk := range ranks {
-			total += rk.Trace.Total(rbd.StageS1A2A)
-		}
-		return total / float64(len(ranks))
+		return meanStageTime(runDispatch(dispatchSpec{machine: m, cfg: cfg, world: 32, s: sTokens,
+			pilots: policy, seed: opts.Seed}), rbd.StageS1A2A)
 	}
 
 	res := AblationPilotResult{
@@ -162,12 +144,12 @@ func AblationRBDByEPSize(w io.Writer, opts Options) AblationRBDByEPResult {
 // AblationOverlapResult records the chunked comm/compute-overlap sweep
 // for one model point: simulated layer time per chunk count and pipeline.
 type AblationOverlapResult struct {
-	Model    string
-	EP       int
-	Chunks   []int
-	PFTMs    []float64
-	PaddedMs []float64
-	RBDMs    []float64
+	Model  string
+	EP     int
+	Chunks []int
+	Kinds  []transport.Kind
+	// Ms[i][j] is Kinds[i]'s layer time at Chunks[j].
+	Ms [][]float64
 }
 
 // AblationOverlap sweeps the chunked comm/compute-overlap execution
@@ -195,75 +177,44 @@ func AblationOverlap(w io.Writer, opts Options) []AblationOverlapResult {
 
 	var out []AblationOverlapResult
 	for _, p := range points {
-		cfg := moe.Config{
-			NumExperts: p.shape.NumExperts, TopK: p.shape.TopK,
-			HModel: p.shape.HModel, HFFN: p.shape.HFFN,
-			CapacityFactor: 1.25, BytesPerElem: 2,
-		}
+		cfg := moe.LayerOf(p.shape)
 		s := p.shape.SeqLen
 		if opts.Quick {
 			s = 2048
 		}
-		run := func(pipe string, chunks int) float64 {
-			c := simrt.NewCluster(m, p.ep, opts.Seed)
-			c.Net.DisableCongestion = true
-			opts.applyEngine(c)
-			g := c.WorldGroup()
-			var d *rbd.Dispatcher
-			if pipe == "rbd" {
-				d = rbd.NewDispatcher(c, g, cfg)
-			}
-			ranks, err := c.RunCollect(func(r *simrt.Rank) error {
-				rng := tensor.NewRNG(opts.Seed + uint64(r.ID))
-				rt := moe.SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0)
-				po := moe.PipelineOpts{DropPolicy: moe.DropByCapacityWeight, OverlapChunks: chunks}
-				switch pipe {
-				case "pft":
-					moe.PFTForward(r, g, cfg, s, nil, rt, nil, po)
-				case "padded":
-					moe.PaddedForward(r, g, cfg, s, nil, rt, nil, po)
-				case "rbd":
-					rbd.Forward(r, d, cfg, s, nil, rt, nil, tensor.NewRNG(opts.Seed^uint64(r.ID)), po)
-				}
-				return nil
-			})
-			if err != nil {
-				panic(err)
-			}
-			return simrt.MaxClock(ranks)
-		}
-
-		res := AblationOverlapResult{Model: p.shape.Name, EP: p.ep, Chunks: chunkCounts}
+		res := AblationOverlapResult{Model: p.shape.Name, EP: p.ep, Chunks: chunkCounts,
+			Kinds: transport.Kinds(), Ms: make([][]float64, len(transport.Kinds()))}
 		for _, chunks := range chunkCounts {
-			res.PFTMs = append(res.PFTMs, run("pft", chunks)*1e3)
-			res.PaddedMs = append(res.PaddedMs, run("padded", chunks)*1e3)
-			res.RBDMs = append(res.RBDMs, run("rbd", chunks)*1e3)
+			for i, kind := range res.Kinds {
+				ranks := runLayer(layerSpec{machine: m, cfg: cfg, world: p.ep, s: s, kind: kind,
+					fwdChunks: chunks, engine: opts.Engine, seed: opts.Seed})
+				res.Ms[i] = append(res.Ms[i], simrt.MaxClock(ranks)*1e3)
+			}
 		}
 		out = append(out, res)
 
 		header(w, fmt.Sprintf("Ablation: chunked comm/compute overlap, %s layer, EP=%d (Fig. 11 config, ms)", p.shape.Name, p.ep))
-		t := newTable("chunks", "PFT", "speedup", "padded", "speedup", "RBD", "speedup")
-		speed := func(base, v float64) string { return fmt.Sprintf("%.2fx", base/v) }
-		for i, chunks := range chunkCounts {
-			label := fmt.Sprintf("C=%d", chunks)
+		cols := []string{"chunks"}
+		for _, kind := range res.Kinds {
+			cols = append(cols, kind.String(), "speedup")
+		}
+		t := newTable(cols...)
+		for j, chunks := range chunkCounts {
+			row := []string{fmt.Sprintf("C=%d", chunks)}
 			if chunks == 1 {
-				label += " (blocking)"
+				row[0] += " (blocking)"
 			}
-			t.add(label,
-				fmt.Sprintf("%.2f", res.PFTMs[i]), speed(res.PFTMs[0], res.PFTMs[i]),
-				fmt.Sprintf("%.2f", res.PaddedMs[i]), speed(res.PaddedMs[0], res.PaddedMs[i]),
-				fmt.Sprintf("%.2f", res.RBDMs[i]), speed(res.RBDMs[0], res.RBDMs[i]))
+			for i, kind := range res.Kinds {
+				row = append(row, fmt.Sprintf("%.2f", res.Ms[i][j]), fmt.Sprintf("%.2fx", res.Ms[i][0]/res.Ms[i][j]))
+				if chunks == 4 {
+					prefix := fmt.Sprintf("abl_overlap_%s_%v_c4_", p.shape.Name, kind)
+					RecordMetric(prefix+"speedup", res.Ms[i][0]/res.Ms[i][j])
+					RecordMetric(prefix+"ms", res.Ms[i][j])
+				}
+			}
+			t.add(row...)
 		}
 		t.write(w)
-		for i, chunks := range chunkCounts {
-			if chunks != 4 {
-				continue
-			}
-			RecordMetric("abl_overlap_"+p.shape.Name+"_pft_c4_speedup", res.PFTMs[0]/res.PFTMs[i])
-			RecordMetric("abl_overlap_"+p.shape.Name+"_pft_c4_ms", res.PFTMs[i])
-			RecordMetric("abl_overlap_"+p.shape.Name+"_padded_c4_speedup", res.PaddedMs[0]/res.PaddedMs[i])
-			RecordMetric("abl_overlap_"+p.shape.Name+"_rbd_c4_speedup", res.RBDMs[0]/res.RBDMs[i])
-		}
 	}
 	fmt.Fprintln(w, "  overlap on (C>=2) hides dispatch/combine all-to-alls behind expert GEMMs;")
 	fmt.Fprintln(w, "  numeric-mode chunked output is bit-identical to blocking (determinism tests)")
@@ -273,7 +224,7 @@ func AblationOverlap(w io.Writer, opts Options) []AblationOverlapResult {
 // AblationOverlapBackwardResult records the fwd-only vs fwd+bwd overlap
 // sweep for one pipeline: simulated fwd+bwd step time per chunk count.
 type AblationOverlapBackwardResult struct {
-	Pipeline  string
+	Pipeline  transport.Kind
 	EP        int
 	Chunks    []int
 	FwdOnlyMs []float64 // forward overlapped at C, backward blocking
@@ -287,9 +238,9 @@ type AblationOverlapBackwardResult struct {
 // could do) or overlapped at the same C. Piper and the Megatron Core MoE
 // overlap report both find the backward half of the step is where most of
 // the hideable all-to-all time lives — the fwd+bwd column must therefore
-// beat both the blocking baseline (C=1) and the fwd-only column. The
-// "rbd" rows run the native hierarchical backward (reversed C2/C1 and
-// S2/S1 exchanges), so its backward bytes follow the same per-link-class
+// beat both the blocking baseline (C=1) and the fwd-only column. The RBD
+// rows run the native hierarchical backward (reversed C2/C1 and S2/S1
+// exchanges), so its backward bytes follow the same per-link-class
 // accounting as its forward instead of a mirrored flat estimate.
 func AblationOverlapBackward(w io.Writer, opts Options) []AblationOverlapBackwardResult {
 	m := topology.Frontier()
@@ -300,15 +251,11 @@ func AblationOverlapBackward(w io.Writer, opts Options) []AblationOverlapBackwar
 		ep = 16
 		s = 2048
 	}
-	cfg := moe.Config{
-		NumExperts: shape.NumExperts, TopK: shape.TopK,
-		HModel: shape.HModel, HFFN: shape.HFFN,
-		CapacityFactor: 1.25, BytesPerElem: 2,
-	}
+	cfg := moe.LayerOf(shape)
 	chunkCounts := opts.chunkCounts()
 
 	var out []AblationOverlapBackwardResult
-	for _, pipe := range []string{"pft", "padded", "rbd"} {
+	for _, pipe := range transport.Kinds() {
 		res := AblationOverlapBackwardResult{Pipeline: pipe, EP: ep, Chunks: chunkCounts}
 		for _, chunks := range chunkCounts {
 			res.FwdOnlyMs = append(res.FwdOnlyMs, StepClock(m, cfg, ep, s, pipe, chunks, 1, opts.Seed, opts.Engine)*1e3)
@@ -316,7 +263,7 @@ func AblationOverlapBackward(w io.Writer, opts Options) []AblationOverlapBackwar
 		}
 		out = append(out, res)
 
-		header(w, fmt.Sprintf("Ablation: backward-pass overlap, %s fwd+bwd step, %s layer, EP=%d (ms)", pipe, shape.Name, ep))
+		header(w, fmt.Sprintf("Ablation: backward-pass overlap, %v fwd+bwd step, %s layer, EP=%d (ms)", pipe, shape.Name, ep))
 		t := newTable("chunks", "fwd-only overlap", "speedup", "fwd+bwd overlap", "speedup")
 		base := res.FwdBwdMs[0] // C=1 everywhere: the fully blocking step
 		for i, chunks := range chunkCounts {
@@ -331,9 +278,10 @@ func AblationOverlapBackward(w io.Writer, opts Options) []AblationOverlapBackwar
 		t.write(w)
 		for i, chunks := range chunkCounts {
 			if chunks == 4 {
-				RecordMetric("abl_overlap_bwd_"+pipe+"_c4_speedup", base/res.FwdBwdMs[i])
-				RecordMetric("abl_overlap_bwd_"+pipe+"_c4_fwdonly_speedup", base/res.FwdOnlyMs[i])
-				RecordMetric("abl_overlap_bwd_"+pipe+"_c4_ms", res.FwdBwdMs[i])
+				prefix := fmt.Sprintf("abl_overlap_bwd_%v_c4_", pipe)
+				RecordMetric(prefix+"speedup", base/res.FwdBwdMs[i])
+				RecordMetric(prefix+"fwdonly_speedup", base/res.FwdOnlyMs[i])
+				RecordMetric(prefix+"ms", res.FwdBwdMs[i])
 			}
 		}
 	}
@@ -344,85 +292,29 @@ func AblationOverlapBackward(w io.Writer, opts Options) []AblationOverlapBackwar
 }
 
 // StepClock measures one timing-only (symbolic) MoE fwd+bwd step of the
-// given transport ("pft", "padded", or "rbd") on a fresh world-rank
-// cluster, with independent forward/backward overlap chunk counts, and returns
-// the simulated wall-clock of the slowest rank. It is the shared harness
-// behind AblationOverlapBackward and xmoe-train's "timing at scale"
-// report, so the two always measure the same regime. engine names the
-// cost engine per NewEngine ("" or "analytic" for the fast path).
-func StepClock(m *topology.Machine, cfg moe.Config, world, s int, transport string,
+// given transport on a fresh world-rank cluster, with independent
+// forward/backward overlap chunk counts (values below 1 mean 1), and
+// returns the simulated wall-clock of the slowest rank. It is the harness
+// behind AblationOverlapBackward and xmoe-train's "timing at scale" report,
+// so the two always measure the same regime. engine names the cost engine
+// per NewEngine ("" or "analytic" for the fast path).
+func StepClock(m *topology.Machine, cfg moe.Config, world, s int, kind transport.Kind,
 	fwdChunks, bwdChunks int, seed uint64, engine string) float64 {
 
-	c := simrt.NewCluster(m, world, seed)
-	c.Net.DisableCongestion = true
-	Options{Engine: engine}.applyEngine(c)
-	g := c.WorldGroup()
-	var d *rbd.Dispatcher
-	if transport == "rbd" {
-		d = rbd.NewDispatcher(c, g, cfg)
+	if bwdChunks < 1 {
+		bwdChunks = 1
 	}
-	ranks, err := c.RunCollect(func(r *simrt.Rank) error {
-		rng := tensor.NewRNG(seed + uint64(r.ID))
-		rt := moe.SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0)
-		fwdOpts := moe.PipelineOpts{DropPolicy: moe.DropByCapacityWeight,
-			SaveForBackward: true, OverlapChunks: fwdChunks}
-		bwdOpts := moe.PipelineOpts{OverlapChunks: bwdChunks}
-		switch transport {
-		case "pft":
-			res := moe.PFTForward(r, g, cfg, s, nil, rt, nil, fwdOpts)
-			moe.PFTBackward(r, g, cfg, res.State, nil, nil, bwdOpts)
-		case "padded":
-			fwdOpts.DropPolicy = moe.DropNegativeThenPosition
-			res := moe.PaddedForward(r, g, cfg, s, nil, rt, nil, fwdOpts)
-			moe.PaddedBackward(r, g, cfg, res.PaddedState, nil, nil, bwdOpts)
-		case "rbd":
-			res := rbd.Forward(r, d, cfg, s, nil, rt, nil, tensor.NewRNG(seed^uint64(r.ID)), fwdOpts)
-			rbd.Backward(r, d, cfg, res.State, nil, nil, bwdOpts)
-		default:
-			panic(fmt.Sprintf("bench: unknown transport %q", transport))
-		}
-		return nil
-	})
-	if err != nil {
-		panic(err)
-	}
-	return simrt.MaxClock(ranks)
+	return simrt.MaxClock(runLayer(layerSpec{machine: m, cfg: cfg, world: world, s: s, kind: kind,
+		fwdChunks: fwdChunks, bwdChunks: bwdChunks, engine: engine, seed: seed}))
 }
 
 // rbdDispatchTime measures mean dispatch-side communication time per rank
 // for one EP group, with or without RBD.
 func rbdDispatchTime(m *topology.Machine, cfg moe.Config, ep, sTokens int, seed uint64, useRBD bool) float64 {
-	c := simrt.NewCluster(m, ep, seed)
-	c.Net.DisableCongestion = true
-	g := c.WorldGroup()
-	var d *rbd.Dispatcher
 	if useRBD {
-		d = rbd.NewDispatcher(c, g, cfg)
+		return meanStageTime(runDispatch(dispatchSpec{machine: m, cfg: cfg, world: ep, s: sTokens, seed: seed}),
+			rbd.StageS1A2A, rbd.StageS2A2A)
 	}
-	ranks, err := c.RunCollect(func(r *simrt.Rank) error {
-		rng := tensor.NewRNG(seed + uint64(r.ID))
-		rt := moe.SyntheticRouting(rng, sTokens, cfg.NumExperts, cfg.TopK, 0)
-		pft := moe.BuildPFT(rt, cfg.NumExperts, 0, moe.DropByCapacityWeight)
-		if useRBD {
-			st, _ := d.Dispatch(r, pft, nil, tensor.NewRNG(seed^uint64(r.ID)), rbd.Opts{})
-			d.Combine(r, st, nil, sTokens, rbd.Opts{})
-		} else {
-			moe.PFTForward(r, g, cfg, sTokens, nil, rt, nil, moe.PipelineOpts{
-				DropPolicy: moe.DropByCapacityWeight,
-			})
-		}
-		return nil
-	})
-	if err != nil {
-		panic(err)
-	}
-	var total float64
-	for _, rk := range ranks {
-		if useRBD {
-			total += rk.Trace.Total(rbd.StageS1A2A) + rk.Trace.Total(rbd.StageS2A2A)
-		} else {
-			total += rk.Trace.Total(moe.StageDispatchA2A)
-		}
-	}
-	return total / float64(len(ranks))
+	return meanStageTime(runLayer(layerSpec{machine: m, cfg: cfg, world: ep, s: sTokens,
+		kind: transport.PFT, fwdChunks: 1, seed: seed}), moe.StageDispatchA2A)
 }

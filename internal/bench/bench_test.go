@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"xmoe/internal/transport"
 )
 
 func quickOpts() Options { return Options{Seed: 42, Quick: true} }
@@ -290,13 +292,13 @@ func TestAblationOverlapChunkedStrictlyFaster(t *testing.T) {
 			if chunks == 1 {
 				continue
 			}
-			for _, series := range []struct {
-				name string
-				ms   []float64
-			}{{"pft", res.PFTMs}, {"padded", res.PaddedMs}, {"rbd", res.RBDMs}} {
-				if series.ms[i] >= series.ms[0] {
-					t.Errorf("%s %s C=%d: %.3fms not strictly faster than blocking %.3fms",
-						res.Model, series.name, chunks, series.ms[i], series.ms[0])
+			if len(res.Kinds) != 3 {
+				t.Fatalf("%s: expected three transports, got %v", res.Model, res.Kinds)
+			}
+			for k, kind := range res.Kinds {
+				if ms := res.Ms[k]; ms[i] >= ms[0] {
+					t.Errorf("%s %v C=%d: %.3fms not strictly faster than blocking %.3fms",
+						res.Model, kind, chunks, ms[i], ms[0])
 				}
 			}
 		}
@@ -315,11 +317,11 @@ func TestAblationOverlapBackwardStrictlyFaster(t *testing.T) {
 	if len(results) != 3 {
 		t.Fatalf("expected pft, padded, and rbd results, got %d", len(results))
 	}
-	seen := map[string]bool{}
+	seen := map[transport.Kind]bool{}
 	for _, res := range results {
 		seen[res.Pipeline] = true
 	}
-	if !seen["rbd"] {
+	if !seen[transport.RBD] {
 		t.Fatal("abl-overlap-bwd is missing the rbd row")
 	}
 	for _, res := range results {

@@ -9,10 +9,9 @@ import (
 	"xmoe/internal/moe"
 	"xmoe/internal/parallel"
 	"xmoe/internal/rbd"
-	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
 	"xmoe/internal/topology"
-	"xmoe/internal/trace"
+	"xmoe/internal/transport"
 )
 
 // Figure11Result holds per-stage forward times (seconds) for one model
@@ -98,60 +97,24 @@ type Figure12Result struct {
 func Figure12RBDBreakdown(w io.Writer, opts Options) Figure12Result {
 	m := topology.Frontier()
 	shape := model.Large()
-	cfg := moe.Config{
-		NumExperts:     shape.NumExperts,
-		TopK:           shape.TopK,
-		HModel:         shape.HModel,
-		HFFN:           shape.HFFN,
-		CapacityFactor: 1.25,
-		BytesPerElem:   2,
-	}
+	cfg := moe.LayerOf(shape)
 	sTokens := shape.SeqLen
 	if opts.Quick {
 		sTokens = 512
 	}
+	const world = 32
 
-	run := func(useRBD bool) (map[string]float64, float64) {
-		c := simrt.NewCluster(m, 32, opts.Seed)
-		c.Net.DisableCongestion = true
-		g := c.WorldGroup()
-		var d *rbd.Dispatcher
-		if useRBD {
-			d = rbd.NewDispatcher(c, g, cfg)
-		}
-		var red float64
-		ranks, err := c.RunCollect(func(r *simrt.Rank) error {
-			rng := tensor.NewRNG(opts.Seed + uint64(r.ID))
-			rt := moe.SyntheticRouting(rng, sTokens, cfg.NumExperts, cfg.TopK, 0)
-			if r.ID == 0 {
-				a := rbd.AnalyzeRedundancy(rt, func(e int) int {
-					return m.NodeOf(g.Ranks()[e/(cfg.NumExperts/g.Size())])
-				}, m.NodeOf(r.ID))
-				red = a.Rate()
-			}
-			pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(sTokens), moe.DropByCapacityWeight)
-			if useRBD {
-				st, _ := d.Dispatch(r, pft, nil, tensor.NewRNG(opts.Seed^uint64(r.ID)), rbd.Opts{})
-				d.Combine(r, st, nil, sTokens, rbd.Opts{})
-			} else {
-				moe.PFTForward(r, g, cfg, sTokens, nil, rt, nil, moe.PipelineOpts{
-					DropPolicy: moe.DropByCapacityWeight,
-				})
-			}
-			return nil
-		})
-		if err != nil {
-			panic(err)
-		}
-		recs := make([]*trace.Recorder, len(ranks))
-		for i, rk := range ranks {
-			recs[i] = rk.Trace
-		}
-		return trace.Merge(recs, true), red
-	}
+	// Redundancy of rank 0's routing, with experts block-placed over the
+	// world group's ranks.
+	rt0 := moe.SyntheticRouting(tensor.NewRNG(opts.Seed), sTokens, cfg.NumExperts, cfg.TopK, 0)
+	red := rbd.AnalyzeRedundancy(rt0, func(e int) int {
+		return m.NodeOf(e / (cfg.NumExperts / world))
+	}, m.NodeOf(0)).Rate()
 
-	withTrace, red := run(true)
-	withoutTrace, _ := run(false)
+	withTrace := meanBreakdown(runDispatch(dispatchSpec{machine: m, cfg: cfg, world: world, s: sTokens,
+		capTokens: cfg.Capacity(sTokens), seed: opts.Seed}))
+	withoutTrace := meanBreakdown(runLayer(layerSpec{machine: m, cfg: cfg, world: world, s: sTokens,
+		kind: transport.PFT, fwdChunks: 1, seed: opts.Seed}))
 
 	res := Figure12Result{
 		Without:            withoutTrace,

@@ -18,10 +18,9 @@ import (
 	"xmoe/internal/model"
 	"xmoe/internal/moe"
 	"xmoe/internal/netsim"
-	"xmoe/internal/rbd"
 	"xmoe/internal/simrt"
-	"xmoe/internal/tensor"
 	"xmoe/internal/topology"
+	"xmoe/internal/transport"
 )
 
 // EngineSpecs lists the accepted Options.Engine values, for flag help.
@@ -66,7 +65,7 @@ func (o Options) applyEngine(c *simrt.Cluster) {
 type AblationEngineDeltaResult struct {
 	Model      string
 	EP         int
-	Pipelines  []string
+	Pipelines  []transport.Kind
 	AnalyticMs []float64
 	EventMs    []float64
 	DeltaPct   []float64 // (event - analytic) / analytic, percent
@@ -90,44 +89,15 @@ func AblationEngineDelta(w io.Writer, opts Options) AblationEngineDeltaResult {
 		ep = 16
 		s = 2048
 	}
-	cfg := moe.Config{
-		NumExperts: shape.NumExperts, TopK: shape.TopK,
-		HModel: shape.HModel, HFFN: shape.HFFN,
-		CapacityFactor: 1.25, BytesPerElem: 2,
-	}
-
-	layer := func(pipe, engine string) float64 {
-		c := simrt.NewCluster(m, ep, opts.Seed)
-		c.Net.DisableCongestion = true
-		Options{Engine: engine}.applyEngine(c)
-		g := c.WorldGroup()
-		var d *rbd.Dispatcher
-		if pipe == "rbd" {
-			d = rbd.NewDispatcher(c, g, cfg)
-		}
-		ranks, err := c.RunCollect(func(r *simrt.Rank) error {
-			rng := tensor.NewRNG(opts.Seed + uint64(r.ID))
-			rt := moe.SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0)
-			po := moe.PipelineOpts{DropPolicy: moe.DropByCapacityWeight, OverlapChunks: 1}
-			switch pipe {
-			case "pft":
-				moe.PFTForward(r, g, cfg, s, nil, rt, nil, po)
-			case "padded":
-				moe.PaddedForward(r, g, cfg, s, nil, rt, nil, po)
-			case "rbd":
-				rbd.Forward(r, d, cfg, s, nil, rt, nil, tensor.NewRNG(opts.Seed^uint64(r.ID)), po)
-			}
-			return nil
-		})
-		if err != nil {
-			panic(err)
-		}
-		return simrt.MaxClock(ranks)
+	cfg := moe.LayerOf(shape)
+	layer := func(pipe transport.Kind, engine string) float64 {
+		return simrt.MaxClock(runLayer(layerSpec{machine: m, cfg: cfg, world: ep, s: s, kind: pipe,
+			fwdChunks: 1, engine: engine, seed: opts.Seed}))
 	}
 
 	res := AblationEngineDeltaResult{
 		Model: shape.Name, EP: ep,
-		Pipelines: []string{"pft", "padded", "rbd"},
+		Pipelines: transport.Kinds(),
 	}
 	for _, pipe := range res.Pipelines {
 		an := layer(pipe, "analytic") * 1e3
@@ -140,13 +110,14 @@ func AblationEngineDelta(w io.Writer, opts Options) AblationEngineDeltaResult {
 	header(w, fmt.Sprintf("Ablation: analytic vs event engine, %s layer, EP=%d (blocking fwd, ms)", shape.Name, ep))
 	t := newTable("pipeline", "analytic (ms)", "event:rail (ms)", "congestion delta")
 	for i, pipe := range res.Pipelines {
-		t.add(strings.ToUpper(pipe),
+		t.add(strings.ToUpper(pipe.String()),
 			fmt.Sprintf("%.2f", res.AnalyticMs[i]),
 			fmt.Sprintf("%.2f", res.EventMs[i]),
 			fmt.Sprintf("%+.1f%%", res.DeltaPct[i]))
-		RecordMetric("abl_engine_delta_"+pipe+"_analytic_ms", res.AnalyticMs[i])
-		RecordMetric("abl_engine_delta_"+pipe+"_event_ms", res.EventMs[i])
-		RecordMetric("abl_engine_delta_"+pipe+"_pct", res.DeltaPct[i])
+		prefix := fmt.Sprintf("abl_engine_delta_%v_", pipe)
+		RecordMetric(prefix+"analytic_ms", res.AnalyticMs[i])
+		RecordMetric(prefix+"event_ms", res.EventMs[i])
+		RecordMetric(prefix+"pct", res.DeltaPct[i])
 	}
 	t.write(w)
 	fmt.Fprintln(w, "  event:rail prices fair-shared NIC/spine trunks the analytic closed forms")

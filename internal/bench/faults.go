@@ -26,17 +26,16 @@ import (
 	"xmoe/internal/fault"
 	"xmoe/internal/model"
 	"xmoe/internal/moe"
-	"xmoe/internal/rbd"
 	"xmoe/internal/simrt"
-	"xmoe/internal/tensor"
 	"xmoe/internal/topology"
 	"xmoe/internal/train"
+	"xmoe/internal/transport"
 )
 
 // AblationFaultsResult carries the ablation's series for tests.
 type AblationFaultsResult struct {
-	// Transports names the columns: pft, padded, rbd.
-	Transports []string
+	// Transports names the columns.
+	Transports []transport.Kind
 	// StepSec is each transport's healthy per-step simulated time.
 	StepSec []float64
 	// MTBFxStep is the MTBF sweep, in multiples of the pft step time.
@@ -132,71 +131,29 @@ func replayGoodput(stepSec, ckpt float64, ckptEvery, steps int, crashes []float6
 	return fault.Goodput(useful, wall)
 }
 
-// stepClockInjected is StepClock with a fault injector attached: one
-// symbolic fwd+bwd step (pft/padded) under compute-scale injection.
-// caps, when non-nil, routes with per-expert capacities (the straggler
-// mitigation's rebalanced vector; pft only). Besides the wall-clock it
-// returns each rank's busy compute time — the observation the rebalance
-// feeds on.
-func stepClockInjected(m *topology.Machine, cfg moe.Config, world, s int,
-	transport string, chunks int, seed uint64, inj *fault.Injector, caps []int) (float64, []float64) {
-
-	c := simrt.NewCluster(m, world, seed)
-	c.Net.DisableCongestion = true
-	if inj != nil {
-		inj.Arm(0, 0)
-		c.Inject = inj
+// faultStepChunks is the chunk count (both passes) each transport's fault
+// rows were recorded at: the flat transports chunked at C=4, RBD on its
+// blocking schedule. Moving RBD to C=4 changes every RBD number in the
+// ablation and is a model change to declare, not a clean-up.
+func faultStepChunks(kind transport.Kind) int {
+	if kind == transport.RBD {
+		return 1
 	}
-	g := c.WorldGroup()
-	ranks, err := c.RunCollect(func(r *simrt.Rank) error {
-		rng := tensor.NewRNG(seed + uint64(r.ID))
-		rt := moe.SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0)
-		fwdOpts := moe.PipelineOpts{DropPolicy: moe.DropByCapacityWeight,
-			SaveForBackward: true, OverlapChunks: chunks, CapacityByExpert: caps}
-		bwdOpts := moe.PipelineOpts{OverlapChunks: chunks}
-		switch transport {
-		case "pft":
-			res := moe.PFTForward(r, g, cfg, s, nil, rt, nil, fwdOpts)
-			moe.PFTBackward(r, g, cfg, res.State, nil, nil, bwdOpts)
-		case "padded":
-			fwdOpts.DropPolicy = moe.DropNegativeThenPosition
-			res := moe.PaddedForward(r, g, cfg, s, nil, rt, nil, fwdOpts)
-			moe.PaddedBackward(r, g, cfg, res.PaddedState, nil, nil, bwdOpts)
-		}
-		return nil
-	})
-	if err != nil {
-		panic(err)
-	}
-	return simrt.MaxClock(ranks), simrt.BusyTimes(ranks)
+	return 4
 }
 
-// rbdStepClock measures one RBD training step: a full symbolic forward
-// (gate, hierarchical dispatch, expert GEMMs, combine) followed by the
-// native hierarchical backward, which reverses the dispatch stages.
-func rbdStepClock(m *topology.Machine, cfg moe.Config, world, s int,
-	seed uint64, inj *fault.Injector) float64 {
+// stepClockInjected is StepClock with a fault injector attached: one
+// symbolic fwd+bwd step under compute-scale injection. caps, when non-nil,
+// routes with per-expert capacities (the straggler mitigation's rebalanced
+// vector). Besides the wall-clock it returns each rank's busy compute time
+// — the observation the rebalance feeds on.
+func stepClockInjected(m *topology.Machine, cfg moe.Config, world, s int,
+	kind transport.Kind, seed uint64, inj *fault.Injector, caps []int) (float64, []float64) {
 
-	c := simrt.NewCluster(m, world, seed)
-	c.Net.DisableCongestion = true
-	if inj != nil {
-		inj.Arm(0, 0)
-		c.Inject = inj
-	}
-	g := c.WorldGroup()
-	d := rbd.NewDispatcher(c, g, cfg)
-	ranks, err := c.RunCollect(func(r *simrt.Rank) error {
-		rng := tensor.NewRNG(seed + uint64(r.ID))
-		rt := moe.SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0)
-		res := rbd.Forward(r, d, cfg, s, nil, rt, nil, tensor.NewRNG(seed^uint64(r.ID)),
-			moe.PipelineOpts{DropPolicy: moe.DropByCapacityWeight, SaveForBackward: true})
-		rbd.Backward(r, d, cfg, res.State, nil, nil, moe.PipelineOpts{})
-		return nil
-	})
-	if err != nil {
-		panic(err)
-	}
-	return simrt.MaxClock(ranks)
+	chunks := faultStepChunks(kind)
+	ranks := runLayer(layerSpec{machine: m, cfg: cfg, world: world, s: s, kind: kind,
+		fwdChunks: chunks, bwdChunks: chunks, inject: inj, caps: caps, seed: seed})
+	return simrt.MaxClock(ranks), simrt.BusyTimes(ranks)
 }
 
 // AblationFaults runs the fault-tolerance ablation and prints its tables.
@@ -211,21 +168,12 @@ func AblationFaults(w io.Writer, opts Options) AblationFaultsResult {
 		s = 1024
 		ftSteps = 6
 	}
-	cfg := moe.Config{
-		NumExperts: shape.NumExperts, TopK: shape.TopK,
-		HModel: shape.HModel, HFFN: shape.HFFN,
-		CapacityFactor: 1.25, BytesPerElem: 2,
-	}
-	res := AblationFaultsResult{Transports: []string{"pft", "padded", "rbd"}}
+	cfg := moe.LayerOf(shape)
+	res := AblationFaultsResult{Transports: transport.Kinds()}
 
 	// --- Healthy per-step time per transport -------------------------------
 	for _, tr := range res.Transports {
-		var t float64
-		if tr == "rbd" {
-			t = rbdStepClock(m, cfg, ep, s, opts.Seed, nil)
-		} else {
-			t, _ = stepClockInjected(m, cfg, ep, s, tr, 4, opts.Seed, nil, nil)
-		}
+		t, _ := stepClockInjected(m, cfg, ep, s, tr, opts.Seed, nil, nil)
 		res.StepSec = append(res.StepSec, t)
 	}
 
@@ -243,7 +191,7 @@ func AblationFaults(w io.Writer, opts Options) AblationFaultsResult {
 	header(w, fmt.Sprintf("Ablation: goodput vs MTBF, %s layer, EP=%d (ckpt write %.1fms), blocking vs async writes", shape.Name, ep, ckpt*1e3))
 	cols := []string{"MTBF/step(pft)"}
 	for _, tr := range res.Transports {
-		cols = append(cols, tr, tr+"-async")
+		cols = append(cols, tr.String(), tr.String()+"-async")
 	}
 	tb := newTable(cols...)
 	base := res.StepSec[0]
@@ -314,10 +262,12 @@ func AblationFaults(w io.Writer, opts Options) AblationFaultsResult {
 	// --- Straggler sensitivity per transport -------------------------------
 	res.StragglerScale = []float64{1, 1.5, 2, 4}
 	header(w, fmt.Sprintf("Ablation: straggler sensitivity (one rank's compute x scale), EP=%d", ep))
-	tb = newTable(append([]string{"scale"}, res.Transports...)...)
-	for range res.Transports {
+	cols = []string{"scale"}
+	for _, tr := range res.Transports {
+		cols = append(cols, tr.String())
 		res.StragglerSlowdown = append(res.StragglerSlowdown, nil)
 	}
+	tb = newTable(cols...)
 	for _, sc := range res.StragglerScale {
 		row := []string{fmt.Sprintf("x%.1f", sc)}
 		for ti, tr := range res.Transports {
@@ -329,12 +279,7 @@ func AblationFaults(w io.Writer, opts Options) AblationFaultsResult {
 				}
 				inj = fault.NewInjector(plan, ep)
 			}
-			var t float64
-			if tr == "rbd" {
-				t = rbdStepClock(m, cfg, ep, s, opts.Seed, inj)
-			} else {
-				t, _ = stepClockInjected(m, cfg, ep, s, tr, 4, opts.Seed, inj, nil)
-			}
+			t, _ := stepClockInjected(m, cfg, ep, s, tr, opts.Seed, inj, nil)
 			slow := t / res.StepSec[ti]
 			res.StragglerSlowdown[ti] = append(res.StragglerSlowdown[ti], slow)
 			row = append(row, fmt.Sprintf("%.2fx", slow))
@@ -350,7 +295,7 @@ func AblationFaults(w io.Writer, opts Options) AblationFaultsResult {
 		MoE: moe.Config{NumExperts: 8, TopK: 3, HModel: 12, HFFN: 8,
 			CapacityFactor: 1.25, BytesPerElem: 2},
 		World: 4, Tokens: 32, LR: 1e-2, Seed: opts.Seed,
-		Transport: "pft", Opts: moe.PipelineOpts{OverlapChunks: 2},
+		Transport: transport.PFT.String(), Opts: moe.PipelineOpts{OverlapChunks: 2},
 	}
 	trn, err := train.NewDistTrainer(tcfg)
 	if err != nil {
@@ -423,10 +368,10 @@ func AblationFaults(w io.Writer, opts Options) AblationFaultsResult {
 			}
 			return fault.NewInjector(plan, ep)
 		}
-		wallOff, busy := stepClockInjected(m, cfg, ep, s, "pft", 4, opts.Seed, mkInj(), nil)
+		wallOff, busy := stepClockInjected(m, cfg, ep, s, transport.PFT, opts.Seed, mkInj(), nil)
 		wallOn := wallOff
 		if caps := moe.RebalanceCapacity(cfg, s, ep, busy, 0.5); caps != nil {
-			wallOn, _ = stepClockInjected(m, cfg, ep, s, "pft", 4, opts.Seed, mkInj(), caps)
+			wallOn, _ = stepClockInjected(m, cfg, ep, s, transport.PFT, opts.Seed, mkInj(), caps)
 		}
 		res.WallUnmitigated = append(res.WallUnmitigated, wallOff)
 		res.WallMitigated = append(res.WallMitigated, wallOn)

@@ -26,9 +26,6 @@ type Figure9Cell struct {
 	TFLOPs float64
 	AggPF  float64
 	Paper  float64 // paper TFLOPs/GPU; 0 = paper reports OOM
-	// LegacyTFLOPs re-prices the winning configuration under the pre-fix
-	// backward estimate (RunSpec.LegacyBackward) for delta reporting.
-	LegacyTFLOPs float64
 }
 
 // Figure9MainResults regenerates Fig. 9: trainability and throughput of
@@ -56,9 +53,7 @@ func Figure9MainResults(w io.Writer, opts Options) []Figure9Cell {
 
 	var cells []Figure9Cell
 	header(w, "Figure 9: trainability and throughput (TFLOPs/GPU)")
-	t := newTable("model", "system", "measured", "paper", "agg PFLOPs", "legacy-bwd Δ")
-	var deltaSum float64
-	var deltaN int
+	t := newTable("model", "system", "measured", "paper", "agg PFLOPs")
 	for _, p := range points {
 		batch := 1024
 		for _, sys := range baselines.Systems() {
@@ -71,37 +66,18 @@ func Figure9MainResults(w io.Writer, opts Options) []Figure9Cell {
 			}
 			if sw.OOM {
 				cell.OOM = true
-				t.add(p.shape.Name, cfg.Name, "OOM", paperStr, "-", "-")
+				t.add(p.shape.Name, cfg.Name, "OOM", paperStr, "-")
 			} else {
 				cell.TFLOPs = sw.Best.TFLOPsPerGPU
 				cell.AggPF = sw.Best.AggPFLOPs
-				// Re-price the winning configuration under the pre-fix
-				// backward estimate (2x compute + 1x comm scaled from the
-				// forward trace) to report what the fake backward was
-				// mis-estimating.
-				legacy := baselines.SimulateStep(cfg, baselines.RunSpec{
-					Shape: p.shape, Machine: m, World: p.world, Plan: sw.Plan,
-					MicroBatch: sw.MicroBatch, GlobalBatch: batch, Seed: opts.Seed,
-					Congestion: true, LegacyBackward: true,
-				})
-				deltaStr := "-"
-				if legacy.Err == nil && !legacy.OOM && legacy.TFLOPsPerGPU > 0 {
-					cell.LegacyTFLOPs = legacy.TFLOPsPerGPU
-					d := (legacy.TFLOPsPerGPU - cell.TFLOPs) / cell.TFLOPs * 100
-					deltaStr = fmt.Sprintf("%+.1f%%", d)
-					deltaSum += d
-					deltaN++
-				}
 				t.add(p.shape.Name, cfg.Name,
 					fmt.Sprintf("%.1f", cell.TFLOPs), paperStr,
-					fmt.Sprintf("%.2f", cell.AggPF), deltaStr)
+					fmt.Sprintf("%.2f", cell.AggPF))
 			}
 			cells = append(cells, cell)
 		}
 	}
 	t.write(w)
-	fmt.Fprintln(w, "  legacy-bwd Δ: throughput shift if the backward were still the forward-trace")
-	fmt.Fprintln(w, "  estimate instead of the simulated backward with overlapped gradient sync")
 	var sum float64
 	var n int
 	for _, c := range cells {
@@ -112,9 +88,6 @@ func Figure9MainResults(w io.Writer, opts Options) []Figure9Cell {
 	}
 	if n > 0 {
 		RecordMetric("fig9_mean_tflops_per_gpu", sum/float64(n))
-	}
-	if deltaN > 0 {
-		RecordMetric("fig9_mean_legacy_backward_delta_pct", deltaSum/float64(deltaN))
 	}
 	return cells
 }
@@ -170,24 +143,6 @@ func Figure10aWeakScaling(w io.Writer, opts Options) []ScalingPoint {
 	t.write(w)
 	if len(out) > 0 {
 		RecordMetric("fig10a_xmoe_tflops_per_gpu_max_scale", out[len(out)-1].XMoE)
-		// Delta against the pre-fix backward estimate at the largest scale.
-		g := gpus[len(gpus)-1]
-		cfg := baselines.For(baselines.XMoE, m)
-		plan := parallel.Plan{World: g, TP: 1, EP: 8, Placement: cfg.Placement,
-			SSMB: cfg.SSMB, ZeROStage: 1}
-		if mb := baselines.MaxMicroBatch(cfg, shape, m, plan, false); mb > 0 {
-			legacy := baselines.SimulateStep(cfg, baselines.RunSpec{
-				Shape: shape, Machine: m, World: g, Plan: plan,
-				MicroBatch: mb, GlobalBatch: 256 * g / 16, Seed: opts.Seed,
-				Congestion: true, LegacyBackward: true,
-			})
-			if legacy.Err == nil && !legacy.OOM {
-				d := (legacy.TFLOPsPerGPU - out[len(out)-1].XMoE) / out[len(out)-1].XMoE * 100
-				fmt.Fprintf(w, "  legacy backward estimate at %d GPUs: %.1f TFLOPs/GPU (%+.1f%% vs simulated backward)\n",
-					g, legacy.TFLOPsPerGPU, d)
-				RecordMetric("fig10a_legacy_backward_delta_pct_max_scale", d)
-			}
-		}
 	}
 	return out
 }

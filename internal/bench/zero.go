@@ -9,12 +9,13 @@ import (
 	"xmoe/internal/model"
 	"xmoe/internal/parallel"
 	"xmoe/internal/topology"
+	"xmoe/internal/transport"
 )
 
 // ZeROPoint is one abl-zero measurement: a (transport, EP, stage,
 // bucket) cell of the gradient-sync ablation.
 type ZeROPoint struct {
-	Transport string
+	Transport transport.Kind
 	EP        int
 	Stage     int
 	BucketMB  int64 // 0 = one bucket per layer family
@@ -43,25 +44,19 @@ func AblationZeRO(w io.Writer, opts Options) []ZeROPoint {
 		stages = []int{0, 2}
 		bucketsMB = []int64{0, 16}
 	}
-	// The X-MoE system runs the hierarchical RBD transport fwd+bwd (it was
-	// mislabeled "pft" while the backward was priced as mirrored-flat);
-	// the genuine flat PFT row is X-MoE with RBD switched off.
-	transports := []struct {
-		name string
-		sys  baselines.System
-		rbd  bool
-	}{
-		{"rbd", baselines.XMoE, true},
-		{"pft", baselines.XMoE, false},
-		{"padded", baselines.DeepSpeedMoE, false},
-	}
+	// One system per transport: X-MoE runs the hierarchical RBD transport
+	// fwd+bwd, the flat PFT row is X-MoE with RBD switched off, and
+	// DeepSpeed-MoE is the padded row.
+	xmoe := baselines.For(baselines.XMoE, m)
+	flatXMoE := xmoe
+	flatXMoE.RBD = false
+	systems := []baselines.Config{xmoe, flatXMoE, baselines.For(baselines.DeepSpeedMoE, m)}
 
 	var out []ZeROPoint
 	header(w, "abl-zero: gradient sync overlap and ZeRO sharding, Large model, expert-DP 2")
 	t := newTable("transport", "EP", "world", "zero", "bucket", "blocking ms", "overlap ms", "speedup", "states GiB")
-	for _, tr := range transports {
-		cfg := baselines.For(tr.sys, m)
-		cfg.RBD = tr.rbd
+	for _, cfg := range systems {
+		tr := cfg.Transport()
 		for _, ep := range eps {
 			world := 2 * ep
 			plan := parallel.Plan{World: world, TP: 1, EP: ep,
@@ -78,7 +73,7 @@ func AblationZeRO(w io.Writer, opts Options) []ZeROPoint {
 				spec.BlockingGradSync = true
 				blocking := baselines.SimulateStep(cfg, spec)
 				if blocking.Err != nil {
-					fmt.Fprintf(w, "  %s EP=%d zero=%d: %v\n", tr.name, ep, stage, blocking.Err)
+					fmt.Fprintf(w, "  %v EP=%d zero=%d: %v\n", tr, ep, stage, blocking.Err)
 					continue
 				}
 				setup := cfg.MemSetup(plan, 1)
@@ -88,11 +83,11 @@ func AblationZeRO(w io.Writer, opts Options) []ZeROPoint {
 					spec.BucketBytes = mb << 20
 					overlap := baselines.SimulateStep(cfg, spec)
 					if overlap.Err != nil {
-						fmt.Fprintf(w, "  %s EP=%d zero=%d bucket=%dMB: %v\n", tr.name, ep, stage, mb, overlap.Err)
+						fmt.Fprintf(w, "  %v EP=%d zero=%d bucket=%dMB: %v\n", tr, ep, stage, mb, overlap.Err)
 						continue
 					}
 					p := ZeROPoint{
-						Transport: tr.name, EP: ep, Stage: stage, BucketMB: mb,
+						Transport: tr, EP: ep, Stage: stage, BucketMB: mb,
 						BlockingSec: blocking.IterSeconds, OverlapSec: overlap.IterSeconds,
 						Speedup:  blocking.IterSeconds / overlap.IterSeconds,
 						StatesGB: float64(states) / (1 << 30),
@@ -102,7 +97,7 @@ func AblationZeRO(w io.Writer, opts Options) []ZeROPoint {
 					if mb > 0 {
 						bucketStr = fmt.Sprintf("%dMB", mb)
 					}
-					t.add(tr.name, fmt.Sprint(ep), fmt.Sprint(world), fmt.Sprint(stage), bucketStr,
+					t.add(tr.String(), fmt.Sprint(ep), fmt.Sprint(world), fmt.Sprint(stage), bucketStr,
 						ms(p.BlockingSec), ms(p.OverlapSec),
 						fmt.Sprintf("%.3fx", p.Speedup), fmt.Sprintf("%.2f", p.StatesGB))
 				}
@@ -118,16 +113,17 @@ func AblationZeRO(w io.Writer, opts Options) []ZeROPoint {
 	// whole-layer buckets) per transport, and the stage-2 memory saving.
 	maxEP := eps[len(eps)-1]
 	var stage0GB float64
-	for _, tr := range transports {
+	for _, cfg := range systems {
+		tr := cfg.Transport()
 		for _, p := range out {
-			if p.Transport == tr.name && p.EP == maxEP && p.Stage == 2 && p.BucketMB == 0 {
-				RecordMetric(fmt.Sprintf("abl_zero_%s_ep%d_overlap_speedup", tr.name, maxEP), p.Speedup)
+			if p.Transport == tr && p.EP == maxEP && p.Stage == 2 && p.BucketMB == 0 {
+				RecordMetric(fmt.Sprintf("abl_zero_%v_ep%d_overlap_speedup", tr, maxEP), p.Speedup)
 			}
-			if p.Transport == tr.name && p.EP == maxEP && p.Stage == 0 && p.BucketMB == 0 {
+			if p.Transport == tr && p.EP == maxEP && p.Stage == 0 && p.BucketMB == 0 {
 				stage0GB = p.StatesGB
 			}
-			if p.Transport == tr.name && p.EP == maxEP && p.Stage == 2 && p.BucketMB == 0 && stage0GB > 0 {
-				RecordMetric(fmt.Sprintf("abl_zero_%s_ep%d_stage2_states_saving_gb", tr.name, maxEP),
+			if p.Transport == tr && p.EP == maxEP && p.Stage == 2 && p.BucketMB == 0 && stage0GB > 0 {
+				RecordMetric(fmt.Sprintf("abl_zero_%v_ep%d_stage2_states_saving_gb", tr, maxEP),
 					stage0GB-p.StatesGB)
 			}
 		}

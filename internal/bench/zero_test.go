@@ -3,6 +3,8 @@ package bench
 import (
 	"io"
 	"testing"
+
+	"xmoe/internal/transport"
 )
 
 // TestAblationZeROOverlapWins pins the tentpole's acceptance criterion at
@@ -14,8 +16,8 @@ func TestAblationZeROOverlapWins(t *testing.T) {
 	if len(points) == 0 {
 		t.Fatal("abl-zero produced no points")
 	}
-	stage2 := map[string]bool{}
-	statesByStage := map[string]map[int]float64{}
+	stage2 := map[transport.Kind]bool{}
+	statesByStage := map[transport.Kind]map[int]float64{}
 	for _, p := range points {
 		if p.BlockingSec <= 0 || p.OverlapSec <= 0 {
 			t.Fatalf("%s EP=%d zero=%d: non-positive iteration time", p.Transport, p.EP, p.Stage)
@@ -32,7 +34,7 @@ func TestAblationZeROOverlapWins(t *testing.T) {
 		}
 		statesByStage[p.Transport][p.Stage] = p.StatesGB
 	}
-	for _, tr := range []string{"pft", "padded"} {
+	for _, tr := range []transport.Kind{transport.PFT, transport.Padded} {
 		if !stage2[tr] {
 			t.Fatalf("no stage-2 point for transport %s", tr)
 		}

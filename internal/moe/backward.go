@@ -57,7 +57,7 @@ func PFTBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdState,
 	dOut *tensor.Tensor, params *ExpertParams, opts PipelineOpts) BackwardResult {
 
 	opts.mustCheck()
-	chunks := opts.chunks()
+	chunks := opts.Chunks()
 	epr := epCheck(cfg, g)
 	p := g.Size()
 	h, f := cfg.HModel, cfg.HFFN
@@ -127,9 +127,9 @@ func PFTBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdState,
 	// (src, le) of a chunk sits at the block's offset plus its ChunkRange
 	// start. Received parts are src-major with rows ordered by local expert,
 	// the layout of the forward dispatch receive.
-	var grads ffnGrads
+	var grads FFNGrads
 	if opts.Numeric {
-		grads = newFFNGrads(pool, bExp, h, f)
+		grads = NewFFNGrads(pool, bExp, h, f)
 	}
 	nb := epr * p
 	ints := make([]int, 2*nb+epr)
@@ -164,7 +164,7 @@ func PFTBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdState,
 				comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(f)*elem))
 		}
 		if opts.Numeric {
-			landBlocks(grads.dOut.Data, recv, n, at, h)
+			landBlocks(grads.DOut.Data, recv, n, at, h)
 			grads.dxChain(st.HidPre, params, n, at, p)
 		}
 
@@ -172,7 +172,7 @@ func PFTBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdState,
 		// the transfer hides behind the remaining chunks' GEMMs and the
 		// deferred dW computation.
 		sendBack := parts[(chunks+c)*p : (chunks+c+1)*p]
-		packBlocks(sendBack, grads.dIn, n, at, h, elem)
+		packBlocks(sendBack, grads.DIn, n, at, h, elem)
 		if chunks > 1 {
 			// The strided return pack of the sub-blocks.
 			r.Compute(StageOthers, strided)
@@ -189,7 +189,7 @@ func PFTBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdState,
 	}
 	var dW1, dW2 []*tensor.Tensor
 	if opts.Numeric {
-		dW1, dW2 = grads.dW(pool, st.ExpertIn, st.HidAct, params, st.RowsPerLE)
+		dW1, dW2 = grads.DW(pool, st.ExpertIn, st.HidAct, params, st.RowsPerLE)
 	}
 	if opts.OnDWReady != nil {
 		// dW is complete and no blocking collective remains (one chunk: the

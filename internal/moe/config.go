@@ -6,7 +6,11 @@
 // (paper §4.1, Listing 1).
 package moe
 
-import "fmt"
+import (
+	"fmt"
+
+	"xmoe/internal/model"
+)
 
 // Config describes one MoE layer's architecture and execution precision.
 type Config struct {
@@ -26,6 +30,13 @@ type Config struct {
 	// BytesPerElem is the activation element size on the wire and in
 	// memory (2 for bf16/fp16 training).
 	BytesPerElem int
+}
+
+// LayerOf is the MoE layer of a model shape as every figure of the paper
+// configures it (§5.1): capacity factor 1.25, bf16 on the wire.
+func LayerOf(sh model.Shape) Config {
+	return Config{NumExperts: sh.NumExperts, TopK: sh.TopK, HModel: sh.HModel, HFFN: sh.HFFN,
+		CapacityFactor: 1.25, BytesPerElem: 2}
 }
 
 // Validate checks the configuration for consistency.

@@ -142,6 +142,19 @@ func (o PipelineOpts) Check() error {
 	return nil
 }
 
+// CheckPaddedOpts is Check plus what only the padded pipeline rejects: a
+// per-expert capacity vector, which its even all-to-all cannot carry.
+func CheckPaddedOpts(o PipelineOpts) error {
+	if err := o.Check(); err != nil {
+		return err
+	}
+	if o.CapacityByExpert != nil {
+		return &OptionError{Opt: "CapacityByExpert",
+			Detail: "moe: the padded pipeline's even all-to-all requires uniform expert capacity; per-expert rebalance needs the pft or rbd transport"}
+	}
+	return nil
+}
+
 // mustCheck panics with the descriptive Check error; pipeline entry
 // points run inside SPMD rank bodies and cannot return errors.
 func (o PipelineOpts) mustCheck() {
@@ -157,8 +170,8 @@ func (o PipelineOpts) combineBytes(cfg Config) int {
 	return cfg.BytesPerElem
 }
 
-// chunks returns the effective chunk count (1 = blocking).
-func (o PipelineOpts) chunks() int {
+// Chunks returns the effective chunk count (1 = blocking).
+func (o PipelineOpts) Chunks() int {
 	if o.OverlapChunks > 1 {
 		return o.OverlapChunks
 	}
@@ -279,7 +292,7 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 	h, f := cfg.HModel, cfg.HFFN
 	elem := int64(cfg.BytesPerElem)
 	combElem := int64(opts.combineBytes(cfg))
-	chunks := opts.chunks()
+	chunks := opts.Chunks()
 	mem := &r.Dev().Mem
 	comp := r.C.Comp
 	// Rank-local intermediates come from the per-rank arena so the steady
@@ -486,10 +499,8 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 // mask-einsum combine. The exchanges and the expert GEMMs run in
 // opts.chunks() chunks of capacity slots (see overlap.go).
 func PaddedForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams, opts PipelineOpts) LayerResult {
-	opts.mustCheck()
-	if opts.CapacityByExpert != nil {
-		panic((&OptionError{Opt: "CapacityByExpert",
-			Detail: "moe: the padded pipeline's even all-to-all requires uniform expert capacity; per-expert rebalance needs the pft or rbd transport"}).Error())
+	if err := CheckPaddedOpts(opts); err != nil {
+		panic(err.Error())
 	}
 	epr := epCheck(cfg, g)
 	p := g.Size()
@@ -497,7 +508,7 @@ func PaddedForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.T
 	capTokens := cfg.Capacity(s)
 	elem := int64(cfg.BytesPerElem)
 	combElem := int64(opts.combineBytes(cfg))
-	chunks := opts.chunks()
+	chunks := opts.Chunks()
 	mem := &r.Dev().Mem
 	comp := r.C.Comp
 	pool := r.Pool()

@@ -177,36 +177,42 @@ func scatterBlocks(full, chunk *tensor.Tensor, n, at, saveAt []int) {
 	}
 }
 
-// ffnGrads holds the expert-FFN backward buffers in the full expert-major
-// layout of the saved forward state.
-type ffnGrads struct {
-	dOut, dAct, dPre, dIn *tensor.Tensor // [rows, H], [rows, F], [rows, F], [rows, H]
+// FFNGrads holds the expert-FFN backward buffers in the full expert-major
+// layout of the saved forward state. Every backward in the tree (PFT,
+// padded, RBD) runs its dX chains and its dW reduction through it, so the
+// per-row arithmetic and the dW summation order have one definition.
+type FFNGrads struct {
+	DOut, DAct, DPre, DIn *tensor.Tensor // [rows, H], [rows, F], [rows, F], [rows, H]
 }
 
-func newFFNGrads(pool *tensor.Pool, rows, h, f int) ffnGrads {
-	return ffnGrads{pool.Get(rows, h), pool.Get(rows, f), pool.Get(rows, f), pool.Get(rows, h)}
+// NewFFNGrads takes the four buffers from the rank arena; DW returns them.
+func NewFFNGrads(pool *tensor.Pool, rows, h, f int) FFNGrads {
+	return FFNGrads{pool.Get(rows, h), pool.Get(rows, f), pool.Get(rows, f), pool.Get(rows, h)}
 }
 
-// dxChain runs dAct = dOut·W2ᵀ, the GeLU backward and dIn = dPre·W1ᵀ over
-// every block of the chunk. The chain is row-independent, so row-adjacent
-// blocks of one expert are multiplied as one run — with a single chunk,
-// one run per expert.
-func (g ffnGrads) dxChain(hidPre *tensor.Tensor, params *ExpertParams, n, at []int, p int) {
-	h, f := g.dOut.Cols(), g.dAct.Cols()
-	run := func(le, lo, rows int) {
-		view := func(t *tensor.Tensor, w int) *tensor.Tensor {
-			return tensor.FromSlice(t.Data[lo*w:(lo+rows)*w], rows, w)
-		}
-		da, dp := view(g.dAct, f), view(g.dPre, f)
-		tensor.MatMulTInto(da, view(g.dOut, h), params.W2[le])
-		tensor.GeLUBackwardInto(dp, da, view(hidPre, f))
-		tensor.MatMulTInto(view(g.dIn, h), dp, params.W1[le])
+// Run computes DAct = DOut·W2ᵀ, the GeLU backward and DIn = DPre·W1ᵀ over
+// rows [lo, lo+rows) of local expert le. The chain is row-independent, so
+// how a segment is cut into runs never changes a bit.
+func (g FFNGrads) Run(hidPre *tensor.Tensor, params *ExpertParams, le, lo, rows int) {
+	h, f := g.DOut.Cols(), g.DAct.Cols()
+	view := func(t *tensor.Tensor, w int) *tensor.Tensor {
+		return tensor.FromSlice(t.Data[lo*w:(lo+rows)*w], rows, w)
 	}
+	da, dp := view(g.DAct, f), view(g.DPre, f)
+	tensor.MatMulTInto(da, view(g.DOut, h), params.W2[le])
+	tensor.GeLUBackwardInto(dp, da, view(hidPre, f))
+	tensor.MatMulTInto(view(g.DIn, h), dp, params.W1[le])
+}
+
+// dxChain runs the chain over every block of the chunk; row-adjacent blocks
+// of one expert are multiplied as one run — with a single chunk, one run
+// per expert.
+func (g FFNGrads) dxChain(hidPre *tensor.Tensor, params *ExpertParams, n, at []int, p int) {
 	for le := 0; le*p < len(n); le++ {
 		lo, rows := 0, 0
 		for k := le * p; k < (le+1)*p; k++ {
 			if rows > 0 && n[k] > 0 && at[k] != lo+rows {
-				run(le, lo, rows)
+				g.Run(hidPre, params, le, lo, rows)
 				rows = 0
 			}
 			if rows == 0 {
@@ -215,18 +221,18 @@ func (g ffnGrads) dxChain(hidPre *tensor.Tensor, params *ExpertParams, n, at []i
 			rows += n[k]
 		}
 		if rows > 0 {
-			run(le, lo, rows)
+			g.Run(hidPre, params, le, lo, rows)
 		}
 	}
 }
 
-// dW computes the weight gradients with one TMatMul per expert over its
-// complete segment — the summation order of a single chunk, so the
-// gradients are bit-identical for any chunk count (per-chunk partial dW
-// accumulation would reorder the float sums) — and returns the gradient
-// buffers to the arena.
-func (g ffnGrads) dW(pool *tensor.Pool, expertIn, hidAct *tensor.Tensor, params *ExpertParams, rowsPerLE []int) (dW1, dW2 []*tensor.Tensor) {
-	h, f := g.dOut.Cols(), g.dAct.Cols()
+// DW computes the weight gradients with one TMatMul per expert over its
+// complete segment (rowsPerLE rows each, contiguous and in expert order) —
+// the summation order of a single chunk, so the gradients are bit-identical
+// for any chunk count (per-chunk partial dW accumulation would reorder the
+// float sums) — and returns the gradient buffers to the arena.
+func (g FFNGrads) DW(pool *tensor.Pool, expertIn, hidAct *tensor.Tensor, params *ExpertParams, rowsPerLE []int) (dW1, dW2 []*tensor.Tensor) {
+	h, f := g.DOut.Cols(), g.DAct.Cols()
 	dW1, dW2 = newGradTensors(params.W1), newGradTensors(params.W2)
 	off := 0
 	for le, rows := range rowsPerLE {
@@ -236,11 +242,11 @@ func (g ffnGrads) dW(pool *tensor.Pool, expertIn, hidAct *tensor.Tensor, params 
 		seg := func(t *tensor.Tensor, w int) *tensor.Tensor {
 			return tensor.FromSlice(t.Data[off*w:(off+rows)*w], rows, w)
 		}
-		tensor.TMatMulInto(dW2[le], seg(hidAct, f), seg(g.dOut, h))
-		tensor.TMatMulInto(dW1[le], seg(expertIn, h), seg(g.dPre, f))
+		tensor.TMatMulInto(dW2[le], seg(hidAct, f), seg(g.DOut, h))
+		tensor.TMatMulInto(dW1[le], seg(expertIn, h), seg(g.DPre, f))
 		off += rows
 	}
-	pool.PutAll(g.dOut, g.dAct, g.dPre, g.dIn)
+	pool.PutAll(g.DOut, g.DAct, g.DPre, g.DIn)
 	return dW1, dW2
 }
 

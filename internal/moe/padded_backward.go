@@ -38,7 +38,7 @@ func PaddedBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PaddedFwdStat
 	comp := r.C.Comp
 	pool := r.Pool()
 	rowsPerExpert := p * capTokens
-	chunks := opts.chunks()
+	chunks := opts.Chunks()
 
 	// --- Combine backward + reverse combine all-to-all --------------------
 	// dFull[slot] = w_slot * dOut[token]; dWeights[slot] = <dOut[token],
@@ -98,9 +98,9 @@ func PaddedBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PaddedFwdStat
 	// Received layout per chunk: [P, EPR, cl, H], reordered into the full
 	// expert-major gradient buffer at (le*P + src)*C + slo; the dX GEMM
 	// chain runs per chunk, the dW GEMMs once over the complete segments.
-	var grads ffnGrads
+	var grads FFNGrads
 	if opts.Numeric {
-		grads = newFFNGrads(pool, epr*rowsPerExpert, h, f)
+		grads = NewFFNGrads(pool, epr*rowsPerExpert, h, f)
 	}
 	nb := epr * p
 	ints := make([]int, 2*nb+epr)
@@ -124,14 +124,14 @@ func PaddedBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PaddedFwdStat
 			comp.BatchedPaddedGEMM(epr, p*cl, f, h)+
 			comp.MemBound(perfmodel.ClassVendor, 2*int64(epr*p*cl)*int64(f)*elem))
 		if opts.Numeric {
-			landBlocks(grads.dOut.Data, recv, n, at, h)
+			landBlocks(grads.DOut.Data, recv, n, at, h)
 			grads.dxChain(st.HidPre, params, n, at, p)
 		}
 
 		// Pack src-major and send this chunk's input gradients home.
 		r.Compute(StageOthers, reorder)
 		sendBack := parts[(chunks+c)*p : (chunks+c+1)*p]
-		packBlocks(sendBack, grads.dIn, n, at, h, elem)
+		packBlocks(sendBack, grads.DIn, n, at, h, elem)
 		dispatchX[c] = r.AlltoAllVChunk(g, StageBwdDispA2A, sendBack, chunks)
 	}
 
@@ -142,7 +142,7 @@ func PaddedBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PaddedFwdStat
 		comp.BatchedPaddedGEMM(epr, rowsPerExpert, f, h))
 	var dW1, dW2 []*tensor.Tensor
 	if opts.Numeric {
-		dW1, dW2 = grads.dW(pool, st.ExpertIn, st.HidAct, params, rows)
+		dW1, dW2 = grads.DW(pool, st.ExpertIn, st.HidAct, params, rows)
 		pool.Put(dFull)
 	}
 	if opts.OnDWReady != nil {

@@ -246,7 +246,7 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 	comp := r.C.Comp
 	pool := r.Pool()
 	nodeGroup := st.nodeGroup
-	chunks := Opts{OverlapChunks: opts.OverlapChunks}.chunks()
+	chunks := opts.Chunks()
 	g := d.backwardGeom(r, st, opts.Numeric)
 	nPilotSent := len(st.pilotEntry)
 	parts := make([]simrt.Part, 2*chunks*p)
@@ -289,14 +289,14 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 	// reorders arithmetic.
 	mergeOff, merges := st.mergesByChunk(chunks, opts.Numeric)
 	// Expert-FFN gradients in the full layout of the saved state.
-	var dMerged, dExpertOut, dHidAct, dHidPre, dExpertIn *tensor.Tensor
+	var dMerged *tensor.Tensor
+	var grads moe.FFNGrads
 	var wgAbs []float32
 	var wgRepBySlot [][]float32
 	dRepRet := make([][]float32, len(st.s2SentByMember))
 	if opts.Numeric {
 		dMerged = pool.Get(st.pilotRowsTotal, h)
-		dExpertOut, dExpertIn = pool.Get(g.bExp, h), pool.Get(g.bExp, h)
-		dHidAct, dHidPre = pool.Get(g.bExp, f), pool.Get(g.bExp, f)
+		grads = moe.NewFFNGrads(pool, g.bExp, h, f)
 		wgAbs = make([]float32, st.pilotRowsTotal)
 		wgRepBySlot = make([][]float32, len(st.s2SentByMember))
 		for slot, sent := range st.s2SentByMember {
@@ -324,7 +324,7 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 			off := st.pilotPartOff[src]
 			copy(dMerged.Data[(off+clo)*h:(off+chi)*h], recv[src].Data)
 			for abs := off + clo; abs < off+chi; abs++ {
-				wgAbs[abs] = gradAndDot(dExpertOut.Row(g.fullOfPilot[abs]), dMerged.Row(abs), fwd.PilotOut.Row(abs), g.wByAbs[abs])
+				wgAbs[abs] = gradAndDot(grads.DOut.Row(g.fullOfPilot[abs]), dMerged.Row(abs), fwd.PilotOut.Row(abs), g.wByAbs[abs])
 			}
 		}
 		if opts.Numeric {
@@ -366,21 +366,10 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 		// The pilot rows' dX chain, hiding the in-flight reverse C2.
 		r.Compute(moe.StageBwdExperts, chainCost(st.PilotRowsPerLE))
 	}
-	// dxChain runs dHidAct = dY·W2ᵀ, the GeLU backward and dExpertIn =
-	// dHidPre·W1ᵀ over rows [lo, lo+n) of local expert le.
-	dxChain := func(lo, n, le int) {
-		view := func(t *tensor.Tensor, w int) *tensor.Tensor {
-			return tensor.FromSlice(t.Data[lo*w:(lo+n)*w], n, w)
-		}
-		da, dp := view(dHidAct, f), view(dHidPre, f)
-		tensor.MatMulTInto(da, view(dExpertOut, h), params.W2[le])
-		tensor.GeLUBackwardInto(dp, da, view(fwd.HidPre, f))
-		tensor.MatMulTInto(view(dExpertIn, h), dp, params.W1[le])
-	}
 	if opts.Numeric {
 		for le, n := range st.PilotRowsPerLE {
 			if n > 0 {
-				dxChain(g.rowsOff[le], n, le)
+				grads.Run(fwd.HidPre, params, le, g.rowsOff[le], n)
 			}
 		}
 	}
@@ -397,11 +386,11 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 	}
 	if opts.Numeric {
 		for i, ref := range st.replicaRef {
-			copy(dExpertOut.Row(g.replFull[i]), c2Recv[ref.part].Data[ref.pos*h:(ref.pos+1)*h])
+			copy(grads.DOut.Row(g.replFull[i]), c2Recv[ref.part].Data[ref.pos*h:(ref.pos+1)*h])
 		}
 		for le, n := range st.ReplicaRowsPerLE {
 			if n > 0 {
-				dxChain(g.rowsOff[le]+st.PilotRowsPerLE[le], n, le)
+				grads.Run(fwd.HidPre, params, le, g.rowsOff[le]+st.PilotRowsPerLE[le], n)
 			}
 		}
 	}
@@ -414,7 +403,7 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 		if opts.Numeric && n > 0 {
 			buf := make([]float32, n*h)
 			for pos := 0; pos < n; pos++ {
-				copy(buf[pos*h:(pos+1)*h], dExpertIn.Row(g.fullOfPart[src][pos]))
+				copy(buf[pos*h:(pos+1)*h], grads.DIn.Row(g.fullOfPart[src][pos]))
 			}
 			part.Data = buf
 		}
@@ -433,22 +422,9 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 		// Crosses reverse S1 (sent as per-part views): allocate fresh.
 		dPilotIn = tensor.New(st.pilotRowsTotal, h)
 		for abs, row := range g.fullOfPilot {
-			copy(dPilotIn.Row(abs), dExpertIn.Row(row))
+			copy(dPilotIn.Row(abs), grads.DIn.Row(row))
 		}
-		// One TMatMul per expert over its complete segment: the summation
-		// order of a single chunk for every chunk count.
-		dW1, dW2 = newGradTensors(params.W1), newGradTensors(params.W2)
-		for le, rows := range st.RowsPerLE {
-			if rows == 0 {
-				continue
-			}
-			seg := func(t *tensor.Tensor, w int) *tensor.Tensor {
-				return tensor.FromSlice(t.Data[g.rowsOff[le]*w:g.rowsOff[le+1]*w], rows, w)
-			}
-			tensor.TMatMulInto(dW2[le], seg(fwd.HidAct, f), seg(dExpertOut, h))
-			tensor.TMatMulInto(dW1[le], seg(fwd.ExpertIn, h), seg(dHidPre, f))
-		}
-		pool.PutAll(dExpertOut, dHidAct, dHidPre, dExpertIn)
+		dW1, dW2 = grads.DW(pool, fwd.ExpertIn, fwd.HidAct, params, st.RowsPerLE)
 	}
 
 	// --- Replica-gradient reduction onto pilot rows -------------------------
@@ -544,9 +520,9 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 
 // CheckOpts validates a PipelineOpts combination against what the RBD
 // transport supports, beyond the generic PipelineOpts.Check. It returns a
-// typed *moe.OptionError so callers (DistConfig.Check, the CLIs) can
-// reject the configuration up front instead of silently falling back to
-// the flat transport.
+// typed *moe.OptionError so callers (transport.Kind.Check, and through it
+// DistConfig.Check and the CLIs) can reject the configuration up front
+// instead of silently falling back to the flat transport.
 func CheckOpts(opts moe.PipelineOpts) error {
 	if err := opts.Check(); err != nil {
 		return err
@@ -556,14 +532,4 @@ func CheckOpts(opts moe.PipelineOpts) error {
 			Detail: fmt.Sprintf("rbd: the hierarchical combine has no element-size override (got %d); CombineBytes models Tutel's fp32 combine on the padded pipeline only", opts.CombineBytes)}
 	}
 	return nil
-}
-
-// newGradTensors allocates one zero gradient tensor per weight tensor
-// (mirror of the moe package helper, which is unexported).
-func newGradTensors(ws []*tensor.Tensor) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(ws))
-	for e, w := range ws {
-		out[e] = tensor.New(w.Rows(), w.Cols())
-	}
-	return out
 }

@@ -24,7 +24,7 @@ func BenchmarkStageReplicas(b *testing.B) {
 	ranks, err := c.RunCollect(func(r *simrt.Rank) error {
 		rt := moe.SyntheticRouting(tensor.NewRNG(42+uint64(r.ID)*31), s, cfg.NumExperts, cfg.TopK, 0.6)
 		pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(s), moe.DropByCapacityWeight)
-		states[r.ID] = d.DispatchPilots(r, pft, nil, tensor.NewRNG(uint64(r.ID)), Opts{})
+		states[r.ID] = d.DispatchPilots(r, pft, nil, tensor.NewRNG(uint64(r.ID)), moe.PipelineOpts{})
 		return nil
 	})
 	if err != nil {
@@ -33,7 +33,7 @@ func BenchmarkStageReplicas(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchParts = d.stageReplicas(ranks[0], states[0], Opts{})
+		benchParts = d.stageReplicas(ranks[0], states[0], moe.PipelineOpts{})
 	}
 }
 

@@ -58,12 +58,11 @@ func Forward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, x *tensor.Tens
 	// are transfers to hide; with one chunk the experts run once over the
 	// reconstructed input between blocking exchanges. Output is
 	// bit-identical either way.
-	rbdOpts := Opts{Numeric: opts.Numeric, OverlapChunks: opts.OverlapChunks, Save: opts.SaveForBackward}
 	schedule := forwardBlocking
-	if rbdOpts.chunks() > 1 {
+	if opts.Chunks() > 1 {
 		schedule = forwardOverlap
 	}
-	out, bExp, st := schedule(r, d, cfg, s, pft, dispIn, params, pilotRNG, rbdOpts)
+	out, bExp, st := schedule(r, d, cfg, s, pft, dispIn, params, pilotRNG, opts)
 
 	if !opts.RetainActivations {
 		mem.Free("eri", pft.ERIBytes())
@@ -89,7 +88,7 @@ func Forward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, x *tensor.Tens
 // 0-2 + expert input reconstruction), one sequential-GEMM pass over the
 // reconstructed uneven segments, blocking combine.
 func forwardBlocking(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, pft *moe.PFT,
-	dispIn *tensor.Tensor, params *moe.ExpertParams, pilotRNG *tensor.RNG, rbdOpts Opts) (*tensor.Tensor, int, *State) {
+	dispIn *tensor.Tensor, params *moe.ExpertParams, pilotRNG *tensor.RNG, opts moe.PipelineOpts) (*tensor.Tensor, int, *State) {
 
 	h, f := cfg.HModel, cfg.HFFN
 	elem := int64(cfg.BytesPerElem)
@@ -97,7 +96,7 @@ func forwardBlocking(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, pft *m
 	comp := r.C.Comp
 	pool := r.Pool()
 
-	st, expertIn := d.Dispatch(r, pft, dispIn, pilotRNG, rbdOpts)
+	st, expertIn := d.Dispatch(r, pft, dispIn, pilotRNG, opts)
 	bExp := 0
 	for _, c := range st.RowsPerLE {
 		bExp += c
@@ -109,7 +108,7 @@ func forwardBlocking(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, pft *m
 	mem.Alloc("A0_interm", int64(bExp)*int64(f)*elem)
 	mem.Alloc("A1_interm", int64(bExp)*int64(f)*elem)
 	var expertOut *tensor.Tensor
-	if rbdOpts.Numeric {
+	if opts.Numeric {
 		interm := pool.Get(bExp, f)
 		kernels.SequentialGEMMInto(interm, expertIn, st.RowsPerLE, params.W1)
 		hidAct := interm
@@ -130,7 +129,7 @@ func forwardBlocking(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, pft *m
 		}
 	}
 
-	out := d.Combine(r, st, expertOut, s, rbdOpts)
+	out := d.Combine(r, st, expertOut, s, opts)
 	pool.Put(expertOut)
 	return out, bExp, st
 }

@@ -38,7 +38,7 @@ import (
 // exchange non-blocking, recording the handle in the state. Must be
 // called after DispatchPilots; PilotInput and the pilot GEMMs then run
 // while the exchange is in flight, and FinishS2 collects it.
-func (d *Dispatcher) IssueS2(r *simrt.Rank, st *State, opts Opts) {
+func (d *Dispatcher) IssueS2(r *simrt.Rank, st *State, opts moe.PipelineOpts) {
 	s2Send := d.stageReplicas(r, st, opts)
 	st.s2Handle = r.AlltoAllVAsync(st.nodeGroup, StageS2A2A, s2Send)
 }
@@ -49,7 +49,7 @@ func (d *Dispatcher) IssueS2(r *simrt.Rank, st *State, opts Opts) {
 // and records the absolute pilot-buffer row of each, which the combine
 // needs to scatter the pilot outputs back. Must be called after IssueS2
 // (the staging reads the pilot payload this call recycles).
-func (d *Dispatcher) PilotInput(r *simrt.Rank, st *State, opts Opts) *tensor.Tensor {
+func (d *Dispatcher) PilotInput(r *simrt.Rank, st *State, opts moe.PipelineOpts) *tensor.Tensor {
 	h := d.Cfg.HModel
 	elem := int64(d.Cfg.BytesPerElem)
 	p := d.EP.Size()
@@ -91,7 +91,7 @@ func (d *Dispatcher) PilotInput(r *simrt.Rank, st *State, opts Opts) *tensor.Ten
 // replica share of the expert input, grouped per local expert in the
 // blocking path's (part, position) order. It also completes RowsPerLE for
 // reporting.
-func (d *Dispatcher) FinishS2(r *simrt.Rank, st *State, opts Opts) *tensor.Tensor {
+func (d *Dispatcher) FinishS2(r *simrt.Rank, st *State, opts moe.PipelineOpts) *tensor.Tensor {
 	h := d.Cfg.HModel
 	elem := int64(d.Cfg.BytesPerElem)
 	me := d.EP.IndexOf(r.ID)
@@ -164,13 +164,13 @@ func (d *Dispatcher) FinishS2(r *simrt.Rank, st *State, opts Opts) *tensor.Tenso
 // accumulations overlap the chunked C1 pilot return. pilotOut and
 // replicaOut are the le-major expert outputs produced from PilotInput /
 // FinishS2 buffers.
-func (d *Dispatcher) CombineOverlap(r *simrt.Rank, st *State, pilotOut, replicaOut *tensor.Tensor, s int, opts Opts) *tensor.Tensor {
+func (d *Dispatcher) CombineOverlap(r *simrt.Rank, st *State, pilotOut, replicaOut *tensor.Tensor, s int, opts moe.PipelineOpts) *tensor.Tensor {
 	h := d.Cfg.HModel
 	elem := int64(d.Cfg.BytesPerElem)
 	p := d.EP.Size()
 	comp := r.C.Comp
 	mem := &r.Dev().Mem
-	chunks := opts.chunks()
+	chunks := opts.Chunks()
 	nodeGroup := st.nodeGroup
 
 	// Scatter the le-major outputs back to absolute pilot rows and
@@ -238,7 +238,7 @@ func (d *Dispatcher) CombineOverlap(r *simrt.Rank, st *State, pilotOut, replicaO
 // the pilot-scaling merge, and the chunked C1 return under the replica
 // accumulations.
 func forwardOverlap(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, pft *moe.PFT,
-	dispIn *tensor.Tensor, params *moe.ExpertParams, pilotRNG *tensor.RNG, rbdOpts Opts) (*tensor.Tensor, int, *State) {
+	dispIn *tensor.Tensor, params *moe.ExpertParams, pilotRNG *tensor.RNG, opts moe.PipelineOpts) (*tensor.Tensor, int, *State) {
 
 	h, f := cfg.HModel, cfg.HFFN
 	elem := int64(cfg.BytesPerElem)
@@ -246,9 +246,9 @@ func forwardOverlap(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, pft *mo
 	comp := r.C.Comp
 	pool := r.Pool()
 
-	st := d.DispatchPilots(r, pft, dispIn, pilotRNG, rbdOpts)
-	d.IssueS2(r, st, rbdOpts)
-	pilotIn := d.PilotInput(r, st, rbdOpts)
+	st := d.DispatchPilots(r, pft, dispIn, pilotRNG, opts)
+	d.IssueS2(r, st, opts)
+	pilotIn := d.PilotInput(r, st, opts)
 
 	// Pilot-row expert GEMMs, overlapping the in-flight S2 exchange.
 	nPilot := 0
@@ -259,7 +259,7 @@ func forwardOverlap(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, pft *mo
 		comp.SequentialGEMM(st.PilotRowsPerLE, f, h)+
 		comp.MemBound(perfmodel.ClassTriton, 2*int64(nPilot)*int64(f)*elem))
 	var pilotOut, pilotPre, pilotAct *tensor.Tensor
-	if rbdOpts.Numeric {
+	if opts.Numeric {
 		interm := pool.Get(nPilot, f)
 		kernels.SequentialGEMMInto(interm, pilotIn, st.PilotRowsPerLE, params.W1)
 		act := interm
@@ -277,7 +277,7 @@ func forwardOverlap(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, pft *mo
 		}
 	}
 
-	replicaIn := d.FinishS2(r, st, rbdOpts)
+	replicaIn := d.FinishS2(r, st, opts)
 
 	// Replica-row expert GEMMs.
 	nReplica := 0
@@ -288,7 +288,7 @@ func forwardOverlap(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, pft *mo
 		comp.SequentialGEMM(st.ReplicaRowsPerLE, f, h)+
 		comp.MemBound(perfmodel.ClassTriton, 2*int64(nReplica)*int64(f)*elem))
 	var replicaOut, replicaPre, replicaAct *tensor.Tensor
-	if rbdOpts.Numeric {
+	if opts.Numeric {
 		interm := pool.Get(nReplica, f)
 		kernels.SequentialGEMMInto(interm, replicaIn, st.ReplicaRowsPerLE, params.W1)
 		act := interm
@@ -310,7 +310,7 @@ func forwardOverlap(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, pft *mo
 	mem.Alloc("A0_interm", int64(bExp)*int64(f)*elem)
 	mem.Alloc("A1_interm", int64(bExp)*int64(f)*elem)
 
-	if st.save != nil && rbdOpts.Numeric {
+	if st.save != nil && opts.Numeric {
 		// Scatter the split pilot/replica intermediates into the blocking
 		// full layout (per local expert: pilot rows, then replica rows) so
 		// Backward is chunk-count-agnostic. Host-side staging, uncharged —
@@ -336,6 +336,6 @@ func forwardOverlap(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, pft *mo
 		pool.PutAll(pilotIn, pilotPre, pilotAct, replicaIn, replicaPre, replicaAct)
 	}
 
-	out := d.CombineOverlap(r, st, pilotOut, replicaOut, s, rbdOpts)
+	out := d.CombineOverlap(r, st, pilotOut, replicaOut, s, opts)
 	return out, bExp, st
 }

@@ -47,43 +47,15 @@ const (
 	PilotFirstExpert
 )
 
-// Opts configures an RBD dispatch/combine pass.
-type Opts struct {
-	// Numeric moves real float rows; otherwise metadata-only.
-	Numeric bool
-	// Pilots selects the pilot-selection strategy (default PilotRandom).
-	Pilots PilotPolicy
-	// OverlapChunks selects chunked comm/compute overlap: the inter-node
-	// Stage-1 pilot exchange and the combine-side pilot return are split
-	// into OverlapChunks chunks issued through Rank.AlltoAllVChunk, so
-	// chunk i+1's pilot-buffer instantiation (or weight-scaled merge)
-	// hides behind chunk i's transfer, and the intra-node Stage-2
-	// exchanges fly under the expert GEMMs (Forward, Backward). Values
-	// <= 1 are the blocking schedule; numeric output is bit-identical
-	// either way.
-	OverlapChunks int
-	// Save keeps the hierarchical exchange state and the expert-FFN
-	// intermediates needed by Backward (the SaveForBackward analogue):
-	// the dispatch geometry plus, in numeric mode, the expert inputs,
-	// pre-/post-activation hidden buffers, pilot expert outputs, and the
-	// combine-stage replica return payloads.
-	Save bool
-}
-
-// chunks returns the effective chunk count (1 = blocking).
-func (o Opts) chunks() int {
-	if o.OverlapChunks > 1 {
-		return o.OverlapChunks
-	}
-	return 1
-}
-
 // Dispatcher holds the topology-derived state shared by all ranks of an
 // expert-parallel group: the per-node subgroups used for the intra-node
 // stage. Construct once (outside Cluster.Run) and share.
 type Dispatcher struct {
 	Cfg moe.Config
 	EP  *simrt.Group
+	// PilotPolicy selects the pilot-selection strategy (default
+	// PilotRandom); the pilot ablation sets it before the run.
+	PilotPolicy PilotPolicy
 	// EPR is experts per rank.
 	EPR int
 	// nodeOfMember[m] is the machine node of EP member m.
@@ -231,7 +203,7 @@ type State struct {
 	// node group used for stage 2
 	nodeGroup *simrt.Group
 	// save is the forward state retained for Backward (nil unless
-	// Opts.Save); replicaEntry[dst][ri] is the PFT entry index of the
+	// opts.SaveForBackward); replicaEntry[dst][ri] is the PFT entry index of the
 	// ri-th replica this rank announced to EP member dst, mirroring the
 	// s1Meta.replicas order so returned weight gradients map back to
 	// entries.
@@ -251,7 +223,7 @@ type State struct {
 // Forward path drives the finer-grained DispatchPilots / IssueS2 /
 // PilotInput / FinishS2 stages directly so the expert GEMMs interleave
 // with the Stage-2 exchange.
-func (d *Dispatcher) Dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, rng *tensor.RNG, opts Opts) (*State, *tensor.Tensor) {
+func (d *Dispatcher) Dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, rng *tensor.RNG, opts moe.PipelineOpts) (*State, *tensor.Tensor) {
 	h := d.Cfg.HModel
 	elem := int64(d.Cfg.BytesPerElem)
 	p := d.EP.Size()
@@ -353,11 +325,11 @@ func (d *Dispatcher) Dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor
 
 // DispatchPilots runs RBD stages 0-1 for rank r: pilot selection, pilot
 // buffer instantiation, and the inter-node pilot exchange in
-// opts.chunks() chunks. The returned state holds the
+// opts.Chunks() chunks. The returned state holds the
 // received pilot payload and full Stage-1 metadata; the caller continues
 // with either the blocking Stage 2 (Dispatch) or the overlapped
 // IssueS2/PilotInput/FinishS2 sequence.
-func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, rng *tensor.RNG, opts Opts) *State {
+func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, rng *tensor.RNG, opts moe.PipelineOpts) *State {
 	h := d.Cfg.HModel
 	elem := int64(d.Cfg.BytesPerElem)
 	p := d.EP.Size()
@@ -368,7 +340,7 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 	mem := &r.Dev().Mem
 
 	st := &State{pft: pft, nodeGroup: nodeGroup}
-	if opts.Save {
+	if opts.SaveForBackward {
 		st.save = &FwdState{St: st}
 	}
 	b := pft.B()
@@ -425,7 +397,7 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 					}
 				}
 				chosen := grp[0] // PFT order, so grp[0] is the lowest expert
-				if opts.Pilots == PilotRandom && len(grp) > 1 {
+				if d.PilotPolicy == PilotRandom && len(grp) > 1 {
 					chosen = grp[rng.Intn(len(grp))]
 				}
 				for _, i := range grp {
@@ -498,7 +470,7 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 		replicasPerDst[dst+1] += replicasPerDst[dst]
 		metas[dst].replicas = replicasFlat[replicasPerDst[dst]:replicasPerDst[dst]]
 	}
-	if opts.Save {
+	if opts.SaveForBackward {
 		// Backward needs the replica -> PFT entry map to land returned
 		// combine-weight gradients; views share one flat backing like the
 		// metadata rows above.
@@ -519,20 +491,20 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 			expert:   pft.ExpertIDs[i],
 			weight:   pft.CombineWeights[i],
 		})
-		if opts.Save {
+		if opts.SaveForBackward {
 			st.replicaEntry[dst] = append(st.replicaEntry[dst], i)
 		}
 	}
 
 	// --- Stage 1: pilot instantiation + inter-node exchange ----------------
-	// Each destination part is split into opts.chunks() row ranges; chunk
+	// Each destination part is split into opts.Chunks() row ranges; chunk
 	// c's pilot rows are instantiated (gather compute) and its all-to-all
 	// issued, so chunk c+1's instantiation hides behind chunk c's transfer
 	// (one chunk: one gather pass, then the blocking exchange). The full
 	// s1Meta rides with chunk 0 only, so the wire volume does not depend on
 	// the chunk count; both ends derive later chunk boundaries from the
 	// same ChunkRange split.
-	chunks := opts.chunks()
+	chunks := opts.Chunks()
 	var pilotBuf *tensor.Tensor
 	if opts.Numeric {
 		pilotBuf = tensor.New(len(pilotEntry), h)
@@ -608,7 +580,7 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 // member, instantiates the Stage-2 send buffers from the received pilot
 // payload (charging the instantiation pass), and returns the parts.
 // Shared by the blocking Dispatch and the overlapped IssueS2.
-func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State, opts Opts) []simrt.Part {
+func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State, opts moe.PipelineOpts) []simrt.Part {
 	h := d.Cfg.HModel
 	elem := int64(d.Cfg.BytesPerElem)
 	p := d.EP.Size()
@@ -688,7 +660,7 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State, opts Opts) []simrt.
 // rows, and one inter-node all-to-all returns the merged partial sums to
 // the source rank, which accumulates them into the [s, H] layer output.
 // expertOut must be row-aligned with the buffer returned by Dispatch.
-func (d *Dispatcher) Combine(r *simrt.Rank, st *State, expertOut *tensor.Tensor, s int, opts Opts) *tensor.Tensor {
+func (d *Dispatcher) Combine(r *simrt.Rank, st *State, expertOut *tensor.Tensor, s int, opts moe.PipelineOpts) *tensor.Tensor {
 	h := d.Cfg.HModel
 	elem := int64(d.Cfg.BytesPerElem)
 	p := d.EP.Size()
@@ -857,7 +829,7 @@ func drainReturn(xs []simrt.Exchange, sentTo []int, h int, numeric bool) (ret []
 
 // finishCombine drains the C1 pilot-return chunks on the source rank and
 // reconstructs the [s, H] layer output from them.
-func (d *Dispatcher) finishCombine(r *simrt.Rank, st *State, c1 []simrt.Exchange, s int, opts Opts) *tensor.Tensor {
+func (d *Dispatcher) finishCombine(r *simrt.Rank, st *State, c1 []simrt.Exchange, s int, opts moe.PipelineOpts) *tensor.Tensor {
 	h := d.Cfg.HModel
 	elem := int64(d.Cfg.BytesPerElem)
 	var sentTo []int

@@ -54,7 +54,7 @@ func runRBDLayer(t *testing.T, c *simrt.Cluster, cfg moe.Config, s int, seedBase
 		dispIn := kernels.Gather(x, pft.TokenIDs)
 
 		pilotRNG := tensor.NewRNG(7777 + uint64(r.ID))
-		st, expertIn := d.Dispatch(r, pft, dispIn, pilotRNG, Opts{Numeric: true})
+		st, expertIn := d.Dispatch(r, pft, dispIn, pilotRNG, moe.PipelineOpts{Numeric: true})
 
 		me := g.IndexOf(r.ID)
 		w1 := make([]*tensor.Tensor, d.EPR)
@@ -66,7 +66,7 @@ func runRBDLayer(t *testing.T, c *simrt.Cluster, cfg moe.Config, s int, seedBase
 		tensor.GeLU(interm)
 		expertOut := kernels.SequentialGEMM(interm, st.RowsPerLE, w2)
 
-		out := d.Combine(r, st, expertOut, s, Opts{Numeric: true})
+		out := d.Combine(r, st, expertOut, s, moe.PipelineOpts{Numeric: true})
 		mu.Lock()
 		outs[r.ID] = out
 		mu.Unlock()
@@ -174,7 +174,7 @@ func TestRBDExpertInputsMatchPlainDispatch(t *testing.T) {
 		}
 		mu.Unlock()
 
-		st, expertIn := d.Dispatch(r, pft, dispIn, tensor.NewRNG(99+uint64(r.ID)), Opts{Numeric: true})
+		st, expertIn := d.Dispatch(r, pft, dispIn, tensor.NewRNG(99+uint64(r.ID)), moe.PipelineOpts{Numeric: true})
 		me := g.IndexOf(r.ID)
 		mu.Lock()
 		row := 0
@@ -188,7 +188,7 @@ func TestRBDExpertInputsMatchPlainDispatch(t *testing.T) {
 		mu.Unlock()
 		// Drain the combine-side collectives so all ranks stay in step.
 		expertOut := expertIn.Clone()
-		d.Combine(r, st, expertOut, s, Opts{Numeric: true})
+		d.Combine(r, st, expertOut, s, moe.PipelineOpts{Numeric: true})
 		return nil
 	})
 	if err != nil {
@@ -229,8 +229,8 @@ func TestRBDReducesInterNodeDispatchTime(t *testing.T) {
 		rng := tensor.NewRNG(4242 + uint64(r.ID))
 		routing := moe.SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0)
 		pft := moe.BuildPFT(routing, cfg.NumExperts, 0, moe.DropByCapacityWeight)
-		st, _ := d.Dispatch(r, pft, nil, tensor.NewRNG(1+uint64(r.ID)), Opts{})
-		d.Combine(r, st, nil, s, Opts{})
+		st, _ := d.Dispatch(r, pft, nil, tensor.NewRNG(1+uint64(r.ID)), moe.PipelineOpts{})
+		d.Combine(r, st, nil, s, moe.PipelineOpts{})
 		return nil
 	})
 	if err != nil {
@@ -408,8 +408,8 @@ func TestStageReplicasOrder(t *testing.T) {
 	err := c.Run(func(r *simrt.Rank) error {
 		rt := moe.SyntheticRouting(tensor.NewRNG(900+uint64(r.ID)), s, cfg.NumExperts, cfg.TopK, 0.7)
 		pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(s), moe.DropByCapacityWeight)
-		st := d.DispatchPilots(r, pft, nil, tensor.NewRNG(50+uint64(r.ID)), Opts{})
-		parts := d.stageReplicas(r, st, Opts{})
+		st := d.DispatchPilots(r, pft, nil, tensor.NewRNG(50+uint64(r.ID)), moe.PipelineOpts{})
+		parts := d.stageReplicas(r, st, moe.PipelineOpts{})
 
 		members := d.nodeMembers[d.nodeOfMember[g.IndexOf(r.ID)]]
 		incoming, staged := 0, 0

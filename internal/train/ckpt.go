@@ -12,9 +12,6 @@ package train
 import (
 	"fmt"
 
-	"xmoe/internal/moe"
-	"xmoe/internal/rbd"
-	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
 )
 
@@ -150,35 +147,16 @@ func (t *DistTrainer) Restore(ck *Checkpoint) error {
 	return nil
 }
 
-// rebuild reconstructs the trainer for a new world size: a fresh cluster
-// (a failed Run poisons the old one), fresh per-rank containers seeded by
-// slot, and a world group over the new ranks. Straggler observations are
-// dropped — they described the old world. Callers (Shrink, Grow) have
-// validated newWorld and follow up with Restore to reshard a checkpoint
-// onto the new layout.
+// rebuild reconstructs the trainer for a new world size: build's fresh
+// cluster (a failed Run poisons the old one), layer and per-slot state,
+// with the fault injector carried over. Straggler observations are dropped
+// — they described the old world. Callers (Shrink, Grow) have validated
+// newWorld and follow up with Restore to reshard a checkpoint onto the new
+// layout.
 func (t *DistTrainer) rebuild(newWorld int) {
-	cfg := t.Cfg
-	cfg.World = newWorld
-	cluster := simrt.NewCluster(cfg.Machine, cfg.World, cfg.Seed)
-	cluster.Net.DisableCongestion = true
-	cluster.Inject = t.cluster.Inject
-	t.Cfg = cfg
-	t.cluster = cluster
-	t.group = cluster.WorldGroup()
-	if cfg.Transport == "rbd" {
-		t.rbdDisp = rbd.NewDispatcher(cluster, t.group, cfg.MoE)
-	}
-	t.params = make([]*moe.ExpertParams, cfg.World)
-	t.bias = make([][]float32, cfg.World)
-	t.dataRNG = make([]*tensor.RNG, cfg.World)
-	epr := cfg.MoE.NumExperts / cfg.World
-	for rank := 0; rank < cfg.World; rank++ {
-		t.params[rank] = moe.NewExpertParams(tensor.NewRNG(cfg.Seed+uint64(rank)*131),
-			epr, cfg.MoE.HModel, cfg.MoE.HFFN)
-		t.bias[rank] = make([]float32, cfg.MoE.HModel)
-		t.dataRNG[rank] = tensor.NewRNG(dataSeed(cfg.Seed, rank))
-	}
-	t.initShardState()
+	inject := t.cluster.Inject
+	t.build(newWorld)
+	t.cluster.Inject = inject
 	t.lastClocks = nil
 }
 

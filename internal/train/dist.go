@@ -27,11 +27,11 @@ import (
 	"sync"
 
 	"xmoe/internal/moe"
-	"xmoe/internal/rbd"
 	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
 	"xmoe/internal/topology"
 	"xmoe/internal/trace"
+	"xmoe/internal/transport"
 	"xmoe/internal/zero"
 )
 
@@ -47,9 +47,9 @@ type DistConfig struct {
 	LR float64
 	// Seed drives weight init, inputs, and routing.
 	Seed uint64
-	// Transport selects the MoE exchange: "pft" (X-MoE padding-free),
-	// "padded" (conventional baseline), or "rbd" (X-MoE hierarchical
-	// redundancy-bypassing dispatch, forward and backward).
+	// Transport names the MoE exchange as transport.Parse accepts it: the
+	// X-MoE padding-free pipeline, the conventional padded baseline, or
+	// X-MoE's hierarchical redundancy-bypassing dispatch.
 	Transport string
 	// ZeROStage selects dense-parameter state sharding across the world
 	// group: 0 replicates gradients and optimizer state (the classic
@@ -83,51 +83,61 @@ type DistConfig struct {
 
 // Check validates the trainer configuration.
 func (c DistConfig) Check() error {
-	if c.Transport != "pft" && c.Transport != "padded" && c.Transport != "rbd" {
-		return fmt.Errorf("train: unknown transport %q (want pft, padded, or rbd)", c.Transport)
-	}
-	if c.Transport == "rbd" {
-		// The hierarchical backward rejects option combos the flat
-		// transports tolerate (e.g. a CombineBytes override); surface the
-		// typed *moe.OptionError here instead of a rank panic mid-step.
-		if err := rbd.CheckOpts(c.Opts); err != nil {
-			return fmt.Errorf("train: transport rbd: %w", err)
-		}
+	_, err := c.check()
+	return err
+}
+
+// check is Check, returning the parsed transport for NewDistTrainer.
+func (c DistConfig) check() (transport.Kind, error) {
+	kind, err := transport.Parse(c.Transport)
+	if err != nil {
+		return 0, fmt.Errorf("train: %w", err)
 	}
 	if c.World < 1 || c.Tokens < 1 {
-		return fmt.Errorf("train: world %d / tokens %d must be positive", c.World, c.Tokens)
+		return 0, fmt.Errorf("train: world %d / tokens %d must be positive", c.World, c.Tokens)
 	}
 	if c.MoE.NumExperts%c.World != 0 {
-		return fmt.Errorf("train: %d experts not divisible by world %d", c.MoE.NumExperts, c.World)
+		return 0, fmt.Errorf("train: %d experts not divisible by world %d", c.MoE.NumExperts, c.World)
 	}
 	if c.ZeROStage < 0 || c.ZeROStage > 2 {
-		return fmt.Errorf("train: ZeRO stage %d not in [0,2]", c.ZeROStage)
+		return 0, fmt.Errorf("train: ZeRO stage %d not in [0,2]", c.ZeROStage)
 	}
 	if c.BucketBytes < 0 {
-		return fmt.Errorf("train: bucket bytes %d must be >= 0", c.BucketBytes)
+		return 0, fmt.Errorf("train: bucket bytes %d must be >= 0", c.BucketBytes)
 	}
 	if c.Momentum < 0 || c.Momentum >= 1 {
-		return fmt.Errorf("train: momentum %g not in [0,1)", c.Momentum)
+		return 0, fmt.Errorf("train: momentum %g not in [0,1)", c.Momentum)
 	}
 	if c.Mitigation < 0 || c.Mitigation > 1 {
-		return fmt.Errorf("train: mitigation bound %g not in [0,1]", c.Mitigation)
+		return 0, fmt.Errorf("train: mitigation bound %g not in [0,1]", c.Mitigation)
 	}
-	if c.Mitigation > 0 && c.Transport == "padded" {
-		return fmt.Errorf("train: transport padded: %w", &moe.OptionError{Opt: "Mitigation",
-			Detail: "moe: the padded pipeline's even all-to-all requires uniform expert capacity; straggler mitigation needs the pft or rbd transport"})
+	// The transport answers what it can run — here, before a cluster
+	// exists, instead of as a rank panic mid-step. A mitigated trainer
+	// routes by a rebalanced capacity vector from its second step on, so
+	// the question is asked with one.
+	opts := c.Opts
+	if c.Mitigation > 0 && opts.CapacityByExpert == nil && c.MoE.NumExperts > 0 {
+		opts.CapacityByExpert = make([]int, c.MoE.NumExperts)
+		for e := range opts.CapacityByExpert {
+			opts.CapacityByExpert[e] = c.MoE.Capacity(c.Tokens)
+		}
 	}
-	return c.Opts.Check()
+	if err := kind.Check(c.MoE, opts); err != nil {
+		return 0, fmt.Errorf("train: transport %v: %w", kind, err)
+	}
+	return kind, nil
 }
 
 // DistTrainer runs simulated distributed training steps.
 type DistTrainer struct {
 	Cfg     DistConfig
+	kind    transport.Kind // Cfg.Transport, parsed by Check
 	cluster *simrt.Cluster
 	group   *simrt.Group
-	// rbdDisp is the hierarchical dispatcher when Transport is "rbd"
-	// (nil otherwise); rebuilt alongside the cluster on Shrink.
-	rbdDisp *rbd.Dispatcher
-	params  []*moe.ExpertParams // per rank, local experts
+	// layer is the MoE layer over the world group; rebuilt alongside the
+	// cluster on Shrink and Grow.
+	layer  transport.Layer
+	params []*moe.ExpertParams // per rank, local experts
 	// bias is the replicated dense parameter ([H] per rank, kept
 	// bit-identical across ranks by an all-reduced gradient): the smallest
 	// realistic stand-in for a model's non-expert weights, so checkpoints
@@ -183,7 +193,8 @@ type DistStepStats struct {
 
 // NewDistTrainer initialises the cluster and each rank's expert weights.
 func NewDistTrainer(cfg DistConfig) (*DistTrainer, error) {
-	if err := cfg.Check(); err != nil {
+	kind, err := cfg.check()
+	if err != nil {
 		return nil, err
 	}
 	if cfg.Machine == nil {
@@ -191,33 +202,39 @@ func NewDistTrainer(cfg DistConfig) (*DistTrainer, error) {
 	}
 	cfg.Opts.Numeric = true
 	cfg.Opts.SaveForBackward = true
-	cluster := simrt.NewCluster(cfg.Machine, cfg.World, cfg.Seed)
-	cluster.Net.DisableCongestion = true
-	t := &DistTrainer{
-		Cfg:     cfg,
-		cluster: cluster,
-		group:   cluster.WorldGroup(),
-		params:  make([]*moe.ExpertParams, cfg.World),
-		bias:    make([][]float32, cfg.World),
-		dataRNG: make([]*tensor.RNG, cfg.World),
-	}
-	if cfg.Transport == "rbd" {
-		t.rbdDisp = rbd.NewDispatcher(cluster, t.group, cfg.MoE)
-	}
-	epr := cfg.MoE.NumExperts / cfg.World
-	for rank := 0; rank < cfg.World; rank++ {
+	t := &DistTrainer{Cfg: cfg, kind: kind}
+	t.build(cfg.World)
+	return t, nil
+}
+
+// build constructs everything that depends on the world size: a fresh
+// cluster and world group, the transport layer over it, and per-rank
+// containers seeded by slot — weights-init and data-stream seeds are
+// functions of the slot alone, which is what keeps a shrunk or regrown run
+// bit-deterministic.
+func (t *DistTrainer) build(world int) {
+	t.Cfg.World = world
+	cfg := t.Cfg
+	t.cluster = simrt.NewCluster(cfg.Machine, world, cfg.Seed)
+	t.cluster.Net.DisableCongestion = true
+	t.group = t.cluster.WorldGroup()
+	t.layer = transport.New(t.kind, t.cluster, t.group, cfg.MoE)
+	t.params = make([]*moe.ExpertParams, world)
+	t.bias = make([][]float32, world)
+	t.dataRNG = make([]*tensor.RNG, world)
+	epr := cfg.MoE.NumExperts / world
+	for rank := 0; rank < world; rank++ {
 		t.params[rank] = moe.NewExpertParams(tensor.NewRNG(cfg.Seed+uint64(rank)*131),
 			epr, cfg.MoE.HModel, cfg.MoE.HFFN)
 		t.bias[rank] = make([]float32, cfg.MoE.HModel)
 		t.dataRNG[rank] = tensor.NewRNG(dataSeed(cfg.Seed, rank))
 	}
 	t.initShardState()
-	return t, nil
 }
 
 // initShardState derives the gradient-sync geometry and (re)allocates
 // the sharded optimizer state for the current world size. Called from
-// NewDistTrainer and Shrink; Restore refills the velocity values.
+// build; Restore refills the velocity values.
 func (t *DistTrainer) initShardState() {
 	cfg := t.Cfg
 	h := cfg.MoE.HModel
@@ -315,32 +332,11 @@ func (t *DistTrainer) Step() (DistStepStats, error) {
 		params := t.params[idx]
 		bias := t.bias[idx]
 
-		var out *tensor.Tensor
-		var dropped int
-		var bwd func(dOut *tensor.Tensor, opts moe.PipelineOpts) moe.BackwardResult
-		switch cfg.Transport {
-		case "pft":
-			res := moe.PFTForward(r, t.group, cfg.MoE, s, x, routing, params, fwdOpts)
-			out, dropped = res.Output, res.Dropped
-			bwd = func(dOut *tensor.Tensor, opts moe.PipelineOpts) moe.BackwardResult {
-				return moe.PFTBackward(r, t.group, cfg.MoE, res.State, dOut, params, opts)
-			}
-		case "padded":
-			res := moe.PaddedForward(r, t.group, cfg.MoE, s, x, routing, params, fwdOpts)
-			out, dropped = res.Output, res.Dropped
-			bwd = func(dOut *tensor.Tensor, opts moe.PipelineOpts) moe.BackwardResult {
-				return moe.PaddedBackward(r, t.group, cfg.MoE, res.PaddedState, dOut, params, opts)
-			}
-		case "rbd":
-			// The pilot draws come from the slot's persistent data stream, so
-			// pilot selection is part of the checkpointed training state: a
-			// restored run replays the identical pilots with no extra fields.
-			res := rbd.Forward(r, t.rbdDisp, cfg.MoE, s, x, routing, params, rng, fwdOpts)
-			out, dropped = res.Output, res.Dropped
-			bwd = func(dOut *tensor.Tensor, opts moe.PipelineOpts) moe.BackwardResult {
-				return rbd.Backward(r, t.rbdDisp, cfg.MoE, res.State, dOut, params, opts)
-			}
-		}
+		// The pilot draws (RBD) come from the slot's persistent data stream,
+		// so pilot selection is part of the checkpointed training state: a
+		// restored run replays the identical pilots with no extra fields.
+		res, saved := t.layer.Forward(r, s, x, routing, params, rng, fwdOpts)
+		out, dropped := res.Output, res.Dropped
 
 		// MSE loss (over the biased output) and its gradient.
 		var localLoss float64
@@ -372,7 +368,7 @@ func (t *DistTrainer) Step() (DistStepStats, error) {
 			syncer.Flush()
 		}
 
-		grads := bwd(dOut, bopts)
+		grads := saved.Backward(r, dOut, params, bopts)
 
 		shards := syncer.Wait()
 		lossSum := lossH.Wait()[0].Data

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -123,6 +124,32 @@ func TestDistTrainerBreakdownSumsToWallClock(t *testing.T) {
 		}
 		if stats.MaxImbalance > 1e-9 {
 			t.Fatalf("step %d: a rank's charged spans miss its clock by %.12f", i, stats.MaxImbalance)
+		}
+	}
+}
+
+// TestDistConfigRejectsShortCaps: a per-expert capacity vector of the wrong
+// length used to pass Check and die mid-step as a BuildPFTCaps string panic;
+// the transport, which knows the layer, now rejects it with a typed error
+// before a cluster exists.
+func TestDistConfigRejectsShortCaps(t *testing.T) {
+	for _, tr := range []string{"pft", "rbd"} {
+		cfg := distTrainerConfig(tr, 1)
+		cfg.Opts.CapacityByExpert = make([]int, cfg.MoE.NumExperts-1)
+		for e := range cfg.Opts.CapacityByExpert {
+			cfg.Opts.CapacityByExpert[e] = 4
+		}
+		err := cfg.Check()
+		var oe *moe.OptionError
+		if !errors.As(err, &oe) || oe.Opt != "CapacityByExpert" {
+			t.Fatalf("%s: want wrapped *moe.OptionError{Opt: CapacityByExpert}, got %v", tr, err)
+		}
+		if _, err := NewDistTrainer(cfg); err == nil {
+			t.Fatalf("%s: NewDistTrainer accepted a short capacity vector", tr)
+		}
+		cfg.Opts.CapacityByExpert = append(cfg.Opts.CapacityByExpert, 4)
+		if err := cfg.Check(); err != nil {
+			t.Fatalf("%s: one capacity per expert rejected: %v", tr, err)
 		}
 	}
 }

@@ -1,0 +1,200 @@
+// Package transport is the one way to run an MoE layer over an
+// expert-parallel group. The paper's three dispatchers — the zero-padded
+// baseline (§3.1), padding-free PFT (§4.1) and hierarchical RBD (§4.2) —
+// implement one contract, "route these tokens through this EP group, later
+// reverse it", and everything above the pipeline bodies (the distributed
+// trainer, the step simulator, the bench harnesses, the CLIs) selects one
+// by Kind and drives it through Layer. What a transport needs built outside
+// the rank bodies (RBD's Dispatcher), which Forward pairs with which
+// Backward, what state crosses between them and which options it cannot
+// honour are known here and nowhere else. The package sits above moe and
+// rbd because moe cannot import rbd.
+package transport
+
+import (
+	"fmt"
+
+	"xmoe/internal/moe"
+	"xmoe/internal/rbd"
+	"xmoe/internal/simrt"
+	"xmoe/internal/tensor"
+)
+
+// Kind names a transport.
+type Kind int
+
+const (
+	// PFT is X-MoE's padding-free pipeline over the flat uneven all-to-all.
+	PFT Kind = iota
+	// Padded is the conventional capacity-padded pipeline of the baselines.
+	Padded
+	// RBD is the PFT pipeline over hierarchical redundancy-bypassing
+	// dispatch, forward and backward.
+	RBD
+)
+
+// kinds holds what is known about a transport before any cluster exists:
+// its CLI name and the options it rejects on top of PipelineOpts.Check.
+var kinds = [...]struct {
+	name  string
+	check func(moe.PipelineOpts) error
+}{
+	PFT:    {"pft", moe.PipelineOpts.Check},
+	Padded: {"padded", moe.CheckPaddedOpts},
+	RBD:    {"rbd", rbd.CheckOpts},
+}
+
+// Kinds returns every transport, in the order the tables print them.
+func Kinds() []Kind { return []Kind{PFT, Padded, RBD} }
+
+func (k Kind) String() string {
+	if k < 0 || int(k) >= len(kinds) {
+		return fmt.Sprintf("transport.Kind(%d)", int(k))
+	}
+	return kinds[k].name
+}
+
+// Parse maps a CLI or config name to its Kind. It is the only place an
+// unknown transport name can appear; the error lists the accepted ones.
+func Parse(name string) (Kind, error) {
+	for k, info := range kinds {
+		if info.name == name {
+			return Kind(k), nil
+		}
+	}
+	return 0, fmt.Errorf("transport: unknown transport %q (want one of %v)", name, Kinds())
+}
+
+// Check reports whether transport k can run a cfg layer under opts: the
+// generic PipelineOpts.Check, what k itself rejects (per-expert capacities
+// on padded, a CombineBytes override on rbd), and the one rule that needs
+// cfg — a capacity vector must have an entry per expert, or BuildPFTCaps
+// panics mid-step. Errors are *moe.OptionError. Callers that validate a
+// configuration before building a cluster use this; Layer.Check is the
+// same answer once a layer exists.
+func (k Kind) Check(cfg moe.Config, opts moe.PipelineOpts) error {
+	if err := kinds[k].check(opts); err != nil {
+		return err
+	}
+	if opts.CapacityByExpert != nil && len(opts.CapacityByExpert) != cfg.NumExperts {
+		return &moe.OptionError{Opt: "CapacityByExpert",
+			Detail: fmt.Sprintf("transport: CapacityByExpert has %d entries, the layer has %d experts",
+				len(opts.CapacityByExpert), cfg.NumExperts)}
+	}
+	return nil
+}
+
+// Layer runs one MoE layer of a fixed architecture over a fixed EP group.
+// It is built once, outside the rank bodies, and shared by the group's
+// ranks; Forward and Saved.Backward are called from inside them.
+type Layer interface {
+	// Check is Kind.Check for this layer's transport and architecture.
+	Check(opts moe.PipelineOpts) error
+	// Forward runs the layer's forward pass on rank r for its s local
+	// tokens (x and params nil in symbolic mode). pilots drives RBD's
+	// randomized pilot selection and is ignored by the flat transports.
+	// With opts.SaveForBackward the returned Saved reverses this pass;
+	// otherwise it is nil.
+	Forward(r *simrt.Rank, s int, x *tensor.Tensor, routing moe.Routing, params *moe.ExpertParams,
+		pilots *tensor.RNG, opts moe.PipelineOpts) (moe.LayerResult, Saved)
+}
+
+// Saved is one rank's forward state, bound to the layer that produced it.
+type Saved interface {
+	// Backward runs the layer's backward pass for the forward that returned
+	// this value (dOut and params nil in symbolic mode).
+	Backward(r *simrt.Rank, dOut *tensor.Tensor, params *moe.ExpertParams, opts moe.PipelineOpts) moe.BackwardResult
+}
+
+// New builds the kind transport's layer of architecture cfg over EP group
+// ep of cluster c. It must be called outside Cluster.Run (RBD creates its
+// per-node communicators). A Kind outside Kinds() is a programming error.
+func New(kind Kind, c *simrt.Cluster, ep *simrt.Group, cfg moe.Config) Layer {
+	b := base{kind: kind, ep: ep, cfg: cfg}
+	switch kind {
+	case PFT:
+		return &pftLayer{b}
+	case Padded:
+		return &paddedLayer{b}
+	case RBD:
+		return &rbdLayer{b, rbd.NewDispatcher(c, ep, cfg)}
+	}
+	panic(fmt.Sprintf("transport: New(%v): no such transport", kind))
+}
+
+// base is what every layer holds.
+type base struct {
+	kind Kind
+	ep   *simrt.Group
+	cfg  moe.Config
+}
+
+func (b *base) Check(opts moe.PipelineOpts) error { return b.kind.Check(b.cfg, opts) }
+
+type pftLayer struct{ base }
+
+type pftSaved struct {
+	l  *pftLayer
+	st *moe.PFTFwdState
+}
+
+func (l *pftLayer) Forward(r *simrt.Rank, s int, x *tensor.Tensor, routing moe.Routing, params *moe.ExpertParams,
+	_ *tensor.RNG, opts moe.PipelineOpts) (moe.LayerResult, Saved) {
+
+	res := moe.PFTForward(r, l.ep, l.cfg, s, x, routing, params, opts)
+	if res.State == nil {
+		return res, nil
+	}
+	return res, pftSaved{l, res.State}
+}
+
+func (s pftSaved) Backward(r *simrt.Rank, dOut *tensor.Tensor, params *moe.ExpertParams, opts moe.PipelineOpts) moe.BackwardResult {
+	return moe.PFTBackward(r, s.l.ep, s.l.cfg, s.st, dOut, params, opts)
+}
+
+type paddedLayer struct{ base }
+
+type paddedSaved struct {
+	l  *paddedLayer
+	st *moe.PaddedFwdState
+}
+
+func (l *paddedLayer) Forward(r *simrt.Rank, s int, x *tensor.Tensor, routing moe.Routing, params *moe.ExpertParams,
+	_ *tensor.RNG, opts moe.PipelineOpts) (moe.LayerResult, Saved) {
+
+	res := moe.PaddedForward(r, l.ep, l.cfg, s, x, routing, params, opts)
+	if res.PaddedState == nil {
+		return res, nil
+	}
+	return res, paddedSaved{l, res.PaddedState}
+}
+
+func (s paddedSaved) Backward(r *simrt.Rank, dOut *tensor.Tensor, params *moe.ExpertParams, opts moe.PipelineOpts) moe.BackwardResult {
+	return moe.PaddedBackward(r, s.l.ep, s.l.cfg, s.st, dOut, params, opts)
+}
+
+// rbdLayer owns the dispatcher: the per-node communicators and the
+// expert-to-node tables every rank of the group shares.
+type rbdLayer struct {
+	base
+	d *rbd.Dispatcher
+}
+
+type rbdSaved struct {
+	l  *rbdLayer
+	st *rbd.FwdState
+}
+
+func (l *rbdLayer) Forward(r *simrt.Rank, s int, x *tensor.Tensor, routing moe.Routing, params *moe.ExpertParams,
+	pilots *tensor.RNG, opts moe.PipelineOpts) (moe.LayerResult, Saved) {
+
+	res := rbd.Forward(r, l.d, l.cfg, s, x, routing, params, pilots, opts)
+	if res.State == nil {
+		return res.LayerResult, nil
+	}
+	return res.LayerResult, rbdSaved{l, res.State}
+}
+
+func (s rbdSaved) Backward(r *simrt.Rank, dOut *tensor.Tensor, params *moe.ExpertParams, opts moe.PipelineOpts) moe.BackwardResult {
+	return rbd.Backward(r, s.l.d, s.l.cfg, s.st, dOut, params, opts)
+}
