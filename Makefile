@@ -93,9 +93,10 @@ verify-zero:
 		./internal/simrt:5 ./internal/moe:2 ./internal/train:7 ./internal/memmodel:1 ./internal/netsim:3)
 
 # RBD verification gate: the hierarchical dispatch/combine stack under the
-# race detector (rbd: the C = 1 golden bits, the chunk-count determinism
-# matrix and the gradient-parity pins — pooled==fresh bitwise, RBD==PFT/
-# padded at float tolerance), the RBD rows of the distributed trainer —
+# race detector (rbd: the C = 1 and C = 4 golden bits, the dispatch-geometry
+# table behind FuzzRBDGeometry, the chunk-count determinism matrix and the
+# gradient-parity pins — pooled==fresh bitwise, RBD==PFT/padded at float
+# tolerance), the RBD rows of the distributed trainer —
 # checkpoint/shrink cycles, ZeRO stages, typed option rejections — and the
 # golden bits of the two single-layer bench harnesses.
 verify-rbd:

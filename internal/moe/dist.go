@@ -283,7 +283,7 @@ func epCheck(cfg Config, g *simrt.Group) int {
 // experts, reverse all-to-all, and the weight-scaling scatter combine. s
 // is the local token count; x is the [s, H] input (nil in symbolic mode);
 // routing is the gate decision for the local tokens. The exchange and
-// expert stages run in opts.chunks() chunks (see overlap.go); one chunk
+// expert stages run in opts.Chunks() chunks (see overlap.go); one chunk
 // is the blocking pipeline.
 func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams, opts PipelineOpts) LayerResult {
 	opts.mustCheck()
@@ -497,7 +497,7 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 // fixed-capacity [E, C, H] buffers, an even all-to-all that carries the
 // padding, batched padded expert GEMMs, the reverse all-to-all, and the
 // mask-einsum combine. The exchanges and the expert GEMMs run in
-// opts.chunks() chunks of capacity slots (see overlap.go).
+// opts.Chunks() chunks of capacity slots (see overlap.go).
 func PaddedForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams, opts PipelineOpts) LayerResult {
 	if err := CheckPaddedOpts(opts); err != nil {
 		panic(err.Error())

@@ -51,16 +51,15 @@ const (
 
 // FwdState is the saved forward state the RBD backward consumes: the
 // dispatch geometry plus, in numeric mode, the expert-FFN intermediates in
-// the blocking full layout (per local expert: pilot rows src-ascending,
-// then replica rows (part, pos)-ascending — the overlapped forward
-// scatters its split buffers into this layout so the backward is
-// chunk-count-agnostic) and the pre-scaling expert outputs the
-// combine-weight gradients dot against. In symbolic mode the tensors are
-// nil and only the geometry is populated.
+// the State layout and the pre-scaling expert outputs the combine-weight
+// gradients dot against. In symbolic mode the tensors are nil and only the
+// geometry is populated. It does not record the forward's chunk count:
+// nothing in it depends on one, so any Backward chunk count pairs with any
+// Forward's.
 type FwdState struct {
 	S  int
 	St *State
-	// ExpertIn/HidPre/HidAct are [BExp, H/F/F] in the blocking layout.
+	// ExpertIn/HidPre/HidAct are [BExp, H/F/F] in the State layout.
 	ExpertIn, HidPre, HidAct *tensor.Tensor
 	// PilotOut is the [pilotRowsTotal, H] expert output of every pilot
 	// row held by this rank, absolute-indexed.
@@ -84,82 +83,21 @@ func bwdS1MetaBytes(nPilot, nReplica int) int64 {
 	return int64(nPilot+nReplica) * 4
 }
 
-// ensureRowRefs populates the split row maps (ReplicaRowsPerLE and, for a
-// numeric pass, pilotAbs and replicaRef) when the forward ran the blocking
-// schedule, which tracks rows through expertRows instead. The enumeration
-// is the overlapped forward's exact order — per local expert: pilots
-// source-ascending, then replicas (part, pos)-ascending — which is also
-// the blocking buffer order, so both forwards produce one canonical
-// backward layout.
-func (d *Dispatcher) ensureRowRefs(r *simrt.Rank, st *State, numeric bool) {
-	me := d.EP.IndexOf(r.ID)
-	p := d.EP.Size()
-	if st.ReplicaRowsPerLE == nil {
-		st.ReplicaRowsPerLE = make([]int, d.EPR)
-		for src := range st.s2RecvMeta {
-			for _, rm := range st.s2RecvMeta[src] {
-				st.ReplicaRowsPerLE[rm.expert-me*d.EPR]++
-			}
-		}
-	}
-	if !numeric {
-		return
-	}
-	if st.pilotAbs == nil {
-		nPilot := 0
-		for _, c := range st.PilotRowsPerLE {
-			nPilot += c
-		}
-		st.pilotAbs = make([]int, 0, nPilot)
-		posOfLE := make([]int, p)
-		for le := 0; le < d.EPR; le++ {
-			for src := 0; src < p; src++ {
-				c := st.recvPilotCounts[src][le]
-				for i := 0; i < c; i++ {
-					st.pilotAbs = append(st.pilotAbs, st.pilotPartOff[src]+posOfLE[src]+i)
-				}
-				posOfLE[src] += c
-			}
-		}
-	}
-	if st.replicaRef == nil {
-		nReplica := 0
-		for _, c := range st.ReplicaRowsPerLE {
-			nReplica += c
-		}
-		st.replicaRef = make([]rowRef, nReplica)
-		refOff := make([]int, d.EPR+1)
-		for le := 0; le < d.EPR; le++ {
-			refOff[le+1] = refOff[le] + st.ReplicaRowsPerLE[le]
-		}
-		cursor := make([]int, d.EPR)
-		for src := range st.s2RecvMeta {
-			for pos, rm := range st.s2RecvMeta[src] {
-				le := rm.expert - me*d.EPR
-				st.replicaRef[refOff[le]+cursor[le]] = rowRef{part: src, pos: pos}
-				cursor[le]++
-			}
-		}
-	}
-}
-
 // bwdGeom bundles the index maps the backward derives from the forward
 // state. A symbolic pass moves no rows and gets the wire geometry only.
 type bwdGeom struct {
 	bExp      int
-	rowsOff   []int // full-layout offset per local expert
+	rowsOff   []int // State-layout offset per local expert
 	sentTo    []int // pilots this rank sent to each EP member
 	partStart []int // pilot send-order boundaries per member
-	// Numeric only: row maps into the full layout and pilot weights.
-	fullOfPilot []int // absolute pilot row -> full-layout row
-	replFull    []int // replicaRef index -> full-layout row
+	// Numeric only: the row map inverted, and the pilot weights.
+	fullOfPilot []int   // absolute pilot row -> State-layout row
+	fullOfPart  [][]int // (s2 part, pos) -> State-layout row
 	wByAbs      []float32
-	fullOfPart  [][]int // (s2 part, pos) -> full-layout row
 }
 
-func (d *Dispatcher) backwardGeom(r *simrt.Rank, st *State, numeric bool) *bwdGeom {
+func (d *Dispatcher) backwardGeom(st *State, numeric bool) *bwdGeom {
 	p := d.EP.Size()
-	d.ensureRowRefs(r, st, numeric)
 	g := &bwdGeom{sentTo: d.sentTo(st)}
 	g.rowsOff = make([]int, d.EPR+1)
 	for le := 0; le < d.EPR; le++ {
@@ -174,32 +112,20 @@ func (d *Dispatcher) backwardGeom(r *simrt.Rank, st *State, numeric bool) *bwdGe
 		return g
 	}
 	g.fullOfPilot = make([]int, st.pilotRowsTotal)
-	g.replFull = make([]int, len(st.replicaRef))
-	{
-		i, j := 0, 0
-		for le := 0; le < d.EPR; le++ {
-			for k := 0; k < st.PilotRowsPerLE[le]; k++ {
-				g.fullOfPilot[st.pilotAbs[i]] = g.rowsOff[le] + k
-				i++
-			}
-			for k := 0; k < st.ReplicaRowsPerLE[le]; k++ {
-				g.replFull[j] = g.rowsOff[le] + st.PilotRowsPerLE[le] + k
-				j++
-			}
+	g.fullOfPart = make([][]int, len(st.s2RecvCount))
+	for part, n := range st.s2RecvCount {
+		g.fullOfPart[part] = make([]int, n)
+	}
+	for row, ref := range st.rows {
+		if ref.part == pilotPart {
+			g.fullOfPilot[ref.pos] = row
+		} else {
+			g.fullOfPart[ref.part][ref.pos] = row
 		}
 	}
 	g.wByAbs = make([]float32, st.pilotRowsTotal)
 	for src := 0; src < p; src++ {
-		for pos, w := range st.recvPilotW[src] {
-			g.wByAbs[st.pilotPartOff[src]+pos] = w
-		}
-	}
-	g.fullOfPart = make([][]int, len(st.s2RecvCount))
-	for part := range g.fullOfPart {
-		g.fullOfPart[part] = make([]int, st.s2RecvCount[part])
-	}
-	for i, ref := range st.replicaRef {
-		g.fullOfPart[ref.part][ref.pos] = g.replFull[i]
+		copy(g.wByAbs[st.pilotPartOff[src]:], st.recvPilotW[src])
 	}
 	return g
 }
@@ -247,7 +173,7 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 	pool := r.Pool()
 	nodeGroup := st.nodeGroup
 	chunks := opts.Chunks()
-	g := d.backwardGeom(r, st, opts.Numeric)
+	g := d.backwardGeom(st, opts.Numeric)
 	nPilotSent := len(st.pilotEntry)
 	parts := make([]simrt.Part, 2*chunks*p)
 	exchanges := make([]simrt.Exchange, 2*chunks)
@@ -288,7 +214,7 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 	// replica's gradient is a single write, so chunk partitioning never
 	// reorders arithmetic.
 	mergeOff, merges := st.mergesByChunk(chunks, opts.Numeric)
-	// Expert-FFN gradients in the full layout of the saved state.
+	// Expert-FFN gradients in the State layout.
 	var dMerged *tensor.Tensor
 	var grads moe.FFNGrads
 	var wgAbs []float32
@@ -344,27 +270,16 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 
 	// --- Reverse C2 (intra-node): replica-output gradients to expert ranks --
 	// Chunked, it flies under the pilot dX chain: per-le pilot blocks are
-	// contiguous in the full layout and the chain is row-independent, so
+	// contiguous in the State layout and the chain is row-independent, so
 	// computing them ahead of the replica rows changes no bit.
 	c2Send := make([]simrt.Part, nodeGroup.Size())
 	for slot := range c2Send {
 		c2Send[slot] = simrt.Part{Data: dRepRet[slot], Bytes: int64(len(st.s2SentByMember[slot])) * int64(h) * elem}
 	}
 	c2X := r.AlltoAllVChunk(nodeGroup, StageBwdC2A2A, c2Send, chunks)
-	// chainCost is the dX chain (two GEMMs and the GeLU backward) over the
-	// given per-expert rows.
-	chainCost := func(rowsPerLE []int) float64 {
-		rows := 0
-		for _, c := range rowsPerLE {
-			rows += c
-		}
-		return comp.SequentialGEMM(rowsPerLE, h, f) +
-			comp.SequentialGEMM(rowsPerLE, f, h) +
-			comp.MemBound(perfmodel.ClassTriton, 2*int64(rows)*int64(f)*elem)
-	}
 	if chunks > 1 {
 		// The pilot rows' dX chain, hiding the in-flight reverse C2.
-		r.Compute(moe.StageBwdExperts, chainCost(st.PilotRowsPerLE))
+		r.Compute(moe.StageBwdExperts, ffnChainCost(comp, cfg, st.PilotRowsPerLE))
 	}
 	if opts.Numeric {
 		for le, n := range st.PilotRowsPerLE {
@@ -382,11 +297,13 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 			comp.MemBound(perfmodel.ClassTriton, 2*int64(g.bExp)*int64(f)*elem))
 	} else {
 		// The replica rows' dX chain.
-		r.Compute(moe.StageBwdExperts, chainCost(st.ReplicaRowsPerLE))
+		r.Compute(moe.StageBwdExperts, ffnChainCost(comp, cfg, st.ReplicaRowsPerLE))
 	}
 	if opts.Numeric {
-		for i, ref := range st.replicaRef {
-			copy(grads.DOut.Row(g.replFull[i]), c2Recv[ref.part].Data[ref.pos*h:(ref.pos+1)*h])
+		for part, rows := range g.fullOfPart {
+			for pos, row := range rows {
+				copy(grads.DOut.Row(row), c2Recv[part].Data[pos*h:(pos+1)*h])
+			}
 		}
 		for le, n := range st.ReplicaRowsPerLE {
 			if n > 0 {

@@ -200,7 +200,7 @@ func TestRBDBackwardDeterminismMatrix(t *testing.T) {
 		}
 	}
 	// Mixed chunk counts: a chunked forward feeding a blocking backward
-	// (and vice versa) — the saved full-layout state is chunk-agnostic.
+	// (and vice versa) — the saved state is chunk-agnostic.
 	mixed, _ := runFwdBwd(t, world, s, bwdCfg, 4, 1, false)
 	for rank := range blocking {
 		bitEqualGrads(t, "fwd4/bwd1", rank, blocking[rank], mixed[rank])

@@ -1,6 +1,7 @@
 package rbd
 
 import (
+	"fmt"
 	"testing"
 
 	"xmoe/internal/model"
@@ -38,3 +39,36 @@ func BenchmarkStageReplicas(b *testing.B) {
 }
 
 var benchParts []simrt.Part
+
+// BenchmarkRBDLayer is the ledger rung for the whole layer: one symbolic
+// fwd+bwd of the Large model's MoE layer at EP = 64 (4096 tokens per rank,
+// k = 8, skew 0.6) on pre-built routing, one chunk and four, on a fresh
+// cluster per iteration so no collective is priced from a warm memo.
+func BenchmarkRBDLayer(b *testing.B) {
+	const world = 64
+	sh := model.Large()
+	cfg := moe.Config{NumExperts: sh.NumExperts, TopK: sh.TopK, HModel: sh.HModel, HFFN: sh.HFFN,
+		CapacityFactor: 1.25, BytesPerElem: 2}
+	routings := make([]moe.Routing, world)
+	for id := range routings {
+		routings[id] = moe.SyntheticRouting(tensor.NewRNG(42+uint64(id)*31), sh.SeqLen, cfg.NumExperts, cfg.TopK, 0.6)
+	}
+	for _, chunks := range []int{1, 4} {
+		b.Run(fmt.Sprintf("c%d", chunks), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c := newCluster(world)
+				d := NewDispatcher(c, c.WorldGroup(), cfg)
+				err := c.Run(func(r *simrt.Rank) error {
+					res := Forward(r, d, cfg, sh.SeqLen, nil, routings[r.ID], nil, tensor.NewRNG(uint64(r.ID)),
+						moe.PipelineOpts{DropPolicy: moe.DropByCapacityWeight, SaveForBackward: true, OverlapChunks: chunks})
+					Backward(r, d, cfg, res.State, nil, nil, moe.PipelineOpts{OverlapChunks: chunks})
+					return nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -22,6 +22,18 @@ type LayerResult struct {
 // With opts.SaveForBackward the result carries the FwdState Backward
 // needs — the dispatch geometry always, plus the expert-FFN intermediates
 // in numeric mode.
+//
+// It is one body parameterised by opts.OverlapChunks, which changes the
+// schedule and nothing else. With chunks, S1 and C1 split into that many
+// exchanges whose instantiation and merge passes hide each other's
+// transfers, and the intra-node S2 and C2 fly under the work that does not
+// need them: the pilot rows' reconstruction and expert GEMMs, and the
+// pilot scaling. With one chunk every exchange is blocking and each of
+// those passes is charged once. The numbers are the same either way: the
+// expert FFN is row-independent, so it runs once over the whole input
+// after Stage 2 lands whichever rows the schedule priced first, and the
+// merge keeps its per-row order (see Combine) — the output is bit-identical
+// for any chunk count.
 func Forward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, x *tensor.Tensor,
 	routing moe.Routing, params *moe.ExpertParams, pilotRNG *tensor.RNG, opts moe.PipelineOpts) LayerResult {
 
@@ -32,6 +44,7 @@ func Forward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, x *tensor.Tens
 	elem := int64(cfg.BytesPerElem)
 	mem := &r.Dev().Mem
 	comp := r.C.Comp
+	pool := r.Pool()
 
 	// Gate + PFT construction (identical to the PFT pipeline).
 	gateTime := comp.GEMM(s, h, cfg.NumExperts) +
@@ -50,61 +63,23 @@ func Forward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, x *tensor.Tens
 	}
 	mem.Alloc("dispatch_in", int64(b)*int64(h)*elem)
 
-	// RBD dispatch, experts and combine. The forward keeps two schedules,
-	// chosen by the chunk count: with chunks the expert input is split
-	// into pilot and replica rows whose GEMMs run around the in-flight
-	// intra-node exchanges (forwardOverlap) — a different algorithm, not a
-	// re-timing, and only worth its extra launches and staging when there
-	// are transfers to hide; with one chunk the experts run once over the
-	// reconstructed input between blocking exchanges. Output is
-	// bit-identical either way.
-	schedule := forwardBlocking
+	// experts charges the W1/GeLU/W2 pass over the given per-expert rows.
+	experts := func(rowsPerLE []int) {
+		r.Compute(moe.StageExperts, ffnChainCost(comp, cfg, rowsPerLE))
+	}
+	// Chunked, the pilot rows' GEMMs are launched under the in-flight
+	// Stage 2 (the hook runs only then) and the replica rows' after it;
+	// one chunk runs the experts once over the reconstructed input.
+	st, expertIn := d.dispatch(r, pft, dispIn, pilotRNG, opts, func(st *State) { experts(st.PilotRowsPerLE) })
 	if opts.Chunks() > 1 {
-		schedule = forwardOverlap
+		experts(st.ReplicaRowsPerLE)
+	} else {
+		experts(st.RowsPerLE)
 	}
-	out, bExp, st := schedule(r, d, cfg, s, pft, dispIn, params, pilotRNG, opts)
-
-	if !opts.RetainActivations {
-		mem.Free("eri", pft.ERIBytes())
-		mem.Free("dispatch_in", int64(b)*int64(h)*elem)
-		mem.Free("A0_interm", int64(bExp)*int64(f)*elem)
-		mem.Free("A1_interm", int64(bExp)*int64(f)*elem)
-	}
-	res := LayerResult{LayerResult: moe.LayerResult{
-		Output:       out,
-		PFT:          pft,
-		RoutedTokens: b,
-		RecvTokens:   bExp,
-		Dropped:      pft.Dropped,
-	}}
-	if st.save != nil {
-		st.save.S = s
-		res.State = st.save
-	}
-	return res
-}
-
-// forwardBlocking is the one-chunk RBD layer: blocking dispatch (stages
-// 0-2 + expert input reconstruction), one sequential-GEMM pass over the
-// reconstructed uneven segments, blocking combine.
-func forwardBlocking(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, pft *moe.PFT,
-	dispIn *tensor.Tensor, params *moe.ExpertParams, pilotRNG *tensor.RNG, opts moe.PipelineOpts) (*tensor.Tensor, int, *State) {
-
-	h, f := cfg.HModel, cfg.HFFN
-	elem := int64(cfg.BytesPerElem)
-	mem := &r.Dev().Mem
-	comp := r.C.Comp
-	pool := r.Pool()
-
-	st, expertIn := d.Dispatch(r, pft, dispIn, pilotRNG, opts)
 	bExp := 0
 	for _, c := range st.RowsPerLE {
 		bExp += c
 	}
-	expertTime := comp.SequentialGEMM(st.RowsPerLE, h, f) +
-		comp.SequentialGEMM(st.RowsPerLE, f, h) +
-		comp.MemBound(perfmodel.ClassTriton, 2*int64(bExp)*int64(f)*elem)
-	r.Compute(moe.StageExperts, expertTime)
 	mem.Alloc("A0_interm", int64(bExp)*int64(f)*elem)
 	mem.Alloc("A1_interm", int64(bExp)*int64(f)*elem)
 	var expertOut *tensor.Tensor
@@ -131,5 +106,44 @@ func forwardBlocking(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, pft *m
 
 	out := d.Combine(r, st, expertOut, s, opts)
 	pool.Put(expertOut)
-	return out, bExp, st
+
+	if !opts.RetainActivations {
+		rowBytes := int64(h) * elem
+		mem.Free("eri", pft.ERIBytes())
+		mem.Free("dispatch_in", int64(b)*rowBytes)
+		mem.Free("rbd_pilot_send", int64(len(st.pilotEntry))*rowBytes)
+		mem.Free("rbd_pilot_recv", int64(st.pilotRowsTotal)*rowBytes)
+		mem.Free("rbd_s2_send", int64(st.s2SentRows())*rowBytes)
+		mem.Free("rbd_s2_recv", int64(bExp-st.pilotRowsTotal)*rowBytes)
+		mem.Free("rbd_expert_in", int64(bExp)*rowBytes)
+		mem.Free("A0_interm", int64(bExp)*int64(f)*elem)
+		mem.Free("A1_interm", int64(bExp)*int64(f)*elem)
+		mem.Free("rbd_merged", int64(st.pilotRowsTotal)*rowBytes)
+	}
+	res := LayerResult{LayerResult: moe.LayerResult{
+		Output:       out,
+		PFT:          pft,
+		RoutedTokens: b,
+		RecvTokens:   bExp,
+		Dropped:      pft.Dropped,
+	}}
+	if st.save != nil {
+		st.save.S = s
+		res.State = st.save
+	}
+	return res
+}
+
+// ffnChainCost is the modeled time of one trip through the expert FFN over
+// the given per-expert rows — two sequential GEMMs and the activation pass
+// between them — which the forward (W1, GeLU, W2) and the backward's dX
+// chain (W2ᵀ, GeLU', W1ᵀ) both are.
+func ffnChainCost(comp *perfmodel.Model, cfg moe.Config, rowsPerLE []int) float64 {
+	rows := 0
+	for _, c := range rowsPerLE {
+		rows += c
+	}
+	return comp.SequentialGEMM(rowsPerLE, cfg.HModel, cfg.HFFN) +
+		comp.SequentialGEMM(rowsPerLE, cfg.HFFN, cfg.HModel) +
+		comp.MemBound(perfmodel.ClassTriton, 2*int64(rows)*int64(cfg.HFFN)*int64(cfg.BytesPerElem))
 }

@@ -15,16 +15,18 @@ import (
 	"xmoe/internal/trace"
 )
 
-// blockingGolden is what one fwd+bwd at OverlapChunks <= 1 produced at the
-// commit that still had a separate blocking body per pipeline (PR 18).
-// Hashes are FNV-1a over bit patterns, ranks in ascending order.
+// blockingGolden is what one fwd+bwd produced at the commit that still had
+// a second body for it: the separate blocking body per pipeline (PR 18) for
+// the OverlapChunks <= 1 rows, the split-buffer overlapped RBD forward
+// (PR 23) for the c4 rows. Hashes are FNV-1a over bit patterns, ranks in
+// ascending order.
 type blockingGolden struct {
 	// maxClock is Float64bits(simrt.MaxClock); clocks hashes every rank's
 	// final Clock and its Clock when OnDWReady fired.
 	maxClock, clocks uint64
-	// events hashes every rank's full span list (name, start, duration) in
-	// recorded order; stages hashes, per stage name, every rank's
-	// Trace.Breakdown() entry.
+	// events hashes every rank's full span list (name, start, duration, and
+	// whether the span is an overlapped one) in recorded order; stages
+	// hashes, per stage name, every rank's Trace.Breakdown() entry.
 	events  uint64
 	stages  map[string]uint64
 	peakMem int64
@@ -61,9 +63,9 @@ func (b bitHash) tensor(t *tensor.Tensor) {
 }
 
 // runBlockingLayer executes one fwd+bwd of the transport with
-// OverlapChunks = 0 on a fresh Frontier cluster and digests everything the
-// simulation produced.
-func runBlockingLayer(t *testing.T, transport string, numeric bool) blockingGolden {
+// OverlapChunks = chunks in both passes on a fresh Frontier cluster and
+// digests everything the simulation produced.
+func runBlockingLayer(t *testing.T, transport string, numeric bool, chunks int) blockingGolden {
 	t.Helper()
 	// Symbolic: four nodes, strongly skewed routing. Numeric: two nodes,
 	// a layer small enough to multiply out in milliseconds.
@@ -99,8 +101,8 @@ func runBlockingLayer(t *testing.T, transport string, numeric bool) blockingGold
 				dOut.Data[i] = float32(i%7)*0.15 - 0.4
 			}
 		}
-		fwd := moe.PipelineOpts{Numeric: numeric, DropPolicy: drop, SaveForBackward: true}
-		bwd := moe.PipelineOpts{Numeric: numeric, DropPolicy: drop,
+		fwd := moe.PipelineOpts{Numeric: numeric, DropPolicy: drop, SaveForBackward: true, OverlapChunks: chunks}
+		bwd := moe.PipelineOpts{Numeric: numeric, DropPolicy: drop, OverlapChunks: chunks,
 			OnDWReady: func() { hookClock[r.ID] = r.Clock }}
 		var out *tensor.Tensor
 		var grads moe.BackwardResult
@@ -138,13 +140,16 @@ func runBlockingLayer(t *testing.T, transport string, numeric bool) blockingGold
 	}
 	stageHash := map[string]bitHash{}
 	for id, rec := range recorders {
-		if ob := rec.OverlapBreakdown(); len(ob) != 0 {
+		if ob := rec.OverlapBreakdown(); chunks <= 1 && len(ob) != 0 {
 			t.Errorf("%s rank %d: OverlapChunks <= 1 recorded overlapped spans %v", transport, id, ob)
 		}
 		for _, ev := range rec.Events() {
 			events.str(ev.Name)
 			events.f64(ev.Start)
 			events.f64(ev.Dur)
+			if ev.Overlap {
+				events.u64(1)
+			}
 		}
 		events.u64(uint64(id))
 		for name := range rec.Breakdown() {
@@ -196,21 +201,29 @@ func (g blockingGolden) literal() string {
 }
 
 // TestBlockingGoldenBits pins OverlapChunks <= 1 of all three transports to
-// the bits the deleted blocking bodies produced: per-rank clocks, the
-// OnDWReady instant, every recorded span, every Breakdown stage, no
-// overlapped span, peak memory and (numeric) every output and gradient.
-// The values were recorded at the parent commit of the PR that folded the
-// blocking bodies into the chunked ones; they are the reference now, so a
-// mismatch is a model change that must be declared, not re-recorded.
+// the bits the deleted blocking bodies produced, and OverlapChunks = 4 of
+// RBD (the c4 rows) to the bits of its deleted split-buffer overlapped
+// forward: per-rank clocks, the OnDWReady instant, every recorded and every
+// overlapped span (none at one chunk), every Breakdown stage, peak memory
+// and (numeric) every output and gradient. The values were recorded at the
+// parent commit of the PR that folded the second body away; they are the
+// reference now, so a mismatch is a model change that must be declared, not
+// re-recorded.
 func TestBlockingGoldenBits(t *testing.T) {
-	for _, transport := range []string{"pft", "padded", "rbd"} {
+	for _, row := range []struct {
+		transport string
+		chunks    int
+	}{{"pft", 0}, {"padded", 0}, {"rbd", 0}, {"rbd", 4}} {
 		for _, numeric := range []bool{false, true} {
-			name := transport + "/symbolic"
+			name := row.transport + "/symbolic"
 			if numeric {
-				name = transport + "/numeric"
+				name = row.transport + "/numeric"
+			}
+			if row.chunks > 1 {
+				name += fmt.Sprintf("/c%d", row.chunks)
 			}
 			t.Run(name, func(t *testing.T) {
-				got := runBlockingLayer(t, transport, numeric)
+				got := runBlockingLayer(t, row.transport, numeric, row.chunks)
 				if w := blockingGoldens[name]; got.literal() != w.literal() {
 					t.Errorf("golden mismatch\n got: %q: %s,\nwant: %q: %s,", name, got.literal(), name, w.literal())
 				}
@@ -267,5 +280,25 @@ var blockingGoldens = map[string]blockingGolden{
 			"rbd_comb_merge": 0xc2310b143d9d9bd4, "rbd_comb_s1_a2a": 0x63661b7a8d7774be, "rbd_comb_s2_a2a": 0x9b7d6fc813778031,
 			"rbd_comb_scatter": 0x474324f8608da882, "rbd_reconstruct": 0xfe15afa7c4560fdc, "rbd_s1_a2a": 0xe90eff132fa59d80,
 			"rbd_s1_inst": 0x474324f8608da882, "rbd_s2_a2a": 0x98b58a560d9700ff, "rbd_s2_inst": 0x3714ae57dbb453c9,
+		}},
+	"rbd/symbolic/c4": {maxClock: 0x3f67176a5c2a9f7e, clocks: 0xeb88f63e83b32cb, events: 0xf897bab58548af6f, peakMem: 28646452, tensors: 0x0,
+		stages: map[string]uint64{
+			"bwd_experts": 0x47c92bf790be4f28, "dispatch": 0x4b46f1ae880a0813, "experts": 0xa252da1889ae4825,
+			"gate": 0x50087090fbd8c665, "rbd_bwd_comb_merge": 0x60df154ab1e265f0, "rbd_bwd_comb_s1_a2a": 0x24f28bbb197113a4,
+			"rbd_bwd_comb_s2_a2a": 0xd80ac658736bb725, "rbd_bwd_comb_scatter": 0xbe187da514f4b65f, "rbd_bwd_s1_a2a": 0x680bbdc735655718,
+			"rbd_bwd_s1_scatter": 0x4c8a3d7a41746fe, "rbd_bwd_s2_a2a": 0xd80ac658736bb725, "rbd_bwd_s2_reduce": 0x2acb5c7f66c8284c,
+			"rbd_comb_merge": 0x2f47352e88cca73f, "rbd_comb_s1_a2a": 0xdef0154682feaa8a, "rbd_comb_s2_a2a": 0x54676c4dfa5fde91,
+			"rbd_comb_scatter": 0x4c8a3d7a41746fe, "rbd_reconstruct": 0x4fc2d9c65d89961f, "rbd_s1_a2a": 0xc6fa1c0e959995ba,
+			"rbd_s1_inst": 0xbe187da514f4b65f, "rbd_s2_a2a": 0xd80ac658736bb725, "rbd_s2_inst": 0x198882a6ab0df0ce,
+		}},
+	"rbd/numeric/c4": {maxClock: 0x3f4f8d96c66413c4, clocks: 0x342363374626302c, events: 0x994adc92f32be390, peakMem: 14244, tensors: 0xa4e89a5d26446cfe,
+		stages: map[string]uint64{
+			"bwd_experts": 0xeb43660bff126166, "dispatch": 0xb1c558431638395a, "experts": 0xcd3f5439046b8fe6,
+			"gate": 0x650ce7d49dc02645, "rbd_bwd_comb_merge": 0xbbcc7843d55ec60f, "rbd_bwd_comb_s1_a2a": 0xb8b9a4c931329094,
+			"rbd_bwd_comb_s2_a2a": 0x8421ae126c7ced25, "rbd_bwd_comb_scatter": 0xf31befec3b116be5, "rbd_bwd_s1_a2a": 0xad5b7fd9c5ee90be,
+			"rbd_bwd_s1_scatter": 0x474324f8608da882, "rbd_bwd_s2_a2a": 0x8421ae126c7ced25, "rbd_bwd_s2_reduce": 0xc2310b143d9d9bd4,
+			"rbd_comb_merge": 0x22acec19ff3c37bd, "rbd_comb_s1_a2a": 0xbbf19fa6d116dfeb, "rbd_comb_s2_a2a": 0x1b78f2ad8c9a5c7d,
+			"rbd_comb_scatter": 0x474324f8608da882, "rbd_reconstruct": 0xe8395d74771cedc3, "rbd_s1_a2a": 0x90698e78d6ca8ead,
+			"rbd_s1_inst": 0xf31befec3b116be5, "rbd_s2_a2a": 0x8421ae126c7ced25, "rbd_s2_inst": 0x3714ae57dbb453c9,
 		}},
 }

@@ -146,15 +146,14 @@ func (m s1Meta) bytes() int64 {
 	return int64(len(m.counts))*8 + int64(len(m.weights))*4 + int64(len(m.replicas))*16
 }
 
-// rowRef locates one expert-input row's origin for the combine reversal.
-type rowRef struct {
-	pilot bool
-	// For pilots: absolute row in the received pilot buffer. For
-	// replicas: the Stage-2 part (node-group member index) and position.
-	abs  int
-	part int
-	pos  int
-}
+// rowRef is the origin of one expert-input row: a received pilot (part is
+// pilotPart, pos its absolute row in the received pilot buffer) or a
+// replica delivered by Stage 2 (pos within node-group member part's
+// payload).
+type rowRef struct{ part, pos int }
+
+// pilotPart is rowRef.part of a pilot row.
+const pilotPart = -1
 
 // s2Sent records, on the pilot-holding rank, where each Stage-2 replica
 // row must merge back during combine, and which source rank announced it
@@ -166,7 +165,14 @@ type s2Sent struct {
 	src, ri  int
 }
 
-// State carries the per-rank dispatch bookkeeping the combine stage needs.
+// State is one rank's dispatch bookkeeping: what Combine and Backward need
+// to send every row back the way it came. Its expert-row layout is the
+// layer's only one — the expert input, both FFN intermediates and the
+// expert output hold, per local expert, the pilot rows source-ascending
+// and then the replica rows (part, pos)-ascending — so a local expert's
+// pilot block and replica block are each contiguous, which is what lets a
+// chunked schedule price (and the backward compute) them apart without a
+// second buffer.
 type State struct {
 	// Source side.
 	pft        *moe.PFT
@@ -177,29 +183,16 @@ type State struct {
 	recvMetas       []s1Meta    // full stage-1 metadata per source
 	pilotPartOff    []int       // absolute offset of each src's pilot part
 	pilotRowsTotal  int
-	pilotRows       *tensor.Tensor // received pilot payload (numeric)
+	pilotRows       *tensor.Tensor // received pilot payload (numeric, until reconstruction)
 	s2SentByMember  [][]s2Sent     // [nodeMember][pos] merge targets
 	s2RecvCount     []int          // rows received from each node member
-	s2RecvMeta      [][]replicaMeta
-	// s2Handle is the in-flight non-blocking Stage-2 exchange of the
-	// expert-GEMM-overlap path (nil on the blocking path).
-	s2Handle *simrt.CommHandle
-	// ExpertRowsPerLE[le] lists the origin of each row of local expert
-	// le's input, in buffer order.
-	expertRows [][]rowRef
-	// RowsPerLE is the expert input segmentation for the sequential GEMM.
-	RowsPerLE []int
-	// PilotRowsPerLE / ReplicaRowsPerLE are the split segmentations of
-	// the expert-GEMM-overlap path: pilot rows are available right after
-	// Stage 1 and compute while the Stage-2 replica exchange is in
-	// flight.
-	PilotRowsPerLE   []int
-	ReplicaRowsPerLE []int
-	// pilotAbs[i] is the absolute pilot-buffer row of pilot-input row i
-	// (le-major order); replicaRef[i] locates replica-input row i's
-	// Stage-2 (part, pos) origin.
-	pilotAbs   []int
-	replicaRef []rowRef
+	// RowsPerLE is the expert input segmentation for the sequential GEMM:
+	// PilotRowsPerLE + ReplicaRowsPerLE, the sizes of each local expert's
+	// two blocks.
+	RowsPerLE, PilotRowsPerLE, ReplicaRowsPerLE []int
+	// rows[i] is the origin of expert-input row i. Only the numeric passes
+	// move rows, so a symbolic dispatch leaves it nil.
+	rows []rowRef
 	// node group used for stage 2
 	nodeGroup *simrt.Group
 	// save is the forward state retained for Backward (nil unless
@@ -216,119 +209,123 @@ type State struct {
 // replica exchange, and expert input reconstruction. dispIn is the [B, H]
 // PFT-ordered token buffer (nil in symbolic mode); rng drives the
 // randomized pilot selection (paper: random choice balances the
-// all-to-all). It returns the combine state, the expert-major input buffer
-// (numeric mode), and fills State.RowsPerLE.
-//
-// Dispatch is the blocking-expert-compute composition; the overlapped
-// Forward path drives the finer-grained DispatchPilots / IssueS2 /
-// PilotInput / FinishS2 stages directly so the expert GEMMs interleave
-// with the Stage-2 exchange.
+// all-to-all). It returns the combine state, with the three per-expert
+// segmentations filled, and the expert input in the State layout (numeric
+// mode).
 func (d *Dispatcher) Dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, rng *tensor.RNG, opts moe.PipelineOpts) (*State, *tensor.Tensor) {
+	return d.dispatch(r, pft, dispIn, rng, opts, nil)
+}
+
+// dispatch is Dispatch with a hook: underS2, when set and the schedule is
+// chunked, runs while the Stage-2 exchange is in flight, after the pilot
+// rows' reconstruction charge — where Forward charges the expert GEMMs of
+// the pilot rows, which are local by then.
+func (d *Dispatcher) dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, rng *tensor.RNG,
+	opts moe.PipelineOpts, underS2 func(*State)) (*State, *tensor.Tensor) {
+
 	h := d.Cfg.HModel
-	elem := int64(d.Cfg.BytesPerElem)
+	rowBytes := int64(h) * int64(d.Cfg.BytesPerElem)
 	p := d.EP.Size()
 	me := d.EP.IndexOf(r.ID)
-	comp := r.C.Comp
+	chunks := opts.Chunks()
 	mem := &r.Dev().Mem
+	// reconstruct charges the expert-input reconstruction pass over n rows.
+	reconstruct := func(n int) {
+		r.Compute(StageReconstruct, r.C.Comp.MemBound(perfmodel.ClassTriton, 2*int64(n)*rowBytes))
+	}
 
 	st := d.DispatchPilots(r, pft, dispIn, rng, opts)
-	nodeGroup := st.nodeGroup
 
 	// --- Replica reconstruction + Stage 2 intra-node exchange --------------
-	s2Send := d.stageReplicas(r, st, opts)
-	s2Recv := r.AlltoAllV(nodeGroup, StageS2A2A, s2Send)
-
-	st.s2RecvCount = make([]int, nodeGroup.Size())
-	st.s2RecvMeta = make([][]replicaMeta, nodeGroup.Size())
-	nReplicaRows := 0
-	for src, part := range s2Recv {
-		m := part.Meta.([]replicaMeta)
-		st.s2RecvMeta[src] = m
-		st.s2RecvCount[src] = len(m)
-		nReplicaRows += len(m)
-	}
-	mem.Alloc("rbd_s2_recv", int64(nReplicaRows)*int64(h)*elem)
-
-	// --- Expert input reconstruction ---------------------------------------
-	// Merge pilots destined to my experts with received replicas, grouped
-	// per local expert.
-	st.expertRows = make([][]rowRef, d.EPR)
-	st.RowsPerLE = make([]int, d.EPR)
-	rowsOff := make([]int, d.EPR+1)
-	for src := 0; src < p; src++ {
-		for le := 0; le < d.EPR; le++ {
-			rowsOff[le+1] += st.recvPilotCounts[src][le]
+	s2 := r.AlltoAllVChunk(st.nodeGroup, StageS2A2A, d.stageReplicas(r, st, opts), chunks)
+	if chunks > 1 {
+		// Chunked, the exchange is in flight and the pilot rows are already
+		// here: their share of the reconstruction, and what the caller
+		// computes on them, hides behind it.
+		reconstruct(st.pilotRowsTotal)
+		if underS2 != nil {
+			underS2(st)
 		}
 	}
-	for src := range s2Recv {
-		for _, rm := range st.s2RecvMeta[src] {
+	s2Recv := s2.Wait()
+
+	// --- Expert input reconstruction ---------------------------------------
+	// Every received pilot is for one of my experts; the replicas Stage 2
+	// delivered join them, grouped per local expert.
+	st.s2RecvCount = make([]int, len(s2Recv))
+	st.ReplicaRowsPerLE, st.RowsPerLE = make([]int, d.EPR), make([]int, d.EPR)
+	for src, part := range s2Recv {
+		metas := part.Meta.([]replicaMeta)
+		st.s2RecvCount[src] = len(metas)
+		for _, rm := range metas {
 			le := rm.expert - me*d.EPR
 			if le < 0 || le >= d.EPR {
 				panic(fmt.Sprintf("rbd: stage-2 replica for expert %d landed on wrong rank", rm.expert))
 			}
-			rowsOff[le+1]++
+			st.ReplicaRowsPerLE[le]++
 		}
 	}
 	totalRows := 0
-	for le := 0; le < d.EPR; le++ {
-		rowsOff[le+1] += rowsOff[le]
-		st.RowsPerLE[le] = rowsOff[le+1] - rowsOff[le]
+	for le := range st.RowsPerLE {
+		st.RowsPerLE[le] = st.PilotRowsPerLE[le] + st.ReplicaRowsPerLE[le]
 		totalRows += st.RowsPerLE[le]
 	}
-	rowsFlat := make([]rowRef, totalRows)
-	for le := range st.expertRows {
-		st.expertRows[le] = rowsFlat[rowsOff[le]:rowsOff[le]]
+	mem.Alloc("rbd_s2_recv", int64(totalRows-st.pilotRowsTotal)*rowBytes)
+	mem.Alloc("rbd_expert_in", int64(totalRows)*rowBytes)
+	if chunks > 1 {
+		// The pilot rows were charged under the exchange.
+		reconstruct(totalRows - st.pilotRowsTotal)
+	} else {
+		reconstruct(totalRows)
 	}
+	if !opts.Numeric {
+		return st, nil
+	}
+
+	// The row map, in the State layout: next[le] walks local expert le's
+	// segment, through its pilots (sources ascending; a source's part is
+	// expert-sorted, so pos walks it once) and then its replicas.
+	next := make([]int, d.EPR)
+	for le := 1; le < d.EPR; le++ {
+		next[le] = next[le-1] + st.RowsPerLE[le-1]
+	}
+	st.rows = make([]rowRef, totalRows)
 	for src := 0; src < p; src++ {
-		pos := 0
-		for le := 0; le < d.EPR; le++ {
-			c := st.recvPilotCounts[src][le]
-			for i := 0; i < c; i++ {
-				st.expertRows[le] = append(st.expertRows[le],
-					rowRef{pilot: true, abs: st.pilotPartOff[src] + pos})
+		pos := st.pilotPartOff[src]
+		for le, c := range st.recvPilotCounts[src] {
+			for ; c > 0; c-- {
+				st.rows[next[le]] = rowRef{part: pilotPart, pos: pos}
+				next[le]++
 				pos++
 			}
 		}
 	}
-	for src := range s2Recv {
-		for pos, rm := range st.s2RecvMeta[src] {
+	for src, part := range s2Recv {
+		for pos, rm := range part.Meta.([]replicaMeta) {
 			le := rm.expert - me*d.EPR
-			st.expertRows[le] = append(st.expertRows[le], rowRef{part: src, pos: pos})
+			st.rows[next[le]] = rowRef{part: src, pos: pos}
+			next[le]++
 		}
 	}
-	r.Compute(StageReconstruct, comp.MemBound(perfmodel.ClassTriton, 2*int64(totalRows)*int64(h)*elem))
-	mem.Alloc("rbd_expert_in", int64(totalRows)*int64(h)*elem)
-
-	var expertIn *tensor.Tensor
-	if opts.Numeric {
-		expertIn = r.Pool().Get(totalRows, h)
-		row := 0
-		for le := range st.expertRows {
-			for _, ref := range st.expertRows[le] {
-				var src []float32
-				if ref.pilot {
-					src = st.pilotRows.Row(ref.abs)
-				} else {
-					src = s2Recv[ref.part].Data[ref.pos*h : (ref.pos+1)*h]
-				}
-				copy(expertIn.Row(row), src)
-				row++
-			}
+	expertIn := r.Pool().Get(totalRows, h)
+	for row, ref := range st.rows {
+		if ref.part == pilotPart {
+			copy(expertIn.Row(row), st.pilotRows.Row(ref.pos))
+		} else {
+			copy(expertIn.Row(row), s2Recv[ref.part].Data[ref.pos*h:(ref.pos+1)*h])
 		}
-		// pilotRows is fully consumed (stage-2 staging and the rows just
-		// copied above); return it to the rank arena.
-		r.Pool().Put(st.pilotRows)
-		st.pilotRows = nil
 	}
+	// pilotRows is fully consumed (stage-2 staging and the rows just
+	// copied above); return it to the rank arena.
+	r.Pool().Put(st.pilotRows)
+	st.pilotRows = nil
 	return st, expertIn
 }
 
 // DispatchPilots runs RBD stages 0-1 for rank r: pilot selection, pilot
 // buffer instantiation, and the inter-node pilot exchange in
-// opts.Chunks() chunks. The returned state holds the
-// received pilot payload and full Stage-1 metadata; the caller continues
-// with either the blocking Stage 2 (Dispatch) or the overlapped
-// IssueS2/PilotInput/FinishS2 sequence.
+// opts.Chunks() chunks. The returned state holds the received pilot payload
+// and full Stage-1 metadata, from which Dispatch continues with Stage 2.
 func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, rng *tensor.RNG, opts moe.PipelineOpts) *State {
 	h := d.Cfg.HModel
 	elem := int64(d.Cfg.BytesPerElem)
@@ -565,8 +562,8 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 		}
 	}
 
-	// Pilot segmentation per local expert: the overlap path runs the
-	// pilot-row GEMMs from it while the Stage-2 exchange is in flight.
+	// Pilot segmentation per local expert: known a whole exchange before
+	// the replicas', which is what a chunked schedule hides Stage 2 behind.
 	st.PilotRowsPerLE = make([]int, d.EPR)
 	for src := 0; src < p; src++ {
 		for le := 0; le < d.EPR; le++ {
@@ -579,7 +576,6 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 // stageReplicas groups the incoming replica metadata by destination node
 // member, instantiates the Stage-2 send buffers from the received pilot
 // payload (charging the instantiation pass), and returns the parts.
-// Shared by the blocking Dispatch and the overlapped IssueS2.
 func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State, opts moe.PipelineOpts) []simrt.Part {
 	h := d.Cfg.HModel
 	elem := int64(d.Cfg.BytesPerElem)
@@ -656,19 +652,28 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State, opts moe.PipelineOp
 }
 
 // Combine reverses RBD for rank r: replica expert-outputs return to the
-// pilot's rank intra-node, are weight-scaled and merged into the pilot
-// rows, and one inter-node all-to-all returns the merged partial sums to
-// the source rank, which accumulates them into the [s, H] layer output.
-// expertOut must be row-aligned with the buffer returned by Dispatch.
+// pilot's rank intra-node (C2), are weight-scaled and merged into the pilot
+// rows, and the inter-node return (C1, in opts.Chunks() chunks) brings the
+// merged partial sums to the source rank, which accumulates them into the
+// [s, H] layer output. expertOut must be row-aligned with the buffer
+// returned by Dispatch.
+//
+// Every pilot row is scaled first and then receives its replica
+// accumulations in (slot, pos) order, whatever the chunk count: chunking
+// only buckets the accumulations by the C1 chunk their pilot row returns
+// in, so the output does not depend on it.
 func (d *Dispatcher) Combine(r *simrt.Rank, st *State, expertOut *tensor.Tensor, s int, opts moe.PipelineOpts) *tensor.Tensor {
 	h := d.Cfg.HModel
 	elem := int64(d.Cfg.BytesPerElem)
 	p := d.EP.Size()
-	comp := r.C.Comp
-	mem := &r.Dev().Mem
+	chunks := opts.Chunks()
+	// merge charges the weight-scaled merge pass over n rows.
+	merge := func(n int) {
+		r.Compute(StageCMerge, r.C.Comp.MemBound(perfmodel.ClassTriton, 2*int64(n)*int64(h)*elem))
+	}
 
 	// Split expert outputs back into pilot-aligned and replica-aligned
-	// rows.
+	// rows (host-side staging, uncharged).
 	var pilotOut *tensor.Tensor
 	replicaOut := make([][]float32, len(st.s2RecvCount))
 	if opts.Numeric {
@@ -676,53 +681,59 @@ func (d *Dispatcher) Combine(r *simrt.Rank, st *State, expertOut *tensor.Tensor,
 		for src := range replicaOut {
 			replicaOut[src] = make([]float32, st.s2RecvCount[src]*h)
 		}
-		row := 0
-		for le := range st.expertRows {
-			for _, ref := range st.expertRows[le] {
-				out := expertOut.Row(row)
-				if ref.pilot {
-					copy(pilotOut.Row(ref.abs), out)
-				} else {
-					copy(replicaOut[ref.part][ref.pos*h:(ref.pos+1)*h], out)
-				}
-				row++
+		for row, ref := range st.rows {
+			if ref.part == pilotPart {
+				copy(pilotOut.Row(ref.pos), expertOut.Row(row))
+			} else {
+				copy(replicaOut[ref.part][ref.pos*h:(ref.pos+1)*h], expertOut.Row(row))
 			}
 		}
 	}
 
 	// --- Combine stage 2 (intra-node): return replica outputs --------------
-	s2Back := r.AlltoAllV(st.nodeGroup, StageC2A2A, st.c2Parts(replicaOut, h, elem))
-
-	// --- Merge replicas into pilots + inter-node pilot return --------------
-	// One weight-scaled merge pass — every pilot row is scaled first, then
-	// receives its replica accumulations in (slot, pos) order — and one
-	// all-to-all. CombineOverlap splits both per C1 chunk.
-	nMerge := 0
-	for _, sent := range st.s2SentByMember {
-		nMerge += len(sent)
-	}
+	c2 := r.AlltoAllVChunk(st.nodeGroup, StageC2A2A, st.c2Parts(replicaOut, h, elem), chunks)
 	var merged *tensor.Tensor
-	mem.Alloc("rbd_merged", int64(st.pilotRowsTotal)*int64(h)*elem)
+	r.Dev().Mem.Alloc("rbd_merged", int64(st.pilotRowsTotal)*int64(h)*elem)
 	if opts.Numeric {
 		merged = st.scalePilots(pilotOut, h)
-		for slot, sent := range st.s2SentByMember {
-			data := s2Back[slot].Data
-			for pos, sRec := range sent {
+	}
+	if chunks > 1 {
+		// Chunked, the pilot scaling — which reads no replica row — is its
+		// own pass, hidden behind the in-flight exchange.
+		merge(st.pilotRowsTotal)
+	}
+	s2Back := c2.Wait()
+	if opts.Numeric {
+		st.keepOutputs(r, pilotOut, s2Back)
+	}
+
+	// --- Merge replicas into pilots + inter-node pilot return --------------
+	// Chunk c's accumulations are charged before its return leaves, so
+	// chunk c+1's hide behind chunk c's transfer.
+	mergeOff, merges := st.mergesByChunk(chunks, opts.Numeric)
+	c1 := make([]simrt.Exchange, chunks)
+	sendFlat := make([]simrt.Part, chunks*p)
+	for c := range c1 {
+		if opts.Numeric {
+			for _, mr := range merges[mergeOff[c]:mergeOff[c+1]] {
+				sRec := st.s2SentByMember[mr.slot][mr.pos]
 				dst := merged.Row(sRec.pilotAbs)
-				for j, v := range data[pos*h : (pos+1)*h] {
+				for j, v := range s2Back[mr.slot].Data[mr.pos*h : (mr.pos+1)*h] {
 					dst[j] += sRec.weight * v
 				}
 			}
 		}
-		st.keepOutputs(r, pilotOut, s2Back)
+		if chunks > 1 {
+			merge(mergeOff[c+1] - mergeOff[c])
+		} else {
+			// One chunk: scaling and accumulation are one pass.
+			merge(mergeOff[1] + st.pilotRowsTotal)
+		}
+		sendBack := sendFlat[c*p : (c+1)*p]
+		st.returnParts(sendBack, merged, h, elem, chunks, c)
+		c1[c] = r.AlltoAllVChunk(d.EP, StageC1A2A, sendBack, chunks)
 	}
-	r.Compute(StageCMerge, comp.MemBound(perfmodel.ClassTriton,
-		2*int64(nMerge+st.pilotRowsTotal)*int64(h)*elem))
-
-	sendBack := make([]simrt.Part, p)
-	st.returnParts(sendBack, merged, h, elem, 1, 0)
-	c1 := r.AlltoAllVChunk(d.EP, StageC1A2A, sendBack, 1)
-	return d.finishCombine(r, st, []simrt.Exchange{c1}, s, opts)
+	return d.finishCombine(r, st, c1, s, opts)
 }
 
 // c2Parts wraps the replica expert outputs, one payload per node member
@@ -857,6 +868,15 @@ func (d *Dispatcher) finishCombine(r *simrt.Rank, st *State, c1 []simrt.Exchange
 		}
 	}
 	return out
+}
+
+// s2SentRows is how many replica rows this rank staged into Stage 2.
+func (st *State) s2SentRows() int {
+	n := 0
+	for _, sent := range st.s2SentByMember {
+		n += len(sent)
+	}
+	return n
 }
 
 // mergeRef locates one Stage-2 replica row: st.s2SentByMember[slot][pos].

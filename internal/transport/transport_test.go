@@ -251,3 +251,37 @@ func TestForwardWithoutSaveReturnsNilSaved(t *testing.T) {
 		}
 	}
 }
+
+// TestForwardFreesItsStaging: a forward that retains no activations leaves
+// the layer output as the only live tag on every rank's memory tracker,
+// for every transport, blocking and chunked — so stacked layers and steps
+// do not grow Mem.Current() by one staging footprint each.
+func TestForwardFreesItsStaging(t *testing.T) {
+	cfg := moe.Config{NumExperts: 32, TopK: 4, HModel: 64, HFFN: 32, CapacityFactor: 1.25, BytesPerElem: 2}
+	const world, s = 16, 48
+	for _, kind := range Kinds() {
+		for _, chunks := range []int{1, 4} {
+			c := simrt.NewCluster(topology.Frontier(), world, 3)
+			layer := New(kind, c, c.WorldGroup(), cfg)
+			err := c.Run(func(r *simrt.Rank) error {
+				rt := moe.SyntheticRouting(tensor.NewRNG(uint64(r.ID)), s, cfg.NumExperts, cfg.TopK, 0.6)
+				layer.Forward(r, s, nil, rt, nil, tensor.NewRNG(1), moe.PipelineOpts{OverlapChunks: chunks})
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rank := 0; rank < world; rank++ {
+				mem := &c.Device(rank).Mem
+				for tag, n := range mem.ByTag() {
+					if n != 0 && tag != "output" {
+						t.Errorf("%v C=%d rank %d: %d bytes still live under %q", kind, chunks, rank, n, tag)
+					}
+				}
+				if want := int64(s * cfg.HModel * cfg.BytesPerElem); mem.Current() != want {
+					t.Errorf("%v C=%d rank %d: %d bytes live after the forward, want the %d of the output", kind, chunks, rank, mem.Current(), want)
+				}
+			}
+		}
+	}
+}
