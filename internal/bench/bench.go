@@ -31,9 +31,6 @@ type Options struct {
 	Engine string
 }
 
-// DefaultOptions returns the seed used for all published outputs.
-func DefaultOptions() Options { return Options{Seed: 42} }
-
 // chunkCounts returns the overlap sweep's chunk counts. The sweep tables
 // and every recorded speedup are relative to the C=1 blocking baseline,
 // so 1 is always included (first), and duplicates or non-positive

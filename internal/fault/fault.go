@@ -125,7 +125,7 @@ func (p Plan) String() string {
 	for _, e := range p.Events {
 		switch e.Kind {
 		case Crash:
-			if e.AtClock > 0 {
+			if e.Step < 0 {
 				parts = append(parts, fmt.Sprintf("crash:r%d@t%g", e.Rank, e.AtClock))
 			} else {
 				parts = append(parts, fmt.Sprintf("crash:r%d@s%d", e.Rank, e.Step))
@@ -214,7 +214,7 @@ func ParsePlan(spec string) (Plan, error) {
 		fields := strings.Split(tok, ":")
 		if len(fields) == 2 && fields[0] == "spares" {
 			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
+			if err != nil || n < 0 || n > math.MaxInt-plan.Spares {
 				return Plan{}, fmt.Errorf("fault: bad spare count %q (want spares:<n>, n >= 0)", tok)
 			}
 			plan.Spares += n
@@ -255,7 +255,7 @@ func ParsePlan(spec string) (Plan, error) {
 			}
 			e.Step = st
 		case strings.HasPrefix(at[1], "t") && kind == "crash":
-			sec, err := strconv.ParseFloat(at[1][1:], 64)
+			sec, err := parseFinite(at[1][1:])
 			if err != nil || sec < 0 {
 				return Plan{}, fmt.Errorf("fault: event %q has bad time %q", tok, at[1])
 			}
@@ -276,7 +276,7 @@ func ParsePlan(spec string) (Plan, error) {
 			for _, o := range opts {
 				switch {
 				case strings.HasPrefix(o, "x"):
-					v, err := strconv.ParseFloat(o[1:], 64)
+					v, err := parseFinite(o[1:])
 					if err != nil || v <= 0 {
 						return Plan{}, fmt.Errorf("fault: bad scale in %q", tok)
 					}
@@ -299,7 +299,7 @@ func ParsePlan(spec string) (Plan, error) {
 			for _, o := range opts {
 				switch {
 				case strings.HasPrefix(o, "t"):
-					v, err := strconv.ParseFloat(o[1:], 64)
+					v, err := parseFinite(o[1:])
 					if err != nil || v <= 0 {
 						return Plan{}, fmt.Errorf("fault: bad timeout in %q", tok)
 					}
@@ -311,7 +311,7 @@ func ParsePlan(spec string) (Plan, error) {
 					}
 					e.Retries = v
 				case strings.HasPrefix(o, "b"):
-					v, err := strconv.ParseFloat(o[1:], 64)
+					v, err := parseFinite(o[1:])
 					if err != nil || v <= 0 {
 						return Plan{}, fmt.Errorf("fault: bad backoff in %q", tok)
 					}
@@ -328,7 +328,7 @@ func ParsePlan(spec string) (Plan, error) {
 			for _, o := range opts {
 				switch {
 				case strings.HasPrefix(o, "x"):
-					v, err := strconv.ParseFloat(o[1:], 64)
+					v, err := parseFinite(o[1:])
 					if err != nil || v <= 1 {
 						return Plan{}, fmt.Errorf("fault: bad derate in %q (want > 1)", tok)
 					}
@@ -352,6 +352,17 @@ func ParsePlan(spec string) (Plan, error) {
 		plan.Events = append(plan.Events, e)
 	}
 	return plan, nil
+}
+
+// parseFinite parses a float option value, rejecting NaN and ±Inf: they
+// pass the range checks (NaN fails every comparison) and then silently
+// disable the fault they parameterise.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		return 0, fmt.Errorf("fault: %q is not finite", s)
+	}
+	return v, err
 }
 
 // PlanCrashes samples a deterministic crash schedule over a simulated

@@ -4,15 +4,19 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"xmoe/internal/simrt"
 	"xmoe/internal/topology"
 )
 
+// roundTripSpec exercises every event kind and option of the spec syntax.
+const roundTripSpec = "crash:r2@s3,crash:r0@t1.5,straggler:r1@s0:x2,flaky:r3@s1:t0.01,link:inter@s2:x4," +
+	"straggler:r2@s1:x1.5:n3,flaky:r0@s2:t0.02:n2:b3,link:rack@s0:x8:n2"
+
 func TestParsePlanRoundTrip(t *testing.T) {
-	spec := "crash:r2@s3,crash:r0@t1.5,straggler:r1@s0:x2,flaky:r3@s1:t0.01,link:inter@s2:x4," +
-		"straggler:r2@s1:x1.5:n3,flaky:r0@s2:t0.02:n2:b3,link:rack@s0:x8:n2"
+	spec := roundTripSpec
 	plan, err := ParsePlan(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -41,29 +45,97 @@ func TestParsePlanRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedSpecs are specs ParsePlan must reject.
+var malformedSpecs = []string{
+	"crash",                    // no target
+	"crash:2@s1",               // rank missing r prefix
+	"crash:r-1@s1",             // negative rank
+	"crash:r0@x5",              // bad when
+	"crash:r0@s1:x2",           // crash takes no options
+	"straggler:r0@s1",          // missing scale
+	"straggler:r0@t1.5:x2",     // @t only for crash
+	"straggler:r0@s1:x0",       // non-positive scale
+	"flaky:r0@s1",              // missing timeout
+	"flaky:r0@s1:t0",           // non-positive timeout
+	"link:fast@s1:x2",          // unknown class
+	"link:inter@s1",            // missing derate
+	"link:inter@s1:x1",         // derate must exceed 1
+	"warp:r0@s1",               // unknown kind
+	"straggler:r0@s1:x2:q3",    // unknown option
+	"crash:r0@s1,,crash:r1@s2", // empty event
+	// Non-finite values pass the range checks and then never fire.
+	"link:inter@s0:xNaN",
+	"link:inter@s0:xInf",
+	"straggler:r0@s0:xNaN",
+	"straggler:r0@s0:x+Inf",
+	"flaky:r0@s0:tNaN",
+	"flaky:r0@s0:t1:bNaN",
+	"flaky:r0@s0:t1:bInf",
+	"crash:r0@tNaN",
+	"crash:r0@tInf",
+	"spares:9223372036854775807,spares:1", // pool size overflows
+}
+
 func TestParsePlanRejectsMalformed(t *testing.T) {
-	for _, bad := range []string{
-		"crash",                    // no target
-		"crash:2@s1",               // rank missing r prefix
-		"crash:r-1@s1",             // negative rank
-		"crash:r0@x5",              // bad when
-		"crash:r0@s1:x2",           // crash takes no options
-		"straggler:r0@s1",          // missing scale
-		"straggler:r0@t1.5:x2",     // @t only for crash
-		"straggler:r0@s1:x0",       // non-positive scale
-		"flaky:r0@s1",              // missing timeout
-		"flaky:r0@s1:t0",           // non-positive timeout
-		"link:fast@s1:x2",          // unknown class
-		"link:inter@s1",            // missing derate
-		"link:inter@s1:x1",         // derate must exceed 1
-		"warp:r0@s1",               // unknown kind
-		"straggler:r0@s1:x2:q3",    // unknown option
-		"crash:r0@s1,,crash:r1@s2", // empty event
-	} {
+	for _, bad := range malformedSpecs {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) should fail", bad)
+		} else if strings.Contains(bad, "NaN") || strings.Contains(bad, "Inf") {
+			if tok := bad[strings.LastIndex(bad, ":")+1:]; !strings.Contains(err.Error(), tok) {
+				t.Errorf("ParsePlan(%q) error %q does not name the token", bad, err)
+			}
 		}
 	}
+}
+
+// FuzzParsePlan: ParsePlan either rejects a spec or returns a plan whose
+// every value is finite and in range for its kind and whose String
+// re-parses to an equal plan.
+func FuzzParsePlan(f *testing.F) {
+	f.Add(roundTripSpec)
+	f.Add("spares:2,crash:r1@s3,crash:r4@t0")
+	for _, s := range malformedSpecs {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		plan, err := ParsePlan(spec)
+		if err != nil {
+			return
+		}
+		if plan.Spares < 0 {
+			t.Fatalf("ParsePlan(%q): negative spares %d", spec, plan.Spares)
+		}
+		for _, e := range plan.Events {
+			for _, v := range []float64{e.AtClock, e.Scale, e.Timeout, e.Backoff, e.Derate} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("ParsePlan(%q): non-finite value in %+v", spec, e)
+				}
+			}
+			ok := e.Rank >= 0
+			switch e.Kind {
+			case Crash:
+				ok = ok && (e.Step >= 0 || e.AtClock >= 0)
+			case Straggler:
+				ok = ok && e.Step >= 0 && e.Scale > 0 && e.ForSteps >= 0
+			case Flaky:
+				ok = ok && e.Step >= 0 && e.Timeout > 0 && e.Backoff > 0 && e.Retries >= 1
+			case Link:
+				ok = ok && e.Step >= 0 && e.Derate > 1 && e.ForSteps >= 1
+			default:
+				ok = false
+			}
+			if !ok {
+				t.Fatalf("ParsePlan(%q): out-of-range event %+v", spec, e)
+			}
+		}
+		again, err := ParsePlan(plan.String())
+		if err != nil {
+			t.Fatalf("ParsePlan(%q).String() = %q does not re-parse: %v", spec, plan.String(), err)
+		}
+		if !reflect.DeepEqual(plan, again) {
+			t.Fatalf("ParsePlan(%q) round trip through %q:\n got %+v\nwant %+v", spec, plan.String(), again, plan)
+		}
+	})
 }
 
 func TestPlanCrashesDeterministicAndPoisson(t *testing.T) {

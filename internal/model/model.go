@@ -141,10 +141,6 @@ func (s Shape) FLOPsPerToken() float64 {
 	return 6 * float64(s.ActivatedParams())
 }
 
-// FineGrainedFactor returns m = k (relative to a k=1 conventional MoE),
-// the paper's expert granularity measure.
-func (s Shape) FineGrainedFactor() int { return s.TopK }
-
 // WithLayers returns a copy with a different layer count (Appendix E
 // depth sweep).
 func (s Shape) WithLayers(l int) Shape {

@@ -410,21 +410,7 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 		r.Compute(StageExperts, expertTime)
 		var chunkOut *tensor.Tensor
 		if opts.Numeric {
-			chunkIn := pool.Get(bc, h)
-			landBlocks(chunkIn.Data, recv, n, at, h)
-			interm := pool.Get(bc, f)
-			kernels.SequentialGEMMInto(interm, chunkIn, rowsPerLE, params.W1)
-			if opts.SaveForBackward {
-				scatterBlocks(expertIn, chunkIn, n, at, saveAt)
-				scatterBlocks(hidPre, interm, n, at, saveAt)
-			}
-			tensor.GeLU(interm)
-			if opts.SaveForBackward {
-				scatterBlocks(hidAct, interm, n, at, saveAt)
-			}
-			chunkOut = pool.Get(bc, h)
-			kernels.SequentialGEMMInto(chunkOut, interm, rowsPerLE, params.W2)
-			pool.PutAll(chunkIn, interm)
+			chunkOut = expertChunk(pool, params, recv, n, at, saveAt, rowsPerLE, bc, h, f, expertIn, hidPre, hidAct)
 		}
 
 		// Reverse reorder to src-major and issue this chunk's combine.
@@ -608,21 +594,7 @@ func PaddedForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.T
 		r.Compute(StageOthers, comp.MemBound(kernelClass, 2*int64(p*epr*cl)*int64(h)*elem))
 		var chunkOut *tensor.Tensor
 		if opts.Numeric {
-			chunkIn := pool.Get(epr*chunkRows, h)
-			landBlocks(chunkIn.Data, recv, n, at, h)
-			interm := pool.Get(epr*chunkRows, f)
-			kernels.SequentialGEMMInto(interm, chunkIn, rows, params.W1)
-			if opts.SaveForBackward {
-				scatterBlocks(expertIn, chunkIn, n, at, saveAt)
-				scatterBlocks(hidPre, interm, n, at, saveAt)
-			}
-			tensor.GeLU(interm)
-			if opts.SaveForBackward {
-				scatterBlocks(hidAct, interm, n, at, saveAt)
-			}
-			chunkOut = pool.Get(epr*chunkRows, h)
-			kernels.SequentialGEMMInto(chunkOut, interm, rows, params.W2)
-			pool.PutAll(chunkIn, interm)
+			chunkOut = expertChunk(pool, params, recv, n, at, saveAt, rows, epr*chunkRows, h, f, expertIn, hidPre, hidAct)
 		}
 		expertTime := comp.BatchedPaddedGEMM(epr, chunkRows, h, f) +
 			comp.BatchedPaddedGEMM(epr, chunkRows, f, h) +

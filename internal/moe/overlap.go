@@ -44,6 +44,7 @@ package moe
 // at row at[k] of the buffer the chunk's expert stage works on.
 
 import (
+	"xmoe/internal/kernels"
 	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
 )
@@ -175,6 +176,33 @@ func scatterBlocks(full, chunk *tensor.Tensor, n, at, saveAt []int) {
 	for k, rows := range n {
 		copy(full.Data[saveAt[k]*w:(saveAt[k]+rows)*w], chunk.Data[at[k]*w:])
 	}
+}
+
+// expertChunk is the numeric expert FFN over one received chunk of bc
+// rows, h wide in and out and f wide in between: it lands recv's blocks
+// expert-major, runs GEMM₁ per local expert over rows, GeLU and GEMM₂,
+// and — when the forward saves for backward (expertIn non-nil) — scatters
+// the chunk's input, pre-activation and activation rows to their saveAt
+// rows of the full layout. The [bc, h] output is drawn from pool and is
+// the caller's to Put.
+func expertChunk(pool *tensor.Pool, params *ExpertParams, recv []simrt.Part, n, at, saveAt, rows []int, bc, h, f int,
+	expertIn, hidPre, hidAct *tensor.Tensor) *tensor.Tensor {
+	chunkIn := pool.Get(bc, h)
+	landBlocks(chunkIn.Data, recv, n, at, h)
+	interm := pool.Get(bc, f)
+	kernels.SequentialGEMMInto(interm, chunkIn, rows, params.W1)
+	if expertIn != nil {
+		scatterBlocks(expertIn, chunkIn, n, at, saveAt)
+		scatterBlocks(hidPre, interm, n, at, saveAt)
+	}
+	tensor.GeLU(interm)
+	if expertIn != nil {
+		scatterBlocks(hidAct, interm, n, at, saveAt)
+	}
+	out := pool.Get(bc, h)
+	kernels.SequentialGEMMInto(out, interm, rows, params.W2)
+	pool.PutAll(chunkIn, interm)
+	return out
 }
 
 // FFNGrads holds the expert-FFN backward buffers in the full expert-major

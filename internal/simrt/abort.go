@@ -25,9 +25,6 @@ var (
 	ErrPeerFailed = errors.New("simrt: peer rank failed")
 	// ErrRankCrashed marks an injected rank crash (Injector.CrashError).
 	ErrRankCrashed = errors.New("simrt: rank crashed (injected fault)")
-	// ErrCommTimeout is returned by CommHandle.WaitDeadline when the
-	// collective's modeled completion exceeds the caller's deadline.
-	ErrCommTimeout = errors.New("simrt: collective exceeded deadline")
 )
 
 // Injector is the fault-injection hook consulted by every rank at each

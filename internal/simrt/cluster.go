@@ -7,8 +7,12 @@
 //     rendezvous, so correctness properties (dispatch/combine equivalence,
 //     RBD reconstruction) are testable end to end.
 //   - Every rank carries a virtual clock. Compute ops advance it by times
-//     from internal/perfmodel; collectives synchronise participants to
-//     max(entry clocks) + a time from internal/netsim (BSP semantics).
+//     from internal/perfmodel. Every collective is one flight on its
+//     members' comm streams, starting at the latest member's max(entry
+//     clock, comm-stream busy time) and lasting one cost from the cluster's
+//     CostEngine; a blocking collective is that flight waited at issue, a
+//     non-blocking one returns a CommHandle that charges only what compute
+//     did not cover.
 //   - Every rank carries a memory tracker; pipelines register their buffer
 //     allocations so per-device peak memory and OOM verdicts reproduce the
 //     paper's trainability results.
@@ -202,20 +206,20 @@ type Rank struct {
 	// Clock is the rank's virtual time in seconds.
 	Clock float64
 	// Busy is the cumulative compute time this rank spent, excluding
-	// collective waits. Unlike Clock — which BSP rendezvous synchronise
-	// to the group maximum at every collective — Busy keeps per-rank
+	// collective waits. Unlike Clock — which every blocking collective
+	// synchronises to the group's flight end — Busy keeps per-rank
 	// skew visible, so harnesses can observe which ranks are slow
 	// (straggler scaling multiplies compute durations).
 	Busy float64
 	// Trace records per-stage durations on this rank.
 	Trace *trace.Recorder
 	// commBusyUntil is the virtual time at which this rank's
-	// communication stream drains: non-blocking collectives issued by this
-	// rank serialise behind it (one in-order comm stream per rank, as on a
+	// communication stream drains: every collective this rank issues
+	// serialises behind it (one in-order comm stream per rank, as on a
 	// dedicated NCCL/RCCL stream), so a newly issued collective cannot
 	// start before the previously issued ones complete. Only the owning
-	// goroutine touches it directly; peers observe it through the value
-	// deposited at each async rendezvous.
+	// goroutine touches it directly; peers observe it through the ready
+	// time deposited at each rendezvous.
 	commBusyUntil float64
 	// issuedHandles records every async collective handle this rank
 	// issued; Run checks at teardown that each was waited (a dropped
@@ -353,9 +357,9 @@ func MaxClock(ranks []*Rank) float64 {
 // BusyTimes returns every rank's cumulative compute time by rank ID
 // (0 for ranks that never started). These are the per-rank observed
 // times the straggler-aware capacity rebalance feeds on: final Clocks
-// are useless for that — BSP rendezvous equalise them at every
-// collective — but Busy keeps the skew, so an injected straggler shows
-// up as a slot whose compute time exceeds the rest.
+// are useless for that — blocking collectives equalise them — but Busy
+// keeps the skew, so an injected straggler shows up as a slot whose
+// compute time exceeds the rest.
 func BusyTimes(ranks []*Rank) []float64 {
 	out := make([]float64, len(ranks))
 	for i, r := range ranks {

@@ -1,10 +1,22 @@
 package simrt
 
-import (
-	"fmt"
+import "fmt"
 
-	"xmoe/internal/netsim"
-)
+// Every collective is one flight on its members' comm streams (one
+// in-order stream per rank, as on a dedicated NCCL/RCCL stream):
+//
+//	start = max over members of max(entry clock, comm-stream busy time)
+//	end   = start + cost of the active CostEngine
+//
+// and ends one of two ways. A blocking collective is the flight waited at
+// once: the rank's clock becomes end, charged as one span from the issue
+// clock, so it also waits whatever the rank's earlier non-blocking
+// collectives still had in flight. A non-blocking one hands the flight to
+// a CommHandle, whose Wait charges only the part of it the rank did not
+// cover with compute since issuing. That is the overlap model behind the
+// chunked MoE pipelines and the bucketed ZeRO gradient sync (FastMoE's
+// smart scheduling, Megatron Core's MoE comm/compute overlap and bucketed
+// DDP).
 
 // Part is one rank's contribution to (or share of) a collective payload.
 // Data carries real numbers in numeric mode and is nil in symbolic mode;
@@ -17,228 +29,222 @@ type Part struct {
 	Bytes int64
 }
 
-// a2avEntry is one rank's deposit for an all-to-all-v.
-type a2avEntry struct {
-	parts []Part // destination-indexed
+// deposit is one member's contribution to a collective rendezvous.
+type deposit struct {
+	// send is an all-to-all-v's destination-indexed parts.
+	send []Part
+	// part is the member's payload of a reduction or all-gather.
+	part Part
+	// ready is when the member's comm stream can start the collective:
+	// max(entry clock, comm-stream busy time).
+	ready float64
 }
 
-type a2avResult struct {
-	cost netsim.Cost
-	// recv[dst][src] is the part sent by member src to member dst.
+// flight is the shared result of one rendezvous: when the collective
+// occupies the members' comm streams and what each member receives.
+type flight struct {
+	start, end float64
+	// recv[m] is what member m receives (nil for a barrier).
 	recv [][]Part
 }
 
-// drainComm serialises a blocking collective behind the rank's in-flight
-// non-blocking transfers: the comm stream executes in order, so a
-// blocking operation cannot start (and the caller cannot return) before
-// previously issued async collectives complete. The drained time is
-// charged to the clock here and the deposited entry clock carries it to
-// the peers through the usual BSP max; callers capture their trace-span
-// start *before* draining, so the wait is attributed to the blocking
-// collective's span and breakdowns still sum to wall-clock time.
-func (r *Rank) drainComm() {
-	if r.commBusyUntil > r.Clock {
-		r.Clock = r.commBusyUntil
+// pricer prices one collective kind once every member has deposited: the
+// modeled seconds on the cluster's cost engine and what each member
+// receives.
+type pricer func(g *Group, deps []deposit) (seconds float64, recv [][]Part)
+
+// block is the blocking ending: the flight waited at once, charged to the
+// clock as one span from the issue clock.
+func (r *Rank) block(g *Group, name string, d deposit, price pricer) []Part {
+	_, end, recv := g.fly(r, name, d, price)
+	r.Trace.Record(name, r.Clock, end-r.Clock)
+	r.Clock = end
+	return recv
+}
+
+// async is the non-blocking ending: the flight handed to a CommHandle the
+// rank must Wait.
+func (r *Rank) async(g *Group, name string, d deposit, price pricer) *CommHandle {
+	start, end, recv := g.fly(r, name, d, price)
+	h := &CommHandle{r: r, name: name, issuedAt: r.Clock, start: start, end: end, recv: recv}
+	r.issuedHandles = append(r.issuedHandles, h)
+	return h
+}
+
+// a2avDeposit checks that an all-to-all-v sends one part per member.
+func a2avDeposit(g *Group, name string, send []Part) deposit {
+	if len(send) != g.Size() {
+		panic(fmt.Sprintf("simrt: %s send has %d parts for group of %d", name, len(send), g.Size()))
 	}
+	return deposit{send: send}
+}
+
+// priceA2AV transposes the members' sends — recv[dst][src] is what member
+// src sent member dst — and prices their byte matrix. Row slices view two
+// flat backing arrays: large groups would otherwise pay 2p allocations per
+// collective, which dominates the symbolic sweeps at 256-1024 ranks.
+func priceA2AV(g *Group, deps []deposit) (float64, [][]Part) {
+	p := len(deps)
+	bytes := make([][]int64, p)
+	bytesFlat := make([]int64, p*p)
+	recv := make([][]Part, p)
+	recvFlat := make([]Part, p*p)
+	for d := range recv {
+		bytes[d] = bytesFlat[d*p : (d+1)*p]
+		recv[d] = recvFlat[d*p : (d+1)*p]
+	}
+	for s, dep := range deps {
+		for d, part := range dep.send {
+			bytes[s][d] = part.Bytes
+			recv[d][s] = part
+		}
+	}
+	return g.c.CostEngine().AlltoAllV(g.ranks, bytes).Seconds, recv
+}
+
+// reduceSum is the member-order elementwise sum of the non-nil payloads
+// and the largest per-rank byte size: the one reduction behind both
+// all-reduce and reduce-scatter, so a reduce-scatter's shards concatenate
+// to the all-reduce's sum bit for bit.
+func reduceSum(deps []deposit) (sum []float32, maxBytes int64) {
+	for _, dep := range deps {
+		maxBytes = max(maxBytes, dep.part.Bytes)
+		if dep.part.Data != nil {
+			if sum == nil {
+				sum = make([]float32, len(dep.part.Data))
+			}
+			for i, v := range dep.part.Data {
+				sum[i] += v
+			}
+		}
+	}
+	return sum, maxBytes
+}
+
+// priceAllReduce gives every member the one shared sum.
+func priceAllReduce(g *Group, deps []deposit) (float64, [][]Part) {
+	sum, maxBytes := reduceSum(deps)
+	all := []Part{{Data: sum, Bytes: maxBytes}}
+	recv := make([][]Part, len(deps))
+	for i := range recv {
+		recv[i] = all
+	}
+	return g.c.CostEngine().AllReduce(g.ranks, maxBytes).Seconds, recv
+}
+
+// priceReduceScatter gives member i the ShardRange slice of the sum, and of
+// the per-rank bytes with the remainder-to-leading-ranks convention
+// netsim.ReduceScatter charges.
+func priceReduceScatter(g *Group, deps []deposit) (float64, [][]Part) {
+	sum, maxBytes := reduceSum(deps)
+	p := len(deps)
+	shards := make([]Part, p)
+	recv := make([][]Part, p)
+	for i := range shards {
+		bLo, bHi := ShardRange(int(maxBytes), p, i)
+		shards[i].Bytes = int64(bHi - bLo)
+		if sum != nil {
+			lo, hi := ShardRange(len(sum), p, i)
+			shards[i].Data = sum[lo:hi]
+		}
+		recv[i] = shards[i : i+1]
+	}
+	return g.c.CostEngine().ReduceScatter(g.ranks, maxBytes).Seconds, recv
+}
+
+// priceAllGather gives every member the full member-indexed part list.
+func priceAllGather(g *Group, deps []deposit) (float64, [][]Part) {
+	p := len(deps)
+	parts := make([]Part, p)
+	bytes := make([]int64, p)
+	recv := make([][]Part, p)
+	for i, dep := range deps {
+		parts[i] = dep.part
+		bytes[i] = dep.part.Bytes
+		recv[i] = parts
+	}
+	return g.c.CostEngine().AllGather(g.ranks, bytes).Seconds, recv
+}
+
+func priceBarrier(g *Group, _ []deposit) (float64, [][]Part) {
+	return g.c.CostEngine().Barrier(g.ranks).Seconds, nil
 }
 
 // AlltoAllV exchanges uneven per-destination parts among the group: send
 // must have one Part per member (send[j] goes to member j, including
 // self). It returns the parts this rank received, indexed by source
 // member. The modeled time is charged to every member's clock; traffic is
-// charged per link class by the network simulator.
+// charged per link class by the cost engine.
 func (r *Rank) AlltoAllV(g *Group, name string, send []Part) []Part {
-	if len(send) != g.Size() {
-		panic(fmt.Sprintf("simrt: AlltoAllV send has %d parts for group of %d", len(send), g.Size()))
-	}
-	r.preCollective(name)
-	start := r.Clock
-	r.drainComm() // drained stream time is part of this collective's span
-	res := g.collect(r, name, a2avEntry{parts: send}, func(entries []any, _ []float64) any {
-		// Row slices view two flat backing arrays: large groups would
-		// otherwise pay 2p allocations per collective, which dominates
-		// the symbolic sweeps at 256-1024 ranks.
-		p := len(entries)
-		bytes := make([][]int64, p)
-		bytesFlat := make([]int64, p*p)
-		recv := make([][]Part, p)
-		recvFlat := make([]Part, p*p)
-		for d := range recv {
-			bytes[d] = bytesFlat[d*p : (d+1)*p]
-			recv[d] = recvFlat[d*p : (d+1)*p]
-		}
-		for s, e := range entries {
-			ent := e.(a2avEntry)
-			for d, part := range ent.parts {
-				bytes[s][d] = part.Bytes
-				recv[d][s] = part
-			}
-		}
-		cost := g.c.CostEngine().AlltoAllV(g.ranks, bytes)
-		return a2avResult{cost: cost, recv: recv}
-	}).(a2avResult)
-	r.Clock += res.cost.Seconds
-	r.Trace.Record(name, start, r.Clock-start)
-	return res.recv[g.IndexOf(r.ID)]
+	return r.block(g, name, a2avDeposit(g, "AlltoAllV", send), priceA2AV)
 }
 
-// AlltoAllVCost returns the active cost engine's price of the equivalent
-// exchange without performing it; used by analysis harnesses. It is a
-// convenience over CostEngine().AlltoAllV for callers that already hold
-// the byte matrix.
-func (c *Cluster) AlltoAllVCost(ranks []int, bytes [][]int64) netsim.Cost {
-	return c.CostEngine().AlltoAllV(ranks, bytes)
-}
-
-type allReduceEntry struct {
-	data  []float32
-	bytes int64
-}
-
-type allReduceResult struct {
-	cost netsim.Cost
-	sum  []float32
+// AlltoAllVAsync issues a non-blocking uneven all-to-all among the group:
+// like AlltoAllV, but the call returns immediately at the rank's current
+// clock with a handle whose Wait charges the uncovered remainder. Every
+// member must issue the same collectives in the same order (SPMD
+// discipline), including the interleaving of async issues and waits with
+// blocking collectives on the same group.
+func (r *Rank) AlltoAllVAsync(g *Group, name string, send []Part) *CommHandle {
+	return r.async(g, name, a2avDeposit(g, "AlltoAllVAsync", send), priceA2AV)
 }
 
 // AllReduce sums each member's data elementwise (when non-nil) and charges
 // the modeled ring-allreduce time for the given per-rank byte size. The
 // returned slice is shared by all members and must not be mutated.
 func (r *Rank) AllReduce(g *Group, name string, data []float32, bytes int64) []float32 {
-	r.preCollective(name)
-	start := r.Clock
-	r.drainComm() // drained stream time is part of this collective's span
-	res := g.collect(r, name, allReduceEntry{data: data, bytes: bytes}, func(entries []any, _ []float64) any {
-		var maxBytes int64
-		var sum []float32
-		for _, e := range entries {
-			ent := e.(allReduceEntry)
-			if ent.bytes > maxBytes {
-				maxBytes = ent.bytes
-			}
-			if ent.data != nil {
-				if sum == nil {
-					sum = make([]float32, len(ent.data))
-				}
-				for i, v := range ent.data {
-					sum[i] += v
-				}
-			}
-		}
-		return allReduceResult{cost: g.c.CostEngine().AllReduce(g.ranks, maxBytes), sum: sum}
-	}).(allReduceResult)
-	r.Clock += res.cost.Seconds
-	r.Trace.Record(name, start, r.Clock-start)
-	return res.sum
+	return r.block(g, name, deposit{part: Part{Data: data, Bytes: bytes}}, priceAllReduce)[0].Data
 }
 
-type allGatherResult struct {
-	cost  netsim.Cost
-	parts []Part
+// AllReduceAsync issues a non-blocking AllReduce; Wait yields one Part
+// whose Data is the full sum (shared by all members — callers must copy,
+// never mutate). data may be nil in symbolic mode; bytes is the modeled
+// per-rank payload.
+func (r *Rank) AllReduceAsync(g *Group, name string, data []float32, bytes int64) *CommHandle {
+	return r.async(g, name, deposit{part: Part{Data: data, Bytes: bytes}}, priceAllReduce)
+}
+
+// ReduceScatterAsync issues a non-blocking reduce-scatter: the group's
+// deposits are summed elementwise (member order, bit-identical to
+// AllReduce's sum) and member i receives the ShardRange(len, p, i) slice
+// of the sum — the ZeRO-2 gradient-sharding primitive. The returned shard
+// aliases the shared sum; callers must copy before mutating. data may be
+// nil in symbolic mode; bytes is the full (unsharded) per-rank payload.
+func (r *Rank) ReduceScatterAsync(g *Group, name string, data []float32, bytes int64) *CommHandle {
+	return r.async(g, name, deposit{part: Part{Data: data, Bytes: bytes}}, priceReduceScatter)
 }
 
 // AllGather gathers one part from every member; all members receive the
 // full list indexed by member. The returned parts are shared and must not
 // be mutated.
 func (r *Rank) AllGather(g *Group, name string, part Part) []Part {
-	r.preCollective(name)
-	start := r.Clock
-	r.drainComm() // drained stream time is part of this collective's span
-	res := g.collect(r, name, part, func(entries []any, _ []float64) any {
-		parts := make([]Part, len(entries))
-		bytes := make([]int64, len(entries))
-		for i, e := range entries {
-			parts[i] = e.(Part)
-			bytes[i] = parts[i].Bytes
-		}
-		return allGatherResult{cost: g.c.CostEngine().AllGather(g.ranks, bytes), parts: parts}
-	}).(allGatherResult)
-	r.Clock += res.cost.Seconds
-	r.Trace.Record(name, start, r.Clock-start)
-	return res.parts
-}
-
-type bcastResult struct {
-	cost netsim.Cost
-	part Part
-}
-
-// Broadcast distributes root's part (root is a member index) to all
-// members and returns it. The payload is cloned inside the rendezvous —
-// while every member is parked — so the returned Part never aliases the
-// root's buffer and the root may overwrite its own data immediately after
-// the call without racing slower receivers.
-func (r *Rank) Broadcast(g *Group, name string, rootIdx int, part Part) Part {
-	r.preCollective(name)
-	start := r.Clock
-	r.drainComm() // drained stream time is part of this collective's span
-	res := g.collect(r, name, part, func(entries []any, _ []float64) any {
-		p := entries[rootIdx].(Part)
-		if p.Data != nil {
-			d := make([]float32, len(p.Data))
-			copy(d, p.Data)
-			p.Data = d
-		}
-		return bcastResult{cost: g.c.CostEngine().Broadcast(g.ranks, p.Bytes), part: p}
-	}).(bcastResult)
-	r.Clock += res.cost.Seconds
-	r.Trace.Record(name, start, r.Clock-start)
-	return res.part
+	return r.block(g, name, deposit{part: part}, priceAllGather)
 }
 
 // Barrier synchronises all members' clocks.
 func (r *Rank) Barrier(g *Group) {
-	r.preCollective("barrier")
-	start := r.Clock
-	r.drainComm() // drained stream time is part of this collective's span
-	res := g.collect(r, "barrier", nil, func(entries []any, _ []float64) any {
-		return g.c.CostEngine().Barrier(g.ranks)
-	}).(netsim.Cost)
-	r.Clock += res.Seconds
-	r.Trace.Record("barrier", start, r.Clock-start)
+	r.block(g, "barrier", deposit{}, priceBarrier)
 }
 
-// countsResult is the shared result of one ExchangeCounts rendezvous.
-type countsResult struct {
-	cost netsim.Cost
-	// recv[dst] is the row of counts destined to member dst, indexed by
-	// source (views into one flat backing array).
-	recv [][]int64
-}
-
-// ExchangeCounts performs the small metadata all-to-all that precedes an
-// uneven payload exchange (the tokens_per_expert exchange in Listing 1,
-// line 44): each member sends counts[j] (one int64 per destination) and
-// receives the values destined to it, indexed by source. Wire size is 8
-// bytes per count.
-//
-// The caller's counts slice is read only inside the rendezvous, while
-// every member is parked, so rank-local scratch can be passed and freely
-// reused after the call — this keeps the per-layer metadata exchange
-// allocation-free on the rank side (the reducer's transposed matrix is
-// one amortised allocation shared by the whole group). The returned slice
-// is shared by construction and must not be mutated.
-func (r *Rank) ExchangeCounts(g *Group, name string, counts []int64) []int64 {
-	if len(counts) != g.Size() {
-		panic(fmt.Sprintf("simrt: ExchangeCounts has %d counts for group of %d", len(counts), g.Size()))
+// ShardRange returns the half-open [lo, hi) range of member i's owned
+// shard when n elements are partitioned across p members: n/p each, with
+// the n%p remainder elements going to the leading members — the same
+// convention netsim.ReduceScatter uses to split the wire payload, so
+// element ownership and byte accounting agree.
+func ShardRange(n, p, i int) (lo, hi int) {
+	if p <= 1 {
+		return 0, n
 	}
-	r.preCollective(name)
-	start := r.Clock
-	r.drainComm() // drained stream time is part of this collective's span
-	res := g.collect(r, name, counts, func(entries []any, _ []float64) any {
-		p := len(entries)
-		flat := make([]int64, p*p)
-		recv := make([][]int64, p)
-		for d := range recv {
-			recv[d] = flat[d*p : (d+1)*p]
-		}
-		for s, e := range entries {
-			for d, v := range e.([]int64) {
-				recv[d][s] = v
-			}
-		}
-		return countsResult{cost: g.c.CostEngine().AlltoAllV(g.ranks, g.countBytes()), recv: recv}
-	}).(countsResult)
-	r.Clock += res.cost.Seconds
-	r.Trace.Record(name, start, r.Clock-start)
-	return res.recv[g.IndexOf(r.ID)]
+	base, rem := n/p, n%p
+	lo = i * base
+	if i < rem {
+		lo += i
+	} else {
+		lo += rem
+	}
+	hi = lo + base
+	if i < rem {
+		hi++
+	}
+	return lo, hi
 }

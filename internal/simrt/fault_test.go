@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"xmoe/internal/netsim"
 )
 
 // testInjector is a hand-rolled Injector for runtime-level tests (the
@@ -263,49 +265,6 @@ func TestCleanRunsReusableAfterInjection(t *testing.T) {
 	}
 }
 
-// TestWaitDeadline pins CommHandle.WaitDeadline: an on-time collective
-// behaves like Wait; a late one charges exactly to the deadline and
-// returns ErrCommTimeout.
-func TestWaitDeadline(t *testing.T) {
-	c := testCluster(4)
-	g := c.WorldGroup()
-	const bytes = 4 << 20
-	cost := c.Net.AlltoAllV(g.Ranks(), evenMatrix(4, bytes)).Seconds
-	err := c.Run(func(r *Rank) error {
-		// Generous deadline: identical to Wait.
-		h := r.AlltoAllVAsync(g, "a2a", evenParts(4, bytes))
-		recv, err := h.WaitDeadline(10 * cost)
-		if err != nil || len(recv) != 4 {
-			return fmt.Errorf("on-time WaitDeadline failed: %v", err)
-		}
-		if r.Clock != cost {
-			return fmt.Errorf("on-time WaitDeadline charged %v, want %v", r.Clock, cost)
-		}
-
-		// Tight deadline: the collective cannot make it.
-		issued := r.Clock
-		h2 := r.AlltoAllVAsync(g, "a2a_slow", evenParts(4, bytes))
-		recv2, err2 := h2.WaitDeadline(cost / 2)
-		if !errors.Is(err2, ErrCommTimeout) {
-			return fmt.Errorf("late WaitDeadline must return ErrCommTimeout, got %v", err2)
-		}
-		if recv2 != nil {
-			return fmt.Errorf("timed-out wait must not deliver a payload")
-		}
-		if got, want := r.Clock-issued, cost/2; math.Abs(got-want) > 1e-15 {
-			return fmt.Errorf("timeout charged %v, want the deadline %v", got, want)
-		}
-		if got := r.Trace.Total("a2a_slow_timeout"); math.Abs(got-cost/2) > 1e-15 {
-			return fmt.Errorf("timeout span = %v, want %v", got, cost/2)
-		}
-		// The handle counts as waited: no leak report on return.
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestLeakedHandleReportNamesIssueClock pins the upgraded leak report:
 // name plus issue-time clock.
 func TestLeakedHandleReportNamesIssueClock(t *testing.T) {
@@ -327,23 +286,30 @@ func TestLeakedHandleReportNamesIssueClock(t *testing.T) {
 	}
 }
 
-// TestReducerPanicDoesNotDeadlockPeers: a panic inside a collective's
-// reducer (while holding the rendezvous lock) must fail the rendezvous
-// and unwind everyone.
+// panicEngine is the analytic cost model with an all-reduce that panics:
+// the member that prices the collective panics inside the rendezvous.
+type panicEngine struct{ netsim.CostEngine }
+
+func (panicEngine) AllReduce([]int, int64) netsim.Cost { panic("pricing fault") }
+
+// TestReducerPanicDoesNotDeadlockPeers: a panic while the last arriver
+// prices a collective (holding the rendezvous lock) must fail the
+// rendezvous and unwind everyone.
 func TestReducerPanicDoesNotDeadlockPeers(t *testing.T) {
 	c := testCluster(3)
+	c.Engine = panicEngine{c.Net}
 	g := c.WorldGroup()
 	err := c.Run(func(r *Rank) error {
-		// Broadcast clones the root part; a nil entry where the root
-		// index points makes the reducer's type assertion panic on the
-		// last arriver.
-		r.Broadcast(g, "bc", 5, Part{Bytes: 4}) // rootIdx out of range: reducer panics
+		r.AllReduce(g, "ar", nil, 4)
 		return nil
 	})
 	if err == nil {
-		t.Fatal("reducer panic must surface, not deadlock")
+		t.Fatal("pricing panic must surface, not deadlock")
 	}
 	if !errors.Is(err, ErrPeerFailed) {
-		t.Fatalf("peers of the panicking reducer must see ErrPeerFailed: %v", err)
+		t.Fatalf("peers of the panicking member must see ErrPeerFailed: %v", err)
+	}
+	if !strings.Contains(err.Error(), "pricing fault") {
+		t.Fatalf("the panic must be reported, got: %v", err)
 	}
 }

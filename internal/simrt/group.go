@@ -24,30 +24,6 @@ type Group struct {
 	// at goneAt or later abort with ErrPeerFailed instead of deadlocking.
 	gone   []error
 	goneAt []uint64
-	// countMatrix is the lazily built constant byte matrix of the
-	// ExchangeCounts metadata collective (8 bytes per pair, self
-	// included), cached because it is identical for every exchange on
-	// this group and would otherwise be p+1 allocations per layer.
-	countMatrix [][]int64
-}
-
-// countBytes returns the cached ExchangeCounts byte matrix, building it on
-// first use. The matrix is immutable after construction.
-func (g *Group) countBytes() [][]int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.countMatrix == nil {
-		p := len(g.ranks)
-		flat := make([]int64, p*p)
-		for i := range flat {
-			flat[i] = 8
-		}
-		g.countMatrix = make([][]int64, p)
-		for i := range g.countMatrix {
-			g.countMatrix[i] = flat[i*p : (i+1)*p]
-		}
-	}
-	return g.countMatrix
 }
 
 // Size returns the number of member ranks.
@@ -74,50 +50,39 @@ func (g *Group) Contains(r int) bool {
 }
 
 // rendezvous is the meeting point for one collective call: every member
-// deposits its contribution and entry clock; the last arriver runs the
-// reducer once; everyone leaves with the shared result.
+// deposits its contribution; the last arriver prices the collective once;
+// everyone leaves with the shared flight.
 type rendezvous struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    sync.Cond
 	arrived int
 	left    int
 	done    bool
 	// failed is set (and cond broadcast) when a member that has not yet
 	// deposited goes away: the rendezvous can never complete, so waiters
 	// wake and abort instead of parking forever.
-	failed  error
-	entries []any
-	clocks  []float64
-	result  any
+	failed error
+	deps   []deposit
+	fl     flight
 }
 
 func newRendezvous(n int) *rendezvous {
-	rv := &rendezvous{entries: make([]any, n), clocks: make([]float64, n)}
-	rv.cond = sync.NewCond(&rv.mu)
+	rv := &rendezvous{deps: make([]deposit, n)}
+	rv.cond.L = &rv.mu
 	return rv
 }
 
-// collect runs a rendezvous for rank r: it deposits entry and r.Clock,
-// blocks until all members arrive, has exactly one member evaluate
-// reduce(entries, clocks) once, synchronises r.Clock to the maximum entry
-// clock (BSP semantics), and returns the shared result. The collective's
-// modeled duration is part of the result and must be added to r.Clock by
-// the caller.
-func (g *Group) collect(r *Rank, name string, entry any, reduce func(entries []any, clocks []float64) any) any {
-	return g.collectClock(r, name, entry, reduce, true)
-}
-
-// collectNoSync is collect without the BSP clock synchronisation: the rank
-// deposits its contribution, the payload exchange resolves, but the rank's
-// clock is left untouched so it can keep computing past the rendezvous.
-// Non-blocking collectives use this — the synchronisation point (the
-// collective's start time, max over entry clocks) travels inside the
-// reducer's result and is charged lazily by CommHandle.Wait.
-func (g *Group) collectNoSync(r *Rank, name string, entry any, reduce func(entries []any, clocks []float64) any) any {
-	return g.collectClock(r, name, entry, reduce, false)
-}
-
-func (g *Group) collectClock(r *Rank, name string, entry any, reduce func(entries []any, clocks []float64) any, sync bool) any {
+// fly issues one collective for rank r and returns its flight as r sees
+// it. It fires r's fault hooks, deposits d with the time r's comm stream
+// can start it — max(clock, comm-stream busy) — blocks until every member
+// has deposited, and has exactly one member price the collective once:
+// the flight starts at the latest member's ready time and ends one cost
+// later. r's comm stream is busy until the end; r.Clock is left to the
+// caller, which either waits the flight at once (blocking) or hands it to
+// a CommHandle.
+func (g *Group) fly(r *Rank, name string, d deposit, price pricer) (start, end float64, recv []Part) {
+	r.preCollective(name)
+	d.ready = max(r.Clock, r.commBusyUntil)
 	idx := g.IndexOf(r.ID)
 
 	g.mu.Lock()
@@ -143,24 +108,28 @@ func (g *Group) collectClock(r *Rank, name string, entry any, reduce func(entrie
 	g.mu.Unlock()
 
 	rv.mu.Lock()
-	rv.entries[idx] = entry
-	rv.clocks[idx] = r.Clock
+	rv.deps[idx] = d
 	rv.arrived++
 	if rv.arrived == len(g.ranks) {
-		// If the reducer panics it would unwind holding rv.mu and park
-		// every peer forever; fail the rendezvous first, then let the
-		// panic continue to Run's recover.
+		// If pricing panics it would unwind holding rv.mu and park every
+		// peer forever; fail the rendezvous first, then let the panic
+		// continue to Run's recover.
 		func() {
 			defer func() {
 				if p := recover(); p != nil {
-					rv.failed = fmt.Errorf("rank %d: %s reducer panicked: %v: %w",
+					rv.failed = fmt.Errorf("rank %d: %s pricing panicked: %v: %w",
 						r.ID, name, p, ErrPeerFailed)
 					rv.cond.Broadcast()
 					rv.mu.Unlock()
 					panic(p)
 				}
 			}()
-			rv.result = reduce(rv.entries, rv.clocks)
+			var ready float64
+			for _, dep := range rv.deps {
+				ready = max(ready, dep.ready)
+			}
+			secs, parts := price(g, rv.deps)
+			rv.fl = flight{start: ready, end: ready + secs, recv: parts}
 		}()
 		rv.done = true
 		rv.cond.Broadcast()
@@ -176,13 +145,7 @@ func (g *Group) collectClock(r *Rank, name string, entry any, reduce func(entrie
 		// poisoned after a failed Run and must be rebuilt, not reused.
 		r.fail(fmt.Errorf("rank %d: %s aborted at rendezvous: %w", r.ID, name, err))
 	}
-	res := rv.result
-	var mc float64
-	for _, c := range rv.clocks {
-		if c > mc {
-			mc = c
-		}
-	}
+	fl := rv.fl
 	rv.left++
 	last := rv.left == len(g.ranks)
 	rv.mu.Unlock()
@@ -193,10 +156,11 @@ func (g *Group) collectClock(r *Rank, name string, entry any, reduce func(entrie
 		g.mu.Unlock()
 	}
 
-	if sync && mc > r.Clock {
-		r.Clock = mc
+	r.commBusyUntil = fl.end
+	if fl.recv != nil {
+		recv = fl.recv[idx]
 	}
-	return res
+	return fl.start, fl.end, recv
 }
 
 // markGone records that global rank gr will issue no further collectives

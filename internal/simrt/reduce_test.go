@@ -103,28 +103,6 @@ func TestReduceScatterAsyncShardsTheBlockingSum(t *testing.T) {
 	}
 }
 
-// TestAllGatherAsyncCollectsInOrder mirrors the blocking all-gather test
-// through the async path.
-func TestAllGatherAsyncCollectsInOrder(t *testing.T) {
-	c := testCluster(4)
-	g := c.WorldGroup()
-	err := c.Run(func(r *Rank) error {
-		parts := r.AllGatherAsync(g, "ag", Part{Data: []float32{float32(r.ID)}, Bytes: 4}).Wait()
-		if len(parts) != 4 {
-			return fmt.Errorf("got %d parts", len(parts))
-		}
-		for i, p := range parts {
-			if p.Data[0] != float32(i) {
-				return fmt.Errorf("allgather[%d] = %v", i, p.Data)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestReduceAsyncOverlapCharging pins the overlap model for the reduction
 // collectives: a fully covered sync charges nothing, the full span shows
 // up as an overlapped trace event, and blocking/async wall clocks agree

@@ -213,43 +213,6 @@ func TestAllGatherCollectsInOrder(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	c := testCluster(4)
-	g := c.WorldGroup()
-	err := c.Run(func(r *Rank) error {
-		p := r.Broadcast(g, "bc", 2, Part{Data: []float32{float32(r.ID)}, Bytes: 4})
-		if p.Data[0] != 2 {
-			return fmt.Errorf("broadcast got %v, want root 2's value", p.Data)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExchangeCounts(t *testing.T) {
-	c := testCluster(3)
-	g := c.WorldGroup()
-	err := c.Run(func(r *Rank) error {
-		counts := make([]int64, 3)
-		for j := range counts {
-			counts[j] = int64(10*r.ID + j)
-		}
-		got := r.ExchangeCounts(g, "counts", counts)
-		for s := range got {
-			want := int64(10*s + r.ID)
-			if got[s] != want {
-				return fmt.Errorf("rank %d counts from %d = %d, want %d", r.ID, s, got[s], want)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // evenParts builds an even all-to-all send list of bytes per pair (self
 // included, matching the byte matrices used below).
 func evenParts(p int, bytes int64) []Part {
@@ -449,41 +412,45 @@ func TestBlockingCollectiveDrainsCommStream(t *testing.T) {
 	}
 }
 
-// TestExchangeCountsSteadyStateAllocs pins the metadata exchange's
-// rank-side allocation behaviour: steady-state iterations must stay below
-// a few amortised allocations per rank per call (the rendezvous machinery
-// and the reducer's shared transpose), where the pre-fix implementation
-// paid 2 slices plus one interface boxing per destination per rank.
-func TestExchangeCountsSteadyStateAllocs(t *testing.T) {
-	const world, iters = 4, 64
+// TestCollectiveSteadyStateAllocs pins the rank-side allocations per
+// rank-call of every collective the pipelines and the ZeRO sync use, at
+// world 8: the typed rendezvous boxes nothing, so what remains is the
+// rendezvous itself and the pricer's shared result (both amortised over
+// the group) plus, for a non-blocking call, its CommHandle.
+func TestCollectiveSteadyStateAllocs(t *testing.T) {
+	const world, iters = 8, 64
 	c := testCluster(world)
 	g := c.WorldGroup()
-	body := func(n int) func() {
-		return func() {
-			err := c.Run(func(r *Rank) error {
-				counts := make([]int64, world)
-				for j := range counts {
-					counts[j] = int64(1000*r.ID + j) // > 255: would box per call
-				}
-				for i := 0; i < n; i++ {
-					got := r.ExchangeCounts(g, "counts", counts)
-					if got[0] != int64(r.ID) && got[0] != 0 {
-						// touch the result so it cannot be optimised away
-						_ = got
+	for _, tc := range []struct {
+		name string
+		max  float64
+		call func(r *Rank, send []Part)
+	}{
+		{"a2av", 0.9, func(r *Rank, send []Part) { r.AlltoAllV(g, "a2av", send) }},
+		{"a2av_async", 2.0, func(r *Rank, send []Part) { r.AlltoAllVAsync(g, "a2av", send).Wait() }},
+		{"allreduce", 0.65, func(r *Rank, _ []Part) { r.AllReduce(g, "ar", nil, 1<<20) }},
+		{"allreduce_async", 1.75, func(r *Rank, _ []Part) { r.AllReduceAsync(g, "ar", nil, 1<<20).Wait() }},
+		{"reducescatter_async", 1.9, func(r *Rank, _ []Part) { r.ReduceScatterAsync(g, "rs", nil, 1<<20).Wait() }},
+		{"allgather", 0.75, func(r *Rank, _ []Part) { r.AllGather(g, "ag", Part{Bytes: 1 << 20}) }},
+	} {
+		body := func(n int) func() {
+			return func() {
+				if err := c.Run(func(r *Rank) error {
+					send := evenParts(world, 1<<16)
+					for i := 0; i < n; i++ {
+						tc.call(r, send)
 					}
+					return nil
+				}); err != nil {
+					t.Error(err)
 				}
-				return nil
-			})
-			if err != nil {
-				t.Error(err)
 			}
 		}
-	}
-	base := testing.AllocsPerRun(10, body(0))
-	loaded := testing.AllocsPerRun(10, body(iters))
-	perCall := (loaded - base) / (world * iters)
-	if perCall > 5 {
-		t.Fatalf("ExchangeCounts allocates %.2f allocs per rank-call in steady state, want <= 5", perCall)
+		base := testing.AllocsPerRun(10, body(0))
+		loaded := testing.AllocsPerRun(10, body(iters))
+		if perCall := (loaded - base) / (world * iters); perCall > tc.max {
+			t.Errorf("%s allocates %.2f per rank-call in steady state, want <= %.2f", tc.name, perCall, tc.max)
+		}
 	}
 }
 

@@ -103,12 +103,3 @@ func Randn(r *RNG, std float32, shape ...int) *Tensor {
 	}
 	return t
 }
-
-// RandUniform returns a tensor filled with uniform samples in [lo, hi).
-func RandUniform(r *RNG, lo, hi float32, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.Data {
-		t.Data[i] = lo + (hi-lo)*float32(r.Float64())
-	}
-	return t
-}

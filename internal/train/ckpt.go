@@ -290,12 +290,3 @@ func (cs *CkptStream) Abort(wall float64) *Checkpoint {
 	cs.pending = nil
 	return cs.completed
 }
-
-// Completed returns the snapshot a crash at the given wall time would
-// restore, without mutating the stream.
-func (cs *CkptStream) Completed(wall float64) *Checkpoint {
-	if cs.pending != nil && wall >= cs.pendingEnd {
-		return cs.pending
-	}
-	return cs.completed
-}

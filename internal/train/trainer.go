@@ -161,12 +161,6 @@ func (lm *LM) Step(ids, targets []int) float64 {
 	return loss
 }
 
-// Eval returns the loss without updating parameters.
-func (lm *LM) Eval(ids, targets []int) float64 {
-	loss, _, _ := lm.forward(ids, targets)
-	return loss
-}
-
 type actsCache struct {
 	resAttn []*tensor.Tensor
 	resFFN  []*tensor.Tensor
@@ -220,15 +214,6 @@ func (lm *LM) backward(dLogits *tensor.Tensor, acts *actsCache) {
 		dx = dAttn
 	}
 	lm.Embed.Backward(dx)
-}
-
-// DroppedLastStep sums token drops across blocks in the latest forward.
-func (lm *LM) DroppedLastStep() int {
-	total := 0
-	for _, b := range lm.Blocks {
-		total += b.ffn.DroppedTokens()
-	}
-	return total
 }
 
 // LossCurve trains the model for iters steps on a fresh Markov corpus and
