@@ -1,9 +1,9 @@
-// Package xmoe's root benchmark suite regenerates every table and figure
-// of the paper's evaluation. Each Benchmark wraps the corresponding
-// experiment in internal/bench in quick mode so `go test -bench=.` stays
-// tractable; full-fidelity runs go through cmd/xmoe-bench (no -quick).
+// Package xmoe's root benchmark suite regenerates every table, figure and
+// ablation of internal/bench's Experiments registry, one sub-benchmark per
+// entry, in quick mode so `go test -bench=.` stays tractable; full-fidelity
+// runs go through cmd/xmoe-bench (no -quick).
 //
-//	go test -bench=. -benchmem .
+//	go test -run=NONE -bench=. -benchmem -benchtime=1x .
 package xmoe_test
 
 import (
@@ -13,167 +13,12 @@ import (
 	"xmoe/internal/bench"
 )
 
-func quick() bench.Options { return bench.Options{Seed: 42, Quick: true} }
-
-// BenchmarkTable1_SizeEquivalence regenerates Tables 1-2: the
-// Mconv/Mspec size-equivalence and the activation scaling shift.
-func BenchmarkTable1_SizeEquivalence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Table1SizeEquivalence(io.Discard)
-	}
-}
-
-// BenchmarkFigure3_MemoryDistribution regenerates Fig. 3: the MoE layer
-// memory distribution of Mconv vs Mspec (bottleneck shift to
-// dispatch/combine).
-func BenchmarkFigure3_MemoryDistribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Figure3MemoryDistribution(io.Discard)
-	}
-}
-
-// BenchmarkFigure4_RedundancyRate regenerates Fig. 4: node-level
-// redundancy of dispatched tokens vs EP size (analytic + measured).
-func BenchmarkFigure4_RedundancyRate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Figure4Redundancy(io.Discard, quick())
-	}
-}
-
-// BenchmarkFigure9_MainResults regenerates Fig. 9: trainability and
-// throughput of the Table 3 models across the four systems (quick mode
-// covers the Small model; the full grid runs via cmd/xmoe-bench).
-func BenchmarkFigure9_MainResults(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Figure9MainResults(io.Discard, quick())
-	}
-}
-
-// BenchmarkFigure10a_WeakScaling regenerates Fig. 10(a): weak scaling of
-// the Small model, 16-256 GPUs.
-func BenchmarkFigure10a_WeakScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Figure10aWeakScaling(io.Discard, quick())
-	}
-}
-
-// BenchmarkFigure10b_StrongScaling regenerates Fig. 10(b): strong scaling
-// of the Medium model at fixed global batch.
-func BenchmarkFigure10b_StrongScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Figure10bStrongScaling(io.Discard, quick())
-	}
-}
-
-// BenchmarkFigure11_LayerBreakdown regenerates Fig. 11: the forward MoE
-// layer stage breakdown, DeepSpeed-MoE vs X-MoE.
-func BenchmarkFigure11_LayerBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Figure11LayerBreakdown(io.Discard, quick())
-	}
-}
-
-// BenchmarkFigure12_RBDBreakdown regenerates Fig. 12: dispatch time with
-// and without redundancy-bypassing dispatch.
-func BenchmarkFigure12_RBDBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Figure12RBDBreakdown(io.Discard, quick())
-	}
-}
-
-// BenchmarkTable4_ActivationMemory regenerates Table 4: per-MoE-layer
-// activation memory across systems.
-func BenchmarkTable4_ActivationMemory(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Table4ActivationMemory(io.Discard)
-	}
-}
-
-// BenchmarkFigure13_SSMBMemory regenerates Fig. 13: per-GPU memory with
-// and without SSMB across TP degrees.
-func BenchmarkFigure13_SSMBMemory(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Figure13SSMBMemory(io.Discard)
-	}
-}
-
-// BenchmarkFigure14_SSMBvsCkpt regenerates Fig. 14: SSMB vs activation
-// checkpointing throughput at matched memory budgets.
-func BenchmarkFigure14_SSMBvsCkpt(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Figure14SSMBvsCkpt(io.Discard, quick())
-	}
-}
-
-// BenchmarkTable5_CrossPlatform regenerates Table 5: the Small model and
-// its SR/LR reductions on 8x NVIDIA A100 40GB.
-func BenchmarkTable5_CrossPlatform(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Table5CrossPlatform(io.Discard, quick())
-	}
-}
-
-// BenchmarkFigure15_LossValidation regenerates Fig. 15: loss curves under
-// the two token-dropping policies (real numeric training).
-func BenchmarkFigure15_LossValidation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Figure15LossValidation(io.Discard, quick())
-	}
-}
-
-// BenchmarkFigure17_AdvantageRegions regenerates Fig. 17: the SSMB vs TED
-// memory-saving advantage regions for real MoE architectures.
-func BenchmarkFigure17_AdvantageRegions(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Figure17AdvantageRegions(io.Discard)
-	}
-}
-
-// BenchmarkFigure18_AlltoAllScaling regenerates Figs. 18-19 (Appendix D):
-// the all-to-all latency characterisation from 8 to 1024 GPUs with
-// cross-rack outliers.
-func BenchmarkFigure18_AlltoAllScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Figure18AlltoAllScaling(io.Discard, quick())
-	}
-}
-
-// BenchmarkFigure20_DepthTopK regenerates Fig. 20 (Appendix E): scaling
-// model depth and routing top-k on 256 GPUs.
-func BenchmarkFigure20_DepthTopK(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Figure20DepthTopK(io.Discard, quick())
-	}
-}
-
-// BenchmarkAppendixC1_Placement regenerates the Appendix C.1 analysis:
-// EP-first vs DP-first placement costs.
-func BenchmarkAppendixC1_Placement(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AppendixC1Placement(io.Discard)
-	}
-}
-
-// BenchmarkAblationPilotSelection measures RBD's random vs
-// smallest-expert-ID pilot selection (§4.2 design note).
-func BenchmarkAblationPilotSelection(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblationPilotSelection(io.Discard, quick())
-	}
-}
-
-// BenchmarkAblationCapacityFactor sweeps the expert capacity factor's
-// effect on dropping and padded-buffer memory.
-func BenchmarkAblationCapacityFactor(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblationCapacityFactor(io.Discard, quick())
-	}
-}
-
-// BenchmarkAblationRBDByEPSize tracks RBD's communication saving against
-// the redundancy rate across EP sizes.
-func BenchmarkAblationRBDByEPSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblationRBDByEPSize(io.Discard, quick())
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range bench.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			for b.Loop() {
+				e.Run(io.Discard, bench.Options{Seed: 42, Quick: true})
+			}
+		})
 	}
 }

@@ -9,9 +9,9 @@
 //
 // With -json, each experiment is additionally run under the Go benchmark
 // harness and a machine-readable record (host ns/op, allocs/op, bytes/op,
-// plus the experiment's simulated headline metrics such as TFLOPs/GPU) is
-// appended to BENCH_results.json, seeding the repository's performance
-// trajectory.
+// plus the rows the experiment returned: key, unit, simulated and paper
+// value) is appended to BENCH_results.json, seeding the repository's
+// performance trajectory.
 //
 // -cpuprofile and -memprofile write pprof profiles of the selected
 // experiments (everything between flag validation and the JSON append):
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -34,43 +33,6 @@ import (
 	"xmoe/internal/prof"
 	"xmoe/internal/topology"
 )
-
-var experiments = map[string]func(w io.Writer, opts bench.Options){
-	"table1": func(w io.Writer, o bench.Options) { bench.Table1SizeEquivalence(w) },
-	"fig3":   func(w io.Writer, o bench.Options) { bench.Figure3MemoryDistribution(w) },
-	"fig4":   func(w io.Writer, o bench.Options) { bench.Figure4Redundancy(w, o) },
-	"fig9":   func(w io.Writer, o bench.Options) { bench.Figure9MainResults(w, o) },
-	"fig10a": func(w io.Writer, o bench.Options) { bench.Figure10aWeakScaling(w, o) },
-	"fig10b": func(w io.Writer, o bench.Options) { bench.Figure10bStrongScaling(w, o) },
-	"fig11":  func(w io.Writer, o bench.Options) { bench.Figure11LayerBreakdown(w, o) },
-	"fig12":  func(w io.Writer, o bench.Options) { bench.Figure12RBDBreakdown(w, o) },
-	"table4": func(w io.Writer, o bench.Options) { bench.Table4ActivationMemory(w) },
-	"fig13":  func(w io.Writer, o bench.Options) { bench.Figure13SSMBMemory(w) },
-	"fig14":  func(w io.Writer, o bench.Options) { bench.Figure14SSMBvsCkpt(w, o) },
-	"table5": func(w io.Writer, o bench.Options) { bench.Table5CrossPlatform(w, o) },
-	"fig15":  func(w io.Writer, o bench.Options) { bench.Figure15LossValidation(w, o) },
-	"fig17":  func(w io.Writer, o bench.Options) { bench.Figure17AdvantageRegions(w) },
-	"fig18":  func(w io.Writer, o bench.Options) { bench.Figure18AlltoAllScaling(w, o) },
-	"fig20":  func(w io.Writer, o bench.Options) { bench.Figure20DepthTopK(w, o) },
-	"appc1":  func(w io.Writer, o bench.Options) { bench.AppendixC1Placement(w) },
-	// Ablations beyond the paper's figures (design choices of §4).
-	"abl-pilot":        func(w io.Writer, o bench.Options) { bench.AblationPilotSelection(w, o) },
-	"abl-capacity":     func(w io.Writer, o bench.Options) { bench.AblationCapacityFactor(w, o) },
-	"abl-rbd-ep":       func(w io.Writer, o bench.Options) { bench.AblationRBDByEPSize(w, o) },
-	"abl-overlap":      func(w io.Writer, o bench.Options) { bench.AblationOverlap(w, o) },
-	"abl-overlap-bwd":  func(w io.Writer, o bench.Options) { bench.AblationOverlapBackward(w, o) },
-	"abl-faults":       func(w io.Writer, o bench.Options) { bench.AblationFaults(w, o) },
-	"abl-engine-delta": func(w io.Writer, o bench.Options) { bench.AblationEngineDelta(w, o) },
-	"abl-zero":         func(w io.Writer, o bench.Options) { bench.AblationZeRO(w, o) },
-}
-
-// order fixes the presentation sequence for -experiment all.
-var order = []string{
-	"table1", "fig3", "fig4", "fig9", "fig10a", "fig10b", "fig11", "fig12",
-	"table4", "fig13", "fig14", "table5", "fig15", "fig17", "fig18", "fig20", "appc1",
-	"abl-pilot", "abl-capacity", "abl-rbd-ep", "abl-overlap", "abl-overlap-bwd",
-	"abl-faults", "abl-engine-delta", "abl-zero",
-}
 
 const jsonPath = "BENCH_results.json"
 
@@ -115,26 +77,25 @@ func main() {
 	}
 
 	if *list {
-		names := make([]string, 0, len(experiments))
-		for n := range experiments {
-			names = append(names, n)
+		for _, e := range bench.Experiments {
+			fmt.Println(e.Name)
 		}
-		sort.Strings(names)
-		fmt.Println(strings.Join(names, "\n"))
 		return
 	}
 
 	// Resolve the names before any experiment (or profile) starts, so a
 	// typo exits 2 at once instead of after the experiments preceding it.
-	names := order
+	selected := bench.Experiments
 	if *exp != "all" {
-		names = strings.Split(*exp, ",")
-		for i, name := range names {
-			names[i] = strings.TrimSpace(name)
-			if _, ok := experiments[names[i]]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", names[i])
+		selected = nil
+		for _, name := range strings.Split(*exp, ",") {
+			name = strings.TrimSpace(name)
+			e, ok := lookup(name)
+			if !ok {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", name)
 				os.Exit(2)
 			}
+			selected = append(selected, e)
 		}
 	}
 
@@ -146,35 +107,30 @@ func main() {
 
 	opts := bench.Options{Seed: *seed, Quick: *quick, Chunks: chunks, Engine: *engine}
 	var records []bench.Record
-	run := func(name string) {
-		fn := experiments[name]
+	for _, e := range selected {
 		start := time.Now()
-		fn(os.Stdout, opts)
-		fmt.Printf("  [%s completed in %.1fs]\n", name, time.Since(start).Seconds())
+		e.Run(os.Stdout, opts)
+		fmt.Printf("  [%s completed in %.1fs]\n", e.Name, time.Since(start).Seconds())
 		if *jsonOut {
-			bench.DrainMetrics() // keep only the benchmarked run's metrics
+			var rows []bench.Row
 			res := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					fn(io.Discard, opts)
+					rows = e.Run(io.Discard, opts)
 				}
 			})
 			records = append(records, bench.Record{
-				Experiment:  name,
+				Experiment:  e.Name,
 				NsPerOp:     res.NsPerOp(),
 				AllocsPerOp: res.AllocsPerOp(),
 				BytesPerOp:  res.AllocedBytesPerOp(),
-				Simulated:   bench.DrainMetrics(),
+				Rows:        rows,
 				Engine:      engineName,
 				Quick:       *quick,
 				Seed:        *seed,
 				Timestamp:   start.UTC().Format(time.RFC3339),
 			})
 		}
-	}
-
-	for _, name := range names {
-		run(name)
 	}
 	if err := stopProfiles(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -187,4 +143,14 @@ func main() {
 		}
 		fmt.Printf("  [wrote %d records to %s]\n", len(records), jsonPath)
 	}
+}
+
+// lookup finds the registered experiment called name.
+func lookup(name string) (bench.Experiment, bool) {
+	for _, e := range bench.Experiments {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return bench.Experiment{}, false
 }

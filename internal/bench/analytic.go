@@ -6,24 +6,18 @@ import (
 
 	"xmoe/internal/memmodel"
 	"xmoe/internal/model"
+	"xmoe/internal/moe"
 	"xmoe/internal/netsim"
 	"xmoe/internal/parallel"
 	"xmoe/internal/rbd"
+	"xmoe/internal/tensor"
 	"xmoe/internal/topology"
 )
-
-// Table1Result carries the size-equivalence check of Tables 1-2.
-type Table1Result struct {
-	ConvParams, SpecParams       int64
-	ConvActivated, SpecActivated int64
-	ConvDispatch, SpecDispatch   int64 // per-GPU A_dispatch bytes
-	ConvInterm, SpecInterm       int64
-}
 
 // Table1SizeEquivalence regenerates Tables 1-2: the Mconv/Mspec pair has
 // identical parameter budgets while the dispatch/combine activations grow
 // by the fine-grained factor m and the FFN intermediates stay constant.
-func Table1SizeEquivalence(w io.Writer) Table1Result {
+func Table1SizeEquivalence(w io.Writer, _ Options) []Row {
 	conv, spec := model.ConvSpecPair()
 	st := memmodel.Setup{
 		Plan:           parallel.Plan{World: 256, TP: 1, EP: conv.NumExperts, ZeROStage: 1},
@@ -37,121 +31,93 @@ func Table1SizeEquivalence(w io.Writer) Table1Result {
 	stSpec := st
 	stSpec.Plan.EP = spec.NumExperts
 	bs := memmodel.MoELayer(spec, stSpec, s)
-
-	res := Table1Result{
-		ConvParams:    conv.ExpertParamsPerLayer(),
-		SpecParams:    spec.ExpertParamsPerLayer(),
-		ConvActivated: int64(conv.TopK) * 2 * int64(conv.HModel) * int64(conv.HFFN),
-		SpecActivated: int64(spec.TopK) * 2 * int64(spec.HModel) * int64(spec.HFFN),
-		ConvDispatch:  bc.ADispatch,
-		SpecDispatch:  bs.ADispatch,
-		ConvInterm:    bc.AInterm0,
-		SpecInterm:    bs.AInterm0,
+	activated := func(sh model.Shape) float64 {
+		return float64(int64(sh.TopK) * 2 * int64(sh.HModel) * int64(sh.HFFN))
 	}
 
-	header(w, "Table 1/2: size-equivalent Mconv vs Mspec (m=8)")
-	t := newTable("quantity", "Mconv", "Mspec", "ratio")
-	ratio := func(a, b int64) string { return fmt.Sprintf("%.2f", float64(b)/float64(a)) }
-	t.add("expert params/layer", fmt.Sprint(res.ConvParams), fmt.Sprint(res.SpecParams), ratio(res.ConvParams, res.SpecParams))
-	t.add("activated params/tok", fmt.Sprint(res.ConvActivated), fmt.Sprint(res.SpecActivated), ratio(res.ConvActivated, res.SpecActivated))
-	t.add("A_dispatch (GiB)", gb(res.ConvDispatch), gb(res.SpecDispatch), ratio(res.ConvDispatch, res.SpecDispatch))
-	t.add("A_interm (GiB)", gb(res.ConvInterm), gb(res.SpecInterm), ratio(res.ConvInterm, res.SpecInterm))
-	t.write(w)
-	fmt.Fprintln(w, "  paper: params and activated params equal; A_dispatch grows ~m=8x; A_interm constant")
-	return res
-}
-
-// Figure3Result carries the per-component memory of Fig. 3.
-type Figure3Result struct {
-	Conv, Spec             memmodel.MoEBreakdown
-	ConvStates, SpecStates int64
+	var rows []Row
+	for _, q := range []struct {
+		name, unit string
+		conv, spec float64
+	}{
+		{"expert params/layer", "count", float64(conv.ExpertParamsPerLayer()), float64(spec.ExpertParamsPerLayer())},
+		{"activated params/tok", "count", activated(conv), activated(spec)},
+		{"A_dispatch", "GiB", gib(bc.ADispatch), gib(bs.ADispatch)},
+		{"A_interm", "GiB", gib(bc.AInterm0), gib(bs.AInterm0)},
+	} {
+		rows = append(rows, Row{q.name + "/Mconv", q.unit, q.conv, 0}, Row{q.name + "/Mspec", q.unit, q.spec, 0},
+			Row{q.name + "/ratio", "x", q.spec / q.conv, 0})
+	}
+	return render(w, "Table 1/2: size-equivalent Mconv vs Mspec (m=8)", rows,
+		"paper: params and activated params equal; A_dispatch grows ~m=8x; A_interm constant")
 }
 
 // Figure3MemoryDistribution regenerates Fig. 3: the MoE-layer memory
 // distribution of Mconv vs Mspec on 256 GPUs with ZeRO-1 DP + EP (EP =
 // number of experts), showing the bottleneck shifting from model states /
 // intermediates to dispatch and combine.
-func Figure3MemoryDistribution(w io.Writer) Figure3Result {
+func Figure3MemoryDistribution(w io.Writer, _ Options) []Row {
 	conv, spec := model.ConvSpecPair()
 	const s = 4096
-	mk := func(sh model.Shape) (memmodel.MoEBreakdown, int64) {
+	var rows []Row
+	for _, p := range []struct {
+		name      string
+		sh        model.Shape
+		paperDisp float64 // GiB
+	}{{"Mconv", conv, 0}, {"Mspec", spec, 0.35}} {
 		st := memmodel.Setup{
-			Plan:           parallel.Plan{World: 256, TP: 1, EP: sh.NumExperts, ZeROStage: 1},
+			Plan:           parallel.Plan{World: 256, TP: 1, EP: p.sh.NumExperts, ZeROStage: 1},
 			MicroBatch:     2,
 			Pipeline:       memmodel.PipelinePFT,
 			CapacityFactor: 1.25,
 			ElemBytes:      2,
 		}
 		// Single-layer model states per GPU.
-		one := sh
+		one := p.sh
 		one.Layers = 1
-		return memmodel.MoELayer(sh, st, s), memmodel.ModelStates(one, st)
+		b := memmodel.MoELayer(p.sh, st, s)
+		rows = append(rows,
+			Row{p.name + "/states", "GiB", gib(memmodel.ModelStates(one, st)), 0},
+			Row{p.name + "/A_dispatch", "GiB", gib(b.ADispatch), p.paperDisp},
+			Row{p.name + "/A_combine", "GiB", gib(b.ACombine), 0},
+			Row{p.name + "/A0_interm", "GiB", gib(b.AInterm0), 0},
+			Row{p.name + "/A1_interm", "GiB", gib(b.AInterm1), 0})
 	}
-	bc, sc := mk(conv)
-	bs, ss := mk(spec)
-	res := Figure3Result{Conv: bc, Spec: bs, ConvStates: sc, SpecStates: ss}
-
-	header(w, "Figure 3: MoE layer memory distribution (GiB/GPU)")
-	t := newTable("model", "states", "A_disp", "A_comb", "A0_int", "A1_int")
-	t.add("Mconv", gb(sc), gb(bc.ADispatch), gb(bc.ACombine), gb(bc.AInterm0), gb(bc.AInterm1))
-	t.add("Mspec", gb(ss), gb(bs.ADispatch), gb(bs.ACombine), gb(bs.AInterm0), gb(bs.AInterm1))
-	t.write(w)
-	fmt.Fprintln(w, "  paper: Mspec dispatch/combine dominate (~0.35 GB each); Mconv is states/interm-bound")
-	return res
-}
-
-// Figure4Result pairs EP sizes with redundancy rates.
-type Figure4Result struct {
-	EPSizes  []int
-	Analytic []float64
-	Measured []float64
-	Paper    []float64
+	return render(w, "Figure 3: MoE layer memory distribution (GiB/GPU)", rows,
+		"paper: Mspec is dispatch/combine-bound; Mconv is states/interm-bound")
 }
 
 // Figure4Redundancy regenerates Fig. 4: the fraction of dispatched token
 // copies that are node-level redundant for a DeepSeek-style 256-expert,
 // k=8 configuration, as EP size grows — both the closed form and a
-// measurement over synthetic routing.
-func Figure4Redundancy(w io.Writer, opts Options) Figure4Result {
-	res := Figure4Result{
-		EPSizes: []int{16, 32, 64, 128, 256},
-		Paper:   []float64{0.751, 0.548, 0.338, 0.185, 0.092},
-	}
+// measurement over uniform synthetic routing (the closed form's
+// assumption).
+func Figure4Redundancy(w io.Writer, opts Options) []Row {
 	m := topology.Frontier()
 	const e, k = 256, 8
 	tokens := 4000
 	if opts.Quick {
 		tokens = 600
 	}
-	for _, ep := range res.EPSizes {
-		nodes := ep / m.GPUsPerNode
-		res.Analytic = append(res.Analytic, rbd.ExpectedRedundancyRate(e, k, nodes))
-		rt := syntheticRoutingFor(opts.Seed+uint64(ep), tokens, e, k)
+	var rows []Row
+	for _, p := range []struct {
+		ep    int
+		paper float64 // %
+	}{{16, 75.1}, {32, 54.8}, {64, 33.8}, {128, 18.5}, {256, 9.2}} {
+		nodes := p.ep / m.GPUsPerNode
+		rt := moe.SyntheticRouting(tensor.NewRNG(opts.Seed+uint64(p.ep)), tokens, e, k, 0)
 		eprNode := e / nodes
 		red := rbd.AnalyzeRedundancy(rt, func(ex int) int { return ex / eprNode }, -1)
-		res.Measured = append(res.Measured, red.Rate())
+		rows = append(rows,
+			Row{fmt.Sprint("EP=", p.ep, "/analytic"), "%", rbd.ExpectedRedundancyRate(e, k, nodes) * 100, 0},
+			Row{fmt.Sprint("EP=", p.ep, "/measured"), "%", red.Rate() * 100, p.paper})
 	}
-
-	header(w, "Figure 4: redundancy rate of dispatched tokens (256 experts, k=8)")
-	t := newTable("EP size", "analytic %", "measured %", "paper %")
-	for i, ep := range res.EPSizes {
-		t.add(fmt.Sprint(ep),
-			fmt.Sprintf("%.1f", res.Analytic[i]*100),
-			fmt.Sprintf("%.1f", res.Measured[i]*100),
-			fmt.Sprintf("%.1f", res.Paper[i]*100))
-	}
-	t.write(w)
-	return res
-}
-
-// Table4Result carries per-MoE-layer activation memory in GiB.
-type Table4Result struct {
-	DSMoE, Tutel, XMoE, Theoretical float64
+	return render(w, "Figure 4: redundancy rate of dispatched tokens (256 experts, k=8)", rows)
 }
 
 // Table4ActivationMemory regenerates Table 4: per-MoE-layer activation
 // memory of the Large model on 256 GPUs with EP=64.
-func Table4ActivationMemory(w io.Writer) Table4Result {
+func Table4ActivationMemory(w io.Writer, _ Options) []Row {
 	sh := model.Large()
 	const s = 4096
 	plan := parallel.Plan{World: 256, TP: 1, EP: 64, ZeROStage: 1}
@@ -161,39 +127,23 @@ func Table4ActivationMemory(w io.Writer) Table4Result {
 			CapacityFactor: 1.25, ElemBytes: 2,
 			CombineBytes: combine, NoDenseMask: noMask,
 		}
-		return float64(memmodel.MoELayer(sh, st, s).Total()) / (1 << 30)
+		return gib(memmodel.MoELayer(sh, st, s).Total())
 	}
-	res := Table4Result{
-		DSMoE:       mk(memmodel.PipelinePadded, 0, false),
-		Tutel:       mk(memmodel.PipelinePadded, 4, true),
-		XMoE:        mk(memmodel.PipelinePFT, 0, false),
-		Theoretical: 4 * 1.25 * 8 * 4096 * 7168 / float64(1<<30),
-	}
-
-	header(w, "Table 4: per-MoE-layer activation memory, Large model, 256 GPUs (GiB)")
-	t := newTable("system", "measured", "paper")
-	t.add("DS-MoE", fmt.Sprintf("%.2f", res.DSMoE), "2.81")
-	t.add("Tutel", fmt.Sprintf("%.2f", res.Tutel), "1.95")
-	t.add("X-MoE", fmt.Sprintf("%.2f", res.XMoE), "1.21")
-	t.add("Theoretical", fmt.Sprintf("%.2f", res.Theoretical), "1.125")
-	t.write(w)
-	return res
-}
-
-// Figure13Result maps TP degree to per-GPU activation memory with and
-// without SSMB.
-type Figure13Result struct {
-	TP                []int
-	WithSSMB, Without []float64
+	return render(w, "Table 4: per-MoE-layer activation memory, Large model, 256 GPUs", []Row{
+		{"DS-MoE", "GiB", mk(memmodel.PipelinePadded, 0, false), 2.81},
+		{"Tutel", "GiB", mk(memmodel.PipelinePadded, 4, true), 1.95},
+		{"X-MoE", "GiB", mk(memmodel.PipelinePFT, 0, false), 1.21},
+		{"theoretical", "GiB", 4 * 1.25 * 8 * 4096 * 7168 / float64(1<<30), 1.125},
+	})
 }
 
 // Figure13SSMBMemory regenerates Fig. 13: maximum per-GPU memory of the
 // Large model across TP degrees, with and without sequence-sharded MoE
 // blocks.
-func Figure13SSMBMemory(w io.Writer) Figure13Result {
+func Figure13SSMBMemory(w io.Writer, _ Options) []Row {
 	sh := model.Large()
-	res := Figure13Result{TP: []int{1, 2, 4}}
-	for _, tp := range res.TP {
+	var rows []Row
+	for _, tp := range []int{1, 2, 4} {
 		mk := func(ssmb bool) float64 {
 			st := memmodel.Setup{
 				Plan:           parallel.Plan{World: 256, TP: tp, EP: 64, ZeROStage: 1, SSMB: ssmb},
@@ -204,82 +154,45 @@ func Figure13SSMBMemory(w io.Writer) Figure13Result {
 			}
 			return float64(memmodel.ModelStates(sh, st)+memmodel.Activations(sh, st)) / (1 << 30)
 		}
-		res.WithSSMB = append(res.WithSSMB, mk(true))
-		res.Without = append(res.Without, mk(false))
+		with, without := mk(true), mk(false)
+		k := fmt.Sprint("TP=", tp)
+		rows = append(rows, Row{k + "/w/o SSMB", "GiB", without, 0}, Row{k + "/w/ SSMB", "GiB", with, 0},
+			Row{k + "/saving", "%", (1 - with/without) * 100, 0})
 	}
-
-	header(w, "Figure 13: per-GPU memory w/ and w/o SSMB, Large model, EP=64 (GiB)")
-	t := newTable("TP", "w/o SSMB", "w/ SSMB", "saving")
-	for i, tp := range res.TP {
-		t.add(fmt.Sprint(tp),
-			fmt.Sprintf("%.1f", res.Without[i]),
-			fmt.Sprintf("%.1f", res.WithSSMB[i]),
-			fmt.Sprintf("%.1f%%", (1-res.WithSSMB[i]/res.Without[i])*100))
-	}
-	t.write(w)
-	fmt.Fprintln(w, "  paper: SSMB's saving grows with TP degree (Fig. 13's widening gap)")
-	return res
-}
-
-// Figure17Result carries the SSMB/TED verdicts per model.
-type Figure17Result struct {
-	Models   []string
-	TopK     []int
-	HFFN     []int
-	Verdicts map[int][]bool // seq len -> per-model SSMB advantage
-	Borders  map[int]float64
+	return render(w, "Figure 13: per-GPU memory w/ and w/o SSMB, Large model, EP=64", rows,
+		"paper: SSMB's saving grows with TP degree (Fig. 13's widening gap)")
 }
 
 // Figure17AdvantageRegions regenerates Fig. 17: which real MoE
 // architectures fall in SSMB's advantage region vs TED's, for sequence
-// lengths 2k/4k/8k at capacity factor 1.
-func Figure17AdvantageRegions(w io.Writer) Figure17Result {
-	res := Figure17Result{
-		Models:   []string{"Mixtral-8x7b", "Mixtral-8x22b", "DeepSeek-MoE", "DeepSeek-v3", "Arctic"},
-		TopK:     []int{2, 2, 6, 8, 2},
-		HFFN:     []int{14336, 16384, 1408, 2048, 4864},
-		Verdicts: map[int][]bool{},
-		Borders:  map[int]float64{},
-	}
+// lengths 2k/4k/8k at capacity factor 1, and the top-k border of the
+// region at H_FFN = 4096.
+func Figure17AdvantageRegions(w io.Writer, _ Options) []Row {
 	const c = 1.0
-	seqs := []int{2048, 4096, 8192}
-	for _, s := range seqs {
-		verdicts := make([]bool, len(res.Models))
-		for i := range res.Models {
-			verdicts[i] = memmodel.SSMBAdvantage(res.TopK[i], res.HFFN[i], c, s)
+	var rows []Row
+	for _, s := range []int{2048, 4096, 8192} {
+		for _, md := range []struct {
+			name       string
+			topK, hFFN int
+		}{{"Mixtral-8x7b", 2, 14336}, {"Mixtral-8x22b", 2, 16384}, {"DeepSeek-MoE", 6, 1408},
+			{"DeepSeek-v3", 8, 2048}, {"Arctic", 2, 4864}} {
+			ssmb := 0.0
+			if memmodel.SSMBAdvantage(md.topK, md.hFFN, c, s) {
+				ssmb = 1
+			}
+			rows = append(rows, Row{fmt.Sprint("S=", s, "/", md.name), "bool", ssmb, 0})
 		}
-		res.Verdicts[s] = verdicts
-		res.Borders[s] = memmodel.AdvantageBorderTopK(4096, c, s)
+		rows = append(rows, Row{fmt.Sprint("S=", s, "/border"), "top-k", memmodel.AdvantageBorderTopK(4096, c, s), 0})
 	}
-
-	header(w, "Figure 17: SSMB vs TED advantage regions (c=1)")
-	t := newTable("model", "top-k", "H_FFN", "S=2048", "S=4096", "S=8192")
-	verdict := func(b bool) string {
-		if b {
-			return "SSMB"
-		}
-		return "TED"
-	}
-	for i, name := range res.Models {
-		t.add(name, fmt.Sprint(res.TopK[i]), fmt.Sprint(res.HFFN[i]),
-			verdict(res.Verdicts[2048][i]), verdict(res.Verdicts[4096][i]), verdict(res.Verdicts[8192][i]))
-	}
-	t.write(w)
-	fmt.Fprintln(w, "  paper: DeepSeek models favour SSMB at all S; Mixtral favours TED; Arctic flips with S")
-	return res
-}
-
-// AppendixC1Result compares gradient-sync cost under the two placements.
-type AppendixC1Result struct {
-	EPFirstSync, DPFirstSync float64
-	EPFirstA2A, DPFirstA2A   float64
+	return render(w, "Figure 17: SSMB advantage over TED (yes = SSMB, no = TED), c=1", rows,
+		"paper: DeepSeek models favour SSMB at all S; Mixtral favours TED; Arctic flips with S")
 }
 
 // AppendixC1Placement regenerates the Appendix C.1 analysis: on 64 GPUs
 // with 8 experts and EP=8, DP-first placement moves gradient
 // synchronisation onto intra-node links at the cost of inter-node token
 // routing, and wins when DP volume dominates.
-func AppendixC1Placement(w io.Writer) AppendixC1Result {
+func AppendixC1Placement(w io.Writer, _ Options) []Row {
 	m := topology.Frontier()
 	net := netsim.New(m, 1)
 	net.DisableCongestion = true
@@ -290,23 +203,15 @@ func AppendixC1Placement(w io.Writer) AppendixC1Result {
 	const gradBytes = 1 << 30
 	const a2aBytes = 64 << 20
 
-	res := AppendixC1Result{}
+	var rows []Row
 	for _, placement := range []parallel.Placement{parallel.EPFirst, parallel.DPFirst} {
 		plan := parallel.Plan{World: world, TP: 1, EP: ep, Placement: placement, ZeROStage: 1}
 		sync := net.AllReduce(plan.ExpertDPGroups()[0], gradBytes).Seconds
 		a2a := net.AlltoAll(plan.EPGroups()[0], a2aBytes/ep).Seconds
-		if placement == parallel.EPFirst {
-			res.EPFirstSync, res.EPFirstA2A = sync, a2a
-		} else {
-			res.DPFirstSync, res.DPFirstA2A = sync, a2a
-		}
+		k := placement.String()
+		rows = append(rows, Row{k + "/grad sync", "ms", sync * 1e3, 0}, Row{k + "/EP a2a", "ms", a2a * 1e3, 0},
+			Row{k + "/total", "ms", (sync + a2a) * 1e3, 0})
 	}
-
-	header(w, "Appendix C.1: EP-first vs DP-first placement (64 GPUs, 8 experts, EP=8)")
-	t := newTable("placement", "grad sync (ms)", "EP a2a (ms)", "total (ms)")
-	t.add("EP-first", ms(res.EPFirstSync), ms(res.EPFirstA2A), ms(res.EPFirstSync+res.EPFirstA2A))
-	t.add("DP-first", ms(res.DPFirstSync), ms(res.DPFirstA2A), ms(res.DPFirstSync+res.DPFirstA2A))
-	t.write(w)
-	fmt.Fprintln(w, "  paper: DP-first keeps replicas intra-node, winning for large MoEs on Frontier")
-	return res
+	return render(w, "Appendix C.1: EP-first vs DP-first placement (64 GPUs, 8 experts, EP=8)", rows,
+		"paper: DP-first keeps replicas intra-node, winning for large MoEs on Frontier")
 }

@@ -1,16 +1,15 @@
 // Package bench is the experiment harness of the reproduction: one entry
 // point per table and figure of the paper's evaluation (§5 and the
-// appendices), each regenerating the artifact's rows/series from the
-// simulated systems and printing them next to the paper's reported
-// values. The cmd/xmoe-bench binary and the repository-root benchmarks
-// drive these entry points.
+// appendices), each regenerating the artifact's points from the simulated
+// systems as rows — a simulated value next to the paper's, where the paper
+// states one — and printing them through one renderer. The cmd/xmoe-bench
+// binary and the repository-root benchmarks drive the Experiments registry.
 package bench
 
 import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 )
 
 // Options configures experiment execution.
@@ -50,83 +49,107 @@ func (o Options) chunkCounts() []int {
 	return out
 }
 
-// Experiment metrics registry: experiments report headline simulated
-// quantities (throughput, layer times) here so machine-readable harnesses
-// (cmd/xmoe-bench -json) can export them alongside host-side ns/op and
-// allocs/op without re-parsing the printed tables.
-var (
-	metricsMu sync.Mutex
-	metrics   = map[string]float64{}
-)
-
-// RecordMetric stores a named scalar for the current experiment run,
-// overwriting any previous value.
-func RecordMetric(name string, v float64) {
-	metricsMu.Lock()
-	metrics[name] = v
-	metricsMu.Unlock()
+// Row is one point an experiment reports.
+type Row struct {
+	// Key names the point by its sweep coordinates ("GPUs=16/X-MoE"); it
+	// is unique within the experiment.
+	Key string `json:"key"`
+	// Unit is a key of formats; it also says what Sim and Paper measure.
+	Unit string `json:"unit"`
+	// Sim is the simulated value.
+	Sim float64 `json:"sim"`
+	// Paper is the paper's value for the same point: 0 where the paper
+	// states none, or, on the TFLOPs rows of Fig. 9 and Table 5, where it
+	// reports OOM.
+	Paper float64 `json:"paper,omitempty"`
 }
 
-// DrainMetrics returns all metrics recorded since the last drain and
-// clears the registry.
-func DrainMetrics() map[string]float64 {
-	metricsMu.Lock()
-	out := metrics
-	metrics = map[string]float64{}
-	metricsMu.Unlock()
-	return out
+// Experiment is one entry of the registry.
+type Experiment struct {
+	Name string
+	Run  func(w io.Writer, o Options) []Row
 }
 
-// header prints a section banner.
-func header(w io.Writer, title string) {
+// Experiments lists every experiment in presentation order: the paper's
+// tables and figures, then the ablations of §4's design choices.
+var Experiments = []Experiment{
+	{"table1", Table1SizeEquivalence},
+	{"fig3", Figure3MemoryDistribution},
+	{"fig4", Figure4Redundancy},
+	{"fig9", Figure9MainResults},
+	{"fig10a", Figure10aWeakScaling},
+	{"fig10b", Figure10bStrongScaling},
+	{"fig11", Figure11LayerBreakdown},
+	{"fig12", Figure12RBDBreakdown},
+	{"table4", Table4ActivationMemory},
+	{"fig13", Figure13SSMBMemory},
+	{"fig14", Figure14SSMBvsCkpt},
+	{"table5", Table5CrossPlatform},
+	{"fig15", Figure15LossValidation},
+	{"fig17", Figure17AdvantageRegions},
+	{"fig18", Figure18AlltoAllScaling},
+	{"fig20", Figure20DepthTopK},
+	{"appc1", AppendixC1Placement},
+	{"abl-pilot", AblationPilotSelection},
+	{"abl-capacity", AblationCapacityFactor},
+	{"abl-rbd-ep", AblationRBDByEPSize},
+	{"abl-overlap", AblationOverlap},
+	{"abl-overlap-bwd", AblationOverlapBackward},
+	{"abl-faults", AblationFaults},
+	{"abl-engine-delta", AblationEngineDelta},
+	{"abl-zero", AblationZeRO},
+}
+
+// formats is the printf verb of each Unit. A zero TFLOPs or s (iteration
+// time) value is an OOM; a bool is 1 (yes) or 0 (no).
+var formats = map[string]string{
+	"TFLOPs": "%.1f", "PFLOPs": "%.2f", "s": "%.2f", "ms": "%.2f", "GiB": "%.3f",
+	"x": "%.2f", "%": "%.1f", "ratio": "%.3f", "loss": "%.4f", "count": "%.0f",
+	"steps": "%.1f", "top-k": "%.2f", "bool": "",
+}
+
+func format(unit string, v float64) string {
+	switch {
+	case v == 0 && (unit == "TFLOPs" || unit == "s"):
+		return "OOM"
+	case unit == "bool" && v != 0:
+		return "yes"
+	case unit == "bool":
+		return "no"
+	}
+	return fmt.Sprintf(formats[unit], v)
+}
+
+// render prints rows as one titled table — key, unit, simulated value and
+// the paper's where it states one — followed by the notes, and returns the
+// rows.
+func render(w io.Writer, title string, rows []Row, notes ...string) []Row {
+	cells := [][4]string{{"key", "unit", "sim", "paper"}, {}}
+	for _, r := range rows {
+		c := [4]string{r.Key, r.Unit, format(r.Unit, r.Sim), ""}
+		if r.Paper != 0 {
+			c[3] = format(r.Unit, r.Paper)
+		}
+		cells = append(cells, c)
+	}
+	var width [4]int
+	for _, c := range cells {
+		for i, s := range c {
+			width[i] = max(width[i], len(s))
+		}
+	}
+	for i := range cells[1] {
+		cells[1][i] = strings.Repeat("-", width[i])
+	}
 	fmt.Fprintf(w, "\n=== %s ===\n", title)
+	for _, c := range cells {
+		fmt.Fprintf(w, "  %-*s  %-*s  %*s  %*s\n", width[0], c[0], width[1], c[1], width[2], c[2], width[3], c[3])
+	}
+	for _, n := range notes {
+		fmt.Fprintln(w, "  "+n)
+	}
+	return rows
 }
 
-// table is a minimal fixed-width table printer.
-type table struct {
-	cols   []string
-	rows   [][]string
-	widths []int
-}
-
-func newTable(cols ...string) *table {
-	t := &table{cols: cols, widths: make([]int, len(cols))}
-	for i, c := range cols {
-		t.widths[i] = len(c)
-	}
-	return t
-}
-
-func (t *table) add(cells ...string) {
-	for i, c := range cells {
-		if i < len(t.widths) && len(c) > t.widths[i] {
-			t.widths[i] = len(c)
-		}
-	}
-	t.rows = append(t.rows, cells)
-}
-
-func (t *table) write(w io.Writer) {
-	line := func(cells []string) {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			parts[i] = fmt.Sprintf("%-*s", t.widths[i], c)
-		}
-		fmt.Fprintln(w, "  "+strings.Join(parts, "  "))
-	}
-	line(t.cols)
-	sep := make([]string, len(t.cols))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", t.widths[i])
-	}
-	line(sep)
-	for _, r := range t.rows {
-		line(r)
-	}
-}
-
-// gb formats bytes as GiB.
-func gb(b int64) string { return fmt.Sprintf("%.2f", float64(b)/(1<<30)) }
-
-// ms formats seconds as milliseconds.
-func ms(s float64) string { return fmt.Sprintf("%.2f", s*1e3) }
+// gib converts bytes to GiB.
+func gib(b int64) float64 { return float64(b) / (1 << 30) }

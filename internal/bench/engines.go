@@ -12,7 +12,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"xmoe/internal/devent"
 	"xmoe/internal/model"
@@ -59,18 +58,6 @@ func (o Options) applyEngine(c *simrt.Cluster) {
 	}
 }
 
-// AblationEngineDeltaResult reports, per transport pipeline, the simulated
-// Fig. 11 layer time under the analytic model and the event engine on the
-// congested 2-level rail graph, plus the relative congestion delta.
-type AblationEngineDeltaResult struct {
-	Model      string
-	EP         int
-	Pipelines  []transport.Kind
-	AnalyticMs []float64
-	EventMs    []float64
-	DeltaPct   []float64 // (event - analytic) / analytic, percent
-}
-
 // AblationEngineDelta cross-validates the two cost engines on the
 // Fig. 11 Large-model layer at EP=64 (EP=16 in quick mode): the same
 // blocking forward pass is priced by the analytic closed forms and by
@@ -78,49 +65,29 @@ type AblationEngineDeltaResult struct {
 // analytic model serializes each collective against private per-class
 // bandwidth, so on a congested hierarchy — eight ranks funneling through
 // one node NIC — the event engine's fair-shared trunks must report a
-// strictly slower layer: the delta column is the congestion the fast path
-// cannot see, and it must be nonzero on every pipeline.
-func AblationEngineDelta(w io.Writer, opts Options) AblationEngineDeltaResult {
+// strictly slower layer: the delta rows are the congestion the fast path
+// cannot see, and they must be nonzero on every pipeline.
+func AblationEngineDelta(w io.Writer, opts Options) []Row {
 	m := topology.Frontier()
 	shape := model.Large()
-	ep := 64
-	s := shape.SeqLen
+	ep, s := 64, shape.SeqLen
 	if opts.Quick {
-		ep = 16
-		s = 2048
+		ep, s = 16, 2048
 	}
 	cfg := moe.LayerOf(shape)
 	layer := func(pipe transport.Kind, engine string) float64 {
 		return simrt.MaxClock(runLayer(layerSpec{machine: m, cfg: cfg, world: ep, s: s, kind: pipe,
-			fwdChunks: 1, engine: engine, seed: opts.Seed}))
+			fwdChunks: 1, engine: engine, seed: opts.Seed})) * 1e3
 	}
 
-	res := AblationEngineDeltaResult{
-		Model: shape.Name, EP: ep,
-		Pipelines: transport.Kinds(),
+	var rows []Row
+	for _, pipe := range transport.Kinds() {
+		an, ev := layer(pipe, "analytic"), layer(pipe, "event")
+		key := pipe.String() + "/"
+		rows = append(rows, Row{key + "analytic", "ms", an, 0}, Row{key + "event:rail", "ms", ev, 0},
+			Row{key + "congestion delta", "%", (ev - an) / an * 100, 0})
 	}
-	for _, pipe := range res.Pipelines {
-		an := layer(pipe, "analytic") * 1e3
-		ev := layer(pipe, "event") * 1e3
-		res.AnalyticMs = append(res.AnalyticMs, an)
-		res.EventMs = append(res.EventMs, ev)
-		res.DeltaPct = append(res.DeltaPct, (ev-an)/an*100)
-	}
-
-	header(w, fmt.Sprintf("Ablation: analytic vs event engine, %s layer, EP=%d (blocking fwd, ms)", shape.Name, ep))
-	t := newTable("pipeline", "analytic (ms)", "event:rail (ms)", "congestion delta")
-	for i, pipe := range res.Pipelines {
-		t.add(strings.ToUpper(pipe.String()),
-			fmt.Sprintf("%.2f", res.AnalyticMs[i]),
-			fmt.Sprintf("%.2f", res.EventMs[i]),
-			fmt.Sprintf("%+.1f%%", res.DeltaPct[i]))
-		prefix := fmt.Sprintf("abl_engine_delta_%v_", pipe)
-		RecordMetric(prefix+"analytic_ms", res.AnalyticMs[i])
-		RecordMetric(prefix+"event_ms", res.EventMs[i])
-		RecordMetric(prefix+"pct", res.DeltaPct[i])
-	}
-	t.write(w)
-	fmt.Fprintln(w, "  event:rail prices fair-shared NIC/spine trunks the analytic closed forms")
-	fmt.Fprintln(w, "  serialize away; flat contention-free graphs agree to 1e-12 s (devent tests)")
-	return res
+	return render(w, "Ablation: analytic vs event engine, Large layer, EP=64 (16 with -quick), blocking fwd", rows,
+		"event:rail prices fair-shared NIC/spine trunks the analytic closed forms",
+		"serialize away; flat contention-free graphs agree to 1e-12 s (devent tests)")
 }

@@ -32,46 +32,6 @@ import (
 	"xmoe/internal/transport"
 )
 
-// AblationFaultsResult carries the ablation's series for tests.
-type AblationFaultsResult struct {
-	// Transports names the columns.
-	Transports []transport.Kind
-	// StepSec is each transport's healthy per-step simulated time.
-	StepSec []float64
-	// MTBFxStep is the MTBF sweep, in multiples of the pft step time.
-	MTBFxStep []float64
-	// Goodput[t][m] is transport t's goodput at MTBF m (Young/Daly
-	// checkpoint interval).
-	Goodput [][]float64
-	// CkptSteps is the checkpoint-interval sweep (steps).
-	CkptSteps []int
-	// CkptGoodput[i] is pft goodput at CkptSteps[i] under the fixed MTBF.
-	CkptGoodput []float64
-	// YoungDalySteps is the analytic optimum interval in steps.
-	YoungDalySteps float64
-	// GoodputAsync[t][m] mirrors Goodput with asynchronous checkpoint
-	// writes: the write streams behind subsequent steps and only the
-	// uncovered remainder stalls, at the cost of falling back one more
-	// interval when a crash lands mid-write.
-	GoodputAsync [][]float64
-	// StragglerScale is the compute-multiplier sweep for one slow rank.
-	StragglerScale []float64
-	// StragglerSlowdown[t][i] is transport t's step-time ratio vs healthy.
-	StragglerSlowdown [][]float64
-	// FT is the numeric trainer's recovery run (real crash + rollback).
-	FT train.FTStats
-	// SpareSizes is the hot-spare-pool sweep; SpareFT[i] is the numeric
-	// trainer's run with SpareSizes[i] spares against the same crash.
-	SpareSizes []int
-	SpareFT    []train.FTStats
-	// MitigationScale is the straggler-multiplier sweep for the at-scale
-	// mitigation comparison (pft, Large dims); WallUnmitigated/WallMitigated
-	// are the per-step wall-clocks with the capacity rebalance off and on.
-	MitigationScale []float64
-	WallUnmitigated []float64
-	WallMitigated   []float64
-}
-
 // replayGoodput walks a deterministic crash schedule against a fixed
 // per-step time: steps complete sequentially, a checkpoint (cost ckpt) is
 // written every ckptEvery useful steps, and a crash arriving mid-flight
@@ -156,57 +116,52 @@ func stepClockInjected(m *topology.Machine, cfg moe.Config, world, s int,
 	return simrt.MaxClock(ranks), simrt.BusyTimes(ranks)
 }
 
-// AblationFaults runs the fault-tolerance ablation and prints its tables.
-func AblationFaults(w io.Writer, opts Options) AblationFaultsResult {
+// stragglerAt returns an injector that runs rank 0's compute scale times
+// slower from step 0 on a world-rank cluster, or nil for scale 1.
+func stragglerAt(scale float64, world int) *fault.Injector {
+	if scale == 1 {
+		return nil
+	}
+	plan, err := fault.ParsePlan(fmt.Sprint("straggler:r0@s0:x", scale))
+	if err != nil {
+		panic(err)
+	}
+	return fault.NewInjector(plan, world)
+}
+
+// AblationFaults runs the fault-tolerance ablation.
+func AblationFaults(w io.Writer, opts Options) []Row {
 	m := topology.Frontier()
 	shape := model.Large()
-	ep := 32
-	s := shape.SeqLen
-	ftSteps := 12
+	ep, s, ftSteps, steps := 32, shape.SeqLen, 12, 4000
 	if opts.Quick {
-		ep = 8
-		s = 1024
-		ftSteps = 6
+		ep, s, ftSteps, steps = 8, 1024, 6, 1000
 	}
 	cfg := moe.LayerOf(shape)
-	res := AblationFaultsResult{Transports: transport.Kinds()}
+	var rows []Row
 
 	// --- Healthy per-step time per transport -------------------------------
-	for _, tr := range res.Transports {
-		t, _ := stepClockInjected(m, cfg, ep, s, tr, opts.Seed, nil, nil)
-		res.StepSec = append(res.StepSec, t)
+	stepSec := map[transport.Kind]float64{}
+	for _, tr := range transport.Kinds() {
+		stepSec[tr], _ = stepClockInjected(m, cfg, ep, s, tr, opts.Seed, nil, nil)
+		rows = append(rows, Row{fmt.Sprint(tr, "/step"), "ms", stepSec[tr] * 1e3, 0})
 	}
 
 	// Checkpoint cost: all expert parameters (f32) stream off-node at NIC
 	// bandwidth — the same model train.DistTrainer.CkptCost applies.
 	ckptBytes := int64(cfg.NumExperts) * int64(cfg.HModel) * int64(cfg.HFFN) * 2 * 4
 	ckpt := float64(ckptBytes) / m.NodeNICBandwidth
+	rows = append(rows, Row{"ckpt write", "ms", ckpt * 1e3, 0})
 
-	// --- Goodput vs MTBF (Young/Daly interval per point) -------------------
-	res.MTBFxStep = []float64{20, 100, 500, 2500}
-	steps := 4000
-	if opts.Quick {
-		steps = 1000
-	}
-	header(w, fmt.Sprintf("Ablation: goodput vs MTBF, %s layer, EP=%d (ckpt write %.1fms), blocking vs async writes", shape.Name, ep, ckpt*1e3))
-	cols := []string{"MTBF/step(pft)"}
-	for _, tr := range res.Transports {
-		cols = append(cols, tr.String(), tr.String()+"-async")
-	}
-	tb := newTable(cols...)
-	base := res.StepSec[0]
-	for range res.Transports {
-		res.Goodput = append(res.Goodput, nil)
-		res.GoodputAsync = append(res.GoodputAsync, nil)
-	}
+	// --- Goodput vs MTBF (in pft steps) ------------------------------------
 	// Average several independent crash schedules per cell: a single
 	// Poisson realization is noisy enough to break monotonicity in MTBF.
 	const plans = 5
-	for _, mx := range res.MTBFxStep {
+	base := stepSec[transport.PFT]
+	for _, mx := range []float64{20, 100, 500, 2500} {
 		mtbf := mx * base
-		row := []string{fmt.Sprintf("%.0fx", mx)}
-		for ti := range res.Transports {
-			st := res.StepSec[ti]
+		for ti, tr := range transport.Kinds() {
+			st := stepSec[tr]
 			horizon := float64(steps) * st * 4
 			interval := int(math.Round(fault.YoungDaly(ckpt, mtbf) / st))
 			// Each mode runs its own optimal interval. Young/Daly balances
@@ -214,136 +169,77 @@ func AblationFaults(w io.Writer, opts Options) AblationFaultsResult {
 			// balance, so its interval is bandwidth-bound — the shortest
 			// one whose steps fully cover the streaming write — which also
 			// keeps the mid-write fallback distance small.
-			intervalAsync := int(math.Ceil(ckpt / st))
-			if intervalAsync < 1 {
-				intervalAsync = 1
-			}
+			intervalAsync := max(int(math.Ceil(ckpt/st)), 1)
 			var g, ga float64
 			for p := 0; p < plans; p++ {
 				crashes := fault.PlanCrashes(opts.Seed+uint64(ti)*31+uint64(p)*1e6, ep, horizon, mtbf).CrashTimes()
 				g += replayGoodput(st, ckpt, interval, steps, crashes, false)
 				ga += replayGoodput(st, ckpt, intervalAsync, steps, crashes, true)
 			}
-			g /= plans
-			ga /= plans
-			res.Goodput[ti] = append(res.Goodput[ti], g)
-			res.GoodputAsync[ti] = append(res.GoodputAsync[ti], ga)
-			row = append(row, fmt.Sprintf("%.3f", g), fmt.Sprintf("%.3f", ga))
+			key := fmt.Sprint("MTBF=", mx, "x/", tr)
+			rows = append(rows, Row{key, "ratio", g / plans, 0}, Row{key + "-async", "ratio", ga / plans, 0})
 		}
-		tb.add(row...)
 	}
-	tb.write(w)
-	fmt.Fprintln(w, "  blocking uses the Young/Daly interval sqrt(2*delta*MTBF) per point; async uses the")
-	fmt.Fprintln(w, "  bandwidth-bound interval (write time / step time) since its writes stream behind the")
-	fmt.Fprintln(w, "  next steps and stall only the uncovered remainder;")
-	fmt.Fprintln(w, "  goodput = useful-step time / wall-clock, crashes replayed from seeded Poisson plans")
 
 	// --- Checkpoint-interval sensitivity vs Young/Daly ---------------------
 	mtbf := 100 * base
-	res.YoungDalySteps = fault.YoungDaly(ckpt, mtbf) / base
-	res.CkptSteps = []int{1, 2, 4, 8, 16, 32, 64, 128}
-	header(w, fmt.Sprintf("Ablation: checkpoint-interval sensitivity, pft, MTBF=100 steps (Young/Daly optimum %.1f steps)", res.YoungDalySteps))
-	tb = newTable("interval (steps)", "goodput")
-	for _, iv := range res.CkptSteps {
+	rows = append(rows, Row{fmt.Sprint(transport.PFT, "/Young-Daly interval"), "steps", fault.YoungDaly(ckpt, mtbf) / base, 0})
+	for _, iv := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
 		var g float64
 		for p := 0; p < plans; p++ {
 			horizon := float64(steps) * base * 4
 			crashes := fault.PlanCrashes(opts.Seed+uint64(p)*1e6, ep, horizon, mtbf).CrashTimes()
 			g += replayGoodput(base, ckpt, iv, steps, crashes, false)
 		}
-		g /= plans
-		res.CkptGoodput = append(res.CkptGoodput, g)
-		tb.add(fmt.Sprintf("%d", iv), fmt.Sprintf("%.3f", g))
+		rows = append(rows, Row{fmt.Sprint(transport.PFT, "/interval=", iv), "ratio", g / plans, 0})
 	}
-	tb.write(w)
-	fmt.Fprintln(w, "  too-frequent checkpoints pay the write cost every step; too-rare ones replay")
-	fmt.Fprintln(w, "  long tails after each crash — goodput peaks near the Young/Daly interval")
 
 	// --- Straggler sensitivity per transport -------------------------------
-	res.StragglerScale = []float64{1, 1.5, 2, 4}
-	header(w, fmt.Sprintf("Ablation: straggler sensitivity (one rank's compute x scale), EP=%d", ep))
-	cols = []string{"scale"}
-	for _, tr := range res.Transports {
-		cols = append(cols, tr.String())
-		res.StragglerSlowdown = append(res.StragglerSlowdown, nil)
-	}
-	tb = newTable(cols...)
-	for _, sc := range res.StragglerScale {
-		row := []string{fmt.Sprintf("x%.1f", sc)}
-		for ti, tr := range res.Transports {
-			var inj *fault.Injector
-			if sc != 1 {
-				plan, err := fault.ParsePlan(fmt.Sprintf("straggler:r0@s0:x%g", sc))
-				if err != nil {
-					panic(err)
-				}
-				inj = fault.NewInjector(plan, ep)
-			}
-			t, _ := stepClockInjected(m, cfg, ep, s, tr, opts.Seed, inj, nil)
-			slow := t / res.StepSec[ti]
-			res.StragglerSlowdown[ti] = append(res.StragglerSlowdown[ti], slow)
-			row = append(row, fmt.Sprintf("%.2fx", slow))
+	for _, sc := range []float64{1, 1.5, 2, 4} {
+		for _, tr := range transport.Kinds() {
+			t, _ := stepClockInjected(m, cfg, ep, s, tr, opts.Seed, stragglerAt(sc, ep), nil)
+			rows = append(rows, Row{fmt.Sprint("straggler x", sc, "/", tr), "x", t / stepSec[tr], 0})
 		}
-		tb.add(row...)
 	}
-	tb.write(w)
-	fmt.Fprintln(w, "  BSP collectives make every rank wait for the slowest; the transport with the")
-	fmt.Fprintln(w, "  higher compute fraction inherits more of the straggler's slowdown")
 
-	// --- Numeric trainer: real crash, rollback, elastic shrink -------------
+	// --- Numeric trainer: real crash, rollback, elastic shrink; then the
+	// hot-spare pool sweep against the same crash ---------------------------
 	tcfg := train.DistConfig{
 		MoE: moe.Config{NumExperts: 8, TopK: 3, HModel: 12, HFFN: 8,
 			CapacityFactor: 1.25, BytesPerElem: 2},
 		World: 4, Tokens: 32, LR: 1e-2, Seed: opts.Seed,
 		Transport: transport.PFT.String(), Opts: moe.PipelineOpts{OverlapChunks: 2},
 	}
-	trn, err := train.NewDistTrainer(tcfg)
-	if err != nil {
-		panic(err)
-	}
-	plan, err := fault.ParsePlan(fmt.Sprintf("crash:r1@s%d", ftSteps/2))
-	if err != nil {
-		panic(err)
-	}
-	res.FT, err = trn.RunFaultTolerant(train.FTOptions{
-		Steps: ftSteps, CkptEvery: 3, Plan: plan,
-	})
-	if err != nil {
-		panic(err)
-	}
-	header(w, "Fault-tolerant numeric trainer (real crash + rollback + elastic shrink)")
-	fmt.Fprintf(w, "  %d useful steps, %d recovery, %d replayed, world %d -> %d\n",
-		res.FT.Steps, res.FT.Recoveries, res.FT.ReplayedSteps, tcfg.World, res.FT.FinalWorld)
-	fmt.Fprintf(w, "  goodput %.3f (useful %.2fms, ckpt %.2fms, lost %.2fms, wall %.2fms)\n",
-		res.FT.Goodput, res.FT.UsefulTime*1e3, res.FT.CkptTime*1e3, res.FT.LostTime*1e3, res.FT.WallClock*1e3)
-
-	// --- Spare-pool size: shrink vs regrow after the same crash ------------
-	res.SpareSizes = []int{0, 1, 2}
-	header(w, "Ablation: hot-spare pool size (same crash; spares promote into the dead slot)")
-	tb = newTable("spares", "final world", "promoted", "useful tokens", "goodput")
-	for _, sp := range res.SpareSizes {
+	ftRun := func(key, spec string, async bool) {
 		trn, err := train.NewDistTrainer(tcfg)
 		if err != nil {
 			panic(err)
 		}
-		plan, err := fault.ParsePlan(fmt.Sprintf("crash:r1@s%d,spares:%d", ftSteps/2, sp))
+		plan, err := fault.ParsePlan(spec)
 		if err != nil {
 			panic(err)
 		}
-		st, err := trn.RunFaultTolerant(train.FTOptions{
-			Steps: ftSteps, CkptEvery: 3, AsyncCkpt: true, Plan: plan,
-		})
+		st, err := trn.RunFaultTolerant(train.FTOptions{Steps: ftSteps, CkptEvery: 3, AsyncCkpt: async, Plan: plan})
 		if err != nil {
 			panic(err)
 		}
-		res.SpareFT = append(res.SpareFT, st)
-		tb.add(fmt.Sprintf("%d", sp), fmt.Sprintf("%d", st.FinalWorld),
-			fmt.Sprintf("%d", st.SparesUsed), fmt.Sprintf("%d", st.UsefulTokens),
-			fmt.Sprintf("%.3f", st.Goodput))
+		key += "/"
+		rows = append(rows, Row{key + "useful steps", "count", float64(st.Steps), 0},
+			Row{key + "recoveries", "count", float64(st.Recoveries), 0},
+			Row{key + "replayed steps", "count", float64(st.ReplayedSteps), 0},
+			Row{key + "final world", "count", float64(st.FinalWorld), 0},
+			Row{key + "promoted spares", "count", float64(st.SparesUsed), 0},
+			Row{key + "useful tokens", "count", float64(st.UsefulTokens), 0},
+			Row{key + "goodput", "ratio", st.Goodput, 0},
+			Row{key + "useful", "ms", st.UsefulTime * 1e3, 0},
+			Row{key + "ckpt", "ms", st.CkptTime * 1e3, 0},
+			Row{key + "lost", "ms", st.LostTime * 1e3, 0},
+			Row{key + "wall", "ms", st.WallClock * 1e3, 0})
 	}
-	tb.write(w)
-	fmt.Fprintln(w, "  without spares the crash shrinks the world (and its token throughput) for the")
-	fmt.Fprintln(w, "  rest of the run; one promoted spare restores the original world")
+	ftRun("trainer", fmt.Sprint("crash:r1@s", ftSteps/2), false)
+	for _, sp := range []int{0, 1, 2} {
+		ftRun(fmt.Sprint("spares=", sp), fmt.Sprint("crash:r1@s", ftSteps/2, ",spares:", sp), true)
+	}
 
 	// --- Straggler mitigation on/off ---------------------------------------
 	// Runs at the at-scale symbolic tier (Large dims): there the per-expert
@@ -354,41 +250,23 @@ func AblationFaults(w io.Writer, opts Options) AblationFaultsResult {
 	// loss tolerance, not wall-clock.) One observation step measures per-rank
 	// Busy compute clocks, RebalanceCapacity turns them into per-expert caps,
 	// and a second step runs with the caps applied.
-	res.MitigationScale = []float64{1, 2, 4}
-	header(w, fmt.Sprintf("Ablation: straggler-aware capacity rebalance (pft, EP=%d, one permanent straggler, bound 0.5)", ep))
-	tb = newTable("scale", "step off", "step on", "speedup")
-	for _, sc := range res.MitigationScale {
-		mkInj := func() *fault.Injector {
-			if sc == 1 {
-				return nil
-			}
-			plan, err := fault.ParsePlan(fmt.Sprintf("straggler:r0@s0:x%g", sc))
-			if err != nil {
-				panic(err)
-			}
-			return fault.NewInjector(plan, ep)
-		}
-		wallOff, busy := stepClockInjected(m, cfg, ep, s, transport.PFT, opts.Seed, mkInj(), nil)
+	for _, sc := range []float64{1, 2, 4} {
+		wallOff, busy := stepClockInjected(m, cfg, ep, s, transport.PFT, opts.Seed, stragglerAt(sc, ep), nil)
 		wallOn := wallOff
 		if caps := moe.RebalanceCapacity(cfg, s, ep, busy, 0.5); caps != nil {
-			wallOn, _ = stepClockInjected(m, cfg, ep, s, transport.PFT, opts.Seed, mkInj(), caps)
+			wallOn, _ = stepClockInjected(m, cfg, ep, s, transport.PFT, opts.Seed, stragglerAt(sc, ep), caps)
 		}
-		res.WallUnmitigated = append(res.WallUnmitigated, wallOff)
-		res.WallMitigated = append(res.WallMitigated, wallOn)
-		tb.add(fmt.Sprintf("x%g", sc), fmt.Sprintf("%.2fms", wallOff*1e3),
-			fmt.Sprintf("%.2fms", wallOn*1e3), fmt.Sprintf("%.2fx", wallOff/wallOn))
+		key := fmt.Sprint(transport.PFT, "/rebalance x", sc, "/")
+		rows = append(rows, Row{key + "off", "ms", wallOff * 1e3, 0}, Row{key + "on", "ms", wallOn * 1e3, 0},
+			Row{key + "speedup", "x", wallOff / wallOn, 0})
 	}
-	tb.write(w)
-	fmt.Fprintln(w, "  per-rank Busy compute clocks from an observation step shift expert capacity away")
-	fmt.Fprintln(w, "  from the slow rank, clamped to +/-bound so the loss stays near uniform routing")
 
-	RecordMetric("abl_faults_pft_goodput_mtbf100", res.Goodput[0][1])
-	RecordMetric("abl_faults_pft_async_goodput_mtbf100", res.GoodputAsync[0][1])
-	RecordMetric("abl_faults_rbd_goodput_mtbf100", res.Goodput[2][1])
-	RecordMetric("abl_faults_youngdaly_steps", res.YoungDalySteps)
-	RecordMetric("abl_faults_ft_goodput", res.FT.Goodput)
-	RecordMetric("abl_faults_spare1_useful_tokens", float64(res.SpareFT[1].UsefulTokens))
-	RecordMetric("abl_faults_mitigation_x4_speedup", res.WallUnmitigated[2]/res.WallMitigated[2])
-	RecordMetric("abl_faults_pft_straggler_x4", res.StragglerSlowdown[0][3])
-	return res
+	return render(w, "Ablation: fault tolerance, Large layer, EP=32 (8 with -quick)", rows,
+		"MTBF rows: goodput = useful-step time / wall-clock over seeded Poisson crash plans; blocking",
+		"checkpoints use the Young/Daly interval sqrt(2*delta*MTBF), async ones the bandwidth-bound",
+		"interval (write time / step time), stalling only the uncovered remainder; the interval sweep",
+		"peaks near Young/Daly. Stragglers: BSP collectives make every rank wait for the slowest.",
+		"trainer/spares rows: the numeric trainer's real crash, rollback and elastic shrink; a promoted",
+		"spare restores the world. Rebalance rows: per-rank busy clocks from an observation step shift",
+		"expert capacity away from the slow rank, within the rebalance bound of uniform")
 }

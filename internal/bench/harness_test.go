@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"xmoe/internal/fault"
 	"xmoe/internal/model"
 	"xmoe/internal/moe"
 	"xmoe/internal/rbd"
@@ -123,13 +122,6 @@ func TestLayerHarnessGoldenBits(t *testing.T) {
 	m := topology.Frontier()
 	cfg := moe.LayerOf(model.Large())
 	const s, seed = 256, uint64(42)
-	straggler := func(world int) *fault.Injector {
-		plan, err := fault.ParsePlan("straggler:r0@s0:x2")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fault.NewInjector(plan, world)
-	}
 	seen := 0
 	for _, world := range []int{8, 16} {
 		check := func(name string, v float64) {
@@ -158,7 +150,7 @@ func TestLayerHarnessGoldenBits(t *testing.T) {
 		// from the observed busy times.
 		var busy []float64
 		for _, kind := range transport.Kinds() {
-			wall, b := stepClockInjected(m, cfg, world, s, kind, seed, straggler(world), nil)
+			wall, b := stepClockInjected(m, cfg, world, s, kind, seed, stragglerAt(2, world), nil)
 			check(fmt.Sprintf("%v/straggler", kind), wall)
 			if kind == transport.PFT {
 				busy = b
@@ -173,7 +165,7 @@ func TestLayerHarnessGoldenBits(t *testing.T) {
 		if caps == nil {
 			t.Fatalf("ep%d: a x2 straggler must rebalance capacity", world)
 		}
-		wall, _ := stepClockInjected(m, cfg, world, s, transport.PFT, seed, straggler(world), caps)
+		wall, _ := stepClockInjected(m, cfg, world, s, transport.PFT, seed, stragglerAt(2, world), caps)
 		check("pft/straggler+caps", wall)
 
 		// The dispatch-only harness at the three (capacity, pilot policy)

@@ -8,22 +8,12 @@ import (
 	"xmoe/internal/train"
 )
 
-// Figure15Result carries the two loss curves of the implementation
-// validation.
-type Figure15Result struct {
-	Iterations []int
-	DSMoE      []float64
-	XMoE       []float64
-	// FinalGap is mean(DS loss) - mean(X-MoE loss) over the last window;
-	// the paper observes X-MoE slightly lower (it retains more tokens).
-	FinalGap float64
-}
-
 // Figure15LossValidation regenerates Fig. 15: training-loss curves of the
 // same MoE LM under DeepSpeed-MoE's drop-negative-score policy vs X-MoE's
 // capacity-only dropping, on identical data and initialisation. The
-// curves must closely track, with X-MoE's at or slightly below.
-func Figure15LossValidation(w io.Writer, opts Options) Figure15Result {
+// curves must closely track, with X-MoE's at or slightly below; the
+// final-window gap is mean(DS loss) - mean(X-MoE loss) over the last fifth.
+func Figure15LossValidation(w io.Writer, opts Options) []Row {
 	iters := 500
 	if opts.Quick {
 		iters = 120
@@ -38,25 +28,18 @@ func Figure15LossValidation(w io.Writer, opts Options) Figure15Result {
 	xs := train.Smooth(train.LossCurve(mkCfg(moe.DropByCapacityWeight), iters), 25)
 	ds := train.Smooth(train.LossCurve(mkCfg(moe.DropNegativeThenPosition), iters), 25)
 
-	res := Figure15Result{XMoE: xs, DSMoE: ds}
-	for i := 0; i < iters; i++ {
-		res.Iterations = append(res.Iterations, i)
+	var rows []Row
+	point := func(at string, i int) {
+		rows = append(rows, Row{at + "/DS-MoE", "loss", ds[i], 0}, Row{at + "/X-MoE", "loss", xs[i], 0})
 	}
-	window := iters / 5
-	res.FinalGap = train.Mean(ds[iters-window:]) - train.Mean(xs[iters-window:])
-
-	header(w, "Figure 15: loss validation, DeepSpeed-MoE vs X-MoE dropping policies")
-	t := newTable("iteration", "DS-MoE loss", "X-MoE loss")
-	step := iters / 10
-	if step == 0 {
-		step = 1
-	}
+	step := max(iters/10, 1)
 	for i := 0; i < iters; i += step {
-		t.add(fmt.Sprint(i), fmt.Sprintf("%.4f", ds[i]), fmt.Sprintf("%.4f", xs[i]))
+		point(fmt.Sprint("iter=", i), i)
 	}
-	t.add("final", fmt.Sprintf("%.4f", ds[iters-1]), fmt.Sprintf("%.4f", xs[iters-1]))
-	t.write(w)
-	fmt.Fprintf(w, "  final-window gap (DS - XMoE) = %+.4f; paper: X-MoE tracks DS-MoE closely,\n", res.FinalGap)
-	fmt.Fprintln(w, "  slightly lower because capacity-only dropping retains more tokens per batch")
-	return res
+	point("final", iters-1)
+	window := iters / 5
+	rows = append(rows, Row{"final-window gap", "loss", train.Mean(ds[iters-window:]) - train.Mean(xs[iters-window:]), 0})
+	return render(w, "Figure 15: loss validation, DeepSpeed-MoE vs X-MoE dropping policies", rows,
+		"paper: X-MoE tracks DS-MoE closely, slightly lower because capacity-only",
+		"dropping retains more tokens per batch")
 }

@@ -9,21 +9,12 @@ import (
 	"xmoe/internal/topology"
 )
 
-// Figure18Result characterises all-to-all latency at one GPU count.
-type Figure18Result struct {
-	GPUs        int
-	MeanSeconds float64
-	P50, P99    float64
-	Outliers    int // per-collective times > 500 ms
-	Runs        int
-}
-
 // Figure18AlltoAllScaling regenerates Appendix D (Figs. 18-19): the
 // all-to-all collective time distribution over many runs while scaling
 // from 8 to 1024 GPUs. Three regimes should appear: rising latency up to
 // 32 GPUs, a stable region to 256 (one rack), and a sharp climb with
 // frequent >500 ms outliers at 512 and 1024 GPUs.
-func Figure18AlltoAllScaling(w io.Writer, opts Options) []Figure18Result {
+func Figure18AlltoAllScaling(w io.Writer, opts Options) []Row {
 	m := topology.Frontier()
 	gpuCounts := []int{8, 16, 32, 64, 128, 256, 512, 1024}
 	runs := 1000
@@ -34,9 +25,7 @@ func Figure18AlltoAllScaling(w io.Writer, opts Options) []Figure18Result {
 	// MoE-training-like payload: ~32 MiB per rank spread over the group.
 	const perRankBytes = 32 << 20
 
-	var out []Figure18Result
-	header(w, "Figures 18/19: all-to-all collective time vs scale (Frontier)")
-	t := newTable("GPUs", "mean (ms)", "p50 (ms)", "p99 (ms)", ">500ms outliers")
+	var rows []Row
 	for _, g := range gpuCounts {
 		net := netsim.New(m, opts.Seed+uint64(g))
 		net.JobRanks = g
@@ -66,20 +55,12 @@ func Figure18AlltoAllScaling(w io.Writer, opts Options) []Figure18Result {
 			}
 		}
 		sort.Float64s(times)
-		res := Figure18Result{
-			GPUs:        g,
-			MeanSeconds: sum / float64(runs),
-			P50:         times[runs/2],
-			P99:         times[runs*99/100],
-			Outliers:    outliers,
-			Runs:        runs,
-		}
-		out = append(out, res)
-		t.add(fmt.Sprint(g), ms(res.MeanSeconds), ms(res.P50), ms(res.P99),
-			fmt.Sprintf("%d/%d", res.Outliers, res.Runs))
+		key := fmt.Sprint("GPUs=", g, "/")
+		rows = append(rows, Row{key + "mean", "ms", sum / float64(runs) * 1e3, 0},
+			Row{key + "p50", "ms", times[runs/2] * 1e3, 0}, Row{key + "p99", "ms", times[runs*99/100] * 1e3, 0},
+			Row{key + "outliers >500ms", "count", float64(outliers), 0})
 	}
-	t.write(w)
-	fmt.Fprintln(w, "  paper: latency rises to 32 GPUs, stays stable to 256 (one rack), then climbs")
-	fmt.Fprintln(w, "  sharply with frequent >500 ms outliers at 512/1024 GPUs -> EP capped at 256")
-	return out
+	return render(w, "Figures 18/19: all-to-all collective time vs scale over 1000 runs (120 with -quick), Frontier", rows,
+		"paper: latency rises to 32 GPUs, stays stable to 256 (one rack), then climbs",
+		"sharply with frequent >500 ms outliers at 512/1024 GPUs -> EP capped at 256")
 }

@@ -14,11 +14,10 @@ type Record struct {
 	NsPerOp     int64  `json:"ns_op"`
 	AllocsPerOp int64  `json:"allocs_op"`
 	BytesPerOp  int64  `json:"bytes_op"`
-	// Simulated holds the experiment's headline simulated metrics
-	// (e.g. TFLOPs/GPU, layer forward ms), keyed by metric name.
-	Simulated map[string]float64 `json:"simulated,omitempty"`
-	// Engine is the cost engine the simulated metrics are attributable
-	// to: "analytic" or an "event:*" topology-graph engine.
+	// Rows are the experiment's rows from the benchmarked run.
+	Rows []Row `json:"rows,omitempty"`
+	// Engine is the cost engine the simulated rows are attributable to:
+	// "analytic" or an "event:*" topology-graph engine.
 	Engine    string `json:"engine"`
 	Quick     bool   `json:"quick"`
 	Seed      uint64 `json:"seed"`
@@ -58,21 +57,4 @@ func AppendResults(path string, records []Record) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadResults decodes the record array at path (missing file = empty
-// history).
-func ReadResults(path string) ([]Record, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var out []Record
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -8,15 +8,27 @@ import (
 	"testing"
 )
 
+// readResults decodes the record array at path.
+func readResults(t *testing.T, path string) []Record {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Record
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestAppendResultsMergesAndRoundTrips pins the bench-save history
-// semantics: successive appends accumulate (never overwrite), the file
-// round-trips through ReadResults, and fields written by other schema
-// versions survive a rewrite byte-preserved.
+// semantics: successive appends accumulate (never overwrite) and the rows
+// round-trip.
 func TestAppendResultsMergesAndRoundTrips(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_results.json")
 
 	first := []Record{{Experiment: "fig9", NsPerOp: 100, Engine: "analytic", Seed: 42,
-		Simulated: map[string]float64{"fig9_mean_tflops_per_gpu": 33.5}}}
+		Rows: []Row{{"mean of trained", "TFLOPs", 33.5, 0}}}}
 	if err := AppendResults(path, first); err != nil {
 		t.Fatal(err)
 	}
@@ -25,18 +37,15 @@ func TestAppendResultsMergesAndRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := ReadResults(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readResults(t, path)
 	if len(got) != 2 {
 		t.Fatalf("after two appends the history holds %d records, want 2", len(got))
 	}
 	if got[0].Experiment != "fig9" || got[1].Experiment != "abl-zero" {
 		t.Fatalf("history out of order: %q, %q", got[0].Experiment, got[1].Experiment)
 	}
-	if got[0].Simulated["fig9_mean_tflops_per_gpu"] != 33.5 {
-		t.Fatal("simulated metrics did not round-trip")
+	if len(got[0].Rows) != 1 || got[0].Rows[0] != first[0].Rows[0] {
+		t.Fatalf("rows did not round-trip: %+v", got[0].Rows)
 	}
 }
 
@@ -82,11 +91,7 @@ func TestAppendResultsSetsAsideCorruptFile(t *testing.T) {
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Fatalf("corrupt history was not set aside: %v", err)
 	}
-	got, err := ReadResults(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Experiment != "fig9" {
+	if got := readResults(t, path); len(got) != 1 || got[0].Experiment != "fig9" {
 		t.Fatalf("fresh history after set-aside holds %+v", got)
 	}
 }
