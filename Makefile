@@ -77,10 +77,12 @@ endef
 # suite (flat-topology exactness to 1e-12 s, byte-accounting identities,
 # contention divergence on rail graphs, derate plumbing) plus the
 # determinism tests (identical seeds + concurrent collectives must give
-# bit-identical event logs and clocks), all under the race detector.
+# bit-identical event logs and clocks; an engine that samples congestion in
+# query order keeps its clocks at any GOMAXPROCS, so the simrt floor is 5
+# since TestSampledCongestionKeepsIssueOrder), all under the race detector.
 verify-devent:
 	$(GO) test -race ./internal/devent ./internal/topology
-	$(call race-named,verify-devent,Engine|ConcurrentCollectives|CommHandleOverlap|SetLinkDerate,./internal/simrt:4)
+	$(call race-named,verify-devent,Engine|ConcurrentCollectives|CommHandleOverlap|SetLinkDerate|SampledCongestion,./internal/simrt:5)
 
 # ZeRO verification gate: the sharded gradient-sync stack under the race
 # detector — async reduction collectives (simrt), bucket partitioning and
@@ -118,11 +120,14 @@ verify-ft:
 
 # Chaos pass: the seeded fault-injection suite under the race detector —
 # rank crashes mid-collective, stragglers, flaky retries, degraded links,
-# checkpoint rollback and elastic recovery. Every schedule is
-# deterministic (fault.Plan seeds), so failures reproduce exactly.
+# checkpoint rollback and elastic recovery, and pricing that panics or is
+# still running when a rank crashes. Every schedule is deterministic
+# (fault.Plan seeds), so failures reproduce exactly. The simrt floor is 9
+# since TestCrashMidExchangeLeavesNoPricer (the ReducerPanic test covers
+# the non-blocking collectives as cases, not as new tests).
 chaos-fast:
 	$(call race-named,chaos-fast,Crash|Fault|Inject|Straggler|Flaky|Desync|ReducerPanic|Checkpoint|Gone|Derate,\
-		./internal/simrt:8 ./internal/fault:7 ./internal/netsim:1 ./internal/train:10)
+		./internal/simrt:9 ./internal/fault:7 ./internal/netsim:1 ./internal/train:10)
 
 # Every fuzz target of every package for ten seconds each, against its
 # checked-in seeds and whatever the engine mutates from them: the targets

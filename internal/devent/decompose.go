@@ -101,21 +101,6 @@ func (e *Engine) AlltoAll(ranks []int, bytesPerPair int64) netsim.Cost {
 	return e.AlltoAllV(ranks, send)
 }
 
-// ringShards splits bytes into q per-member shards, remainder spread over
-// the first bytes%q members — the same convention as netsim.ReduceScatter,
-// so shard sums (and therefore aggregate bytes) are always exact.
-func ringShards(bytes int64, q int) []int64 {
-	per := make([]int64, q)
-	base, rem := bytes/int64(q), bytes%int64(q)
-	for i := range per {
-		per[i] = base
-		if int64(i) < rem {
-			per[i]++
-		}
-	}
-	return per
-}
-
 // ringPass appends one ring pass (q-1 steps) over members ranks: at step s,
 // member i sends block (i-s+1) mod q to member (i+1) mod q. Each step-s
 // flow depends on the member's own step-(s-1) send and on the upstream
@@ -160,8 +145,8 @@ func (e *Engine) AllGather(ranks []int, perRankBytes []int64) netsim.Cost {
 	})
 }
 
-// ReduceScatter lowers a ring reduce-scatter over the standard shard
-// convention; its schedule is one ring pass, like the all-gather.
+// ReduceScatter lowers a ring reduce-scatter over the netsim.ShardBytes
+// shards; its schedule is one ring pass, like the all-gather.
 func (e *Engine) ReduceScatter(ranks []int, bytes int64) netsim.Cost {
 	if len(ranks) <= 1 || bytes == 0 {
 		return zeroCost()
@@ -169,7 +154,7 @@ func (e *Engine) ReduceScatter(ranks []int, bytes int64) netsim.Cost {
 	return e.costOf(kindReduceScatter, "reducescatter", ranks, func(h uint64) uint64 {
 		return mix(h, uint64(bytes))
 	}, func(pl *plan) {
-		pl.ringPass(ranks, ringShards(bytes, len(ranks)), nil)
+		pl.ringPass(ranks, netsim.ShardBytes(bytes, len(ranks)), nil)
 	})
 }
 
@@ -202,7 +187,7 @@ func (pl *plan) allReduce(m *topology.Machine, ranks []int, bytes int64) {
 		}
 	}
 	if nodes == 1 || !even || g == 0 {
-		shards := ringShards(bytes, p)
+		shards := netsim.ShardBytes(bytes, p)
 		last := pl.ringPass(ranks, shards, nil)
 		entry := make([][]int32, p)
 		for i := range entry {
@@ -212,7 +197,7 @@ func (pl *plan) allReduce(m *topology.Machine, ranks []int, bytes int64) {
 		return
 	}
 
-	shards := ringShards(bytes, g)
+	shards := netsim.ShardBytes(bytes, g)
 	// Phase 1: per-node ring reduce-scatter.
 	rsLast := make(map[int][]int32, nodes)
 	for _, nd := range nodeOrder {
@@ -230,7 +215,7 @@ func (pl *plan) allReduce(m *topology.Machine, ranks []int, bytes int64) {
 			slot[ni] = byNode[nd][k]
 			entry[ni] = rsLast[nd]
 		}
-		sub := ringShards(shards[k], nodes)
+		sub := netsim.ShardBytes(shards[k], nodes)
 		last := pl.ringPass(slot, sub, entry)
 		entry2 := make([][]int32, nodes)
 		for ni := range entry2 {

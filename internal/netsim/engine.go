@@ -9,6 +9,12 @@ import "xmoe/internal/topology"
 // On contention-free flat topologies the two agree (cross-validated by
 // internal/devent's invariant tests); on hierarchical graphs the event
 // engine additionally sees trunk contention and queueing.
+//
+// Implementations must be safe for concurrent use: a simrt cluster prices
+// its non-blocking collectives concurrently and in no fixed order, unless
+// the engine has an OrderDependent() bool method that reports true (a
+// decorator must forward it), as Network's does while it samples
+// congestion.
 type CostEngine interface {
 	AlltoAllV(ranks []int, sendBytes [][]int64) Cost
 	AllReduce(ranks []int, bytes int64) Cost
@@ -24,6 +30,11 @@ type CostEngine interface {
 	// unaffected). Call only between Cluster.Run calls.
 	SetLinkDerate(map[topology.LinkClass]float64)
 }
+
+// OrderDependent reports whether the network's answers depend on the order
+// of its queries: they do while it samples congestion outliers, which are
+// drawn from one RNG stream in query order.
+func (n *Network) OrderDependent() bool { return !n.deterministic() }
 
 // EngineName identifies the analytic model in traces and benchmark records.
 func (n *Network) EngineName() string { return "analytic" }

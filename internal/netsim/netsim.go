@@ -648,6 +648,13 @@ func (n *Network) ReduceScatter(ranks []int, bytes int64) Cost {
 	if p <= 1 || bytes == 0 {
 		return Cost{BytesByClass: map[topology.LinkClass]int64{}}
 	}
+	return n.AllGather(ranks, ShardBytes(bytes, p))
+}
+
+// ShardBytes splits bytes into the p per-member shards a reduce-scatter
+// charges: bytes/p each, with the bytes%p remainder going one byte apiece
+// to the leading members, so the shards always sum to bytes.
+func ShardBytes(bytes int64, p int) []int64 {
 	per := make([]int64, p)
 	base, rem := bytes/int64(p), bytes%int64(p)
 	for i := range per {
@@ -656,7 +663,7 @@ func (n *Network) ReduceScatter(ranks []int, bytes int64) Cost {
 			per[i]++
 		}
 	}
-	return n.AllGather(ranks, per)
+	return per
 }
 
 // Broadcast simulates a binomial-tree broadcast of bytes from the first

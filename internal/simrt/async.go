@@ -15,15 +15,19 @@ type CommHandle struct {
 	// issuedAt is the rank's clock when the collective was issued; the
 	// leak report is anchored to it.
 	issuedAt float64
-	start    float64
-	end      float64
-	recv     []Part
-	waited   bool
+	// fl is the collective's flight and m the rank's member index in it.
+	fl     *flight
+	m      int
+	waited bool
 }
 
 // Done reports whether the collective has completed by the rank's current
-// clock — i.e. whether Wait would charge nothing.
-func (h *CommHandle) Done() bool { return h.r.Clock >= h.end }
+// clock — i.e. whether Wait would charge nothing. It blocks the host, not
+// the virtual clock, until the collective is priced.
+func (h *CommHandle) Done() bool {
+	_, end := h.r.await(h.fl, h.name)
+	return h.r.Clock >= end
+}
 
 // Wait blocks the rank's virtual clock until the collective completes and
 // returns the received parts (indexed by source member). Only the
@@ -31,21 +35,23 @@ func (h *CommHandle) Done() bool { return h.r.Clock >= h.end }
 // behind compute the rank performed since issuing — is charged to the
 // clock and recorded under the collective's stage name, so per-stage
 // breakdowns still sum to wall-clock time. The full physical span is
-// recorded as an overlapped trace event.
+// recorded as an overlapped trace event. A collective that could not be
+// priced fails the rank with an error wrapping ErrPeerFailed.
 func (h *CommHandle) Wait() []Part {
 	if h.waited {
-		return h.recv
+		return h.fl.parts(h.m)
 	}
 	h.waited = true
 	r := h.r
-	r.Trace.RecordOverlapped(h.name, h.start, h.end-h.start)
-	uncovered := h.end - r.Clock
+	start, end := r.await(h.fl, h.name)
+	r.Trace.RecordOverlapped(h.name, start, end-start)
+	uncovered := end - r.Clock
 	if uncovered < 0 {
 		uncovered = 0
 	}
 	r.Trace.Record(h.name, r.Clock, uncovered)
 	r.Clock += uncovered
-	return h.recv
+	return h.fl.parts(h.m)
 }
 
 // Exchange is one all-to-all-v of a pipeline that splits its traffic into

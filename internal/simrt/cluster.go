@@ -9,10 +9,10 @@
 //   - Every rank carries a virtual clock. Compute ops advance it by times
 //     from internal/perfmodel. Every collective is one flight on its
 //     members' comm streams, starting at the latest member's max(entry
-//     clock, comm-stream busy time) and lasting one cost from the cluster's
-//     CostEngine; a blocking collective is that flight waited at issue, a
-//     non-blocking one returns a CommHandle that charges only what compute
-//     did not cover.
+//     clock, end of its previous flight) and lasting one cost from the
+//     cluster's CostEngine; a blocking collective is that flight waited at
+//     issue, a non-blocking one returns a CommHandle that charges only what
+//     compute did not cover, and is priced on a goroutine of its own.
 //   - Every rank carries a memory tracker; pipelines register their buffer
 //     allocations so per-device peak memory and OOM verdicts reproduce the
 //     paper's trainability results.
@@ -140,6 +140,9 @@ type Cluster struct {
 	// internal/fault for the seeded plan that implements it).
 	Inject  Injector
 	devices []*Device
+	// pricing counts the goroutines pricing non-blocking collectives; Run
+	// returns only once they have all finished.
+	pricing sync.WaitGroup
 
 	// failMu guards the failure registry and the group list. failed maps
 	// a rank that went down in the current Run to its error; groups
@@ -182,6 +185,14 @@ func (c *Cluster) CostEngine() netsim.CostEngine {
 	return c.Net
 }
 
+// pricesInOrder reports whether every collective must be priced at its
+// rendezvous, in each group's issue order: when the cost engine states
+// that its answers depend on the order of its queries.
+func (c *Cluster) pricesInOrder() bool {
+	e, ok := c.CostEngine().(interface{ OrderDependent() bool })
+	return ok && e.OrderDependent()
+}
+
 // EngineName identifies the active cost engine ("analytic", "event:rail",
 // ...) for traces and benchmark records.
 func (c *Cluster) EngineName() string { return c.CostEngine().EngineName() }
@@ -213,14 +224,12 @@ type Rank struct {
 	Busy float64
 	// Trace records per-stage durations on this rank.
 	Trace *trace.Recorder
-	// commBusyUntil is the virtual time at which this rank's
-	// communication stream drains: every collective this rank issues
-	// serialises behind it (one in-order comm stream per rank, as on a
-	// dedicated NCCL/RCCL stream), so a newly issued collective cannot
-	// start before the previously issued ones complete. Only the owning
-	// goroutine touches it directly; peers observe it through the ready
-	// time deposited at each rendezvous.
-	commBusyUntil float64
+	// stream is the last flight this rank issued. The rank's comm stream
+	// runs its flights one at a time in issue order (as on a dedicated
+	// NCCL/RCCL stream), so the next one starts no earlier than this one
+	// ends. Only the owning goroutine touches it; peers see it through the
+	// deposit of each rendezvous.
+	stream *flight
 	// issuedHandles records every async collective handle this rank
 	// issued; Run checks at teardown that each was waited (a dropped
 	// handle is a lost synchronisation and almost always a bug).
@@ -281,7 +290,8 @@ func (r *Rank) Kernel(name string, class perfmodel.KernelClass, bytes int64) {
 // parked at (or later issuing) collectives with it unwind with a typed
 // ErrPeerFailed instead of deadlocking. A rank that returns with
 // issued-but-never-waited async collective handles is reported as an
-// error too: a dropped CommHandle is a lost synchronisation. After a
+// error too: a dropped CommHandle is a lost synchronisation. Run returns
+// only after every collective its ranks issued has been priced. After a
 // failed Run the cluster is poisoned (rank collective counters are
 // desynchronised); rebuild it rather than calling Run again. After a
 // clean Run the cluster is reusable as before.
@@ -322,6 +332,7 @@ func (c *Cluster) Run(fn func(r *Rank) error) error {
 		}(i)
 	}
 	wg.Wait()
+	c.pricing.Wait()
 	var nonNil []error
 	for _, e := range errs {
 		if e != nil {

@@ -1,11 +1,14 @@
 package simrt
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Every collective is one flight on its members' comm streams (one
 // in-order stream per rank, as on a dedicated NCCL/RCCL stream):
 //
-//	start = max over members of max(entry clock, comm-stream busy time)
+//	start = max over members of max(entry clock, end of its previous flight)
 //	end   = start + cost of the active CostEngine
 //
 // and ends one of two ways. A blocking collective is the flight waited at
@@ -17,6 +20,14 @@ import "fmt"
 // chunked MoE pipelines and the bucketed ZeRO gradient sync (FastMoE's
 // smart scheduling, Megatron Core's MoE comm/compute overlap and bucketed
 // DDP).
+//
+// A flight is priced once, after every member has deposited, and its start
+// and end are resolved when first read. A non-blocking flight is priced on
+// a goroutine of its own while its members run on, so the event engine's
+// queries for a pipeline's chunks run concurrently — unless the cost
+// engine's answers depend on the order of its queries. The float
+// expressions and member order are those of pricing at the rendezvous, so
+// no simulated bit depends on where or when the price is computed.
 
 // Part is one rank's contribution to (or share of) a collective payload.
 // Data carries real numbers in numeric mode and is nil in symbolic mode;
@@ -35,17 +46,31 @@ type deposit struct {
 	send []Part
 	// part is the member's payload of a reduction or all-gather.
 	part Part
-	// ready is when the member's comm stream can start the collective:
-	// max(entry clock, comm-stream busy time).
-	ready float64
+	// clock is the member's clock at entry and prev the flight it issued
+	// before this one (nil for its first): its comm stream starts this
+	// flight no earlier than either.
+	clock float64
+	prev  *flight
 }
 
-// flight is the shared result of one rendezvous: when the collective
-// occupies the members' comm streams and what each member receives.
+// flight is one collective on its members' comm streams, embedded in the
+// rendezvous they meet at. The last member to deposit prices it — the
+// modeled seconds and what each member receives — and the first read
+// resolves its start and end from the deposits.
 type flight struct {
-	start, end float64
+	mu   sync.Mutex
+	cond sync.Cond
+	name string
+	deps []deposit
+
+	priced  bool
+	err     error // the pricer panicked
+	seconds float64
 	// recv[m] is what member m receives (nil for a barrier).
 	recv [][]Part
+
+	resolved   bool
+	start, end float64
 }
 
 // pricer prices one collective kind once every member has deposited: the
@@ -53,20 +78,84 @@ type flight struct {
 // receives.
 type pricer func(g *Group, deps []deposit) (seconds float64, recv [][]Part)
 
+// price runs the pricer over the deposits and publishes its result. A
+// panicking pricer fails the flight instead of unwinding: every member
+// fails at its next read of the flight.
+func (f *flight) price(g *Group, price pricer) {
+	var secs float64
+	var recv [][]Part
+	defer func() {
+		p := recover()
+		f.mu.Lock()
+		f.seconds, f.recv, f.priced = secs, recv, true
+		if p != nil {
+			f.err = fmt.Errorf("%s pricing panicked: %v: %w", f.name, p, ErrPeerFailed)
+		}
+		f.cond.Broadcast()
+		f.mu.Unlock()
+	}()
+	secs, recv = price(g, f.deps)
+}
+
+// times returns when the flight occupies its members' comm streams. The
+// first call waits for the price and resolves start, member by member in
+// member order, and end = start + seconds; it then drops the deposits, so
+// a comm stream holds no chain of finished flights. It fails when the
+// flight, or a flight it queues behind, could not be priced.
+func (f *flight) times() (start, end float64, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for !f.priced {
+		f.cond.Wait()
+	}
+	if !f.resolved && f.err == nil {
+		for _, d := range f.deps {
+			var busy float64
+			if d.prev != nil {
+				if _, busy, f.err = d.prev.times(); f.err != nil {
+					return 0, 0, f.err
+				}
+			}
+			f.start = max(f.start, max(d.clock, busy))
+		}
+		f.end = f.start + f.seconds
+		f.resolved, f.deps = true, nil
+	}
+	return f.start, f.end, f.err
+}
+
+// parts is what member m received. Read it only after times.
+func (f *flight) parts(m int) []Part {
+	if f.recv == nil {
+		return nil
+	}
+	return f.recv[m]
+}
+
+// await resolves fl for r, failing r's SPMD body when fl cannot be priced.
+func (r *Rank) await(fl *flight, name string) (start, end float64) {
+	start, end, err := fl.times()
+	if err != nil {
+		r.fail(fmt.Errorf("rank %d: %s aborted: %w", r.ID, name, err))
+	}
+	return start, end
+}
+
 // block is the blocking ending: the flight waited at once, charged to the
 // clock as one span from the issue clock.
 func (r *Rank) block(g *Group, name string, d deposit, price pricer) []Part {
-	_, end, recv := g.fly(r, name, d, price)
+	fl, m := g.fly(r, name, d, price, true)
+	_, end := r.await(fl, name)
 	r.Trace.Record(name, r.Clock, end-r.Clock)
 	r.Clock = end
-	return recv
+	return fl.parts(m)
 }
 
 // async is the non-blocking ending: the flight handed to a CommHandle the
 // rank must Wait.
 func (r *Rank) async(g *Group, name string, d deposit, price pricer) *CommHandle {
-	start, end, recv := g.fly(r, name, d, price)
-	h := &CommHandle{r: r, name: name, issuedAt: r.Clock, start: start, end: end, recv: recv}
+	fl, m := g.fly(r, name, d, price, false)
+	h := &CommHandle{r: r, name: name, issuedAt: r.Clock, fl: fl, m: m}
 	r.issuedHandles = append(r.issuedHandles, h)
 	return h
 }
@@ -184,7 +273,9 @@ func (r *Rank) AlltoAllV(g *Group, name string, send []Part) []Part {
 // clock with a handle whose Wait charges the uncovered remainder. Every
 // member must issue the same collectives in the same order (SPMD
 // discipline), including the interleaving of async issues and waits with
-// blocking collectives on the same group.
+// blocking collectives on the same group. As with MPI's non-blocking
+// collectives, send must not change until the handle is waited: the
+// exchange may be priced after the call returns.
 func (r *Rank) AlltoAllVAsync(g *Group, name string, send []Part) *CommHandle {
 	return r.async(g, name, a2avDeposit(g, "AlltoAllVAsync", send), priceA2AV)
 }
@@ -198,8 +289,8 @@ func (r *Rank) AllReduce(g *Group, name string, data []float32, bytes int64) []f
 
 // AllReduceAsync issues a non-blocking AllReduce; Wait yields one Part
 // whose Data is the full sum (shared by all members — callers must copy,
-// never mutate). data may be nil in symbolic mode; bytes is the modeled
-// per-rank payload.
+// never mutate). data may be nil in symbolic mode and must not change
+// until the handle is waited; bytes is the modeled per-rank payload.
 func (r *Rank) AllReduceAsync(g *Group, name string, data []float32, bytes int64) *CommHandle {
 	return r.async(g, name, deposit{part: Part{Data: data, Bytes: bytes}}, priceAllReduce)
 }
@@ -209,7 +300,8 @@ func (r *Rank) AllReduceAsync(g *Group, name string, data []float32, bytes int64
 // AllReduce's sum) and member i receives the ShardRange(len, p, i) slice
 // of the sum — the ZeRO-2 gradient-sharding primitive. The returned shard
 // aliases the shared sum; callers must copy before mutating. data may be
-// nil in symbolic mode; bytes is the full (unsharded) per-rank payload.
+// nil in symbolic mode and must not change until the handle is waited;
+// bytes is the full (unsharded) per-rank payload.
 func (r *Rank) ReduceScatterAsync(g *Group, name string, data []float32, bytes int64) *CommHandle {
 	return r.async(g, name, deposit{part: Part{Data: data, Bytes: bytes}}, priceReduceScatter)
 }

@@ -4,9 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"xmoe/internal/netsim"
 )
@@ -286,30 +289,102 @@ func TestLeakedHandleReportNamesIssueClock(t *testing.T) {
 	}
 }
 
-// panicEngine is the analytic cost model with an all-reduce that panics:
-// the member that prices the collective panics inside the rendezvous.
+// panicEngine is the analytic cost model with an all-reduce and an
+// all-to-all-v that panic: the member or goroutine that prices the
+// collective panics.
 type panicEngine struct{ netsim.CostEngine }
 
 func (panicEngine) AllReduce([]int, int64) netsim.Cost { panic("pricing fault") }
 
-// TestReducerPanicDoesNotDeadlockPeers: a panic while the last arriver
-// prices a collective (holding the rendezvous lock) must fail the
-// rendezvous and unwind everyone.
+func (panicEngine) AlltoAllV([]int, [][]int64) netsim.Cost { panic("pricing fault") }
+
+// TestReducerPanicDoesNotDeadlockPeers: a panic while a collective is
+// priced — at the rendezvous for a blocking one, on a pricing goroutine
+// for a non-blocking one — must fail every member with ErrPeerFailed at
+// its next read of the flight (its Wait, or a later blocking collective
+// queued behind it on the comm stream), naming the collective.
 func TestReducerPanicDoesNotDeadlockPeers(t *testing.T) {
-	c := testCluster(3)
-	c.Engine = panicEngine{c.Net}
+	for _, tc := range []struct {
+		name, read string // the collective whose pricing panics, the one that reads it
+		body       func(r *Rank, g *Group)
+	}{
+		{"ar", "ar", func(r *Rank, g *Group) { r.AllReduce(g, "ar", nil, 4) }},
+		{"ar", "ar", func(r *Rank, g *Group) { r.AllReduceAsync(g, "ar", nil, 4).Wait() }},
+		{"a2a", "a2a", func(r *Rank, g *Group) { r.AlltoAllVAsync(g, "a2a", evenParts(3, 4)).Wait() }},
+		{"ar", "barrier", func(r *Rank, g *Group) {
+			h := r.AllReduceAsync(g, "ar", nil, 4)
+			r.Barrier(g)
+			h.Wait()
+		}},
+	} {
+		c := testCluster(3)
+		c.Engine = panicEngine{c.Net}
+		g := c.WorldGroup()
+		err := c.Run(func(r *Rank) error {
+			tc.body(r, g)
+			return nil
+		})
+		if err == nil {
+			t.Fatalf("%s read by %s: pricing panic must surface, not deadlock", tc.name, tc.read)
+		}
+		if !errors.Is(err, ErrPeerFailed) {
+			t.Fatalf("%s read by %s: members must see ErrPeerFailed: %v", tc.name, tc.read, err)
+		}
+		if !strings.Contains(err.Error(), tc.name+" pricing panicked: pricing fault") {
+			t.Fatalf("%s read by %s: the panic must be reported with its collective, got: %v", tc.name, tc.read, err)
+		}
+		for id := 0; id < 3; id++ {
+			if want := fmt.Sprintf("rank %d: %s aborted", id, tc.read); !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s read by %s: rank %d must fail at its read, got: %v", tc.name, tc.read, id, err)
+			}
+		}
+	}
+}
+
+// slowEngine is the analytic cost model with an all-to-all-v that takes
+// host time, counting the queries it has answered.
+type slowEngine struct {
+	netsim.CostEngine
+	answered atomic.Int32
+}
+
+func (e *slowEngine) AlltoAllV(ranks []int, bytes [][]int64) netsim.Cost {
+	time.Sleep(20 * time.Millisecond)
+	defer e.answered.Add(1)
+	return e.CostEngine.AlltoAllV(ranks, bytes)
+}
+
+// TestCrashMidExchangeLeavesNoPricer: a rank crashed by fault injection
+// while its chunked exchanges are still being priced must not leave a
+// pricing goroutine behind — Run returns only once every exchange it
+// issued has been priced, and the goroutine count is back where it was.
+func TestCrashMidExchangeLeavesNoPricer(t *testing.T) {
+	const world, chunks = 4, 4
+	base := runtime.NumGoroutine()
+	c := testCluster(world)
+	eng := &slowEngine{CostEngine: c.Net}
+	c.Engine = eng
+	c.Inject = &testInjector{crashClock: map[int]float64{2: 0.5}}
 	g := c.WorldGroup()
 	err := c.Run(func(r *Rank) error {
-		r.AllReduce(g, "ar", nil, 4)
+		for i := 0; i < chunks; i++ {
+			r.AlltoAllVChunk(g, "dispatch", evenParts(world, 1<<16), chunks)
+		}
+		r.Compute("gemm", 1) // rank 2's clock passes its crash point
+		r.Compute("gemm", 1) // and it crashes here, its exchanges in flight
+		r.Barrier(g)
 		return nil
 	})
-	if err == nil {
-		t.Fatal("pricing panic must surface, not deadlock")
+	if !errors.Is(err, ErrRankCrashed) || !errors.Is(err, ErrPeerFailed) {
+		t.Fatalf("want the crash and its peers' aborts, got: %v", err)
 	}
-	if !errors.Is(err, ErrPeerFailed) {
-		t.Fatalf("peers of the panicking member must see ErrPeerFailed: %v", err)
+	if got := eng.answered.Load(); got != chunks {
+		t.Fatalf("Run returned with %d of %d exchanges priced", got, chunks)
 	}
-	if !strings.Contains(err.Error(), "pricing fault") {
-		t.Fatalf("the panic must be reported, got: %v", err)
+	// Goroutines that have signalled Run may still be exiting.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), base)
+		}
 	}
 }

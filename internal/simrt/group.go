@@ -50,40 +50,36 @@ func (g *Group) Contains(r int) bool {
 }
 
 // rendezvous is the meeting point for one collective call: every member
-// deposits its contribution; the last arriver prices the collective once;
-// everyone leaves with the shared flight.
+// deposits its contribution into the shared flight and leaves once all
+// members have.
 type rendezvous struct {
-	mu      sync.Mutex
-	cond    sync.Cond
+	flight
 	arrived int
 	left    int
-	done    bool
 	// failed is set (and cond broadcast) when a member that has not yet
 	// deposited goes away: the rendezvous can never complete, so waiters
 	// wake and abort instead of parking forever.
 	failed error
-	deps   []deposit
-	fl     flight
 }
 
-func newRendezvous(n int) *rendezvous {
-	rv := &rendezvous{deps: make([]deposit, n)}
+func newRendezvous(n int, name string) *rendezvous {
+	rv := &rendezvous{flight: flight{name: name, deps: make([]deposit, n)}}
 	rv.cond.L = &rv.mu
 	return rv
 }
 
-// fly issues one collective for rank r and returns its flight as r sees
-// it. It fires r's fault hooks, deposits d with the time r's comm stream
-// can start it — max(clock, comm-stream busy) — blocks until every member
-// has deposited, and has exactly one member price the collective once:
-// the flight starts at the latest member's ready time and ends one cost
-// later. r's comm stream is busy until the end; r.Clock is left to the
-// caller, which either waits the flight at once (blocking) or hands it to
-// a CommHandle.
-func (g *Group) fly(r *Rank, name string, d deposit, price pricer) (start, end float64, recv []Part) {
+// fly issues one collective for rank r and returns its flight and r's
+// member index. It fires r's fault hooks, deposits d with r's entry clock
+// and the flight r issued before this one, and blocks until every member
+// has deposited and, when the flight is priced at the rendezvous, until
+// it is priced. r's comm stream then holds the flight; r.Clock is left to
+// the caller, which either waits the flight at once (blocking) or hands
+// it to a CommHandle.
+func (g *Group) fly(r *Rank, name string, d deposit, price pricer, blocking bool) (*flight, int) {
 	r.preCollective(name)
-	d.ready = max(r.Clock, r.commBusyUntil)
+	d.clock, d.prev = r.Clock, r.stream
 	idx := g.IndexOf(r.ID)
+	n := len(g.ranks)
 
 	g.mu.Lock()
 	seq := g.counter[idx]
@@ -102,39 +98,37 @@ func (g *Group) fly(r *Rank, name string, d deposit, price pricer) (start, end f
 	g.counter[idx]++
 	rv, ok := g.pending[seq]
 	if !ok {
-		rv = newRendezvous(len(g.ranks))
+		rv = newRendezvous(n, name)
 		g.pending[seq] = rv
 	}
 	g.mu.Unlock()
 
 	rv.mu.Lock()
 	rv.deps[idx] = d
-	rv.arrived++
-	if rv.arrived == len(g.ranks) {
-		// If pricing panics it would unwind holding rv.mu and park every
-		// peer forever; fail the rendezvous first, then let the panic
-		// continue to Run's recover.
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					rv.failed = fmt.Errorf("rank %d: %s pricing panicked: %v: %w",
-						r.ID, name, p, ErrPeerFailed)
-					rv.cond.Broadcast()
-					rv.mu.Unlock()
-					panic(p)
-				}
+	if rv.arrived == n-1 {
+		// The last member to deposit prices the flight. A blocking one,
+		// which every member waits for at once, and any one on an engine
+		// whose answers depend on query order are priced before the others
+		// leave, so such an engine sees each group's collectives in issue
+		// order; the rest are priced on a goroutine Cluster.Run waits for,
+		// one per flight not yet priced, so at most as many as the ranks
+		// keep in flight.
+		if blocking || g.c.pricesInOrder() {
+			rv.mu.Unlock()
+			rv.price(g, price)
+			rv.mu.Lock()
+		} else {
+			g.c.pricing.Add(1)
+			go func() {
+				defer g.c.pricing.Done()
+				rv.price(g, price)
 			}()
-			var ready float64
-			for _, dep := range rv.deps {
-				ready = max(ready, dep.ready)
-			}
-			secs, parts := price(g, rv.deps)
-			rv.fl = flight{start: ready, end: ready + secs, recv: parts}
-		}()
-		rv.done = true
+		}
+		rv.arrived++
 		rv.cond.Broadcast()
 	} else {
-		for !rv.done && rv.failed == nil {
+		rv.arrived++
+		for rv.arrived < n && rv.failed == nil {
 			rv.cond.Wait()
 		}
 	}
@@ -145,22 +139,17 @@ func (g *Group) fly(r *Rank, name string, d deposit, price pricer) (start, end f
 		// poisoned after a failed Run and must be rebuilt, not reused.
 		r.fail(fmt.Errorf("rank %d: %s aborted at rendezvous: %w", r.ID, name, err))
 	}
-	fl := rv.fl
 	rv.left++
-	last := rv.left == len(g.ranks)
+	drained := rv.left == n
 	rv.mu.Unlock()
 
-	if last {
+	if drained {
 		g.mu.Lock()
 		delete(g.pending, seq)
 		g.mu.Unlock()
 	}
-
-	r.commBusyUntil = fl.end
-	if fl.recv != nil {
-		recv = fl.recv[idx]
-	}
-	return fl.start, fl.end, recv
+	r.stream = &rv.flight
+	return &rv.flight, idx
 }
 
 // markGone records that global rank gr will issue no further collectives
@@ -190,7 +179,7 @@ func (g *Group) markGone(gr int, err error) {
 			continue // the gone rank already deposited; it can complete
 		}
 		rv.mu.Lock()
-		if !rv.done && rv.failed == nil {
+		if rv.arrived < len(g.ranks) && rv.failed == nil {
 			rv.failed = fmt.Errorf("peer rank %d gone (%v): %w", gr, err, ErrPeerFailed)
 			rv.cond.Broadcast()
 		}

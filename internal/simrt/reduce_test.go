@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"xmoe/internal/netsim"
 )
 
 // randomish deterministic per-rank contribution with enough structure to
@@ -144,11 +146,15 @@ func TestReduceAsyncOverlapCharging(t *testing.T) {
 	}
 }
 
+// shardRangeCases are TestShardRangePartition's table and FuzzShardRange's
+// seeds.
+var shardRangeCases = []struct{ n, p int }{{10, 4}, {31, 4}, {4, 4}, {3, 8}, {0, 4}, {7, 1}, {100, 7}}
+
 // TestShardRangePartition pins the ownership convention: contiguous,
 // covering, remainder to the leading members — matching the byte split
 // netsim.ReduceScatter charges on the wire.
 func TestShardRangePartition(t *testing.T) {
-	for _, tc := range []struct{ n, p int }{{10, 4}, {31, 4}, {4, 4}, {3, 8}, {0, 4}, {7, 1}, {100, 7}} {
+	for _, tc := range shardRangeCases {
 		prevHi := 0
 		for i := 0; i < tc.p; i++ {
 			lo, hi := ShardRange(tc.n, tc.p, i)
@@ -173,4 +179,40 @@ func TestShardRangePartition(t *testing.T) {
 			t.Fatalf("ShardRange(%d,%d) covers %d", tc.n, tc.p, prevHi)
 		}
 	}
+}
+
+// FuzzShardRange checks the ownership convention for any size and group:
+// the shards are contiguous and cover [0, n), no two sizes differ by more
+// than one and the larger ones lead, and the split is the byte split
+// netsim charges a reduce-scatter per rank.
+func FuzzShardRange(f *testing.F) {
+	for _, tc := range shardRangeCases {
+		f.Add(uint16(tc.n), uint8(tc.p))
+	}
+	f.Fuzz(func(t *testing.T, n16 uint16, p8 uint8) {
+		n, p := int(n16), max(int(p8), 1)
+		charged := netsim.ShardBytes(int64(n), p)
+		prevHi, first, prev := 0, 0, 0
+		for i := 0; i < p; i++ {
+			lo, hi := ShardRange(n, p, i)
+			if lo != prevHi || hi < lo {
+				t.Fatalf("ShardRange(%d,%d,%d) = [%d,%d) not contiguous from %d", n, p, i, lo, hi, prevHi)
+			}
+			size := hi - lo
+			if i == 0 {
+				first, prev = size, size
+			}
+			if size > prev || first-size > 1 {
+				t.Fatalf("ShardRange(%d,%d,%d) size %d after %d, leading size %d", n, p, i, size, prev, first)
+			}
+			prev = size
+			if int64(size) != charged[i] {
+				t.Fatalf("ShardRange(%d,%d,%d) size %d, netsim charges member %d %d bytes", n, p, i, size, i, charged[i])
+			}
+			prevHi = hi
+		}
+		if prevHi != n {
+			t.Fatalf("ShardRange(%d,%d) covers %d", n, p, prevHi)
+		}
+	})
 }

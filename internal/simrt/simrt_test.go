@@ -416,7 +416,11 @@ func TestBlockingCollectiveDrainsCommStream(t *testing.T) {
 // rank-call of every collective the pipelines and the ZeRO sync use, at
 // world 8: the typed rendezvous boxes nothing, so what remains is the
 // rendezvous itself and the pricer's shared result (both amortised over
-// the group) plus, for a non-blocking call, its CommHandle.
+// the group) plus, for a non-blocking call, its CommHandle and the closure
+// of the goroutine that prices its flight: one allocation per flight,
+// 1/8 = 0.125 per rank-call at world 8, which is why the async ceilings sit
+// 0.15 above the 2.0 / 1.75 / 1.9 they had while flights were priced at
+// the rendezvous.
 func TestCollectiveSteadyStateAllocs(t *testing.T) {
 	const world, iters = 8, 64
 	c := testCluster(world)
@@ -427,10 +431,10 @@ func TestCollectiveSteadyStateAllocs(t *testing.T) {
 		call func(r *Rank, send []Part)
 	}{
 		{"a2av", 0.9, func(r *Rank, send []Part) { r.AlltoAllV(g, "a2av", send) }},
-		{"a2av_async", 2.0, func(r *Rank, send []Part) { r.AlltoAllVAsync(g, "a2av", send).Wait() }},
+		{"a2av_async", 2.15, func(r *Rank, send []Part) { r.AlltoAllVAsync(g, "a2av", send).Wait() }},
 		{"allreduce", 0.65, func(r *Rank, _ []Part) { r.AllReduce(g, "ar", nil, 1<<20) }},
-		{"allreduce_async", 1.75, func(r *Rank, _ []Part) { r.AllReduceAsync(g, "ar", nil, 1<<20).Wait() }},
-		{"reducescatter_async", 1.9, func(r *Rank, _ []Part) { r.ReduceScatterAsync(g, "rs", nil, 1<<20).Wait() }},
+		{"allreduce_async", 1.9, func(r *Rank, _ []Part) { r.AllReduceAsync(g, "ar", nil, 1<<20).Wait() }},
+		{"reducescatter_async", 2.05, func(r *Rank, _ []Part) { r.ReduceScatterAsync(g, "rs", nil, 1<<20).Wait() }},
 		{"allgather", 0.75, func(r *Rank, _ []Part) { r.AllGather(g, "ag", Part{Bytes: 1 << 20}) }},
 	} {
 		body := func(n int) func() {

@@ -3,6 +3,7 @@ package zero
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"xmoe/internal/simrt"
@@ -255,4 +256,61 @@ func ownedTotal(shards []Shard) int {
 		n += sh.Hi - sh.Lo
 	}
 	return n
+}
+
+// FuzzOwnedPartition checks the static geometry against ShardRange for any
+// stage, bucket size, group size and three tensor sizes: at stage 0 every
+// member owns the whole stream; at stages 1/2 member i owns
+// ShardRange(len, p, i) of each BucketBytes bucket, in stream order, and
+// every stream offset has exactly one owner. Seeded from
+// TestOwnedPartitionDisjointCovering and the Syncer bucket table.
+func FuzzOwnedPartition(f *testing.F) {
+	for _, stage := range []uint8{0, 1, 2} {
+		for _, bb := range []uint16{0, 4, 8, 40, 1000} {
+			f.Add(stage, bb, uint8(4), uint8(7), uint8(5), uint8(19))
+		}
+		for _, bb := range []uint16{0, 4, 16, 52, 96} {
+			f.Add(stage, bb, uint8(4), uint8(13), uint8(10), uint8(1))
+		}
+	}
+	f.Fuzz(func(t *testing.T, stage uint8, bb uint16, p8, a, b, c uint8) {
+		cfg := Config{Stage: int(stage % 3), BucketBytes: int64(bb)}
+		p, sizes := max(int(p8), 1), []int{int(a), int(b), int(c)}
+		total := int(a) + int(b) + int(c)
+		part := OwnedPartition(cfg, p, sizes, 4)
+		bucket := total
+		if bb > 0 {
+			bucket = max(int(bb)/4, 1)
+		}
+		owners := make([]int, total)
+		for i, ranges := range part {
+			var want []Range
+			for lo := 0; lo < total; lo += bucket {
+				if cfg.Stage == 0 {
+					want = []Range{{0, total}}
+					break
+				}
+				if sLo, sHi := simrt.ShardRange(min(bucket, total-lo), p, i); sLo < sHi {
+					want = append(want, Range{lo + sLo, lo + sHi})
+				}
+			}
+			if !slices.Equal(ranges, want) {
+				t.Fatalf("%+v p=%d sizes %v: member %d owns %v, want %v", cfg, p, sizes, i, ranges, want)
+			}
+			for _, rg := range ranges {
+				for k := rg.Lo; k < rg.Hi; k++ {
+					owners[k]++
+				}
+			}
+		}
+		wantOwners := 1
+		if cfg.Stage == 0 {
+			wantOwners = p
+		}
+		for k, n := range owners {
+			if n != wantOwners {
+				t.Fatalf("%+v p=%d sizes %v: offset %d has %d owners", cfg, p, sizes, k, n)
+			}
+		}
+	})
 }
