@@ -141,77 +141,25 @@ func gradFamilies(sh model.Shape, plan parallel.Plan) (expertPerLayer, densePerL
 	return
 }
 
-// rankRouting is one rank's routing draw held between the layer runs of a
-// SimulateStep. It is packed — flat int32 experts and float32 weights and
-// logits, 12 bytes per assignment — because sixteen ranks' moe.Routing
-// values (8-byte experts plus three slice headers per token) held across
-// the second run would raise the step's live heap by more than the draw
-// is worth; the per-token views are rebuilt on each read.
-type rankRouting struct {
-	s, k    int
-	experts []int32
-	weights []float32
-	logits  []float32
-}
-
-func packRouting(rt moe.Routing) rankRouting {
-	p := rankRouting{s: rt.S, k: rt.K()}
-	n := p.s * p.k
-	p.experts = make([]int32, 0, n)
-	p.weights = make([]float32, 0, n)
-	p.logits = make([]float32, 0, n)
-	for t := 0; t < p.s; t++ {
-		for _, e := range rt.TopExperts[t] {
-			p.experts = append(p.experts, int32(e))
-		}
-		p.weights = append(p.weights, rt.Weights[t]...)
-		p.logits = append(p.logits, rt.Logits[t]...)
-	}
-	return p
-}
-
-// routing rebuilds the moe.Routing the pack was made from. Weight and
-// logit rows alias the pack (the transports only read a routing).
-func (p rankRouting) routing() moe.Routing {
-	rt := moe.Routing{
-		S:          p.s,
-		TopExperts: make([][]int, p.s),
-		Weights:    make([][]float32, p.s),
-		Logits:     make([][]float32, p.s),
-	}
-	experts := make([]int, len(p.experts))
-	for i, e := range p.experts {
-		experts[i] = int(e)
-	}
-	for t := 0; t < p.s; t++ {
-		lo, hi := t*p.k, (t+1)*p.k
-		rt.TopExperts[t] = experts[lo:hi:hi]
-		rt.Weights[t] = p.weights[lo:hi:hi]
-		rt.Logits[t] = p.logits[lo:hi:hi]
-	}
-	return rt
-}
-
 // routingStore holds one draw per rank for the length of a SimulateStep:
 // the first layer run fills it, and the sync-free second run, the ActCkpt
 // replay and SSMB slices of the same length read it back, so a rank's
 // routing is generated once per step. Each rank goroutine touches only
 // its own slot and the runs are sequential, so there is no lock.
-type routingStore []rankRouting
+type routingStore []moe.Routing
 
 // get returns rank's routing for n tokens, calling draw only when the slot
 // does not hold one of that length.
 func (st routingStore) get(rank, n int, draw func() moe.Routing) moe.Routing {
-	if p := st[rank]; p.experts != nil && p.s == n {
-		return p.routing()
+	if rt := st[rank]; rt.Experts != nil && rt.S == n {
+		return rt
 	}
-	rt := draw()
-	st[rank] = packRouting(rt)
-	return rt
+	st[rank] = draw()
+	return st[rank]
 }
 
 // release drops rank's draw once its last consumer has read it.
-func (st routingStore) release(rank int) { st[rank] = rankRouting{} }
+func (st routingStore) release(rank int) { st[rank] = moe.Routing{} }
 
 // simulateTiming is the timing half of SimulateStep, for a configuration
 // that fits: one simulated transformer layer runs its forward and its

@@ -173,3 +173,26 @@ func TestBuildPFTAllocsIndependentOfTokens(t *testing.T) {
 		t.Fatalf("BuildPFT allocations: %.0f at S=512, %.0f at S=8192; want a fixed count <= 10", small, large)
 	}
 }
+
+// BenchmarkSyntheticRouting is the ledger rung for one routing draw at the
+// shapes the benchmark workloads hold: the Large layer (E 256, k 8) and the
+// Small model's step (E 64, k 6), 4096 tokens each.
+func BenchmarkSyntheticRouting(b *testing.B) {
+	for _, sh := range []struct {
+		name   string
+		e, k   int
+		tokens int
+	}{
+		{"layer", 256, 8, 4096},
+		{"step", 64, 6, 4096},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchRouting = SyntheticRouting(tensor.NewRNG(uint64(i)), sh.tokens, sh.e, sh.k, 0.6)
+			}
+		})
+	}
+}
+
+var benchRouting Routing

@@ -11,22 +11,15 @@ import (
 // allToOneRouting routes every token's first choice to a single expert —
 // the worst-case hot-expert skew.
 func allToOneRouting(s, e, k, hot int) Routing {
-	r := Routing{S: s, TopExperts: make([][]int, s), Weights: make([][]float32, s), Logits: make([][]float32, s)}
-	for t := 0; t < s; t++ {
-		experts := make([]int, k)
-		weights := make([]float32, k)
-		logits := make([]float32, k)
-		experts[0] = hot
-		weights[0] = 0.9
-		logits[0] = 1
-		for j := 1; j < k; j++ {
-			experts[j] = (hot + j) % e
-			weights[j] = 0.01
-			logits[j] = 1
+	r := Routing{S: s, Experts: make([]int32, s*k), Weights: make([]float32, s*k), Logits: make([]float32, s*k)}
+	for i := range r.Experts {
+		j := i % k
+		r.Experts[i] = int32((hot + j) % e)
+		r.Weights[i] = 0.01
+		r.Logits[i] = 1
+		if j == 0 {
+			r.Weights[i] = 0.9
 		}
-		r.TopExperts[t] = experts
-		r.Weights[t] = weights
-		r.Logits[t] = logits
 	}
 	return r
 }

@@ -13,49 +13,62 @@ import (
 // their softmax probabilities (the combine weights), and the raw logits of
 // the selected experts (needed by DeepSpeed-MoE's drop-negative-score
 // policy, §5.6).
+//
+// The top-k is flat, token-major data: assignment j of token t sits at
+// index t*K()+j of each array. 12 bytes per assignment and no per-token
+// slice header, so the symbolic sweeps can hold one routing per rank for
+// a whole run.
 type Routing struct {
 	// S is the number of local tokens routed.
 	S int
-	// TopExperts[t][j] is the j-th chosen expert of token t.
-	TopExperts [][]int
-	// Weights[t][j] is the gating probability of that assignment.
-	Weights [][]float32
-	// Logits[t][j] is the raw (pre-softmax) gate logit of that
-	// assignment; may be nil when the producer does not track it.
-	Logits [][]float32
+	// Experts[t*K()+j] is the j-th chosen expert of token t.
+	Experts []int32
+	// Weights[t*K()+j] is the gating probability of that assignment.
+	Weights []float32
+	// Logits[t*K()+j] is the raw (pre-softmax) gate logit of that
+	// assignment; nil when the producer does not track it.
+	Logits []float32
 }
 
 // K returns the routing fan-out (0 for an empty routing).
 func (r Routing) K() int {
-	if len(r.TopExperts) == 0 {
+	if r.S <= 0 {
 		return 0
 	}
-	return len(r.TopExperts[0])
+	return len(r.Experts) / r.S
 }
 
 // Validate checks structural consistency against an expert count.
 func (r Routing) Validate(numExperts int) error {
-	if len(r.TopExperts) != r.S || len(r.Weights) != r.S {
-		return fmt.Errorf("moe: routing arrays sized %d/%d for S=%d",
-			len(r.TopExperts), len(r.Weights), r.S)
+	n := len(r.Experts)
+	switch {
+	case r.S < 0:
+		return fmt.Errorf("moe: routing of S=%d tokens", r.S)
+	case r.S == 0 && n != 0 || r.S > 0 && n%r.S != 0:
+		return fmt.Errorf("moe: %d assignments do not split into S=%d tokens", n, r.S)
+	case len(r.Weights) != n:
+		return fmt.Errorf("moe: %d weights for %d assignments", len(r.Weights), n)
+	case r.Logits != nil && len(r.Logits) != n:
+		return fmt.Errorf("moe: %d logits for %d assignments", len(r.Logits), n)
 	}
 	k := r.K()
+	seen := make([]bool, max(numExperts, 0))
 	for t := 0; t < r.S; t++ {
-		if len(r.TopExperts[t]) != k || len(r.Weights[t]) != k {
-			return fmt.Errorf("moe: token %d has ragged top-k", t)
-		}
-		seen := map[int]bool{}
-		for j, e := range r.TopExperts[t] {
-			if e < 0 || e >= numExperts {
+		row := r.Experts[t*k : (t+1)*k]
+		for j, e := range row {
+			if e < 0 || int(e) >= numExperts {
 				return fmt.Errorf("moe: token %d routed to expert %d outside [0,%d)", t, e, numExperts)
 			}
 			if seen[e] {
 				return fmt.Errorf("moe: token %d routed to expert %d twice", t, e)
 			}
 			seen[e] = true
-			if w := r.Weights[t][j]; w < 0 || w > 1 || math.IsNaN(float64(w)) {
+			if w := r.Weights[t*k+j]; w < 0 || w > 1 || math.IsNaN(float64(w)) {
 				return fmt.Errorf("moe: token %d weight %f outside [0,1]", t, w)
 			}
+		}
+		for _, e := range row {
+			seen[e] = false
 		}
 	}
 	return nil
@@ -66,29 +79,24 @@ func (r Routing) Validate(numExperts int) error {
 // is [H, E]. The returned routing carries both probabilities and raw
 // logits.
 func Gate(x, wg *tensor.Tensor, k int) Routing {
-	s := x.Rows()
-	e := wg.Cols()
 	logits := tensor.MatMul(x, wg)
 	probs := logits.Clone()
 	tensor.SoftmaxRows(probs)
-	idx, _ := tensor.TopK(probs, k)
-	r := Routing{
-		S:          s,
-		TopExperts: idx,
-		Weights:    make([][]float32, s),
-		Logits:     make([][]float32, s),
+	return TopKRouting(logits, probs, k)
+}
+
+// TopKRouting assembles a numeric gate's routing from its [S, E] scores:
+// each token takes the k experts of highest probability (probs is the
+// row softmax of logits), their probabilities as combine weights and their
+// raw logits.
+func TopKRouting(logits, probs *tensor.Tensor, k int) Routing {
+	idx, weights := tensor.TopK(probs, k)
+	r := Routing{S: probs.Rows(), Experts: make([]int32, len(idx)), Weights: weights, Logits: make([]float32, len(idx))}
+	k = r.K()
+	for i, e := range idx {
+		r.Experts[i] = int32(e)
+		r.Logits[i] = logits.At(i/k, e)
 	}
-	weightsFlat := make([]float32, s*k)
-	logitsFlat := make([]float32, s*k)
-	for t := 0; t < s; t++ {
-		r.Weights[t] = weightsFlat[t*k : (t+1)*k]
-		r.Logits[t] = logitsFlat[t*k : (t+1)*k]
-		for j, exp := range idx[t] {
-			r.Weights[t][j] = probs.At(t, exp)
-			r.Logits[t][j] = logits.At(t, exp)
-		}
-	}
-	_ = e
 	return r
 }
 
@@ -120,24 +128,18 @@ func SyntheticRouting(rng *tensor.RNG, s, e, k int, skew float64) Routing {
 	}
 	total := run
 
-	// Per-token rows are views into flat backing arrays: the symbolic
-	// sweeps build one routing per rank per simulated layer, so the
-	// constant allocation count matters.
 	r := Routing{
-		S:          s,
-		TopExperts: make([][]int, s),
-		Weights:    make([][]float32, s),
-		Logits:     make([][]float32, s),
+		S:       s,
+		Experts: make([]int32, s*k),
+		Weights: make([]float32, s*k),
+		Logits:  make([]float32, s*k),
 	}
-	expertsFlat := make([]int, s*k)
-	weightsFlat := make([]float32, s*k)
-	logitsFlat := make([]float32, s*k)
 	raw := make([]float64, k)
 	chosenSet := make([]bool, e)
 	for t := 0; t < s; t++ {
-		experts := expertsFlat[t*k : (t+1)*k]
-		weights := weightsFlat[t*k : (t+1)*k]
-		logits := logitsFlat[t*k : (t+1)*k]
+		experts := r.Experts[t*k : (t+1)*k]
+		weights := r.Weights[t*k : (t+1)*k]
+		logits := r.Logits[t*k : (t+1)*k]
 		for j := 0; j < k; j++ {
 			idx := -1
 			for attempt := 0; attempt < 64; attempt++ {
@@ -161,7 +163,7 @@ func SyntheticRouting(rng *tensor.RNG, s, e, k int, skew float64) Routing {
 				}
 			}
 			chosenSet[idx] = true
-			experts[j] = idx
+			experts[j] = int32(idx)
 			logits[j] = float32(rng.Norm() + 1.0)
 		}
 		for _, ex := range experts {
@@ -187,9 +189,6 @@ func SyntheticRouting(rng *tensor.RNG, s, e, k int, skew float64) Routing {
 				}
 			}
 		}
-		r.TopExperts[t] = experts
-		r.Weights[t] = weights
-		r.Logits[t] = logits
 	}
 	return r
 }
@@ -197,10 +196,8 @@ func SyntheticRouting(rng *tensor.RNG, s, e, k int, skew float64) Routing {
 // ExpertLoad returns the number of routed assignments per expert.
 func (r Routing) ExpertLoad(numExperts int) []int {
 	load := make([]int, numExperts)
-	for t := 0; t < r.S; t++ {
-		for _, e := range r.TopExperts[t] {
-			load[e]++
-		}
+	for _, e := range r.Experts {
+		load[e]++
 	}
 	return load
 }

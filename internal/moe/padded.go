@@ -38,9 +38,9 @@ func BuildPaddedAssignment(r Routing, numExperts, capacity int, policy DropPolic
 	fill := make([]int, numExperts)
 	k := r.K()
 	for t := 0; t < r.S; t++ {
-		for j := 0; j < k; j++ {
-			e := r.TopExperts[t][j]
-			if policy == DropNegativeThenPosition && r.Logits != nil && r.Logits[t][j] < 0 {
+		for i := t * k; i < (t+1)*k; i++ {
+			e := r.Experts[i]
+			if policy == DropNegativeThenPosition && r.Logits != nil && r.Logits[i] < 0 {
 				pa.Dropped++
 				continue
 			}
@@ -49,7 +49,7 @@ func BuildPaddedAssignment(r Routing, numExperts, capacity int, policy DropPolic
 				continue
 			}
 			pa.SlotToken[e][fill[e]] = t
-			pa.SlotWeight[e][fill[e]] = r.Weights[t][j]
+			pa.SlotWeight[e][fill[e]] = r.Weights[i]
 			fill[e]++
 			pa.Occupied++
 		}

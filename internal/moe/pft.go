@@ -78,13 +78,11 @@ func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy D
 	byWeight := policy == DropByCapacityWeight
 
 	counts := make([]int, numExperts)
-	for t := 0; t < r.S; t++ {
-		for j := 0; j < k; j++ {
-			if dropNegative && r.Logits[t][j] < 0 {
-				continue
-			}
-			counts[r.TopExperts[t][j]]++
+	for i, e := range r.Experts {
+		if dropNegative && r.Logits[i] < 0 {
+			continue
 		}
+		counts[e]++
 	}
 
 	// counts[e] becomes the retained rows of expert e; [next[e], end[e])
@@ -114,14 +112,14 @@ func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy D
 	tokenIDs := make([]int, placed)
 	weights := make([]float32, placed)
 	for t := 0; t < r.S; t++ {
-		for j := 0; j < k; j++ {
-			if dropNegative && r.Logits[t][j] < 0 {
+		for i := t * k; i < (t+1)*k; i++ {
+			if dropNegative && r.Logits[i] < 0 {
 				continue
 			}
-			e := r.TopExperts[t][j]
+			e := r.Experts[i]
 			if pos := next[e]; pos < end[e] {
 				tokenIDs[pos] = t
-				weights[pos] = r.Weights[t][j]
+				weights[pos] = r.Weights[i]
 				next[e] = pos + 1
 			}
 		}
@@ -179,7 +177,7 @@ func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy D
 		ExpertIDs:       expertIDs,
 		TokensPerExpert: counts,
 		CombineWeights:  weights,
-		Dropped:         r.S*k - len(tokenIDs),
+		Dropped:         len(r.Experts) - len(tokenIDs),
 	}
 }
 

@@ -39,11 +39,11 @@ func buildPFTRef(r Routing, numExperts int, caps []int, maxTokenCount int, polic
 			ent := refEntry{
 				flat:   t*k + j,
 				token:  t,
-				expert: r.TopExperts[t][j],
-				weight: r.Weights[t][j],
+				expert: int(r.Experts[t*k+j]),
+				weight: r.Weights[t*k+j],
 			}
 			if r.Logits != nil {
-				ent.logit = r.Logits[t][j]
+				ent.logit = r.Logits[t*k+j]
 			} else {
 				ent.logit = 1 // treat unknown logits as positive
 			}
@@ -193,22 +193,17 @@ func (c pftCase) build() (rt Routing, numExperts int, caps []int, limit int) {
 	rt = SyntheticRouting(tensor.NewRNG(c.seed), c.s, drawn, k, float64(c.skew10)/10)
 	switch c.shape {
 	case shapeEqualWeights:
-		for t := range rt.Weights {
-			for j := range rt.Weights[t] {
-				rt.Weights[t][j] = 0.25
-			}
+		for i := range rt.Weights {
+			rt.Weights[i] = 0.25
 		}
 	case shapeFewWeights:
-		for t := range rt.Weights {
-			for j := range rt.Weights[t] {
-				rt.Weights[t][j] = float32(1+(t*7+j*3)%4) / 8
-			}
+		for i := range rt.Weights {
+			t, j := i/k, i%k
+			rt.Weights[i] = float32(1+(t*7+j*3)%4) / 8
 		}
 	case shapeNegLogits:
-		for t := range rt.Logits {
-			for j := range rt.Logits[t] {
-				rt.Logits[t][j] = -1 - rt.Logits[t][j]*rt.Logits[t][j]
-			}
+		for i, l := range rt.Logits {
+			rt.Logits[i] = -1 - l*l
 		}
 	case shapeNilLogits:
 		rt.Logits = nil

@@ -1,6 +1,7 @@
 package moe
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -62,9 +63,10 @@ func TestGateNumericRouting(t *testing.T) {
 	}
 	for tok := 0; tok < s; tok++ {
 		// Weights must be descending (top-k order).
+		row := r.Weights[tok*k : (tok+1)*k]
 		for j := 1; j < k; j++ {
-			if r.Weights[tok][j] > r.Weights[tok][j-1] {
-				t.Fatalf("token %d weights not descending: %v", tok, r.Weights[tok])
+			if row[j] > row[j-1] {
+				t.Fatalf("token %d weights not descending: %v", tok, row)
 			}
 		}
 	}
@@ -109,12 +111,8 @@ func TestSyntheticRoutingValidAndSkewed(t *testing.T) {
 func TestSyntheticRoutingDeterministic(t *testing.T) {
 	a := SyntheticRouting(tensor.NewRNG(7), 64, 16, 4, 0.8)
 	b := SyntheticRouting(tensor.NewRNG(7), 64, 16, 4, 0.8)
-	for tok := range a.TopExperts {
-		for j := range a.TopExperts[tok] {
-			if a.TopExperts[tok][j] != b.TopExperts[tok][j] {
-				t.Fatal("synthetic routing not deterministic")
-			}
-		}
+	if !slices.Equal(a.Experts, b.Experts) {
+		t.Fatal("synthetic routing not deterministic")
 	}
 }
 
@@ -135,10 +133,10 @@ func TestBuildPFTCapacityDropsLowestWeights(t *testing.T) {
 	// 4 tokens all routed to expert 0 (k=1) with distinct weights;
 	// capacity 2 must keep the two heaviest.
 	r := Routing{
-		S:          4,
-		TopExperts: [][]int{{0}, {0}, {0}, {0}},
-		Weights:    [][]float32{{0.1}, {0.9}, {0.5}, {0.7}},
-		Logits:     [][]float32{{1}, {1}, {1}, {1}},
+		S:       4,
+		Experts: []int32{0, 0, 0, 0},
+		Weights: []float32{0.1, 0.9, 0.5, 0.7},
+		Logits:  []float32{1, 1, 1, 1},
 	}
 	p := BuildPFT(r, 2, 2, DropByCapacityWeight)
 	if p.B() != 2 || p.Dropped != 2 {
@@ -156,10 +154,10 @@ func TestBuildPFTCapacityDropsLowestWeights(t *testing.T) {
 
 func TestBuildPFTDSMoEPolicyDropsNegativeLogits(t *testing.T) {
 	r := Routing{
-		S:          3,
-		TopExperts: [][]int{{0}, {0}, {1}},
-		Weights:    [][]float32{{0.9}, {0.8}, {0.7}},
-		Logits:     [][]float32{{-0.5}, {0.5}, {0.5}},
+		S:       3,
+		Experts: []int32{0, 0, 1},
+		Weights: []float32{0.9, 0.8, 0.7},
+		Logits:  []float32{-0.5, 0.5, 0.5},
 	}
 	p := BuildPFT(r, 2, 10, DropNegativeThenPosition)
 	if p.B() != 2 || p.Dropped != 1 {
@@ -180,10 +178,10 @@ func TestBuildPFTDSMoEPolicyDropsNegativeLogits(t *testing.T) {
 
 func TestBuildPFTDSMoEPositionalCapacity(t *testing.T) {
 	r := Routing{
-		S:          3,
-		TopExperts: [][]int{{0}, {0}, {0}},
-		Weights:    [][]float32{{0.1}, {0.2}, {0.9}},
-		Logits:     [][]float32{{1}, {1}, {1}},
+		S:       3,
+		Experts: []int32{0, 0, 0},
+		Weights: []float32{0.1, 0.2, 0.9},
+		Logits:  []float32{1, 1, 1},
 	}
 	p := BuildPFT(r, 1, 2, DropNegativeThenPosition)
 	// FCFS keeps tokens 0,1 even though token 2 has the top weight.
@@ -194,9 +192,9 @@ func TestBuildPFTDSMoEPositionalCapacity(t *testing.T) {
 
 func TestBuildPFTNilLogitsTreatedPositive(t *testing.T) {
 	r := Routing{
-		S:          2,
-		TopExperts: [][]int{{0}, {1}},
-		Weights:    [][]float32{{0.5}, {0.5}},
+		S:       2,
+		Experts: []int32{0, 1},
+		Weights: []float32{0.5, 0.5},
 	}
 	p := BuildPFT(r, 2, 5, DropNegativeThenPosition)
 	if p.B() != 2 {
@@ -226,10 +224,10 @@ func TestPFTERIBytes(t *testing.T) {
 
 func TestBuildPaddedAssignment(t *testing.T) {
 	r := Routing{
-		S:          4,
-		TopExperts: [][]int{{0}, {0}, {0}, {1}},
-		Weights:    [][]float32{{0.5}, {0.6}, {0.7}, {0.8}},
-		Logits:     [][]float32{{1}, {1}, {1}, {1}},
+		S:       4,
+		Experts: []int32{0, 0, 0, 1},
+		Weights: []float32{0.5, 0.6, 0.7, 0.8},
+		Logits:  []float32{1, 1, 1, 1},
 	}
 	pa := BuildPaddedAssignment(r, 2, 2, DropByCapacityWeight)
 	if pa.Dropped != 1 { // token 2 overflows expert 0
@@ -251,10 +249,10 @@ func TestBuildPaddedAssignment(t *testing.T) {
 
 func TestPaddedAssignmentNegativePolicy(t *testing.T) {
 	r := Routing{
-		S:          2,
-		TopExperts: [][]int{{0}, {0}},
-		Weights:    [][]float32{{0.5}, {0.5}},
-		Logits:     [][]float32{{-1}, {1}},
+		S:       2,
+		Experts: []int32{0, 0},
+		Weights: []float32{0.5, 0.5},
+		Logits:  []float32{-1, 1},
 	}
 	pa := BuildPaddedAssignment(r, 1, 4, DropNegativeThenPosition)
 	if pa.Occupied != 1 || pa.Dropped != 1 {

@@ -78,10 +78,10 @@ func TestBuildPFTCapsEnforcesPerExpertCapacity(t *testing.T) {
 	// 4 tokens to expert 0, 2 to expert 1; caps keep the 2 heaviest on
 	// expert 0 and everything on expert 1.
 	r := Routing{
-		S:          6,
-		TopExperts: [][]int{{0}, {0}, {0}, {0}, {1}, {1}},
-		Weights:    [][]float32{{0.1}, {0.9}, {0.5}, {0.7}, {0.3}, {0.4}},
-		Logits:     [][]float32{{1}, {1}, {1}, {1}, {1}, {1}},
+		S:       6,
+		Experts: []int32{0, 0, 0, 0, 1, 1},
+		Weights: []float32{0.1, 0.9, 0.5, 0.7, 0.3, 0.4},
+		Logits:  []float32{1, 1, 1, 1, 1, 1},
 	}
 	p := BuildPFTCaps(r, 2, []int{2, 5}, DropByCapacityWeight)
 	if err := p.Validate(6, 2, 5); err != nil {

@@ -165,6 +165,13 @@ func expertWeightsFor(e, h, f int) (*tensor.Tensor, *tensor.Tensor) {
 	return tensor.Randn(rng, 0.05, h, f), tensor.Randn(rng, 0.05, f, h)
 }
 
+// tokenRange is the routing of tokens [lo, hi) of rt, aliasing its arrays.
+func tokenRange(rt moe.Routing, lo, hi int) moe.Routing {
+	k := rt.K()
+	return moe.Routing{S: hi - lo, Experts: rt.Experts[lo*k : hi*k],
+		Weights: rt.Weights[lo*k : hi*k], Logits: rt.Logits[lo*k : hi*k]}
+}
+
 // TestSSMBForwardMatchesUnshardedReference runs an MoE block under SSMB
 // (TP=4 ranks sharing one duplicated sequence, acting as EP=4) and checks
 // the all-gathered output equals the direct per-token reference — the
@@ -210,12 +217,7 @@ func TestSSMBForwardMatchesUnshardedReference(t *testing.T) {
 		}
 		out := SSMBForward(r, g, s, cfg.HModel, cfg.BytesPerElem, x.Clone(),
 			func(lo, hi int, shard *tensor.Tensor) *tensor.Tensor {
-				shardRouting := moe.Routing{
-					S:          hi - lo,
-					TopExperts: routing.TopExperts[lo:hi],
-					Weights:    routing.Weights[lo:hi],
-					Logits:     routing.Logits[lo:hi],
-				}
+				shardRouting := tokenRange(routing, lo, hi)
 				res := moe.PFTForward(r, g, cfg, hi-lo, shard, shardRouting, params,
 					moe.PipelineOpts{Numeric: true, DropPolicy: moe.DropByCapacityWeight})
 				return res.Output
@@ -244,12 +246,7 @@ func TestSSMBReducesActivationMemory(t *testing.T) {
 			rng := tensor.NewRNG(77) // same routing on all ranks (TP duplication)
 			routing := moe.SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0.3)
 			body := func(lo, hi int) {
-				shardRouting := moe.Routing{
-					S:          hi - lo,
-					TopExperts: routing.TopExperts[lo:hi],
-					Weights:    routing.Weights[lo:hi],
-					Logits:     routing.Logits[lo:hi],
-				}
+				shardRouting := tokenRange(routing, lo, hi)
 				moe.PFTForward(r, g, cfg, hi-lo, nil, shardRouting, nil,
 					moe.PipelineOpts{DropPolicy: moe.DropByCapacityWeight, RetainActivations: true})
 			}
@@ -306,10 +303,7 @@ func TestSSMBBackwardMatchesUnshardedGradient(t *testing.T) {
 		states := map[int]*moe.PFTFwdState{}
 		SSMBForward(r, g, s, cfg.HModel, cfg.BytesPerElem, x.Clone(),
 			func(lo, hi int, shard *tensor.Tensor) *tensor.Tensor {
-				shardRouting := moe.Routing{
-					S: hi - lo, TopExperts: routing.TopExperts[lo:hi],
-					Weights: routing.Weights[lo:hi], Logits: routing.Logits[lo:hi],
-				}
+				shardRouting := tokenRange(routing, lo, hi)
 				res := moe.PFTForward(r, g, cfg, hi-lo, shard, shardRouting, params,
 					moe.PipelineOpts{Numeric: true, DropPolicy: moe.DropByCapacityWeight, SaveForBackward: true})
 				states[lo] = res.State

@@ -58,7 +58,8 @@ func (e *interNodeCounter) AlltoAllV(ranks []int, send [][]int64) netsim.Cost {
 // the row map is a permutation of the received pilot rows and the Stage-2
 // (part, pos) pairs in the State layout, nothing but pilot rows and their
 // metadata crosses a node boundary, the output does not depend on the
-// chunk count by a bit, and it is the flat PFT pipeline's output.
+// chunk count by a bit, and it is the flat PFT pipeline's output. Each
+// rank's AnalyzeRedundancy also matches the per-token-set reference.
 func checkGeometry(t *testing.T, gc geomCase) {
 	t.Helper()
 	world := 8
@@ -79,10 +80,8 @@ func checkGeometry(t *testing.T, gc geomCase) {
 		rng := tensor.NewRNG(gc.seed + 31*uint64(r.ID))
 		rt := moe.SyntheticRouting(rng, gc.s, drawn, k, float64(gc.skew10)/10)
 		if gc.shape == geomEqualWeights {
-			for tok := range rt.Weights {
-				for j := range rt.Weights[tok] {
-					rt.Weights[tok][j] = 0.25
-				}
+			for i := range rt.Weights {
+				rt.Weights[i] = 0.25
 			}
 		}
 		params := &moe.ExpertParams{W1: make([]*tensor.Tensor, gc.epr), W2: make([]*tensor.Tensor, gc.epr)}
@@ -107,6 +106,9 @@ func checkGeometry(t *testing.T, gc geomCase) {
 		o.OverlapChunks = chunks
 		if err := c.Run(func(r *simrt.Rank) error {
 			x, rt, params := inputs(r)
+			if err := redundancyMatchesRef(rt, d.NodeOfExpert, d.nodeOfMember[r.ID]); err != nil {
+				return err
+			}
 			res := Forward(r, d, cfg, gc.s, x, rt, params, tensor.NewRNG(gc.seed^uint64(r.ID)), o)
 			outs[r.ID], states[r.ID] = res.Output, res.State.St
 			return nil

@@ -12,6 +12,7 @@ package rbd
 
 import (
 	"fmt"
+	"slices"
 
 	"xmoe/internal/kernels"
 	"xmoe/internal/moe"
@@ -937,24 +938,27 @@ func (r Redundancy) Rate() float64 {
 }
 
 // AnalyzeRedundancy computes redundancy for routing r where expert e lives
-// on node nodeOfExpert(e) and the source rank lives on srcNode.
+// on node nodeOfExpert(e) and the source rank lives on srcNode. As in
+// DispatchPilots, a token's distinct destination nodes (at most k) are
+// kept in a short slice and scanned.
 func AnalyzeRedundancy(rt moe.Routing, nodeOfExpert func(int) int, srcNode int) Redundancy {
-	var red Redundancy
+	red := Redundancy{Total: len(rt.Experts)}
+	k := rt.K()
+	nodes := make([]int, 0, k) // the current token's destination nodes so far
 	for t := 0; t < rt.S; t++ {
-		nodesSeen := map[int]bool{}
-		for _, e := range rt.TopExperts[t] {
-			red.Total++
-			node := nodeOfExpert(e)
+		nodes = nodes[:0]
+		for _, e := range rt.Experts[t*k : (t+1)*k] {
+			node := nodeOfExpert(int(e))
 			if node != srcNode {
 				red.InterNode++
 			}
-			if nodesSeen[node] {
+			if slices.Contains(nodes, node) {
 				red.Redundant++
-			} else {
-				nodesSeen[node] = true
-				if node != srcNode {
-					red.PilotInter++
-				}
+				continue
+			}
+			nodes = append(nodes, node)
+			if node != srcNode {
+				red.PilotInter++
 			}
 		}
 	}

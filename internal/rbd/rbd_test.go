@@ -255,9 +255,9 @@ func TestAnalyzeRedundancy(t *testing.T) {
 	// 2 tokens, k=3. Token 0: experts on nodes {0,0,1} -> 1 redundant.
 	// Token 1: experts on nodes {1,1,1} -> 2 redundant.
 	rt := moe.Routing{
-		S:          2,
-		TopExperts: [][]int{{0, 1, 4}, {4, 5, 6}},
-		Weights:    [][]float32{{0.3, 0.3, 0.3}, {0.3, 0.3, 0.3}},
+		S:       2,
+		Experts: []int32{0, 1, 4, 4, 5, 6},
+		Weights: []float32{0.3, 0.3, 0.3, 0.3, 0.3, 0.3},
 	}
 	nodeOf := func(e int) int { return e / 4 }
 	red := AnalyzeRedundancy(rt, nodeOf, 0)
@@ -276,6 +276,61 @@ func TestAnalyzeRedundancy(t *testing.T) {
 	// 1 (1 pilot). 2 total.
 	if red.PilotInter != 2 {
 		t.Fatalf("PilotInter = %d, want 2", red.PilotInter)
+	}
+}
+
+// analyzeRedundancyRef is AnalyzeRedundancy as it was written with a set
+// of seen nodes per token: the reference the per-token scan is held to.
+func analyzeRedundancyRef(rt moe.Routing, nodeOfExpert func(int) int, srcNode int) Redundancy {
+	var red Redundancy
+	k := rt.K()
+	for t := 0; t < rt.S; t++ {
+		nodesSeen := map[int]bool{}
+		for _, e := range rt.Experts[t*k : (t+1)*k] {
+			red.Total++
+			node := nodeOfExpert(int(e))
+			if node != srcNode {
+				red.InterNode++
+			}
+			if nodesSeen[node] {
+				red.Redundant++
+			} else {
+				nodesSeen[node] = true
+				if node != srcNode {
+					red.PilotInter++
+				}
+			}
+		}
+	}
+	return red
+}
+
+// redundancyMatchesRef compares AnalyzeRedundancy with the reference.
+func redundancyMatchesRef(rt moe.Routing, nodeOfExpert func(int) int, srcNode int) error {
+	got, want := AnalyzeRedundancy(rt, nodeOfExpert, srcNode), analyzeRedundancyRef(rt, nodeOfExpert, srcNode)
+	if got != want {
+		return fmt.Errorf("S=%d K=%d src node %d: AnalyzeRedundancy %+v, reference %+v", rt.S, rt.K(), srcNode, got, want)
+	}
+	return nil
+}
+
+// TestAnalyzeRedundancyMatchesReference runs the Fig. 4 shapes (256
+// experts, k 8, block placement over EP/8 nodes, uniform routing as the
+// figure draws it, and skewed) from an off-node and an on-node source.
+// FuzzRBDGeometry's cases make the same comparison per rank.
+func TestAnalyzeRedundancyMatchesReference(t *testing.T) {
+	const e, k = 256, 8
+	for _, ep := range []int{16, 32, 64, 128, 256} {
+		eprNode := e / (ep / 8)
+		nodeOf := func(ex int) int { return ex / eprNode }
+		for _, skew := range []float64{0, 0.6} {
+			rt := moe.SyntheticRouting(tensor.NewRNG(uint64(ep)), 600, e, k, skew)
+			for _, src := range []int{-1, 0} {
+				if err := redundancyMatchesRef(rt, nodeOf, src); err != nil {
+					t.Errorf("EP=%d skew %.1f: %v", ep, skew, err)
+				}
+			}
+		}
 	}
 }
 
@@ -348,8 +403,8 @@ func TestQuickRBDPilotInvariants(t *testing.T) {
 		// Count distinct (token, node) pairs.
 		distinct := map[[2]int]bool{}
 		for tok := 0; tok < s; tok++ {
-			for _, ex := range rt.TopExperts[tok] {
-				distinct[[2]int{tok, nodeOf(ex)}] = true
+			for _, ex := range rt.Experts[tok*k : (tok+1)*k] {
+				distinct[[2]int{tok, nodeOf(int(ex))}] = true
 			}
 		}
 		return red.Total-red.Redundant == len(distinct)

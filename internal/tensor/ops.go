@@ -59,24 +59,20 @@ func LogSoftmaxRows(t *Tensor) *Tensor {
 // broken by lower index first, matching the deterministic behaviour the
 // routing tests rely on.
 //
-// Per-row results are views into two flat backing arrays (k-selection by
-// repeated scan, no per-row sort or allocation), so a call costs four
-// allocations regardless of the row count.
-func TopK(t *Tensor, k int) (indices [][]int, values [][]float32) {
+// Both results are flat and row-major: row i's selection is
+// [i*k, (i+1)*k), with k clamped to the column count. Selection is by
+// repeated scan, no per-row sort or allocation.
+func TopK(t *Tensor, k int) (indices []int, values []float32) {
 	rows, cols := t.Rows(), t.Cols()
-	if k > cols {
-		k = cols
-	}
-	indices = make([][]int, rows)
-	values = make([][]float32, rows)
-	indFlat := make([]int, rows*k)
-	valFlat := make([]float32, rows*k)
+	k = min(k, cols)
+	indices = make([]int, rows*k)
+	values = make([]float32, rows*k)
 	ParallelFor(rows, 16, func(lo, hi int) {
 		taken := make([]bool, cols)
 		for i := lo; i < hi; i++ {
 			row := t.Data[i*cols : (i+1)*cols]
-			ind := indFlat[i*k : (i+1)*k]
-			val := valFlat[i*k : (i+1)*k]
+			ind := indices[i*k : (i+1)*k]
+			val := values[i*k : (i+1)*k]
 			for j := 0; j < k; j++ {
 				best := -1
 				for c := 0; c < cols; c++ {
@@ -89,11 +85,9 @@ func TopK(t *Tensor, k int) (indices [][]int, values [][]float32) {
 				ind[j] = best
 				val[j] = row[best]
 			}
-			for j := 0; j < k; j++ {
-				taken[ind[j]] = false
+			for _, c := range ind {
+				taken[c] = false
 			}
-			indices[i] = ind
-			values[i] = val
 		}
 	})
 	return indices, values

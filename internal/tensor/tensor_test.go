@@ -208,27 +208,27 @@ func TestLogSoftmaxRows(t *testing.T) {
 func TestTopK(t *testing.T) {
 	x := FromSlice([]float32{0.1, 0.9, 0.5, 0.3}, 1, 4)
 	idx, vals := TopK(x, 2)
-	if idx[0][0] != 1 || idx[0][1] != 2 {
-		t.Fatalf("TopK indices = %v, want [1 2]", idx[0])
+	if idx[0] != 1 || idx[1] != 2 {
+		t.Fatalf("TopK indices = %v, want [1 2]", idx)
 	}
-	if vals[0][0] != 0.9 || vals[0][1] != 0.5 {
-		t.Fatalf("TopK values = %v", vals[0])
+	if vals[0] != 0.9 || vals[1] != 0.5 {
+		t.Fatalf("TopK values = %v", vals)
 	}
 }
 
 func TestTopKTieBreaksByIndex(t *testing.T) {
 	x := FromSlice([]float32{0.5, 0.5, 0.5}, 1, 3)
 	idx, _ := TopK(x, 2)
-	if idx[0][0] != 0 || idx[0][1] != 1 {
-		t.Fatalf("tie-break order = %v, want [0 1]", idx[0])
+	if idx[0] != 0 || idx[1] != 1 {
+		t.Fatalf("tie-break order = %v, want [0 1]", idx)
 	}
 }
 
 func TestTopKClampsK(t *testing.T) {
 	x := FromSlice([]float32{3, 1}, 1, 2)
 	idx, _ := TopK(x, 5)
-	if len(idx[0]) != 2 {
-		t.Fatalf("k should clamp to cols, got %d", len(idx[0]))
+	if len(idx) != 2 {
+		t.Fatalf("k should clamp to cols, got %d", len(idx))
 	}
 }
 
@@ -442,12 +442,12 @@ func TestQuickTopKSelectsMaxima(t *testing.T) {
 		// must be >= every unselected value.
 		sel := make(map[int]bool)
 		for j := 0; j < k; j++ {
-			sel[idx[0][j]] = true
-			if j > 0 && vals[0][j] > vals[0][j-1] {
+			sel[idx[j]] = true
+			if j > 0 && vals[j] > vals[j-1] {
 				return false
 			}
 		}
-		minSel := vals[0][k-1]
+		minSel := vals[k-1]
 		for j := 0; j < cols; j++ {
 			if !sel[j] && x.At(0, j) > minSel {
 				return false

@@ -254,25 +254,7 @@ func (m *MoEFFN) Forward(x *tensor.Tensor) *tensor.Tensor {
 	m.probs = m.pool.Get(m.logits.Shape()...)
 	m.probs.Copy(m.logits)
 	tensor.SoftmaxRows(m.probs)
-	idx, _ := tensor.TopK(m.probs, m.Cfg.TopK)
-
-	routing := moe.Routing{
-		S:          s,
-		TopExperts: idx,
-		Weights:    make([][]float32, s),
-		Logits:     make([][]float32, s),
-	}
-	k := m.Cfg.TopK
-	weightsFlat := make([]float32, s*k)
-	logitsFlat := make([]float32, s*k)
-	for t := 0; t < s; t++ {
-		routing.Weights[t] = weightsFlat[t*k : (t+1)*k]
-		routing.Logits[t] = logitsFlat[t*k : (t+1)*k]
-		for j, e := range idx[t] {
-			routing.Weights[t][j] = m.probs.At(t, e)
-			routing.Logits[t][j] = m.logits.At(t, e)
-		}
-	}
+	routing := moe.TopKRouting(m.logits, m.probs, m.Cfg.TopK)
 	m.pft = moe.BuildPFT(routing, m.Cfg.NumExperts, m.Cfg.Capacity(s), m.Policy)
 
 	// Dispatch (gather) — entries are already expert-major, so the
