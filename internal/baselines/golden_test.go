@@ -3,6 +3,7 @@ package baselines
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -33,7 +34,11 @@ func stepBits(r StepResult) string {
 // routing more than once per layer run (the ActCkpt replay, and TP > 1
 // with SSMB slices). The strings were recorded at the commit before the
 // routing → PFT → RBD-staging path was made sort-free and paid once per
-// rank; host-side work on that path must not move any of them.
+// rank; host-side work on that path must not move any of them. The six
+// cases share seed 11, so they share draws through the routing store, and
+// the SSMB case routes half as many tokens per rank, so it also meets
+// slots of the wrong length: every case runs cold, warm in table order and
+// warm in reverse order against the same string.
 func TestSimulateStepGoldenBits(t *testing.T) {
 	m := topology.Frontier()
 	cases := []struct {
@@ -56,27 +61,60 @@ func TestSimulateStepGoldenBits(t *testing.T) {
 		{name: "xmoe-tp2-ssmb", sys: XMoE, tp: 2,
 			want: "iter=3fff1e25032efcb6 tflops=4043e1c72b27f1ad dense_elemwise=3f1e1bf68af42adc dense_gemm=3f4646a67699c7da dispatch=3f09b665320ea0b4 experts=3f502b5a301b5707 gate=3f0a6b865cfba17f rbd_comb_merge=3f09b665320ea0b2 rbd_comb_s1_a2a=3f10f52f6e1bec94 rbd_comb_s2_a2a=3f302cb497707008 rbd_comb_scatter=3eeee8799f1845ff rbd_reconstruct=3f09b665320ea0b2 rbd_s1_a2a=3f109ae3a37ba750 rbd_s1_inst=3eeee8799f1845ff rbd_s2_a2a=3f2b34e3cc564838 rbd_s2_inst=3f052195386aabbe ssmb_allgather=3ef79027188a7300 tp_allreduce=3f079027188a72e0"},
 	}
-	for _, tc := range cases {
+	check := func(t *testing.T, i int) {
+		tc := cases[i]
+		cfg := For(tc.sys, m)
+		r := SimulateStep(cfg, goldenSpec(cfg, tc.tp, tc.actCkpt))
+		if r.Err != nil || r.OOM {
+			t.Fatalf("step failed: %+v", r)
+		}
+		if r.MicroSteps < 2 {
+			t.Fatalf("MicroSteps = %d: the sync-free second run is not exercised", r.MicroSteps)
+		}
+		if got := stepBits(r); got != tc.want {
+			t.Errorf("simulated bits moved\n got: %s\nwant: %s", got, tc.want)
+		}
+	}
+	// Cold: every case draws its routing afresh.
+	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := For(tc.sys, m)
-			r := SimulateStep(cfg, RunSpec{
-				Shape: model.Small(), Machine: m, World: 16,
-				Plan: parallel.Plan{World: 16, TP: tc.tp, EP: 8, Placement: cfg.Placement,
-					SSMB: cfg.SSMB, ZeROStage: 1},
-				// Global batch 64 gives four micro-steps, so both the
-				// sync-on and the sync-free layer run are priced.
-				MicroBatch: 1, GlobalBatch: 64, Seed: 11, Congestion: true,
-				ActCkpt: tc.actCkpt, SkipMemCheck: true,
-			})
-			if r.Err != nil || r.OOM {
-				t.Fatalf("step failed: %+v", r)
-			}
-			if r.MicroSteps < 2 {
-				t.Fatalf("MicroSteps = %d: the sync-free second run is not exercised", r.MicroSteps)
-			}
-			if got := stepBits(r); got != tc.want {
-				t.Errorf("simulated bits moved\n got: %s\nwant: %s", got, tc.want)
-			}
+			dropRoutings()
+			check(t, i)
 		})
 	}
+	// Warm, in table order and in reverse: every case reads whatever draws
+	// the case before it left in the routing store.
+	t.Run("warm", func(t *testing.T) {
+		for i, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) { check(t, i) })
+		}
+	})
+	t.Run("warm-reversed", func(t *testing.T) {
+		for i, tc := range slices.Backward(cases) {
+			t.Run(tc.name, func(t *testing.T) { check(t, i) })
+		}
+	})
+}
+
+// goldenSpec is the point every golden case runs at: the Small model on
+// 16 Frontier GPUs, EP 8, ZeRO-1, seed 11, micro-batch 1.
+func goldenSpec(cfg Config, tp int, actCkpt bool) RunSpec {
+	m := topology.Frontier()
+	return RunSpec{
+		Shape: model.Small(), Machine: m, World: 16,
+		Plan: parallel.Plan{World: 16, TP: tp, EP: 8, Placement: cfg.Placement,
+			SSMB: cfg.SSMB, ZeROStage: 1},
+		// Global batch 64 gives four micro-steps, so both the sync-on and
+		// the sync-free layer run are priced.
+		MicroBatch: 1, GlobalBatch: 64, Seed: 11, Congestion: true,
+		ActCkpt: actCkpt, SkipMemCheck: true,
+	}
+}
+
+// dropRoutings empties the routing store, so the next step draws every
+// rank's routing afresh.
+func dropRoutings() {
+	lastRoutings.Lock()
+	lastRoutings.store = nil
+	lastRoutings.Unlock()
 }

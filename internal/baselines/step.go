@@ -2,6 +2,8 @@ package baselines
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"xmoe/internal/memmodel"
 	"xmoe/internal/model"
@@ -90,6 +92,9 @@ type StepResult struct {
 // forward AND backward passes (the system's transport.Layer, symbolic, with
 // bucketed, overlapped ZeRO gradient sync), scaled to the full depth,
 // gradient accumulation, and the end-of-iteration synchronisation tails.
+// Consecutive calls at one seed, expert count and top-k reuse each rank's
+// routing draw instead of redrawing it (see routingStore); the result is
+// the same bit for bit.
 func SimulateStep(sys Config, spec RunSpec) StepResult {
 	if err := spec.Plan.Validate(); err != nil {
 		return StepResult{Err: err}
@@ -141,25 +146,78 @@ func gradFamilies(sh model.Shape, plan parallel.Plan) (expertPerLayer, densePerL
 	return
 }
 
-// routingStore holds one draw per rank for the length of a SimulateStep:
-// the first layer run fills it, and the sync-free second run, the ActCkpt
-// replay and SSMB slices of the same length read it back, so a rank's
-// routing is generated once per step. Each rank goroutine touches only
-// its own slot and the runs are sequential, so there is no lock.
-type routingStore []moe.Routing
+// routingSkew is the Zipf exponent of the expert popularity every
+// simulated step routes its tokens with (moe.SyntheticRouting's skew).
+const routingSkew = 0.6
 
-// get returns rank's routing for n tokens, calling draw only when the slot
-// does not hold one of that length.
-func (st routingStore) get(rank, n int, draw func() moe.Routing) moe.Routing {
-	if rt := st[rank]; rt.Experts != nil && rt.S == n {
-		return rt
-	}
-	st[rank] = draw()
-	return st[rank]
+// routingKey names the draws a routingStore holds. Rank r's routing of n
+// tokens is moe.SyntheticRouting(NewRNG(seed + 31·r + 7), n, experts,
+// topK, routingSkew): with the rank and the length, which each slot
+// records, the key fixes the draw bit for bit.
+type routingKey struct {
+	seed          uint64
+	experts, topK int
 }
 
-// release drops rank's draw once its last consumer has read it.
-func (st routingStore) release(rank int) { st[rank] = moe.Routing{} }
+// routingStore holds one draw per rank. A SimulateStep takes the store the
+// previous call put back and puts it back when it returns, so the draws
+// outlive the step: within it the sync-free second run, the ActCkpt replay
+// and SSMB slices of the same length read the first run's draw, and the
+// next step at the same key — the next system of a figure at one seed, the
+// next candidate of a Sweep — reads them again. During a step each rank
+// goroutine touches only its own slot and the runs are sequential, so the
+// slots need no lock.
+type routingStore struct {
+	key   routingKey
+	slots []moe.Routing
+}
+
+// lastRoutings is the store the latest SimulateStep put back; nil while a
+// step holds it, so a concurrent step starts an empty store of its own and
+// no two steps ever share one.
+var lastRoutings struct {
+	sync.Mutex
+	store *routingStore
+}
+
+// routingDraws counts the routings drawn through stores; tests read it to
+// pin the draws the store saves.
+var routingDraws atomic.Int64
+
+// takeRoutings takes the stored draws when they were made at key, or
+// starts an empty store, with at least world slots.
+func takeRoutings(key routingKey, world int) *routingStore {
+	lastRoutings.Lock()
+	st := lastRoutings.store
+	lastRoutings.store = nil
+	lastRoutings.Unlock()
+	if st == nil || st.key != key {
+		st = &routingStore{key: key}
+	}
+	if grow := world - len(st.slots); grow > 0 {
+		st.slots = append(st.slots, make([]moe.Routing, grow)...)
+	}
+	return st
+}
+
+// putRoutings leaves st for the next step to take.
+func putRoutings(st *routingStore) {
+	lastRoutings.Lock()
+	lastRoutings.store = st
+	lastRoutings.Unlock()
+}
+
+// get returns rank's routing for n tokens, drawing it only when the slot
+// does not hold one of that length.
+func (st *routingStore) get(rank, n int) moe.Routing {
+	if rt := st.slots[rank]; rt.Experts != nil && rt.S == n {
+		return rt
+	}
+	routingDraws.Add(1)
+	st.slots[rank] = moe.SyntheticRouting(tensor.NewRNG(st.key.seed+uint64(rank)*31+7),
+		n, st.key.experts, st.key.topK, routingSkew)
+	return st.slots[rank]
+}
 
 // simulateTiming is the timing half of SimulateStep, for a configuration
 // that fits: one simulated transformer layer runs its forward and its
@@ -185,15 +243,16 @@ func simulateTiming(sys Config, spec RunSpec, res StepResult) StepResult {
 	// gradient sync (grads sync once per iteration); a second run prices
 	// that layer on the routing the first one drew.
 	secondRun := withSync && microSteps > 1
-	routings := make(routingStore, spec.World)
-	primary := runFullLayer(sys, spec, withSync, routings, !secondRun)
+	routings := takeRoutings(routingKey{seed: spec.Seed, experts: spec.Shape.NumExperts, topK: spec.Shape.TopK}, spec.World)
+	defer putRoutings(routings)
+	primary := runFullLayer(sys, spec, withSync, routings)
 	if primary.err != nil {
 		return StepResult{Err: primary.err}
 	}
 	layerSync := primary.wall
 	layerNoSync := primary.wall
 	if secondRun {
-		plain := runFullLayer(sys, spec, false, routings, true)
+		plain := runFullLayer(sys, spec, false, routings)
 		if plain.err != nil {
 			return StepResult{Err: plain.err}
 		}
@@ -264,9 +323,8 @@ func simulateTiming(sys Config, spec RunSpec, res StepResult) StepResult {
 
 // runFullLayer simulates one transformer layer's forward and backward on
 // a fresh cluster, optionally with the bucketed overlapped gradient sync
-// issued from the backward. Ranks take their routing from routings and,
-// on the step's lastRun, release it once their forward passes are done.
-func runFullLayer(sys Config, spec RunSpec, withSync bool, routings routingStore, lastRun bool) layerRun {
+// issued from the backward. Ranks take their routing from routings.
+func runFullLayer(sys Config, spec RunSpec, withSync bool, routings *routingStore) layerRun {
 	cluster := simrt.NewCluster(spec.Machine, spec.World, spec.Seed)
 	cluster.Net.DisableCongestion = !spec.Congestion
 	// One simulated layer stands for all layers, so congestion must enter
@@ -345,18 +403,12 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool, routings routingStore
 			}
 		}
 
-		// MoE block forward, with state capture for the backward.
-		routing := func(n int) moe.Routing {
-			return routings.get(r.ID, n, func() moe.Routing {
-				return moe.SyntheticRouting(tensor.NewRNG(spec.Seed+uint64(r.ID)*31+7),
-					n, cfg.NumExperts, cfg.TopK, 0.6)
-			})
-		}
-		// saved is the state of the rank's latest forward — the ActCkpt
-		// replay replaces the first pass's — and is what the backward reverses.
+		// MoE block forward, with state capture for the backward. saved is
+		// the state of the rank's latest forward — the ActCkpt replay
+		// replaces the first pass's — and is what the backward reverses.
 		var saved transport.Saved
 		runInner := func(n int) {
-			_, saved = layer.Forward(r, n, nil, routing(n), nil, tensor.NewRNG(spec.Seed^uint64(r.ID)), opts)
+			_, saved = layer.Forward(r, n, nil, routings.get(r.ID, n), nil, tensor.NewRNG(spec.Seed^uint64(r.ID)), opts)
 		}
 		moeFwd := func() {
 			if sys.SSMB && tp != nil {
@@ -387,9 +439,6 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool, routings routingStore
 			// checkpointing MoE blocks).
 			denseFwd()
 			moeFwd()
-		}
-		if lastRun {
-			routings.release(r.ID)
 		}
 
 		var esync, dsync *zero.Syncer

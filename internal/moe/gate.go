@@ -3,7 +3,6 @@ package moe
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"xmoe/internal/tensor"
 )
@@ -117,9 +116,9 @@ func SyntheticRouting(rng *tensor.RNG, s, e, k int, skew float64) Routing {
 	for i := 0; i < e; i++ {
 		pop[perm[i]] = math.Pow(float64(i+1), -skew)
 	}
-	// Cumulative weights for O(log E) sampling via binary search;
-	// duplicates are rejected and redrawn (k << E makes this cheap), with
-	// a bounded-retry fallback scan for pathological cases.
+	// Cumulative weights, searched through a guide table; duplicates are
+	// rejected and redrawn (k << E makes this cheap), with a bounded-retry
+	// fallback scan for pathological cases.
 	cum := make([]float64, e)
 	run := 0.0
 	for i, v := range pop {
@@ -127,6 +126,7 @@ func SyntheticRouting(rng *tensor.RNG, s, e, k int, skew float64) Routing {
 		cum[i] = run
 	}
 	total := run
+	search := newCumSearch(cum)
 
 	r := Routing{
 		S:       s,
@@ -143,8 +143,7 @@ func SyntheticRouting(rng *tensor.RNG, s, e, k int, skew float64) Routing {
 		for j := 0; j < k; j++ {
 			idx := -1
 			for attempt := 0; attempt < 64; attempt++ {
-				target := rng.Float64() * total
-				cand := sort.SearchFloat64s(cum, target)
+				cand := search.find(rng.Float64() * total)
 				if cand >= e {
 					cand = e - 1
 				}
@@ -191,6 +190,51 @@ func SyntheticRouting(rng *tensor.RNG, s, e, k int, skew float64) Routing {
 		}
 	}
 	return r
+}
+
+// cumSearch finds the first index of a nondecreasing cumulative-weight
+// array whose value reaches a target — sort.SearchFloat64s's answer — in
+// expected O(1): a guide table splits [0, total) into len(cum) equal
+// buckets and holds, per bucket, an index near the bucket's first entry.
+// The lookup starts there and scans back, then forward, to the exact
+// answer, so the guide only decides where the scans start: rounding in
+// the bucket arithmetic can cost a step, never move the result.
+type cumSearch struct {
+	cum   []float64
+	guide []int
+	scale float64 // buckets per unit of weight: len(cum) / total
+}
+
+func newCumSearch(cum []float64) cumSearch {
+	n := len(cum)
+	c := cumSearch{cum: cum, guide: make([]int, n)}
+	if n == 0 {
+		return c
+	}
+	c.scale = float64(n) / cum[n-1]
+	i := 0
+	for b := range c.guide {
+		edge := float64(b) / c.scale
+		for i < n-1 && cum[i] < edge {
+			i++
+		}
+		c.guide[b] = i
+	}
+	return c
+}
+
+// find returns the smallest i with cum[i] >= target, or len(cum) when
+// there is none. cum must be non-empty and target not NaN.
+func (c cumSearch) find(target float64) int {
+	b := min(int(target*c.scale), len(c.guide)-1)
+	i := c.guide[max(b, 0)]
+	for i > 0 && c.cum[i-1] >= target {
+		i--
+	}
+	for i < len(c.cum) && c.cum[i] < target {
+		i++
+	}
+	return i
 }
 
 // ExpertLoad returns the number of routed assignments per expert.
