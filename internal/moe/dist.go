@@ -199,7 +199,9 @@ func NewExpertParams(rng *tensor.RNG, numLocal, h, f int) *ExpertParams {
 type LayerResult struct {
 	// Output is the [S, H] layer output (nil in symbolic mode).
 	Output *tensor.Tensor
-	// PFT is the routing buffer used (PFT pipeline only).
+	// PFT is the routing buffer used (PFT and RBD pipelines). A symbolic
+	// PFT pipeline's carries counts only (TokensPerExpert, Dropped; nil
+	// rows); RBD picks its pilots per row, so its PFT always has them.
 	PFT *PFT
 	// RoutedTokens is the number of retained (token, expert) rows sent.
 	RoutedTokens int
@@ -211,14 +213,16 @@ type LayerResult struct {
 	// pipeline, only when opts.SaveForBackward).
 	State *PFTFwdState
 	// PaddedState carries the saved intermediates for PaddedBackward
-	// (padded pipeline, only when opts.SaveForBackward).
+	// (padded pipeline, only when opts.SaveForBackward). A symbolic
+	// pipeline's PaddedAssignment carries counts only (nil slot tables).
 	PaddedState *PaddedFwdState
 }
 
 // PFTFwdState is the per-rank forward state the distributed backward pass
 // consumes: the PFT, the exchange segmentation, and the expert-FFN
 // intermediates. In symbolic mode the tensors are nil and only the
-// geometry is populated, which is all the timing-only backward needs.
+// geometry is populated (the PFT carries counts only), which is all the
+// timing-only backward needs.
 type PFTFwdState struct {
 	S          int
 	PFT        *PFT
@@ -263,10 +267,15 @@ type PaddedFwdState struct {
 // Shared by the PFT pipeline and the RBD dispatcher, so both transports
 // see identical routing decisions under mitigation.
 func RoutedPFT(routing Routing, cfg Config, s int, opts PipelineOpts) *PFT {
+	return routedPFT(routing, cfg, s, opts, true)
+}
+
+// routedPFT is RoutedPFT, with the rows only when asked for.
+func routedPFT(routing Routing, cfg Config, s int, opts PipelineOpts, rows bool) *PFT {
 	if opts.CapacityByExpert != nil {
-		return BuildPFTCaps(routing, cfg.NumExperts, opts.CapacityByExpert, opts.DropPolicy)
+		return buildPFT(routing, cfg.NumExperts, opts.CapacityByExpert, 0, opts.DropPolicy, rows)
 	}
-	return BuildPFT(routing, cfg.NumExperts, cfg.Capacity(s), opts.DropPolicy)
+	return buildPFT(routing, cfg.NumExperts, nil, cfg.Capacity(s), opts.DropPolicy, rows)
 }
 
 // epCheck validates the expert-parallel layout and returns experts/rank.
@@ -308,7 +317,7 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 		comp.MemBoundN(perfmodel.ClassTriton, 6,
 			int64(s*cfg.NumExperts)*elem+int64(s*cfg.TopK)*24)
 	r.Compute(StageGate, gateTime)
-	pft := RoutedPFT(routing, cfg, s, opts)
+	pft := routedPFT(routing, cfg, s, opts, opts.Numeric)
 	b := pft.B()
 	mem.Alloc("eri", pft.ERIBytes())
 
@@ -521,7 +530,7 @@ func PaddedForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.T
 	gateTime := comp.GEMM(s, h, e) +
 		comp.MemBoundN(kernelClass, launches, maskBytes+intermBytes)
 	r.Compute(StageGate, gateTime)
-	pa := BuildPaddedAssignment(routing, e, capTokens, opts.DropPolicy)
+	pa := buildPaddedAssignment(routing, e, capTokens, opts.DropPolicy, opts.Numeric)
 	mem.Alloc("mask", maskBytes)
 	mem.Alloc("mask_interm", intermBytes)
 

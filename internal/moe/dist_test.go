@@ -87,6 +87,72 @@ func runPipeline(t *testing.T, pipeline func(r *simrt.Rank, g *simrt.Group, cfg 
 	return results
 }
 
+// TestSymbolicLayerKeepsCounts pins what the symbolic pipelines drop: a
+// symbolic forward builds its PFT or padded plan from counts alone, and
+// must report the numeric run's routed, received and dropped rows and
+// reach its memory peak, on the same routing — with the rows themselves
+// left unbuilt.
+func TestSymbolicLayerKeepsCounts(t *testing.T) {
+	const world, s = 4, 48
+	cfg := distConfig(8, 3)
+	type pipeline func(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams, opts PipelineOpts) LayerResult
+	for _, tc := range []struct {
+		name string
+		pipe pipeline
+		opts PipelineOpts
+	}{
+		{"pft/weight", PFTForward, PipelineOpts{DropPolicy: DropByCapacityWeight}},
+		{"pft/position", PFTForward, PipelineOpts{DropPolicy: DropNegativeThenPosition}},
+		{"pft/caps", PFTForward, PipelineOpts{DropPolicy: DropByCapacityWeight, CapacityByExpert: []int{3, 9, 20, 1, 5, 30, 7, 2}}},
+		{"padded/weight", PaddedForward, PipelineOpts{DropPolicy: DropByCapacityWeight}},
+		{"padded/position", PaddedForward, PipelineOpts{DropPolicy: DropNegativeThenPosition}},
+	} {
+		run := func(numeric bool) ([]LayerResult, []*simrt.Rank) {
+			c := newMoECluster(t, world)
+			g := c.WorldGroup()
+			opts := tc.opts
+			opts.Numeric, opts.SaveForBackward = numeric, true
+			results := make([]LayerResult, world)
+			ranks, err := c.RunCollect(func(r *simrt.Rank) error {
+				rng := tensor.NewRNG(uint64(700 + r.ID))
+				x := tensor.Randn(rng, 1, s, cfg.HModel)
+				routing := SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0.9)
+				var params *ExpertParams
+				if !numeric {
+					x = nil
+				} else {
+					params = localParams(g.IndexOf(r.ID), cfg.NumExperts/world, cfg.HModel, cfg.HFFN)
+				}
+				results[r.ID] = tc.pipe(r, g, cfg, s, x, routing, params, opts)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return results, ranks
+		}
+		num, numRanks := run(true)
+		sym, symRanks := run(false)
+		for id := range sym {
+			n, y := num[id], sym[id]
+			if y.RoutedTokens != n.RoutedTokens || y.RecvTokens != n.RecvTokens || y.Dropped != n.Dropped {
+				t.Errorf("%s rank %d: symbolic routed/received/dropped %d/%d/%d, numeric %d/%d/%d", tc.name, id,
+					y.RoutedTokens, y.RecvTokens, y.Dropped, n.RoutedTokens, n.RecvTokens, n.Dropped)
+			}
+			if a, b := symRanks[id].Dev().Mem.Peak(), numRanks[id].Dev().Mem.Peak(); a != b {
+				t.Errorf("%s rank %d: symbolic memory peak %d, numeric %d", tc.name, id, a, b)
+			}
+			if y.PFT != nil && (y.PFT.TokenIDs != nil || y.PFT.B() != n.PFT.B()) {
+				t.Errorf("%s rank %d: symbolic PFT has %d rows for B %d, numeric B %d", tc.name, id, len(y.PFT.TokenIDs), y.PFT.B(), n.PFT.B())
+			}
+			if y.PaddedState != nil && (y.PaddedState.PA.SlotToken != nil || y.PaddedState.PA.Occupied != n.PaddedState.PA.Occupied) {
+				t.Errorf("%s rank %d: symbolic padded plan has a slot table, or %d occupied slots against %d", tc.name, id,
+					y.PaddedState.PA.Occupied, n.PaddedState.PA.Occupied)
+			}
+		}
+	}
+}
+
 func TestPFTForwardMatchesReference(t *testing.T) {
 	c := newMoECluster(t, 4)
 	cfg := distConfig(8, 3)

@@ -4,6 +4,10 @@ package moe
 // each expert has a fixed-capacity buffer; slot (e, c) either holds a
 // source token or stays zero-padded (paper §3.1, Fig. 2). It is the dense
 // counterpart of the PFT and drives the baselines' einsum dispatch.
+//
+// A symbolic layer's plan (PaddedForward without opts.Numeric) carries
+// counts only: Capacity, Dropped and Occupied, with nil slot tables, since
+// no symbolic pass moves a row. BuildPaddedAssignment always fills them.
 type PaddedAssignment struct {
 	// Capacity is the per-expert buffer length C.
 	Capacity int
@@ -16,6 +20,8 @@ type PaddedAssignment struct {
 	Dropped int
 	// Occupied counts non-empty slots.
 	Occupied int
+	// numExperts is the number of expert buffers.
+	numExperts int
 }
 
 // BuildPaddedAssignment constructs the dense dispatch plan from a routing
@@ -23,44 +29,55 @@ type PaddedAssignment struct {
 // first-come-first-served in token order; the DeepSpeed-MoE policy also
 // drops negative-logit assignments outright.
 func BuildPaddedAssignment(r Routing, numExperts, capacity int, policy DropPolicy) *PaddedAssignment {
-	pa := &PaddedAssignment{
-		Capacity:   capacity,
-		SlotToken:  make([][]int, numExperts),
-		SlotWeight: make([][]float32, numExperts),
-	}
-	for e := range pa.SlotToken {
-		pa.SlotToken[e] = make([]int, capacity)
-		for c := range pa.SlotToken[e] {
-			pa.SlotToken[e][c] = -1
+	return buildPaddedAssignment(r, numExperts, capacity, policy, true)
+}
+
+// buildPaddedAssignment is BuildPaddedAssignment; without slots it counts
+// Occupied and Dropped and allocates no slot table. The slot rows are views
+// into one backing per table.
+func buildPaddedAssignment(r Routing, numExperts, capacity int, policy DropPolicy, slots bool) *PaddedAssignment {
+	pa := &PaddedAssignment{Capacity: capacity, numExperts: numExperts}
+	if slots {
+		pa.SlotToken = make([][]int, numExperts)
+		pa.SlotWeight = make([][]float32, numExperts)
+		tokens := make([]int, numExperts*capacity)
+		for c := range tokens {
+			tokens[c] = -1
 		}
-		pa.SlotWeight[e] = make([]float32, capacity)
+		weights := make([]float32, numExperts*capacity)
+		for e := range pa.SlotToken {
+			lo, hi := e*capacity, (e+1)*capacity
+			pa.SlotToken[e], pa.SlotWeight[e] = tokens[lo:hi:hi], weights[lo:hi:hi]
+		}
 	}
 	fill := make([]int, numExperts)
 	k := r.K()
+	dropNegative := policy == DropNegativeThenPosition && r.Logits != nil
 	for t := 0; t < r.S; t++ {
 		for i := t * k; i < (t+1)*k; i++ {
 			e := r.Experts[i]
-			if policy == DropNegativeThenPosition && r.Logits != nil && r.Logits[i] < 0 {
-				pa.Dropped++
+			if dropNegative && r.Logits[i] < 0 || fill[e] >= capacity {
 				continue
 			}
-			if fill[e] >= capacity {
-				pa.Dropped++
-				continue
+			if slots {
+				pa.SlotToken[e][fill[e]] = t
+				pa.SlotWeight[e][fill[e]] = r.Weights[i]
 			}
-			pa.SlotToken[e][fill[e]] = t
-			pa.SlotWeight[e][fill[e]] = r.Weights[i]
 			fill[e]++
-			pa.Occupied++
 		}
 	}
+	// Every assignment either took a slot or was dropped.
+	for _, n := range fill {
+		pa.Occupied += n
+	}
+	pa.Dropped = len(r.Experts) - pa.Occupied
 	return pa
 }
 
 // PaddingRatio returns the fraction of buffer slots that are zero-padding
 // — the memory and communication waste the PFT eliminates.
 func (pa *PaddedAssignment) PaddingRatio() float64 {
-	total := len(pa.SlotToken) * pa.Capacity
+	total := pa.numExperts * pa.Capacity
 	if total == 0 {
 		return 0
 	}

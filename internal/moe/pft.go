@@ -25,6 +25,10 @@ const (
 // are ordered expert-major (ascending ExpertIDs), so per-expert segments
 // are contiguous — the property the uneven all-to-all and sequential GEMM
 // rely on.
+//
+// A symbolic layer's PFT (PFTForward without opts.Numeric) carries counts
+// only: TokensPerExpert and Dropped, with nil rows, since no symbolic pass
+// moves a row. The exported builders always fill the rows.
 type PFT struct {
 	// TokenIDs[i] is the original token index of buffer row i.
 	TokenIDs []int
@@ -41,14 +45,20 @@ type PFT struct {
 }
 
 // B returns the number of retained routed-token rows.
-func (p *PFT) B() int { return len(p.TokenIDs) }
+func (p *PFT) B() int {
+	b := 0
+	for _, c := range p.TokensPerExpert {
+		b += c
+	}
+	return b
+}
 
 // BuildPFT constructs the PFT from a routing per Listing 1: flatten the
 // [S, K] assignment array, order entries expert-major, apply the drop
 // policy against maxTokenCount (the expert capacity), and emit the
 // ERI-arrays. A maxTokenCount <= 0 means unlimited capacity.
 func BuildPFT(r Routing, numExperts, maxTokenCount int, policy DropPolicy) *PFT {
-	return buildPFT(r, numExperts, nil, maxTokenCount, policy)
+	return buildPFT(r, numExperts, nil, maxTokenCount, policy, true)
 }
 
 // BuildPFTCaps is BuildPFT with a per-expert capacity vector: caps[e]
@@ -59,10 +69,7 @@ func BuildPFT(r Routing, numExperts, maxTokenCount int, policy DropPolicy) *PFT 
 // padded pipeline (whose even exchange requires uniform capacity)
 // rejects it.
 func BuildPFTCaps(r Routing, numExperts int, caps []int, policy DropPolicy) *PFT {
-	if len(caps) != numExperts {
-		panic(fmt.Sprintf("moe: capacity vector has %d entries for %d experts", len(caps), numExperts))
-	}
-	return buildPFT(r, numExperts, caps, 0, policy)
+	return buildPFT(r, numExperts, caps, 0, policy, true)
 }
 
 // buildPFT makes two passes over the routing, straight into the final
@@ -71,13 +78,24 @@ func BuildPFTCaps(r Routing, numExperts int, caps []int, policy DropPolicy) *PFT
 // that keeps flat (t*k+j) order inside each expert segment. First-come
 // capacity dropping falls out of the placement (a full segment takes no
 // more rows); weight-ordered dropping places every candidate, then
-// compacts the over-capacity segments in place.
-func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy DropPolicy) *PFT {
+// compacts the over-capacity segments in place. The clamped histogram is
+// already TokensPerExpert and Dropped, so without rows it stops there.
+// A non-nil caps must have one entry per expert.
+func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy DropPolicy, rows bool) *PFT {
+	if caps != nil && len(caps) != numExperts {
+		panic(fmt.Sprintf("moe: capacity vector has %d entries for %d experts", len(caps), numExperts))
+	}
 	k := r.K()
 	dropNegative := policy == DropNegativeThenPosition && r.Logits != nil // unknown logits count as positive
 	byWeight := policy == DropByCapacityWeight
 
-	counts := make([]int, numExperts)
+	// counts[e] becomes the retained rows of expert e; [next[e], end[e])
+	// is the segment the placement fills, which under byWeight still
+	// holds every candidate of an over-capacity expert. One backing holds
+	// all three.
+	ints := make([]int, 3*numExperts)
+	counts := ints[:numExperts:numExperts]
+	next, end := ints[numExperts:2*numExperts], ints[2*numExperts:]
 	for i, e := range r.Experts {
 		if dropNegative && r.Logits[i] < 0 {
 			continue
@@ -85,12 +103,7 @@ func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy D
 		counts[e]++
 	}
 
-	// counts[e] becomes the retained rows of expert e; [next[e], end[e])
-	// is the segment the placement fills, which under byWeight still
-	// holds every candidate of an over-capacity expert.
-	next := make([]int, numExperts)
-	end := make([]int, numExperts)
-	placed, maxOver := 0, 0
+	placed, maxOver, kept := 0, 0, 0
 	for e, c := range counts {
 		limit := maxTokenCount
 		if caps != nil {
@@ -107,6 +120,10 @@ func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy D
 		}
 		placed += c
 		end[e] = placed
+		kept += counts[e]
+	}
+	if !rows {
+		return &PFT{TokensPerExpert: counts, Dropped: len(r.Experts) - kept}
 	}
 
 	tokenIDs := make([]int, placed)
@@ -177,7 +194,7 @@ func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy D
 		ExpertIDs:       expertIDs,
 		TokensPerExpert: counts,
 		CombineWeights:  weights,
-		Dropped:         len(r.Experts) - len(tokenIDs),
+		Dropped:         len(r.Experts) - kept,
 	}
 }
 
@@ -256,9 +273,10 @@ func (p *PFT) Validate(numTokens, numExperts, maxTokenCount int) error {
 }
 
 // ERIBytes returns the memory footprint of the ERI-arrays (int32 ids and
-// counts, float32 weights), for activation accounting.
+// counts, float32 weights), for activation accounting — the same for a
+// counts-only PFT as for the rows it stands for.
 func (p *PFT) ERIBytes() int64 {
-	return int64(len(p.TokenIDs))*(4+4+4) + int64(len(p.TokensPerExpert))*4
+	return int64(p.B())*(4+4+4) + int64(len(p.TokensPerExpert))*4
 }
 
 // ExpertSegments returns the start offset of each expert's contiguous

@@ -232,14 +232,21 @@ func (c pftCase) build() (rt Routing, numExperts int, caps []int, limit int) {
 }
 
 // checkPFTCase asserts that buildPFT and the sort-based reference agree
-// field for field (weights by bit pattern) under both drop policies, and
-// that the result passes Validate.
+// field for field (weights by bit pattern) under both drop policies, that
+// the result passes Validate, and that the counts-only build a symbolic
+// layer makes has the row build's counts and no rows.
 func checkPFTCase(t *testing.T, c pftCase) {
 	t.Helper()
 	rt, numExperts, caps, limit := c.build()
 	for _, policy := range []DropPolicy{DropByCapacityWeight, DropNegativeThenPosition} {
-		got := buildPFT(rt, numExperts, caps, limit, policy)
+		got := buildPFT(rt, numExperts, caps, limit, policy, true)
 		want := buildPFTRef(rt, numExperts, caps, limit, policy)
+		counts := buildPFT(rt, numExperts, caps, limit, policy, false)
+		if !slices.Equal(counts.TokensPerExpert, got.TokensPerExpert) || counts.Dropped != got.Dropped ||
+			counts.B() != got.B() || counts.TokenIDs != nil || counts.ExpertIDs != nil || counts.CombineWeights != nil {
+			t.Fatalf("%+v policy %d: counts-only PFT (B %d, %d dropped, per expert %v) differs from the rows (B %d, %d dropped, per expert %v)",
+				c, policy, counts.B(), counts.Dropped, counts.TokensPerExpert, got.B(), got.Dropped, got.TokensPerExpert)
+		}
 		if !slices.Equal(got.TokenIDs, want.TokenIDs) || !slices.Equal(got.ExpertIDs, want.ExpertIDs) ||
 			!slices.Equal(got.TokensPerExpert, want.TokensPerExpert) || got.Dropped != want.Dropped {
 			t.Fatalf("%+v policy %d: PFT differs from the sort-based reference\n got %d rows, %d dropped, per expert %v\nwant %d rows, %d dropped, per expert %v",

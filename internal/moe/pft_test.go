@@ -215,10 +215,15 @@ func TestPFTERIBytes(t *testing.T) {
 		TokenIDs:        make([]int, 10),
 		ExpertIDs:       make([]int, 10),
 		CombineWeights:  make([]float32, 10),
-		TokensPerExpert: make([]int, 4),
+		TokensPerExpert: []int{4, 0, 5, 1},
 	}
 	if got := p.ERIBytes(); got != 10*12+4*4 {
 		t.Fatalf("ERIBytes = %d", got)
+	}
+	// A counts-only PFT is accounted as the rows it stands for.
+	counts := &PFT{TokensPerExpert: p.TokensPerExpert}
+	if got := counts.ERIBytes(); got != 10*12+4*4 {
+		t.Fatalf("counts-only ERIBytes = %d", got)
 	}
 }
 
@@ -289,7 +294,8 @@ func TestQuickPFTInvariants(t *testing.T) {
 }
 
 // Property: padded assignment and PFT agree on the retained assignment
-// count under the same FCFS-style policy and capacity.
+// count under the same FCFS-style policy and capacity, and so does the
+// slotless padded plan a symbolic layer builds.
 func TestQuickPaddedVsPFTRetention(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := tensor.NewRNG(seed)
@@ -300,7 +306,10 @@ func TestQuickPaddedVsPFTRetention(t *testing.T) {
 		r := SyntheticRouting(rng, s, e, k, 0.7)
 		p := BuildPFT(r, e, capTokens, DropNegativeThenPosition)
 		pa := BuildPaddedAssignment(r, e, capTokens, DropNegativeThenPosition)
-		return p.B() == pa.Occupied && p.Dropped == pa.Dropped
+		counts := buildPaddedAssignment(r, e, capTokens, DropNegativeThenPosition, false)
+		return p.B() == pa.Occupied && p.Dropped == pa.Dropped &&
+			counts.Occupied == pa.Occupied && counts.Dropped == pa.Dropped &&
+			counts.PaddingRatio() == pa.PaddingRatio() && counts.SlotToken == nil && counts.SlotWeight == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)

@@ -86,10 +86,8 @@ func bwdS1MetaBytes(nPilot, nReplica int) int64 {
 // bwdGeom bundles the index maps the backward derives from the forward
 // state. A symbolic pass moves no rows and gets the wire geometry only.
 type bwdGeom struct {
-	bExp      int
-	rowsOff   []int // State-layout offset per local expert
-	sentTo    []int // pilots this rank sent to each EP member
-	partStart []int // pilot send-order boundaries per member
+	bExp    int
+	rowsOff []int // State-layout offset per local expert
 	// Numeric only: the row map inverted, and the pilot weights.
 	fullOfPilot []int   // absolute pilot row -> State-layout row
 	fullOfPart  [][]int // (s2 part, pos) -> State-layout row
@@ -98,16 +96,11 @@ type bwdGeom struct {
 
 func (d *Dispatcher) backwardGeom(st *State, numeric bool) *bwdGeom {
 	p := d.EP.Size()
-	g := &bwdGeom{sentTo: d.sentTo(st)}
-	g.rowsOff = make([]int, d.EPR+1)
+	g := &bwdGeom{rowsOff: make([]int, d.EPR+1)}
 	for le := 0; le < d.EPR; le++ {
 		g.rowsOff[le+1] = g.rowsOff[le] + st.RowsPerLE[le]
 	}
 	g.bExp = g.rowsOff[d.EPR]
-	g.partStart = make([]int, p+1)
-	for dst := 0; dst < p; dst++ {
-		g.partStart[dst+1] = g.partStart[dst] + g.sentTo[dst]
-	}
 	if !numeric {
 		return g
 	}
@@ -192,8 +185,8 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 		send := parts[c*p : (c+1)*p]
 		chunkRows := 0
 		for dst := 0; dst < p; dst++ {
-			lo := g.partStart[dst]
-			clo, chi := simrt.ChunkRange(g.sentTo[dst], chunks, c)
+			lo := st.partStart[dst]
+			clo, chi := simrt.ChunkRange(st.partStart[dst+1]-lo, chunks, c)
 			chunkRows += chi - clo
 			part := simrt.Part{Bytes: int64(chi-clo) * int64(h) * elem}
 			if opts.Numeric && chi > clo {
@@ -257,7 +250,7 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 			for _, mr := range merges[mergeOff[c]:mergeOff[c+1]] {
 				slot, pos := mr.slot, mr.pos
 				sRec := st.s2SentByMember[slot][pos]
-				wgRepBySlot[slot][pos] = gradAndDot(dRepRet[slot][pos*h:(pos+1)*h], dMerged.Row(sRec.pilotAbs),
+				wgRepBySlot[slot][pos] = gradAndDot(dRepRet[slot][pos*h:(pos+1)*h], dMerged.Row(int(sRec.pilotAbs)),
 					fwd.S2Back[slot][pos*h:(pos+1)*h], sRec.weight)
 			}
 		}
@@ -352,7 +345,7 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 	if opts.Numeric {
 		for slot, sent := range st.s2SentByMember {
 			for pos, sRec := range sent {
-				dst := dPilotIn.Row(sRec.pilotAbs)
+				dst := dPilotIn.Row(int(sRec.pilotAbs))
 				for j, v := range s2Grad[slot].Data[pos*h : (pos+1)*h] {
 					dst[j] += v
 				}
@@ -403,22 +396,22 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 	}
 
 	// --- Drain reverse S1, then scatter into dX in pilot send order ---------
-	retData, back := drainReturn(s1X, g.sentTo, h, opts.Numeric)
+	retData, back := drainReturn(s1X, st.partStart, h, opts.Numeric)
 	r.Compute(StageBwdS1Scat, comp.MemBound(perfmodel.ClassTriton, 2*int64(nPilotSent)*int64(h)*elem))
 	var dx *tensor.Tensor
 	var dWeights []float32
 	if opts.Numeric {
 		dx = tensor.New(fwd.S, h)
 		dWeights = make([]float32, pft.B())
-		pos := make([]int, p)
-		for _, ent := range st.pilotEntry {
-			dst := d.memberOfExpert(pft.ExpertIDs[ent])
-			dWeights[ent] = back[dst].Meta.(bwdS1Meta).pilotWG[pos[dst]]
-			dstRow := dx.Row(pft.TokenIDs[ent])
-			for j, v := range retData[dst][pos[dst]*h : (pos[dst]+1)*h] {
-				dstRow[j] += v
+		for dst, ret := range retData {
+			pilotWG := back[dst].Meta.(bwdS1Meta).pilotWG
+			for pos, ent := range st.pilotEntry[st.partStart[dst]:st.partStart[dst+1]] {
+				dWeights[ent] = pilotWG[pos]
+				dstRow := dx.Row(pft.TokenIDs[ent])
+				for j, v := range ret[pos*h : (pos+1)*h] {
+					dstRow[j] += v
+				}
 			}
-			pos[dst]++
 		}
 		for dst := 0; dst < p && len(st.replicaEntry) > 0; dst++ {
 			for ri, ent := range st.replicaEntry[dst] {

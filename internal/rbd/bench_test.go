@@ -40,6 +40,35 @@ func BenchmarkStageReplicas(b *testing.B) {
 
 var benchParts []simrt.Part
 
+// BenchmarkDispatchPilots is the ledger rung for Stages 0-1: all 64 ranks
+// of the Large model's EP = 64 layer (4096 tokens per rank, k = 8, skew
+// 0.6) selecting their pilots from pre-built PFTs and exchanging them,
+// symbolic, on one warm cluster.
+func BenchmarkDispatchPilots(b *testing.B) {
+	const world = 64
+	sh := model.Large()
+	cfg := moe.Config{NumExperts: sh.NumExperts, TopK: sh.TopK, HModel: sh.HModel, HFFN: sh.HFFN,
+		CapacityFactor: 1.25, BytesPerElem: 2}
+	pfts := make([]*moe.PFT, world)
+	for id := range pfts {
+		rt := moe.SyntheticRouting(tensor.NewRNG(42+uint64(id)*31), sh.SeqLen, cfg.NumExperts, cfg.TopK, 0.6)
+		pfts[id] = moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(sh.SeqLen), moe.DropByCapacityWeight)
+	}
+	c := newCluster(world)
+	d := NewDispatcher(c, c.WorldGroup(), cfg)
+	opts := moe.PipelineOpts{SaveForBackward: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Run(func(r *simrt.Rank) error {
+			d.DispatchPilots(r, pfts[r.ID], nil, tensor.NewRNG(uint64(r.ID)), opts)
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRBDLayer is the ledger rung for the whole layer: one symbolic
 // fwd+bwd of the Large model's MoE layer at EP = 64 (4096 tokens per rank,
 // k = 8, skew 0.6) on pre-built routing, one chunk and four, on a fresh

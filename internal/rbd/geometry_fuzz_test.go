@@ -59,7 +59,8 @@ func (e *interNodeCounter) AlltoAllV(ranks []int, send [][]int64) netsim.Cost {
 // (part, pos) pairs in the State layout, nothing but pilot rows and their
 // metadata crosses a node boundary, the output does not depend on the
 // chunk count by a bit, and it is the flat PFT pipeline's output. Each
-// rank's AnalyzeRedundancy also matches the per-token-set reference.
+// rank's AnalyzeRedundancy also matches the per-token-set reference, and
+// its pilot selection the per-token grouping reference.
 func checkGeometry(t *testing.T, gc geomCase) {
 	t.Helper()
 	world := 8
@@ -136,6 +137,15 @@ func checkGeometry(t *testing.T, gc geomCase) {
 			}
 			for e, n := range st.pft.TokensPerExpert {
 				rowsOfExpert[e] += n
+			}
+			// The pilots, and the metadata every member received from this
+			// rank, are the per-token reference selection's.
+			sel := pilotSel{pilotEntry: st.pilotEntry, replicaEntry: st.replicaEntry, metas: make([]s1Meta, world)}
+			for dst := range sel.metas {
+				sel.metas[dst] = states[dst].recvMetas[rank]
+			}
+			if err := sel.equal(selectPilotsRef(d, st.pft, tensor.NewRNG(gc.seed^uint64(rank)))); err != nil {
+				t.Fatalf("%+v C=%d rank %d: %v", gc, chunks, rank, err)
 			}
 
 			// Destination side: the row map.

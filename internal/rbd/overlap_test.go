@@ -175,15 +175,17 @@ func symbolicAllocs(t *testing.T, chunks int) float64 {
 }
 
 // TestSteadyStateAllocs is the allocation regression of the one-body RBD
-// pipelines: C = 1 must not allocate more than the separate blocking
-// bodies did (the ceiling is their per-rank count, measured at PR 18), and
-// an extra chunk may add the async-handle machinery of its four inter-node
-// exchanges, not per-row index lists.
+// pipelines: C = 1 must not allocate more than it does since pilot
+// selection stopped regrouping the PFT by token (the ceiling is the
+// per-rank count measured then; the separate blocking bodies allocated
+// 129), and an extra chunk may add the async-handle machinery of its four
+// inter-node exchanges, not per-row index lists.
 func TestSteadyStateAllocs(t *testing.T) {
-	const blockingAt = 129
+	const blockingAt = 90
+	// +2: the race detector's runtime adds up to 1.3.
 	a1 := symbolicAllocs(t, 1)
-	if a1 > blockingAt {
-		t.Errorf("C=1 allocates %.1f per rank-iteration, the blocking bodies allocated %.1f", a1, float64(blockingAt))
+	if a1 > blockingAt+2 {
+		t.Errorf("C=1 allocates %.1f per rank-iteration, the ceiling is %.1f", a1, float64(blockingAt))
 	}
 	a2, a8 := symbolicAllocs(t, 2), symbolicAllocs(t, 8)
 	if perChunk := (a8 - a2) / 6; perChunk > 20 {

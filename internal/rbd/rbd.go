@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"slices"
 
-	"xmoe/internal/kernels"
 	"xmoe/internal/moe"
 	"xmoe/internal/perfmodel"
 	"xmoe/internal/simrt"
@@ -62,8 +61,8 @@ type Dispatcher struct {
 	// nodeOfMember[m] is the machine node of EP member m.
 	nodeOfMember []int
 	// memberOf[e] and nodeOf[e] are the EP member owning global expert e
-	// and the machine node hosting it: tables, because the dispatch hot
-	// paths ask once per (entry, node) pair.
+	// and the machine node hosting it: tables, because the Stage-2 staging
+	// asks once per replica.
 	memberOf, nodeOf []int32
 	// nodeGroups maps node id -> intra-node communicator (EP members on
 	// that node).
@@ -74,6 +73,14 @@ type Dispatcher struct {
 	// slotOfMember[m] is member m's slot within its node group — hoisted
 	// out of the per-layer dispatch hot path.
 	slotOfMember []int
+	// nodeSlot[e] numbers the node hosting expert e densely, in order of
+	// each node's first expert; nodes is how many nodes the group spans.
+	// Every node hosts one contiguous expert range (NewGroup sorts its
+	// ranks and Machine.NodeOf is monotone), so ascending slots are the
+	// order in which a token's expert-ascending PFT entries first reach
+	// each node.
+	nodeSlot []int32
+	nodes    int
 }
 
 // NewDispatcher builds the dispatcher for EP group ep on cluster c.
@@ -91,6 +98,7 @@ func NewDispatcher(c *simrt.Cluster, ep *simrt.Group, cfg moe.Config) *Dispatche
 		nodeGroups:   map[int]*simrt.Group{},
 		nodeMembers:  map[int][]int{},
 		slotOfMember: make([]int, ep.Size()),
+		nodeSlot:     make([]int32, cfg.NumExperts),
 	}
 	for m, rank := range ep.Ranks() {
 		node := c.Machine.NodeOf(rank)
@@ -108,6 +116,17 @@ func NewDispatcher(c *simrt.Cluster, ep *simrt.Group, cfg moe.Config) *Dispatche
 	for e := range d.memberOf {
 		d.memberOf[e] = int32(e / d.EPR)
 		d.nodeOf[e] = int32(d.nodeOfMember[e/d.EPR])
+		if e > 0 && d.nodeOf[e] != d.nodeOf[e-1] {
+			d.nodes++
+		}
+		d.nodeSlot[e] = int32(d.nodes)
+	}
+	if cfg.NumExperts > 0 {
+		d.nodes++
+	}
+	if cfg.NumExperts > 0 && d.nodes != len(d.nodeMembers) {
+		panic(fmt.Sprintf("rbd: the EP group's %d nodes host %d expert ranges; each must host one contiguous range",
+			len(d.nodeMembers), d.nodes))
 	}
 	return d
 }
@@ -119,15 +138,17 @@ func (d *Dispatcher) memberOfExpert(e int) int { return int(d.memberOf[e]) }
 func (d *Dispatcher) NodeOfExpert(e int) int { return int(d.nodeOf[e]) }
 
 // replicaMeta describes one local replica travelling (as metadata only)
-// alongside its pilot in Stage 1.
+// alongside its pilot in Stage 1. Its fields, like s2Sent's, are 32-bit:
+// a rank keeps one of each per replica through the forward and the
+// backward, which makes them most of a symbolic layer's resident set.
 type replicaMeta struct {
 	// pilotRel is the replica's pilot row index, relative to the pilot
 	// part it travels with (re-encoded to an absolute index after the
 	// exchange, as in the paper).
-	pilotRel int
+	pilotRel int32
 	// expert is the replica's destination expert (determines the Stage-2
 	// destination GPU).
-	expert int
+	expert int32
 	// weight is the replica's combine weight.
 	weight float32
 }
@@ -161,9 +182,9 @@ const pilotPart = -1
 // (src = EP member, ri = index into that source's s1Meta.replicas) so the
 // backward can route the replica's combine-weight gradient home.
 type s2Sent struct {
-	pilotAbs int
+	pilotAbs int32
 	weight   float32
-	src, ri  int
+	src, ri  int32
 }
 
 // State is one rank's dispatch bookkeeping: what Combine and Backward need
@@ -178,6 +199,10 @@ type State struct {
 	// Source side.
 	pft        *moe.PFT
 	pilotEntry []int // PFT entry index of each sent pilot, send order
+	// partStart[dst]:partStart[dst+1] is EP member dst's part of
+	// pilotEntry: the rows it holds for this rank, and the length of the
+	// part it returns in C1 and reverse S1.
+	partStart []int
 	// Destination side.
 	recvPilotCounts [][]int     // [src][localExpert]
 	recvPilotW      [][]float32 // [src] weights aligned with part rows
@@ -259,7 +284,7 @@ func (d *Dispatcher) dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor
 		metas := part.Meta.([]replicaMeta)
 		st.s2RecvCount[src] = len(metas)
 		for _, rm := range metas {
-			le := rm.expert - me*d.EPR
+			le := int(rm.expert) - me*d.EPR
 			if le < 0 || le >= d.EPR {
 				panic(fmt.Sprintf("rbd: stage-2 replica for expert %d landed on wrong rank", rm.expert))
 			}
@@ -303,7 +328,7 @@ func (d *Dispatcher) dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor
 	}
 	for src, part := range s2Recv {
 		for pos, rm := range part.Meta.([]replicaMeta) {
-			le := rm.expert - me*d.EPR
+			le := int(rm.expert) - me*d.EPR
 			st.rows[next[le]] = rowRef{part: src, pos: pos}
 			next[le]++
 		}
@@ -341,158 +366,8 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 	if opts.SaveForBackward {
 		st.save = &FwdState{St: st}
 	}
-	b := pft.B()
-
-	// --- Stage 0: pilot selection -----------------------------------------
-	// Group PFT entries by (token, destination node); pick one pilot per
-	// group at random, the rest become replicas referencing it. Grouping
-	// is map-free: entries are bucketed by token (counting sort), then
-	// each token's ≤k entries are classified by node once and partitioned
-	// by comparing those classes. Groups are visited in deterministic
-	// (token, first-seen-node) order, so the randomized pilot choice is
-	// reproducible for a fixed seed.
-	numTokens := 0
-	for _, t := range pft.TokenIDs {
-		if t >= numTokens {
-			numTokens = t + 1
-		}
-	}
-	byToken := kernels.GroupByDestination(pft.TokenIDs, numTokens)
-	isPilot := make([]bool, b)
-	pilotOf := make([]int, b) // replica entry -> pilot entry
-	{
-		// Per-token scratch, bounded by the routing fan-out and reused
-		// across tokens (the fan-out k is small, so the scans are cheap).
-		entNode := make([]int32, 0, 16) // node of each of the token's entries
-		nodes := make([]int32, 0, 16)
-		grp := make([]int, 0, 16)
-		for t := 0; t < numTokens; t++ {
-			ents := byToken.Sources(t)
-			if len(ents) == 0 {
-				continue
-			}
-			// Distinct destination nodes in first-seen (PFT) order.
-			entNode, nodes = entNode[:0], nodes[:0]
-			for _, i := range ents {
-				n := d.nodeOf[pft.ExpertIDs[i]]
-				entNode = append(entNode, n)
-				seen := false
-				for _, nn := range nodes {
-					if nn == n {
-						seen = true
-						break
-					}
-				}
-				if !seen {
-					nodes = append(nodes, n)
-				}
-			}
-			for _, n := range nodes {
-				grp = grp[:0]
-				for j, i := range ents {
-					if entNode[j] == n {
-						grp = append(grp, i)
-					}
-				}
-				chosen := grp[0] // PFT order, so grp[0] is the lowest expert
-				if d.PilotPolicy == PilotRandom && len(grp) > 1 {
-					chosen = grp[rng.Intn(len(grp))]
-				}
-				for _, i := range grp {
-					isPilot[i] = chosen == i
-					pilotOf[i] = chosen
-				}
-			}
-		}
-	}
-
-	// Pilot send order: PFT (expert-major) order restricted to pilots,
-	// so per-destination parts are contiguous and expert-sorted.
-	// The state keeps pilotEntry for the combine and the backward, so it is
-	// sized to the pilots (one per (token, node) group), not to all b rows.
-	nPilots := 0
-	for _, pilot := range isPilot {
-		if pilot {
-			nPilots++
-		}
-	}
-	pilotEntry := make([]int, 0, nPilots)
-	pilotSendPos := make([]int, b) // entry -> global send pos (pilots only)
-	for i := 0; i < b; i++ {
-		if isPilot[i] {
-			pilotSendPos[i] = len(pilotEntry)
-			pilotEntry = append(pilotEntry, i)
-		}
-	}
-	st.pilotEntry = pilotEntry
-
-	// Build per-destination parts.
-	partStart := make([]int, p+1) // pilot send-order boundaries per member
-	{
-		cur := 0
-		for dst := 0; dst < p; dst++ {
-			partStart[dst] = cur
-			for cur < len(pilotEntry) && d.memberOfExpert(pft.ExpertIDs[pilotEntry[cur]]) == dst {
-				cur++
-			}
-		}
-		partStart[p] = len(pilotEntry)
-	}
-
-	// Part metadata rows are views into flat backing arrays (constant
-	// allocation count regardless of the EP size).
-	metas := make([]s1Meta, p)
-	countsFlat := make([]int, p*d.EPR)
-	weightsFlat := make([]float32, len(pilotEntry))
-	for dst := 0; dst < p; dst++ {
-		lo, hi := partStart[dst], partStart[dst+1]
-		metas[dst] = s1Meta{counts: countsFlat[dst*d.EPR : (dst+1)*d.EPR], weights: weightsFlat[lo:hi]}
-		for pos := 0; pos < hi-lo; pos++ {
-			ent := pilotEntry[lo+pos]
-			metas[dst].counts[pft.ExpertIDs[ent]-dst*d.EPR]++
-			metas[dst].weights[pos] = pft.CombineWeights[ent]
-		}
-	}
-	replicaCount := 0
-	replicasPerDst := make([]int, p+1)
-	for i := 0; i < b; i++ {
-		if isPilot[i] {
-			continue
-		}
-		replicaCount++
-		replicasPerDst[d.memberOfExpert(pft.ExpertIDs[pilotOf[i]])+1]++
-	}
-	replicasFlat := make([]replicaMeta, replicaCount)
-	var entryFlat []int
-	for dst := 0; dst < p; dst++ {
-		replicasPerDst[dst+1] += replicasPerDst[dst]
-		metas[dst].replicas = replicasFlat[replicasPerDst[dst]:replicasPerDst[dst]]
-	}
-	if opts.SaveForBackward {
-		// Backward needs the replica -> PFT entry map to land returned
-		// combine-weight gradients; views share one flat backing like the
-		// metadata rows above.
-		entryFlat = make([]int, replicaCount)
-		st.replicaEntry = make([][]int, p)
-		for dst := 0; dst < p; dst++ {
-			st.replicaEntry[dst] = entryFlat[replicasPerDst[dst]:replicasPerDst[dst]]
-		}
-	}
-	for i := 0; i < b; i++ {
-		if isPilot[i] {
-			continue
-		}
-		pe := pilotOf[i]
-		dst := d.memberOfExpert(pft.ExpertIDs[pe])
-		metas[dst].replicas = append(metas[dst].replicas, replicaMeta{
-			pilotRel: pilotSendPos[pe] - partStart[dst],
-			expert:   pft.ExpertIDs[i],
-			weight:   pft.CombineWeights[i],
-		})
-		if opts.SaveForBackward {
-			st.replicaEntry[dst] = append(st.replicaEntry[dst], i)
-		}
-	}
+	metas := d.selectPilots(st, rng, opts.SaveForBackward)
+	pilotEntry, partStart := st.pilotEntry, st.partStart
 
 	// --- Stage 1: pilot instantiation + inter-node exchange ----------------
 	// Each destination part is split into opts.Chunks() row ranges; chunk
@@ -574,6 +449,140 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 	return st
 }
 
+// selectPilots is Stage 0 on the source rank: it groups st.pft's entries
+// by (token, destination node), makes one entry of each group its pilot
+// (the first under PilotFirstExpert, a uniform draw from rng under
+// PilotRandom) and the others replicas of it. It fills st.pilotEntry (the
+// pilots in PFT order, which is the send order: expert-major, so each
+// member's part is contiguous and expert-sorted), st.partStart and, with
+// save, st.replicaEntry, and returns each member's Stage-1 metadata.
+//
+// Four streaming passes over the PFT's expert segments and one table of
+// numTokens × nodes cells do the grouping; no per-token list is built.
+// Groups are drawn in (token, node slot) order, which is (token,
+// first-seen node) order (see Dispatcher.nodeSlot): the order a per-token
+// grouping visits them in, so a seed picks the pilots it would. Arrays the
+// State keeps are sized to the pilot count, never to the PFT.
+func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, save bool) []s1Meta {
+	pft := st.pft
+	p, nodes := d.EP.Size(), d.nodes
+	numTokens := 0
+	for _, t := range pft.TokenIDs {
+		numTokens = max(numTokens, t+1)
+	}
+	// Cell (t, slot) is tab[2*(slot*numTokens+t)] and the lane after it:
+	// slot-major, so the ascending tokens of an expert segment walk one
+	// node's strip. Lane 0 holds the group's size until its pilot is found
+	// and the pilot's member after; lane 1 counts down to the pilot (pick+1
+	// entries), then holds -(pilot's row in its member's part)-1.
+	tab := make([]int32, 2*numTokens*nodes)
+
+	// Pass 1: group sizes.
+	lo := 0
+	for e, n := range pft.TokensPerExpert {
+		strip := 2 * int(d.nodeSlot[e]) * numTokens
+		for _, t := range pft.TokenIDs[lo : lo+n] {
+			tab[strip+2*t]++
+		}
+		lo += n
+	}
+
+	// Pass 2: one pick per group, drawn in (token, slot) order.
+	nPilots := 0
+	for t := 0; t < numTokens; t++ {
+		for c := 2 * t; c < len(tab); c += 2 * numTokens {
+			if size := tab[c]; size > 0 {
+				pick := 0
+				if d.PilotPolicy == PilotRandom && size > 1 {
+					pick = rng.Intn(int(size))
+				}
+				tab[c+1] = int32(pick + 1)
+				nPilots++
+			}
+		}
+	}
+
+	// Pass 3: the pick-th entry of each group is its pilot. Part metadata
+	// rows are views into flat backing arrays (a constant allocation count
+	// regardless of the EP size).
+	st.pilotEntry = make([]int, 0, nPilots)
+	st.partStart = make([]int, p+1)
+	countsFlat := make([]int, p*d.EPR)
+	weightsFlat := make([]float32, nPilots)
+	replicasPerDst := make([]int, p+1)
+	lo = 0
+	for e, n := range pft.TokensPerExpert {
+		dst := e / d.EPR
+		if e%d.EPR == 0 {
+			st.partStart[dst] = len(st.pilotEntry)
+		}
+		strip := 2 * int(d.nodeSlot[e]) * numTokens
+		for i, t := range pft.TokenIDs[lo : lo+n] {
+			c := strip + 2*t
+			if tab[c+1] <= 0 {
+				continue // a replica after its pilot
+			}
+			if tab[c+1]--; tab[c+1] > 0 {
+				continue // a replica before its pilot
+			}
+			ent := lo + i
+			weightsFlat[len(st.pilotEntry)] = pft.CombineWeights[ent]
+			replicasPerDst[dst+1] += int(tab[c]) - 1
+			tab[c], tab[c+1] = int32(dst), int32(st.partStart[dst]-len(st.pilotEntry)-1)
+			st.pilotEntry = append(st.pilotEntry, ent)
+			countsFlat[e]++ // counts[e - dst*EPR] of member dst's part
+		}
+		lo += n
+	}
+	st.partStart[p] = len(st.pilotEntry)
+	nReplicas := pft.B() - nPilots
+	replicasFlat := make([]replicaMeta, nReplicas)
+	metas := make([]s1Meta, p)
+	for dst := range metas {
+		replicasPerDst[dst+1] += replicasPerDst[dst]
+		metas[dst] = s1Meta{
+			counts:   countsFlat[dst*d.EPR : (dst+1)*d.EPR],
+			weights:  weightsFlat[st.partStart[dst]:st.partStart[dst+1]],
+			replicas: replicasFlat[replicasPerDst[dst]:replicasPerDst[dst]],
+		}
+	}
+	if save {
+		// Backward needs the replica -> PFT entry map to land returned
+		// combine-weight gradients; views share one flat backing like the
+		// metadata rows above.
+		entryFlat := make([]int, nReplicas)
+		st.replicaEntry = make([][]int, p)
+		for dst := range st.replicaEntry {
+			st.replicaEntry[dst] = entryFlat[replicasPerDst[dst]:replicasPerDst[dst]]
+		}
+	}
+
+	// Pass 4: the replicas, in PFT order, each to its pilot's member.
+	next, lo := 0, 0 // next is a cursor into pilotEntry
+	for e, n := range pft.TokensPerExpert {
+		strip := 2 * int(d.nodeSlot[e]) * numTokens
+		for i, t := range pft.TokenIDs[lo : lo+n] {
+			ent := lo + i
+			if next < len(st.pilotEntry) && st.pilotEntry[next] == ent {
+				next++
+				continue
+			}
+			c := strip + 2*t
+			dst := tab[c]
+			metas[dst].replicas = append(metas[dst].replicas, replicaMeta{
+				pilotRel: -tab[c+1] - 1,
+				expert:   int32(e),
+				weight:   pft.CombineWeights[ent],
+			})
+			if save {
+				st.replicaEntry[dst] = append(st.replicaEntry[dst], ent)
+			}
+		}
+		lo += n
+	}
+	return metas
+}
+
 // stageReplicas groups the incoming replica metadata by destination node
 // member, instantiates the Stage-2 send buffers from the received pilot
 // payload (charging the instantiation pass), and returns the parts.
@@ -600,10 +609,10 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State, opts moe.PipelineOp
 	next := make([]int, len(nodeMembers)*d.EPR+1)
 	for src := 0; src < p; src++ {
 		for _, rm := range st.recvMetas[src].replicas {
-			if d.NodeOfExpert(rm.expert) != myNode {
+			if d.NodeOfExpert(int(rm.expert)) != myNode {
 				panic(fmt.Sprintf("rbd: replica for expert %d routed off-node", rm.expert))
 			}
-			next[keyOf(rm.expert)+1]++
+			next[keyOf(int(rm.expert))+1]++
 		}
 	}
 	for key := 1; key < len(next); key++ {
@@ -619,12 +628,12 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State, opts moe.PipelineOp
 	sentFlat := make([]s2Sent, nReplicasIn)
 	for src := 0; src < p; src++ {
 		for ri, rm := range st.recvMetas[src].replicas {
-			key := keyOf(rm.expert)
+			key := keyOf(int(rm.expert))
 			pos := next[key]
 			next[key]++
 			metaFlat[pos] = rm
 			// pilotRel re-encodes to an absolute pilot-buffer row.
-			sentFlat[pos] = s2Sent{pilotAbs: st.pilotPartOff[src] + rm.pilotRel, weight: rm.weight, src: src, ri: ri}
+			sentFlat[pos] = s2Sent{pilotAbs: int32(st.pilotPartOff[src]) + rm.pilotRel, weight: rm.weight, src: int32(src), ri: int32(ri)}
 		}
 	}
 	r.Compute(StageS2Inst, comp.MemBound(perfmodel.ClassTriton, 2*int64(nReplicasIn)*int64(h)*elem))
@@ -639,7 +648,7 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State, opts moe.PipelineOp
 		if opts.Numeric {
 			data = make([]float32, len(sent)*h)
 			for pos, sr := range sent {
-				copy(data[pos*h:(pos+1)*h], st.pilotRows.Row(sr.pilotAbs))
+				copy(data[pos*h:(pos+1)*h], st.pilotRows.Row(int(sr.pilotAbs)))
 			}
 		}
 		st.s2SentByMember[slot] = sent
@@ -718,7 +727,7 @@ func (d *Dispatcher) Combine(r *simrt.Rank, st *State, expertOut *tensor.Tensor,
 		if opts.Numeric {
 			for _, mr := range merges[mergeOff[c]:mergeOff[c+1]] {
 				sRec := st.s2SentByMember[mr.slot][mr.pos]
-				dst := merged.Row(sRec.pilotAbs)
+				dst := merged.Row(int(sRec.pilotAbs))
 				for j, v := range s2Back[mr.slot].Data[mr.pos*h : (mr.pos+1)*h] {
 					dst[j] += sRec.weight * v
 				}
@@ -794,26 +803,16 @@ func (st *State) returnParts(send []simrt.Part, merged *tensor.Tensor, h int, el
 	}
 }
 
-// sentTo returns how many pilot rows this rank sent to each EP member —
-// the length of that member's return part, which it chunks by the same
-// ChunkRange split.
-func (d *Dispatcher) sentTo(st *State) []int {
-	n := make([]int, d.EP.Size())
-	for _, ent := range st.pilotEntry {
-		n[d.memberOfExpert(st.pft.ExpertIDs[ent])]++
-	}
-	return n
-}
-
 // drainReturn waits the chunks of an inter-node return exchange on the
 // source rank and, in numeric mode, reassembles each member's returned
-// rows (sentTo[dst] of them, h wide, in pilot send order): a chunk that is
-// the member's whole part is used as it arrived, smaller ones land at
-// their ChunkRange offsets. It also returns chunk 0's parts, which carry
-// the exchange's metadata.
-func drainReturn(xs []simrt.Exchange, sentTo []int, h int, numeric bool) (ret [][]float32, first []simrt.Part) {
+// rows (partStart[dst+1]-partStart[dst] of them, h wide, in pilot send
+// order; the member chunks its part by the same ChunkRange split): a chunk
+// that is the member's whole part is used as it arrived, smaller ones land
+// at their ChunkRange offsets. It also returns chunk 0's parts, which
+// carry the exchange's metadata.
+func drainReturn(xs []simrt.Exchange, partStart []int, h int, numeric bool) (ret [][]float32, first []simrt.Part) {
 	if numeric {
-		ret = make([][]float32, len(sentTo))
+		ret = make([][]float32, len(partStart)-1)
 	}
 	for c, x := range xs {
 		back := x.Wait()
@@ -823,7 +822,8 @@ func drainReturn(xs []simrt.Exchange, sentTo []int, h int, numeric bool) (ret []
 		if !numeric {
 			continue
 		}
-		for dst, n := range sentTo {
+		for dst := range ret {
+			n := partStart[dst+1] - partStart[dst]
 			data := back[dst].Data
 			if len(data) == n*h {
 				ret[dst] = data
@@ -844,11 +844,7 @@ func drainReturn(xs []simrt.Exchange, sentTo []int, h int, numeric bool) (ret []
 func (d *Dispatcher) finishCombine(r *simrt.Rank, st *State, c1 []simrt.Exchange, s int, opts moe.PipelineOpts) *tensor.Tensor {
 	h := d.Cfg.HModel
 	elem := int64(d.Cfg.BytesPerElem)
-	var sentTo []int
-	if opts.Numeric {
-		sentTo = d.sentTo(st)
-	}
-	retData, _ := drainReturn(c1, sentTo, h, opts.Numeric)
+	retData, _ := drainReturn(c1, st.partStart, h, opts.Numeric)
 
 	r.Compute(StageCScatter, r.C.Comp.MemBound(perfmodel.ClassTriton,
 		2*int64(len(st.pilotEntry))*int64(h)*elem))
@@ -858,14 +854,12 @@ func (d *Dispatcher) finishCombine(r *simrt.Rank, st *State, c1 []simrt.Exchange
 	}
 	out := tensor.New(s, h)
 	// Parts return in member order; rows align with the pilot send order.
-	pos := make([]int, len(sentTo))
-	for _, ent := range st.pilotEntry {
-		dst := d.memberOfExpert(st.pft.ExpertIDs[ent])
-		row := retData[dst][pos[dst]*h : (pos[dst]+1)*h]
-		pos[dst]++
-		dstRow := out.Row(st.pft.TokenIDs[ent])
-		for j, v := range row {
-			dstRow[j] += v
+	for dst, ret := range retData {
+		for pos, ent := range st.pilotEntry[st.partStart[dst]:st.partStart[dst+1]] {
+			dstRow := out.Row(st.pft.TokenIDs[ent])
+			for j, v := range ret[pos*h : (pos+1)*h] {
+				dstRow[j] += v
+			}
 		}
 	}
 	return out
@@ -891,7 +885,7 @@ type mergeRef struct{ slot, pos int }
 func (st *State) mergesByChunk(chunks int, numeric bool) (off []int, refs []mergeRef) {
 	// The chunk of row pos of an n-row part inverts ChunkRange's floor split.
 	chunkOf := func(sRec s2Sent) int {
-		pos := sRec.pilotAbs - st.pilotPartOff[sRec.src]
+		pos := int(sRec.pilotAbs) - st.pilotPartOff[sRec.src]
 		return ((pos+1)*chunks - 1) / len(st.recvPilotW[sRec.src])
 	}
 	off = make([]int, chunks+1)
@@ -938,9 +932,9 @@ func (r Redundancy) Rate() float64 {
 }
 
 // AnalyzeRedundancy computes redundancy for routing r where expert e lives
-// on node nodeOfExpert(e) and the source rank lives on srcNode. As in
-// DispatchPilots, a token's distinct destination nodes (at most k) are
-// kept in a short slice and scanned.
+// on node nodeOfExpert(e) and the source rank lives on srcNode. A token's
+// distinct destination nodes (at most k) are kept in a short slice and
+// scanned.
 func AnalyzeRedundancy(rt moe.Routing, nodeOfExpert func(int) int, srcNode int) Redundancy {
 	red := Redundancy{Total: len(rt.Experts)}
 	k := rt.K()

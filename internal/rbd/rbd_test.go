@@ -480,11 +480,11 @@ func TestStageReplicasOrder(t *testing.T) {
 			staged += len(meta)
 			for pos, rm := range meta {
 				sr := sent[pos]
-				if d.memberOfExpert(rm.expert) != members[slot] {
-					return fmt.Errorf("slot %d pos %d: expert %d belongs to member %d", slot, pos, rm.expert, d.memberOfExpert(rm.expert))
+				if d.memberOfExpert(int(rm.expert)) != members[slot] {
+					return fmt.Errorf("slot %d pos %d: expert %d belongs to member %d", slot, pos, rm.expert, d.memberOfExpert(int(rm.expert)))
 				}
 				if rm != st.recvMetas[sr.src].replicas[sr.ri] || sr.weight != rm.weight ||
-					sr.pilotAbs != st.pilotPartOff[sr.src]+rm.pilotRel {
+					int(sr.pilotAbs) != st.pilotPartOff[sr.src]+int(rm.pilotRel) {
 					return fmt.Errorf("slot %d pos %d: row does not carry replica (src %d, ri %d)", slot, pos, sr.src, sr.ri)
 				}
 				if pos == 0 {
