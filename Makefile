@@ -101,11 +101,12 @@ verify-zero:
 # table behind FuzzRBDGeometry, the chunk-count determinism matrix and the
 # gradient-parity pins — pooled==fresh bitwise, RBD==PFT/padded at float
 # tolerance), the RBD rows of the distributed trainer —
-# checkpoint/shrink cycles, ZeRO stages, typed option rejections — and the
-# golden bits of the two single-layer bench harnesses.
+# checkpoint/shrink cycles, ZeRO stages, typed option rejections — the
+# golden bits of the two single-layer bench harnesses, and the pin that a
+# symbolic pass of every transport prices what the numeric one does.
 verify-rbd:
 	$(GO) test -race ./internal/rbd
-	$(call race-named,verify-rbd,RBD|Redundancy|LayerHarness,./internal/train:6 ./internal/bench:3 ./internal/baselines:1)
+	$(call race-named,verify-rbd,RBD|Redundancy|LayerHarness|SymbolicPricesLikeNumeric,./internal/train:6 ./internal/bench:3 ./internal/baselines:1 ./internal/transport:1)
 
 # Fault-tolerance verification gate: the elastic-resilience stack under
 # the race detector — the fault plan grammar and injector windows,

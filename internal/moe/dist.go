@@ -155,11 +155,12 @@ func CheckPaddedOpts(o PipelineOpts) error {
 	return nil
 }
 
-// mustCheck panics with the descriptive Check error; pipeline entry
-// points run inside SPMD rank bodies and cannot return errors.
+// mustCheck panics with the typed Check error; pipeline entry points run
+// inside SPMD rank bodies and cannot return errors, and Cluster.Run wraps
+// an error-valued panic so errors.As still finds the *OptionError.
 func (o PipelineOpts) mustCheck() {
 	if err := o.Check(); err != nil {
-		panic(err.Error())
+		panic(err)
 	}
 }
 
@@ -495,7 +496,7 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 // opts.Chunks() chunks of capacity slots (see overlap.go).
 func PaddedForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams, opts PipelineOpts) LayerResult {
 	if err := CheckPaddedOpts(opts); err != nil {
-		panic(err.Error())
+		panic(err)
 	}
 	epr := epCheck(cfg, g)
 	p := g.Size()

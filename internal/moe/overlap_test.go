@@ -1,7 +1,7 @@
 package moe
 
 import (
-	"strings"
+	"errors"
 	"sync"
 	"testing"
 
@@ -301,8 +301,11 @@ func TestPipelineRejectsInvalidOpts(t *testing.T) {
 			defer func() {
 				// The panic fires before any collective, so no rendezvous is
 				// pending and peers are not blocked.
-				if msg, _ := recover().(string); !strings.Contains(msg, "OverlapChunks") {
-					t.Errorf("%s: invalid PipelineOpts must panic with the Check error, got %q", name, msg)
+				p := recover()
+				err, _ := p.(error)
+				var oe *OptionError
+				if !errors.As(err, &oe) || oe.Opt != "OverlapChunks" {
+					t.Errorf("%s: invalid PipelineOpts must panic with the Check *OptionError, got %v", name, p)
 				}
 			}()
 			call(r, SyntheticRouting(tensor.NewRNG(uint64(r.ID)), 16, cfg.NumExperts, cfg.TopK, 0.5))

@@ -52,10 +52,10 @@ const (
 // FwdState is the saved forward state the RBD backward consumes: the
 // dispatch geometry plus, in numeric mode, the expert-FFN intermediates in
 // the State layout and the pre-scaling expert outputs the combine-weight
-// gradients dot against. In symbolic mode the tensors are nil and only the
-// geometry is populated. It does not record the forward's chunk count:
-// nothing in it depends on one, so any Backward chunk count pairs with any
-// Forward's.
+// gradients dot against. In symbolic mode the tensors are nil and the
+// geometry is the counts a symbolic State carries. It does not record the
+// forward's chunk count: nothing in it depends on one, so any Backward
+// chunk count pairs with any Forward's.
 type FwdState struct {
 	S  int
 	St *State
@@ -95,7 +95,6 @@ type bwdGeom struct {
 }
 
 func (d *Dispatcher) backwardGeom(st *State, numeric bool) *bwdGeom {
-	p := d.EP.Size()
 	g := &bwdGeom{rowsOff: make([]int, d.EPR+1)}
 	for le := 0; le < d.EPR; le++ {
 		g.rowsOff[le+1] = g.rowsOff[le] + st.RowsPerLE[le]
@@ -117,8 +116,8 @@ func (d *Dispatcher) backwardGeom(st *State, numeric bool) *bwdGeom {
 		}
 	}
 	g.wByAbs = make([]float32, st.pilotRowsTotal)
-	for src := 0; src < p; src++ {
-		copy(g.wByAbs[st.pilotPartOff[src]:], st.recvPilotW[src])
+	for src, m := range st.recvMetas {
+		copy(g.wByAbs[st.pilotPartOff[src]:], m.weights)
 	}
 	return g
 }
@@ -148,13 +147,13 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 	dOut *tensor.Tensor, params *moe.ExpertParams, opts moe.PipelineOpts) moe.BackwardResult {
 
 	if err := CheckOpts(opts); err != nil {
-		panic(err.Error())
+		panic(err)
 	}
 	if fwd == nil || fwd.St == nil {
 		panic("rbd: Backward requires the forward state saved by Forward with SaveForBackward")
 	}
 	if opts.Numeric && fwd.ExpertIn == nil {
-		panic((&moe.OptionError{Opt: "Numeric", Detail: "rbd: numeric Backward, but the forward state was captured symbolically (SaveForBackward ran without Numeric)"}).Error())
+		panic(&moe.OptionError{Opt: "Numeric", Detail: "rbd: numeric Backward, but the forward state was captured symbolically (SaveForBackward ran without Numeric)"})
 	}
 
 	st := fwd.St
@@ -212,7 +211,7 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 	var grads moe.FFNGrads
 	var wgAbs []float32
 	var wgRepBySlot [][]float32
-	dRepRet := make([][]float32, len(st.s2SentByMember))
+	dRepRet := make([][]float32, len(st.s2SentCount))
 	if opts.Numeric {
 		dMerged = pool.Get(st.pilotRowsTotal, h)
 		grads = moe.NewFFNGrads(pool, g.bExp, h, f)
@@ -235,7 +234,7 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 		recv := c1X[c].Wait()
 		chunkRows := 0
 		for src := 0; src < p; src++ {
-			clo, chi := simrt.ChunkRange(len(st.recvPilotW[src]), chunks, c)
+			clo, chi := simrt.ChunkRange(st.partLen(src), chunks, c)
 			chunkRows += chi - clo
 			if !opts.Numeric || chi == clo {
 				continue
@@ -267,7 +266,7 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 	// computing them ahead of the replica rows changes no bit.
 	c2Send := make([]simrt.Part, nodeGroup.Size())
 	for slot := range c2Send {
-		c2Send[slot] = simrt.Part{Data: dRepRet[slot], Bytes: int64(len(st.s2SentByMember[slot])) * int64(h) * elem}
+		c2Send[slot] = simrt.Part{Data: dRepRet[slot], Bytes: int64(st.s2SentCount[slot]) * int64(h) * elem}
 	}
 	c2X := r.AlltoAllVChunk(nodeGroup, StageBwdC2A2A, c2Send, chunks)
 	if chunks > 1 {
@@ -363,7 +362,7 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 		for src := range wgMeta {
 			off := st.pilotPartOff[src]
 			wgMeta[src] = bwdS1Meta{
-				pilotWG:   wgAbs[off : off+len(st.recvPilotW[src])],
+				pilotWG:   wgAbs[off:st.pilotPartOff[src+1]],
 				replicaWG: make([]float32, len(st.recvMetas[src].replicas)),
 			}
 		}
@@ -378,7 +377,7 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 		st.returnParts(send, dPilotIn, h, elem, chunks, c)
 		if c == 0 {
 			for src := range send {
-				send[src].Bytes += bwdS1MetaBytes(len(st.recvPilotW[src]), len(st.recvMetas[src].replicas))
+				send[src].Bytes += bwdS1MetaBytes(st.partLen(src), st.recvMetas[src].nReplicas())
 				if opts.Numeric {
 					send[src].Meta = wgMeta[src]
 				}

@@ -313,6 +313,27 @@ func TestRBDBackwardMirrorsForwardCommunication(t *testing.T) {
 	}
 }
 
+// TestOptionErrorSurvivesRun: a rank body that hands Forward an option
+// the transport rejects fails Cluster.Run with an error that still unwraps
+// to the typed *moe.OptionError, not a bare string.
+func TestOptionErrorSurvivesRun(t *testing.T) {
+	c := newCluster(8)
+	cfg := bwdCfg
+	d := NewDispatcher(c, c.WorldGroup(), cfg)
+	err := c.Run(func(r *simrt.Rank) error {
+		routing := moe.SyntheticRouting(tensor.NewRNG(uint64(r.ID)), 16, cfg.NumExperts, cfg.TopK, 0.5)
+		Forward(r, d, cfg, 16, nil, routing, nil, tensor.NewRNG(uint64(r.ID)), moe.PipelineOpts{CombineBytes: 4})
+		return nil
+	})
+	var oe *moe.OptionError
+	if !errors.As(err, &oe) || oe.Opt != "CombineBytes" {
+		t.Fatalf("Run error %v does not unwrap to *moe.OptionError{Opt: CombineBytes}", err)
+	}
+	if !strings.Contains(err.Error(), "rank 0 panicked: rbd: the hierarchical combine has no element-size override") {
+		t.Fatalf("Run error %q lost the rank prefix or the option's message", err)
+	}
+}
+
 // TestRBDCheckOptsRejections exercises the typed rejection paths: the RBD
 // backward has no combine-element override, and a numeric backward cannot
 // consume a symbolically captured forward state.
@@ -341,9 +362,11 @@ func TestRBDCheckOptsRejections(t *testing.T) {
 		res := Forward(r, d, cfg, 16, nil, routing, nil, tensor.NewRNG(uint64(r.ID)),
 			moe.PipelineOpts{SaveForBackward: true})
 		defer func() {
-			msg, _ := recover().(string)
-			if !strings.Contains(msg, "captured symbolically") {
-				t.Errorf("rank %d: want symbolic-capture panic, got %q", r.ID, msg)
+			p := recover()
+			err, _ := p.(error)
+			var oe *moe.OptionError
+			if !errors.As(err, &oe) || oe.Opt != "Numeric" || !strings.Contains(oe.Error(), "captured symbolically") {
+				t.Errorf("rank %d: want the symbolic-capture *moe.OptionError, got %v", r.ID, p)
 			}
 		}()
 		Backward(r, d, cfg, res.State, nil, nil, moe.PipelineOpts{Numeric: true})
@@ -359,8 +382,11 @@ func TestRBDCheckOptsRejections(t *testing.T) {
 	for _, bad := range []moe.PipelineOpts{{CombineBytes: 4}, {OverlapChunks: 5000}} {
 		err = c.Run(func(r *simrt.Rank) error {
 			defer func() {
-				if msg, _ := recover().(string); !strings.Contains(msg, "CombineBytes") && !strings.Contains(msg, "OverlapChunks") {
-					t.Errorf("rank %d: Forward(%+v) must panic with the CheckOpts error, got %q", r.ID, bad, msg)
+				p := recover()
+				err, _ := p.(error)
+				var oe *moe.OptionError
+				if !errors.As(err, &oe) || (oe.Opt != "CombineBytes" && oe.Opt != "OverlapChunks") {
+					t.Errorf("rank %d: Forward(%+v) must panic with the CheckOpts *moe.OptionError, got %v", r.ID, bad, p)
 				}
 			}()
 			routing := moe.SyntheticRouting(tensor.NewRNG(uint64(r.ID)), 16, cfg.NumExperts, cfg.TopK, 0.5)

@@ -38,7 +38,7 @@ func Forward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, x *tensor.Tens
 	routing moe.Routing, params *moe.ExpertParams, pilotRNG *tensor.RNG, opts moe.PipelineOpts) LayerResult {
 
 	if err := CheckOpts(opts); err != nil {
-		panic(err.Error())
+		panic(err)
 	}
 	h, f := cfg.HModel, cfg.HFFN
 	elem := int64(cfg.BytesPerElem)

@@ -2,6 +2,7 @@ package rbd
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -60,7 +61,10 @@ func (e *interNodeCounter) AlltoAllV(ranks []int, send [][]int64) netsim.Cost {
 // metadata crosses a node boundary, the output does not depend on the
 // chunk count by a bit, and it is the flat PFT pipeline's output. Each
 // rank's AnalyzeRedundancy also matches the per-token-set reference, and
-// its pilot selection the per-token grouping reference.
+// its pilot selection the per-token grouping reference. The counts every
+// charge reads are the rows': each part's repByKey and repCum, the Stage-2
+// counts, and the merge offsets mergesByChunk takes from repCum, at every
+// chunk count from 1 to 8 whatever the forward's.
 func checkGeometry(t *testing.T, gc geomCase) {
 	t.Helper()
 	world := 8
@@ -146,6 +150,23 @@ func checkGeometry(t *testing.T, gc geomCase) {
 			}
 			if err := sel.equal(selectPilotsRef(d, st.pft, tensor.NewRNG(gc.seed^uint64(rank)))); err != nil {
 				t.Fatalf("%+v C=%d rank %d: %v", gc, chunks, rank, err)
+			}
+			for dst, m := range sel.metas {
+				if err := countsMatchRows(d, dst, m); err != nil {
+					t.Fatalf("%+v C=%d rank %d: %v", gc, chunks, rank, err)
+				}
+			}
+			for slot, sent := range st.s2SentByMember {
+				if st.s2SentCount[slot] != len(sent) {
+					t.Fatalf("%+v C=%d rank %d: %d replicas counted to slot %d, %d staged", gc, chunks, rank, st.s2SentCount[slot], slot, len(sent))
+				}
+			}
+			for bc := 1; bc <= 8; bc++ {
+				off, refs := st.mergesByChunk(bc, true)
+				wantOff, wantRefs := mergesByChunkRef(st, bc)
+				if !slices.Equal(off, wantOff) || !slices.Equal(refs, wantRefs) {
+					t.Fatalf("%+v C=%d rank %d: merges at C=%d are %v %v, counted per record %v %v", gc, chunks, rank, bc, off, refs, wantOff, wantRefs)
+				}
 			}
 
 			// Destination side: the row map.
@@ -233,6 +254,36 @@ func checkGeometry(t *testing.T, gc geomCase) {
 			}
 		}
 	}
+}
+
+// mergesByChunkRef is the merge bucketing as mergesByChunk made it before
+// the sources' repCum prefixes gave its offsets, kept as their reference:
+// every merge target counted into the chunk its pilot row returns in.
+func mergesByChunkRef(st *State, chunks int) (off []int, refs []mergeRef) {
+	// The chunk of row pos of an n-row part inverts ChunkRange's floor split.
+	chunkOf := func(sRec s2Sent) int {
+		pos := int(sRec.pilotAbs) - st.pilotPartOff[sRec.src]
+		return ((pos+1)*chunks - 1) / st.partLen(int(sRec.src))
+	}
+	off = make([]int, chunks+1)
+	for _, sent := range st.s2SentByMember {
+		for _, sRec := range sent {
+			off[chunkOf(sRec)+1]++
+		}
+	}
+	for c := 0; c < chunks; c++ {
+		off[c+1] += off[c]
+	}
+	refs = make([]mergeRef, off[chunks])
+	next := append([]int(nil), off[:chunks]...)
+	for slot, sent := range st.s2SentByMember {
+		for pos, sRec := range sent {
+			c := chunkOf(sRec)
+			refs[next[c]] = mergeRef{slot: slot, pos: pos}
+			next[c]++
+		}
+	}
+	return off, refs
 }
 
 // geomCases is the table and the fuzz seed corpus.

@@ -141,27 +141,35 @@ func TestExpertGEMMsHideS2C2(t *testing.T) {
 	}
 }
 
-// symbolicAllocs returns the steady-state allocations per rank-iteration
-// of one symbolic RBD fwd+bwd at the given chunk count on two nodes
-// (cluster, dispatcher and routing warm; see the moe twin,
-// symbolicOverlapAllocs).
-func symbolicAllocs(t *testing.T, chunks int) float64 {
+// steadyAllocs returns the steady-state allocations per rank-iteration of
+// one RBD fwd+bwd at the given chunk count on two nodes, symbolic or
+// numeric (cluster, dispatcher, routing and, numeric, the inputs warm; see
+// the moe twin, symbolicOverlapAllocs).
+func steadyAllocs(t *testing.T, chunks int, numeric bool) float64 {
 	t.Helper()
 	cfg := bwdCfg
 	const world, s, iters = 16, 48, 4
 	c := newCluster(world)
 	g := c.WorldGroup()
 	d := NewDispatcher(c, g, cfg)
-	opts := moe.PipelineOpts{DropPolicy: moe.DropByCapacityWeight, SaveForBackward: true, OverlapChunks: chunks}
+	fwd := moe.PipelineOpts{Numeric: numeric, DropPolicy: moe.DropByCapacityWeight, SaveForBackward: true, OverlapChunks: chunks}
+	bwd := moe.PipelineOpts{Numeric: numeric, OverlapChunks: chunks}
 	routings := make([]moe.Routing, world)
+	xs, dOuts := make([]*tensor.Tensor, world), make([]*tensor.Tensor, world)
+	params := make([]*moe.ExpertParams, world)
 	for i := range routings {
 		routings[i] = moe.SyntheticRouting(tensor.NewRNG(uint64(6300+i)), s, cfg.NumExperts, cfg.TopK, 0.6)
+		if numeric {
+			rng := tensor.NewRNG(uint64(6400 + i))
+			xs[i], dOuts[i] = tensor.Randn(rng, 1, s, cfg.HModel), tensor.Randn(rng, 0.3, s, cfg.HModel)
+			params[i] = moe.NewExpertParams(rng, cfg.NumExperts/world, cfg.HModel, cfg.HFFN)
+		}
 	}
 	step := func(n int) {
 		for it := 0; it < n; it++ {
 			if err := c.Run(func(r *simrt.Rank) error {
-				res := Forward(r, d, cfg, s, nil, routings[r.ID], nil, tensor.NewRNG(uint64(r.ID)), opts)
-				Backward(r, d, cfg, res.State, nil, nil, opts)
+				res := Forward(r, d, cfg, s, xs[r.ID], routings[r.ID], params[r.ID], tensor.NewRNG(uint64(r.ID)), fwd)
+				Backward(r, d, cfg, res.State, dOuts[r.ID], params[r.ID], bwd)
 				return nil
 			}); err != nil {
 				t.Error(err)
@@ -175,21 +183,38 @@ func symbolicAllocs(t *testing.T, chunks int) float64 {
 }
 
 // TestSteadyStateAllocs is the allocation regression of the one-body RBD
-// pipelines: C = 1 must not allocate more than it does since pilot
-// selection stopped regrouping the PFT by token (the ceiling is the
-// per-rank count measured then; the separate blocking bodies allocated
-// 129), and an extra chunk may add the async-handle machinery of its four
-// inter-node exchanges, not per-row index lists.
+// pipelines: C = 1 must not allocate more than it does since a symbolic
+// layer carries replica counts instead of replica rows (the ceiling is the
+// per-rank count measured then; 90 before, and the separate blocking
+// bodies allocated 129), and an extra chunk may add the async-handle
+// machinery of its four inter-node exchanges, not per-row index lists.
 func TestSteadyStateAllocs(t *testing.T) {
-	const blockingAt = 90
+	const blockingAt = 80
 	// +2: the race detector's runtime adds up to 1.3.
-	a1 := symbolicAllocs(t, 1)
+	a1 := steadyAllocs(t, 1, false)
 	if a1 > blockingAt+2 {
 		t.Errorf("C=1 allocates %.1f per rank-iteration, the ceiling is %.1f", a1, float64(blockingAt))
 	}
-	a2, a8 := symbolicAllocs(t, 2), symbolicAllocs(t, 8)
+	a2, a8 := steadyAllocs(t, 2, false), steadyAllocs(t, 8, false)
 	if perChunk := (a8 - a2) / 6; perChunk > 20 {
 		t.Errorf("%.1f allocs per extra chunk per rank-iteration (C=2: %.1f, C=8: %.1f)", perChunk, a2, a8)
+	}
+}
+
+// TestNumericSteadyStateAllocs is the numeric twin: the replica counts
+// every charge reads are carved from backings a numeric pass already
+// allocated, so it allocates no more objects than before they existed
+// (331.7 at C = 1 and 395.8 at C = 4 then; the ceilings are the counts
+// measured since).
+func TestNumericSteadyStateAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		chunks  int
+		ceiling float64
+	}{{1, 329}, {4, 393}} {
+		// +2: the race detector's runtime adds up to 1.4.
+		if a := steadyAllocs(t, tc.chunks, true); a > tc.ceiling+2 {
+			t.Errorf("numeric C=%d allocates %.1f per rank-iteration, the ceiling is %.1f", tc.chunks, a, tc.ceiling)
+		}
 	}
 }
 

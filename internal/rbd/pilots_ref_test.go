@@ -137,17 +137,44 @@ func (got pilotSel) equal(want pilotSel) error {
 func checkPilotsMatchRef(d *Dispatcher, pft *moe.PFT, seed uint64) error {
 	st := &State{pft: pft}
 	rng, refRNG := tensor.NewRNG(seed), tensor.NewRNG(seed)
-	got := pilotSel{metas: d.selectPilots(st, rng, true), pilotEntry: st.pilotEntry, replicaEntry: st.replicaEntry}
+	opts := moe.PipelineOpts{Numeric: true, SaveForBackward: true}
+	got := pilotSel{metas: d.selectPilots(st, rng, opts), pilotEntry: st.pilotEntry, replicaEntry: st.replicaEntry}
 	if err := got.equal(selectPilotsRef(d, pft, refRNG)); err != nil {
 		return err
 	}
-	for dst := range got.metas {
-		if lo, hi := st.partStart[dst], st.partStart[dst+1]; hi-lo != len(got.metas[dst].weights) {
-			return fmt.Errorf("member %d: part [%d, %d) holds %d pilots", dst, lo, hi, len(got.metas[dst].weights))
+	for dst, m := range got.metas {
+		if lo, hi := st.partStart[dst], st.partStart[dst+1]; hi-lo != len(m.weights) {
+			return fmt.Errorf("member %d: part [%d, %d) holds %d pilots", dst, lo, hi, len(m.weights))
+		}
+		if err := countsMatchRows(d, dst, m); err != nil {
+			return err
 		}
 	}
 	if a, b := rng.Uint64(), refRNG.Uint64(); a != b {
 		return fmt.Errorf("the generators part after the selection: %x, reference %x", a, b)
+	}
+	return nil
+}
+
+// countsMatchRows checks a numeric part's counts against its rows: the
+// metadata of member dst's part, whose repByKey must be the histogram of its
+// replicas by key (expert - the node's first expert) and whose repCum the
+// prefix count of its replicas by pilot row.
+func countsMatchRows(d *Dispatcher, dst int, m s1Meta) error {
+	byKey := make([]int32, d.nodeKeys(dst))
+	cum := make([]int32, len(m.weights)+1)
+	for _, rm := range m.replicas {
+		byKey[int(rm.expert)-d.nodeLo[dst]]++
+		cum[rm.pilotRel+1]++
+	}
+	for i := 1; i < len(cum); i++ {
+		cum[i] += cum[i-1]
+	}
+	if !slices.Equal(m.repByKey, byKey) {
+		return fmt.Errorf("member %d: repByKey %v, its replicas %v", dst, m.repByKey, byKey)
+	}
+	if !slices.Equal(m.repCum, cum) {
+		return fmt.Errorf("member %d: repCum %v, its replicas %v", dst, m.repCum, cum)
 	}
 	return nil
 }

@@ -73,6 +73,9 @@ type Dispatcher struct {
 	// slotOfMember[m] is member m's slot within its node group — hoisted
 	// out of the per-layer dispatch hot path.
 	slotOfMember []int
+	// nodeLo[m] is the first expert on member m's node, so a replica key
+	// expert - nodeLo[m] is slot*EPR + le of the expert's owner there.
+	nodeLo []int
 	// nodeSlot[e] numbers the node hosting expert e densely, in order of
 	// each node's first expert; nodes is how many nodes the group spans.
 	// Every node hosts one contiguous expert range (NewGroup sorts its
@@ -98,6 +101,7 @@ func NewDispatcher(c *simrt.Cluster, ep *simrt.Group, cfg moe.Config) *Dispatche
 		nodeGroups:   map[int]*simrt.Group{},
 		nodeMembers:  map[int][]int{},
 		slotOfMember: make([]int, ep.Size()),
+		nodeLo:       make([]int, ep.Size()),
 		nodeSlot:     make([]int32, cfg.NumExperts),
 	}
 	for m, rank := range ep.Ranks() {
@@ -110,6 +114,7 @@ func NewDispatcher(c *simrt.Cluster, ep *simrt.Group, cfg moe.Config) *Dispatche
 		for i, m := range members {
 			ranks[i] = ep.Ranks()[m]
 			d.slotOfMember[m] = i
+			d.nodeLo[m] = members[0] * d.EPR
 		}
 		d.nodeGroups[node] = c.NewGroup(ranks)
 	}
@@ -134,13 +139,17 @@ func NewDispatcher(c *simrt.Cluster, ep *simrt.Group, cfg moe.Config) *Dispatche
 // memberOfExpert returns the EP member owning global expert e.
 func (d *Dispatcher) memberOfExpert(e int) int { return int(d.memberOf[e]) }
 
+// nodeKeys is the number of replica keys of member m's node: its members
+// times EPR.
+func (d *Dispatcher) nodeKeys(m int) int { return len(d.nodeMembers[d.nodeOfMember[m]]) * d.EPR }
+
 // NodeOfExpert returns the machine node hosting global expert e.
 func (d *Dispatcher) NodeOfExpert(e int) int { return int(d.nodeOf[e]) }
 
 // replicaMeta describes one local replica travelling (as metadata only)
-// alongside its pilot in Stage 1. Its fields, like s2Sent's, are 32-bit:
-// a rank keeps one of each per replica through the forward and the
-// backward, which makes them most of a symbolic layer's resident set.
+// alongside its pilot in Stage 1. Only numeric passes build them; its
+// fields, like s2Sent's, are 32-bit because a numeric rank keeps one of
+// each per replica through the forward and the backward.
 type replicaMeta struct {
 	// pilotRel is the replica's pilot row index, relative to the pilot
 	// part it travels with (re-encoded to an absolute index after the
@@ -153,19 +162,44 @@ type replicaMeta struct {
 	weight float32
 }
 
-// s1Meta is the metadata attached to each Stage-1 pilot part.
+// s1Meta is the metadata attached to each Stage-1 pilot part. Every charge
+// reads its counts, which both modes carry; a symbolic part carries nothing
+// else, and only numeric passes build the per-row fields.
 type s1Meta struct {
 	// counts[le] is the number of pilot rows destined to local expert le
 	// of the receiving rank.
 	counts []int
-	// weights[i] is the combine weight of pilot row i in this part.
+	// repByKey[key] is the number of the part's replicas of key expert -
+	// nodeLo (slot*EPR + le on the receiving node).
+	repByKey []int32
+	// repCum[i] is the number of the part's replicas that merge into its
+	// pilot rows [0, i): the pilots' replica prefix, pilots+1 long.
+	repCum []int32
+	// weights[i] is the combine weight of pilot row i in this part
+	// (numeric only).
 	weights []float32
-	// replicas lists this part's local replicas.
+	// replicas lists this part's local replicas in PFT order (numeric
+	// only).
 	replicas []replicaMeta
 }
 
+// pilots and nReplicas are the part's pilot rows and the replicas
+// announced with them.
+func (m s1Meta) pilots() int    { return len(m.repCum) - 1 }
+func (m s1Meta) nReplicas() int { return int(m.repCum[len(m.repCum)-1]) }
+
+// bytes is the part's wire metadata: counts, a weight per pilot and a
+// 16-byte record per replica, whether or not this pass builds them.
 func (m s1Meta) bytes() int64 {
-	return int64(len(m.counts))*8 + int64(len(m.weights))*4 + int64(len(m.replicas))*16
+	return int64(len(m.counts))*8 + int64(m.pilots())*4 + int64(m.nReplicas())*16
+}
+
+// s2Meta is the metadata of one Stage-2 part: how many of its replicas
+// each local expert of the receiving rank gets and, numeric, the replicas
+// themselves in staging order.
+type s2Meta struct {
+	perLE    []int
+	replicas []replicaMeta
 }
 
 // rowRef is the origin of one expert-input row: a received pilot (part is
@@ -177,10 +211,11 @@ type rowRef struct{ part, pos int }
 // pilotPart is rowRef.part of a pilot row.
 const pilotPart = -1
 
-// s2Sent records, on the pilot-holding rank, where each Stage-2 replica
-// row must merge back during combine, and which source rank announced it
-// (src = EP member, ri = index into that source's s1Meta.replicas) so the
-// backward can route the replica's combine-weight gradient home.
+// s2Sent records, on the pilot-holding rank of a numeric pass, where each
+// Stage-2 replica row must merge back during combine, and which source rank
+// announced it (src = EP member, ri = index into that source's
+// s1Meta.replicas) so the backward can route the replica's combine-weight
+// gradient home.
 type s2Sent struct {
 	pilotAbs int32
 	weight   float32
@@ -195,6 +230,11 @@ type s2Sent struct {
 // pilot block and replica block are each contiguous, which is what lets a
 // chunked schedule price (and the backward compute) them apart without a
 // second buffer.
+//
+// A symbolic state carries counts: the Stage-1 metadata's pilot and
+// replica counts, the part offsets and the Stage-2 counts, which are all
+// any charge reads. The per-row maps — the replica records, merge targets,
+// pilot weights and the row map — are built by numeric passes only.
 type State struct {
 	// Source side.
 	pft        *moe.PFT
@@ -204,14 +244,15 @@ type State struct {
 	// part it returns in C1 and reverse S1.
 	partStart []int
 	// Destination side.
-	recvPilotCounts [][]int     // [src][localExpert]
-	recvPilotW      [][]float32 // [src] weights aligned with part rows
-	recvMetas       []s1Meta    // full stage-1 metadata per source
-	pilotPartOff    []int       // absolute offset of each src's pilot part
-	pilotRowsTotal  int
-	pilotRows       *tensor.Tensor // received pilot payload (numeric, until reconstruction)
-	s2SentByMember  [][]s2Sent     // [nodeMember][pos] merge targets
-	s2RecvCount     []int          // rows received from each node member
+	recvMetas []s1Meta // stage-1 metadata per source
+	// pilotPartOff[src] is the absolute offset of src's pilot part, and
+	// pilotPartOff[p] = pilotRowsTotal.
+	pilotPartOff   []int
+	pilotRowsTotal int
+	pilotRows      *tensor.Tensor // received pilot payload (numeric, until reconstruction)
+	s2SentCount    []int          // replica rows staged to each node member
+	s2SentByMember [][]s2Sent     // [nodeMember][pos] merge targets (numeric)
+	s2RecvCount    []int          // rows received from each node member
 	// RowsPerLE is the expert input segmentation for the sequential GEMM:
 	// PilotRowsPerLE + ReplicaRowsPerLE, the sizes of each local expert's
 	// two blocks.
@@ -222,13 +263,17 @@ type State struct {
 	// node group used for stage 2
 	nodeGroup *simrt.Group
 	// save is the forward state retained for Backward (nil unless
-	// opts.SaveForBackward); replicaEntry[dst][ri] is the PFT entry index of the
-	// ri-th replica this rank announced to EP member dst, mirroring the
-	// s1Meta.replicas order so returned weight gradients map back to
-	// entries.
+	// opts.SaveForBackward); replicaEntry[dst][ri] (numeric only) is the
+	// PFT entry index of the ri-th replica this rank announced to EP member
+	// dst, mirroring the s1Meta.replicas order so returned weight gradients
+	// map back to entries.
 	save         *FwdState
 	replicaEntry [][]int
 }
+
+// partLen is the length of src's pilot part: the rows src sent this rank
+// in S1, which return to it in C1.
+func (st *State) partLen(src int) int { return st.pilotPartOff[src+1] - st.pilotPartOff[src] }
 
 // Dispatch runs RBD stages 0-2 for rank r: pilot selection, inter-node
 // pilot exchange with replica metadata, replica reconstruction, intra-node
@@ -281,14 +326,9 @@ func (d *Dispatcher) dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor
 	st.s2RecvCount = make([]int, len(s2Recv))
 	st.ReplicaRowsPerLE, st.RowsPerLE = make([]int, d.EPR), make([]int, d.EPR)
 	for src, part := range s2Recv {
-		metas := part.Meta.([]replicaMeta)
-		st.s2RecvCount[src] = len(metas)
-		for _, rm := range metas {
-			le := int(rm.expert) - me*d.EPR
-			if le < 0 || le >= d.EPR {
-				panic(fmt.Sprintf("rbd: stage-2 replica for expert %d landed on wrong rank", rm.expert))
-			}
-			st.ReplicaRowsPerLE[le]++
+		for le, n := range part.Meta.(s2Meta).perLE {
+			st.ReplicaRowsPerLE[le] += n
+			st.s2RecvCount[src] += n
 		}
 	}
 	totalRows := 0
@@ -318,7 +358,7 @@ func (d *Dispatcher) dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor
 	st.rows = make([]rowRef, totalRows)
 	for src := 0; src < p; src++ {
 		pos := st.pilotPartOff[src]
-		for le, c := range st.recvPilotCounts[src] {
+		for le, c := range st.recvMetas[src].counts {
 			for ; c > 0; c-- {
 				st.rows[next[le]] = rowRef{part: pilotPart, pos: pos}
 				next[le]++
@@ -327,7 +367,7 @@ func (d *Dispatcher) dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor
 		}
 	}
 	for src, part := range s2Recv {
-		for pos, rm := range part.Meta.([]replicaMeta) {
+		for pos, rm := range part.Meta.(s2Meta).replicas {
 			le := int(rm.expert) - me*d.EPR
 			st.rows[next[le]] = rowRef{part: src, pos: pos}
 			next[le]++
@@ -351,7 +391,7 @@ func (d *Dispatcher) dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor
 // DispatchPilots runs RBD stages 0-1 for rank r: pilot selection, pilot
 // buffer instantiation, and the inter-node pilot exchange in
 // opts.Chunks() chunks. The returned state holds the received pilot payload
-// and full Stage-1 metadata, from which Dispatch continues with Stage 2.
+// (numeric) and Stage-1 metadata, from which Dispatch continues with Stage 2.
 func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, rng *tensor.RNG, opts moe.PipelineOpts) *State {
 	h := d.Cfg.HModel
 	elem := int64(d.Cfg.BytesPerElem)
@@ -366,7 +406,7 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 	if opts.SaveForBackward {
 		st.save = &FwdState{St: st}
 	}
-	metas := d.selectPilots(st, rng, opts.SaveForBackward)
+	metas := d.selectPilots(st, rng, opts)
 	pilotEntry, partStart := st.pilotEntry, st.partStart
 
 	// --- Stage 1: pilot instantiation + inter-node exchange ----------------
@@ -409,9 +449,7 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 		s1[c] = r.AlltoAllVChunk(d.EP, StageS1A2A, send, chunks)
 	}
 
-	st.recvPilotCounts = make([][]int, p)
-	st.recvPilotW = make([][]float32, p)
-	st.pilotPartOff = make([]int, p)
+	st.pilotPartOff = make([]int, p+1)
 	st.recvMetas = make([]s1Meta, p)
 	for c, x := range s1 {
 		recv := x.Wait()
@@ -419,11 +457,9 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 			for src, part := range recv {
 				m := part.Meta.(s1Meta)
 				st.recvMetas[src] = m
-				st.recvPilotCounts[src] = m.counts
-				st.recvPilotW[src] = m.weights
-				st.pilotPartOff[src] = st.pilotRowsTotal
-				st.pilotRowsTotal += len(m.weights)
+				st.pilotPartOff[src+1] = st.pilotPartOff[src] + m.pilots()
 			}
+			st.pilotRowsTotal = st.pilotPartOff[p]
 			mem.Alloc("rbd_pilot_recv", int64(st.pilotRowsTotal)*int64(h)*elem)
 			if opts.Numeric {
 				st.pilotRows = r.Pool().Get(st.pilotRowsTotal, h)
@@ -433,7 +469,7 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 			continue
 		}
 		for src, part := range recv {
-			clo, _ := simrt.ChunkRange(len(st.recvPilotW[src]), chunks, c)
+			clo, _ := simrt.ChunkRange(st.partLen(src), chunks, c)
 			copy(st.pilotRows.Data[(st.pilotPartOff[src]+clo)*h:], part.Data)
 		}
 	}
@@ -441,9 +477,9 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 	// Pilot segmentation per local expert: known a whole exchange before
 	// the replicas', which is what a chunked schedule hides Stage 2 behind.
 	st.PilotRowsPerLE = make([]int, d.EPR)
-	for src := 0; src < p; src++ {
-		for le := 0; le < d.EPR; le++ {
-			st.PilotRowsPerLE[le] += st.recvPilotCounts[src][le]
+	for _, m := range st.recvMetas {
+		for le, n := range m.counts {
+			st.PilotRowsPerLE[le] += n
 		}
 	}
 	return st
@@ -454,8 +490,10 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 // (the first under PilotFirstExpert, a uniform draw from rng under
 // PilotRandom) and the others replicas of it. It fills st.pilotEntry (the
 // pilots in PFT order, which is the send order: expert-major, so each
-// member's part is contiguous and expert-sorted), st.partStart and, with
-// save, st.replicaEntry, and returns each member's Stage-1 metadata.
+// member's part is contiguous and expert-sorted), st.partStart and, numeric
+// with SaveForBackward, st.replicaEntry, and returns each member's Stage-1
+// metadata: its counts always, its pilot weights and replica records
+// numeric only.
 //
 // Four streaming passes over the PFT's expert segments and one table of
 // numTokens × nodes cells do the grouping; no per-token list is built.
@@ -463,7 +501,7 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 // first-seen node) order (see Dispatcher.nodeSlot): the order a per-token
 // grouping visits them in, so a seed picks the pilots it would. Arrays the
 // State keeps are sized to the pilot count, never to the PFT.
-func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, save bool) []s1Meta {
+func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineOpts) []s1Meta {
 	pft := st.pft
 	p, nodes := d.EP.Size(), d.nodes
 	numTokens := 0
@@ -502,14 +540,24 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, save bool) []s1Met
 		}
 	}
 
-	// Pass 3: the pick-th entry of each group is its pilot. Part metadata
-	// rows are views into flat backing arrays (a constant allocation count
-	// regardless of the EP size).
+	// Pass 3: the pick-th entry of each group is its pilot, and the group's
+	// other entries its replicas. Part metadata rows are views into flat
+	// backing arrays (a constant allocation count regardless of the EP
+	// size). Member dst's repCum is cntFlat[partStart[dst]+dst:][:pilots+1],
+	// so the pilot sent at sp notes its replicas at sp+dst+1 before the
+	// parts' sizes are known; the members' repByKey follow.
 	st.pilotEntry = make([]int, 0, nPilots)
 	st.partStart = make([]int, p+1)
 	countsFlat := make([]int, p*d.EPR)
-	weightsFlat := make([]float32, nPilots)
-	replicasPerDst := make([]int, p+1)
+	nKeys := 0
+	for dst := 0; dst < p; dst++ {
+		nKeys += d.nodeKeys(dst)
+	}
+	cntFlat := make([]int32, nPilots+p+nKeys)
+	var weightsFlat []float32
+	if opts.Numeric {
+		weightsFlat = make([]float32, nPilots)
+	}
 	lo = 0
 	for e, n := range pft.TokensPerExpert {
 		dst := e / d.EPR
@@ -525,42 +573,63 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, save bool) []s1Met
 			if tab[c+1]--; tab[c+1] > 0 {
 				continue // a replica before its pilot
 			}
-			ent := lo + i
-			weightsFlat[len(st.pilotEntry)] = pft.CombineWeights[ent]
-			replicasPerDst[dst+1] += int(tab[c]) - 1
-			tab[c], tab[c+1] = int32(dst), int32(st.partStart[dst]-len(st.pilotEntry)-1)
+			ent, sp := lo+i, len(st.pilotEntry)
+			if opts.Numeric {
+				weightsFlat[sp] = pft.CombineWeights[ent]
+			}
+			cntFlat[sp+dst+1] = tab[c] - 1
+			tab[c], tab[c+1] = int32(dst), int32(st.partStart[dst]-sp-1)
 			st.pilotEntry = append(st.pilotEntry, ent)
 			countsFlat[e]++ // counts[e - dst*EPR] of member dst's part
 		}
 		lo += n
 	}
 	st.partStart[p] = len(st.pilotEntry)
-	nReplicas := pft.B() - nPilots
-	replicasFlat := make([]replicaMeta, nReplicas)
 	metas := make([]s1Meta, p)
+	keyOff := nPilots + p
 	for dst := range metas {
-		replicasPerDst[dst+1] += replicasPerDst[dst]
+		clo, chi := st.partStart[dst]+dst, st.partStart[dst+1]+dst+1
+		repCum := cntFlat[clo:chi:chi]
+		for i := 1; i < len(repCum); i++ {
+			repCum[i] += repCum[i-1]
+		}
+		n := d.nodeKeys(dst)
 		metas[dst] = s1Meta{
 			counts:   countsFlat[dst*d.EPR : (dst+1)*d.EPR],
-			weights:  weightsFlat[st.partStart[dst]:st.partStart[dst+1]],
-			replicas: replicasFlat[replicasPerDst[dst]:replicasPerDst[dst]],
+			repByKey: cntFlat[keyOff : keyOff+n : keyOff+n],
+			repCum:   repCum,
 		}
+		keyOff += n
 	}
-	if save {
-		// Backward needs the replica -> PFT entry map to land returned
-		// combine-weight gradients; views share one flat backing like the
-		// metadata rows above.
-		entryFlat := make([]int, nReplicas)
-		st.replicaEntry = make([][]int, p)
-		for dst := range st.replicaEntry {
-			st.replicaEntry[dst] = entryFlat[replicasPerDst[dst]:replicasPerDst[dst]]
+	if opts.Numeric {
+		nReplicas := pft.B() - nPilots
+		replicasFlat := make([]replicaMeta, nReplicas)
+		var entryFlat []int
+		if opts.SaveForBackward {
+			// Backward needs the replica -> PFT entry map to land returned
+			// combine-weight gradients; views share one flat backing like
+			// the metadata rows above.
+			entryFlat = make([]int, nReplicas)
+			st.replicaEntry = make([][]int, p)
+		}
+		off := 0
+		for dst := range metas {
+			metas[dst].weights = weightsFlat[st.partStart[dst]:st.partStart[dst+1]]
+			metas[dst].replicas = replicasFlat[off:off]
+			if entryFlat != nil {
+				st.replicaEntry[dst] = entryFlat[off:off]
+			}
+			off += metas[dst].nReplicas()
 		}
 	}
 
-	// Pass 4: the replicas, in PFT order, each to its pilot's member.
+	// Pass 4: the replicas, in PFT order, each to its pilot's member. A
+	// replica's key depends on its expert only, as the pilot's member is on
+	// the expert's node.
 	next, lo := 0, 0 // next is a cursor into pilotEntry
 	for e, n := range pft.TokensPerExpert {
 		strip := 2 * int(d.nodeSlot[e]) * numTokens
+		key := e - d.nodeLo[e/d.EPR]
 		for i, t := range pft.TokenIDs[lo : lo+n] {
 			ent := lo + i
 			if next < len(st.pilotEntry) && st.pilotEntry[next] == ent {
@@ -568,14 +637,18 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, save bool) []s1Met
 				continue
 			}
 			c := strip + 2*t
-			dst := tab[c]
-			metas[dst].replicas = append(metas[dst].replicas, replicaMeta{
+			m := &metas[tab[c]]
+			m.repByKey[key]++
+			if !opts.Numeric {
+				continue
+			}
+			m.replicas = append(m.replicas, replicaMeta{
 				pilotRel: -tab[c+1] - 1,
 				expert:   int32(e),
 				weight:   pft.CombineWeights[ent],
 			})
-			if save {
-				st.replicaEntry[dst] = append(st.replicaEntry[dst], ent)
+			if st.replicaEntry != nil {
+				st.replicaEntry[tab[c]] = append(st.replicaEntry[tab[c]], ent)
 			}
 		}
 		lo += n
@@ -583,80 +656,94 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, save bool) []s1Met
 	return metas
 }
 
-// stageReplicas groups the incoming replica metadata by destination node
-// member, instantiates the Stage-2 send buffers from the received pilot
-// payload (charging the instantiation pass), and returns the parts.
+// stageReplicas groups the incoming replicas by destination node member
+// and local expert, from the sources' per-key counts, charges the Stage-2
+// instantiation pass and returns the parts. Numeric, it also places each
+// replica row and its merge target (st.s2SentByMember) and instantiates
+// the send buffers from the received pilot payload.
 func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State, opts moe.PipelineOpts) []simrt.Part {
 	h := d.Cfg.HModel
 	elem := int64(d.Cfg.BytesPerElem)
-	p := d.EP.Size()
-	myNode := d.nodeOfMember[d.EP.IndexOf(r.ID)]
+	me := d.EP.IndexOf(r.ID)
 	comp := r.C.Comp
 	mem := &r.Dev().Mem
 
-	// Group incoming replicas by (destination slot, expert) with one
-	// counting sort: a node's members own ascending, contiguous expert
-	// ranges and slots ascend with member index, so the key
-	// slot*EPR + local expert orders the rows by slot and, within a slot,
-	// by ascending expert id — the paper's contiguous, destination-ordered
-	// local exchange buffer. Placing in (src, ri) visiting order keeps
-	// arrival order within an expert, with no comparison sort.
-	nodeMembers := d.nodeMembers[myNode]
-	keyOf := func(expert int) int {
-		dm := d.memberOfExpert(expert)
-		return d.slotOfMember[dm]*d.EPR + expert - dm*d.EPR
+	// Key slot*EPR + le orders the rows by destination slot and, within a
+	// slot, by ascending expert id: a node's members own ascending,
+	// contiguous expert ranges and slots ascend with member index — the
+	// paper's contiguous, destination-ordered local exchange buffer. The
+	// per-key counts, the per-slot totals and (numeric) the placement
+	// cursor share one backing.
+	members := st.nodeGroup.Size()
+	nKeys := members * d.EPR
+	n := nKeys + members
+	if opts.Numeric {
+		n += nKeys
 	}
-	next := make([]int, len(nodeMembers)*d.EPR+1)
-	for src := 0; src < p; src++ {
-		for _, rm := range st.recvMetas[src].replicas {
-			if d.NodeOfExpert(int(rm.expert)) != myNode {
-				panic(fmt.Sprintf("rbd: replica for expert %d routed off-node", rm.expert))
-			}
-			next[keyOf(int(rm.expert))+1]++
+	flat := make([]int, n)
+	perKey := flat[:nKeys:nKeys]
+	st.s2SentCount = flat[nKeys : nKeys+members : nKeys+members]
+	for _, m := range st.recvMetas {
+		for key, c := range m.repByKey {
+			perKey[key] += int(c)
 		}
 	}
-	for key := 1; key < len(next); key++ {
-		next[key] += next[key-1]
-	}
-	nReplicasIn := next[len(next)-1]
-	slotStart := make([]int, len(nodeMembers)+1)
-	for slot := range slotStart {
-		slotStart[slot] = next[slot*d.EPR]
-	}
-	// Per-slot metadata and merge targets are views into flat backings.
-	metaFlat := make([]replicaMeta, nReplicasIn)
-	sentFlat := make([]s2Sent, nReplicasIn)
-	for src := 0; src < p; src++ {
-		for ri, rm := range st.recvMetas[src].replicas {
-			key := keyOf(int(rm.expert))
-			pos := next[key]
-			next[key]++
-			metaFlat[pos] = rm
-			// pilotRel re-encodes to an absolute pilot-buffer row.
-			sentFlat[pos] = s2Sent{pilotAbs: int32(st.pilotPartOff[src]) + rm.pilotRel, weight: rm.weight, src: int32(src), ri: int32(ri)}
+	nReplicasIn := 0
+	for slot := range st.s2SentCount {
+		for _, c := range perKey[slot*d.EPR : (slot+1)*d.EPR] {
+			st.s2SentCount[slot] += c
 		}
+		nReplicasIn += st.s2SentCount[slot]
 	}
 	r.Compute(StageS2Inst, comp.MemBound(perfmodel.ClassTriton, 2*int64(nReplicasIn)*int64(h)*elem))
 	mem.Alloc("rbd_s2_send", int64(nReplicasIn)*int64(h)*elem)
 
-	st.s2SentByMember = make([][]s2Sent, len(nodeMembers))
-	s2Send := make([]simrt.Part, len(nodeMembers))
-	for slot := range s2Send {
-		lo, hi := slotStart[slot], slotStart[slot+1]
-		sent := sentFlat[lo:hi:hi]
+	var metaFlat []replicaMeta
+	var sentFlat []s2Sent
+	if opts.Numeric {
+		// One counting sort: placing in (src, ri) visiting order keeps
+		// arrival order within an expert, with no comparison sort.
+		next := flat[nKeys+members:]
+		for key := 1; key < nKeys; key++ {
+			next[key] = next[key-1] + perKey[key-1]
+		}
+		metaFlat = make([]replicaMeta, nReplicasIn)
+		sentFlat = make([]s2Sent, nReplicasIn)
+		lo := d.nodeLo[me]
+		for src, m := range st.recvMetas {
+			for ri, rm := range m.replicas {
+				key := int(rm.expert) - lo
+				pos := next[key]
+				next[key]++
+				metaFlat[pos] = rm
+				// pilotRel re-encodes to an absolute pilot-buffer row.
+				sentFlat[pos] = s2Sent{pilotAbs: int32(st.pilotPartOff[src]) + rm.pilotRel, weight: rm.weight, src: int32(src), ri: int32(ri)}
+			}
+		}
+		st.s2SentByMember = make([][]s2Sent, members)
+	}
+
+	s2Send := make([]simrt.Part, members)
+	lo := 0
+	for slot, n := range st.s2SentCount {
+		hi := lo + n
+		meta := s2Meta{perLE: perKey[slot*d.EPR : (slot+1)*d.EPR]}
 		var data []float32
 		if opts.Numeric {
-			data = make([]float32, len(sent)*h)
+			meta.replicas = metaFlat[lo:hi:hi]
+			sent := sentFlat[lo:hi:hi]
+			data = make([]float32, n*h)
 			for pos, sr := range sent {
 				copy(data[pos*h:(pos+1)*h], st.pilotRows.Row(int(sr.pilotAbs)))
 			}
+			st.s2SentByMember[slot] = sent
 		}
-		st.s2SentByMember[slot] = sent
 		s2Send[slot] = simrt.Part{
 			Data:  data,
-			Meta:  metaFlat[lo:hi:hi],
-			Bytes: int64(len(sent))*int64(h)*elem + int64(len(sent))*16,
+			Meta:  meta,
+			Bytes: int64(n)*int64(h)*elem + int64(n)*16,
 		}
+		lo = hi
 	}
 	return s2Send
 }
@@ -761,8 +848,8 @@ func (st *State) c2Parts(replicaOut [][]float32, h int, elem int64) []simrt.Part
 // precedes any replica accumulation onto the row.
 func (st *State) scalePilots(pilotOut *tensor.Tensor, h int) *tensor.Tensor {
 	merged := tensor.New(st.pilotRowsTotal, h)
-	for src, weights := range st.recvPilotW {
-		for pos, w := range weights {
+	for src, m := range st.recvMetas {
+		for pos, w := range m.weights {
 			abs := st.pilotPartOff[src] + pos
 			dst := merged.Row(abs)
 			for j, v := range pilotOut.Row(abs) {
@@ -793,7 +880,7 @@ func (st *State) keepOutputs(r *simrt.Rank, pilotOut *tensor.Tensor, s2Back []si
 // (views of merged, nil in symbolic mode): the C1 return parts.
 func (st *State) returnParts(send []simrt.Part, merged *tensor.Tensor, h int, elem int64, chunks, c int) {
 	for src := range send {
-		clo, chi := simrt.ChunkRange(len(st.recvPilotW[src]), chunks, c)
+		clo, chi := simrt.ChunkRange(st.partLen(src), chunks, c)
 		part := simrt.Part{Bytes: int64(chi-clo) * int64(h) * elem}
 		if merged != nil && chi > clo {
 			lo := st.pilotPartOff[src] + clo
@@ -868,8 +955,8 @@ func (d *Dispatcher) finishCombine(r *simrt.Rank, st *State, c1 []simrt.Exchange
 // s2SentRows is how many replica rows this rank staged into Stage 2.
 func (st *State) s2SentRows() int {
 	n := 0
-	for _, sent := range st.s2SentByMember {
-		n += len(sent)
+	for _, c := range st.s2SentCount {
+		n += c
 	}
 	return n
 }
@@ -880,25 +967,26 @@ type mergeRef struct{ slot, pos int }
 // mergesByChunk buckets the replica merges by the C1 chunk their pilot row
 // returns in (chunk c of a source's part is its rows ChunkRange(n, chunks,
 // c)), keeping (slot, pos) order inside a chunk — the order a pilot row's
-// accumulations must keep. off[c]:off[c+1] delimits chunk c in refs; refs
-// is nil in symbolic mode, which needs only the counts.
+// accumulations must keep. off[c]:off[c+1] delimits chunk c in refs: the
+// replicas the sources' repCum prefixes put on the chunk's pilot rows, for
+// any chunk count. refs is built numeric only; the symbolic mode needs
+// the offsets alone.
 func (st *State) mergesByChunk(chunks int, numeric bool) (off []int, refs []mergeRef) {
-	// The chunk of row pos of an n-row part inverts ChunkRange's floor split.
-	chunkOf := func(sRec s2Sent) int {
-		pos := int(sRec.pilotAbs) - st.pilotPartOff[sRec.src]
-		return ((pos+1)*chunks - 1) / len(st.recvPilotW[sRec.src])
-	}
 	off = make([]int, chunks+1)
-	for _, sent := range st.s2SentByMember {
-		for _, sRec := range sent {
-			off[chunkOf(sRec)+1]++
-		}
-	}
 	for c := 0; c < chunks; c++ {
-		off[c+1] += off[c]
+		off[c+1] = off[c]
+		for src, m := range st.recvMetas {
+			clo, chi := simrt.ChunkRange(st.partLen(src), chunks, c)
+			off[c+1] += int(m.repCum[chi] - m.repCum[clo])
+		}
 	}
 	if !numeric {
 		return off, nil
+	}
+	// The chunk of row pos of an n-row part inverts ChunkRange's floor split.
+	chunkOf := func(sRec s2Sent) int {
+		pos := int(sRec.pilotAbs) - st.pilotPartOff[sRec.src]
+		return ((pos+1)*chunks - 1) / st.partLen(int(sRec.src))
 	}
 	refs = make([]mergeRef, off[chunks])
 	next := append([]int(nil), off[:chunks]...)

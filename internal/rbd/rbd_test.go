@@ -3,6 +3,7 @@ package rbd
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -448,11 +449,13 @@ func min(a, b int) int {
 	return b
 }
 
-// TestStageReplicasOrder pins the Stage-2 send layout: per destination
-// slot the rows are expert-ascending and, within an expert, in (src, ri)
-// arrival order, each row carrying its own metadata and absolute pilot
-// row. k = 8 over 2 nodes makes many replicas of different sources collide
-// on the same expert, the case a non-stable grouping would reorder.
+// TestStageReplicasOrder pins the Stage-2 send layout of a numeric pass —
+// the only one that places rows: per destination slot the rows are
+// expert-ascending and, within an expert, in (src, ri) arrival order, each
+// row carrying its own metadata and absolute pilot row, and the part's
+// per-expert counts are its rows'. k = 8 over 2 nodes makes many replicas
+// of different sources collide on the same expert, the case a non-stable
+// grouping would reorder.
 func TestStageReplicasOrder(t *testing.T) {
 	cfg := rbdConfig(32, 8)
 	const s = 48
@@ -463,8 +466,9 @@ func TestStageReplicasOrder(t *testing.T) {
 	err := c.Run(func(r *simrt.Rank) error {
 		rt := moe.SyntheticRouting(tensor.NewRNG(900+uint64(r.ID)), s, cfg.NumExperts, cfg.TopK, 0.7)
 		pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(s), moe.DropByCapacityWeight)
-		st := d.DispatchPilots(r, pft, nil, tensor.NewRNG(50+uint64(r.ID)), moe.PipelineOpts{})
-		parts := d.stageReplicas(r, st, moe.PipelineOpts{})
+		opts := moe.PipelineOpts{Numeric: true}
+		st := d.DispatchPilots(r, pft, tensor.New(pft.B(), cfg.HModel), tensor.NewRNG(50+uint64(r.ID)), opts)
+		parts := d.stageReplicas(r, st, opts)
 
 		members := d.nodeMembers[d.nodeOfMember[g.IndexOf(r.ID)]]
 		incoming, staged := 0, 0
@@ -472,10 +476,17 @@ func TestStageReplicasOrder(t *testing.T) {
 			incoming += len(m.replicas)
 		}
 		for slot, part := range parts {
-			meta := part.Meta.([]replicaMeta)
+			meta := part.Meta.(s2Meta).replicas
 			sent := st.s2SentByMember[slot]
-			if len(meta) != len(sent) {
-				return fmt.Errorf("slot %d: %d metadata rows, %d merge targets", slot, len(meta), len(sent))
+			if len(meta) != len(sent) || len(sent) != st.s2SentCount[slot] {
+				return fmt.Errorf("slot %d: %d metadata rows, %d merge targets, %d counted", slot, len(meta), len(sent), st.s2SentCount[slot])
+			}
+			perLE := make([]int, d.EPR)
+			for _, rm := range meta {
+				perLE[int(rm.expert)-members[slot]*d.EPR]++
+			}
+			if !slices.Equal(perLE, part.Meta.(s2Meta).perLE) {
+				return fmt.Errorf("slot %d: per-expert counts %v, its rows %v", slot, part.Meta.(s2Meta).perLE, perLE)
 			}
 			staged += len(meta)
 			for pos, rm := range meta {

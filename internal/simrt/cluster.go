@@ -305,9 +305,14 @@ func (c *Cluster) Run(fn func(r *Rank) error) error {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					if ap, ok := p.(abortPanic); ok {
-						errs[id] = ap.err
-					} else {
+					switch p := p.(type) {
+					case abortPanic:
+						errs[id] = p.err
+					case error:
+						// Wrapped, so a typed error (a *moe.OptionError from
+						// a pipeline's option check) survives errors.As.
+						errs[id] = fmt.Errorf("rank %d panicked: %w", id, p)
+					default:
 						errs[id] = fmt.Errorf("rank %d panicked: %v", id, p)
 					}
 				}

@@ -285,3 +285,86 @@ func TestForwardFreesItsStaging(t *testing.T) {
 		}
 	}
 }
+
+// priceBits is what one fwd+bwd prices, by bit pattern: every rank's clock
+// and trace breakdown, and the cluster's peak memory.
+type priceBits struct {
+	clocks    []uint64
+	breakdown []map[string]uint64
+	peak      int64
+}
+
+// runPriced executes one fwd+bwd of kind at chunk count c on a fresh
+// two-node cluster, numeric or symbolic, over routing and pilot draws that
+// do not depend on the mode.
+func runPriced(t *testing.T, kind Kind, chunks int, numeric bool) priceBits {
+	t.Helper()
+	const world, s = 16, 32
+	cfg := moe.Config{NumExperts: 32, TopK: 6, HModel: 12, HFFN: 8, CapacityFactor: 1.25, BytesPerElem: 2}
+	c := simrt.NewCluster(topology.Frontier(), world, 5)
+	layer := New(kind, c, c.WorldGroup(), cfg)
+	drop := moe.DropByCapacityWeight
+	if kind == Padded {
+		drop = moe.DropNegativeThenPosition
+	}
+	ranks, err := c.RunCollect(func(r *simrt.Rank) error {
+		routing := moe.SyntheticRouting(tensor.NewRNG(8300+uint64(r.ID)), s, cfg.NumExperts, cfg.TopK, 0.6)
+		var x, dOut *tensor.Tensor
+		var params *moe.ExpertParams
+		if numeric {
+			rng := tensor.NewRNG(8400 + uint64(r.ID))
+			x, dOut = tensor.Randn(rng, 1, s, cfg.HModel), tensor.Randn(rng, 0.3, s, cfg.HModel)
+			params = moe.NewExpertParams(rng, cfg.NumExperts/world, cfg.HModel, cfg.HFFN)
+		}
+		fwd := moe.PipelineOpts{Numeric: numeric, DropPolicy: drop, SaveForBackward: true, OverlapChunks: chunks}
+		bwd := moe.PipelineOpts{Numeric: numeric, DropPolicy: drop, OverlapChunks: chunks}
+		_, saved := layer.Forward(r, s, x, routing, params, tensor.NewRNG(91+uint64(r.ID)), fwd)
+		saved.Backward(r, dOut, params, bwd)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := priceBits{peak: c.PeakMemory()}
+	for _, rk := range ranks {
+		got.clocks = append(got.clocks, math.Float64bits(rk.Clock))
+		bd := map[string]uint64{}
+		for stage, v := range rk.Trace.Breakdown() {
+			bd[stage] = math.Float64bits(v)
+		}
+		got.breakdown = append(got.breakdown, bd)
+	}
+	return got
+}
+
+// TestSymbolicPricesLikeNumeric: a symbolic pass moves no row but must
+// price exactly what the numeric pass over the same routing prices —
+// every rank's clock, every stage of its trace breakdown and the peak
+// memory, bit for bit — for every transport, blocking and chunked.
+func TestSymbolicPricesLikeNumeric(t *testing.T) {
+	for _, kind := range Kinds() {
+		for _, chunks := range []int{1, 2, 4} {
+			sym, num := runPriced(t, kind, chunks, false), runPriced(t, kind, chunks, true)
+			name := fmt.Sprintf("%v C=%d", kind, chunks)
+			if sym.peak != num.peak {
+				t.Errorf("%s: peak memory %d symbolic, %d numeric", name, sym.peak, num.peak)
+			}
+			for rank := range sym.clocks {
+				if len(sym.breakdown[rank]) == 0 {
+					t.Fatalf("%s rank %d: the symbolic pass recorded no stage", name, rank)
+				}
+				if sym.clocks[rank] != num.clocks[rank] {
+					t.Errorf("%s rank %d: clock %016x symbolic, %016x numeric", name, rank, sym.clocks[rank], num.clocks[rank])
+				}
+				if len(sym.breakdown[rank]) != len(num.breakdown[rank]) {
+					t.Errorf("%s rank %d: %d stages symbolic, %d numeric", name, rank, len(sym.breakdown[rank]), len(num.breakdown[rank]))
+				}
+				for stage, v := range sym.breakdown[rank] {
+					if w, ok := num.breakdown[rank][stage]; !ok || v != w {
+						t.Errorf("%s rank %d: stage %s %016x symbolic, %016x numeric", name, rank, stage, v, w)
+					}
+				}
+			}
+		}
+	}
+}
