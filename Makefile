@@ -165,11 +165,23 @@ bench-save:
 	$(GO) run ./cmd/xmoe-bench -json -experiment abl-overlap,abl-overlap-bwd,abl-faults,abl-engine-delta,abl-zero
 	@echo "BENCH_results.json updated; commit it with this PR"
 
+# The microbenchmarks the CI smoke runs: one numeric fwd+bwd of the PFT
+# layer and of the LM's MoE block built on it. A -bench pattern that
+# matches nothing passes silently, so the smoke first requires
+# `go test -list` to name every benchmark the pattern lists.
+SMOKE_BENCH = BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward
+SMOKE_PKGS = ./internal/moe ./internal/train
+
 # Quick CI, and the only definition of it (.github/workflows/ci.yml runs
 # this target): gofmt + the transport-name grep + vet + build + all six
 # race-detector gates + the fuzz smoke + unit tests of every package + a
 # quick microbenchmark smoke run.
 ci: fmt-check no-transport-strings vet build race-fast chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke
 	$(GO) test ./internal/... .
-	$(GO) test -run=NONE -bench='BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward' \
-		-benchmem -benchtime=10x ./internal/moe ./internal/train
+	@want=$$(echo '$(SMOKE_BENCH)' | tr '|' '\n' | grep -c .); \
+	n=$$($(GO) test -list '^($(SMOKE_BENCH))$$' $(SMOKE_PKGS) | grep -c '^Benchmark'); \
+	if [ "$$n" -lt "$$want" ]; then \
+		echo "ci: -bench '$(SMOKE_BENCH)' names $$n benchmarks, want $$want"; \
+		exit 1; \
+	fi
+	$(GO) test -run=NONE -bench='^($(SMOKE_BENCH))$$' -benchmem -benchtime=10x $(SMOKE_PKGS)

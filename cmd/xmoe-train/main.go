@@ -252,22 +252,40 @@ func main() {
 		return
 	}
 
-	mk := func(p moe.DropPolicy) []float64 {
+	// The LM path's flags are checked before any training, like the
+	// distributed path's: a bad one exits 2 with a message.
+	runX := *policy == "xmoe" || *policy == "both"
+	runD := *policy == "dsmoe" || *policy == "both"
+	mkCfg := func(p moe.DropPolicy) train.LMConfig {
 		cfg := train.DefaultLMConfig(p)
 		cfg.Seed = *seed
 		cfg.MoE.CapacityFactor = *capacity
+		return cfg
+	}
+	var usage error
+	switch {
+	case *iters < 1:
+		usage = fmt.Errorf("-iters %d: want at least 1 training iteration", *iters)
+	case !runX && !runD:
+		usage = fmt.Errorf("-policy %q: want xmoe, dsmoe or both", *policy)
+	default:
+		usage = mkCfg(moe.DropByCapacityWeight).MoE.Validate()
+	}
+	if usage != nil {
+		fmt.Fprintln(os.Stderr, "xmoe-train:", usage)
+		os.Exit(2)
+	}
+
+	mk := func(p moe.DropPolicy) []float64 {
+		cfg := mkCfg(p)
 		fmt.Printf("training %s for %d iters\n", cfg, *iters)
 		return train.Smooth(train.LossCurve(cfg, *iters), *window)
 	}
-
 	var xs, ds []float64
-	switch *policy {
-	case "xmoe":
+	if runX {
 		xs = mk(moe.DropByCapacityWeight)
-	case "dsmoe":
-		ds = mk(moe.DropNegativeThenPosition)
-	default:
-		xs = mk(moe.DropByCapacityWeight)
+	}
+	if runD {
 		ds = mk(moe.DropNegativeThenPosition)
 	}
 

@@ -61,18 +61,6 @@ func BenchmarkScatterCombine(b *testing.B) {
 	}
 }
 
-func BenchmarkScatterCombineBackward(b *testing.B) {
-	x, ids, weights, _, _ := benchSetup(512, 128, 8, 2)
-	mlpOut := Gather(x, ids)
-	dOut := tensor.New(x.Rows(), x.Cols())
-	dOut.Fill(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ScatterCombineBackward(dOut, mlpOut, ids, weights)
-	}
-}
-
 func BenchmarkSequentialGEMM(b *testing.B) {
 	x, ids, _, rows, w1 := benchSetup(512, 128, 8, 2)
 	seg := Gather(x, ids)
@@ -80,16 +68,5 @@ func BenchmarkSequentialGEMM(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SequentialGEMM(seg, rows, w1)
-	}
-}
-
-func BenchmarkSequentialGEMMBackward(b *testing.B) {
-	x, ids, _, rows, w1 := benchSetup(512, 128, 8, 2)
-	seg := Gather(x, ids)
-	dy := SequentialGEMM(seg, rows, w1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SequentialGEMMBackward(dy, seg, rows, w1)
 	}
 }

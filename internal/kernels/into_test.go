@@ -67,22 +67,6 @@ func TestIntoKernelsMatchFreshBitForBit(t *testing.T) {
 		pool.Put(got)
 	})
 
-	t.Run("ScatterCombineBackward", func(t *testing.T) {
-		mlpOut := Gather(x, ids)
-		dOut := tensor.Randn(tensor.NewRNG(5), 1, s, h)
-		wantD, wantW := ScatterCombineBackward(dOut, mlpOut, ids, weights)
-		gotD := pool.Get(b, h)
-		gotW := make([]float32, b)
-		ScatterCombineBackwardInto(gotD, gotW, dOut, mlpOut, ids, weights)
-		equal(t, "scatter-backward", wantD, gotD)
-		for i := range wantW {
-			if wantW[i] != gotW[i] {
-				t.Fatalf("dWeights mismatch at %d", i)
-			}
-		}
-		pool.Put(gotD)
-	})
-
 	t.Run("SequentialGEMM", func(t *testing.T) {
 		seg := Gather(x, ids)
 		want := SequentialGEMM(seg, rows, w1)
@@ -92,43 +76,20 @@ func TestIntoKernelsMatchFreshBitForBit(t *testing.T) {
 		pool.Put(got)
 	})
 
-	t.Run("SequentialGEMMBackward", func(t *testing.T) {
-		seg := Gather(x, ids)
-		dy := SequentialGEMM(seg, rows, w1)
-		wantDX, wantDW := SequentialGEMMBackward(dy, seg, rows, w1)
-		gotDX := pool.Get(b, h)
-		gotDW := make([]*tensor.Tensor, e)
-		for i := range gotDW {
-			gotDW[i] = pool.Get(h, h)
-		}
-		SequentialGEMMBackwardInto(gotDX, gotDW, dy, seg, rows, w1)
-		equal(t, "seqgemm-backward dX", wantDX, gotDX)
-		for i := range wantDW {
-			equal(t, "seqgemm-backward dW", wantDW[i], gotDW[i])
-		}
-	})
-
 	t.Run("ZeroRowSegments", func(t *testing.T) {
-		// An expert with zero tokens must leave its dW zeroed even on a
-		// dirty recycled destination.
+		// An expert with zero tokens owns no output rows: the segments
+		// around it must still tile a dirty recycled destination.
 		rows0 := append([]int(nil), rows...)
 		// Move expert 1's rows to expert 0 to create an empty segment.
 		rows0[0] += rows0[1]
 		rows0[1] = 0
 		seg := Gather(x, ids)
-		dy := SequentialGEMM(seg, rows0, w1)
-		wantDX, wantDW := SequentialGEMMBackward(dy, seg, rows0, w1)
-		gotDX := pool.Get(b, h)
-		gotDW := make([]*tensor.Tensor, e)
-		for i := range gotDW {
-			gotDW[i] = pool.Get(h, h)
-			gotDW[i].Fill(7) // dirty: Into must overwrite or zero
-		}
-		SequentialGEMMBackwardInto(gotDX, gotDW, dy, seg, rows0, w1)
-		equal(t, "zero-segment dX", wantDX, gotDX)
-		for i := range wantDW {
-			equal(t, "zero-segment dW", wantDW[i], gotDW[i])
-		}
+		want := SequentialGEMM(seg, rows0, w1)
+		got := pool.Get(b, h)
+		got.Fill(7)
+		SequentialGEMMInto(got, seg, rows0, w1)
+		equal(t, "zero-segment", want, got)
+		pool.Put(got)
 	})
 
 	t.Run("Padded", func(t *testing.T) {

@@ -122,43 +122,6 @@ func ScatterCombineInto(out, mlpOut *tensor.Tensor, tokenIDs []int, weights []fl
 	})
 }
 
-// ScatterCombineBackward computes the gradients of ScatterCombine with
-// respect to mlpOut and weights:
-//
-//	dMlpOut[i, :]  = dCombineOut[tokenIDs[i], :] * weights[i]
-//	dWeights[i]    = <dCombineOut[tokenIDs[i], :], mlpOut[i, :]>
-func ScatterCombineBackward(dCombineOut, mlpOut *tensor.Tensor, tokenIDs []int, weights []float32) (dMlpOut *tensor.Tensor, dWeights []float32) {
-	dMlpOut = tensor.New(mlpOut.Rows(), mlpOut.Cols())
-	dWeights = make([]float32, mlpOut.Rows())
-	ScatterCombineBackwardInto(dMlpOut, dWeights, dCombineOut, mlpOut, tokenIDs, weights)
-	return dMlpOut, dWeights
-}
-
-// ScatterCombineBackwardInto is ScatterCombineBackward into the
-// preallocated dMlpOut [B, H] and dWeights [B], which are fully
-// overwritten.
-func ScatterCombineBackwardInto(dMlpOut *tensor.Tensor, dWeights []float32, dCombineOut, mlpOut *tensor.Tensor, tokenIDs []int, weights []float32) {
-	b := mlpOut.Rows()
-	if dMlpOut.Rows() != b || len(dWeights) != b || dMlpOut.Cols() != dCombineOut.Cols() {
-		panic(fmt.Sprintf("kernels: scatter-backward dst shape %v/%d, want [%d,%d]/%d",
-			dMlpOut.Shape(), len(dWeights), b, dCombineOut.Cols(), b))
-	}
-	tensor.ParallelFor(b, 16, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			g := dCombineOut.Row(tokenIDs[i])
-			x := mlpOut.Row(i)
-			w := weights[i]
-			dRow := dMlpOut.Row(i)
-			var dot float32
-			for j := range g {
-				dRow[j] = g[j] * w
-				dot += g[j] * x[j]
-			}
-			dWeights[i] = dot
-		}
-	})
-}
-
 // DestIndex is a CSR-style inverse of a destination-id array: the sources
 // mapping to destination t are Sources(t), in ascending source order.
 // Building it costs three slice allocations regardless of the destination
@@ -241,7 +204,7 @@ func SequentialGEMMInto(out, x *tensor.Tensor, rows []int, weights []*tensor.Ten
 // checkSegments panics unless rows cuts a [total, k] input into one
 // segment per weight matrix: as many non-negative counts as weights,
 // summing to total, and a [k, n] weight for every segment that has rows.
-// Both directions run it before they write anything.
+// SequentialGEMMInto runs it before it writes anything.
 func checkSegments(rows []int, weights []*tensor.Tensor, total, k, n int) {
 	if len(rows) != len(weights) {
 		panic(fmt.Sprintf("kernels: %d segments but %d weight matrices", len(rows), len(weights)))
@@ -260,52 +223,6 @@ func checkSegments(rows []int, weights []*tensor.Tensor, total, k, n int) {
 		if rows[e] > 0 && (w.Rows() != k || w.Cols() != n) {
 			panic(fmt.Sprintf("kernels: expert %d weight shape %v, want [%d,%d]", e, w.Shape(), k, n))
 		}
-	}
-}
-
-// SequentialGEMMBackward computes the input and weight gradients of
-// SequentialGEMM: for each segment e, dX_e = dY_e·W_eᵀ and
-// dW_e = X_eᵀ·dY_e. It returns dX [B, K] and one dW per expert.
-func SequentialGEMMBackward(dy, x *tensor.Tensor, rows []int, weights []*tensor.Tensor) (dx *tensor.Tensor, dws []*tensor.Tensor) {
-	dx = tensor.New(x.Rows(), x.Cols())
-	dws = make([]*tensor.Tensor, len(weights))
-	for e, w := range weights {
-		dws[e] = tensor.New(w.Rows(), w.Cols())
-	}
-	SequentialGEMMBackwardInto(dx, dws, dy, x, rows, weights)
-	return dx, dws
-}
-
-// SequentialGEMMBackwardInto is SequentialGEMMBackward into the
-// preallocated dx [B, K] and per-expert dws, which are fully overwritten.
-func SequentialGEMMBackwardInto(dx *tensor.Tensor, dws []*tensor.Tensor, dy, x *tensor.Tensor, rows []int, weights []*tensor.Tensor) {
-	k := x.Cols()
-	n := dy.Cols()
-	if dx.Rows() != x.Rows() || dx.Cols() != k || len(dws) != len(weights) {
-		panic(fmt.Sprintf("kernels: sequential-gemm-backward dst shape %v/%d, want [%d,%d]/%d",
-			dx.Shape(), len(dws), x.Rows(), k, len(weights)))
-	}
-	if dy.Rows() != x.Rows() {
-		panic(fmt.Sprintf("kernels: dy has %d rows, x has %d", dy.Rows(), x.Rows()))
-	}
-	checkSegments(rows, weights, x.Rows(), k, n)
-	for e, dw := range dws {
-		if dw.Rows() != k || dw.Cols() != n {
-			panic(fmt.Sprintf("kernels: expert %d weight-gradient shape %v, want [%d,%d]", e, dw.Shape(), k, n))
-		}
-	}
-	off := 0
-	for e, r := range rows {
-		if r == 0 {
-			dws[e].Zero()
-			continue
-		}
-		segX := tensor.FromSlice(x.Data[off*k:(off+r)*k], r, k)
-		segDY := tensor.FromSlice(dy.Data[off*n:(off+r)*n], r, n)
-		segDX := tensor.FromSlice(dx.Data[off*k:(off+r)*k], r, k)
-		tensor.MatMulTInto(segDX, segDY, weights[e]) // dY [r,n] · (W [k,n])ᵀ = [r,k]
-		tensor.TMatMulInto(dws[e], segX, segDY)
-		off += r
 	}
 }
 

@@ -75,28 +75,6 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 	}
 }
 
-func TestScatterCombineBackward(t *testing.T) {
-	rng := tensor.NewRNG(6)
-	mlpOut := tensor.Randn(rng, 1, 3, 2)
-	ids := []int{1, 0, 1}
-	w := []float32{0.5, 1.0, 0.1}
-	// Loss = sum(combineOut) => dCombineOut = ones.
-	dCombine := tensor.New(2, 2)
-	dCombine.Fill(1)
-	dMlp, dW := ScatterCombineBackward(dCombine, mlpOut, ids, w)
-	for i := range ids {
-		for j := 0; j < 2; j++ {
-			if math.Abs(float64(dMlp.At(i, j)-w[i])) > 1e-6 {
-				t.Fatalf("dMlp[%d][%d] = %f, want %f", i, j, dMlp.At(i, j), w[i])
-			}
-		}
-		wantW := mlpOut.At(i, 0) + mlpOut.At(i, 1)
-		if math.Abs(float64(dW[i]-wantW)) > 1e-5 {
-			t.Fatalf("dW[%d] = %f, want %f", i, dW[i], wantW)
-		}
-	}
-}
-
 func TestSequentialGEMMMatchesPerSegmentMatMul(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	rows := []int{3, 0, 5, 2}
@@ -122,8 +100,8 @@ func TestSequentialGEMMMatchesPerSegmentMatMul(t *testing.T) {
 	}
 }
 
-// TestSequentialGEMMValidation drives every rejection of both directions,
-// one case per message, and requires that nothing was written first.
+// TestSequentialGEMMValidation drives every rejection, one case per
+// message, and requires that nothing was written first.
 func TestSequentialGEMMValidation(t *testing.T) {
 	w := func(shapes ...[2]int) []*tensor.Tensor {
 		ws := make([]*tensor.Tensor, len(shapes))
@@ -132,9 +110,6 @@ func TestSequentialGEMMValidation(t *testing.T) {
 		}
 		return ws
 	}
-	// The backward cases share x [3,2], dy [3,4] and two [2,4] experts;
-	// each breaks one argument.
-	x, dy := tensor.New(3, 2), tensor.New(3, 4)
 	for _, tc := range []struct {
 		name, want string
 		fn         func(out *tensor.Tensor)
@@ -154,27 +129,6 @@ func TestSequentialGEMMValidation(t *testing.T) {
 		{"dst shape", "sequential-gemm dst shape [3 2], want [2,2]", func(out *tensor.Tensor) {
 			SequentialGEMMInto(out, tensor.New(2, 2), []int{2}, w([2]int{2, 2}))
 		}},
-		{"bwd dx shape", "sequential-gemm-backward dst shape [3 2]/1, want [3,2]/2", func(out *tensor.Tensor) {
-			SequentialGEMMBackwardInto(out, w([2]int{2, 4}), dy, x, []int{2, 1}, w([2]int{2, 4}, [2]int{2, 4}))
-		}},
-		{"bwd dy rows", "dy has 2 rows, x has 3", func(out *tensor.Tensor) {
-			SequentialGEMMBackwardInto(out, w([2]int{2, 4}, [2]int{2, 4}), tensor.New(2, 4), x, []int{2, 1}, w([2]int{2, 4}, [2]int{2, 4}))
-		}},
-		{"bwd segment/weight count", "3 segments but 2 weight matrices", func(out *tensor.Tensor) {
-			SequentialGEMMBackwardInto(out, w([2]int{2, 4}, [2]int{2, 4}), dy, x, []int{1, 1, 1}, w([2]int{2, 4}, [2]int{2, 4}))
-		}},
-		{"bwd row coverage", "segments cover 2 rows, x has 3", func(out *tensor.Tensor) {
-			SequentialGEMMBackwardInto(out, w([2]int{2, 4}, [2]int{2, 4}), dy, x, []int{1, 1}, w([2]int{2, 4}, [2]int{2, 4}))
-		}},
-		{"bwd negative segment", "expert 0 has -1 rows", func(out *tensor.Tensor) {
-			SequentialGEMMBackwardInto(out, w([2]int{2, 4}, [2]int{2, 4}), dy, x, []int{-1, 4}, w([2]int{2, 4}, [2]int{2, 4}))
-		}},
-		{"bwd weight shape", "expert 1 weight shape [4 2], want [2,4]", func(out *tensor.Tensor) {
-			SequentialGEMMBackwardInto(out, w([2]int{2, 4}, [2]int{2, 4}), dy, x, []int{2, 1}, w([2]int{2, 4}, [2]int{4, 2}))
-		}},
-		{"bwd dw shape", "expert 1 weight-gradient shape [2 3], want [2,4]", func(out *tensor.Tensor) {
-			SequentialGEMMBackwardInto(out, w([2]int{2, 4}, [2]int{2, 3}), dy, x, []int{2, 1}, w([2]int{2, 4}, [2]int{2, 4}))
-		}},
 	} {
 		out := tensor.New(3, 2)
 		out.Fill(7)
@@ -193,51 +147,6 @@ func TestSequentialGEMMValidation(t *testing.T) {
 				break
 			}
 		}
-	}
-}
-
-func TestSequentialGEMMBackwardNumerically(t *testing.T) {
-	rng := tensor.NewRNG(8)
-	rows := []int{2, 3}
-	k, n := 4, 3
-	x := tensor.Randn(rng, 1, 5, k)
-	ws := []*tensor.Tensor{tensor.Randn(rng, 1, k, n), tensor.Randn(rng, 1, k, n)}
-	loss := func() float64 {
-		return SequentialGEMM(x, rows, ws).Sum()
-	}
-	dy := tensor.New(5, n)
-	dy.Fill(1)
-	dx, dws := SequentialGEMMBackward(dy, x, rows, ws)
-	const eps = 1e-2
-	check := func(name string, data []float32, i int, analytic float32) {
-		orig := data[i]
-		data[i] = orig + eps
-		up := loss()
-		data[i] = orig - eps
-		down := loss()
-		data[i] = orig
-		num := (up - down) / (2 * eps)
-		if math.Abs(num-float64(analytic)) > 5e-2 {
-			t.Fatalf("%s grad[%d]: analytic %f vs numeric %f", name, i, analytic, num)
-		}
-	}
-	for i := 0; i < x.Len(); i += 3 {
-		check("dx", x.Data, i, dx.Data[i])
-	}
-	for e := range ws {
-		for i := 0; i < ws[e].Len(); i += 5 {
-			check("dw", ws[e].Data, i, dws[e].Data[i])
-		}
-	}
-}
-
-func TestSequentialGEMMBackwardEmptySegment(t *testing.T) {
-	x := tensor.New(2, 3)
-	dy := tensor.New(2, 2)
-	ws := []*tensor.Tensor{tensor.New(3, 2), tensor.New(3, 2)}
-	_, dws := SequentialGEMMBackward(dy, x, []int{2, 0}, ws)
-	if dws[1] == nil || dws[1].Rows() != 3 || dws[1].Cols() != 2 {
-		t.Fatal("empty segment must still produce a zero dW of the right shape")
 	}
 }
 

@@ -8,6 +8,7 @@ package moe
 
 import (
 	"fmt"
+	"math"
 
 	"xmoe/internal/model"
 )
@@ -48,8 +49,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("moe: TopK %d outside [1, %d]", c.TopK, c.NumExperts)
 	case c.HModel <= 0 || c.HFFN <= 0:
 		return fmt.Errorf("moe: non-positive hidden dims H=%d HFFN=%d", c.HModel, c.HFFN)
-	case c.CapacityFactor <= 0:
-		return fmt.Errorf("moe: CapacityFactor must be positive, got %f", c.CapacityFactor)
+	case !(c.CapacityFactor > 0) || math.IsInf(c.CapacityFactor, 1):
+		return fmt.Errorf("moe: CapacityFactor must be positive and finite, got %g", c.CapacityFactor)
 	case c.BytesPerElem <= 0:
 		return fmt.Errorf("moe: BytesPerElem must be positive, got %d", c.BytesPerElem)
 	}

@@ -1,6 +1,7 @@
 package moe
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -28,6 +29,9 @@ func TestConfigValidate(t *testing.T) {
 		{NumExperts: 4, TopK: 5, HModel: 1, HFFN: 1, CapacityFactor: 1, BytesPerElem: 2},
 		{NumExperts: 4, TopK: 2, HModel: 0, HFFN: 1, CapacityFactor: 1, BytesPerElem: 2},
 		{NumExperts: 4, TopK: 2, HModel: 1, HFFN: 1, CapacityFactor: 0, BytesPerElem: 2},
+		{NumExperts: 4, TopK: 2, HModel: 1, HFFN: 1, CapacityFactor: -1, BytesPerElem: 2},
+		{NumExperts: 4, TopK: 2, HModel: 1, HFFN: 1, CapacityFactor: math.NaN(), BytesPerElem: 2},
+		{NumExperts: 4, TopK: 2, HModel: 1, HFFN: 1, CapacityFactor: math.Inf(1), BytesPerElem: 2},
 		{NumExperts: 4, TopK: 2, HModel: 1, HFFN: 1, CapacityFactor: 1, BytesPerElem: 0},
 	}
 	for i, c := range bad {

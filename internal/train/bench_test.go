@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"xmoe/internal/moe"
+	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
 )
 
 // BenchmarkMoEFFNForwardBackward measures the numeric training stack's MoE
-// block: router GEMM + softmax/top-k, PFT build, gather dispatch,
-// sequential-GEMM experts, scatter combine, and the full hand-written
-// backward — the steady-state inner loop of the loss-validation runs.
+// block: router GEMM + softmax/top-k, then the PFT transport's forward and
+// backward on a one-rank cluster, and the router's softmax backward — the
+// steady-state inner loop of the loss-validation runs.
 func BenchmarkMoEFFNForwardBackward(b *testing.B) {
 	cfg := moe.Config{
 		NumExperts:     8,
@@ -21,7 +22,8 @@ func BenchmarkMoEFFNForwardBackward(b *testing.B) {
 		BytesPerElem:   2,
 	}
 	rng := tensor.NewRNG(11)
-	ffn := NewMoEFFN(rng, cfg, moe.DropByCapacityWeight)
+	c := oneRank()
+	ffn := NewMoEFFN(rng, c, cfg, moe.DropByCapacityWeight)
 	x := tensor.Randn(rng, 1, 128, cfg.HModel)
 	dy := tensor.New(128, cfg.HModel)
 	dy.Fill(1)
@@ -29,8 +31,10 @@ func BenchmarkMoEFFNForwardBackward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ffn.Forward(x)
-		ffn.Backward(dy)
+		onRank(b, c, func(r *simrt.Rank) {
+			ffn.Forward(r, x)
+			ffn.Backward(r, dy)
+		})
 		for _, p := range ffn.Params() {
 			p.ZeroGrad()
 		}

@@ -1,10 +1,12 @@
-// Package train is the numeric training stack used for the paper's
-// implementation validation (§5.6, Fig. 15): a complete, hand-written
-// forward/backward MoE transformer language model — embedding, causal
-// attention, MoE FFN with top-k routing and configurable token-dropping
-// policy, cross-entropy loss, and Adam — trained on a synthetic corpus.
-// It validates that X-MoE's capacity-only dropping tracks (and slightly
-// beats) DeepSpeed-MoE's drop-negative-score policy in loss.
+// Package train is the numeric training stack. Its MoE transformer
+// language model serves the paper's implementation validation (§5.6,
+// Fig. 15): embedding, causal attention with a hand-written backward, an
+// MoE FFN whose top-k router and configurable token-dropping policy feed
+// the shipped PFT transport on a one-rank cluster, cross-entropy loss and
+// Adam, trained on a synthetic corpus. It validates that X-MoE's
+// capacity-only dropping tracks (and slightly beats) DeepSpeed-MoE's
+// drop-negative-score policy in loss. DistTrainer (dist.go) is the
+// simulated expert-parallel trainer over any transport.
 package train
 
 import (
@@ -12,7 +14,9 @@ import (
 
 	"xmoe/internal/kernels"
 	"xmoe/internal/moe"
+	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
+	"xmoe/internal/transport"
 )
 
 // Param is one trainable tensor with its gradient accumulator.
@@ -178,182 +182,93 @@ func (a *Attention) Params() []*Param {
 	return []*Param{a.Wq.P, a.Wk.P, a.Wv.P, a.Wo.P}
 }
 
-// MoEFFN is a complete MoE feed-forward block: router, PFT construction
-// with a configurable drop policy, gather dispatch, per-expert two-layer
-// GeLU FFNs via sequential GEMM, and the weighted scatter combine — the
-// numeric twin of the distributed padding-free pipeline.
+// MoEFFN is the LM's MoE feed-forward block. It keeps the router and the
+// gate — softmax, top-k and the router's softmax backward — and runs the
+// rest, PFT construction through the weighted combine in both directions,
+// through the PFT transport's layer over a one-rank expert-parallel group:
+// Fig. 15 trains the pipeline the distributed figures price.
 type MoEFFN struct {
 	Cfg    moe.Config
-	Policy moe.DropPolicy
 	Router *Linear
-	W1, W2 []*Param // per expert
+	// W1 and W2 wrap the tensors of experts, so the optimizer updates the
+	// weights the transport reads.
+	W1, W2 []*Param
 
-	// caches for backward
-	x         *tensor.Tensor
-	logits    *tensor.Tensor
-	probs     *tensor.Tensor
-	pft       *moe.PFT
-	dispIn    *tensor.Tensor
-	hidPre    *tensor.Tensor // pre-activation
-	hidAct    *tensor.Tensor
-	expertOut *tensor.Tensor
-	rows      []int
-	perm      []int // PFT order -> expert-major order
-
-	// pool is the block's private arena: the routed-token intermediates
-	// (whose row count b varies step to step with the routing) cycle
-	// through it, so steady-state training stops allocating. Weight
-	// views and per-expert gradient scratch persist across steps.
-	pool       tensor.Pool
-	w1v, w2v   []*tensor.Tensor // weight views passed to the kernels
-	dw1s, dw2s []*tensor.Tensor // per-expert dW scratch
-	dWeights   []float32
-	dProbs     *tensor.Tensor
-	dLogits    *tensor.Tensor
+	experts *moe.ExpertParams
+	layer   transport.Layer
+	opts    moe.PipelineOpts
+	// forward state for Backward
+	probs *tensor.Tensor
+	pft   *moe.PFT
+	saved transport.Saved
+	// persistent router-backward scratch ([S, E], fixed for a fixed S)
+	dProbs, dLogits *tensor.Tensor
 }
 
-// NewMoEFFN builds the block.
-func NewMoEFFN(rng *tensor.RNG, cfg moe.Config, policy moe.DropPolicy) *MoEFFN {
+// NewMoEFFN builds the block over the one-rank cluster c; Forward and
+// Backward run inside c.Run.
+func NewMoEFFN(rng *tensor.RNG, c *simrt.Cluster, cfg moe.Config, policy moe.DropPolicy) *MoEFFN {
 	m := &MoEFFN{
-		Cfg:    cfg,
-		Policy: policy,
-		Router: NewLinear(rng, cfg.HModel, cfg.NumExperts, 0.02),
-		W1:     make([]*Param, cfg.NumExperts),
-		W2:     make([]*Param, cfg.NumExperts),
+		Cfg:     cfg,
+		Router:  NewLinear(rng, cfg.HModel, cfg.NumExperts, 0.02),
+		experts: moe.NewExpertParams(rng, cfg.NumExperts, cfg.HModel, cfg.HFFN),
+		layer:   transport.New(transport.PFT, c, c.WorldGroup(), cfg),
+		opts:    moe.PipelineOpts{Numeric: true, SaveForBackward: true, DropPolicy: policy},
 	}
-	for e := 0; e < cfg.NumExperts; e++ {
-		m.W1[e] = NewParam(tensor.Randn(rng, 0.02, cfg.HModel, cfg.HFFN))
-		m.W2[e] = NewParam(tensor.Randn(rng, 0.02, cfg.HFFN, cfg.HModel))
+	for e := range m.experts.W1 {
+		m.W1 = append(m.W1, NewParam(m.experts.W1[e]))
+		m.W2 = append(m.W2, NewParam(m.experts.W2[e]))
 	}
 	return m
 }
 
-// weightViews refreshes the cached []*tensor.Tensor views of the expert
-// weights that the sequential-GEMM kernels consume.
-func (m *MoEFFN) weightViews() (w1, w2 []*tensor.Tensor) {
-	if m.w1v == nil {
-		m.w1v = make([]*tensor.Tensor, m.Cfg.NumExperts)
-		m.w2v = make([]*tensor.Tensor, m.Cfg.NumExperts)
-	}
-	for e := range m.w1v {
-		m.w1v[e] = m.W1[e].W
-		m.w2v[e] = m.W2[e].W
-	}
-	return m.w1v, m.w2v
-}
-
-// Forward routes x [S, H] through the MoE block.
-func (m *MoEFFN) Forward(x *tensor.Tensor) *tensor.Tensor {
-	s := x.Rows()
-	m.x = x
-	// Recycle the previous step's routed-token buffers (a no-op on the
-	// first step or when Backward already returned them).
-	m.pool.PutAll(m.probs, m.dispIn, m.hidPre, m.hidAct, m.expertOut)
-	m.probs, m.dispIn, m.hidPre, m.hidAct, m.expertOut = nil, nil, nil, nil, nil
-	m.logits = m.Router.Forward(x)
-	m.probs = m.pool.Get(m.logits.Shape()...)
-	m.probs.Copy(m.logits)
+// Forward routes x [S, H] through the block on rank r.
+func (m *MoEFFN) Forward(r *simrt.Rank, x *tensor.Tensor) *tensor.Tensor {
+	logits := m.Router.Forward(x)
+	m.probs = ensureShape(m.probs, logits.Rows(), logits.Cols())
+	m.probs.Copy(logits)
 	tensor.SoftmaxRows(m.probs)
-	routing := moe.TopKRouting(m.logits, m.probs, m.Cfg.TopK)
-	m.pft = moe.BuildPFT(routing, m.Cfg.NumExperts, m.Cfg.Capacity(s), m.Policy)
-
-	// Dispatch (gather) — entries are already expert-major, so the
-	// sequential GEMM consumes them directly.
-	b := m.pft.B()
-	m.dispIn = m.pool.Get(b, m.Cfg.HModel)
-	kernels.GatherInto(m.dispIn, x, m.pft.TokenIDs)
-	m.rows = append(m.rows[:0], m.pft.TokensPerExpert...)
-
-	w1, w2 := m.weightViews()
-	m.hidPre = m.pool.Get(b, m.Cfg.HFFN)
-	kernels.SequentialGEMMInto(m.hidPre, m.dispIn, m.rows, w1)
-	m.hidAct = m.pool.Get(b, m.Cfg.HFFN)
-	m.hidAct.Copy(m.hidPre)
-	tensor.GeLU(m.hidAct)
-	m.expertOut = m.pool.Get(b, m.Cfg.HModel)
-	kernels.SequentialGEMMInto(m.expertOut, m.hidAct, m.rows, w2)
-
-	return kernels.ScatterCombine(m.expertOut, m.pft.TokenIDs, m.pft.CombineWeights, s)
+	routing := moe.TopKRouting(logits, m.probs, m.Cfg.TopK)
+	res, saved := m.layer.Forward(r, x.Rows(), x, routing, m.experts, nil, m.opts)
+	m.pft, m.saved = res.PFT, saved
+	return res.Output
 }
 
-// Backward propagates dy [S, H] through the block, accumulating router
-// and expert gradients, and returns dX. Gradients flow both through the
-// expert outputs and through the combine weights into the router softmax.
-func (m *MoEFFN) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	s := m.x.Rows()
-	b := m.pft.B()
-
-	// Combine backward: per-row expert-output grads and combine-weight
-	// grads.
-	dExpertOut := m.pool.Get(b, m.Cfg.HModel)
-	if cap(m.dWeights) < b {
-		m.dWeights = make([]float32, b)
-	}
-	dWeights := m.dWeights[:b]
-	kernels.ScatterCombineBackwardInto(dExpertOut, dWeights, dy, m.expertOut, m.pft.TokenIDs, m.pft.CombineWeights)
-
-	// Expert FFN backward. The per-expert dW scratch tensors persist
-	// across steps (expert weight shapes are fixed); the GEMMs overwrite
-	// them and the results accumulate into the gradient params, matching
-	// the allocate-fresh summation order exactly.
-	w1, w2 := m.weightViews()
-	if m.dw1s == nil {
-		m.dw1s = make([]*tensor.Tensor, m.Cfg.NumExperts)
-		m.dw2s = make([]*tensor.Tensor, m.Cfg.NumExperts)
-		for e := 0; e < m.Cfg.NumExperts; e++ {
-			m.dw1s[e] = tensor.New(m.Cfg.HModel, m.Cfg.HFFN)
-			m.dw2s[e] = tensor.New(m.Cfg.HFFN, m.Cfg.HModel)
-		}
-	}
-	dHidAct := m.pool.Get(b, m.Cfg.HFFN)
-	kernels.SequentialGEMMBackwardInto(dHidAct, m.dw2s, dExpertOut, m.hidAct, m.rows, w2)
-	m.pool.Put(dExpertOut)
-	dHidPre := m.pool.Get(b, m.Cfg.HFFN)
-	tensor.GeLUBackwardInto(dHidPre, dHidAct, m.hidPre)
-	m.pool.Put(dHidAct)
-	dDispIn := m.pool.Get(b, m.Cfg.HModel)
-	kernels.SequentialGEMMBackwardInto(dDispIn, m.dw1s, dHidPre, m.dispIn, m.rows, w1)
-	m.pool.Put(dHidPre)
-	for e := range m.dw1s {
-		m.W1[e].G.Add(m.dw1s[e])
-		m.W2[e].G.Add(m.dw2s[e])
+// Backward propagates dy [S, H] through the block on rank r, accumulating
+// router and expert gradients, and returns dX: the transport's data-path
+// gradient plus the router's, which flows from the combine weights'
+// gradients through the softmax.
+func (m *MoEFFN) Backward(r *simrt.Rank, dy *tensor.Tensor) *tensor.Tensor {
+	g := m.saved.Backward(r, dy, m.experts, m.opts)
+	m.saved = nil
+	for e := range m.W1 {
+		m.W1[e].G.Add(g.DW1[e])
+		m.W2[e].G.Add(g.DW2[e])
 	}
 
-	// Dispatch (gather) backward into the block input.
-	dx := kernels.GatherBackward(dDispIn, m.pft.TokenIDs, s)
-	m.pool.Put(dDispIn)
-
-	// Router backward through the combine weights: weight i is
-	// probs[token, expert] for each retained entry; softmax backward
-	// turns per-probability grads into logit grads.
-	m.dProbs = ensureShape(m.dProbs, s, m.Cfg.NumExperts)
+	// Combine weight i is probs[token, expert] of PFT entry i; softmax
+	// backward turns per-probability grads into logit grads.
+	s, e := m.probs.Rows(), m.probs.Cols()
+	m.dProbs = ensureShape(m.dProbs, s, e)
 	m.dProbs.Zero()
-	dProbs := m.dProbs
-	for i := range m.pft.TokenIDs {
-		dProbs.Set(m.pft.TokenIDs[i], m.pft.ExpertIDs[i],
-			dProbs.At(m.pft.TokenIDs[i], m.pft.ExpertIDs[i])+dWeights[i])
+	for i, dw := range g.DCombineWeights {
+		m.dProbs.Row(m.pft.TokenIDs[i])[m.pft.ExpertIDs[i]] += dw
 	}
-	m.dLogits = ensureShape(m.dLogits, s, m.Cfg.NumExperts)
-	dLogits := m.dLogits
+	m.dLogits = ensureShape(m.dLogits, s, e)
 	for t := 0; t < s; t++ {
 		p := m.probs.Row(t)
-		dp := dProbs.Row(t)
+		dp := m.dProbs.Row(t)
 		var dot float32
 		for j, v := range dp {
 			dot += v * p[j]
 		}
-		dst := dLogits.Row(t)
+		dst := m.dLogits.Row(t)
 		for j := range dst {
 			dst[j] = p[j] * (dp[j] - dot)
 		}
 	}
-	dx.Add(m.Router.Backward(dLogits))
-
-	// The forward caches are consumed; return them to the arena so the
-	// next Forward reuses the buffers.
-	m.pool.PutAll(m.probs, m.dispIn, m.hidPre, m.hidAct, m.expertOut)
-	m.probs, m.dispIn, m.hidPre, m.hidAct, m.expertOut = nil, nil, nil, nil, nil
-	return dx
+	g.DX.Add(m.Router.Backward(m.dLogits))
+	return g.DX
 }
 
 // Params returns all trainable parameters of the block.

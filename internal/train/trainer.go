@@ -5,7 +5,9 @@ import (
 	"math"
 
 	"xmoe/internal/moe"
+	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
+	"xmoe/internal/topology"
 )
 
 // Adam is a standard Adam optimizer over a parameter set.
@@ -122,6 +124,9 @@ type LM struct {
 	Blocks []*block
 	Head   *Linear
 	opt    *Adam
+	// cluster is the one-rank cluster the MoE blocks' transport runs on;
+	// Step runs each forward and backward inside its Run.
+	cluster *simrt.Cluster
 }
 
 type block struct {
@@ -133,14 +138,15 @@ type block struct {
 func NewLM(cfg LMConfig) *LM {
 	rng := tensor.NewRNG(cfg.Seed)
 	lm := &LM{
-		Cfg:   cfg,
-		Embed: NewEmbedding(rng, cfg.Vocab, cfg.MoE.HModel),
-		Head:  NewLinear(rng, cfg.MoE.HModel, cfg.Vocab, 0.02),
+		Cfg:     cfg,
+		Embed:   NewEmbedding(rng, cfg.Vocab, cfg.MoE.HModel),
+		Head:    NewLinear(rng, cfg.MoE.HModel, cfg.Vocab, 0.02),
+		cluster: simrt.NewCluster(topology.Frontier(), 1, cfg.Seed),
 	}
 	for i := 0; i < cfg.Layers; i++ {
 		lm.Blocks = append(lm.Blocks, &block{
 			attn: NewAttention(rng, cfg.MoE.HModel),
-			ffn:  NewMoEFFN(rng, cfg.MoE, cfg.Policy),
+			ffn:  NewMoEFFN(rng, lm.cluster, cfg.MoE, cfg.Policy),
 		})
 	}
 	params := []*Param{lm.Embed.P, lm.Head.P}
@@ -155,8 +161,18 @@ func NewLM(cfg LMConfig) *LM {
 // Step runs one training step on a sequence (input ids -> next-token
 // targets) and returns the mean cross-entropy loss.
 func (lm *LM) Step(ids, targets []int) float64 {
-	loss, dLogits, acts := lm.forward(ids, targets)
-	lm.backward(dLogits, acts)
+	var loss float64
+	err := lm.cluster.Run(func(r *simrt.Rank) error {
+		l, dLogits, acts := lm.forward(r, ids, targets)
+		lm.backward(r, dLogits, acts)
+		loss = l
+		return nil
+	})
+	if err != nil {
+		// The one rank ran only this model's own code; a failure is a
+		// bug, surfaced as the panic it was inside the body.
+		panic(err)
+	}
 	lm.opt.Step()
 	return loss
 }
@@ -167,14 +183,14 @@ type actsCache struct {
 }
 
 // forward computes logits, loss, and the loss gradient w.r.t. logits.
-func (lm *LM) forward(ids, targets []int) (float64, *tensor.Tensor, *actsCache) {
+func (lm *LM) forward(r *simrt.Rank, ids, targets []int) (float64, *tensor.Tensor, *actsCache) {
 	x := lm.Embed.Forward(ids)
 	acts := &actsCache{}
 	for _, b := range lm.Blocks {
 		a := b.attn.Forward(x)
 		a.Add(x) // residual
 		acts.resAttn = append(acts.resAttn, a)
-		f := b.ffn.Forward(a)
+		f := b.ffn.Forward(r, a)
 		f.Add(a) // residual
 		acts.resFFN = append(acts.resFFN, f)
 		x = f
@@ -201,12 +217,12 @@ func (lm *LM) forward(ids, targets []int) (float64, *tensor.Tensor, *actsCache) 
 }
 
 // backward propagates through the whole network.
-func (lm *LM) backward(dLogits *tensor.Tensor, acts *actsCache) {
+func (lm *LM) backward(r *simrt.Rank, dLogits *tensor.Tensor, acts *actsCache) {
 	dx := lm.Head.Backward(dLogits)
 	for i := len(lm.Blocks) - 1; i >= 0; i-- {
 		b := lm.Blocks[i]
 		// FFN residual: dx flows to both branches.
-		dFFN := b.ffn.Backward(dx)
+		dFFN := b.ffn.Backward(r, dx)
 		dFFN.Add(dx)
 		// Attention residual.
 		dAttn := b.attn.Backward(dFFN)
