@@ -166,11 +166,12 @@ bench-save:
 	@echo "BENCH_results.json updated; commit it with this PR"
 
 # The microbenchmarks the CI smoke runs: one numeric fwd+bwd of the PFT
-# layer and of the LM's MoE block built on it. A -bench pattern that
-# matches nothing passes silently, so the smoke first requires
-# `go test -list` to name every benchmark the pattern lists.
-SMOKE_BENCH = BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward
-SMOKE_PKGS = ./internal/moe ./internal/train
+# layer and of the LM's MoE block built on it, and one event-priced
+# all-to-all-v that misses the memo (the water-filling engine). A -bench
+# pattern that matches nothing passes silently, so the smoke first
+# requires `go test -list` to name every benchmark the pattern lists.
+SMOKE_BENCH = BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward|BenchmarkA2AVMiss
+SMOKE_PKGS = ./internal/moe ./internal/train ./internal/devent
 
 # Quick CI, and the only definition of it (.github/workflows/ci.yml runs
 # this target): gofmt + the transport-name grep + vet + build + all six

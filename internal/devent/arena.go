@@ -38,21 +38,48 @@ type simFlow struct {
 	trunks  span    // of simArena.trunkRefs: shared links on the route
 	deps    span    // of simArena.dependents: the flows this one releases
 	ndeps   int32   // dependencies still outstanding
+	party   int32   // index into simArena.parties; flows with trunks only
 	class   topology.LinkClass
 }
 
 // activeFlow is the fluid-phase bookkeeping of a draining flow (one with
-// trunks), held compactly so that water-filling walks a short dense array
-// instead of chasing simFlows.
+// trunks), held compactly so that settling rates walks a short dense array
+// instead of chasing simFlows. Its fair share is its party's fill.
 type activeFlow struct {
 	flow      int32
-	trunks    span    // simFlow.trunks
-	cap       float64 // simFlow.cap
-	stop      float64 // freeze threshold, cap * (1 - 1e-12)
+	party     int32   // simFlow.party
 	rate      float64 // current fair-share rate
 	remaining float64 // bytes left as of lastT
 	lastT     float64
-	fill      float64 // water-filling scratch: the rate being computed
+}
+
+// party is the set of a query's flows that share a rate cap and a trunk
+// list. Water-filling treats every active member of a party alike — each
+// one's freeze test reads only the cap and the trunks — so it fills the
+// party as one entry weighted by its active member count and hands all of
+// them the same rate, bit for bit what filling them one by one gives.
+type party struct {
+	cap  float64 // the members' simFlow.cap
+	stop float64 // freeze threshold, cap * (1 - 1e-12)
+	// trunks is the first member's simFlow.trunks; every member's list
+	// is equal to it.
+	trunks span
+	n      int32   // active members
+	pos    int32   // index in simArena.live while n > 0
+	fill   float64 // water-filling scratch: the members' rate being computed
+}
+
+// maxKeyTrunks bounds the trunk lists a partyKey holds: the longest route
+// on today's graphs (a NoC route across racks: two crossbars, two NICs,
+// two spines) carries six. A flow with a longer list gets a party of its
+// own.
+const maxKeyTrunks = 6
+
+// partyKey identifies a party: the rate cap's bits and the trunk list.
+type partyKey struct {
+	cap    uint64
+	n      int32
+	trunks [maxKeyTrunks]int32
 }
 
 // trunk is a shared link some flow of the current query crosses.
@@ -95,9 +122,16 @@ type simArena struct {
 	portBusy []bool
 	trunkOf  []int32 // shared link -> 1 + its index in trunks; 0 = unseen
 
-	// The fluid flows currently draining, in activation order.
+	// The parties of this query's flows with trunks, and the key lookup
+	// that builds them (cleared per query, keeping its buckets).
+	parties []party
+	partyOf map[partyKey]int32
+
+	// The fluid flows currently draining, in activation order, and the
+	// parties with an active member, in no particular order.
 	active []activeFlow
-	unf    []int32 // water-filling scratch: positions in active not yet frozen
+	live   []int32
+	unf    []int32 // water-filling scratch: parties in live not yet frozen
 
 	// The ready queue and the fluid set above drain to empty by the time
 	// every flow is done, so they need no reset between queries.
@@ -135,8 +169,8 @@ func (a *simArena) logEvent(kind string, fl int32) {
 	}
 }
 
-// build routes every flow of the plan over g and fills the flow, trunk
-// and dependents tables.
+// build routes every flow of the plan over g and fills the flow, trunk,
+// party and dependents tables.
 func (a *simArena) build(g *topology.Graph, ct *classTable) {
 	p := &a.plan
 	n := p.len()
@@ -144,8 +178,13 @@ func (a *simArena) build(g *topology.Graph, ct *classTable) {
 		a.portBusy = make([]bool, len(g.Links))
 		a.trunkOf = make([]int32, len(g.Links))
 	}
+	if a.partyOf == nil {
+		a.partyOf = make(map[partyKey]int32)
+	}
+	clear(a.partyOf)
 	a.flows = resize(a.flows, n)
 	a.ports, a.trunkRefs, a.trunks = a.ports[:0], a.trunkRefs[:0], a.trunks[:0]
+	a.parties = a.parties[:0]
 	a.byClass = [numClasses]int64{}
 	for i := 0; i < n; i++ {
 		src, dst := int(p.src[i]), int(p.dst[i])
@@ -176,6 +215,9 @@ func (a *simArena) build(g *topology.Graph, ct *classTable) {
 		}
 		f.ports.hi = int32(len(a.ports))
 		f.trunks.hi = int32(len(a.trunkRefs))
+		if f.trunks.hi > f.trunks.lo {
+			f.party = a.partyFor(f.cap, f.trunks)
+		}
 		a.flows[i] = f
 	}
 
@@ -198,6 +240,23 @@ func (a *simArena) build(g *topology.Graph, ct *classTable) {
 			f.deps.hi++
 		}
 	}
+}
+
+// partyFor returns the party of a flow with rate cap c and trunk list
+// trunks, adding one when no earlier flow of the query has both.
+func (a *simArena) partyFor(c float64, trunks span) int32 {
+	refs := a.trunkRefs[trunks.lo:trunks.hi]
+	id := int32(len(a.parties))
+	if len(refs) <= maxKeyTrunks {
+		k := partyKey{cap: math.Float64bits(c), n: int32(len(refs))}
+		copy(k.trunks[:], refs)
+		if have, ok := a.partyOf[k]; ok {
+			return have
+		}
+		a.partyOf[k] = id
+	}
+	a.parties = append(a.parties, party{cap: c, stop: c * (1 - 1e-12), trunks: trunks})
+	return id
 }
 
 // grant scans the ready queue in release order and starts every flow
@@ -230,25 +289,30 @@ func (a *simArena) grant() {
 
 // recompute runs progressive water-filling over the fluid flows: all
 // rates rise together until a flow hits its class cap or a trunk
-// saturates; saturated parties freeze and filling continues. Flows
-// whose rate changed get their remaining bytes settled at the old rate
-// and a rescheduled finish. Flows without trunks never enter here, so
+// saturates; saturated parties freeze and filling continues. It fills
+// parties, not flows: a round freezes a whole party at once and takes its
+// active member count off its trunks. Flows whose rate changed then get
+// their remaining bytes settled at the old rate and a rescheduled finish,
+// one by one in activation order, so that event sequence numbers are
+// those of a per-flow fill. Flows without trunks never enter here, so
 // their port-exclusive timing stays bit-exact.
 func (a *simArena) recompute() {
 	act := a.active
 	if len(act) == 0 {
 		return
 	}
+	if onRecompute != nil {
+		onRecompute(len(act), len(a.live))
+	}
 	for t := range a.trunks {
 		tr := &a.trunks[t]
 		tr.rem, tr.cnt = tr.cap, tr.n
 	}
-	unf := resize(a.unf, len(act))
+	unf := append(a.unf[:0], a.live...)
 	a.unf = unf
 	minCap := math.Inf(1)
-	for k := range unf {
-		unf[k] = int32(k)
-		if c := act[k].cap; c < minCap {
+	for _, id := range unf {
+		if c := a.parties[id].cap; c < minCap {
 			minCap = c
 		}
 	}
@@ -277,10 +341,10 @@ func (a *simArena) recompute() {
 		}
 		left := unf[:0]
 		minCap = math.Inf(1)
-		for _, k := range unf {
-			f := &act[k]
-			refs := a.trunkRefs[f.trunks.lo:f.trunks.hi]
-			stop := level >= f.stop
+		for _, id := range unf {
+			p := &a.parties[id]
+			refs := a.trunkRefs[p.trunks.lo:p.trunks.hi]
+			stop := level >= p.stop
 			if !stop {
 				for _, t := range refs {
 					if a.trunks[t].sat {
@@ -290,15 +354,15 @@ func (a *simArena) recompute() {
 				}
 			}
 			if !stop {
-				left = append(left, k)
-				if f.cap < minCap {
-					minCap = f.cap
+				left = append(left, id)
+				if p.cap < minCap {
+					minCap = p.cap
 				}
 				continue
 			}
-			f.fill = level
+			p.fill = level
 			for _, t := range refs {
-				a.trunks[t].cnt--
+				a.trunks[t].cnt -= p.n
 			}
 		}
 		if len(left) == len(unf) {
@@ -306,15 +370,16 @@ func (a *simArena) recompute() {
 		}
 		unf = left
 	}
-	for _, k := range unf { // filling stalled with these still unfrozen
-		act[k].fill = level
+	for _, id := range unf { // filling stalled with these still unfrozen
+		a.parties[id].fill = level
 	}
 	for k := range act {
 		f := &act[k]
-		r := f.fill
+		p := &a.parties[f.party]
+		r := p.fill
 		if r <= 0 {
 			// Numerical corner: never stall a flow entirely.
-			r = f.cap * 1e-9
+			r = p.cap * 1e-9
 		}
 		if r != f.rate {
 			f.remaining -= f.rate * (a.now - f.lastT)
@@ -328,13 +393,22 @@ func (a *simArena) recompute() {
 	}
 }
 
+// onRecompute, when set, sees the active flow and live party counts of
+// every water-filling pass. Tests set it; it is nil otherwise.
+var onRecompute func(flows, parties int)
+
 // activate appends flow fl, about to move bytes, to the fluid set at rate 0.
 func (a *simArena) activate(fl int32, bytes int64) {
 	f := &a.flows[fl]
 	a.active = append(a.active, activeFlow{
-		flow: fl, trunks: f.trunks, cap: f.cap, stop: f.cap * (1 - 1e-12),
-		remaining: float64(bytes), lastT: a.now,
+		flow: fl, party: f.party, remaining: float64(bytes), lastT: a.now,
 	})
+	p := &a.parties[f.party]
+	if p.n == 0 {
+		p.pos = int32(len(a.live))
+		a.live = append(a.live, f.party)
+	}
+	p.n++
 	for _, t := range a.trunkRefs[f.trunks.lo:f.trunks.hi] {
 		a.trunks[t].n++
 	}
@@ -349,6 +423,13 @@ func (a *simArena) deactivate(fl int32) {
 		}
 	}
 	f := &a.flows[fl]
+	p := &a.parties[f.party]
+	if p.n--; p.n == 0 {
+		last := a.live[len(a.live)-1]
+		a.live[p.pos] = last
+		a.parties[last].pos = p.pos
+		a.live = a.live[:len(a.live)-1]
+	}
 	for _, t := range a.trunkRefs[f.trunks.lo:f.trunks.hi] {
 		a.trunks[t].n--
 	}

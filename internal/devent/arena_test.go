@@ -114,12 +114,23 @@ func refQueries(n int) []refQuery {
 	}
 }
 
-func refGraphs() map[string]*topology.Graph {
+// rackPerNode is Frontier with one node per rack, so that a few dozen
+// ranks already cross rack spines (a Frontier rack holds 256 ranks). Its
+// NoC routes between racks carry six trunks, the longest party key.
+func rackPerNode() *topology.Machine {
 	m := topology.Frontier()
+	m.NodesPerRack = 1
+	return m
+}
+
+func refGraphs() map[string]*topology.Graph {
+	m, racks := topology.Frontier(), rackPerNode()
 	return map[string]*topology.Graph{
-		"flat": topology.FlatGraph(topology.Flat(12), 12),
-		"rail": topology.RailGraph(m, 24, 0),
-		"noc":  topology.NoCGraph(m, 24, 0),
+		"flat":       topology.FlatGraph(topology.Flat(12), 12),
+		"rail":       topology.RailGraph(m, 24, 0),
+		"noc":        topology.NoCGraph(m, 24, 0),
+		"rail-racks": topology.RailGraph(racks, 24, 0),
+		"noc-racks":  topology.NoCGraph(racks, 24, 0),
 	}
 }
 
@@ -187,10 +198,72 @@ func TestSimulateMatchesReference(t *testing.T) {
 	}
 }
 
+// Water-filling runs over parties — active flows sharing a rate cap and a
+// trunk list — and each party must stand for its members exactly.
+//
+// On the benchmark's 64-rank ragged all-to-all-v some pass must see fewer
+// live parties than active flows, or the reference comparisons would pass
+// on single-flow parties and say nothing about the grouping; there a party
+// frozen as if it were one flow drifts from the reference. On the graphs
+// the topology package builds, a trunk list implies its link class, so a
+// party key without the cap would go unnoticed; the second graph keeps
+// NoC routes built for GCD pairs of two but classifies flows by pairs of
+// three, so ranks 0 → 2 (GCD pair, derated below intra-node) and 0 → 3
+// (intra-node) share both crossbars at different caps.
+func TestWaterFillingGroupsParties(t *testing.T) {
+	var passes, grouped, flows, parties int
+	onRecompute = func(f, p int) {
+		passes++
+		flows += f
+		parties += p
+		if p < f {
+			grouped++
+		}
+	}
+	defer func() { onRecompute = nil }()
+
+	eng, ranks := railEngine(64)
+	matchesReference(t, "rail64", eng, nil, a2avQuery("ragged", ranks, raggedSend(64)))
+	if grouped == 0 {
+		t.Errorf("none of %d water-filling passes saw fewer live parties than active flows", passes)
+	}
+	t.Logf("%d passes, %d grouped; mean %.1f active flows in %.1f live parties",
+		passes, grouped, float64(flows)/float64(passes), float64(parties)/float64(passes))
+
+	g := topology.NoCGraph(topology.Frontier(), 16, 0)
+	g.M = topology.Frontier()
+	g.M.GPUsPerPair = 3
+	trunksOf := func(src, dst int) []topology.LinkID {
+		var tr []topology.LinkID
+		for _, id := range g.Route(src, dst, nil) {
+			if g.Link(id).Shared {
+				tr = append(tr, id)
+			}
+		}
+		return tr
+	}
+	if !reflect.DeepEqual(trunksOf(0, 2), trunksOf(0, 3)) || g.M.Classify(0, 2) == g.M.Classify(0, 3) {
+		t.Fatal("ranks 0 → 2 and 0 → 3 no longer share trunks at different link classes")
+	}
+	derate := map[topology.LinkClass]float64{topology.LinkGCDPair: 10}
+	skew := New(g)
+	skew.SetLinkDerate(derate)
+	matchesReference(t, "skewed-classes", skew, derate, a2avQuery("uneven", ranksOf(16), unevenSend(16)))
+}
+
 // FuzzAlltoAllVMatchesReference drives the all-to-all-v, the one collective
 // whose payload matrix is caller-shaped, with arbitrary byte counts
-// (zeros included) on every graph kind.
+// (zeros included) on every graph kind, within a rack and across racks.
 func FuzzAlltoAllVMatchesReference(f *testing.F) {
+	m, racks := topology.Frontier(), rackPerNode()
+	graphs := []*topology.Graph{
+		topology.FlatGraph(topology.Flat(16), 16),
+		topology.RailGraph(m, 16, 0),
+		topology.NoCGraph(m, 16, 0),
+		topology.RailGraph(racks, 24, 0),
+		topology.NoCGraph(racks, 24, 0),
+	}
+	ng := uint8(len(graphs))
 	for _, p := range []int{1, 2, 5, 16} {
 		for _, send := range [][][]int64{unevenSend(p), evenSend(p, 1<<16), evenSend(p, 0)} {
 			var raw []byte
@@ -199,22 +272,17 @@ func FuzzAlltoAllVMatchesReference(f *testing.F) {
 					raw = append(raw, byte(b>>15))
 				}
 			}
-			for _, mode := range []uint8{0, 1, 2, 5} { // flat, rail, NoC, NoC derated
+			// Every graph healthy, then NoC and NoC across racks derated.
+			for _, mode := range []uint8{0, 1, 2, 3, 4, ng + 2, ng + 4} {
 				f.Add(uint8(p), mode, raw)
 			}
 		}
 	}
-	m := topology.Frontier()
-	graphs := []*topology.Graph{
-		topology.FlatGraph(topology.Flat(16), 16),
-		topology.RailGraph(m, 16, 0),
-		topology.NoCGraph(m, 16, 0),
-	}
 	f.Fuzz(func(t *testing.T, pRaw, mode uint8, raw []byte) {
 		p := int(pRaw-1)%16 + 1 // 1..16; the seeds pass p itself
-		g := graphs[int(mode)%len(graphs)]
+		g := graphs[mode%ng]
 		var derate map[topology.LinkClass]float64
-		if mode&4 != 0 {
+		if (mode/ng)%2 == 1 {
 			derate = map[topology.LinkClass]float64{topology.LinkInterNode: 2}
 		}
 		send := make([][]int64, p)

@@ -209,6 +209,7 @@ func ParsePlan(spec string) (Plan, error) {
 	if strings.TrimSpace(spec) == "" {
 		return plan, nil
 	}
+	var clauses []string // plan.Events[i] was parsed from clauses[i]
 	for _, tok := range strings.Split(spec, ",") {
 		tok = strings.TrimSpace(tok)
 		fields := strings.Split(tok, ":")
@@ -350,8 +351,35 @@ func ParsePlan(spec string) (Plan, error) {
 			return Plan{}, fmt.Errorf("fault: unknown kind %q in %q", kind, tok)
 		}
 		plan.Events = append(plan.Events, e)
+		clauses = append(clauses, tok)
+	}
+	if err := finiteDerates(plan, clauses); err != nil {
+		return Plan{}, err
 	}
 	return plan, nil
+}
+
+// finiteDerates rejects a plan whose overlapping link events on one class
+// compound to a non-finite derate (x1e200 twice is +Inf, which an event
+// engine cannot drain a flow at). Every derate exceeds 1, so a class's
+// product is largest at some event's start step: checking those steps
+// checks every step.
+func finiteDerates(plan Plan, clauses []string) error {
+	inj := NewInjector(plan, 0)
+	for _, e := range plan.Events {
+		if e.Kind != Link || !math.IsInf(inj.LinkDerates(e.Step)[e.Class], 0) {
+			continue
+		}
+		var over []string
+		for i, o := range plan.Events {
+			if o.Kind == Link && o.Class == e.Class && o.active(e.Step) {
+				over = append(over, clauses[i])
+			}
+		}
+		return fmt.Errorf("fault: link events %s compound to a non-finite %s derate at step %d",
+			strings.Join(over, ","), linkName(e.Class), e.Step)
+	}
+	return nil
 }
 
 // parseFinite parses a float option value, rejecting NaN and ±Inf: they

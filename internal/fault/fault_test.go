@@ -74,6 +74,9 @@ var malformedSpecs = []string{
 	"crash:r0@tNaN",
 	"crash:r0@tInf",
 	"spares:9223372036854775807,spares:1", // pool size overflows
+	// Overlapping link windows compound to +Inf.
+	"link:inter@s0:x1e200,link:inter@s0:x1e200",
+	"link:rack@s0:x1e300:n5,link:inter@s1:x2,link:rack@s3:x1e10",
 }
 
 func TestParsePlanRejectsMalformed(t *testing.T) {
@@ -88,9 +91,35 @@ func TestParsePlanRejectsMalformed(t *testing.T) {
 	}
 }
 
+// A plan whose overlapping link events compound past float64 is refused
+// with an error naming the class and every clause that overlaps, while
+// the same derates in disjoint windows stay accepted.
+func TestParsePlanRejectsInfiniteDerate(t *testing.T) {
+	_, err := ParsePlan("link:inter@s0:x1e200,link:rack@s0:x1e200,link:inter@s0:x1e200:n2")
+	if err == nil {
+		t.Fatal("compounded x1e200 x1e200 on inter accepted")
+	}
+	for _, want := range []string{"inter", "link:inter@s0:x1e200,link:inter@s0:x1e200:n2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "rack") {
+		t.Errorf("error %q names the rack clause, which does not overlap on inter", err)
+	}
+	plan, err := ParsePlan("link:inter@s0:x1e200,link:inter@s1:x1e200")
+	if err != nil {
+		t.Fatalf("disjoint windows rejected: %v", err)
+	}
+	if d := NewInjector(plan, 1).LinkDerates(1); d[topology.LinkInterNode] != 1e200 {
+		t.Errorf("step 1 inter derate %g, want 1e200", d[topology.LinkInterNode])
+	}
+}
+
 // FuzzParsePlan: ParsePlan either rejects a spec or returns a plan whose
-// every value is finite and in range for its kind and whose String
-// re-parses to an equal plan.
+// every value is finite and in range for its kind, whose compounded link
+// derates are finite at every step, and whose String re-parses to an equal
+// plan.
 func FuzzParsePlan(f *testing.F) {
 	f.Add(roundTripSpec)
 	f.Add("spares:2,crash:r1@s3,crash:r4@t0")
@@ -126,6 +155,20 @@ func FuzzParsePlan(f *testing.F) {
 			}
 			if !ok {
 				t.Fatalf("ParsePlan(%q): out-of-range event %+v", spec, e)
+			}
+		}
+		// LinkDerates is constant between event starts and ends, so
+		// those steps (and step 0) stand for every step.
+		inj := NewInjector(plan, 0)
+		steps := []int{0}
+		for _, e := range plan.Events {
+			steps = append(steps, e.Step, e.Step+e.ForSteps)
+		}
+		for _, s := range steps {
+			for c, d := range inj.LinkDerates(s) {
+				if math.IsInf(d, 0) || math.IsNaN(d) {
+					t.Fatalf("ParsePlan(%q): %v derate %g at step %d", spec, c, d, s)
+				}
 			}
 		}
 		again, err := ParsePlan(plan.String())
