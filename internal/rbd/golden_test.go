@@ -64,8 +64,9 @@ func (b bitHash) tensor(t *tensor.Tensor) {
 
 // runBlockingLayer executes one fwd+bwd of the transport with
 // OverlapChunks = chunks in both passes on a fresh Frontier cluster and
-// digests everything the simulation produced.
-func runBlockingLayer(t *testing.T, transport string, numeric bool, chunks int) blockingGolden {
+// digests everything the simulation produced. tutel runs the layer under
+// Tutel's profile (vendor kernels, float32 combine buffers).
+func runBlockingLayer(t *testing.T, transport string, numeric bool, chunks int, tutel bool) blockingGolden {
 	t.Helper()
 	// Symbolic: four nodes, strongly skewed routing. Numeric: two nodes,
 	// a layer small enough to multiply out in milliseconds.
@@ -102,8 +103,12 @@ func runBlockingLayer(t *testing.T, transport string, numeric bool, chunks int) 
 			}
 		}
 		fwd := moe.PipelineOpts{Numeric: numeric, DropPolicy: drop, SaveForBackward: true, OverlapChunks: chunks}
-		bwd := moe.PipelineOpts{Numeric: numeric, DropPolicy: drop, OverlapChunks: chunks,
-			OnDWReady: func() { hookClock[r.ID] = r.Clock }}
+		if tutel {
+			fwd.Kernels, fwd.CombineBytes = moe.KernelsVendor, 4
+		}
+		bwd := fwd
+		bwd.SaveForBackward = false
+		bwd.OnDWReady = func() { hookClock[r.ID] = r.Clock }
 		var out *tensor.Tensor
 		var grads moe.BackwardResult
 		switch transport {
@@ -205,16 +210,25 @@ func (g blockingGolden) literal() string {
 // RBD (the c4 rows) to the bits of its deleted split-buffer overlapped
 // forward: per-rank clocks, the OnDWReady instant, every recorded and every
 // overlapped span (none at one chunk), every Breakdown stage, peak memory
-// and (numeric) every output and gradient. The values were recorded at the
-// parent commit of the PR that folded the second body away; they are the
+// and (numeric) every output and gradient. The pft and padded c4 rows and
+// the padded tutel row (Tutel's vendor kernels and float32 combine buffers)
+// were recorded from the separate padded forward and backward bodies, before
+// the padded transport ran through the PFT body. The values were recorded at
+// the parent commit of the PR that folded the second body away; they are the
 // reference now, so a mismatch is a model change that must be declared, not
 // re-recorded.
 func TestBlockingGoldenBits(t *testing.T) {
 	for _, row := range []struct {
 		transport string
 		chunks    int
-	}{{"pft", 0}, {"padded", 0}, {"rbd", 0}, {"rbd", 4}} {
+		onlySym   bool // no numeric row
+		tutel     bool
+	}{{"pft", 0, false, false}, {"padded", 0, false, false}, {"rbd", 0, false, false}, {"rbd", 4, false, false},
+		{"pft", 4, false, false}, {"padded", 4, false, false}, {"padded", 0, true, true}} {
 		for _, numeric := range []bool{false, true} {
+			if numeric && row.onlySym {
+				continue
+			}
 			name := row.transport + "/symbolic"
 			if numeric {
 				name = row.transport + "/numeric"
@@ -222,8 +236,11 @@ func TestBlockingGoldenBits(t *testing.T) {
 			if row.chunks > 1 {
 				name += fmt.Sprintf("/c%d", row.chunks)
 			}
+			if row.tutel {
+				name += "/tutel"
+			}
 			t.Run(name, func(t *testing.T) {
-				got := runBlockingLayer(t, row.transport, numeric, row.chunks)
+				got := runBlockingLayer(t, row.transport, numeric, row.chunks, row.tutel)
 				if w := blockingGoldens[name]; got.literal() != w.literal() {
 					t.Errorf("golden mismatch\n got: %q: %s,\nwant: %q: %s,", name, got.literal(), name, w.literal())
 				}
@@ -300,5 +317,40 @@ var blockingGoldens = map[string]blockingGolden{
 			"rbd_comb_merge": 0x22acec19ff3c37bd, "rbd_comb_s1_a2a": 0xbbf19fa6d116dfeb, "rbd_comb_s2_a2a": 0x1b78f2ad8c9a5c7d,
 			"rbd_comb_scatter": 0x474324f8608da882, "rbd_reconstruct": 0xe8395d74771cedc3, "rbd_s1_a2a": 0x90698e78d6ca8ead,
 			"rbd_s1_inst": 0xf31befec3b116be5, "rbd_s2_a2a": 0x8421ae126c7ced25, "rbd_s2_inst": 0x3714ae57dbb453c9,
+		}},
+	"pft/symbolic/c4": {maxClock: 0x3f64afa47224e35d, clocks: 0x98830151a3a8926a, events: 0x31c99736cef32392, peakMem: 20303044, tensors: 0x0,
+		stages: map[string]uint64{
+			"a2a_combine": 0x6e0db9cbe152305b, "a2a_dispatch": 0x2487bce494463590, "bwd_a2a_combine": 0x14b3e913b66ddac0,
+			"bwd_a2a_dispatch": 0xd888976bb1cb6cf5, "bwd_combine": 0xe205125fb5b9b652, "bwd_dispatch": 0x4b46f1ae880a0813,
+			"bwd_experts": 0x74cf5502ca045a72, "combine": 0x4b46f1ae880a0813, "dispatch": 0x4b46f1ae880a0813,
+			"experts": 0x52c2cb0ff3609f09, "gate": 0x50087090fbd8c665, "others": 0x2b8489719f80c8f0,
+		}},
+	"pft/numeric/c4": {maxClock: 0x3f4a243cb512ac45, clocks: 0x20d26c68301be4a9, events: 0xd97a8b09fcd0097a, peakMem: 10624, tensors: 0xd5dce9d0adbdef22,
+		stages: map[string]uint64{
+			"a2a_combine": 0x9221c33f0053df7f, "a2a_dispatch": 0x406c922ef30e3968, "bwd_a2a_combine": 0x52c7f0b6455873a9,
+			"bwd_a2a_dispatch": 0xf585ad7cfe1d131, "bwd_combine": 0xb1af97bde5de6dd5, "bwd_dispatch": 0xb1c558431638395a,
+			"bwd_experts": 0x9b901d107c656a96, "combine": 0xb1c558431638395a, "dispatch": 0xb1c558431638395a,
+			"experts": 0x21513801973b6a7f, "gate": 0x650ce7d49dc02645, "others": 0x58cc51fa79850f3,
+		}},
+	"padded/symbolic/c4": {maxClock: 0x3f708a484fb86386, clocks: 0x95c43e0c840c4e25, events: 0xea4db51754b1c0e5, peakMem: 45088768, tensors: 0x0,
+		stages: map[string]uint64{
+			"a2a_combine": 0xbc9ca85049585365, "a2a_dispatch": 0xd80ac658736bb725, "bwd_a2a_combine": 0xd80ac658736bb725,
+			"bwd_a2a_dispatch": 0x96fb2ba054299b25, "bwd_combine": 0x137029177ed28025, "bwd_dispatch": 0x514ecb940f397de5,
+			"bwd_experts": 0xcf5b72dd212072a5, "combine": 0x514ecb940f397de5, "dispatch": 0x514ecb940f397de5,
+			"experts": 0x7d9d06936665b265, "gate": 0xa61d3664fb4942e5, "others": 0x59188ae64ed36425,
+		}},
+	"padded/numeric/c4": {maxClock: 0x3f5dcaa10fe5537c, clocks: 0xa27043d66f3c7625, events: 0x22a425397eaf4885, peakMem: 52320, tensors: 0x96e3b67277685604,
+		stages: map[string]uint64{
+			"a2a_combine": 0x6684b6cd71c16ae5, "a2a_dispatch": 0x8421ae126c7ced25, "bwd_a2a_combine": 0x8421ae126c7ced25,
+			"bwd_a2a_dispatch": 0x4569f7edf5729fa5, "bwd_combine": 0xb62e49b34f4ca0a5, "bwd_dispatch": 0xe209ba3e135323c5,
+			"bwd_experts": 0xd7f4e2872847fb25, "combine": 0xe209ba3e135323c5, "dispatch": 0xe209ba3e135323c5,
+			"experts": 0xbeb9768998f3cfc5, "gate": 0xa0aec53dedce57e5, "others": 0x312da6f73197a565,
+		}},
+	"padded/symbolic/tutel": {maxClock: 0x3f66b10c829d74d8, clocks: 0x8da0d278fe24d525, events: 0x66a0f60f5ab343c5, peakMem: 40419328, tensors: 0x0,
+		stages: map[string]uint64{
+			"a2a_combine": 0x5494e1dab94a85e5, "a2a_dispatch": 0xd0104c1069c64a25, "bwd_a2a_combine": 0xfe9ecca4c767ade5,
+			"bwd_a2a_dispatch": 0xfe9ecca4c767ade5, "bwd_combine": 0xba3a58bc4d5bcfe5, "bwd_dispatch": 0xba3a58bc4d5bcfe5,
+			"bwd_experts": 0xb7f9e6e38e15125, "combine": 0x13185e0a0672125, "dispatch": 0xba3a58bc4d5bcfe5,
+			"experts": 0xf07fe03e58eab725, "gate": 0xfe1fea1fe9f64565, "others": 0xab082fda312c9fe5,
 		}},
 }
