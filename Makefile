@@ -7,10 +7,11 @@
 #   make fuzz-smoke - every Fuzz target in the tree for 10 s each
 #   make bench   - package microbenchmarks with allocation counts
 #   make bench-figs - paper-figure benchmarks (slow)
+#   make loc     - non-test Go lines per package and for the tree
 
 GO ?= go
 
-.PHONY: all build fmt-check no-transport-strings vet test race race-fast race-full chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke bench bench-figs bench-json bench-save ci
+.PHONY: all build loc fmt-check no-transport-strings vet test race race-fast race-full chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke bench bench-figs bench-json bench-save ci
 
 all: build
 
@@ -19,6 +20,16 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines of every package and of the tree, without blank lines
+# or `//` comment lines: the filter the line counts in CHANGES.md quote.
+loc:
+	@$(GO) list -f '{{.Dir}} {{range .GoFiles}}{{.}} {{end}}' ./... | \
+	while read dir files; do \
+		[ -n "$$files" ] || continue; \
+		n=$$(cd $$dir && cat $$files | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l); \
+		printf '%7d %s\n' $$n $${dir#$(CURDIR)/}; \
+	done | awk '{ print; total += $$1 } END { printf "%7d total\n", total }'
 
 # Fails when any file is not gofmt-clean (gofmt -l prints its name).
 fmt-check:

@@ -62,8 +62,6 @@ type Config struct {
 	DropPolicy moe.DropPolicy
 	// CombineBytes is the combine-buffer element size on this platform.
 	CombineBytes int
-	// NoDenseMask marks sparse dispatchers (Tutel).
-	NoDenseMask bool
 	// SupportsTP: the sweep may raise TP above 1.
 	SupportsTP bool
 	// SSMB: sequence-sharded MoE blocks (X-MoE only).
@@ -111,7 +109,6 @@ func For(sys System, m *topology.Machine) Config {
 			Kernels:      moe.KernelsVendor,
 			DropPolicy:   moe.DropNegativeThenPosition,
 			CombineBytes: cb,
-			NoDenseMask:  true,
 			Placement:    parallel.EPFirst,
 		}
 	default: // XMoE
@@ -154,7 +151,9 @@ func (c Config) PipelineOpts() moe.PipelineOpts {
 }
 
 // MemSetup converts the system config plus a plan and micro-batch into a
-// memory-model setup.
+// memory-model setup. Vendor kernels are Tutel's sparse dispatcher, which
+// builds no dense mask — the same decision the padded pipeline makes from
+// PipelineOpts.Kernels.
 func (c Config) MemSetup(plan parallel.Plan, microBatch int) memmodel.Setup {
 	return memmodel.Setup{
 		Plan:           plan,
@@ -163,6 +162,6 @@ func (c Config) MemSetup(plan parallel.Plan, microBatch int) memmodel.Setup {
 		CapacityFactor: 1.25,
 		ElemBytes:      2,
 		CombineBytes:   c.CombineBytes,
-		NoDenseMask:    c.NoDenseMask,
+		NoDenseMask:    c.Kernels == moe.KernelsVendor,
 	}
 }

@@ -93,17 +93,25 @@ func TestIntoKernelsMatchFreshBitForBit(t *testing.T) {
 	})
 
 	t.Run("Padded", func(t *testing.T) {
-		slotToken := [][]int{{0, 2, -1}, {1, -1, -1}, {3, 4, 5}, {-1, -1, -1}}
-		slotWeight := [][]float32{{0.5, 0.25, 0}, {1, 0, 0}, {0.1, 0.2, 0.3}, {0, 0, 0}}
-		const capacity = 3
-		wantD := PaddedDispatch(x, slotToken, capacity)
-		gotD := pool.Get(len(slotToken), capacity, h)
-		PaddedDispatchInto(gotD, x, slotToken, capacity)
+		// The capacity-padded layout of four experts with three slots each:
+		// holes (-1) gather as zero rows, also into a dirty destination,
+		// and add nothing in either scatter.
+		slots := []int{0, 2, -1, 1, -1, -1, 3, 4, 5, -1, -1, -1}
+		slotWeight := []float32{0.5, 0.25, 0, 1, 0, 0, 0.1, 0.2, 0.3, 0, 0, 0}
+		wantD := Gather(x, slots)
+		gotD := pool.Get(len(slots), h)
+		gotD.Fill(7)
+		GatherInto(gotD, x, slots)
 		equal(t, "padded-dispatch", wantD, gotD)
 
-		wantC := PaddedCombine(wantD, slotToken, slotWeight, capacity, s)
+		wantC := ScatterCombine(wantD, slots, slotWeight, s)
 		gotC := pool.Get(s, h)
-		PaddedCombineInto(gotC, gotD, slotToken, slotWeight, capacity)
+		ScatterCombineInto(gotC, gotD, slots, slotWeight)
 		equal(t, "padded-combine", wantC, gotC)
+
+		wantB := GatherBackward(wantD, slots, s)
+		gotB := pool.Get(s, h)
+		GatherBackwardInto(gotB, gotD, slots)
+		equal(t, "padded-gather-backward", wantB, gotB)
 	})
 }

@@ -28,7 +28,9 @@ import (
 //
 //	dispatchIn[i, :] = gateOut[tokenIDs[i], :]
 //
-// gateOut is [S, H]; the result is [B, H] with B = len(tokenIDs).
+// gateOut is [S, H]; the result is [B, H] with B = len(tokenIDs). A
+// negative id is a hole (an empty slot of the capacity-padded layout) and
+// gathers as a zero row; every kernel here skips holes.
 func Gather(gateOut *tensor.Tensor, tokenIDs []int) *tensor.Tensor {
 	out := tensor.New(len(tokenIDs), gateOut.Cols())
 	GatherInto(out, gateOut, tokenIDs)
@@ -44,7 +46,11 @@ func GatherInto(out, gateOut *tensor.Tensor, tokenIDs []int) {
 	}
 	tensor.ParallelFor(b, 16, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			copy(out.Row(i), gateOut.Row(tokenIDs[i]))
+			if t := tokenIDs[i]; t >= 0 {
+				copy(out.Row(i), gateOut.Row(t))
+			} else {
+				clear(out.Row(i))
+			}
 		}
 	})
 }
@@ -52,8 +58,8 @@ func GatherInto(out, gateOut *tensor.Tensor, tokenIDs []int) {
 // GatherBackward scatters row gradients back through Gather: it returns
 // dGateOut [S, H] with dGateOut[tokenIDs[i], :] += dDispatchIn[i, :].
 // Multiple dispatch rows may map to one token (top-k routing), so this is
-// an accumulating scatter grouped by destination row to stay race-free
-// under parallel execution.
+// an accumulating scatter grouped by destination row, in ascending row
+// order, to stay race-free under parallel execution.
 func GatherBackward(dDispatchIn *tensor.Tensor, tokenIDs []int, numTokens int) *tensor.Tensor {
 	out := tensor.New(numTokens, dDispatchIn.Cols())
 	GatherBackwardInto(out, dDispatchIn, tokenIDs)
@@ -87,9 +93,9 @@ func GatherBackwardInto(out, dDispatchIn *tensor.Tensor, tokenIDs []int) {
 //	combineOut[tokenIDs[i], :] += mlpOut[i, :] * weights[i]
 //
 // mlpOut is [B, H]; the result is [numTokens, H]. The accumulation over
-// the k expert outputs of each token is the combine-stage weighted sum.
-// Rows are grouped by destination token so parallel workers never write
-// the same output row.
+// the k expert outputs of each token is the combine-stage weighted sum,
+// in ascending row order. Rows are grouped by destination token so
+// parallel workers never write the same output row.
 func ScatterCombine(mlpOut *tensor.Tensor, tokenIDs []int, weights []float32, numTokens int) *tensor.Tensor {
 	out := tensor.New(numTokens, mlpOut.Cols())
 	ScatterCombineInto(out, mlpOut, tokenIDs, weights)
@@ -123,7 +129,8 @@ func ScatterCombineInto(out, mlpOut *tensor.Tensor, tokenIDs []int, weights []fl
 }
 
 // DestIndex is a CSR-style inverse of a destination-id array: the sources
-// mapping to destination t are Sources(t), in ascending source order.
+// mapping to destination t are Sources(t), in ascending source order. A
+// negative id is a hole and maps to no destination.
 // Building it costs three slice allocations regardless of the destination
 // count, replacing the per-destination sub-slices the scatter kernels
 // previously allocated. The routing layers reuse it wherever a
@@ -141,20 +148,24 @@ func (d DestIndex) Sources(t int) []int { return d.perm[d.offsets[t]:d.offsets[t
 func GroupByDestination(ids []int, n int) DestIndex {
 	offsets := make([]int, n+1)
 	for _, t := range ids {
-		if t < 0 || t >= n {
+		if t >= n {
 			panic(fmt.Sprintf("kernels: destination index %d outside [0,%d)", t, n))
 		}
-		offsets[t+1]++
+		if t >= 0 {
+			offsets[t+1]++
+		}
 	}
 	for t := 0; t < n; t++ {
 		offsets[t+1] += offsets[t]
 	}
-	perm := make([]int, len(ids))
+	perm := make([]int, offsets[n])
 	next := make([]int, n)
 	copy(next, offsets[:n])
 	for i, t := range ids {
-		perm[next[t]] = i
-		next[t]++
+		if t >= 0 {
+			perm[next[t]] = i
+			next[t]++
+		}
 	}
 	return DestIndex{offsets: offsets, perm: perm}
 }
@@ -222,67 +233,6 @@ func checkSegments(rows []int, weights []*tensor.Tensor, total, k, n int) {
 	for e, w := range weights {
 		if rows[e] > 0 && (w.Rows() != k || w.Cols() != n) {
 			panic(fmt.Sprintf("kernels: expert %d weight shape %v, want [%d,%d]", e, w.Shape(), k, n))
-		}
-	}
-}
-
-// PaddedDispatch builds the conventional zero-padded expert buffer used by
-// GShard-style frameworks: a [E, C, H] tensor where slot (e, c) holds the
-// token assigned to position c of expert e's buffer, and unused slots stay
-// zero (paper Fig. 2). slotToken[e][c] gives the source token index or -1.
-func PaddedDispatch(x *tensor.Tensor, slotToken [][]int, capacity int) *tensor.Tensor {
-	out := tensor.New(len(slotToken), capacity, x.Cols())
-	PaddedDispatchInto(out, x, slotToken, capacity)
-	return out
-}
-
-// PaddedDispatchInto is PaddedDispatch into the preallocated out
-// [E, C, H]. out must be zero-filled: only occupied slots are written.
-func PaddedDispatchInto(out, x *tensor.Tensor, slotToken [][]int, capacity int) {
-	h := x.Cols()
-	e := len(slotToken)
-	tensor.ParallelFor(e, 1, func(lo, hi int) {
-		for exp := lo; exp < hi; exp++ {
-			for c, tok := range slotToken[exp] {
-				if tok < 0 {
-					continue
-				}
-				copy(out.Data[(exp*capacity+c)*h:(exp*capacity+c+1)*h], x.Row(tok))
-			}
-		}
-	})
-}
-
-// PaddedCombine reverses PaddedDispatch with combine-weight scaling:
-// output[tok, :] += buffer[e, c, :] * weight for each occupied slot.
-func PaddedCombine(buffer *tensor.Tensor, slotToken [][]int, slotWeight [][]float32, capacity, numTokens int) *tensor.Tensor {
-	h := buffer.Cols()
-	if buffer.Rank() == 3 {
-		h = buffer.Dim(2)
-	}
-	out := tensor.New(numTokens, h)
-	PaddedCombineInto(out, buffer, slotToken, slotWeight, capacity)
-	return out
-}
-
-// PaddedCombineInto is PaddedCombine into the preallocated out
-// [numTokens, H]. out must be zero-filled; slots are accumulated.
-func PaddedCombineInto(out, buffer *tensor.Tensor, slotToken [][]int, slotWeight [][]float32, capacity int) {
-	h := buffer.Cols()
-	if buffer.Rank() == 3 {
-		h = buffer.Dim(2)
-	}
-	for e := range slotToken {
-		for c, tok := range slotToken[e] {
-			if tok < 0 {
-				continue
-			}
-			w := slotWeight[e][c]
-			src := buffer.Data[(e*capacity+c)*h : (e*capacity+c+1)*h]
-			dst := out.Row(tok)
-			for j, v := range src {
-				dst[j] += w * v
-			}
 		}
 	}
 }

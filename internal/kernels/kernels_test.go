@@ -157,9 +157,9 @@ func TestPaddedDispatchAndCombine(t *testing.T) {
 		3, 3,
 	}, 3, 2)
 	// 2 experts, capacity 2: expert 0 gets tokens 0,2; expert 1 gets token 1
-	// with one empty (zero-padded) slot.
-	slotToken := [][]int{{0, 2}, {1, -1}}
-	buf := PaddedDispatch(x, slotToken, 2)
+	// with one empty (zero-padded) slot, a hole.
+	slots := []int{0, 2, 1, -1}
+	buf := Gather(x, slots)
 	// Layout [E=2, C=2, H=2]: (e=0,c=1) starts at (0*2+1)*2 = 2 and holds
 	// token 2; (e=1,c=0) starts at (1*2+0)*2 = 4 and holds token 1.
 	if buf.Data[0] != 1 || buf.Data[2] != 3 || buf.Data[4] != 2 {
@@ -169,10 +169,14 @@ func TestPaddedDispatchAndCombine(t *testing.T) {
 	if buf.Data[(1*2+1)*2] != 0 {
 		t.Fatal("padding slot not zero")
 	}
-	slotWeight := [][]float32{{1, 0.5}, {2, 0}}
-	out := PaddedCombine(buf, slotToken, slotWeight, 2, 3)
+	buf.Data[(1*2+1)*2] = 100 // a hole's row never reaches a token
+	out := ScatterCombine(buf, slots, []float32{1, 0.5, 2, 0}, 3)
 	if out.At(0, 0) != 1 || out.At(1, 0) != 4 || out.At(2, 0) != 1.5 {
 		t.Fatalf("padded combine = %v", out.Data)
+	}
+	dx := GatherBackward(buf, slots, 3)
+	if dx.At(0, 0) != 1 || dx.At(1, 0) != 2 || dx.At(2, 0) != 3 {
+		t.Fatalf("padded gather backward = %v", dx.Data)
 	}
 }
 

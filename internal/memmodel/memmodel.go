@@ -8,8 +8,12 @@
 // Every memory-related figure of the paper — the Fig. 3 bottleneck shift,
 // Table 4 per-layer activations, Fig. 13 SSMB savings, Fig. 17 advantage
 // regions, and the OOM verdicts in Figs. 9 and 20 — is derived from these
-// formulas, which in turn are validated against the simulated pipelines'
-// live MemTracker accounting in the integration tests.
+// formulas. TestMoELayerMatchesLiveMemTracker holds MoELayer to the
+// simulated pipelines' live MemTracker accounting: a padded layer's mask,
+// dispatch, combine and intermediate buffers match it byte for byte under
+// the fallback, vendor and fp32-combine profiles, and a PFT layer's
+// dispatch and combine buffers and ERI-arrays stay within its bound of
+// min(S·k, E·C) rows. Nothing else here is checked against a simulation.
 package memmodel
 
 import (

@@ -2,7 +2,6 @@ package moe
 
 import (
 	"xmoe/internal/kernels"
-	"xmoe/internal/perfmodel"
 	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
 )
@@ -26,11 +25,11 @@ type BackwardResult struct {
 	DX *tensor.Tensor
 	// DW1 and DW2 are the per-local-expert weight gradients.
 	DW1, DW2 []*tensor.Tensor
-	// DCombineWeights[i] is the loss gradient of PFT entry i's combine
-	// weight; the caller feeds it into the router's softmax backward
-	// (per-token weights are routing metadata, so they stay local). For
-	// the padded pipeline the index is the slot index e*C + c (zero for
-	// empty slots).
+	// DCombineWeights[i] is the loss gradient of the combine weight of
+	// layout entry i (PFT row i; for the padded layout slot e*C + c; for
+	// RBD the PFT row as well), and 0 for a hole. The caller feeds it into
+	// the router's softmax backward (per-token weights are routing
+	// metadata, so they stay local).
 	DCombineWeights []float32
 }
 
@@ -40,10 +39,12 @@ type BackwardResult struct {
 // state and the output gradient dOut [S, H], it reverses every forward
 // stage: scatter-combine backward, the combine all-to-all in reverse
 // (gradients travel source→experts, the same direction as dispatch),
-// sequential-GEMM and activation backward per expert segment, the
-// dispatch all-to-all in reverse (experts→source), and the gather
-// backward into dX. The wire volumes match the forward pass exactly —
-// the property the paper's four-alltoalls-per-layer accounting relies on.
+// expert GEMM and activation backward per expert segment, the dispatch
+// all-to-all in reverse (experts→source), and the gather backward into
+// dX. The wire volumes match the forward pass exactly — the property the
+// paper's four-alltoalls-per-layer accounting relies on, and for the
+// padded layout the padding waste the baseline is there to show. A state
+// from PaddedForward runs under the padded profile of opts.Kernels.
 //
 // opts selects the execution mode: Numeric moves real gradients (dOut and
 // params must be set), otherwise the pass is timing-only; OverlapChunks
@@ -62,6 +63,9 @@ func PFTBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdState,
 	p := g.Size()
 	h, f := cfg.HModel, cfg.HFFN
 	elem := int64(cfg.BytesPerElem)
+	kp := profileOf(st.padded, opts.Kernels)
+	// X-MoE's single-chunk expert backward is one fused dX + dW kernel.
+	fused := chunks == 1 && !kp.padded
 	comp := r.C.Comp
 	// Rank-local backward scratch comes from the per-rank arena;
 	// gradients returned to the caller and buffers crossing the
@@ -70,15 +74,16 @@ func PFTBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdState,
 	pft := st.PFT
 	b := pft.B()
 	bExp := st.bExp()
-	segStart := pft.ExpertSegments()
+	segStart := st.segStart
 
 	// --- Per-chunk scatter-combine backward + reverse combine all-to-all --
-	// The forward saved combineIn (the returned expert outputs in PFT
+	// The forward saved combineIn (the returned expert outputs in layout
 	// order); the scatter's backward yields the per-row gradients and the
-	// combine-weight gradients in one pass. Forward combine moved rows
-	// experts→source; its gradient moves source→experts with the dispatch
-	// segmentation. A single chunk crosses the exchange as views of
-	// dCombineIn, which must then be allocate-fresh: a nil arena is.
+	// combine-weight gradients in one pass, a hole's both staying zero.
+	// Forward combine moved rows experts→source; its gradient moves
+	// source→experts with the dispatch segmentation. A single chunk
+	// crosses the exchange as views of dCombineIn, which must then be
+	// allocate-fresh: a nil arena is.
 	sendPool := pool
 	if chunks == 1 {
 		sendPool = nil
@@ -97,7 +102,11 @@ func PFTBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdState,
 			for e, cnt := range pft.TokensPerExpert {
 				lo, hi := simrt.ChunkRange(cnt, chunks, c)
 				for i := segStart[e] + lo; i < segStart[e]+hi; i++ {
-					gRow := dOut.Row(pft.TokenIDs[i])
+					tok := pft.TokenIDs[i]
+					if tok < 0 {
+						continue
+					}
+					gRow := dOut.Row(tok)
 					xRow := st.CombineIn.Row(i)
 					w := pft.CombineWeights[i]
 					dRow := dCombineIn.Row(i)
@@ -112,10 +121,10 @@ func PFTBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdState,
 		}
 		send := parts[c*p : (c+1)*p]
 		chunkRows := packSegments(send, dCombineIn, pft.TokensPerExpert, segStart, epr, h, elem, chunks, c)
-		r.Compute(StageBwdCombine, comp.MemBound(perfmodel.ClassTriton, 2*int64(chunkRows)*int64(h)*elem))
+		r.Compute(StageBwdCombine, kp.bufferPass(comp, cfg, st.S, chunkRows, elem))
 		if chunks > 1 {
 			// The strided chunk pack; one chunk is sent as contiguous views.
-			r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(chunkRows)*int64(h)*elem))
+			r.Compute(StageOthers, comp.MemBound(kp.class, 2*int64(chunkRows)*int64(h)*elem))
 		}
 		combineX[c] = r.AlltoAllVChunk(g, StageBwdCombineA2A, send, chunks)
 	}
@@ -140,28 +149,24 @@ func PFTBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdState,
 		for le := 0; le < epr; le++ {
 			chunkRowsPerLE[le] = 0
 			for src := 0; src < p; src++ {
-				lo, hi := simrt.ChunkRange(st.RecvCounts[src][le], chunks, c)
-				n[le*p+src], at[le*p+src] = hi-lo, st.BlockOff[le][src]+lo
+				lo, hi := simrt.ChunkRange(st.RecvCounts[src*epr+le], chunks, c)
+				n[le*p+src], at[le*p+src] = hi-lo, st.BlockOff[le*p+src]+lo
 				chunkRowsPerLE[le] += hi - lo
 			}
 			bc += chunkRowsPerLE[le]
 		}
-		strided := comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(h)*elem)
-		if chunks == 1 {
+		reorder := comp.MemBound(kp.class, 2*int64(bc)*int64(h)*elem)
+		if fused {
 			// One chunk: the received rows reorder in one contiguous pass
 			// inside the fused kernel, which computes dX and dW of each
 			// expert segment together, before the reverse exchange.
-			r.Compute(StageBwdExperts, comp.SequentialGEMM(st.RowsPerLE, h, f)*2+
-				comp.SequentialGEMM(st.RowsPerLE, f, h)*2+
-				comp.MemBound(perfmodel.ClassTriton, 2*int64(bExp)*int64(f)*elem))
+			r.Compute(StageBwdExperts, kp.gemms(comp, cfg, st.RowsPerLE)*2+kp.act(comp, cfg, bExp))
 		} else {
-			// Landing the chunk's strided sub-blocks in the full buffer,
-			// then the dX chain over them: dHidAct = dY·W2ᵀ, GeLU backward,
+			// Landing the chunk's sub-blocks in the full buffer, then the
+			// dX chain over them: dHidAct = dY·W2ᵀ, GeLU backward,
 			// dExpertIn = dHidPre·W1ᵀ.
-			r.Compute(StageOthers, strided)
-			r.Compute(StageBwdExperts, comp.SequentialGEMM(chunkRowsPerLE, h, f)+
-				comp.SequentialGEMM(chunkRowsPerLE, f, h)+
-				comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(f)*elem))
+			r.Compute(StageOthers, reorder)
+			r.Compute(StageBwdExperts, kp.gemms(comp, cfg, chunkRowsPerLE)+kp.act(comp, cfg, bc))
 		}
 		if opts.Numeric {
 			landBlocks(grads.DOut.Data, recv, n, at, h)
@@ -173,19 +178,18 @@ func PFTBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdState,
 		// deferred dW computation.
 		sendBack := parts[(chunks+c)*p : (chunks+c+1)*p]
 		packBlocks(sendBack, grads.DIn, n, at, h, elem)
-		if chunks > 1 {
-			// The strided return pack of the sub-blocks.
-			r.Compute(StageOthers, strided)
+		if !fused {
+			// The return pack of the sub-blocks.
+			r.Compute(StageOthers, reorder)
 		}
 		dispatchX[c] = r.AlltoAllVChunk(g, StageBwdDispA2A, sendBack, chunks)
 	}
 
 	// --- dW GEMMs over the complete segments ------------------------------
-	if chunks > 1 {
+	if !fused {
 		// Deferred dW GEMMs, the bubble filler of the in-flight reverse
-		// dispatch transfers; one chunk charged them in the fused kernel.
-		r.Compute(StageBwdExperts, comp.SequentialGEMM(st.RowsPerLE, h, f)+
-			comp.SequentialGEMM(st.RowsPerLE, f, h))
+		// dispatch transfers; the fused kernel charged them already.
+		r.Compute(StageBwdExperts, kp.gemms(comp, cfg, st.RowsPerLE))
 	}
 	var dW1, dW2 []*tensor.Tensor
 	if opts.Numeric {
@@ -212,8 +216,8 @@ func PFTBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdState,
 		}
 	}
 
-	// --- Gather backward ----------------------------------------------------
-	r.Compute(StageBwdDispatch, comp.MemBound(perfmodel.ClassTriton, 2*int64(b)*int64(h)*elem))
+	// --- Gather backward (holes add nothing) ------------------------------
+	r.Compute(StageBwdDispatch, kp.bufferPass(comp, cfg, st.S, b, elem))
 	var dx *tensor.Tensor
 	if opts.Numeric {
 		dx = kernels.GatherBackward(dDispIn, pft.TokenIDs, st.S)
@@ -225,4 +229,12 @@ func PFTBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdState,
 	}
 
 	return BackwardResult{DX: dx, DW1: dW1, DW2: dW2, DCombineWeights: dWeights}
+}
+
+// PaddedBackward is PFTBackward for the state of PaddedForward, which
+// carries its layout; it stays for callers written against the padded
+// pair.
+func PaddedBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdState,
+	dOut *tensor.Tensor, params *ExpertParams, opts PipelineOpts) BackwardResult {
+	return PFTBackward(r, g, cfg, st, dOut, params, opts)
 }

@@ -1,9 +1,10 @@
 // Package moe implements the paper's core contribution: the
-// expert-specialized Mixture-of-Experts training pipeline, in both the
-// conventional zero-padded form used by GShard/DeepSpeed-MoE-style
-// frameworks (the baselines) and X-MoE's padding-free form built on the
-// PFT (Padding-Free Token buffer) data structure with ERI-arrays
-// (paper §4.1, Listing 1).
+// expert-specialized Mixture-of-Experts training pipeline, X-MoE's
+// padding-free form built on the PFT (Padding-Free Token buffer) data
+// structure with ERI-arrays (paper §4.1, Listing 1). The conventional
+// zero-padded form of GShard/DeepSpeed-MoE-style frameworks (the
+// baselines) is the same pipeline body over a PFT laid out with capacity
+// padding, priced with the baselines' kernels.
 package moe
 
 import (

@@ -9,8 +9,8 @@ import (
 	"xmoe/internal/tensor"
 )
 
-// Trace stage names shared by both pipelines; the Fig. 11 layer-breakdown
-// experiment aggregates these.
+// Trace stage names shared by the PFT and padded pipelines; the Fig. 11
+// layer-breakdown experiment aggregates these.
 const (
 	StageGate        = "gate"
 	StageDispatch    = "dispatch" // buffer dispatch: gather kernel or mask einsum
@@ -43,7 +43,10 @@ type PipelineOpts struct {
 	Numeric bool
 	// DropPolicy selects the token-dropping semantics.
 	DropPolicy DropPolicy
-	// Kernels selects the gating/dispatch/combine kernel quality.
+	// Kernels selects the gating/dispatch/combine kernel quality of the
+	// padded pipeline (KernelsVendor is Tutel's sparse dispatcher, any
+	// other value the fallback frameworks' dense mask pipeline); the PFT
+	// and RBD pipelines always run X-MoE's Triton suite.
 	Kernels KernelProfile
 	// CombineBytes overrides the element size of the combine-side
 	// buffers (Tutel forces float32 A_combine on AMD GPUs, Table 4);
@@ -200,40 +203,44 @@ func NewExpertParams(rng *tensor.RNG, numLocal, h, f int) *ExpertParams {
 type LayerResult struct {
 	// Output is the [S, H] layer output (nil in symbolic mode).
 	Output *tensor.Tensor
-	// PFT is the routing buffer used (PFT and RBD pipelines). A symbolic
-	// PFT pipeline's carries counts only (TokensPerExpert, Dropped; nil
-	// rows); RBD picks its pilots per row, so its PFT always has them.
+	// PFT is the routing buffer the layer dispatched: the PFT of the PFT
+	// and RBD pipelines, the capacity-padded layout of the padded one
+	// (every segment C rows, a hole's token -1). A symbolic flat pipeline's
+	// carries counts only (TokensPerExpert, Dropped; nil rows); RBD picks
+	// its pilots per row, so its PFT always has them.
 	PFT *PFT
-	// RoutedTokens is the number of retained (token, expert) rows sent.
+	// RoutedTokens is the number of retained (token, expert) assignments
+	// sent (holes not counted).
 	RoutedTokens int
 	// RecvTokens is the number of rows this rank's experts processed.
 	RecvTokens int
 	// Dropped is the number of assignments removed by the drop policy.
 	Dropped int
-	// State carries the saved intermediates for PFTBackward (PFT
-	// pipeline, only when opts.SaveForBackward).
+	// State carries the saved intermediates for PFTBackward (PFT and
+	// padded pipelines, only when opts.SaveForBackward).
 	State *PFTFwdState
-	// PaddedState carries the saved intermediates for PaddedBackward
-	// (padded pipeline, only when opts.SaveForBackward). A symbolic
-	// pipeline's PaddedAssignment carries counts only (nil slot tables).
-	PaddedState *PaddedFwdState
+	// PaddedState is State for callers written against the padded pair
+	// PaddedForward / PaddedBackward (padded pipeline only).
+	PaddedState *PFTFwdState
 }
 
 // PFTFwdState is the per-rank forward state the distributed backward pass
-// consumes: the PFT, the exchange segmentation, and the expert-FFN
+// consumes: the layout, the exchange segmentation, and the expert-FFN
 // intermediates. In symbolic mode the tensors are nil and only the
 // geometry is populated (the PFT carries counts only), which is all the
 // timing-only backward needs.
 type PFTFwdState struct {
 	S          int
 	PFT        *PFT
-	RecvCounts [][]int // [src][localExpert]
-	BlockOff   [][]int // [localExpert][src] expert-major row offsets
+	RecvCounts []int // [src*EPR + localExpert] rows received
+	BlockOff   []int // [localExpert*P + src] expert-major row offsets
 	RowsPerLE  []int
 	ExpertIn   *tensor.Tensor // [BExp, H] expert-major
 	HidPre     *tensor.Tensor // [BExp, F] pre-activation
 	HidAct     *tensor.Tensor // [BExp, F] post-GeLU
 	CombineIn  *tensor.Tensor // [B, H] returned expert outputs, PFT order
+	segStart   []int          // the PFT's expert segment offsets
+	padded     bool           // the PFT is the capacity-padded layout
 }
 
 // bExp returns the number of expert-input rows this rank processed.
@@ -245,38 +252,21 @@ func (st *PFTFwdState) bExp() int {
 	return n
 }
 
-// PaddedFwdState is the padded pipeline's saved forward state for
-// PaddedBackward: the dispatch plan plus the expert-FFN intermediates in
-// the expert-major padded layout ((le*P + src)*C + slot row order). In
-// symbolic mode the tensors are nil; the even geometry is fully
-// determined by the config and group size.
-type PaddedFwdState struct {
-	S  int
-	PA *PaddedAssignment
-	// ExpertIn, HidPre, HidAct are the [EPR*P*C, H/F] expert-major
-	// buffers of the padded expert computation.
-	ExpertIn *tensor.Tensor
-	HidPre   *tensor.Tensor
-	HidAct   *tensor.Tensor
-	// CombineFull is the [E*C, H] returned padded buffer in
-	// global-expert slot order (the combine einsum's input).
-	CombineFull *tensor.Tensor
-}
-
 // RoutedPFT builds the PFT a transport dispatches: the uniform
 // Config.Capacity unless opts.CapacityByExpert rebalances it per expert.
 // Shared by the PFT pipeline and the RBD dispatcher, so both transports
 // see identical routing decisions under mitigation.
 func RoutedPFT(routing Routing, cfg Config, s int, opts PipelineOpts) *PFT {
-	return routedPFT(routing, cfg, s, opts, true)
+	return routedPFT(routing, cfg, s, opts, true, false)
 }
 
-// routedPFT is RoutedPFT, with the rows only when asked for.
-func routedPFT(routing Routing, cfg Config, s int, opts PipelineOpts, rows bool) *PFT {
+// routedPFT is RoutedPFT, with the rows only when asked for, and the
+// capacity-padded layout when padded.
+func routedPFT(routing Routing, cfg Config, s int, opts PipelineOpts, rows, padded bool) *PFT {
 	if opts.CapacityByExpert != nil {
-		return buildPFT(routing, cfg.NumExperts, opts.CapacityByExpert, 0, opts.DropPolicy, rows)
+		return buildPFT(routing, cfg.NumExperts, opts.CapacityByExpert, 0, opts.DropPolicy, rows, false)
 	}
-	return buildPFT(routing, cfg.NumExperts, nil, cfg.Capacity(s), opts.DropPolicy, rows)
+	return buildPFT(routing, cfg.NumExperts, nil, cfg.Capacity(s), opts.DropPolicy, rows, padded)
 }
 
 // epCheck validates the expert-parallel layout and returns experts/rank.
@@ -285,6 +275,96 @@ func epCheck(cfg Config, g *simrt.Group) int {
 		panic(fmt.Sprintf("moe: %d experts not divisible by EP size %d", cfg.NumExperts, g.Size()))
 	}
 	return cfg.NumExperts / g.Size()
+}
+
+// kernelProfile is what separates the capacity-padded baselines from
+// X-MoE inside the one pipeline body; the rows, the chunked exchanges and
+// the expert arithmetic are shared, and a hole row of the padded layout
+// is priced like a real one and carries zeros.
+type kernelProfile struct {
+	// padded is the capacity-padded layout. Both ends know every segment
+	// is C rows, so no per-expert counts go with chunk 0; the experts run
+	// batched padded GEMMs with a vendor-class activation; the combine
+	// wire stays at BytesPerElem (Tutel's fp32 quirk is the materialised
+	// A_combine buffer, Table 4, not the exchange); and the backward is
+	// never X-MoE's fused single-chunk dX+dW kernel.
+	padded bool
+	// class prices the gate passes, the reorders, the strided packs and
+	// the bandwidth-bound buffer passes.
+	class perfmodel.KernelClass
+	// einsum makes every dispatch/combine buffer pass (and its backward)
+	// a dense [S, E, C] mask einsum, as in the DeepSpeed-style frameworks.
+	einsum bool
+}
+
+// profileOf picks the profile: X-MoE's Triton suite for the padding-free
+// layout; for the padded one Tutel's sparse vendor kernels under
+// KernelsVendor, else the fallback frameworks' dense mask pipeline.
+func profileOf(padded bool, k KernelProfile) kernelProfile {
+	switch {
+	case !padded:
+		return kernelProfile{class: perfmodel.ClassTriton}
+	case k == KernelsVendor:
+		return kernelProfile{padded: true, class: perfmodel.ClassVendor}
+	}
+	return kernelProfile{padded: true, class: perfmodel.ClassFallback, einsum: true}
+}
+
+// memBuf is a buffer charged to the memory tracker under tag.
+type memBuf struct {
+	tag   string
+	bytes int64
+}
+
+// gate returns the launches and bytes of the gate's memory-bound passes
+// after the router GEMM, and the buffers gating leaves live: X-MoE's
+// sort-based PFT construction and its ERI-arrays; the fallback
+// frameworks' dense [S, E, C] dispatch mask and its one-hot/cumsum
+// intermediates; Tutel's cursor-based dispatcher, which keeps index
+// arrays but no dense mask.
+func (kp kernelProfile) gate(cfg Config, s, capTokens int, pft *PFT) (launches int, bytes int64, live [2]memBuf) {
+	e, k := cfg.NumExperts, cfg.TopK
+	elem := int64(cfg.BytesPerElem)
+	switch {
+	case !kp.padded:
+		return 6, int64(s*e)*elem + int64(s*k)*24, [2]memBuf{{"eri", pft.ERIBytes()}}
+	case kp.einsum:
+		mask, interm := int64(s)*int64(e)*int64(capTokens)*(elem+4), int64(s*k*e)*4
+		return 12, mask + interm, [2]memBuf{{"mask", mask}, {"mask_interm", interm}}
+	}
+	interm := int64(s*k) * 16
+	return 6, interm, [2]memBuf{{"mask", 0}, {"mask_interm", interm}}
+}
+
+// bufferPass prices one dispatch/combine buffer pass (or its backward)
+// over rows layout rows of elemBytes-wide elements: a mask einsum over
+// [s, E, rows/E] under einsum, else a read and a write of every row.
+func (kp kernelProfile) bufferPass(comp *perfmodel.Model, cfg Config, s, rows int, elemBytes int64) float64 {
+	if kp.einsum {
+		return comp.MaskEinsum(s, cfg.NumExperts, rows/cfg.NumExperts, cfg.HModel)
+	}
+	return comp.MemBound(kp.class, 2*int64(rows)*int64(cfg.HModel)*elemBytes)
+}
+
+// gemms prices the expert FFN's GEMM pair over rowsPerLE rows of each
+// local expert: sequential GEMMs over uneven segments, or batched GEMMs
+// over the padded layout's equal ones.
+func (kp kernelProfile) gemms(comp *perfmodel.Model, cfg Config, rowsPerLE []int) float64 {
+	h, f := cfg.HModel, cfg.HFFN
+	if kp.padded {
+		return comp.BatchedPaddedGEMM(len(rowsPerLE), rowsPerLE[0], h, f) +
+			comp.BatchedPaddedGEMM(len(rowsPerLE), rowsPerLE[0], f, h)
+	}
+	return comp.SequentialGEMM(rowsPerLE, h, f) + comp.SequentialGEMM(rowsPerLE, f, h)
+}
+
+// act prices the expert activation pass (or its backward) over rows rows.
+func (kp kernelProfile) act(comp *perfmodel.Model, cfg Config, rows int) float64 {
+	class := perfmodel.ClassTriton
+	if kp.padded {
+		class = perfmodel.ClassVendor
+	}
+	return comp.MemBound(class, 2*int64(rows)*int64(cfg.HFFN)*int64(cfg.BytesPerElem))
 }
 
 // PFTForward executes X-MoE's padding-free MoE layer (paper Listing 1) on
@@ -296,12 +376,44 @@ func epCheck(cfg Config, g *simrt.Group) int {
 // expert stages run in opts.Chunks() chunks (see overlap.go); one chunk
 // is the blocking pipeline.
 func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams, opts PipelineOpts) LayerResult {
-	opts.mustCheck()
+	return forward(r, g, cfg, s, x, routing, params, opts, false)
+}
+
+// PaddedForward executes the conventional zero-padded MoE layer used by
+// the DeepSpeed-MoE / DeepSpeed-TED / Tutel baselines (paper §3.1,
+// Appendix B.1): PFTForward over the capacity-padded layout, whose
+// fixed-capacity [E, C, H] buffers make the all-to-all even and carry the
+// padding. Slots fill first-come-first-served by position under either
+// DropPolicy (DropNegativeThenPosition also drops negative scores
+// first), and the profile of opts.Kernels prices the dispatch mask, the
+// mask-einsum or vendor buffer passes and the batched padded expert GEMMs.
+func PaddedForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams, opts PipelineOpts) LayerResult {
+	return forward(r, g, cfg, s, x, routing, params, opts, true)
+}
+
+// forward is the one flat pipeline body, over the PFT or, when padded,
+// the capacity-padded layout.
+func forward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams,
+	opts PipelineOpts, padded bool) LayerResult {
+
+	check := PipelineOpts.Check
+	if padded {
+		check = CheckPaddedOpts
+	}
+	if err := check(opts); err != nil {
+		panic(err)
+	}
 	epr := epCheck(cfg, g)
 	p := g.Size()
-	h, f := cfg.HModel, cfg.HFFN
+	h, f, e := cfg.HModel, cfg.HFFN, cfg.NumExperts
+	capTokens := cfg.Capacity(s)
+	kp := profileOf(padded, opts.Kernels)
 	elem := int64(cfg.BytesPerElem)
 	combElem := int64(opts.combineBytes(cfg))
+	wireElem := combElem // the combine exchange's element size
+	if kp.padded {
+		wireElem = elem
+	}
 	chunks := opts.Chunks()
 	mem := &r.Dev().Mem
 	comp := r.C.Comp
@@ -311,19 +423,20 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 	// may still read them after the rendezvous.
 	pool := r.Pool()
 
-	// --- Gate + PFT construction ---------------------------------------
-	// Router GEMM [s,H]x[H,E], softmax/top-k, then the sort-based PFT
-	// construction (Triton-class passes over the flattened assignments).
-	gateTime := comp.GEMM(s, h, cfg.NumExperts) +
-		comp.MemBoundN(perfmodel.ClassTriton, 6,
-			int64(s*cfg.NumExperts)*elem+int64(s*cfg.TopK)*24)
-	r.Compute(StageGate, gateTime)
-	pft := routedPFT(routing, cfg, s, opts, opts.Numeric)
+	// --- Gate + layout construction -------------------------------------
+	// Router GEMM [s,H]x[H,E], then the profile's memory-bound passes.
+	pft := routedPFT(routing, cfg, s, opts, opts.Numeric, padded)
 	b := pft.B()
-	mem.Alloc("eri", pft.ERIBytes())
+	launches, gateBytes, live := kp.gate(cfg, s, capTokens, pft)
+	r.Compute(StageGate, comp.GEMM(s, h, e)+comp.MemBoundN(kp.class, launches, gateBytes))
+	for _, buf := range live {
+		if buf.tag != "" {
+			mem.Alloc(buf.tag, buf.bytes)
+		}
+	}
 
-	// --- Buffer dispatch (gather kernel) --------------------------------
-	r.Compute(StageDispatch, comp.MemBound(perfmodel.ClassTriton, 2*int64(b)*int64(h)*elem))
+	// --- Buffer dispatch (gather kernel; a hole gathers as a zero row) ---
+	r.Compute(StageDispatch, kp.bufferPass(comp, cfg, s, b, elem))
 	var dispIn *tensor.Tensor
 	if opts.Numeric {
 		dispIn = kernels.Gather(x, pft.TokenIDs)
@@ -332,44 +445,46 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 
 	// --- Uneven all-to-all (dispatch), every chunk issued up front -------
 	// Chunk c of global expert e covers rows ChunkRange(cnt_e, chunks, c)
-	// of e's contiguous PFT segment. The full per-expert counts ride with
-	// chunk 0, later chunks are derived by both ends from the same split.
-	// Part slices and exchanges of both directions and all chunks view two
-	// backing arrays, so the allocation count is independent of C.
-	segStart := pft.ExpertSegments()
-	countsFlat := make([]int, p*epr)
-	copy(countsFlat, pft.TokensPerExpert)
+	// of e's contiguous segment. The full per-expert counts ride with
+	// chunk 0, later chunks are derived by both ends from the same split;
+	// a padded layout's counts are all C, so none cross the wire. Part
+	// slices and exchanges of both directions and all chunks view two
+	// backing arrays, and the geometry of both passes one int backing, so
+	// the allocation count is independent of C.
+	nb := epr * p
+	ints := make([]int, e+5*nb+2*epr)
+	segStart, recvCounts := ints[:e:e], ints[e:e+nb:e+nb]
+	fullAt, n, at, saveAt := ints[e+nb:e+2*nb:e+2*nb], ints[e+2*nb:e+3*nb], ints[e+3*nb:e+4*nb], ints[e+4*nb:e+5*nb]
+	fullRowsPerLE, rowsPerLE := ints[e+5*nb:e+5*nb+epr:e+5*nb+epr], ints[e+5*nb+epr:]
+	for ex, run := 0, 0; ex < e; ex++ {
+		segStart[ex] = run
+		run += pft.TokensPerExpert[ex]
+	}
 	parts := make([]simrt.Part, 2*chunks*p)
 	exchanges := make([]simrt.Exchange, 2*chunks)
 	dispatchX, combineX := exchanges[:chunks], exchanges[chunks:]
 	for c := 0; c < chunks; c++ {
 		send := parts[c*p : (c+1)*p]
 		chunkRows := packSegments(send, dispIn, pft.TokensPerExpert, segStart, epr, h, elem, chunks, c)
-		if c == 0 {
+		if c == 0 && !kp.padded {
 			for dst := range send {
-				send[dst].Meta = countsFlat[dst*epr : (dst+1)*epr]
+				send[dst].Meta = pft.TokensPerExpert[dst*epr : (dst+1)*epr]
 				send[dst].Bytes += int64(epr) * 8
 			}
 		}
 		if chunks > 1 {
 			// Strided per-expert chunk rows are packed into send buffers, a
 			// memory-bound pass; one chunk is sent as contiguous views.
-			r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(chunkRows)*int64(h)*elem))
+			r.Compute(StageOthers, comp.MemBound(kp.class, 2*int64(chunkRows)*int64(h)*elem))
 		}
 		dispatchX[c] = r.AlltoAllVChunk(g, StageDispatchA2A, send, chunks)
 	}
 
 	// --- Per-chunk expert stage, combine issued as soon as a chunk ends --
-	// One int backing holds the full-layout geometry the backward needs
-	// (blockOff[le][src] expert-major block offsets, fullRowsPerLE) and
-	// the per-chunk scratch: n/at as overlap.go describes, saveAt[k] the
-	// chunk block's row in the full layout.
-	nb := epr * p
-	ints := make([]int, 4*nb+2*epr)
-	fullAt, n, at, saveAt := ints[:nb], ints[nb:2*nb], ints[2*nb:3*nb], ints[3*nb:4*nb]
-	fullRowsPerLE, rowsPerLE := ints[4*nb:4*nb+epr:4*nb+epr], ints[4*nb+epr:]
-	blockOff := make([][]int, epr)
-	var recvCounts [][]int // [src][localExpert] full totals, from chunk 0
+	// The full-layout geometry the backward needs (recvCounts,
+	// fullAt[le*P+src] expert-major block offsets, fullRowsPerLE) is fixed
+	// at chunk 0; per chunk, n/at are as overlap.go describes and saveAt[k]
+	// is the chunk block's row in the full layout.
 	bExp := 0
 	var expertIn, hidPre, hidAct *tensor.Tensor
 	for c := 0; c < chunks; c++ {
@@ -377,16 +492,20 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 		if c == 0 {
 			// Received layout: src-major, each src's rows ordered by local
 			// expert.
-			recvCounts = make([][]int, p)
-			for src, part := range recv {
-				recvCounts[src] = part.Meta.([]int)
+			if kp.padded {
+				for i := range recvCounts {
+					recvCounts[i] = capTokens
+				}
+			} else {
+				for src, part := range recv {
+					copy(recvCounts[src*epr:(src+1)*epr], part.Meta.([]int))
+				}
 			}
 			for le := 0; le < epr; le++ {
-				blockOff[le] = fullAt[le*p : (le+1)*p : (le+1)*p]
 				for src := 0; src < p; src++ {
-					blockOff[le][src] = bExp
-					bExp += recvCounts[src][le]
-					fullRowsPerLE[le] += recvCounts[src][le]
+					fullAt[le*p+src] = bExp
+					bExp += recvCounts[src*epr+le]
+					fullRowsPerLE[le] += recvCounts[src*epr+le]
 				}
 			}
 			mem.Alloc("A_dispatch", int64(bExp)*int64(h)*elem)
@@ -402,7 +521,7 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 		for le := 0; le < epr; le++ {
 			rowsPerLE[le] = 0
 			for src := 0; src < p; src++ {
-				lo, hi := simrt.ChunkRange(recvCounts[src][le], chunks, c)
+				lo, hi := simrt.ChunkRange(recvCounts[src*epr+le], chunks, c)
 				k := le*p + src
 				n[k], at[k], saveAt[k] = hi-lo, bc, fullAt[k]+lo
 				bc += hi - lo
@@ -411,27 +530,24 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 		}
 
 		// Expert-major reorder of this chunk (sequential GEMM input prep,
-		// the small expert-stage overhead the paper notes in §5.4.1).
-		r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(h)*elem))
-		// Sequential GEMM experts over the chunk's uneven segments.
-		expertTime := comp.SequentialGEMM(rowsPerLE, h, f) +
-			comp.SequentialGEMM(rowsPerLE, f, h) +
-			comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(f)*elem) // activation
-		r.Compute(StageExperts, expertTime)
+		// the small expert-stage overhead the paper notes in §5.4.1; the
+		// permute the padded frameworks pay as a fallback op).
+		r.Compute(StageOthers, comp.MemBound(kp.class, 2*int64(bc)*int64(h)*elem))
+		r.Compute(StageExperts, kp.gemms(comp, cfg, rowsPerLE)+kp.act(comp, cfg, bc))
 		var chunkOut *tensor.Tensor
 		if opts.Numeric {
 			chunkOut = expertChunk(pool, params, recv, n, at, saveAt, rowsPerLE, bc, h, f, expertIn, hidPre, hidAct)
 		}
 
 		// Reverse reorder to src-major and issue this chunk's combine.
-		r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(h)*elem))
+		r.Compute(StageOthers, comp.MemBound(kp.class, 2*int64(bc)*int64(h)*elem))
 		sendBack := parts[(chunks+c)*p : (chunks+c+1)*p]
-		packBlocks(sendBack, chunkOut, n, at, h, combElem)
+		packBlocks(sendBack, chunkOut, n, at, h, wireElem)
 		combineX[c] = r.AlltoAllVChunk(g, StageCombineA2A, sendBack, chunks)
 		pool.Put(chunkOut) // fully staged into the send-back buffers
 	}
 
-	// --- Drain combine chunks into the PFT-ordered combine buffer --------
+	// --- Drain combine chunks into the layout-ordered combine buffer -----
 	mem.Alloc("A_combine", int64(b)*int64(h)*combElem)
 	var combineIn *tensor.Tensor
 	if opts.Numeric {
@@ -444,8 +560,8 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 		}
 	}
 
-	// --- Scatter combine --------------------------------------------------
-	r.Compute(StageCombine, comp.MemBound(perfmodel.ClassTriton, 2*int64(b)*int64(h)*combElem))
+	// --- Scatter combine (holes add nothing) ------------------------------
+	r.Compute(StageCombine, kp.bufferPass(comp, cfg, s, b, combElem))
 	var out *tensor.Tensor
 	if opts.Numeric {
 		out = kernels.ScatterCombine(combineIn, pft.TokenIDs, pft.CombineWeights, s)
@@ -461,13 +577,17 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 		mem.Free("A0_interm", int64(bExp)*int64(f)*elem)
 		mem.Free("A1_interm", int64(bExp)*int64(f)*elem)
 		mem.Free("A_combine", int64(b)*int64(h)*combElem)
-		mem.Free("eri", pft.ERIBytes())
+		for _, buf := range live {
+			if buf.tag != "" {
+				mem.Free(buf.tag, buf.bytes)
+			}
+		}
 	}
 
 	res := LayerResult{
 		Output:       out,
 		PFT:          pft,
-		RoutedTokens: b,
+		RoutedTokens: len(routing.Experts) - pft.Dropped,
 		RecvTokens:   bExp,
 		Dropped:      pft.Dropped,
 	}
@@ -476,204 +596,17 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 			S:          s,
 			PFT:        pft,
 			RecvCounts: recvCounts,
-			BlockOff:   blockOff,
+			BlockOff:   fullAt,
 			RowsPerLE:  fullRowsPerLE,
 			ExpertIn:   expertIn,
 			HidPre:     hidPre,
 			HidAct:     hidAct,
 			CombineIn:  combineIn,
+			segStart:   segStart,
+			padded:     padded,
 		}
-	}
-	return res
-}
-
-// PaddedForward executes the conventional zero-padded MoE layer used by
-// the DeepSpeed-MoE / DeepSpeed-TED / Tutel baselines (paper §3.1,
-// Appendix B.1): dispatch-mask construction, einsum dispatch into
-// fixed-capacity [E, C, H] buffers, an even all-to-all that carries the
-// padding, batched padded expert GEMMs, the reverse all-to-all, and the
-// mask-einsum combine. The exchanges and the expert GEMMs run in
-// opts.Chunks() chunks of capacity slots (see overlap.go).
-func PaddedForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams, opts PipelineOpts) LayerResult {
-	if err := CheckPaddedOpts(opts); err != nil {
-		panic(err)
-	}
-	epr := epCheck(cfg, g)
-	p := g.Size()
-	h, f, e := cfg.HModel, cfg.HFFN, cfg.NumExperts
-	capTokens := cfg.Capacity(s)
-	elem := int64(cfg.BytesPerElem)
-	combElem := int64(opts.combineBytes(cfg))
-	chunks := opts.Chunks()
-	mem := &r.Dev().Mem
-	comp := r.C.Comp
-	pool := r.Pool()
-
-	// Two baseline flavours share the padded buffers but differ in how
-	// they are produced: DeepSpeed-style frameworks build a dense
-	// [S, E, C] mask with a chain of fallback ops and dispatch/combine
-	// through mask einsums ("SEC,SH->ECH"); Tutel's tuned (vendor-class)
-	// kernels use a sparse cursor-based dispatcher, skipping the dense
-	// mask but still writing full capacity-padded buffers.
-	vendor := opts.Kernels == KernelsVendor
-	kernelClass := perfmodel.ClassFallback
-	launches := 12
-	maskBytes := int64(s) * int64(e) * int64(capTokens) * (elem + 4)
-	intermBytes := int64(s*cfg.TopK*e) * 4
-	if vendor {
-		kernelClass = perfmodel.ClassVendor
-		launches = 6
-		maskBytes = 0
-		intermBytes = int64(s*cfg.TopK) * 16
-	}
-
-	// --- Gate + dispatch-plan construction --------------------------------
-	gateTime := comp.GEMM(s, h, e) +
-		comp.MemBoundN(kernelClass, launches, maskBytes+intermBytes)
-	r.Compute(StageGate, gateTime)
-	pa := buildPaddedAssignment(routing, e, capTokens, opts.DropPolicy, opts.Numeric)
-	mem.Alloc("mask", maskBytes)
-	mem.Alloc("mask_interm", intermBytes)
-
-	// --- Buffer dispatch ----------------------------------------------------
-	bufBytes := int64(e) * int64(capTokens) * int64(h) * elem
-	if vendor {
-		r.Compute(StageDispatch, comp.MemBound(perfmodel.ClassVendor, 2*bufBytes))
-	} else {
-		r.Compute(StageDispatch, comp.MaskEinsum(s, e, capTokens, h))
-	}
-	var dispBuf *tensor.Tensor
-	if opts.Numeric {
-		dispBuf = kernels.PaddedDispatch(x, pa.SlotToken, capTokens)
-	}
-	mem.Alloc("disp_buffer", bufBytes)
-
-	// --- Even all-to-all (dispatch), every chunk issued up front ----------
-	// Every pair exchanges the padded slice for the destination's experts,
-	// EPR * C * H regardless of real occupancy. Chunk c covers capacity
-	// slots ChunkRange(capTokens, chunks, c) of every expert buffer; both
-	// ends derive the same slot split, so no metadata is needed at all.
-	pairBytes := int64(epr) * int64(capTokens) * int64(h) * elem
-	rowsPerExpert := p * capTokens
-	parts := make([]simrt.Part, 2*chunks*p)
-	exchanges := make([]simrt.Exchange, 2*chunks)
-	dispatchX, combineX := exchanges[:chunks], exchanges[chunks:]
-	for c := 0; c < chunks; c++ {
-		slo, shi := simrt.ChunkRange(capTokens, chunks, c)
-		send := parts[c*p : (c+1)*p]
-		packSlots(send, dispBuf, epr, capTokens, h, elem, chunks, c)
-		if chunks > 1 {
-			// The strided slot-chunk pack; the full slot range of one
-			// chunk is a contiguous zero-copy send.
-			r.Compute(StageOthers, comp.MemBound(kernelClass, 2*int64(p*epr*(shi-slo))*int64(h)*elem))
-		}
-		dispatchX[c] = r.AlltoAllVChunk(g, StageDispatchA2A, send, chunks)
-	}
-	mem.Alloc("A_dispatch", int64(p)*pairBytes)
-	mem.Alloc("A0_interm", int64(epr*rowsPerExpert)*int64(f)*elem)
-	mem.Alloc("A1_interm", int64(epr*rowsPerExpert)*int64(f)*elem)
-
-	// Full-layout saved state (SaveForBackward): expert-major padded rows,
-	// (le*P + src)*C + slot.
-	var expertIn, hidPre, hidAct *tensor.Tensor
-	if opts.SaveForBackward && opts.Numeric {
-		expertIn = pool.Get(epr*rowsPerExpert, h)
-		hidPre = pool.Get(epr*rowsPerExpert, f)
-		hidAct = pool.Get(epr*rowsPerExpert, f)
-	}
-
-	// --- Per-chunk padded expert stage ------------------------------------
-	nb := epr * p
-	ints := make([]int, 3*nb+epr)
-	n, at, saveAt, rows := ints[:nb], ints[nb:2*nb], ints[2*nb:3*nb], ints[3*nb:]
-	for c := 0; c < chunks; c++ {
-		recv := dispatchX[c].Wait()
-		slo, shi := simrt.ChunkRange(capTokens, chunks, c)
-		cl := shi - slo
-		chunkRows := p * cl
-		for k := range n {
-			n[k], at[k], saveAt[k] = cl, k*cl, k*capTokens+slo
-		}
-		for le := range rows {
-			rows[le] = chunkRows
-		}
-
-		// Reshape [P, EPR, cl, H] -> [EPR, P*cl, H] (a permute the
-		// frameworks pay as a fallback op), then batched GEMMs over all
-		// padded rows of the chunk.
-		r.Compute(StageOthers, comp.MemBound(kernelClass, 2*int64(p*epr*cl)*int64(h)*elem))
-		var chunkOut *tensor.Tensor
-		if opts.Numeric {
-			chunkOut = expertChunk(pool, params, recv, n, at, saveAt, rows, epr*chunkRows, h, f, expertIn, hidPre, hidAct)
-		}
-		expertTime := comp.BatchedPaddedGEMM(epr, chunkRows, h, f) +
-			comp.BatchedPaddedGEMM(epr, chunkRows, f, h) +
-			comp.MemBound(perfmodel.ClassVendor, 2*int64(epr*chunkRows)*int64(f)*elem)
-		r.Compute(StageExperts, expertTime)
-
-		// Reverse reshape and issue this chunk's combine. The wire stays
-		// half precision; Tutel's fp32 quirk applies to the materialised
-		// A_combine buffer (Table 4), not the exchange.
-		r.Compute(StageOthers, comp.MemBound(kernelClass, 2*int64(p*epr*cl)*int64(h)*elem))
-		sendBack := parts[(chunks+c)*p : (chunks+c+1)*p]
-		packBlocks(sendBack, chunkOut, n, at, h, elem)
-		combineX[c] = r.AlltoAllVChunk(g, StageCombineA2A, sendBack, chunks)
-		pool.Put(chunkOut) // fully staged into the send-back buffers
-	}
-
-	// --- Drain combine chunks into the padded combine buffer -------------
-	mem.Alloc("A_combine", int64(e)*int64(capTokens)*int64(h)*combElem)
-	var full *tensor.Tensor
-	if opts.Numeric {
-		full = pool.Get(e*capTokens, h)
-	}
-	for c := 0; c < chunks; c++ {
-		back := combineX[c].Wait()
-		if opts.Numeric {
-			unpackSlots(full, back, epr, capTokens, h, chunks, c)
-		}
-	}
-
-	// --- Buffer combine -----------------------------------------------------
-	if vendor {
-		r.Compute(StageCombine, comp.MemBound(perfmodel.ClassVendor,
-			2*int64(e)*int64(capTokens)*int64(h)*combElem))
-	} else {
-		r.Compute(StageCombine, comp.MaskEinsum(s, e, capTokens, h))
-	}
-	var out *tensor.Tensor
-	if opts.Numeric {
-		out = kernels.PaddedCombine(full.Reshape(e, capTokens, h), pa.SlotToken, pa.SlotWeight, capTokens, s)
-		if !opts.SaveForBackward {
-			pool.Put(full)
-		}
-	}
-	mem.Alloc("output", int64(s)*int64(h)*elem)
-
-	if !opts.RetainActivations {
-		mem.Free("mask", maskBytes)
-		mem.Free("mask_interm", intermBytes)
-		mem.Free("disp_buffer", bufBytes)
-		mem.Free("A_dispatch", int64(p)*pairBytes)
-		mem.Free("A0_interm", int64(epr*rowsPerExpert)*int64(f)*elem)
-		mem.Free("A1_interm", int64(epr*rowsPerExpert)*int64(f)*elem)
-		mem.Free("A_combine", int64(e)*int64(capTokens)*int64(h)*combElem)
-	}
-
-	res := LayerResult{
-		Output:       out,
-		RoutedTokens: pa.Occupied,
-		RecvTokens:   epr * rowsPerExpert,
-		Dropped:      pa.Dropped,
-	}
-	if opts.SaveForBackward {
-		res.PaddedState = &PaddedFwdState{
-			S:           s,
-			PA:          pa,
-			ExpertIn:    expertIn,
-			HidPre:      hidPre,
-			HidAct:      hidAct,
-			CombineFull: full,
+		if padded {
+			res.PaddedState = res.State
 		}
 	}
 	return res

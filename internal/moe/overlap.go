@@ -1,16 +1,18 @@
 package moe
 
-// The chunked comm/compute-overlap model shared by every pipeline body in
-// this package (PFTForward, PFTBackward, PaddedForward, PaddedBackward),
-// the optimisation FastMoE's smart scheduling and Megatron Core's MoE
-// overlap apply to hide the paper's dominant all-to-all cost (Fig. 11)
-// behind the expert computation. Each pipeline is ONE body parameterised
-// by the chunk count C = PipelineOpts.OverlapChunks:
+// The chunked comm/compute-overlap model of the one flat pipeline body in
+// this package (PFTForward / PFTBackward; PaddedForward and PaddedBackward
+// run the same body over the capacity-padded layout, and RBD reuses its
+// expert-stage helpers), the optimisation FastMoE's smart scheduling and
+// Megatron Core's MoE overlap apply to hide the paper's dominant
+// all-to-all cost (Fig. 11) behind the expert computation. The body is
+// parameterised by the chunk count C = PipelineOpts.OverlapChunks:
 //
 //   - The routed rows are split into C chunks along each (destination
-//     rank, local expert) segment — capacity slots for the padded layout —
-//     using the same ChunkRange split on both ends so no extra metadata
-//     crosses the wire (full per-expert counts ride with chunk 0 only).
+//     rank, local expert) segment — capacity slots for the padded layout,
+//     whose segments are all C rows long — using the same ChunkRange split
+//     on both ends so no extra metadata crosses the wire (full per-expert
+//     counts ride with chunk 0 only, and not at all for the padded layout).
 //   - All C source-side all-to-alls are issued up front through
 //     Rank.AlltoAllVChunk; they serialise on the rank's communication
 //     stream, so chunk i+1's transfer flies while chunk i's expert GEMMs
@@ -26,10 +28,12 @@ package moe
 // skipped: with one chunk a destination's rows are one contiguous run of
 // the source buffer, sent as a view, so the strided pack (and, in the PFT
 // backward, the strided landing and return pack) is neither executed nor
-// charged, and the expert backward is the fused per-expert dX + dW kernel
-// charged once before the return exchange instead of a dX chain per chunk
-// plus deferred dW GEMMs. Each such site is a `chunks > 1` / `chunks == 1`
-// guard naming the pass.
+// charged, and X-MoE's expert backward is the fused per-expert dX + dW
+// kernel charged once before the return exchange instead of a dX chain
+// per chunk plus deferred dW GEMMs. Each such site is a `chunks > 1` (in
+// the backward, `fused`) guard naming the pass. The padded layout's
+// backward is never fused: its frameworks reorder before and after every
+// chunk's dX chain and run the dW GEMMs after the loop.
 //
 // Numeric output is bit-identical for every C: the expert FFN is
 // row-independent, chunking only re-times row groups without reordering
@@ -93,44 +97,6 @@ func unpackSegments(dst *tensor.Tensor, parts []simrt.Part, counts, segStart []i
 		for e := m * epr; e < (m+1)*epr; e++ {
 			lo, hi := simrt.ChunkRange(counts[e], chunks, c)
 			pos += copy(dst.Data[(segStart[e]+lo)*h:(segStart[e]+hi)*h], part.Data[pos:])
-		}
-	}
-}
-
-// packSlots is packSegments for the padded [E, C, h] buffer: chunk c of
-// the capacity slots of every expert of each destination. A single chunk
-// is each destination's whole contiguous slice, sent as a view.
-func packSlots(send []simrt.Part, src *tensor.Tensor, epr, capTokens, h int, elem int64, chunks, c int) {
-	slo, shi := simrt.ChunkRange(capTokens, chunks, c)
-	cl := shi - slo
-	for dst := range send {
-		part := simrt.Part{Bytes: int64(epr) * int64(cl) * int64(h) * elem}
-		switch {
-		case src == nil || cl == 0:
-		case chunks == 1:
-			lo := dst * epr * capTokens * h
-			part.Data = src.Data[lo : lo+epr*capTokens*h]
-		default:
-			buf := make([]float32, 0, epr*cl*h)
-			for le := 0; le < epr; le++ {
-				base := ((dst*epr+le)*capTokens + slo) * h
-				buf = append(buf, src.Data[base:base+cl*h]...)
-			}
-			part.Data = buf
-		}
-		send[dst] = part
-	}
-}
-
-// unpackSlots lands chunk c of every member's experts' slots in the padded
-// [E, C, h] buffer dst.
-func unpackSlots(dst *tensor.Tensor, parts []simrt.Part, epr, capTokens, h, chunks, c int) {
-	slo, shi := simrt.ChunkRange(capTokens, chunks, c)
-	cl := shi - slo
-	for m, part := range parts {
-		for le := 0; le < epr; le++ {
-			base := ((m*epr+le)*capTokens + slo) * h
-			copy(dst.Data[base:base+cl*h], part.Data[le*cl*h:])
 		}
 	}
 }

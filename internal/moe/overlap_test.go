@@ -209,7 +209,7 @@ func TestOverlapSteadyStateAllocsChunkInvariant(t *testing.T) {
 	for _, tc := range []struct {
 		transport  string
 		blockingAt float64
-	}{{"pft", 38}, {"padded", 29}} {
+	}{{"pft", 33}, {"padded", 29}} {
 		// +2: the race detector's runtime adds up to 1.3 to either body.
 		a1 := symbolicOverlapAllocs(t, tc.transport, 1)
 		if a1 > tc.blockingAt+2 {

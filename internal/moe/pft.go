@@ -26,11 +26,16 @@ const (
 // are contiguous — the property the uneven all-to-all and sequential GEMM
 // rely on.
 //
+// The padded pipeline runs on the same structure laid out with capacity
+// padding (buildPFT's padded mode): every segment holds C rows, and rows no
+// token took are holes.
+//
 // A symbolic layer's PFT (PFTForward without opts.Numeric) carries counts
 // only: TokensPerExpert and Dropped, with nil rows, since no symbolic pass
 // moves a row. The exported builders always fill the rows.
 type PFT struct {
-	// TokenIDs[i] is the original token index of buffer row i.
+	// TokenIDs[i] is the original token index of buffer row i, or -1 for
+	// a hole of the padded layout.
 	TokenIDs []int
 	// ExpertIDs[i] is the destination expert of buffer row i.
 	ExpertIDs []int
@@ -58,7 +63,7 @@ func (p *PFT) B() int {
 // policy against maxTokenCount (the expert capacity), and emit the
 // ERI-arrays. A maxTokenCount <= 0 means unlimited capacity.
 func BuildPFT(r Routing, numExperts, maxTokenCount int, policy DropPolicy) *PFT {
-	return buildPFT(r, numExperts, nil, maxTokenCount, policy, true)
+	return buildPFT(r, numExperts, nil, maxTokenCount, policy, true, false)
 }
 
 // BuildPFTCaps is BuildPFT with a per-expert capacity vector: caps[e]
@@ -69,7 +74,7 @@ func BuildPFT(r Routing, numExperts, maxTokenCount int, policy DropPolicy) *PFT 
 // padded pipeline (whose even exchange requires uniform capacity)
 // rejects it.
 func BuildPFTCaps(r Routing, numExperts int, caps []int, policy DropPolicy) *PFT {
-	return buildPFT(r, numExperts, caps, 0, policy, true)
+	return buildPFT(r, numExperts, caps, 0, policy, true, false)
 }
 
 // buildPFT makes two passes over the routing, straight into the final
@@ -81,21 +86,35 @@ func BuildPFTCaps(r Routing, numExperts int, caps []int, policy DropPolicy) *PFT
 // compacts the over-capacity segments in place. The clamped histogram is
 // already TokensPerExpert and Dropped, so without rows it stops there.
 // A non-nil caps must have one entry per expert.
-func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy DropPolicy, rows bool) *PFT {
+//
+// padded builds the capacity-padded layout of the conventional pipeline
+// (paper §3.1, Fig. 2) instead: every expert segment is maxTokenCount rows
+// long, slots fill first-come-first-served under either policy, and a
+// slot no token took is a hole, token -1 and weight 0. Its TokensPerExpert
+// are the segment lengths, so B counts the holes.
+func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy DropPolicy, rows, padded bool) *PFT {
 	if caps != nil && len(caps) != numExperts {
 		panic(fmt.Sprintf("moe: capacity vector has %d entries for %d experts", len(caps), numExperts))
 	}
 	k := r.K()
 	dropNegative := policy == DropNegativeThenPosition && r.Logits != nil // unknown logits count as positive
-	byWeight := policy == DropByCapacityWeight
+	byWeight := policy == DropByCapacityWeight && !padded
 
 	// counts[e] becomes the retained rows of expert e; [next[e], end[e])
 	// is the segment the placement fills, which under byWeight still
-	// holds every candidate of an over-capacity expert. One backing holds
-	// all three.
-	ints := make([]int, 3*numExperts)
+	// holds every candidate of an over-capacity expert, and in a padded
+	// layout starts a capacity-long segment. One backing holds all three,
+	// or only counts without rows.
+	n := numExperts
+	if rows {
+		n *= 3
+	}
+	ints := make([]int, n)
 	counts := ints[:numExperts:numExperts]
-	next, end := ints[numExperts:2*numExperts], ints[2*numExperts:]
+	var next, end []int
+	if rows {
+		next, end = ints[numExperts:2*numExperts], ints[2*numExperts:]
+	}
 	for i, e := range r.Experts {
 		if dropNegative && r.Logits[i] < 0 {
 			continue
@@ -109,7 +128,6 @@ func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy D
 		if caps != nil {
 			limit = caps[e]
 		}
-		next[e] = placed
 		if limit > 0 && c > limit {
 			counts[e] = limit
 			if byWeight {
@@ -118,9 +136,14 @@ func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy D
 				c = limit
 			}
 		}
-		placed += c
-		end[e] = placed
 		kept += counts[e]
+		if rows {
+			next[e], end[e] = placed, placed+c
+		}
+		if padded {
+			c, counts[e] = limit, limit
+		}
+		placed += c
 	}
 	if !rows {
 		return &PFT{TokensPerExpert: counts, Dropped: len(r.Experts) - kept}
@@ -128,6 +151,11 @@ func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy D
 
 	tokenIDs := make([]int, placed)
 	weights := make([]float32, placed)
+	if padded {
+		for i := range tokenIDs {
+			tokenIDs[i] = -1
+		}
+	}
 	for t := 0; t < r.S; t++ {
 		for i := t * k; i < (t+1)*k; i++ {
 			if dropNegative && r.Logits[i] < 0 {

@@ -239,9 +239,9 @@ func checkPFTCase(t *testing.T, c pftCase) {
 	t.Helper()
 	rt, numExperts, caps, limit := c.build()
 	for _, policy := range []DropPolicy{DropByCapacityWeight, DropNegativeThenPosition} {
-		got := buildPFT(rt, numExperts, caps, limit, policy, true)
+		got := buildPFT(rt, numExperts, caps, limit, policy, true, false)
 		want := buildPFTRef(rt, numExperts, caps, limit, policy)
-		counts := buildPFT(rt, numExperts, caps, limit, policy, false)
+		counts := buildPFT(rt, numExperts, caps, limit, policy, false, false)
 		if !slices.Equal(counts.TokensPerExpert, got.TokensPerExpert) || counts.Dropped != got.Dropped ||
 			counts.B() != got.B() || counts.TokenIDs != nil || counts.ExpertIDs != nil || counts.CombineWeights != nil {
 			t.Fatalf("%+v policy %d: counts-only PFT (B %d, %d dropped, per expert %v) differs from the rows (B %d, %d dropped, per expert %v)",

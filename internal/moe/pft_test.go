@@ -1,6 +1,7 @@
 package moe
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -231,41 +232,34 @@ func TestPFTERIBytes(t *testing.T) {
 	}
 }
 
-func TestBuildPaddedAssignment(t *testing.T) {
+// TestPaddedLayout pins the capacity-padded layout the padded pipeline
+// runs on: C-row segments filled first-come-first-served by position
+// under either policy, holes (token -1, weight 0) after the retained
+// rows, and negative scores dropped first under DropNegativeThenPosition.
+func TestPaddedLayout(t *testing.T) {
 	r := Routing{
 		S:       4,
 		Experts: []int32{0, 0, 0, 1},
 		Weights: []float32{0.5, 0.6, 0.7, 0.8},
 		Logits:  []float32{1, 1, 1, 1},
 	}
-	pa := BuildPaddedAssignment(r, 2, 2, DropByCapacityWeight)
-	if pa.Dropped != 1 { // token 2 overflows expert 0
-		t.Fatalf("dropped = %d, want 1", pa.Dropped)
+	// Capacity-weight dropping would keep tokens 1 and 2; the padded
+	// layout keeps the first two by position.
+	p := buildPFT(r, 2, nil, 2, DropByCapacityWeight, true, true)
+	if p.Dropped != 1 { // token 2 overflows expert 0
+		t.Fatalf("dropped = %d, want 1", p.Dropped)
 	}
-	if pa.SlotToken[0][0] != 0 || pa.SlotToken[0][1] != 1 {
-		t.Fatalf("expert 0 slots = %v", pa.SlotToken[0])
+	if got := fmt.Sprint(p.TokenIDs, p.CombineWeights, p.ExpertIDs, p.TokensPerExpert); got != "[0 1 3 -1] [0.5 0.6 0.8 0] [0 0 1 1] [2 2]" {
+		t.Fatalf("padded layout = %s", got)
 	}
-	if pa.SlotToken[1][0] != 3 || pa.SlotToken[1][1] != -1 {
-		t.Fatalf("expert 1 slots = %v", pa.SlotToken[1])
+	if p.B() != 4 {
+		t.Fatalf("B = %d, want the 4 slots", p.B())
 	}
-	if pa.Occupied != 3 {
-		t.Fatalf("occupied = %d", pa.Occupied)
-	}
-	if got := pa.PaddingRatio(); got != 0.25 {
-		t.Fatalf("padding ratio = %f, want 0.25", got)
-	}
-}
 
-func TestPaddedAssignmentNegativePolicy(t *testing.T) {
-	r := Routing{
-		S:       2,
-		Experts: []int32{0, 0},
-		Weights: []float32{0.5, 0.5},
-		Logits:  []float32{-1, 1},
-	}
-	pa := BuildPaddedAssignment(r, 1, 4, DropNegativeThenPosition)
-	if pa.Occupied != 1 || pa.Dropped != 1 {
-		t.Fatalf("occupied=%d dropped=%d", pa.Occupied, pa.Dropped)
+	neg := Routing{S: 2, Experts: []int32{0, 0}, Weights: []float32{0.5, 0.5}, Logits: []float32{-1, 1}}
+	p = buildPFT(neg, 1, nil, 4, DropNegativeThenPosition, true, true)
+	if p.Dropped != 1 || fmt.Sprint(p.TokenIDs) != "[1 -1 -1 -1]" {
+		t.Fatalf("dropped=%d slots=%v", p.Dropped, p.TokenIDs)
 	}
 }
 
@@ -297,9 +291,10 @@ func TestQuickPFTInvariants(t *testing.T) {
 	}
 }
 
-// Property: padded assignment and PFT agree on the retained assignment
-// count under the same FCFS-style policy and capacity, and so does the
-// slotless padded plan a symbolic layer builds.
+// Property: the padded layout and the PFT agree on the retained
+// assignments under the same FCFS-style policy and capacity — the padded
+// layout's non-hole rows are the PFT's rows, segment by segment — and so
+// does the counts-only padded layout a symbolic layer builds.
 func TestQuickPaddedVsPFTRetention(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := tensor.NewRNG(seed)
@@ -309,11 +304,25 @@ func TestQuickPaddedVsPFTRetention(t *testing.T) {
 		capTokens := 1 + rng.Intn(s*k)
 		r := SyntheticRouting(rng, s, e, k, 0.7)
 		p := BuildPFT(r, e, capTokens, DropNegativeThenPosition)
-		pa := BuildPaddedAssignment(r, e, capTokens, DropNegativeThenPosition)
-		counts := buildPaddedAssignment(r, e, capTokens, DropNegativeThenPosition, false)
-		return p.B() == pa.Occupied && p.Dropped == pa.Dropped &&
-			counts.Occupied == pa.Occupied && counts.Dropped == pa.Dropped &&
-			counts.PaddingRatio() == pa.PaddingRatio() && counts.SlotToken == nil && counts.SlotWeight == nil
+		pad := buildPFT(r, e, nil, capTokens, DropNegativeThenPosition, true, true)
+		counts := buildPFT(r, e, nil, capTokens, DropNegativeThenPosition, false, true)
+		if pad.B() != e*capTokens || pad.Dropped != p.Dropped || counts.Dropped != p.Dropped ||
+			counts.TokenIDs != nil || fmt.Sprint(counts.TokensPerExpert) != fmt.Sprint(pad.TokensPerExpert) {
+			return false
+		}
+		seg := p.ExpertSegments()
+		for ex := 0; ex < e; ex++ {
+			for c := 0; c < capTokens; c++ {
+				i, tok, w := ex*capTokens+c, -1, float32(0)
+				if c < p.TokensPerExpert[ex] {
+					tok, w = p.TokenIDs[seg[ex]+c], p.CombineWeights[seg[ex]+c]
+				}
+				if pad.TokenIDs[i] != tok || pad.CombineWeights[i] != w || pad.ExpertIDs[i] != ex {
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)

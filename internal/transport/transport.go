@@ -69,10 +69,14 @@ func Parse(name string) (Kind, error) {
 // generic PipelineOpts.Check, what k itself rejects (per-expert capacities
 // on padded, a CombineBytes override on rbd), and the one rule that needs
 // cfg — a capacity vector must have an entry per expert, or BuildPFTCaps
-// panics mid-step. Errors are *moe.OptionError. Callers that validate a
+// panics mid-step. A Kind outside Kinds() is rejected as option
+// "Transport". Errors are *moe.OptionError. Callers that validate a
 // configuration before building a cluster use this; Layer.Check is the
 // same answer once a layer exists.
 func (k Kind) Check(cfg moe.Config, opts moe.PipelineOpts) error {
+	if k < 0 || int(k) >= len(kinds) {
+		return &moe.OptionError{Opt: "Transport", Detail: fmt.Sprintf("transport: no such transport %v", k)}
+	}
 	if err := kinds[k].check(opts); err != nil {
 		return err
 	}
@@ -112,10 +116,8 @@ type Saved interface {
 func New(kind Kind, c *simrt.Cluster, ep *simrt.Group, cfg moe.Config) Layer {
 	b := base{kind: kind, ep: ep, cfg: cfg}
 	switch kind {
-	case PFT:
-		return &pftLayer{b}
-	case Padded:
-		return &paddedLayer{b}
+	case PFT, Padded:
+		return &flatLayer{b}
 	case RBD:
 		return &rbdLayer{b, rbd.NewDispatcher(c, ep, cfg)}
 	}
@@ -131,46 +133,31 @@ type base struct {
 
 func (b *base) Check(opts moe.PipelineOpts) error { return b.kind.Check(b.cfg, opts) }
 
-type pftLayer struct{ base }
+// flatLayer is the PFT body over the flat all-to-all, on the padding-free
+// or (Padded) the capacity-padded layout; its state knows which.
+type flatLayer struct{ base }
 
-type pftSaved struct {
-	l  *pftLayer
+type flatSaved struct {
+	l  *flatLayer
 	st *moe.PFTFwdState
 }
 
-func (l *pftLayer) Forward(r *simrt.Rank, s int, x *tensor.Tensor, routing moe.Routing, params *moe.ExpertParams,
+func (l *flatLayer) Forward(r *simrt.Rank, s int, x *tensor.Tensor, routing moe.Routing, params *moe.ExpertParams,
 	_ *tensor.RNG, opts moe.PipelineOpts) (moe.LayerResult, Saved) {
 
-	res := moe.PFTForward(r, l.ep, l.cfg, s, x, routing, params, opts)
+	forward := moe.PFTForward
+	if l.kind == Padded {
+		forward = moe.PaddedForward
+	}
+	res := forward(r, l.ep, l.cfg, s, x, routing, params, opts)
 	if res.State == nil {
 		return res, nil
 	}
-	return res, pftSaved{l, res.State}
+	return res, flatSaved{l, res.State}
 }
 
-func (s pftSaved) Backward(r *simrt.Rank, dOut *tensor.Tensor, params *moe.ExpertParams, opts moe.PipelineOpts) moe.BackwardResult {
+func (s flatSaved) Backward(r *simrt.Rank, dOut *tensor.Tensor, params *moe.ExpertParams, opts moe.PipelineOpts) moe.BackwardResult {
 	return moe.PFTBackward(r, s.l.ep, s.l.cfg, s.st, dOut, params, opts)
-}
-
-type paddedLayer struct{ base }
-
-type paddedSaved struct {
-	l  *paddedLayer
-	st *moe.PaddedFwdState
-}
-
-func (l *paddedLayer) Forward(r *simrt.Rank, s int, x *tensor.Tensor, routing moe.Routing, params *moe.ExpertParams,
-	_ *tensor.RNG, opts moe.PipelineOpts) (moe.LayerResult, Saved) {
-
-	res := moe.PaddedForward(r, l.ep, l.cfg, s, x, routing, params, opts)
-	if res.PaddedState == nil {
-		return res, nil
-	}
-	return res, paddedSaved{l, res.PaddedState}
-}
-
-func (s paddedSaved) Backward(r *simrt.Rank, dOut *tensor.Tensor, params *moe.ExpertParams, opts moe.PipelineOpts) moe.BackwardResult {
-	return moe.PaddedBackward(r, s.l.ep, s.l.cfg, s.st, dOut, params, opts)
 }
 
 // rbdLayer owns the dispatcher: the per-node communicators and the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,13 +72,16 @@ func TestCheckRejections(t *testing.T) {
 		{"padded takes CombineBytes", Padded, moe.PipelineOpts{CombineBytes: 4}, "", ""},
 		{"generic check propagates", PFT, moe.PipelineOpts{OverlapChunks: -1}, "OverlapChunks", "must be >= 0"},
 		{"zero caps entry", RBD, moe.PipelineOpts{CapacityByExpert: make([]int, 8)}, "CapacityByExpert", "must be >= 1"},
+		{"unknown kind", Kind(7), moe.PipelineOpts{}, "Transport", "no such transport transport.Kind(7)"},
+		{"negative kind", Kind(-1), moe.PipelineOpts{}, "Transport", "no such transport transport.Kind(-1)"},
 	}
 	c := simrt.NewCluster(topology.Frontier(), 8, 1)
 	for _, tc := range cases {
-		for _, check := range []func(moe.PipelineOpts) error{
-			func(o moe.PipelineOpts) error { return tc.kind.Check(cfg, o) },
-			New(tc.kind, c, c.WorldGroup(), cfg).Check,
-		} {
+		checks := []func(moe.PipelineOpts) error{func(o moe.PipelineOpts) error { return tc.kind.Check(cfg, o) }}
+		if slices.Contains(Kinds(), tc.kind) { // New panics on any other Kind
+			checks = append(checks, New(tc.kind, c, c.WorldGroup(), cfg).Check)
+		}
+		for _, check := range checks {
 			err := check(tc.opts)
 			if tc.opt == "" {
 				if err != nil {
