@@ -232,11 +232,11 @@ func TestPFTERIBytes(t *testing.T) {
 	}
 }
 
-// TestPaddedLayout pins the capacity-padded layout the padded pipeline
-// runs on: C-row segments filled first-come-first-served by position
-// under either policy, holes (token -1, weight 0) after the retained
-// rows, and negative scores dropped first under DropNegativeThenPosition.
-func TestPaddedLayout(t *testing.T) {
+// TestBuildPaddedAssignment pins the capacity-padded layout the padded
+// pipeline runs on: C-row segments filled first-come-first-served by
+// position under either policy, and holes (token -1, weight 0) after the
+// retained rows.
+func TestBuildPaddedAssignment(t *testing.T) {
 	r := Routing{
 		S:       4,
 		Experts: []int32{0, 0, 0, 1},
@@ -255,9 +255,14 @@ func TestPaddedLayout(t *testing.T) {
 	if p.B() != 4 {
 		t.Fatalf("B = %d, want the 4 slots", p.B())
 	}
+}
 
+// TestPaddedAssignmentNegativePolicy checks that the padded layout drops
+// negative scores first under DropNegativeThenPosition and leaves their
+// slots as holes.
+func TestPaddedAssignmentNegativePolicy(t *testing.T) {
 	neg := Routing{S: 2, Experts: []int32{0, 0}, Weights: []float32{0.5, 0.5}, Logits: []float32{-1, 1}}
-	p = buildPFT(neg, 1, nil, 4, DropNegativeThenPosition, true, true)
+	p := buildPFT(neg, 1, nil, 4, DropNegativeThenPosition, true, true)
 	if p.Dropped != 1 || fmt.Sprint(p.TokenIDs) != "[1 -1 -1 -1]" {
 		t.Fatalf("dropped=%d slots=%v", p.Dropped, p.TokenIDs)
 	}
