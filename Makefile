@@ -1,6 +1,6 @@
 # Developer workflow for the xmoe reproduction.
 #
-#   make ci      - what the CI job runs: gofmt, the transport-name grep, vet, build, the six race-enabled gates, fuzz smoke, tests, quick bench
+#   make ci      - what the CI job runs: gofmt, the transport-name grep, vet, build, the GEMM portability builds, the six race-enabled gates, fuzz smoke, tests, quick bench
 #   make test    - full test suite (includes the slow sweep tests)
 #   make race    - full race-detector pass (go test -race ./...)
 #   make race-fast - race pass over just the concurrency-heavy packages
@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: all build loc fmt-check no-transport-strings vet test race race-fast race-full chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke bench bench-figs bench-json bench-save ci
+.PHONY: all build loc fmt-check no-transport-strings vet portability test race race-fast race-full chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke bench bench-figs bench-json bench-save ci
 
 all: build
 
@@ -41,6 +41,15 @@ fmt-check:
 no-transport-strings:
 	@out=$$(grep -rnE '"(pft|padded|rbd)"' --include='*.go' internal cmd | grep -v _test.go | grep -v '^internal/transport/'); \
 	if [ -n "$$out" ]; then echo "transport names outside internal/transport:"; echo "$$out"; exit 1; fi
+
+# The GEMM body's other builds: the pure-Go loop (purego tag) against the
+# bit reference and the trainer goldens, the SSE body built with GOAMD64=v3
+# (Go must still not contract x*y+z into an FMA there), and the fallback
+# compiled for arm64 with vet's asmdecl over the tensor package.
+portability:
+	$(GO) test -tags purego ./internal/tensor ./internal/train
+	GOAMD64=v3 $(GO) test ./internal/tensor
+	GOARCH=arm64 $(GO) vet ./internal/tensor
 
 test:
 	$(GO) test ./...
@@ -177,18 +186,19 @@ bench-save:
 	@echo "BENCH_results.json updated; commit it with this PR"
 
 # The microbenchmarks the CI smoke runs: one numeric fwd+bwd of the PFT
-# layer and of the LM's MoE block built on it, and one event-priced
-# all-to-all-v that misses the memo (the water-filling engine). A -bench
+# layer and of the LM's MoE block built on it, one event-priced
+# all-to-all-v that misses the memo (the water-filling engine), and the
+# three GEMMs at the numeric trainer's shapes. A -bench
 # pattern that matches nothing passes silently, so the smoke first
 # requires `go test -list` to name every benchmark the pattern lists.
-SMOKE_BENCH = BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward|BenchmarkA2AVMiss
-SMOKE_PKGS = ./internal/moe ./internal/train ./internal/devent
+SMOKE_BENCH = BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward|BenchmarkA2AVMiss|BenchmarkMatMulInto|BenchmarkMatMulTInto|BenchmarkTMatMulInto
+SMOKE_PKGS = ./internal/moe ./internal/train ./internal/devent ./internal/tensor
 
 # Quick CI, and the only definition of it (.github/workflows/ci.yml runs
-# this target): gofmt + the transport-name grep + vet + build + all six
-# race-detector gates + the fuzz smoke + unit tests of every package + a
-# quick microbenchmark smoke run.
-ci: fmt-check no-transport-strings vet build race-fast chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke
+# this target): gofmt + the transport-name grep + vet + build + the GEMM
+# portability builds + all six race-detector gates + the fuzz smoke + unit
+# tests of every package + a quick microbenchmark smoke run.
+ci: fmt-check no-transport-strings vet build portability race-fast chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke
 	$(GO) test ./internal/... .
 	@want=$$(echo '$(SMOKE_BENCH)' | tr '|' '\n' | grep -c .); \
 	n=$$($(GO) test -list '^($(SMOKE_BENCH))$$' $(SMOKE_PKGS) | grep -c '^Benchmark'); \

@@ -24,6 +24,17 @@ func main() {
 	seed := flag.Uint64("seed", 42, "congestion sampling seed")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
+	var usage error
+	switch {
+	case *gpus < 1:
+		usage = fmt.Errorf("-gpus %d: want at least 1 GPU", *gpus)
+	case *bytes < 0:
+		usage = fmt.Errorf("-bytes %d: want a per-rank payload >= 0", *bytes)
+	}
+	if usage != nil {
+		fmt.Fprintln(os.Stderr, "xmoe-topo:", usage)
+		os.Exit(2)
+	}
 	defer prof.StartCPU(*cpuProfile)()
 
 	var m *topology.Machine
@@ -124,7 +135,10 @@ func printGraph(m *topology.Machine, kind string, gpus int) {
 	}
 
 	fmt.Println("\nsample routes:")
-	samples := [][2]int{{0, 1}}
+	var samples [][2]int
+	if g.NumRanks > 1 {
+		samples = append(samples, [2]int{0, 1})
+	}
 	if n := g.NumRanks; n > m.GPUsPerPair {
 		samples = append(samples, [2]int{0, m.GPUsPerPair}) // cross-pair
 	}

@@ -237,6 +237,21 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
+		// The run-shape flags DistConfig does not carry are checked here,
+		// before any training: a bad one exits 2 with a message.
+		var usage error
+		switch {
+		case *distIters < 1:
+			usage = fmt.Errorf("-dist-iters %d: want at least 1 training step", *distIters)
+		case !(*mtbf >= 0): // NaN too
+			usage = fmt.Errorf("-mtbf %g: want a mean time between failures >= 0 (0 draws no crashes)", *mtbf)
+		case *spares < 0:
+			usage = fmt.Errorf("-spares %d: want a hot-spare pool size >= 0", *spares)
+		}
+		if usage != nil {
+			fmt.Fprintln(os.Stderr, "xmoe-train:", usage)
+			os.Exit(2)
+		}
 		if *faults != "" || *mtbf > 0 || *spares > 0 {
 			runDistFT(kind, *world, *tokens, *overlap, *distIters, *seed,
 				*faults, *mtbf, *ckptEvery, *asyncCkpt, *spares, *mitigate,

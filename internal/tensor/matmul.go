@@ -2,14 +2,19 @@ package tensor
 
 import "fmt"
 
-// The three GEMM kernels below are register-tiled, but every output
-// element is still produced by the float32 operation sequence of the
-// plain triple loop: the accumulator starts at +0 and takes s += a·b in
-// ascending p. Trainer losses, gradients, checkpoints and benchmark
-// digests are pinned to those bits (matmul_ref_test.go keeps the plain
-// loops), so a tile may change which elements are computed together,
-// never the order of the terms inside one element. The tiles are sized
-// for the fifteen scalar float registers amd64 leaves the compiler.
+// The three GEMM kernels below share one body, axpyGEMM: A·B and Aᵀ·B
+// read A through two strides, and A·Bᵀ runs A·B over a transposed copy
+// of B. Every output element is still produced by the float32 operation
+// sequence of the plain triple loop: the accumulator starts at +0 and
+// takes s += a·b in ascending p. Trainer losses, gradients, checkpoints
+// and benchmark digests are pinned to those bits (matmul_ref_test.go
+// keeps the plain loops), so the body may change which elements are
+// computed together, never the order of the terms inside one element.
+// On amd64 its inner loop runs four columns per SSE instruction
+// (axpy_amd64.s): a packed multiply rounds each product to float32 before
+// the packed add, as the scalar code does, since Go never contracts
+// float32 x*y+z into an FMA there and never sets flush-to-zero. The
+// purego build tag, or any other GOARCH, runs the Go loop alone.
 
 // MatMul computes C = A·B for A of shape [m,k] and B of shape [k,n],
 // returning a new [m,n] tensor. See MatMulInto for the kernel.
@@ -38,7 +43,7 @@ func MatMulInto(c, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: matmulinto shape mismatch C%v = A%v x B%v", c.shape, a.shape, b.shape))
 	}
 	ParallelFor(m, 8, func(lo, hi int) {
-		axpyGEMM(c.Data, a.Data, b.Data, lo, hi, k, n, k, 1)
+		axpyGEMM(c.Data, a.Data, b.Data, lo, hi, k, n, k, 1, true)
 	})
 }
 
@@ -56,55 +61,34 @@ func MatMulT(a, b *Tensor) *Tensor {
 // have shape [m,n] for A [m,k] and B [n,k]. c is overwritten. The result
 // is bit-identical to MatMulT.
 //
-// Every term is accumulated, zero coefficients included: a zero in A
-// against an Inf or NaN in B yields NaN, where MatMulInto and TMatMulInto
-// skip the term.
+// B is transposed into a pooled [k,n] scratch and the product runs
+// through MatMulInto's body. Every term is accumulated, zero coefficients
+// included: a zero in A against an Inf or NaN in B yields NaN, where
+// MatMulInto and TMatMulInto skip the term.
 func MatMulTInto(c, a, b *Tensor) {
 	m, k := a.Rows(), a.Cols()
 	n, k2 := b.Rows(), b.Cols()
 	if k != k2 || c.Rows() != m || c.Cols() != n {
 		panic(fmt.Sprintf("tensor: matmulT shape mismatch C%v = A%v x B%vᵀ", c.shape, a.shape, b.shape))
 	}
-	// Three rows of A against two rows of B per tile. A tail row or
-	// column is clamped onto the last one: the tile computes that element
-	// twice and stores the same bits twice, always inside this chunk.
-	ParallelFor(m, 8, func(lo, hi int) {
-		for i := lo; i < hi; i += 3 {
-			i1, i2 := min(i+1, hi-1), min(i+2, hi-1)
-			a0, a1, a2 := a.Row(i), a.Row(i1), a.Row(i2)
-			c0, c1, c2 := c.Row(i), c.Row(i1), c.Row(i2)
-			for j := 0; j < n; j += 2 {
-				j1 := min(j+1, n-1)
-				s00, s01, s10, s11, s20, s21 := dot3x2(a0, a1, a2, b.Data[j*k:(j+1)*k], b.Data[j1*k:(j1+1)*k])
-				c0[j], c0[j1] = s00, s01
-				c1[j], c1[j1] = s10, s11
-				c2[j], c2[j1] = s20, s21
-			}
+	bt := transposeBufs.getBuf(n * k)
+	for j := 0; j < n; j++ {
+		for p, v := range b.Data[j*k : (j+1)*k] {
+			bt[p*n+j] = v
 		}
+	}
+	ParallelFor(m, 8, func(lo, hi int) {
+		axpyGEMM(c.Data, a.Data, bt, lo, hi, k, n, k, 1, false)
 	})
+	transposeBufs.putBuf(bt)
 }
 
-// dot3x2 returns the six dot products of rows a0, a1, a2 with rows b0,
-// b1, all of len(a0) elements: five loads feed six independent
-// accumulator chains, where a lone dot product waits on one. Six is the
-// widest tile go1.24 keeps in registers: it issues an iteration's
-// multiplies before the adds, so products and accumulators are live
-// together, and a 2×4 tile spills six values per step.
-func dot3x2(a0, a1, a2, b0, b1 []float32) (s00, s01, s10, s11, s20, s21 float32) {
-	k := len(a0)
-	a1, a2, b0, b1 = a1[:k], a2[:k], b0[:k], b1[:k]
-	for p := 0; p < k; p++ {
-		y0, y1 := b0[p], b1[p]
-		x0, x1, x2 := a0[p], a1[p], a2[p]
-		s00 += x0 * y0
-		s01 += x0 * y1
-		s10 += x1 * y0
-		s11 += x1 * y1
-		s20 += x2 * y0
-		s21 += x2 * y1
-	}
-	return
-}
+// transposeBufs holds MatMulTInto's transposed-B buffers. It is a Pool
+// rather than a sync.Pool because under the race detector sync.Pool's
+// Put drops buffers at random, and the steady-state allocation pins
+// would then see the replacements. Like any Pool it keeps what it is
+// given: per size bucket, one buffer per call that was in flight at once.
+var transposeBufs Pool
 
 // TMatMul computes C = Aᵀ·B for A of shape [k,m] and B of shape [k,n],
 // returning a new [m,n] tensor. This is the dW = Xᵀ·dY backward rule.
@@ -127,20 +111,21 @@ func TMatMulInto(c, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: tmatmul shape mismatch C%v = A%vᵀ x B%v", c.shape, a.shape, b.shape))
 	}
 	ParallelFor(m, 4, func(lo, hi int) {
-		axpyGEMM(c.Data, a.Data, b.Data, lo, hi, k, n, 1, m)
+		axpyGEMM(c.Data, a.Data, b.Data, lo, hi, k, n, 1, m, true)
 	})
 }
 
 // axpyGEMM computes rows [lo,hi) of C [m,n] = A'·B for B [k,n], where the
 // coefficient of row i at step p is a[i*si+p*sp]: (si,sp) = (k,1) reads A
-// as [m,k] (MatMulInto), (1,m) as [k,m] transposed (TMatMulInto). Terms
-// with a zero coefficient are skipped.
+// as [m,k] (MatMulInto, MatMulTInto), (1,m) as [k,m] transposed
+// (TMatMulInto). With skipZeros, terms with a zero coefficient are
+// skipped.
 //
 // Four steps of p are fused over two rows of C (axpy4x2), and the rows
-// run inside the steps, so B streams once however long k is. A group
-// holding a zero coefficient, an odd last row and the k%4 tail take one
-// AXPY per term instead.
-func axpyGEMM(c, a, b []float32, lo, hi, k, n, si, sp int) {
+// run inside the steps, so B streams once however long k is. An odd last
+// row and the k%4 tail take one AXPY per term, and so does a group
+// holding a zero coefficient when zeros are skipped.
+func axpyGEMM(c, a, b []float32, lo, hi, k, n, si, sp int, skipZeros bool) {
 	clear(c[lo*n : hi*n])
 	row := func(d []float32, i int) []float32 { return d[i*n : (i+1)*n] }
 	p := 0
@@ -153,33 +138,33 @@ func axpyGEMM(c, a, b []float32, lo, hi, k, n, si, sp int) {
 			x00, x01, x02, x03 := a[o0], a[o0+sp], a[o0+2*sp], a[o0+3*sp]
 			x10, x11, x12, x13 := a[o1], a[o1+sp], a[o1+2*sp], a[o1+3*sp]
 			c0, c1 := row(c, i), row(c, i+1)
-			if x00 != 0 && x01 != 0 && x02 != 0 && x03 != 0 &&
+			if !skipZeros || x00 != 0 && x01 != 0 && x02 != 0 && x03 != 0 &&
 				x10 != 0 && x11 != 0 && x12 != 0 && x13 != 0 {
 				axpy4x2(c0, c1, b0, b1, b2, b3, x00, x01, x02, x03, x10, x11, x12, x13)
 				continue
 			}
-			axpy(c0, b0, x00)
-			axpy(c0, b1, x01)
-			axpy(c0, b2, x02)
-			axpy(c0, b3, x03)
-			axpy(c1, b0, x10)
-			axpy(c1, b1, x11)
-			axpy(c1, b2, x12)
-			axpy(c1, b3, x13)
+			axpy(c0, b0, x00, true)
+			axpy(c0, b1, x01, true)
+			axpy(c0, b2, x02, true)
+			axpy(c0, b3, x03, true)
+			axpy(c1, b0, x10, true)
+			axpy(c1, b1, x11, true)
+			axpy(c1, b2, x12, true)
+			axpy(c1, b3, x13, true)
 		}
 		if i < hi {
 			o := i*si + p*sp
 			ci := row(c, i)
-			axpy(ci, b0, a[o])
-			axpy(ci, b1, a[o+sp])
-			axpy(ci, b2, a[o+2*sp])
-			axpy(ci, b3, a[o+3*sp])
+			axpy(ci, b0, a[o], skipZeros)
+			axpy(ci, b1, a[o+sp], skipZeros)
+			axpy(ci, b2, a[o+2*sp], skipZeros)
+			axpy(ci, b3, a[o+3*sp], skipZeros)
 		}
 	}
 	for ; p < k; p++ {
 		bp := row(b, p)
 		for i := lo; i < hi; i++ {
-			axpy(row(c, i), bp, a[i*si+p*sp])
+			axpy(row(c, i), bp, a[i*si+p*sp], skipZeros)
 		}
 	}
 }
@@ -187,11 +172,13 @@ func axpyGEMM(c, a, b []float32, lo, hi, k, n, si, sp int) {
 // axpy4x2 adds four scaled rows of B to two rows of C:
 // c0[j] += x00·b0[j], then x01·b1[j], x02·b2[j], x03·b3[j], in that order,
 // and c1 likewise with x10..x13. Each c element is loaded and stored once
-// per eight multiply-adds and each b element once per two.
+// per eight multiply-adds and each b element once per two. axpy4x2Vec
+// takes the leading columns four lanes at a time (SSE on amd64, none
+// under purego or elsewhere) and this loop the rest.
 func axpy4x2(c0, c1, b0, b1, b2, b3 []float32, x00, x01, x02, x03, x10, x11, x12, x13 float32) {
 	n := len(c0)
 	c1, b0, b1, b2, b3 = c1[:n], b0[:n], b1[:n], b2[:n], b3[:n]
-	for j := 0; j < n; j++ {
+	for j := axpy4x2Vec(c0, c1, b0, b1, b2, b3, x00, x01, x02, x03, x10, x11, x12, x13); j < n; j++ {
 		y0, y1, y2, y3 := b0[j], b1[j], b2[j], b3[j]
 		s0 := c0[j]
 		s0 += x00 * y0
@@ -208,9 +195,10 @@ func axpy4x2(c0, c1, b0, b1, b2, b3 []float32, x00, x01, x02, x03, x10, x11, x12
 	}
 }
 
-// axpy adds x·b to c element by element, or nothing when x is zero.
-func axpy(c, b []float32, x float32) {
-	if x == 0 {
+// axpy adds x·b to c element by element, or nothing when x is zero and
+// skipZero is set.
+func axpy(c, b []float32, x float32, skipZero bool) {
+	if skipZero && x == 0 {
 		return
 	}
 	b = b[:len(c)]

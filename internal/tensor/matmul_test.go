@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -37,7 +38,8 @@ var negZero = float32(math.Copysign(0, -1))
 
 // gemmCase is the recipe of one problem. zeroPer256 is the chance out of
 // 256 that a coefficient is zeroed on top of the fixed pattern; special
-// puts ±Inf, NaN and −0 into val.
+// puts ±Inf, NaN, −0 and values near the bottom of the float32 range into
+// the operands.
 type gemmCase struct {
 	seed       uint64
 	m, k, n    int
@@ -54,7 +56,12 @@ func (g gemmCase) String() string {
 // and steps 4..7 of every row (a whole group of four). In a special case
 // val carries −0 throughout, non-finite values on exactly those skipped
 // steps — so the skipping kernels stay finite where MatMulTInto goes NaN —
-// and one +Inf at val[0][0] that no kernel skips.
+// and one +Inf at val[0][0] that no kernel skips. It also carries
+// subnormals and values whose products underflow, in val and as tiny
+// coefficients. Column 1 of val holds only subnormal-range values apart
+// from −0 and the non-finite steps, so its outputs are sums of subnormal
+// products: a kernel that flushed subnormals to zero would lose those
+// bits.
 func (g gemmCase) operands() (coef, val *Tensor) {
 	rng := NewRNG(g.seed)
 	coef = Randn(rng, 1, g.m, g.k)
@@ -71,7 +78,18 @@ func (g gemmCase) operands() (coef, val *Tensor) {
 	if !g.special {
 		return coef, val
 	}
+	for idx := range coef.Data {
+		if idx%13 == 6 {
+			coef.Data[idx] *= 1e-30
+		}
+	}
 	nonFinite := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	tiny := []float32{
+		math.Float32frombits(0x00012345),  // subnormal
+		-math.Float32frombits(0x00000001), // smallest subnormal, negative
+		1.5e-38,                           // normal; most products are subnormal
+		-3e-30,                            // a tiny coefficient's product underflows to ±0
+	}
 	for idx := range val.Data {
 		switch p := idx / g.n; {
 		case idx == 0:
@@ -80,6 +98,10 @@ func (g gemmCase) operands() (coef, val *Tensor) {
 			val.Data[idx] = nonFinite[idx%len(nonFinite)]
 		case idx%7 == 2:
 			val.Data[idx] = negZero
+		case idx%g.n == 1:
+			val.Data[idx] = tiny[p%3]
+		case idx%5 == 1:
+			val.Data[idx] = tiny[idx%len(tiny)]
 		}
 	}
 	return coef, val
@@ -243,8 +265,42 @@ func TestGEMMBitsIndependentOfWorkers(t *testing.T) {
 	}
 }
 
+// TestMatMulTIntoConcurrentCalls runs MatMulTInto from several goroutines
+// at once over shapes of different sizes, so calls in flight together
+// must each hold their own transposed-B buffer, and a buffer is reused
+// by calls of other shapes in its size bucket.
+func TestMatMulTIntoConcurrentCalls(t *testing.T) {
+	cases := []gemmCase{
+		{seed: 1, m: 33, k: 17, n: 9},
+		{seed: 2, m: 8, k: 129, n: 64, special: true},
+		{seed: 3, m: 65, k: 5, n: 3},
+		{seed: 4, m: 17, k: 64, n: 129, zeroPer256: 60},
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for iter := 0; iter < 20; iter++ {
+				g := cases[(w+iter)%len(cases)]
+				coef, val := g.operands()
+				a, b := coef, transpose(val)
+				got, want := New(g.m, g.n), New(g.m, g.n)
+				MatMulTInto(got, a, b)
+				matMulTRef(want, a, b)
+				if err := sameBits(got, want); err != nil {
+					t.Errorf("goroutine %d %v: %v", w, g, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 // TestGEMMAllocsPerCall pins the one allocation a kernel call makes (the
-// ParallelFor closure), at the trainer's shapes: the tiles add none.
+// ParallelFor closure), at the trainer's shapes: the shared body adds
+// none, and MatMulTInto's transposed B reuses a pooled buffer.
 func TestGEMMAllocsPerCall(t *testing.T) {
 	rng := NewRNG(1)
 	x := Randn(rng, 1, trainRows, trainH)

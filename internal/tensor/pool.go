@@ -57,9 +57,25 @@ func (p *Pool) Get(shape ...int) *Tensor {
 		}
 		n *= d
 	}
+	if bucketOf(n) < 0 {
+		return New(shape...)
+	}
+	buf := p.getBuf(n)
+	for i := range buf {
+		buf[i] = 0
+	}
+	s := make([]int, len(shape))
+	copy(s, shape)
+	return &Tensor{Data: buf, shape: s}
+}
+
+// getBuf returns a buffer of n elements with unspecified contents: a
+// pooled one when n is in pooling range and its bucket holds one, else a
+// fresh one.
+func (p *Pool) getBuf(n int) []float32 {
 	b := bucketOf(n)
 	if b < 0 {
-		return New(shape...)
+		return make([]float32, n)
 	}
 	p.mu.Lock()
 	var buf []float32
@@ -72,13 +88,7 @@ func (p *Pool) Get(shape ...int) *Tensor {
 	if buf == nil {
 		buf = make([]float32, 1<<b)
 	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{Data: buf, shape: s}
+	return buf[:n]
 }
 
 // Put returns t's buffer to the pool. The caller must not use t (or any
@@ -90,16 +100,23 @@ func (p *Pool) Put(t *Tensor) {
 	if p == nil || t == nil || t.Data == nil {
 		return
 	}
-	c := cap(t.Data)
+	if p.putBuf(t.Data) {
+		t.Data = nil
+	}
+}
+
+// putBuf returns buf to the pool and reports whether it was kept: only a
+// buffer whose capacity is an exact bucket size is; the GC has the rest.
+func (p *Pool) putBuf(buf []float32) bool {
+	c := cap(buf)
 	b := bucketOf(c)
 	if b < 0 || 1<<b != c {
-		return // not a bucket-sized buffer; let the GC have it
+		return false
 	}
-	buf := t.Data[:0]
-	t.Data = nil
 	p.mu.Lock()
 	p.free[b] = append(p.free[b], buf[:c])
 	p.mu.Unlock()
+	return true
 }
 
 // PutAll returns every non-nil tensor to the pool.
