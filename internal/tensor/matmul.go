@@ -13,8 +13,10 @@ import "fmt"
 // On amd64 its inner loop runs four columns per SSE instruction
 // (axpy_amd64.s): a packed multiply rounds each product to float32 before
 // the packed add, as the scalar code does, since Go never contracts
-// float32 x*y+z into an FMA there and never sets flush-to-zero. The
-// purego build tag, or any other GOARCH, runs the Go loop alone.
+// float32 x*y+z into an FMA there and never sets flush-to-zero. Any
+// other GOARCH runs the Go loop alone; its bits are checked against the
+// reference on amd64 only (the tail columns), and a backend that fuses
+// x*y+z, as arm64's may, can differ.
 
 // MatMul computes C = A·B for A of shape [m,k] and B of shape [k,n],
 // returning a new [m,n] tensor. See MatMulInto for the kernel.
@@ -174,7 +176,7 @@ func axpyGEMM(c, a, b []float32, lo, hi, k, n, si, sp int, skipZeros bool) {
 // and c1 likewise with x10..x13. Each c element is loaded and stored once
 // per eight multiply-adds and each b element once per two. axpy4x2Vec
 // takes the leading columns four lanes at a time (SSE on amd64, none
-// under purego or elsewhere) and this loop the rest.
+// elsewhere) and this loop the rest.
 func axpy4x2(c0, c1, b0, b1, b2, b3 []float32, x00, x01, x02, x03, x10, x11, x12, x13 float32) {
 	n := len(c0)
 	c1, b0, b1, b2, b3 = c1[:n], b0[:n], b1[:n], b2[:n], b3[:n]
