@@ -213,10 +213,12 @@ func (g blockingGolden) literal() string {
 // and (numeric) every output and gradient. The pft and padded c4 rows and
 // the padded tutel row (Tutel's vendor kernels and float32 combine buffers)
 // were recorded from the separate padded forward and backward bodies, before
-// the padded transport ran through the PFT body. The values were recorded at
-// the parent commit of the PR that folded the second body away; they are the
-// reference now, so a mismatch is a model change that must be declared, not
-// re-recorded.
+// the padded transport ran through the PFT body. The c3 rows (three chunks
+// split parts unevenly, which exercises the ChunkRange floors and RBD's
+// merge buckets) were recorded before RBD's forward and backward ran through
+// the moe body as an exchange. The values were recorded at the parent commit
+// of the PR that folded the second body away; they are the reference now, so
+// a mismatch is a model change that must be declared, not re-recorded.
 func TestBlockingGoldenBits(t *testing.T) {
 	for _, row := range []struct {
 		transport string
@@ -224,7 +226,8 @@ func TestBlockingGoldenBits(t *testing.T) {
 		onlySym   bool // no numeric row
 		tutel     bool
 	}{{"pft", 0, false, false}, {"padded", 0, false, false}, {"rbd", 0, false, false}, {"rbd", 4, false, false},
-		{"pft", 4, false, false}, {"padded", 4, false, false}, {"padded", 0, true, true}} {
+		{"pft", 4, false, false}, {"padded", 4, false, false}, {"padded", 0, true, true},
+		{"pft", 3, false, false}, {"padded", 3, false, false}, {"rbd", 3, false, false}} {
 		for _, numeric := range []bool{false, true} {
 			if numeric && row.onlySym {
 				continue
@@ -352,5 +355,53 @@ var blockingGoldens = map[string]blockingGolden{
 			"bwd_a2a_dispatch": 0xfe9ecca4c767ade5, "bwd_combine": 0xba3a58bc4d5bcfe5, "bwd_dispatch": 0xba3a58bc4d5bcfe5,
 			"bwd_experts": 0xb7f9e6e38e15125, "combine": 0x13185e0a0672125, "dispatch": 0xba3a58bc4d5bcfe5,
 			"experts": 0xf07fe03e58eab725, "gate": 0xfe1fea1fe9f64565, "others": 0xab082fda312c9fe5,
+		}},
+	"pft/symbolic/c3": {maxClock: 0x3f611b2895a31ba4, clocks: 0x9cb236f5c4c1aa3e, events: 0xaf1b91fa40c6855, peakMem: 20303044, tensors: 0x0,
+		stages: map[string]uint64{
+			"a2a_combine": 0x14339a70acc8aa20, "a2a_dispatch": 0xcf83a073a03eed39, "bwd_a2a_combine": 0xb97a52d886c971bc,
+			"bwd_a2a_dispatch": 0x50c3acf718e0c75b, "bwd_combine": 0xe31b83389878727f, "bwd_dispatch": 0x4b46f1ae880a0813,
+			"bwd_experts": 0x4ca70751b11f1e5d, "combine": 0x4b46f1ae880a0813, "dispatch": 0x4b46f1ae880a0813,
+			"experts": 0x37a3d9e3bd542be4, "gate": 0x50087090fbd8c665, "others": 0x61882e2fbe21424c,
+		}},
+	"pft/numeric/c3": {maxClock: 0x3f4485991d54ed10, clocks: 0x556f1822e8373cb1, events: 0x844d7d7e252ed808, peakMem: 10624, tensors: 0xd5dce9d0adbdef22,
+		stages: map[string]uint64{
+			"a2a_combine": 0x9da7b350fe758b82, "a2a_dispatch": 0x6dfc5c40c4f2c3dc, "bwd_a2a_combine": 0x239252128c2ed21b,
+			"bwd_a2a_dispatch": 0xd9b881d55e8120ba, "bwd_combine": 0x54ad2859ebde0cfb, "bwd_dispatch": 0xb1c558431638395a,
+			"bwd_experts": 0x7f11465815e9f110, "combine": 0xb1c558431638395a, "dispatch": 0xb1c558431638395a,
+			"experts": 0xf8a664149ed5d298, "gate": 0x650ce7d49dc02645, "others": 0x22d5da744bbb8605,
+		}},
+	"padded/symbolic/c3": {maxClock: 0x3f6ede9dadc0b0ca, clocks: 0xd7110d8db1913425, events: 0xd58119acd7c89925, peakMem: 45088768, tensors: 0x0,
+		stages: map[string]uint64{
+			"a2a_combine": 0x176b40a6214bfd25, "a2a_dispatch": 0xd80ac658736bb725, "bwd_a2a_combine": 0xd80ac658736bb725,
+			"bwd_a2a_dispatch": 0x249532d64eea4465, "bwd_combine": 0x2ebbc081b0200a25, "bwd_dispatch": 0x514ecb940f397de5,
+			"bwd_experts": 0xa39ec253dd6f0525, "combine": 0x514ecb940f397de5, "dispatch": 0x514ecb940f397de5,
+			"experts": 0x5358971e9e31b125, "gate": 0xa61d3664fb4942e5, "others": 0x9ff72673e4eb4aa5,
+		}},
+	"padded/numeric/c3": {maxClock: 0x3f58d7b716d5e30f, clocks: 0xdcacecdf0cab9d85, events: 0xd721ead0df6f7975, peakMem: 52320, tensors: 0x96e3b67277685604,
+		stages: map[string]uint64{
+			"a2a_combine": 0x6684b6cd71c16ae5, "a2a_dispatch": 0x8421ae126c7ced25, "bwd_a2a_combine": 0x8421ae126c7ced25,
+			"bwd_a2a_dispatch": 0x4569f7edf5729fa5, "bwd_combine": 0x815bfb6430e48285, "bwd_dispatch": 0xe209ba3e135323c5,
+			"bwd_experts": 0xafc0bdfb846eee05, "combine": 0xe209ba3e135323c5, "dispatch": 0xe209ba3e135323c5,
+			"experts": 0x3ad7e94a6a1c7105, "gate": 0xa0aec53dedce57e5, "others": 0xe38d5b73706adac5,
+		}},
+	"rbd/symbolic/c3": {maxClock: 0x3f6385af8f7d0509, clocks: 0xc226cf8fac4a03ed, events: 0xe159bafb1132fbbd, peakMem: 28646452, tensors: 0x0,
+		stages: map[string]uint64{
+			"bwd_experts": 0x47c92bf790be4f28, "dispatch": 0x4b46f1ae880a0813, "experts": 0xa252da1889ae4825,
+			"gate": 0x50087090fbd8c665, "rbd_bwd_comb_merge": 0x4ea3b0e142a28476, "rbd_bwd_comb_s1_a2a": 0x2fc2a0a820c5261f,
+			"rbd_bwd_comb_s2_a2a": 0xd80ac658736bb725, "rbd_bwd_comb_scatter": 0x965b37c33b214323, "rbd_bwd_s1_a2a": 0x2cb860c41253204c,
+			"rbd_bwd_s1_scatter": 0x4c8a3d7a41746fe, "rbd_bwd_s2_a2a": 0xd80ac658736bb725, "rbd_bwd_s2_reduce": 0x2acb5c7f66c8284c,
+			"rbd_comb_merge": 0x42e66acf05d3d53d, "rbd_comb_s1_a2a": 0xbd17218e8fa2d841, "rbd_comb_s2_a2a": 0xbd7d12eb2ddc58a3,
+			"rbd_comb_scatter": 0x4c8a3d7a41746fe, "rbd_reconstruct": 0x4fc2d9c65d89961f, "rbd_s1_a2a": 0xb8b850c6b9ed791b,
+			"rbd_s1_inst": 0x965b37c33b214323, "rbd_s2_a2a": 0xd80ac658736bb725, "rbd_s2_inst": 0x198882a6ab0df0ce,
+		}},
+	"rbd/numeric/c3": {maxClock: 0x3f4b85cbbaf54fa6, clocks: 0xcb9c533ba99f01ae, events: 0x85d047e69b601efc, peakMem: 14244, tensors: 0xa4e89a5d26446cfe,
+		stages: map[string]uint64{
+			"bwd_experts": 0xeb43660bff126166, "dispatch": 0xb1c558431638395a, "experts": 0xcd3f5439046b8fe6,
+			"gate": 0x650ce7d49dc02645, "rbd_bwd_comb_merge": 0x173062d7d011a06b, "rbd_bwd_comb_s1_a2a": 0x8ee4d3e557fae3c5,
+			"rbd_bwd_comb_s2_a2a": 0x8421ae126c7ced25, "rbd_bwd_comb_scatter": 0x71f023af49f453c7, "rbd_bwd_s1_a2a": 0xd3afb28a063979f5,
+			"rbd_bwd_s1_scatter": 0x474324f8608da882, "rbd_bwd_s2_a2a": 0x8421ae126c7ced25, "rbd_bwd_s2_reduce": 0xc2310b143d9d9bd4,
+			"rbd_comb_merge": 0xbb44f6b6e3110eb9, "rbd_comb_s1_a2a": 0x5db3f90646d2bb05, "rbd_comb_s2_a2a": 0x660420820cf2b946,
+			"rbd_comb_scatter": 0x474324f8608da882, "rbd_reconstruct": 0xe8395d74771cedc3, "rbd_s1_a2a": 0xab1dd9c13976f2b2,
+			"rbd_s1_inst": 0x71f023af49f453c7, "rbd_s2_a2a": 0x8421ae126c7ced25, "rbd_s2_inst": 0x3714ae57dbb453c9,
 		}},
 }
