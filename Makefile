@@ -1,6 +1,6 @@
 # Developer workflow for the xmoe reproduction.
 #
-#   make ci      - what the CI job runs: gofmt, the transport-name grep, vet, build, the GEMM portability builds, the six race-enabled gates, fuzz smoke, tests, quick bench
+#   make ci      - what the CI job runs: gofmt, the transport-name grep, the one-body grep, vet, build, the GEMM portability builds, the six race-enabled gates, fuzz smoke, tests, quick bench
 #   make test    - full test suite (includes the slow sweep tests)
 #   make race    - full race-detector pass (go test -race ./...)
 #   make race-fast - race pass over just the concurrency-heavy packages
@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: all build loc fmt-check no-transport-strings vet portability test race race-fast race-full chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke bench bench-figs bench-json bench-save ci
+.PHONY: all build loc fmt-check no-transport-strings one-body vet portability test race race-fast race-full chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke bench bench-figs bench-json bench-save ci
 
 all: build
 
@@ -41,6 +41,15 @@ fmt-check:
 no-transport-strings:
 	@out=$$(grep -rnE '"(pft|padded|rbd)"' --include='*.go' internal cmd | grep -v _test.go | grep -v '^internal/transport/'); \
 	if [ -n "$$out" ]; then echo "transport names outside internal/transport:"; echo "$$out"; exit 1; fi
+
+# Fails when a non-test file outside internal/moe charges one of the MoE
+# layer body's own stages (the gate, the buffer dispatch, the expert FFN
+# forward or backward): every transport plugs into that one body as a
+# moe.Exchange, so a forked copy of the expert stage cannot come back
+# silently.
+one-body:
+	@out=$$(grep -rnE 'Compute\(moe\.Stage(Gate|Dispatch|Experts|BwdExperts)\b' --include='*.go' . | grep -v _test.go | grep -v '^\./internal/moe/'); \
+	if [ -n "$$out" ]; then echo "MoE layer body stages charged outside internal/moe:"; echo "$$out"; exit 1; fi
 
 # The GEMM body's other builds: the SSE body built with GOAMD64=v3 against
 # the bit reference (Go must still not contract x*y+z into an FMA there),
@@ -197,7 +206,7 @@ SMOKE_PKGS = ./internal/moe ./internal/train ./internal/devent ./internal/tensor
 # this target): gofmt + the transport-name grep + vet + build + the GEMM
 # portability builds + all six race-detector gates + the fuzz smoke + unit
 # tests of every package + a quick microbenchmark smoke run.
-ci: fmt-check no-transport-strings vet build portability race-fast chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke
+ci: fmt-check no-transport-strings one-body vet build portability race-fast chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke
 	$(GO) test ./internal/... .
 	@want=$$(echo '$(SMOKE_BENCH)' | tr '|' '\n' | grep -c .); \
 	n=$$($(GO) test -list '^($(SMOKE_BENCH))$$' $(SMOKE_PKGS) | grep -c '^Benchmark'); \

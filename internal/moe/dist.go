@@ -158,15 +158,6 @@ func CheckPaddedOpts(o PipelineOpts) error {
 	return nil
 }
 
-// mustCheck panics with the typed Check error; pipeline entry points run
-// inside SPMD rank bodies and cannot return errors, and Cluster.Run wraps
-// an error-valued panic so errors.As still finds the *OptionError.
-func (o PipelineOpts) mustCheck() {
-	if err := o.Check(); err != nil {
-		panic(err)
-	}
-}
-
 func (o PipelineOpts) combineBytes(cfg Config) int {
 	if o.CombineBytes > 0 {
 		return o.CombineBytes
@@ -216,8 +207,8 @@ type LayerResult struct {
 	RecvTokens int
 	// Dropped is the number of assignments removed by the drop policy.
 	Dropped int
-	// State carries the saved intermediates for PFTBackward (PFT and
-	// padded pipelines, only when opts.SaveForBackward).
+	// State carries the saved intermediates for the backward (only when
+	// opts.SaveForBackward).
 	State *PFTFwdState
 	// PaddedState is State for callers written against the padded pair
 	// PaddedForward / PaddedBackward (padded pipeline only).
@@ -225,29 +216,31 @@ type LayerResult struct {
 }
 
 // PFTFwdState is the per-rank forward state the distributed backward pass
-// consumes: the layout, the exchange segmentation, and the expert-FFN
-// intermediates. In symbolic mode the tensors are nil and only the
-// geometry is populated (the PFT carries counts only), which is all the
-// timing-only backward needs.
+// consumes, whatever the transport: the layout, the expert-FFN
+// intermediates in the full expert-major layout, and the Exchange that
+// carries the rest of what the backward needs to send every gradient back
+// the way its row came. In symbolic mode the tensors are nil and only the
+// geometry is populated (the PFT carries counts only unless the exchange
+// reads rows), which is all the timing-only backward needs.
 type PFTFwdState struct {
-	S          int
-	PFT        *PFT
-	RecvCounts []int // [src*EPR + localExpert] rows received
-	BlockOff   []int // [localExpert*P + src] expert-major row offsets
-	RowsPerLE  []int
-	ExpertIn   *tensor.Tensor // [BExp, H] expert-major
-	HidPre     *tensor.Tensor // [BExp, F] pre-activation
-	HidAct     *tensor.Tensor // [BExp, F] post-GeLU
-	CombineIn  *tensor.Tensor // [B, H] returned expert outputs, PFT order
-	segStart   []int          // the PFT's expert segment offsets
-	padded     bool           // the PFT is the capacity-padded layout
+	S         int
+	PFT       *PFT
+	RowsPerLE []int          // the full layout's rows per local expert
+	ExpertIn  *tensor.Tensor // [BExp, H] expert-major
+	HidPre    *tensor.Tensor // [BExp, F] pre-activation
+	HidAct    *tensor.Tensor // [BExp, F] post-GeLU
+	// Ex is the exchange the forward ran, which the backward reverses.
+	Ex      Exchange
+	numeric bool // captured by a numeric forward
 }
 
 // bExp returns the number of expert-input rows this rank processed.
-func (st *PFTFwdState) bExp() int {
+func (st *PFTFwdState) bExp() int { return sum(st.RowsPerLE) }
+
+func sum(xs []int) int {
 	n := 0
-	for _, c := range st.RowsPerLE {
-		n += c
+	for _, x := range xs {
+		n += x
 	}
 	return n
 }
@@ -376,7 +369,7 @@ func (kp kernelProfile) act(comp *perfmodel.Model, cfg Config, rows int) float64
 // expert stages run in opts.Chunks() chunks (see overlap.go); one chunk
 // is the blocking pipeline.
 func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams, opts PipelineOpts) LayerResult {
-	return forward(r, g, cfg, s, x, routing, params, opts, false)
+	return Forward(r, newFlat(g, cfg, false), cfg, s, x, routing, params, opts)
 }
 
 // PaddedForward executes the conventional zero-padded MoE layer used by
@@ -388,47 +381,38 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 // first), and the profile of opts.Kernels prices the dispatch mask, the
 // mask-einsum or vendor buffer passes and the batched padded expert GEMMs.
 func PaddedForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams, opts PipelineOpts) LayerResult {
-	return forward(r, g, cfg, s, x, routing, params, opts, true)
+	res := Forward(r, newFlat(g, cfg, true), cfg, s, x, routing, params, opts)
+	res.PaddedState = res.State
+	return res
 }
 
-// forward is the one flat pipeline body, over the PFT or, when padded,
-// the capacity-padded layout.
-func forward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams,
-	opts PipelineOpts, padded bool) LayerResult {
-
-	check := PipelineOpts.Check
-	if padded {
-		check = CheckPaddedOpts
-	}
-	if err := check(opts); err != nil {
+// Forward is the one MoE layer body every transport runs, with ex moving
+// the rows: gating and layout construction, the gather-kernel buffer
+// dispatch, the exchange's dispatch, the expert FFN over each batch the
+// exchange lands, and the exchange's combine into the [s, H] output. It
+// panics with ex.Check's *OptionError on options the transport rejects.
+func Forward(r *simrt.Rank, ex Exchange, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams, opts PipelineOpts) LayerResult {
+	if err := ex.Check(opts); err != nil {
 		panic(err)
 	}
-	epr := epCheck(cfg, g)
-	p := g.Size()
-	h, f, e := cfg.HModel, cfg.HFFN, cfg.NumExperts
-	capTokens := cfg.Capacity(s)
+	padded, rows := ex.Layout()
+	h, f := cfg.HModel, cfg.HFFN
 	kp := profileOf(padded, opts.Kernels)
 	elem := int64(cfg.BytesPerElem)
-	combElem := int64(opts.combineBytes(cfg))
-	wireElem := combElem // the combine exchange's element size
-	if kp.padded {
-		wireElem = elem
-	}
-	chunks := opts.Chunks()
 	mem := &r.Dev().Mem
 	comp := r.C.Comp
 	// Rank-local intermediates come from the per-rank arena so the steady
-	// state allocates nothing; buffers whose data crosses the all-to-alls
-	// (dispIn, the send-back staging) stay allocate-fresh because peers
-	// may still read them after the rendezvous.
+	// state allocates nothing; buffers whose data crosses an exchange stay
+	// allocate-fresh because peers may still read them after the
+	// rendezvous.
 	pool := r.Pool()
 
 	// --- Gate + layout construction -------------------------------------
 	// Router GEMM [s,H]x[H,E], then the profile's memory-bound passes.
-	pft := routedPFT(routing, cfg, s, opts, opts.Numeric, padded)
+	pft := routedPFT(routing, cfg, s, opts, opts.Numeric || rows, padded)
 	b := pft.B()
-	launches, gateBytes, live := kp.gate(cfg, s, capTokens, pft)
-	r.Compute(StageGate, comp.GEMM(s, h, e)+comp.MemBoundN(kp.class, launches, gateBytes))
+	launches, gateBytes, live := kp.gate(cfg, s, cfg.Capacity(s), pft)
+	r.Compute(StageGate, comp.GEMM(s, h, cfg.NumExperts)+comp.MemBoundN(kp.class, launches, gateBytes))
 	for _, buf := range live {
 		if buf.tag != "" {
 			mem.Alloc(buf.tag, buf.bytes)
@@ -443,140 +427,58 @@ func forward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tensor,
 	}
 	mem.Alloc("dispatch_in", int64(b)*int64(h)*elem)
 
-	// --- Uneven all-to-all (dispatch), every chunk issued up front -------
-	// Chunk c of global expert e covers rows ChunkRange(cnt_e, chunks, c)
-	// of e's contiguous segment. The full per-expert counts ride with
-	// chunk 0, later chunks are derived by both ends from the same split;
-	// a padded layout's counts are all C, so none cross the wire. Part
-	// slices and exchanges of both directions and all chunks view two
-	// backing arrays, and the geometry of both passes one int backing, so
-	// the allocation count is independent of C.
-	nb := epr * p
-	ints := make([]int, e+5*nb+2*epr)
-	segStart, recvCounts := ints[:e:e], ints[e:e+nb:e+nb]
-	fullAt, n, at, saveAt := ints[e+nb:e+2*nb:e+2*nb], ints[e+2*nb:e+3*nb], ints[e+3*nb:e+4*nb], ints[e+4*nb:e+5*nb]
-	fullRowsPerLE, rowsPerLE := ints[e+5*nb:e+5*nb+epr:e+5*nb+epr], ints[e+5*nb+epr:]
-	for ex, run := 0, 0; ex < e; ex++ {
-		segStart[ex] = run
-		run += pft.TokensPerExpert[ex]
-	}
-	parts := make([]simrt.Part, 2*chunks*p)
-	exchanges := make([]simrt.Exchange, 2*chunks)
-	dispatchX, combineX := exchanges[:chunks], exchanges[chunks:]
-	for c := 0; c < chunks; c++ {
-		send := parts[c*p : (c+1)*p]
-		chunkRows := packSegments(send, dispIn, pft.TokensPerExpert, segStart, epr, h, elem, chunks, c)
-		if c == 0 && !kp.padded {
-			for dst := range send {
-				send[dst].Meta = pft.TokensPerExpert[dst*epr : (dst+1)*epr]
-				send[dst].Bytes += int64(epr) * 8
-			}
-		}
-		if chunks > 1 {
-			// Strided per-expert chunk rows are packed into send buffers, a
-			// memory-bound pass; one chunk is sent as contiguous views.
-			r.Compute(StageOthers, comp.MemBound(kp.class, 2*int64(chunkRows)*int64(h)*elem))
-		}
-		dispatchX[c] = r.AlltoAllVChunk(g, StageDispatchA2A, send, chunks)
-	}
-
-	// --- Per-chunk expert stage, combine issued as soon as a chunk ends --
-	// The full-layout geometry the backward needs (recvCounts,
-	// fullAt[le*P+src] expert-major block offsets, fullRowsPerLE) is fixed
-	// at chunk 0; per chunk, n/at are as overlap.go describes and saveAt[k]
-	// is the chunk block's row in the full layout.
+	// --- Exchange, expert FFN per landed batch ---------------------------
+	// With SaveForBackward, a batch's FFN intermediates are scattered into
+	// the full layout, unless the batch is the whole layout already.
+	batches := ex.Dispatch(r, s, pft, dispIn, opts)
+	var full []int
 	bExp := 0
-	var expertIn, hidPre, hidAct *tensor.Tensor
-	for c := 0; c < chunks; c++ {
-		recv := dispatchX[c].Wait()
-		if c == 0 {
-			// Received layout: src-major, each src's rows ordered by local
-			// expert.
-			if kp.padded {
-				for i := range recvCounts {
-					recvCounts[i] = capTokens
-				}
-			} else {
-				for src, part := range recv {
-					copy(recvCounts[src*epr:(src+1)*epr], part.Meta.([]int))
-				}
-			}
-			for le := 0; le < epr; le++ {
-				for src := 0; src < p; src++ {
-					fullAt[le*p+src] = bExp
-					bExp += recvCounts[src*epr+le]
-					fullRowsPerLE[le] += recvCounts[src*epr+le]
-				}
-			}
-			mem.Alloc("A_dispatch", int64(bExp)*int64(h)*elem)
+	var expertIn, hidPre, hidAct, wholeOut *tensor.Tensor
+	for i := 0; i < batches; i++ {
+		bt := ex.Land(r, i)
+		if bt.Full != nil && full == nil {
+			full, bExp = bt.Full, sum(bt.Full)
 			mem.Alloc("A0_interm", int64(bExp)*int64(f)*elem)
 			mem.Alloc("A1_interm", int64(bExp)*int64(f)*elem)
-			if opts.SaveForBackward && opts.Numeric {
-				expertIn = pool.Get(bExp, h)
-				hidPre = pool.Get(bExp, f)
-				hidAct = pool.Get(bExp, f)
+		}
+		r.Compute(StageExperts, kp.gemms(comp, cfg, bt.Rows)+kp.act(comp, cfg, sum(bt.Rows)))
+		if !opts.Numeric || bt.In == nil {
+			ex.Return(r, i, nil)
+			continue
+		}
+		whole, rows := bt.N == nil, bt.Rows
+		if whole {
+			rows = full
+		}
+		pre, act, out := params.ffn(pool, bt.In, rows, opts.SaveForBackward)
+		switch {
+		case !opts.SaveForBackward:
+			pool.PutAll(bt.In, pre)
+		case whole:
+			expertIn, hidPre, hidAct = bt.In, pre, act
+		default:
+			if expertIn == nil {
+				expertIn, hidPre, hidAct = pool.Get(bExp, h), pool.Get(bExp, f), pool.Get(bExp, f)
 			}
+			scatterBlocks(expertIn, bt.In, bt.N, bt.At, bt.SaveAt)
+			scatterBlocks(hidPre, pre, bt.N, bt.At, bt.SaveAt)
+			scatterBlocks(hidAct, act, bt.N, bt.At, bt.SaveAt)
+			pool.PutAll(bt.In, pre, act)
 		}
-		bc := 0
-		for le := 0; le < epr; le++ {
-			rowsPerLE[le] = 0
-			for src := 0; src < p; src++ {
-				lo, hi := simrt.ChunkRange(recvCounts[src*epr+le], chunks, c)
-				k := le*p + src
-				n[k], at[k], saveAt[k] = hi-lo, bc, fullAt[k]+lo
-				bc += hi - lo
-				rowsPerLE[le] += hi - lo
-			}
-		}
-
-		// Expert-major reorder of this chunk (sequential GEMM input prep,
-		// the small expert-stage overhead the paper notes in §5.4.1; the
-		// permute the padded frameworks pay as a fallback op).
-		r.Compute(StageOthers, comp.MemBound(kp.class, 2*int64(bc)*int64(h)*elem))
-		r.Compute(StageExperts, kp.gemms(comp, cfg, rowsPerLE)+kp.act(comp, cfg, bc))
-		var chunkOut *tensor.Tensor
-		if opts.Numeric {
-			chunkOut = expertChunk(pool, params, recv, n, at, saveAt, rowsPerLE, bc, h, f, expertIn, hidPre, hidAct)
-		}
-
-		// Reverse reorder to src-major and issue this chunk's combine.
-		r.Compute(StageOthers, comp.MemBound(kp.class, 2*int64(bc)*int64(h)*elem))
-		sendBack := parts[(chunks+c)*p : (chunks+c+1)*p]
-		packBlocks(sendBack, chunkOut, n, at, h, wireElem)
-		combineX[c] = r.AlltoAllVChunk(g, StageCombineA2A, sendBack, chunks)
-		pool.Put(chunkOut) // fully staged into the send-back buffers
-	}
-
-	// --- Drain combine chunks into the layout-ordered combine buffer -----
-	mem.Alloc("A_combine", int64(b)*int64(h)*combElem)
-	var combineIn *tensor.Tensor
-	if opts.Numeric {
-		combineIn = pool.Get(b, h)
-	}
-	for c := 0; c < chunks; c++ {
-		back := combineX[c].Wait()
-		if opts.Numeric {
-			unpackSegments(combineIn, back, pft.TokensPerExpert, segStart, epr, h, chunks, c)
+		ex.Return(r, i, out)
+		if whole {
+			wholeOut = out
+		} else {
+			pool.Put(out)
 		}
 	}
-
-	// --- Scatter combine (holes add nothing) ------------------------------
-	r.Compute(StageCombine, kp.bufferPass(comp, cfg, s, b, combElem))
-	var out *tensor.Tensor
-	if opts.Numeric {
-		out = kernels.ScatterCombine(combineIn, pft.TokenIDs, pft.CombineWeights, s)
-		if !opts.SaveForBackward {
-			pool.Put(combineIn)
-		}
-	}
-	mem.Alloc("output", int64(s)*int64(h)*elem)
+	output := ex.Combine(r)
+	pool.Put(wholeOut)
 
 	if !opts.RetainActivations {
 		mem.Free("dispatch_in", int64(b)*int64(h)*elem)
-		mem.Free("A_dispatch", int64(bExp)*int64(h)*elem)
 		mem.Free("A0_interm", int64(bExp)*int64(f)*elem)
 		mem.Free("A1_interm", int64(bExp)*int64(f)*elem)
-		mem.Free("A_combine", int64(b)*int64(h)*combElem)
 		for _, buf := range live {
 			if buf.tag != "" {
 				mem.Free(buf.tag, buf.bytes)
@@ -585,29 +487,15 @@ func forward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tensor,
 	}
 
 	res := LayerResult{
-		Output:       out,
+		Output:       output,
 		PFT:          pft,
 		RoutedTokens: len(routing.Experts) - pft.Dropped,
 		RecvTokens:   bExp,
 		Dropped:      pft.Dropped,
 	}
 	if opts.SaveForBackward {
-		res.State = &PFTFwdState{
-			S:          s,
-			PFT:        pft,
-			RecvCounts: recvCounts,
-			BlockOff:   fullAt,
-			RowsPerLE:  fullRowsPerLE,
-			ExpertIn:   expertIn,
-			HidPre:     hidPre,
-			HidAct:     hidAct,
-			CombineIn:  combineIn,
-			segStart:   segStart,
-			padded:     padded,
-		}
-		if padded {
-			res.PaddedState = res.State
-		}
+		res.State = &PFTFwdState{S: s, PFT: pft, RowsPerLE: full, ExpertIn: expertIn, HidPre: hidPre, HidAct: hidAct,
+			Ex: ex, numeric: opts.Numeric}
 	}
 	return res
 }

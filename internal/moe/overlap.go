@@ -1,12 +1,13 @@
 package moe
 
-// The chunked comm/compute-overlap model of the one flat pipeline body in
+// The chunked comm/compute-overlap model of the flat all-to-all exchange in
 // this package (PFTForward / PFTBackward; PaddedForward and PaddedBackward
-// run the same body over the capacity-padded layout, and RBD reuses its
-// expert-stage helpers), the optimisation FastMoE's smart scheduling and
-// Megatron Core's MoE overlap apply to hide the paper's dominant
-// all-to-all cost (Fig. 11) behind the expert computation. The body is
-// parameterised by the chunk count C = PipelineOpts.OverlapChunks:
+// run it over the capacity-padded layout; RBD is the one body's other
+// Exchange, with its own schedule in package rbd), the optimisation
+// FastMoE's smart scheduling and Megatron Core's MoE overlap apply to hide
+// the paper's dominant all-to-all cost (Fig. 11) behind the expert
+// computation. The exchange is parameterised by the chunk count C =
+// PipelineOpts.OverlapChunks, and each chunk is one batch of the body:
 //
 //   - The routed rows are split into C chunks along each (destination
 //     rank, local expert) segment — capacity slots for the padded layout,
@@ -45,7 +46,8 @@ package moe
 //
 // Expert-side geometry is described per chunk by parallel arrays indexed
 // k = le*P + src (expert-major blocks): n[k] rows of block (src, le) sit
-// at row at[k] of the buffer the chunk's expert stage works on.
+// at row at[k] of the chunk's contiguous buffer and at row saveAt[k] of
+// the full layout, where the backward lands its gradients.
 
 import (
 	"xmoe/internal/kernels"
@@ -135,59 +137,50 @@ func packBlocks(send []simrt.Part, src *tensor.Tensor, n, at []int, w int, elem 
 	}
 }
 
-// scatterBlocks copies every block of a chunk-contiguous buffer to row
-// saveAt[k] of the full expert-major layout SaveForBackward keeps.
-func scatterBlocks(full, chunk *tensor.Tensor, n, at, saveAt []int) {
+// scatterBlocks copies every block of a batch buffer to row saveAt[k] of
+// the full expert-major layout SaveForBackward keeps.
+func scatterBlocks(full, batch *tensor.Tensor, n, at, saveAt []int) {
 	w := full.Cols()
 	for k, rows := range n {
-		copy(full.Data[saveAt[k]*w:(saveAt[k]+rows)*w], chunk.Data[at[k]*w:])
+		copy(full.Data[saveAt[k]*w:(saveAt[k]+rows)*w], batch.Data[at[k]*w:])
 	}
 }
 
-// expertChunk is the numeric expert FFN over one received chunk of bc
-// rows, h wide in and out and f wide in between: it lands recv's blocks
-// expert-major, runs GEMM₁ per local expert over rows, GeLU and GEMM₂,
-// and — when the forward saves for backward (expertIn non-nil) — scatters
-// the chunk's input, pre-activation and activation rows to their saveAt
-// rows of the full layout. The [bc, h] output is drawn from pool and is
-// the caller's to Put.
-func expertChunk(pool *tensor.Pool, params *ExpertParams, recv []simrt.Part, n, at, saveAt, rows []int, bc, h, f int,
-	expertIn, hidPre, hidAct *tensor.Tensor) *tensor.Tensor {
-	chunkIn := pool.Get(bc, h)
-	landBlocks(chunkIn.Data, recv, n, at, h)
-	interm := pool.Get(bc, f)
-	kernels.SequentialGEMMInto(interm, chunkIn, rows, params.W1)
-	if expertIn != nil {
-		scatterBlocks(expertIn, chunkIn, n, at, saveAt)
-		scatterBlocks(hidPre, interm, n, at, saveAt)
+// ffn is the numeric expert FFN over in, rows[le] rows of each local
+// expert in turn: pre = in·W1, act = GeLU(pre), out = act·W2, all drawn
+// from pool. act is pre itself unless keep, when the backward needs both.
+func (p *ExpertParams) ffn(pool *tensor.Pool, in *tensor.Tensor, rows []int, keep bool) (pre, act, out *tensor.Tensor) {
+	n, h, f := in.Rows(), in.Cols(), p.W1[0].Cols()
+	pre = pool.Get(n, f)
+	kernels.SequentialGEMMInto(pre, in, rows, p.W1)
+	act = pre
+	if keep {
+		act = pool.Get(n, f)
+		act.Copy(pre)
 	}
-	tensor.GeLU(interm)
-	if expertIn != nil {
-		scatterBlocks(hidAct, interm, n, at, saveAt)
-	}
-	out := pool.Get(bc, h)
-	kernels.SequentialGEMMInto(out, interm, rows, params.W2)
-	pool.PutAll(chunkIn, interm)
-	return out
+	tensor.GeLU(act)
+	out = pool.Get(n, h)
+	kernels.SequentialGEMMInto(out, act, rows, p.W2)
+	return pre, act, out
 }
 
-// FFNGrads holds the expert-FFN backward buffers in the full expert-major
-// layout of the saved forward state. Every backward in the tree (PFT,
-// padded, RBD) runs its dX chains and its dW reduction through it, so the
-// per-row arithmetic and the dW summation order have one definition.
-type FFNGrads struct {
+// ffnGrads holds the expert-FFN backward buffers in the full expert-major
+// layout of the saved forward state: the one backward body runs its dX
+// chains and its dW reduction through it, so the per-row arithmetic and the
+// dW summation order have one definition.
+type ffnGrads struct {
 	DOut, DAct, DPre, DIn *tensor.Tensor // [rows, H], [rows, F], [rows, F], [rows, H]
 }
 
-// NewFFNGrads takes the four buffers from the rank arena; DW returns them.
-func NewFFNGrads(pool *tensor.Pool, rows, h, f int) FFNGrads {
-	return FFNGrads{pool.Get(rows, h), pool.Get(rows, f), pool.Get(rows, f), pool.Get(rows, h)}
+// newFFNGrads takes the four buffers from the rank arena; dW returns them.
+func newFFNGrads(pool *tensor.Pool, rows, h, f int) ffnGrads {
+	return ffnGrads{pool.Get(rows, h), pool.Get(rows, f), pool.Get(rows, f), pool.Get(rows, h)}
 }
 
-// Run computes DAct = DOut·W2ᵀ, the GeLU backward and DIn = DPre·W1ᵀ over
+// run computes DAct = DOut·W2ᵀ, the GeLU backward and DIn = DPre·W1ᵀ over
 // rows [lo, lo+rows) of local expert le. The chain is row-independent, so
 // how a segment is cut into runs never changes a bit.
-func (g FFNGrads) Run(hidPre *tensor.Tensor, params *ExpertParams, le, lo, rows int) {
+func (g ffnGrads) run(hidPre *tensor.Tensor, params *ExpertParams, le, lo, rows int) {
 	h, f := g.DOut.Cols(), g.DAct.Cols()
 	view := func(t *tensor.Tensor, w int) *tensor.Tensor {
 		return tensor.FromSlice(t.Data[lo*w:(lo+rows)*w], rows, w)
@@ -198,15 +191,16 @@ func (g FFNGrads) Run(hidPre *tensor.Tensor, params *ExpertParams, le, lo, rows 
 	tensor.MatMulTInto(view(g.DIn, h), dp, params.W1[le])
 }
 
-// dxChain runs the chain over every block of the chunk; row-adjacent blocks
-// of one expert are multiplied as one run — with a single chunk, one run
-// per expert.
-func (g FFNGrads) dxChain(hidPre *tensor.Tensor, params *ExpertParams, n, at []int, p int) {
-	for le := 0; le*p < len(n); le++ {
+// dxChain runs the chain over the blocks n/at of a batch (see Batch);
+// row-adjacent blocks of one expert are multiplied as one run — with a
+// single chunk, one run per expert.
+func (g ffnGrads) dxChain(hidPre *tensor.Tensor, params *ExpertParams, n, at []int) {
+	per := len(n) / len(params.W1)
+	for le := 0; le*per < len(n); le++ {
 		lo, rows := 0, 0
-		for k := le * p; k < (le+1)*p; k++ {
+		for k := le * per; k < (le+1)*per; k++ {
 			if rows > 0 && n[k] > 0 && at[k] != lo+rows {
-				g.Run(hidPre, params, le, lo, rows)
+				g.run(hidPre, params, le, lo, rows)
 				rows = 0
 			}
 			if rows == 0 {
@@ -215,17 +209,17 @@ func (g FFNGrads) dxChain(hidPre *tensor.Tensor, params *ExpertParams, n, at []i
 			rows += n[k]
 		}
 		if rows > 0 {
-			g.Run(hidPre, params, le, lo, rows)
+			g.run(hidPre, params, le, lo, rows)
 		}
 	}
 }
 
-// DW computes the weight gradients with one TMatMul per expert over its
+// dW computes the weight gradients with one TMatMul per expert over its
 // complete segment (rowsPerLE rows each, contiguous and in expert order) —
 // the summation order of a single chunk, so the gradients are bit-identical
 // for any chunk count (per-chunk partial dW accumulation would reorder the
 // float sums) — and returns the gradient buffers to the arena.
-func (g FFNGrads) DW(pool *tensor.Pool, expertIn, hidAct *tensor.Tensor, params *ExpertParams, rowsPerLE []int) (dW1, dW2 []*tensor.Tensor) {
+func (g ffnGrads) dW(pool *tensor.Pool, expertIn, hidAct *tensor.Tensor, params *ExpertParams, rowsPerLE []int) (dW1, dW2 []*tensor.Tensor) {
 	h, f := g.DOut.Cols(), g.DAct.Cols()
 	dW1, dW2 = newGradTensors(params.W1), newGradTensors(params.W2)
 	off := 0

@@ -29,8 +29,6 @@ package rbd
 // forward's s1Meta weights.
 
 import (
-	"fmt"
-
 	"xmoe/internal/moe"
 	"xmoe/internal/perfmodel"
 	"xmoe/internal/simrt"
@@ -49,25 +47,13 @@ const (
 	StageBwdS1Scat   = "rbd_bwd_s1_scatter"   // pilot-grad scatter into dX
 )
 
-// FwdState is the saved forward state the RBD backward consumes: the
-// dispatch geometry plus, in numeric mode, the expert-FFN intermediates in
-// the State layout and the pre-scaling expert outputs the combine-weight
-// gradients dot against. In symbolic mode the tensors are nil and the
-// geometry is the counts a symbolic State carries. It does not record the
-// forward's chunk count: nothing in it depends on one, so any Backward
-// chunk count pairs with any Forward's.
-type FwdState struct {
-	S  int
-	St *State
-	// ExpertIn/HidPre/HidAct are [BExp, H/F/F] in the State layout.
-	ExpertIn, HidPre, HidAct *tensor.Tensor
-	// PilotOut is the [pilotRowsTotal, H] expert output of every pilot
-	// row held by this rank, absolute-indexed.
-	PilotOut *tensor.Tensor
-	// S2Back[slot] is the replica expert-output payload returned through
-	// C2 in the forward, aligned with State.s2SentByMember[slot].
-	S2Back [][]float32
-}
+// FwdState is the saved forward state Backward consumes: the one MoE
+// layer body's, whose Ex is the rank's *State. The expert-FFN
+// intermediates are in the State layout; the State keeps the dispatch
+// geometry and, numeric, the pre-scaling expert outputs the combine-weight
+// gradients dot against. Nothing in it depends on the forward's chunk
+// count, so any Backward chunk count pairs with any Forward's.
+type FwdState = moe.PFTFwdState
 
 // bwdS1Meta carries the combine-weight gradients back to the source rank
 // alongside the reverse-S1 pilot-gradient rows: one float per pilot row of
@@ -83,93 +69,83 @@ func bwdS1MetaBytes(nPilot, nReplica int) int64 {
 	return int64(nPilot+nReplica) * 4
 }
 
-// bwdGeom bundles the index maps the backward derives from the forward
-// state. A symbolic pass moves no rows and gets the wire geometry only.
-type bwdGeom struct {
-	bExp    int
-	rowsOff []int // State-layout offset per local expert
-	// Numeric only: the row map inverted, and the pilot weights.
+// bwdPass is what the backward carries from stage to stage. A symbolic
+// pass moves no rows and keeps the exchanges and counts only.
+type bwdPass struct {
+	chunks   int
+	parts    []simrt.Part
+	c1X, s1X []simrt.Exchange
+	c2X, s2X simrt.Exchange
+	nMerge   int // replica merges over all chunks
+	// Numeric only: the row map inverted, the pilot weights, where the
+	// expert-output gradients land (the State layout), the replica blocks'
+	// first rows, the combine-weight gradients and the pilot-input
+	// gradients reverse S1 returns.
 	fullOfPilot []int   // absolute pilot row -> State-layout row
 	fullOfPart  [][]int // (s2 part, pos) -> State-layout row
 	wByAbs      []float32
-}
-
-func (d *Dispatcher) backwardGeom(st *State, numeric bool) *bwdGeom {
-	g := &bwdGeom{rowsOff: make([]int, d.EPR+1)}
-	for le := 0; le < d.EPR; le++ {
-		g.rowsOff[le+1] = g.rowsOff[le] + st.RowsPerLE[le]
-	}
-	g.bExp = g.rowsOff[d.EPR]
-	if !numeric {
-		return g
-	}
-	g.fullOfPilot = make([]int, st.pilotRowsTotal)
-	g.fullOfPart = make([][]int, len(st.s2RecvCount))
-	for part, n := range st.s2RecvCount {
-		g.fullOfPart[part] = make([]int, n)
-	}
-	for row, ref := range st.rows {
-		if ref.part == pilotPart {
-			g.fullOfPilot[ref.pos] = row
-		} else {
-			g.fullOfPart[ref.part][ref.pos] = row
-		}
-	}
-	g.wByAbs = make([]float32, st.pilotRowsTotal)
-	for src, m := range st.recvMetas {
-		copy(g.wByAbs[st.pilotPartOff[src]:], m.weights)
-	}
-	return g
+	dst         *tensor.Tensor
+	replicaAt   []int
+	wgAbs       []float32
+	wgRepBySlot [][]float32
+	dPilotIn    *tensor.Tensor
 }
 
 // Backward runs the distributed backward pass of the RBD-transport MoE
-// layer, reversing every forward stage over the same link classes (see
-// the package comment above). Given the forward state saved by Forward
-// with opts.SaveForBackward and the output gradient dOut [S, H], it
-// returns dX, the per-local-expert weight gradients, and the per-PFT-entry
-// combine-weight gradients. In symbolic mode (opts.Numeric false) the pass
-// charges its modeled times and integer-exact wire volumes only.
+// layer: the one backward body (moe.PFTBackward) over the forward state
+// saved by Forward with opts.SaveForBackward, reversing every stage over
+// the same link classes (see the package comment above). It returns dX,
+// the per-local-expert weight gradients, and the per-PFT-entry
+// combine-weight gradients; in symbolic mode (opts.Numeric false) it
+// charges its modeled times and integer-exact wire volumes only. d and cfg
+// are the forward's.
 //
-// It is one body parameterised by opts.OverlapChunks (the model of
-// moe/overlap.go): the reverse-C1 merged-gradient return is split by the
-// forward C1 return's per-part ChunkRange so each chunk's merge backward
-// hides the next transfer, the intra-node reverse C2/S2 exchanges fly
-// under the pilot/replica dX GEMM chains and the dW GEMMs, which are
-// deferred to the complete segments, and the reverse-S1 chunks drain into
-// a staging buffer before one scatter pass in pilot send order. With one
-// chunk every exchange is blocking and the expert backward is the fused
-// dX + dW kernel, charged once between reverse C2 and reverse S2.
-// Gradients are bit-identical for any chunk count.
+// opts.OverlapChunks changes the schedule (the model of moe/overlap.go):
+// the reverse-C1 merged-gradient return is split by the forward C1
+// return's per-part ChunkRange so each chunk's merge backward hides the
+// next transfer, the intra-node reverse C2/S2 exchanges fly under the
+// pilot and replica dX GEMM chains (the body's two batches) and the dW
+// GEMMs, which are deferred to the complete segments, and the reverse-S1
+// chunks drain into a staging buffer before one scatter pass in pilot send
+// order. With one chunk every exchange is blocking and the expert backward
+// is the fused dX + dW kernel, charged once between reverse C2 and reverse
+// S2. Gradients are bit-identical for any chunk count.
 //
 // opts.OnDWReady, when set, fires exactly once, after dW completes and
 // every reverse-S1 exchange is issued (one chunk: has retired).
 func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 	dOut *tensor.Tensor, params *moe.ExpertParams, opts moe.PipelineOpts) moe.BackwardResult {
+	return moe.PFTBackward(r, d.EP, cfg, fwd, dOut, params, opts)
+}
 
-	if err := CheckOpts(opts); err != nil {
-		panic(err)
+// gradAndDot writes dst = w * gRow and returns <gRow, oRow>.
+func gradAndDot(dst, gRow, oRow []float32, w float32) (dot float32) {
+	for j, v := range gRow {
+		dst[j] = w * v
+		dot += v * oRow[j]
 	}
-	if fwd == nil || fwd.St == nil {
-		panic("rbd: Backward requires the forward state saved by Forward with SaveForBackward")
-	}
-	if opts.Numeric && fwd.ExpertIn == nil {
-		panic(&moe.OptionError{Opt: "Numeric", Detail: "rbd: numeric Backward, but the forward state was captured symbolically (SaveForBackward ran without Numeric)"})
-	}
+	return dot
+}
 
-	st := fwd.St
-	pft := st.pft
-	h, f := cfg.HModel, cfg.HFFN
-	elem := int64(cfg.BytesPerElem)
+// GradCombine runs the reverse CScatter and reverse C1 per chunk, the
+// merge backward, and issues reverse C2.
+func (st *State) GradCombine(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.PipelineOpts) int {
+	st.opts = opts
+	d, pft := st.d, st.pft
+	h := d.Cfg.HModel
+	elem := int64(d.Cfg.BytesPerElem)
 	p := d.EP.Size()
 	comp := r.C.Comp
 	pool := r.Pool()
-	nodeGroup := st.nodeGroup
 	chunks := opts.Chunks()
-	g := d.backwardGeom(st, opts.Numeric)
+	b := &bwdPass{chunks: chunks, dst: dst, parts: make([]simrt.Part, 2*chunks*p)}
+	st.bwd = b
+	xs := make([]simrt.Exchange, 2*chunks)
+	b.c1X, b.s1X = xs[:chunks], xs[chunks:]
+	if opts.Numeric {
+		b.invertRows(st)
+	}
 	nPilotSent := len(st.pilotEntry)
-	parts := make([]simrt.Part, 2*chunks*p)
-	exchanges := make([]simrt.Exchange, 2*chunks)
-	c1X, s1X := exchanges[:chunks], exchanges[chunks:]
 
 	// --- Reverse CScatter + reverse C1 (inter-node), per chunk --------------
 	// The forward scatter-added each returned merged row into its token's
@@ -180,8 +156,8 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 	if opts.Numeric {
 		dRet = tensor.New(nPilotSent, h)
 	}
-	for c := range c1X {
-		send := parts[c*p : (c+1)*p]
+	for c := range b.c1X {
+		send := b.parts[c*p : (c+1)*p]
 		chunkRows := 0
 		for dst := 0; dst < p; dst++ {
 			lo := st.partStart[dst]
@@ -197,41 +173,29 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 			send[dst] = part
 		}
 		r.Compute(StageBwdCScatter, comp.MemBound(perfmodel.ClassTriton, 2*int64(chunkRows)*int64(h)*elem))
-		c1X[c] = r.AlltoAllVChunk(d.EP, StageBwdC1A2A, send, chunks)
+		b.c1X[c] = r.AlltoAllVChunk(d.EP, StageBwdC1A2A, send, chunks)
 	}
 
 	// --- Per-chunk merge backward + combine-weight gradients ----------------
 	// Pilot scaling and replica weighting differentiate; the weight
-	// gradients are dot products against the saved expert outputs. Each
-	// replica's gradient is a single write, so chunk partitioning never
-	// reorders arithmetic.
+	// gradients are dot products against the saved expert outputs, and the
+	// pilot rows' gradients land in dst. Each replica's gradient is a
+	// single write, so chunk partitioning never reorders arithmetic.
 	mergeOff, merges := st.mergesByChunk(chunks, opts.Numeric)
-	// Expert-FFN gradients in the State layout.
+	b.nMerge = mergeOff[chunks]
 	var dMerged *tensor.Tensor
-	var grads moe.FFNGrads
-	var wgAbs []float32
-	var wgRepBySlot [][]float32
 	dRepRet := make([][]float32, len(st.s2SentCount))
 	if opts.Numeric {
 		dMerged = pool.Get(st.pilotRowsTotal, h)
-		grads = moe.NewFFNGrads(pool, g.bExp, h, f)
-		wgAbs = make([]float32, st.pilotRowsTotal)
-		wgRepBySlot = make([][]float32, len(st.s2SentByMember))
+		b.wgAbs = make([]float32, st.pilotRowsTotal)
+		b.wgRepBySlot = make([][]float32, len(st.s2SentByMember))
 		for slot, sent := range st.s2SentByMember {
 			dRepRet[slot] = make([]float32, len(sent)*h) // crosses reverse C2
-			wgRepBySlot[slot] = make([]float32, len(sent))
+			b.wgRepBySlot[slot] = make([]float32, len(sent))
 		}
 	}
-	// gradAndDot writes dst = w * gRow and returns <gRow, oRow>.
-	gradAndDot := func(dst, gRow, oRow []float32, w float32) (dot float32) {
-		for j, v := range gRow {
-			dst[j] = w * v
-			dot += v * oRow[j]
-		}
-		return dot
-	}
-	for c := range c1X {
-		recv := c1X[c].Wait()
+	for c := range b.c1X {
+		recv := b.c1X[c].Wait()
 		chunkRows := 0
 		for src := 0; src < p; src++ {
 			clo, chi := simrt.ChunkRange(st.partLen(src), chunks, c)
@@ -242,15 +206,15 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 			off := st.pilotPartOff[src]
 			copy(dMerged.Data[(off+clo)*h:(off+chi)*h], recv[src].Data)
 			for abs := off + clo; abs < off+chi; abs++ {
-				wgAbs[abs] = gradAndDot(grads.DOut.Row(g.fullOfPilot[abs]), dMerged.Row(abs), fwd.PilotOut.Row(abs), g.wByAbs[abs])
+				b.wgAbs[abs] = gradAndDot(dst.Row(b.fullOfPilot[abs]), dMerged.Row(abs), st.pilotOut.Row(abs), b.wByAbs[abs])
 			}
 		}
 		if opts.Numeric {
 			for _, mr := range merges[mergeOff[c]:mergeOff[c+1]] {
 				slot, pos := mr.slot, mr.pos
 				sRec := st.s2SentByMember[slot][pos]
-				wgRepBySlot[slot][pos] = gradAndDot(dRepRet[slot][pos*h:(pos+1)*h], dMerged.Row(int(sRec.pilotAbs)),
-					fwd.S2Back[slot][pos*h:(pos+1)*h], sRec.weight)
+				b.wgRepBySlot[slot][pos] = gradAndDot(dRepRet[slot][pos*h:(pos+1)*h], dMerged.Row(int(sRec.pilotAbs)),
+					st.s2Back[slot][pos*h:(pos+1)*h], sRec.weight)
 			}
 		}
 		// Two passes over every merged row and replica row: the gradient
@@ -264,181 +228,201 @@ func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
 	// Chunked, it flies under the pilot dX chain: per-le pilot blocks are
 	// contiguous in the State layout and the chain is row-independent, so
 	// computing them ahead of the replica rows changes no bit.
-	c2Send := make([]simrt.Part, nodeGroup.Size())
+	c2Send := make([]simrt.Part, st.nodeGroup.Size())
 	for slot := range c2Send {
 		c2Send[slot] = simrt.Part{Data: dRepRet[slot], Bytes: int64(st.s2SentCount[slot]) * int64(h) * elem}
 	}
-	c2X := r.AlltoAllVChunk(nodeGroup, StageBwdC2A2A, c2Send, chunks)
-	if chunks > 1 {
-		// The pilot rows' dX chain, hiding the in-flight reverse C2.
-		r.Compute(moe.StageBwdExperts, ffnChainCost(comp, cfg, st.PilotRowsPerLE))
-	}
-	if opts.Numeric {
-		for le, n := range st.PilotRowsPerLE {
-			if n > 0 {
-				grads.Run(fwd.HidPre, params, le, g.rowsOff[le], n)
-			}
-		}
-	}
-	c2Recv := c2X.Wait()
-	if chunks == 1 {
-		// One chunk: the fused kernel computes dX and dW of each expert
-		// segment in one pass, between reverse C2 and reverse S2.
-		r.Compute(moe.StageBwdExperts, comp.SequentialGEMM(st.RowsPerLE, h, f)*2+
-			comp.SequentialGEMM(st.RowsPerLE, f, h)*2+
-			comp.MemBound(perfmodel.ClassTriton, 2*int64(g.bExp)*int64(f)*elem))
-	} else {
-		// The replica rows' dX chain.
-		r.Compute(moe.StageBwdExperts, ffnChainCost(comp, cfg, st.ReplicaRowsPerLE))
-	}
-	if opts.Numeric {
-		for part, rows := range g.fullOfPart {
-			for pos, row := range rows {
-				copy(grads.DOut.Row(row), c2Recv[part].Data[pos*h:(pos+1)*h])
-			}
-		}
-		for le, n := range st.ReplicaRowsPerLE {
-			if n > 0 {
-				grads.Run(fwd.HidPre, params, le, g.rowsOff[le]+st.PilotRowsPerLE[le], n)
-			}
-		}
-	}
+	b.c2X = r.AlltoAllVChunk(st.nodeGroup, StageBwdC2A2A, c2Send, chunks)
+	return st.batches()
+}
 
-	// --- Reverse S2 (intra-node): replica-input gradients to pilot holders --
-	s2Send := make([]simrt.Part, nodeGroup.Size())
+// invertRows builds the numeric maps from the forward state: the row map
+// inverted, the pilot weights and the replica blocks' first rows.
+func (b *bwdPass) invertRows(st *State) {
+	b.fullOfPilot = make([]int, st.pilotRowsTotal)
+	b.fullOfPart = make([][]int, len(st.s2RecvCount))
+	for part, n := range st.s2RecvCount {
+		b.fullOfPart[part] = make([]int, n)
+	}
+	for row, ref := range st.rows {
+		if ref.part == pilotPart {
+			b.fullOfPilot[ref.pos] = row
+		} else {
+			b.fullOfPart[ref.part][ref.pos] = row
+		}
+	}
+	b.wByAbs = make([]float32, st.pilotRowsTotal)
+	for src, m := range st.recvMetas {
+		copy(b.wByAbs[st.pilotPartOff[src]:], m.weights)
+	}
+	if b.chunks > 1 {
+		b.replicaAt = make([]int, len(st.RowsPerLE))
+		for le := range b.replicaAt {
+			b.replicaAt[le] = st.rowsOff[le] + st.PilotRowsPerLE[le]
+		}
+	}
+}
+
+// GradLand hands over the pilot rows' gradients (chunked, batch 0: they
+// landed with the merge backward, and their dX chain hides the in-flight
+// reverse C2) or waits for reverse C2 and lands the replica rows'.
+func (st *State) GradLand(_ *simrt.Rank, i int) moe.Batch {
+	b := st.bwd
+	numeric := st.opts.Numeric
+	if i+1 < st.batches() {
+		bt := moe.Batch{Rows: st.PilotRowsPerLE}
+		if numeric {
+			bt.N, bt.At = st.PilotRowsPerLE, st.rowsOff[:st.d.EPR]
+		}
+		return bt
+	}
+	c2Recv := b.c2X.Wait()
+	h := st.d.Cfg.HModel
+	bt := moe.Batch{Rows: st.RowsPerLE}
+	if st.batches() > 1 {
+		bt.Rows = st.ReplicaRowsPerLE
+	}
+	if !numeric {
+		return bt
+	}
+	for part, rows := range b.fullOfPart {
+		for pos, row := range rows {
+			copy(b.dst.Row(row), c2Recv[part].Data[pos*h:(pos+1)*h])
+		}
+	}
+	if st.batches() > 1 {
+		bt.N, bt.At = st.ReplicaRowsPerLE, b.replicaAt
+	} else {
+		bt.N, bt.At = st.RowsPerLE, st.rowsOff[:st.d.EPR]
+	}
+	return bt
+}
+
+// GradReturn issues reverse S2 once the last batch's input gradients are
+// in: the replica rows' go back to their pilot holders, and (numeric) the
+// pilot rows' are staged for reverse S1.
+func (st *State) GradReturn(r *simrt.Rank, i int, dIn *tensor.Tensor) {
+	if i+1 < st.batches() {
+		return
+	}
+	b := st.bwd
+	h := st.d.Cfg.HModel
+	elem := int64(st.d.Cfg.BytesPerElem)
+	s2Send := make([]simrt.Part, st.nodeGroup.Size())
 	for src := range s2Send {
 		n := st.s2RecvCount[src]
 		part := simrt.Part{Bytes: int64(n) * int64(h) * elem}
-		if opts.Numeric && n > 0 {
+		if st.opts.Numeric && n > 0 {
 			buf := make([]float32, n*h)
 			for pos := 0; pos < n; pos++ {
-				copy(buf[pos*h:(pos+1)*h], grads.DIn.Row(g.fullOfPart[src][pos]))
+				copy(buf[pos*h:(pos+1)*h], dIn.Row(b.fullOfPart[src][pos]))
 			}
 			part.Data = buf
 		}
 		s2Send[src] = part
 	}
-	s2X := r.AlltoAllVChunk(nodeGroup, StageBwdS2A2A, s2Send, chunks)
-	if chunks > 1 {
-		// Deferred dW GEMMs over the complete segments, hiding the
-		// in-flight reverse S2; one chunk charged them in the fused kernel.
-		r.Compute(moe.StageBwdExperts, comp.SequentialGEMM(st.RowsPerLE, h, f)+
-			comp.SequentialGEMM(st.RowsPerLE, f, h))
-	}
-	var dW1, dW2 []*tensor.Tensor
-	var dPilotIn *tensor.Tensor
-	if opts.Numeric {
+	b.s2X = r.AlltoAllVChunk(st.nodeGroup, StageBwdS2A2A, s2Send, b.chunks)
+	if st.opts.Numeric {
 		// Crosses reverse S1 (sent as per-part views): allocate fresh.
-		dPilotIn = tensor.New(st.pilotRowsTotal, h)
-		for abs, row := range g.fullOfPilot {
-			copy(dPilotIn.Row(abs), grads.DIn.Row(row))
+		b.dPilotIn = tensor.New(st.pilotRowsTotal, h)
+		for abs, row := range b.fullOfPilot {
+			copy(b.dPilotIn.Row(abs), dIn.Row(row))
 		}
-		dW1, dW2 = grads.DW(pool, fwd.ExpertIn, fwd.HidAct, params, st.RowsPerLE)
 	}
+}
+
+// DWDone waits for reverse S2, reduces the replica gradients onto their
+// pilot rows and issues reverse S1, so OnDWReady's sync queues behind it.
+func (st *State) DWDone(r *simrt.Rank) {
+	b := st.bwd
+	d := st.d
+	h := d.Cfg.HModel
+	elem := int64(d.Cfg.BytesPerElem)
+	p := d.EP.Size()
+	chunks := b.chunks
 
 	// --- Replica-gradient reduction onto pilot rows -------------------------
-	s2Grad := s2X.Wait()
-	nMerge := mergeOff[chunks]
-	r.Compute(StageBwdS2Red, comp.MemBound(perfmodel.ClassTriton,
-		2*int64(st.pilotRowsTotal+nMerge)*int64(h)*elem))
-	if opts.Numeric {
+	s2Grad := b.s2X.Wait()
+	r.Compute(StageBwdS2Red, r.C.Comp.MemBound(perfmodel.ClassTriton,
+		2*int64(st.pilotRowsTotal+b.nMerge)*int64(h)*elem))
+	var wgMeta []bwdS1Meta
+	if st.opts.Numeric {
 		for slot, sent := range st.s2SentByMember {
 			for pos, sRec := range sent {
-				dst := dPilotIn.Row(int(sRec.pilotAbs))
+				dst := b.dPilotIn.Row(int(sRec.pilotAbs))
 				for j, v := range s2Grad[slot].Data[pos*h : (pos+1)*h] {
 					dst[j] += v
 				}
 			}
 		}
-	}
-
-	// --- Reverse S1 (inter-node): pilot gradients + weight grads home -------
-	// The combine-weight gradients ride chunk 0's metadata; a replica's
-	// routes to the source that announced it in its s1Meta, indexed by its
-	// position there.
-	var wgMeta []bwdS1Meta
-	if opts.Numeric {
+		// The combine-weight gradients ride chunk 0's metadata; a replica's
+		// routes to the source that announced it in its s1Meta, indexed by
+		// its position there.
 		wgMeta = make([]bwdS1Meta, p)
 		for src := range wgMeta {
 			off := st.pilotPartOff[src]
 			wgMeta[src] = bwdS1Meta{
-				pilotWG:   wgAbs[off:st.pilotPartOff[src+1]],
+				pilotWG:   b.wgAbs[off:st.pilotPartOff[src+1]],
 				replicaWG: make([]float32, len(st.recvMetas[src].replicas)),
 			}
 		}
 		for slot, sent := range st.s2SentByMember {
 			for pos, sRec := range sent {
-				wgMeta[sRec.src].replicaWG[sRec.ri] = wgRepBySlot[slot][pos]
+				wgMeta[sRec.src].replicaWG[sRec.ri] = b.wgRepBySlot[slot][pos]
 			}
 		}
 	}
-	for c := range s1X {
-		send := parts[(chunks+c)*p : (chunks+c+1)*p]
-		st.returnParts(send, dPilotIn, h, elem, chunks, c)
+
+	// --- Reverse S1 (inter-node): pilot gradients + weight grads home -------
+	for c := range b.s1X {
+		send := b.parts[(chunks+c)*p : (chunks+c+1)*p]
+		st.returnParts(send, b.dPilotIn, h, elem, chunks, c)
 		if c == 0 {
 			for src := range send {
 				send[src].Bytes += bwdS1MetaBytes(st.partLen(src), st.recvMetas[src].nReplicas())
-				if opts.Numeric {
+				if st.opts.Numeric {
 					send[src].Meta = wgMeta[src]
 				}
 			}
 		}
-		s1X[c] = r.AlltoAllVChunk(d.EP, StageBwdS1A2A, send, chunks)
+		b.s1X[c] = r.AlltoAllVChunk(d.EP, StageBwdS1A2A, send, chunks)
 	}
-	if opts.OnDWReady != nil {
-		// dW is complete and no blocking collective remains (one chunk:
-		// reverse S1 has retired; chunked: its chunks are in flight), so
-		// gradient sync issued here queues behind them on the comm stream
-		// and overlaps the drain, the scatter backward and every earlier
-		// layer's backward compute.
-		opts.OnDWReady()
-	}
-
-	// --- Drain reverse S1, then scatter into dX in pilot send order ---------
-	retData, back := drainReturn(s1X, st.partStart, h, opts.Numeric)
-	r.Compute(StageBwdS1Scat, comp.MemBound(perfmodel.ClassTriton, 2*int64(nPilotSent)*int64(h)*elem))
-	var dx *tensor.Tensor
-	var dWeights []float32
-	if opts.Numeric {
-		dx = tensor.New(fwd.S, h)
-		dWeights = make([]float32, pft.B())
-		for dst, ret := range retData {
-			pilotWG := back[dst].Meta.(bwdS1Meta).pilotWG
-			for pos, ent := range st.pilotEntry[st.partStart[dst]:st.partStart[dst+1]] {
-				dWeights[ent] = pilotWG[pos]
-				dstRow := dx.Row(pft.TokenIDs[ent])
-				for j, v := range ret[pos*h : (pos+1)*h] {
-					dstRow[j] += v
-				}
-			}
-		}
-		for dst := 0; dst < p && len(st.replicaEntry) > 0; dst++ {
-			for ri, ent := range st.replicaEntry[dst] {
-				dWeights[ent] = back[dst].Meta.(bwdS1Meta).replicaWG[ri]
-			}
-		}
-		// The forward state is consumed: its saved intermediates return to
-		// the arena for the next layer's pass.
-		pool.PutAll(fwd.ExpertIn, fwd.HidPre, fwd.HidAct, fwd.PilotOut)
-		fwd.ExpertIn, fwd.HidPre, fwd.HidAct, fwd.PilotOut = nil, nil, nil, nil
-		fwd.S2Back = nil
-	}
-
-	return moe.BackwardResult{DX: dx, DW1: dW1, DW2: dW2, DCombineWeights: dWeights}
 }
 
-// CheckOpts validates a PipelineOpts combination against what the RBD
-// transport supports, beyond the generic PipelineOpts.Check. It returns a
-// typed *moe.OptionError so callers (transport.Kind.Check, and through it
-// DistConfig.Check and the CLIs) can reject the configuration up front
-// instead of silently falling back to the flat transport.
-func CheckOpts(opts moe.PipelineOpts) error {
-	if err := opts.Check(); err != nil {
-		return err
+// GradDispatch drains reverse S1 and scatters the pilot gradients into dX
+// in pilot send order, with the combine-weight gradients they carried.
+func (st *State) GradDispatch(r *simrt.Rank) (*tensor.Tensor, []float32) {
+	b := st.bwd
+	st.bwd = nil
+	h := st.d.Cfg.HModel
+	elem := int64(st.d.Cfg.BytesPerElem)
+	pft := st.pft
+	nPilotSent := len(st.pilotEntry)
+	retData, back := drainReturn(b.s1X, st.partStart, h, st.opts.Numeric)
+	r.Compute(StageBwdS1Scat, r.C.Comp.MemBound(perfmodel.ClassTriton, 2*int64(nPilotSent)*int64(h)*elem))
+	if !st.opts.Numeric {
+		return nil, nil
 	}
-	if opts.CombineBytes != 0 {
-		return &moe.OptionError{Opt: "CombineBytes",
-			Detail: fmt.Sprintf("rbd: the hierarchical combine has no element-size override (got %d); CombineBytes models Tutel's fp32 combine on the padded pipeline only", opts.CombineBytes)}
+	dx := tensor.New(st.s, h)
+	dWeights := make([]float32, pft.B())
+	for dst, ret := range retData {
+		pilotWG := back[dst].Meta.(bwdS1Meta).pilotWG
+		for pos, ent := range st.pilotEntry[st.partStart[dst]:st.partStart[dst+1]] {
+			dWeights[ent] = pilotWG[pos]
+			dstRow := dx.Row(pft.TokenIDs[ent])
+			for j, v := range ret[pos*h : (pos+1)*h] {
+				dstRow[j] += v
+			}
+		}
 	}
-	return nil
+	for dst := 0; dst < len(retData) && len(st.replicaEntry) > 0; dst++ {
+		for ri, ent := range st.replicaEntry[dst] {
+			dWeights[ent] = back[dst].Meta.(bwdS1Meta).replicaWG[ri]
+		}
+	}
+	// The saved expert outputs are consumed: back to the arena for the next
+	// layer's pass.
+	r.Pool().Put(st.pilotOut)
+	st.pilotOut, st.s2Back = nil, nil
+	return dx, dWeights
 }

@@ -1,149 +1,264 @@
 package rbd
 
 import (
-	"xmoe/internal/kernels"
+	"fmt"
+
 	"xmoe/internal/moe"
 	"xmoe/internal/perfmodel"
 	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
 )
 
-// LayerResult is moe.LayerResult plus the saved hierarchical exchange
-// state Backward consumes (nil unless opts.SaveForBackward).
-type LayerResult struct {
-	moe.LayerResult
-	State *FwdState
+// Forward runs a complete X-MoE MoE layer with RBD transport: the one MoE
+// layer body (moe.Forward) with the hierarchical redundancy-bypassing
+// stages as its exchange instead of the flat uneven all-to-all. With
+// opts.SaveForBackward the result carries the state Backward needs — the
+// dispatch geometry always, plus the expert-FFN intermediates in numeric
+// mode.
+//
+// opts.OverlapChunks changes the schedule and nothing else. With chunks, S1
+// and C1 split into that many exchanges whose instantiation and merge
+// passes hide each other's transfers, and the intra-node S2 and C2 fly
+// under the work that does not need them: the pilot rows' reconstruction
+// and expert GEMMs (the body's first batch), and the pilot scaling. With
+// one chunk every exchange is blocking, the experts run one batch, and
+// each of those passes is charged once. The numbers are the same either
+// way: the expert FFN is row-independent, so it runs once over the whole
+// input after Stage 2 lands whichever rows the schedule priced first, and
+// the merge keeps its per-row order (see Combine) — the output is
+// bit-identical for any chunk count.
+func Forward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, x *tensor.Tensor,
+	routing moe.Routing, params *moe.ExpertParams, pilotRNG *tensor.RNG, opts moe.PipelineOpts) moe.LayerResult {
+	return moe.Forward(r, d.newState(pilotRNG), cfg, s, x, routing, params, opts)
 }
 
-// Forward runs a complete X-MoE MoE layer with RBD transport: gating and
-// PFT construction as in the padding-free pipeline (moe.PFTForward), but
-// with dispatch and combine routed through the hierarchical
-// redundancy-bypassing stages instead of the flat uneven all-to-all.
-// With opts.SaveForBackward the result carries the FwdState Backward
-// needs — the dispatch geometry always, plus the expert-FFN intermediates
-// in numeric mode.
-//
-// It is one body parameterised by opts.OverlapChunks, which changes the
-// schedule and nothing else. With chunks, S1 and C1 split into that many
-// exchanges whose instantiation and merge passes hide each other's
-// transfers, and the intra-node S2 and C2 fly under the work that does not
-// need them: the pilot rows' reconstruction and expert GEMMs, and the
-// pilot scaling. With one chunk every exchange is blocking and each of
-// those passes is charged once. The numbers are the same either way: the
-// expert FFN is row-independent, so it runs once over the whole input
-// after Stage 2 lands whichever rows the schedule priced first, and the
-// merge keeps its per-row order (see Combine) — the output is bit-identical
-// for any chunk count.
-func Forward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, x *tensor.Tensor,
-	routing moe.Routing, params *moe.ExpertParams, pilotRNG *tensor.RNG, opts moe.PipelineOpts) LayerResult {
-
-	if err := CheckOpts(opts); err != nil {
-		panic(err)
+// CheckOpts validates a PipelineOpts combination against what the RBD
+// transport supports, beyond the generic PipelineOpts.Check. It returns a
+// typed *moe.OptionError so callers (transport.Kind.Check, and through it
+// DistConfig.Check and the CLIs) can reject the configuration up front
+// instead of silently falling back to the flat transport.
+func CheckOpts(opts moe.PipelineOpts) error {
+	if err := opts.Check(); err != nil {
+		return err
 	}
-	h, f := cfg.HModel, cfg.HFFN
-	elem := int64(cfg.BytesPerElem)
+	if opts.CombineBytes != 0 {
+		return &moe.OptionError{Opt: "CombineBytes",
+			Detail: fmt.Sprintf("rbd: the hierarchical combine has no element-size override (got %d); CombineBytes models Tutel's fp32 combine on the padded pipeline only", opts.CombineBytes)}
+	}
+	return nil
+}
+
+// Check is CheckOpts.
+func (st *State) Check(opts moe.PipelineOpts) error { return CheckOpts(opts) }
+
+// Layout: RBD moves the PFT, and picks its pilots per row in either mode.
+func (st *State) Layout() (padded, rows bool) { return false, true }
+
+// batches is how many expert batches a pass hands the body: chunked, the
+// pilot rows under the in-flight intra-node exchange and then the replica
+// rows; one chunk, all rows at once.
+func (st *State) batches() int { return min(st.opts.Chunks(), 2) }
+
+// Dispatch runs Stages 0-1 and issues Stage 2.
+func (st *State) Dispatch(r *simrt.Rank, s int, pft *moe.PFT, rows *tensor.Tensor, opts moe.PipelineOpts) int {
+	st.s, st.opts = s, opts
+	st.dispatchPilots(r, pft, rows)
+	st.s2 = r.AlltoAllVChunk(st.nodeGroup, StageS2A2A, st.d.stageReplicas(r, st, opts), opts.Chunks())
+	return st.batches()
+}
+
+// reconstruct charges the expert-input reconstruction pass over n rows.
+func (st *State) reconstruct(r *simrt.Rank, n int) {
+	rowBytes := int64(st.d.Cfg.HModel) * int64(st.d.Cfg.BytesPerElem)
+	r.Compute(StageReconstruct, r.C.Comp.MemBound(perfmodel.ClassTriton, 2*int64(n)*rowBytes))
+}
+
+// Land hands over the pilot rows (chunked, batch 0: they are here a whole
+// exchange before the replicas, and their share of the reconstruction
+// hides behind Stage 2) or waits for Stage 2 and reconstructs the expert
+// input, which is then complete: its FFN runs once, over the whole layout.
+func (st *State) Land(r *simrt.Rank, i int) moe.Batch {
+	if i+1 < st.batches() {
+		st.reconstruct(r, st.pilotRowsTotal)
+		return moe.Batch{Rows: st.PilotRowsPerLE}
+	}
+	d := st.d
+	h := d.Cfg.HModel
+	rowBytes := int64(h) * int64(d.Cfg.BytesPerElem)
 	mem := &r.Dev().Mem
-	comp := r.C.Comp
-	pool := r.Pool()
+	s2Recv := st.s2.Wait()
 
-	// Gate + PFT construction (identical to the PFT pipeline).
-	gateTime := comp.GEMM(s, h, cfg.NumExperts) +
-		comp.MemBoundN(perfmodel.ClassTriton, 6,
-			int64(s*cfg.NumExperts)*elem+int64(s*cfg.TopK)*24)
-	r.Compute(moe.StageGate, gateTime)
-	pft := moe.RoutedPFT(routing, cfg, s, opts)
-	b := pft.B()
-	mem.Alloc("eri", pft.ERIBytes())
-
-	// Dispatch buffer gather.
-	r.Compute(moe.StageDispatch, comp.MemBound(perfmodel.ClassTriton, 2*int64(b)*int64(h)*elem))
-	var dispIn *tensor.Tensor
-	if opts.Numeric {
-		dispIn = kernels.Gather(x, pft.TokenIDs)
+	// Every received pilot is for one of my experts; the replicas Stage 2
+	// delivered join them, grouped per local expert. The segmentations,
+	// the offsets and (numeric) the row map's cursors share one backing.
+	ints := make([]int, 4*d.EPR+1)
+	st.ReplicaRowsPerLE, st.RowsPerLE = ints[:d.EPR:d.EPR], ints[d.EPR:2*d.EPR:2*d.EPR]
+	st.rowsOff = ints[2*d.EPR : 3*d.EPR+1 : 3*d.EPR+1]
+	next := ints[3*d.EPR+1:]
+	st.s2RecvCount = make([]int, len(s2Recv))
+	for src, part := range s2Recv {
+		for le, n := range part.Meta.(s2Meta).perLE {
+			st.ReplicaRowsPerLE[le] += n
+			st.s2RecvCount[src] += n
+		}
 	}
-	mem.Alloc("dispatch_in", int64(b)*int64(h)*elem)
-
-	// experts charges the W1/GeLU/W2 pass over the given per-expert rows.
-	experts := func(rowsPerLE []int) {
-		r.Compute(moe.StageExperts, ffnChainCost(comp, cfg, rowsPerLE))
+	for le := range st.RowsPerLE {
+		st.RowsPerLE[le] = st.PilotRowsPerLE[le] + st.ReplicaRowsPerLE[le]
+		st.rowsOff[le+1] = st.rowsOff[le] + st.RowsPerLE[le]
 	}
-	// Chunked, the pilot rows' GEMMs are launched under the in-flight
-	// Stage 2 (the hook runs only then) and the replica rows' after it;
-	// one chunk runs the experts once over the reconstructed input.
-	st, expertIn := d.dispatch(r, pft, dispIn, pilotRNG, opts, func(st *State) { experts(st.PilotRowsPerLE) })
-	if opts.Chunks() > 1 {
-		experts(st.ReplicaRowsPerLE)
+	totalRows := st.rowsOff[d.EPR]
+	mem.Alloc("rbd_s2_recv", int64(totalRows-st.pilotRowsTotal)*rowBytes)
+	mem.Alloc("rbd_expert_in", int64(totalRows)*rowBytes)
+	b := moe.Batch{Rows: st.RowsPerLE, Full: st.RowsPerLE}
+	if st.batches() > 1 {
+		// The pilot rows were charged under the exchange.
+		st.reconstruct(r, totalRows-st.pilotRowsTotal)
+		b.Rows = st.ReplicaRowsPerLE
 	} else {
-		experts(st.RowsPerLE)
+		st.reconstruct(r, totalRows)
 	}
-	bExp := 0
-	for _, c := range st.RowsPerLE {
-		bExp += c
+	if !st.opts.Numeric {
+		return b
 	}
-	mem.Alloc("A0_interm", int64(bExp)*int64(f)*elem)
-	mem.Alloc("A1_interm", int64(bExp)*int64(f)*elem)
-	var expertOut *tensor.Tensor
-	if opts.Numeric {
-		interm := pool.Get(bExp, f)
-		kernels.SequentialGEMMInto(interm, expertIn, st.RowsPerLE, params.W1)
-		hidAct := interm
-		if st.save != nil {
-			// Backward needs both the pre-activation (GeLU') and the
-			// activated hidden buffer (dW2 operand): keep interm as the
-			// pre-activation and GeLU a copy.
-			hidAct = pool.Get(bExp, f)
-			hidAct.Copy(interm)
+
+	// The row map, in the State layout: next[le] walks local expert le's
+	// segment, through its pilots (sources ascending; a source's part is
+	// expert-sorted, so pos walks it once) and then its replicas.
+	copy(next, st.rowsOff)
+	st.rows = make([]rowRef, totalRows)
+	for src := range st.recvMetas {
+		pos := st.pilotPartOff[src]
+		for le, c := range st.recvMetas[src].counts {
+			for ; c > 0; c-- {
+				st.rows[next[le]] = rowRef{part: pilotPart, pos: pos}
+				next[le]++
+				pos++
+			}
 		}
-		tensor.GeLU(hidAct)
-		expertOut = pool.Get(bExp, h)
-		kernels.SequentialGEMMInto(expertOut, hidAct, st.RowsPerLE, params.W2)
-		if st.save != nil {
-			st.save.ExpertIn, st.save.HidPre, st.save.HidAct = expertIn, interm, hidAct
+	}
+	me := d.EP.IndexOf(r.ID)
+	for src, part := range s2Recv {
+		for pos, rm := range part.Meta.(s2Meta).replicas {
+			le := int(rm.expert) - me*d.EPR
+			st.rows[next[le]] = rowRef{part: src, pos: pos}
+			next[le]++
+		}
+	}
+	b.In = r.Pool().Get(totalRows, h)
+	for row, ref := range st.rows {
+		if ref.part == pilotPart {
+			copy(b.In.Row(row), st.pilotRows.Row(ref.pos))
 		} else {
-			pool.PutAll(expertIn, interm)
+			copy(b.In.Row(row), s2Recv[ref.part].Data[ref.pos*h:(ref.pos+1)*h])
 		}
 	}
+	// pilotRows is fully consumed (stage-2 staging and the rows just
+	// copied above); return it to the rank arena.
+	r.Pool().Put(st.pilotRows)
+	st.pilotRows = nil
+	return b
+}
 
-	out := d.Combine(r, st, expertOut, s, opts)
-	pool.Put(expertOut)
+// Return keeps the expert output for Combine; it is complete once the last
+// batch returns.
+func (st *State) Return(_ *simrt.Rank, _ int, out *tensor.Tensor) { st.expertOut = out }
 
-	if !opts.RetainActivations {
-		rowBytes := int64(h) * elem
-		mem.Free("eri", pft.ERIBytes())
-		mem.Free("dispatch_in", int64(b)*rowBytes)
+// Combine reverses RBD for rank r: replica expert-outputs return to the
+// pilot's rank intra-node (C2), are weight-scaled and merged into the pilot
+// rows, and the inter-node return (C1, in opts.Chunks() chunks) brings the
+// merged partial sums to the source rank, which accumulates them into the
+// [s, H] layer output; unless opts.RetainActivations, RBD's staging
+// buffers are released after.
+//
+// Every pilot row is scaled first and then receives its replica
+// accumulations in (slot, pos) order, whatever the chunk count: chunking
+// only buckets the accumulations by the C1 chunk their pilot row returns
+// in, so the output does not depend on it.
+func (st *State) Combine(r *simrt.Rank) *tensor.Tensor {
+	h := st.d.Cfg.HModel
+	elem := int64(st.d.Cfg.BytesPerElem)
+	rowBytes := int64(h) * elem
+	p := st.d.EP.Size()
+	chunks := st.opts.Chunks()
+	numeric := st.opts.Numeric
+	mem := &r.Dev().Mem
+	// merge charges the weight-scaled merge pass over n rows.
+	merge := func(n int) {
+		r.Compute(StageCMerge, r.C.Comp.MemBound(perfmodel.ClassTriton, 2*int64(n)*rowBytes))
+	}
+
+	// Split expert outputs back into pilot-aligned and replica-aligned
+	// rows (host-side staging, uncharged).
+	var pilotOut *tensor.Tensor
+	replicaOut := make([][]float32, len(st.s2RecvCount))
+	if numeric {
+		pilotOut = r.Pool().Get(st.pilotRowsTotal, h)
+		for src := range replicaOut {
+			replicaOut[src] = make([]float32, st.s2RecvCount[src]*h)
+		}
+		for row, ref := range st.rows {
+			if ref.part == pilotPart {
+				copy(pilotOut.Row(ref.pos), st.expertOut.Row(row))
+			} else {
+				copy(replicaOut[ref.part][ref.pos*h:(ref.pos+1)*h], st.expertOut.Row(row))
+			}
+		}
+	}
+	st.expertOut = nil
+
+	// --- Combine stage 2 (intra-node): return replica outputs --------------
+	c2 := r.AlltoAllVChunk(st.nodeGroup, StageC2A2A, st.c2Parts(replicaOut, h, elem), chunks)
+	var merged *tensor.Tensor
+	mem.Alloc("rbd_merged", int64(st.pilotRowsTotal)*rowBytes)
+	if numeric {
+		merged = st.scalePilots(pilotOut, h)
+	}
+	if chunks > 1 {
+		// Chunked, the pilot scaling — which reads no replica row — is its
+		// own pass, hidden behind the in-flight exchange.
+		merge(st.pilotRowsTotal)
+	}
+	s2Back := c2.Wait()
+	if numeric {
+		st.keepOutputs(r, pilotOut, s2Back)
+	}
+
+	// --- Merge replicas into pilots + inter-node pilot return --------------
+	// Chunk c's accumulations are charged before its return leaves, so
+	// chunk c+1's hide behind chunk c's transfer.
+	mergeOff, merges := st.mergesByChunk(chunks, numeric)
+	c1 := make([]simrt.Exchange, chunks)
+	sendFlat := make([]simrt.Part, chunks*p)
+	for c := range c1 {
+		if numeric {
+			for _, mr := range merges[mergeOff[c]:mergeOff[c+1]] {
+				sRec := st.s2SentByMember[mr.slot][mr.pos]
+				dst := merged.Row(int(sRec.pilotAbs))
+				for j, v := range s2Back[mr.slot].Data[mr.pos*h : (mr.pos+1)*h] {
+					dst[j] += sRec.weight * v
+				}
+			}
+		}
+		if chunks > 1 {
+			merge(mergeOff[c+1] - mergeOff[c])
+		} else {
+			// One chunk: scaling and accumulation are one pass.
+			merge(mergeOff[1] + st.pilotRowsTotal)
+		}
+		sendBack := sendFlat[c*p : (c+1)*p]
+		st.returnParts(sendBack, merged, h, elem, chunks, c)
+		c1[c] = r.AlltoAllVChunk(st.d.EP, StageC1A2A, sendBack, chunks)
+	}
+	out := st.finishCombine(r, c1)
+
+	if !st.opts.RetainActivations {
+		bExp := st.rowsOff[st.d.EPR]
 		mem.Free("rbd_pilot_send", int64(len(st.pilotEntry))*rowBytes)
 		mem.Free("rbd_pilot_recv", int64(st.pilotRowsTotal)*rowBytes)
 		mem.Free("rbd_s2_send", int64(st.s2SentRows())*rowBytes)
 		mem.Free("rbd_s2_recv", int64(bExp-st.pilotRowsTotal)*rowBytes)
 		mem.Free("rbd_expert_in", int64(bExp)*rowBytes)
-		mem.Free("A0_interm", int64(bExp)*int64(f)*elem)
-		mem.Free("A1_interm", int64(bExp)*int64(f)*elem)
 		mem.Free("rbd_merged", int64(st.pilotRowsTotal)*rowBytes)
 	}
-	res := LayerResult{LayerResult: moe.LayerResult{
-		Output:       out,
-		PFT:          pft,
-		RoutedTokens: b,
-		RecvTokens:   bExp,
-		Dropped:      pft.Dropped,
-	}}
-	if st.save != nil {
-		st.save.S = s
-		res.State = st.save
-	}
-	return res
-}
-
-// ffnChainCost is the modeled time of one trip through the expert FFN over
-// the given per-expert rows — two sequential GEMMs and the activation pass
-// between them — which the forward (W1, GeLU, W2) and the backward's dX
-// chain (W2ᵀ, GeLU', W1ᵀ) both are.
-func ffnChainCost(comp *perfmodel.Model, cfg moe.Config, rowsPerLE []int) float64 {
-	rows := 0
-	for _, c := range rowsPerLE {
-		rows += c
-	}
-	return comp.SequentialGEMM(rowsPerLE, cfg.HModel, cfg.HFFN) +
-		comp.SequentialGEMM(rowsPerLE, cfg.HFFN, cfg.HModel) +
-		comp.MemBound(perfmodel.ClassTriton, 2*int64(rows)*int64(cfg.HFFN)*int64(cfg.BytesPerElem))
+	return out
 }

@@ -115,7 +115,7 @@ func checkGeometry(t *testing.T, gc geomCase) {
 				return err
 			}
 			res := Forward(r, d, cfg, gc.s, x, rt, params, tensor.NewRNG(gc.seed^uint64(r.ID)), o)
-			outs[r.ID], states[r.ID] = res.Output, res.State.St
+			outs[r.ID], states[r.ID] = res.Output, res.State.Ex.(*State)
 			return nil
 		}); err != nil {
 			t.Fatalf("%+v C=%d: %v", gc, chunks, err)

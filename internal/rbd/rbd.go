@@ -222,20 +222,25 @@ type s2Sent struct {
 	src, ri  int32
 }
 
-// State is one rank's dispatch bookkeeping: what Combine and Backward need
-// to send every row back the way it came. Its expert-row layout is the
-// layer's only one — the expert input, both FFN intermediates and the
-// expert output hold, per local expert, the pilot rows source-ascending
-// and then the replica rows (part, pos)-ascending — so a local expert's
-// pilot block and replica block are each contiguous, which is what lets a
-// chunked schedule price (and the backward compute) them apart without a
-// second buffer.
+// State is one rank's RBD exchange for one layer call: the dispatch
+// bookkeeping Combine and the backward need to send every row back the way
+// it came, and the moe.Exchange the one MoE layer body drives (forward.go,
+// backward.go). Its expert-row layout is the layer's only one — the expert
+// input, both FFN intermediates and the expert output hold, per local
+// expert, the pilot rows source-ascending and then the replica rows (part,
+// pos)-ascending — so a local expert's pilot block and replica block are
+// each contiguous, which is what lets a chunked schedule price (and the
+// backward compute) them apart without a second buffer.
 //
 // A symbolic state carries counts: the Stage-1 metadata's pilot and
 // replica counts, the part offsets and the Stage-2 counts, which are all
 // any charge reads. The per-row maps — the replica records, merge targets,
 // pilot weights and the row map — are built by numeric passes only.
 type State struct {
+	d    *Dispatcher
+	rng  *tensor.RNG      // drives the randomized pilot selection
+	opts moe.PipelineOpts // the current pass's
+	s    int              // the layer's local tokens
 	// Source side.
 	pft        *moe.PFT
 	pilotEntry []int // PFT entry index of each sent pilot, send order
@@ -250,142 +255,58 @@ type State struct {
 	pilotPartOff   []int
 	pilotRowsTotal int
 	pilotRows      *tensor.Tensor // received pilot payload (numeric, until reconstruction)
+	s2             simrt.Exchange // the forward's Stage 2, in flight until its rows land
 	s2SentCount    []int          // replica rows staged to each node member
 	s2SentByMember [][]s2Sent     // [nodeMember][pos] merge targets (numeric)
 	s2RecvCount    []int          // rows received from each node member
 	// RowsPerLE is the expert input segmentation for the sequential GEMM:
 	// PilotRowsPerLE + ReplicaRowsPerLE, the sizes of each local expert's
-	// two blocks.
+	// two blocks; rowsOff[le] is local expert le's first row.
 	RowsPerLE, PilotRowsPerLE, ReplicaRowsPerLE []int
+	rowsOff                                     []int
 	// rows[i] is the origin of expert-input row i. Only the numeric passes
 	// move rows, so a symbolic dispatch leaves it nil.
 	rows []rowRef
 	// node group used for stage 2
 	nodeGroup *simrt.Group
-	// save is the forward state retained for Backward (nil unless
-	// opts.SaveForBackward); replicaEntry[dst][ri] (numeric only) is the
-	// PFT entry index of the ri-th replica this rank announced to EP member
-	// dst, mirroring the s1Meta.replicas order so returned weight gradients
-	// map back to entries.
-	save         *FwdState
+	// replicaEntry[dst][ri] (numeric with SaveForBackward only) is the PFT
+	// entry index of the ri-th replica this rank announced to EP member dst,
+	// mirroring the s1Meta.replicas order so returned weight gradients map
+	// back to entries.
 	replicaEntry [][]int
+	// expertOut is the expert output the body returned (numeric). With
+	// SaveForBackward, pilotOut keeps every held pilot row's expert output
+	// ([pilotRowsTotal, H], absolute-indexed) and s2Back[slot] the replica
+	// outputs C2 returned, aligned with s2SentByMember[slot]: the
+	// combine-weight gradients dot against them.
+	expertOut, pilotOut *tensor.Tensor
+	s2Back              [][]float32
+	// bwd is the backward pass in progress.
+	bwd *bwdPass
 }
 
 // partLen is the length of src's pilot part: the rows src sent this rank
 // in S1, which return to it in C1.
 func (st *State) partLen(src int) int { return st.pilotPartOff[src+1] - st.pilotPartOff[src] }
 
-// Dispatch runs RBD stages 0-2 for rank r: pilot selection, inter-node
-// pilot exchange with replica metadata, replica reconstruction, intra-node
-// replica exchange, and expert input reconstruction. dispIn is the [B, H]
-// PFT-ordered token buffer (nil in symbolic mode); rng drives the
-// randomized pilot selection (paper: random choice balances the
-// all-to-all). It returns the combine state, with the three per-expert
-// segmentations filled, and the expert input in the State layout (numeric
-// mode).
+// newState starts one layer call's exchange on a rank.
+func (d *Dispatcher) newState(rng *tensor.RNG) *State { return &State{d: d, rng: rng} }
+
+// Dispatch runs RBD stages 0-2 for rank r on their own, outside the layer
+// body: pilot selection, inter-node pilot exchange with replica metadata,
+// replica reconstruction, intra-node replica exchange, and expert input
+// reconstruction. dispIn is the [B, H] PFT-ordered token buffer (nil in
+// symbolic mode); rng drives the randomized pilot selection (paper: random
+// choice balances the all-to-all). It returns the combine state, with the
+// three per-expert segmentations filled, and the expert input in the State
+// layout (numeric mode).
 func (d *Dispatcher) Dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, rng *tensor.RNG, opts moe.PipelineOpts) (*State, *tensor.Tensor) {
-	return d.dispatch(r, pft, dispIn, rng, opts, nil)
-}
-
-// dispatch is Dispatch with a hook: underS2, when set and the schedule is
-// chunked, runs while the Stage-2 exchange is in flight, after the pilot
-// rows' reconstruction charge — where Forward charges the expert GEMMs of
-// the pilot rows, which are local by then.
-func (d *Dispatcher) dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, rng *tensor.RNG,
-	opts moe.PipelineOpts, underS2 func(*State)) (*State, *tensor.Tensor) {
-
-	h := d.Cfg.HModel
-	rowBytes := int64(h) * int64(d.Cfg.BytesPerElem)
-	p := d.EP.Size()
-	me := d.EP.IndexOf(r.ID)
-	chunks := opts.Chunks()
-	mem := &r.Dev().Mem
-	// reconstruct charges the expert-input reconstruction pass over n rows.
-	reconstruct := func(n int) {
-		r.Compute(StageReconstruct, r.C.Comp.MemBound(perfmodel.ClassTriton, 2*int64(n)*rowBytes))
+	st := d.newState(rng)
+	var in *tensor.Tensor
+	for i, n := 0, st.Dispatch(r, 0, pft, dispIn, opts); i < n; i++ {
+		in = st.Land(r, i).In
 	}
-
-	st := d.DispatchPilots(r, pft, dispIn, rng, opts)
-
-	// --- Replica reconstruction + Stage 2 intra-node exchange --------------
-	s2 := r.AlltoAllVChunk(st.nodeGroup, StageS2A2A, d.stageReplicas(r, st, opts), chunks)
-	if chunks > 1 {
-		// Chunked, the exchange is in flight and the pilot rows are already
-		// here: their share of the reconstruction, and what the caller
-		// computes on them, hides behind it.
-		reconstruct(st.pilotRowsTotal)
-		if underS2 != nil {
-			underS2(st)
-		}
-	}
-	s2Recv := s2.Wait()
-
-	// --- Expert input reconstruction ---------------------------------------
-	// Every received pilot is for one of my experts; the replicas Stage 2
-	// delivered join them, grouped per local expert.
-	st.s2RecvCount = make([]int, len(s2Recv))
-	st.ReplicaRowsPerLE, st.RowsPerLE = make([]int, d.EPR), make([]int, d.EPR)
-	for src, part := range s2Recv {
-		for le, n := range part.Meta.(s2Meta).perLE {
-			st.ReplicaRowsPerLE[le] += n
-			st.s2RecvCount[src] += n
-		}
-	}
-	totalRows := 0
-	for le := range st.RowsPerLE {
-		st.RowsPerLE[le] = st.PilotRowsPerLE[le] + st.ReplicaRowsPerLE[le]
-		totalRows += st.RowsPerLE[le]
-	}
-	mem.Alloc("rbd_s2_recv", int64(totalRows-st.pilotRowsTotal)*rowBytes)
-	mem.Alloc("rbd_expert_in", int64(totalRows)*rowBytes)
-	if chunks > 1 {
-		// The pilot rows were charged under the exchange.
-		reconstruct(totalRows - st.pilotRowsTotal)
-	} else {
-		reconstruct(totalRows)
-	}
-	if !opts.Numeric {
-		return st, nil
-	}
-
-	// The row map, in the State layout: next[le] walks local expert le's
-	// segment, through its pilots (sources ascending; a source's part is
-	// expert-sorted, so pos walks it once) and then its replicas.
-	next := make([]int, d.EPR)
-	for le := 1; le < d.EPR; le++ {
-		next[le] = next[le-1] + st.RowsPerLE[le-1]
-	}
-	st.rows = make([]rowRef, totalRows)
-	for src := 0; src < p; src++ {
-		pos := st.pilotPartOff[src]
-		for le, c := range st.recvMetas[src].counts {
-			for ; c > 0; c-- {
-				st.rows[next[le]] = rowRef{part: pilotPart, pos: pos}
-				next[le]++
-				pos++
-			}
-		}
-	}
-	for src, part := range s2Recv {
-		for pos, rm := range part.Meta.(s2Meta).replicas {
-			le := int(rm.expert) - me*d.EPR
-			st.rows[next[le]] = rowRef{part: src, pos: pos}
-			next[le]++
-		}
-	}
-	expertIn := r.Pool().Get(totalRows, h)
-	for row, ref := range st.rows {
-		if ref.part == pilotPart {
-			copy(expertIn.Row(row), st.pilotRows.Row(ref.pos))
-		} else {
-			copy(expertIn.Row(row), s2Recv[ref.part].Data[ref.pos*h:(ref.pos+1)*h])
-		}
-	}
-	// pilotRows is fully consumed (stage-2 staging and the rows just
-	// copied above); return it to the rank arena.
-	r.Pool().Put(st.pilotRows)
-	st.pilotRows = nil
-	return st, expertIn
+	return st, in
 }
 
 // DispatchPilots runs RBD stages 0-1 for rank r: pilot selection, pilot
@@ -393,20 +314,22 @@ func (d *Dispatcher) dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor
 // opts.Chunks() chunks. The returned state holds the received pilot payload
 // (numeric) and Stage-1 metadata, from which Dispatch continues with Stage 2.
 func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, rng *tensor.RNG, opts moe.PipelineOpts) *State {
+	st := d.newState(rng)
+	st.opts = opts
+	st.dispatchPilots(r, pft, dispIn)
+	return st
+}
+
+func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor) {
+	d, opts := st.d, st.opts
 	h := d.Cfg.HModel
 	elem := int64(d.Cfg.BytesPerElem)
 	p := d.EP.Size()
-	me := d.EP.IndexOf(r.ID)
-	myNode := d.nodeOfMember[me]
-	nodeGroup := d.nodeGroups[myNode]
 	comp := r.C.Comp
 	mem := &r.Dev().Mem
 
-	st := &State{pft: pft, nodeGroup: nodeGroup}
-	if opts.SaveForBackward {
-		st.save = &FwdState{St: st}
-	}
-	metas := d.selectPilots(st, rng, opts)
+	st.pft, st.nodeGroup = pft, d.nodeGroups[d.nodeOfMember[d.EP.IndexOf(r.ID)]]
+	metas := d.selectPilots(st, st.rng, opts)
 	pilotEntry, partStart := st.pilotEntry, st.partStart
 
 	// --- Stage 1: pilot instantiation + inter-node exchange ----------------
@@ -482,7 +405,6 @@ func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.
 			st.PilotRowsPerLE[le] += n
 		}
 	}
-	return st
 }
 
 // selectPilots is Stage 0 on the source rank: it groups st.pft's entries
@@ -748,89 +670,12 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State, opts moe.PipelineOp
 	return s2Send
 }
 
-// Combine reverses RBD for rank r: replica expert-outputs return to the
-// pilot's rank intra-node (C2), are weight-scaled and merged into the pilot
-// rows, and the inter-node return (C1, in opts.Chunks() chunks) brings the
-// merged partial sums to the source rank, which accumulates them into the
-// [s, H] layer output. expertOut must be row-aligned with the buffer
-// returned by Dispatch.
-//
-// Every pilot row is scaled first and then receives its replica
-// accumulations in (slot, pos) order, whatever the chunk count: chunking
-// only buckets the accumulations by the C1 chunk their pilot row returns
-// in, so the output does not depend on it.
+// Combine reverses RBD for rank r on its own, outside the layer body (see
+// State.Combine): expertOut must be row-aligned with the buffer returned by
+// Dispatch, and s is the layer's local token count.
 func (d *Dispatcher) Combine(r *simrt.Rank, st *State, expertOut *tensor.Tensor, s int, opts moe.PipelineOpts) *tensor.Tensor {
-	h := d.Cfg.HModel
-	elem := int64(d.Cfg.BytesPerElem)
-	p := d.EP.Size()
-	chunks := opts.Chunks()
-	// merge charges the weight-scaled merge pass over n rows.
-	merge := func(n int) {
-		r.Compute(StageCMerge, r.C.Comp.MemBound(perfmodel.ClassTriton, 2*int64(n)*int64(h)*elem))
-	}
-
-	// Split expert outputs back into pilot-aligned and replica-aligned
-	// rows (host-side staging, uncharged).
-	var pilotOut *tensor.Tensor
-	replicaOut := make([][]float32, len(st.s2RecvCount))
-	if opts.Numeric {
-		pilotOut = r.Pool().Get(st.pilotRowsTotal, h)
-		for src := range replicaOut {
-			replicaOut[src] = make([]float32, st.s2RecvCount[src]*h)
-		}
-		for row, ref := range st.rows {
-			if ref.part == pilotPart {
-				copy(pilotOut.Row(ref.pos), expertOut.Row(row))
-			} else {
-				copy(replicaOut[ref.part][ref.pos*h:(ref.pos+1)*h], expertOut.Row(row))
-			}
-		}
-	}
-
-	// --- Combine stage 2 (intra-node): return replica outputs --------------
-	c2 := r.AlltoAllVChunk(st.nodeGroup, StageC2A2A, st.c2Parts(replicaOut, h, elem), chunks)
-	var merged *tensor.Tensor
-	r.Dev().Mem.Alloc("rbd_merged", int64(st.pilotRowsTotal)*int64(h)*elem)
-	if opts.Numeric {
-		merged = st.scalePilots(pilotOut, h)
-	}
-	if chunks > 1 {
-		// Chunked, the pilot scaling — which reads no replica row — is its
-		// own pass, hidden behind the in-flight exchange.
-		merge(st.pilotRowsTotal)
-	}
-	s2Back := c2.Wait()
-	if opts.Numeric {
-		st.keepOutputs(r, pilotOut, s2Back)
-	}
-
-	// --- Merge replicas into pilots + inter-node pilot return --------------
-	// Chunk c's accumulations are charged before its return leaves, so
-	// chunk c+1's hide behind chunk c's transfer.
-	mergeOff, merges := st.mergesByChunk(chunks, opts.Numeric)
-	c1 := make([]simrt.Exchange, chunks)
-	sendFlat := make([]simrt.Part, chunks*p)
-	for c := range c1 {
-		if opts.Numeric {
-			for _, mr := range merges[mergeOff[c]:mergeOff[c+1]] {
-				sRec := st.s2SentByMember[mr.slot][mr.pos]
-				dst := merged.Row(int(sRec.pilotAbs))
-				for j, v := range s2Back[mr.slot].Data[mr.pos*h : (mr.pos+1)*h] {
-					dst[j] += sRec.weight * v
-				}
-			}
-		}
-		if chunks > 1 {
-			merge(mergeOff[c+1] - mergeOff[c])
-		} else {
-			// One chunk: scaling and accumulation are one pass.
-			merge(mergeOff[1] + st.pilotRowsTotal)
-		}
-		sendBack := sendFlat[c*p : (c+1)*p]
-		st.returnParts(sendBack, merged, h, elem, chunks, c)
-		c1[c] = r.AlltoAllVChunk(d.EP, StageC1A2A, sendBack, chunks)
-	}
-	return d.finishCombine(r, st, c1, s, opts)
+	st.s, st.opts, st.expertOut = s, opts, expertOut
+	return st.Combine(r)
 }
 
 // c2Parts wraps the replica expert outputs, one payload per node member
@@ -860,19 +705,19 @@ func (st *State) scalePilots(pilotOut *tensor.Tensor, h int) *tensor.Tensor {
 	return merged
 }
 
-// keepOutputs hands the pre-scaling expert outputs to the saved forward
-// state — Backward dots the merged-row gradients against them; the replica
-// return payloads are sender-fresh, so the views stay valid past the
-// rendezvous — or recycles pilotOut when nothing is saved.
+// keepOutputs hands the pre-scaling expert outputs to the backward, which
+// dots the merged-row gradients against them (the replica return payloads
+// are sender-fresh, so the views stay valid past the rendezvous), or
+// recycles pilotOut when nothing is saved.
 func (st *State) keepOutputs(r *simrt.Rank, pilotOut *tensor.Tensor, s2Back []simrt.Part) {
-	if st.save == nil {
+	if !st.opts.SaveForBackward {
 		r.Pool().Put(pilotOut)
 		return
 	}
-	st.save.PilotOut = pilotOut
-	st.save.S2Back = make([][]float32, len(s2Back))
+	st.pilotOut = pilotOut
+	st.s2Back = make([][]float32, len(s2Back))
 	for slot := range s2Back {
-		st.save.S2Back[slot] = s2Back[slot].Data
+		st.s2Back[slot] = s2Back[slot].Data
 	}
 }
 
@@ -928,18 +773,18 @@ func drainReturn(xs []simrt.Exchange, partStart []int, h int, numeric bool) (ret
 
 // finishCombine drains the C1 pilot-return chunks on the source rank and
 // reconstructs the [s, H] layer output from them.
-func (d *Dispatcher) finishCombine(r *simrt.Rank, st *State, c1 []simrt.Exchange, s int, opts moe.PipelineOpts) *tensor.Tensor {
-	h := d.Cfg.HModel
-	elem := int64(d.Cfg.BytesPerElem)
-	retData, _ := drainReturn(c1, st.partStart, h, opts.Numeric)
+func (st *State) finishCombine(r *simrt.Rank, c1 []simrt.Exchange) *tensor.Tensor {
+	h := st.d.Cfg.HModel
+	elem := int64(st.d.Cfg.BytesPerElem)
+	retData, _ := drainReturn(c1, st.partStart, h, st.opts.Numeric)
 
 	r.Compute(StageCScatter, r.C.Comp.MemBound(perfmodel.ClassTriton,
 		2*int64(len(st.pilotEntry))*int64(h)*elem))
-	r.Dev().Mem.Alloc("output", int64(s)*int64(h)*elem)
-	if !opts.Numeric {
+	r.Dev().Mem.Alloc("output", int64(st.s)*int64(h)*elem)
+	if !st.opts.Numeric {
 		return nil
 	}
-	out := tensor.New(s, h)
+	out := tensor.New(st.s, h)
 	// Parts return in member order; rows align with the pilot send order.
 	for dst, ret := range retData {
 		for pos, ent := range st.pilotEntry[st.partStart[dst]:st.partStart[dst+1]] {

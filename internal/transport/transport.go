@@ -114,74 +114,55 @@ type Saved interface {
 // ep of cluster c. It must be called outside Cluster.Run (RBD creates its
 // per-node communicators). A Kind outside Kinds() is a programming error.
 func New(kind Kind, c *simrt.Cluster, ep *simrt.Group, cfg moe.Config) Layer {
-	b := base{kind: kind, ep: ep, cfg: cfg}
+	l := &layer{kind: kind, ep: ep, cfg: cfg}
 	switch kind {
 	case PFT, Padded:
-		return &flatLayer{b}
 	case RBD:
-		return &rbdLayer{b, rbd.NewDispatcher(c, ep, cfg)}
+		l.d = rbd.NewDispatcher(c, ep, cfg)
+	default:
+		panic(fmt.Sprintf("transport: New(%v): no such transport", kind))
 	}
-	panic(fmt.Sprintf("transport: New(%v): no such transport", kind))
+	return l
 }
 
-// base is what every layer holds.
-type base struct {
+// layer runs every transport through the one MoE layer body; only the
+// exchange its forward plugs in differs. d, RBD's dispatcher, holds the
+// per-node communicators and the expert-to-node tables every rank of the
+// group shares.
+type layer struct {
 	kind Kind
 	ep   *simrt.Group
 	cfg  moe.Config
+	d    *rbd.Dispatcher
 }
 
-func (b *base) Check(opts moe.PipelineOpts) error { return b.kind.Check(b.cfg, opts) }
+func (l *layer) Check(opts moe.PipelineOpts) error { return l.kind.Check(l.cfg, opts) }
 
-// flatLayer is the PFT body over the flat all-to-all, on the padding-free
-// or (Padded) the capacity-padded layout; its state knows which.
-type flatLayer struct{ base }
+func (l *layer) Forward(r *simrt.Rank, s int, x *tensor.Tensor, routing moe.Routing, params *moe.ExpertParams,
+	pilots *tensor.RNG, opts moe.PipelineOpts) (moe.LayerResult, Saved) {
 
-type flatSaved struct {
-	l  *flatLayer
-	st *moe.PFTFwdState
-}
-
-func (l *flatLayer) Forward(r *simrt.Rank, s int, x *tensor.Tensor, routing moe.Routing, params *moe.ExpertParams,
-	_ *tensor.RNG, opts moe.PipelineOpts) (moe.LayerResult, Saved) {
-
-	forward := moe.PFTForward
-	if l.kind == Padded {
-		forward = moe.PaddedForward
+	var res moe.LayerResult
+	switch l.kind {
+	case PFT:
+		res = moe.PFTForward(r, l.ep, l.cfg, s, x, routing, params, opts)
+	case Padded:
+		res = moe.PaddedForward(r, l.ep, l.cfg, s, x, routing, params, opts)
+	case RBD:
+		res = rbd.Forward(r, l.d, l.cfg, s, x, routing, params, pilots, opts)
 	}
-	res := forward(r, l.ep, l.cfg, s, x, routing, params, opts)
 	if res.State == nil {
 		return res, nil
 	}
-	return res, flatSaved{l, res.State}
+	return res, saved{l, res.State}
 }
 
-func (s flatSaved) Backward(r *simrt.Rank, dOut *tensor.Tensor, params *moe.ExpertParams, opts moe.PipelineOpts) moe.BackwardResult {
+// saved is one rank's forward state; it carries its exchange, so one
+// backward body reverses every transport.
+type saved struct {
+	l  *layer
+	st *moe.PFTFwdState
+}
+
+func (s saved) Backward(r *simrt.Rank, dOut *tensor.Tensor, params *moe.ExpertParams, opts moe.PipelineOpts) moe.BackwardResult {
 	return moe.PFTBackward(r, s.l.ep, s.l.cfg, s.st, dOut, params, opts)
-}
-
-// rbdLayer owns the dispatcher: the per-node communicators and the
-// expert-to-node tables every rank of the group shares.
-type rbdLayer struct {
-	base
-	d *rbd.Dispatcher
-}
-
-type rbdSaved struct {
-	l  *rbdLayer
-	st *rbd.FwdState
-}
-
-func (l *rbdLayer) Forward(r *simrt.Rank, s int, x *tensor.Tensor, routing moe.Routing, params *moe.ExpertParams,
-	pilots *tensor.RNG, opts moe.PipelineOpts) (moe.LayerResult, Saved) {
-
-	res := rbd.Forward(r, l.d, l.cfg, s, x, routing, params, pilots, opts)
-	if res.State == nil {
-		return res.LayerResult, nil
-	}
-	return res.LayerResult, rbdSaved{l, res.State}
-}
-
-func (s rbdSaved) Backward(r *simrt.Rank, dOut *tensor.Tensor, params *moe.ExpertParams, opts moe.PipelineOpts) moe.BackwardResult {
-	return rbd.Backward(r, s.l.d, s.l.cfg, s.st, dOut, params, opts)
 }

@@ -165,8 +165,8 @@ func runNumeric(t *testing.T, kind Kind, chunks int, viaLayer bool) layerBits {
 			res = moe.PaddedForward(r, g, cfg, s, x, routing, params, fwd)
 			grads = moe.PaddedBackward(r, g, cfg, res.PaddedState, dOut, params, bwd)
 		case kind == RBD:
-			rres := rbd.Forward(r, d, cfg, s, x, routing, params, pilots, fwd)
-			res, grads = rres.LayerResult, rbd.Backward(r, d, cfg, rres.State, dOut, params, bwd)
+			res = rbd.Forward(r, d, cfg, s, x, routing, params, pilots, fwd)
+			grads = rbd.Backward(r, d, cfg, res.State, dOut, params, bwd)
 		}
 		got.out[r.ID], got.dx[r.ID], got.dcw[r.ID] = res.Output.Data, grads.DX.Data, grads.DCombineWeights
 		got.recv[r.ID] = res.RecvTokens
@@ -369,6 +369,51 @@ func TestSymbolicPricesLikeNumeric(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBackwardRejectsUnusableState: a numeric backward over a forward state
+// captured symbolically (SaveForBackward without Numeric) fails every rank
+// on entry, on every transport, with a typed *moe.OptionError that
+// errors.As finds through Cluster.Run; so does a backward with no state.
+func TestBackwardRejectsUnusableState(t *testing.T) {
+	const world, s = 8, 16
+	cfg := moe.Config{NumExperts: 16, TopK: 4, HModel: 8, HFFN: 4, CapacityFactor: 1.25, BytesPerElem: 2}
+	optionError := func(err error, opt string) bool {
+		var oe *moe.OptionError
+		return errors.As(err, &oe) && oe.Opt == opt
+	}
+	for _, kind := range Kinds() {
+		c := simrt.NewCluster(topology.Frontier(), world, 3)
+		l := New(kind, c, c.WorldGroup(), cfg)
+		err := c.Run(func(r *simrt.Rank) error {
+			rng := tensor.NewRNG(900 + uint64(r.ID))
+			routing := moe.SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0.5)
+			_, saved := l.Forward(r, s, nil, routing, nil, rng, moe.PipelineOpts{SaveForBackward: true})
+			params := moe.NewExpertParams(rng, cfg.NumExperts/world, cfg.HModel, cfg.HFFN)
+			saved.Backward(r, tensor.New(s, cfg.HModel), params, moe.PipelineOpts{Numeric: true})
+			return nil
+		})
+		if !optionError(err, "Numeric") {
+			t.Errorf("%v: numeric backward over a symbolic state: want *moe.OptionError{Opt: Numeric}, got %v", kind, err)
+		}
+	}
+
+	c := simrt.NewCluster(topology.Frontier(), world, 3)
+	g := c.WorldGroup()
+	d := rbd.NewDispatcher(c, g, cfg)
+	for name, backward := range map[string]func(r *simrt.Rank){
+		"moe.PFTBackward":    func(r *simrt.Rank) { moe.PFTBackward(r, g, cfg, nil, nil, nil, moe.PipelineOpts{}) },
+		"moe.PaddedBackward": func(r *simrt.Rank) { moe.PaddedBackward(r, g, cfg, nil, nil, nil, moe.PipelineOpts{}) },
+		"rbd.Backward":       func(r *simrt.Rank) { rbd.Backward(r, d, cfg, nil, nil, nil, moe.PipelineOpts{}) },
+	} {
+		err := c.Run(func(r *simrt.Rank) error {
+			backward(r)
+			return nil
+		})
+		if !optionError(err, "SaveForBackward") {
+			t.Errorf("%s with no forward state: want *moe.OptionError{Opt: SaveForBackward}, got %v", name, err)
 		}
 	}
 }
