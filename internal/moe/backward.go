@@ -32,99 +32,98 @@ type BackwardResult struct {
 	DCombineWeights []float32
 }
 
-// PFTBackward runs the distributed backward pass of the MoE layer (paper
-// §4.3: "expert-specific gradient computation and alltoall communications,
+// PFTBackward is Backward for the state of PFTForward; g is the forward's.
+func PFTBackward(r *simrt.Rank, _ *simrt.Group, cfg Config, st *PFTFwdState,
+	dOut *tensor.Tensor, params *ExpertParams, opts PipelineOpts) BackwardResult {
+	return Backward(r, cfg, st, dOut, params, opts)
+}
+
+// PaddedBackward is Backward for the state of PaddedForward, which carries
+// its layout; it stays for callers written against the padded pair.
+func PaddedBackward(r *simrt.Rank, _ *simrt.Group, cfg Config, st *PFTFwdState,
+	dOut *tensor.Tensor, params *ExpertParams, opts PipelineOpts) BackwardResult {
+	return Backward(r, cfg, st, dOut, params, opts)
+}
+
+// Backward is the one backward body of the MoE layer (paper §4.3:
+// "expert-specific gradient computation and alltoall communications,
 // mirroring the forward process") for the forward state st of any
-// transport; g and cfg are the forward's. Given the output gradient dOut
-// [S, H], it reverses every forward stage: the combine's backward (for the
-// flat all-to-all the scatter-combine backward and the combine all-to-all
-// in reverse: gradients travel source→experts, the same direction as
-// dispatch), expert GEMM and activation backward per expert segment, the
-// dispatch's backward (experts→source), and the gather backward into dX.
-// The flat wire volumes match the forward pass exactly — the property the
-// paper's four-alltoalls-per-layer accounting relies on, and for the padded
-// layout the padding waste the baseline is there to show. A state from
-// PaddedForward runs under the padded profile of opts.Kernels.
+// transport and the output gradient dOut [S, H]: the state's exchange
+// reverses the combine, lands the gradient batches and reverses the
+// dispatch into dX; in between, each batch runs the expert GEMM and
+// activation backward, and the dW GEMMs run over the complete segments.
+// For the flat all-to-all the wire volumes match the forward pass exactly —
+// the property the paper's four-alltoalls-per-layer accounting relies on,
+// and for the padded layout the padding waste the baseline is there to
+// show. A state from PaddedForward runs under the padded profile of
+// opts.Kernels.
 //
 // opts selects the execution mode: Numeric moves real gradients (dOut and
 // params must be set, and the forward must have been numeric), otherwise
 // the pass is timing-only; OverlapChunks splits the combine gradient along
-// the forward's per-expert ChunkRange boundaries, so each chunk's dX GEMM
-// chain runs while the next chunk's transfer is in flight and the dW GEMMs,
-// deferred to the complete segments, hide the tail of the reverse dispatch
-// (see overlap.go for the model and for what a single chunk skips).
-// Gradients are bit-identical for any chunk count. A missing state or a
-// numeric pass over a symbolic one panics with an *OptionError.
-func PFTBackward(r *simrt.Rank, _ *simrt.Group, cfg Config, st *PFTFwdState,
-	dOut *tensor.Tensor, params *ExpertParams, opts PipelineOpts) BackwardResult {
-
+// the forward's chunk boundaries, so each chunk's dX GEMM chain runs while
+// the next chunk's transfer is in flight and the dW GEMMs, deferred to the
+// complete segments, hide the tail of the return trip (see overlap.go for
+// the model and for what a single chunk skips). Gradients are
+// bit-identical for any chunk count. A missing state, or a numeric pass
+// over a symbolic one, panics with an *OptionError.
+func Backward(r *simrt.Rank, cfg Config, st *PFTFwdState, dOut *tensor.Tensor, params *ExpertParams, opts PipelineOpts) BackwardResult {
 	if err := checkBackward(st, opts); err != nil {
 		panic(err)
 	}
-	ex := st.Ex
-	padded, _ := ex.Layout()
-	kp := profileOf(padded, opts.Kernels)
-	fused := fusedBackward(opts.Chunks(), padded)
-	comp := r.C.Comp
-	// Rank-local backward scratch comes from the per-rank arena; gradients
-	// returned to the caller and buffers crossing an exchange stay
-	// allocate-fresh (see Forward).
-	pool := r.Pool()
-	bExp := st.bExp()
-
-	// --- Combine backward; its gradients land in the full layout ---------
-	var grads ffnGrads
+	padded, _ := st.Ex.Layout()
+	l := &st.l
+	l.r, l.cfg, l.params, l.opts, l.kp = r, cfg, params, opts, profileOf(padded, opts.Kernels)
+	// The gradients land in the full layout; each batch runs its dX chain
+	// there (layer.Backward), and the exchange sends the batch's input
+	// gradients home. Rank-local backward scratch comes from the per-rank
+	// arena; gradients returned to the caller and buffers crossing an
+	// exchange stay allocate-fresh.
 	if opts.Numeric {
-		grads = newFFNGrads(pool, bExp, cfg.HModel, cfg.HFFN)
+		l.grads = newFFNGrads(r.Pool(), l.bExp, cfg.HModel, cfg.HFFN)
 	}
-	batches := ex.GradCombine(r, dOut, grads.DOut, opts)
-
-	// --- Per-batch dX GEMM chain; the exchange sends each batch home -----
-	for i := 0; i < batches; i++ {
-		bt := ex.GradLand(r, i)
-		if fused {
-			// One chunk: the fused kernel computes dX and dW of each expert
-			// segment together, before the reverse exchange.
-			r.Compute(StageBwdExperts, kp.gemms(comp, cfg, st.RowsPerLE)*2+kp.act(comp, cfg, bExp))
-		} else {
-			// dHidAct = dY·W2ᵀ, GeLU backward, dExpertIn = dHidPre·W1ᵀ.
-			r.Compute(StageBwdExperts, kp.gemms(comp, cfg, bt.Rows)+kp.act(comp, cfg, sum(bt.Rows)))
-		}
-		if opts.Numeric {
-			grads.dxChain(st.HidPre, params, bt.N, bt.At)
-		}
-		ex.GradReturn(r, i, grads.DIn)
-	}
-
-	// --- dW GEMMs over the complete segments ------------------------------
-	if !fused {
-		// Deferred dW GEMMs, the bubble filler of the in-flight return
-		// transfers; the fused kernel charged them already.
-		r.Compute(StageBwdExperts, kp.gemms(comp, cfg, st.RowsPerLE))
-	}
-	var dW1, dW2 []*tensor.Tensor
-	if opts.Numeric {
-		dW1, dW2 = grads.dW(pool, st.ExpertIn, st.HidAct, params, st.RowsPerLE)
-	}
-	ex.DWDone(r)
-	if opts.OnDWReady != nil {
-		// dW is complete and no blocking collective remains (one chunk: the
-		// return exchange has retired; chunked: its chunks are in flight),
-		// so gradient sync issued here queues behind them on the comm
-		// stream and overlaps the drain, the gather backward and every
-		// earlier layer's backward compute.
-		opts.OnDWReady()
-	}
-
-	// --- Dispatch backward into dX ----------------------------------------
-	dx, dWeights := ex.GradDispatch(r)
+	dx, dWeights := st.Ex.Backward(r, dOut, l.grads.DOut, opts, l)
+	res := BackwardResult{DX: dx, DW1: l.dW1, DW2: l.dW2, DCombineWeights: dWeights}
 	if opts.Numeric {
 		// The forward state is consumed: its saved intermediates return to
 		// the arena so the next layer's forward pass reuses them.
-		pool.PutAll(st.ExpertIn, st.HidPre, st.HidAct)
-		st.ExpertIn, st.HidPre, st.HidAct = nil, nil, nil
+		r.Pool().PutAll(l.expertIn, l.hidPre, l.hidAct)
 	}
-	return BackwardResult{DX: dx, DW1: dW1, DW2: dW2, DCombineWeights: dWeights}
+	l.expertIn, l.hidPre, l.hidAct, l.grads, l.dW1, l.dW2 = nil, nil, nil, ffnGrads{}, nil, nil
+	return res
+}
+
+// fused reports X-MoE's single-chunk expert backward, one fused dX + dW
+// kernel per expert segment, for the current pass.
+func (l *layer) fused() bool { return fusedBackward(l.opts.Chunks(), l.kp.padded) }
+
+// Backward runs the dX chain of one gradient batch: dHidAct = dY·W2ᵀ, GeLU
+// backward, dExpertIn = dHidPre·W1ᵀ. With one chunk the fused kernel
+// computes dX and dW of each expert segment together, before the reverse
+// exchange.
+func (l *layer) Backward(bt Batch) *tensor.Tensor {
+	comp := l.r.C.Comp
+	if l.fused() {
+		l.r.Compute(StageBwdExperts, l.kp.gemms(comp, l.cfg, l.full)*2+l.kp.act(comp, l.cfg, l.bExp))
+	} else {
+		l.r.Compute(StageBwdExperts, l.kp.gemms(comp, l.cfg, bt.Rows)+l.kp.act(comp, l.cfg, sum(bt.Rows)))
+	}
+	if l.opts.Numeric {
+		l.grads.dxChain(l.hidPre, l.params, bt.N, bt.At)
+	}
+	return l.grads.DIn
+}
+
+// DW runs the deferred dW GEMMs over the complete segments, the bubble
+// filler of the in-flight return transfers; the fused kernel charged them
+// already.
+func (l *layer) DW() {
+	if !l.fused() {
+		l.r.Compute(StageBwdExperts, l.kp.gemms(l.r.C.Comp, l.cfg, l.full))
+	}
+	if l.opts.Numeric {
+		l.dW1, l.dW2 = l.grads.dW(l.r.Pool(), l.expertIn, l.hidAct, l.params, l.full)
+	}
 }
 
 // checkBackward is the one check on entry of the backward: the options,
@@ -137,17 +136,9 @@ func checkBackward(st *PFTFwdState, opts PipelineOpts) error {
 		return &OptionError{Opt: "SaveForBackward",
 			Detail: "moe: the backward needs the forward state saved by a forward with SaveForBackward"}
 	}
-	if opts.Numeric && !st.numeric {
+	if opts.Numeric && !st.l.numeric {
 		return &OptionError{Opt: "Numeric",
 			Detail: "moe: numeric backward, but the forward state was captured symbolically (SaveForBackward ran without Numeric)"}
 	}
 	return nil
-}
-
-// PaddedBackward is PFTBackward for the state of PaddedForward, which
-// carries its layout; it stays for callers written against the padded
-// pair.
-func PaddedBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdState,
-	dOut *tensor.Tensor, params *ExpertParams, opts PipelineOpts) BackwardResult {
-	return PFTBackward(r, g, cfg, st, dOut, params, opts)
 }

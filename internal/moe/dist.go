@@ -215,27 +215,37 @@ type LayerResult struct {
 	PaddedState *PFTFwdState
 }
 
-// PFTFwdState is the per-rank forward state the distributed backward pass
-// consumes, whatever the transport: the layout, the expert-FFN
-// intermediates in the full expert-major layout, and the Exchange that
-// carries the rest of what the backward needs to send every gradient back
-// the way its row came. In symbolic mode the tensors are nil and only the
-// geometry is populated (the PFT carries counts only unless the exchange
-// reads rows), which is all the timing-only backward needs.
+// PFTFwdState is one rank's forward pass of the layer, kept for the
+// backward, whatever the transport: the exchange that ran it, which
+// carries what the backward needs to send every gradient back the way its
+// row came, and the expert-FFN intermediates in the full expert-major
+// layout (nil in symbolic mode, where the geometry is all the timing-only
+// backward needs).
 type PFTFwdState struct {
-	S         int
-	PFT       *PFT
-	RowsPerLE []int          // the full layout's rows per local expert
-	ExpertIn  *tensor.Tensor // [BExp, H] expert-major
-	HidPre    *tensor.Tensor // [BExp, F] pre-activation
-	HidAct    *tensor.Tensor // [BExp, F] post-GeLU
 	// Ex is the exchange the forward ran, which the backward reverses.
-	Ex      Exchange
-	numeric bool // captured by a numeric forward
+	Ex Exchange
+	l  layer
 }
 
-// bExp returns the number of expert-input rows this rank processed.
-func (st *PFTFwdState) bExp() int { return sum(st.RowsPerLE) }
+// layer is the body's side of one layer call on one rank: what the
+// exchange's calls back into Experts need, and what the forward saves.
+type layer struct {
+	r      *simrt.Rank
+	cfg    Config
+	params *ExpertParams
+	opts   PipelineOpts // the current pass's
+	kp     kernelProfile
+	// The full layout's rows per local expert and in total, and (numeric)
+	// the forward's FFN intermediates in it: [bExp, H], [bExp, F] before
+	// and after GeLU.
+	full                     []int
+	bExp                     int
+	expertIn, hidPre, hidAct *tensor.Tensor
+	numeric                  bool // captured by a numeric forward
+	// The backward's gradient buffers and weight gradients.
+	grads    ffnGrads
+	dW1, dW2 []*tensor.Tensor
+}
 
 func sum(xs []int) int {
 	n := 0
@@ -401,11 +411,6 @@ func Forward(r *simrt.Rank, ex Exchange, cfg Config, s int, x *tensor.Tensor, ro
 	elem := int64(cfg.BytesPerElem)
 	mem := &r.Dev().Mem
 	comp := r.C.Comp
-	// Rank-local intermediates come from the per-rank arena so the steady
-	// state allocates nothing; buffers whose data crosses an exchange stay
-	// allocate-fresh because peers may still read them after the
-	// rendezvous.
-	pool := r.Pool()
 
 	// --- Gate + layout construction -------------------------------------
 	// Router GEMM [s,H]x[H,E], then the profile's memory-bound passes.
@@ -427,53 +432,11 @@ func Forward(r *simrt.Rank, ex Exchange, cfg Config, s int, x *tensor.Tensor, ro
 	}
 	mem.Alloc("dispatch_in", int64(b)*int64(h)*elem)
 
-	// --- Exchange, expert FFN per landed batch ---------------------------
-	// With SaveForBackward, a batch's FFN intermediates are scattered into
-	// the full layout, unless the batch is the whole layout already.
-	batches := ex.Dispatch(r, s, pft, dispIn, opts)
-	var full []int
-	bExp := 0
-	var expertIn, hidPre, hidAct, wholeOut *tensor.Tensor
-	for i := 0; i < batches; i++ {
-		bt := ex.Land(r, i)
-		if bt.Full != nil && full == nil {
-			full, bExp = bt.Full, sum(bt.Full)
-			mem.Alloc("A0_interm", int64(bExp)*int64(f)*elem)
-			mem.Alloc("A1_interm", int64(bExp)*int64(f)*elem)
-		}
-		r.Compute(StageExperts, kp.gemms(comp, cfg, bt.Rows)+kp.act(comp, cfg, sum(bt.Rows)))
-		if !opts.Numeric || bt.In == nil {
-			ex.Return(r, i, nil)
-			continue
-		}
-		whole, rows := bt.N == nil, bt.Rows
-		if whole {
-			rows = full
-		}
-		pre, act, out := params.ffn(pool, bt.In, rows, opts.SaveForBackward)
-		switch {
-		case !opts.SaveForBackward:
-			pool.PutAll(bt.In, pre)
-		case whole:
-			expertIn, hidPre, hidAct = bt.In, pre, act
-		default:
-			if expertIn == nil {
-				expertIn, hidPre, hidAct = pool.Get(bExp, h), pool.Get(bExp, f), pool.Get(bExp, f)
-			}
-			scatterBlocks(expertIn, bt.In, bt.N, bt.At, bt.SaveAt)
-			scatterBlocks(hidPre, pre, bt.N, bt.At, bt.SaveAt)
-			scatterBlocks(hidAct, act, bt.N, bt.At, bt.SaveAt)
-			pool.PutAll(bt.In, pre, act)
-		}
-		ex.Return(r, i, out)
-		if whole {
-			wholeOut = out
-		} else {
-			pool.Put(out)
-		}
-	}
-	output := ex.Combine(r)
-	pool.Put(wholeOut)
+	// --- Exchange, expert FFN per landed batch (layer.Forward) -----------
+	st := &PFTFwdState{Ex: ex, l: layer{r: r, cfg: cfg, params: params, opts: opts, kp: kp, numeric: opts.Numeric}}
+	l := &st.l
+	output := ex.Forward(r, s, pft, dispIn, opts, l)
+	bExp := l.bExp
 
 	if !opts.RetainActivations {
 		mem.Free("dispatch_in", int64(b)*int64(h)*elem)
@@ -494,8 +457,49 @@ func Forward(r *simrt.Rank, ex Exchange, cfg Config, s int, x *tensor.Tensor, ro
 		Dropped:      pft.Dropped,
 	}
 	if opts.SaveForBackward {
-		res.State = &PFTFwdState{S: s, PFT: pft, RowsPerLE: full, ExpertIn: expertIn, HidPre: hidPre, HidAct: hidAct,
-			Ex: ex, numeric: opts.Numeric}
+		res.State = st
 	}
 	return res
+}
+
+// Forward runs the expert stage of one landed batch: the first batch that
+// knows the full layout charges its FFN buffers, every batch its FFN, and
+// with SaveForBackward the batch's intermediates are scattered into the
+// full layout, unless the batch is the whole layout already.
+func (l *layer) Forward(bt Batch) *tensor.Tensor {
+	// Rank-local intermediates come from the per-rank arena so the steady
+	// state allocates nothing; buffers whose data crosses an exchange stay
+	// allocate-fresh because peers may still read them after the
+	// rendezvous.
+	cfg, opts, pool := l.cfg, l.opts, l.r.Pool()
+	h, f, elem := cfg.HModel, cfg.HFFN, int64(cfg.BytesPerElem)
+	if bt.Full != nil {
+		l.full, l.bExp = bt.Full, sum(bt.Full)
+		l.r.Dev().Mem.Alloc("A0_interm", int64(l.bExp)*int64(f)*elem)
+		l.r.Dev().Mem.Alloc("A1_interm", int64(l.bExp)*int64(f)*elem)
+	}
+	l.r.Compute(StageExperts, l.kp.gemms(l.r.C.Comp, cfg, bt.Rows)+l.kp.act(l.r.C.Comp, cfg, sum(bt.Rows)))
+	if !opts.Numeric || bt.In == nil {
+		return nil
+	}
+	whole, rows := bt.N == nil, bt.Rows
+	if whole {
+		rows = l.full
+	}
+	pre, act, out := l.params.ffn(pool, bt.In, rows, opts.SaveForBackward)
+	switch {
+	case !opts.SaveForBackward:
+		pool.PutAll(bt.In, pre)
+	case whole:
+		l.expertIn, l.hidPre, l.hidAct = bt.In, pre, act
+	default:
+		if l.expertIn == nil {
+			l.expertIn, l.hidPre, l.hidAct = pool.Get(l.bExp, h), pool.Get(l.bExp, f), pool.Get(l.bExp, f)
+		}
+		scatterBlocks(l.expertIn, bt.In, bt.N, bt.At, bt.SaveAt)
+		scatterBlocks(l.hidPre, pre, bt.N, bt.At, bt.SaveAt)
+		scatterBlocks(l.hidAct, act, bt.N, bt.At, bt.SaveAt)
+		pool.PutAll(bt.In, pre, act)
+	}
+	return out
 }

@@ -13,14 +13,12 @@ import (
 // of the padding-free pipeline only (§4.2), and Megatron Core keeps one MoE
 // layer behind interchangeable token dispatchers; the gate, the buffer
 // dispatch gather, the expert FFN charges and math, the memory tags of the
-// expert buffers, the deferred dW and OnDWReady stay in the body.
+// expert buffers and the deferred dW stay in the body, which the exchange
+// calls back (Experts) once per expert batch it lands.
 //
 // One value serves one layer call on one rank, forward and then backward.
-// The forward issues the dispatch, takes the expert batches one at a time
-// (Land, then Return once the body has run the batch's experts) and
-// finishes the combine; the backward mirrors it, with DWDone between the
-// deferred dW and OnDWReady. The flat all-to-all of the PFT and padded
-// pipelines (this file) and rbd's State are the two implementations.
+// The flat all-to-all of the PFT and padded pipelines (this file) and rbd's
+// State are the two implementations.
 type Exchange interface {
 	// Check reports what of opts the transport cannot honour, every
 	// PipelineOpts.Check rejection included, as an *OptionError.
@@ -28,42 +26,34 @@ type Exchange interface {
 	// Layout reports whether the exchange moves the capacity-padded layout
 	// and whether it reads the layout's rows in a symbolic pass too.
 	Layout() (padded, rows bool)
+	// Forward moves pft's rows for a layer of s local tokens (rows is the
+	// [B, H] layout-ordered buffer, nil when symbolic) to the experts and
+	// back. It lands the expert batches one at a time, charging each one's
+	// reorder or reconstruct pass, hands each to e.Forward, whose output it
+	// recycles once sent, and finishes the combine into the [s, H] output
+	// (nil when symbolic). It charges the output buffer and, unless
+	// opts.RetainActivations, releases its own buffers.
+	Forward(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts PipelineOpts, e Experts) *tensor.Tensor
+	// Backward mirrors Forward for the output gradient dOut: it lands each
+	// gradient batch in dst, the full-layout expert-output gradient, hands
+	// it to e.Backward, and returns dX and the combine-weight gradient of
+	// every layout row (dOut, dst and the results nil when symbolic). Once
+	// the last batch's input gradients are on their way it calls e.DW, and
+	// opts.OnDWReady once no blocking collective of its own remains.
+	Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOpts, e Experts) (dx *tensor.Tensor, dWeights []float32)
+}
 
-	// Dispatch issues the dispatch of pft's rows for a layer of s local
-	// tokens (rows is the [B, H] layout-ordered buffer, nil when symbolic)
-	// and returns how many expert batches the forward hands over.
-	Dispatch(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts PipelineOpts) int
-	// Land waits for batch i and lands it, charging its reorder or
-	// reconstruct pass.
-	Land(r *simrt.Rank, i int) Batch
-	// Return takes batch i's expert output back: out is row-aligned with
-	// the batch's In (nil when symbolic or In is). The exchange may read
-	// it until Combine returns if it is the whole layout, else until
-	// Return returns.
-	Return(r *simrt.Rank, i int, out *tensor.Tensor)
-	// Combine finishes the combine into the [s, H] layer output (nil when
-	// symbolic), charges the output buffer and, unless
-	// opts.RetainActivations, releases the exchange's own buffers.
-	Combine(r *simrt.Rank) *tensor.Tensor
-
-	// GradCombine runs the combine's backward for the output gradient dOut
-	// and issues the gradients' trip to the experts; the rows the backward
-	// lands go into dst, the [rows, H] full-layout gradient of the expert
-	// output (both nil when symbolic). It returns how many batches the
-	// backward hands over.
-	GradCombine(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOpts) int
-	// GradLand waits for gradient batch i and lands it into dst.
-	GradLand(r *simrt.Rank, i int) Batch
-	// GradReturn sends batch i's input gradients home: dIn is the [rows,
-	// H] full-layout input gradient, final on the rows batch i landed (nil
-	// when symbolic).
-	GradReturn(r *simrt.Rank, i int, dIn *tensor.Tensor)
-	// DWDone runs once the deferred dW is charged, before OnDWReady.
-	DWDone(r *simrt.Rank)
-	// GradDispatch finishes the dispatch's backward: the [s, H] input
-	// gradient and the combine-weight gradient of every layout row (nil
-	// when symbolic).
-	GradDispatch(r *simrt.Rank) (dx *tensor.Tensor, dWeights []float32)
+// Experts is the layer body's side of an Exchange: the expert stage every
+// landed batch is handed to, and the deferred dW.
+type Experts interface {
+	// Forward runs the expert FFN of one batch and returns its output,
+	// row-aligned with the batch's In (nil when In is).
+	Forward(Batch) *tensor.Tensor
+	// Backward runs the dX chain of one gradient batch and returns the
+	// full-layout input gradient (nil when symbolic).
+	Backward(Batch) *tensor.Tensor
+	// DW computes the weight gradients over the complete segments.
+	DW()
 }
 
 // Batch is one group of expert rows an Exchange hands the layer body.
@@ -95,29 +85,15 @@ type flat struct {
 	g      *simrt.Group
 	cfg    Config
 	padded bool
-
-	// The current pass.
-	opts     PipelineOpts
-	kp       kernelProfile
-	chunks   int
-	partsAll []simrt.Part
-	out      []simrt.Exchange // the outbound chunk exchanges
-	back     []simrt.Exchange // the return chunk exchanges
-
-	s   int
-	pft *PFT
-	// Geometry, one int backing: segStart[e] is expert e's segment offset
-	// in the layout; recvCounts[src*EPR+le] the rows src sent local expert
-	// le; fullAt[le*P+src] the expert-major offset of that block and
-	// fullRows[le] local expert le's rows. Per chunk, n/at/saveAt/rows are
-	// as overlap.go describes and rows the rows per local expert.
-	segStart, recvCounts, fullAt, fullRows []int
-	n, at, saveAt, rows                    []int
-	bExp, bc                               int
-
-	combineIn *tensor.Tensor // numeric: the returned rows, layout order
-	dst       *tensor.Tensor // numeric backward: where gradients land
-	dWeights  []float32
+	s      int
+	pft    *PFT
+	// The geometry, one int backing: segStart[e] is expert e's segment
+	// offset in the layout, recvCounts[src*EPR+le] the rows src sent local
+	// expert le, fullAt[le*P+src] the full-layout row of that block and
+	// fullRows[le] local expert le's rows; per chunk, n/at/saveAt are as
+	// overlap.go describes and rows the rows per local expert.
+	segStart, recvCounts, fullAt, fullRows, n, at, saveAt, rows []int
+	combineIn                                                   *tensor.Tensor // numeric: the returned rows, layout order
 }
 
 func newFlat(g *simrt.Group, cfg Config, padded bool) *flat {
@@ -133,190 +109,173 @@ func (x *flat) Check(opts PipelineOpts) error {
 
 func (x *flat) Layout() (padded, rows bool) { return x.padded, false }
 
-// pass starts a forward or backward pass: its options, kernel profile and
-// part and exchange backings. Parts crossed to peers, so each pass takes
-// fresh ones.
-func (x *flat) pass(opts PipelineOpts) {
-	x.opts, x.kp, x.chunks = opts, profileOf(x.padded, opts.Kernels), opts.Chunks()
-	p := x.g.Size()
-	x.partsAll = make([]simrt.Part, 2*x.chunks*p)
-	xs := make([]simrt.Exchange, 2*x.chunks)
-	x.out, x.back = xs[:x.chunks], xs[x.chunks:]
-}
-
-// fusedBackward reports X-MoE's single-chunk expert backward, one fused dX + dW
-// kernel per expert segment (overlap.go).
+// fusedBackward reports X-MoE's single-chunk expert backward, one fused dX
+// + dW kernel per expert segment (overlap.go), which the padded layout's
+// frameworks never run.
 func fusedBackward(chunks int, padded bool) bool { return chunks == 1 && !padded }
 
-// reorder charges one memory-bound pass over the current chunk's rows.
-func (x *flat) reorder(r *simrt.Rank) {
-	r.Compute(StageOthers, r.C.Comp.MemBound(x.kp.class, 2*int64(x.bc)*int64(x.cfg.HModel)*int64(x.cfg.BytesPerElem)))
+// exchanges returns one pass's part backing, chunk c's outbound parts at
+// [c*P, (c+1)*P) and its return parts C*P further, and its outbound and
+// return exchanges. A single backing per pass keeps the allocation count
+// independent of C.
+func (x *flat) exchanges(chunks int) (parts []simrt.Part, out, back []simrt.Exchange) {
+	xs := make([]simrt.Exchange, 2*chunks)
+	return make([]simrt.Part, 2*chunks*x.g.Size()), xs[:chunks], xs[chunks:]
 }
 
-// parts returns chunk c's per-member parts of the pass's backing, outbound
-// or (back) on the return trip.
-func (x *flat) parts(back bool, c int) []simrt.Part {
-	p := x.g.Size()
-	if back {
-		c += x.chunks
+// chunk fills n/at/saveAt/rows with chunk c's blocks and returns its rows.
+func (x *flat) chunk(chunks, c int) (bc int) {
+	p, epr := x.g.Size(), len(x.rows)
+	for le := 0; le < epr; le++ {
+		x.rows[le] = 0
+		for src := 0; src < p; src++ {
+			lo, hi := simrt.ChunkRange(x.recvCounts[src*epr+le], chunks, c)
+			k := le*p + src
+			x.n[k], x.at[k], x.saveAt[k] = hi-lo, bc, x.fullAt[k]+lo
+			bc += hi - lo
+			x.rows[le] += hi - lo
+		}
 	}
-	return x.partsAll[c*p : (c+1)*p]
+	return bc
 }
 
-func (x *flat) Dispatch(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts PipelineOpts) int {
-	x.pass(opts)
+// reorder charges a memory-bound pass over bc rows.
+func (x *flat) reorder(r *simrt.Rank, kp kernelProfile, bc int) {
+	r.Compute(StageOthers, r.C.Comp.MemBound(kp.class, 2*int64(bc)*int64(x.cfg.HModel)*int64(x.cfg.BytesPerElem)))
+}
+
+func (x *flat) Forward(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts PipelineOpts, ex Experts) *tensor.Tensor {
 	x.s, x.pft = s, pft
-	epr, p, e := epCheck(x.cfg, x.g), x.g.Size(), x.cfg.NumExperts
+	p, e, epr := x.g.Size(), x.cfg.NumExperts, epCheck(x.cfg, x.g)
 	h, elem := x.cfg.HModel, int64(x.cfg.BytesPerElem)
+	combElem := int64(opts.combineBytes(x.cfg))
+	wireElem := combElem // the combine exchange's element size
+	if x.padded {
+		// Tutel's float32 combine is its materialised A_combine buffer
+		// (Table 4), not the wire.
+		wireElem = elem
+	}
+	kp, chunks := profileOf(x.padded, opts.Kernels), opts.Chunks()
+	mem, pool := &r.Dev().Mem, r.Pool()
+	b := pft.B()
+
+	// --- Uneven all-to-all (dispatch), every chunk issued up front -------
 	// Chunk c of global expert e covers rows ChunkRange(cnt_e, chunks, c)
 	// of e's contiguous segment. The full per-expert counts ride with
 	// chunk 0, later chunks are derived by both ends from the same split;
-	// a padded layout's counts are all C, so none cross the wire. The
-	// geometry of both passes is one int backing, so the allocation count
-	// is independent of C.
+	// a padded layout's counts are all C, so none cross the wire.
 	nb := epr * p
 	ints := make([]int, e+5*nb+2*epr)
-	x.segStart, x.recvCounts = ints[:e:e], ints[e:e+nb:e+nb]
-	x.fullAt, x.n = ints[e+nb:e+2*nb:e+2*nb], ints[e+2*nb:e+3*nb:e+3*nb]
-	x.at, x.saveAt = ints[e+3*nb:e+4*nb:e+4*nb], ints[e+4*nb:e+5*nb:e+5*nb]
+	x.segStart, x.recvCounts, x.fullAt = ints[:e:e], ints[e:e+nb:e+nb], ints[e+nb:e+2*nb:e+2*nb]
+	x.n, x.at, x.saveAt = ints[e+2*nb:e+3*nb:e+3*nb], ints[e+3*nb:e+4*nb:e+4*nb], ints[e+4*nb:e+5*nb:e+5*nb]
 	x.fullRows, x.rows = ints[e+5*nb:e+5*nb+epr:e+5*nb+epr], ints[e+5*nb+epr:]
 	for ex, run := 0, 0; ex < e; ex++ {
 		x.segStart[ex] = run
 		run += pft.TokensPerExpert[ex]
 	}
-	for c := 0; c < x.chunks; c++ {
-		send := x.parts(false, c)
-		chunkRows := packSegments(send, rows, pft.TokensPerExpert, x.segStart, epr, h, elem, x.chunks, c)
+	parts, out, back := x.exchanges(chunks)
+	for c := range out {
+		send := parts[c*p : (c+1)*p]
+		chunkRows := packSegments(send, rows, pft.TokensPerExpert, x.segStart, epr, h, elem, chunks, c)
 		if c == 0 && !x.padded {
 			for dst := range send {
 				send[dst].Meta = pft.TokensPerExpert[dst*epr : (dst+1)*epr]
 				send[dst].Bytes += int64(epr) * 8
 			}
 		}
-		if x.chunks > 1 {
+		if chunks > 1 {
 			// Strided per-expert chunk rows are packed into send buffers, a
 			// memory-bound pass; one chunk is sent as contiguous views.
-			r.Compute(StageOthers, r.C.Comp.MemBound(x.kp.class, 2*int64(chunkRows)*int64(h)*elem))
+			r.Compute(StageOthers, r.C.Comp.MemBound(kp.class, 2*int64(chunkRows)*int64(h)*elem))
 		}
-		x.out[c] = r.AlltoAllVChunk(x.g, StageDispatchA2A, send, x.chunks)
+		out[c] = r.AlltoAllVChunk(x.g, StageDispatchA2A, send, chunks)
 	}
-	return x.chunks
-}
 
-// chunk fills n/at/saveAt/rows with chunk c's blocks and x.bc with its
-// row count.
-func (x *flat) chunk(c int) {
-	p := x.g.Size()
-	epr := len(x.rows)
-	x.bc = 0
-	for le := 0; le < epr; le++ {
-		x.rows[le] = 0
-		for src := 0; src < p; src++ {
-			lo, hi := simrt.ChunkRange(x.recvCounts[src*epr+le], x.chunks, c)
-			k := le*p + src
-			x.n[k], x.at[k], x.saveAt[k] = hi-lo, x.bc, x.fullAt[k]+lo
-			x.bc += hi - lo
-			x.rows[le] += hi - lo
-		}
-	}
-}
-
-func (x *flat) Land(r *simrt.Rank, c int) Batch {
-	recv := x.out[c].Wait()
-	p, epr := x.g.Size(), len(x.rows)
-	h, elem := x.cfg.HModel, int64(x.cfg.BytesPerElem)
-	b := Batch{Rows: x.rows}
-	if c == 0 {
-		// Received layout: src-major, each src's rows ordered by local
-		// expert. The full layout is expert-major.
-		if x.padded {
-			for i := range x.recvCounts {
-				x.recvCounts[i] = x.cfg.Capacity(x.s)
+	// --- Per-chunk expert batch, combine issued as soon as a chunk ends --
+	bExp := 0
+	for c := range out {
+		recv := out[c].Wait()
+		bt := Batch{Rows: x.rows}
+		if c == 0 {
+			// Received layout: src-major, each src's rows ordered by local
+			// expert; the full layout is expert-major.
+			if x.padded {
+				for i := range x.recvCounts {
+					x.recvCounts[i] = x.cfg.Capacity(s)
+				}
+			} else {
+				for src, part := range recv {
+					copy(x.recvCounts[src*epr:(src+1)*epr], part.Meta.([]int))
+				}
 			}
-		} else {
-			for src, part := range recv {
-				copy(x.recvCounts[src*epr:(src+1)*epr], part.Meta.([]int))
+			for le := 0; le < epr; le++ {
+				for src := 0; src < p; src++ {
+					x.fullAt[le*p+src] = bExp
+					bExp += x.recvCounts[src*epr+le]
+					x.fullRows[le] += x.recvCounts[src*epr+le]
+				}
 			}
+			mem.Alloc("A_dispatch", int64(bExp)*int64(h)*elem)
+			bt.Full = x.fullRows
 		}
-		for le := 0; le < epr; le++ {
-			for src := 0; src < p; src++ {
-				x.fullAt[le*p+src] = x.bExp
-				x.bExp += x.recvCounts[src*epr+le]
-				x.fullRows[le] += x.recvCounts[src*epr+le]
+		bc := x.chunk(chunks, c)
+		// Expert-major reorder of this chunk (sequential GEMM input prep,
+		// the small expert-stage overhead the paper notes in §5.4.1; the
+		// permute the padded frameworks pay as a fallback op). One chunk
+		// is the whole layout, in its own order.
+		x.reorder(r, kp, bc)
+		if opts.Numeric {
+			bt.In = pool.Get(bc, h)
+			landBlocks(bt.In.Data, recv, x.n, x.at, h)
+			if chunks > 1 {
+				bt.N, bt.At, bt.SaveAt = x.n, x.at, x.saveAt
 			}
 		}
-		r.Dev().Mem.Alloc("A_dispatch", int64(x.bExp)*int64(h)*elem)
-		b.Full = x.fullRows
+		y := ex.Forward(bt)
+		// Reverse reorder to src-major, then this chunk's combine.
+		x.reorder(r, kp, bc)
+		sendBack := parts[(chunks+c)*p : (chunks+c+1)*p]
+		packBlocks(sendBack, y, x.n, x.at, h, wireElem)
+		back[c] = r.AlltoAllVChunk(x.g, StageCombineA2A, sendBack, chunks)
+		pool.Put(y) // fully staged into the send-back buffers
 	}
-	x.chunk(c)
-	// Expert-major reorder of this chunk (sequential GEMM input prep, the
-	// small expert-stage overhead the paper notes in §5.4.1; the permute
-	// the padded frameworks pay as a fallback op).
-	x.reorder(r)
-	if x.opts.Numeric {
-		// One chunk is the whole layout, in its own order.
-		b.In = r.Pool().Get(x.bc, h)
-		landBlocks(b.In.Data, recv, x.n, x.at, h)
-		if x.chunks > 1 {
-			b.N, b.At, b.SaveAt = x.n, x.at, x.saveAt
-		}
-	}
-	return b
-}
 
-func (x *flat) Return(r *simrt.Rank, c int, out *tensor.Tensor) {
-	// Reverse reorder to src-major, then this chunk's combine. Tutel's
-	// float32 combine is its materialised A_combine buffer (Table 4), not
-	// the wire, so only the padding-free layout sends CombineBytes.
-	wire := int64(x.opts.combineBytes(x.cfg))
-	if x.padded {
-		wire = int64(x.cfg.BytesPerElem)
-	}
-	x.reorder(r)
-	send := x.parts(true, c)
-	packBlocks(send, out, x.n, x.at, x.cfg.HModel, wire)
-	x.back[c] = r.AlltoAllVChunk(x.g, StageCombineA2A, send, x.chunks)
-}
-
-func (x *flat) Combine(r *simrt.Rank) *tensor.Tensor {
-	epr, h := len(x.rows), x.cfg.HModel
-	elem, combElem := int64(x.cfg.BytesPerElem), int64(x.opts.combineBytes(x.cfg))
-	b := x.pft.B()
-	mem, pool := &r.Dev().Mem, r.Pool()
+	// --- Drain combine chunks, scatter combine (holes add nothing) --------
 	mem.Alloc("A_combine", int64(b)*int64(h)*combElem)
-	if x.opts.Numeric {
+	if opts.Numeric {
 		x.combineIn = pool.Get(b, h)
 	}
-	for c, xc := range x.back {
-		back := xc.Wait()
-		if x.opts.Numeric {
-			unpackSegments(x.combineIn, back, x.pft.TokensPerExpert, x.segStart, epr, h, x.chunks, c)
+	for c := range back {
+		got := back[c].Wait()
+		if opts.Numeric {
+			unpackSegments(x.combineIn, got, pft.TokensPerExpert, x.segStart, epr, h, chunks, c)
 		}
 	}
-	// Scatter combine (holes add nothing).
-	r.Compute(StageCombine, x.kp.bufferPass(r.C.Comp, x.cfg, x.s, b, combElem))
-	var out *tensor.Tensor
-	if x.opts.Numeric {
-		out = kernels.ScatterCombine(x.combineIn, x.pft.TokenIDs, x.pft.CombineWeights, x.s)
-		if !x.opts.SaveForBackward {
+	r.Compute(StageCombine, kp.bufferPass(r.C.Comp, x.cfg, s, b, combElem))
+	var output *tensor.Tensor
+	if opts.Numeric {
+		output = kernels.ScatterCombine(x.combineIn, pft.TokenIDs, pft.CombineWeights, s)
+		if !opts.SaveForBackward {
 			pool.Put(x.combineIn)
-			x.combineIn = nil
 		}
 	}
-	mem.Alloc("output", int64(x.s)*int64(h)*elem)
-	if !x.opts.RetainActivations {
-		mem.Free("A_dispatch", int64(x.bExp)*int64(h)*elem)
+	mem.Alloc("output", int64(s)*int64(h)*elem)
+	if !opts.RetainActivations {
+		mem.Free("A_dispatch", int64(bExp)*int64(h)*elem)
 		mem.Free("A_combine", int64(b)*int64(h)*combElem)
 	}
-	return out
+	return output
 }
 
-func (x *flat) GradCombine(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOpts) int {
-	x.pass(opts)
-	x.dst = dst
-	epr, h, elem := len(x.rows), x.cfg.HModel, int64(x.cfg.BytesPerElem)
-	pft := x.pft
+func (x *flat) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOpts, ex Experts) (*tensor.Tensor, []float32) {
+	p, epr := x.g.Size(), len(x.rows)
+	h, elem := x.cfg.HModel, int64(x.cfg.BytesPerElem)
+	kp, chunks := profileOf(x.padded, opts.Kernels), opts.Chunks()
+	fused := fusedBackward(chunks, x.padded)
+	pft, pool := x.pft, r.Pool()
 	b := pft.B()
+
+	// --- Per-chunk scatter-combine backward + reverse combine all-to-all --
 	// The forward saved combineIn (the returned expert outputs in layout
 	// order); the scatter's backward yields the per-row gradients and the
 	// combine-weight gradients in one pass, a hole's both staying zero.
@@ -324,19 +283,21 @@ func (x *flat) GradCombine(r *simrt.Rank, dOut, dst *tensor.Tensor, opts Pipelin
 	// source→experts with the dispatch segmentation. A single chunk
 	// crosses the exchange as views of dCombineIn, which must then be
 	// allocate-fresh: a nil arena is.
-	sendPool := r.Pool()
-	if x.chunks == 1 {
+	sendPool := pool
+	if chunks == 1 {
 		sendPool = nil
 	}
 	var dCombineIn *tensor.Tensor
+	var dWeights []float32
 	if opts.Numeric {
 		dCombineIn = sendPool.Get(b, h)
-		x.dWeights = make([]float32, b)
+		dWeights = make([]float32, b)
 	}
-	for c := 0; c < x.chunks; c++ {
+	parts, out, back := x.exchanges(chunks)
+	for c := range out {
 		if opts.Numeric {
 			for e, cnt := range pft.TokensPerExpert {
-				lo, hi := simrt.ChunkRange(cnt, x.chunks, c)
+				lo, hi := simrt.ChunkRange(cnt, chunks, c)
 				for i := x.segStart[e] + lo; i < x.segStart[e]+hi; i++ {
 					tok := pft.TokenIDs[i]
 					if tok < 0 {
@@ -349,78 +310,74 @@ func (x *flat) GradCombine(r *simrt.Rank, dOut, dst *tensor.Tensor, opts Pipelin
 						dRow[j] = gRow[j] * w
 						dot += gRow[j] * xRow[j]
 					}
-					x.dWeights[i] = dot
+					dWeights[i] = dot
 				}
 			}
 		}
-		send := x.parts(false, c)
-		chunkRows := packSegments(send, dCombineIn, pft.TokensPerExpert, x.segStart, epr, h, elem, x.chunks, c)
-		r.Compute(StageBwdCombine, x.kp.bufferPass(r.C.Comp, x.cfg, x.s, chunkRows, elem))
-		if x.chunks > 1 {
+		send := parts[c*p : (c+1)*p]
+		chunkRows := packSegments(send, dCombineIn, pft.TokensPerExpert, x.segStart, epr, h, elem, chunks, c)
+		r.Compute(StageBwdCombine, kp.bufferPass(r.C.Comp, x.cfg, x.s, chunkRows, elem))
+		if chunks > 1 {
 			// The strided chunk pack; one chunk is sent as contiguous views.
-			r.Compute(StageOthers, r.C.Comp.MemBound(x.kp.class, 2*int64(chunkRows)*int64(h)*elem))
+			r.Compute(StageOthers, r.C.Comp.MemBound(kp.class, 2*int64(chunkRows)*int64(h)*elem))
 		}
-		x.out[c] = r.AlltoAllVChunk(x.g, StageBwdCombineA2A, send, x.chunks)
+		out[c] = r.AlltoAllVChunk(x.g, StageBwdCombineA2A, send, chunks)
 	}
 	sendPool.Put(dCombineIn) // packed chunks are fully staged
-	return x.chunks
-}
 
-func (x *flat) GradLand(r *simrt.Rank, c int) Batch {
+	// --- Per-chunk gradient batch, reverse dispatch issued per chunk -----
 	// Gradients land directly in the full layout, block (src, le) of a
 	// chunk at the block's offset plus its ChunkRange start, so the dW
 	// GEMMs see complete segments. Received parts are src-major with rows
 	// ordered by local expert, the layout of the forward dispatch receive.
-	recv := x.out[c].Wait()
-	x.chunk(c)
-	if !fusedBackward(x.chunks, x.padded) {
-		// Landing the chunk's sub-blocks in the full buffer; the fused
-		// kernel reorders the one chunk's rows in one contiguous pass.
-		x.reorder(r)
+	for c := range out {
+		recv := out[c].Wait()
+		bc := x.chunk(chunks, c)
+		if !fused {
+			// Landing the chunk's sub-blocks in the full buffer; the fused
+			// kernel reorders the one chunk's rows in one contiguous pass.
+			x.reorder(r, kp, bc)
+		}
+		bt := Batch{Rows: x.rows}
+		if opts.Numeric {
+			landBlocks(dst.Data, recv, x.n, x.saveAt, h)
+			bt.N, bt.At = x.n, x.saveAt
+		}
+		dIn := ex.Backward(bt)
+		// Pack this chunk's input gradients src-major and send them home;
+		// the transfer hides behind the remaining chunks' GEMMs and the
+		// deferred dW computation.
+		sendBack := parts[(chunks+c)*p : (chunks+c+1)*p]
+		packBlocks(sendBack, dIn, x.n, x.saveAt, h, elem)
+		if !fused {
+			x.reorder(r, kp, bc) // the return pack of the sub-blocks
+		}
+		back[c] = r.AlltoAllVChunk(x.g, StageBwdDispA2A, sendBack, chunks)
 	}
-	b := Batch{Rows: x.rows}
-	if x.opts.Numeric {
-		landBlocks(x.dst.Data, recv, x.n, x.saveAt, x.cfg.HModel)
-		b.N, b.At = x.n, x.saveAt
+	ex.DW()
+	if opts.OnDWReady != nil {
+		// No blocking collective remains (one chunk: the reverse dispatch
+		// has retired; chunked: its chunks are in flight).
+		opts.OnDWReady()
 	}
-	return b
-}
 
-func (x *flat) GradReturn(r *simrt.Rank, c int, dIn *tensor.Tensor) {
-	// Pack this chunk's input gradients src-major and send them home; the
-	// transfer hides behind the remaining chunks' GEMMs and the deferred
-	// dW computation.
-	send := x.parts(true, c)
-	packBlocks(send, dIn, x.n, x.saveAt, x.cfg.HModel, int64(x.cfg.BytesPerElem))
-	if !fusedBackward(x.chunks, x.padded) {
-		// The return pack of the sub-blocks.
-		x.reorder(r)
-	}
-	x.back[c] = r.AlltoAllVChunk(x.g, StageBwdDispA2A, send, x.chunks)
-}
-
-func (x *flat) DWDone(*simrt.Rank) {}
-
-func (x *flat) GradDispatch(r *simrt.Rank) (*tensor.Tensor, []float32) {
-	epr, h := len(x.rows), x.cfg.HModel
-	pft, pool := x.pft, r.Pool()
+	// --- Drain the reverse dispatch, gather backward (holes add nothing) --
 	var dDispIn *tensor.Tensor
-	if x.opts.Numeric {
-		dDispIn = pool.Get(pft.B(), h)
+	if opts.Numeric {
+		dDispIn = pool.Get(b, h)
 	}
-	for c, xc := range x.back {
-		back := xc.Wait()
-		if x.opts.Numeric {
-			unpackSegments(dDispIn, back, pft.TokensPerExpert, x.segStart, epr, h, x.chunks, c)
+	for c := range back {
+		got := back[c].Wait()
+		if opts.Numeric {
+			unpackSegments(dDispIn, got, pft.TokensPerExpert, x.segStart, epr, h, chunks, c)
 		}
 	}
-	// Gather backward (holes add nothing).
-	r.Compute(StageBwdDispatch, x.kp.bufferPass(r.C.Comp, x.cfg, x.s, pft.B(), int64(x.cfg.BytesPerElem)))
-	if !x.opts.Numeric {
+	r.Compute(StageBwdDispatch, kp.bufferPass(r.C.Comp, x.cfg, x.s, b, elem))
+	if !opts.Numeric {
 		return nil, nil
 	}
 	dx := kernels.GatherBackward(dDispIn, pft.TokenIDs, x.s)
 	pool.PutAll(dDispIn, x.combineIn)
 	x.combineIn = nil
-	return dx, x.dWeights
+	return dx, dWeights
 }

@@ -69,36 +69,13 @@ func bwdS1MetaBytes(nPilot, nReplica int) int64 {
 	return int64(nPilot+nReplica) * 4
 }
 
-// bwdPass is what the backward carries from stage to stage. A symbolic
-// pass moves no rows and keeps the exchanges and counts only.
-type bwdPass struct {
-	chunks   int
-	parts    []simrt.Part
-	c1X, s1X []simrt.Exchange
-	c2X, s2X simrt.Exchange
-	nMerge   int // replica merges over all chunks
-	// Numeric only: the row map inverted, the pilot weights, where the
-	// expert-output gradients land (the State layout), the replica blocks'
-	// first rows, the combine-weight gradients and the pilot-input
-	// gradients reverse S1 returns.
-	fullOfPilot []int   // absolute pilot row -> State-layout row
-	fullOfPart  [][]int // (s2 part, pos) -> State-layout row
-	wByAbs      []float32
-	dst         *tensor.Tensor
-	replicaAt   []int
-	wgAbs       []float32
-	wgRepBySlot [][]float32
-	dPilotIn    *tensor.Tensor
-}
-
 // Backward runs the distributed backward pass of the RBD-transport MoE
-// layer: the one backward body (moe.PFTBackward) over the forward state
-// saved by Forward with opts.SaveForBackward, reversing every stage over
-// the same link classes (see the package comment above). It returns dX,
-// the per-local-expert weight gradients, and the per-PFT-entry
-// combine-weight gradients; in symbolic mode (opts.Numeric false) it
-// charges its modeled times and integer-exact wire volumes only. d and cfg
-// are the forward's.
+// layer: the one backward body (moe.Backward) over the forward state saved
+// by Forward with opts.SaveForBackward, reversing every stage over the same
+// link classes (see the package comment above). It returns dX, the
+// per-local-expert weight gradients, and the per-PFT-entry combine-weight
+// gradients; in symbolic mode (opts.Numeric false) it charges its modeled
+// times and integer-exact wire volumes only. d is the forward's.
 //
 // opts.OverlapChunks changes the schedule (the model of moe/overlap.go):
 // the reverse-C1 merged-gradient return is split by the forward C1
@@ -113,9 +90,9 @@ type bwdPass struct {
 //
 // opts.OnDWReady, when set, fires exactly once, after dW completes and
 // every reverse-S1 exchange is issued (one chunk: has retired).
-func Backward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, fwd *FwdState,
+func Backward(r *simrt.Rank, _ *Dispatcher, cfg moe.Config, fwd *FwdState,
 	dOut *tensor.Tensor, params *moe.ExpertParams, opts moe.PipelineOpts) moe.BackwardResult {
-	return moe.PFTBackward(r, d.EP, cfg, fwd, dOut, params, opts)
+	return moe.Backward(r, cfg, fwd, dOut, params, opts)
 }
 
 // gradAndDot writes dst = w * gRow and returns <gRow, oRow>.
@@ -127,25 +104,25 @@ func gradAndDot(dst, gRow, oRow []float32, w float32) (dot float32) {
 	return dot
 }
 
-// GradCombine runs the reverse CScatter and reverse C1 per chunk, the
-// merge backward, and issues reverse C2.
-func (st *State) GradCombine(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.PipelineOpts) int {
-	st.opts = opts
+// Backward reverses the forward stage by stage (see the package comment
+// above): reverse CScatter and C1, the merge backward, reverse C2 under the
+// pilot rows' gradient batch (chunked), the replica rows' batch, reverse
+// S2 under the deferred dW, the replica-gradient reduction and reverse S1,
+// and the scatter into dX.
+func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.PipelineOpts, e moe.Experts) (*tensor.Tensor, []float32) {
 	d, pft := st.d, st.pft
 	h := d.Cfg.HModel
 	elem := int64(d.Cfg.BytesPerElem)
 	p := d.EP.Size()
 	comp := r.C.Comp
 	pool := r.Pool()
+	nodeGroup := st.nodeGroup
 	chunks := opts.Chunks()
-	b := &bwdPass{chunks: chunks, dst: dst, parts: make([]simrt.Part, 2*chunks*p)}
-	st.bwd = b
-	xs := make([]simrt.Exchange, 2*chunks)
-	b.c1X, b.s1X = xs[:chunks], xs[chunks:]
-	if opts.Numeric {
-		b.invertRows(st)
-	}
+	numeric := opts.Numeric
 	nPilotSent := len(st.pilotEntry)
+	parts := make([]simrt.Part, 2*chunks*p)
+	exchanges := make([]simrt.Exchange, 2*chunks)
+	c1X, s1X := exchanges[:chunks], exchanges[chunks:]
 
 	// --- Reverse CScatter + reverse C1 (inter-node), per chunk --------------
 	// The forward scatter-added each returned merged row into its token's
@@ -153,18 +130,18 @@ func (st *State) GradCombine(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.P
 	// It crosses the collective as views (rows are destination-contiguous:
 	// pilot send order is expert-major), so it is allocated fresh.
 	var dRet *tensor.Tensor
-	if opts.Numeric {
+	if numeric {
 		dRet = tensor.New(nPilotSent, h)
 	}
-	for c := range b.c1X {
-		send := b.parts[c*p : (c+1)*p]
+	for c := range c1X {
+		send := parts[c*p : (c+1)*p]
 		chunkRows := 0
 		for dst := 0; dst < p; dst++ {
 			lo := st.partStart[dst]
 			clo, chi := simrt.ChunkRange(st.partStart[dst+1]-lo, chunks, c)
 			chunkRows += chi - clo
 			part := simrt.Part{Bytes: int64(chi-clo) * int64(h) * elem}
-			if opts.Numeric && chi > clo {
+			if numeric && chi > clo {
 				for i := lo + clo; i < lo+chi; i++ {
 					copy(dRet.Row(i), dOut.Row(pft.TokenIDs[st.pilotEntry[i]]))
 				}
@@ -173,7 +150,7 @@ func (st *State) GradCombine(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.P
 			send[dst] = part
 		}
 		r.Compute(StageBwdCScatter, comp.MemBound(perfmodel.ClassTriton, 2*int64(chunkRows)*int64(h)*elem))
-		b.c1X[c] = r.AlltoAllVChunk(d.EP, StageBwdC1A2A, send, chunks)
+		c1X[c] = r.AlltoAllVChunk(d.EP, StageBwdC1A2A, send, chunks)
 	}
 
 	// --- Per-chunk merge backward + combine-weight gradients ----------------
@@ -181,39 +158,40 @@ func (st *State) GradCombine(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.P
 	// gradients are dot products against the saved expert outputs, and the
 	// pilot rows' gradients land in dst. Each replica's gradient is a
 	// single write, so chunk partitioning never reorders arithmetic.
-	mergeOff, merges := st.mergesByChunk(chunks, opts.Numeric)
-	b.nMerge = mergeOff[chunks]
+	mergeOff, merges := st.mergesByChunk(chunks, numeric)
 	var dMerged *tensor.Tensor
+	var wgAbs []float32
+	var wgRepBySlot [][]float32
 	dRepRet := make([][]float32, len(st.s2SentCount))
-	if opts.Numeric {
+	if numeric {
 		dMerged = pool.Get(st.pilotRowsTotal, h)
-		b.wgAbs = make([]float32, st.pilotRowsTotal)
-		b.wgRepBySlot = make([][]float32, len(st.s2SentByMember))
+		wgAbs = make([]float32, st.pilotRowsTotal)
+		wgRepBySlot = make([][]float32, len(st.s2SentByMember))
 		for slot, sent := range st.s2SentByMember {
 			dRepRet[slot] = make([]float32, len(sent)*h) // crosses reverse C2
-			b.wgRepBySlot[slot] = make([]float32, len(sent))
+			wgRepBySlot[slot] = make([]float32, len(sent))
 		}
 	}
-	for c := range b.c1X {
-		recv := b.c1X[c].Wait()
+	for c := range c1X {
+		recv := c1X[c].Wait()
 		chunkRows := 0
-		for src := 0; src < p; src++ {
+		for src, m := range st.recvMetas {
 			clo, chi := simrt.ChunkRange(st.partLen(src), chunks, c)
 			chunkRows += chi - clo
-			if !opts.Numeric || chi == clo {
+			if !numeric || chi == clo {
 				continue
 			}
 			off := st.pilotPartOff[src]
 			copy(dMerged.Data[(off+clo)*h:(off+chi)*h], recv[src].Data)
 			for abs := off + clo; abs < off+chi; abs++ {
-				b.wgAbs[abs] = gradAndDot(dst.Row(b.fullOfPilot[abs]), dMerged.Row(abs), st.pilotOut.Row(abs), b.wByAbs[abs])
+				wgAbs[abs] = gradAndDot(dst.Row(st.pilotRow[abs]), dMerged.Row(abs), st.pilotOut.Row(abs), m.weights[abs-off])
 			}
 		}
-		if opts.Numeric {
+		if numeric {
 			for _, mr := range merges[mergeOff[c]:mergeOff[c+1]] {
 				slot, pos := mr.slot, mr.pos
 				sRec := st.s2SentByMember[slot][pos]
-				b.wgRepBySlot[slot][pos] = gradAndDot(dRepRet[slot][pos*h:(pos+1)*h], dMerged.Row(int(sRec.pilotAbs)),
+				wgRepBySlot[slot][pos] = gradAndDot(dRepRet[slot][pos*h:(pos+1)*h], dMerged.Row(int(sRec.pilotAbs)),
 					st.s2Back[slot][pos*h:(pos+1)*h], sRec.weight)
 			}
 		}
@@ -225,182 +203,120 @@ func (st *State) GradCombine(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.P
 	pool.Put(dMerged)
 
 	// --- Reverse C2 (intra-node): replica-output gradients to expert ranks --
-	// Chunked, it flies under the pilot dX chain: per-le pilot blocks are
-	// contiguous in the State layout and the chain is row-independent, so
-	// computing them ahead of the replica rows changes no bit.
-	c2Send := make([]simrt.Part, st.nodeGroup.Size())
+	// Chunked, it flies under the pilot rows' dX chain: per-le pilot blocks
+	// are contiguous in the State layout and the chain is row-independent,
+	// so computing them ahead of the replica rows changes no bit.
+	c2Send := make([]simrt.Part, nodeGroup.Size())
 	for slot := range c2Send {
 		c2Send[slot] = simrt.Part{Data: dRepRet[slot], Bytes: int64(st.s2SentCount[slot]) * int64(h) * elem}
 	}
-	b.c2X = r.AlltoAllVChunk(st.nodeGroup, StageBwdC2A2A, c2Send, chunks)
-	return st.batches()
-}
-
-// invertRows builds the numeric maps from the forward state: the row map
-// inverted, the pilot weights and the replica blocks' first rows.
-func (b *bwdPass) invertRows(st *State) {
-	b.fullOfPilot = make([]int, st.pilotRowsTotal)
-	b.fullOfPart = make([][]int, len(st.s2RecvCount))
-	for part, n := range st.s2RecvCount {
-		b.fullOfPart[part] = make([]int, n)
+	c2X := r.AlltoAllVChunk(nodeGroup, StageBwdC2A2A, c2Send, chunks)
+	last := moe.Batch{Rows: st.RowsPerLE}
+	if numeric {
+		last.N, last.At = st.RowsPerLE, st.rowsOff[:d.EPR]
 	}
-	for row, ref := range st.rows {
-		if ref.part == pilotPart {
-			b.fullOfPilot[ref.pos] = row
-		} else {
-			b.fullOfPart[ref.part][ref.pos] = row
-		}
-	}
-	b.wByAbs = make([]float32, st.pilotRowsTotal)
-	for src, m := range st.recvMetas {
-		copy(b.wByAbs[st.pilotPartOff[src]:], m.weights)
-	}
-	if b.chunks > 1 {
-		b.replicaAt = make([]int, len(st.RowsPerLE))
-		for le := range b.replicaAt {
-			b.replicaAt[le] = st.rowsOff[le] + st.PilotRowsPerLE[le]
-		}
-	}
-}
-
-// GradLand hands over the pilot rows' gradients (chunked, batch 0: they
-// landed with the merge backward, and their dX chain hides the in-flight
-// reverse C2) or waits for reverse C2 and lands the replica rows'.
-func (st *State) GradLand(_ *simrt.Rank, i int) moe.Batch {
-	b := st.bwd
-	numeric := st.opts.Numeric
-	if i+1 < st.batches() {
-		bt := moe.Batch{Rows: st.PilotRowsPerLE}
+	if chunks > 1 {
+		pilots := moe.Batch{Rows: st.PilotRowsPerLE}
+		last.Rows = st.ReplicaRowsPerLE
 		if numeric {
-			bt.N, bt.At = st.PilotRowsPerLE, st.rowsOff[:st.d.EPR]
+			pilots.N, pilots.At = st.PilotRowsPerLE, st.rowsOff[:d.EPR]
+			last.N, last.At = st.ReplicaRowsPerLE, st.replicaOff
 		}
-		return bt
+		e.Backward(pilots)
 	}
-	c2Recv := b.c2X.Wait()
-	h := st.d.Cfg.HModel
-	bt := moe.Batch{Rows: st.RowsPerLE}
-	if st.batches() > 1 {
-		bt.Rows = st.ReplicaRowsPerLE
-	}
-	if !numeric {
-		return bt
-	}
-	for part, rows := range b.fullOfPart {
-		for pos, row := range rows {
-			copy(b.dst.Row(row), c2Recv[part].Data[pos*h:(pos+1)*h])
+	c2Recv := c2X.Wait()
+	if numeric {
+		for part, rows := range st.replicaRow {
+			for pos, row := range rows {
+				copy(dst.Row(row), c2Recv[part].Data[pos*h:(pos+1)*h])
+			}
 		}
 	}
-	if st.batches() > 1 {
-		bt.N, bt.At = st.ReplicaRowsPerLE, b.replicaAt
-	} else {
-		bt.N, bt.At = st.RowsPerLE, st.rowsOff[:st.d.EPR]
-	}
-	return bt
-}
+	dIn := e.Backward(last)
 
-// GradReturn issues reverse S2 once the last batch's input gradients are
-// in: the replica rows' go back to their pilot holders, and (numeric) the
-// pilot rows' are staged for reverse S1.
-func (st *State) GradReturn(r *simrt.Rank, i int, dIn *tensor.Tensor) {
-	if i+1 < st.batches() {
-		return
-	}
-	b := st.bwd
-	h := st.d.Cfg.HModel
-	elem := int64(st.d.Cfg.BytesPerElem)
-	s2Send := make([]simrt.Part, st.nodeGroup.Size())
+	// --- Reverse S2 (intra-node): replica-input gradients to pilot holders --
+	s2Send := make([]simrt.Part, nodeGroup.Size())
 	for src := range s2Send {
 		n := st.s2RecvCount[src]
 		part := simrt.Part{Bytes: int64(n) * int64(h) * elem}
-		if st.opts.Numeric && n > 0 {
+		if numeric && n > 0 {
 			buf := make([]float32, n*h)
 			for pos := 0; pos < n; pos++ {
-				copy(buf[pos*h:(pos+1)*h], dIn.Row(b.fullOfPart[src][pos]))
+				copy(buf[pos*h:(pos+1)*h], dIn.Row(st.replicaRow[src][pos]))
 			}
 			part.Data = buf
 		}
 		s2Send[src] = part
 	}
-	b.s2X = r.AlltoAllVChunk(st.nodeGroup, StageBwdS2A2A, s2Send, b.chunks)
-	if st.opts.Numeric {
+	s2X := r.AlltoAllVChunk(nodeGroup, StageBwdS2A2A, s2Send, chunks)
+	var dPilotIn *tensor.Tensor
+	if numeric {
 		// Crosses reverse S1 (sent as per-part views): allocate fresh.
-		b.dPilotIn = tensor.New(st.pilotRowsTotal, h)
-		for abs, row := range b.fullOfPilot {
-			copy(b.dPilotIn.Row(abs), dIn.Row(row))
+		dPilotIn = tensor.New(st.pilotRowsTotal, h)
+		for abs, row := range st.pilotRow {
+			copy(dPilotIn.Row(abs), dIn.Row(row))
 		}
 	}
-}
-
-// DWDone waits for reverse S2, reduces the replica gradients onto their
-// pilot rows and issues reverse S1, so OnDWReady's sync queues behind it.
-func (st *State) DWDone(r *simrt.Rank) {
-	b := st.bwd
-	d := st.d
-	h := d.Cfg.HModel
-	elem := int64(d.Cfg.BytesPerElem)
-	p := d.EP.Size()
-	chunks := b.chunks
+	e.DW() // hides the in-flight reverse S2
 
 	// --- Replica-gradient reduction onto pilot rows -------------------------
-	s2Grad := b.s2X.Wait()
-	r.Compute(StageBwdS2Red, r.C.Comp.MemBound(perfmodel.ClassTriton,
-		2*int64(st.pilotRowsTotal+b.nMerge)*int64(h)*elem))
-	var wgMeta []bwdS1Meta
-	if st.opts.Numeric {
+	s2Grad := s2X.Wait()
+	r.Compute(StageBwdS2Red, comp.MemBound(perfmodel.ClassTriton,
+		2*int64(st.pilotRowsTotal+mergeOff[chunks])*int64(h)*elem))
+	if numeric {
 		for slot, sent := range st.s2SentByMember {
 			for pos, sRec := range sent {
-				dst := b.dPilotIn.Row(int(sRec.pilotAbs))
+				dst := dPilotIn.Row(int(sRec.pilotAbs))
 				for j, v := range s2Grad[slot].Data[pos*h : (pos+1)*h] {
 					dst[j] += v
 				}
 			}
 		}
-		// The combine-weight gradients ride chunk 0's metadata; a replica's
-		// routes to the source that announced it in its s1Meta, indexed by
-		// its position there.
+	}
+
+	// --- Reverse S1 (inter-node): pilot gradients + weight grads home -------
+	// The combine-weight gradients ride chunk 0's metadata; a replica's
+	// routes to the source that announced it in its s1Meta, indexed by its
+	// position there.
+	var wgMeta []bwdS1Meta
+	if numeric {
 		wgMeta = make([]bwdS1Meta, p)
 		for src := range wgMeta {
 			off := st.pilotPartOff[src]
 			wgMeta[src] = bwdS1Meta{
-				pilotWG:   b.wgAbs[off:st.pilotPartOff[src+1]],
+				pilotWG:   wgAbs[off:st.pilotPartOff[src+1]],
 				replicaWG: make([]float32, len(st.recvMetas[src].replicas)),
 			}
 		}
 		for slot, sent := range st.s2SentByMember {
 			for pos, sRec := range sent {
-				wgMeta[sRec.src].replicaWG[sRec.ri] = b.wgRepBySlot[slot][pos]
+				wgMeta[sRec.src].replicaWG[sRec.ri] = wgRepBySlot[slot][pos]
 			}
 		}
 	}
-
-	// --- Reverse S1 (inter-node): pilot gradients + weight grads home -------
-	for c := range b.s1X {
-		send := b.parts[(chunks+c)*p : (chunks+c+1)*p]
-		st.returnParts(send, b.dPilotIn, h, elem, chunks, c)
+	for c := range s1X {
+		send := parts[(chunks+c)*p : (chunks+c+1)*p]
+		st.returnParts(send, dPilotIn, h, elem, chunks, c)
 		if c == 0 {
 			for src := range send {
 				send[src].Bytes += bwdS1MetaBytes(st.partLen(src), st.recvMetas[src].nReplicas())
-				if st.opts.Numeric {
+				if numeric {
 					send[src].Meta = wgMeta[src]
 				}
 			}
 		}
-		b.s1X[c] = r.AlltoAllVChunk(d.EP, StageBwdS1A2A, send, chunks)
+		s1X[c] = r.AlltoAllVChunk(d.EP, StageBwdS1A2A, send, chunks)
 	}
-}
+	if opts.OnDWReady != nil {
+		// No blocking collective remains (one chunk: reverse S1 has
+		// retired; chunked: its chunks are in flight).
+		opts.OnDWReady()
+	}
 
-// GradDispatch drains reverse S1 and scatters the pilot gradients into dX
-// in pilot send order, with the combine-weight gradients they carried.
-func (st *State) GradDispatch(r *simrt.Rank) (*tensor.Tensor, []float32) {
-	b := st.bwd
-	st.bwd = nil
-	h := st.d.Cfg.HModel
-	elem := int64(st.d.Cfg.BytesPerElem)
-	pft := st.pft
-	nPilotSent := len(st.pilotEntry)
-	retData, back := drainReturn(b.s1X, st.partStart, h, st.opts.Numeric)
-	r.Compute(StageBwdS1Scat, r.C.Comp.MemBound(perfmodel.ClassTriton, 2*int64(nPilotSent)*int64(h)*elem))
-	if !st.opts.Numeric {
+	// --- Drain reverse S1, then scatter into dX in pilot send order ---------
+	retData, back := drainReturn(s1X, st.partStart, h, numeric)
+	r.Compute(StageBwdS1Scat, comp.MemBound(perfmodel.ClassTriton, 2*int64(nPilotSent)*int64(h)*elem))
+	if !numeric {
 		return nil, nil
 	}
 	dx := tensor.New(st.s, h)
@@ -415,14 +331,14 @@ func (st *State) GradDispatch(r *simrt.Rank) (*tensor.Tensor, []float32) {
 			}
 		}
 	}
-	for dst := 0; dst < len(retData) && len(st.replicaEntry) > 0; dst++ {
+	for dst := 0; dst < p && len(st.replicaEntry) > 0; dst++ {
 		for ri, ent := range st.replicaEntry[dst] {
 			dWeights[ent] = back[dst].Meta.(bwdS1Meta).replicaWG[ri]
 		}
 	}
 	// The saved expert outputs are consumed: back to the arena for the next
 	// layer's pass.
-	r.Pool().Put(st.pilotOut)
+	pool.Put(st.pilotOut)
 	st.pilotOut, st.s2Back = nil, nil
 	return dx, dWeights
 }

@@ -54,47 +54,68 @@ func (st *State) Check(opts moe.PipelineOpts) error { return CheckOpts(opts) }
 // Layout: RBD moves the PFT, and picks its pilots per row in either mode.
 func (st *State) Layout() (padded, rows bool) { return false, true }
 
-// batches is how many expert batches a pass hands the body: chunked, the
-// pilot rows under the in-flight intra-node exchange and then the replica
-// rows; one chunk, all rows at once.
-func (st *State) batches() int { return min(st.opts.Chunks(), 2) }
-
-// Dispatch runs Stages 0-1 and issues Stage 2.
-func (st *State) Dispatch(r *simrt.Rank, s int, pft *moe.PFT, rows *tensor.Tensor, opts moe.PipelineOpts) int {
+// Forward runs Stages 0-2 and hands the expert rows to experts: chunked,
+// the pilot rows while Stage 2 is in flight (they are here a whole exchange
+// before the replicas) and then the replica rows, with the input complete;
+// with one chunk, all rows at once. The FFN runs once, over the whole
+// layout, with the last batch. The combine follows, and the staging
+// buffers are released unless opts.RetainActivations.
+func (st *State) Forward(r *simrt.Rank, s int, pft *moe.PFT, rows *tensor.Tensor, opts moe.PipelineOpts, e moe.Experts) *tensor.Tensor {
 	st.s, st.opts = s, opts
-	st.dispatchPilots(r, pft, rows)
-	st.s2 = r.AlltoAllVChunk(st.nodeGroup, StageS2A2A, st.d.stageReplicas(r, st, opts), opts.Chunks())
-	return st.batches()
-}
-
-// reconstruct charges the expert-input reconstruction pass over n rows.
-func (st *State) reconstruct(r *simrt.Rank, n int) {
-	rowBytes := int64(st.d.Cfg.HModel) * int64(st.d.Cfg.BytesPerElem)
-	r.Compute(StageReconstruct, r.C.Comp.MemBound(perfmodel.ClassTriton, 2*int64(n)*rowBytes))
-}
-
-// Land hands over the pilot rows (chunked, batch 0: they are here a whole
-// exchange before the replicas, and their share of the reconstruction
-// hides behind Stage 2) or waits for Stage 2 and reconstructs the expert
-// input, which is then complete: its FFN runs once, over the whole layout.
-func (st *State) Land(r *simrt.Rank, i int) moe.Batch {
-	if i+1 < st.batches() {
-		st.reconstruct(r, st.pilotRowsTotal)
-		return moe.Batch{Rows: st.PilotRowsPerLE}
+	var underS2 moe.Experts
+	if opts.Chunks() > 1 {
+		underS2 = e
 	}
+	b := moe.Batch{In: st.dispatch(r, pft, rows, underS2), Rows: st.RowsPerLE, Full: st.RowsPerLE}
+	if underS2 != nil {
+		b.Rows = st.ReplicaRowsPerLE
+	}
+	expertOut := e.Forward(b)
+	out := st.combine(r, expertOut)
+	r.Pool().Put(expertOut)
+	if !opts.RetainActivations {
+		mem := &r.Dev().Mem
+		rowBytes := int64(st.d.Cfg.HModel) * int64(st.d.Cfg.BytesPerElem)
+		bExp := st.rowsOff[st.d.EPR]
+		mem.Free("rbd_pilot_send", int64(len(st.pilotEntry))*rowBytes)
+		mem.Free("rbd_pilot_recv", int64(st.pilotRowsTotal)*rowBytes)
+		mem.Free("rbd_s2_send", int64(st.s2SentTotal)*rowBytes)
+		mem.Free("rbd_s2_recv", int64(bExp-st.pilotRowsTotal)*rowBytes)
+		mem.Free("rbd_expert_in", int64(bExp)*rowBytes)
+		mem.Free("rbd_merged", int64(st.pilotRowsTotal)*rowBytes)
+	}
+	return out
+}
+
+// dispatch runs Stages 0-2 and reconstructs the expert input in the State
+// layout (numeric; nil otherwise). underS2, when set (chunked), runs the
+// pilot rows' expert batch while the Stage-2 exchange is in flight, after
+// their share of the reconstruction, which hides behind it too.
+func (st *State) dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, underS2 moe.Experts) *tensor.Tensor {
 	d := st.d
 	h := d.Cfg.HModel
 	rowBytes := int64(h) * int64(d.Cfg.BytesPerElem)
 	mem := &r.Dev().Mem
-	s2Recv := st.s2.Wait()
+	// reconstruct charges the expert-input reconstruction pass over n rows.
+	reconstruct := func(n int) {
+		r.Compute(StageReconstruct, r.C.Comp.MemBound(perfmodel.ClassTriton, 2*int64(n)*rowBytes))
+	}
+
+	st.dispatchPilots(r, pft, dispIn)
+	s2 := r.AlltoAllVChunk(st.nodeGroup, StageS2A2A, d.stageReplicas(r, st, st.opts), st.opts.Chunks())
+	if underS2 != nil {
+		reconstruct(st.pilotRowsTotal)
+		underS2.Forward(moe.Batch{Rows: st.PilotRowsPerLE})
+	}
+	s2Recv := s2.Wait()
 
 	// Every received pilot is for one of my experts; the replicas Stage 2
-	// delivered join them, grouped per local expert. The segmentations,
-	// the offsets and (numeric) the row map's cursors share one backing.
-	ints := make([]int, 4*d.EPR+1)
+	// delivered join them, grouped per local expert. The segmentations, the
+	// block offsets and (numeric) the row map's cursors share one backing.
+	ints := make([]int, 6*d.EPR+1)
 	st.ReplicaRowsPerLE, st.RowsPerLE = ints[:d.EPR:d.EPR], ints[d.EPR:2*d.EPR:2*d.EPR]
-	st.rowsOff = ints[2*d.EPR : 3*d.EPR+1 : 3*d.EPR+1]
-	next := ints[3*d.EPR+1:]
+	st.replicaOff, st.rowsOff = ints[2*d.EPR:3*d.EPR:3*d.EPR], ints[3*d.EPR:4*d.EPR+1:4*d.EPR+1]
+	next := ints[4*d.EPR+1:]
 	st.s2RecvCount = make([]int, len(s2Recv))
 	for src, part := range s2Recv {
 		for le, n := range part.Meta.(s2Meta).perLE {
@@ -104,77 +125,75 @@ func (st *State) Land(r *simrt.Rank, i int) moe.Batch {
 	}
 	for le := range st.RowsPerLE {
 		st.RowsPerLE[le] = st.PilotRowsPerLE[le] + st.ReplicaRowsPerLE[le]
+		st.replicaOff[le] = st.rowsOff[le] + st.PilotRowsPerLE[le]
 		st.rowsOff[le+1] = st.rowsOff[le] + st.RowsPerLE[le]
 	}
 	totalRows := st.rowsOff[d.EPR]
 	mem.Alloc("rbd_s2_recv", int64(totalRows-st.pilotRowsTotal)*rowBytes)
 	mem.Alloc("rbd_expert_in", int64(totalRows)*rowBytes)
-	b := moe.Batch{Rows: st.RowsPerLE, Full: st.RowsPerLE}
-	if st.batches() > 1 {
-		// The pilot rows were charged under the exchange.
-		st.reconstruct(r, totalRows-st.pilotRowsTotal)
-		b.Rows = st.ReplicaRowsPerLE
+	if underS2 != nil {
+		reconstruct(totalRows - st.pilotRowsTotal) // the pilot rows' share went under S2
 	} else {
-		st.reconstruct(r, totalRows)
+		reconstruct(totalRows)
 	}
 	if !st.opts.Numeric {
-		return b
+		return nil
 	}
 
-	// The row map, in the State layout: next[le] walks local expert le's
-	// segment, through its pilots (sources ascending; a source's part is
-	// expert-sorted, so pos walks it once) and then its replicas.
+	// The row map: next[le] walks local expert le's segment through its
+	// pilots (sources ascending; a source's part is expert-sorted, so the
+	// absolute pilot rows walk it once) and then its replicas.
 	copy(next, st.rowsOff)
-	st.rows = make([]rowRef, totalRows)
-	for src := range st.recvMetas {
-		pos := st.pilotPartOff[src]
-		for le, c := range st.recvMetas[src].counts {
+	rowOf := make([]int, totalRows)
+	st.pilotRow, rowOf = rowOf[:st.pilotRowsTotal], rowOf[st.pilotRowsTotal:]
+	abs := 0
+	for _, m := range st.recvMetas {
+		for le, c := range m.counts {
 			for ; c > 0; c-- {
-				st.rows[next[le]] = rowRef{part: pilotPart, pos: pos}
+				st.pilotRow[abs] = next[le]
 				next[le]++
-				pos++
+				abs++
 			}
 		}
 	}
 	me := d.EP.IndexOf(r.ID)
+	st.replicaRow = make([][]int, len(s2Recv))
 	for src, part := range s2Recv {
+		st.replicaRow[src], rowOf = rowOf[:st.s2RecvCount[src]], rowOf[st.s2RecvCount[src]:]
 		for pos, rm := range part.Meta.(s2Meta).replicas {
 			le := int(rm.expert) - me*d.EPR
-			st.rows[next[le]] = rowRef{part: src, pos: pos}
+			st.replicaRow[src][pos] = next[le]
 			next[le]++
 		}
 	}
-	b.In = r.Pool().Get(totalRows, h)
-	for row, ref := range st.rows {
-		if ref.part == pilotPart {
-			copy(b.In.Row(row), st.pilotRows.Row(ref.pos))
-		} else {
-			copy(b.In.Row(row), s2Recv[ref.part].Data[ref.pos*h:(ref.pos+1)*h])
+	expertIn := r.Pool().Get(totalRows, h)
+	for abs, row := range st.pilotRow {
+		copy(expertIn.Row(row), st.pilotRows.Row(abs))
+	}
+	for src, rows := range st.replicaRow {
+		for pos, row := range rows {
+			copy(expertIn.Row(row), s2Recv[src].Data[pos*h:(pos+1)*h])
 		}
 	}
 	// pilotRows is fully consumed (stage-2 staging and the rows just
 	// copied above); return it to the rank arena.
 	r.Pool().Put(st.pilotRows)
 	st.pilotRows = nil
-	return b
+	return expertIn
 }
 
-// Return keeps the expert output for Combine; it is complete once the last
-// batch returns.
-func (st *State) Return(_ *simrt.Rank, _ int, out *tensor.Tensor) { st.expertOut = out }
-
-// Combine reverses RBD for rank r: replica expert-outputs return to the
+// combine reverses RBD for rank r: replica expert-outputs return to the
 // pilot's rank intra-node (C2), are weight-scaled and merged into the pilot
 // rows, and the inter-node return (C1, in opts.Chunks() chunks) brings the
 // merged partial sums to the source rank, which accumulates them into the
-// [s, H] layer output; unless opts.RetainActivations, RBD's staging
-// buffers are released after.
+// [s, H] layer output. expertOut is row-aligned with dispatch's expert
+// input.
 //
 // Every pilot row is scaled first and then receives its replica
 // accumulations in (slot, pos) order, whatever the chunk count: chunking
 // only buckets the accumulations by the C1 chunk their pilot row returns
 // in, so the output does not depend on it.
-func (st *State) Combine(r *simrt.Rank) *tensor.Tensor {
+func (st *State) combine(r *simrt.Rank, expertOut *tensor.Tensor) *tensor.Tensor {
 	h := st.d.Cfg.HModel
 	elem := int64(st.d.Cfg.BytesPerElem)
 	rowBytes := int64(h) * elem
@@ -187,31 +206,44 @@ func (st *State) Combine(r *simrt.Rank) *tensor.Tensor {
 		r.Compute(StageCMerge, r.C.Comp.MemBound(perfmodel.ClassTriton, 2*int64(n)*rowBytes))
 	}
 
-	// Split expert outputs back into pilot-aligned and replica-aligned
-	// rows (host-side staging, uncharged).
+	// Split the expert outputs back into the held pilots' (absolute-indexed)
+	// and, as the C2 intra-node return parts, the replicas' (host-side
+	// staging, uncharged).
 	var pilotOut *tensor.Tensor
-	replicaOut := make([][]float32, len(st.s2RecvCount))
+	c2Send := make([]simrt.Part, len(st.s2RecvCount))
 	if numeric {
 		pilotOut = r.Pool().Get(st.pilotRowsTotal, h)
-		for src := range replicaOut {
-			replicaOut[src] = make([]float32, st.s2RecvCount[src]*h)
+		for abs, row := range st.pilotRow {
+			copy(pilotOut.Row(abs), expertOut.Row(row))
 		}
-		for row, ref := range st.rows {
-			if ref.part == pilotPart {
-				copy(pilotOut.Row(ref.pos), st.expertOut.Row(row))
-			} else {
-				copy(replicaOut[ref.part][ref.pos*h:(ref.pos+1)*h], st.expertOut.Row(row))
+	}
+	for src, n := range st.s2RecvCount {
+		c2Send[src].Bytes = int64(n) * rowBytes
+		if numeric {
+			c2Send[src].Data = make([]float32, n*h)
+			for pos, row := range st.replicaRow[src] {
+				copy(c2Send[src].Data[pos*h:(pos+1)*h], expertOut.Row(row))
 			}
 		}
 	}
-	st.expertOut = nil
 
 	// --- Combine stage 2 (intra-node): return replica outputs --------------
-	c2 := r.AlltoAllVChunk(st.nodeGroup, StageC2A2A, st.c2Parts(replicaOut, h, elem), chunks)
+	// Every held pilot row is scaled by its combine weight first; replica
+	// accumulations follow in (slot, pos) order.
+	c2 := r.AlltoAllVChunk(st.nodeGroup, StageC2A2A, c2Send, chunks)
 	var merged *tensor.Tensor
 	mem.Alloc("rbd_merged", int64(st.pilotRowsTotal)*rowBytes)
 	if numeric {
-		merged = st.scalePilots(pilotOut, h)
+		merged = tensor.New(st.pilotRowsTotal, h)
+		for src, m := range st.recvMetas {
+			for pos, w := range m.weights {
+				abs := st.pilotPartOff[src] + pos
+				dst := merged.Row(abs)
+				for j, v := range pilotOut.Row(abs) {
+					dst[j] = w * v
+				}
+			}
+		}
 	}
 	if chunks > 1 {
 		// Chunked, the pilot scaling — which reads no replica row — is its
@@ -219,8 +251,17 @@ func (st *State) Combine(r *simrt.Rank) *tensor.Tensor {
 		merge(st.pilotRowsTotal)
 	}
 	s2Back := c2.Wait()
-	if numeric {
-		st.keepOutputs(r, pilotOut, s2Back)
+	if numeric && st.opts.SaveForBackward {
+		// The backward dots the merged-row gradients against the
+		// pre-scaling outputs; the replica return payloads are sender-fresh,
+		// so the views stay valid past the rendezvous.
+		st.pilotOut = pilotOut
+		st.s2Back = make([][]float32, len(s2Back))
+		for slot := range s2Back {
+			st.s2Back[slot] = s2Back[slot].Data
+		}
+	} else {
+		r.Pool().Put(pilotOut)
 	}
 
 	// --- Merge replicas into pilots + inter-node pilot return --------------
@@ -249,16 +290,23 @@ func (st *State) Combine(r *simrt.Rank) *tensor.Tensor {
 		st.returnParts(sendBack, merged, h, elem, chunks, c)
 		c1[c] = r.AlltoAllVChunk(st.d.EP, StageC1A2A, sendBack, chunks)
 	}
-	out := st.finishCombine(r, c1)
 
-	if !st.opts.RetainActivations {
-		bExp := st.rowsOff[st.d.EPR]
-		mem.Free("rbd_pilot_send", int64(len(st.pilotEntry))*rowBytes)
-		mem.Free("rbd_pilot_recv", int64(st.pilotRowsTotal)*rowBytes)
-		mem.Free("rbd_s2_send", int64(st.s2SentRows())*rowBytes)
-		mem.Free("rbd_s2_recv", int64(bExp-st.pilotRowsTotal)*rowBytes)
-		mem.Free("rbd_expert_in", int64(bExp)*rowBytes)
-		mem.Free("rbd_merged", int64(st.pilotRowsTotal)*rowBytes)
+	// --- Source side: the returned merged rows into the [s, H] output ------
+	retData, _ := drainReturn(c1, st.partStart, h, numeric)
+	r.Compute(StageCScatter, r.C.Comp.MemBound(perfmodel.ClassTriton, 2*int64(len(st.pilotEntry))*rowBytes))
+	mem.Alloc("output", int64(st.s)*rowBytes)
+	if !numeric {
+		return nil
+	}
+	out := tensor.New(st.s, h)
+	// Parts return in member order; rows align with the pilot send order.
+	for dst, ret := range retData {
+		for pos, ent := range st.pilotEntry[st.partStart[dst]:st.partStart[dst+1]] {
+			dstRow := out.Row(st.pft.TokenIDs[ent])
+			for j, v := range ret[pos*h : (pos+1)*h] {
+				dstRow[j] += v
+			}
+		}
 	}
 	return out
 }

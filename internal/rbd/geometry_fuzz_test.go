@@ -183,9 +183,21 @@ func checkGeometry(t *testing.T, gc geomCase) {
 			for _, n := range st.s2RecvCount {
 				nS2 += n
 			}
-			if nPilot != st.pilotRowsTotal || nReplica != nS2 || len(st.rows) != nPilot+nReplica {
+			// rows[i] is the origin of State-layout row i, from the row map.
+			rows := make([]rowRef, nPilot+nReplica)
+			mapped := len(st.pilotRow)
+			for abs, row := range st.pilotRow {
+				rows[row] = rowRef{part: pilotPart, pos: abs}
+			}
+			for part, rs := range st.replicaRow {
+				mapped += len(rs)
+				for pos, row := range rs {
+					rows[row] = rowRef{part: part, pos: pos}
+				}
+			}
+			if nPilot != st.pilotRowsTotal || nReplica != nS2 || mapped != nPilot+nReplica {
 				t.Fatalf("%+v C=%d rank %d: %d rows mapped; segments hold %d pilots + %d replicas, received %d + %d",
-					gc, chunks, rank, len(st.rows), nPilot, nReplica, st.pilotRowsTotal, nS2)
+					gc, chunks, rank, mapped, nPilot, nReplica, st.pilotRowsTotal, nS2)
 			}
 			pilotSeen := make([]bool, st.pilotRowsTotal)
 			s2Seen := make([][]bool, len(st.s2RecvCount))
@@ -197,7 +209,7 @@ func checkGeometry(t *testing.T, gc geomCase) {
 				// (part, pos) must ascend through the segment, pilots first.
 				prev := rowRef{part: pilotPart, pos: -1}
 				for i := 0; i < st.RowsPerLE[le]; i, row = i+1, row+1 {
-					ref := st.rows[row]
+					ref := rows[row]
 					if (ref.part == pilotPart) != (i < st.PilotRowsPerLE[le]) ||
 						ref.part < prev.part || (ref.part == prev.part && ref.pos <= prev.pos) {
 						t.Fatalf("%+v C=%d rank %d: expert %d row %d is %+v after %+v", gc, chunks, rank, le, i, ref, prev)
@@ -334,3 +346,12 @@ func FuzzRBDGeometry(f *testing.F) {
 		checkGeometry(t, gc)
 	})
 }
+
+// rowRef is the origin of one expert-input row: a received pilot (part is
+// pilotPart, pos its absolute row in the received pilot buffer) or a
+// replica delivered by Stage 2 (pos within node-group member part's
+// payload).
+type rowRef struct{ part, pos int }
+
+// pilotPart is rowRef.part of a pilot row.
+const pilotPart = -1

@@ -76,7 +76,7 @@ func selectPilotsRef(d *Dispatcher, pft *moe.PFT, rng *tensor.RNG) pilotSel {
 		if !isPilot[i] {
 			continue
 		}
-		dst := d.memberOfExpert(pft.ExpertIDs[i])
+		dst := pft.ExpertIDs[i] / d.EPR
 		if len(sel.metas[dst].weights) == 0 {
 			partStart[dst] = len(sel.pilotEntry)
 		}
@@ -90,7 +90,7 @@ func selectPilotsRef(d *Dispatcher, pft *moe.PFT, rng *tensor.RNG) pilotSel {
 			continue
 		}
 		pe := pilotOf[i]
-		dst := d.memberOfExpert(pft.ExpertIDs[pe])
+		dst := pft.ExpertIDs[pe] / d.EPR
 		sel.metas[dst].replicas = append(sel.metas[dst].replicas, replicaMeta{
 			pilotRel: int32(sendPos[pe] - partStart[dst]),
 			expert:   int32(pft.ExpertIDs[i]),

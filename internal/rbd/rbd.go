@@ -60,19 +60,14 @@ type Dispatcher struct {
 	EPR int
 	// nodeOfMember[m] is the machine node of EP member m.
 	nodeOfMember []int
-	// memberOf[e] and nodeOf[e] are the EP member owning global expert e
-	// and the machine node hosting it: tables, because the Stage-2 staging
-	// asks once per replica.
-	memberOf, nodeOf []int32
+	// nodeOf[e] is the machine node hosting global expert e.
+	nodeOf []int32
 	// nodeGroups maps node id -> intra-node communicator (EP members on
 	// that node).
 	nodeGroups map[int]*simrt.Group
 	// nodeMembers maps node id -> EP member indices on that node
 	// (ascending).
 	nodeMembers map[int][]int
-	// slotOfMember[m] is member m's slot within its node group — hoisted
-	// out of the per-layer dispatch hot path.
-	slotOfMember []int
 	// nodeLo[m] is the first expert on member m's node, so a replica key
 	// expert - nodeLo[m] is slot*EPR + le of the expert's owner there.
 	nodeLo []int
@@ -96,11 +91,9 @@ func NewDispatcher(c *simrt.Cluster, ep *simrt.Group, cfg moe.Config) *Dispatche
 		EP:           ep,
 		EPR:          cfg.NumExperts / ep.Size(),
 		nodeOfMember: make([]int, ep.Size()),
-		memberOf:     make([]int32, cfg.NumExperts),
 		nodeOf:       make([]int32, cfg.NumExperts),
 		nodeGroups:   map[int]*simrt.Group{},
 		nodeMembers:  map[int][]int{},
-		slotOfMember: make([]int, ep.Size()),
 		nodeLo:       make([]int, ep.Size()),
 		nodeSlot:     make([]int32, cfg.NumExperts),
 	}
@@ -113,13 +106,11 @@ func NewDispatcher(c *simrt.Cluster, ep *simrt.Group, cfg moe.Config) *Dispatche
 		ranks := make([]int, len(members))
 		for i, m := range members {
 			ranks[i] = ep.Ranks()[m]
-			d.slotOfMember[m] = i
 			d.nodeLo[m] = members[0] * d.EPR
 		}
 		d.nodeGroups[node] = c.NewGroup(ranks)
 	}
-	for e := range d.memberOf {
-		d.memberOf[e] = int32(e / d.EPR)
+	for e := range d.nodeOf {
 		d.nodeOf[e] = int32(d.nodeOfMember[e/d.EPR])
 		if e > 0 && d.nodeOf[e] != d.nodeOf[e-1] {
 			d.nodes++
@@ -135,9 +126,6 @@ func NewDispatcher(c *simrt.Cluster, ep *simrt.Group, cfg moe.Config) *Dispatche
 	}
 	return d
 }
-
-// memberOfExpert returns the EP member owning global expert e.
-func (d *Dispatcher) memberOfExpert(e int) int { return int(d.memberOf[e]) }
 
 // nodeKeys is the number of replica keys of member m's node: its members
 // times EPR.
@@ -202,15 +190,6 @@ type s2Meta struct {
 	replicas []replicaMeta
 }
 
-// rowRef is the origin of one expert-input row: a received pilot (part is
-// pilotPart, pos its absolute row in the received pilot buffer) or a
-// replica delivered by Stage 2 (pos within node-group member part's
-// payload).
-type rowRef struct{ part, pos int }
-
-// pilotPart is rowRef.part of a pilot row.
-const pilotPart = -1
-
 // s2Sent records, on the pilot-holding rank of a numeric pass, where each
 // Stage-2 replica row must merge back during combine, and which source rank
 // announced it (src = EP member, ri = index into that source's
@@ -255,18 +234,21 @@ type State struct {
 	pilotPartOff   []int
 	pilotRowsTotal int
 	pilotRows      *tensor.Tensor // received pilot payload (numeric, until reconstruction)
-	s2             simrt.Exchange // the forward's Stage 2, in flight until its rows land
 	s2SentCount    []int          // replica rows staged to each node member
+	s2SentTotal    int            // and in all
 	s2SentByMember [][]s2Sent     // [nodeMember][pos] merge targets (numeric)
 	s2RecvCount    []int          // rows received from each node member
 	// RowsPerLE is the expert input segmentation for the sequential GEMM:
 	// PilotRowsPerLE + ReplicaRowsPerLE, the sizes of each local expert's
-	// two blocks; rowsOff[le] is local expert le's first row.
+	// two blocks, whose first rows are rowsOff[le] and replicaOff[le].
 	RowsPerLE, PilotRowsPerLE, ReplicaRowsPerLE []int
-	rowsOff                                     []int
-	// rows[i] is the origin of expert-input row i. Only the numeric passes
-	// move rows, so a symbolic dispatch leaves it nil.
-	rows []rowRef
+	rowsOff, replicaOff                         []int
+	// The row map: pilotRow[abs] is the State-layout row of received pilot
+	// abs, and replicaRow[part][pos] that of replica pos of the Stage-2
+	// part from node member part. Only the numeric passes move rows, so a
+	// symbolic dispatch leaves them nil.
+	pilotRow   []int
+	replicaRow [][]int
 	// node group used for stage 2
 	nodeGroup *simrt.Group
 	// replicaEntry[dst][ri] (numeric with SaveForBackward only) is the PFT
@@ -274,15 +256,12 @@ type State struct {
 	// mirroring the s1Meta.replicas order so returned weight gradients map
 	// back to entries.
 	replicaEntry [][]int
-	// expertOut is the expert output the body returned (numeric). With
-	// SaveForBackward, pilotOut keeps every held pilot row's expert output
-	// ([pilotRowsTotal, H], absolute-indexed) and s2Back[slot] the replica
-	// outputs C2 returned, aligned with s2SentByMember[slot]: the
+	// With SaveForBackward, pilotOut keeps every held pilot row's expert
+	// output ([pilotRowsTotal, H], absolute-indexed) and s2Back[slot] the
+	// replica outputs C2 returned, aligned with s2SentByMember[slot]: the
 	// combine-weight gradients dot against them.
-	expertOut, pilotOut *tensor.Tensor
-	s2Back              [][]float32
-	// bwd is the backward pass in progress.
-	bwd *bwdPass
+	pilotOut *tensor.Tensor
+	s2Back   [][]float32
 }
 
 // partLen is the length of src's pilot part: the rows src sent this rank
@@ -302,11 +281,8 @@ func (d *Dispatcher) newState(rng *tensor.RNG) *State { return &State{d: d, rng:
 // layout (numeric mode).
 func (d *Dispatcher) Dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, rng *tensor.RNG, opts moe.PipelineOpts) (*State, *tensor.Tensor) {
 	st := d.newState(rng)
-	var in *tensor.Tensor
-	for i, n := 0, st.Dispatch(r, 0, pft, dispIn, opts); i < n; i++ {
-		in = st.Land(r, i).In
-	}
-	return st, in
+	st.opts = opts
+	return st, st.dispatch(r, pft, dispIn, nil)
 }
 
 // DispatchPilots runs RBD stages 0-1 for rank r: pilot selection, pilot
@@ -617,6 +593,7 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State, opts moe.PipelineOp
 		}
 		nReplicasIn += st.s2SentCount[slot]
 	}
+	st.s2SentTotal = nReplicasIn
 	r.Compute(StageS2Inst, comp.MemBound(perfmodel.ClassTriton, 2*int64(nReplicasIn)*int64(h)*elem))
 	mem.Alloc("rbd_s2_send", int64(nReplicasIn)*int64(h)*elem)
 
@@ -671,54 +648,11 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State, opts moe.PipelineOp
 }
 
 // Combine reverses RBD for rank r on its own, outside the layer body (see
-// State.Combine): expertOut must be row-aligned with the buffer returned by
+// State.combine): expertOut must be row-aligned with the buffer returned by
 // Dispatch, and s is the layer's local token count.
 func (d *Dispatcher) Combine(r *simrt.Rank, st *State, expertOut *tensor.Tensor, s int, opts moe.PipelineOpts) *tensor.Tensor {
-	st.s, st.opts, st.expertOut = s, opts, expertOut
-	return st.Combine(r)
-}
-
-// c2Parts wraps the replica expert outputs, one payload per node member
-// (nil in symbolic mode), as the C2 intra-node return parts.
-func (st *State) c2Parts(replicaOut [][]float32, h int, elem int64) []simrt.Part {
-	send := make([]simrt.Part, len(st.s2RecvCount))
-	for slot, n := range st.s2RecvCount {
-		send[slot] = simrt.Part{Data: replicaOut[slot], Bytes: int64(n) * int64(h) * elem}
-	}
-	return send
-}
-
-// scalePilots starts the merge buffer: every held pilot row's expert
-// output (pilotOut, absolute-indexed) scaled by its combine weight, which
-// precedes any replica accumulation onto the row.
-func (st *State) scalePilots(pilotOut *tensor.Tensor, h int) *tensor.Tensor {
-	merged := tensor.New(st.pilotRowsTotal, h)
-	for src, m := range st.recvMetas {
-		for pos, w := range m.weights {
-			abs := st.pilotPartOff[src] + pos
-			dst := merged.Row(abs)
-			for j, v := range pilotOut.Row(abs) {
-				dst[j] = w * v
-			}
-		}
-	}
-	return merged
-}
-
-// keepOutputs hands the pre-scaling expert outputs to the backward, which
-// dots the merged-row gradients against them (the replica return payloads
-// are sender-fresh, so the views stay valid past the rendezvous), or
-// recycles pilotOut when nothing is saved.
-func (st *State) keepOutputs(r *simrt.Rank, pilotOut *tensor.Tensor, s2Back []simrt.Part) {
-	if !st.opts.SaveForBackward {
-		r.Pool().Put(pilotOut)
-		return
-	}
-	st.pilotOut = pilotOut
-	st.s2Back = make([][]float32, len(s2Back))
-	for slot := range s2Back {
-		st.s2Back[slot] = s2Back[slot].Data
-	}
+	st.s, st.opts = s, opts
+	return st.combine(r, expertOut)
 }
 
 // returnParts fills send with chunk c of every source's merged pilot rows
@@ -769,41 +703,6 @@ func drainReturn(xs []simrt.Exchange, partStart []int, h int, numeric bool) (ret
 		}
 	}
 	return ret, first
-}
-
-// finishCombine drains the C1 pilot-return chunks on the source rank and
-// reconstructs the [s, H] layer output from them.
-func (st *State) finishCombine(r *simrt.Rank, c1 []simrt.Exchange) *tensor.Tensor {
-	h := st.d.Cfg.HModel
-	elem := int64(st.d.Cfg.BytesPerElem)
-	retData, _ := drainReturn(c1, st.partStart, h, st.opts.Numeric)
-
-	r.Compute(StageCScatter, r.C.Comp.MemBound(perfmodel.ClassTriton,
-		2*int64(len(st.pilotEntry))*int64(h)*elem))
-	r.Dev().Mem.Alloc("output", int64(st.s)*int64(h)*elem)
-	if !st.opts.Numeric {
-		return nil
-	}
-	out := tensor.New(st.s, h)
-	// Parts return in member order; rows align with the pilot send order.
-	for dst, ret := range retData {
-		for pos, ent := range st.pilotEntry[st.partStart[dst]:st.partStart[dst+1]] {
-			dstRow := out.Row(st.pft.TokenIDs[ent])
-			for j, v := range ret[pos*h : (pos+1)*h] {
-				dstRow[j] += v
-			}
-		}
-	}
-	return out
-}
-
-// s2SentRows is how many replica rows this rank staged into Stage 2.
-func (st *State) s2SentRows() int {
-	n := 0
-	for _, c := range st.s2SentCount {
-		n += c
-	}
-	return n
 }
 
 // mergeRef locates one Stage-2 replica row: st.s2SentByMember[slot][pos].

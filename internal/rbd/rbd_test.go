@@ -491,8 +491,8 @@ func TestStageReplicasOrder(t *testing.T) {
 			staged += len(meta)
 			for pos, rm := range meta {
 				sr := sent[pos]
-				if d.memberOfExpert(int(rm.expert)) != members[slot] {
-					return fmt.Errorf("slot %d pos %d: expert %d belongs to member %d", slot, pos, rm.expert, d.memberOfExpert(int(rm.expert)))
+				if int(rm.expert)/d.EPR != members[slot] {
+					return fmt.Errorf("slot %d pos %d: expert %d belongs to member %d", slot, pos, rm.expert, int(rm.expert)/d.EPR)
 				}
 				if rm != st.recvMetas[sr.src].replicas[sr.ri] || sr.weight != rm.weight ||
 					int(sr.pilotAbs) != st.pilotPartOff[sr.src]+int(rm.pilotRel) {
