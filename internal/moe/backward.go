@@ -32,23 +32,27 @@ type BackwardResult struct {
 	DCombineWeights []float32
 }
 
-// PFTBackward is Backward for the state of PFTForward; g is the forward's.
-func PFTBackward(r *simrt.Rank, _ *simrt.Group, cfg Config, st *PFTFwdState,
+// PFTBackward is st.Backward for the state of PFTForward; g and cfg are
+// the forward's, which the state carries.
+func PFTBackward(r *simrt.Rank, _ *simrt.Group, _ Config, st *PFTFwdState,
 	dOut *tensor.Tensor, params *ExpertParams, opts PipelineOpts) BackwardResult {
-	return Backward(r, cfg, st, dOut, params, opts)
+	return st.Backward(r, dOut, params, opts)
 }
 
-// PaddedBackward is Backward for the state of PaddedForward, which carries
-// its layout; it stays for callers written against the padded pair.
-func PaddedBackward(r *simrt.Rank, _ *simrt.Group, cfg Config, st *PFTFwdState,
+// PaddedBackward is st.Backward for the state of PaddedForward, which
+// carries its layout; it stays for callers written against the padded
+// pair.
+func PaddedBackward(r *simrt.Rank, _ *simrt.Group, _ Config, st *PFTFwdState,
 	dOut *tensor.Tensor, params *ExpertParams, opts PipelineOpts) BackwardResult {
-	return Backward(r, cfg, st, dOut, params, opts)
+	return st.Backward(r, dOut, params, opts)
 }
 
 // Backward is the one backward body of the MoE layer (paper §4.3:
 // "expert-specific gradient computation and alltoall communications,
-// mirroring the forward process") for the forward state st of any
-// transport and the output gradient dOut [S, H]: the state's exchange
+// mirroring the forward process") for this forward state of any transport
+// and the output gradient dOut [S, H], under the forward's layer
+// configuration; it is what a transport's saved state runs. The state's
+// exchange
 // reverses the combine, lands the gradient batches and reverses the
 // dispatch into dX; in between, each batch runs the expert GEMM and
 // activation backward, and the dW GEMMs run over the complete segments.
@@ -66,14 +70,15 @@ func PaddedBackward(r *simrt.Rank, _ *simrt.Group, cfg Config, st *PFTFwdState,
 // complete segments, hide the tail of the return trip (see overlap.go for
 // the model and for what a single chunk skips). Gradients are
 // bit-identical for any chunk count. A missing state, or a numeric pass
-// over a symbolic one, panics with an *OptionError.
-func Backward(r *simrt.Rank, cfg Config, st *PFTFwdState, dOut *tensor.Tensor, params *ExpertParams, opts PipelineOpts) BackwardResult {
+// over a symbolic one (or a nil state), panics with an *OptionError.
+func (st *PFTFwdState) Backward(r *simrt.Rank, dOut *tensor.Tensor, params *ExpertParams, opts PipelineOpts) BackwardResult {
 	if err := checkBackward(st, opts); err != nil {
 		panic(err)
 	}
 	padded, _ := st.Ex.Layout()
 	l := &st.l
-	l.r, l.cfg, l.params, l.opts, l.kp = r, cfg, params, opts, profileOf(padded, opts.Kernels)
+	cfg := l.cfg
+	l.r, l.params, l.opts, l.kp = r, params, opts, profileOf(padded, opts.Kernels)
 	// The gradients land in the full layout; each batch runs its dX chain
 	// there (layer.Backward), and the exchange sends the batch's input
 	// gradients home. Rank-local backward scratch comes from the per-rank

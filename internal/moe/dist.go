@@ -379,7 +379,7 @@ func (kp kernelProfile) act(comp *perfmodel.Model, cfg Config, rows int) float64
 // expert stages run in opts.Chunks() chunks (see overlap.go); one chunk
 // is the blocking pipeline.
 func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams, opts PipelineOpts) LayerResult {
-	return Forward(r, newFlat(g, cfg, false), cfg, s, x, routing, params, opts)
+	return Forward(r, &flat{g: g, cfg: cfg}, cfg, s, x, routing, params, opts)
 }
 
 // PaddedForward executes the conventional zero-padded MoE layer used by
@@ -391,7 +391,10 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 // first), and the profile of opts.Kernels prices the dispatch mask, the
 // mask-einsum or vendor buffer passes and the batched padded expert GEMMs.
 func PaddedForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams, opts PipelineOpts) LayerResult {
-	res := Forward(r, newFlat(g, cfg, true), cfg, s, x, routing, params, opts)
+	if err := CheckPaddedOpts(opts); err != nil {
+		panic(err)
+	}
+	res := Forward(r, &flat{g: g, cfg: cfg, padded: true}, cfg, s, x, routing, params, opts)
 	res.PaddedState = res.State
 	return res
 }
@@ -400,9 +403,10 @@ func PaddedForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.T
 // the rows: gating and layout construction, the gather-kernel buffer
 // dispatch, the exchange's dispatch, the expert FFN over each batch the
 // exchange lands, and the exchange's combine into the [s, H] output. It
-// panics with ex.Check's *OptionError on options the transport rejects.
+// panics with PipelineOpts.Check's *OptionError on invalid options; a
+// transport's entry point rejects what only it cannot honour first.
 func Forward(r *simrt.Rank, ex Exchange, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams, opts PipelineOpts) LayerResult {
-	if err := ex.Check(opts); err != nil {
+	if err := opts.Check(); err != nil {
 		panic(err)
 	}
 	padded, rows := ex.Layout()
@@ -436,12 +440,11 @@ func Forward(r *simrt.Rank, ex Exchange, cfg Config, s int, x *tensor.Tensor, ro
 	st := &PFTFwdState{Ex: ex, l: layer{r: r, cfg: cfg, params: params, opts: opts, kp: kp, numeric: opts.Numeric}}
 	l := &st.l
 	output := ex.Forward(r, s, pft, dispIn, opts, l)
-	bExp := l.bExp
 
 	if !opts.RetainActivations {
 		mem.Free("dispatch_in", int64(b)*int64(h)*elem)
-		mem.Free("A0_interm", int64(bExp)*int64(f)*elem)
-		mem.Free("A1_interm", int64(bExp)*int64(f)*elem)
+		mem.Free("A0_interm", int64(l.bExp)*int64(f)*elem)
+		mem.Free("A1_interm", int64(l.bExp)*int64(f)*elem)
 		for _, buf := range live {
 			if buf.tag != "" {
 				mem.Free(buf.tag, buf.bytes)
@@ -453,7 +456,7 @@ func Forward(r *simrt.Rank, ex Exchange, cfg Config, s int, x *tensor.Tensor, ro
 		Output:       output,
 		PFT:          pft,
 		RoutedTokens: len(routing.Experts) - pft.Dropped,
-		RecvTokens:   bExp,
+		RecvTokens:   l.bExp,
 		Dropped:      pft.Dropped,
 	}
 	if opts.SaveForBackward {

@@ -20,9 +20,6 @@ import (
 // The flat all-to-all of the PFT and padded pipelines (this file) and rbd's
 // State are the two implementations.
 type Exchange interface {
-	// Check reports what of opts the transport cannot honour, every
-	// PipelineOpts.Check rejection included, as an *OptionError.
-	Check(opts PipelineOpts) error
 	// Layout reports whether the exchange moves the capacity-padded layout
 	// and whether it reads the layout's rows in a symbolic pass too.
 	Layout() (padded, rows bool)
@@ -96,32 +93,12 @@ type flat struct {
 	combineIn                                                   *tensor.Tensor // numeric: the returned rows, layout order
 }
 
-func newFlat(g *simrt.Group, cfg Config, padded bool) *flat {
-	return &flat{g: g, cfg: cfg, padded: padded}
-}
-
-func (x *flat) Check(opts PipelineOpts) error {
-	if x.padded {
-		return CheckPaddedOpts(opts)
-	}
-	return opts.Check()
-}
-
 func (x *flat) Layout() (padded, rows bool) { return x.padded, false }
 
 // fusedBackward reports X-MoE's single-chunk expert backward, one fused dX
 // + dW kernel per expert segment (overlap.go), which the padded layout's
 // frameworks never run.
 func fusedBackward(chunks int, padded bool) bool { return chunks == 1 && !padded }
-
-// exchanges returns one pass's part backing, chunk c's outbound parts at
-// [c*P, (c+1)*P) and its return parts C*P further, and its outbound and
-// return exchanges. A single backing per pass keeps the allocation count
-// independent of C.
-func (x *flat) exchanges(chunks int) (parts []simrt.Part, out, back []simrt.Exchange) {
-	xs := make([]simrt.Exchange, 2*chunks)
-	return make([]simrt.Part, 2*chunks*x.g.Size()), xs[:chunks], xs[chunks:]
-}
 
 // chunk fills n/at/saveAt/rows with chunk c's blocks and returns its rows.
 func (x *flat) chunk(chunks, c int) (bc int) {
@@ -137,6 +114,17 @@ func (x *flat) chunk(chunks, c int) (bc int) {
 		}
 	}
 	return bc
+}
+
+// drain waits for the return chunks and, numeric, lands their rows in the
+// layout-ordered dst.
+func (x *flat) drain(back []simrt.Exchange, dst *tensor.Tensor) {
+	for c, xc := range back {
+		got := xc.Wait()
+		if dst != nil {
+			unpackSegments(dst, got, x.pft.TokensPerExpert, x.segStart, len(x.rows), x.cfg.HModel, len(back), c)
+		}
+	}
 }
 
 // reorder charges a memory-bound pass over bc rows.
@@ -173,7 +161,11 @@ func (x *flat) Forward(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts
 		x.segStart[ex] = run
 		run += pft.TokensPerExpert[ex]
 	}
-	parts, out, back := x.exchanges(chunks)
+	// One part and one exchange backing per pass keep the allocation count
+	// independent of C: chunk c's outbound parts sit at [c*P, (c+1)*P), its
+	// return parts C*P further.
+	parts, xs := make([]simrt.Part, 2*chunks*p), make([]simrt.Exchange, 2*chunks)
+	out, back := xs[:chunks], xs[chunks:]
 	for c := range out {
 		send := parts[c*p : (c+1)*p]
 		chunkRows := packSegments(send, rows, pft.TokensPerExpert, x.segStart, epr, h, elem, chunks, c)
@@ -245,12 +237,7 @@ func (x *flat) Forward(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts
 	if opts.Numeric {
 		x.combineIn = pool.Get(b, h)
 	}
-	for c := range back {
-		got := back[c].Wait()
-		if opts.Numeric {
-			unpackSegments(x.combineIn, got, pft.TokensPerExpert, x.segStart, epr, h, chunks, c)
-		}
-	}
+	x.drain(back, x.combineIn)
 	r.Compute(StageCombine, kp.bufferPass(r.C.Comp, x.cfg, s, b, combElem))
 	var output *tensor.Tensor
 	if opts.Numeric {
@@ -292,28 +279,23 @@ func (x *flat) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOp
 	if opts.Numeric {
 		dCombineIn = sendPool.Get(b, h)
 		dWeights = make([]float32, b)
-	}
-	parts, out, back := x.exchanges(chunks)
-	for c := range out {
-		if opts.Numeric {
-			for e, cnt := range pft.TokensPerExpert {
-				lo, hi := simrt.ChunkRange(cnt, chunks, c)
-				for i := x.segStart[e] + lo; i < x.segStart[e]+hi; i++ {
-					tok := pft.TokenIDs[i]
-					if tok < 0 {
-						continue
-					}
-					gRow, xRow, dRow := dOut.Row(tok), x.combineIn.Row(i), dCombineIn.Row(i)
-					w := pft.CombineWeights[i]
-					var dot float32
-					for j := range gRow {
-						dRow[j] = gRow[j] * w
-						dot += gRow[j] * xRow[j]
-					}
-					dWeights[i] = dot
-				}
+		for i, tok := range pft.TokenIDs {
+			if tok < 0 {
+				continue
 			}
+			gRow, xRow, dRow := dOut.Row(tok), x.combineIn.Row(i), dCombineIn.Row(i)
+			w := pft.CombineWeights[i]
+			var dot float32
+			for j := range gRow {
+				dRow[j] = gRow[j] * w
+				dot += gRow[j] * xRow[j]
+			}
+			dWeights[i] = dot
 		}
+	}
+	parts, xs := make([]simrt.Part, 2*chunks*p), make([]simrt.Exchange, 2*chunks)
+	out, back := xs[:chunks], xs[chunks:]
+	for c := range out {
 		send := parts[c*p : (c+1)*p]
 		chunkRows := packSegments(send, dCombineIn, pft.TokensPerExpert, x.segStart, epr, h, elem, chunks, c)
 		r.Compute(StageBwdCombine, kp.bufferPass(r.C.Comp, x.cfg, x.s, chunkRows, elem))
@@ -366,12 +348,7 @@ func (x *flat) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOp
 	if opts.Numeric {
 		dDispIn = pool.Get(b, h)
 	}
-	for c := range back {
-		got := back[c].Wait()
-		if opts.Numeric {
-			unpackSegments(dDispIn, got, pft.TokensPerExpert, x.segStart, epr, h, chunks, c)
-		}
-	}
+	x.drain(back, dDispIn)
 	r.Compute(StageBwdDispatch, kp.bufferPass(r.C.Comp, x.cfg, x.s, b, elem))
 	if !opts.Numeric {
 		return nil, nil

@@ -50,13 +50,7 @@ type PFT struct {
 }
 
 // B returns the number of retained routed-token rows.
-func (p *PFT) B() int {
-	b := 0
-	for _, c := range p.TokensPerExpert {
-		b += c
-	}
-	return b
-}
+func (p *PFT) B() int { return sum(p.TokensPerExpert) }
 
 // BuildPFT constructs the PFT from a routing per Listing 1: flatten the
 // [S, K] assignment array, order entries expert-major, apply the drop

@@ -63,19 +63,14 @@ type bwdS1Meta struct {
 	replicaWG []float32
 }
 
-// bwdS1MetaBytes is the wire charge for the part's weight-gradient
-// metadata, mirroring the forward s1Meta convention (4 bytes per float).
-func bwdS1MetaBytes(nPilot, nReplica int) int64 {
-	return int64(nPilot+nReplica) * 4
-}
-
 // Backward runs the distributed backward pass of the RBD-transport MoE
-// layer: the one backward body (moe.Backward) over the forward state saved
+// layer: the one backward body (FwdState.Backward) over the forward state saved
 // by Forward with opts.SaveForBackward, reversing every stage over the same
 // link classes (see the package comment above). It returns dX, the
 // per-local-expert weight gradients, and the per-PFT-entry combine-weight
 // gradients; in symbolic mode (opts.Numeric false) it charges its modeled
-// times and integer-exact wire volumes only. d is the forward's.
+// times and integer-exact wire volumes only. d and cfg are the forward's,
+// which the state carries.
 //
 // opts.OverlapChunks changes the schedule (the model of moe/overlap.go):
 // the reverse-C1 merged-gradient return is split by the forward C1
@@ -90,9 +85,9 @@ func bwdS1MetaBytes(nPilot, nReplica int) int64 {
 //
 // opts.OnDWReady, when set, fires exactly once, after dW completes and
 // every reverse-S1 exchange is issued (one chunk: has retired).
-func Backward(r *simrt.Rank, _ *Dispatcher, cfg moe.Config, fwd *FwdState,
+func Backward(r *simrt.Rank, _ *Dispatcher, _ moe.Config, fwd *FwdState,
 	dOut *tensor.Tensor, params *moe.ExpertParams, opts moe.PipelineOpts) moe.BackwardResult {
-	return moe.Backward(r, cfg, fwd, dOut, params, opts)
+	return fwd.Backward(r, dOut, params, opts)
 }
 
 // gradAndDot writes dst = w * gRow and returns <gRow, oRow>.
@@ -119,7 +114,6 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 	nodeGroup := st.nodeGroup
 	chunks := opts.Chunks()
 	numeric := opts.Numeric
-	nPilotSent := len(st.pilotEntry)
 	parts := make([]simrt.Part, 2*chunks*p)
 	exchanges := make([]simrt.Exchange, 2*chunks)
 	c1X, s1X := exchanges[:chunks], exchanges[chunks:]
@@ -131,24 +125,14 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 	// pilot send order is expert-major), so it is allocated fresh.
 	var dRet *tensor.Tensor
 	if numeric {
-		dRet = tensor.New(nPilotSent, h)
+		dRet = tensor.New(len(st.pilotEntry), h)
+		for i, ent := range st.pilotEntry {
+			copy(dRet.Row(i), dOut.Row(pft.TokenIDs[ent]))
+		}
 	}
 	for c := range c1X {
 		send := parts[c*p : (c+1)*p]
-		chunkRows := 0
-		for dst := 0; dst < p; dst++ {
-			lo := st.partStart[dst]
-			clo, chi := simrt.ChunkRange(st.partStart[dst+1]-lo, chunks, c)
-			chunkRows += chi - clo
-			part := simrt.Part{Bytes: int64(chi-clo) * int64(h) * elem}
-			if numeric && chi > clo {
-				for i := lo + clo; i < lo+chi; i++ {
-					copy(dRet.Row(i), dOut.Row(pft.TokenIDs[st.pilotEntry[i]]))
-				}
-				part.Data = dRet.Data[(lo+clo)*h : (lo+chi)*h]
-			}
-			send[dst] = part
-		}
+		chunkRows := chunkParts(send, dRet, st.partStart, h, elem, chunks, c)
 		r.Compute(StageBwdCScatter, comp.MemBound(perfmodel.ClassTriton, 2*int64(chunkRows)*int64(h)*elem))
 		c1X[c] = r.AlltoAllVChunk(d.EP, StageBwdC1A2A, send, chunks)
 	}
@@ -158,18 +142,25 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 	// gradients are dot products against the saved expert outputs, and the
 	// pilot rows' gradients land in dst. Each replica's gradient is a
 	// single write, so chunk partitioning never reorders arithmetic.
+	// The combine-weight gradients go home with reverse S1, one per pilot
+	// row of a source's part and one per replica it announced in its
+	// s1Meta, indexed by its position there.
 	mergeOff, merges := st.mergesByChunk(chunks, numeric)
 	var dMerged *tensor.Tensor
-	var wgAbs []float32
-	var wgRepBySlot [][]float32
-	dRepRet := make([][]float32, len(st.s2SentCount))
+	var wg []bwdS1Meta
+	c2Send := make([]simrt.Part, len(st.s2SentCount))
+	for slot, n := range st.s2SentCount {
+		c2Send[slot].Bytes = int64(n) * int64(h) * elem
+	}
 	if numeric {
 		dMerged = pool.Get(st.pilotRowsTotal, h)
-		wgAbs = make([]float32, st.pilotRowsTotal)
-		wgRepBySlot = make([][]float32, len(st.s2SentByMember))
+		wgAbs := make([]float32, st.pilotRowsTotal)
+		wg = make([]bwdS1Meta, p)
+		for src, m := range st.recvMetas {
+			wg[src] = bwdS1Meta{pilotWG: wgAbs[st.pilotPartOff[src]:st.pilotPartOff[src+1]], replicaWG: make([]float32, len(m.replicas))}
+		}
 		for slot, sent := range st.s2SentByMember {
-			dRepRet[slot] = make([]float32, len(sent)*h) // crosses reverse C2
-			wgRepBySlot[slot] = make([]float32, len(sent))
+			c2Send[slot].Data = make([]float32, len(sent)*h) // crosses reverse C2
 		}
 	}
 	for c := range c1X {
@@ -183,15 +174,16 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 			}
 			off := st.pilotPartOff[src]
 			copy(dMerged.Data[(off+clo)*h:(off+chi)*h], recv[src].Data)
-			for abs := off + clo; abs < off+chi; abs++ {
-				wgAbs[abs] = gradAndDot(dst.Row(st.pilotRow[abs]), dMerged.Row(abs), st.pilotOut.Row(abs), m.weights[abs-off])
+			for pos := clo; pos < chi; pos++ {
+				abs := off + pos
+				wg[src].pilotWG[pos] = gradAndDot(dst.Row(st.pilotRow[abs]), dMerged.Row(abs), st.pilotOut.Row(abs), m.weights[pos])
 			}
 		}
 		if numeric {
 			for _, mr := range merges[mergeOff[c]:mergeOff[c+1]] {
 				slot, pos := mr.slot, mr.pos
 				sRec := st.s2SentByMember[slot][pos]
-				wgRepBySlot[slot][pos] = gradAndDot(dRepRet[slot][pos*h:(pos+1)*h], dMerged.Row(int(sRec.pilotAbs)),
+				wg[sRec.src].replicaWG[sRec.ri] = gradAndDot(c2Send[slot].Data[pos*h:(pos+1)*h], dMerged.Row(int(sRec.pilotAbs)),
 					st.s2Back[slot][pos*h:(pos+1)*h], sRec.weight)
 			}
 		}
@@ -206,57 +198,26 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 	// Chunked, it flies under the pilot rows' dX chain: per-le pilot blocks
 	// are contiguous in the State layout and the chain is row-independent,
 	// so computing them ahead of the replica rows changes no bit.
-	c2Send := make([]simrt.Part, nodeGroup.Size())
-	for slot := range c2Send {
-		c2Send[slot] = simrt.Part{Data: dRepRet[slot], Bytes: int64(st.s2SentCount[slot]) * int64(h) * elem}
-	}
 	c2X := r.AlltoAllVChunk(nodeGroup, StageBwdC2A2A, c2Send, chunks)
-	last := moe.Batch{Rows: st.RowsPerLE}
-	if numeric {
-		last.N, last.At = st.RowsPerLE, st.rowsOff[:d.EPR]
-	}
+	last := moe.Batch{Rows: st.RowsPerLE, N: st.RowsPerLE, At: st.rowsOff[:d.EPR]}
 	if chunks > 1 {
-		pilots := moe.Batch{Rows: st.PilotRowsPerLE}
-		last.Rows = st.ReplicaRowsPerLE
-		if numeric {
-			pilots.N, pilots.At = st.PilotRowsPerLE, st.rowsOff[:d.EPR]
-			last.N, last.At = st.ReplicaRowsPerLE, st.replicaOff
-		}
-		e.Backward(pilots)
+		e.Backward(moe.Batch{Rows: st.PilotRowsPerLE, N: st.PilotRowsPerLE, At: st.rowsOff[:d.EPR]})
+		last = moe.Batch{Rows: st.ReplicaRowsPerLE, N: st.ReplicaRowsPerLE, At: st.replicaOff}
 	}
 	c2Recv := c2X.Wait()
 	if numeric {
-		for part, rows := range st.replicaRow {
-			for pos, row := range rows {
-				copy(dst.Row(row), c2Recv[part].Data[pos*h:(pos+1)*h])
-			}
-		}
+		st.toLayout(dst, nil, c2Recv)
 	}
 	dIn := e.Backward(last)
 
 	// --- Reverse S2 (intra-node): replica-input gradients to pilot holders --
-	s2Send := make([]simrt.Part, nodeGroup.Size())
-	for src := range s2Send {
-		n := st.s2RecvCount[src]
-		part := simrt.Part{Bytes: int64(n) * int64(h) * elem}
-		if numeric && n > 0 {
-			buf := make([]float32, n*h)
-			for pos := 0; pos < n; pos++ {
-				copy(buf[pos*h:(pos+1)*h], dIn.Row(st.replicaRow[src][pos]))
-			}
-			part.Data = buf
-		}
-		s2Send[src] = part
-	}
-	s2X := r.AlltoAllVChunk(nodeGroup, StageBwdS2A2A, s2Send, chunks)
+	// The pilot rows' input gradients stay for reverse S1, which sends
+	// them as per-part views: allocate fresh.
 	var dPilotIn *tensor.Tensor
 	if numeric {
-		// Crosses reverse S1 (sent as per-part views): allocate fresh.
 		dPilotIn = tensor.New(st.pilotRowsTotal, h)
-		for abs, row := range st.pilotRow {
-			copy(dPilotIn.Row(abs), dIn.Row(row))
-		}
 	}
+	s2X := r.AlltoAllVChunk(nodeGroup, StageBwdS2A2A, st.fromLayout(dIn, dPilotIn), chunks)
 	e.DW() // hides the in-flight reverse S2
 
 	// --- Replica-gradient reduction onto pilot rows -------------------------
@@ -275,33 +236,16 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 	}
 
 	// --- Reverse S1 (inter-node): pilot gradients + weight grads home -------
-	// The combine-weight gradients ride chunk 0's metadata; a replica's
-	// routes to the source that announced it in its s1Meta, indexed by its
-	// position there.
-	var wgMeta []bwdS1Meta
-	if numeric {
-		wgMeta = make([]bwdS1Meta, p)
-		for src := range wgMeta {
-			off := st.pilotPartOff[src]
-			wgMeta[src] = bwdS1Meta{
-				pilotWG:   wgAbs[off:st.pilotPartOff[src+1]],
-				replicaWG: make([]float32, len(st.recvMetas[src].replicas)),
-			}
-		}
-		for slot, sent := range st.s2SentByMember {
-			for pos, sRec := range sent {
-				wgMeta[sRec.src].replicaWG[sRec.ri] = wgRepBySlot[slot][pos]
-			}
-		}
-	}
+	// The combine-weight gradients ride chunk 0's metadata, charged 4 bytes
+	// each like the forward s1Meta's weights.
 	for c := range s1X {
 		send := parts[(chunks+c)*p : (chunks+c+1)*p]
-		st.returnParts(send, dPilotIn, h, elem, chunks, c)
+		chunkParts(send, dPilotIn, st.pilotPartOff, h, elem, chunks, c)
 		if c == 0 {
 			for src := range send {
-				send[src].Bytes += bwdS1MetaBytes(st.partLen(src), st.recvMetas[src].nReplicas())
+				send[src].Bytes += int64(st.partLen(src)+st.recvMetas[src].nReplicas()) * 4
 				if numeric {
-					send[src].Meta = wgMeta[src]
+					send[src].Meta = wg[src]
 				}
 			}
 		}
@@ -315,20 +259,16 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 
 	// --- Drain reverse S1, then scatter into dX in pilot send order ---------
 	retData, back := drainReturn(s1X, st.partStart, h, numeric)
-	r.Compute(StageBwdS1Scat, comp.MemBound(perfmodel.ClassTriton, 2*int64(nPilotSent)*int64(h)*elem))
+	r.Compute(StageBwdS1Scat, comp.MemBound(perfmodel.ClassTriton, 2*int64(len(st.pilotEntry))*int64(h)*elem))
 	if !numeric {
 		return nil, nil
 	}
 	dx := tensor.New(st.s, h)
+	st.scatterReturn(dx, retData)
 	dWeights := make([]float32, pft.B())
-	for dst, ret := range retData {
-		pilotWG := back[dst].Meta.(bwdS1Meta).pilotWG
+	for dst := range retData {
 		for pos, ent := range st.pilotEntry[st.partStart[dst]:st.partStart[dst+1]] {
-			dWeights[ent] = pilotWG[pos]
-			dstRow := dx.Row(pft.TokenIDs[ent])
-			for j, v := range ret[pos*h : (pos+1)*h] {
-				dstRow[j] += v
-			}
+			dWeights[ent] = back[dst].Meta.(bwdS1Meta).pilotWG[pos]
 		}
 	}
 	for dst := 0; dst < p && len(st.replicaEntry) > 0; dst++ {

@@ -29,7 +29,10 @@ import (
 // bit-identical for any chunk count.
 func Forward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, x *tensor.Tensor,
 	routing moe.Routing, params *moe.ExpertParams, pilotRNG *tensor.RNG, opts moe.PipelineOpts) moe.LayerResult {
-	return moe.Forward(r, d.newState(pilotRNG), cfg, s, x, routing, params, opts)
+	if err := CheckOpts(opts); err != nil {
+		panic(err)
+	}
+	return moe.Forward(r, d.newState(pilotRNG, opts), cfg, s, x, routing, params, opts)
 }
 
 // CheckOpts validates a PipelineOpts combination against what the RBD
@@ -47,9 +50,6 @@ func CheckOpts(opts moe.PipelineOpts) error {
 	}
 	return nil
 }
-
-// Check is CheckOpts.
-func (st *State) Check(opts moe.PipelineOpts) error { return CheckOpts(opts) }
 
 // Layout: RBD moves the PFT, and picks its pilots per row in either mode.
 func (st *State) Layout() (padded, rows bool) { return false, true }
@@ -167,14 +167,7 @@ func (st *State) dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, un
 		}
 	}
 	expertIn := r.Pool().Get(totalRows, h)
-	for abs, row := range st.pilotRow {
-		copy(expertIn.Row(row), st.pilotRows.Row(abs))
-	}
-	for src, rows := range st.replicaRow {
-		for pos, row := range rows {
-			copy(expertIn.Row(row), s2Recv[src].Data[pos*h:(pos+1)*h])
-		}
-	}
+	st.toLayout(expertIn, st.pilotRows, s2Recv)
 	// pilotRows is fully consumed (stage-2 staging and the rows just
 	// copied above); return it to the rank arena.
 	r.Pool().Put(st.pilotRows)
@@ -206,31 +199,16 @@ func (st *State) combine(r *simrt.Rank, expertOut *tensor.Tensor) *tensor.Tensor
 		r.Compute(StageCMerge, r.C.Comp.MemBound(perfmodel.ClassTriton, 2*int64(n)*rowBytes))
 	}
 
-	// Split the expert outputs back into the held pilots' (absolute-indexed)
-	// and, as the C2 intra-node return parts, the replicas' (host-side
-	// staging, uncharged).
+	// --- Combine stage 2 (intra-node): return replica outputs --------------
+	// The expert outputs split back into the held pilots' (absolute-indexed)
+	// and the replicas', which return as the C2 parts (host-side staging,
+	// uncharged). Every held pilot row is scaled by its combine weight
+	// first; replica accumulations follow in (slot, pos) order.
 	var pilotOut *tensor.Tensor
-	c2Send := make([]simrt.Part, len(st.s2RecvCount))
 	if numeric {
 		pilotOut = r.Pool().Get(st.pilotRowsTotal, h)
-		for abs, row := range st.pilotRow {
-			copy(pilotOut.Row(abs), expertOut.Row(row))
-		}
 	}
-	for src, n := range st.s2RecvCount {
-		c2Send[src].Bytes = int64(n) * rowBytes
-		if numeric {
-			c2Send[src].Data = make([]float32, n*h)
-			for pos, row := range st.replicaRow[src] {
-				copy(c2Send[src].Data[pos*h:(pos+1)*h], expertOut.Row(row))
-			}
-		}
-	}
-
-	// --- Combine stage 2 (intra-node): return replica outputs --------------
-	// Every held pilot row is scaled by its combine weight first; replica
-	// accumulations follow in (slot, pos) order.
-	c2 := r.AlltoAllVChunk(st.nodeGroup, StageC2A2A, c2Send, chunks)
+	c2 := r.AlltoAllVChunk(st.nodeGroup, StageC2A2A, st.fromLayout(expertOut, pilotOut), chunks)
 	var merged *tensor.Tensor
 	mem.Alloc("rbd_merged", int64(st.pilotRowsTotal)*rowBytes)
 	if numeric {
@@ -287,7 +265,7 @@ func (st *State) combine(r *simrt.Rank, expertOut *tensor.Tensor) *tensor.Tensor
 			merge(mergeOff[1] + st.pilotRowsTotal)
 		}
 		sendBack := sendFlat[c*p : (c+1)*p]
-		st.returnParts(sendBack, merged, h, elem, chunks, c)
+		chunkParts(sendBack, merged, st.pilotPartOff, h, elem, chunks, c)
 		c1[c] = r.AlltoAllVChunk(st.d.EP, StageC1A2A, sendBack, chunks)
 	}
 
@@ -299,14 +277,6 @@ func (st *State) combine(r *simrt.Rank, expertOut *tensor.Tensor) *tensor.Tensor
 		return nil
 	}
 	out := tensor.New(st.s, h)
-	// Parts return in member order; rows align with the pilot send order.
-	for dst, ret := range retData {
-		for pos, ent := range st.pilotEntry[st.partStart[dst]:st.partStart[dst+1]] {
-			dstRow := out.Row(st.pft.TokenIDs[ent])
-			for j, v := range ret[pos*h : (pos+1)*h] {
-				dstRow[j] += v
-			}
-		}
-	}
+	st.scatterReturn(out, retData)
 	return out
 }

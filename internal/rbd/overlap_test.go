@@ -191,7 +191,7 @@ func steadyAllocs(t *testing.T, chunks int, numeric bool) float64 {
 // the async-handle machinery of its four inter-node exchanges, not per-row
 // index lists.
 func TestSteadyStateAllocs(t *testing.T) {
-	const blockingAt = 79
+	const blockingAt = 76
 	// +2: the race detector's runtime adds up to 1.3.
 	a1 := steadyAllocs(t, 1, false)
 	if a1 > blockingAt+2 {
@@ -208,12 +208,13 @@ func TestSteadyStateAllocs(t *testing.T) {
 // allocated, so it allocates no more objects than before they existed
 // (331.7 at C = 1 and 395.8 at C = 4 then). The ceilings are the counts
 // measured since RBD runs through the moe layer body (328.7 and 392.8
-// before), whose one-chunk backward runs one dX chain per expert segment.
+// before): its row map is built once, forward, and its one-chunk backward
+// runs one dX chain per expert segment.
 func TestNumericSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		chunks  int
 		ceiling float64
-	}{{1, 303}, {4, 392}} {
+	}{{1, 281}, {4, 369}} {
 		// +2: the race detector's runtime adds up to 1.4.
 		if a := steadyAllocs(t, tc.chunks, true); a > tc.ceiling+2 {
 			t.Errorf("numeric C=%d allocates %.1f per rank-iteration, the ceiling is %.1f", tc.chunks, a, tc.ceiling)

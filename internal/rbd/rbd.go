@@ -269,7 +269,9 @@ type State struct {
 func (st *State) partLen(src int) int { return st.pilotPartOff[src+1] - st.pilotPartOff[src] }
 
 // newState starts one layer call's exchange on a rank.
-func (d *Dispatcher) newState(rng *tensor.RNG) *State { return &State{d: d, rng: rng} }
+func (d *Dispatcher) newState(rng *tensor.RNG, opts moe.PipelineOpts) *State {
+	return &State{d: d, rng: rng, opts: opts}
+}
 
 // Dispatch runs RBD stages 0-2 for rank r on their own, outside the layer
 // body: pilot selection, inter-node pilot exchange with replica metadata,
@@ -280,8 +282,7 @@ func (d *Dispatcher) newState(rng *tensor.RNG) *State { return &State{d: d, rng:
 // three per-expert segmentations filled, and the expert input in the State
 // layout (numeric mode).
 func (d *Dispatcher) Dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, rng *tensor.RNG, opts moe.PipelineOpts) (*State, *tensor.Tensor) {
-	st := d.newState(rng)
-	st.opts = opts
+	st := d.newState(rng, opts)
 	return st, st.dispatch(r, pft, dispIn, nil)
 }
 
@@ -290,8 +291,7 @@ func (d *Dispatcher) Dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor
 // opts.Chunks() chunks. The returned state holds the received pilot payload
 // (numeric) and Stage-1 metadata, from which Dispatch continues with Stage 2.
 func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, rng *tensor.RNG, opts moe.PipelineOpts) *State {
-	st := d.newState(rng)
-	st.opts = opts
+	st := d.newState(rng, opts)
 	st.dispatchPilots(r, pft, dispIn)
 	return st
 }
@@ -306,7 +306,7 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 
 	st.pft, st.nodeGroup = pft, d.nodeGroups[d.nodeOfMember[d.EP.IndexOf(r.ID)]]
 	metas := d.selectPilots(st, st.rng, opts)
-	pilotEntry, partStart := st.pilotEntry, st.partStart
+	pilotEntry := st.pilotEntry
 
 	// --- Stage 1: pilot instantiation + inter-node exchange ----------------
 	// Each destination part is split into opts.Chunks() row ranges; chunk
@@ -320,29 +320,21 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 	var pilotBuf *tensor.Tensor
 	if opts.Numeric {
 		pilotBuf = tensor.New(len(pilotEntry), h)
+		for sp, ent := range pilotEntry {
+			copy(pilotBuf.Row(sp), dispIn.Row(ent))
+		}
 	}
 	mem.Alloc("rbd_pilot_send", int64(len(pilotEntry))*int64(h)*elem)
 	sendFlat := make([]simrt.Part, chunks*p)
 	s1 := make([]simrt.Exchange, chunks)
 	for c := range s1 {
 		send := sendFlat[c*p : (c+1)*p]
-		instRows := 0
-		for dst := 0; dst < p; dst++ {
-			lo, hi := partStart[dst], partStart[dst+1]
-			clo, chi := simrt.ChunkRange(hi-lo, chunks, c)
-			instRows += chi - clo
-			part := simrt.Part{Bytes: int64(chi-clo) * int64(h) * elem}
-			if c == 0 {
-				part.Meta = metas[dst]
-				part.Bytes += metas[dst].bytes()
+		instRows := chunkParts(send, pilotBuf, st.partStart, h, elem, chunks, c)
+		if c == 0 {
+			for dst := range send {
+				send[dst].Meta = metas[dst]
+				send[dst].Bytes += metas[dst].bytes()
 			}
-			if opts.Numeric && chi > clo {
-				for sp := lo + clo; sp < lo+chi; sp++ {
-					copy(pilotBuf.Row(sp), dispIn.Row(pilotEntry[sp]))
-				}
-				part.Data = pilotBuf.Data[(lo+clo)*h : (lo+chi)*h]
-			}
-			send[dst] = part
 		}
 		r.Compute(StageS1Inst, comp.MemBound(perfmodel.ClassTriton, 2*int64(instRows)*int64(h)*elem))
 		s1[c] = r.AlltoAllVChunk(d.EP, StageS1A2A, send, chunks)
@@ -655,17 +647,74 @@ func (d *Dispatcher) Combine(r *simrt.Rank, st *State, expertOut *tensor.Tensor,
 	return st.combine(r, expertOut)
 }
 
-// returnParts fills send with chunk c of every source's merged pilot rows
-// (views of merged, nil in symbolic mode): the C1 return parts.
-func (st *State) returnParts(send []simrt.Part, merged *tensor.Tensor, h int, elem int64, chunks, c int) {
-	for src := range send {
-		clo, chi := simrt.ChunkRange(st.partLen(src), chunks, c)
-		part := simrt.Part{Bytes: int64(chi-clo) * int64(h) * elem}
-		if merged != nil && chi > clo {
-			lo := st.pilotPartOff[src] + clo
-			part.Data = merged.Data[lo*h : (lo+chi-clo)*h]
+// chunkParts fills send[i] with chunk c of rows [off[i], off[i+1]) of buf
+// (views; sizes only when buf is nil), the member split both ends of an RBD
+// exchange derive from the same ChunkRange, and returns the chunk's rows.
+func chunkParts(send []simrt.Part, buf *tensor.Tensor, off []int, h int, elem int64, chunks, c int) (rows int) {
+	for i := range send {
+		clo, chi := simrt.ChunkRange(off[i+1]-off[i], chunks, c)
+		rows += chi - clo
+		send[i] = simrt.Part{Bytes: int64(chi-clo) * int64(h) * elem}
+		if buf != nil && chi > clo {
+			send[i].Data = buf.Data[(off[i]+clo)*h : (off[i]+chi)*h]
 		}
-		send[src] = part
+	}
+	return rows
+}
+
+// toLayout copies the held pilot rows (pilots, absolute-indexed; nil skips
+// them) and the Stage-2 parts' replica rows to their State-layout rows of
+// dst.
+func (st *State) toLayout(dst, pilots *tensor.Tensor, parts []simrt.Part) {
+	h := dst.Cols()
+	if pilots != nil {
+		for abs, row := range st.pilotRow {
+			copy(dst.Row(row), pilots.Row(abs))
+		}
+	}
+	for src, rows := range st.replicaRow {
+		for pos, row := range rows {
+			copy(dst.Row(row), parts[src].Data[pos*h:(pos+1)*h])
+		}
+	}
+}
+
+// fromLayout is the reverse of toLayout: it copies src's pilot rows to
+// pilots (absolute-indexed) and returns its replica rows as the Stage-2
+// return parts, one fresh payload per node member (sizes only when src is
+// nil).
+func (st *State) fromLayout(src, pilots *tensor.Tensor) []simrt.Part {
+	h := st.d.Cfg.HModel
+	parts := make([]simrt.Part, len(st.s2RecvCount))
+	for m, n := range st.s2RecvCount {
+		parts[m].Bytes = int64(n) * int64(h) * int64(st.d.Cfg.BytesPerElem)
+	}
+	if src == nil {
+		return parts
+	}
+	for abs, row := range st.pilotRow {
+		copy(pilots.Row(abs), src.Row(row))
+	}
+	for m, rows := range st.replicaRow {
+		parts[m].Data = make([]float32, len(rows)*h)
+		for pos, row := range rows {
+			copy(parts[m].Data[pos*h:(pos+1)*h], src.Row(row))
+		}
+	}
+	return parts
+}
+
+// scatterReturn adds the pilot rows every member returned (ret[dst], in
+// pilot send order) into their tokens' rows of out.
+func (st *State) scatterReturn(out *tensor.Tensor, ret [][]float32) {
+	h := out.Cols()
+	for dst, rows := range ret {
+		for pos, ent := range st.pilotEntry[st.partStart[dst]:st.partStart[dst+1]] {
+			o := out.Row(st.pft.TokenIDs[ent])
+			for j, v := range rows[pos*h : (pos+1)*h] {
+				o[j] += v
+			}
+		}
 	}
 }
 

@@ -103,7 +103,8 @@ type Layer interface {
 		pilots *tensor.RNG, opts moe.PipelineOpts) (moe.LayerResult, Saved)
 }
 
-// Saved is one rank's forward state, bound to the layer that produced it.
+// Saved is one rank's forward state, bound to the layer that produced it:
+// for every transport the *moe.PFTFwdState the one layer body saved.
 type Saved interface {
 	// Backward runs the layer's backward pass for the forward that returned
 	// this value (dOut and params nil in symbolic mode).
@@ -114,13 +115,12 @@ type Saved interface {
 // ep of cluster c. It must be called outside Cluster.Run (RBD creates its
 // per-node communicators). A Kind outside Kinds() is a programming error.
 func New(kind Kind, c *simrt.Cluster, ep *simrt.Group, cfg moe.Config) Layer {
-	l := &layer{kind: kind, ep: ep, cfg: cfg}
-	switch kind {
-	case PFT, Padded:
-	case RBD:
-		l.d = rbd.NewDispatcher(c, ep, cfg)
-	default:
+	if kind < 0 || int(kind) >= len(kinds) {
 		panic(fmt.Sprintf("transport: New(%v): no such transport", kind))
+	}
+	l := &layer{kind: kind, ep: ep, cfg: cfg}
+	if kind == RBD {
+		l.d = rbd.NewDispatcher(c, ep, cfg)
 	}
 	return l
 }
@@ -153,16 +153,5 @@ func (l *layer) Forward(r *simrt.Rank, s int, x *tensor.Tensor, routing moe.Rout
 	if res.State == nil {
 		return res, nil
 	}
-	return res, saved{l, res.State}
-}
-
-// saved is one rank's forward state; it carries its exchange, so one
-// backward body reverses every transport.
-type saved struct {
-	l  *layer
-	st *moe.PFTFwdState
-}
-
-func (s saved) Backward(r *simrt.Rank, dOut *tensor.Tensor, params *moe.ExpertParams, opts moe.PipelineOpts) moe.BackwardResult {
-	return moe.PFTBackward(r, s.l.ep, s.l.cfg, s.st, dOut, params, opts)
+	return res, res.State
 }
