@@ -13,7 +13,8 @@ package rbd
 //	                    combine-weight gradients are dot products against
 //	                    the saved expert outputs
 //	reverse C2 (intra)- replica-output gradients travel to the expert rank
-//	FFN backward      - dX chain + dW over the forward's exact segments
+//	FFN backward      - the layer body's dX chain + dW over the forward's
+//	                    exact segments
 //	reverse S2 (intra)- replica-input gradients return to the pilot holder
 //	pilot reduction   - replica gradients accumulate onto their pilot row
 //	reverse S1 (inter)- pilot-input gradients + combine-weight gradients
@@ -64,9 +65,9 @@ type bwdS1Meta struct {
 }
 
 // Backward runs the distributed backward pass of the RBD-transport MoE
-// layer: the one backward body (FwdState.Backward) over the forward state saved
-// by Forward with opts.SaveForBackward, reversing every stage over the same
-// link classes (see the package comment above). It returns dX, the
+// layer: the one backward body (FwdState.Backward) over the forward state
+// saved by Forward with opts.SaveForBackward, reversing every stage over
+// the same link classes (see the package comment above). It returns dX, the
 // per-local-expert weight gradients, and the per-PFT-entry combine-weight
 // gradients; in symbolic mode (opts.Numeric false) it charges its modeled
 // times and integer-exact wire volumes only. d and cfg are the forward's,

@@ -25,7 +25,7 @@ import (
 // each of those passes is charged once. The numbers are the same either
 // way: the expert FFN is row-independent, so it runs once over the whole
 // input after Stage 2 lands whichever rows the schedule priced first, and
-// the merge keeps its per-row order (see Combine) — the output is
+// the merge keeps its per-row order (see combine) — the output is
 // bit-identical for any chunk count.
 func Forward(r *simrt.Rank, d *Dispatcher, cfg moe.Config, s int, x *tensor.Tensor,
 	routing moe.Routing, params *moe.ExpertParams, pilotRNG *tensor.RNG, opts moe.PipelineOpts) moe.LayerResult {
@@ -51,7 +51,8 @@ func CheckOpts(opts moe.PipelineOpts) error {
 	return nil
 }
 
-// Layout: RBD moves the PFT, and picks its pilots per row in either mode.
+// Layout reports that RBD moves the PFT, not the padded layout, and picks
+// its pilots per row in either mode.
 func (st *State) Layout() (padded, rows bool) { return false, true }
 
 // Forward runs Stages 0-2 and hands the expert rows to experts: chunked,

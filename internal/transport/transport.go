@@ -1,14 +1,14 @@
 // Package transport is the one way to run an MoE layer over an
 // expert-parallel group. The paper's three dispatchers — the zero-padded
 // baseline (§3.1), padding-free PFT (§4.1) and hierarchical RBD (§4.2) —
-// implement one contract, "route these tokens through this EP group, later
-// reverse it", and everything above the pipeline bodies (the distributed
-// trainer, the step simulator, the bench harnesses, the CLIs) selects one
-// by Kind and drives it through Layer. What a transport needs built outside
-// the rank bodies (RBD's Dispatcher), which Forward pairs with which
-// Backward, what state crosses between them and which options it cannot
-// honour are known here and nowhere else. The package sits above moe and
-// rbd because moe cannot import rbd.
+// run one MoE layer body (moe.Forward, and the saved state's Backward) and
+// differ only in the moe.Exchange that moves the rows, and everything
+// above them (the distributed trainer, the step simulator, the bench
+// harnesses, the CLIs) selects one by Kind and drives it through Layer.
+// What a transport needs built outside the rank bodies (RBD's
+// Dispatcher), which entry point builds its exchange and which options it
+// cannot honour are known here and nowhere else. The package sits above
+// moe and rbd because moe cannot import rbd.
 package transport
 
 import (
@@ -28,7 +28,7 @@ const (
 	PFT Kind = iota
 	// Padded is the conventional capacity-padded pipeline of the baselines.
 	Padded
-	// RBD is the PFT pipeline over hierarchical redundancy-bypassing
+	// RBD is the layer body over hierarchical redundancy-bypassing
 	// dispatch, forward and backward.
 	RBD
 )
