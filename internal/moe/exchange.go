@@ -90,7 +90,10 @@ type flat struct {
 	// fullRows[le] local expert le's rows; per chunk, n/at/saveAt are as
 	// overlap.go describes and rows the rows per local expert.
 	segStart, recvCounts, fullAt, fullRows, n, at, saveAt, rows []int
-	combineIn                                                   *tensor.Tensor // numeric: the returned rows, layout order
+
+	// combineIn (numeric) holds the returned rows in layout order, which the
+	// scatter combine's backward reads.
+	combineIn *tensor.Tensor
 }
 
 func (x *flat) Layout() (padded, rows bool) { return x.padded, false }

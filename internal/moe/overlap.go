@@ -41,8 +41,9 @@ package moe
 // any per-row arithmetic, every row is written to the position a single
 // chunk would use, and dW is always one reduction over the full segment.
 // With SaveForBackward each chunk's intermediates are scattered into the
-// full expert-major layout, so the saved state — and the backward that
-// consumes it — does not depend on the forward's chunk count.
+// full expert-major layout (a single chunk's buffers are that layout), so
+// the saved state — and the backward that consumes it — does not depend on
+// the forward's chunk count.
 //
 // Expert-side geometry is described per chunk by parallel arrays indexed
 // k = le*P + src (expert-major blocks): n[k] rows of block (src, le) sit
