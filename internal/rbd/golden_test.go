@@ -216,9 +216,9 @@ func (g blockingGolden) literal() string {
 // the padded transport ran through the PFT body. The c3 rows (three chunks
 // split parts unevenly, which exercises the ChunkRange floors and RBD's
 // merge buckets) were recorded before RBD's forward and backward ran through
-// the moe body as an exchange. The values were recorded at the parent commit
-// of the PR that folded the second body away; they are the reference now, so
-// a mismatch is a model change that must be declared, not re-recorded.
+// the moe body as an exchange. Each row was recorded from the code it names,
+// before that code was folded away; the values are the reference now, so a
+// mismatch is a model change that must be declared, not re-recorded.
 func TestBlockingGoldenBits(t *testing.T) {
 	for _, row := range []struct {
 		transport string

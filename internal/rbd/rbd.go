@@ -202,14 +202,14 @@ type s2Sent struct {
 }
 
 // State is one rank's RBD exchange for one layer call: the dispatch
-// bookkeeping Combine and the backward need to send every row back the way
-// it came, and the moe.Exchange the one MoE layer body drives (forward.go,
-// backward.go). Its expert-row layout is the layer's only one — the expert
-// input, both FFN intermediates and the expert output hold, per local
-// expert, the pilot rows source-ascending and then the replica rows (part,
-// pos)-ascending — so a local expert's pilot block and replica block are
-// each contiguous, which is what lets a chunked schedule price (and the
-// backward compute) them apart without a second buffer.
+// bookkeeping the combine and the backward need to send every row back the
+// way it came, and the moe.Exchange the one MoE layer body drives
+// (forward.go, backward.go). Its expert-row layout is the layer's only
+// one: the expert input, both FFN intermediates and the expert output
+// hold, per local expert, the pilot rows source-ascending and then the
+// replica rows (part, pos)-ascending. So a local expert's pilot block and
+// replica block are each contiguous, which is what lets a chunked schedule
+// price (and the backward compute) them apart without a second buffer.
 //
 // A symbolic state carries counts: the Stage-1 metadata's pilot and
 // replica counts, the part offsets and the Stage-2 counts, which are all
