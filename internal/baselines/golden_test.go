@@ -69,7 +69,7 @@ func TestSimulateStepGoldenBits(t *testing.T) {
 			t.Fatalf("step failed: %+v", r)
 		}
 		if r.MicroSteps < 2 {
-			t.Fatalf("MicroSteps = %d: the sync-free second run is not exercised", r.MicroSteps)
+			t.Fatalf("MicroSteps = %d: the sync-free micro-steps are not priced", r.MicroSteps)
 		}
 		if got := stepBits(r); got != tc.want {
 			t.Errorf("simulated bits moved\n got: %s\nwant: %s", got, tc.want)
@@ -104,8 +104,9 @@ func goldenSpec(cfg Config, tp int, actCkpt bool) RunSpec {
 		Shape: model.Small(), Machine: m, World: 16,
 		Plan: parallel.Plan{World: 16, TP: tp, EP: 8, Placement: cfg.Placement,
 			SSMB: cfg.SSMB, ZeROStage: 1},
-		// Global batch 64 gives four micro-steps, so both the sync-on and
-		// the sync-free layer run are priced.
+		// Global batch 64 gives four micro-steps, so both the synced and
+		// the sync-free micro-steps are priced: from the synced run's
+		// clocks at TP = 1, by a second run at TP = 2.
 		MicroBatch: 1, GlobalBatch: 64, Seed: 11, Congestion: true,
 		ActCkpt: actCkpt, SkipMemCheck: true,
 	}

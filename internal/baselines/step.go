@@ -92,6 +92,8 @@ type StepResult struct {
 // forward AND backward passes (the system's transport.Layer, symbolic, with
 // bucketed, overlapped ZeRO gradient sync), scaled to the full depth,
 // gradient accumulation, and the end-of-iteration synchronisation tails.
+// At TP = 1 that one run also prices the sync-free accumulation
+// micro-steps; at TP > 1 they take a second run (see simulateTiming).
 // Consecutive calls at one seed, expert count and top-k reuse each rank's
 // routing draw instead of redrawing it (see routingStore); the result is
 // the same bit for bit.
@@ -130,6 +132,10 @@ type layerRun struct {
 	net *netsim.Network
 	// wall is the slowest rank's fwd+bwd clock.
 	wall float64
+	// preWait is the slowest rank's clock just before it waits on the
+	// gradient sync (wall when the run issues none). At TP = 1 it is the
+	// sync-free run's wall bit for bit (see simulateTiming).
+	preWait float64
 	// fwdBreakdown is the per-stage forward time averaged over ranks
 	// (snapshotted before the backward so Fig. 11 stays pure-forward).
 	fwdBreakdown map[string]float64
@@ -161,10 +167,10 @@ type routingKey struct {
 
 // routingStore holds one draw per rank. A SimulateStep takes the store the
 // previous call put back and puts it back when it returns, so the draws
-// outlive the step: within it the sync-free second run, the ActCkpt replay
-// and SSMB slices of the same length read the first run's draw, and the
-// next step at the same key — the next system of a figure at one seed, the
-// next candidate of a Sweep — reads them again. During a step each rank
+// outlive the step: within it the sync-free run TP > 1 needs, the ActCkpt
+// replay and SSMB slices of the same length read the first run's draw, and
+// the next step at the same key — the next system of a figure at one seed,
+// the next candidate of a Sweep — reads them again. During a step each rank
 // goroutine touches only its own slot and the runs are sequential, so the
 // slots need no lock.
 type routingStore struct {
@@ -180,9 +186,10 @@ var lastRoutings struct {
 	store *routingStore
 }
 
-// routingDraws counts the routings drawn through stores; tests read it to
-// pin the draws the store saves.
-var routingDraws atomic.Int64
+// routingDraws counts the routings drawn through stores and layerRuns the
+// runFullLayer calls; tests read them to pin the draws the store saves
+// and the layer runs a step pays.
+var routingDraws, layerRuns atomic.Int64
 
 // takeRoutings takes the stored draws when they were made at key, or
 // starts an empty store, with at least world slots.
@@ -225,6 +232,17 @@ func (st *routingStore) get(rank, n int) moe.Routing {
 // cluster. Gradient sync either overlaps the backward (bucketed async
 // reduce issued from the backward's OnDWReady hook, ZeRO stage from the
 // plan) or, with BlockingGradSync, is charged as the classic blocking tail.
+//
+// The accumulation micro-steps before the last run the layer without the
+// sync. Issuing the sync moves no rank's clock: the async reduces only
+// queue flights on the comm stream, and the cost engines' expected,
+// memoized prices do not depend on query order. At TP = 1 the rank issues
+// no collective after the sync: the MoE backward only drains flights
+// issued before it, and the gate and dense backward are compute. So every
+// rank's clock before its sync wait is its sync-free clock bit for bit,
+// and one run prices both kinds of micro-step. At TP > 1 the dense
+// backward's blocking tp_bwd_allreduce queues behind the sync buckets on
+// the comm stream, so a second, sync-free run prices the others.
 func simulateTiming(sys Config, spec RunSpec, res StepResult) StepResult {
 	expertPerLayer, densePerLayer, embedBytes := gradFamilies(spec.Shape, spec.Plan)
 	edpGroups := spec.Plan.ExpertDPGroups()
@@ -239,10 +257,10 @@ func simulateTiming(sys Config, spec RunSpec, res StepResult) StepResult {
 	}
 
 	withSync := !spec.BlockingGradSync && (hasEDP || hasDP)
-	// Accumulation steps before the last run the same layer without
-	// gradient sync (grads sync once per iteration); a second run prices
-	// that layer on the routing the first one drew.
-	secondRun := withSync && microSteps > 1
+	// Gradients sync once per iteration, so the micro-steps before the last
+	// run the layer sync-free: priced by the synced run's pre-wait clock at
+	// TP = 1, by a second run on the same draws at TP > 1.
+	secondRun := withSync && microSteps > 1 && spec.Plan.TP > 1
 	routings := takeRoutings(routingKey{seed: spec.Seed, experts: spec.Shape.NumExperts, topK: spec.Shape.TopK}, spec.World)
 	defer putRoutings(routings)
 	primary := runFullLayer(sys, spec, withSync, routings)
@@ -250,7 +268,7 @@ func simulateTiming(sys Config, spec RunSpec, res StepResult) StepResult {
 		return StepResult{Err: primary.err}
 	}
 	layerSync := primary.wall
-	layerNoSync := primary.wall
+	layerNoSync := primary.preWait
 	if secondRun {
 		plain := runFullLayer(sys, spec, false, routings)
 		if plain.err != nil {
@@ -325,6 +343,7 @@ func simulateTiming(sys Config, spec RunSpec, res StepResult) StepResult {
 // a fresh cluster, optionally with the bucketed overlapped gradient sync
 // issued from the backward. Ranks take their routing from routings.
 func runFullLayer(sys Config, spec RunSpec, withSync bool, routings *routingStore) layerRun {
+	layerRuns.Add(1)
 	cluster := simrt.NewCluster(spec.Machine, spec.World, spec.Seed)
 	cluster.Net.DisableCongestion = !spec.Congestion
 	// One simulated layer stands for all layers, so congestion must enter
@@ -380,6 +399,7 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool, routings *routingStor
 	zcfg := zero.Config{Stage: spec.Plan.ZeROStage, BucketBytes: spec.BucketBytes}
 
 	fwdBds := make([]map[string]float64, spec.World)
+	preWait := make([]float64, spec.World)
 
 	ranks, err := cluster.RunCollect(func(r *simrt.Rank) error {
 		comp := r.C.Comp
@@ -492,6 +512,7 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool, routings *routingStor
 			r.AllReduce(tp, "tp_bwd_allreduce", nil, int64(sTokens)*int64(h)*2)
 		}
 
+		preWait[r.ID] = r.Clock
 		if esync != nil {
 			esync.Wait()
 		}
@@ -505,10 +526,9 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool, routings *routingStor
 	}
 
 	out := layerRun{net: cluster.Net, fwdBreakdown: trace.MergeMaps(fwdBds, true)}
-	for _, rk := range ranks {
-		if rk.Clock > out.wall {
-			out.wall = rk.Clock
-		}
+	for i, rk := range ranks {
+		out.wall = max(out.wall, rk.Clock)
+		out.preWait = max(out.preWait, preWait[i])
 	}
 	return out
 }

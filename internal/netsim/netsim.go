@@ -74,22 +74,6 @@ func Serial(costs ...Cost) Cost {
 	return out
 }
 
-// Overlapped composes a communication cost with computeSeconds of
-// independent compute running concurrently (comm on the communication
-// stream, compute on the device): wall is the overlapped span's duration
-// max(comm, compute) and exposed is the uncovered communication remainder
-// max(0, comm-compute) — the only part a waiting rank is charged. This is
-// the composition rule the simrt async handles implement against the rank
-// clock; it is exported so analytic models can predict overlap headroom
-// without running the simulator.
-func Overlapped(comm Cost, computeSeconds float64) (wall, exposed float64) {
-	exposed = comm.Seconds - computeSeconds
-	if exposed < 0 {
-		exposed = 0
-	}
-	return computeSeconds + exposed, exposed
-}
-
 // CongestionModel parameterises the Dragonfly congestion behaviour
 // observed in Appendix D: all-to-alls are stable up to one rack and
 // develop heavy-tailed outliers beyond it, as cross-rack traffic contends

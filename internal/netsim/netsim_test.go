@@ -302,9 +302,9 @@ func TestReduceScatterRemainder(t *testing.T) {
 	}
 }
 
-// TestSerialAndOverlappedComposition covers the overlap-aware cost
-// composition used by the chunked pipelines.
-func TestSerialAndOverlappedComposition(t *testing.T) {
+// TestSerialComposition checks that Serial adds the seconds and the bytes
+// of its costs.
+func TestSerialComposition(t *testing.T) {
 	n := newQuiet(topology.Frontier())
 	a := n.AlltoAll(ranksRange(16), 1<<20)
 	b := n.AllReduce(ranksRange(16), 1<<20)
@@ -314,15 +314,6 @@ func TestSerialAndOverlappedComposition(t *testing.T) {
 	}
 	if got, want := totalBytes(s), totalBytes(a)+totalBytes(b); got != want {
 		t.Fatalf("serial bytes %d != %d", got, want)
-	}
-
-	wall, exposed := Overlapped(a, a.Seconds/2)
-	if wall != a.Seconds || exposed != a.Seconds-a.Seconds/2 {
-		t.Fatalf("half-covered comm: wall %.9f exposed %.9f", wall, exposed)
-	}
-	wall, exposed = Overlapped(a, 2*a.Seconds)
-	if wall != 2*a.Seconds || exposed != 0 {
-		t.Fatalf("fully covered comm must expose nothing: wall %.9f exposed %.9f", wall, exposed)
 	}
 }
 

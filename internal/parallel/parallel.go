@@ -109,18 +109,6 @@ func (p Plan) ExpertDPGroups() [][]int {
 	return stridedGroups(p.World, p.ExpertDP(), p.EP)
 }
 
-// GroupOf returns the group in groups containing rank, or nil.
-func GroupOf(groups [][]int, rank int) []int {
-	for _, g := range groups {
-		for _, r := range g {
-			if r == rank {
-				return g
-			}
-		}
-	}
-	return nil
-}
-
 // consecutiveGroups partitions [0,world) into world/size blocks of
 // consecutive ranks.
 func consecutiveGroups(world, size int) [][]int {
@@ -151,31 +139,17 @@ func stridedGroups(world, size, stride int) [][]int {
 	return out
 }
 
-// SSMBShard returns the [lo, hi) token range of the full s-token sequence
-// that TP-member tpIdx (of tpSize) retains inside the MoE block (paper
-// Fig. 8 step 1: "drop"). Remainder tokens go to the leading shards.
-func SSMBShard(s, tpIdx, tpSize int) (lo, hi int) {
-	base := s / tpSize
-	rem := s % tpSize
-	lo = tpIdx*base + minInt(tpIdx, rem)
-	size := base
-	if tpIdx < rem {
-		size++
-	}
-	return lo, lo + size
-}
-
 // SSMBForward wraps an MoE-block body with sequence sharding: rank r
 // (member of tpGroup, which duplicates the s-token input x across its TP
-// ranks) drops to its shard, runs inner on the shard, and all-gathers the
-// shard outputs back into the full [s, h] sequence (paper Fig. 8 steps
-// 1-3). In symbolic mode x and the inner result may be nil; the all-gather
-// still charges the modeled time.
+// ranks) drops to its shard (simrt.ShardRange of the s tokens: remainder
+// tokens go to the leading members), runs inner on the shard, and
+// all-gathers the shard outputs back into the full [s, h] sequence (paper
+// Fig. 8 steps 1-3). In symbolic mode x and the inner result may be nil;
+// the all-gather still charges the modeled time.
 func SSMBForward(r *simrt.Rank, tpGroup *simrt.Group, s, h, elemBytes int,
 	x *tensor.Tensor, inner func(shardLo, shardHi int, shard *tensor.Tensor) *tensor.Tensor) *tensor.Tensor {
 
-	tpIdx := tpGroup.IndexOf(r.ID)
-	lo, hi := SSMBShard(s, tpIdx, tpGroup.Size())
+	lo, hi := simrt.ShardRange(s, tpGroup.Size(), tpGroup.IndexOf(r.ID))
 
 	var shard *tensor.Tensor
 	if x != nil {
@@ -209,8 +183,7 @@ func SSMBForward(r *simrt.Rank, tpGroup *simrt.Group, s, h, elemBytes int,
 func SSMBBackward(r *simrt.Rank, tpGroup *simrt.Group, s, h, elemBytes int,
 	dFull *tensor.Tensor, inner func(shardLo, shardHi int, dShard *tensor.Tensor) *tensor.Tensor) *tensor.Tensor {
 
-	tpIdx := tpGroup.IndexOf(r.ID)
-	lo, hi := SSMBShard(s, tpIdx, tpGroup.Size())
+	lo, hi := simrt.ShardRange(s, tpGroup.Size(), tpGroup.IndexOf(r.ID))
 
 	var dShard *tensor.Tensor
 	if dFull != nil {
@@ -234,11 +207,4 @@ func SSMBBackward(r *simrt.Rank, tpGroup *simrt.Group, s, h, elemBytes int,
 		off += len(p.Data)
 	}
 	return full
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

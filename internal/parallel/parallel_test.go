@@ -3,7 +3,6 @@ package parallel
 import (
 	"fmt"
 	"testing"
-	"testing/quick"
 
 	"xmoe/internal/moe"
 	"xmoe/internal/simrt"
@@ -36,10 +35,15 @@ func TestPlanDegrees(t *testing.T) {
 	}
 }
 
-func checkPartition(t *testing.T, name string, groups [][]int, world int) {
+// checkPartition fails unless groups partition [0, world) into groups of
+// size ranks each.
+func checkPartition(t *testing.T, name string, groups [][]int, world, size int) {
 	t.Helper()
 	seen := make([]bool, world)
 	for _, g := range groups {
+		if len(g) != size {
+			t.Fatalf("%s: group %v has %d ranks, want %d", name, g, len(g), size)
+		}
 		for _, r := range g {
 			if r < 0 || r >= world || seen[r] {
 				t.Fatalf("%s: invalid partition %v", name, groups)
@@ -57,11 +61,42 @@ func checkPartition(t *testing.T, name string, groups [][]int, world int) {
 func TestGroupConstructionsPartitionWorld(t *testing.T) {
 	for _, placement := range []Placement{EPFirst, DPFirst} {
 		p := Plan{World: 64, TP: 2, EP: 8, Placement: placement}
-		checkPartition(t, "TP", p.TPGroups(), 64)
-		checkPartition(t, "DP", p.DPGroups(), 64)
-		checkPartition(t, "EP", p.EPGroups(), 64)
-		checkPartition(t, "ExpertDP", p.ExpertDPGroups(), 64)
+		checkPlanGroups(t, p)
 	}
+}
+
+// checkPlanGroups checks that each of p's four group constructions
+// partitions its ranks into groups of the plan's stated degree.
+func checkPlanGroups(t *testing.T, p Plan) {
+	t.Helper()
+	checkPartition(t, "TP", p.TPGroups(), p.World, p.TP)
+	checkPartition(t, "DP", p.DPGroups(), p.World, p.DP())
+	checkPartition(t, "EP", p.EPGroups(), p.World, p.EP)
+	checkPartition(t, "ExpertDP", p.ExpertDPGroups(), p.World, p.ExpertDP())
+}
+
+// FuzzPlanGroups checks that every plan Validate accepts partitions its
+// ranks into TP, DP, EP and expert-DP groups: disjoint, covering, and of
+// the plan's stated sizes. The seeds are the EP group shapes the RBD
+// node-slot test walks (world 8–64, EP a power of two, both placements),
+// at TP 1 and 2.
+func FuzzPlanGroups(f *testing.F) {
+	for _, world := range []int{8, 16, 32, 64} {
+		for ep := 1; ep <= world; ep *= 2 {
+			for _, placement := range []Placement{EPFirst, DPFirst} {
+				for _, tp := range []int{1, 2} {
+					f.Add(uint16(world), uint16(tp), uint16(ep), uint8(placement))
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, world, tp, ep uint16, placement uint8) {
+		p := Plan{World: int(world), TP: int(tp), EP: int(ep), Placement: Placement(placement)}
+		if p.Validate() != nil {
+			return
+		}
+		checkPlanGroups(t, p)
+	})
 }
 
 func TestEPFirstVsDPFirstShape(t *testing.T) {
@@ -101,61 +136,6 @@ func TestEPFirstVsDPFirstShape(t *testing.T) {
 	}
 	if !spansNodes {
 		t.Fatal("DP-first EP groups should span nodes")
-	}
-}
-
-func TestGroupOf(t *testing.T) {
-	p := Plan{World: 16, TP: 2, EP: 4}
-	g := GroupOf(p.EPGroups(), 5)
-	found := false
-	for _, r := range g {
-		if r == 5 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("GroupOf returned %v without rank 5", g)
-	}
-	if GroupOf(p.EPGroups(), 99) != nil {
-		t.Fatal("GroupOf of absent rank must be nil")
-	}
-}
-
-func TestSSMBShardCoversSequence(t *testing.T) {
-	for _, tc := range []struct{ s, tp int }{{16, 4}, {17, 4}, {5, 8}, {4096, 2}} {
-		covered := 0
-		prevHi := 0
-		for i := 0; i < tc.tp; i++ {
-			lo, hi := SSMBShard(tc.s, i, tc.tp)
-			if lo != prevHi {
-				t.Fatalf("s=%d tp=%d: shard %d starts at %d, want %d", tc.s, tc.tp, i, lo, prevHi)
-			}
-			covered += hi - lo
-			prevHi = hi
-		}
-		if covered != tc.s {
-			t.Fatalf("s=%d tp=%d: shards cover %d", tc.s, tc.tp, covered)
-		}
-	}
-}
-
-func TestQuickSSMBShardBalanced(t *testing.T) {
-	f := func(sRaw, tpRaw uint8) bool {
-		s, tp := int(sRaw)+1, int(tpRaw)%8+1
-		minSz, maxSz := s, 0
-		for i := 0; i < tp; i++ {
-			lo, hi := SSMBShard(s, i, tp)
-			if hi-lo < minSz {
-				minSz = hi - lo
-			}
-			if hi-lo > maxSz {
-				maxSz = hi - lo
-			}
-		}
-		return maxSz-minSz <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 
