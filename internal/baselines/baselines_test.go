@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"strings"
 	"testing"
 
 	"xmoe/internal/memmodel"
@@ -86,6 +87,44 @@ func TestSimulateStepRejectsBadPlans(t *testing.T) {
 	})
 	if bad.Err == nil {
 		t.Fatal("EP > NumExperts must be rejected")
+	}
+}
+
+// TestSimulateStepRejectsMalformedSpec: a RunSpec whose World disagrees
+// with its plan's, or whose micro-batch is empty, comes back as an Err that
+// names the field, before any cluster is built or layer run — not as a
+// panic out of the cluster or a divide by zero in the timing model.
+func TestSimulateStepRejectsMalformedSpec(t *testing.T) {
+	m := topology.Frontier()
+	plan := parallel.Plan{World: 16, TP: 1, EP: 16, ZeROStage: 1}
+	for _, c := range []struct {
+		name      string
+		world, mb int
+		wantInErr string
+	}{
+		{"world below plan", 8, 1, "World"},
+		{"world above plan", 32, 1, "World"},
+		{"zero micro-batch", 16, 0, "MicroBatch"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := layerRuns.Load()
+			var r StepResult
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("SimulateStep panicked: %v", p)
+					}
+				}()
+				r = SimulateStep(For(XMoE, m), RunSpec{Shape: model.Small(), Machine: m, World: c.world,
+					Plan: plan, MicroBatch: c.mb, GlobalBatch: 64, SkipMemCheck: true})
+			}()
+			if r.Err == nil || !strings.Contains(r.Err.Error(), c.wantInErr) {
+				t.Errorf("Err = %v, want one naming %s", r.Err, c.wantInErr)
+			}
+			if n := layerRuns.Load() - before; n != 0 {
+				t.Errorf("the malformed spec ran the layer %d times before it was rejected", n)
+			}
+		})
 	}
 }
 

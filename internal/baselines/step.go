@@ -98,6 +98,12 @@ type StepResult struct {
 // routing draw instead of redrawing it (see routingStore); the result is
 // the same bit for bit.
 func SimulateStep(sys Config, spec RunSpec) StepResult {
+	if spec.World != spec.Plan.World {
+		return StepResult{Err: fmt.Errorf("RunSpec.World %d differs from Plan.World %d", spec.World, spec.Plan.World)}
+	}
+	if spec.MicroBatch < 1 {
+		return StepResult{Err: fmt.Errorf("RunSpec.MicroBatch %d must be >= 1", spec.MicroBatch)}
+	}
 	if err := spec.Plan.Validate(); err != nil {
 		return StepResult{Err: err}
 	}
@@ -351,7 +357,7 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool, routings *routingStor
 	cluster.Net.ExpectedCongestion = true
 
 	cfg := moe.LayerOf(spec.Shape)
-	layerOfRank := make([]transport.Layer, spec.World)
+	layerOfRank := make([]*transport.Layer, spec.World)
 	for _, ranks := range spec.Plan.EPGroups() {
 		layer := transport.New(sys.Transport(), cluster, cluster.NewGroup(ranks), cfg)
 		for _, r := range ranks {
@@ -423,12 +429,12 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool, routings *routingStor
 			}
 		}
 
-		// MoE block forward, with state capture for the backward. saved is
+		// MoE block forward, with state capture for the backward. state is
 		// the state of the rank's latest forward — the ActCkpt replay
 		// replaces the first pass's — and is what the backward reverses.
-		var saved transport.Saved
+		var state *moe.PFTFwdState
 		runInner := func(n int) {
-			_, saved = layer.Forward(r, n, nil, routings.get(r.ID, n), nil, tensor.NewRNG(spec.Seed^uint64(r.ID)), opts)
+			state = layer.Forward(r, n, nil, routings.get(r.ID, n), nil, tensor.NewRNG(spec.Seed^uint64(r.ID)), opts).State
 		}
 		moeFwd := func() {
 			if sys.SSMB && tp != nil {
@@ -484,7 +490,7 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool, routings *routingStor
 		if sys.SSMB && tp != nil {
 			parallel.SSMBBackward(r, tp, sTokens, h, cfg.BytesPerElem, nil,
 				func(lo, hi int, _ *tensor.Tensor) *tensor.Tensor {
-					saved.Backward(r, nil, nil, opts)
+					state.Backward(r, nil, nil, opts)
 					return nil
 				})
 			// The SSMB backward ends in a blocking all-gather that would
@@ -497,7 +503,7 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool, routings *routingStor
 			} else {
 				bopts.OnDWReady = nil
 			}
-			saved.Backward(r, nil, nil, bopts)
+			state.Backward(r, nil, nil, bopts)
 		}
 		// Gate backward: dScores GEMM + dX GEMM of the [n, H] x [H, E]
 		// gating projection.

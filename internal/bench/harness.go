@@ -65,9 +65,9 @@ func runLayer(sp layerSpec) []*simrt.Rank {
 	}
 	ranks, err := c.RunCollect(func(r *simrt.Rank) error {
 		rt := moe.SyntheticRouting(tensor.NewRNG(sp.seed+uint64(r.ID)), sp.s, sp.cfg.NumExperts, sp.cfg.TopK, 0)
-		_, saved := layer.Forward(r, sp.s, nil, rt, nil, tensor.NewRNG(sp.seed^uint64(r.ID)), fwd)
-		if saved != nil {
-			saved.Backward(r, nil, nil, moe.PipelineOpts{OverlapChunks: sp.bwdChunks})
+		res := layer.Forward(r, sp.s, nil, rt, nil, tensor.NewRNG(sp.seed^uint64(r.ID)), fwd)
+		if fwd.SaveForBackward {
+			res.State.Backward(r, nil, nil, moe.PipelineOpts{OverlapChunks: sp.bwdChunks})
 		}
 		return nil
 	})

@@ -56,7 +56,7 @@ func TestFlatAgreementExact(t *testing.T) {
 		ranks := ranksOf(p)
 
 		// Even all-to-all.
-		an, ev := net.AlltoAll(ranks, 1<<20), eng.AlltoAll(ranks, 1<<20)
+		an, ev := net.AlltoAll(ranks, 1<<20), eng.alltoAll(ranks, 1<<20)
 		sameBytes(t, "alltoall", an, ev)
 		sameTime(t, "alltoall", an, ev)
 
@@ -161,7 +161,7 @@ func TestEventByteAccountingConvention(t *testing.T) {
 	}
 
 	bpp := int64(1 << 20)
-	if got, want := eng.AlltoAll(ranks, bpp).BytesByClass[pair], int64(p)*int64(p-1)*bpp; got != want {
+	if got, want := eng.alltoAll(ranks, bpp).BytesByClass[pair], int64(p)*int64(p-1)*bpp; got != want {
 		t.Errorf("alltoall bytes = %d, want p(p-1)b = %d", got, want)
 	}
 
@@ -186,7 +186,7 @@ func TestRailContentionDiverges(t *testing.T) {
 	eng := New(topology.RailGraph(m, n, 0))
 	ranks := ranksOf(n)
 
-	an, ev := net.AlltoAll(ranks, 1<<20), eng.AlltoAll(ranks, 1<<20)
+	an, ev := net.AlltoAll(ranks, 1<<20), eng.alltoAll(ranks, 1<<20)
 	sameBytes(t, "rail alltoall", an, ev)
 	if ev.Seconds <= an.Seconds {
 		t.Errorf("rail alltoall: event %.6g not slower than analytic %.6g — no contention seen",
@@ -200,10 +200,10 @@ func TestEventLinkDerate(t *testing.T) {
 	p := 8
 	_, eng := flatPair(t, p)
 	ranks := ranksOf(p)
-	healthy := eng.AlltoAll(ranks, 1<<20)
+	healthy := eng.alltoAll(ranks, 1<<20)
 
 	eng.SetLinkDerate(map[topology.LinkClass]float64{topology.LinkGCDPair: 2})
-	slowed := eng.AlltoAll(ranks, 1<<20)
+	slowed := eng.alltoAll(ranks, 1<<20)
 	eng.SetLinkDerate(nil)
 
 	if slowed.Seconds <= healthy.Seconds {
@@ -211,8 +211,24 @@ func TestEventLinkDerate(t *testing.T) {
 	}
 	sameBytes(t, "derate", healthy, slowed)
 
-	restored := eng.AlltoAll(ranks, 1<<20)
+	restored := eng.alltoAll(ranks, 1<<20)
 	if restored.Seconds != healthy.Seconds {
 		t.Errorf("after clearing derate: %.15g, want %.15g (stale memo?)", restored.Seconds, healthy.Seconds)
 	}
+}
+
+// alltoAll is the even all-to-all through AlltoAllV, what
+// netsim.Network.AlltoAll prices analytically.
+func (e *Engine) alltoAll(ranks []int, bytesPerPair int64) netsim.Cost {
+	p := len(ranks)
+	send := make([][]int64, p)
+	for i := range send {
+		send[i] = make([]int64, p)
+		for j := range send[i] {
+			if i != j {
+				send[i][j] = bytesPerPair
+			}
+		}
+	}
+	return e.AlltoAllV(ranks, send)
 }

@@ -86,21 +86,6 @@ func (e *Engine) AlltoAllV(ranks []int, sendBytes [][]int64) netsim.Cost {
 	})
 }
 
-// AlltoAll is the even all-to-all convenience wrapper.
-func (e *Engine) AlltoAll(ranks []int, bytesPerPair int64) netsim.Cost {
-	p := len(ranks)
-	send := make([][]int64, p)
-	for i := range send {
-		send[i] = make([]int64, p)
-		for j := range send[i] {
-			if i != j {
-				send[i][j] = bytesPerPair
-			}
-		}
-	}
-	return e.AlltoAllV(ranks, send)
-}
-
 // ringPass appends one ring pass (q-1 steps) over members ranks: at step s,
 // member i sends block (i-s+1) mod q to member (i+1) mod q. Each step-s
 // flow depends on the member's own step-(s-1) send and on the upstream

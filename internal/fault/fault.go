@@ -570,18 +570,6 @@ func (inj *Injector) LinkDerates(step int) map[topology.LinkClass]float64 {
 	return out
 }
 
-// CrashedRanks returns the ranks whose planned crashes have fired so
-// far, sorted. Call only between Runs.
-func (inj *Injector) CrashedRanks() []int {
-	var out []int
-	for r, c := range inj.crashed {
-		if c {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // ComputeScale implements simrt.Injector.
 func (inj *Injector) ComputeScale(rank int) float64 {
 	if rank >= inj.world {

@@ -275,8 +275,8 @@ func TestInjectorArmWindows(t *testing.T) {
 	if !errors.Is(err4, simrt.ErrRankCrashed) {
 		t.Fatalf("step-4 crash must fire: %v", err4)
 	}
-	if got := inj.CrashedRanks(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("CrashedRanks = %v", got)
+	if got := inj.crashedRanks(); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("crashedRanks = %v", got)
 	}
 	// Once crashed, it stays dead but never re-arms.
 	inj.Arm(5, 30)
@@ -348,7 +348,7 @@ func TestInjectorDrivesSimrtCluster(t *testing.T) {
 			r.AllReduce(g, "ar", nil, 4)
 			return nil
 		})
-		return runErr, inj.CrashedRanks()
+		return runErr, inj.crashedRanks()
 	}
 	err1, crashed1 := run()
 	err2, crashed2 := run()
@@ -448,4 +448,16 @@ func TestParsePlanSpares(t *testing.T) {
 			t.Errorf("ParsePlan(%q) should fail", bad)
 		}
 	}
+}
+
+// crashedRanks returns the ranks whose planned crashes have fired so
+// far, sorted. Call only between Runs.
+func (inj *Injector) crashedRanks() []int {
+	var out []int
+	for r, c := range inj.crashed {
+		if c {
+			out = append(out, r)
+		}
+	}
+	return out
 }

@@ -48,9 +48,6 @@ type Setup struct {
 	// CombineBytes is the element size of combine-side buffers (4 models
 	// Tutel's forced fp32 A_combine on AMD; 0 = ElemBytes).
 	CombineBytes int
-	// MaskBytes is the element size of the combine-weights mask (fp32 in
-	// the conventional pipeline).
-	MaskBytes int
 	// NoDenseMask models Tutel's sparse dispatcher: padded buffers
 	// without the dense [S, E, C] mask tensors.
 	NoDenseMask bool
@@ -66,14 +63,8 @@ func (s Setup) combineBytes() int {
 	return s.ElemBytes
 }
 
-func (s Setup) maskBytes() int {
-	if s.MaskBytes > 0 {
-		return s.MaskBytes
-	}
-	return 4
-}
-
 const (
+	maskBytes  = 4  // fp32 combine-weights mask of the conventional pipeline
 	paramBytes = 2  // bf16 parameters
 	gradBytes  = 2  // bf16 gradients
 	optBytes   = 12 // fp32 master copy + Adam m/v per parameter
@@ -209,7 +200,7 @@ func MoELayer(sh model.Shape, st Setup, sTokens int) MoEBreakdown {
 		if st.NoDenseMask {
 			b.Mask = int64(sTokens*k) * 16
 		} else {
-			b.Mask = int64(sTokens)*int64(e)*capacity*int64(st.maskBytes()+st.ElemBytes) +
+			b.Mask = int64(sTokens)*int64(e)*capacity*int64(maskBytes+st.ElemBytes) +
 				int64(sTokens*k*e)*4
 		}
 		rows := int64(e) * capacity
@@ -266,25 +257,6 @@ func Activations(sh model.Shape, st Setup) int64 {
 	}
 	embed := 2 * layerInput // embedding output + logits-side activations
 	return int64(sh.Layers)*perLayer + embed
-}
-
-// SSMBSaving returns Eq. 1: the per-device activation bytes SSMB saves at
-// TP degree g (half precision, dispatch+combine both scale with c*k*S*H).
-func SSMBSaving(c float64, k, sTokens, h, g int) float64 {
-	if g <= 1 {
-		return 0
-	}
-	return 4 * c * float64(k) * float64(sTokens) * float64(h) * float64(g-1) / float64(g)
-}
-
-// TEDMinCost returns Eq. 2: the minimum extra model-state bytes of
-// choosing SSMB over TED at TP degree g (the expert parameters TED would
-// have sharded).
-func TEDMinCost(hFFN, h, g int) float64 {
-	if g <= 1 {
-		return 0
-	}
-	return 8 * float64(hFFN) * float64(h) * float64(g-1) / float64(g)
 }
 
 // SSMBAdvantage reports whether SSMB saves more memory than TED for the

@@ -210,8 +210,8 @@ func TestEquationsConsistent(t *testing.T) {
 		const c = 1.25
 		const h = 4096
 		const g = 4
-		saving := SSMBSaving(c, k, s, h, g)
-		cost := TEDMinCost(hffn, h, g)
+		saving := ssmbSaving(c, k, s, h, g)
+		cost := tedMinCost(hffn, h, g)
 		return (saving > cost) == SSMBAdvantage(k, hffn, c, s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -249,9 +249,29 @@ func TestQuickActivationsMonotone(t *testing.T) {
 }
 
 func TestSSMBSavingEdge(t *testing.T) {
-	if SSMBSaving(1.25, 8, 4096, 7168, 1) != 0 || TEDMinCost(2048, 7168, 1) != 0 {
+	if ssmbSaving(1.25, 8, 4096, 7168, 1) != 0 || tedMinCost(2048, 7168, 1) != 0 {
 		t.Fatal("G=1 has nothing to save")
 	}
+}
+
+// ssmbSaving is Eq. 1, the reference TestEquationsConsistent holds
+// SSMBAdvantage to: the per-device activation bytes SSMB saves at TP
+// degree g (half precision, dispatch+combine both scale with c*k*S*H).
+func ssmbSaving(c float64, k, sTokens, h, g int) float64 {
+	if g <= 1 {
+		return 0
+	}
+	return 4 * c * float64(k) * float64(sTokens) * float64(h) * float64(g-1) / float64(g)
+}
+
+// tedMinCost is Eq. 2: the minimum extra model-state bytes of choosing
+// SSMB over TED at TP degree g (the expert parameters TED would have
+// sharded).
+func tedMinCost(hFFN, h, g int) float64 {
+	if g <= 1 {
+		return 0
+	}
+	return 8 * float64(hFFN) * float64(h) * float64(g-1) / float64(g)
 }
 
 // TestCheckpointBytes pins the checkpoint-write volume: expert state is

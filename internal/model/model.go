@@ -69,11 +69,6 @@ func SmallLR() Shape {
 	return s
 }
 
-// Zoo returns the Table 3 configurations in evaluation order.
-func Zoo() []Shape {
-	return []Shape{Small(), Medium(), Large(), Super()}
-}
-
 // ConvSpecPair returns the size-equivalent conventional (Mconv) and
 // expert-specialized (Mspec) models of §3.2 Table 1, built from a
 // GPT-3-6.7B-style base (h=4096, h'=16384) with e=16 and fine-grained
@@ -84,19 +79,6 @@ func ConvSpecPair() (conv, spec Shape) {
 	spec = Shape{Name: "m-spec", SeqLen: 2048, HModel: 4096, HFFN: 2048,
 		NumExperts: 128, TopK: 8, Layers: 32, VocabSize: 32000}
 	return conv, spec
-}
-
-// Validate checks the shape for consistency.
-func (s Shape) Validate() error {
-	switch {
-	case s.HModel <= 0 || s.HFFN <= 0 || s.Layers <= 0 || s.SeqLen <= 0:
-		return fmt.Errorf("model: %s has non-positive dimension", s.Name)
-	case s.NumExperts <= 0 || s.TopK <= 0 || s.TopK > s.NumExperts:
-		return fmt.Errorf("model: %s has invalid expert config E=%d k=%d", s.Name, s.NumExperts, s.TopK)
-	case s.VocabSize <= 0:
-		return fmt.Errorf("model: %s has invalid vocab %d", s.Name, s.VocabSize)
-	}
-	return nil
 }
 
 // ExpertParamsPerLayer returns the parameters of one layer's experts: E

@@ -1,13 +1,32 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
 
+// zoo returns the Table 3 configurations in evaluation order.
+func zoo() []Shape {
+	return []Shape{Small(), Medium(), Large(), Super()}
+}
+
+// validate checks the shape for consistency.
+func (s Shape) validate() error {
+	switch {
+	case s.HModel <= 0 || s.HFFN <= 0 || s.Layers <= 0 || s.SeqLen <= 0:
+		return fmt.Errorf("model: %s has non-positive dimension", s.Name)
+	case s.NumExperts <= 0 || s.TopK <= 0 || s.TopK > s.NumExperts:
+		return fmt.Errorf("model: %s has invalid expert config E=%d k=%d", s.Name, s.NumExperts, s.TopK)
+	case s.VocabSize <= 0:
+		return fmt.Errorf("model: %s has invalid vocab %d", s.Name, s.VocabSize)
+	}
+	return nil
+}
+
 func TestZooValidates(t *testing.T) {
-	for _, s := range append(Zoo(), SmallSR(), SmallLR()) {
-		if err := s.Validate(); err != nil {
+	for _, s := range append(zoo(), SmallSR(), SmallLR()) {
+		if err := s.validate(); err != nil {
 			t.Errorf("%s: %v", s.Name, err)
 		}
 	}
@@ -55,7 +74,7 @@ func TestTable3ActivatedParams(t *testing.T) {
 }
 
 func TestActivatedBelowTotal(t *testing.T) {
-	for _, s := range Zoo() {
+	for _, s := range zoo() {
 		if s.ActivatedParams() >= s.TotalParams() {
 			t.Errorf("%s: activated %d >= total %d", s.Name, s.ActivatedParams(), s.TotalParams())
 		}
@@ -111,12 +130,12 @@ func TestWithLayersAndTopK(t *testing.T) {
 func TestValidateCatchesBadShapes(t *testing.T) {
 	s := Small()
 	s.TopK = s.NumExperts + 1
-	if s.Validate() == nil {
+	if s.validate() == nil {
 		t.Fatal("topk > experts must fail")
 	}
 	s2 := Small()
 	s2.HModel = 0
-	if s2.Validate() == nil {
+	if s2.validate() == nil {
 		t.Fatal("zero hidden must fail")
 	}
 }

@@ -31,7 +31,7 @@ func TestHotExpertCapacityDropping(t *testing.T) {
 	r := allToOneRouting(s, e, k, 0)
 	capTokens := 10
 	p := BuildPFT(r, e, capTokens, DropByCapacityWeight)
-	if err := p.Validate(s, e, capTokens); err != nil {
+	if err := p.validate(s, e, capTokens); err != nil {
 		t.Fatal(err)
 	}
 	if p.TokensPerExpert[0] != capTokens {

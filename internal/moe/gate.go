@@ -37,42 +37,6 @@ func (r Routing) K() int {
 	return len(r.Experts) / r.S
 }
 
-// Validate checks structural consistency against an expert count.
-func (r Routing) Validate(numExperts int) error {
-	n := len(r.Experts)
-	switch {
-	case r.S < 0:
-		return fmt.Errorf("moe: routing of S=%d tokens", r.S)
-	case r.S == 0 && n != 0 || r.S > 0 && n%r.S != 0:
-		return fmt.Errorf("moe: %d assignments do not split into S=%d tokens", n, r.S)
-	case len(r.Weights) != n:
-		return fmt.Errorf("moe: %d weights for %d assignments", len(r.Weights), n)
-	case r.Logits != nil && len(r.Logits) != n:
-		return fmt.Errorf("moe: %d logits for %d assignments", len(r.Logits), n)
-	}
-	k := r.K()
-	seen := make([]bool, max(numExperts, 0))
-	for t := 0; t < r.S; t++ {
-		row := r.Experts[t*k : (t+1)*k]
-		for j, e := range row {
-			if e < 0 || int(e) >= numExperts {
-				return fmt.Errorf("moe: token %d routed to expert %d outside [0,%d)", t, e, numExperts)
-			}
-			if seen[e] {
-				return fmt.Errorf("moe: token %d routed to expert %d twice", t, e)
-			}
-			seen[e] = true
-			if w := r.Weights[t*k+j]; w < 0 || w > 1 || math.IsNaN(float64(w)) {
-				return fmt.Errorf("moe: token %d weight %f outside [0,1]", t, w)
-			}
-		}
-		for _, e := range row {
-			seen[e] = false
-		}
-	}
-	return nil
-}
-
 // Gate computes the gating function of Listing 1 (lines 1-8) numerically:
 // logits = x·wg, softmax over experts, top-k selection. x is [S, H] and wg
 // is [H, E]. The returned routing carries both probabilities and raw
@@ -235,13 +199,4 @@ func (c cumSearch) find(target float64) int {
 		i++
 	}
 	return i
-}
-
-// ExpertLoad returns the number of routed assignments per expert.
-func (r Routing) ExpertLoad(numExperts int) []int {
-	load := make([]int, numExperts)
-	for _, e := range r.Experts {
-		load[e]++
-	}
-	return load
 }

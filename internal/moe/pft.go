@@ -60,17 +60,6 @@ func BuildPFT(r Routing, numExperts, maxTokenCount int, policy DropPolicy) *PFT 
 	return buildPFT(r, numExperts, nil, maxTokenCount, policy, true, false)
 }
 
-// BuildPFTCaps is BuildPFT with a per-expert capacity vector: caps[e]
-// bounds expert e's retained rows (entries <= 0 mean unlimited). The
-// straggler-aware capacity rebalance (RebalanceCapacity) uses it to
-// shift rows away from slow ranks' experts; the flat uneven all-to-all
-// and the RBD hierarchy carry uneven segments natively, so only the
-// padded pipeline (whose even exchange requires uniform capacity)
-// rejects it.
-func BuildPFTCaps(r Routing, numExperts int, caps []int, policy DropPolicy) *PFT {
-	return buildPFT(r, numExperts, caps, 0, policy, true, false)
-}
-
 // buildPFT makes two passes over the routing, straight into the final
 // ERI-arrays: a per-expert histogram of the assignments that survive the
 // negative-score drop, then — from its prefix sums — a stable placement
@@ -259,56 +248,9 @@ func kthLargest(a []float32, k int) float32 {
 	}
 }
 
-// Validate checks the PFT's structural invariants: expert-major ordering,
-// histogram consistency, and index ranges.
-func (p *PFT) Validate(numTokens, numExperts, maxTokenCount int) error {
-	if len(p.ExpertIDs) != len(p.TokenIDs) || len(p.CombineWeights) != len(p.TokenIDs) {
-		return fmt.Errorf("moe: PFT ERI-array lengths disagree")
-	}
-	if len(p.TokensPerExpert) != numExperts {
-		return fmt.Errorf("moe: TokensPerExpert has %d bins, want %d", len(p.TokensPerExpert), numExperts)
-	}
-	hist := make([]int, numExperts)
-	prev := -1
-	for i, e := range p.ExpertIDs {
-		if e < 0 || e >= numExperts {
-			return fmt.Errorf("moe: entry %d routed to expert %d outside range", i, e)
-		}
-		if e < prev {
-			return fmt.Errorf("moe: PFT not expert-major at entry %d", i)
-		}
-		prev = e
-		if tid := p.TokenIDs[i]; tid < 0 || tid >= numTokens {
-			return fmt.Errorf("moe: entry %d token %d outside range", i, tid)
-		}
-		hist[e]++
-	}
-	for e, c := range hist {
-		if c != p.TokensPerExpert[e] {
-			return fmt.Errorf("moe: TokensPerExpert[%d]=%d but %d entries", e, p.TokensPerExpert[e], c)
-		}
-		if maxTokenCount > 0 && c > maxTokenCount {
-			return fmt.Errorf("moe: expert %d holds %d > capacity %d", e, c, maxTokenCount)
-		}
-	}
-	return nil
-}
-
 // ERIBytes returns the memory footprint of the ERI-arrays (int32 ids and
 // counts, float32 weights), for activation accounting — the same for a
 // counts-only PFT as for the rows it stands for.
 func (p *PFT) ERIBytes() int64 {
 	return int64(p.B())*(4+4+4) + int64(len(p.TokensPerExpert))*4
-}
-
-// ExpertSegments returns the start offset of each expert's contiguous
-// segment in the buffer (exclusive prefix sums of TokensPerExpert).
-func (p *PFT) ExpertSegments() []int {
-	off := make([]int, len(p.TokensPerExpert))
-	run := 0
-	for e, c := range p.TokensPerExpert {
-		off[e] = run
-		run += c
-	}
-	return off
 }

@@ -175,8 +175,8 @@ const (
 	capUnlimited = iota
 	capFactor    // uniform, Config.Capacity at factor 1.25
 	capUniform   // uniform, capArg rows
-	capMixed     // BuildPFTCaps: zero (unlimited), tight and loose entries by e%3
-	capHottest   // BuildPFTCaps: only the hottest expert capped, at load-1+capArg
+	capMixed     // per-expert caps: zero (unlimited), tight and loose entries by e%3
+	capHottest   // per-expert caps: only the hottest expert capped, at load-1+capArg
 	numCapModes
 )
 
@@ -220,7 +220,7 @@ func (c pftCase) build() (rt Routing, numExperts int, caps []int, limit int) {
 		}
 	case capHottest:
 		caps = make([]int, c.e)
-		hot, load := 0, rt.ExpertLoad(c.e)
+		hot, load := 0, rt.expertLoad(c.e)
 		for e, n := range load {
 			if n > load[hot] {
 				hot = e
@@ -233,7 +233,7 @@ func (c pftCase) build() (rt Routing, numExperts int, caps []int, limit int) {
 
 // checkPFTCase asserts that buildPFT and the sort-based reference agree
 // field for field (weights by bit pattern) under both drop policies, that
-// the result passes Validate, and that the counts-only build a symbolic
+// the result passes validate, and that the counts-only build a symbolic
 // layer makes has the row build's counts and no rows.
 func checkPFTCase(t *testing.T, c pftCase) {
 	t.Helper()
@@ -261,9 +261,9 @@ func checkPFTCase(t *testing.T, c pftCase) {
 					math.Float32bits(w), math.Float32bits(want.CombineWeights[i]))
 			}
 		}
-		// Validate takes one uniform capacity; per-expert vectors are
+		// validate takes one uniform capacity; per-expert vectors are
 		// covered by the field comparison above.
-		if err := got.Validate(rt.S, numExperts, limit); err != nil {
+		if err := got.validate(rt.S, numExperts, limit); err != nil {
 			t.Fatalf("%+v policy %d: %v", c, policy, err)
 		}
 	}

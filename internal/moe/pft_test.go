@@ -60,7 +60,7 @@ func TestGateNumericRouting(t *testing.T) {
 	x := tensor.Randn(rng, 1, s, h)
 	wg := tensor.Randn(rng, 0.5, h, e)
 	r := Gate(x, wg, k)
-	if err := r.Validate(e); err != nil {
+	if err := r.validate(e); err != nil {
 		t.Fatal(err)
 	}
 	if r.S != s || r.K() != k {
@@ -81,10 +81,10 @@ func TestSyntheticRoutingValidAndSkewed(t *testing.T) {
 	rng := tensor.NewRNG(13)
 	s, e, k := 512, 64, 6
 	r := SyntheticRouting(rng, s, e, k, 1.0)
-	if err := r.Validate(e); err != nil {
+	if err := r.validate(e); err != nil {
 		t.Fatal(err)
 	}
-	load := r.ExpertLoad(e)
+	load := r.expertLoad(e)
 	sum, maxLoad := 0, 0
 	for _, l := range load {
 		sum += l
@@ -101,7 +101,7 @@ func TestSyntheticRoutingValidAndSkewed(t *testing.T) {
 	}
 	// Uniform routing should be much flatter.
 	r0 := SyntheticRouting(tensor.NewRNG(13), s, e, k, 0)
-	load0 := r0.ExpertLoad(e)
+	load0 := r0.expertLoad(e)
 	max0 := 0
 	for _, l := range load0 {
 		if l > max0 {
@@ -126,7 +126,7 @@ func TestBuildPFTNoDropping(t *testing.T) {
 	s, e, k := 32, 8, 3
 	r := SyntheticRouting(rng, s, e, k, 0.5)
 	p := BuildPFT(r, e, 0, DropByCapacityWeight) // unlimited capacity
-	if err := p.Validate(s, e, 0); err != nil {
+	if err := p.validate(s, e, 0); err != nil {
 		t.Fatal(err)
 	}
 	if p.B() != s*k || p.Dropped != 0 {
@@ -209,7 +209,7 @@ func TestBuildPFTNilLogitsTreatedPositive(t *testing.T) {
 
 func TestPFTExpertSegments(t *testing.T) {
 	p := &PFT{TokensPerExpert: []int{2, 0, 3}}
-	seg := p.ExpertSegments()
+	seg := p.expertSegments()
 	if seg[0] != 0 || seg[1] != 2 || seg[2] != 2 {
 		t.Fatalf("segments = %v", seg)
 	}
@@ -281,7 +281,7 @@ func TestQuickPFTInvariants(t *testing.T) {
 		policy := DropPolicy(rng.Intn(2))
 		r := SyntheticRouting(rng, s, e, k, rng.Float64()*1.5)
 		p := BuildPFT(r, e, capTokens, policy)
-		if err := p.Validate(s, e, capTokens); err != nil {
+		if err := p.validate(s, e, capTokens); err != nil {
 			t.Logf("invariant violated: %v", err)
 			return false
 		}
@@ -315,7 +315,7 @@ func TestQuickPaddedVsPFTRetention(t *testing.T) {
 			counts.TokenIDs != nil || fmt.Sprint(counts.TokensPerExpert) != fmt.Sprint(pad.TokensPerExpert) {
 			return false
 		}
-		seg := p.ExpertSegments()
+		seg := p.expertSegments()
 		for ex := 0; ex < e; ex++ {
 			for c := 0; c < capTokens; c++ {
 				i, tok, w := ex*capTokens+c, -1, float32(0)
@@ -339,4 +339,51 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// validate checks the PFT's structural invariants: expert-major ordering,
+// histogram consistency, and index ranges.
+func (p *PFT) validate(numTokens, numExperts, maxTokenCount int) error {
+	if len(p.ExpertIDs) != len(p.TokenIDs) || len(p.CombineWeights) != len(p.TokenIDs) {
+		return fmt.Errorf("moe: PFT ERI-array lengths disagree")
+	}
+	if len(p.TokensPerExpert) != numExperts {
+		return fmt.Errorf("moe: TokensPerExpert has %d bins, want %d", len(p.TokensPerExpert), numExperts)
+	}
+	hist := make([]int, numExperts)
+	prev := -1
+	for i, e := range p.ExpertIDs {
+		if e < 0 || e >= numExperts {
+			return fmt.Errorf("moe: entry %d routed to expert %d outside range", i, e)
+		}
+		if e < prev {
+			return fmt.Errorf("moe: PFT not expert-major at entry %d", i)
+		}
+		prev = e
+		if tid := p.TokenIDs[i]; tid < 0 || tid >= numTokens {
+			return fmt.Errorf("moe: entry %d token %d outside range", i, tid)
+		}
+		hist[e]++
+	}
+	for e, c := range hist {
+		if c != p.TokensPerExpert[e] {
+			return fmt.Errorf("moe: TokensPerExpert[%d]=%d but %d entries", e, p.TokensPerExpert[e], c)
+		}
+		if maxTokenCount > 0 && c > maxTokenCount {
+			return fmt.Errorf("moe: expert %d holds %d > capacity %d", e, c, maxTokenCount)
+		}
+	}
+	return nil
+}
+
+// expertSegments returns the start offset of each expert's contiguous
+// segment in the buffer (exclusive prefix sums of TokensPerExpert).
+func (p *PFT) expertSegments() []int {
+	off := make([]int, len(p.TokensPerExpert))
+	run := 0
+	for e, c := range p.TokensPerExpert {
+		off[e] = run
+		run += c
+	}
+	return off
 }

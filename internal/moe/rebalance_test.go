@@ -83,8 +83,8 @@ func TestBuildPFTCapsEnforcesPerExpertCapacity(t *testing.T) {
 		Weights: []float32{0.1, 0.9, 0.5, 0.7, 0.3, 0.4},
 		Logits:  []float32{1, 1, 1, 1, 1, 1},
 	}
-	p := BuildPFTCaps(r, 2, []int{2, 5}, DropByCapacityWeight)
-	if err := p.Validate(6, 2, 5); err != nil {
+	p := buildPFTCaps(r, 2, []int{2, 5}, DropByCapacityWeight)
+	if err := p.validate(6, 2, 5); err != nil {
 		t.Fatal(err)
 	}
 	if p.B() != 4 || p.Dropped != 2 {
@@ -102,7 +102,7 @@ func TestBuildPFTCapsEnforcesPerExpertCapacity(t *testing.T) {
 	rng := tensor.NewRNG(23)
 	syn := SyntheticRouting(rng, 32, 8, 3, 0.6)
 	a := BuildPFT(syn, 8, 7, DropByCapacityWeight)
-	b := BuildPFTCaps(syn, 8, []int{7, 7, 7, 7, 7, 7, 7, 7}, DropByCapacityWeight)
+	b := buildPFTCaps(syn, 8, []int{7, 7, 7, 7, 7, 7, 7, 7}, DropByCapacityWeight)
 	if a.B() != b.B() || a.Dropped != b.Dropped {
 		t.Fatalf("uniform caps diverge from BuildPFT: B %d/%d dropped %d/%d", a.B(), b.B(), a.Dropped, b.Dropped)
 	}
@@ -114,10 +114,10 @@ func TestBuildPFTCapsEnforcesPerExpertCapacity(t *testing.T) {
 
 	defer func() {
 		if recover() == nil {
-			t.Fatal("BuildPFTCaps must panic on a caps/expert-count mismatch")
+			t.Fatal("buildPFT must panic on a caps/expert-count mismatch")
 		}
 	}()
-	BuildPFTCaps(r, 2, []int{2}, DropByCapacityWeight)
+	buildPFTCaps(r, 2, []int{2}, DropByCapacityWeight)
 }
 
 // TestCapacityByExpertOptionChecks: Check rejects non-positive per-expert
@@ -151,4 +151,11 @@ func TestCapacityByExpertOptionChecks(t *testing.T) {
 	if runErr == nil || !strings.Contains(runErr.Error(), "uniform expert capacity") {
 		t.Fatalf("padded + CapacityByExpert must panic with the rejection, got: %v", runErr)
 	}
+}
+
+// buildPFTCaps is BuildPFT with a per-expert capacity vector: caps[e]
+// bounds expert e's retained rows (entries <= 0 mean unlimited), as a
+// layer with PipelineOpts.CapacityByExpert builds it.
+func buildPFTCaps(r Routing, numExperts int, caps []int, policy DropPolicy) *PFT {
+	return buildPFT(r, numExperts, caps, 0, policy, true, false)
 }

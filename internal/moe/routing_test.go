@@ -121,7 +121,7 @@ func TestRoutingValidate(t *testing.T) {
 	for _, c := range cases {
 		r := valid()
 		c.edit(&r)
-		err := r.Validate(4)
+		err := r.validate(4)
 		switch {
 		case c.errHas == "" && err != nil:
 			t.Errorf("%s: unexpected error %v", c.name, err)
@@ -131,7 +131,53 @@ func TestRoutingValidate(t *testing.T) {
 	}
 	// The seen-set is per token: the same expert in two tokens is fine.
 	r := Routing{S: 2, Experts: []int32{1, 1}, Weights: []float32{0.5, 0.5}}
-	if err := r.Validate(2); err != nil {
+	if err := r.validate(2); err != nil {
 		t.Errorf("expert shared across tokens: %v", err)
 	}
+}
+
+// validate checks a routing's structural consistency against an expert
+// count.
+func (r Routing) validate(numExperts int) error {
+	n := len(r.Experts)
+	switch {
+	case r.S < 0:
+		return fmt.Errorf("moe: routing of S=%d tokens", r.S)
+	case r.S == 0 && n != 0 || r.S > 0 && n%r.S != 0:
+		return fmt.Errorf("moe: %d assignments do not split into S=%d tokens", n, r.S)
+	case len(r.Weights) != n:
+		return fmt.Errorf("moe: %d weights for %d assignments", len(r.Weights), n)
+	case r.Logits != nil && len(r.Logits) != n:
+		return fmt.Errorf("moe: %d logits for %d assignments", len(r.Logits), n)
+	}
+	k := r.K()
+	seen := make([]bool, max(numExperts, 0))
+	for t := 0; t < r.S; t++ {
+		row := r.Experts[t*k : (t+1)*k]
+		for j, e := range row {
+			if e < 0 || int(e) >= numExperts {
+				return fmt.Errorf("moe: token %d routed to expert %d outside [0,%d)", t, e, numExperts)
+			}
+			if seen[e] {
+				return fmt.Errorf("moe: token %d routed to expert %d twice", t, e)
+			}
+			seen[e] = true
+			if w := r.Weights[t*k+j]; w < 0 || w > 1 || math.IsNaN(float64(w)) {
+				return fmt.Errorf("moe: token %d weight %f outside [0,1]", t, w)
+			}
+		}
+		for _, e := range row {
+			seen[e] = false
+		}
+	}
+	return nil
+}
+
+// expertLoad returns the number of routed assignments per expert.
+func (r Routing) expertLoad(numExperts int) []int {
+	load := make([]int, numExperts)
+	for _, e := range r.Experts {
+		load[e]++
+	}
+	return load
 }

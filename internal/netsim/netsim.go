@@ -59,21 +59,6 @@ func (c Cost) InterNodeBytes() int64 {
 	return c.BytesByClass[topology.LinkInterNode] + c.BytesByClass[topology.LinkCrossRack]
 }
 
-// Serial composes collective costs executed back to back: durations and
-// congestion delays add, byte aggregates merge per link class. The chunked
-// (blocking) pipelines are Serial compositions of their chunk costs.
-func Serial(costs ...Cost) Cost {
-	out := Cost{BytesByClass: map[topology.LinkClass]int64{}}
-	for _, c := range costs {
-		out.Seconds += c.Seconds
-		out.CongestionDelay += c.CongestionDelay
-		for class, b := range c.BytesByClass {
-			out.BytesByClass[class] += b
-		}
-	}
-	return out
-}
-
 // CongestionModel parameterises the Dragonfly congestion behaviour
 // observed in Appendix D: all-to-alls are stable up to one rack and
 // develop heavy-tailed outliers beyond it, as cross-rack traffic contends

@@ -302,21 +302,6 @@ func TestReduceScatterRemainder(t *testing.T) {
 	}
 }
 
-// TestSerialComposition checks that Serial adds the seconds and the bytes
-// of its costs.
-func TestSerialComposition(t *testing.T) {
-	n := newQuiet(topology.Frontier())
-	a := n.AlltoAll(ranksRange(16), 1<<20)
-	b := n.AllReduce(ranksRange(16), 1<<20)
-	s := Serial(a, b)
-	if s.Seconds != a.Seconds+b.Seconds {
-		t.Fatalf("serial seconds %.9f != %.9f", s.Seconds, a.Seconds+b.Seconds)
-	}
-	if got, want := totalBytes(s), totalBytes(a)+totalBytes(b); got != want {
-		t.Fatalf("serial bytes %d != %d", got, want)
-	}
-}
-
 func TestQuickAlltoAllVMonotoneInVolume(t *testing.T) {
 	n := newQuiet(topology.Frontier())
 	f := func(seed uint64) bool {

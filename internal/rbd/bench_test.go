@@ -25,7 +25,7 @@ func BenchmarkStageReplicas(b *testing.B) {
 	ranks, err := c.RunCollect(func(r *simrt.Rank) error {
 		rt := moe.SyntheticRouting(tensor.NewRNG(42+uint64(r.ID)*31), s, cfg.NumExperts, cfg.TopK, 0.6)
 		pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(s), moe.DropByCapacityWeight)
-		states[r.ID] = d.DispatchPilots(r, pft, nil, tensor.NewRNG(uint64(r.ID)), moe.PipelineOpts{})
+		states[r.ID] = pilotsOnly(d, r, pft, nil, tensor.NewRNG(uint64(r.ID)), moe.PipelineOpts{})
 		return nil
 	})
 	if err != nil {
@@ -61,7 +61,7 @@ func BenchmarkDispatchPilots(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := c.Run(func(r *simrt.Rank) error {
-			d.DispatchPilots(r, pfts[r.ID], nil, tensor.NewRNG(uint64(r.ID)), opts)
+			pilotsOnly(d, r, pfts[r.ID], nil, tensor.NewRNG(uint64(r.ID)), opts)
 			return nil
 		}); err != nil {
 			b.Fatal(err)

@@ -21,7 +21,7 @@ type pilotSel struct {
 	replicaEntry [][]int
 }
 
-// selectPilotsRef is the pilot selection as DispatchPilots made it before
+// selectPilotsRef is the pilot selection as Stage 0 made it before
 // the streaming passes, kept as the reference they are held to: entries
 // bucketed by token, each token's distinct destination nodes collected in
 // first-seen (PFT) order, and one pilot drawn per (token, node) group in

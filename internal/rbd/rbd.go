@@ -286,16 +286,10 @@ func (d *Dispatcher) Dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor
 	return st, st.dispatch(r, pft, dispIn, nil)
 }
 
-// DispatchPilots runs RBD stages 0-1 for rank r: pilot selection, pilot
+// dispatchPilots runs RBD stages 0-1 for rank r: pilot selection, pilot
 // buffer instantiation, and the inter-node pilot exchange in
-// opts.Chunks() chunks. The returned state holds the received pilot payload
-// (numeric) and Stage-1 metadata, from which Dispatch continues with Stage 2.
-func (d *Dispatcher) DispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, rng *tensor.RNG, opts moe.PipelineOpts) *State {
-	st := d.newState(rng, opts)
-	st.dispatchPilots(r, pft, dispIn)
-	return st
-}
-
+// opts.Chunks() chunks. It leaves the received pilot payload (numeric) and
+// Stage-1 metadata in st, from which Stage 2 continues.
 func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor) {
 	d, opts := st.d, st.opts
 	h := d.Cfg.HModel

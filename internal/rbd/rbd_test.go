@@ -467,7 +467,7 @@ func TestStageReplicasOrder(t *testing.T) {
 		rt := moe.SyntheticRouting(tensor.NewRNG(900+uint64(r.ID)), s, cfg.NumExperts, cfg.TopK, 0.7)
 		pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(s), moe.DropByCapacityWeight)
 		opts := moe.PipelineOpts{Numeric: true}
-		st := d.DispatchPilots(r, pft, tensor.New(pft.B(), cfg.HModel), tensor.NewRNG(50+uint64(r.ID)), opts)
+		st := pilotsOnly(d, r, pft, tensor.New(pft.B(), cfg.HModel), tensor.NewRNG(50+uint64(r.ID)), opts)
 		parts := d.stageReplicas(r, st, opts)
 
 		members := d.nodeMembers[d.nodeOfMember[g.IndexOf(r.ID)]]
@@ -525,4 +525,12 @@ func TestStageReplicasOrder(t *testing.T) {
 	if collisions.Load() < 1000 {
 		t.Fatalf("only %d same-expert neighbours: the routing does not exercise arrival order", collisions.Load())
 	}
+}
+
+// pilotsOnly runs RBD stages 0-1 for rank r and returns the state Stage 2
+// would continue from.
+func pilotsOnly(d *Dispatcher, r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, rng *tensor.RNG, opts moe.PipelineOpts) *State {
+	st := d.newState(rng, opts)
+	st.dispatchPilots(r, pft, dispIn)
+	return st
 }

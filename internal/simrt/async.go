@@ -21,14 +21,6 @@ type CommHandle struct {
 	waited bool
 }
 
-// Done reports whether the collective has completed by the rank's current
-// clock — i.e. whether Wait would charge nothing. It blocks the host, not
-// the virtual clock, until the collective is priced.
-func (h *CommHandle) Done() bool {
-	_, end := h.r.await(h.fl, h.name)
-	return h.r.Clock >= end
-}
-
 // Wait blocks the rank's virtual clock until the collective completes and
 // returns the received parts (indexed by source member). Only the
 // *uncovered* remainder of the collective's cost — the part not hidden

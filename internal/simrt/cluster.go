@@ -92,13 +92,6 @@ func (m *MemTracker) ByTag() map[string]int64 {
 	return out
 }
 
-// Reset clears all accounting.
-func (m *MemTracker) Reset() {
-	m.mu.Lock()
-	m.cur, m.peak, m.byTag = 0, 0, map[string]int64{}
-	m.mu.Unlock()
-}
-
 // Device is the simulated GPU attached to one rank.
 type Device struct {
 	// Mem tracks simulated HBM usage.
@@ -272,11 +265,6 @@ func (r *Rank) Compute(name string, dur float64) {
 	r.Busy += dur
 }
 
-// GEMM models one [m,k]x[k,n] matmul on this rank's device.
-func (r *Rank) GEMM(name string, m, k, n int) {
-	r.Compute(name, r.C.Comp.GEMM(m, k, n))
-}
-
 // Kernel models one bandwidth-bound kernel of the given class moving the
 // given bytes.
 func (r *Rank) Kernel(name string, class perfmodel.KernelClass, bytes int64) {
@@ -406,13 +394,6 @@ func (c *Cluster) AnyOOM() bool {
 		}
 	}
 	return false
-}
-
-// ResetMemory clears all devices' memory accounting.
-func (c *Cluster) ResetMemory() {
-	for _, d := range c.devices {
-		d.Mem.Reset()
-	}
 }
 
 // NewGroup creates a communicator over the given global ranks (order is

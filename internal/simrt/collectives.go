@@ -255,10 +255,6 @@ func priceAllGather(g *Group, deps []deposit) (float64, [][]Part) {
 	return g.c.CostEngine().AllGather(g.ranks, bytes).Seconds, recv
 }
 
-func priceBarrier(g *Group, _ []deposit) (float64, [][]Part) {
-	return g.c.CostEngine().Barrier(g.ranks).Seconds, nil
-}
-
 // AlltoAllV exchanges uneven per-destination parts among the group: send
 // must have one Part per member (send[j] goes to member j, including
 // self). It returns the parts this rank received, indexed by source
@@ -311,11 +307,6 @@ func (r *Rank) ReduceScatterAsync(g *Group, name string, data []float32, bytes i
 // be mutated.
 func (r *Rank) AllGather(g *Group, name string, part Part) []Part {
 	return r.block(g, name, deposit{part: part}, priceAllGather)
-}
-
-// Barrier synchronises all members' clocks.
-func (r *Rank) Barrier(g *Group) {
-	r.block(g, "barrier", deposit{}, priceBarrier)
 }
 
 // ShardRange returns the half-open [lo, hi) range of member i's owned

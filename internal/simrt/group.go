@@ -43,12 +43,6 @@ func (g *Group) IndexOf(r int) int {
 	return i
 }
 
-// Contains reports whether global rank r is a member.
-func (g *Group) Contains(r int) bool {
-	_, ok := g.index[r]
-	return ok
-}
-
 // rendezvous is the meeting point for one collective call: every member
 // deposits its contribution into the shared flight and leaves once all
 // members have.

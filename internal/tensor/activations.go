@@ -2,35 +2,6 @@ package tensor
 
 import "math"
 
-// ReLU applies max(0, x) elementwise in place.
-func ReLU(t *Tensor) {
-	for i, v := range t.Data {
-		if v < 0 {
-			t.Data[i] = 0
-		}
-	}
-}
-
-// ReLUBackward computes dX from dY given the forward input x: dX[i] is
-// dY[i] where x[i] > 0 and zero elsewhere. The result is a new tensor.
-func ReLUBackward(dy, x *Tensor) *Tensor {
-	dx := New(x.shape...)
-	ReLUBackwardInto(dx, dy, x)
-	return dx
-}
-
-// ReLUBackwardInto computes ReLUBackward into the preallocated dx, which
-// is overwritten. Bit-identical to ReLUBackward.
-func ReLUBackwardInto(dx, dy, x *Tensor) {
-	for i, v := range x.Data {
-		if v > 0 {
-			dx.Data[i] = dy.Data[i]
-		} else {
-			dx.Data[i] = 0
-		}
-	}
-}
-
 // GeLU applies the tanh-approximated Gaussian error linear unit in place,
 // matching the approximation used throughout transformer FFNs.
 func GeLU(t *Tensor) {
@@ -41,16 +12,8 @@ func GeLU(t *Tensor) {
 	}
 }
 
-// GeLUBackward computes dX from dY given the forward input x for the
-// tanh-approximated GeLU.
-func GeLUBackward(dy, x *Tensor) *Tensor {
-	dx := New(x.shape...)
-	GeLUBackwardInto(dx, dy, x)
-	return dx
-}
-
-// GeLUBackwardInto computes GeLUBackward into the preallocated dx, which
-// is overwritten. Bit-identical to GeLUBackward.
+// GeLUBackwardInto computes dX from dY given the forward input x for the
+// tanh-approximated GeLU into the preallocated dx, which is overwritten.
 func GeLUBackwardInto(dx, dy, x *Tensor) {
 	const c = 0.7978845608028654
 	for i, v := range x.Data {
@@ -60,33 +23,6 @@ func GeLUBackwardInto(dx, dy, x *Tensor) {
 		sech2 := 1 - th*th
 		dinner := c * (1 + 3*0.044715*x*x)
 		grad := 0.5*(1+th) + 0.5*x*sech2*dinner
-		dx.Data[i] = dy.Data[i] * float32(grad)
-	}
-}
-
-// SiLU applies x*sigmoid(x) elementwise in place (the activation used by
-// DeepSeek-style expert FFNs).
-func SiLU(t *Tensor) {
-	for i, v := range t.Data {
-		x := float64(v)
-		t.Data[i] = float32(x / (1 + math.Exp(-x)))
-	}
-}
-
-// SiLUBackward computes dX from dY given the forward input x.
-func SiLUBackward(dy, x *Tensor) *Tensor {
-	dx := New(x.shape...)
-	SiLUBackwardInto(dx, dy, x)
-	return dx
-}
-
-// SiLUBackwardInto computes SiLUBackward into the preallocated dx, which
-// is overwritten. Bit-identical to SiLUBackward.
-func SiLUBackwardInto(dx, dy, x *Tensor) {
-	for i, v := range x.Data {
-		x := float64(v)
-		s := 1 / (1 + math.Exp(-x))
-		grad := s * (1 + x*(1-s))
 		dx.Data[i] = dy.Data[i] * float32(grad)
 	}
 }

@@ -90,7 +90,7 @@ func benchGEMMInto(b *testing.B, kernel func(c, a, w *Tensor), c, a, w *Tensor) 
 		kernel(c, a, w)
 	}
 	// FLOPs per nanosecond is GFLOP/s.
-	flops := float64(MatMulFLOPs(trainRows, trainH, trainF)) * float64(b.N)
+	flops := 2 * float64(trainRows*trainH*trainF) * float64(b.N)
 	b.ReportMetric(flops/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
 }
 
@@ -116,6 +116,6 @@ func BenchmarkGeLUBackward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GeLUBackward(dy, x)
+		geluBackward(dy, x)
 	}
 }

@@ -208,9 +208,3 @@ func axpy(c, b []float32, x float32, skipZero bool) {
 		c[j] += x * b[j]
 	}
 }
-
-// MatMulFLOPs returns the floating-point operation count of an [m,k]x[k,n]
-// multiply (2mkn), used by the performance model.
-func MatMulFLOPs(m, k, n int) int64 {
-	return 2 * int64(m) * int64(k) * int64(n)
-}

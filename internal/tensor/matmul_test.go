@@ -232,7 +232,7 @@ func FuzzGEMMMatchesReference(f *testing.F) {
 // tail, or all in one chunk) and wherever the operands start inside a
 // larger buffer, as the per-expert views of SequentialGEMMInto do.
 func TestGEMMBitsIndependentOfWorkers(t *testing.T) {
-	defer SetMaxWorkers(MaxWorkers())
+	defer SetMaxWorkers(int(maxWorkers.Load()))
 	// view copies t into a buffer one row longer and returns the copy
 	// that starts at row 1 of it.
 	view := func(t *Tensor) *Tensor {

@@ -92,38 +92,3 @@ func TopK(t *Tensor, k int) (indices []int, values []float32) {
 	})
 	return indices, values
 }
-
-// Histogram counts occurrences of each value in [0, bins) within ids.
-// Values outside the range are ignored.
-func Histogram(ids []int, bins int) []int {
-	h := make([]int, bins)
-	for _, v := range ids {
-		if v >= 0 && v < bins {
-			h[v]++
-		}
-	}
-	return h
-}
-
-// CumSum returns the inclusive prefix sums of xs.
-func CumSum(xs []int) []int {
-	out := make([]int, len(xs))
-	run := 0
-	for i, v := range xs {
-		run += v
-		out[i] = run
-	}
-	return out
-}
-
-// ExclusiveCumSum returns the exclusive prefix sums of xs: out[i] is the
-// sum of xs[0:i]. This gives segment start offsets from segment lengths.
-func ExclusiveCumSum(xs []int) []int {
-	out := make([]int, len(xs))
-	run := 0
-	for i, v := range xs {
-		out[i] = run
-		run += v
-	}
-	return out
-}

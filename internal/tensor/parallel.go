@@ -25,9 +25,6 @@ func SetMaxWorkers(n int) int {
 	return int(maxWorkers.Swap(int64(n)))
 }
 
-// MaxWorkers returns the current worker bound.
-func MaxWorkers() int { return int(maxWorkers.Load()) }
-
 // pfTask is one ParallelFor invocation flowing through the persistent
 // worker pool. Workers and the caller claim chunks from a shared atomic
 // cursor, so a task finishes even when every pool worker is busy (the

@@ -58,12 +58,6 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 // mutated.
 func (t *Tensor) Shape() []int { return t.shape }
 
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.shape[i] }
-
-// Rank returns the number of dimensions.
-func (t *Tensor) Rank() int { return len(t.shape) }
-
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
@@ -91,9 +85,6 @@ func (t *Tensor) Cols() int {
 // At returns the element at row i, column j of a matrix-view of t.
 func (t *Tensor) At(i, j int) float32 { return t.Data[i*t.Cols()+j] }
 
-// Set assigns the element at row i, column j of a matrix-view of t.
-func (t *Tensor) Set(i, j int, v float32) { t.Data[i*t.Cols()+j] = v }
-
 // Row returns a mutable view of row i of a matrix-view of t.
 func (t *Tensor) Row(i int) []float32 {
 	c := t.Cols()
@@ -107,21 +98,6 @@ func (t *Tensor) Clone() *Tensor {
 	s := make([]int, len(t.shape))
 	copy(s, t.shape)
 	return &Tensor{Data: d, shape: s}
-}
-
-// Reshape returns a view of t with a new shape covering the same number of
-// elements. The backing buffer is shared.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.Data), shape, n))
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{Data: t.Data, shape: s}
 }
 
 // Zero sets all elements of t to zero.
@@ -156,40 +132,10 @@ func (t *Tensor) Add(other *Tensor) {
 	}
 }
 
-// Sub subtracts other from t elementwise.
-func (t *Tensor) Sub(other *Tensor) {
-	if len(t.Data) != len(other.Data) {
-		panic(fmt.Sprintf("tensor: sub size mismatch %v vs %v", t.shape, other.shape))
-	}
-	for i, v := range other.Data {
-		t.Data[i] -= v
-	}
-}
-
 // Scale multiplies every element of t by a.
 func (t *Tensor) Scale(a float32) {
 	for i := range t.Data {
 		t.Data[i] *= a
-	}
-}
-
-// AddScaled accumulates a*other into t elementwise.
-func (t *Tensor) AddScaled(a float32, other *Tensor) {
-	if len(t.Data) != len(other.Data) {
-		panic(fmt.Sprintf("tensor: addscaled size mismatch %v vs %v", t.shape, other.shape))
-	}
-	for i, v := range other.Data {
-		t.Data[i] += a * v
-	}
-}
-
-// Mul multiplies t by other elementwise (Hadamard product).
-func (t *Tensor) Mul(other *Tensor) {
-	if len(t.Data) != len(other.Data) {
-		panic(fmt.Sprintf("tensor: mul size mismatch %v vs %v", t.shape, other.shape))
-	}
-	for i, v := range other.Data {
-		t.Data[i] *= v
 	}
 }
 

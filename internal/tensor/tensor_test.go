@@ -15,7 +15,7 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 			for p := 0; p < k; p++ {
 				s += float64(a.At(i, p)) * float64(b.At(p, j))
 			}
-			c.Set(i, j, float32(s))
+			c.Data[i*n+j] = float32(s)
 		}
 	}
 	return c
@@ -26,7 +26,7 @@ func TestNewShapeAndLen(t *testing.T) {
 	if x.Len() != 60 {
 		t.Fatalf("Len = %d, want 60", x.Len())
 	}
-	if x.Rank() != 3 || x.Dim(0) != 3 || x.Dim(1) != 4 || x.Dim(2) != 5 {
+	if s := x.Shape(); len(s) != 3 || s[0] != 3 || s[1] != 4 || s[2] != 5 {
 		t.Fatalf("bad shape %v", x.Shape())
 	}
 	if x.Rows() != 3 || x.Cols() != 20 {
@@ -45,13 +45,13 @@ func TestFromSliceMismatchPanics(t *testing.T) {
 
 func TestAtSetRow(t *testing.T) {
 	x := New(2, 3)
-	x.Set(1, 2, 7)
+	row := x.Row(1)
+	row[2] = 7
 	if x.At(1, 2) != 7 {
 		t.Fatalf("At(1,2) = %f, want 7", x.At(1, 2))
 	}
-	row := x.Row(1)
-	if row[2] != 7 {
-		t.Fatalf("Row(1)[2] = %f, want 7", row[2])
+	if x.Data[5] != 7 {
+		t.Fatalf("Row(1)[2] is not Data[5]: %v", x.Data)
 	}
 	row[0] = 3
 	if x.At(1, 0) != 3 {
@@ -68,21 +68,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestReshapeSharesData(t *testing.T) {
-	x := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	y := x.Reshape(3, 2)
-	y.Data[0] = 42
-	if x.Data[0] != 42 {
-		t.Fatal("Reshape must share backing storage")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on bad reshape")
-		}
-	}()
-	x.Reshape(4, 2)
-}
-
 func TestElementwiseOps(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	y := FromSlice([]float32{10, 20, 30, 40}, 2, 2)
@@ -93,22 +78,11 @@ func TestElementwiseOps(t *testing.T) {
 			t.Fatalf("Add: got %v", x.Data)
 		}
 	}
-	x.Sub(y)
 	x.Scale(2)
-	for i, w := range []float32{2, 4, 6, 8} {
+	for i, w := range []float32{22, 44, 66, 88} {
 		if x.Data[i] != w {
 			t.Fatalf("Scale: got %v", x.Data)
 		}
-	}
-	x.AddScaled(0.5, y)
-	for i, w := range []float32{7, 14, 21, 28} {
-		if x.Data[i] != w {
-			t.Fatalf("AddScaled: got %v", x.Data)
-		}
-	}
-	x.Mul(y)
-	if x.Data[3] != 28*40 {
-		t.Fatalf("Mul: got %v", x.Data)
 	}
 }
 
@@ -145,7 +119,7 @@ func TestMatMulTAndTMatMul(t *testing.T) {
 	bt := New(n, k)
 	for i := 0; i < k; i++ {
 		for j := 0; j < n; j++ {
-			bt.Set(j, i, b.At(i, j))
+			bt.Data[j*k+i] = b.At(i, j)
 		}
 	}
 	if !MatMulT(a, bt).Equal(naiveMatMul(a, b), 1e-3) {
@@ -155,7 +129,7 @@ func TestMatMulTAndTMatMul(t *testing.T) {
 	at := New(k, m)
 	for i := 0; i < m; i++ {
 		for j := 0; j < k; j++ {
-			at.Set(j, i, a.At(i, j))
+			at.Data[j*m+i] = a.At(i, j)
 		}
 	}
 	if !TMatMul(at, b).Equal(naiveMatMul(a, b), 1e-3) {
@@ -232,40 +206,11 @@ func TestTopKClampsK(t *testing.T) {
 	}
 }
 
-func TestHistogramAndCumSum(t *testing.T) {
-	h := Histogram([]int{0, 1, 1, 3, 3, 3, -1, 9}, 4)
-	want := []int{1, 2, 0, 3}
-	for i, w := range want {
-		if h[i] != w {
-			t.Fatalf("Histogram = %v, want %v", h, want)
-		}
-	}
-	cs := CumSum(h)
-	if cs[3] != 6 {
-		t.Fatalf("CumSum = %v", cs)
-	}
-	ecs := ExclusiveCumSum(h)
-	if ecs[0] != 0 || ecs[1] != 1 || ecs[3] != 3 {
-		t.Fatalf("ExclusiveCumSum = %v", ecs)
-	}
-}
-
 func TestActivationsForward(t *testing.T) {
-	x := FromSlice([]float32{-2, 0, 2}, 3)
-	r := x.Clone()
-	ReLU(r)
-	if r.Data[0] != 0 || r.Data[2] != 2 {
-		t.Fatalf("ReLU = %v", r.Data)
-	}
-	g := x.Clone()
+	g := FromSlice([]float32{-2, 0, 2}, 3)
 	GeLU(g)
 	if g.Data[1] != 0 || g.Data[2] < 1.9 || g.Data[0] > 0 {
 		t.Fatalf("GeLU = %v", g.Data)
-	}
-	s := x.Clone()
-	SiLU(s)
-	if math.Abs(float64(s.Data[2])-2/(1+math.Exp(-2))*1) > 1e-5 {
-		t.Fatalf("SiLU = %v", s.Data)
 	}
 }
 
@@ -302,17 +247,14 @@ func checkActivationGrad(t *testing.T, name string, fwd func(*Tensor), bwd func(
 }
 
 func TestActivationGradients(t *testing.T) {
-	checkActivationGrad(t, "GeLU", GeLU, GeLUBackward)
-	checkActivationGrad(t, "SiLU", SiLU, SiLUBackward)
+	checkActivationGrad(t, "GeLU", GeLU, geluBackward)
 }
 
-func TestReLUBackward(t *testing.T) {
-	x := FromSlice([]float32{-1, 2, 3}, 3)
-	dy := FromSlice([]float32{5, 5, 5}, 3)
-	dx := ReLUBackward(dy, x)
-	if dx.Data[0] != 0 || dx.Data[1] != 5 || dx.Data[2] != 5 {
-		t.Fatalf("ReLUBackward = %v", dx.Data)
-	}
+// geluBackward is GeLUBackwardInto into a fresh tensor.
+func geluBackward(dy, x *Tensor) *Tensor {
+	dx := New(x.Shape()...)
+	GeLUBackwardInto(dx, dy, x)
+	return dx
 }
 
 func TestRNGDeterminism(t *testing.T) {

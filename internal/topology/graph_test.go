@@ -5,7 +5,7 @@ import "testing"
 func TestFlatMachineValidates(t *testing.T) {
 	for _, n := range []int{2, 8, 64} {
 		m := Flat(n)
-		if err := m.Validate(); err != nil {
+		if err := m.validate(); err != nil {
 			t.Fatalf("Flat(%d): %v", n, err)
 		}
 		if m.NumNodes(n) != 1 {

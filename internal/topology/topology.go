@@ -194,27 +194,3 @@ func (m *Machine) NumNodes(n int) int {
 func (m *Machine) NumRacks(n int) int {
 	return (m.NumNodes(n) + m.NodesPerRack - 1) / m.NodesPerRack
 }
-
-// Validate checks the machine description for internal consistency.
-func (m *Machine) Validate() error {
-	if m.GPUsPerNode <= 0 || m.GPUsPerPair <= 0 || m.NodesPerRack <= 0 {
-		return fmt.Errorf("topology: %s: non-positive layout field", m.Name)
-	}
-	if m.GPUsPerNode%m.GPUsPerPair != 0 {
-		return fmt.Errorf("topology: %s: GPUsPerNode %d not divisible by GPUsPerPair %d",
-			m.Name, m.GPUsPerNode, m.GPUsPerPair)
-	}
-	for _, c := range []LinkClass{LinkLocal, LinkGCDPair, LinkIntraNode, LinkInterNode, LinkCrossRack} {
-		spec, ok := m.Links[c]
-		if !ok {
-			return fmt.Errorf("topology: %s: missing link class %v", m.Name, c)
-		}
-		if spec.Bandwidth <= 0 || spec.Latency < 0 {
-			return fmt.Errorf("topology: %s: invalid spec for %v", m.Name, c)
-		}
-	}
-	if m.Device.PeakFLOPs <= 0 || m.Device.MemBytes <= 0 || m.Device.HBMBandwidth <= 0 {
-		return fmt.Errorf("topology: %s: invalid device profile", m.Name)
-	}
-	return nil
-}

@@ -1,13 +1,38 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
 
+// validate checks the machine description for internal consistency.
+func (m *Machine) validate() error {
+	if m.GPUsPerNode <= 0 || m.GPUsPerPair <= 0 || m.NodesPerRack <= 0 {
+		return fmt.Errorf("topology: %s: non-positive layout field", m.Name)
+	}
+	if m.GPUsPerNode%m.GPUsPerPair != 0 {
+		return fmt.Errorf("topology: %s: GPUsPerNode %d not divisible by GPUsPerPair %d",
+			m.Name, m.GPUsPerNode, m.GPUsPerPair)
+	}
+	for _, c := range []LinkClass{LinkLocal, LinkGCDPair, LinkIntraNode, LinkInterNode, LinkCrossRack} {
+		spec, ok := m.Links[c]
+		if !ok {
+			return fmt.Errorf("topology: %s: missing link class %v", m.Name, c)
+		}
+		if spec.Bandwidth <= 0 || spec.Latency < 0 {
+			return fmt.Errorf("topology: %s: invalid spec for %v", m.Name, c)
+		}
+	}
+	if m.Device.PeakFLOPs <= 0 || m.Device.MemBytes <= 0 || m.Device.HBMBandwidth <= 0 {
+		return fmt.Errorf("topology: %s: invalid device profile", m.Name)
+	}
+	return nil
+}
+
 func TestFrontierValid(t *testing.T) {
 	m := Frontier()
-	if err := m.Validate(); err != nil {
+	if err := m.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if m.GPUsPerNode != 8 || m.GPUsPerPair != 2 || m.NodesPerRack != 32 {
@@ -20,7 +45,7 @@ func TestFrontierValid(t *testing.T) {
 
 func TestDGXA100Valid(t *testing.T) {
 	m := DGXA100()
-	if err := m.Validate(); err != nil {
+	if err := m.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if m.Device.MemBytes != 40e9 {
@@ -106,17 +131,17 @@ func TestFrontierBandwidthAsymmetry(t *testing.T) {
 func TestValidateCatchesBrokenMachines(t *testing.T) {
 	m := Frontier()
 	m.GPUsPerPair = 3 // 8 % 3 != 0
-	if err := m.Validate(); err == nil {
+	if err := m.validate(); err == nil {
 		t.Fatal("expected validation error for indivisible pair size")
 	}
 	m2 := Frontier()
 	delete(m2.Links, LinkInterNode)
-	if err := m2.Validate(); err == nil {
+	if err := m2.validate(); err == nil {
 		t.Fatal("expected validation error for missing link class")
 	}
 	m3 := Frontier()
 	m3.Device.PeakFLOPs = 0
-	if err := m3.Validate(); err == nil {
+	if err := m3.validate(); err == nil {
 		t.Fatal("expected validation error for zero peak FLOPs")
 	}
 }

@@ -190,13 +190,6 @@ func (r *Recorder) Names() []string {
 	return names
 }
 
-// Reset discards all recorded events.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.events = r.events[:0]
-	r.mu.Unlock()
-}
-
 // Merge sums the breakdowns of several recorders, averaging over n
 // recorders if avg is true. Used to aggregate per-rank traces into the
 // per-stage times the paper plots.

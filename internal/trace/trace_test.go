@@ -28,10 +28,6 @@ func TestRecordAndTotals(t *testing.T) {
 	if len(evs) != 3 || evs[0].Name != "gate" || evs[1].Start != 1.5 {
 		t.Fatalf("Events = %v", evs)
 	}
-	r.Reset()
-	if len(r.Events()) != 0 {
-		t.Fatal("Reset did not clear events")
-	}
 }
 
 // TestOverlappedSpans pins the split accounting of non-blocking

@@ -136,7 +136,7 @@ type DistTrainer struct {
 	group   *simrt.Group
 	// layer is the MoE layer over the world group; rebuilt alongside the
 	// cluster on Shrink and Grow.
-	layer  transport.Layer
+	layer  *transport.Layer
 	params []*moe.ExpertParams // per rank, local experts
 	// bias is the replicated dense parameter ([H] per rank, kept
 	// bit-identical across ranks by an all-reduced gradient): the smallest
@@ -259,43 +259,11 @@ func (t *DistTrainer) initShardState() {
 	}
 }
 
-// StateBytes reports the persistent per-rank training-state footprint in
-// bytes for one rank — parameters, owned gradient state, and optimizer
-// (velocity) state — measured from the live buffers, the ground truth
-// the memmodel ZeRO predictions are validated against. Gradient state
-// counts the dense gradient elements this rank retains after sync (all H
-// at stages 0/1, its owned shard at stage 2) plus the full rank-local
-// expert gradients.
-func (t *DistTrainer) StateBytes(rank int) (params, grads, opt int64) {
-	h := int64(t.Cfg.MoE.HModel)
-	expertElems := int64(0)
-	for _, w := range t.params[rank].W1 {
-		expertElems += int64(w.Len())
-	}
-	for _, w := range t.params[rank].W2 {
-		expertElems += int64(w.Len())
-	}
-	params = 4 * (expertElems + h)
-	denseGrad := h
-	if t.zcfg.Stage >= 2 {
-		denseGrad = int64(zero.OwnedCount(t.owned[rank]))
-	}
-	grads = 4 * (expertElems + denseGrad)
-	if t.Cfg.Momentum != 0 {
-		opt = 4 * expertElems // expert velocity, rank-local like the weights
-		opt += 4 * int64(len(t.biasVel[rank]))
-	}
-	return params, grads, opt
-}
-
 // dataSeed derives rank slot r's input-stream seed. Streams belong to the
 // slot, not the step: a rank surviving an elastic shrink keeps its stream.
 func dataSeed(seed uint64, rank int) uint64 {
 	return seed ^ (uint64(rank)*2654435761 + 0x9e3779b9)
 }
-
-// Params returns rank's expert weights (for inspection and tests).
-func (t *DistTrainer) Params(rank int) *moe.ExpertParams { return t.params[rank] }
 
 // Step runs one training step on every rank: forward (with state
 // capture), MSE loss against a deterministic target, mirrored backward,
@@ -335,7 +303,7 @@ func (t *DistTrainer) Step() (DistStepStats, error) {
 		// The pilot draws (RBD) come from the slot's persistent data stream,
 		// so pilot selection is part of the checkpointed training state: a
 		// restored run replays the identical pilots with no extra fields.
-		res, saved := t.layer.Forward(r, s, x, routing, params, rng, fwdOpts)
+		res := t.layer.Forward(r, s, x, routing, params, rng, fwdOpts)
 		out, dropped := res.Output, res.Dropped
 
 		// MSE loss (over the biased output) and its gradient.
@@ -368,7 +336,7 @@ func (t *DistTrainer) Step() (DistStepStats, error) {
 			syncer.Flush()
 		}
 
-		grads := saved.Backward(r, dOut, params, bopts)
+		grads := res.State.Backward(r, dOut, params, bopts)
 
 		shards := syncer.Wait()
 		lossSum := lossH.Wait()[0].Data

@@ -61,7 +61,7 @@ func TestDistTrainerChunkedBitIdentical(t *testing.T) {
 				}
 			}
 			for rank := 0; rank < 4; rank++ {
-				bp, cp := blockTr.Params(rank), chunkTr.Params(rank)
+				bp, cp := blockTr.params[rank], chunkTr.params[rank]
 				for le := range bp.W1 {
 					for j := range bp.W1[le].Data {
 						if bp.W1[le].Data[j] != cp.W1[le].Data[j] {

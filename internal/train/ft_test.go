@@ -18,7 +18,7 @@ func weightsEqual(t *testing.T, a, b *DistTrainer, label string) {
 		t.Fatalf("%s: world %d vs %d", label, a.Cfg.World, b.Cfg.World)
 	}
 	for rank := 0; rank < a.Cfg.World; rank++ {
-		ap, bp := a.Params(rank), b.Params(rank)
+		ap, bp := a.params[rank], b.params[rank]
 		for le := range ap.W1 {
 			for j := range ap.W1[le].Data {
 				if ap.W1[le].Data[j] != bp.W1[le].Data[j] {
@@ -46,7 +46,7 @@ func weightsDiffer(a, b *DistTrainer) bool {
 		return true
 	}
 	for rank := 0; rank < a.Cfg.World; rank++ {
-		ap, bp := a.Params(rank), b.Params(rank)
+		ap, bp := a.params[rank], b.params[rank]
 		for le := range ap.W1 {
 			for j := range ap.W1[le].Data {
 				if ap.W1[le].Data[j] != bp.W1[le].Data[j] {

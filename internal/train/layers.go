@@ -195,12 +195,12 @@ type MoEFFN struct {
 	W1, W2 []*Param
 
 	experts *moe.ExpertParams
-	layer   transport.Layer
+	layer   *transport.Layer
 	opts    moe.PipelineOpts
 	// forward state for Backward
 	probs *tensor.Tensor
 	pft   *moe.PFT
-	saved transport.Saved
+	state *moe.PFTFwdState
 	// persistent router-backward scratch ([S, E], fixed for a fixed S)
 	dProbs, dLogits *tensor.Tensor
 }
@@ -229,8 +229,8 @@ func (m *MoEFFN) Forward(r *simrt.Rank, x *tensor.Tensor) *tensor.Tensor {
 	m.probs.Copy(logits)
 	tensor.SoftmaxRows(m.probs)
 	routing := moe.TopKRouting(logits, m.probs, m.Cfg.TopK)
-	res, saved := m.layer.Forward(r, x.Rows(), x, routing, m.experts, nil, m.opts)
-	m.pft, m.saved = res.PFT, saved
+	res := m.layer.Forward(r, x.Rows(), x, routing, m.experts, nil, m.opts)
+	m.pft, m.state = res.PFT, res.State
 	return res.Output
 }
 
@@ -239,8 +239,8 @@ func (m *MoEFFN) Forward(r *simrt.Rank, x *tensor.Tensor) *tensor.Tensor {
 // gradient plus the router's, which flows from the combine weights'
 // gradients through the softmax.
 func (m *MoEFFN) Backward(r *simrt.Rank, dy *tensor.Tensor) *tensor.Tensor {
-	g := m.saved.Backward(r, dy, m.experts, m.opts)
-	m.saved = nil
+	g := m.state.Backward(r, dy, m.experts, m.opts)
+	m.state = nil
 	for e := range m.W1 {
 		m.W1[e].G.Add(g.DW1[e])
 		m.W2[e].G.Add(g.DW2[e])
@@ -278,12 +278,4 @@ func (m *MoEFFN) Params() []*Param {
 		out = append(out, m.W1[e], m.W2[e])
 	}
 	return out
-}
-
-// DroppedTokens returns the drop count of the most recent forward pass.
-func (m *MoEFFN) DroppedTokens() int {
-	if m.pft == nil {
-		return 0
-	}
-	return m.pft.Dropped
 }

@@ -189,9 +189,9 @@ func TestMoEFFNDropPolicies(t *testing.T) {
 		mx.Forward(r, x)
 		md.Forward(r, x)
 	})
-	if mx.DroppedTokens() > md.DroppedTokens() {
+	if mx.pft.Dropped > md.pft.Dropped {
 		t.Fatalf("X-MoE policy dropped more (%d) than DS-MoE policy (%d)",
-			mx.DroppedTokens(), md.DroppedTokens())
+			mx.pft.Dropped, md.pft.Dropped)
 	}
 }
 

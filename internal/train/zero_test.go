@@ -46,7 +46,7 @@ func assertSameTraining(t *testing.T, label string, lossA, lossB []float64, a, b
 		}
 	}
 	for rank := 0; rank < a.Cfg.World; rank++ {
-		pa, pb := a.Params(rank), b.Params(rank)
+		pa, pb := a.params[rank], b.params[rank]
 		for le := range pa.W1 {
 			for j := range pa.W1[le].Data {
 				if math.Float32bits(pa.W1[le].Data[j]) != math.Float32bits(pb.W1[le].Data[j]) {
@@ -239,7 +239,7 @@ func TestDistTrainerStateBytesMatchMemModel(t *testing.T) {
 				dense := memmodel.ZeROStates(h, cfg.World, stage, 4, 4, bytesOpt)
 				want := expert.Add(dense)
 				for rank := 0; rank < cfg.World; rank++ {
-					params, grads, opt := tr.StateBytes(rank)
+					params, grads, opt := tr.stateBytes(rank)
 					got := memmodel.StateBytes{Params: params, Grads: grads, Opt: opt}
 					for _, pair := range []struct {
 						name      string
@@ -269,4 +269,33 @@ func within1pct(got, want int64) bool {
 		diff = -diff
 	}
 	return float64(diff) <= 0.01*float64(want)
+}
+
+// stateBytes reports the persistent per-rank training-state footprint in
+// bytes for one rank — parameters, owned gradient state, and optimizer
+// (velocity) state — measured from the live buffers, the ground truth
+// the memmodel ZeRO predictions are validated against. Gradient state
+// counts the dense gradient elements this rank retains after sync (all H
+// at stages 0/1, its owned shard at stage 2) plus the full rank-local
+// expert gradients.
+func (t *DistTrainer) stateBytes(rank int) (params, grads, opt int64) {
+	h := int64(t.Cfg.MoE.HModel)
+	expertElems := int64(0)
+	for _, w := range t.params[rank].W1 {
+		expertElems += int64(w.Len())
+	}
+	for _, w := range t.params[rank].W2 {
+		expertElems += int64(w.Len())
+	}
+	params = 4 * (expertElems + h)
+	denseGrad := h
+	if t.zcfg.Stage >= 2 {
+		denseGrad = int64(zero.OwnedCount(t.owned[rank]))
+	}
+	grads = 4 * (expertElems + denseGrad)
+	if t.Cfg.Momentum != 0 {
+		opt = 4 * expertElems // expert velocity, rank-local like the weights
+		opt += 4 * int64(len(t.biasVel[rank]))
+	}
+	return params, grads, opt
 }

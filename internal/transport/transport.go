@@ -1,10 +1,11 @@
 // Package transport is the one way to run an MoE layer over an
 // expert-parallel group. The paper's three dispatchers — the zero-padded
 // baseline (§3.1), padding-free PFT (§4.1) and hierarchical RBD (§4.2) —
-// run one MoE layer body (moe.Forward, and the saved state's Backward) and
-// differ only in the moe.Exchange that moves the rows, and everything
-// above them (the distributed trainer, the step simulator, the bench
-// harnesses, the CLIs) selects one by Kind and drives it through Layer.
+// run one MoE layer body (moe.Forward, and the Backward of the
+// *moe.PFTFwdState it saves) and differ only in the moe.Exchange that
+// moves the rows, and everything above them (the distributed trainer, the
+// step simulator, the bench harnesses, the CLIs) selects one by Kind and
+// drives it through a Layer.
 // What a transport needs built outside the rank bodies (RBD's
 // Dispatcher), which entry point builds its exchange and which options it
 // cannot honour are known here and nowhere else. The package sits above
@@ -68,7 +69,7 @@ func Parse(name string) (Kind, error) {
 // Check reports whether transport k can run a cfg layer under opts: the
 // generic PipelineOpts.Check, what k itself rejects (per-expert capacities
 // on padded, a CombineBytes override on rbd), and the one rule that needs
-// cfg — a capacity vector must have an entry per expert, or BuildPFTCaps
+// cfg — a capacity vector must have an entry per expert, or the PFT build
 // panics mid-step. A Kind outside Kinds() is rejected as option
 // "Transport". Errors are *moe.OptionError. Callers that validate a
 // configuration before building a cluster use this; Layer.Check is the
@@ -88,70 +89,51 @@ func (k Kind) Check(cfg moe.Config, opts moe.PipelineOpts) error {
 	return nil
 }
 
-// Layer runs one MoE layer of a fixed architecture over a fixed EP group.
-// It is built once, outside the rank bodies, and shared by the group's
-// ranks; Forward and Saved.Backward are called from inside them.
-type Layer interface {
-	// Check is Kind.Check for this layer's transport and architecture.
-	Check(opts moe.PipelineOpts) error
-	// Forward runs the layer's forward pass on rank r for its s local
-	// tokens (x and params nil in symbolic mode). pilots drives RBD's
-	// randomized pilot selection and is ignored by the flat transports.
-	// With opts.SaveForBackward the returned Saved reverses this pass;
-	// otherwise it is nil.
-	Forward(r *simrt.Rank, s int, x *tensor.Tensor, routing moe.Routing, params *moe.ExpertParams,
-		pilots *tensor.RNG, opts moe.PipelineOpts) (moe.LayerResult, Saved)
-}
-
-// Saved is one rank's forward state, bound to the layer that produced it:
-// for every transport the *moe.PFTFwdState the one layer body saved.
-type Saved interface {
-	// Backward runs the layer's backward pass for the forward that returned
-	// this value (dOut and params nil in symbolic mode).
-	Backward(r *simrt.Rank, dOut *tensor.Tensor, params *moe.ExpertParams, opts moe.PipelineOpts) moe.BackwardResult
-}
-
-// New builds the kind transport's layer of architecture cfg over EP group
-// ep of cluster c. It must be called outside Cluster.Run (RBD creates its
-// per-node communicators). A Kind outside Kinds() is a programming error.
-func New(kind Kind, c *simrt.Cluster, ep *simrt.Group, cfg moe.Config) Layer {
-	if kind < 0 || int(kind) >= len(kinds) {
-		panic(fmt.Sprintf("transport: New(%v): no such transport", kind))
-	}
-	l := &layer{kind: kind, ep: ep, cfg: cfg}
-	if kind == RBD {
-		l.d = rbd.NewDispatcher(c, ep, cfg)
-	}
-	return l
-}
-
-// layer runs every transport through the one MoE layer body; only the
-// exchange its forward plugs in differs. d, RBD's dispatcher, holds the
+// Layer runs one MoE layer of a fixed architecture over a fixed EP group
+// through the one layer body; only the exchange its forward plugs in
+// differs by transport. It is built once, outside the rank bodies, and
+// shared by the group's ranks; Forward, and the Backward of the state it
+// returns, are called from inside them. d, RBD's dispatcher, holds the
 // per-node communicators and the expert-to-node tables every rank of the
 // group shares.
-type layer struct {
+type Layer struct {
 	kind Kind
 	ep   *simrt.Group
 	cfg  moe.Config
 	d    *rbd.Dispatcher
 }
 
-func (l *layer) Check(opts moe.PipelineOpts) error { return l.kind.Check(l.cfg, opts) }
+// New builds the kind transport's layer of architecture cfg over EP group
+// ep of cluster c. It must be called outside Cluster.Run (RBD creates its
+// per-node communicators). A Kind outside Kinds() is a programming error.
+func New(kind Kind, c *simrt.Cluster, ep *simrt.Group, cfg moe.Config) *Layer {
+	if kind < 0 || int(kind) >= len(kinds) {
+		panic(fmt.Sprintf("transport: New(%v): no such transport", kind))
+	}
+	l := &Layer{kind: kind, ep: ep, cfg: cfg}
+	if kind == RBD {
+		l.d = rbd.NewDispatcher(c, ep, cfg)
+	}
+	return l
+}
 
-func (l *layer) Forward(r *simrt.Rank, s int, x *tensor.Tensor, routing moe.Routing, params *moe.ExpertParams,
-	pilots *tensor.RNG, opts moe.PipelineOpts) (moe.LayerResult, Saved) {
+// Check is Kind.Check for this layer's transport and architecture.
+func (l *Layer) Check(opts moe.PipelineOpts) error { return l.kind.Check(l.cfg, opts) }
 
-	var res moe.LayerResult
+// Forward runs the layer's forward pass on rank r for its s local tokens
+// (x and params nil in symbolic mode). pilots drives RBD's randomized
+// pilot selection and is ignored by the flat transports. With
+// opts.SaveForBackward the result's State reverses this pass through
+// State.Backward (dOut and params nil in symbolic mode); otherwise State
+// is nil, and its Backward panics with an *moe.OptionError.
+func (l *Layer) Forward(r *simrt.Rank, s int, x *tensor.Tensor, routing moe.Routing, params *moe.ExpertParams,
+	pilots *tensor.RNG, opts moe.PipelineOpts) moe.LayerResult {
+
 	switch l.kind {
 	case PFT:
-		res = moe.PFTForward(r, l.ep, l.cfg, s, x, routing, params, opts)
+		return moe.PFTForward(r, l.ep, l.cfg, s, x, routing, params, opts)
 	case Padded:
-		res = moe.PaddedForward(r, l.ep, l.cfg, s, x, routing, params, opts)
-	case RBD:
-		res = rbd.Forward(r, l.d, l.cfg, s, x, routing, params, pilots, opts)
+		return moe.PaddedForward(r, l.ep, l.cfg, s, x, routing, params, opts)
 	}
-	if res.State == nil {
-		return res, nil
-	}
-	return res, res.State
+	return rbd.Forward(r, l.d, l.cfg, s, x, routing, params, pilots, opts)
 }

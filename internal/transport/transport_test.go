@@ -129,7 +129,7 @@ func runNumeric(t *testing.T, kind Kind, chunks int, viaLayer bool) layerBits {
 	c := simrt.NewCluster(topology.Frontier(), world, 5)
 	c.Net.DisableCongestion = true
 	g := c.WorldGroup()
-	var layer Layer
+	var layer *Layer
 	var d *rbd.Dispatcher
 	if viaLayer {
 		layer = New(kind, c, g, cfg)
@@ -155,9 +155,8 @@ func runNumeric(t *testing.T, kind Kind, chunks int, viaLayer bool) layerBits {
 		var grads moe.BackwardResult
 		switch {
 		case viaLayer:
-			var saved Saved
-			res, saved = layer.Forward(r, s, x, routing, params, pilots, fwd)
-			grads = saved.Backward(r, dOut, params, bwd)
+			res = layer.Forward(r, s, x, routing, params, pilots, fwd)
+			grads = res.State.Backward(r, dOut, params, bwd)
 		case kind == PFT:
 			res = moe.PFTForward(r, g, cfg, s, x, routing, params, fwd)
 			grads = moe.PFTBackward(r, g, cfg, res.State, dOut, params, bwd)
@@ -235,23 +234,48 @@ func TestLayerMatchesDirectCalls(t *testing.T) {
 	}
 }
 
-// TestForwardWithoutSaveReturnsNilSaved: a forward that kept no state has
-// nothing to reverse, and says so with a nil interface rather than a Saved
-// whose Backward would dereference a nil state.
-func TestForwardWithoutSaveReturnsNilSaved(t *testing.T) {
-	cfg := moe.Config{NumExperts: 16, TopK: 2, HModel: 64, HFFN: 32, CapacityFactor: 1.25, BytesPerElem: 2}
+// TestForwardStateOnlyWhenSaved: a forward without SaveForBackward keeps
+// no state, and reversing it anyway fails with a typed
+// *moe.OptionError{Opt: "SaveForBackward"} rather than a nil dereference;
+// with SaveForBackward the backward runs — for every transport, numeric
+// and symbolic.
+func TestForwardStateOnlyWhenSaved(t *testing.T) {
+	const world, s = 8, 32
+	cfg := moe.Config{NumExperts: 16, TopK: 2, HModel: 8, HFFN: 4, CapacityFactor: 1.25, BytesPerElem: 2}
 	for _, kind := range Kinds() {
-		c := simrt.NewCluster(topology.Frontier(), 8, 3)
-		layer := New(kind, c, c.WorldGroup(), cfg)
-		_, err := c.RunCollect(func(r *simrt.Rank) error {
-			rt := moe.SyntheticRouting(tensor.NewRNG(uint64(r.ID)), 32, cfg.NumExperts, cfg.TopK, 0)
-			if _, saved := layer.Forward(r, 32, nil, rt, nil, tensor.NewRNG(1), moe.PipelineOpts{}); saved != nil {
-				return fmt.Errorf("%v: Forward without SaveForBackward returned a Saved", kind)
+		for _, numeric := range []bool{false, true} {
+			for _, save := range []bool{false, true} {
+				name := fmt.Sprintf("%v numeric=%v save=%v", kind, numeric, save)
+				c := simrt.NewCluster(topology.Frontier(), world, 3)
+				layer := New(kind, c, c.WorldGroup(), cfg)
+				err := c.Run(func(r *simrt.Rank) error {
+					rng := tensor.NewRNG(700 + uint64(r.ID))
+					rt := moe.SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0)
+					var x, dOut *tensor.Tensor
+					var params *moe.ExpertParams
+					if numeric {
+						x, dOut = tensor.Randn(rng, 1, s, cfg.HModel), tensor.Randn(rng, 1, s, cfg.HModel)
+						params = moe.NewExpertParams(rng, cfg.NumExperts/world, cfg.HModel, cfg.HFFN)
+					}
+					opts := moe.PipelineOpts{Numeric: numeric, SaveForBackward: save}
+					res := layer.Forward(r, s, x, rt, params, tensor.NewRNG(1), opts)
+					if (res.State != nil) != save {
+						return fmt.Errorf("state %v after a forward with SaveForBackward %v", res.State != nil, save)
+					}
+					grads := res.State.Backward(r, dOut, params, moe.PipelineOpts{Numeric: numeric})
+					if numeric && (grads.DX == nil || len(grads.DW1) != cfg.NumExperts/world) {
+						return fmt.Errorf("numeric backward returned no gradients")
+					}
+					return nil
+				})
+				var oe *moe.OptionError
+				switch {
+				case save && err != nil:
+					t.Errorf("%s: %v", name, err)
+				case !save && (!errors.As(err, &oe) || oe.Opt != "SaveForBackward"):
+					t.Errorf("%s: backward without a state: want *moe.OptionError{Opt: SaveForBackward}, got %v", name, err)
+				}
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 }
@@ -322,8 +346,8 @@ func runPriced(t *testing.T, kind Kind, chunks int, numeric bool) priceBits {
 		}
 		fwd := moe.PipelineOpts{Numeric: numeric, DropPolicy: drop, SaveForBackward: true, OverlapChunks: chunks}
 		bwd := moe.PipelineOpts{Numeric: numeric, DropPolicy: drop, OverlapChunks: chunks}
-		_, saved := layer.Forward(r, s, x, routing, params, tensor.NewRNG(91+uint64(r.ID)), fwd)
-		saved.Backward(r, dOut, params, bwd)
+		res := layer.Forward(r, s, x, routing, params, tensor.NewRNG(91+uint64(r.ID)), fwd)
+		res.State.Backward(r, dOut, params, bwd)
 		return nil
 	})
 	if err != nil {
@@ -390,9 +414,9 @@ func TestBackwardRejectsUnusableState(t *testing.T) {
 		err := c.Run(func(r *simrt.Rank) error {
 			rng := tensor.NewRNG(900 + uint64(r.ID))
 			routing := moe.SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0.5)
-			_, saved := l.Forward(r, s, nil, routing, nil, rng, moe.PipelineOpts{SaveForBackward: true})
+			res := l.Forward(r, s, nil, routing, nil, rng, moe.PipelineOpts{SaveForBackward: true})
 			params := moe.NewExpertParams(rng, cfg.NumExperts/world, cfg.HModel, cfg.HFFN)
-			saved.Backward(r, tensor.New(s, cfg.HModel), params, moe.PipelineOpts{Numeric: true})
+			res.State.Backward(r, tensor.New(s, cfg.HModel), params, moe.PipelineOpts{Numeric: true})
 			return nil
 		})
 		if !optionError(err, "Numeric") {
