@@ -195,12 +195,13 @@ bench-save:
 
 # The microbenchmarks the CI smoke runs: one numeric fwd+bwd of the PFT
 # layer and of the LM's MoE block built on it, one event-priced
-# all-to-all-v that misses the memo (the water-filling engine), and the
-# three GEMMs at the numeric trainer's shapes. A -bench
+# all-to-all-v that misses the memo (the water-filling engine), the
+# three GEMMs at the numeric trainer's shapes, and one rank's RBD pilot
+# selection at the Large layer's shape. A -bench
 # pattern that matches nothing passes silently, so the smoke first
 # requires `go test -list` to name every benchmark the pattern lists.
-SMOKE_BENCH = BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward|BenchmarkA2AVMiss|BenchmarkMatMulInto|BenchmarkMatMulTInto|BenchmarkTMatMulInto
-SMOKE_PKGS = ./internal/moe ./internal/train ./internal/devent ./internal/tensor
+SMOKE_BENCH = BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward|BenchmarkA2AVMiss|BenchmarkMatMulInto|BenchmarkMatMulTInto|BenchmarkTMatMulInto|BenchmarkSelectPilots
+SMOKE_PKGS = ./internal/moe ./internal/train ./internal/devent ./internal/tensor ./internal/rbd
 
 # Quick CI, and the only definition of it (.github/workflows/ci.yml runs
 # this target): gofmt + the transport-name grep + vet + build + the GEMM

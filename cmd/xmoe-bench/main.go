@@ -47,6 +47,13 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile (since process start) to this file after the experiments")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// Flag parsing stops at the first argument, so the flags after it
+		// would be dropped too.
+		fmt.Fprintf(os.Stderr, "xmoe-bench: unexpected argument %q: every option is a flag; to run one experiment, use -experiment %s\n",
+			flag.Arg(0), flag.Arg(0))
+		os.Exit(2)
+	}
 
 	// Validate -engine up front (experiments panic on a bad spec).
 	if _, err := bench.NewEngine(topology.Frontier(), 8, *engine); err != nil {

@@ -26,6 +26,8 @@ func main() {
 	flag.Parse()
 	var usage error
 	switch {
+	case flag.NArg() > 0:
+		usage = fmt.Errorf("unexpected argument %q: every option is a flag", flag.Arg(0))
 	case *gpus < 1:
 		usage = fmt.Errorf("-gpus %d: want at least 1 GPU", *gpus)
 	case *bytes < 0:

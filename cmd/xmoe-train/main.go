@@ -229,6 +229,10 @@ func main() {
 	momentum := flag.Float64("momentum", 0, "distributed mode: SGD momentum (its state shards under -zero >= 1)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "xmoe-train: unexpected argument %q: every option is a flag\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	defer prof.StartCPU(*cpuProfile)()
 
 	if *dist {

@@ -198,7 +198,8 @@ type LayerResult struct {
 	// and RBD pipelines, the capacity-padded layout of the padded one
 	// (every segment C rows, a hole's token -1). A symbolic flat pipeline's
 	// carries counts only (TokensPerExpert, Dropped; nil rows); RBD picks
-	// its pilots per row, so its PFT always has them.
+	// its pilots per row, so its PFT always has TokenIDs and
+	// CombineWeights, and ExpertIDs when numeric.
 	PFT *PFT
 	// RoutedTokens is the number of retained (token, expert) assignments
 	// sent (holes not counted).
@@ -258,18 +259,25 @@ func sum(xs []int) int {
 // RoutedPFT builds the PFT a transport dispatches: the uniform
 // Config.Capacity unless opts.CapacityByExpert rebalances it per expert.
 // Shared by the PFT pipeline and the RBD dispatcher, so both transports
-// see identical routing decisions under mitigation.
+// see identical routing decisions under mitigation. Its ExpertIDs are
+// built under opts.Numeric only.
 func RoutedPFT(routing Routing, cfg Config, s int, opts PipelineOpts) *PFT {
 	return routedPFT(routing, cfg, s, opts, true, false)
 }
 
 // routedPFT is RoutedPFT, with the rows only when asked for, and the
-// capacity-padded layout when padded.
+// capacity-padded layout when padded. ExpertIDs is built for a numeric
+// layer only: a symbolic one with rows is RBD's, which reads TokenIDs.
 func routedPFT(routing Routing, cfg Config, s int, opts PipelineOpts, rows, padded bool) *PFT {
-	if opts.CapacityByExpert != nil {
-		return buildPFT(routing, cfg.NumExperts, opts.CapacityByExpert, 0, opts.DropPolicy, rows, false)
+	caps, limit := opts.CapacityByExpert, cfg.Capacity(s)
+	if caps != nil {
+		limit, padded = 0, false
 	}
-	return buildPFT(routing, cfg.NumExperts, nil, cfg.Capacity(s), opts.DropPolicy, rows, padded)
+	pft := buildPFT(routing, cfg.NumExperts, caps, limit, opts.DropPolicy, rows, padded)
+	if opts.Numeric {
+		pft.withExpertIDs()
+	}
+	return pft
 }
 
 // epCheck validates the expert-parallel layout and returns experts/rank.

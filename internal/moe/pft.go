@@ -32,12 +32,15 @@ const (
 //
 // A symbolic layer's PFT (PFTForward without opts.Numeric) carries counts
 // only: TokensPerExpert and Dropped, with nil rows, since no symbolic pass
-// moves a row. The exported builders always fill the rows.
+// moves a row. A symbolic RBD layer groups its rows by token, so its PFT
+// has TokenIDs and CombineWeights but no ExpertIDs, which only a numeric
+// layer builds. BuildPFT always fills every row.
 type PFT struct {
 	// TokenIDs[i] is the original token index of buffer row i, or -1 for
 	// a hole of the padded layout.
 	TokenIDs []int
-	// ExpertIDs[i] is the destination expert of buffer row i.
+	// ExpertIDs[i] is the destination expert of buffer row i: nil in a
+	// symbolic layer's PFT, whose segments TokensPerExpert delimits.
 	ExpertIDs []int
 	// TokensPerExpert[e] is the number of rows routed to expert e.
 	TokensPerExpert []int
@@ -57,7 +60,7 @@ func (p *PFT) B() int { return sum(p.TokensPerExpert) }
 // policy against maxTokenCount (the expert capacity), and emit the
 // ERI-arrays. A maxTokenCount <= 0 means unlimited capacity.
 func BuildPFT(r Routing, numExperts, maxTokenCount int, policy DropPolicy) *PFT {
-	return buildPFT(r, numExperts, nil, maxTokenCount, policy, true, false)
+	return buildPFT(r, numExperts, nil, maxTokenCount, policy, true, false).withExpertIDs()
 }
 
 // buildPFT makes two passes over the routing, straight into the final
@@ -68,6 +71,9 @@ func BuildPFT(r Routing, numExperts, maxTokenCount int, policy DropPolicy) *PFT 
 // more rows); weight-ordered dropping places every candidate, then
 // compacts the over-capacity segments in place. The clamped histogram is
 // already TokensPerExpert and Dropped, so without rows it stops there.
+// The histogram adds each assignment's keep test as an integer, not a
+// branch: a logit's sign is data the predictor cannot learn. With rows it
+// fills TokenIDs and CombineWeights; ExpertIDs is withExpertIDs' to add.
 // A non-nil caps must have one entry per expert.
 //
 // padded builds the capacity-padded layout of the conventional pipeline
@@ -98,11 +104,15 @@ func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy D
 	if rows {
 		next, end = ints[numExperts:2*numExperts], ints[2*numExperts:]
 	}
-	for i, e := range r.Experts {
-		if dropNegative && r.Logits[i] < 0 {
-			continue
+	if dropNegative {
+		// !(l < 0) keeps -0 and NaN, as the placement below does.
+		for i, e := range r.Experts {
+			counts[e] += b2i(!(r.Logits[i] < 0))
 		}
-		counts[e]++
+	} else {
+		for _, e := range r.Experts {
+			counts[e]++
+		}
 	}
 
 	placed, maxOver, kept := 0, 0, 0
@@ -193,20 +203,32 @@ func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy D
 		tokenIDs, weights = tokenIDs[:w:w], weights[:w:w]
 	}
 
-	expertIDs := make([]int, len(tokenIDs))
-	row := 0
-	for e, c := range counts {
-		for hi := row + c; row < hi; row++ {
-			expertIDs[row] = e
-		}
-	}
 	return &PFT{
 		TokenIDs:        tokenIDs,
-		ExpertIDs:       expertIDs,
 		TokensPerExpert: counts,
 		CombineWeights:  weights,
 		Dropped:         len(r.Experts) - kept,
 	}
+}
+
+// withExpertIDs fills p.ExpertIDs from the segment lengths and returns p.
+func (p *PFT) withExpertIDs() *PFT {
+	p.ExpertIDs = make([]int, len(p.TokenIDs))
+	row := 0
+	for e, c := range p.TokensPerExpert {
+		for hi := row + c; row < hi; row++ {
+			p.ExpertIDs[row] = e
+		}
+	}
+	return p
+}
+
+// b2i is 1 for true and 0 for false, compiled to a flag set, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // kthLargest returns the k-th largest value of a (1 <= k <= len(a)),

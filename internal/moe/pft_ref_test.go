@@ -1,6 +1,7 @@
 package moe
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -52,9 +53,10 @@ func buildPFTRef(r Routing, numExperts int, caps []int, maxTokenCount int, polic
 	}
 
 	if policy == DropNegativeThenPosition {
+		// Negative scores drop; -0 and NaN are not negative.
 		kept := entries[:0]
 		for _, e := range entries {
-			if e.logit >= 0 {
+			if !(e.logit < 0) {
 				kept = append(kept, e)
 			}
 		}
@@ -168,6 +170,7 @@ const (
 	shapeNilLogits    // producer does not track logits
 	shapeHalfEmpty    // only the lower half of the experts is ever chosen
 	shapeFewWeights   // weights drawn from four values: ties inside segments
+	shapeOddLogits    // logits cycle through -0, +0, NaN, -Inf, +Inf and -min subnormal
 	numShapes
 )
 
@@ -207,6 +210,10 @@ func (c pftCase) build() (rt Routing, numExperts int, caps []int, limit int) {
 		}
 	case shapeNilLogits:
 		rt.Logits = nil
+	case shapeOddLogits:
+		for i := range rt.Logits {
+			rt.Logits[i] = oddLogits[i%len(oddLogits)]
+		}
 	}
 	switch c.capMode {
 	case capFactor:
@@ -239,7 +246,7 @@ func checkPFTCase(t *testing.T, c pftCase) {
 	t.Helper()
 	rt, numExperts, caps, limit := c.build()
 	for _, policy := range []DropPolicy{DropByCapacityWeight, DropNegativeThenPosition} {
-		got := buildPFT(rt, numExperts, caps, limit, policy, true, false)
+		got := buildPFT(rt, numExperts, caps, limit, policy, true, false).withExpertIDs()
 		want := buildPFTRef(rt, numExperts, caps, limit, policy)
 		counts := buildPFT(rt, numExperts, caps, limit, policy, false, false)
 		if !slices.Equal(counts.TokensPerExpert, got.TokensPerExpert) || counts.Dropped != got.Dropped ||
@@ -295,8 +302,38 @@ var pftCases = []pftCase{
 	// Logit handling of the DeepSpeed policy.
 	{seed: 14, s: 128, e: 8, k: 2, skew10: 6, shape: shapeNegLogits, capMode: capFactor},
 	{seed: 15, s: 128, e: 8, k: 2, skew10: 6, shape: shapeNilLogits, capMode: capFactor},
+	{seed: 17, s: 128, e: 8, k: 2, skew10: 6, shape: shapeOddLogits, capMode: capFactor},
+	{seed: 18, s: 96, e: 4, k: 3, skew10: 0, shape: shapeOddLogits, capMode: capUnlimited},
 	// Empty routing.
 	{seed: 16, s: 0, e: 8, k: 2, capMode: capFactor},
+}
+
+// oddLogits are the scores whose sign test is easy to get wrong: the keep
+// predicate !(l < 0) keeps -0, +0, NaN and +Inf and drops -Inf and the
+// negative subnormal.
+var oddLogits = []float32{float32(math.Copysign(0, -1)), 0, float32(math.NaN()), float32(math.Inf(-1)),
+	float32(math.Inf(1)), -math.SmallestNonzeroFloat32}
+
+// TestDropNegativeKeepsSignedZeroAndNaN pins the keep predicate of
+// DropNegativeThenPosition on one token per odd logit, in the counts-only
+// build, the row build and the reference.
+func TestDropNegativeKeepsSignedZeroAndNaN(t *testing.T) {
+	n := len(oddLogits)
+	rt := Routing{S: n, Experts: make([]int32, n), Weights: make([]float32, n), Logits: oddLogits}
+	counts := buildPFT(rt, 1, nil, 0, DropNegativeThenPosition, false, false)
+	rows := BuildPFT(rt, 1, 0, DropNegativeThenPosition)
+	ref := buildPFTRef(rt, 1, nil, 0, DropNegativeThenPosition)
+	const kept = "[0 1 2 4]" // -0, +0, NaN, +Inf
+	for _, p := range []*PFT{rows, ref} {
+		if got := fmt.Sprint(p.TokenIDs); got != kept {
+			t.Fatalf("kept tokens %s, want %s", got, kept)
+		}
+	}
+	for _, p := range []*PFT{counts, rows, ref} {
+		if p.TokensPerExpert[0] != 4 || p.Dropped != 2 {
+			t.Fatalf("%d kept and %d dropped, want 4 and 2", p.TokensPerExpert[0], p.Dropped)
+		}
+	}
 }
 
 func TestBuildPFTMatchesSortReference(t *testing.T) {

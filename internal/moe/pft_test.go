@@ -245,7 +245,7 @@ func TestBuildPaddedAssignment(t *testing.T) {
 	}
 	// Capacity-weight dropping would keep tokens 1 and 2; the padded
 	// layout keeps the first two by position.
-	p := buildPFT(r, 2, nil, 2, DropByCapacityWeight, true, true)
+	p := buildPFT(r, 2, nil, 2, DropByCapacityWeight, true, true).withExpertIDs()
 	if p.Dropped != 1 { // token 2 overflows expert 0
 		t.Fatalf("dropped = %d, want 1", p.Dropped)
 	}
@@ -309,7 +309,7 @@ func TestQuickPaddedVsPFTRetention(t *testing.T) {
 		capTokens := 1 + rng.Intn(s*k)
 		r := SyntheticRouting(rng, s, e, k, 0.7)
 		p := BuildPFT(r, e, capTokens, DropNegativeThenPosition)
-		pad := buildPFT(r, e, nil, capTokens, DropNegativeThenPosition, true, true)
+		pad := buildPFT(r, e, nil, capTokens, DropNegativeThenPosition, true, true).withExpertIDs()
 		counts := buildPFT(r, e, nil, capTokens, DropNegativeThenPosition, false, true)
 		if pad.B() != e*capTokens || pad.Dropped != p.Dropped || counts.Dropped != p.Dropped ||
 			counts.TokenIDs != nil || fmt.Sprint(counts.TokensPerExpert) != fmt.Sprint(pad.TokensPerExpert) {

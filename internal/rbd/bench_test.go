@@ -69,6 +69,31 @@ func BenchmarkDispatchPilots(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectPilots is the ledger rung for Stage 0 alone: rank 0 of
+// the Large model's EP = 64 layer (4096 tokens, k = 8) selecting its
+// pilots from a pre-built PFT, symbolic, on uniform and skew-0.6 routing.
+func BenchmarkSelectPilots(b *testing.B) {
+	const world = 64
+	sh := model.Large()
+	cfg := moe.Config{NumExperts: sh.NumExperts, TopK: sh.TopK, HModel: sh.HModel, HFFN: sh.HFFN,
+		CapacityFactor: 1.25, BytesPerElem: 2}
+	c := newCluster(world)
+	d := NewDispatcher(c, c.WorldGroup(), cfg)
+	for _, skew := range []float64{0, 0.6} {
+		rt := moe.SyntheticRouting(tensor.NewRNG(42), sh.SeqLen, cfg.NumExperts, cfg.TopK, skew)
+		pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(sh.SeqLen), moe.DropByCapacityWeight)
+		b.Run(fmt.Sprintf("skew%.1f", skew), func(b *testing.B) {
+			rng := tensor.NewRNG(1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchMetas = d.selectPilots(&State{pft: pft}, rng, moe.PipelineOpts{})
+			}
+		})
+	}
+}
+
+var benchMetas []s1Meta
+
 // BenchmarkRBDLayer is the ledger rung for the whole layer: one symbolic
 // fwd+bwd of the Large model's MoE layer at EP = 64 (4096 tokens per rank,
 // k = 8, skew 0.6) on pre-built routing, one chunk and four, on a fresh

@@ -39,7 +39,11 @@ func TestForwardMatchesPFTForward(t *testing.T) {
 			opts := moe.PipelineOpts{Numeric: true, DropPolicy: moe.DropByCapacityWeight}
 			var out *tensor.Tensor
 			if useRBD {
-				out = Forward(r, d, cfg, s, x, routing, params, tensor.NewRNG(42+uint64(r.ID)), opts).Output
+				res := Forward(r, d, cfg, s, x, routing, params, tensor.NewRNG(42+uint64(r.ID)), opts)
+				if pft := res.PFT; len(pft.TokenIDs) != pft.B() || len(pft.ExpertIDs) != pft.B() {
+					return fmt.Errorf("numeric PFT has %d token and %d expert ids for %d rows", len(pft.TokenIDs), len(pft.ExpertIDs), pft.B())
+				}
+				out = res.Output
 			} else {
 				out = moe.PFTForward(r, g, cfg, s, x, routing, params, opts).Output
 			}
@@ -69,7 +73,8 @@ func TestForwardMatchesPFTForward(t *testing.T) {
 }
 
 // TestForwardSymbolicTraceStages checks the RBD layer emits the Fig. 12
-// trace stages and accounts memory.
+// trace stages and accounts memory, and that its PFT carries the token ids
+// the pilot selection reads but no expert ids.
 func TestForwardSymbolicTraceStages(t *testing.T) {
 	cfg := moe.Config{NumExperts: 32, TopK: 4, HModel: 64, HFFN: 32,
 		CapacityFactor: 1.25, BytesPerElem: 2}
@@ -79,7 +84,10 @@ func TestForwardSymbolicTraceStages(t *testing.T) {
 	err := c.Run(func(r *simrt.Rank) error {
 		rng := tensor.NewRNG(uint64(r.ID))
 		routing := moe.SyntheticRouting(rng, 64, cfg.NumExperts, cfg.TopK, 0.5)
-		Forward(r, d, cfg, 64, nil, routing, nil, tensor.NewRNG(uint64(r.ID)), moe.PipelineOpts{})
+		res := Forward(r, d, cfg, 64, nil, routing, nil, tensor.NewRNG(uint64(r.ID)), moe.PipelineOpts{})
+		if pft := res.PFT; len(pft.TokenIDs) != pft.B() || pft.ExpertIDs != nil {
+			return fmt.Errorf("symbolic PFT has %d token ids for %d rows and expert ids %v", len(pft.TokenIDs), pft.B(), pft.ExpertIDs != nil)
+		}
 		for _, stage := range []string{StageS1Inst, StageS1A2A, StageS2Inst,
 			StageS2A2A, StageReconstruct, StageC2A2A, StageC1A2A} {
 			if r.Trace.Total(stage) <= 0 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xmoe/internal/kernels"
+	"xmoe/internal/model"
 	"xmoe/internal/moe"
 	"xmoe/internal/parallel"
 	"xmoe/internal/tensor"
@@ -133,15 +134,28 @@ func (got pilotSel) equal(want pilotSel) error {
 
 // checkPilotsMatchRef runs selectPilots and the reference on one PFT from
 // equal generators and compares them field for field, and the generators
-// after: the same draws, in the same order.
+// after: the same draws, in the same order. A symbolic selection from a
+// third equal generator must make the numeric one's parts and counts.
 func checkPilotsMatchRef(d *Dispatcher, pft *moe.PFT, seed uint64) error {
-	st := &State{pft: pft}
-	rng, refRNG := tensor.NewRNG(seed), tensor.NewRNG(seed)
+	st, sym := &State{pft: pft}, &State{pft: pft}
+	rng, refRNG, symRNG := tensor.NewRNG(seed), tensor.NewRNG(seed), tensor.NewRNG(seed)
 	opts := moe.PipelineOpts{Numeric: true, SaveForBackward: true}
 	got := pilotSel{metas: d.selectPilots(st, rng, opts), pilotEntry: st.pilotEntry, replicaEntry: st.replicaEntry}
 	if err := got.equal(selectPilotsRef(d, pft, refRNG)); err != nil {
 		return err
 	}
+	symMetas := d.selectPilots(sym, symRNG, moe.PipelineOpts{})
+	if !slices.Equal(sym.partStart, st.partStart) || !slices.Equal(sym.pilotEntry, st.pilotEntry) {
+		return fmt.Errorf("symbolic parts %v, numeric %v", sym.partStart, st.partStart)
+	}
+	for dst, m := range symMetas {
+		w := got.metas[dst]
+		if !slices.Equal(m.counts, w.counts) || !slices.Equal(m.repByKey, w.repByKey) || !slices.Equal(m.repCum, w.repCum) {
+			return fmt.Errorf("member %d: symbolic counts %v, repByKey %v, repCum %v; numeric %v, %v, %v",
+				dst, m.counts, m.repByKey, m.repCum, w.counts, w.repByKey, w.repCum)
+		}
+	}
+
 	for dst, m := range got.metas {
 		if lo, hi := st.partStart[dst], st.partStart[dst+1]; hi-lo != len(m.weights) {
 			return fmt.Errorf("member %d: part [%d, %d) holds %d pilots", dst, lo, hi, len(m.weights))
@@ -150,8 +164,8 @@ func checkPilotsMatchRef(d *Dispatcher, pft *moe.PFT, seed uint64) error {
 			return err
 		}
 	}
-	if a, b := rng.Uint64(), refRNG.Uint64(); a != b {
-		return fmt.Errorf("the generators part after the selection: %x, reference %x", a, b)
+	if a, b, c := rng.Uint64(), refRNG.Uint64(), symRNG.Uint64(); a != b || c != a {
+		return fmt.Errorf("the generators part after the selection: %x, reference %x, symbolic %x", a, b, c)
 	}
 	return nil
 }
@@ -222,6 +236,23 @@ func TestPilotSelectionMatchesReference(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+
+	// The layer workloads' geometry: the Large model's 256 experts, k = 8,
+	// at EP = 64 over eight nodes, 4096 tokens.
+	sh := model.Large()
+	cfg := moe.Config{NumExperts: sh.NumExperts, TopK: sh.TopK, HModel: 4, HFFN: 4, CapacityFactor: 1.25, BytesPerElem: 2}
+	c := newCluster(64)
+	d := NewDispatcher(c, c.WorldGroup(), cfg)
+	for _, policy := range []PilotPolicy{PilotRandom, PilotFirstExpert} {
+		d.PilotPolicy = policy
+		for _, skew := range []float64{0, 0.6} {
+			rt := moe.SyntheticRouting(tensor.NewRNG(42), sh.SeqLen, cfg.NumExperts, cfg.TopK, skew)
+			pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(sh.SeqLen), moe.DropByCapacityWeight)
+			if err := checkPilotsMatchRef(d, pft, 3); err != nil {
+				t.Fatalf("Large EP 64, policy %d, skew %.1f: %v", policy, skew, err)
 			}
 		}
 	}

@@ -383,8 +383,11 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 // numTokens × nodes cells do the grouping; no per-token list is built.
 // Groups are drawn in (token, node slot) order, which is (token,
 // first-seen node) order (see Dispatcher.nodeSlot): the order a per-token
-// grouping visits them in, so a seed picks the pilots it would. Arrays the
-// State keeps are sized to the pilot count, never to the PFT.
+// grouping visits them in, so a seed picks the pilots it would. The passes
+// branch on no entry's data: which entry is a pilot is a mask, and a
+// count is a compare added as an integer, so the per-entry work is the
+// same whatever the routing. Arrays the State keeps are sized to the pilot
+// count, never to the PFT.
 func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineOpts) []s1Meta {
 	pft := st.pft
 	p, nodes := d.EP.Size(), d.nodes
@@ -399,28 +402,38 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineO
 	// entries), then holds -(pilot's row in its member's part)-1.
 	tab := make([]int32, 2*numTokens*nodes)
 
-	// Pass 1: group sizes.
-	lo := 0
+	// Pass 1: group sizes, and the number of groups, which is the number
+	// of pilots.
+	nPilots, lo := 0, 0
 	for e, n := range pft.TokensPerExpert {
 		strip := 2 * int(d.nodeSlot[e]) * numTokens
 		for _, t := range pft.TokenIDs[lo : lo+n] {
-			tab[strip+2*t]++
+			size := tab[strip+2*t] + 1
+			tab[strip+2*t] = size
+			nPilots += b2i(size == 1)
 		}
 		lo += n
 	}
 
-	// Pass 2: one pick per group, drawn in (token, slot) order.
-	nPilots := 0
+	// Pass 2: every group's pick is its first entry (lane 1 = 1), and the
+	// groups a draw can move — two or more entries — are listed in (token,
+	// slot) order; the list's cursor advances past a cell only when it is
+	// one. PilotRandom then draws the listed picks in list order, the
+	// (token, slot) order of the groups that draw. The list borrows
+	// pilotEntry, which pass 3 fills: it has a slot per group and a spare
+	// one for the write a full list still makes.
+	pilotEntry := make([]int, nPilots+1)
+	multi, nMulti := pilotEntry, 0
 	for t := 0; t < numTokens; t++ {
 		for c := 2 * t; c < len(tab); c += 2 * numTokens {
-			if size := tab[c]; size > 0 {
-				pick := 0
-				if d.PilotPolicy == PilotRandom && size > 1 {
-					pick = rng.Intn(int(size))
-				}
-				tab[c+1] = int32(pick + 1)
-				nPilots++
-			}
+			tab[c+1] = 1
+			multi[nMulti] = c
+			nMulti += b2i(tab[c] > 1)
+		}
+	}
+	if d.PilotPolicy == PilotRandom {
+		for _, c := range multi[:nMulti] {
+			tab[c+1] = int32(rng.Intn(int(tab[c]))) + 1
 		}
 	}
 
@@ -428,62 +441,71 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineO
 	// other entries its replicas. Part metadata rows are views into flat
 	// backing arrays (a constant allocation count regardless of the EP
 	// size). Member dst's repCum is cntFlat[partStart[dst]+dst:][:pilots+1],
-	// so the pilot sent at sp notes its replicas at sp+dst+1 before the
-	// parts' sizes are known; the members' repByKey follow.
-	st.pilotEntry = make([]int, 0, nPilots)
-	st.partStart = make([]int, p+1)
-	countsFlat := make([]int, p*d.EPR)
-	nKeys := 0
-	for dst := 0; dst < p; dst++ {
-		nKeys += d.nodeKeys(dst)
+	// so the pilot sent at np notes its replicas at np+dst+1 before the
+	// parts' sizes are known; the members' repByKey follow, member m's at
+	// keyBase[m]. Every entry writes the next pilot's slots — pilotEntry[np],
+	// the weight and the note at np+dst+1, which a replica makes zero — and
+	// np advances only past a pilot. So a replica's writes are overwritten
+	// by its member's next pilot or land where a zero belongs: the next
+	// member's leading repCum entry, member 0's first key (pass 4 counts
+	// from zero), or the spare slot pilotEntry and the weights carry.
+	// isPilot, as a mask, also picks the lanes' update: the countdown steps
+	// down while positive, and a pilot stores its member and -row-1.
+	nc := p * d.EPR
+	ints := make([]int, nc+2*p+1) // countsFlat, partStart, keyBase
+	countsFlat, partStart, keyBase := ints[:nc], ints[nc:nc+p+1], ints[nc+p+1:]
+	keyOff := nPilots + p
+	for dst := range keyBase {
+		keyBase[dst] = keyOff
+		keyOff += d.nodeKeys(dst)
 	}
-	cntFlat := make([]int32, nPilots+p+nKeys)
+	cntFlat := make([]int32, keyOff)
 	var weightsFlat []float32
 	if opts.Numeric {
-		weightsFlat = make([]float32, nPilots)
+		weightsFlat = make([]float32, nPilots+1)
 	}
-	lo = 0
+	np, lo := 0, 0 // np is the next pilot's send position
 	for e, n := range pft.TokensPerExpert {
 		dst := e / d.EPR
 		if e%d.EPR == 0 {
-			st.partStart[dst] = len(st.pilotEntry)
+			partStart[dst] = np
 		}
 		strip := 2 * int(d.nodeSlot[e]) * numTokens
+		np0, lead := np, int32(partStart[dst]-1)
 		for i, t := range pft.TokenIDs[lo : lo+n] {
-			c := strip + 2*t
-			if tab[c+1] <= 0 {
-				continue // a replica after its pilot
-			}
-			if tab[c+1]--; tab[c+1] > 0 {
-				continue // a replica before its pilot
-			}
-			ent, sp := lo+i, len(st.pilotEntry)
+			ent, c := lo+i, strip+2*t
+			size, lane := tab[c], tab[c+1]
+			isPilot := b2i(lane == 1)
+			mask := -int32(isPilot)
+			pilotEntry[np] = ent
 			if opts.Numeric {
-				weightsFlat[sp] = pft.CombineWeights[ent]
+				weightsFlat[np] = pft.CombineWeights[ent]
 			}
-			cntFlat[sp+dst+1] = tab[c] - 1
-			tab[c], tab[c+1] = int32(dst), int32(st.partStart[dst]-sp-1)
-			st.pilotEntry = append(st.pilotEntry, ent)
-			countsFlat[e]++ // counts[e - dst*EPR] of member dst's part
+			cntFlat[np+dst+1] = (size - 1) & mask
+			tab[c] = size&^mask | int32(dst)&mask
+			tab[c+1] = (lane-int32(b2i(lane > 0)))&^mask | (lead-int32(np))&mask
+			np += isPilot
 		}
+		countsFlat[e] = np - np0 // counts[e - dst*EPR] of member dst's part
 		lo += n
 	}
-	st.partStart[p] = len(st.pilotEntry)
+	partStart[p] = np
+	st.pilotEntry, st.partStart = pilotEntry[:nPilots], partStart
 	metas := make([]s1Meta, p)
-	keyOff := nPilots + p
 	for dst := range metas {
-		clo, chi := st.partStart[dst]+dst, st.partStart[dst+1]+dst+1
+		clo, chi := partStart[dst]+dst, partStart[dst+1]+dst+1
 		repCum := cntFlat[clo:chi:chi]
-		for i := 1; i < len(repCum); i++ {
-			repCum[i] += repCum[i-1]
+		var cum int32
+		for i, n := range repCum {
+			cum += n
+			repCum[i] = cum
 		}
-		n := d.nodeKeys(dst)
+		khi := keyBase[dst] + d.nodeKeys(dst)
 		metas[dst] = s1Meta{
 			counts:   countsFlat[dst*d.EPR : (dst+1)*d.EPR],
-			repByKey: cntFlat[keyOff : keyOff+n : keyOff+n],
+			repByKey: cntFlat[keyBase[dst]:khi:khi],
 			repCum:   repCum,
 		}
-		keyOff += n
 	}
 	if opts.Numeric {
 		nReplicas := pft.B() - nPilots
@@ -498,7 +520,7 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineO
 		}
 		off := 0
 		for dst := range metas {
-			metas[dst].weights = weightsFlat[st.partStart[dst]:st.partStart[dst+1]]
+			metas[dst].weights = weightsFlat[partStart[dst]:partStart[dst+1]]
 			metas[dst].replicas = replicasFlat[off:off]
 			if entryFlat != nil {
 				st.replicaEntry[dst] = entryFlat[off:off]
@@ -509,35 +531,41 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineO
 
 	// Pass 4: the replicas, in PFT order, each to its pilot's member. A
 	// replica's key depends on its expert only, as the pilot's member is on
-	// the expert's node.
+	// the expert's node. An entry is a pilot when the pilotEntry cursor
+	// names it (the -1 in the spare slot names none) and then counts zero.
+	pilotEntry[nPilots] = -1
 	next, lo := 0, 0 // next is a cursor into pilotEntry
 	for e, n := range pft.TokensPerExpert {
 		strip := 2 * int(d.nodeSlot[e]) * numTokens
 		key := e - d.nodeLo[e/d.EPR]
 		for i, t := range pft.TokenIDs[lo : lo+n] {
-			ent := lo + i
-			if next < len(st.pilotEntry) && st.pilotEntry[next] == ent {
-				next++
-				continue
-			}
-			c := strip + 2*t
-			m := &metas[tab[c]]
-			m.repByKey[key]++
-			if !opts.Numeric {
-				continue
-			}
-			m.replicas = append(m.replicas, replicaMeta{
-				pilotRel: -tab[c+1] - 1,
-				expert:   int32(e),
-				weight:   pft.CombineWeights[ent],
-			})
-			if st.replicaEntry != nil {
-				st.replicaEntry[tab[c]] = append(st.replicaEntry[tab[c]], ent)
+			ent, c := lo+i, strip+2*t
+			isPilot := b2i(pilotEntry[next] == ent)
+			next += isPilot
+			cntFlat[keyBase[tab[c]]+key] += int32(1 - isPilot)
+			if opts.Numeric && isPilot == 0 {
+				m := &metas[tab[c]]
+				m.replicas = append(m.replicas, replicaMeta{
+					pilotRel: -tab[c+1] - 1,
+					expert:   int32(e),
+					weight:   pft.CombineWeights[ent],
+				})
+				if st.replicaEntry != nil {
+					st.replicaEntry[tab[c]] = append(st.replicaEntry[tab[c]], ent)
+				}
 			}
 		}
 		lo += n
 	}
 	return metas
+}
+
+// b2i is 1 for true and 0 for false, compiled to a flag set, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // stageReplicas groups the incoming replicas by destination node member
