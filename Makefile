@@ -1,6 +1,6 @@
 # Developer workflow for the xmoe reproduction.
 #
-#   make ci      - what the CI job runs: gofmt, the transport-name grep, the one-body grep, vet, build, the GEMM portability builds, the six race-enabled gates, fuzz smoke, tests, quick bench
+#   make ci      - what the CI job runs: gofmt, the transport-name grep, the one-body grep, the assembly FMA grep, vet, build, the GEMM portability builds, the six race-enabled gates, fuzz smoke, tests, quick bench
 #   make test    - full test suite (includes the slow sweep tests)
 #   make race    - full race-detector pass (go test -race ./...)
 #   make race-fast - race pass over just the concurrency-heavy packages
@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: all build loc fmt-check no-transport-strings one-body vet portability test race race-fast race-full chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke bench bench-figs bench-json bench-save ci
+.PHONY: all build loc fmt-check no-transport-strings one-body no-asm-fma vet portability test race race-fast race-full chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke bench bench-figs bench-json bench-save ci
 
 all: build
 
@@ -51,10 +51,24 @@ one-body:
 	@out=$$(grep -rnE 'Compute\(moe\.Stage(Gate|Dispatch|Experts|BwdExperts)\b' --include='*.go' . | grep -v _test.go | grep -v '^\./internal/moe/'); \
 	if [ -n "$$out" ]; then echo "MoE layer body stages charged outside internal/moe:"; echo "$$out"; exit 1; fi
 
-# The GEMM body's other builds: the SSE body built with GOAMD64=v3 against
-# the bit reference (Go must still not contract x*y+z into an FMA there),
-# and the non-amd64 stub compiled for arm64. The arm64 vet only compiles
-# the stub; nothing here runs arm64 code, so its bits are unchecked.
+# Fails on a fused multiply-add or multiply-subtract (VFMADD*, VFMSUB*,
+# VFNMADD*, VFNMSUB*) in any tracked assembly file: each GEMM body must
+# round a product to float32 before its add, as the Go loop and the bit
+# reference do. The GEMM tests catch a fused body only on a CPU that runs
+# it; this catches it on any host. Fails when git names no .s file, so a
+# move cannot pass vacuously.
+no-asm-fma:
+	@files=$$(git ls-files '*.s'); \
+	if [ -z "$$files" ]; then echo "no-asm-fma: git ls-files names no .s file"; exit 1; fi; \
+	out=$$(grep -nHE 'VFN?M(ADD|SUB)' $$files); \
+	if [ -n "$$out" ]; then echo "fused multiply-add in assembly:"; echo "$$out"; exit 1; fi
+
+# The GEMM body's other builds: both amd64 column-loop bodies (SSE, and
+# AVX2 where the CPU has it) tested with GOAMD64=v3 against the bit
+# reference (Go must still not contract x*y+z into an FMA in the Go loop
+# or the reference there), and the non-amd64 stub compiled for arm64. The
+# arm64 vet only compiles the stub; nothing here runs arm64 code, so its
+# bits are unchecked.
 portability:
 	GOAMD64=v3 $(GO) test ./internal/tensor
 	GOARCH=arm64 $(GO) vet ./internal/tensor
@@ -196,18 +210,19 @@ bench-save:
 # The microbenchmarks the CI smoke runs: one numeric fwd+bwd of the PFT
 # layer and of the LM's MoE block built on it, one event-priced
 # all-to-all-v that misses the memo (the water-filling engine), the
-# three GEMMs at the numeric trainer's shapes, and one rank's RBD pilot
-# selection at the Large layer's shape. A -bench
+# three GEMMs at the numeric trainer's shapes, the fused GeLU forward and
+# backward, and one rank's RBD pilot selection at the Large layer's shape. A -bench
 # pattern that matches nothing passes silently, so the smoke first
 # requires `go test -list` to name every benchmark the pattern lists.
-SMOKE_BENCH = BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward|BenchmarkA2AVMiss|BenchmarkMatMulInto|BenchmarkMatMulTInto|BenchmarkTMatMulInto|BenchmarkSelectPilots
+SMOKE_BENCH = BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward|BenchmarkA2AVMiss|BenchmarkMatMulInto|BenchmarkMatMulTInto|BenchmarkTMatMulInto|BenchmarkGeLUWithGrad|BenchmarkSelectPilots
 SMOKE_PKGS = ./internal/moe ./internal/train ./internal/devent ./internal/tensor ./internal/rbd
 
 # Quick CI, and the only definition of it (.github/workflows/ci.yml runs
-# this target): gofmt + the transport-name grep + vet + build + the GEMM
-# portability builds + all six race-detector gates + the fuzz smoke + unit
-# tests of every package + a quick microbenchmark smoke run.
-ci: fmt-check no-transport-strings one-body vet build portability race-fast chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke
+# this target): gofmt + the transport-name grep + the one-body grep + the
+# assembly FMA grep + vet + build + the GEMM portability builds + all six
+# race-detector gates + the fuzz smoke + unit tests of every package + a
+# quick microbenchmark smoke run.
+ci: fmt-check no-transport-strings one-body no-asm-fma vet build portability race-fast chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke
 	$(GO) test ./internal/... .
 	@want=$$(echo '$(SMOKE_BENCH)' | tr '|' '\n' | grep -c .); \
 	n=$$($(GO) test -list '^($(SMOKE_BENCH))$$' $(SMOKE_PKGS) | grep -c '^Benchmark'); \

@@ -92,9 +92,9 @@ func (st *PFTFwdState) Backward(r *simrt.Rank, dOut *tensor.Tensor, params *Expe
 	if opts.Numeric {
 		// The forward state is consumed: its saved intermediates return to
 		// the arena so the next layer's forward pass reuses them.
-		r.Pool().PutAll(l.expertIn, l.hidPre, l.hidAct)
+		r.Pool().PutAll(l.expertIn, l.geluPrime, l.hidAct)
 	}
-	l.expertIn, l.hidPre, l.hidAct, l.grads, l.dW1, l.dW2 = nil, nil, nil, ffnGrads{}, nil, nil
+	l.expertIn, l.geluPrime, l.hidAct, l.grads, l.dW1, l.dW2 = nil, nil, nil, ffnGrads{}, nil, nil
 	return res
 }
 
@@ -114,7 +114,7 @@ func (l *layer) Backward(bt Batch) *tensor.Tensor {
 		l.r.Compute(StageBwdExperts, l.kp.gemms(comp, l.cfg, bt.Rows)+l.kp.act(comp, l.cfg, sum(bt.Rows)))
 	}
 	if l.opts.Numeric {
-		l.grads.dxChain(l.hidPre, l.params, bt.N, bt.At)
+		l.grads.dxChain(l.geluPrime, l.params, bt.N, bt.At)
 	}
 	return l.grads.DIn
 }

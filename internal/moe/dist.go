@@ -237,12 +237,13 @@ type layer struct {
 	opts   PipelineOpts // the current pass's
 	kp     kernelProfile
 	// The full layout's rows per local expert and in total, and (numeric)
-	// the forward's FFN intermediates in it: [bExp, H], [bExp, F] before
-	// and after GeLU.
-	full                     []int
-	bExp                     int
-	expertIn, hidPre, hidAct *tensor.Tensor
-	numeric                  bool // captured by a numeric forward
+	// the forward's FFN intermediates in it: the input [bExp, H], GeLU′ at
+	// the pre-activation [bExp, F] (ffn's keep) and the activation
+	// [bExp, F].
+	full                        []int
+	bExp                        int
+	expertIn, geluPrime, hidAct *tensor.Tensor
+	numeric                     bool // captured by a numeric forward
 	// The backward's gradient buffers and weight gradients.
 	grads    ffnGrads
 	dW1, dW2 []*tensor.Tensor
@@ -502,13 +503,13 @@ func (l *layer) Forward(bt Batch) *tensor.Tensor {
 	case !opts.SaveForBackward:
 		pool.PutAll(bt.In, pre)
 	case whole:
-		l.expertIn, l.hidPre, l.hidAct = bt.In, pre, act
+		l.expertIn, l.geluPrime, l.hidAct = bt.In, pre, act
 	default:
 		if l.expertIn == nil {
-			l.expertIn, l.hidPre, l.hidAct = pool.Get(l.bExp, h), pool.Get(l.bExp, f), pool.Get(l.bExp, f)
+			l.expertIn, l.geluPrime, l.hidAct = pool.Get(l.bExp, h), pool.Get(l.bExp, f), pool.Get(l.bExp, f)
 		}
 		scatterBlocks(l.expertIn, bt.In, bt.N, bt.At, bt.SaveAt)
-		scatterBlocks(l.hidPre, pre, bt.N, bt.At, bt.SaveAt)
+		scatterBlocks(l.geluPrime, pre, bt.N, bt.At, bt.SaveAt)
 		scatterBlocks(l.hidAct, act, bt.N, bt.At, bt.SaveAt)
 		pool.PutAll(bt.In, pre, act)
 	}

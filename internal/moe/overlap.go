@@ -149,7 +149,9 @@ func scatterBlocks(full, batch *tensor.Tensor, n, at, saveAt []int) {
 
 // ffn is the numeric expert FFN over in, rows[le] rows of each local
 // expert in turn: pre = in·W1, act = GeLU(pre), out = act·W2, all drawn
-// from pool. act is pre itself unless keep, when the backward needs both.
+// from pool. act is pre itself unless keep, when the backward needs the
+// GeLU′ factor too: then act is a second buffer and pre is overwritten
+// with GeLU′(pre), both from one tanh per element.
 func (p *ExpertParams) ffn(pool *tensor.Pool, in *tensor.Tensor, rows []int, keep bool) (pre, act, out *tensor.Tensor) {
 	n, h, f := in.Rows(), in.Cols(), p.W1[0].Cols()
 	pre = pool.Get(n, f)
@@ -157,9 +159,10 @@ func (p *ExpertParams) ffn(pool *tensor.Pool, in *tensor.Tensor, rows []int, kee
 	act = pre
 	if keep {
 		act = pool.Get(n, f)
-		act.Copy(pre)
+		tensor.GeLUWithGrad(act, pre)
+	} else {
+		tensor.GeLU(act)
 	}
-	tensor.GeLU(act)
 	out = pool.Get(n, h)
 	kernels.SequentialGEMMInto(out, act, rows, p.W2)
 	return pre, act, out
@@ -178,30 +181,31 @@ func newFFNGrads(pool *tensor.Pool, rows, h, f int) ffnGrads {
 	return ffnGrads{pool.Get(rows, h), pool.Get(rows, f), pool.Get(rows, f), pool.Get(rows, h)}
 }
 
-// run computes DAct = DOut·W2ᵀ, the GeLU backward and DIn = DPre·W1ᵀ over
-// rows [lo, lo+rows) of local expert le. The chain is row-independent, so
-// how a segment is cut into runs never changes a bit.
-func (g ffnGrads) run(hidPre *tensor.Tensor, params *ExpertParams, le, lo, rows int) {
+// run computes DAct = DOut·W2ᵀ, the GeLU backward DPre = GeLU′ ⊙ DAct and
+// DIn = DPre·W1ᵀ over rows [lo, lo+rows) of local expert le, where geluPrime
+// holds the forward's saved GeLU′. The chain is row-independent, so how a
+// segment is cut into runs never changes a bit.
+func (g ffnGrads) run(geluPrime *tensor.Tensor, params *ExpertParams, le, lo, rows int) {
 	h, f := g.DOut.Cols(), g.DAct.Cols()
 	view := func(t *tensor.Tensor, w int) *tensor.Tensor {
 		return tensor.FromSlice(t.Data[lo*w:(lo+rows)*w], rows, w)
 	}
 	da, dp := view(g.DAct, f), view(g.DPre, f)
 	tensor.MatMulTInto(da, view(g.DOut, h), params.W2[le])
-	tensor.GeLUBackwardInto(dp, da, view(hidPre, f))
+	tensor.MulInto(dp, view(geluPrime, f), da)
 	tensor.MatMulTInto(view(g.DIn, h), dp, params.W1[le])
 }
 
 // dxChain runs the chain over the blocks n/at of a batch (see Batch);
 // row-adjacent blocks of one expert are multiplied as one run — with a
 // single chunk, one run per expert.
-func (g ffnGrads) dxChain(hidPre *tensor.Tensor, params *ExpertParams, n, at []int) {
+func (g ffnGrads) dxChain(geluPrime *tensor.Tensor, params *ExpertParams, n, at []int) {
 	per := len(n) / len(params.W1)
 	for le := 0; le*per < len(n); le++ {
 		lo, rows := 0, 0
 		for k := le * per; k < (le+1)*per; k++ {
 			if rows > 0 && n[k] > 0 && at[k] != lo+rows {
-				g.run(hidPre, params, le, lo, rows)
+				g.run(geluPrime, params, le, lo, rows)
 				rows = 0
 			}
 			if rows == 0 {
@@ -210,7 +214,7 @@ func (g ffnGrads) dxChain(hidPre *tensor.Tensor, params *ExpertParams, n, at []i
 			rows += n[k]
 		}
 		if rows > 0 {
-			g.run(hidPre, params, le, lo, rows)
+			g.run(geluPrime, params, le, lo, rows)
 		}
 	}
 }

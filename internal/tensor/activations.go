@@ -2,27 +2,61 @@ package tensor
 
 import "math"
 
-// GeLU applies the tanh-approximated Gaussian error linear unit in place,
-// matching the approximation used throughout transformer FFNs.
+// The tanh-approximated Gaussian error linear unit of transformer FFNs,
+// GeLU(x) = 0.5·x·(1 + th) with th = tanh(√(2/π)·(x + 0.044715·x³)). Its
+// derivative needs the same th, so a forward pass that keeps state for
+// the backward computes both from one tanh (GeLUWithGrad) and the backward
+// is one multiply (MulInto). The expressions live in geluTanh, geluOf and
+// geluGrad only: the float64 operation sequence inside them is what the
+// trainer's bits are pinned to.
+
+const geluC = 0.7978845608028654 // √(2/π)
+
+// geluTanh returns th for x.
+func geluTanh(x float64) float64 {
+	return math.Tanh(geluC * (x + 0.044715*x*x*x))
+}
+
+// geluOf returns GeLU(x) given th = geluTanh(x).
+func geluOf(x, th float64) float32 {
+	return float32(0.5 * x * (1 + th))
+}
+
+// geluGrad returns GeLU′(x) given th = geluTanh(x), rounded to float32:
+// the factor the backward multiplies dY by.
+func geluGrad(x, th float64) float32 {
+	sech2 := 1 - th*th
+	dinner := geluC * (1 + 3*0.044715*x*x)
+	return float32(0.5*(1+th) + 0.5*x*sech2*dinner)
+}
+
+// GeLU applies GeLU in place.
 func GeLU(t *Tensor) {
-	const c = 0.7978845608028654 // sqrt(2/pi)
 	for i, v := range t.Data {
 		x := float64(v)
-		t.Data[i] = float32(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
+		t.Data[i] = geluOf(x, geluTanh(x))
 	}
 }
 
-// GeLUBackwardInto computes dX from dY given the forward input x for the
-// tanh-approximated GeLU into the preallocated dx, which is overwritten.
-func GeLUBackwardInto(dx, dy, x *Tensor) {
-	const c = 0.7978845608028654
-	for i, v := range x.Data {
+// GeLUWithGrad writes act = GeLU(pre) and overwrites pre with GeLU′(pre),
+// one tanh per element. act equals GeLU over a copy of pre bit for bit,
+// and MulInto(dx, pre, dy) afterwards is the GeLU backward.
+func GeLUWithGrad(act, pre *Tensor) {
+	out := act.Data[:len(pre.Data)]
+	for i, v := range pre.Data {
 		x := float64(v)
-		inner := c * (x + 0.044715*x*x*x)
-		th := math.Tanh(inner)
-		sech2 := 1 - th*th
-		dinner := c * (1 + 3*0.044715*x*x)
-		grad := 0.5*(1+th) + 0.5*x*sech2*dinner
-		dx.Data[i] = dy.Data[i] * float32(grad)
+		th := geluTanh(x)
+		out[i] = geluOf(x, th)
+		pre.Data[i] = geluGrad(x, th)
+	}
+}
+
+// MulInto writes the element-wise product a⊙b into the preallocated dst,
+// which is overwritten. Where both factors are NaN the product carries
+// a's NaN on amd64, as a scalar product computed into a's register does.
+func MulInto(dst, a, b *Tensor) {
+	x, y := a.Data[:len(dst.Data)], b.Data[:len(dst.Data)]
+	for i := range dst.Data {
+		dst.Data[i] = x[i] * y[i]
 	}
 }

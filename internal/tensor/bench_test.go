@@ -108,14 +108,3 @@ func BenchmarkTMatMulInto(b *testing.B) {
 	rng := NewRNG(1)
 	benchGEMMInto(b, TMatMulInto, New(trainH, trainF), Randn(rng, 1, trainRows, trainH), Randn(rng, 1, trainRows, trainF))
 }
-
-func BenchmarkGeLUBackward(b *testing.B) {
-	rng := NewRNG(1)
-	x := Randn(rng, 1, 256, 128)
-	dy := Randn(rng, 1, 256, 128)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		geluBackward(dy, x)
-	}
-}

@@ -10,13 +10,16 @@ import "fmt"
 // and benchmark digests are pinned to those bits (matmul_ref_test.go
 // keeps the plain loops), so the body may change which elements are
 // computed together, never the order of the terms inside one element.
-// On amd64 its inner loop runs four columns per SSE instruction
-// (axpy_amd64.s): a packed multiply rounds each product to float32 before
-// the packed add, as the scalar code does, since Go never contracts
-// float32 x*y+z into an FMA there and never sets flush-to-zero. Any
-// other GOARCH runs the Go loop alone; its bits are checked against the
-// reference on amd64 only (the tail columns), and a backend that fuses
-// x*y+z, as arm64's may, can differ.
+// On amd64 its inner loop runs eight columns per AVX2 instruction, or four
+// per SSE instruction where the CPU or OS lacks AVX2, chosen once at
+// package init from CPUID and XGETBV (axpy_amd64.{go,s}). In both bodies a
+// packed multiply rounds each product to float32 before the packed add, as
+// the scalar code does, since Go never contracts float32 x*y+z into an FMA
+// there and never sets flush-to-zero; `make no-asm-fma` keeps fused
+// instructions out of the assembly. Any other GOARCH runs the Go loop
+// alone; its bits are checked against the reference on amd64 only (the
+// tail columns), and a backend that fuses x*y+z, as arm64's may, can
+// differ.
 
 // MatMul computes C = A·B for A of shape [m,k] and B of shape [k,n],
 // returning a new [m,n] tensor. See MatMulInto for the kernel.
@@ -175,8 +178,8 @@ func axpyGEMM(c, a, b []float32, lo, hi, k, n, si, sp int, skipZeros bool) {
 // c0[j] += x00·b0[j], then x01·b1[j], x02·b2[j], x03·b3[j], in that order,
 // and c1 likewise with x10..x13. Each c element is loaded and stored once
 // per eight multiply-adds and each b element once per two. axpy4x2Vec
-// takes the leading columns four lanes at a time (SSE on amd64, none
-// elsewhere) and this loop the rest.
+// takes the leading columns eight or four lanes at a time (AVX2 or SSE on
+// amd64, none elsewhere) and this loop the rest.
 func axpy4x2(c0, c1, b0, b1, b2, b3 []float32, x00, x01, x02, x03, x10, x11, x12, x13 float32) {
 	n := len(c0)
 	c1, b0, b1, b2, b3 = c1[:n], b0[:n], b1[:n], b2[:n], b3[:n]

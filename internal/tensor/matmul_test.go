@@ -130,21 +130,38 @@ func sameBits(got, want *Tensor) error {
 	return nil
 }
 
-// checkGEMMCase runs the three kernels and their references into dirtied
-// outputs and requires equal bits.
+// forEachBody runs f once per column-loop body of axpy4x2Vec this host
+// can run: SSE (the Go loop alone off amd64), then AVX2 where init
+// selected it. The init-time choice is restored afterwards.
+func forEachBody(f func(body string)) {
+	avx2 := axpyAVX2
+	defer func() { axpyAVX2 = avx2 }()
+	axpyAVX2 = false
+	f("sse")
+	if avx2 {
+		axpyAVX2 = true
+		f("avx2")
+	}
+}
+
+// checkGEMMCase runs the three kernels with each body and their references
+// into dirtied outputs and requires equal bits.
 func checkGEMMCase(t *testing.T, g gemmCase) {
 	t.Helper()
 	coef, val := g.operands()
 	for _, kn := range gemmKernels {
 		a, b := kn.layout(coef, val)
-		got, want := New(g.m, g.n), New(g.m, g.n)
-		got.Fill(99)
+		want := New(g.m, g.n)
 		want.Fill(-7)
-		kn.tiled(got, a, b)
 		kn.ref(want, a, b)
-		if err := sameBits(got, want); err != nil {
-			t.Fatalf("%s %v: %v", kn.name, g, err)
-		}
+		forEachBody(func(body string) {
+			got := New(g.m, g.n)
+			got.Fill(99)
+			kn.tiled(got, a, b)
+			if err := sameBits(got, want); err != nil {
+				t.Fatalf("%s body=%s %v: %v", kn.name, body, g, err)
+			}
+		})
 	}
 }
 
@@ -168,6 +185,12 @@ func gemmCases() []gemmCase {
 			}
 		}
 	}
+	// Every column count up to five 8-lane steps, so each body's vector
+	// loop ends on every tail the Go loop finishes.
+	for n := 1; n <= 40; n++ {
+		cases = append(cases, gemmCase{seed: seed, m: 3, k: 9, n: n, special: n%2 == 0})
+		seed++
+	}
 	for _, special := range []bool{false, true} {
 		cases = append(cases,
 			gemmCase{seed: seed, m: trainRows, k: trainH, n: trainF, special: special},
@@ -178,9 +201,9 @@ func gemmCases() []gemmCase {
 	return cases
 }
 
-// TestGEMMMatchesReference pins every output bit of the tiled kernels to
-// the plain loops over shapes that hit every row, column and k tail, with
-// zeros in A and non-finite values in B.
+// TestGEMMMatchesReference pins every output bit of the tiled kernels, with
+// each column-loop body, to the plain loops over shapes that hit every
+// row, column and k tail, with zeros in A and non-finite values in B.
 //
 // It also states the one semantic difference between the kernels outright:
 // MatMulInto and TMatMulInto skip a zero coefficient, so 0·Inf adds
@@ -227,10 +250,11 @@ func FuzzGEMMMatchesReference(f *testing.F) {
 	})
 }
 
-// TestGEMMBitsIndependentOfWorkers requires the same bits however
-// ParallelFor cuts the rows (a row paired with a neighbour, left as a
-// tail, or all in one chunk) and wherever the operands start inside a
-// larger buffer, as the per-expert views of SequentialGEMMInto do.
+// TestGEMMBitsIndependentOfWorkers requires the same bits, with each
+// column-loop body, however ParallelFor cuts the rows (a row paired with a
+// neighbour, left as a tail, or all in one chunk) and wherever the operands
+// start inside a larger buffer, as the per-expert views of
+// SequentialGEMMInto do.
 func TestGEMMBitsIndependentOfWorkers(t *testing.T) {
 	defer SetMaxWorkers(int(maxWorkers.Load()))
 	// view copies t into a buffer one row longer and returns the copy
@@ -252,15 +276,17 @@ func TestGEMMBitsIndependentOfWorkers(t *testing.T) {
 			SetMaxWorkers(1)
 			want := New(g.m, g.n)
 			kn.ref(want, a, b)
-			for _, workers := range []int{1, 2, 3, 7} {
-				SetMaxWorkers(workers)
-				got := view(New(g.m, g.n))
-				got.Fill(99)
-				kn.tiled(got, view(a), view(b))
-				if err := sameBits(got, want); err != nil {
-					t.Fatalf("%s %v workers=%d: %v", kn.name, g, workers, err)
+			forEachBody(func(body string) {
+				for _, workers := range []int{1, 2, 3, 7} {
+					SetMaxWorkers(workers)
+					got := view(New(g.m, g.n))
+					got.Fill(99)
+					kn.tiled(got, view(a), view(b))
+					if err := sameBits(got, want); err != nil {
+						t.Fatalf("%s body=%s %v workers=%d: %v", kn.name, body, g, workers, err)
+					}
 				}
-			}
+			})
 		}
 	}
 }

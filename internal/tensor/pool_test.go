@@ -130,14 +130,16 @@ func TestMatMulIntoVariantsMatchFresh(t *testing.T) {
 	t.Run("ActivationBackwardInto", func(t *testing.T) {
 		x := Randn(rng, 1, 5, 7)
 		dy := Randn(rng, 1, 5, 7)
-		want := geluBackward(dy, x)
-		got := New(5, 7)
-		got.Fill(123)
-		GeLUBackwardInto(got, dy, x)
-		for i := range want.Data {
-			if want.Data[i] != got.Data[i] {
-				t.Fatalf("gelu mismatch at %d", i)
-			}
+		want := New(5, 7)
+		geluBackwardRef(want, dy, x)
+		act, dx := New(5, 7), New(5, 7)
+		act.Fill(123)
+		dx.Fill(123)
+		saved := x.Clone()
+		GeLUWithGrad(act, saved)
+		MulInto(dx, saved, dy)
+		if err := sameBits(dx, want); err != nil {
+			t.Fatalf("gelu: %v", err)
 		}
 	})
 }

@@ -250,13 +250,6 @@ func TestActivationGradients(t *testing.T) {
 	checkActivationGrad(t, "GeLU", GeLU, geluBackward)
 }
 
-// geluBackward is GeLUBackwardInto into a fresh tensor.
-func geluBackward(dy, x *Tensor) *Tensor {
-	dx := New(x.Shape()...)
-	GeLUBackwardInto(dx, dy, x)
-	return dx
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {
