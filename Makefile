@@ -63,12 +63,13 @@ no-asm-fma:
 	out=$$(grep -nHE 'VFN?M(ADD|SUB)' $$files); \
 	if [ -n "$$out" ]; then echo "fused multiply-add in assembly:"; echo "$$out"; exit 1; fi
 
-# The GEMM body's other builds: both amd64 column-loop bodies (SSE, and
-# AVX2 where the CPU has it) tested with GOAMD64=v3 against the bit
-# reference (Go must still not contract x*y+z into an FMA in the Go loop
-# or the reference there), and the non-amd64 stub compiled for arm64. The
-# arm64 vet only compiles the stub; nothing here runs arm64 code, so its
-# bits are unchecked.
+# The GEMM body's other builds: all three bodies (the Go row loop that is
+# the whole body off amd64, SSE, and AVX2 where the CPU has it) tested with
+# GOAMD64=v3 against the bit reference (Go must still not contract x*y+z
+# into an FMA in the Go loops or the reference there), and the non-amd64
+# build compiled for arm64. The GEMM tests run the Go row loop on amd64 in
+# every `go test`; the arm64 vet only compiles it, and nothing here runs
+# arm64 code, whose backend may fuse x*y+z.
 portability:
 	GOAMD64=v3 $(GO) test ./internal/tensor
 	GOARCH=arm64 $(GO) vet ./internal/tensor
@@ -210,11 +211,12 @@ bench-save:
 # The microbenchmarks the CI smoke runs: one numeric fwd+bwd of the PFT
 # layer and of the LM's MoE block built on it, one event-priced
 # all-to-all-v that misses the memo (the water-filling engine), the
-# three GEMMs at the numeric trainer's shapes, the fused GeLU forward and
+# three GEMMs at the numeric trainer's shapes, their shared body alone on
+# one goroutine at n = 64, 128 and 1024, the fused GeLU forward and
 # backward, and one rank's RBD pilot selection at the Large layer's shape. A -bench
 # pattern that matches nothing passes silently, so the smoke first
 # requires `go test -list` to name every benchmark the pattern lists.
-SMOKE_BENCH = BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward|BenchmarkA2AVMiss|BenchmarkMatMulInto|BenchmarkMatMulTInto|BenchmarkTMatMulInto|BenchmarkGeLUWithGrad|BenchmarkSelectPilots
+SMOKE_BENCH = BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward|BenchmarkA2AVMiss|BenchmarkMatMulInto|BenchmarkMatMulTInto|BenchmarkTMatMulInto|BenchmarkAxpyGEMM|BenchmarkGeLUWithGrad|BenchmarkSelectPilots
 SMOKE_PKGS = ./internal/moe ./internal/train ./internal/devent ./internal/tensor ./internal/rbd
 
 # Quick CI, and the only definition of it (.github/workflows/ci.yml runs

@@ -219,7 +219,7 @@ func main() {
 	distIters := flag.Int("dist-iters", 8, "distributed mode: training steps")
 	faults := flag.String("faults", "", "distributed mode: deterministic fault plan, e.g. 'crash:r1@s4,straggler:r0@s0:x2' (implies fault-tolerant run)")
 	mtbf := flag.Float64("mtbf", 0, "distributed mode: draw Poisson crash arrivals with this mean-time-between-failures in simulated seconds (implies fault-tolerant run)")
-	ckptEvery := flag.Int("ckpt-every", 5, "fault-tolerant mode: checkpoint every N steps")
+	ckptEvery := flag.Int("ckpt-every", 5, "fault-tolerant mode: checkpoint every N steps (0 = only the initial checkpoint)")
 	asyncCkpt := flag.Bool("async-ckpt", false, "fault-tolerant mode: stream checkpoint writes behind training steps, charging only the uncovered remainder (crash mid-write falls back to the last completed snapshot)")
 	spares := flag.Int("spares", 0, "fault-tolerant mode: hot-spare pool size; recovery promotes spares into dead slots, regrowing toward the original world (adds to any spares:<n> in -faults)")
 	mitigate := flag.Float64("mitigate", 0, "fault-tolerant mode: straggler-aware capacity rebalance bound in (0,1]; 0 disables (pft and rbd transports only)")
@@ -251,6 +251,8 @@ func main() {
 			usage = fmt.Errorf("-mtbf %g: want a mean time between failures >= 0 (0 draws no crashes)", *mtbf)
 		case *spares < 0:
 			usage = fmt.Errorf("-spares %d: want a hot-spare pool size >= 0", *spares)
+		case *ckptEvery < 0:
+			usage = fmt.Errorf("-ckpt-every %d: want a checkpoint interval >= 0 (0 takes only the initial checkpoint)", *ckptEvery)
 		}
 		if usage != nil {
 			fmt.Fprintln(os.Stderr, "xmoe-train:", usage)
@@ -285,6 +287,8 @@ func main() {
 	switch {
 	case *iters < 1:
 		usage = fmt.Errorf("-iters %d: want at least 1 training iteration", *iters)
+	case *window < 1:
+		usage = fmt.Errorf("-smooth %d: want a moving-average window of at least 1 iteration", *window)
 	case !runX && !runD:
 		usage = fmt.Errorf("-policy %q: want xmoe, dsmoe or both", *policy)
 	default:

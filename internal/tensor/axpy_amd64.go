@@ -2,17 +2,31 @@
 
 package tensor
 
-// axpy4x2Vec runs axpy4x2 over its leading columns and returns their
-// count, len(c0)&^7 with the AVX2 body and len(c0)&^3 with the SSE one;
-// axpy4x2 finishes the tail. The other slices must be at least len(c0)
-// long.
+// axpy4x2Rows runs axpy4x2 over the row pairs (i, i+1), (i+2, i+3), ...
+// of C for the k-quad p..p+3, one call for the whole run: it reads each
+// pair's eight coefficients a[r*si+(p+q)*sp] (r = i, i+1; q = 0..3) and
+// adds q's scaled row of B to both rows of C over the leading columns,
+// n&^7 with the AVX2 body and n&^3 with the SSE one; axpyGEMM finishes the
+// tail. It returns the first pair it did not run: the first with
+// stop+2 > hi, or, unless keepZeros is set, the first pair holding a ±0
+// coefficient (the integer test bits<<1 == 0, so NaN does not stop it).
+// The kernel checks no bounds: axpyGEMM checks the run's last indices of
+// c, a and b before the first call.
 //
 //go:noescape
-func axpy4x2Vec(c0, c1, b0, b1, b2, b3 []float32, x00, x01, x02, x03, x10, x11, x12, x13 float32) int
+func axpy4x2Rows(c, a, b []float32, i, hi, p, n, si, sp int, keepZeros uint32) (stop int)
 
-// axpyAVX2 selects axpy4x2Vec's AVX2 body. It is set once, here, from the
-// CPU's feature bits; the GEMM tests switch it to run both bodies.
-var axpyAVX2 = hasAVX2()
+// axpyBody selects axpyGEMM's body. It is set once, here, from the CPU's
+// feature bits: AVX2 where the CPU and OS support it, else SSE. The GEMM
+// tests switch it to run every body, the Go row loop included.
+var axpyBody = initBody()
+
+func initBody() gemmBody {
+	if hasAVX2() {
+		return bodyAVX2
+	}
+	return bodySSE
+}
 
 // hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
 // registers across context switches (OSXSAVE set and XCR0's SSE and AVX

@@ -1,52 +1,114 @@
 //go:build amd64
 
+#include "go_asm.h"
 #include "textflag.h"
 
-// func axpy4x2Vec(c0, c1, b0, b1, b2, b3 []float32, x00, x01, x02, x03, x10, x11, x12, x13 float32) int
+// ZEROSTOP jumps to done, stopping the kernel at the current pair, when
+// the float32 at addr is +0 or −0: its bits shifted left by one (dropping
+// the sign) are zero. NaN and every other value pass.
+#define ZEROSTOP(addr) MOVL addr, AX; SHLL $1, AX; JEQ done
+
+// func axpy4x2Rows(c, a, b []float32, i, hi, p, n, si, sp int, keepZeros uint32) (stop int)
 //
-// Two bodies, one lane width each, chosen by ·axpyAVX2 (set at init where
-// the CPU and OS support AVX2). Both run in the term order of axpy4x2's Go
-// loop: c0 += x00·b0, then x01·b1, x02·b2, x03·b3, each a multiply rounded
-// to float32 before its add (no fused multiply-add), and c1 likewise with
-// x10..x13, with the accumulator as the first source of every add and b as
-// the first source of every multiply. Each lane therefore computes the
-// scalar loop's bits, NaN payloads included.
-TEXT ·axpy4x2Vec(SB), NOSPLIT, $0-184
-	MOVQ c0_base+0(FP), DI
-	MOVQ c0_len+8(FP), CX
-	MOVQ c1_base+24(FP), SI
-	MOVQ b0_base+48(FP), R8
-	MOVQ b1_base+72(FP), R9
-	MOVQ b2_base+96(FP), R10
-	MOVQ b3_base+120(FP), R11
-	XORQ AX, AX
-	CMPB ·axpyAVX2(SB), $0
-	JNE  avx2
+// One call runs row pairs (i, i+1), (i+2, i+3), ... while the pair fits
+// below hi, for the k-quad p..p+3. Per pair it reads the eight
+// coefficients, x0q at a[i*si+(p+q)*sp] and x1q one row (si) further,
+// stops at the pair (returning its i) if one is ±0 and keepZeros is 0,
+// broadcasts them, runs the column loop and advances the C and A
+// pointers by two rows.
+//
+// Two column-loop bodies, one lane width each, chosen per pair by
+// ·axpyBody (set at init to bodyAVX2 where the CPU and OS support AVX2).
+// Both run in the term order of axpy4x2's Go loop: c0 += x00·b0, then
+// x01·b1, x02·b2, x03·b3, each a multiply rounded to float32 before its
+// add (no fused multiply-add), and c1 likewise with x10..x13, with the
+// accumulator as the first source of every add and b as the first source
+// of every multiply. Each lane therefore computes the scalar loop's bits,
+// NaN payloads included.
+//
+// Registers across pairs: BX the pair's first row i, DI and SI rows i and
+// i+1 of C, R8..R11 rows p..p+3 of B, R12 and R13 the pair's coefficient
+// for step p in rows i and i+1 of A, DX the step stride sp and R14 the
+// row stride si in bytes. AX and CX are scratch, then the column loop's
+// index and end.
+TEXT ·axpy4x2Rows(SB), NOSPLIT, $0-136
+	MOVQ  i+72(FP), BX
+	MOVQ  n+96(FP), CX
+	SHLQ  $2, CX
+	MOVQ  b_base+48(FP), R8
+	MOVQ  p+88(FP), AX
+	IMULQ CX, AX
+	ADDQ  AX, R8
+	LEAQ  (R8)(CX*1), R9
+	LEAQ  (R9)(CX*1), R10
+	LEAQ  (R10)(CX*1), R11
+	MOVQ  c_base+0(FP), DI
+	MOVQ  BX, AX
+	IMULQ CX, AX
+	ADDQ  AX, DI
+	LEAQ  (DI)(CX*1), SI
+	MOVQ  sp+112(FP), DX
+	SHLQ  $2, DX
+	MOVQ  si+104(FP), R14
+	SHLQ  $2, R14
+	MOVQ  a_base+24(FP), R12
+	MOVQ  BX, AX
+	IMULQ R14, AX
+	ADDQ  AX, R12
+	MOVQ  p+88(FP), AX
+	IMULQ DX, AX
+	ADDQ  AX, R12
+
+pair:
+	LEAQ 2(BX), AX
+	CMPQ AX, hi+80(FP)
+	JGT  done
+	LEAQ (R12)(R14*1), R13
+	CMPL keepZeros+120(FP), $0
+	JNE  coefs
+	LEAQ (R12)(DX*2), CX
+	ZEROSTOP((R12))
+	ZEROSTOP((R12)(DX*1))
+	ZEROSTOP((CX))
+	ZEROSTOP((CX)(DX*1))
+	LEAQ (R13)(DX*2), CX
+	ZEROSTOP((R13))
+	ZEROSTOP((R13)(DX*1))
+	ZEROSTOP((CX))
+	ZEROSTOP((CX)(DX*1))
+
+coefs:
+	// AX and CX point at step p+2 of rows i and i+1.
+	LEAQ (R12)(DX*2), AX
+	LEAQ (R13)(DX*2), CX
+	CMPB ·axpyBody(SB), $const_bodyAVX2
+	JEQ  avx2
 
 	// SSE: four columns per iteration. Broadcast the eight coefficients
 	// into X7..X14.
-	MOVSS  x00+144(FP), X7
+	MOVSS  (R12), X7
 	SHUFPS $0, X7, X7
-	MOVSS  x01+148(FP), X8
+	MOVSS  (R12)(DX*1), X8
 	SHUFPS $0, X8, X8
-	MOVSS  x02+152(FP), X9
+	MOVSS  (AX), X9
 	SHUFPS $0, X9, X9
-	MOVSS  x03+156(FP), X10
+	MOVSS  (AX)(DX*1), X10
 	SHUFPS $0, X10, X10
-	MOVSS  x10+160(FP), X11
+	MOVSS  (R13), X11
 	SHUFPS $0, X11, X11
-	MOVSS  x11+164(FP), X12
+	MOVSS  (R13)(DX*1), X12
 	SHUFPS $0, X12, X12
-	MOVSS  x12+168(FP), X13
+	MOVSS  (CX), X13
 	SHUFPS $0, X13, X13
-	MOVSS  x13+172(FP), X14
+	MOVSS  (CX)(DX*1), X14
 	SHUFPS $0, X14, X14
+	MOVQ   n+96(FP), CX
+	ANDQ   $~3, CX
+	XORQ   AX, AX
 
-	ANDQ $~3, CX
-
-loop:
+loop4:
 	CMPQ AX, CX
-	JAE  done
+	JAE  next
 	MOVUPS (R8)(AX*4), X0
 	MOVUPS (R9)(AX*4), X1
 	MOVUPS (R10)(AX*4), X2
@@ -79,28 +141,26 @@ loop:
 	MOVUPS X5, (SI)(AX*4)
 
 	ADDQ $4, AX
-	JMP  loop
-
-done:
-	MOVQ CX, ret+176(FP)
-	RET
+	JMP  loop4
 
 	// AVX2: eight columns per iteration, the SSE body's operations on Y
 	// registers in VEX three-operand form.
 avx2:
-	VBROADCASTSS x00+144(FP), Y7
-	VBROADCASTSS x01+148(FP), Y8
-	VBROADCASTSS x02+152(FP), Y9
-	VBROADCASTSS x03+156(FP), Y10
-	VBROADCASTSS x10+160(FP), Y11
-	VBROADCASTSS x11+164(FP), Y12
-	VBROADCASTSS x12+168(FP), Y13
-	VBROADCASTSS x13+172(FP), Y14
+	VBROADCASTSS (R12), Y7
+	VBROADCASTSS (R12)(DX*1), Y8
+	VBROADCASTSS (AX), Y9
+	VBROADCASTSS (AX)(DX*1), Y10
+	VBROADCASTSS (R13), Y11
+	VBROADCASTSS (R13)(DX*1), Y12
+	VBROADCASTSS (CX), Y13
+	VBROADCASTSS (CX)(DX*1), Y14
+	MOVQ         n+96(FP), CX
 	ANDQ         $~7, CX
+	XORQ         AX, AX
 
 loop8:
 	CMPQ    AX, CX
-	JAE     done8
+	JAE     next
 	VMOVUPS (R8)(AX*4), Y0
 	VMOVUPS (R9)(AX*4), Y1
 	VMOVUPS (R10)(AX*4), Y2
@@ -131,9 +191,23 @@ loop8:
 	ADDQ $8, AX
 	JMP  loop8
 
-done8:
+	// Advance C by two rows (2·n·4 bytes) and A by two rows (2·si·4).
+next:
+	MOVQ n+96(FP), AX
+	SHLQ $3, AX
+	ADDQ AX, DI
+	ADDQ AX, SI
+	LEAQ (R12)(R14*2), R12
+	ADDQ $2, BX
+	JMP  pair
+
+done:
+	MOVQ BX, stop+128(FP)
+	CMPB ·axpyBody(SB), $const_bodyAVX2
+	JNE  ret
 	VZEROUPPER
-	MOVQ CX, ret+176(FP)
+
+ret:
 	RET
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

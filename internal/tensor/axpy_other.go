@@ -2,11 +2,12 @@
 
 package tensor
 
-// axpy4x2Vec handles no columns here: axpy4x2's Go loop is the whole
-// body.
-func axpy4x2Vec(c0, c1, b0, b1, b2, b3 []float32, x00, x01, x02, x03, x10, x11, x12, x13 float32) int {
-	return 0
+// axpy4x2Rows is axpy4x2RowsGo here: the Go row loop over axpy4x2's Go
+// column loop is the whole body, so it runs every column.
+func axpy4x2Rows(c, a, b []float32, i, hi, p, n, si, sp int, keepZeros uint32) (stop int) {
+	return axpy4x2RowsGo(c, a, b, i, hi, p, n, si, sp, keepZeros)
 }
 
-// axpyAVX2 has no body to select here; the GEMM tests' switch is a no-op.
-var axpyAVX2 = false
+// axpyBody is the Go row loop, the one body here; the GEMM tests' switch
+// has no other to select.
+var axpyBody = bodyGo

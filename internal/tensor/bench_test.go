@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -107,4 +108,25 @@ func BenchmarkMatMulTInto(b *testing.B) {
 func BenchmarkTMatMulInto(b *testing.B) {
 	rng := NewRNG(1)
 	benchGEMMInto(b, TMatMulInto, New(trainH, trainF), Randn(rng, 1, trainRows, trainH), Randn(rng, 1, trainRows, trainF))
+}
+
+// BenchmarkAxpyGEMM times axpyGEMM alone on one goroutine, C [1024,n] =
+// A [1024,128]·B [128,n] with no zero coefficients, and reports GFLOP/s:
+// at the trainer's n of 64 and 128 the per-call cost of the body shows
+// apart from ParallelFor's, and n = 1024 is the long-row reference.
+func BenchmarkAxpyGEMM(b *testing.B) {
+	const m, k = trainRows, trainH
+	for _, n := range []int{64, 128, 1024} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := NewRNG(1)
+			a, w, c := Randn(rng, 1, m, k), Randn(rng, 1, k, n), New(m, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				axpyGEMM(c.Data, a.Data, w.Data, 0, m, k, n, k, 1, true)
+			}
+			flops := 2 * float64(m*k*n) * float64(b.N)
+			b.ReportMetric(flops/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+		})
+	}
 }

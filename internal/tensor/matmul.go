@@ -10,16 +10,17 @@ import "fmt"
 // and benchmark digests are pinned to those bits (matmul_ref_test.go
 // keeps the plain loops), so the body may change which elements are
 // computed together, never the order of the terms inside one element.
-// On amd64 its inner loop runs eight columns per AVX2 instruction, or four
-// per SSE instruction where the CPU or OS lacks AVX2, chosen once at
-// package init from CPUID and XGETBV (axpy_amd64.{go,s}). In both bodies a
-// packed multiply rounds each product to float32 before the packed add, as
-// the scalar code does, since Go never contracts float32 x*y+z into an FMA
+// On amd64 one assembly call (axpy4x2Rows) runs a whole run of row pairs
+// for four steps of p, eight columns per AVX2 instruction, or four per
+// SSE instruction where the CPU or OS lacks AVX2, chosen once at package
+// init from CPUID and XGETBV (axpy_amd64.{go,s}). In both bodies a packed
+// multiply rounds each product to float32 before the packed add, as the
+// scalar code does, since Go never contracts float32 x*y+z into an FMA
 // there and never sets flush-to-zero; `make no-asm-fma` keeps fused
-// instructions out of the assembly. Any other GOARCH runs the Go loop
-// alone; its bits are checked against the reference on amd64 only (the
-// tail columns), and a backend that fuses x*y+z, as arm64's may, can
-// differ.
+// instructions out of the assembly. Any other GOARCH runs the Go row loop
+// (axpy4x2RowsGo). The GEMM tests run that loop on amd64 too, against the
+// reference; a backend that fuses x*y+z, as arm64's may, can still
+// differ there.
 
 // MatMul computes C = A·B for A of shape [m,k] and B of shape [k,n],
 // returning a new [m,n] tensor. See MatMulInto for the kernel.
@@ -127,43 +128,56 @@ func TMatMulInto(c, a, b *Tensor) {
 // skipped.
 //
 // Four steps of p are fused over two rows of C (axpy4x2), and the rows
-// run inside the steps, so B streams once however long k is. An odd last
-// row and the k%4 tail take one AXPY per term, and so does a group
-// holding a zero coefficient when zeros are skipped.
+// run inside the steps, so B streams once however long k is. One
+// axpy4x2Rows call runs every row pair of the range for a k-quad, or up
+// to the first pair holding a zero coefficient when zeros are skipped.
+// axpyGEMM finishes the column tail of the pairs the call ran (the
+// columns past the body's lanes), gives the stopped pair one AXPY per
+// term and calls the kernel again from the pair after it. An odd last
+// row and the k%4 tail take one AXPY per term.
 func axpyGEMM(c, a, b []float32, lo, hi, k, n, si, sp int, skipZeros bool) {
 	clear(c[lo*n : hi*n])
+	if lo == hi || k == 0 || n == 0 {
+		return
+	}
+	// The kernel checks no bounds: check the last element of C, of B and
+	// of A it can touch, once.
+	_, _, _ = c[hi*n-1], b[k*n-1], a[(hi-1)*si+(k-1)*sp]
+	kernel, cols := axpy4x2Rows, vecCols(n)
+	if axpyBody == bodyGo {
+		kernel = axpy4x2RowsGo
+	}
+	keepZeros := uint32(1)
+	if skipZeros {
+		keepZeros = 0
+	}
 	row := func(d []float32, i int) []float32 { return d[i*n : (i+1)*n] }
 	p := 0
+	// terms adds row i's four terms of the k-quad at p, one AXPY each.
+	terms := func(i int, skipZero bool) {
+		o, ci := i*si+p*sp, row(c, i)
+		for q := range 4 {
+			axpy(ci, row(b, p+q), a[o+q*sp], skipZero)
+		}
+	}
 	for ; p+4 <= k; p += 4 {
-		b0, b1, b2, b3 := row(b, p), row(b, p+1), row(b, p+2), row(b, p+3)
 		i := lo
-		for ; i+2 <= hi; i += 2 {
-			o0 := i*si + p*sp
-			o1 := o0 + si
-			x00, x01, x02, x03 := a[o0], a[o0+sp], a[o0+2*sp], a[o0+3*sp]
-			x10, x11, x12, x13 := a[o1], a[o1+sp], a[o1+2*sp], a[o1+3*sp]
-			c0, c1 := row(c, i), row(c, i+1)
-			if !skipZeros || x00 != 0 && x01 != 0 && x02 != 0 && x03 != 0 &&
-				x10 != 0 && x11 != 0 && x12 != 0 && x13 != 0 {
-				axpy4x2(c0, c1, b0, b1, b2, b3, x00, x01, x02, x03, x10, x11, x12, x13)
-				continue
+		for i+2 <= hi {
+			stop := kernel(c, a, b, i, hi, p, n, si, sp, keepZeros)
+			if cols < n {
+				for r := i; r < stop; r += 2 {
+					axpy4x2(c, a, b, r, p, n, si, sp, cols)
+				}
 			}
-			axpy(c0, b0, x00, true)
-			axpy(c0, b1, x01, true)
-			axpy(c0, b2, x02, true)
-			axpy(c0, b3, x03, true)
-			axpy(c1, b0, x10, true)
-			axpy(c1, b1, x11, true)
-			axpy(c1, b2, x12, true)
-			axpy(c1, b3, x13, true)
+			if i = stop; i+2 > hi {
+				break
+			}
+			terms(i, true)
+			terms(i+1, true)
+			i += 2
 		}
 		if i < hi {
-			o := i*si + p*sp
-			ci := row(c, i)
-			axpy(ci, b0, a[o], skipZeros)
-			axpy(ci, b1, a[o+sp], skipZeros)
-			axpy(ci, b2, a[o+2*sp], skipZeros)
-			axpy(ci, b3, a[o+3*sp], skipZeros)
+			terms(i, skipZeros)
 		}
 	}
 	for ; p < k; p++ {
@@ -174,16 +188,64 @@ func axpyGEMM(c, a, b []float32, lo, hi, k, n, si, sp int, skipZeros bool) {
 	}
 }
 
-// axpy4x2 adds four scaled rows of B to two rows of C:
-// c0[j] += x00·b0[j], then x01·b1[j], x02·b2[j], x03·b3[j], in that order,
-// and c1 likewise with x10..x13. Each c element is loaded and stored once
-// per eight multiply-adds and each b element once per two. axpy4x2Vec
-// takes the leading columns eight or four lanes at a time (AVX2 or SSE on
-// amd64, none elsewhere) and this loop the rest.
-func axpy4x2(c0, c1, b0, b1, b2, b3 []float32, x00, x01, x02, x03, x10, x11, x12, x13 float32) {
-	n := len(c0)
-	c1, b0, b1, b2, b3 = c1[:n], b0[:n], b1[:n], b2[:n], b3[:n]
-	for j := axpy4x2Vec(c0, c1, b0, b1, b2, b3, x00, x01, x02, x03, x10, x11, x12, x13); j < n; j++ {
+// gemmBody names a body of axpy4x2Rows. axpyBody holds the one the host
+// runs (axpy_amd64.go, axpy_other.go); the order is the order the GEMM
+// tests run them in, and a host runs every body up to its own.
+type gemmBody uint8
+
+const (
+	bodyGo   gemmBody = iota // axpy4x2RowsGo: the Go loops, every column
+	bodySSE                  // amd64 assembly, four lanes
+	bodyAVX2                 // amd64 assembly, eight lanes
+)
+
+// vecCols is the number of leading columns axpy4x2Rows runs in lanes with
+// the selected body; axpyGEMM's Go loop finishes the rest.
+func vecCols(n int) int {
+	switch axpyBody {
+	case bodyAVX2:
+		return n &^ 7
+	case bodySSE:
+		return n &^ 3
+	}
+	return n
+}
+
+// axpy4x2RowsGo is axpy4x2Rows in Go, with the same contract and every
+// column: it runs axpy4x2 over the row pairs from i while they fit below
+// hi, and returns the first pair it did not run, stopping early, unless
+// keepZeros is set, at a pair holding a ±0 coefficient. It is the body
+// off amd64; on amd64 the GEMM tests select it through axpyBody.
+func axpy4x2RowsGo(c, a, b []float32, i, hi, p, n, si, sp int, keepZeros uint32) (stop int) {
+	for ; i+2 <= hi; i += 2 {
+		if keepZeros == 0 {
+			for o := i*si + p*sp; o < (i+2)*si+p*sp; o += si {
+				if a[o] == 0 || a[o+sp] == 0 || a[o+2*sp] == 0 || a[o+3*sp] == 0 {
+					return i
+				}
+			}
+		}
+		axpy4x2(c, a, b, i, p, n, si, sp, 0)
+	}
+	return i
+}
+
+// axpy4x2 adds four scaled rows of B to rows i and i+1 of C over columns
+// [j, n): c0[j] += x00·b0[j], then x01·b1[j], x02·b2[j], x03·b3[j], in
+// that order, with x0q = a[i*si+(p+q)*sp] and bq row p+q of B, and c1
+// likewise with x10..x13 one row of A further. Each c element is loaded
+// and stored once per eight multiply-adds and each b element once per
+// two. The assembly bodies of axpy4x2Rows run this loop's leading
+// columns in lanes; this loop runs their tail, and every column in
+// axpy4x2RowsGo.
+func axpy4x2(c, a, b []float32, i, p, n, si, sp, j int) {
+	o0 := i*si + p*sp
+	o1 := o0 + si
+	x00, x01, x02, x03 := a[o0], a[o0+sp], a[o0+2*sp], a[o0+3*sp]
+	x10, x11, x12, x13 := a[o1], a[o1+sp], a[o1+2*sp], a[o1+3*sp]
+	c0, c1 := c[i*n:][:n], c[(i+1)*n:][:n]
+	b0, b1, b2, b3 := b[p*n:][:n], b[(p+1)*n:][:n], b[(p+2)*n:][:n], b[(p+3)*n:][:n]
+	for ; j < n; j++ {
 		y0, y1, y2, y3 := b0[j], b1[j], b2[j], b3[j]
 		s0 := c0[j]
 		s0 += x00 * y0

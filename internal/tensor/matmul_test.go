@@ -130,17 +130,19 @@ func sameBits(got, want *Tensor) error {
 	return nil
 }
 
-// forEachBody runs f once per column-loop body of axpy4x2Vec this host
-// can run: SSE (the Go loop alone off amd64), then AVX2 where init
-// selected it. The init-time choice is restored afterwards.
+// forEachBody runs f once per body of axpy4x2Rows this host can run: the
+// Go row loop (the whole body off amd64), then on amd64 the SSE body and,
+// where init selected it, the AVX2 body. The init-time choice is restored
+// afterwards.
 func forEachBody(f func(body string)) {
-	avx2 := axpyAVX2
-	defer func() { axpyAVX2 = avx2 }()
-	axpyAVX2 = false
-	f("sse")
-	if avx2 {
-		axpyAVX2 = true
-		f("avx2")
+	host := axpyBody
+	defer func() { axpyBody = host }()
+	for body, name := range []string{bodyGo: "go", bodySSE: "sse", bodyAVX2: "avx2"} {
+		if gemmBody(body) > host {
+			break
+		}
+		axpyBody = gemmBody(body)
+		f(name)
 	}
 }
 
@@ -248,6 +250,79 @@ func FuzzGEMMMatchesReference(f *testing.F) {
 		checkGEMMCase(t, gemmCase{seed: seed, m: mod(m, 161), k: mod(k, 161), n: mod(n, 161),
 			zeroPer256: mod(zeroPer256, 257), special: special})
 	})
+}
+
+// TestGEMMStopAndResume drives axpyGEMM over one worker's rows [lo,hi),
+// with lo odd and an odd row count, and puts zero coefficients in the
+// first, a middle and the last row pair of the range, in both rows of a
+// pair, in adjacent pairs and in the odd last row and k%4 tail. That is
+// where axpy4x2Rows stops early when zeros are skipped, and where
+// axpyGEMM runs the stopped pair term by term and resumes after it. Each
+// zero at step p meets +Inf in row p of B, in a column of its own (a
+// lane column or a tail column), so a body that runs the pair instead of
+// stopping turns that output NaN where the reference skips the term, and
+// one that stops where zeros are kept (MatMulTInto) leaves it finite
+// where the reference is NaN. Both strides of A are covered, and rows
+// outside [lo,hi) must keep their fill.
+func TestGEMMStopAndResume(t *testing.T) {
+	const lo, hi, m, k = 3, 14, 16, 13 // pairs (3,4)..(11,12), odd row 13; steps 0..11 in quads, 12 the tail
+	type spot struct{ row, step int }
+	scenarios := map[string][]spot{
+		"first pair":        {{lo, 0}},
+		"first pair row 2":  {{lo + 1, 6}},
+		"middle pair":       {{7, 3}, {8, 9}},
+		"last pair":         {{hi - 3, 10}, {hi - 2, 1}},
+		"first middle last": {{lo, 5}, {7, 6}, {hi - 2, 4}},
+		"adjacent pairs":    {{9, 2}, {11, 1}},
+		"odd row and tail":  {{hi - 1, 2}, {5, k - 1}},
+	}
+	layouts := []struct {
+		name      string
+		ref       func(c, a, b *Tensor)
+		transA    bool
+		skipZeros bool
+	}{
+		{"MatMulInto", matMulRef, false, true},
+		{"MatMulTInto", matMulTRef, false, false},
+		{"TMatMulInto", tMatMulRef, true, true},
+	}
+	for _, n := range []int{8, 11, 64, 67} {
+		for name, spots := range scenarios {
+			rng := NewRNG(uint64(n))
+			coef, val := Randn(rng, 1, m, k), Randn(rng, 1, k, n)
+			for s, z := range spots {
+				coef.Data[z.row*k+z.step] = []float32{0, negZero}[s%2]
+				val.Data[z.step*n+[]int{0, n - 1, n / 2}[s]] = float32(math.Inf(1))
+			}
+			for _, l := range layouts {
+				a, si, sp := coef, k, 1
+				if l.transA {
+					a, si, sp = transpose(coef), 1, m
+				}
+				b := val
+				if l.name == "MatMulTInto" {
+					b = transpose(val)
+				}
+				want := New(m, n)
+				l.ref(want, a, b)
+				forEachBody(func(body string) {
+					got := New(m, n)
+					got.Fill(99)
+					axpyGEMM(got.Data, a.Data, val.Data, lo, hi, k, n, si, sp, l.skipZeros)
+					for idx, v := range got.Data {
+						w := want.Data[idx]
+						if i := idx / n; i < lo || i >= hi {
+							w = 99
+						}
+						if math.Float32bits(v) != math.Float32bits(w) {
+							t.Fatalf("%s body=%s n=%d %s: row %d col %d: got %v (%#08x), want %v (%#08x)",
+								l.name, body, n, name, idx/n, idx%n, v, math.Float32bits(v), w, math.Float32bits(w))
+						}
+					}
+				})
+			}
+		}
+	}
 }
 
 // TestGEMMBitsIndependentOfWorkers requires the same bits, with each
