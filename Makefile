@@ -222,10 +222,10 @@ SMOKE_PKGS = ./internal/moe ./internal/train ./internal/devent ./internal/tensor
 # Quick CI, and the only definition of it (.github/workflows/ci.yml runs
 # this target): gofmt + the transport-name grep + the one-body grep + the
 # assembly FMA grep + vet + build + the GEMM portability builds + all six
-# race-detector gates + the fuzz smoke + unit tests of every package + a
-# quick microbenchmark smoke run.
+# race-detector gates + the fuzz smoke + unit tests of every package
+# (benchmark/ and cmd/ included) + a quick microbenchmark smoke run.
 ci: fmt-check no-transport-strings one-body no-asm-fma vet build portability race-fast chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke
-	$(GO) test ./internal/... .
+	$(GO) test ./...
 	@want=$$(echo '$(SMOKE_BENCH)' | tr '|' '\n' | grep -c .); \
 	n=$$($(GO) test -list '^($(SMOKE_BENCH))$$' $(SMOKE_PKGS) | grep -c '^Benchmark'); \
 	if [ "$$n" -lt "$$want" ]; then \

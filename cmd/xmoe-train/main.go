@@ -28,6 +28,26 @@ import (
 	"xmoe/internal/transport"
 )
 
+// distConfig is the distributed trainer both -dist runs build: the Small
+// model's expert count and top-k at numeric-tractable stand-ins for its
+// dims, with the run-shape flags filled in.
+func distConfig(kind transport.Kind, world, tokens, chunks int, seed uint64,
+	zeroStage int, bucketMB int64, momentum float64) train.DistConfig {
+
+	sh := model.Small()
+	return train.DistConfig{
+		MoE: moe.Config{
+			NumExperts: sh.NumExperts, TopK: sh.TopK,
+			HModel: 96, HFFN: 48,
+			CapacityFactor: 1.25, BytesPerElem: 2,
+		},
+		World: world, Tokens: tokens, LR: 1e-2, Seed: seed,
+		Transport: kind.String(),
+		Opts:      moe.PipelineOpts{OverlapChunks: chunks},
+		ZeROStage: zeroStage, BucketBytes: bucketMB << 20, Momentum: momentum,
+	}
+}
+
 // runDistFT executes the fault-tolerant distributed run: train under a
 // deterministic fault plan (explicit -faults spec and/or Poisson crashes
 // drawn for -mtbf), checkpointing every -ckpt-every steps, recovering
@@ -36,19 +56,8 @@ func runDistFT(kind transport.Kind, world, tokens, overlap, iters int, seed uint
 	faults string, mtbf float64, ckptEvery int, asyncCkpt bool, spares int, mitigate float64,
 	zeroStage int, bucketMB int64, momentum float64) {
 
-	sh := model.Small()
-	cfg := train.DistConfig{
-		MoE: moe.Config{
-			NumExperts: sh.NumExperts, TopK: sh.TopK,
-			HModel: 96, HFFN: 48,
-			CapacityFactor: 1.25, BytesPerElem: 2,
-		},
-		World: world, Tokens: tokens, LR: 1e-2, Seed: seed,
-		Transport: kind.String(),
-		Opts:      moe.PipelineOpts{OverlapChunks: overlap},
-		ZeROStage: zeroStage, BucketBytes: bucketMB << 20, Momentum: momentum,
-		Mitigation: mitigate,
-	}
+	cfg := distConfig(kind, world, tokens, overlap, seed, zeroStage, bucketMB, momentum)
+	cfg.Mitigation = mitigate
 	if err := cfg.Check(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -114,19 +123,8 @@ func runDistFT(kind transport.Kind, world, tokens, overlap, iters int, seed uint
 func runDist(kind transport.Kind, world, tokens, overlap, iters int, seed uint64, engine string,
 	zeroStage int, bucketMB int64, momentum float64) {
 
-	sh := model.Small()
 	mk := func(chunks int) train.DistConfig {
-		return train.DistConfig{
-			MoE: moe.Config{
-				NumExperts: sh.NumExperts, TopK: sh.TopK,
-				HModel: 96, HFFN: 48, // numeric-tractable stand-ins for the Small dims
-				CapacityFactor: 1.25, BytesPerElem: 2,
-			},
-			World: world, Tokens: tokens, LR: 1e-2, Seed: seed,
-			Transport: kind.String(),
-			Opts:      moe.PipelineOpts{OverlapChunks: chunks},
-			ZeROStage: zeroStage, BucketBytes: bucketMB << 20, Momentum: momentum,
-		}
+		return distConfig(kind, world, tokens, chunks, seed, zeroStage, bucketMB, momentum)
 	}
 	// Validate the flag-derived options before entering any SPMD body so
 	// the user sees the descriptive error, not a rank panic.

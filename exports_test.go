@@ -29,30 +29,17 @@ const module = "xmoe"
 // fmt and errors reach the same way. Struct fields are out of scope:
 // encoding/json and fmt read them by reflection.
 func TestEveryExportHasACaller(t *testing.T) {
-	l := &loader{fset: token.NewFileSet(), std: importer.Default(), dirs: map[string]*build.Package{},
-		files: map[string]*ast.File{}}
-	if err := filepath.WalkDir(".", l.walk); err != nil {
-		t.Fatal(err)
-	}
-	paths := make([]string, 0, len(l.dirs))
-	for p := range l.dirs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
+	l, paths, canon := loadModule(t)
 
 	// The non-test packages: what declares the exports, and what every
 	// importer sees. Their own files are callers.
 	used := map[string]bool{}
-	canon := newWorld()
 	var ifaces []*types.Interface
 	for _, p := range paths {
-		if len(l.dirs[p].GoFiles) == 0 {
+		info := canon.infos[p]
+		if info == nil {
 			continue
 		}
-		if _, err := l.load(p, canon); err != nil {
-			t.Fatalf("type-check %s: %v", p, err)
-		}
-		info := canon.infos[p]
 		markUses(info, used, "")
 		for _, tv := range info.Types {
 			if it, ok := tv.Type.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
@@ -171,6 +158,33 @@ func satisfies(named *types.Named, name string, ifaces []*types.Interface) bool 
 		}
 	}
 	return false
+}
+
+// loadModule parses every package of the module and type-checks the
+// non-test files of each into one world. It returns the loader, the
+// packages' import paths in order, and that world.
+func loadModule(t *testing.T) (*loader, []string, *world) {
+	t.Helper()
+	l := &loader{fset: token.NewFileSet(), std: importer.Default(), dirs: map[string]*build.Package{},
+		files: map[string]*ast.File{}}
+	if err := filepath.WalkDir(".", l.walk); err != nil {
+		t.Fatal(err)
+	}
+	paths := make([]string, 0, len(l.dirs))
+	for p := range l.dirs {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	canon := newWorld()
+	for _, p := range paths {
+		if len(l.dirs[p].GoFiles) == 0 {
+			continue
+		}
+		if _, err := l.load(p, canon); err != nil {
+			t.Fatalf("type-check %s: %v", p, err)
+		}
+	}
+	return l, paths, canon
 }
 
 // loader type-checks the module's packages from source and the standard

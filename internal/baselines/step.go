@@ -423,7 +423,7 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool, routings *routingStor
 			r.Compute("dense_gemm", denseGemm)
 			// Norms, residuals, dropout and other elementwise traffic
 			// around the block.
-			r.Kernel("dense_elemwise", perfmodel.ClassVendor, 6*int64(sTokens)*int64(h)*2)
+			r.Compute("dense_elemwise", r.C.Comp.MemBound(perfmodel.ClassVendor, 6*int64(sTokens)*int64(h)*2))
 			if tp != nil {
 				r.AllReduce(tp, "tp_allreduce", nil, int64(sTokens)*int64(h)*2)
 			}
@@ -513,7 +513,7 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool, routings *routingStor
 		// volume), mirrored elementwise traffic, and the TP gradient
 		// all-reduce.
 		r.Compute("dense_bwd_gemm", 2*denseGemm)
-		r.Kernel("dense_bwd_elemwise", perfmodel.ClassVendor, 6*int64(sTokens)*int64(h)*2)
+		r.Compute("dense_bwd_elemwise", r.C.Comp.MemBound(perfmodel.ClassVendor, 6*int64(sTokens)*int64(h)*2))
 		if tp != nil {
 			r.AllReduce(tp, "tp_bwd_allreduce", nil, int64(sTokens)*int64(h)*2)
 		}

@@ -147,8 +147,11 @@ func AblationFaults(w io.Writer, opts Options) []Row {
 		rows = append(rows, Row{fmt.Sprint(tr, "/step"), "ms", stepSec[tr] * 1e3, 0})
 	}
 
-	// Checkpoint cost: all expert parameters (f32) stream off-node at NIC
-	// bandwidth — the same model train.DistTrainer.CkptCost applies.
+	// Checkpoint cost: every expert's f32 weights (W1 and W2) stream
+	// off-node through one NIC. This is not train.DistTrainer.CkptCost,
+	// which charges each rank's memmodel.CheckpointBytes (its experts'
+	// optimizer state and its share of the dense state included) times
+	// the ranks sharing a node's NIC.
 	ckptBytes := int64(cfg.NumExperts) * int64(cfg.HModel) * int64(cfg.HFFN) * 2 * 4
 	ckpt := float64(ckptBytes) / m.NodeNICBandwidth
 	rows = append(rows, Row{"ckpt write", "ms", ckpt * 1e3, 0})

@@ -84,7 +84,7 @@ func New(g *topology.Graph) *Engine {
 func (e *Engine) EngineName() string { return "event:" + e.G.Name }
 
 // SetLinkDerate applies degraded-link bandwidth derates (same contract as
-// netsim.Network.LinkDerate: factors > 1 divide the effective bandwidth of
+// netsim.Network.SetLinkDerate: factors > 1 divide the effective bandwidth of
 // that class, latencies and byte accounting unaffected). Set it only
 // between Cluster.Run calls; derates are folded into memo keys, so stale
 // cached times are never served.

@@ -17,7 +17,7 @@
 //     exponential backoff; the whole retry cost is charged to the
 //     simulated clock (and, through BSP, to every peer).
 //   - link: a link class loses bandwidth by a derate factor for a
-//     window of steps (netsim.LinkDerate).
+//     window of steps (netsim.Network.SetLinkDerate).
 package fault
 
 import (
@@ -550,7 +550,7 @@ func (inj *Injector) Arm(step int, elapsed float64) {
 }
 
 // LinkDerates returns the bandwidth derates active at the given step,
-// ready to assign to netsim's Network.LinkDerate (nil when all links are
+// ready to pass to Cluster.SetLinkDerate (nil when all links are
 // healthy). Overlapping events on one class compound multiplicatively.
 func (inj *Injector) LinkDerates(step int) map[topology.LinkClass]float64 {
 	var out map[topology.LinkClass]float64

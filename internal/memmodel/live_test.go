@@ -10,15 +10,15 @@ import (
 	"xmoe/internal/topology"
 )
 
-// liveLayerTags runs one symbolic forward of an MoE layer of shape sh with
-// RetainActivations on an EP group of ep ranks, each holding s tokens of
-// skewed routing, and returns every rank's live MemTracker bytes by tag.
+// liveLayerTags runs one symbolic forward of an MoE layer of shape sh on an
+// EP group of ep ranks, each holding s tokens of skewed routing, and
+// returns every rank's MemTracker high-water mark by tag: the bytes each
+// buffer held before the forward released it.
 func liveLayerTags(t *testing.T, sh model.Shape, ep, s int, padded bool, opts moe.PipelineOpts) []map[string]int64 {
 	t.Helper()
 	c := simrt.NewCluster(topology.Frontier(), ep, 5)
 	g := c.WorldGroup()
 	cfg := moe.LayerOf(sh)
-	opts.RetainActivations = true
 	forward := moe.PFTForward
 	if padded {
 		forward = moe.PaddedForward
@@ -33,7 +33,7 @@ func liveLayerTags(t *testing.T, sh model.Shape, ep, s int, padded bool, opts mo
 	}
 	tags := make([]map[string]int64, len(ranks))
 	for _, r := range ranks {
-		tags[r.ID] = r.Dev().Mem.ByTag()
+		tags[r.ID] = r.Dev().Mem.PeakByTag()
 	}
 	return tags
 }

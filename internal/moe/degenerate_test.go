@@ -174,7 +174,7 @@ func TestOOMDetectionUnderSymbolicPressure(t *testing.T) {
 	err := c.Run(func(r *simrt.Rank) error {
 		rng := tensor.NewRNG(uint64(r.ID))
 		routing := SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0)
-		PFTForward(r, g, cfg, s, nil, routing, nil, PipelineOpts{RetainActivations: true})
+		PFTForward(r, g, cfg, s, nil, routing, nil, PipelineOpts{})
 		return nil
 	})
 	if err != nil {

@@ -52,16 +52,11 @@ type PipelineOpts struct {
 	// buffers (Tutel forces float32 A_combine on AMD GPUs, Table 4);
 	// zero means Config.BytesPerElem.
 	CombineBytes int
-	// RetainActivations keeps all activation buffers allocated after the
-	// forward pass (training semantics) so peak-memory measurements see
-	// them; otherwise transient buffers are freed as the pipeline
-	// proceeds.
-	RetainActivations bool
 	// SaveForBackward captures the intermediate state needed by
 	// PFTBackward / PaddedBackward: in numeric mode the forward
-	// activations (with RetainActivations semantics for the captured
-	// tensors), in symbolic mode the exchange geometry only, so a
-	// timing-only backward pass can mirror the forward volumes.
+	// activations (the captured tensors stay allocated), in symbolic mode
+	// the exchange geometry only, so a timing-only backward pass can
+	// mirror the forward volumes.
 	SaveForBackward bool
 	// OverlapChunks is the number of chunks the dispatch -> experts ->
 	// combine middle section runs in: the routed tokens are split into
@@ -450,14 +445,12 @@ func Forward(r *simrt.Rank, ex Exchange, cfg Config, s int, x *tensor.Tensor, ro
 	l := &st.l
 	output := ex.Forward(r, s, pft, dispIn, opts, l)
 
-	if !opts.RetainActivations {
-		mem.Free("dispatch_in", int64(b)*int64(h)*elem)
-		mem.Free("A0_interm", int64(l.bExp)*int64(f)*elem)
-		mem.Free("A1_interm", int64(l.bExp)*int64(f)*elem)
-		for _, buf := range live {
-			if buf.tag != "" {
-				mem.Free(buf.tag, buf.bytes)
-			}
+	mem.Free("dispatch_in", int64(b)*int64(h)*elem)
+	mem.Free("A0_interm", int64(l.bExp)*int64(f)*elem)
+	mem.Free("A1_interm", int64(l.bExp)*int64(f)*elem)
+	for _, buf := range live {
+		if buf.tag != "" {
+			mem.Free(buf.tag, buf.bytes)
 		}
 	}
 

@@ -160,7 +160,7 @@ func TestPFTForwardMatchesReference(t *testing.T) {
 		routing := SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0.7)
 		params := localParams(g.IndexOf(r.ID), 2, cfg.HModel, cfg.HFFN)
 		res := PFTForward(r, g, cfg, s, x, routing, params, PipelineOpts{
-			Numeric: true, DropPolicy: DropByCapacityWeight, RetainActivations: true,
+			Numeric: true, DropPolicy: DropByCapacityWeight,
 		})
 		want := referenceMoE(x, res.PFT, cfg.HModel, cfg.HFFN)
 		if !res.Output.Equal(want, 1e-3) {
@@ -181,7 +181,7 @@ func TestPaddedForwardMatchesPFTForward(t *testing.T) {
 	c2 := newMoECluster(t, 4)
 	cfg := distConfig(8, 3)
 	const s = 24
-	opts := PipelineOpts{Numeric: true, DropPolicy: DropNegativeThenPosition, RetainActivations: true}
+	opts := PipelineOpts{Numeric: true, DropPolicy: DropNegativeThenPosition}
 	pftRes := runPipeline(t, PFTForward, c1, cfg, s, opts)
 	padRes := runPipeline(t, PaddedForward, c2, cfg, s, opts)
 	for rank, pr := range pftRes {
@@ -241,7 +241,7 @@ func TestPaddedUsesMoreMemoryThanPFT(t *testing.T) {
 	const s = 64
 	cPad := newMoECluster(t, 4)
 	cPft := newMoECluster(t, 4)
-	opts := PipelineOpts{DropPolicy: DropNegativeThenPosition, RetainActivations: true}
+	opts := PipelineOpts{DropPolicy: DropNegativeThenPosition}
 	runPipeline(t, PaddedForward, cPad, cfg, s, opts)
 	runPipeline(t, PFTForward, cPft, cfg, s, opts)
 	if cPad.PeakMemory() <= cPft.PeakMemory() {
@@ -297,7 +297,7 @@ func TestTutelCombineBytesIncreaseMemory(t *testing.T) {
 	const s = 64
 	c16 := newMoECluster(t, 4)
 	c32 := newMoECluster(t, 4)
-	opts16 := PipelineOpts{DropPolicy: DropNegativeThenPosition, RetainActivations: true, Kernels: KernelsVendor}
+	opts16 := PipelineOpts{DropPolicy: DropNegativeThenPosition, Kernels: KernelsVendor}
 	opts32 := opts16
 	opts32.CombineBytes = 4
 	runPipeline(t, PaddedForward, c16, cfg, s, opts16)

@@ -28,8 +28,8 @@ type Exchange interface {
 	// back. It lands the expert batches one at a time, charging each one's
 	// reorder or reconstruct pass, hands each to e.Forward, whose output it
 	// recycles once sent, and finishes the combine into the [s, H] output
-	// (nil when symbolic). It charges the output buffer and, unless
-	// opts.RetainActivations, releases its own buffers.
+	// (nil when symbolic). It charges the output buffer and releases its
+	// own buffers.
 	Forward(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts PipelineOpts, e Experts) *tensor.Tensor
 	// Backward mirrors Forward for the output gradient dOut: it lands each
 	// gradient batch in dst, the full-layout expert-output gradient, hands
@@ -250,10 +250,8 @@ func (x *flat) Forward(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts
 		}
 	}
 	mem.Alloc("output", int64(s)*int64(h)*elem)
-	if !opts.RetainActivations {
-		mem.Free("A_dispatch", int64(bExp)*int64(h)*elem)
-		mem.Free("A_combine", int64(b)*int64(h)*combElem)
-	}
+	mem.Free("A_dispatch", int64(bExp)*int64(h)*elem)
+	mem.Free("A_combine", int64(b)*int64(h)*combElem)
 	return output
 }
 

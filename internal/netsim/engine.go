@@ -39,8 +39,8 @@ func (n *Network) OrderDependent() bool { return !n.deterministic() }
 // EngineName identifies the analytic model in traces and benchmark records.
 func (n *Network) EngineName() string { return "analytic" }
 
-// SetLinkDerate implements CostEngine over the existing LinkDerate field,
+// SetLinkDerate implements CostEngine by setting the linkDerate field,
 // with the same contract: set only while no collectives are in flight.
-func (n *Network) SetLinkDerate(d map[topology.LinkClass]float64) { n.LinkDerate = d }
+func (n *Network) SetLinkDerate(d map[topology.LinkClass]float64) { n.linkDerate = d }
 
 var _ CostEngine = (*Network)(nil)

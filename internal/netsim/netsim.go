@@ -59,42 +59,31 @@ func (c Cost) InterNodeBytes() int64 {
 	return c.BytesByClass[topology.LinkInterNode] + c.BytesByClass[topology.LinkCrossRack]
 }
 
-// CongestionModel parameterises the Dragonfly congestion behaviour
-// observed in Appendix D: all-to-alls are stable up to one rack and
-// develop heavy-tailed outliers beyond it, as cross-rack traffic contends
-// with other jobs on shared global links.
-type CongestionModel struct {
-	// OutlierProb2Racks .. OutlierProb4Racks give the per-collective
+// The Dragonfly congestion model of Appendix D, calibrated against its
+// characterisation (Figs. 18-19): all-to-alls are stable up to one rack
+// and develop heavy-tailed outliers beyond it, as cross-rack traffic
+// contends with other jobs on shared global links.
+const (
+	// outlierProb2Racks and outlierProb4Racks are the per-collective
 	// probability of hitting a congested global link when the group
-	// spans 2 and >=4 racks respectively (interpolated in between).
-	OutlierProb2Racks float64
-	OutlierProb4Racks float64
-	// OutlierMin/MaxDelay bound the uniform outlier delay in seconds
-	// (paper: frequent > 500 ms per-collective times at 512/1024 GPUs).
-	OutlierMinDelay float64
-	OutlierMaxDelay float64
-	// BaseCrossRackSlowdown divides effective cross-rack bandwidth even
+	// spans 2 and >= 4 racks (3 racks takes their mean).
+	outlierProb2Racks float64 = 0.04
+	outlierProb4Racks float64 = 0.12
+	// outlierMinDelay and outlierMaxDelay bound the uniform outlier delay
+	// in seconds (paper: frequent > 500 ms per-collective times at
+	// 512/1024 GPUs).
+	outlierMinDelay float64 = 0.1
+	outlierMaxDelay float64 = 0.9
+	// baseCrossRackSlowdown divides effective cross-rack bandwidth even
 	// when no outlier fires (steady-state sharing of global links).
-	BaseCrossRackSlowdown float64
-}
+	baseCrossRackSlowdown float64 = 1.6
+)
 
-// DefaultCongestion returns the congestion constants calibrated against
-// the paper's Appendix D characterisation (Figs. 18-19).
-func DefaultCongestion() CongestionModel {
-	return CongestionModel{
-		OutlierProb2Racks:     0.04,
-		OutlierProb4Racks:     0.12,
-		OutlierMinDelay:       0.1,
-		OutlierMaxDelay:       0.9,
-		BaseCrossRackSlowdown: 1.6,
-	}
-}
-
-// Network simulates collectives over a machine. It is safe for concurrent
-// use by multiple goroutines (the simulated ranks).
+// Network simulates collectives over a machine, with the congestion model
+// above. It is safe for concurrent use by multiple goroutines (the
+// simulated ranks).
 type Network struct {
-	M          *topology.Machine
-	Congestion CongestionModel
+	M *topology.Machine
 	// DisableCongestion turns off stochastic outliers (used by
 	// correctness tests that need deterministic times).
 	DisableCongestion bool
@@ -110,15 +99,15 @@ type Network struct {
 	// (allocations are fragmented and the fabric is shared with other
 	// jobs), so congestion scope is the job, not the communicator.
 	JobRanks int
-	// LinkDerate scales down the effective bandwidth of a link class by
+	// linkDerate scales down the effective bandwidth of a link class by
 	// the given factor (2 halves it); classes absent or <= 1 are healthy.
 	// This is the degraded-link fault class: a flaky NIC or oversubscribed
 	// global link slows traffic without killing any rank. Latencies and
-	// byte accounting are unaffected — only time stretches. Set it only
-	// while no collectives are in flight (between Cluster.Run calls); the
-	// cost memo folds the derates into its keys, so changing them never
-	// serves stale cached times.
-	LinkDerate map[topology.LinkClass]float64
+	// byte accounting are unaffected — only time stretches. SetLinkDerate
+	// sets it, only while no collectives are in flight (between
+	// Cluster.Run calls); the cost memo folds the derates into its keys,
+	// so changing them never serves stale cached times.
+	linkDerate map[topology.LinkClass]float64
 
 	mu       sync.Mutex
 	rngState uint64
@@ -141,7 +130,7 @@ type Network struct {
 // parameters), so keying on the machine's structural identity keeps the
 // cache warm across an entire sweep and across equal machines, while
 // bounding the registry to the handful of distinct platforms. All
-// Network state that affects a cost (congestion flags and constants,
+// Network state that affects a cost (congestion flags, link derates,
 // JobRanks) is folded into the per-entry hash key.
 type costCache struct {
 	mu sync.Mutex
@@ -218,7 +207,7 @@ func mix(h, v uint64) uint64 { return (h ^ v) * 1099511628211 }
 // derateOf returns the bandwidth derate factor for a link class (1 when
 // healthy).
 func (n *Network) derateOf(class topology.LinkClass) float64 {
-	if d, ok := n.LinkDerate[class]; ok && d > 1 {
+	if d, ok := n.linkDerate[class]; ok && d > 1 {
 		return d
 	}
 	return 1
@@ -244,12 +233,6 @@ func (n *Network) hashRanks(kind uint64, ranks []int) uint64 {
 		flags |= 2
 	}
 	h = mix(h, flags)
-	c := n.Congestion
-	h = mix(h, math.Float64bits(c.OutlierProb2Racks))
-	h = mix(h, math.Float64bits(c.OutlierProb4Racks))
-	h = mix(h, math.Float64bits(c.OutlierMinDelay))
-	h = mix(h, math.Float64bits(c.OutlierMaxDelay))
-	h = mix(h, math.Float64bits(c.BaseCrossRackSlowdown))
 	for class := topology.LinkLocal; class <= topology.LinkCrossRack; class++ {
 		h = mix(h, math.Float64bits(n.derateOf(class)))
 	}
@@ -281,27 +264,10 @@ func (n *Network) cached(key uint64, compute func() Cost) Cost {
 	return c
 }
 
-// New returns a network simulator over machine m with the default
-// congestion model, seeded deterministically.
+// New returns a network simulator over machine m whose congestion sampler
+// is seeded deterministically by seed.
 func New(m *topology.Machine, seed uint64) *Network {
-	return &Network{M: m, Congestion: DefaultCongestion(), rngState: seed}
-}
-
-// RNGState returns the congestion sampler's current state, for
-// checkpointing: restoring it with SetRNGState resumes the outlier
-// stream exactly where it left off, keeping checkpoint-resume runs
-// bit-identical to uninterrupted ones even with sampled congestion.
-func (n *Network) RNGState() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rngState
-}
-
-// SetRNGState restores a congestion sampler state captured by RNGState.
-func (n *Network) SetRNGState(s uint64) {
-	n.mu.Lock()
-	n.rngState = s
-	n.mu.Unlock()
+	return &Network{M: m, rngState: seed}
 }
 
 // rand returns a uniform float64 in [0,1) from the network's internal
@@ -344,20 +310,19 @@ func (n *Network) congestionDelay(racks int, fabricBytes int64) float64 {
 	if n.DisableCongestion || racks <= 1 || fabricBytes == 0 {
 		return 0
 	}
-	c := n.Congestion
-	p := c.OutlierProb2Racks
+	p := outlierProb2Racks
 	if racks >= 4 {
-		p = c.OutlierProb4Racks
+		p = outlierProb4Racks
 	} else if racks == 3 {
-		p = (c.OutlierProb2Racks + c.OutlierProb4Racks) / 2
+		p = (outlierProb2Racks + outlierProb4Racks) / 2
 	}
 	if n.ExpectedCongestion {
-		return p * (c.OutlierMinDelay + c.OutlierMaxDelay) / 2
+		return p * (outlierMinDelay + outlierMaxDelay) / 2
 	}
 	if n.rand() >= p {
 		return 0
 	}
-	return c.OutlierMinDelay + n.rand()*(c.OutlierMaxDelay-c.OutlierMinDelay)
+	return outlierMinDelay + n.rand()*(outlierMaxDelay-outlierMinDelay)
 }
 
 // AlltoAllV simulates an uneven all-to-all among ranks, where
@@ -404,7 +369,7 @@ func (n *Network) alltoAllV(ranks []int, sendBytes [][]int64) Cost {
 			spec := m.Link(class)
 			bw := n.bandwidthOf(class)
 			if class == topology.LinkCrossRack && !n.DisableCongestion {
-				bw /= n.Congestion.BaseCrossRackSlowdown
+				bw /= baseCrossRackSlowdown
 			}
 			t := spec.Latency + float64(b)/bw
 			egressTime += t

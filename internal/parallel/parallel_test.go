@@ -228,7 +228,7 @@ func TestSSMBReducesActivationMemory(t *testing.T) {
 			body := func(lo, hi int) {
 				shardRouting := tokenRange(routing, lo, hi)
 				moe.PFTForward(r, g, cfg, hi-lo, nil, shardRouting, nil,
-					moe.PipelineOpts{DropPolicy: moe.DropByCapacityWeight, RetainActivations: true})
+					moe.PipelineOpts{DropPolicy: moe.DropByCapacityWeight})
 			}
 			if ssmb {
 				SSMBForward(r, g, s, cfg.HModel, cfg.BytesPerElem, nil,

@@ -60,7 +60,7 @@ func (st *State) Layout() (padded, rows bool) { return false, true }
 // before the replicas) and then the replica rows, with the input complete;
 // with one chunk, all rows at once. The FFN runs once, over the whole
 // layout, with the last batch. The combine follows, and the staging
-// buffers are released unless opts.RetainActivations.
+// buffers are released.
 func (st *State) Forward(r *simrt.Rank, s int, pft *moe.PFT, rows *tensor.Tensor, opts moe.PipelineOpts, e moe.Experts) *tensor.Tensor {
 	st.s, st.opts = s, opts
 	var underS2 moe.Experts
@@ -74,17 +74,15 @@ func (st *State) Forward(r *simrt.Rank, s int, pft *moe.PFT, rows *tensor.Tensor
 	expertOut := e.Forward(b)
 	out := st.combine(r, expertOut)
 	r.Pool().Put(expertOut)
-	if !opts.RetainActivations {
-		mem := &r.Dev().Mem
-		rowBytes := int64(st.d.Cfg.HModel) * int64(st.d.Cfg.BytesPerElem)
-		bExp := st.rowsOff[st.d.EPR]
-		mem.Free("rbd_pilot_send", int64(len(st.pilotEntry))*rowBytes)
-		mem.Free("rbd_pilot_recv", int64(st.pilotRowsTotal)*rowBytes)
-		mem.Free("rbd_s2_send", int64(st.s2SentTotal)*rowBytes)
-		mem.Free("rbd_s2_recv", int64(bExp-st.pilotRowsTotal)*rowBytes)
-		mem.Free("rbd_expert_in", int64(bExp)*rowBytes)
-		mem.Free("rbd_merged", int64(st.pilotRowsTotal)*rowBytes)
-	}
+	mem := &r.Dev().Mem
+	rowBytes := int64(st.d.Cfg.HModel) * int64(st.d.Cfg.BytesPerElem)
+	bExp := st.rowsOff[st.d.EPR]
+	mem.Free("rbd_pilot_send", int64(len(st.pilotEntry))*rowBytes)
+	mem.Free("rbd_pilot_recv", int64(st.pilotRowsTotal)*rowBytes)
+	mem.Free("rbd_s2_send", int64(st.s2SentTotal)*rowBytes)
+	mem.Free("rbd_s2_recv", int64(bExp-st.pilotRowsTotal)*rowBytes)
+	mem.Free("rbd_expert_in", int64(bExp)*rowBytes)
+	mem.Free("rbd_merged", int64(st.pilotRowsTotal)*rowBytes)
 	return out
 }
 

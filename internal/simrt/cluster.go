@@ -37,8 +37,11 @@ type MemTracker struct {
 	mu    sync.Mutex
 	cur   int64
 	peak  int64
-	byTag map[string]int64
+	byTag map[string]tagBytes
 }
+
+// tagBytes is one tag's live bytes and their high-water mark.
+type tagBytes struct{ live, peak int64 }
 
 // Alloc records an allocation of n bytes under the given tag.
 func (m *MemTracker) Alloc(tag string, n int64) {
@@ -47,13 +50,14 @@ func (m *MemTracker) Alloc(tag string, n int64) {
 	}
 	m.mu.Lock()
 	if m.byTag == nil {
-		m.byTag = map[string]int64{}
+		m.byTag = map[string]tagBytes{}
 	}
 	m.cur += n
-	m.byTag[tag] += n
-	if m.cur > m.peak {
-		m.peak = m.cur
-	}
+	m.peak = max(m.peak, m.cur)
+	b := m.byTag[tag]
+	b.live += n
+	b.peak = max(b.peak, b.live)
+	m.byTag[tag] = b
 	m.mu.Unlock()
 }
 
@@ -62,7 +66,9 @@ func (m *MemTracker) Free(tag string, n int64) {
 	m.mu.Lock()
 	m.cur -= n
 	if m.byTag != nil {
-		m.byTag[tag] -= n
+		b := m.byTag[tag]
+		b.live -= n
+		m.byTag[tag] = b
 	}
 	m.mu.Unlock()
 }
@@ -83,11 +89,21 @@ func (m *MemTracker) Peak() int64 {
 
 // ByTag returns a copy of the live allocation per tag.
 func (m *MemTracker) ByTag() map[string]int64 {
+	return m.tags(func(b tagBytes) int64 { return b.live })
+}
+
+// PeakByTag returns each tag's high-water mark: the most bytes live under
+// it at once.
+func (m *MemTracker) PeakByTag() map[string]int64 {
+	return m.tags(func(b tagBytes) int64 { return b.peak })
+}
+
+func (m *MemTracker) tags(field func(tagBytes) int64) map[string]int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make(map[string]int64, len(m.byTag))
-	for k, v := range m.byTag {
-		out[k] = v
+	for k, b := range m.byTag {
+		out[k] = field(b)
 	}
 	return out
 }
@@ -263,12 +279,6 @@ func (r *Rank) Compute(name string, dur float64) {
 	r.Trace.Record(name, r.Clock, dur)
 	r.Clock += dur
 	r.Busy += dur
-}
-
-// Kernel models one bandwidth-bound kernel of the given class moving the
-// given bytes.
-func (r *Rank) Kernel(name string, class perfmodel.KernelClass, bytes int64) {
-	r.Compute(name, r.C.Comp.MemBound(class, bytes))
 }
 
 // Run executes fn once per rank, each on its own goroutine, and waits for

@@ -14,16 +14,17 @@ import (
 )
 
 // sampledCongestionPass runs three layers of symbolic PFT forward+backward
-// at four chunks on eight ranks spread over two single-node racks, with the
-// analytic engine sampling congestion outliers for half the collectives,
-// and hashes every rank's final clock and every span it recorded.
-func sampledCongestionPass(t *testing.T) uint64 {
+// at four chunks on eight ranks spread over four single-node racks, where
+// the analytic engine samples a congestion outlier for 12 % of the
+// collectives (none when disabled). It returns a hash of every rank's
+// final clock and every span it recorded, and the slowest clock.
+func sampledCongestionPass(t *testing.T, disabled bool) (hash uint64, slowest float64) {
 	t.Helper()
 	const world, s, chunks, layers = 8, 64, 4, 3
 	m := topology.Frontier()
-	m.GPUsPerNode, m.NodesPerRack = 4, 1
+	m.GPUsPerNode, m.NodesPerRack = 2, 1
 	c := simrt.NewCluster(m, world, 11)
-	c.Net.Congestion.OutlierProb2Racks = 0.5
+	c.Net.DisableCongestion = disabled
 	g := c.WorldGroup()
 	cfg := moe.Config{NumExperts: 16, TopK: 2, HModel: 16, HFFN: 32, CapacityFactor: 1.25, BytesPerElem: 2}
 	ranks, err := c.RunCollect(func(r *simrt.Rank) error {
@@ -41,6 +42,7 @@ func sampledCongestionPass(t *testing.T) uint64 {
 	}
 	h := fnv.New64a()
 	for _, r := range ranks {
+		slowest = max(slowest, r.Clock)
 		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(r.Clock)))
 		for _, e := range r.Trace.Events() {
 			h.Write([]byte(e.Name))
@@ -48,21 +50,28 @@ func sampledCongestionPass(t *testing.T) uint64 {
 			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(e.Dur)))
 		}
 	}
-	return h.Sum64()
+	return h.Sum64(), slowest
 }
 
 // TestSampledCongestionKeepsIssueOrder: the analytic engine with sampled
 // congestion draws its outliers from one RNG stream in query order, so its
 // collectives must be priced in issue order, never concurrently. A chunked
 // PFT fwd+bwd, whose exchanges are all non-blocking, gives the same clocks
-// and spans bit for bit on every repeat and at every GOMAXPROCS.
+// and spans bit for bit on every repeat and at every GOMAXPROCS. The pass
+// must run at least 0.1 s (the least outlier delay) longer than with
+// congestion disabled, so outliers did fire: the steady cross-rack
+// slowdown alone adds microseconds.
 func TestSampledCongestionKeepsIssueOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	_, quiet := sampledCongestionPass(t, true)
 	var want uint64
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		for rep := 0; rep < 5; rep++ {
-			got := sampledCongestionPass(t)
+			got, slowest := sampledCongestionPass(t, false)
+			if slowest < quiet+0.1 {
+				t.Fatalf("GOMAXPROCS %d, repeat %d: slowest clock %gs, %gs without congestion: no outlier fired", procs, rep, slowest, quiet)
+			}
 			if want == 0 {
 				want = got
 			} else if got != want {

@@ -72,6 +72,13 @@ func TestMemTracker(t *testing.T) {
 	if m.ByTag()["b"] != 60 {
 		t.Fatalf("ByTag[b] = %d", m.ByTag()["b"])
 	}
+	// A tag's high-water mark outlives its frees and is its own, not the
+	// tracker's: "a" peaked at 100 while the tracker peaked at 150.
+	m.Free("b", 40)
+	m.Alloc("a", 30)
+	if live, peak := m.ByTag(), m.PeakByTag(); live["a"] != 30 || peak["a"] != 100 || live["b"] != 20 || peak["b"] != 60 {
+		t.Fatalf("ByTag %v, PeakByTag %v; want a 30/100, b 20/60", live, peak)
+	}
 }
 
 func TestDeviceOOM(t *testing.T) {

@@ -3,11 +3,12 @@ package train
 // Checkpoint/restore for the distributed trainer. A checkpoint is a full
 // snapshot of training state — expert weights in global expert order,
 // the replicated dense bias, the step counter, every rank slot's data-RNG
-// state, and the network simulator's RNG state — so a restored run is
-// bit-identical to one that never stopped. Weights are stored globally
-// (not per-rank) so the same checkpoint restores onto a different world
-// size: elastic recovery reshards the surviving experts instead of
-// demanding the dead rank back.
+// state and the momentum state — so a restored run is bit-identical to
+// one that never stopped. The network simulator holds no state to save:
+// the trainer prices its collectives with congestion sampling off.
+// Weights are stored globally (not per-rank) so the same checkpoint
+// restores onto a different world size: elastic recovery reshards the
+// surviving experts instead of demanding the dead rank back.
 
 import (
 	"fmt"
@@ -26,8 +27,6 @@ type Checkpoint struct {
 	Bias []float32
 	// DataRNG holds each rank slot's input-stream state at capture time.
 	DataRNG []tensor.RNGState
-	// NetRNG is the network simulator's RNG state.
-	NetRNG uint64
 	// VelW1, VelW2 hold the expert momentum state in global expert order
 	// and BiasVel the full dense velocity vector (reassembled from the
 	// per-rank ZeRO shards at capture). All nil when the trainer runs
@@ -49,7 +48,6 @@ func (t *DistTrainer) Checkpoint() *Checkpoint {
 		W2:      make([]*tensor.Tensor, e),
 		Bias:    append([]float32(nil), t.bias[0]...),
 		DataRNG: make([]tensor.RNGState, t.Cfg.World),
-		NetRNG:  t.cluster.Net.RNGState(),
 	}
 	for rank := 0; rank < t.Cfg.World; rank++ {
 		for le := 0; le < epr; le++ {
@@ -143,7 +141,6 @@ func (t *DistTrainer) Restore(ck *Checkpoint) error {
 		}
 	}
 	t.step = ck.Step
-	t.cluster.Net.SetRNGState(ck.NetRNG)
 	return nil
 }
 

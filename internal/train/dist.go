@@ -77,8 +77,6 @@ type DistConfig struct {
 	// forced on (a numeric training step needs both), OverlapChunks and
 	// DropPolicy are honoured in both passes.
 	Opts moe.PipelineOpts
-	// Machine is the simulated platform (default Frontier).
-	Machine *topology.Machine
 }
 
 // Check validates the trainer configuration.
@@ -197,9 +195,6 @@ func NewDistTrainer(cfg DistConfig) (*DistTrainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Machine == nil {
-		cfg.Machine = topology.Frontier()
-	}
 	cfg.Opts.Numeric = true
 	cfg.Opts.SaveForBackward = true
 	t := &DistTrainer{Cfg: cfg, kind: kind}
@@ -208,14 +203,14 @@ func NewDistTrainer(cfg DistConfig) (*DistTrainer, error) {
 }
 
 // build constructs everything that depends on the world size: a fresh
-// cluster and world group, the transport layer over it, and per-rank
-// containers seeded by slot — weights-init and data-stream seeds are
-// functions of the slot alone, which is what keeps a shrunk or regrown run
-// bit-deterministic.
+// Frontier cluster and world group, the transport layer over it, and
+// per-rank containers seeded by slot — weights-init and data-stream seeds
+// are functions of the slot alone, which is what keeps a shrunk or
+// regrown run bit-deterministic.
 func (t *DistTrainer) build(world int) {
 	t.Cfg.World = world
 	cfg := t.Cfg
-	t.cluster = simrt.NewCluster(cfg.Machine, world, cfg.Seed)
+	t.cluster = simrt.NewCluster(topology.Frontier(), world, cfg.Seed)
 	t.cluster.Net.DisableCongestion = true
 	t.group = t.cluster.WorldGroup()
 	t.layer = transport.New(t.kind, t.cluster, t.group, cfg.MoE)

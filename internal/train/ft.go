@@ -102,11 +102,9 @@ func (t *DistTrainer) CkptCost() float64 {
 		optBytes = 4
 	}
 	perRank := memmodel.CheckpointBytes(expertElems, int64(m.HModel), w, t.Cfg.ZeROStage, 4, optBytes)
-	ranksPerNode := t.Cfg.Machine.GPUsPerNode
-	if w < ranksPerNode {
-		ranksPerNode = w
-	}
-	return float64(perRank*int64(ranksPerNode)) / t.Cfg.Machine.NodeNICBandwidth
+	machine := t.cluster.Machine
+	ranksPerNode := min(w, machine.GPUsPerNode)
+	return float64(perRank*int64(ranksPerNode)) / machine.NodeNICBandwidth
 }
 
 // RunFaultTolerant trains for o.Steps useful steps under o.Plan's faults.
