@@ -1,6 +1,6 @@
 # Developer workflow for the xmoe reproduction.
 #
-#   make ci      - what the CI job runs: gofmt, the transport-name grep, the one-body grep, the assembly FMA grep, vet, build, the GEMM portability builds, the six race-enabled gates, fuzz smoke, tests, quick bench
+#   make ci      - what the CI job runs: gofmt, the transport-name grep, the one-body grep, the assembly FMA grep, vet, build, the assembly kernels' portability builds, the six race-enabled gates, fuzz smoke, tests, quick bench
 #   make test    - full test suite (includes the slow sweep tests)
 #   make race    - full race-detector pass (go test -race ./...)
 #   make race-fast - race pass over just the concurrency-heavy packages
@@ -54,22 +54,24 @@ one-body:
 # Fails on a fused multiply-add or multiply-subtract (VFMADD*, VFMSUB*,
 # VFNMADD*, VFNMSUB*) in any tracked assembly file: each GEMM body must
 # round a product to float32 before its add, as the Go loop and the bit
-# reference do. The GEMM tests catch a fused body only on a CPU that runs
-# it; this catches it on any host. Fails when git names no .s file, so a
-# move cannot pass vacuously.
+# reference do, and the polar kernel (polar_amd64.s) must round every step
+# of math.Log's amd64 body as it does. The GEMM and polar tests catch a
+# fused body only on a CPU that runs it; this catches it on any host.
+# Fails when git names no .s file, so a move cannot pass vacuously.
 no-asm-fma:
 	@files=$$(git ls-files '*.s'); \
 	if [ -z "$$files" ]; then echo "no-asm-fma: git ls-files names no .s file"; exit 1; fi; \
 	out=$$(grep -nHE 'VFN?M(ADD|SUB)' $$files); \
 	if [ -n "$$out" ]; then echo "fused multiply-add in assembly:"; echo "$$out"; exit 1; fi
 
-# The GEMM body's other builds: all three bodies (the Go row loop that is
-# the whole body off amd64, SSE, and AVX2 where the CPU has it) tested with
-# GOAMD64=v3 against the bit reference (Go must still not contract x*y+z
-# into an FMA in the Go loops or the reference there), and the non-amd64
-# build compiled for arm64. The GEMM tests run the Go row loop on amd64 in
-# every `go test`; the arm64 vet only compiles it, and nothing here runs
-# arm64 code, whose backend may fuse x*y+z.
+# The assembly kernels' other builds: all three GEMM bodies (the Go row
+# loop that is the whole body off amd64, SSE, and AVX2 where the CPU has
+# it) and both polar bodies (the Go loop and AVX2) tested with GOAMD64=v3
+# against their bit references (Go must still not contract x*y+z into an
+# FMA in the Go loops or the references there), and the non-amd64 build
+# (axpy_other.go, polar_other.go) compiled for arm64. The tests run the Go
+# bodies on amd64 in every `go test`; the arm64 vet only compiles them, and
+# nothing here runs arm64 code, whose backend may fuse x*y+z.
 portability:
 	GOAMD64=v3 $(GO) test ./internal/tensor
 	GOARCH=arm64 $(GO) vet ./internal/tensor
@@ -213,15 +215,17 @@ bench-save:
 # all-to-all-v that misses the memo (the water-filling engine), the
 # three GEMMs at the numeric trainer's shapes, their shared body alone on
 # one goroutine at n = 64, 128 and 1024, the fused GeLU forward and
-# backward, and one rank's RBD pilot selection at the Large layer's shape. A -bench
+# backward, one rank's RBD pilot selection at the Large layer's shape, Randn at
+# the trainer's shape and SyntheticRouting at the layer's and the step's
+# shapes (the block normal sampler under both). A -bench
 # pattern that matches nothing passes silently, so the smoke first
 # requires `go test -list` to name every benchmark the pattern lists.
-SMOKE_BENCH = BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward|BenchmarkA2AVMiss|BenchmarkMatMulInto|BenchmarkMatMulTInto|BenchmarkTMatMulInto|BenchmarkAxpyGEMM|BenchmarkGeLUWithGrad|BenchmarkSelectPilots
+SMOKE_BENCH = BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward|BenchmarkA2AVMiss|BenchmarkMatMulInto|BenchmarkMatMulTInto|BenchmarkTMatMulInto|BenchmarkAxpyGEMM|BenchmarkGeLUWithGrad|BenchmarkSelectPilots|BenchmarkRandn|BenchmarkSyntheticRouting
 SMOKE_PKGS = ./internal/moe ./internal/train ./internal/devent ./internal/tensor ./internal/rbd
 
 # Quick CI, and the only definition of it (.github/workflows/ci.yml runs
 # this target): gofmt + the transport-name grep + the one-body grep + the
-# assembly FMA grep + vet + build + the GEMM portability builds + all six
+# assembly FMA grep + vet + build + the kernels' portability builds + all six
 # race-detector gates + the fuzz smoke + unit tests of every package
 # (benchmark/ and cmd/ included) + a quick microbenchmark smoke run.
 ci: fmt-check no-transport-strings one-body no-asm-fma vet build portability race-fast chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke

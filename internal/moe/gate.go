@@ -98,58 +98,99 @@ func SyntheticRouting(rng *tensor.RNG, s, e, k int, skew float64) Routing {
 		Weights: make([]float32, s*k),
 		Logits:  make([]float32, s*k),
 	}
-	raw := make([]float64, k)
 	chosenSet := make([]bool, e)
-	for t := 0; t < s; t++ {
-		experts := r.Experts[t*k : (t+1)*k]
-		weights := r.Weights[t*k : (t+1)*k]
-		logits := r.Logits[t*k : (t+1)*k]
-		for j := 0; j < k; j++ {
-			idx := -1
-			for attempt := 0; attempt < 64; attempt++ {
-				cand := search.find(rng.Float64() * total)
-				if cand >= e {
-					cand = e - 1
+	// Each token draws 2k normals: each expert's logit right after its
+	// pick, then k weight pseudo-scores. They come through one NormBlock
+	// per block of tokens, in three passes: the picks and the normals'
+	// uniform draws, in the RNG order of one normal at a time; the
+	// block's log/sqrt pass; then logits, weights and the top-k sort,
+	// reading each token's 2k normals in turn from the block. When they
+	// do not fit in a block (k above NormBlockLen/2), each full block is
+	// copied out to long and reopened mid-token.
+	per := max(1, tensor.NormBlockLen/(2*max(k, 1)))
+	var long []float64
+	if 2*k > tensor.NormBlockLen {
+		long = make([]float64, 2*k)
+	}
+	var nb tensor.NormBlock
+	for t0 := 0; t0 < s; t0 += per {
+		t1 := min(s, t0+per)
+		nb.Open(rng)
+		spilled := 0
+		for t := t0; t < t1; t++ {
+			experts := r.Experts[t*k : (t+1)*k]
+			// Normal j is the logit of the expert picked just before it
+			// for j < k, and a weight's pseudo-score from k on.
+			for j := 0; j < 2*k; j++ {
+				if j < k {
+					idx := -1
+					for attempt := 0; attempt < 64; attempt++ {
+						cand := search.find(rng.Float64() * total)
+						if cand >= e {
+							cand = e - 1
+						}
+						if !chosenSet[cand] {
+							idx = cand
+							break
+						}
+					}
+					if idx < 0 {
+						// Fallback: take the first unchosen expert.
+						for cand := 0; cand < e; cand++ {
+							if !chosenSet[cand] {
+								idx = cand
+								break
+							}
+						}
+					}
+					chosenSet[idx] = true
+					experts[j] = int32(idx)
 				}
-				if !chosenSet[cand] {
-					idx = cand
-					break
+				if nb.Full() {
+					spilled += copy(long[spilled:], nb.Resolve(rng))
+					nb.Open(rng)
 				}
+				nb.Reserve(rng)
 			}
-			if idx < 0 {
-				// Fallback: take the first unchosen expert.
-				for cand := 0; cand < e; cand++ {
-					if !chosenSet[cand] {
-						idx = cand
-						break
+			for _, ex := range experts {
+				chosenSet[ex] = false
+			}
+		}
+		normals := nb.Resolve(rng)
+		if long != nil {
+			copy(long[spilled:], normals)
+			normals = long
+		}
+		for t := t0; t < t1; t++ {
+			experts := r.Experts[t*k : (t+1)*k]
+			weights := r.Weights[t*k : (t+1)*k]
+			logits := r.Logits[t*k : (t+1)*k]
+			v := normals[(t-t0)*2*k : (t-t0+1)*2*k]
+			for j := range logits {
+				logits[j] = float32(v[j] + 1.0)
+			}
+			// Combine weights: softmax over k pseudo-scores, descending to
+			// mimic top-k ordering.
+			scores := v[k:]
+			var sum float64
+			for j, x := range scores {
+				scores[j] = math.Exp(x)
+				sum += scores[j]
+			}
+			for j, x := range scores {
+				weights[j] = float32(x / sum * 0.9) // headroom below 1.0
+			}
+			// Sort selections by weight descending (top-k order): an
+			// exchange sort, with position a's entry held in registers
+			// while b scans.
+			for a := 0; a < k; a++ {
+				wa, ea, la := weights[a], experts[a], logits[a]
+				for b := a + 1; b < k; b++ {
+					if wb := weights[b]; wb > wa {
+						weights[b], experts[b], logits[b], wa, ea, la = wa, ea, la, wb, experts[b], logits[b]
 					}
 				}
-			}
-			chosenSet[idx] = true
-			experts[j] = int32(idx)
-			logits[j] = float32(rng.Norm() + 1.0)
-		}
-		for _, ex := range experts {
-			chosenSet[ex] = false
-		}
-		// Combine weights: softmax over k pseudo-scores, descending to
-		// mimic top-k ordering.
-		var sum float64
-		for j := range raw {
-			raw[j] = math.Exp(rng.Norm())
-			sum += raw[j]
-		}
-		for j := range raw {
-			weights[j] = float32(raw[j] / sum * 0.9) // headroom below 1.0
-		}
-		// Sort selections by weight descending (top-k order).
-		for a := 0; a < k; a++ {
-			for b := a + 1; b < k; b++ {
-				if weights[b] > weights[a] {
-					weights[a], weights[b] = weights[b], weights[a]
-					experts[a], experts[b] = experts[b], experts[a]
-					logits[a], logits[b] = logits[b], logits[a]
-				}
+				weights[a], experts[a], logits[a] = wa, ea, la
 			}
 		}
 	}

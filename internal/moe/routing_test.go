@@ -48,7 +48,7 @@ func TestSyntheticRoutingGoldenBits(t *testing.T) {
 		// SimulateStep's Small model.
 		{"step", 7, 2048, 64, 6, 0.6,
 			"S=2048 K=6 experts=831ebec5b1adff11 weights=f17178ae1f1c3c76 logits=914ff36f293c3486"},
-		// Odd k: a Box-Muller spare straddles a token's logit and weight draws.
+		// Odd k: a spare of the polar method straddles a token's logit and weight draws.
 		{"odd-k", 5, 333, 32, 3, 0.6,
 			"S=333 K=3 experts=aeae65def4dfec48 weights=10faa678f632f4d4 logits=4b83568c996a3de2"},
 		// k = E: every expert per token, the fallback scan included.

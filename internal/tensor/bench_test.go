@@ -130,3 +130,16 @@ func BenchmarkAxpyGEMM(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRandn times Randn at the numeric trainer's [rows, F] shape and
+// reports ns per value: the polar draws, the block's log/sqrt pass and the
+// float32 conversion.
+func BenchmarkRandn(b *testing.B) {
+	rng := NewRNG(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Randn(rng, 1, trainRows, trainF)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*trainRows*trainF), "ns/value")
+}

@@ -67,10 +67,10 @@ func MatMulT(a, b *Tensor) *Tensor {
 // have shape [m,n] for A [m,k] and B [n,k]. c is overwritten. The result
 // is bit-identical to MatMulT.
 //
-// B is transposed into a pooled [k,n] scratch and the product runs
-// through MatMulInto's body. Every term is accumulated, zero coefficients
-// included: a zero in A against an Inf or NaN in B yields NaN, where
-// MatMulInto and TMatMulInto skip the term.
+// B is transposed into a pooled [k,n] scratch, each worker a band of its
+// rows, and the product runs through MatMulInto's body. Every term is
+// accumulated, zero coefficients included: a zero in A against an Inf or
+// NaN in B yields NaN, where MatMulInto and TMatMulInto skip the term.
 func MatMulTInto(c, a, b *Tensor) {
 	m, k := a.Rows(), a.Cols()
 	n, k2 := b.Rows(), b.Cols()
@@ -78,14 +78,22 @@ func MatMulTInto(c, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: matmulT shape mismatch C%v = A%v x B%vᵀ", c.shape, a.shape, b.shape))
 	}
 	bt := transposeBufs.getBuf(n * k)
-	for j := 0; j < n; j++ {
-		for p, v := range b.Data[j*k : (j+1)*k] {
-			bt[p*n+j] = v
+	// One closure runs both passes, so a call still allocates once: index
+	// j < n is row j of B, which its worker writes into column j of bt,
+	// and n+i is row i of C, computed once every column is in.
+	pass := func(lo, hi int) {
+		if lo < n {
+			for j := lo; j < hi; j++ {
+				for p, v := range b.Data[j*k : (j+1)*k] {
+					bt[p*n+j] = v
+				}
+			}
+			return
 		}
+		axpyGEMM(c.Data, a.Data, bt, lo-n, hi-n, k, n, k, 1, false)
 	}
-	ParallelFor(m, 8, func(lo, hi int) {
-		axpyGEMM(c.Data, a.Data, bt, lo, hi, k, n, k, 1, false)
-	})
+	parallelFor(0, n, 16, pass)
+	parallelFor(n, m, 8, pass)
 	transposeBufs.putBuf(bt)
 }
 

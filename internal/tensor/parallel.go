@@ -33,6 +33,7 @@ func SetMaxWorkers(n int) int {
 // one to release it returns it to the pool.
 type pfTask struct {
 	fn     func(lo, hi int)
+	off    int
 	n      int
 	chunk  int
 	chunks int
@@ -55,7 +56,7 @@ func (t *pfTask) run() {
 		if hi > t.n {
 			hi = t.n
 		}
-		t.fn(lo, hi)
+		t.fn(t.off+lo, t.off+hi)
 		t.wg.Done()
 	}
 }
@@ -121,6 +122,13 @@ func ensurePool() {
 // simulated rank goroutines) share the machine instead of oversubscribing
 // it.
 func ParallelFor(n, grain int, fn func(lo, hi int)) {
+	parallelFor(0, n, grain, fn)
+}
+
+// parallelFor is ParallelFor over [off, off+n): fn sees ranges offset by
+// off. One closure can then serve two passes over different index
+// ranges, allocated once.
+func parallelFor(off, n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -132,19 +140,19 @@ func ParallelFor(n, grain int, fn func(lo, hi int)) {
 		workers = w
 	}
 	if workers <= 1 || poolWorkers() < 1 {
-		fn(0, n)
+		fn(off, off+n)
 		return
 	}
 	chunk := (n + workers - 1) / workers
 	chunks := (n + chunk - 1) / chunk
 	if chunks <= 1 {
-		fn(0, n)
+		fn(off, off+n)
 		return
 	}
 	ensurePool()
 
 	t := taskPool.Get().(*pfTask)
-	t.fn, t.n, t.chunk, t.chunks = fn, n, chunk, chunks
+	t.fn, t.off, t.n, t.chunk, t.chunks = fn, off, n, chunk, chunks
 	t.wg.Add(chunks)
 	// The caller is one executor; offer the task to up to chunks-1 pool
 	// workers. A full channel means the machine is saturated — skip the
