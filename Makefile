@@ -1,9 +1,9 @@
 # Developer workflow for the xmoe reproduction.
 #
-#   make ci      - what the CI job runs: gofmt, the transport-name grep, the one-body grep, the assembly FMA grep, vet, build, the assembly kernels' portability builds, the six race-enabled gates, fuzz smoke, tests, quick bench
+#   make ci      - what the CI job runs: gofmt, the transport-name grep, the one-body grep, the assembly FMA grep, vet, build, the assembly kernels' portability builds, the race gate, fuzz smoke, tests, quick bench
 #   make test    - full test suite (includes the slow sweep tests)
 #   make race    - full race-detector pass (go test -race ./...)
-#   make race-fast - race pass over just the concurrency-heavy packages
+#   make race-fast - race pass over the concurrency-heavy packages and four named bench/baselines tests
 #   make fuzz-smoke - every Fuzz target in the tree for 10 s each
 #   make bench   - package microbenchmarks with allocation counts
 #   make bench-figs - paper-figure benchmarks (slow)
@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: all build loc fmt-check no-transport-strings one-body no-asm-fma vet portability test race race-fast race-full chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke bench bench-figs bench-json bench-save ci
+.PHONY: all build loc fmt-check no-transport-strings one-body no-asm-fma vet portability test race race-fast fuzz-smoke bench bench-figs bench-json bench-save ci
 
 all: build
 
@@ -86,94 +86,28 @@ test:
 race:
 	$(GO) test -race -timeout 60m ./...
 
-# The concurrency-critical packages only: worker pool + tensor arenas
-# (tensor), rank goroutines, rendezvous collectives and async handles
-# (simrt), cost memoization (netsim), overlapped-span recording (trace),
-# pooled + chunked pipelines (moe, rbd, kernels), the layer every caller
-# drives them through (transport), and the overlapped distributed trainer
-# (train).
+# The race gate: the concurrency-critical packages — worker pool + tensor
+# arenas (tensor), rank goroutines, rendezvous collectives, async handles
+# and fault injection (simrt, fault), cost memoization (netsim), the event
+# engine and its link graphs (devent, topology), overlapped-span recording
+# (trace), pooled + chunked pipelines (moe, rbd, kernels), the layer every
+# caller drives them through (transport), the overlapped distributed
+# trainer with checkpoints, elastic cycles and ZeRO (train), the bucketed
+# gradient syncer (zero) and the memory model the trainer's state bytes are
+# checked against (memmodel) — plus, by name, the four tests that drive
+# RBD through the bench harnesses and the step simulator; the rest of
+# bench and baselines are figure sweeps that run ~10x slower with -race.
+# The -list check fails when a rename leaves the pattern naming fewer
+# than the four, so the gate cannot pass vacuously.
+RACE_PKGS = ./internal/tensor ./internal/simrt ./internal/netsim ./internal/trace \
+	./internal/moe ./internal/kernels ./internal/rbd ./internal/transport ./internal/train \
+	./internal/fault ./internal/devent ./internal/topology ./internal/zero ./internal/memmodel
+RACE_NAMED = TestFigure12RBDShape|TestAblationRBDByEPSavingShrinks|TestLayerHarnessGoldenBits|TestSimulateStepRBDNativeBackward
 race-fast:
-	$(GO) test -race ./internal/tensor ./internal/simrt ./internal/netsim \
-		./internal/trace ./internal/moe ./internal/kernels ./internal/rbd \
-		./internal/transport ./internal/train ./internal/fault ./internal/devent \
-		./internal/topology
-
-# Kept as an alias for the historical target name.
-race-full: race
-
-# $(call race-named,<gate>,<-run pattern>,<package:floor ...>) runs the
-# tests a gate picks by name, under the race detector — after checking
-# that `go test -list` still names at least <floor> tests for the pattern
-# in each package, so a rename fails the gate instead of passing it
-# vacuously. Floors are the counts at the commit that last touched them.
-define race-named
-	@for pf in $(3); do \
-		pkg=$${pf%%:*}; floor=$${pf##*:}; \
-		n=$$($(GO) test -list '$(2)' $$pkg | grep -c '^Test'); \
-		if [ "$$n" -lt "$$floor" ]; then \
-			echo "$(1): -run '$(2)' names $$n tests in $$pkg, want >= $$floor"; \
-			exit 1; \
-		fi; \
-	done
-	$(GO) test -race -run '$(2)' $(foreach pf,$(3),$(firstword $(subst :, ,$(pf))))
-endef
-
-# Event-engine verification gate: the analytic/event cross-validation
-# suite (flat-topology exactness to 1e-12 s, byte-accounting identities,
-# contention divergence on rail graphs, derate plumbing) plus the
-# determinism tests (identical seeds + concurrent collectives must give
-# bit-identical event logs and clocks; an engine that samples congestion in
-# query order keeps its clocks at any GOMAXPROCS, so the simrt floor is 5
-# since TestSampledCongestionKeepsIssueOrder), all under the race detector.
-verify-devent:
-	$(GO) test -race ./internal/devent ./internal/topology
-	$(call race-named,verify-devent,Engine|ConcurrentCollectives|CommHandleOverlap|SetLinkDerate|SampledCongestion,./internal/simrt:5)
-
-# ZeRO verification gate: the sharded gradient-sync stack under the race
-# detector — async reduction collectives (simrt), bucket partitioning and
-# bit-identity (zero), the sharded trainer step + checkpoint resharding
-# (train), the memmodel state predictions, and the bucketed wire-byte
-# invariants (netsim). simrt has no non-blocking all-gather (nothing
-# republished parameters through one), so its floor is the four tests of
-# all-reduce, reduce-scatter and ShardRange.
-verify-zero:
-	$(GO) test -race ./internal/zero
-	$(call race-named,verify-zero,ZeRO|StateBytes|ShardRange|ReduceAsync|AllReduceAsync|ReduceScatterAsync|OnDWReady|Bucketed,\
-		./internal/simrt:4 ./internal/moe:2 ./internal/train:7 ./internal/memmodel:1 ./internal/netsim:3)
-
-# RBD verification gate: the hierarchical dispatch/combine stack under the
-# race detector (rbd: the C = 1 and C = 4 golden bits, the dispatch-geometry
-# table behind FuzzRBDGeometry, the chunk-count determinism matrix and the
-# gradient-parity pins — pooled==fresh bitwise, RBD==PFT/padded at float
-# tolerance), the RBD rows of the distributed trainer —
-# checkpoint/shrink cycles, ZeRO stages, typed option rejections — the
-# golden bits of the two single-layer bench harnesses, and the pin that a
-# symbolic pass of every transport prices what the numeric one does.
-verify-rbd:
-	$(GO) test -race ./internal/rbd
-	$(call race-named,verify-rbd,RBD|Redundancy|LayerHarness|SymbolicPricesLikeNumeric,./internal/train:6 ./internal/bench:3 ./internal/baselines:1 ./internal/transport:1)
-
-# Fault-tolerance verification gate: the elastic-resilience stack under
-# the race detector — the fault plan grammar and injector windows,
-# grow/shrink cycle bit-determinism, async==blocking checkpoint weight
-# parity (with the mid-write fallback pin), hot-spare promotion, the
-# straggler-aware capacity rebalance, and the all-features determinism
-# acceptance run.
-verify-ft:
-	$(GO) test -race ./internal/fault
-	$(call race-named,verify-ft,GrowShrink|AsyncCkpt|Spare|Mitigation|FaultTolerant|Rebalance|CheckpointBytes|BuildPFTCaps,\
-		./internal/train:12 ./internal/moe:3 ./internal/memmodel:1)
-
-# Chaos pass: the seeded fault-injection suite under the race detector —
-# rank crashes mid-collective, stragglers, flaky retries, degraded links,
-# checkpoint rollback and elastic recovery, and pricing that panics or is
-# still running when a rank crashes. Every schedule is deterministic
-# (fault.Plan seeds), so failures reproduce exactly. The simrt floor is 9
-# since TestCrashMidExchangeLeavesNoPricer (the ReducerPanic test covers
-# the non-blocking collectives as cases, not as new tests).
-chaos-fast:
-	$(call race-named,chaos-fast,Crash|Fault|Inject|Straggler|Flaky|Desync|ReducerPanic|Checkpoint|Gone|Derate,\
-		./internal/simrt:9 ./internal/fault:7 ./internal/netsim:1 ./internal/train:10)
+	$(GO) test -race $(RACE_PKGS)
+	@n=$$($(GO) test -list '^($(RACE_NAMED))$$' ./internal/bench ./internal/baselines | grep -c '^Test'); \
+	if [ "$$n" -ne 4 ]; then echo "race-fast: -run '$(RACE_NAMED)' names $$n tests, want 4"; exit 1; fi
+	$(GO) test -race -run '^($(RACE_NAMED))$$' ./internal/bench ./internal/baselines
 
 # Every fuzz target of every package for ten seconds each, against its
 # checked-in seeds and whatever the engine mutates from them: the targets
@@ -225,10 +159,10 @@ SMOKE_PKGS = ./internal/moe ./internal/train ./internal/devent ./internal/tensor
 
 # Quick CI, and the only definition of it (.github/workflows/ci.yml runs
 # this target): gofmt + the transport-name grep + the one-body grep + the
-# assembly FMA grep + vet + build + the kernels' portability builds + all six
-# race-detector gates + the fuzz smoke + unit tests of every package
-# (benchmark/ and cmd/ included) + a quick microbenchmark smoke run.
-ci: fmt-check no-transport-strings one-body no-asm-fma vet build portability race-fast chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke
+# assembly FMA grep + vet + build + the kernels' portability builds + the
+# race gate + the fuzz smoke + unit tests of every package (benchmark/ and
+# cmd/ included) + a quick microbenchmark smoke run.
+ci: fmt-check no-transport-strings one-body no-asm-fma vet build portability race-fast fuzz-smoke
 	$(GO) test ./...
 	@want=$$(echo '$(SMOKE_BENCH)' | tr '|' '\n' | grep -c .); \
 	n=$$($(GO) test -list '^($(SMOKE_BENCH))$$' $(SMOKE_PKGS) | grep -c '^Benchmark'); \

@@ -302,15 +302,7 @@ func simulateTiming(sys Config, spec RunSpec, res StepResult) StepResult {
 		return net.AllReduce(ranks, bytes).Seconds
 	}
 	agTail := func(ranks []int, paramBytes int64) float64 {
-		per := make([]int64, len(ranks))
-		base, rem := paramBytes/int64(len(ranks)), paramBytes%int64(len(ranks))
-		for i := range per {
-			per[i] = base
-			if int64(i) < rem {
-				per[i]++
-			}
-		}
-		return net.AllGather(ranks, per).Seconds
+		return net.AllGather(ranks, netsim.ShardBytes(paramBytes, len(ranks))).Seconds
 	}
 	if hasDP && embedBytes > 0 {
 		tail += gradTail(dpGroups[0], embedBytes)

@@ -465,9 +465,6 @@ type Injector struct {
 	plan  Plan
 	world int
 
-	step    int
-	elapsed float64 // simulated seconds before the armed step
-
 	scale      []float64 // straggler multiplier per rank (1 = healthy)
 	flakyDelay []float64 // pending one-shot collective delay per rank
 	crashErr   []error   // armed crash per rank (nil = none)
@@ -504,7 +501,6 @@ func (e Event) active(step int) bool {
 // are rebased into the step's local time frame). Must be called with no
 // Run in flight.
 func (inj *Injector) Arm(step int, elapsed float64) {
-	inj.step, inj.elapsed = step, elapsed
 	for r := 0; r < inj.world; r++ {
 		inj.scale[r] = 1
 		inj.flakyDelay[r] = 0

@@ -2,82 +2,12 @@ package moe
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
 	"xmoe/internal/topology"
 )
-
-// TestChunkedPFTForwardBitIdenticalToBlocking is the overlap determinism
-// regression: the chunked pipeline re-times the dispatch/expert/combine
-// middle section but must never change a single bit of the numeric
-// output, for any chunk count (including counts that do not divide the
-// per-expert segments).
-func TestChunkedPFTForwardBitIdenticalToBlocking(t *testing.T) {
-	cfg := distConfig(8, 3)
-	const world, s = 4, 32
-	blocking := runPipeline(t, PFTForward, newMoECluster(t, world), cfg, s, PipelineOpts{
-		Numeric: true, DropPolicy: DropByCapacityWeight,
-	})
-	for _, chunks := range []int{2, 3, 4, 8, 64} {
-		chunked := runPipeline(t, PFTForward, newMoECluster(t, world), cfg, s, PipelineOpts{
-			Numeric: true, DropPolicy: DropByCapacityWeight, OverlapChunks: chunks,
-		})
-		for rank, bl := range blocking {
-			ch := chunked[rank]
-			if ch.RoutedTokens != bl.RoutedTokens || ch.RecvTokens != bl.RecvTokens {
-				t.Fatalf("C=%d rank %d routed/recv %d/%d, want %d/%d", chunks, rank,
-					ch.RoutedTokens, ch.RecvTokens, bl.RoutedTokens, bl.RecvTokens)
-			}
-			bitEqual(t, "chunked PFT output", bl.Output, ch.Output)
-		}
-	}
-}
-
-// TestChunkedPaddedForwardBitIdenticalToBlocking pins the padded
-// pipeline's chunked slot exchange against the blocking even all-to-all.
-func TestChunkedPaddedForwardBitIdenticalToBlocking(t *testing.T) {
-	cfg := distConfig(8, 3)
-	const world, s = 4, 32
-	blocking := runPipeline(t, PaddedForward, newMoECluster(t, world), cfg, s, PipelineOpts{
-		Numeric: true, DropPolicy: DropNegativeThenPosition,
-	})
-	for _, chunks := range []int{2, 3, 4, 16} {
-		chunked := runPipeline(t, PaddedForward, newMoECluster(t, world), cfg, s, PipelineOpts{
-			Numeric: true, DropPolicy: DropNegativeThenPosition, OverlapChunks: chunks,
-		})
-		for rank, bl := range blocking {
-			bitEqual(t, "chunked padded output", bl.Output, chunked[rank].Output)
-		}
-	}
-}
-
-// TestChunkedPooledBitIdenticalToFresh extends the pooled-vs-fresh
-// regression to the overlap path: the chunked pipeline draws chunk
-// buffers from the rank arenas, and steady-state reuse must stay
-// bit-identical to allocate-fresh execution.
-func TestChunkedPooledBitIdenticalToFresh(t *testing.T) {
-	cfg := distConfig(8, 3)
-	const world, s = 4, 32
-	run := func(disablePools bool, iters int) map[int]LayerResult {
-		c := newMoECluster(t, world)
-		c.DisablePools = disablePools
-		var last map[int]LayerResult
-		for it := 0; it < iters; it++ {
-			last = runPipeline(t, PFTForward, c, cfg, s, PipelineOpts{
-				Numeric: true, DropPolicy: DropByCapacityWeight, OverlapChunks: 4,
-			})
-		}
-		return last
-	}
-	fresh := run(true, 1)
-	pooled := run(false, 3)
-	for rank, f := range fresh {
-		bitEqual(t, "pooled chunked output", f.Output, pooled[rank].Output)
-	}
-}
 
 // overlapClock runs one symbolic layer on a communication-heavy
 // configuration and returns the simulated wall-clock.
@@ -315,108 +245,4 @@ func TestPipelineRejectsInvalidOpts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-}
-
-// fwdBwdPass captures one rank's forward output and backward gradients.
-type fwdBwdPass struct {
-	out, dx  *tensor.Tensor
-	dw1, dw2 []*tensor.Tensor
-	dcw      []float32
-}
-
-// runFwdBwd executes one numeric forward+backward of the given transport
-// ("pft" or "padded") on a fresh cluster with deterministic inputs, with
-// independent chunk counts for the two passes.
-func runFwdBwd(t *testing.T, transport string, world, s int, cfg Config, fwdChunks, bwdChunks int) map[int]fwdBwdPass {
-	t.Helper()
-	c := newMoECluster(t, world)
-	g := c.WorldGroup()
-	epr := cfg.NumExperts / world
-	results := make(map[int]fwdBwdPass)
-	var mu sync.Mutex
-	err := c.Run(func(r *simrt.Rank) error {
-		rng := tensor.NewRNG(uint64(500 + r.ID))
-		x := tensor.Randn(rng, 1, s, cfg.HModel)
-		routing := SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0.7)
-		params := localParams(g.IndexOf(r.ID), epr, cfg.HModel, cfg.HFFN)
-		dOut := tensor.New(s, cfg.HModel)
-		for i := range dOut.Data {
-			dOut.Data[i] = float32(i%13)*0.1 - 0.5
-		}
-		fwdOpts := PipelineOpts{Numeric: true, SaveForBackward: true, OverlapChunks: fwdChunks}
-		bwdOpts := PipelineOpts{Numeric: true, OverlapChunks: bwdChunks}
-		var pass fwdBwdPass
-		switch transport {
-		case "pft":
-			fwdOpts.DropPolicy = DropByCapacityWeight
-			res := PFTForward(r, g, cfg, s, x, routing, params, fwdOpts)
-			bwd := PFTBackward(r, g, cfg, res.State, dOut, params, bwdOpts)
-			pass = fwdBwdPass{out: res.Output, dx: bwd.DX, dw1: bwd.DW1, dw2: bwd.DW2, dcw: bwd.DCombineWeights}
-		case "padded":
-			fwdOpts.DropPolicy = DropNegativeThenPosition
-			bwdOpts.DropPolicy = DropNegativeThenPosition
-			res := PaddedForward(r, g, cfg, s, x, routing, params, fwdOpts)
-			bwd := PaddedBackward(r, g, cfg, res.PaddedState, dOut, params, bwdOpts)
-			pass = fwdBwdPass{out: res.Output, dx: bwd.DX, dw1: bwd.DW1, dw2: bwd.DW2, dcw: bwd.DCombineWeights}
-		}
-		mu.Lock()
-		results[r.ID] = pass
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return results
-}
-
-func comparePasses(t *testing.T, label string, want, got map[int]fwdBwdPass) {
-	t.Helper()
-	for rank, w := range want {
-		gp := got[rank]
-		bitEqual(t, label+" output", w.out, gp.out)
-		bitEqual(t, label+" dX", w.dx, gp.dx)
-		for e := range w.dw1 {
-			bitEqual(t, label+" dW1", w.dw1[e], gp.dw1[e])
-			bitEqual(t, label+" dW2", w.dw2[e], gp.dw2[e])
-		}
-		if len(w.dcw) != len(gp.dcw) {
-			t.Fatalf("%s rank %d: dCombineWeights length %d vs %d", label, rank, len(w.dcw), len(gp.dcw))
-		}
-		for i := range w.dcw {
-			if w.dcw[i] != gp.dcw[i] {
-				t.Fatalf("%s rank %d: dCombineWeights mismatch at %d", label, rank, i)
-			}
-		}
-	}
-}
-
-// TestChunkedPFTFwdBwdBitIdenticalToBlocking is the backward-overlap
-// determinism regression: the chunked forward (with state capture) plus
-// the chunked backward must reproduce the blocking fwd+bwd gradients bit
-// for bit, at every chunk count and also when the two passes use
-// different chunk counts (the saved state is chunk-count invariant).
-func TestChunkedPFTFwdBwdBitIdenticalToBlocking(t *testing.T) {
-	cfg := distConfig(8, 3)
-	const world, s = 4, 32
-	blocking := runFwdBwd(t, "pft", world, s, cfg, 1, 1)
-	for _, chunks := range []int{2, 3, 4, 8} {
-		comparePasses(t, "fwd+bwd chunked", blocking, runFwdBwd(t, "pft", world, s, cfg, chunks, chunks))
-	}
-	// Mixed chunk counts between the passes.
-	comparePasses(t, "fwd chunked only", blocking, runFwdBwd(t, "pft", world, s, cfg, 4, 1))
-	comparePasses(t, "bwd chunked only", blocking, runFwdBwd(t, "pft", world, s, cfg, 1, 4))
-	comparePasses(t, "mixed chunks", blocking, runFwdBwd(t, "pft", world, s, cfg, 2, 8))
-}
-
-// TestChunkedPaddedFwdBwdBitIdenticalToBlocking pins the padded
-// transport's chunked fwd+bwd against its blocking path bit for bit.
-func TestChunkedPaddedFwdBwdBitIdenticalToBlocking(t *testing.T) {
-	cfg := distConfig(8, 3)
-	const world, s = 4, 32
-	blocking := runFwdBwd(t, "padded", world, s, cfg, 1, 1)
-	for _, chunks := range []int{2, 3, 4, 16} {
-		comparePasses(t, "padded fwd+bwd chunked", blocking, runFwdBwd(t, "padded", world, s, cfg, chunks, chunks))
-	}
-	comparePasses(t, "padded mixed chunks", blocking, runFwdBwd(t, "padded", world, s, cfg, 4, 2))
 }

@@ -334,13 +334,6 @@ func TestQuickPaddedVsPFTRetention(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // validate checks the PFT's structural invariants: expert-major ordering,
 // histogram consistency, and index ranges.
 func (p *PFT) validate(numTokens, numExperts, maxTokenCount int) error {

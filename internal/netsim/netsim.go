@@ -656,10 +656,3 @@ func (n *Network) barrier(ranks []int) Cost {
 		BytesByClass: map[topology.LinkClass]int64{},
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -13,18 +13,14 @@ import (
 	"xmoe/internal/tensor"
 )
 
-// runFwdBwd executes a numeric RBD forward+backward on every rank and
-// returns the per-rank gradients (and forward outputs). fwdChunks and
-// bwdChunks select the overlapped paths independently; disablePools runs
-// allocate-fresh for the pooled==fresh determinism pin.
-func runFwdBwd(t *testing.T, world, s int, cfg moe.Config, fwdChunks, bwdChunks int, disablePools bool) ([]moe.BackwardResult, []*tensor.Tensor) {
+// runFwdBwd executes a numeric blocking RBD forward+backward on every rank
+// and returns the per-rank gradients.
+func runFwdBwd(t *testing.T, world, s int, cfg moe.Config) []moe.BackwardResult {
 	t.Helper()
 	c := newCluster(world)
-	c.DisablePools = disablePools
 	g := c.WorldGroup()
 	d := NewDispatcher(c, g, cfg)
 	grads := make([]moe.BackwardResult, world)
-	outs := make([]*tensor.Tensor, world)
 	var mu sync.Mutex
 	err := c.Run(func(r *simrt.Rank) error {
 		rng := tensor.NewRNG(6100 + uint64(r.ID))
@@ -36,8 +32,7 @@ func runFwdBwd(t *testing.T, world, s int, cfg moe.Config, fwdChunks, bwdChunks 
 		for le := 0; le < epr; le++ {
 			params.W1[le], params.W2[le] = expertWeights(me*epr+le, cfg.HModel, cfg.HFFN)
 		}
-		fwdOpts := moe.PipelineOpts{Numeric: true, DropPolicy: moe.DropNegativeThenPosition,
-			SaveForBackward: true, OverlapChunks: fwdChunks}
+		fwdOpts := moe.PipelineOpts{Numeric: true, DropPolicy: moe.DropNegativeThenPosition, SaveForBackward: true}
 		res := Forward(r, d, cfg, s, x, routing, params, tensor.NewRNG(42+uint64(r.ID)), fwdOpts)
 		if res.State == nil {
 			t.Error("SaveForBackward forward returned no state")
@@ -47,53 +42,20 @@ func runFwdBwd(t *testing.T, world, s int, cfg moe.Config, fwdChunks, bwdChunks 
 		for i := range dOut.Data {
 			dOut.Data[i] = float32(i%5)*0.2 - 0.4
 		}
-		bwd := Backward(r, d, cfg, res.State, dOut, params,
-			moe.PipelineOpts{Numeric: true, OverlapChunks: bwdChunks})
+		bwd := Backward(r, d, cfg, res.State, dOut, params, moe.PipelineOpts{Numeric: true})
 		mu.Lock()
 		grads[r.ID] = bwd
-		outs[r.ID] = res.Output
 		mu.Unlock()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return grads, outs
+	return grads
 }
 
 var bwdCfg = moe.Config{NumExperts: 32, TopK: 5, HModel: 10, HFFN: 6,
 	CapacityFactor: 1.25, BytesPerElem: 2}
-
-// bitEqualGrads fails unless the two backward results are bit-identical:
-// dX, every expert's dW1/dW2, and the combine-weight gradients.
-func bitEqualGrads(t *testing.T, label string, rank int, a, b moe.BackwardResult) {
-	t.Helper()
-	bitEq := func(name string, x, y *tensor.Tensor) {
-		t.Helper()
-		if x.Len() != y.Len() {
-			t.Fatalf("%s rank %d: %s sizes differ", label, rank, name)
-		}
-		for i := range x.Data {
-			if x.Data[i] != y.Data[i] {
-				t.Fatalf("%s rank %d: %s bit mismatch at %d: %v vs %v",
-					label, rank, name, i, x.Data[i], y.Data[i])
-			}
-		}
-	}
-	bitEq("dX", a.DX, b.DX)
-	for e := range a.DW1 {
-		bitEq("dW1", a.DW1[e], b.DW1[e])
-		bitEq("dW2", a.DW2[e], b.DW2[e])
-	}
-	if len(a.DCombineWeights) != len(b.DCombineWeights) {
-		t.Fatalf("%s rank %d: dWeights lengths differ", label, rank)
-	}
-	for i := range a.DCombineWeights {
-		if a.DCombineWeights[i] != b.DCombineWeights[i] {
-			t.Fatalf("%s rank %d: dWeights bit mismatch at %d", label, rank, i)
-		}
-	}
-}
 
 // TestRBDBackwardMatchesPFTAndPadded validates the native RBD backward
 // against the numerically-verified PFT backward (and the padded backward
@@ -103,7 +65,7 @@ func bitEqualGrads(t *testing.T, label string, rank int, a, b moe.BackwardResult
 // is impossible: RBD folds each pilot group's partial sums before the
 // token-level accumulation, a different fp addition order than the flat
 // transports. Within RBD, chunked==blocking and pooled==fresh ARE bitwise
-// — see the matrix tests below.)
+// — see transport's TestLayerMatrix.)
 func TestRBDBackwardMatchesPFTAndPadded(t *testing.T) {
 	const world, s = 16, 24
 	cfg := bwdCfg
@@ -147,7 +109,7 @@ func TestRBDBackwardMatchesPFTAndPadded(t *testing.T) {
 		return grads
 	}
 
-	rbdGrads, _ := runFwdBwd(t, world, s, cfg, 1, 1, false)
+	rbdGrads := runFwdBwd(t, world, s, cfg)
 	for name, flat := range map[string][]moe.BackwardResult{"pft": runFlat(false), "padded": runFlat(true)} {
 		for rank := range flat {
 			a, b := rbdGrads[rank], flat[rank]
@@ -181,50 +143,6 @@ func TestRBDBackwardMatchesPFTAndPadded(t *testing.T) {
 			}
 			if nonZero == 0 {
 				t.Fatalf("%s rank %d: all RBD combine-weight gradients are zero", name, rank)
-			}
-		}
-	}
-}
-
-// TestRBDBackwardDeterminismMatrix is the chunk-count half of the
-// determinism matrix: for C in {1,2,4,8}, chunked forward+backward
-// gradients must be bit-identical to the fully blocking pass (the chunked
-// paths re-time the exchanges but never reorder a single accumulation).
-func TestRBDBackwardDeterminismMatrix(t *testing.T) {
-	const world, s = 16, 24
-	blocking, _ := runFwdBwd(t, world, s, bwdCfg, 1, 1, false)
-	for _, chunks := range []int{2, 4, 8} {
-		chunked, _ := runFwdBwd(t, world, s, bwdCfg, chunks, chunks, false)
-		for rank := range blocking {
-			bitEqualGrads(t, "chunked", rank, blocking[rank], chunked[rank])
-		}
-	}
-	// Mixed chunk counts: a chunked forward feeding a blocking backward
-	// (and vice versa) — the saved state is chunk-agnostic.
-	mixed, _ := runFwdBwd(t, world, s, bwdCfg, 4, 1, false)
-	for rank := range blocking {
-		bitEqualGrads(t, "fwd4/bwd1", rank, blocking[rank], mixed[rank])
-	}
-	mixed2, _ := runFwdBwd(t, world, s, bwdCfg, 1, 4, false)
-	for rank := range blocking {
-		bitEqualGrads(t, "fwd1/bwd4", rank, blocking[rank], mixed2[rank])
-	}
-}
-
-// TestRBDBackwardPooledBitIdenticalToFresh is the pooled half of the
-// matrix: arena-pooled execution must match allocate-fresh bit for bit,
-// blocking and chunked.
-func TestRBDBackwardPooledBitIdenticalToFresh(t *testing.T) {
-	const world, s = 16, 24
-	for _, chunks := range []int{1, 4} {
-		pooled, pooledOut := runFwdBwd(t, world, s, bwdCfg, chunks, chunks, false)
-		fresh, freshOut := runFwdBwd(t, world, s, bwdCfg, chunks, chunks, true)
-		for rank := range pooled {
-			bitEqualGrads(t, "pooled", rank, fresh[rank], pooled[rank])
-			for i := range pooledOut[rank].Data {
-				if pooledOut[rank].Data[i] != freshOut[rank].Data[i] {
-					t.Fatalf("C=%d rank %d: pooled forward output differs from fresh", chunks, rank)
-				}
 			}
 		}
 	}

@@ -9,61 +9,6 @@ import (
 	"xmoe/internal/tensor"
 )
 
-// runForward executes the RBD layer on a fresh cluster and returns each
-// rank's output.
-func runForward(t *testing.T, world, s int, cfg moe.Config, chunks int) []*tensor.Tensor {
-	t.Helper()
-	c := newCluster(world)
-	g := c.WorldGroup()
-	d := NewDispatcher(c, g, cfg)
-	outs := make([]*tensor.Tensor, world)
-	err := c.Run(func(r *simrt.Rank) error {
-		rng := tensor.NewRNG(6100 + uint64(r.ID))
-		x := tensor.Randn(rng, 1, s, cfg.HModel)
-		routing := moe.SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0.6)
-		epr := cfg.NumExperts / world
-		me := g.IndexOf(r.ID)
-		params := &moe.ExpertParams{W1: make([]*tensor.Tensor, epr), W2: make([]*tensor.Tensor, epr)}
-		for le := 0; le < epr; le++ {
-			params.W1[le], params.W2[le] = expertWeights(me*epr+le, cfg.HModel, cfg.HFFN)
-		}
-		res := Forward(r, d, cfg, s, x, routing, params, tensor.NewRNG(42+uint64(r.ID)),
-			moe.PipelineOpts{Numeric: true, DropPolicy: moe.DropByCapacityWeight, OverlapChunks: chunks})
-		outs[r.ID] = res.Output
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return outs
-}
-
-// TestChunkedForwardBitIdenticalToBlocking pins the chunked S1/C1
-// exchanges against the blocking RBD path bit for bit: chunking re-times
-// the inter-node transfers but must not move a single row or reorder any
-// per-row accumulation.
-func TestChunkedForwardBitIdenticalToBlocking(t *testing.T) {
-	cfg := moe.Config{NumExperts: 32, TopK: 5, HModel: 10, HFFN: 6,
-		CapacityFactor: 1.25, BytesPerElem: 2}
-	const world, s = 16, 24
-	blocking := runForward(t, world, s, cfg, 1)
-	for _, chunks := range []int{2, 3, 4, 8} {
-		chunked := runForward(t, world, s, cfg, chunks)
-		for rank := range blocking {
-			a, b := blocking[rank], chunked[rank]
-			if a.Len() != b.Len() {
-				t.Fatalf("C=%d rank %d output sizes differ", chunks, rank)
-			}
-			for i := range a.Data {
-				if a.Data[i] != b.Data[i] {
-					t.Fatalf("C=%d rank %d bit mismatch at %d: %v vs %v",
-						chunks, rank, i, a.Data[i], b.Data[i])
-				}
-			}
-		}
-	}
-}
-
 // TestChunkedRBDOverlapFaster asserts the chunked inter-node exchanges
 // hide instantiation/merge compute: on a large-hidden configuration the
 // simulated layer must be strictly faster than blocking for C >= 2.

@@ -442,13 +442,6 @@ func TestDispatcherNodeGroups(t *testing.T) {
 	var _ = sort.IntsAreSorted
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TestStageReplicasOrder pins the Stage-2 send layout of a numeric pass —
 // the only one that places rows: per destination slot the rows are
 // expert-ascending and, within an expert, in (src, ri) arrival order, each

@@ -1,12 +1,111 @@
 package train
 
 import (
+	"fmt"
 	"testing"
 
 	"xmoe/internal/moe"
 	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
+	"xmoe/internal/transport"
 )
+
+// TestTrainerMatrix is the trainer's determinism matrix. Chunked overlap
+// re-times the exchanges, ZeRO shards the optimizer state (stage 1) and
+// the gradients (stage 2) and cuts the dense gradient sync into buckets —
+// 0 bytes is one bucket, 16 four-element buckets and 4 one-element
+// buckets of the 48-byte stream — and none of it may move a bit: for every
+// transport and momentum, each cell's loss trajectory, expert weights and
+// dense bias must match the blocking stage-0 one-bucket cell's. Each
+// transport also checks that a run restored from a mid-run checkpoint
+// replays the uninterrupted one (and rolls back to replay it again), and
+// that a shrink → restore → train → grow → restore cycle, which rebuilds
+// the transport for each world, comes out the same blocking and chunked.
+// A failing subtest is named by its cell, e.g.
+// TestTrainerMatrix/rbd/c4/zero2-b16/m0.9 or TestTrainerMatrix/pft/grow-shrink.
+func TestTrainerMatrix(t *testing.T) {
+	const steps = 2
+	for _, kind := range transport.Kinds() {
+		base := func(chunks int) DistConfig {
+			if kind == transport.RBD {
+				return rbdTrainerConfig(chunks)
+			}
+			return distTrainerConfig(kind.String(), chunks)
+		}
+		for _, momentum := range []float64{0, 0.9} {
+			cell := func(chunks, stage int, bucket int64) DistConfig {
+				cfg := base(chunks)
+				cfg.ZeROStage, cfg.BucketBytes, cfg.Momentum = stage, bucket, momentum
+				return cfg
+			}
+			refLoss, refTr := runSteps(t, cell(1, 0, 0), steps)
+			for _, chunks := range []int{1, 2, 4} {
+				for _, stage := range []int{0, 1, 2} {
+					for _, bucket := range []int64{0, 16, 4} {
+						if chunks == 1 && stage == 0 && bucket == 0 {
+							continue
+						}
+						name := fmt.Sprintf("%v/c%d/zero%d-b%d/m%v", kind, chunks, stage, bucket, momentum)
+						t.Run(name, func(t *testing.T) {
+							loss, tr := runSteps(t, cell(chunks, stage, bucket), steps)
+							assertSameTraining(t, name, refLoss, loss, refTr, tr)
+						})
+					}
+				}
+			}
+		}
+		t.Run(kind.String()+"/ckpt-resume", func(t *testing.T) {
+			cfg := base(2)
+			_, ref := runSteps(t, cfg, steps)
+			ck := ref.Checkpoint()
+			if ck.Step != steps {
+				t.Fatalf("checkpoint at step %d, want %d", ck.Step, steps)
+			}
+			tail := trainSteps(t, ref, steps)
+			b, err := NewDistTrainer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 1; round <= 2; round++ { // resume, then roll back past the checkpoint and replay
+				if err := b.Restore(ck); err != nil {
+					t.Fatal(err)
+				}
+				assertSameTraining(t, fmt.Sprintf("restore %d", round), tail, trainSteps(t, b, steps), ref, b)
+			}
+		})
+		t.Run(kind.String()+"/grow-shrink", func(t *testing.T) {
+			cycle := func(chunks int) ([]float64, *DistTrainer) {
+				cfg := base(chunks)
+				losses, tr := runSteps(t, cfg, steps)
+				ck := tr.Checkpoint()
+				if err := tr.Shrink(cfg.World / 2); err != nil {
+					t.Fatal(err)
+				}
+				if err := tr.Restore(ck); err != nil {
+					t.Fatal(err)
+				}
+				losses = append(losses, trainSteps(t, tr, steps)...)
+				ck2 := tr.Checkpoint()
+				if len(ck2.DataRNG) != cfg.World/2 {
+					t.Fatalf("shrunk checkpoint has %d rank slots, want %d", len(ck2.DataRNG), cfg.World/2)
+				}
+				if err := tr.Grow(cfg.World); err != nil {
+					t.Fatal(err)
+				}
+				if err := tr.Restore(ck2); err != nil {
+					t.Fatal(err)
+				}
+				return append(losses, trainSteps(t, tr, steps)...), tr
+			}
+			blockLoss, blockTr := cycle(1)
+			chunkLoss, chunkTr := cycle(4)
+			if w := base(1).World; blockTr.Cfg.World != w {
+				t.Fatalf("final world %d, want %d after the regrow", blockTr.Cfg.World, w)
+			}
+			assertSameTraining(t, "blocking vs C=4", blockLoss, chunkLoss, blockTr, chunkTr)
+		})
+	}
+}
 
 // TestMoEFFNSteadyStateDeterministic pins the pooled training block: with
 // identical inputs and weights, a steady-state pass (whose transport

@@ -11,31 +11,27 @@ import (
 	"xmoe/internal/trace"
 )
 
-// weightsEqual compares every expert weight and the bias bit-for-bit.
+// weightsEqual compares every expert weight and the bias bit for bit.
 func weightsEqual(t *testing.T, a, b *DistTrainer, label string) {
 	t.Helper()
 	if a.Cfg.World != b.Cfg.World {
 		t.Fatalf("%s: world %d vs %d", label, a.Cfg.World, b.Cfg.World)
 	}
+	same := func(name string, rank int, x, y []float32) {
+		t.Helper()
+		for j := range x {
+			if math.Float32bits(x[j]) != math.Float32bits(y[j]) {
+				t.Fatalf("%s: rank %d %s[%d] diverged", label, rank, name, j)
+			}
+		}
+	}
 	for rank := 0; rank < a.Cfg.World; rank++ {
 		ap, bp := a.params[rank], b.params[rank]
 		for le := range ap.W1 {
-			for j := range ap.W1[le].Data {
-				if ap.W1[le].Data[j] != bp.W1[le].Data[j] {
-					t.Fatalf("%s: rank %d W1[%d][%d] diverged", label, rank, le, j)
-				}
-			}
-			for j := range ap.W2[le].Data {
-				if ap.W2[le].Data[j] != bp.W2[le].Data[j] {
-					t.Fatalf("%s: rank %d W2[%d][%d] diverged", label, rank, le, j)
-				}
-			}
+			same(fmt.Sprintf("W1[%d]", le), rank, ap.W1[le].Data, bp.W1[le].Data)
+			same(fmt.Sprintf("W2[%d]", le), rank, ap.W2[le].Data, bp.W2[le].Data)
 		}
-		for j := range a.bias[rank] {
-			if a.bias[rank][j] != b.bias[rank][j] {
-				t.Fatalf("%s: rank %d bias[%d] diverged", label, rank, j)
-			}
-		}
+		same("bias", rank, a.bias[rank], b.bias[rank])
 	}
 }
 
@@ -61,64 +57,6 @@ func weightsDiffer(a, b *DistTrainer) bool {
 		}
 	}
 	return false
-}
-
-// TestCheckpointResumeBitIdentical is the core checkpoint contract: train
-// 3 steps, checkpoint, train 3 more; a second trainer restored from the
-// checkpoint and trained the same 3 steps ends with bit-identical weights
-// and losses — the snapshot captures everything, RNG streams included.
-func TestCheckpointResumeBitIdentical(t *testing.T) {
-	a, err := NewDistTrainer(distTrainerConfig("pft", 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := a.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ck := a.Checkpoint()
-	if ck.Step != 3 {
-		t.Fatalf("checkpoint at step %d, want 3", ck.Step)
-	}
-	var tail []float64
-	for i := 0; i < 3; i++ {
-		stats, err := a.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		tail = append(tail, stats.Loss)
-	}
-
-	b, err := NewDistTrainer(distTrainerConfig("pft", 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Restore(ck); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		stats, err := b.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Loss != tail[i] {
-			t.Fatalf("resumed step %d loss %v != uninterrupted %v", i, stats.Loss, tail[i])
-		}
-	}
-	weightsEqual(t, a, b, "resume")
-
-	// Restoring must also roll BACK: b trains past the checkpoint, then
-	// returns to it and replays to the same weights again.
-	if err := b.Restore(ck); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := b.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	weightsEqual(t, a, b, "rollback-replay")
 }
 
 // TestCheckpointRestoreRejects pins Restore's validation.
@@ -147,64 +85,6 @@ func TestGrowShrinkRejects(t *testing.T) {
 	if err := a.Shrink(3); err == nil {
 		t.Fatal("Shrink to a non-divisor of the expert count must be rejected")
 	}
-}
-
-// TestGrowShrinkCycleBitIdentical is the elastic regrow contract: a
-// trainer that shrinks onto a half-size world, trains there, then grows
-// back — restoring a checkpoint captured at the SMALLER world onto the
-// larger one — replays bit-identically on a second run. Growth reshards
-// the global-order expert weights and restarts the re-entering slots'
-// data streams from their slot seeds, so the whole cycle is a pure
-// function of (seed, schedule).
-func TestGrowShrinkCycleBitIdentical(t *testing.T) {
-	cycle := func() (*DistTrainer, []float64) {
-		tr, err := NewDistTrainer(distTrainerConfig("pft", 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var losses []float64
-		step := func(n int) {
-			for i := 0; i < n; i++ {
-				st, err := tr.Step()
-				if err != nil {
-					t.Fatal(err)
-				}
-				losses = append(losses, st.Loss)
-			}
-		}
-		step(3)
-		ck := tr.Checkpoint()
-		if err := tr.Shrink(2); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Restore(ck); err != nil {
-			t.Fatal(err)
-		}
-		step(2)
-		ck2 := tr.Checkpoint()
-		if len(ck2.DataRNG) != 2 {
-			t.Fatalf("shrunk checkpoint has %d rank slots, want 2", len(ck2.DataRNG))
-		}
-		if err := tr.Grow(4); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Restore(ck2); err != nil {
-			t.Fatal(err)
-		}
-		step(2)
-		return tr, losses
-	}
-	a, la := cycle()
-	b, lb := cycle()
-	if a.Cfg.World != 4 {
-		t.Fatalf("final world = %d, want 4 after regrow", a.Cfg.World)
-	}
-	for i := range la {
-		if la[i] != lb[i] {
-			t.Fatalf("cycle loss %d diverged: %v vs %v", i, la[i], lb[i])
-		}
-	}
-	weightsEqual(t, a, b, "grow-shrink cycle")
 }
 
 // TestShrinkWorld pins the elastic sizing rule.
@@ -285,8 +165,7 @@ func TestRunFaultTolerantRecoversFromCrash(t *testing.T) {
 
 // TestRunFaultTolerantSurvivesChaos drives the full stack — crashes,
 // stragglers, flaky collectives, and a degraded link in one plan — and
-// must finish every step without deadlock, with sane accounting. This is
-// the `make chaos-fast` entry point.
+// must finish every step without deadlock, with sane accounting.
 func TestRunFaultTolerantSurvivesChaos(t *testing.T) {
 	spec := "crash:r3@s2,straggler:r0@s0:x3:n4,flaky:r2@s1:t0.001:n3,link:inter@s3:x8:n2,crash:r1@s7"
 	plan, err := fault.ParsePlan(spec)

@@ -8,150 +8,16 @@ import (
 	"xmoe/internal/moe"
 )
 
-// rbdTrainerConfig spans two Frontier nodes (world 16) so the RBD
-// transport exercises real inter-node S1/C1 exchanges, not just the
-// intra-node degenerate case.
-func rbdTrainerConfig(chunks int) DistConfig {
-	return DistConfig{
-		MoE: moe.Config{
-			NumExperts: 32, TopK: 3, HModel: 12, HFFN: 8,
-			CapacityFactor: 1.25, BytesPerElem: 2,
-		},
-		World:     16,
-		Tokens:    16,
-		LR:        1e-2,
-		Seed:      77,
-		Transport: "rbd",
-		Opts:      moe.PipelineOpts{OverlapChunks: chunks},
-	}
-}
-
-// TestDistTrainerRBDChunkedBitIdentical extends the end-to-end training
-// determinism guarantee to the third transport: RBD fwd+bwd+SGD steps in
-// chunked overlap mode must be bit-identical to the blocking trainer.
-func TestDistTrainerRBDChunkedBitIdentical(t *testing.T) {
-	const steps = 3
-	baseLoss, baseTr := runZeroSteps(t, rbdTrainerConfig(1), steps)
-	for _, chunks := range []int{2, 4} {
-		loss, tr := runZeroSteps(t, rbdTrainerConfig(chunks), steps)
-		assertSameTraining(t, "rbd/chunked", baseLoss, loss, baseTr, tr)
-	}
-}
-
 // TestDistTrainerRBDLearns: the RBD backward produces real gradients —
 // the MSE loss decreases under training.
 func TestDistTrainerRBDLearns(t *testing.T) {
-	losses, _ := runZeroSteps(t, rbdTrainerConfig(4), 10)
+	losses, _ := runSteps(t, rbdTrainerConfig(4), 10)
 	if !(losses[len(losses)-1] < losses[0]) {
 		t.Fatalf("loss did not decrease: first %v last %v", losses[0], losses[len(losses)-1])
 	}
 	for _, l := range losses {
 		if math.IsNaN(l) || math.IsInf(l, 0) {
 			t.Fatal("loss not finite")
-		}
-	}
-}
-
-// TestDistTrainerRBDCheckpointResumeBitIdentical: the pilot draws ride
-// each slot's persistent data stream, so a checkpoint needs no extra RBD
-// state — a restored run replays identical pilots and losses.
-func TestDistTrainerRBDCheckpointResumeBitIdentical(t *testing.T) {
-	a, err := NewDistTrainer(rbdTrainerConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := a.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ck := a.Checkpoint()
-	var tail []float64
-	for i := 0; i < 2; i++ {
-		stats, err := a.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		tail = append(tail, stats.Loss)
-	}
-	b, err := NewDistTrainer(rbdTrainerConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Restore(ck); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		stats, err := b.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Loss != tail[i] {
-			t.Fatalf("resumed step %d loss %v != uninterrupted %v", i, stats.Loss, tail[i])
-		}
-	}
-	weightsEqual(t, a, b, "rbd-resume")
-}
-
-// TestDistTrainerRBDShrinkCycleDeterministic runs the elastic cycle —
-// train, checkpoint, shrink to one node, restore, train on — under
-// blocking and chunked RBD: the dispatcher is rebuilt for the new world
-// and the whole cycle stays bit-identical across chunk counts.
-func TestDistTrainerRBDShrinkCycleDeterministic(t *testing.T) {
-	cycle := func(chunks int) ([]float64, *DistTrainer) {
-		tr, err := NewDistTrainer(rbdTrainerConfig(chunks))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var losses []float64
-		for i := 0; i < 2; i++ {
-			stats, err := tr.Step()
-			if err != nil {
-				t.Fatal(err)
-			}
-			losses = append(losses, stats.Loss)
-		}
-		ck := tr.Checkpoint()
-		if err := tr.Shrink(8); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Restore(ck); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 2; i++ {
-			stats, err := tr.Step()
-			if err != nil {
-				t.Fatal(err)
-			}
-			losses = append(losses, stats.Loss)
-		}
-		return losses, tr
-	}
-	baseLoss, baseTr := cycle(1)
-	chunkLoss, chunkTr := cycle(4)
-	assertSameTraining(t, "rbd/shrink-cycle", baseLoss, chunkLoss, baseTr, chunkTr)
-}
-
-// TestDistTrainerRBDZeROBitIdentical extends the ZeRO determinism pin to
-// the RBD transport: every stage and bucket size reproduces the stage-0
-// unbucketed trajectory bit for bit, with momentum state exercised. The
-// gradient sync is issued from the RBD backward's OnDWReady hook, so this
-// also pins that the hook fires at the right point of the reversed
-// hierarchy.
-func TestDistTrainerRBDZeROBitIdentical(t *testing.T) {
-	const steps = 3
-	mk := func(stage int, bucket int64) DistConfig {
-		cfg := rbdTrainerConfig(2)
-		cfg.ZeROStage = stage
-		cfg.BucketBytes = bucket
-		cfg.Momentum = 0.9
-		return cfg
-	}
-	baseLoss, baseTr := runZeroSteps(t, mk(0, 0), steps)
-	for _, stage := range []int{1, 2} {
-		for _, bucket := range []int64{0, 16} {
-			loss, tr := runZeroSteps(t, mk(stage, bucket), steps)
-			assertSameTraining(t, "rbd/zero", baseLoss, loss, baseTr, tr)
 		}
 	}
 }

@@ -109,66 +109,99 @@ func TestNewRejectsUnknownKind(t *testing.T) {
 	New(Kind(7), c, c.WorldGroup(), moe.Config{NumExperts: 8})
 }
 
-// layerBits is what one numeric fwd+bwd leaves behind on every rank.
+// layerBits is what one numeric pass leaves behind on every rank; the
+// gradients (dx, dw, dcw) are nil after a forward-only pass.
 type layerBits struct {
-	clocks []uint64
-	out    [][]float32
-	dx     [][]float32
-	dw     [][][]float32 // [rank][2*le + {0,1}]
-	dcw    [][]float32
-	recv   []int
+	clocks       []uint64
+	out          [][]float32
+	dx           [][]float32
+	dw           [][][]float32 // [rank][2*le + {0,1}]
+	dcw          [][]float32
+	recv, routed []int
 }
 
-// runNumeric executes one numeric fwd+bwd of kind at chunk count c on a
-// fresh two-node cluster with deterministic inputs, through the Layer when
-// viaLayer is set and through the pipelines' own entry points otherwise.
-func runNumeric(t *testing.T, kind Kind, chunks int, viaLayer bool) layerBits {
-	t.Helper()
-	const world, s = 16, 24
-	cfg := moe.Config{NumExperts: 32, TopK: 4, HModel: 12, HFFN: 8, CapacityFactor: 1.25, BytesPerElem: 2}
+// layerRig is one cluster with a kind layer built over its world group.
+// Its run is one numeric pass with deterministic inputs, through the
+// Layer, or through the pipelines' own entry points when the rig has no
+// Layer; any number of runs may share the rig (and its tensor arenas,
+// when pooling is on).
+type layerRig struct {
+	kind  Kind
+	c     *simrt.Cluster
+	layer *Layer
+	d     *rbd.Dispatcher // the direct RBD calls' dispatcher
+}
+
+// rigCfg is the layer every rig runs: 8 experts a rank at world 4, 2 at
+// world 16.
+var rigCfg = moe.Config{NumExperts: 32, TopK: 4, HModel: 12, HFFN: 8, CapacityFactor: 1.25, BytesPerElem: 2}
+
+// newLayerRig builds a rig of world ranks (16 spans two nodes), with the
+// tensor arenas on when pools is set and allocate-fresh buffers otherwise.
+func newLayerRig(kind Kind, world int, pools, viaLayer bool) *layerRig {
 	c := simrt.NewCluster(topology.Frontier(), world, 5)
 	c.Net.DisableCongestion = true
-	g := c.WorldGroup()
-	var layer *Layer
-	var d *rbd.Dispatcher
+	c.DisablePools = !pools
+	rg := &layerRig{kind: kind, c: c}
 	if viaLayer {
-		layer = New(kind, c, g, cfg)
+		rg.layer = New(kind, c, c.WorldGroup(), rigCfg)
 	} else if kind == RBD {
-		d = rbd.NewDispatcher(c, g, cfg)
+		rg.d = rbd.NewDispatcher(c, c.WorldGroup(), rigCfg)
 	}
-	drop := moe.DropByCapacityWeight
-	if kind == Padded {
-		drop = moe.DropNegativeThenPosition
+	return rg
+}
+
+// run executes one forward at fwdChunks and, unless bwdChunks is 0, the
+// backward of its saved state at bwdChunks. PFT drops by capacity weight,
+// the padded and RBD layers drop negative logits then by position.
+func (rg *layerRig) run(t *testing.T, fwdChunks, bwdChunks int) layerBits {
+	t.Helper()
+	const s = 24
+	cfg, world, g := rigCfg, rg.c.NumRanks, rg.c.WorldGroup()
+	drop := moe.DropNegativeThenPosition
+	if rg.kind == PFT {
+		drop = moe.DropByCapacityWeight
 	}
-	got := layerBits{out: make([][]float32, world), dx: make([][]float32, world),
-		dw: make([][][]float32, world), dcw: make([][]float32, world), recv: make([]int, world)}
-	ranks, err := c.RunCollect(func(r *simrt.Rank) error {
+	got := layerBits{out: make([][]float32, world), recv: make([]int, world), routed: make([]int, world)}
+	if bwdChunks > 0 {
+		got.dx, got.dw, got.dcw = make([][]float32, world), make([][][]float32, world), make([][]float32, world)
+	}
+	ranks, err := rg.c.RunCollect(func(r *simrt.Rank) error {
 		rng := tensor.NewRNG(8100 + uint64(r.ID))
 		routing := moe.SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0.6)
 		x := tensor.Randn(rng, 1, s, cfg.HModel)
 		dOut := tensor.Randn(rng, 0.3, s, cfg.HModel)
 		params := moe.NewExpertParams(tensor.NewRNG(77+uint64(r.ID)), cfg.NumExperts/world, cfg.HModel, cfg.HFFN)
 		pilots := tensor.NewRNG(91 + uint64(r.ID))
-		fwd := moe.PipelineOpts{Numeric: true, DropPolicy: drop, SaveForBackward: true, OverlapChunks: chunks}
-		bwd := moe.PipelineOpts{Numeric: true, DropPolicy: drop, OverlapChunks: chunks}
+		fwd := moe.PipelineOpts{Numeric: true, DropPolicy: drop, SaveForBackward: bwdChunks > 0, OverlapChunks: fwdChunks}
+		bwd := moe.PipelineOpts{Numeric: true, DropPolicy: drop, OverlapChunks: bwdChunks}
 		var res moe.LayerResult
+		switch {
+		case rg.layer != nil:
+			res = rg.layer.Forward(r, s, x, routing, params, pilots, fwd)
+		case rg.kind == PFT:
+			res = moe.PFTForward(r, g, cfg, s, x, routing, params, fwd)
+		case rg.kind == Padded:
+			res = moe.PaddedForward(r, g, cfg, s, x, routing, params, fwd)
+		case rg.kind == RBD:
+			res = rbd.Forward(r, rg.d, cfg, s, x, routing, params, pilots, fwd)
+		}
+		got.out[r.ID], got.recv[r.ID], got.routed[r.ID] = res.Output.Data, res.RecvTokens, res.RoutedTokens
+		if bwdChunks == 0 {
+			return nil
+		}
 		var grads moe.BackwardResult
 		switch {
-		case viaLayer:
-			res = layer.Forward(r, s, x, routing, params, pilots, fwd)
+		case rg.layer != nil:
 			grads = res.State.Backward(r, dOut, params, bwd)
-		case kind == PFT:
-			res = moe.PFTForward(r, g, cfg, s, x, routing, params, fwd)
+		case rg.kind == PFT:
 			grads = moe.PFTBackward(r, g, cfg, res.State, dOut, params, bwd)
-		case kind == Padded:
-			res = moe.PaddedForward(r, g, cfg, s, x, routing, params, fwd)
+		case rg.kind == Padded:
 			grads = moe.PaddedBackward(r, g, cfg, res.PaddedState, dOut, params, bwd)
-		case kind == RBD:
-			res = rbd.Forward(r, d, cfg, s, x, routing, params, pilots, fwd)
-			grads = rbd.Backward(r, d, cfg, res.State, dOut, params, bwd)
+		case rg.kind == RBD:
+			grads = rbd.Backward(r, rg.d, cfg, res.State, dOut, params, bwd)
 		}
-		got.out[r.ID], got.dx[r.ID], got.dcw[r.ID] = res.Output.Data, grads.DX.Data, grads.DCombineWeights
-		got.recv[r.ID] = res.RecvTokens
+		got.dx[r.ID], got.dcw[r.ID] = grads.DX.Data, grads.DCombineWeights
 		for le := range grads.DW1 {
 			got.dw[r.ID] = append(got.dw[r.ID], grads.DW1[le].Data, grads.DW2[le].Data)
 		}
@@ -183,6 +216,38 @@ func runNumeric(t *testing.T, kind Kind, chunks int, viaLayer bool) layerBits {
 	return got
 }
 
+// diff names the first rank and value where got differs from want, a
+// fwd+bwd run, by a single bit, or returns "": the output, RecvTokens and
+// RoutedTokens, and unless got is forward-only dX, every dW and the
+// combine-weight gradients. Clocks are not compared.
+func (want layerBits) diff(got layerBits) string {
+	for rank := range want.out {
+		switch {
+		case len(want.out[rank]) == 0 || len(want.dx[rank]) == 0 || len(want.dw[rank]) == 0:
+			return fmt.Sprintf("rank %d: the reference produced no tensors", rank)
+		case want.recv[rank] != got.recv[rank] || want.routed[rank] != got.routed[rank]:
+			return fmt.Sprintf("rank %d: RecvTokens/RoutedTokens %d/%d, want %d/%d", rank,
+				got.recv[rank], got.routed[rank], want.recv[rank], want.routed[rank])
+		case !sameBits(want.out[rank], got.out[rank]):
+			return fmt.Sprintf("rank %d: output differs", rank)
+		case got.dx == nil:
+			continue
+		case !sameBits(want.dx[rank], got.dx[rank]):
+			return fmt.Sprintf("rank %d: dX differs", rank)
+		case !sameBits(want.dcw[rank], got.dcw[rank]):
+			return fmt.Sprintf("rank %d: combine-weight gradients differ", rank)
+		case len(want.dw[rank]) != len(got.dw[rank]):
+			return fmt.Sprintf("rank %d: %d weight gradients, want %d", rank, len(got.dw[rank]), len(want.dw[rank]))
+		}
+		for i := range want.dw[rank] {
+			if !sameBits(want.dw[rank][i], got.dw[rank][i]) {
+				return fmt.Sprintf("rank %d: dW[%d] differs", rank, i)
+			}
+		}
+	}
+	return ""
+}
+
 func sameBits(a, b []float32) bool {
 	if len(a) != len(b) {
 		return false
@@ -195,39 +260,62 @@ func sameBits(a, b []float32) bool {
 	return true
 }
 
+// TestLayerMatrix is the layer's determinism matrix: chunking re-times the
+// exchanges and the arenas recycle buffers, but neither may move a bit.
+// Every transport, at one node (world 4) and two (world 16), runs each
+// (forward, backward) chunk pair — equal, forward-only-chunked,
+// backward-only-chunked and mixed counts, including counts above some
+// (source, expert) segments' row counts — and two forwards without a saved
+// state, which free their buffers at the forward's end; each on
+// allocate-fresh buffers and at the arenas' steady state (one pooled
+// cluster warmed by two runs, so every arena cell reads the third run or a
+// later one). Every cell must match its kind and world's first blocking
+// fresh run in every checked value. A failing subtest is named by its
+// cell, e.g. TestLayerMatrix/rbd/w16/fwd4-bwd1/arena.
+func TestLayerMatrix(t *testing.T) {
+	pairs := [][2]int{{1, 1}, {2, 2}, {3, 3}, {4, 4}, {8, 8}, {4, 1}, {1, 4}, {2, 8}, {1, 0}, {4, 0}}
+	for _, kind := range Kinds() {
+		for _, world := range []int{4, 16} {
+			rigs := map[string]*layerRig{
+				"fresh": newLayerRig(kind, world, false, true),
+				"arena": newLayerRig(kind, world, true, true),
+			}
+			ref := rigs["fresh"].run(t, 1, 1)
+			rigs["arena"].run(t, 1, 1)
+			rigs["arena"].run(t, 1, 1)
+			for _, p := range pairs {
+				pass := fmt.Sprintf("fwd%d-bwd%d", p[0], p[1])
+				if p[1] == 0 {
+					pass = fmt.Sprintf("fwd%d-only", p[0])
+				}
+				for _, pools := range []string{"fresh", "arena"} {
+					t.Run(fmt.Sprintf("%v/w%d/%s/%s", kind, world, pass, pools), func(t *testing.T) {
+						if d := ref.diff(rigs[pools].run(t, p[0], p[1])); d != "" {
+							t.Error(d)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 // TestLayerMatchesDirectCalls: the Layer adds nothing to and takes nothing
-// from the pipelines it wraps — output, dX, every dW, the combine-weight
-// gradients and every rank clock have equal bits through the Layer and
-// through the direct calls, for all three kinds, blocking and chunked.
+// from the pipelines it wraps — every checked tensor and every rank clock
+// have equal bits through the Layer and through the direct calls, for all
+// three kinds, blocking and chunked.
 func TestLayerMatchesDirectCalls(t *testing.T) {
 	for _, kind := range Kinds() {
 		for _, chunks := range []int{1, 4} {
-			direct := runNumeric(t, kind, chunks, false)
-			via := runNumeric(t, kind, chunks, true)
+			direct := newLayerRig(kind, 16, false, false).run(t, chunks, chunks)
+			via := newLayerRig(kind, 16, false, true).run(t, chunks, chunks)
 			name := fmt.Sprintf("%v C=%d", kind, chunks)
-			for rank := range direct.out {
+			if d := direct.diff(via); d != "" {
+				t.Errorf("%s: %s", name, d)
+			}
+			for rank := range direct.clocks {
 				if direct.clocks[rank] != via.clocks[rank] {
 					t.Errorf("%s rank %d: clock %016x direct, %016x via Layer", name, rank, direct.clocks[rank], via.clocks[rank])
-				}
-				if direct.recv[rank] != via.recv[rank] {
-					t.Errorf("%s rank %d: RecvTokens %d direct, %d via Layer", name, rank, direct.recv[rank], via.recv[rank])
-				}
-				if len(direct.out[rank]) == 0 || len(direct.dx[rank]) == 0 || len(direct.dw[rank]) == 0 {
-					t.Fatalf("%s rank %d: the direct run produced no tensors", name, rank)
-				}
-				if !sameBits(direct.out[rank], via.out[rank]) {
-					t.Errorf("%s rank %d: output differs", name, rank)
-				}
-				if !sameBits(direct.dx[rank], via.dx[rank]) {
-					t.Errorf("%s rank %d: dX differs", name, rank)
-				}
-				if !sameBits(direct.dcw[rank], via.dcw[rank]) {
-					t.Errorf("%s rank %d: combine-weight gradients differ", name, rank)
-				}
-				for i := range direct.dw[rank] {
-					if !sameBits(direct.dw[rank][i], via.dw[rank][i]) {
-						t.Errorf("%s rank %d: dW[%d] differs", name, rank, i)
-					}
 				}
 			}
 		}

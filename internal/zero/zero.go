@@ -98,8 +98,7 @@ type Syncer struct {
 
 	cur      bucket
 	buckets  []*bucket
-	streamHi int   // elements deposited so far
-	byteHi   int64 // bytes deposited so far
+	streamHi int // elements deposited so far
 	numeric  bool
 	started  bool
 	waited   bool
@@ -115,10 +114,10 @@ func NewSyncer(r *simrt.Rank, g *simrt.Group, name string, cfg Config) *Syncer {
 }
 
 // Add streams one gradient tensor into the bucket sequence. data may be
-// nil for symbolic (byte-only) syncs; when non-nil, bytes must be an
-// exact multiple of len(data) and the per-element size must match every
-// other numeric deposit (buckets split at element granularity). Full
-// buckets are issued immediately.
+// nil for symbolic (byte-only) syncs, which deposit one element per byte;
+// when non-nil, bytes must be an exact multiple of len(data) and the
+// per-element size must match every other numeric deposit (buckets split
+// at element granularity). Full buckets are issued immediately.
 func (s *Syncer) Add(data []float32, bytes int64) {
 	if s.waited {
 		panic("zero: Add after Wait")
@@ -126,68 +125,44 @@ func (s *Syncer) Add(data []float32, bytes int64) {
 	if bytes <= 0 {
 		return
 	}
-	if data == nil {
-		if s.started && s.numeric {
-			panic("zero: symbolic Add after numeric deposits")
-		}
-		s.started = true
-		s.addSymbolic(bytes)
-		return
-	}
-	if s.started && !s.numeric {
+	numeric := data != nil
+	switch {
+	case s.started && numeric && !s.numeric:
 		panic("zero: numeric Add after symbolic deposits")
+	case s.started && !numeric && s.numeric:
+		panic("zero: symbolic Add after numeric deposits")
 	}
-	bpe := bytes / int64(len(data))
-	if bpe*int64(len(data)) != bytes {
-		panic(fmt.Sprintf("zero: %d bytes not a multiple of %d elements", bytes, len(data)))
+	n, bpe := bytes, int64(1)
+	if numeric {
+		n = int64(len(data))
+		bpe = bytes / n
+		if bpe*n != bytes {
+			panic(fmt.Sprintf("zero: %d bytes not a multiple of %d elements", bytes, n))
+		}
+		if s.started && bpe != s.bpe {
+			panic(fmt.Sprintf("zero: mixed element sizes %d and %d", s.bpe, bpe))
+		}
 	}
-	if s.started && bpe != s.bpe {
-		panic(fmt.Sprintf("zero: mixed element sizes %d and %d", s.bpe, bpe))
-	}
-	s.started, s.numeric, s.bpe = true, true, bpe
+	s.started, s.numeric, s.bpe = true, numeric, bpe
 
-	for len(data) > 0 {
-		take := len(data)
+	for n > 0 {
+		take := n
 		if s.capBytes > 0 {
-			space := int((s.capBytes - s.cur.bytes) / bpe)
+			space := (s.capBytes - s.cur.bytes) / bpe
 			if space <= 0 {
 				s.issue()
 				continue
 			}
-			if take > space {
-				take = space
-			}
+			take = min(take, space)
 		}
-		s.cur.segs = append(s.cur.segs, segment{data: data[:take], streamLo: s.streamHi})
-		s.cur.elems += take
-		s.cur.bytes += int64(take) * bpe
-		s.streamHi += take
-		s.byteHi += int64(take) * bpe
-		data = data[take:]
-		if s.capBytes > 0 && s.cur.bytes >= s.capBytes {
-			s.issue()
+		if numeric {
+			s.cur.segs = append(s.cur.segs, segment{data: data[:take], streamLo: s.streamHi})
+			data = data[take:]
 		}
-	}
-}
-
-// addSymbolic streams a byte-only deposit, cutting buckets at the same
-// BucketBytes boundaries.
-func (s *Syncer) addSymbolic(bytes int64) {
-	for bytes > 0 {
-		take := bytes
-		if s.capBytes > 0 {
-			space := s.capBytes - s.cur.bytes
-			if space <= 0 {
-				s.issue()
-				continue
-			}
-			if take > space {
-				take = space
-			}
-		}
-		s.cur.bytes += take
-		s.byteHi += take
-		bytes -= take
+		s.cur.elems += int(take)
+		s.cur.bytes += take * bpe
+		s.streamHi += int(take)
+		n -= take
 		if s.capBytes > 0 && s.cur.bytes >= s.capBytes {
 			s.issue()
 		}
