@@ -1,52 +1,70 @@
 package moe
 
 import (
+	"math"
 	"sync"
 	"testing"
 
 	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
-	"xmoe/internal/topology"
 )
 
-// layerPass runs one numeric PFT forward+backward at a fixed seed on a
-// 4-rank cluster and returns, per rank, the output, dX, and the local
-// weight gradients.
+// The flat pipelines' determinism pins: chunking re-times the exchanges
+// and the rank arenas recycle buffers, but neither may move a bit of a
+// numeric PFT or padded pass on a 4-rank cluster. The same checks run for
+// every transport at two worlds in transport's TestLayerMatrix; these run
+// the pipelines' own entry points, with chunk counts up to 64 — above
+// every (source, expert) segment's row count.
+
+// layerPass is one rank's numeric forward and, after a backward, its
+// gradients (a zero BackwardResult after a forward-only pass).
 type layerPass struct {
-	out, dx  *tensor.Tensor
-	dw1, dw2 []*tensor.Tensor
-	dcw      []float32
+	res   LayerResult
+	grads BackwardResult
 }
 
-func runFixedSeedLayer(t *testing.T, disablePools bool, iters int) map[int]layerPass {
+// runLayer executes iters numeric passes of the PFT layer, or of the
+// padded one, on c with the same inputs each time, and returns each rank's
+// last pass: a forward at fwdChunks and, unless bwdChunks is 0, the
+// backward of its saved state at bwdChunks.
+func runLayer(t *testing.T, c *simrt.Cluster, padded bool, fwdChunks, bwdChunks, iters int) map[int]layerPass {
 	t.Helper()
-	const world, s = 4, 32
+	const s = 32
 	cfg := distConfig(8, 3)
-	c := simrt.NewCluster(topology.Frontier(), world, 99)
-	c.Net.DisableCongestion = true
-	c.DisablePools = disablePools
 	g := c.WorldGroup()
-	epr := cfg.NumExperts / world
-
-	results := make(map[int]layerPass)
+	drop := DropByCapacityWeight
+	if padded {
+		drop = DropNegativeThenPosition
+	}
+	fwd := PipelineOpts{Numeric: true, DropPolicy: drop, SaveForBackward: bwdChunks > 0, OverlapChunks: fwdChunks}
+	bwd := PipelineOpts{Numeric: true, DropPolicy: drop, OverlapChunks: bwdChunks}
+	passes := make(map[int]layerPass)
 	var mu sync.Mutex
 	for it := 0; it < iters; it++ {
 		err := c.Run(func(r *simrt.Rank) error {
-			rng := tensor.NewRNG(uint64(3100 + r.ID))
+			rng := tensor.NewRNG(uint64(500 + r.ID))
 			x := tensor.Randn(rng, 1, s, cfg.HModel)
-			routing := SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0.6)
-			params := localParams(g.IndexOf(r.ID), epr, cfg.HModel, cfg.HFFN)
-			res := PFTForward(r, g, cfg, s, x, routing, params, PipelineOpts{
-				Numeric: true, DropPolicy: DropByCapacityWeight, SaveForBackward: true,
-			})
+			routing := SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0.7)
+			params := localParams(g.IndexOf(r.ID), cfg.NumExperts/c.NumRanks, cfg.HModel, cfg.HFFN)
 			dOut := tensor.New(s, cfg.HModel)
-			dOut.Fill(0.5)
-			bwd := PFTBackward(r, g, cfg, res.State, dOut, params, PipelineOpts{Numeric: true})
-			mu.Lock()
-			results[r.ID] = layerPass{
-				out: res.Output, dx: bwd.DX,
-				dw1: bwd.DW1, dw2: bwd.DW2, dcw: bwd.DCombineWeights,
+			for i := range dOut.Data {
+				dOut.Data[i] = float32(i%13)*0.1 - 0.5
 			}
+			var p layerPass
+			switch {
+			case padded:
+				p.res = PaddedForward(r, g, cfg, s, x, routing, params, fwd)
+				if bwdChunks > 0 {
+					p.grads = PaddedBackward(r, g, cfg, p.res.PaddedState, dOut, params, bwd)
+				}
+			default:
+				p.res = PFTForward(r, g, cfg, s, x, routing, params, fwd)
+				if bwdChunks > 0 {
+					p.grads = PFTBackward(r, g, cfg, p.res.State, dOut, params, bwd)
+				}
+			}
+			mu.Lock()
+			passes[r.ID] = p
 			mu.Unlock()
 			return nil
 		})
@@ -54,80 +72,92 @@ func runFixedSeedLayer(t *testing.T, disablePools bool, iters int) map[int]layer
 			t.Fatal(err)
 		}
 	}
-	return results
+	return passes
 }
 
-func bitEqual(t *testing.T, name string, a, b *tensor.Tensor) {
+// samePasses fails unless every rank's got pass matches want bit for bit:
+// the routed and received token counts, the output and, after a backward,
+// dX, every dW and the combine-weight gradients.
+func samePasses(t *testing.T, label string, want, got map[int]layerPass) {
 	t.Helper()
-	if a.Len() != b.Len() {
-		t.Fatalf("%s: size %d vs %d", name, a.Len(), b.Len())
+	same := func(what string, rank int, a, b []float32) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s rank %d: %s has %d values, want %d", label, rank, what, len(b), len(a))
+		}
+		for i := range a {
+			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+				t.Fatalf("%s rank %d: %s bit mismatch at %d: %v vs %v", label, rank, what, i, b[i], a[i])
+			}
+		}
 	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatalf("%s: bit mismatch at %d: %v vs %v", name, i, a.Data[i], b.Data[i])
+	for rank, w := range want {
+		g := got[rank]
+		if w.res.RoutedTokens != g.res.RoutedTokens || w.res.RecvTokens != g.res.RecvTokens {
+			t.Fatalf("%s rank %d: routed/recv %d/%d, want %d/%d", label, rank,
+				g.res.RoutedTokens, g.res.RecvTokens, w.res.RoutedTokens, w.res.RecvTokens)
+		}
+		same("output", rank, w.res.Output.Data, g.res.Output.Data)
+		if w.grads.DX == nil {
+			continue
+		}
+		same("dX", rank, w.grads.DX.Data, g.grads.DX.Data)
+		same("dCombineWeights", rank, w.grads.DCombineWeights, g.grads.DCombineWeights)
+		for e := range w.grads.DW1 {
+			same("dW1", rank, w.grads.DW1[e].Data, g.grads.DW1[e].Data)
+			same("dW2", rank, w.grads.DW2[e].Data, g.grads.DW2[e].Data)
 		}
 	}
 }
 
-// TestPooledLayerBitIdenticalToFresh is the end-to-end determinism
-// regression test: a full numeric PFT forward+backward with the per-rank
-// tensor arenas enabled must be bit-identical to the allocate-fresh
-// execution, including in steady state (third iteration, when every
-// buffer is a recycled arena buffer).
+// checkChunked runs each (forward, backward) chunk pair — a backward count
+// of 0 is a forward without a saved state — on a fresh cluster and checks
+// it against the blocking pass of the same kind.
+func checkChunked(t *testing.T, padded bool, pairs ...[2]int) {
+	t.Helper()
+	bwd := min(pairs[0][1], 1)
+	blocking := runLayer(t, newMoECluster(t, 4), padded, 1, bwd, 1)
+	for _, p := range pairs {
+		samePasses(t, "chunked", blocking, runLayer(t, newMoECluster(t, 4), padded, p[0], p[1], 1))
+	}
+}
+
+// checkPooled checks the third pass on a pooled cluster, when every
+// buffer is a recycled arena buffer, against allocate-fresh execution.
+func checkPooled(t *testing.T, padded bool, fwdChunks, bwdChunks int) {
+	t.Helper()
+	fresh := newMoECluster(t, 4)
+	fresh.DisablePools = true
+	want := runLayer(t, fresh, padded, fwdChunks, bwdChunks, 1)
+	samePasses(t, "pooled", want, runLayer(t, newMoECluster(t, 4), padded, fwdChunks, bwdChunks, 3))
+}
+
+func TestChunkedPFTForwardBitIdenticalToBlocking(t *testing.T) {
+	checkChunked(t, false, [2]int{2, 0}, [2]int{3, 0}, [2]int{4, 0}, [2]int{8, 0}, [2]int{64, 0})
+}
+
+func TestChunkedPaddedForwardBitIdenticalToBlocking(t *testing.T) {
+	checkChunked(t, true, [2]int{2, 0}, [2]int{3, 0}, [2]int{4, 0}, [2]int{16, 0})
+}
+
+// TestChunkedPFTFwdBwdBitIdenticalToBlocking includes passes whose chunk
+// counts differ: the saved state does not depend on the forward's count.
+func TestChunkedPFTFwdBwdBitIdenticalToBlocking(t *testing.T) {
+	checkChunked(t, false, [2]int{2, 2}, [2]int{3, 3}, [2]int{4, 4}, [2]int{8, 8}, [2]int{4, 1}, [2]int{1, 4}, [2]int{2, 8})
+}
+
+func TestChunkedPaddedFwdBwdBitIdenticalToBlocking(t *testing.T) {
+	checkChunked(t, true, [2]int{2, 2}, [2]int{3, 3}, [2]int{4, 4}, [2]int{16, 16}, [2]int{4, 2})
+}
+
 func TestPooledLayerBitIdenticalToFresh(t *testing.T) {
-	fresh := runFixedSeedLayer(t, true, 1)
-	pooled := runFixedSeedLayer(t, false, 3)
-	for rank, f := range fresh {
-		p := pooled[rank]
-		bitEqual(t, "output", f.out, p.out)
-		bitEqual(t, "dX", f.dx, p.dx)
-		for e := range f.dw1 {
-			bitEqual(t, "dW1", f.dw1[e], p.dw1[e])
-			bitEqual(t, "dW2", f.dw2[e], p.dw2[e])
-		}
-		for i := range f.dcw {
-			if f.dcw[i] != p.dcw[i] {
-				t.Fatalf("rank %d dCombineWeights mismatch at %d", rank, i)
-			}
-		}
-	}
+	checkPooled(t, false, 1, 1)
 }
 
-// TestPooledPaddedForwardBitIdenticalToFresh pins the padded pipeline's
-// pooled path against allocate-fresh execution.
+func TestChunkedPooledBitIdenticalToFresh(t *testing.T) {
+	checkPooled(t, false, 4, 4)
+}
+
 func TestPooledPaddedForwardBitIdenticalToFresh(t *testing.T) {
-	const world, s = 4, 32
-	cfg := distConfig(8, 3)
-	run := func(disablePools bool, iters int) map[int]*tensor.Tensor {
-		c := simrt.NewCluster(topology.Frontier(), world, 99)
-		c.Net.DisableCongestion = true
-		c.DisablePools = disablePools
-		g := c.WorldGroup()
-		outs := make(map[int]*tensor.Tensor)
-		var mu sync.Mutex
-		for it := 0; it < iters; it++ {
-			err := c.Run(func(r *simrt.Rank) error {
-				rng := tensor.NewRNG(uint64(4700 + r.ID))
-				x := tensor.Randn(rng, 1, s, cfg.HModel)
-				routing := SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0.6)
-				params := localParams(g.IndexOf(r.ID), 2, cfg.HModel, cfg.HFFN)
-				res := PaddedForward(r, g, cfg, s, x, routing, params, PipelineOpts{
-					Numeric: true, DropPolicy: DropNegativeThenPosition,
-				})
-				mu.Lock()
-				outs[r.ID] = res.Output
-				mu.Unlock()
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		return outs
-	}
-	fresh := run(true, 1)
-	pooled := run(false, 3)
-	for rank := range fresh {
-		bitEqual(t, "padded output", fresh[rank], pooled[rank])
-	}
+	checkPooled(t, true, 1, 0)
 }

@@ -2,6 +2,7 @@ package rbd
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/big"
 	"strings"
@@ -13,14 +14,17 @@ import (
 	"xmoe/internal/tensor"
 )
 
-// runFwdBwd executes a numeric blocking RBD forward+backward on every rank
-// and returns the per-rank gradients.
-func runFwdBwd(t *testing.T, world, s int, cfg moe.Config) []moe.BackwardResult {
+// runFwdBwd executes a numeric RBD forward at fwdChunks and, unless
+// bwdChunks is 0, the backward of its saved state at bwdChunks on every
+// rank of a new cluster, allocate-fresh when disablePools is set, and
+// returns the per-rank outputs and gradients.
+func runFwdBwd(t *testing.T, world, s int, cfg moe.Config, fwdChunks, bwdChunks int, disablePools bool) ([]*tensor.Tensor, []moe.BackwardResult) {
 	t.Helper()
 	c := newCluster(world)
+	c.DisablePools = disablePools
 	g := c.WorldGroup()
 	d := NewDispatcher(c, g, cfg)
-	grads := make([]moe.BackwardResult, world)
+	outs, grads := make([]*tensor.Tensor, world), make([]moe.BackwardResult, world)
 	var mu sync.Mutex
 	err := c.Run(func(r *simrt.Rank) error {
 		rng := tensor.NewRNG(6100 + uint64(r.ID))
@@ -32,26 +36,31 @@ func runFwdBwd(t *testing.T, world, s int, cfg moe.Config) []moe.BackwardResult 
 		for le := 0; le < epr; le++ {
 			params.W1[le], params.W2[le] = expertWeights(me*epr+le, cfg.HModel, cfg.HFFN)
 		}
-		fwdOpts := moe.PipelineOpts{Numeric: true, DropPolicy: moe.DropNegativeThenPosition, SaveForBackward: true}
+		fwdOpts := moe.PipelineOpts{Numeric: true, DropPolicy: moe.DropNegativeThenPosition,
+			SaveForBackward: bwdChunks > 0, OverlapChunks: fwdChunks}
 		res := Forward(r, d, cfg, s, x, routing, params, tensor.NewRNG(42+uint64(r.ID)), fwdOpts)
-		if res.State == nil {
+		var bwd moe.BackwardResult
+		switch {
+		case bwdChunks == 0:
+		case res.State == nil:
 			t.Error("SaveForBackward forward returned no state")
 			return nil
+		default:
+			dOut := tensor.New(s, cfg.HModel)
+			for i := range dOut.Data {
+				dOut.Data[i] = float32(i%5)*0.2 - 0.4
+			}
+			bwd = Backward(r, d, cfg, res.State, dOut, params, moe.PipelineOpts{Numeric: true, OverlapChunks: bwdChunks})
 		}
-		dOut := tensor.New(s, cfg.HModel)
-		for i := range dOut.Data {
-			dOut.Data[i] = float32(i%5)*0.2 - 0.4
-		}
-		bwd := Backward(r, d, cfg, res.State, dOut, params, moe.PipelineOpts{Numeric: true})
 		mu.Lock()
-		grads[r.ID] = bwd
+		outs[r.ID], grads[r.ID] = res.Output, bwd
 		mu.Unlock()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return grads
+	return outs, grads
 }
 
 var bwdCfg = moe.Config{NumExperts: 32, TopK: 5, HModel: 10, HFFN: 6,
@@ -65,7 +74,7 @@ var bwdCfg = moe.Config{NumExperts: 32, TopK: 5, HModel: 10, HFFN: 6,
 // is impossible: RBD folds each pilot group's partial sums before the
 // token-level accumulation, a different fp addition order than the flat
 // transports. Within RBD, chunked==blocking and pooled==fresh ARE bitwise
-// — see transport's TestLayerMatrix.)
+// — see the determinism tests below and transport's TestLayerMatrix.)
 func TestRBDBackwardMatchesPFTAndPadded(t *testing.T) {
 	const world, s = 16, 24
 	cfg := bwdCfg
@@ -109,7 +118,7 @@ func TestRBDBackwardMatchesPFTAndPadded(t *testing.T) {
 		return grads
 	}
 
-	rbdGrads := runFwdBwd(t, world, s, cfg)
+	_, rbdGrads := runFwdBwd(t, world, s, cfg, 1, 1, false)
 	for name, flat := range map[string][]moe.BackwardResult{"pft": runFlat(false), "padded": runFlat(true)} {
 		for rank := range flat {
 			a, b := rbdGrads[rank], flat[rank]
@@ -145,6 +154,74 @@ func TestRBDBackwardMatchesPFTAndPadded(t *testing.T) {
 				t.Fatalf("%s rank %d: all RBD combine-weight gradients are zero", name, rank)
 			}
 		}
+	}
+}
+
+// samePasses fails unless two runFwdBwd results are bit-identical on every
+// rank: the output and, after a backward, dX, every dW1/dW2 and the
+// combine-weight gradients.
+func samePasses(t *testing.T, label string, wantOut, gotOut []*tensor.Tensor, want, got []moe.BackwardResult) {
+	t.Helper()
+	for rank := range wantOut {
+		same := func(what string, a, b []float32) {
+			t.Helper()
+			if len(a) != len(b) {
+				t.Fatalf("%s rank %d: %s has %d values, want %d", label, rank, what, len(b), len(a))
+			}
+			for i := range a {
+				if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+					t.Fatalf("%s rank %d: %s bit mismatch at %d: %v vs %v", label, rank, what, i, b[i], a[i])
+				}
+			}
+		}
+		same("output", wantOut[rank].Data, gotOut[rank].Data)
+		w, g := want[rank], got[rank]
+		if w.DX == nil {
+			continue
+		}
+		same("dX", w.DX.Data, g.DX.Data)
+		same("dCombineWeights", w.DCombineWeights, g.DCombineWeights)
+		for e := range w.DW1 {
+			same("dW1", w.DW1[e].Data, g.DW1[e].Data)
+			same("dW2", w.DW2[e].Data, g.DW2[e].Data)
+		}
+	}
+}
+
+// TestChunkedForwardBitIdenticalToBlocking pins the chunked S1/C1
+// exchanges of a forward without a saved state against the blocking RBD
+// path bit for bit: chunking re-times the inter-node transfers but must
+// not move a single row or reorder any per-row accumulation.
+func TestChunkedForwardBitIdenticalToBlocking(t *testing.T) {
+	const world, s = 16, 24
+	wantOut, want := runFwdBwd(t, world, s, bwdCfg, 1, 0, false)
+	for _, chunks := range []int{2, 3, 4, 8} {
+		gotOut, got := runFwdBwd(t, world, s, bwdCfg, chunks, 0, false)
+		samePasses(t, fmt.Sprintf("C=%d", chunks), wantOut, gotOut, want, got)
+	}
+}
+
+// TestRBDBackwardDeterminismMatrix: chunked forward+backward outputs and
+// gradients must be bit-identical to the fully blocking pass, also when a
+// chunked forward feeds a blocking backward or the reverse — the saved
+// state does not depend on the forward's chunk count.
+func TestRBDBackwardDeterminismMatrix(t *testing.T) {
+	const world, s = 16, 24
+	wantOut, want := runFwdBwd(t, world, s, bwdCfg, 1, 1, false)
+	for _, p := range [][2]int{{2, 2}, {4, 4}, {8, 8}, {4, 1}, {1, 4}} {
+		gotOut, got := runFwdBwd(t, world, s, bwdCfg, p[0], p[1], false)
+		samePasses(t, fmt.Sprintf("fwd%d/bwd%d", p[0], p[1]), wantOut, gotOut, want, got)
+	}
+}
+
+// TestRBDBackwardPooledBitIdenticalToFresh: arena-pooled execution must
+// match allocate-fresh bit for bit, blocking and chunked.
+func TestRBDBackwardPooledBitIdenticalToFresh(t *testing.T) {
+	const world, s = 16, 24
+	for _, chunks := range []int{1, 4} {
+		freshOut, fresh := runFwdBwd(t, world, s, bwdCfg, chunks, chunks, true)
+		pooledOut, pooled := runFwdBwd(t, world, s, bwdCfg, chunks, chunks, false)
+		samePasses(t, fmt.Sprintf("pooled C=%d", chunks), freshOut, pooledOut, fresh, pooled)
 	}
 }
 

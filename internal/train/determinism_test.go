@@ -10,58 +10,91 @@ import (
 	"xmoe/internal/transport"
 )
 
-// TestTrainerMatrix is the trainer's determinism matrix. Chunked overlap
-// re-times the exchanges, ZeRO shards the optimizer state (stage 1) and
-// the gradients (stage 2) and cuts the dense gradient sync into buckets —
-// 0 bytes is one bucket, 16 four-element buckets and 4 one-element
-// buckets of the 48-byte stream — and none of it may move a bit: for every
-// transport and momentum, each cell's loss trajectory, expert weights and
-// dense bias must match the blocking stage-0 one-bucket cell's. Each
-// transport also checks that a run restored from a mid-run checkpoint
-// replays the uninterrupted one (and rolls back to replay it again), and
-// that a shrink → restore → train → grow → restore cycle, which rebuilds
-// the transport for each world, comes out the same blocking and chunked.
-// A failing subtest is named by its cell, e.g.
-// TestTrainerMatrix/rbd/c4/zero2-b16/m0.9 or TestTrainerMatrix/pft/grow-shrink.
-func TestTrainerMatrix(t *testing.T) {
-	const steps = 2
-	for _, kind := range transport.Kinds() {
-		base := func(chunks int) DistConfig {
-			if kind == transport.RBD {
-				return rbdTrainerConfig(chunks)
-			}
-			return distTrainerConfig(kind.String(), chunks)
+// The trainer's determinism matrix. Chunked overlap re-times the
+// exchanges, ZeRO shards the optimizer state (stage 1) and the gradients
+// (stage 2) and cuts the dense gradient sync into buckets — 0 bytes is one
+// bucket, 16 four-element buckets and 4 one-element buckets of the 48-byte
+// stream — and none of it may move a bit: for every transport and
+// momentum, each cell of chunk count × stage × bucket must reach the loss
+// trajectory, expert weights and dense bias of the blocking stage-0
+// one-bucket cell. Each transport also checks that a run restored from a
+// mid-run checkpoint replays the uninterrupted one (and rolls back to
+// replay it again), and that a shrink → restore → train → grow → restore
+// cycle, which rebuilds the transport for each world, comes out the same
+// blocking and chunked. The cells run under eight tests — the flat
+// transports' and RBD's, one each for the chunked, ZeRO, checkpoint and
+// grow/shrink parts — and a failing subtest is named by its cell, e.g.
+// TestDistTrainerRBDZeROBitIdentical/rbd/c4/zero2-b16/m0.9 or
+// TestGrowShrinkCycleBitIdentical/pft/grow-shrink.
+
+const matrixSteps = 2
+
+// trainerKinds lists the transports of transport.Kinds() that are RBD, or
+// that are not.
+func trainerKinds(rbd bool) []transport.Kind {
+	var ks []transport.Kind
+	for _, k := range transport.Kinds() {
+		if (k == transport.RBD) == rbd {
+			ks = append(ks, k)
 		}
+	}
+	return ks
+}
+
+// trainerConfig is the matrix's blocking stage-0 trainer of kind at chunks
+// (RBD's spans two nodes).
+func trainerConfig(kind transport.Kind, chunks int) DistConfig {
+	if kind == transport.RBD {
+		return rbdTrainerConfig(chunks)
+	}
+	return distTrainerConfig(kind.String(), chunks)
+}
+
+// trainerMatrix runs the chunk × ZeRO cells of kinds against the C=1
+// stage-0 one-bucket reference: with zero unset the chunked stage-0
+// one-bucket cells (C 2 and 4), with zero set every cell with a ZeRO stage
+// or a bucket cut (C 1, 2 and 4).
+func trainerMatrix(t *testing.T, kinds []transport.Kind, zero bool) {
+	for _, kind := range kinds {
 		for _, momentum := range []float64{0, 0.9} {
 			cell := func(chunks, stage int, bucket int64) DistConfig {
-				cfg := base(chunks)
+				cfg := trainerConfig(kind, chunks)
 				cfg.ZeROStage, cfg.BucketBytes, cfg.Momentum = stage, bucket, momentum
 				return cfg
 			}
-			refLoss, refTr := runSteps(t, cell(1, 0, 0), steps)
+			refLoss, refTr := runSteps(t, cell(1, 0, 0), matrixSteps)
 			for _, chunks := range []int{1, 2, 4} {
 				for _, stage := range []int{0, 1, 2} {
 					for _, bucket := range []int64{0, 16, 4} {
-						if chunks == 1 && stage == 0 && bucket == 0 {
+						if (stage == 0 && bucket == 0) == zero || (!zero && chunks == 1) {
 							continue
 						}
 						name := fmt.Sprintf("%v/c%d/zero%d-b%d/m%v", kind, chunks, stage, bucket, momentum)
 						t.Run(name, func(t *testing.T) {
-							loss, tr := runSteps(t, cell(chunks, stage, bucket), steps)
+							loss, tr := runSteps(t, cell(chunks, stage, bucket), matrixSteps)
 							assertSameTraining(t, name, refLoss, loss, refTr, tr)
 						})
 					}
 				}
 			}
 		}
+	}
+}
+
+// checkpointResume runs each kind's ckpt-resume cell: a C=2 trainer
+// restored from the checkpoint at step matrixSteps must replay the
+// uninterrupted run's next matrixSteps steps, then roll back to it and
+// replay them again.
+func checkpointResume(t *testing.T, kinds []transport.Kind) {
+	for _, kind := range kinds {
 		t.Run(kind.String()+"/ckpt-resume", func(t *testing.T) {
-			cfg := base(2)
-			_, ref := runSteps(t, cfg, steps)
+			cfg := trainerConfig(kind, 2)
+			_, ref := runSteps(t, cfg, matrixSteps)
 			ck := ref.Checkpoint()
-			if ck.Step != steps {
-				t.Fatalf("checkpoint at step %d, want %d", ck.Step, steps)
+			if ck.Step != matrixSteps {
+				t.Fatalf("checkpoint at step %d, want %d", ck.Step, matrixSteps)
 			}
-			tail := trainSteps(t, ref, steps)
+			tail := trainSteps(t, ref, matrixSteps)
 			b, err := NewDistTrainer(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -70,13 +103,21 @@ func TestTrainerMatrix(t *testing.T) {
 				if err := b.Restore(ck); err != nil {
 					t.Fatal(err)
 				}
-				assertSameTraining(t, fmt.Sprintf("restore %d", round), tail, trainSteps(t, b, steps), ref, b)
+				assertSameTraining(t, fmt.Sprintf("restore %d", round), tail, trainSteps(t, b, matrixSteps), ref, b)
 			}
 		})
+	}
+}
+
+// growShrink runs each kind's grow-shrink cell: train, shrink to half the
+// world, restore, train, grow back, restore, train — the same blocking and
+// at C=4.
+func growShrink(t *testing.T, kinds []transport.Kind) {
+	for _, kind := range kinds {
 		t.Run(kind.String()+"/grow-shrink", func(t *testing.T) {
 			cycle := func(chunks int) ([]float64, *DistTrainer) {
-				cfg := base(chunks)
-				losses, tr := runSteps(t, cfg, steps)
+				cfg := trainerConfig(kind, chunks)
+				losses, tr := runSteps(t, cfg, matrixSteps)
 				ck := tr.Checkpoint()
 				if err := tr.Shrink(cfg.World / 2); err != nil {
 					t.Fatal(err)
@@ -84,7 +125,7 @@ func TestTrainerMatrix(t *testing.T) {
 				if err := tr.Restore(ck); err != nil {
 					t.Fatal(err)
 				}
-				losses = append(losses, trainSteps(t, tr, steps)...)
+				losses = append(losses, trainSteps(t, tr, matrixSteps)...)
 				ck2 := tr.Checkpoint()
 				if len(ck2.DataRNG) != cfg.World/2 {
 					t.Fatalf("shrunk checkpoint has %d rank slots, want %d", len(ck2.DataRNG), cfg.World/2)
@@ -95,16 +136,48 @@ func TestTrainerMatrix(t *testing.T) {
 				if err := tr.Restore(ck2); err != nil {
 					t.Fatal(err)
 				}
-				return append(losses, trainSteps(t, tr, steps)...), tr
+				return append(losses, trainSteps(t, tr, matrixSteps)...), tr
 			}
 			blockLoss, blockTr := cycle(1)
 			chunkLoss, chunkTr := cycle(4)
-			if w := base(1).World; blockTr.Cfg.World != w {
+			if w := trainerConfig(kind, 1).World; blockTr.Cfg.World != w {
 				t.Fatalf("final world %d, want %d after the regrow", blockTr.Cfg.World, w)
 			}
 			assertSameTraining(t, "blocking vs C=4", blockLoss, chunkLoss, blockTr, chunkTr)
 		})
 	}
+}
+
+func TestDistTrainerChunkedBitIdentical(t *testing.T) {
+	trainerMatrix(t, trainerKinds(false), false)
+}
+
+func TestDistTrainerRBDChunkedBitIdentical(t *testing.T) {
+	trainerMatrix(t, trainerKinds(true), false)
+}
+
+func TestDistTrainerZeROBitIdentical(t *testing.T) {
+	trainerMatrix(t, trainerKinds(false), true)
+}
+
+func TestDistTrainerRBDZeROBitIdentical(t *testing.T) {
+	trainerMatrix(t, trainerKinds(true), true)
+}
+
+func TestCheckpointResumeBitIdentical(t *testing.T) {
+	checkpointResume(t, trainerKinds(false))
+}
+
+func TestDistTrainerRBDCheckpointResumeBitIdentical(t *testing.T) {
+	checkpointResume(t, trainerKinds(true))
+}
+
+func TestGrowShrinkCycleBitIdentical(t *testing.T) {
+	growShrink(t, trainerKinds(false))
+}
+
+func TestDistTrainerRBDShrinkCycleDeterministic(t *testing.T) {
+	growShrink(t, trainerKinds(true))
 }
 
 // TestMoEFFNSteadyStateDeterministic pins the pooled training block: with
