@@ -151,10 +151,11 @@ bench-save:
 # one goroutine at n = 64, 128 and 1024, the fused GeLU forward and
 # backward, one rank's RBD pilot selection at the Large layer's shape, Randn at
 # the trainer's shape and SyntheticRouting at the layer's and the step's
-# shapes (the block normal sampler under both). A -bench
+# shapes (the block normal sampler under both), and one steady-state
+# DistTrainer.Step of each of train_numeric's trainers. A -bench
 # pattern that matches nothing passes silently, so the smoke first
 # requires `go test -list` to name every benchmark the pattern lists.
-SMOKE_BENCH = BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward|BenchmarkA2AVMiss|BenchmarkMatMulInto|BenchmarkMatMulTInto|BenchmarkTMatMulInto|BenchmarkAxpyGEMM|BenchmarkGeLUWithGrad|BenchmarkSelectPilots|BenchmarkRandn|BenchmarkSyntheticRouting
+SMOKE_BENCH = BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward|BenchmarkA2AVMiss|BenchmarkMatMulInto|BenchmarkMatMulTInto|BenchmarkTMatMulInto|BenchmarkAxpyGEMM|BenchmarkGeLUWithGrad|BenchmarkSelectPilots|BenchmarkRandn|BenchmarkSyntheticRouting|BenchmarkDistTrainerStep
 SMOKE_PKGS = ./internal/moe ./internal/train ./internal/devent ./internal/tensor ./internal/rbd
 
 # Quick CI, and the only definition of it (.github/workflows/ci.yml runs

@@ -11,11 +11,12 @@
 // goroutine-pool chunk (tensor.ParallelFor), preserving the same
 // row-parallel structure and contiguous row access pattern.
 //
-// Every kernel has an allocate-fresh form (returns new tensors) and an
-// *Into form writing into caller-provided buffers, typically drawn from a
-// tensor.Pool. The two forms are bit-identical; Into kernels that
-// accumulate rather than fully overwrite require a zero-filled
-// destination (as returned by tensor.New or tensor.Pool.Get).
+// Every kernel has an *Into form writing into a caller-provided buffer,
+// typically drawn from a tensor.Pool, whose contents are unspecified;
+// Gather and SequentialGEMM also have allocate-fresh forms. Every Into
+// kernel fully overwrites its destination (the accumulating ones clear
+// each row just before they add into it), so a pooled call is
+// bit-identical to one on a zero-filled buffer.
 package kernels
 
 import (
@@ -55,19 +56,12 @@ func GatherInto(out, gateOut *tensor.Tensor, tokenIDs []int) {
 	})
 }
 
-// GatherBackward scatters row gradients back through Gather: it returns
-// dGateOut [S, H] with dGateOut[tokenIDs[i], :] += dDispatchIn[i, :].
-// Multiple dispatch rows may map to one token (top-k routing), so this is
-// an accumulating scatter grouped by destination row, in ascending row
-// order, to stay race-free under parallel execution.
-func GatherBackward(dDispatchIn *tensor.Tensor, tokenIDs []int, numTokens int) *tensor.Tensor {
-	out := tensor.New(numTokens, dDispatchIn.Cols())
-	GatherBackwardInto(out, dDispatchIn, tokenIDs)
-	return out
-}
-
-// GatherBackwardInto is GatherBackward into the preallocated out
-// [numTokens, H]. out must be zero-filled; gradients are accumulated.
+// GatherBackwardInto scatters row gradients back through Gather into
+// out [numTokens, H]: out[tokenIDs[i], :] += dDispatchIn[i, :]. Multiple
+// dispatch rows may map to one token (top-k routing), so this is an
+// accumulating scatter grouped by destination row, in ascending row
+// order, to stay race-free under parallel execution. out is fully
+// overwritten: each row is cleared just before its gradients are added.
 func GatherBackwardInto(out, dDispatchIn *tensor.Tensor, tokenIDs []int) {
 	if out.Cols() != dDispatchIn.Cols() || dDispatchIn.Rows() != len(tokenIDs) {
 		panic(fmt.Sprintf("kernels: gather-backward dst shape %v for %d ids of width %d",
@@ -78,6 +72,7 @@ func GatherBackwardInto(out, dDispatchIn *tensor.Tensor, tokenIDs []int) {
 	tensor.ParallelFor(numTokens, 8, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			dst := out.Row(t)
+			clear(dst)
 			for _, i := range byToken.Sources(t) {
 				src := dDispatchIn.Row(i)
 				for j, v := range src {
@@ -88,22 +83,16 @@ func GatherBackwardInto(out, dDispatchIn *tensor.Tensor, tokenIDs []int) {
 	})
 }
 
-// ScatterCombine reassembles the MoE layer output from expert results:
+// ScatterCombineInto reassembles the MoE layer output from expert
+// results into out [numTokens, H]:
 //
-//	combineOut[tokenIDs[i], :] += mlpOut[i, :] * weights[i]
+//	out[tokenIDs[i], :] += mlpOut[i, :] * weights[i]
 //
-// mlpOut is [B, H]; the result is [numTokens, H]. The accumulation over
-// the k expert outputs of each token is the combine-stage weighted sum,
-// in ascending row order. Rows are grouped by destination token so
-// parallel workers never write the same output row.
-func ScatterCombine(mlpOut *tensor.Tensor, tokenIDs []int, weights []float32, numTokens int) *tensor.Tensor {
-	out := tensor.New(numTokens, mlpOut.Cols())
-	ScatterCombineInto(out, mlpOut, tokenIDs, weights)
-	return out
-}
-
-// ScatterCombineInto is ScatterCombine into the preallocated out
-// [numTokens, H]. out must be zero-filled; rows are accumulated.
+// mlpOut is [B, H]. The accumulation over the k expert outputs of each
+// token is the combine-stage weighted sum, in ascending row order. Rows
+// are grouped by destination token so parallel workers never write the
+// same output row. out is fully overwritten: each row is cleared just
+// before its expert outputs are added.
 func ScatterCombineInto(out, mlpOut *tensor.Tensor, tokenIDs []int, weights []float32) {
 	if len(tokenIDs) != mlpOut.Rows() || len(weights) != mlpOut.Rows() {
 		panic(fmt.Sprintf("kernels: scatter arity mismatch: %d rows, %d ids, %d weights",
@@ -117,6 +106,7 @@ func ScatterCombineInto(out, mlpOut *tensor.Tensor, tokenIDs []int, weights []fl
 	tensor.ParallelFor(numTokens, 8, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			dst := out.Row(t)
+			clear(dst)
 			for _, i := range byToken.Sources(t) {
 				w := weights[i]
 				src := mlpOut.Row(i)

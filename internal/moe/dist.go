@@ -436,7 +436,8 @@ func Forward(r *simrt.Rank, ex Exchange, cfg Config, s int, x *tensor.Tensor, ro
 	r.Compute(StageDispatch, kp.bufferPass(comp, cfg, s, b, elem))
 	var dispIn *tensor.Tensor
 	if opts.Numeric {
-		dispIn = kernels.Gather(x, pft.TokenIDs)
+		dispIn = r.Pool().Get(b, h)
+		kernels.GatherInto(dispIn, x, pft.TokenIDs)
 	}
 	mem.Alloc("dispatch_in", int64(b)*int64(h)*elem)
 
@@ -444,6 +445,10 @@ func Forward(r *simrt.Rank, ex Exchange, cfg Config, s int, x *tensor.Tensor, ro
 	st := &PFTFwdState{Ex: ex, l: layer{r: r, cfg: cfg, params: params, opts: opts, kp: kp, numeric: opts.Numeric}}
 	l := &st.l
 	output := ex.Forward(r, s, pft, dispIn, opts, l)
+	// Lifetime: the flat one-chunk dispatch sends views of dispIn, which
+	// every peer lands before it posts the combine exchange this rank has
+	// drained by now; RBD only copies from it. No peer reads it any more.
+	r.Pool().Put(dispIn)
 
 	mem.Free("dispatch_in", int64(b)*int64(h)*elem)
 	mem.Free("A0_interm", int64(l.bExp)*int64(f)*elem)

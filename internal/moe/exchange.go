@@ -244,7 +244,8 @@ func (x *flat) Forward(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts
 	r.Compute(StageCombine, kp.bufferPass(r.C.Comp, x.cfg, s, b, combElem))
 	var output *tensor.Tensor
 	if opts.Numeric {
-		output = kernels.ScatterCombine(x.combineIn, pft.TokenIDs, pft.CombineWeights, s)
+		output = pool.Get(s, h)
+		kernels.ScatterCombineInto(output, x.combineIn, pft.TokenIDs, pft.CombineWeights)
 		if !opts.SaveForBackward {
 			pool.Put(x.combineIn)
 		}
@@ -266,7 +267,7 @@ func (x *flat) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOp
 	// --- Per-chunk scatter-combine backward + reverse combine all-to-all --
 	// The forward saved combineIn (the returned expert outputs in layout
 	// order); the scatter's backward yields the per-row gradients and the
-	// combine-weight gradients in one pass, a hole's both staying zero.
+	// combine-weight gradients in one pass, a hole's both zero.
 	// Forward combine moved rows experts→source; its gradient moves
 	// source→experts with the dispatch segmentation. A single chunk
 	// crosses the exchange as views of dCombineIn, which must then be
@@ -282,6 +283,7 @@ func (x *flat) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOp
 		dWeights = make([]float32, b)
 		for i, tok := range pft.TokenIDs {
 			if tok < 0 {
+				clear(dCombineIn.Row(i))
 				continue
 			}
 			gRow, xRow, dRow := dOut.Row(tok), x.combineIn.Row(i), dCombineIn.Row(i)
@@ -354,7 +356,8 @@ func (x *flat) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOp
 	if !opts.Numeric {
 		return nil, nil
 	}
-	dx := kernels.GatherBackward(dDispIn, pft.TokenIDs, x.s)
+	dx := pool.Get(x.s, h)
+	kernels.GatherBackwardInto(dx, dDispIn, pft.TokenIDs)
 	pool.PutAll(dDispIn, x.combineIn)
 	x.combineIn = nil
 	return dx, dWeights

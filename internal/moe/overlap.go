@@ -223,13 +223,17 @@ func (g ffnGrads) dxChain(geluPrime *tensor.Tensor, params *ExpertParams, n, at 
 // complete segment (rowsPerLE rows each, contiguous and in expert order) —
 // the summation order of a single chunk, so the gradients are bit-identical
 // for any chunk count (per-chunk partial dW accumulation would reorder the
-// float sums) — and returns the gradient buffers to the arena.
+// float sums) — and returns the gradient buffers to the arena. The
+// weight gradients come from the arena too; an expert without rows gets
+// zeros.
 func (g ffnGrads) dW(pool *tensor.Pool, expertIn, hidAct *tensor.Tensor, params *ExpertParams, rowsPerLE []int) (dW1, dW2 []*tensor.Tensor) {
 	h, f := g.DOut.Cols(), g.DAct.Cols()
-	dW1, dW2 = newGradTensors(params.W1), newGradTensors(params.W2)
+	dW1, dW2 = gradTensors(pool, params.W1), gradTensors(pool, params.W2)
 	off := 0
 	for le, rows := range rowsPerLE {
 		if rows == 0 {
+			dW1[le].Zero()
+			dW2[le].Zero()
 			continue
 		}
 		seg := func(t *tensor.Tensor, w int) *tensor.Tensor {
@@ -243,11 +247,11 @@ func (g ffnGrads) dW(pool *tensor.Pool, expertIn, hidAct *tensor.Tensor, params 
 	return dW1, dW2
 }
 
-// newGradTensors allocates one zero gradient tensor per weight tensor.
-func newGradTensors(ws []*tensor.Tensor) []*tensor.Tensor {
+// gradTensors takes one gradient tensor per weight tensor from pool.
+func gradTensors(pool *tensor.Pool, ws []*tensor.Tensor) []*tensor.Tensor {
 	out := make([]*tensor.Tensor, len(ws))
 	for e, w := range ws {
-		out[e] = tensor.New(w.Rows(), w.Cols())
+		out[e] = pool.Get(w.Rows(), w.Cols())
 	}
 	return out
 }

@@ -264,7 +264,7 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 	if !numeric {
 		return nil, nil
 	}
-	dx := tensor.New(st.s, h)
+	dx := pool.Get(st.s, h)
 	st.scatterReturn(dx, retData)
 	dWeights := make([]float32, pft.B())
 	for dst := range retData {

@@ -275,7 +275,7 @@ func (st *State) combine(r *simrt.Rank, expertOut *tensor.Tensor) *tensor.Tensor
 	if !numeric {
 		return nil
 	}
-	out := tensor.New(st.s, h)
+	out := r.Pool().Get(st.s, h)
 	st.scatterReturn(out, retData)
 	return out
 }

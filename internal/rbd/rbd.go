@@ -726,10 +726,11 @@ func (st *State) fromLayout(src, pilots *tensor.Tensor) []simrt.Part {
 	return parts
 }
 
-// scatterReturn adds the pilot rows every member returned (ret[dst], in
-// pilot send order) into their tokens' rows of out.
+// scatterReturn clears out and adds the pilot rows every member returned
+// (ret[dst], in pilot send order) into their tokens' rows of it.
 func (st *State) scatterReturn(out *tensor.Tensor, ret [][]float32) {
 	h := out.Cols()
+	clear(out.Data)
 	for dst, rows := range ret {
 		for pos, ent := range st.pilotEntry[st.partStart[dst]:st.partStart[dst+1]] {
 			o := out.Row(st.pft.TokenIDs[ent])

@@ -249,10 +249,11 @@ type Rank struct {
 func (r *Rank) Dev() *Device { return r.C.devices[r.ID] }
 
 // Pool returns this rank's tensor arena (nil when the cluster disables
-// pooling; a nil pool safely degrades to allocate-fresh). Buffers whose
-// data crosses rank boundaries through a collective must NOT be pooled —
-// peers may still be reading them after the rendezvous — so pipelines
-// only draw rank-local intermediates from the pool.
+// pooling; a nil pool safely degrades to allocate-fresh). A buffer whose
+// data a peer may still read after this rank's last rendezvous in the
+// call must NOT go back to the pool, so pipelines pool rank-local
+// buffers only, and a buffer sent as views only when a later rendezvous
+// of the call shows every peer is done with it.
 func (r *Rank) Pool() *tensor.Pool {
 	if r.C.DisablePools {
 		return nil

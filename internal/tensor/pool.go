@@ -12,11 +12,18 @@ import (
 // pressuring the garbage collector — the discipline FastMoE and Megatron
 // Core MoE use for their reusable dispatch/combine workspaces.
 //
-// Buffers are bucketed by ceil-power-of-two element count; Get returns a
-// zero-filled tensor, exactly like New, so pooled and allocate-fresh paths
-// are bit-identical. A nil *Pool is valid and degrades to plain New
-// (allocate-fresh), which keeps pooling strictly optional for callers and
-// for the determinism regression tests.
+// Buffers are bucketed by ceil-power-of-two element count. Get returns a
+// tensor whose contents are unspecified (a recycled buffer keeps whatever
+// its last user wrote), so a caller must write every element before it
+// reads one; the *Into kernels fully overwrite their destinations, which
+// is what keeps pooled and allocate-fresh paths bit-identical. A nil *Pool
+// is valid and degrades to plain New (allocate-fresh, zero-filled), which
+// keeps pooling strictly optional for callers and for the determinism
+// regression tests.
+//
+// Put keeps any buffer whose capacity is a bucket size, fresh ones
+// included, so a caller that puts back a tensor no Get handed out grows
+// the pool by that buffer: balanced use returns only what Get handed out.
 //
 // A Pool is safe for concurrent use, but the intended pattern is one pool
 // per simulated rank (per-rank arenas) so Get/Put never contend.
@@ -43,9 +50,9 @@ func bucketOf(n int) int {
 	return b
 }
 
-// Get returns a zero-filled tensor of the given shape, reusing a pooled
-// buffer when one is available. The result is indistinguishable from
-// New(shape...).
+// Get returns a tensor of the given shape with unspecified contents,
+// reusing a pooled buffer when one is available; on a nil pool, or for a
+// size out of pooling range, it is New(shape...), zero-filled.
 func (p *Pool) Get(shape ...int) *Tensor {
 	if p == nil {
 		return New(shape...)
@@ -61,9 +68,6 @@ func (p *Pool) Get(shape ...int) *Tensor {
 		return New(shape...)
 	}
 	buf := p.getBuf(n)
-	for i := range buf {
-		buf[i] = 0
-	}
 	s := make([]int, len(shape))
 	copy(s, shape)
 	return &Tensor{Data: buf, shape: s}

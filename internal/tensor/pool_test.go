@@ -5,21 +5,30 @@ import (
 	"testing"
 )
 
-func TestPoolGetIsZeroFilledAfterDirtyPut(t *testing.T) {
+// TestPoolGetContract pins what Get promises: a recycled buffer comes
+// back as it was put (same backing array, contents unspecified) in the
+// requested shape, and a nil pool's Get is New, zero-filled.
+func TestPoolGetContract(t *testing.T) {
 	var p Pool
 	a := p.Get(4, 8)
-	for i := range a.Data {
-		a.Data[i] = float32(i) + 1
-	}
+	a.Fill(1)
+	data := &a.Data[0]
 	p.Put(a)
-	b := p.Get(4, 8)
-	for i, v := range b.Data {
-		if v != 0 {
-			t.Fatalf("recycled buffer not zeroed at %d: %f", i, v)
-		}
+	b := p.Get(8, 3)
+	if &b.Data[0] != data {
+		t.Fatal("pool did not reuse the put buffer")
 	}
-	if b.Rows() != 4 || b.Cols() != 8 {
-		t.Fatalf("recycled tensor shape %v", b.Shape())
+	if b.Rows() != 8 || b.Cols() != 3 || b.Len() != 24 {
+		t.Fatalf("recycled tensor shape %v, len %d", b.Shape(), b.Len())
+	}
+	var nilPool *Pool
+	c := nilPool.Get(4, 8)
+	c.Fill(1)
+	nilPool.Put(c)
+	for i, v := range nilPool.Get(4, 8).Data {
+		if v != 0 {
+			t.Fatalf("nil pool Get not zero-filled at %d: %f", i, v)
+		}
 	}
 }
 

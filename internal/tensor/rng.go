@@ -203,6 +203,13 @@ func (r *RNG) Perm(n int) []int {
 // Randn returns a tensor of the given shape filled with N(0, std²) samples.
 func Randn(r *RNG, std float32, shape ...int) *Tensor {
 	t := New(shape...)
+	RandnInto(t, r, std)
+	return t
+}
+
+// RandnInto is Randn into t, which is fully overwritten: the same draws
+// in the same stream order.
+func RandnInto(t *Tensor, r *RNG, std float32) {
 	var b NormBlock
 	for d := t.Data; len(d) > 0; d = d[min(len(d), NormBlockLen):] {
 		b.Open(r)
@@ -213,5 +220,4 @@ func Randn(r *RNG, std float32, shape ...int) *Tensor {
 			d[i] = std * float32(v)
 		}
 	}
-	return t
 }

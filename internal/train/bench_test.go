@@ -59,3 +59,54 @@ func BenchmarkAttentionForwardBackward(b *testing.B) {
 		}
 	}
 }
+
+// benchTrainerConfig is the numeric benchmark's trainer (train_numeric):
+// world 8, 16 experts top-4, H 128, F 64, 512 tokens a rank, C = 2,
+// ZeRO-1, momentum 0.9.
+func benchTrainerConfig(transport string) DistConfig {
+	return DistConfig{
+		MoE: moe.Config{NumExperts: 16, TopK: 4, HModel: 128, HFFN: 64,
+			CapacityFactor: 1.25, BytesPerElem: 2},
+		World: 8, Tokens: 512, LR: 1e-2, Seed: 42,
+		Transport: transport, ZeROStage: 1, Momentum: 0.9,
+		Opts: moe.PipelineOpts{OverlapChunks: 2},
+	}
+}
+
+// warmSteps is how many steps a trainer takes before its arenas are in
+// steady state.
+const warmSteps = 3
+
+// warmTrainer builds a benchTrainerConfig trainer and runs its warm-up
+// steps, after which the rank arenas hold every buffer a step takes.
+func warmTrainer(tb testing.TB, transport string) *DistTrainer {
+	tb.Helper()
+	tr, err := NewDistTrainer(benchTrainerConfig(transport))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for range warmSteps {
+		if _, err := tr.Step(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return tr
+}
+
+// BenchmarkDistTrainerStep measures one steady-state DistTrainer.Step at
+// the numeric benchmark's shape, per transport: the host cost of
+// train_numeric's operation, one trainer at a time.
+func BenchmarkDistTrainerStep(b *testing.B) {
+	for _, transport := range []string{"pft", "rbd"} {
+		b.Run(transport, func(b *testing.B) {
+			tr := warmTrainer(b, transport)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := tr.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

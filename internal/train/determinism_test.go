@@ -2,6 +2,7 @@ package train
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"xmoe/internal/moe"
@@ -25,7 +26,9 @@ import (
 // transports' and RBD's, one each for the chunked, ZeRO, checkpoint and
 // grow/shrink parts — and a failing subtest is named by its cell, e.g.
 // TestDistTrainerRBDZeROBitIdentical/rbd/c4/zero2-b16/m0.9 or
-// TestGrowShrinkCycleBitIdentical/pft/grow-shrink.
+// TestGrowShrinkCycleBitIdentical/pft/grow-shrink. A ninth test runs two
+// cells per transport, C=1 and C=2, on arenas poisoned with NaN before
+// every step.
 
 const matrixSteps = 2
 
@@ -178,6 +181,69 @@ func TestGrowShrinkCycleBitIdentical(t *testing.T) {
 
 func TestDistTrainerRBDShrinkCycleDeterministic(t *testing.T) {
 	growShrink(t, trainerKinds(true))
+}
+
+// poisonArenas fills every rank arena of c with NaN: on each rank it takes
+// depth buffers of every bucket up to 1<<maxBucket elements (recycled ones
+// first, then fresh), fills them with NaN and puts them all back, so the
+// next step reads NaN from any pooled buffer it reads before writing.
+func poisonArenas(t *testing.T, c *simrt.Cluster, maxBucket, depth int) {
+	t.Helper()
+	nan := float32(math.NaN())
+	err := c.Run(func(r *simrt.Rank) error {
+		pool := r.Pool()
+		held := make([]*tensor.Tensor, 0, depth)
+		for b := 0; b <= maxBucket; b++ {
+			for range depth {
+				buf := pool.Get(1 << b)
+				buf.Fill(nan)
+				held = append(held, buf)
+			}
+			pool.PutAll(held...)
+			held = held[:0]
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDistTrainerPoisonedArenasBitIdentical runs each transport's ZeRO-1
+// momentum cells at C=1 (whose dispatch sends views of the arena's
+// buffers) and C=2 on arenas poisoned with NaN before every step, each
+// against a clean run on allocate-fresh buffers: a step that reads a
+// pooled buffer before writing it reads NaN, or what an earlier pass of
+// the step left there, where the clean run reads zeros. The matrix
+// trainers' buffers are all under 1<<13 elements, and a step holds at
+// most 16 of one bucket at once.
+func TestDistTrainerPoisonedArenasBitIdentical(t *testing.T) {
+	for _, kind := range transport.Kinds() {
+		for _, chunks := range []int{1, 2} {
+			name := fmt.Sprintf("%v/c%d/zero1/m0.9", kind, chunks)
+			t.Run(name, func(t *testing.T) {
+				cfg := trainerConfig(kind, chunks)
+				cfg.ZeROStage, cfg.Momentum = 1, 0.9
+				trainer := func() *DistTrainer {
+					tr, err := NewDistTrainer(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return tr
+				}
+				clean := trainer()
+				clean.cluster.DisablePools = true
+				loss := trainSteps(t, clean, matrixSteps)
+				tr := trainer()
+				poisoned := make([]float64, matrixSteps)
+				for i := range poisoned {
+					poisonArenas(t, tr.cluster, 13, 16)
+					poisoned[i] = trainSteps(t, tr, 1)[0]
+				}
+				assertSameTraining(t, name, loss, poisoned, clean, tr)
+			})
+		}
+	}
 }
 
 // TestMoEFFNSteadyStateDeterministic pins the pooled training block: with

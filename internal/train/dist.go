@@ -287,10 +287,12 @@ func (t *DistTrainer) Step() (DistStepStats, error) {
 		idx := t.group.IndexOf(r.ID)
 		// Deterministic per-rank input streams, consumed identically by
 		// every transport and chunk count, so chunked and blocking runs
-		// see identical data.
-		rng := t.dataRNG[idx]
-		x := tensor.Randn(rng, 0.5, s, h)
-		target := tensor.Randn(rng, 0.5, s, h)
+		// see identical data. The step's rank-local tensors come from the
+		// rank's arena and go back once read.
+		rng, pool := t.dataRNG[idx], r.Pool()
+		x, target := pool.Get(s, h), pool.Get(s, h)
+		tensor.RandnInto(x, rng, 0.5)
+		tensor.RandnInto(target, rng, 0.5)
 		routing := moe.SyntheticRouting(rng, s, cfg.MoE.NumExperts, cfg.MoE.TopK, 0.6)
 		params := t.params[idx]
 		bias := t.bias[idx]
@@ -303,7 +305,7 @@ func (t *DistTrainer) Step() (DistStepStats, error) {
 
 		// MSE loss (over the biased output) and its gradient.
 		var localLoss float64
-		dOut := tensor.New(s, h)
+		dOut := pool.Get(s, h)
 		inv := float32(2 / float64(s*h))
 		for i, v := range out.Data {
 			d := v + bias[i%h] - target.Data[i]
@@ -311,6 +313,9 @@ func (t *DistTrainer) Step() (DistStepStats, error) {
 			dOut.Data[i] = d * inv
 		}
 		localLoss /= float64(s * h)
+		// Lifetime: the layer gathered x into its dispatch buffer and the
+		// loss was the last reader of target and of the output.
+		pool.PutAll(x, target, out)
 
 		// The bias gradient is known before the backward runs (it is
 		// dOut's column sum), so the dense sync can ride the backward:
@@ -332,6 +337,9 @@ func (t *DistTrainer) Step() (DistStepStats, error) {
 		}
 
 		grads := res.State.Backward(r, dOut, params, bopts)
+		// Lifetime: the backward has copied dOut into its own buffers, and
+		// nothing here reads dX.
+		pool.PutAll(dOut, grads.DX)
 
 		shards := syncer.Wait()
 		lossSum := lossH.Wait()[0].Data
@@ -365,6 +373,9 @@ func (t *DistTrainer) Step() (DistStepStats, error) {
 				}
 			}
 		}
+		// Lifetime: the update above was the weight gradients' last reader.
+		pool.PutAll(grads.DW1...)
+		pool.PutAll(grads.DW2...)
 		invW := float32(1 / float64(cfg.World))
 		var bvel []float32
 		if t.biasVel != nil {

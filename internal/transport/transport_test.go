@@ -260,6 +260,37 @@ func sameBits(a, b []float32) bool {
 	return true
 }
 
+// poisonArenas fills every rank arena of c with NaN: on each rank it takes
+// depth buffers of every bucket up to 1<<maxBucket elements (recycled ones
+// first, then fresh), fills them with NaN and puts them all back, so the
+// next run reads NaN from any pooled buffer it reads before writing.
+func poisonArenas(t *testing.T, c *simrt.Cluster, maxBucket, depth int) {
+	t.Helper()
+	nan := float32(math.NaN())
+	err := c.Run(func(r *simrt.Rank) error {
+		pool := r.Pool()
+		held := make([]*tensor.Tensor, 0, depth)
+		for b := 0; b <= maxBucket; b++ {
+			for range depth {
+				buf := pool.Get(1 << b)
+				buf.Fill(nan)
+				held = append(held, buf)
+			}
+			pool.PutAll(held...)
+			held = held[:0]
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rigMaxBucket and rigDepth cover every buffer a rig run takes from an
+// arena: none has 1<<12 elements or more, and a run takes at most 16 of
+// one bucket (a world-4 rank's weight gradients, which the rig keeps).
+const rigMaxBucket, rigDepth = 12, 16
+
 // TestLayerMatrix is the layer's determinism matrix: chunking re-times the
 // exchanges and the arenas recycle buffers, but neither may move a bit.
 // Every transport, at one node (world 4) and two (world 16), runs each
@@ -269,9 +300,11 @@ func sameBits(a, b []float32) bool {
 // state, which free their buffers at the forward's end; each on
 // allocate-fresh buffers and at the arenas' steady state (one pooled
 // cluster warmed by two runs, so every arena cell reads the third run or a
-// later one). Every cell must match its kind and world's first blocking
-// fresh run in every checked value. A failing subtest is named by its
-// cell, e.g. TestLayerMatrix/rbd/w16/fwd4-bwd1/arena.
+// later one), whose arenas are poisoned with NaN before each arena cell,
+// so a pooled buffer read before it is written shows as a difference.
+// Every cell must match its kind and world's first blocking fresh run in
+// every checked value. A failing subtest is named by its cell, e.g.
+// TestLayerMatrix/rbd/w16/fwd4-bwd1/arena.
 func TestLayerMatrix(t *testing.T) {
 	pairs := [][2]int{{1, 1}, {2, 2}, {3, 3}, {4, 4}, {8, 8}, {4, 1}, {1, 4}, {2, 8}, {1, 0}, {4, 0}}
 	for _, kind := range Kinds() {
@@ -290,6 +323,9 @@ func TestLayerMatrix(t *testing.T) {
 				}
 				for _, pools := range []string{"fresh", "arena"} {
 					t.Run(fmt.Sprintf("%v/w%d/%s/%s", kind, world, pass, pools), func(t *testing.T) {
+						if pools == "arena" {
+							poisonArenas(t, rigs[pools].c, rigMaxBucket, rigDepth)
+						}
 						if d := ref.diff(rigs[pools].run(t, p[0], p[1])); d != "" {
 							t.Error(d)
 						}
