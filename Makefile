@@ -54,8 +54,10 @@ one-body:
 # Fails on a fused multiply-add or multiply-subtract (VFMADD*, VFMSUB*,
 # VFNMADD*, VFNMSUB*) in any tracked assembly file: each GEMM body must
 # round a product to float32 before its add, as the Go loop and the bit
-# reference do, and the polar kernel (polar_amd64.s) must round every step
-# of math.Log's amd64 body as it does. The GEMM and polar tests catch a
+# reference do, the polar kernel (polar_amd64.s) must round every step
+# of math.Log's amd64 body as it does, and the GeLU kernel (gelu_amd64.s)
+# every step of math.tanh's polynomial and of the GeLU and GeLU′
+# expressions as the Go loop does. The GEMM, polar and GeLU tests catch a
 # fused body only on a CPU that runs it; this catches it on any host.
 # Fails when git names no .s file, so a move cannot pass vacuously.
 no-asm-fma:
@@ -66,10 +68,11 @@ no-asm-fma:
 
 # The assembly kernels' other builds: all three GEMM bodies (the Go row
 # loop that is the whole body off amd64, SSE, and AVX2 where the CPU has
-# it) and both polar bodies (the Go loop and AVX2) tested with GOAMD64=v3
-# against their bit references (Go must still not contract x*y+z into an
-# FMA in the Go loops or the references there), and the non-amd64 build
-# (axpy_other.go, polar_other.go) compiled for arm64. The tests run the Go
+# it), both polar bodies and both GeLU bodies (the Go loop and AVX2) tested
+# with GOAMD64=v3 against their bit references (Go must still not contract
+# x*y+z into an FMA in the Go loops or the references there), and the
+# non-amd64 build (axpy_other.go, polar_other.go, gelu_other.go) compiled
+# for arm64. The tests run the Go
 # bodies on amd64 in every `go test`; the arm64 vet only compiles them, and
 # nothing here runs arm64 code, whose backend may fuse x*y+z.
 portability:
@@ -149,13 +152,13 @@ bench-save:
 # all-to-all-v that misses the memo (the water-filling engine), the
 # three GEMMs at the numeric trainer's shapes, their shared body alone on
 # one goroutine at n = 64, 128 and 1024, the fused GeLU forward and
-# backward, one rank's RBD pilot selection at the Large layer's shape, Randn at
+# backward and the GeLU forward alone, one rank's RBD pilot selection at the Large layer's shape, Randn at
 # the trainer's shape and SyntheticRouting at the layer's and the step's
 # shapes (the block normal sampler under both), and one steady-state
 # DistTrainer.Step of each of train_numeric's trainers. A -bench
 # pattern that matches nothing passes silently, so the smoke first
 # requires `go test -list` to name every benchmark the pattern lists.
-SMOKE_BENCH = BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward|BenchmarkA2AVMiss|BenchmarkMatMulInto|BenchmarkMatMulTInto|BenchmarkTMatMulInto|BenchmarkAxpyGEMM|BenchmarkGeLUWithGrad|BenchmarkSelectPilots|BenchmarkRandn|BenchmarkSyntheticRouting|BenchmarkDistTrainerStep
+SMOKE_BENCH = BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward|BenchmarkA2AVMiss|BenchmarkMatMulInto|BenchmarkMatMulTInto|BenchmarkTMatMulInto|BenchmarkAxpyGEMM|BenchmarkGeLUWithGrad|BenchmarkGeLU|BenchmarkSelectPilots|BenchmarkRandn|BenchmarkSyntheticRouting|BenchmarkDistTrainerStep
 SMOKE_PKGS = ./internal/moe ./internal/train ./internal/devent ./internal/tensor ./internal/rbd
 
 # Quick CI, and the only definition of it (.github/workflows/ci.yml runs

@@ -269,17 +269,11 @@ func (x *flat) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOp
 	// order); the scatter's backward yields the per-row gradients and the
 	// combine-weight gradients in one pass, a hole's both zero.
 	// Forward combine moved rows experts→source; its gradient moves
-	// source→experts with the dispatch segmentation. A single chunk
-	// crosses the exchange as views of dCombineIn, which must then be
-	// allocate-fresh: a nil arena is.
-	sendPool := pool
-	if chunks == 1 {
-		sendPool = nil
-	}
+	// source→experts with the dispatch segmentation.
 	var dCombineIn *tensor.Tensor
 	var dWeights []float32
 	if opts.Numeric {
-		dCombineIn = sendPool.Get(b, h)
+		dCombineIn = pool.Get(b, h)
 		dWeights = make([]float32, b)
 		for i, tok := range pft.TokenIDs {
 			if tok < 0 {
@@ -308,7 +302,9 @@ func (x *flat) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOp
 		}
 		out[c] = r.AlltoAllVChunk(x.g, StageBwdCombineA2A, send, chunks)
 	}
-	sendPool.Put(dCombineIn) // packed chunks are fully staged
+	if chunks > 1 {
+		pool.Put(dCombineIn) // packed chunks are fully staged
+	}
 
 	// --- Per-chunk gradient batch, reverse dispatch issued per chunk -----
 	// Gradients land directly in the full layout, block (src, le) of a
@@ -352,6 +348,11 @@ func (x *flat) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOp
 		dDispIn = pool.Get(b, h)
 	}
 	x.drain(back, dDispIn)
+	if chunks == 1 {
+		// One chunk crossed as views of dCombineIn; every peer landed them
+		// before posting the reverse dispatch the drain has waited for.
+		pool.Put(dCombineIn)
+	}
 	r.Compute(StageBwdDispatch, kp.bufferPass(r.C.Comp, x.cfg, x.s, b, elem))
 	if !opts.Numeric {
 		return nil, nil
