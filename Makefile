@@ -46,10 +46,16 @@ no-transport-strings:
 # layer body's own stages (the gate, the buffer dispatch, the expert FFN
 # forward or backward): every transport plugs into that one body as a
 # moe.Exchange, so a forked copy of the expert stage cannot come back
-# silently.
+# silently. Also fails when a non-test file outside internal/transport,
+# internal/rbd and benchmark/ (whose API pins it) builds an
+# rbd.NewDispatcher: RBD's stages then run only inside a transport.Layer,
+# so a dispatch-only harness that skips the body's gather cannot come back
+# silently either.
 one-body:
 	@out=$$(grep -rnE 'Compute\(moe\.Stage(Gate|Dispatch|Experts|BwdExperts)\b' --include='*.go' . | grep -v _test.go | grep -v '^\./internal/moe/'); \
 	if [ -n "$$out" ]; then echo "MoE layer body stages charged outside internal/moe:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn 'rbd\.NewDispatcher(' --include='*.go' . | grep -v _test.go | grep -vE '^\./(internal/transport|internal/rbd|benchmark)/'); \
+	if [ -n "$$out" ]; then echo "RBD dispatcher built outside transport.Layer:"; echo "$$out"; exit 1; fi
 
 # Fails on a fused multiply-add or multiply-subtract (VFMADD*, VFMSUB*,
 # VFNMADD*, VFNMSUB*) in any tracked assembly file: each GEMM body must

@@ -13,6 +13,7 @@ import (
 	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
 	"xmoe/internal/topology"
+	"xmoe/internal/transport"
 )
 
 func main() {
@@ -37,6 +38,7 @@ func main() {
 	cluster.Net.DisableCongestion = true
 	ep := cluster.WorldGroup()
 	eprPerRank := nExp / world
+	layer := transport.New(transport.PFT, cluster, ep, cfg)
 
 	err := cluster.Run(func(r *simrt.Rank) error {
 		rng := tensor.NewRNG(100 + uint64(r.ID))
@@ -58,7 +60,7 @@ func main() {
 			params.W2[le] = tensor.Randn(erng, 0.05, hFFN, hModel)
 		}
 
-		res := moe.PFTForward(r, ep, cfg, sTok, x, routing, params, moe.PipelineOpts{
+		res := layer.Forward(r, sTok, x, routing, params, nil, moe.PipelineOpts{
 			Numeric:    true,
 			DropPolicy: moe.DropByCapacityWeight,
 		})

@@ -14,6 +14,7 @@ import (
 	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
 	"xmoe/internal/topology"
+	"xmoe/internal/transport"
 )
 
 func main() {
@@ -30,8 +31,8 @@ func main() {
 		fmt.Printf("%8d %9.1f%% %9.1f%%\n", ep, analytic*100, measured.Rate()*100)
 	}
 
-	// Part 2: dispatch through RBD on 32 simulated GCDs (4 nodes),
-	// the paper's Fig. 12 configuration.
+	// Part 2: one forward pass of an RBD MoE layer on 32 simulated GCDs
+	// (4 nodes), the paper's Fig. 12 configuration.
 	cfg := moe.Config{
 		NumExperts:     256,
 		TopK:           8,
@@ -43,15 +44,11 @@ func main() {
 	const sTok = 1024
 	cluster := simrt.NewCluster(m, 32, 11)
 	cluster.Net.DisableCongestion = true
-	g := cluster.WorldGroup()
-	d := rbd.NewDispatcher(cluster, g, cfg)
+	layer := transport.New(transport.RBD, cluster, cluster.WorldGroup(), cfg)
 
 	ranks, err := cluster.RunCollect(func(r *simrt.Rank) error {
-		rng := tensor.NewRNG(uint64(r.ID))
-		rt := moe.SyntheticRouting(rng, sTok, cfg.NumExperts, cfg.TopK, 0)
-		pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(sTok), moe.DropByCapacityWeight)
-		st, _ := d.Dispatch(r, pft, nil, tensor.NewRNG(99+uint64(r.ID)), moe.PipelineOpts{})
-		d.Combine(r, st, nil, sTok, moe.PipelineOpts{})
+		rt := moe.SyntheticRouting(tensor.NewRNG(uint64(r.ID)), sTok, cfg.NumExperts, cfg.TopK, 0)
+		layer.Forward(r, sTok, nil, rt, nil, tensor.NewRNG(99+uint64(r.ID)), moe.PipelineOpts{})
 		return nil
 	})
 	if err != nil {
@@ -63,12 +60,12 @@ func main() {
 	for _, rk := range ranks {
 		s1 += rk.Trace.Total(rbd.StageS1A2A)
 		s2 += rk.Trace.Total(rbd.StageS2A2A)
-		inst += rk.Trace.Total(rbd.StageS1Inst) + rk.Trace.Total(rbd.StageS2Inst) +
-			rk.Trace.Total(rbd.StageReconstruct)
+		inst += rk.Trace.Total(moe.StageDispatch) + rk.Trace.Total(rbd.StageS1Inst) +
+			rk.Trace.Total(rbd.StageS2Inst) + rk.Trace.Total(rbd.StageReconstruct)
 	}
 	n := float64(len(ranks))
 	fmt.Printf("  S1 inter-node a2a (pilots only): %6.2f ms\n", s1/n*1e3)
 	fmt.Printf("  S2 intra-node a2a (replicas):    %6.2f ms\n", s2/n*1e3)
-	fmt.Printf("  instantiation + reconstruction:  %6.2f ms\n", inst/n*1e3)
+	fmt.Printf("  gather + inst. + reconstruction: %6.2f ms\n", inst/n*1e3)
 	fmt.Println("\npaper: RBD cuts inter-node dispatch time 52.5%, overall dispatch speedup 1.55x")
 }

@@ -31,13 +31,13 @@ func AblationPilotSelection(w io.Writer, opts Options) []Row {
 		sTokens = 384
 	}
 
-	run := func(policy rbd.PilotPolicy) float64 {
-		return meanStageTime(runDispatch(dispatchSpec{machine: m, cfg: cfg, world: 32, s: sTokens,
-			pilots: policy, seed: opts.Seed}), rbd.StageS1A2A) * 1e3
+	run := func(policy moe.PilotPolicy) float64 {
+		return meanStageTime(runLayer(layerSpec{machine: m, cfg: cfg, world: 32, s: sTokens,
+			kind: transport.RBD, fwdChunks: 1, pilots: policy, seed: opts.Seed}), rbd.StageS1A2A) * 1e3
 	}
 	return render(w, "Ablation: RBD pilot selection strategy, S1 inter-node a2a (Large layer, 32 GPUs)", []Row{
-		{"random (paper)", "ms", run(rbd.PilotRandom), 0},
-		{"smallest expert ID", "ms", run(rbd.PilotFirstExpert), 0},
+		{"random (paper)", "ms", run(moe.PilotRandom), 0},
+		{"smallest expert ID", "ms", run(moe.PilotFirstExpert), 0},
 	}, "paper (§4.2): biased pilot choice 'will significantly increase the alltoall latency'")
 }
 
@@ -198,12 +198,13 @@ func StepClock(m *topology.Machine, cfg moe.Config, world, s int, kind transport
 }
 
 // rbdDispatchTime measures mean dispatch-side communication time per rank
-// for one EP group, with or without RBD.
+// of one forward-only, blocking layer over an EP group, with or without
+// RBD.
 func rbdDispatchTime(m *topology.Machine, cfg moe.Config, ep, sTokens int, seed uint64, useRBD bool) float64 {
+	sp := layerSpec{machine: m, cfg: cfg, world: ep, s: sTokens, kind: transport.PFT, fwdChunks: 1, seed: seed}
 	if useRBD {
-		return meanStageTime(runDispatch(dispatchSpec{machine: m, cfg: cfg, world: ep, s: sTokens, seed: seed}),
-			rbd.StageS1A2A, rbd.StageS2A2A)
+		sp.kind = transport.RBD
+		return meanStageTime(runLayer(sp), rbd.StageS1A2A, rbd.StageS2A2A)
 	}
-	return meanStageTime(runLayer(layerSpec{machine: m, cfg: cfg, world: ep, s: sTokens,
-		kind: transport.PFT, fwdChunks: 1, seed: seed}), moe.StageDispatchA2A)
+	return meanStageTime(runLayer(sp), moe.StageDispatchA2A)
 }

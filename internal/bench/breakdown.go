@@ -99,10 +99,13 @@ func Figure12RBDBreakdown(w io.Writer, opts Options) []Row {
 		return m.NodeOf(e / (cfg.NumExperts / world))
 	}, m.NodeOf(0)).Rate()
 
-	with := meanBreakdown(runDispatch(dispatchSpec{machine: m, cfg: cfg, world: world, s: sTokens,
-		capTokens: cfg.Capacity(sTokens), seed: opts.Seed}))
-	without := meanBreakdown(runLayer(layerSpec{machine: m, cfg: cfg, world: world, s: sTokens,
-		kind: transport.PFT, fwdChunks: 1, seed: opts.Seed}))
+	// Both columns come from the same forward-only, blocking layer, so
+	// each transport's buffer instantiation includes the body's gather.
+	layer := func(kind transport.Kind) map[string]float64 {
+		return meanBreakdown(runLayer(layerSpec{machine: m, cfg: cfg, world: world, s: sTokens,
+			kind: kind, fwdChunks: 1, seed: opts.Seed}))
+	}
+	with, without := layer(transport.RBD), layer(transport.PFT)
 	// Dispatch-side total: instantiation + transport (exclude gate,
 	// experts, combine-side stages).
 	withoutDispatch := without[moe.StageDispatch] + without[moe.StageDispatchA2A]

@@ -1,17 +1,16 @@
 package bench
 
-// The two single-layer harnesses behind every layer-level experiment:
+// The one single-layer harness behind every layer-level experiment:
 // runLayer drives a whole MoE layer (forward, optionally backward) of any
-// transport through transport.Layer; runDispatch drives RBD's dispatch and
-// combine stages alone, with no gate, experts or drop policy around them.
-// Both draw rank r's routing from seed + r and its pilots from seed ^ r on
-// a congestion-free cluster, so experiments that share a point share its
+// transport through transport.Layer, so a stage is priced the same way in
+// every figure that reports it (fig12's RBD dispatch stages included). It
+// draws rank r's routing from seed + r and its pilots from seed ^ r on a
+// congestion-free cluster, so experiments that share a point share its
 // bits (TestLayerHarnessGoldenBits pins them).
 
 import (
 	"xmoe/internal/fault"
 	"xmoe/internal/moe"
-	"xmoe/internal/rbd"
 	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
 	"xmoe/internal/topology"
@@ -37,7 +36,9 @@ type layerSpec struct {
 	// caps, when non-nil, routes with per-expert capacities (the straggler
 	// rebalance's vector).
 	caps []int
-	seed uint64
+	// pilots is RBD's pilot-selection policy; the flat transports ignore it.
+	pilots moe.PilotPolicy
+	seed   uint64
 }
 
 // runLayer runs the point on a fresh cluster and returns its ranks, from
@@ -56,7 +57,7 @@ func runLayer(sp layerSpec) []*simrt.Rank {
 	// (baselines.For); a symbolic padded layer's clock does not depend on
 	// the policy, its buffers being capacity-sized either way.
 	fwd := moe.PipelineOpts{DropPolicy: moe.DropByCapacityWeight, SaveForBackward: sp.bwdChunks > 0,
-		OverlapChunks: sp.fwdChunks, CapacityByExpert: sp.caps}
+		OverlapChunks: sp.fwdChunks, CapacityByExpert: sp.caps, PilotPolicy: sp.pilots}
 	if sp.kind == transport.Padded {
 		fwd.DropPolicy = moe.DropNegativeThenPosition
 	}
@@ -69,39 +70,6 @@ func runLayer(sp layerSpec) []*simrt.Rank {
 		if fwd.SaveForBackward {
 			res.State.Backward(r, nil, nil, moe.PipelineOpts{OverlapChunks: sp.bwdChunks})
 		}
-		return nil
-	})
-	if err != nil {
-		panic(err)
-	}
-	return ranks
-}
-
-// dispatchSpec is one RBD dispatch+combine measurement point.
-type dispatchSpec struct {
-	machine *topology.Machine
-	cfg     moe.Config
-	world   int
-	s       int
-	// capTokens is the per-expert capacity of the dispatched PFT; 0 keeps
-	// every assignment.
-	capTokens int
-	pilots    rbd.PilotPolicy
-	seed      uint64
-}
-
-// runDispatch runs RBD stages 0-2 and the combine on every rank of a fresh
-// cluster and returns the ranks; callers read the stage totals they report.
-func runDispatch(sp dispatchSpec) []*simrt.Rank {
-	c := simrt.NewCluster(sp.machine, sp.world, sp.seed)
-	c.Net.DisableCongestion = true
-	d := rbd.NewDispatcher(c, c.WorldGroup(), sp.cfg)
-	d.PilotPolicy = sp.pilots
-	ranks, err := c.RunCollect(func(r *simrt.Rank) error {
-		rt := moe.SyntheticRouting(tensor.NewRNG(sp.seed+uint64(r.ID)), sp.s, sp.cfg.NumExperts, sp.cfg.TopK, 0)
-		pft := moe.BuildPFT(rt, sp.cfg.NumExperts, sp.capTokens, moe.DropByCapacityWeight)
-		st, _ := d.Dispatch(r, pft, nil, tensor.NewRNG(sp.seed^uint64(r.ID)), moe.PipelineOpts{})
-		d.Combine(r, st, nil, sp.s, moe.PipelineOpts{})
 		return nil
 	})
 	if err != nil {

@@ -36,6 +36,20 @@ const (
 	KernelsVendor
 )
 
+// PilotPolicy selects which member of a (token, destination-node) group
+// becomes the pilot of the RBD transport (paper §4.2).
+type PilotPolicy int
+
+const (
+	// PilotRandom picks uniformly at random — the paper's choice, which
+	// "helps avoid a biased distribution and creates a balanced workload
+	// for alltoall communication" (§4.2).
+	PilotRandom PilotPolicy = iota
+	// PilotFirstExpert always picks the lowest expert ID, the biased
+	// strategy the paper warns against; kept for the ablation benchmark.
+	PilotFirstExpert
+)
+
 // PipelineOpts configures one MoE layer execution.
 type PipelineOpts struct {
 	// Numeric executes real float math; otherwise the pipeline is
@@ -48,6 +62,10 @@ type PipelineOpts struct {
 	// other value the fallback frameworks' dense mask pipeline); the PFT
 	// and RBD pipelines always run X-MoE's Triton suite.
 	Kernels KernelProfile
+	// PilotPolicy selects the RBD transport's pilot-selection strategy
+	// (default PilotRandom); the flat transports have no pilots and
+	// ignore it.
+	PilotPolicy PilotPolicy
 	// CombineBytes overrides the element size of the combine-side
 	// buffers (Tutel forces float32 A_combine on AMD GPUs, Table 4);
 	// zero means Config.BytesPerElem.
@@ -130,6 +148,9 @@ func (o PipelineOpts) Check() error {
 	}
 	if o.DropPolicy < DropByCapacityWeight || o.DropPolicy > DropNegativeThenPosition {
 		return &OptionError{Opt: "DropPolicy", Detail: fmt.Sprintf("moe: unknown drop policy %d", o.DropPolicy)}
+	}
+	if o.PilotPolicy < PilotRandom || o.PilotPolicy > PilotFirstExpert {
+		return &OptionError{Opt: "PilotPolicy", Detail: fmt.Sprintf("moe: unknown pilot policy %d", o.PilotPolicy)}
 	}
 	for e, c := range o.CapacityByExpert {
 		if c < 1 {

@@ -25,7 +25,7 @@ type geomCase struct {
 	skew10, cf10 int
 	// shape reworks the synthetic routing into a degenerate one.
 	shape       int
-	firstExpert bool // PilotFirstExpert instead of PilotRandom
+	firstExpert bool // moe.PilotFirstExpert instead of moe.PilotRandom
 }
 
 const (
@@ -96,15 +96,15 @@ func checkGeometry(t *testing.T, gc geomCase) {
 		return tensor.Randn(rng, 1, gc.s, cfg.HModel), rt, params
 	}
 	opts := moe.PipelineOpts{Numeric: true, DropPolicy: moe.DropByCapacityWeight, SaveForBackward: true}
+	if gc.firstExpert {
+		opts.PilotPolicy = moe.PilotFirstExpert
+	}
 
 	run := func(chunks int) []*tensor.Tensor {
 		c := newCluster(world)
 		counter := &interNodeCounter{CostEngine: c.CostEngine()}
 		c.Engine = counter
 		d := NewDispatcher(c, c.WorldGroup(), cfg)
-		if gc.firstExpert {
-			d.PilotPolicy = PilotFirstExpert
-		}
 		outs := make([]*tensor.Tensor, world)
 		states := make([]*State, world)
 		o := opts
@@ -148,7 +148,7 @@ func checkGeometry(t *testing.T, gc geomCase) {
 			for dst := range sel.metas {
 				sel.metas[dst] = states[dst].recvMetas[rank]
 			}
-			if err := sel.equal(selectPilotsRef(d, st.pft, tensor.NewRNG(gc.seed^uint64(rank)))); err != nil {
+			if err := sel.equal(selectPilotsRef(d, st.pft, o.PilotPolicy, tensor.NewRNG(gc.seed^uint64(rank)))); err != nil {
 				t.Fatalf("%+v C=%d rank %d: %v", gc, chunks, rank, err)
 			}
 			for dst, m := range sel.metas {

@@ -27,7 +27,7 @@ type pilotSel struct {
 // bucketed by token, each token's distinct destination nodes collected in
 // first-seen (PFT) order, and one pilot drawn per (token, node) group in
 // that order.
-func selectPilotsRef(d *Dispatcher, pft *moe.PFT, rng *tensor.RNG) pilotSel {
+func selectPilotsRef(d *Dispatcher, pft *moe.PFT, policy moe.PilotPolicy, rng *tensor.RNG) pilotSel {
 	p, b := d.EP.Size(), pft.B()
 	numTokens := 0
 	for _, t := range pft.TokenIDs {
@@ -54,7 +54,7 @@ func selectPilotsRef(d *Dispatcher, pft *moe.PFT, rng *tensor.RNG) pilotSel {
 				}
 			}
 			chosen := grp[0]
-			if d.PilotPolicy == PilotRandom && len(grp) > 1 {
+			if policy == moe.PilotRandom && len(grp) > 1 {
 				chosen = grp[rng.Intn(len(grp))]
 			}
 			for _, i := range grp {
@@ -136,15 +136,15 @@ func (got pilotSel) equal(want pilotSel) error {
 // equal generators and compares them field for field, and the generators
 // after: the same draws, in the same order. A symbolic selection from a
 // third equal generator must make the numeric one's parts and counts.
-func checkPilotsMatchRef(d *Dispatcher, pft *moe.PFT, seed uint64) error {
+func checkPilotsMatchRef(d *Dispatcher, pft *moe.PFT, policy moe.PilotPolicy, seed uint64) error {
 	st, sym := &State{pft: pft}, &State{pft: pft}
 	rng, refRNG, symRNG := tensor.NewRNG(seed), tensor.NewRNG(seed), tensor.NewRNG(seed)
-	opts := moe.PipelineOpts{Numeric: true, SaveForBackward: true}
+	opts := moe.PipelineOpts{Numeric: true, SaveForBackward: true, PilotPolicy: policy}
 	got := pilotSel{metas: d.selectPilots(st, rng, opts), pilotEntry: st.pilotEntry, replicaEntry: st.replicaEntry}
-	if err := got.equal(selectPilotsRef(d, pft, refRNG)); err != nil {
+	if err := got.equal(selectPilotsRef(d, pft, policy, refRNG)); err != nil {
 		return err
 	}
-	symMetas := d.selectPilots(sym, symRNG, moe.PipelineOpts{})
+	symMetas := d.selectPilots(sym, symRNG, moe.PipelineOpts{PilotPolicy: policy})
 	if !slices.Equal(sym.partStart, st.partStart) || !slices.Equal(sym.pilotEntry, st.pilotEntry) {
 		return fmt.Errorf("symbolic parts %v, numeric %v", sym.partStart, st.partStart)
 	}
@@ -217,8 +217,7 @@ func TestPilotSelectionMatchesReference(t *testing.T) {
 		}
 		cfg := moe.Config{NumExperts: gr.size * epr, TopK: k, HModel: 4, HFFN: 4, CapacityFactor: 1.25, BytesPerElem: 2}
 		d := NewDispatcher(c, c.NewGroup(ranks), cfg)
-		for _, policy := range []PilotPolicy{PilotRandom, PilotFirstExpert} {
-			d.PilotPolicy = policy
+		for _, policy := range []moe.PilotPolicy{moe.PilotRandom, moe.PilotFirstExpert} {
 			for _, shape := range []int{geomSynthetic, geomOneExpert, geomHalfEmpty} {
 				for _, skew := range []float64{0, 0.6, 3} {
 					kk, drawn := k, cfg.NumExperts
@@ -231,7 +230,7 @@ func TestPilotSelectionMatchesReference(t *testing.T) {
 					for seed := uint64(1); seed <= 2; seed++ {
 						rt := moe.SyntheticRouting(tensor.NewRNG(seed*977+uint64(gr.size)), s, drawn, kk, skew)
 						pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(s), moe.DropByCapacityWeight)
-						if err := checkPilotsMatchRef(d, pft, seed); err != nil {
+						if err := checkPilotsMatchRef(d, pft, policy, seed); err != nil {
 							t.Fatalf("%s, policy %d, shape %d, skew %.1f, seed %d: %v", gr.name, policy, shape, skew, seed, err)
 						}
 					}
@@ -246,12 +245,11 @@ func TestPilotSelectionMatchesReference(t *testing.T) {
 	cfg := moe.Config{NumExperts: sh.NumExperts, TopK: sh.TopK, HModel: 4, HFFN: 4, CapacityFactor: 1.25, BytesPerElem: 2}
 	c := newCluster(64)
 	d := NewDispatcher(c, c.WorldGroup(), cfg)
-	for _, policy := range []PilotPolicy{PilotRandom, PilotFirstExpert} {
-		d.PilotPolicy = policy
+	for _, policy := range []moe.PilotPolicy{moe.PilotRandom, moe.PilotFirstExpert} {
 		for _, skew := range []float64{0, 0.6} {
 			rt := moe.SyntheticRouting(tensor.NewRNG(42), sh.SeqLen, cfg.NumExperts, cfg.TopK, skew)
 			pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(sh.SeqLen), moe.DropByCapacityWeight)
-			if err := checkPilotsMatchRef(d, pft, 3); err != nil {
+			if err := checkPilotsMatchRef(d, pft, policy, 3); err != nil {
 				t.Fatalf("Large EP 64, policy %d, skew %.1f: %v", policy, skew, err)
 			}
 		}

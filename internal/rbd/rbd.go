@@ -33,29 +33,12 @@ const (
 	StageCScatter    = "rbd_comb_scatter" // combine: final output reconstruction
 )
 
-// PilotPolicy selects which member of a (token, destination-node) group
-// becomes the pilot.
-type PilotPolicy int
-
-const (
-	// PilotRandom picks uniformly at random — the paper's choice, which
-	// "helps avoid a biased distribution and creates a balanced workload
-	// for alltoall communication" (§4.2).
-	PilotRandom PilotPolicy = iota
-	// PilotFirstExpert always picks the lowest expert ID, the biased
-	// strategy the paper warns against; kept for the ablation benchmark.
-	PilotFirstExpert
-)
-
 // Dispatcher holds the topology-derived state shared by all ranks of an
 // expert-parallel group: the per-node subgroups used for the intra-node
 // stage. Construct once (outside Cluster.Run) and share.
 type Dispatcher struct {
 	Cfg moe.Config
 	EP  *simrt.Group
-	// PilotPolicy selects the pilot-selection strategy (default
-	// PilotRandom); the pilot ablation sets it before the run.
-	PilotPolicy PilotPolicy
 	// EPR is experts per rank.
 	EPR int
 	// nodeOfMember[m] is the machine node of EP member m.
@@ -273,19 +256,6 @@ func (d *Dispatcher) newState(rng *tensor.RNG, opts moe.PipelineOpts) *State {
 	return &State{d: d, rng: rng, opts: opts}
 }
 
-// Dispatch runs RBD stages 0-2 for rank r on their own, outside the layer
-// body: pilot selection, inter-node pilot exchange with replica metadata,
-// replica reconstruction, intra-node replica exchange, and expert input
-// reconstruction. dispIn is the [B, H] PFT-ordered token buffer (nil in
-// symbolic mode); rng drives the randomized pilot selection (paper: random
-// choice balances the all-to-all). It returns the combine state, with the
-// three per-expert segmentations filled, and the expert input in the State
-// layout (numeric mode).
-func (d *Dispatcher) Dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, rng *tensor.RNG, opts moe.PipelineOpts) (*State, *tensor.Tensor) {
-	st := d.newState(rng, opts)
-	return st, st.dispatch(r, pft, dispIn, nil)
-}
-
 // dispatchPilots runs RBD stages 0-1 for rank r: pilot selection, pilot
 // buffer instantiation, and the inter-node pilot exchange in
 // opts.Chunks() chunks. It leaves the received pilot payload (numeric) and
@@ -371,13 +341,13 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 
 // selectPilots is Stage 0 on the source rank: it groups st.pft's entries
 // by (token, destination node), makes one entry of each group its pilot
-// (the first under PilotFirstExpert, a uniform draw from rng under
-// PilotRandom) and the others replicas of it. It fills st.pilotEntry (the
-// pilots in PFT order, which is the send order: expert-major, so each
-// member's part is contiguous and expert-sorted), st.partStart and, numeric
-// with SaveForBackward, st.replicaEntry, and returns each member's Stage-1
-// metadata: its counts always, its pilot weights and replica records
-// numeric only.
+// (per opts.PilotPolicy: the first under moe.PilotFirstExpert, a uniform
+// draw from rng under moe.PilotRandom) and the others replicas of it. It
+// fills st.pilotEntry (the pilots in PFT order, which is the send order:
+// expert-major, so each member's part is contiguous and expert-sorted),
+// st.partStart and, numeric with SaveForBackward, st.replicaEntry, and
+// returns each member's Stage-1 metadata: its counts always, its pilot
+// weights and replica records numeric only.
 //
 // Four streaming passes over the PFT's expert segments and one table of
 // numTokens × nodes cells do the grouping; no per-token list is built.
@@ -418,7 +388,7 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineO
 	// Pass 2: every group's pick is its first entry (lane 1 = 1), and the
 	// groups a draw can move — two or more entries — are listed in (token,
 	// slot) order; the list's cursor advances past a cell only when it is
-	// one. PilotRandom then draws the listed picks in list order, the
+	// one. moe.PilotRandom then draws the listed picks in list order, the
 	// (token, slot) order of the groups that draw. The list borrows
 	// pilotEntry, which pass 3 fills: it has a slot per group and a spare
 	// one for the write a full list still makes.
@@ -431,7 +401,7 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineO
 			nMulti += b2i(tab[c] > 1)
 		}
 	}
-	if d.PilotPolicy == PilotRandom {
+	if opts.PilotPolicy == moe.PilotRandom {
 		for _, c := range multi[:nMulti] {
 			tab[c+1] = int32(rng.Intn(int(tab[c]))) + 1
 		}
@@ -659,14 +629,6 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State, opts moe.PipelineOp
 		lo = hi
 	}
 	return s2Send
-}
-
-// Combine reverses RBD for rank r on its own, outside the layer body (see
-// State.combine): expertOut must be row-aligned with the buffer returned by
-// Dispatch, and s is the layer's local token count.
-func (d *Dispatcher) Combine(r *simrt.Rank, st *State, expertOut *tensor.Tensor, s int, opts moe.PipelineOpts) *tensor.Tensor {
-	st.s, st.opts = s, opts
-	return st.combine(r, expertOut)
 }
 
 // chunkParts fills send[i] with chunk c of rows [off[i], off[i+1]) of buf

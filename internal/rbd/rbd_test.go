@@ -55,7 +55,7 @@ func runRBDLayer(t *testing.T, c *simrt.Cluster, cfg moe.Config, s int, seedBase
 		dispIn := kernels.Gather(x, pft.TokenIDs)
 
 		pilotRNG := tensor.NewRNG(7777 + uint64(r.ID))
-		st, expertIn := d.Dispatch(r, pft, dispIn, pilotRNG, moe.PipelineOpts{Numeric: true})
+		st, expertIn := dispatchOnly(d, r, s, pft, dispIn, pilotRNG, moe.PipelineOpts{Numeric: true})
 
 		me := g.IndexOf(r.ID)
 		w1 := make([]*tensor.Tensor, d.EPR)
@@ -67,7 +67,7 @@ func runRBDLayer(t *testing.T, c *simrt.Cluster, cfg moe.Config, s int, seedBase
 		tensor.GeLU(interm)
 		expertOut := kernels.SequentialGEMM(interm, st.RowsPerLE, w2)
 
-		out := d.Combine(r, st, expertOut, s, moe.PipelineOpts{Numeric: true})
+		out := st.combine(r, expertOut)
 		mu.Lock()
 		outs[r.ID] = out
 		mu.Unlock()
@@ -175,7 +175,7 @@ func TestRBDExpertInputsMatchPlainDispatch(t *testing.T) {
 		}
 		mu.Unlock()
 
-		st, expertIn := d.Dispatch(r, pft, dispIn, tensor.NewRNG(99+uint64(r.ID)), moe.PipelineOpts{Numeric: true})
+		st, expertIn := dispatchOnly(d, r, s, pft, dispIn, tensor.NewRNG(99+uint64(r.ID)), moe.PipelineOpts{Numeric: true})
 		me := g.IndexOf(r.ID)
 		mu.Lock()
 		row := 0
@@ -189,7 +189,7 @@ func TestRBDExpertInputsMatchPlainDispatch(t *testing.T) {
 		mu.Unlock()
 		// Drain the combine-side collectives so all ranks stay in step.
 		expertOut := expertIn.Clone()
-		d.Combine(r, st, expertOut, s, moe.PipelineOpts{Numeric: true})
+		st.combine(r, expertOut)
 		return nil
 	})
 	if err != nil {
@@ -230,8 +230,8 @@ func TestRBDReducesInterNodeDispatchTime(t *testing.T) {
 		rng := tensor.NewRNG(4242 + uint64(r.ID))
 		routing := moe.SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0)
 		pft := moe.BuildPFT(routing, cfg.NumExperts, 0, moe.DropByCapacityWeight)
-		st, _ := d.Dispatch(r, pft, nil, tensor.NewRNG(1+uint64(r.ID)), moe.PipelineOpts{})
-		d.Combine(r, st, nil, s, moe.PipelineOpts{})
+		st, _ := dispatchOnly(d, r, s, pft, nil, tensor.NewRNG(1+uint64(r.ID)), moe.PipelineOpts{})
+		st.combine(r, nil)
 		return nil
 	})
 	if err != nil {
@@ -518,6 +518,16 @@ func TestStageReplicasOrder(t *testing.T) {
 	if collisions.Load() < 1000 {
 		t.Fatalf("only %d same-expert neighbours: the routing does not exercise arrival order", collisions.Load())
 	}
+}
+
+// dispatchOnly starts rank r's exchange for its s tokens and runs RBD
+// stages 0-2 on their own, outside the layer body, returning the state the
+// combine continues from and (numeric) the expert input in the State
+// layout.
+func dispatchOnly(d *Dispatcher, r *simrt.Rank, s int, pft *moe.PFT, dispIn *tensor.Tensor, rng *tensor.RNG, opts moe.PipelineOpts) (*State, *tensor.Tensor) {
+	st := d.newState(rng, opts)
+	st.s = s
+	return st, st.dispatch(r, pft, dispIn, nil)
 }
 
 // pilotsOnly runs RBD stages 0-1 for rank r and returns the state Stage 2

@@ -122,7 +122,8 @@ func (l *Layer) Check(opts moe.PipelineOpts) error { return l.kind.Check(l.cfg, 
 
 // Forward runs the layer's forward pass on rank r for its s local tokens
 // (x and params nil in symbolic mode). pilots drives RBD's randomized
-// pilot selection and is ignored by the flat transports. With
+// pilot selection and opts.PilotPolicy picks its strategy; the flat
+// transports have no pilots and ignore both. With
 // opts.SaveForBackward the result's State reverses this pass through
 // State.Backward (dOut and params nil in symbolic mode); otherwise State
 // is nil, and its Backward panics with an *moe.OptionError.

@@ -71,6 +71,7 @@ func TestCheckRejections(t *testing.T) {
 		{"rbd rejects CombineBytes", RBD, moe.PipelineOpts{CombineBytes: 4}, "CombineBytes", "hierarchical combine has no element-size override"},
 		{"padded takes CombineBytes", Padded, moe.PipelineOpts{CombineBytes: 4}, "", ""},
 		{"generic check propagates", PFT, moe.PipelineOpts{OverlapChunks: -1}, "OverlapChunks", "must be >= 0"},
+		{"unknown pilot policy", RBD, moe.PipelineOpts{PilotPolicy: moe.PilotFirstExpert + 1}, "PilotPolicy", "unknown pilot policy 2"},
 		{"zero caps entry", RBD, moe.PipelineOpts{CapacityByExpert: make([]int, 8)}, "CapacityByExpert", "must be >= 1"},
 		{"unknown kind", Kind(7), moe.PipelineOpts{}, "Transport", "no such transport transport.Kind(7)"},
 		{"negative kind", Kind(-1), moe.PipelineOpts{}, "Transport", "no such transport transport.Kind(-1)"},
