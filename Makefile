@@ -6,12 +6,12 @@
 #   make race-fast - race pass over the concurrency-heavy packages and four named bench/baselines tests
 #   make fuzz-smoke - every Fuzz target in the tree for 10 s each
 #   make bench   - package microbenchmarks with allocation counts
-#   make bench-figs - paper-figure benchmarks (slow)
-#   make loc     - non-test Go lines per package and for the tree
+#   make bench-figs - paper-figure benchmarks: per-figure host ns/op and allocs (slow)
+#   make loc     - non-test Go lines per package and for the tree, then the tracked assembly lines
 
 GO ?= go
 
-.PHONY: all build loc fmt-check no-transport-strings one-body no-asm-fma vet portability test race race-fast fuzz-smoke bench bench-figs bench-json bench-save ci
+.PHONY: all build loc fmt-check no-transport-strings one-body no-asm-fma vet portability test race race-fast fuzz-smoke bench bench-figs ci
 
 all: build
 
@@ -23,6 +23,8 @@ vet:
 
 # Non-test Go lines of every package and of the tree, without blank lines
 # or `//` comment lines: the filter the line counts in CHANGES.md quote.
+# The tracked assembly (.s) lines, under the same filter, follow on a line
+# of their own, outside the Go total.
 loc:
 	@$(GO) list -f '{{.Dir}} {{range .GoFiles}}{{.}} {{end}}' ./... | \
 	while read dir files; do \
@@ -30,6 +32,8 @@ loc:
 		n=$$(cd $$dir && cat $$files | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l); \
 		printf '%7d %s\n' $$n $${dir#$(CURDIR)/}; \
 	done | awk '{ print; total += $$1 } END { printf "%7d total\n", total }'
+	@n=$$(cat $$(git ls-files '*.s') | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l); \
+	printf '%7d assembly (tracked .s files, not in the total)\n' $$n
 
 # Fails when any file is not gofmt-clean (gofmt -l prints its name).
 fmt-check:
@@ -58,8 +62,8 @@ one-body:
 	if [ -n "$$out" ]; then echo "RBD dispatcher built outside transport.Layer:"; echo "$$out"; exit 1; fi
 
 # Fails on a fused multiply-add or multiply-subtract (VFMADD*, VFMSUB*,
-# VFNMADD*, VFNMSUB*) in any tracked assembly file: each GEMM body must
-# round a product to float32 before its add, as the Go loop and the bit
+# VFNMADD*, VFNMSUB*) in any tracked assembly file: the GEMM's AVX2 body
+# must round a product to float32 before its add, as the Go loop and the bit
 # reference do, the polar kernel (polar_amd64.s) must round every step
 # of math.Log's amd64 body as it does, and the GeLU kernel (gelu_amd64.s)
 # every step of math.tanh's polynomial and of the GeLU and GeLU′
@@ -72,10 +76,9 @@ no-asm-fma:
 	out=$$(grep -nHE 'VFN?M(ADD|SUB)' $$files); \
 	if [ -n "$$out" ]; then echo "fused multiply-add in assembly:"; echo "$$out"; exit 1; fi
 
-# The assembly kernels' other builds: all three GEMM bodies (the Go row
-# loop that is the whole body off amd64, SSE, and AVX2 where the CPU has
-# it), both polar bodies and both GeLU bodies (the Go loop and AVX2) tested
-# with GOAMD64=v3 against their bit references (Go must still not contract
+# The assembly kernels' other builds: the GEMM's, the polar kernel's and
+# the GeLU kernel's two bodies each (the Go loop, and AVX2 where the CPU
+# has it) tested with GOAMD64=v3 against their bit references (Go must still not contract
 # x*y+z into an FMA in the Go loops or the references there), and the
 # non-amd64 build (axpy_other.go, polar_other.go, gelu_other.go) compiled
 # for arm64. The tests run the Go
@@ -140,18 +143,6 @@ bench:
 
 bench-figs:
 	$(GO) test -run=NONE -bench=. -benchmem -benchtime=1x .
-
-bench-json:
-	$(GO) run ./cmd/xmoe-bench -quick -json
-
-# Record the per-PR performance trajectory into BENCH_results.json (which
-# is committed): the scaling figures in quick mode for host-side ns/op and
-# allocs/op stability, plus the overlap ablations at full fidelity (EP=64,
-# the acceptance configuration) for the simulated speedups.
-bench-save:
-	$(GO) run ./cmd/xmoe-bench -quick -json -experiment fig10a,fig10b,fig11,fig12
-	$(GO) run ./cmd/xmoe-bench -json -experiment abl-overlap,abl-overlap-bwd,abl-faults,abl-engine-delta,abl-zero
-	@echo "BENCH_results.json updated; commit it with this PR"
 
 # The microbenchmarks the CI smoke runs: one numeric fwd+bwd of the PFT
 # layer and of the LM's MoE block built on it, one event-priced

@@ -4,28 +4,20 @@
 //
 // Usage:
 //
-//	xmoe-bench [-experiment all] [-quick] [-seed 42] [-json]
+//	xmoe-bench [-experiment all] [-quick] [-seed 42]
 //	           [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
-// With -json, each experiment is additionally run under the Go benchmark
-// harness and a machine-readable record (host ns/op, allocs/op, bytes/op,
-// plus the rows the experiment returned: key, unit, simulated and paper
-// value) is appended to BENCH_results.json, seeding the repository's
-// performance trajectory.
-//
 // -cpuprofile and -memprofile write pprof profiles of the selected
-// experiments (everything between flag validation and the JSON append):
-// a CPU profile, and the allocation profile since process start.
+// experiments (everything after flag validation): a CPU profile, and the
+// allocation profile since process start.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
-	"testing"
 	"time"
 
 	"xmoe/internal/bench"
@@ -34,14 +26,11 @@ import (
 	"xmoe/internal/topology"
 )
 
-const jsonPath = "BENCH_results.json"
-
 func main() {
 	exp := flag.String("experiment", "all", "experiment to run (or 'all'); see -list")
 	quick := flag.Bool("quick", false, "reduced iteration counts and sweep ranges")
 	seed := flag.Uint64("seed", 42, "seed for routing and congestion sampling")
 	list := flag.Bool("list", false, "list experiment names and exit")
-	jsonOut := flag.Bool("json", false, "benchmark each experiment and append machine-readable results to "+jsonPath)
 	chunksFlag := flag.String("chunks", "", "comma-separated chunk counts for the overlap ablations (default 1,2,4,8; the C=1 blocking baseline is always included)")
 	engine := flag.String("engine", "analytic", "cost engine for engine-aware experiments ("+bench.EngineSpecs+")")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
@@ -59,10 +48,6 @@ func main() {
 	if _, err := bench.NewEngine(topology.Frontier(), 8, *engine); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	engineName := *engine
-	if engineName == "" {
-		engineName = "analytic"
 	}
 
 	// Validate the flag-derived overlap options up front so the user sees
@@ -113,42 +98,14 @@ func main() {
 	}
 
 	opts := bench.Options{Seed: *seed, Quick: *quick, Chunks: chunks, Engine: *engine}
-	var records []bench.Record
 	for _, e := range selected {
 		start := time.Now()
 		e.Run(os.Stdout, opts)
 		fmt.Printf("  [%s completed in %.1fs]\n", e.Name, time.Since(start).Seconds())
-		if *jsonOut {
-			var rows []bench.Row
-			res := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					rows = e.Run(io.Discard, opts)
-				}
-			})
-			records = append(records, bench.Record{
-				Experiment:  e.Name,
-				NsPerOp:     res.NsPerOp(),
-				AllocsPerOp: res.AllocsPerOp(),
-				BytesPerOp:  res.AllocedBytesPerOp(),
-				Rows:        rows,
-				Engine:      engineName,
-				Quick:       *quick,
-				Seed:        *seed,
-				Timestamp:   start.UTC().Format(time.RFC3339),
-			})
-		}
 	}
 	if err := stopProfiles(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	if *jsonOut {
-		if err := bench.AppendResults(jsonPath, records); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("  [wrote %d records to %s]\n", len(records), jsonPath)
 	}
 }
 

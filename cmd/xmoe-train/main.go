@@ -15,7 +15,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 
 	"xmoe/internal/bench"
 	"xmoe/internal/fault"
@@ -203,6 +205,48 @@ func runDist(kind transport.Kind, world, tokens, overlap, iters int, seed uint64
 		symBlock*1e3, overlap, symChunk*1e3, symBlock/symChunk)
 }
 
+// runMode is what one invocation runs; each reads its own set of flags.
+type runMode int
+
+const (
+	lmMode   runMode = iota // the LM dropping-policy comparison
+	distMode                // -dist: blocking vs overlapped trainer
+	ftMode                  // -dist with -faults, -mtbf or -spares: the fault-tolerant run
+)
+
+func (m runMode) String() string {
+	return [...]string{"LM", "-dist", "fault-tolerant -dist"}[m]
+}
+
+// flagReaders names the modes that read each flag only some modes read;
+// every mode reads the others (-dist, -seed, -cpuprofile). -faults,
+// -mtbf and -spares choose between the two -dist modes, so both read them.
+var flagReaders = map[string][]runMode{
+	"iters": {lmMode}, "policy": {lmMode}, "capacity": {lmMode}, "smooth": {lmMode},
+	"transport": {distMode, ftMode}, "ep": {distMode, ftMode}, "tokens": {distMode, ftMode},
+	"overlap": {distMode, ftMode}, "dist-iters": {distMode, ftMode},
+	"zero": {distMode, ftMode}, "bucket-mb": {distMode, ftMode}, "momentum": {distMode, ftMode},
+	"faults": {distMode, ftMode}, "mtbf": {distMode, ftMode}, "spares": {distMode, ftMode},
+	"engine":     {distMode},
+	"ckpt-every": {ftMode}, "async-ckpt": {ftMode}, "mitigate": {ftMode},
+}
+
+// checkModeFlags returns an error naming the first of the explicitly set
+// flags that mode never reads: a flag a run ignores would otherwise look
+// as if it had taken effect.
+func checkModeFlags(mode runMode, set []string) error {
+	for _, name := range set {
+		if readers, ok := flagReaders[name]; ok && !slices.Contains(readers, mode) {
+			names := make([]string, len(readers))
+			for i, m := range readers {
+				names[i] = m.String()
+			}
+			return fmt.Errorf("-%s is read only in %s mode, not in %v mode", name, strings.Join(names, " and "), mode)
+		}
+	}
+	return nil
+}
+
 func main() {
 	iters := flag.Int("iters", 500, "training iterations")
 	policy := flag.String("policy", "both", "dropping policy: xmoe, dsmoe, or both")
@@ -231,6 +275,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xmoe-train: unexpected argument %q: every option is a flag\n", flag.Arg(0))
 		os.Exit(2)
 	}
+	mode := lmMode
+	if *dist {
+		mode = distMode
+		if *faults != "" || *mtbf > 0 || *spares > 0 {
+			mode = ftMode
+		}
+		// Only the name is checked here, on a fixed world, so a bad -ep
+		// still meets DistConfig.Check's message.
+		if _, err := bench.NewEngine(topology.Frontier(), 8, *engine); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+	}
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkModeFlags(mode, set); err != nil {
+		fmt.Fprintln(os.Stderr, "xmoe-train:", err)
+		os.Exit(2)
+	}
 	defer prof.StartCPU(*cpuProfile)()
 
 	if *dist {
@@ -256,15 +319,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "xmoe-train:", usage)
 			os.Exit(2)
 		}
-		if *faults != "" || *mtbf > 0 || *spares > 0 {
+		if mode == ftMode {
 			runDistFT(kind, *world, *tokens, *overlap, *distIters, *seed,
 				*faults, *mtbf, *ckptEvery, *asyncCkpt, *spares, *mitigate,
 				*zeroStage, *bucketMB, *momentum)
 			return
-		}
-		if _, err := bench.NewEngine(topology.Frontier(), *world, *engine); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
 		}
 		runDist(kind, *world, *tokens, *overlap, *distIters, *seed, *engine,
 			*zeroStage, *bucketMB, *momentum)

@@ -53,15 +53,15 @@ func (o Options) chunkCounts() []int {
 type Row struct {
 	// Key names the point by its sweep coordinates ("GPUs=16/X-MoE"); it
 	// is unique within the experiment.
-	Key string `json:"key"`
+	Key string
 	// Unit is a key of formats; it also says what Sim and Paper measure.
-	Unit string `json:"unit"`
+	Unit string
 	// Sim is the simulated value.
-	Sim float64 `json:"sim"`
+	Sim float64
 	// Paper is the paper's value for the same point: 0 where the paper
 	// states none, or, on the TFLOPs rows of Fig. 9 and Table 5, where it
 	// reports OOM.
-	Paper float64 `json:"paper,omitempty"`
+	Paper float64
 }
 
 // Experiment is one entry of the registry.

@@ -108,9 +108,9 @@ func TestExperimentRowsGolden(t *testing.T) {
 	}
 }
 
-// TestRowInvariants: a duplicate key silently overwrites in -json and in
-// lookups, a unit outside formats cannot print, and encoding/json rejects
-// NaN and Inf — so one 0/0 row would fail -json only after the whole run.
+// TestRowInvariants: a duplicate key silently overwrites in the tests'
+// lookups, a unit outside formats cannot print, and a NaN or Inf (one 0/0)
+// is no point a figure can plot, yet the table prints it without a word.
 func TestRowInvariants(t *testing.T) {
 	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	for _, e := range goldenExperiments() {

@@ -37,33 +37,25 @@ import (
 // written every ckptEvery useful steps, and a crash arriving mid-flight
 // rolls progress back to the last durable checkpoint and charges a
 // restart read. Returns useful/wall. The world stays fixed (failed nodes
-// are replaced). In blocking mode every write stalls training for its
-// full cost and is durable immediately; in async mode the write streams
-// behind the following steps (same double-buffer schedule as
-// train.CkptStream) — only the remainder still in flight when the next
-// write is issued stalls, and a crash landing mid-write discards the
-// in-flight snapshot, rolling back to the previous durable one.
+// are replaced). The writes run through a train.CkptStream of step
+// markers: in blocking mode each Issue is drained at once, stalling
+// training for the write's full cost; in async mode the write streams
+// behind the following steps — only the remainder still in flight when
+// the next write is issued stalls, and a crash landing mid-write discards
+// the in-flight snapshot, rolling back to the previous durable one.
 func replayGoodput(stepSec, ckpt float64, ckptEvery, steps int, crashes []float64, async bool) float64 {
 	if ckptEvery < 1 {
 		ckptEvery = 1
 	}
-	wall, useful := 0.0, 0.0
-	done, durable := 0, 0
-	pending, pendEnd := -1, 0.0
-	promote := func(now float64) {
-		if pending >= 0 && now >= pendEnd {
-			durable, pending = pending, -1
-		}
-	}
+	cs := train.NewCkptStream(ckpt, &train.Checkpoint{})
+	wall, useful, done := 0.0, 0.0, 0
 	ci := 0
 	for done < steps {
 		end := wall + stepSec
 		if ci < len(crashes) && crashes[ci] < end {
 			// Crash mid-step: the partial attempt plus everything since
-			// the durable checkpoint is lost; a write still streaming at
-			// the crash instant never became durable.
-			promote(crashes[ci])
-			pending = -1
+			// the durable checkpoint is lost.
+			durable := cs.Abort(crashes[ci]).Step
 			wall = crashes[ci] + ckpt // restart read
 			useful -= float64(done-durable) * stepSec
 			done = durable
@@ -74,17 +66,9 @@ func replayGoodput(stepSec, ckpt float64, ckptEvery, steps int, crashes []float6
 		useful += stepSec
 		done++
 		if done%ckptEvery == 0 && done < steps {
-			promote(wall)
-			if pending >= 0 {
-				// Uncovered remainder: the previous write outlived its
-				// interval, so the new one stalls until it lands.
-				wall = pendEnd
-				durable, pending = pending, -1
-			}
-			pending, pendEnd = done, wall+ckpt
+			wall += cs.Issue(&train.Checkpoint{Step: done}, wall)
 			if !async {
-				wall = pendEnd
-				durable, pending = done, -1
+				wall += cs.Drain(wall)
 			}
 		}
 	}

@@ -5,28 +5,22 @@ package tensor
 // axpy4x2Rows runs axpy4x2 over the row pairs (i, i+1), (i+2, i+3), ...
 // of C for the k-quad p..p+3, one call for the whole run: it reads each
 // pair's eight coefficients a[r*si+(p+q)*sp] (r = i, i+1; q = 0..3) and
-// adds q's scaled row of B to both rows of C over the leading columns,
-// n&^7 with the AVX2 body and n&^3 with the SSE one; axpyGEMM finishes the
-// tail. It returns the first pair it did not run: the first with
-// stop+2 > hi, or, unless keepZeros is set, the first pair holding a ±0
-// coefficient (the integer test bits<<1 == 0, so NaN does not stop it).
+// adds q's scaled row of B to both rows of C over the leading n&^7
+// columns, eight per AVX2 instruction; axpyGEMM finishes the tail. It
+// returns the first pair it did not run: the first with stop+2 > hi, or,
+// unless keepZeros is set, the first pair holding a ±0 coefficient (the
+// integer test bits<<1 == 0, so NaN does not stop it).
 // The kernel checks no bounds: axpyGEMM checks the run's last indices of
-// c, a and b before the first call.
+// c, a and b before the first call, and calls it only where gemmVec is
+// set.
 //
 //go:noescape
 func axpy4x2Rows(c, a, b []float32, i, hi, p, n, si, sp int, keepZeros uint32) (stop int)
 
-// axpyBody selects axpyGEMM's body. It is set once, here, from the CPU's
-// feature bits: AVX2 where the CPU and OS support it, else SSE. The GEMM
-// tests switch it to run every body, the Go row loop included.
-var axpyBody = initBody()
-
-func initBody() gemmBody {
-	if hasAVX2() {
-		return bodyAVX2
-	}
-	return bodySSE
-}
+// gemmVec selects axpyGEMM's AVX2 body (axpy4x2Rows). It is set once,
+// here, from the CPU's and OS's feature bits; the tests clear it to run
+// the Go row loop alone.
+var gemmVec = hasAVX2()
 
 // hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
 // registers across context switches (OSXSAVE set and XCR0's SSE and AVX

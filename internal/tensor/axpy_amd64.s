@@ -1,6 +1,5 @@
 //go:build amd64
 
-#include "go_asm.h"
 #include "textflag.h"
 
 // ZEROSTOP jumps to done, stopping the kernel at the current pair, when
@@ -15,16 +14,15 @@
 // coefficients, x0q at a[i*si+(p+q)*sp] and x1q one row (si) further,
 // stops at the pair (returning its i) if one is ±0 and keepZeros is 0,
 // broadcasts them, runs the column loop and advances the C and A
-// pointers by two rows.
+// pointers by two rows. It uses AVX2: axpyGEMM calls it only where
+// ·gemmVec is set.
 //
-// Two column-loop bodies, one lane width each, chosen per pair by
-// ·axpyBody (set at init to bodyAVX2 where the CPU and OS support AVX2).
-// Both run in the term order of axpy4x2's Go loop: c0 += x00·b0, then
-// x01·b1, x02·b2, x03·b3, each a multiply rounded to float32 before its
-// add (no fused multiply-add), and c1 likewise with x10..x13, with the
-// accumulator as the first source of every add and b as the first source
-// of every multiply. Each lane therefore computes the scalar loop's bits,
-// NaN payloads included.
+// The column loop runs eight lanes in the term order of axpy4x2's Go
+// loop: c0 += x00·b0, then x01·b1, x02·b2, x03·b3, each a multiply
+// rounded to float32 before its add (no fused multiply-add), and c1
+// likewise with x10..x13, with the accumulator as the first source of
+// every add and b as the first source of every multiply. Each lane
+// therefore computes the scalar loop's bits, NaN payloads included.
 //
 // Registers across pairs: BX the pair's first row i, DI and SI rows i and
 // i+1 of C, R8..R11 rows p..p+3 of B, R12 and R13 the pair's coefficient
@@ -81,71 +79,9 @@ coefs:
 	// AX and CX point at step p+2 of rows i and i+1.
 	LEAQ (R12)(DX*2), AX
 	LEAQ (R13)(DX*2), CX
-	CMPB ·axpyBody(SB), $const_bodyAVX2
-	JEQ  avx2
 
-	// SSE: four columns per iteration. Broadcast the eight coefficients
-	// into X7..X14.
-	MOVSS  (R12), X7
-	SHUFPS $0, X7, X7
-	MOVSS  (R12)(DX*1), X8
-	SHUFPS $0, X8, X8
-	MOVSS  (AX), X9
-	SHUFPS $0, X9, X9
-	MOVSS  (AX)(DX*1), X10
-	SHUFPS $0, X10, X10
-	MOVSS  (R13), X11
-	SHUFPS $0, X11, X11
-	MOVSS  (R13)(DX*1), X12
-	SHUFPS $0, X12, X12
-	MOVSS  (CX), X13
-	SHUFPS $0, X13, X13
-	MOVSS  (CX)(DX*1), X14
-	SHUFPS $0, X14, X14
-	MOVQ   n+96(FP), CX
-	ANDQ   $~3, CX
-	XORQ   AX, AX
-
-loop4:
-	CMPQ AX, CX
-	JAE  next
-	MOVUPS (R8)(AX*4), X0
-	MOVUPS (R9)(AX*4), X1
-	MOVUPS (R10)(AX*4), X2
-	MOVUPS (R11)(AX*4), X3
-
-	MOVUPS (DI)(AX*4), X4
-	MOVAPS X0, X6
-	MULPS  X7, X6
-	ADDPS  X6, X4
-	MOVAPS X1, X6
-	MULPS  X8, X6
-	ADDPS  X6, X4
-	MOVAPS X2, X6
-	MULPS  X9, X6
-	ADDPS  X6, X4
-	MOVAPS X3, X6
-	MULPS  X10, X6
-	ADDPS  X6, X4
-	MOVUPS X4, (DI)(AX*4)
-
-	MOVUPS (SI)(AX*4), X5
-	MULPS  X11, X0
-	ADDPS  X0, X5
-	MULPS  X12, X1
-	ADDPS  X1, X5
-	MULPS  X13, X2
-	ADDPS  X2, X5
-	MULPS  X14, X3
-	ADDPS  X3, X5
-	MOVUPS X5, (SI)(AX*4)
-
-	ADDQ $4, AX
-	JMP  loop4
-
-	// AVX2: eight columns per iteration, the SSE body's operations on Y
-	// registers in VEX three-operand form.
-avx2:
+	// Eight columns per iteration. Broadcast the eight coefficients into
+	// Y7..Y14.
 	VBROADCASTSS (R12), Y7
 	VBROADCASTSS (R12)(DX*1), Y8
 	VBROADCASTSS (AX), Y9
@@ -203,11 +139,7 @@ next:
 
 done:
 	MOVQ BX, stop+128(FP)
-	CMPB ·axpyBody(SB), $const_bodyAVX2
-	JNE  ret
 	VZEROUPPER
-
-ret:
 	RET
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

@@ -10,17 +10,16 @@ import "fmt"
 // and benchmark digests are pinned to those bits (matmul_ref_test.go
 // keeps the plain loops), so the body may change which elements are
 // computed together, never the order of the terms inside one element.
-// On amd64 one assembly call (axpy4x2Rows) runs a whole run of row pairs
-// for four steps of p, eight columns per AVX2 instruction, or four per
-// SSE instruction where the CPU or OS lacks AVX2, chosen once at package
-// init from CPUID and XGETBV (axpy_amd64.{go,s}). In both bodies a packed
-// multiply rounds each product to float32 before the packed add, as the
-// scalar code does, since Go never contracts float32 x*y+z into an FMA
-// there and never sets flush-to-zero; `make no-asm-fma` keeps fused
-// instructions out of the assembly. Any other GOARCH runs the Go row loop
-// (axpy4x2RowsGo). The GEMM tests run that loop on amd64 too, against the
-// reference; a backend that fuses x*y+z, as arm64's may, can still
-// differ there.
+// Where the CPU and OS support AVX2 (gemmVec, set once at package init
+// from CPUID and XGETBV, axpy_amd64.{go,s}), one assembly call
+// (axpy4x2Rows) runs a whole run of row pairs for four steps of p, eight
+// columns per instruction. Its packed multiply rounds each product to
+// float32 before the packed add, as the scalar code does, since Go never
+// contracts float32 x*y+z into an FMA there and never sets flush-to-zero;
+// `make no-asm-fma` keeps fused instructions out of the assembly. Every
+// other CPU and GOARCH runs the Go row loop (axpy4x2RowsGo). The GEMM
+// tests run that loop on amd64 too, against the reference; a backend that
+// fuses x*y+z, as arm64's may, can still differ there.
 
 // MatMul computes C = A·B for A of shape [m,k] and B of shape [k,n],
 // returning a new [m,n] tensor. See MatMulInto for the kernel.
@@ -151,9 +150,9 @@ func axpyGEMM(c, a, b []float32, lo, hi, k, n, si, sp int, skipZeros bool) {
 	// The kernel checks no bounds: check the last element of C, of B and
 	// of A it can touch, once.
 	_, _, _ = c[hi*n-1], b[k*n-1], a[(hi-1)*si+(k-1)*sp]
-	kernel, cols := axpy4x2Rows, vecCols(n)
-	if axpyBody == bodyGo {
-		kernel = axpy4x2RowsGo
+	kernel, cols := axpy4x2RowsGo, n
+	if gemmVec {
+		kernel, cols = axpy4x2Rows, n&^7
 	}
 	keepZeros := uint32(1)
 	if skipZeros {
@@ -196,34 +195,11 @@ func axpyGEMM(c, a, b []float32, lo, hi, k, n, si, sp int, skipZeros bool) {
 	}
 }
 
-// gemmBody names a body of axpy4x2Rows. axpyBody holds the one the host
-// runs (axpy_amd64.go, axpy_other.go); the order is the order the GEMM
-// tests run them in, and a host runs every body up to its own.
-type gemmBody uint8
-
-const (
-	bodyGo   gemmBody = iota // axpy4x2RowsGo: the Go loops, every column
-	bodySSE                  // amd64 assembly, four lanes
-	bodyAVX2                 // amd64 assembly, eight lanes
-)
-
-// vecCols is the number of leading columns axpy4x2Rows runs in lanes with
-// the selected body; axpyGEMM's Go loop finishes the rest.
-func vecCols(n int) int {
-	switch axpyBody {
-	case bodyAVX2:
-		return n &^ 7
-	case bodySSE:
-		return n &^ 3
-	}
-	return n
-}
-
 // axpy4x2RowsGo is axpy4x2Rows in Go, with the same contract and every
 // column: it runs axpy4x2 over the row pairs from i while they fit below
 // hi, and returns the first pair it did not run, stopping early, unless
 // keepZeros is set, at a pair holding a ±0 coefficient. It is the body
-// off amd64; on amd64 the GEMM tests select it through axpyBody.
+// where gemmVec is clear; on an AVX2 host the GEMM tests clear it.
 func axpy4x2RowsGo(c, a, b []float32, i, hi, p, n, si, sp int, keepZeros uint32) (stop int) {
 	for ; i+2 <= hi; i += 2 {
 		if keepZeros == 0 {
@@ -243,9 +219,8 @@ func axpy4x2RowsGo(c, a, b []float32, i, hi, p, n, si, sp int, keepZeros uint32)
 // that order, with x0q = a[i*si+(p+q)*sp] and bq row p+q of B, and c1
 // likewise with x10..x13 one row of A further. Each c element is loaded
 // and stored once per eight multiply-adds and each b element once per
-// two. The assembly bodies of axpy4x2Rows run this loop's leading
-// columns in lanes; this loop runs their tail, and every column in
-// axpy4x2RowsGo.
+// two. The AVX2 body of axpy4x2Rows runs this loop's leading columns in
+// lanes; this loop runs its tail, and every column in axpy4x2RowsGo.
 func axpy4x2(c, a, b []float32, i, p, n, si, sp, j int) {
 	o0 := i*si + p*sp
 	o1 := o0 + si

@@ -130,19 +130,17 @@ func sameBits(got, want *Tensor) error {
 	return nil
 }
 
-// forEachBody runs f once per body of axpy4x2Rows this host can run: the
-// Go row loop (the whole body off amd64), then on amd64 the SSE body and,
-// where init selected it, the AVX2 body. The init-time choice is restored
-// afterwards.
+// forEachBody runs f once per body of axpyGEMM this host can run: the Go
+// row loop, then, where init selected it, the AVX2 body. The init-time
+// choice is restored afterwards.
 func forEachBody(f func(body string)) {
-	host := axpyBody
-	defer func() { axpyBody = host }()
-	for body, name := range []string{bodyGo: "go", bodySSE: "sse", bodyAVX2: "avx2"} {
-		if gemmBody(body) > host {
-			break
-		}
-		axpyBody = gemmBody(body)
-		f(name)
+	host := gemmVec
+	defer func() { gemmVec = host }()
+	gemmVec = false
+	f("go")
+	if host {
+		gemmVec = true
+		f("avx2")
 	}
 }
 
