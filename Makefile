@@ -1,6 +1,6 @@
 # Developer workflow for the xmoe reproduction.
 #
-#   make ci      - what the CI job runs: gofmt, the transport-name grep, the one-body grep, the assembly FMA grep, vet, build, the assembly kernels' portability builds, the race gate, fuzz smoke, tests, quick bench
+#   make ci      - what the CI job runs: gofmt, the transport-name grep, the one-body grep, the assembly FMA grep, vet, build, the portability builds (the kernels at GOAMD64=v3, every package vetted for arm64), the race gate, fuzz smoke, tests, quick bench
 #   make test    - full test suite (includes the slow sweep tests)
 #   make race    - full race-detector pass (go test -race ./...)
 #   make race-fast - race pass over the concurrency-heavy packages and four named bench/baselines tests
@@ -80,13 +80,15 @@ no-asm-fma:
 # the GeLU kernel's two bodies each (the Go loop, and AVX2 where the CPU
 # has it) tested with GOAMD64=v3 against their bit references (Go must still not contract
 # x*y+z into an FMA in the Go loops or the references there), and the
-# non-amd64 build (axpy_other.go, polar_other.go, gelu_other.go) compiled
-# for arm64. The tests run the Go
-# bodies on amd64 in every `go test`; the arm64 vet only compiles them, and
-# nothing here runs arm64 code, whose backend may fuse x*y+z.
+# whole module, tests included, compiled and vetted for arm64, so a
+# non-amd64 compile break in any package fails (tensor's axpy_other.go,
+# polar_other.go and gelu_other.go are the files only that build sees).
+# The tests run the Go bodies on amd64 in every `go test`; the arm64 vet
+# only compiles them, and nothing here runs arm64 code, whose backend may
+# fuse x*y+z.
 portability:
 	GOAMD64=v3 $(GO) test ./internal/tensor
-	GOARCH=arm64 $(GO) vet ./internal/tensor
+	GOARCH=arm64 $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -160,7 +162,7 @@ SMOKE_PKGS = ./internal/moe ./internal/train ./internal/devent ./internal/tensor
 
 # Quick CI, and the only definition of it (.github/workflows/ci.yml runs
 # this target): gofmt + the transport-name grep + the one-body grep + the
-# assembly FMA grep + vet + build + the kernels' portability builds + the
+# assembly FMA grep + vet + build + the portability builds + the
 # race gate + the fuzz smoke + unit tests of every package (benchmark/ and
 # cmd/ included) + a quick microbenchmark smoke run.
 ci: fmt-check no-transport-strings one-body no-asm-fma vet build portability race-fast fuzz-smoke

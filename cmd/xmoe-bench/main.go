@@ -9,13 +9,16 @@
 //
 // -cpuprofile and -memprofile write pprof profiles of the selected
 // experiments (everything after flag validation): a CPU profile, and the
-// allocation profile since process start.
+// allocation profile since process start. -chunks and -engine are read by
+// the overlap ablations only (bench.OptionReaders); setting either without
+// selecting one of them exits 2.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -44,28 +47,34 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Validate -engine up front (experiments panic on a bad spec).
-	if _, err := bench.NewEngine(topology.Frontier(), 8, *engine); err != nil {
+	// Resolve the names and validate the flags before any experiment (or
+	// profile) starts, so a typo exits 2 at once instead of after the
+	// experiments preceding it.
+	selected := bench.Experiments
+	if *exp != "all" {
+		selected = nil
+		for _, name := range strings.Split(*exp, ",") {
+			name = strings.TrimSpace(name)
+			i := slices.IndexFunc(bench.Experiments, func(e bench.Experiment) bool { return e.Name == name })
+			if i < 0 {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", name)
+				os.Exit(2)
+			}
+			selected = append(selected, bench.Experiments[i])
+		}
+	}
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	chunks, err := parseChunks(*chunksFlag)
+	if err == nil {
+		err = checkOptionFlags(selected, set)
+	}
+	if err == nil {
+		_, err = bench.NewEngine(topology.Frontier(), 8, *engine) // experiments panic on a bad spec
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-
-	// Validate the flag-derived overlap options up front so the user sees
-	// the descriptive PipelineOpts.Check error, not a rank panic.
-	var chunks []int
-	if *chunksFlag != "" {
-		for _, tok := range strings.Split(*chunksFlag, ",") {
-			c, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "invalid -chunks entry %q: %v\n", tok, err)
-				os.Exit(2)
-			}
-			if err := (moe.PipelineOpts{OverlapChunks: c}).Check(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			chunks = append(chunks, c)
-		}
 	}
 
 	if *list {
@@ -73,22 +82,6 @@ func main() {
 			fmt.Println(e.Name)
 		}
 		return
-	}
-
-	// Resolve the names before any experiment (or profile) starts, so a
-	// typo exits 2 at once instead of after the experiments preceding it.
-	selected := bench.Experiments
-	if *exp != "all" {
-		selected = nil
-		for _, name := range strings.Split(*exp, ",") {
-			name = strings.TrimSpace(name)
-			e, ok := lookup(name)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", name)
-				os.Exit(2)
-			}
-			selected = append(selected, e)
-		}
 	}
 
 	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
@@ -109,12 +102,39 @@ func main() {
 	}
 }
 
-// lookup finds the registered experiment called name.
-func lookup(name string) (bench.Experiment, bool) {
-	for _, e := range bench.Experiments {
-		if e.Name == name {
-			return e, true
+// parseChunks parses -chunks, validating each entry up front so the user
+// sees a descriptive error (PipelineOpts.Check's, past the maximum), not a
+// rank panic or an entry the sweep drops without a word.
+func parseChunks(s string) ([]int, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var chunks []int
+	for _, tok := range strings.Split(s, ",") {
+		c, err := strconv.Atoi(strings.TrimSpace(tok))
+		if err == nil && c < 1 {
+			err = fmt.Errorf("a chunk count must be >= 1")
+		}
+		if err == nil {
+			err = moe.PipelineOpts{OverlapChunks: c}.Check()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("invalid -chunks entry %q: %v", tok, err)
+		}
+		chunks = append(chunks, c)
+	}
+	return chunks, nil
+}
+
+// checkOptionFlags returns an error naming the first flag in set (the
+// flags given explicitly) that bench.OptionReaders lists and no experiment
+// in selected reads.
+func checkOptionFlags(selected []bench.Experiment, set []string) error {
+	for _, name := range set {
+		readers, ok := bench.OptionReaders[name]
+		if ok && !slices.ContainsFunc(selected, func(e bench.Experiment) bool { return slices.Contains(readers, e.Name) }) {
+			return fmt.Errorf("-%s is read only by %s, and no selected experiment is one of them", name, strings.Join(readers, " and "))
 		}
 	}
-	return bench.Experiment{}, false
+	return nil
 }

@@ -60,8 +60,9 @@ func main() {
 			params.W2[le] = tensor.Randn(erng, 0.05, hFFN, hModel)
 		}
 
+		// Handed x and the weights, the layer runs numerically; nil for
+		// both would price the same layer symbolically.
 		res := layer.Forward(r, sTok, x, routing, params, nil, moe.PipelineOpts{
-			Numeric:    true,
 			DropPolicy: moe.DropByCapacityWeight,
 		})
 

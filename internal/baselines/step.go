@@ -62,6 +62,17 @@ const (
 	memFragmentation = 1.05
 )
 
+// peakMem projects one GPU's memory for sys under plan at micro-batch mb,
+// with activation checkpointing when actCkpt: the model states and the
+// activations, times the allocator slack, plus the fixed overhead. It
+// returns the states and activations too.
+func peakMem(sys Config, shape model.Shape, plan parallel.Plan, mb int, actCkpt bool) (peak, states, acts int64) {
+	setup := sys.MemSetup(plan, mb)
+	setup.ActCkpt = actCkpt
+	states, acts = memmodel.ModelStates(shape, setup), memmodel.Activations(shape, setup)
+	return int64(float64(states+acts)*memFragmentation) + memOverheadBytes, states, acts
+}
+
 // StepResult reports one simulated training iteration.
 type StepResult struct {
 	// OOM indicates the configuration does not fit device memory.
@@ -112,11 +123,7 @@ func SimulateStep(sys Config, spec RunSpec) StepResult {
 	}
 
 	// --- Memory verdict ----------------------------------------------------
-	setup := sys.MemSetup(spec.Plan, spec.MicroBatch)
-	setup.ActCkpt = spec.ActCkpt
-	states := memmodel.ModelStates(spec.Shape, setup)
-	acts := memmodel.Activations(spec.Shape, setup)
-	peak := int64(float64(states+acts)*memFragmentation) + memOverheadBytes
+	peak, states, acts := peakMem(sys, spec.Shape, spec.Plan, spec.MicroBatch, spec.ActCkpt)
 	res := StepResult{
 		PeakMemGB: float64(peak) / (1 << 30),
 		StatesGB:  float64(states) / (1 << 30),
@@ -549,10 +556,7 @@ func finishThroughput(res *StepResult, spec RunSpec, dataDP int) {
 func MaxMicroBatch(sys Config, shape model.Shape, machine *topology.Machine, plan parallel.Plan, actCkpt bool) int {
 	best := 0
 	for mb := 1; mb <= 64; mb *= 2 {
-		setup := sys.MemSetup(plan, mb)
-		setup.ActCkpt = actCkpt
-		peak := int64(float64(memmodel.ModelStates(shape, setup)+memmodel.Activations(shape, setup))*memFragmentation) + memOverheadBytes
-		if peak <= machine.Device.MemBytes {
+		if peak, _, _ := peakMem(sys, shape, plan, mb, actCkpt); peak <= machine.Device.MemBytes {
 			best = mb
 		} else {
 			break

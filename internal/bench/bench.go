@@ -100,6 +100,16 @@ var Experiments = []Experiment{
 	{"abl-zero", AblationZeRO},
 }
 
+// OptionReaders names, for the Options fields only some experiments read
+// (keyed by the xmoe-bench flag that sets each: "chunks" sets Chunks,
+// "engine" Engine), the experiments that read the field; every other
+// experiment ignores it. The CLI rejects such a flag when it selects none
+// of them.
+var OptionReaders = map[string][]string{
+	"chunks": {"abl-overlap", "abl-overlap-bwd"},
+	"engine": {"abl-overlap", "abl-overlap-bwd"},
+}
+
 // formats is the printf verb of each Unit. A zero TFLOPs or s (iteration
 // time) value is an OOM; a bool is 1 (yes) or 0 (no).
 var formats = map[string]string{

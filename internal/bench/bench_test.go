@@ -5,6 +5,8 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -513,6 +515,23 @@ func TestAblationFaultsShape(t *testing.T) {
 	for _, sc := range []float64{2, 4} {
 		if on, off := r.sim(transport.PFT, "/rebalance x", sc, "/on"), r.sim(transport.PFT, "/rebalance x", sc, "/off"); on >= off {
 			t.Errorf("x%g: mitigated wall %v not below unmitigated %v", sc, on, off)
+		}
+	}
+}
+
+// TestOptionReadersAreRegistered: every key of OptionReaders names an
+// Options field and every reader is a registered experiment, so a rename
+// cannot leave the CLI rejecting a flag that experiment reads.
+func TestOptionReadersAreRegistered(t *testing.T) {
+	for flag, readers := range OptionReaders {
+		field := strings.ToUpper(flag[:1]) + flag[1:]
+		if _, ok := reflect.TypeOf(Options{}).FieldByName(field); !ok {
+			t.Errorf("OptionReaders names %q, which is no Options field", field)
+		}
+		for _, name := range readers {
+			if !slices.ContainsFunc(Experiments, func(e Experiment) bool { return e.Name == name }) {
+				t.Errorf("OptionReaders[%q] names %q, which is no registered experiment", flag, name)
+			}
 		}
 	}
 }

@@ -15,8 +15,8 @@ const (
 )
 
 // BackwardResult carries the gradients of one distributed MoE layer.
-// In symbolic mode (opts.Numeric false) all fields are nil: the backward
-// pass charges its modeled times and wire volumes without payloads.
+// In symbolic mode (no dOut) all fields are nil: the backward pass charges
+// its modeled times and wire volumes without payloads.
 type BackwardResult struct {
 	// DX is the [S, H] gradient with respect to the layer input (the
 	// data-path component through the experts; the router's gating
@@ -62,34 +62,34 @@ func PaddedBackward(r *simrt.Rank, _ *simrt.Group, _ Config, st *PFTFwdState,
 // show. A state from PaddedForward runs under the padded profile of
 // opts.Kernels.
 //
-// opts selects the execution mode: Numeric moves real gradients (dOut and
-// params must be set, and the forward must have been numeric), otherwise
-// the pass is timing-only; OverlapChunks splits the combine gradient along
-// the forward's chunk boundaries, so each chunk's dX GEMM chain runs while
-// the next chunk's transfer is in flight and the dW GEMMs, deferred to the
-// complete segments, hide the tail of the return trip (see overlap.go for
-// the model and for what a single chunk skips). Gradients are
-// bit-identical for any chunk count. A missing state, or a numeric pass
-// over a symbolic one (or a nil state), panics with an *OptionError.
+// The pass moves real gradients exactly when it is handed dOut (params
+// must be set then, and the forward must have been numeric); with nil dOut
+// it is timing-only, over any state. opts.OverlapChunks splits the combine
+// gradient along the forward's chunk boundaries, so each chunk's dX GEMM
+// chain runs while the next chunk's transfer is in flight and the dW
+// GEMMs, deferred to the complete segments, hide the tail of the return
+// trip (see overlap.go for the model and for what a single chunk skips).
+// Gradients are bit-identical for any chunk count. A missing state, or dOut handed to a
+// symbolic one, panics with an *OptionError.
 func (st *PFTFwdState) Backward(r *simrt.Rank, dOut *tensor.Tensor, params *ExpertParams, opts PipelineOpts) BackwardResult {
-	if err := checkBackward(st, opts); err != nil {
+	if err := checkBackward(st, dOut, opts); err != nil {
 		panic(err)
 	}
 	padded, _ := st.Ex.Layout()
 	l := &st.l
 	cfg := l.cfg
-	l.r, l.params, l.opts, l.kp = r, params, opts, profileOf(padded, opts.Kernels)
+	l.r, l.params, l.opts, l.kp, l.numeric = r, params, opts, profileOf(padded, opts.Kernels), dOut != nil
 	// The gradients land in the full layout; each batch runs its dX chain
 	// there (layer.Backward), and the exchange sends the batch's input
 	// gradients home. Rank-local backward scratch comes from the per-rank
 	// arena; gradients returned to the caller and buffers crossing an
 	// exchange stay allocate-fresh.
-	if opts.Numeric {
+	if l.numeric {
 		l.grads = newFFNGrads(r.Pool(), l.bExp, cfg.HModel, cfg.HFFN)
 	}
 	dx, dWeights := st.Ex.Backward(r, dOut, l.grads.DOut, opts, l)
 	res := BackwardResult{DX: dx, DW1: l.dW1, DW2: l.dW2, DCombineWeights: dWeights}
-	if opts.Numeric {
+	if l.numeric {
 		// The forward state is consumed: its saved intermediates return to
 		// the arena so the next layer's forward pass reuses them.
 		r.Pool().PutAll(l.expertIn, l.geluPrime, l.hidAct)
@@ -113,7 +113,7 @@ func (l *layer) Backward(bt Batch) *tensor.Tensor {
 	} else {
 		l.r.Compute(StageBwdExperts, l.kp.gemms(comp, l.cfg, bt.Rows)+l.kp.act(comp, l.cfg, sum(bt.Rows)))
 	}
-	if l.opts.Numeric {
+	if l.numeric {
 		l.grads.dxChain(l.geluPrime, l.params, bt.N, bt.At)
 	}
 	return l.grads.DIn
@@ -126,14 +126,14 @@ func (l *layer) DW() {
 	if !l.fused() {
 		l.r.Compute(StageBwdExperts, l.kp.gemms(l.r.C.Comp, l.cfg, l.full))
 	}
-	if l.opts.Numeric {
+	if l.numeric {
 		l.dW1, l.dW2 = l.grads.dW(l.r.Pool(), l.expertIn, l.hidAct, l.params, l.full)
 	}
 }
 
 // checkBackward is the one check on entry of the backward: the options,
-// then a state to reverse, then one a numeric pass can reverse.
-func checkBackward(st *PFTFwdState, opts PipelineOpts) error {
+// then a state to reverse, then one a pass handed dOut can reverse.
+func checkBackward(st *PFTFwdState, dOut *tensor.Tensor, opts PipelineOpts) error {
 	if err := opts.Check(); err != nil {
 		return err
 	}
@@ -141,9 +141,9 @@ func checkBackward(st *PFTFwdState, opts PipelineOpts) error {
 		return &OptionError{Opt: "SaveForBackward",
 			Detail: "moe: the backward needs the forward state saved by a forward with SaveForBackward"}
 	}
-	if opts.Numeric && !st.l.numeric {
-		return &OptionError{Opt: "Numeric",
-			Detail: "moe: numeric backward, but the forward state was captured symbolically (SaveForBackward ran without Numeric)"}
+	if dOut != nil && !st.l.numeric {
+		return &OptionError{Opt: "dOut",
+			Detail: "moe: backward handed dOut, but the forward state was captured symbolically (its forward was handed no x)"}
 	}
 	return nil
 }

@@ -38,7 +38,7 @@ func (hn bwdHarness) run(t *testing.T, withBackward bool, perturb func(rankID in
 			perturb(r.ID, x, params)
 		}
 		res := PFTForward(r, g, hn.cfg, hn.s, x, routing, params, PipelineOpts{
-			Numeric: true, DropPolicy: DropByCapacityWeight, SaveForBackward: true,
+			DropPolicy: DropByCapacityWeight, SaveForBackward: true,
 		})
 		mu.Lock()
 		loss += res.Output.Sum()
@@ -46,7 +46,7 @@ func (hn bwdHarness) run(t *testing.T, withBackward bool, perturb func(rankID in
 		if withBackward {
 			dOut := tensor.New(hn.s, hn.cfg.HModel)
 			dOut.Fill(1)
-			bwd := PFTBackward(r, g, hn.cfg, res.State, dOut, params, PipelineOpts{Numeric: true})
+			bwd := PFTBackward(r, g, hn.cfg, res.State, dOut, params, PipelineOpts{})
 			if r.ID == 0 {
 				mu.Lock()
 				grads = bwd
@@ -165,7 +165,7 @@ func TestPaddedBackwardMatchesPFTBackward(t *testing.T) {
 			x := tensor.Randn(rng, 1, s, cfg.HModel)
 			routing := SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0.6)
 			params := localParams(g.IndexOf(r.ID), epr, cfg.HModel, cfg.HFFN)
-			opts := PipelineOpts{Numeric: true, DropPolicy: DropNegativeThenPosition, SaveForBackward: true}
+			opts := PipelineOpts{DropPolicy: DropNegativeThenPosition, SaveForBackward: true}
 			dOut := tensor.New(s, cfg.HModel)
 			for i := range dOut.Data {
 				dOut.Data[i] = float32(i%5)*0.2 - 0.4
@@ -218,11 +218,11 @@ func TestBackwardMirrorsForwardCommunication(t *testing.T) {
 		routing := SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0.6)
 		params := localParams(g.IndexOf(r.ID), epr, cfg.HModel, cfg.HFFN)
 		res := PFTForward(r, g, cfg, s, x, routing, params, PipelineOpts{
-			Numeric: true, DropPolicy: DropByCapacityWeight, SaveForBackward: true,
+			DropPolicy: DropByCapacityWeight, SaveForBackward: true,
 		})
 		dOut := tensor.New(s, cfg.HModel)
 		dOut.Fill(1)
-		PFTBackward(r, g, cfg, res.State, dOut, params, PipelineOpts{Numeric: true})
+		PFTBackward(r, g, cfg, res.State, dOut, params, PipelineOpts{})
 		return nil
 	})
 	if err != nil {

@@ -52,14 +52,14 @@ func BenchmarkPFTLayerForwardBackward(b *testing.B) {
 		douts[i] = tensor.New(s, cfg.HModel)
 		douts[i].Fill(1)
 	}
-	opts := PipelineOpts{Numeric: true, DropPolicy: DropByCapacityWeight, SaveForBackward: true}
+	opts := PipelineOpts{DropPolicy: DropByCapacityWeight, SaveForBackward: true}
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		err := c.Run(func(r *simrt.Rank) error {
 			res := PFTForward(r, g, cfg, s, xs[r.ID], routings[r.ID], params[r.ID], opts)
-			PFTBackward(r, g, cfg, res.State, douts[r.ID], params[r.ID], PipelineOpts{Numeric: true})
+			PFTBackward(r, g, cfg, res.State, douts[r.ID], params[r.ID], PipelineOpts{})
 			return nil
 		})
 		if err != nil {
@@ -85,7 +85,7 @@ func BenchmarkPFTForwardNumeric(b *testing.B) {
 		routings[i] = SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0.6)
 		params[i] = NewExpertParams(tensor.NewRNG(uint64(99+i)), epr, cfg.HModel, cfg.HFFN)
 	}
-	opts := PipelineOpts{Numeric: true, DropPolicy: DropByCapacityWeight}
+	opts := PipelineOpts{DropPolicy: DropByCapacityWeight}
 
 	b.ReportAllocs()
 	b.ResetTimer()

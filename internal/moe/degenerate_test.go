@@ -57,7 +57,7 @@ func TestHotExpertDistributedPipeline(t *testing.T) {
 		routing := allToOneRouting(s, cfg.NumExperts, cfg.TopK, 3)
 		params := localParams(g.IndexOf(r.ID), 2, cfg.HModel, cfg.HFFN)
 		res := PFTForward(r, g, cfg, s, x, routing, params, PipelineOpts{
-			Numeric: true, DropPolicy: DropByCapacityWeight,
+			DropPolicy: DropByCapacityWeight,
 		})
 		want := referenceMoE(x, res.PFT, cfg.HModel, cfg.HFFN)
 		if !res.Output.Equal(want, 1e-3) {
@@ -84,7 +84,7 @@ func TestEmptyExpertsProduceZeroSegments(t *testing.T) {
 		routing := SyntheticRouting(rng, s, 4, cfg.TopK, 0)
 		params := localParams(g.IndexOf(r.ID), 2, cfg.HModel, cfg.HFFN)
 		res := PFTForward(r, g, cfg, s, x, routing, params, PipelineOpts{
-			Numeric: true, DropPolicy: DropByCapacityWeight,
+			DropPolicy: DropByCapacityWeight,
 		})
 		me := g.IndexOf(r.ID)
 		if me >= 2 && res.RecvTokens != 0 {
@@ -118,7 +118,7 @@ func TestZeroTokenRank(t *testing.T) {
 		routing := SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0)
 		params := localParams(g.IndexOf(r.ID), 2, cfg.HModel, cfg.HFFN)
 		res := PFTForward(r, g, cfg, s, x, routing, params, PipelineOpts{
-			Numeric: true, DropPolicy: DropByCapacityWeight,
+			DropPolicy: DropByCapacityWeight,
 		})
 		if r.ID == 2 {
 			if res.RoutedTokens != 0 || res.Output.Rows() != 0 {
@@ -147,7 +147,7 @@ func TestCapacityOneExtreme(t *testing.T) {
 		routing := SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0.5)
 		params := localParams(g.IndexOf(r.ID), 2, cfg.HModel, cfg.HFFN)
 		res := PFTForward(r, g, cfg, s, x, routing, params, PipelineOpts{
-			Numeric: true, DropPolicy: DropByCapacityWeight,
+			DropPolicy: DropByCapacityWeight,
 		})
 		if res.RoutedTokens > cfg.NumExperts {
 			return fmt.Errorf("capacity 1 allows at most E rows, got %d", res.RoutedTokens)

@@ -36,8 +36,8 @@ func runLayer(t *testing.T, c *simrt.Cluster, padded bool, fwdChunks, bwdChunks,
 	if padded {
 		drop = DropNegativeThenPosition
 	}
-	fwd := PipelineOpts{Numeric: true, DropPolicy: drop, SaveForBackward: bwdChunks > 0, OverlapChunks: fwdChunks}
-	bwd := PipelineOpts{Numeric: true, DropPolicy: drop, OverlapChunks: bwdChunks}
+	fwd := PipelineOpts{DropPolicy: drop, SaveForBackward: bwdChunks > 0, OverlapChunks: fwdChunks}
+	bwd := PipelineOpts{DropPolicy: drop, OverlapChunks: bwdChunks}
 	passes := make(map[int]layerPass)
 	var mu sync.Mutex
 	for it := 0; it < iters; it++ {

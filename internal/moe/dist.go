@@ -51,10 +51,14 @@ const (
 )
 
 // PipelineOpts configures one MoE layer execution.
+//
+// The mode is not an option: a pass is numeric exactly when it is handed
+// data. A forward handed the input x executes real float math and returns
+// its Output; one handed nil is symbolic, charging the same time and
+// memory from counts alone, with no payloads. A backward is numeric
+// exactly when it is handed dOut, which needs a numeric forward's state;
+// with nil dOut it is timing-only over any state.
 type PipelineOpts struct {
-	// Numeric executes real float math; otherwise the pipeline is
-	// metadata-only (symbolic) and charges time/memory without payloads.
-	Numeric bool
 	// DropPolicy selects the token-dropping semantics.
 	DropPolicy DropPolicy
 	// Kernels selects the gating/dispatch/combine kernel quality of the
@@ -114,13 +118,14 @@ type PipelineOpts struct {
 const maxOverlapChunks = 4096
 
 // OptionError is the typed rejection every option validator returns: Opt
-// names the offending PipelineOpts/DistConfig field, Detail explains the
-// rejected combination. Callers unwrap it with errors.As to distinguish
-// misconfiguration from other failures instead of string-matching (the
-// old silent fallback to the flat transport is gone).
+// names the offending PipelineOpts/DistConfig field (or argument), Detail
+// explains the rejected combination. Callers unwrap it with errors.As to
+// distinguish misconfiguration from other failures instead of
+// string-matching (the old silent fallback to the flat transport is gone).
 type OptionError struct {
 	// Opt is the offending option's field name (e.g. "OverlapChunks",
-	// "CombineBytes", "Transport").
+	// "CombineBytes", "Transport"), or the argument's ("dOut") when the
+	// backward is handed one its forward state cannot take.
 	Opt string
 	// Detail is the human-readable rejection.
 	Detail string
@@ -259,7 +264,7 @@ type layer struct {
 	full                        []int
 	bExp                        int
 	expertIn, geluPrime, hidAct *tensor.Tensor
-	numeric                     bool // captured by a numeric forward
+	numeric                     bool // the current pass was handed x (forward) or dOut (backward)
 	// The backward's gradient buffers and weight gradients.
 	grads    ffnGrads
 	dW1, dW2 []*tensor.Tensor
@@ -276,22 +281,22 @@ func sum(xs []int) int {
 // RoutedPFT builds the PFT a transport dispatches: the uniform
 // Config.Capacity unless opts.CapacityByExpert rebalances it per expert.
 // Shared by the PFT pipeline and the RBD dispatcher, so both transports
-// see identical routing decisions under mitigation. Its ExpertIDs are
-// built under opts.Numeric only.
+// see identical routing decisions under mitigation. It carries the rows
+// (TokenIDs, CombineWeights) but no ExpertIDs.
 func RoutedPFT(routing Routing, cfg Config, s int, opts PipelineOpts) *PFT {
-	return routedPFT(routing, cfg, s, opts, true, false)
+	return routedPFT(routing, cfg, s, opts, false, true, false)
 }
 
 // routedPFT is RoutedPFT, with the rows only when asked for, and the
 // capacity-padded layout when padded. ExpertIDs is built for a numeric
 // layer only: a symbolic one with rows is RBD's, which reads TokenIDs.
-func routedPFT(routing Routing, cfg Config, s int, opts PipelineOpts, rows, padded bool) *PFT {
+func routedPFT(routing Routing, cfg Config, s int, opts PipelineOpts, numeric, rows, padded bool) *PFT {
 	caps, limit := opts.CapacityByExpert, cfg.Capacity(s)
 	if caps != nil {
 		limit, padded = 0, false
 	}
 	pft := buildPFT(routing, cfg.NumExperts, caps, limit, opts.DropPolicy, rows, padded)
-	if opts.Numeric {
+	if numeric {
 		pft.withExpertIDs()
 	}
 	return pft
@@ -399,7 +404,7 @@ func (kp kernelProfile) act(comp *perfmodel.Model, cfg Config, rows int) float64
 // rank r within EP group g: gating, PFT construction, gather-kernel
 // dispatch, uneven all-to-all, expert-major reorder, sequential GEMM
 // experts, reverse all-to-all, and the weight-scaling scatter combine. s
-// is the local token count; x is the [s, H] input (nil in symbolic mode);
+// is the local token count; x is the [s, H] input (nil runs it symbolically);
 // routing is the gate decision for the local tokens. The exchange and
 // expert stages run in opts.Chunks() chunks (see overlap.go); one chunk
 // is the blocking pipeline.
@@ -427,14 +432,16 @@ func PaddedForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.T
 // Forward is the one MoE layer body every transport runs, with ex moving
 // the rows: gating and layout construction, the gather-kernel buffer
 // dispatch, the exchange's dispatch, the expert FFN over each batch the
-// exchange lands, and the exchange's combine into the [s, H] output. It
-// panics with PipelineOpts.Check's *OptionError on invalid options; a
-// transport's entry point rejects what only it cannot honour first.
+// exchange lands, and the exchange's combine into the [s, H] output. It is
+// numeric exactly when x is non-nil. It panics with PipelineOpts.Check's
+// *OptionError on invalid options; a transport's entry point rejects what
+// only it cannot honour first.
 func Forward(r *simrt.Rank, ex Exchange, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams, opts PipelineOpts) LayerResult {
 	if err := opts.Check(); err != nil {
 		panic(err)
 	}
 	padded, rows := ex.Layout()
+	numeric := x != nil
 	h, f := cfg.HModel, cfg.HFFN
 	kp := profileOf(padded, opts.Kernels)
 	elem := int64(cfg.BytesPerElem)
@@ -443,7 +450,7 @@ func Forward(r *simrt.Rank, ex Exchange, cfg Config, s int, x *tensor.Tensor, ro
 
 	// --- Gate + layout construction -------------------------------------
 	// Router GEMM [s,H]x[H,E], then the profile's memory-bound passes.
-	pft := routedPFT(routing, cfg, s, opts, opts.Numeric || rows, padded)
+	pft := routedPFT(routing, cfg, s, opts, numeric, numeric || rows, padded)
 	b := pft.B()
 	launches, gateBytes, live := kp.gate(cfg, s, cfg.Capacity(s), pft)
 	r.Compute(StageGate, comp.GEMM(s, h, cfg.NumExperts)+comp.MemBoundN(kp.class, launches, gateBytes))
@@ -456,14 +463,14 @@ func Forward(r *simrt.Rank, ex Exchange, cfg Config, s int, x *tensor.Tensor, ro
 	// --- Buffer dispatch (gather kernel; a hole gathers as a zero row) ---
 	r.Compute(StageDispatch, kp.bufferPass(comp, cfg, s, b, elem))
 	var dispIn *tensor.Tensor
-	if opts.Numeric {
+	if numeric {
 		dispIn = r.Pool().Get(b, h)
 		kernels.GatherInto(dispIn, x, pft.TokenIDs)
 	}
 	mem.Alloc("dispatch_in", int64(b)*int64(h)*elem)
 
 	// --- Exchange, expert FFN per landed batch (layer.Forward) -----------
-	st := &PFTFwdState{Ex: ex, l: layer{r: r, cfg: cfg, params: params, opts: opts, kp: kp, numeric: opts.Numeric}}
+	st := &PFTFwdState{Ex: ex, l: layer{r: r, cfg: cfg, params: params, opts: opts, kp: kp, numeric: numeric}}
 	l := &st.l
 	output := ex.Forward(r, s, pft, dispIn, opts, l)
 	// Lifetime: the flat one-chunk dispatch sends views of dispIn, which
@@ -510,7 +517,7 @@ func (l *layer) Forward(bt Batch) *tensor.Tensor {
 		l.r.Dev().Mem.Alloc("A1_interm", int64(l.bExp)*int64(f)*elem)
 	}
 	l.r.Compute(StageExperts, l.kp.gemms(l.r.C.Comp, cfg, bt.Rows)+l.kp.act(l.r.C.Comp, cfg, sum(bt.Rows)))
-	if !opts.Numeric || bt.In == nil {
+	if !l.numeric || bt.In == nil {
 		return nil
 	}
 	whole, rows := bt.N == nil, bt.Rows

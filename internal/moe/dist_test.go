@@ -63,8 +63,11 @@ func distConfig(e, k int) Config {
 	}
 }
 
+// runPipeline runs pipeline once on every rank of c over seeded routing,
+// handed the input and the expert weights when numeric and nil otherwise,
+// and returns each rank's result.
 func runPipeline(t *testing.T, pipeline func(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams, opts PipelineOpts) LayerResult,
-	c *simrt.Cluster, cfg Config, s int, opts PipelineOpts) map[int]LayerResult {
+	c *simrt.Cluster, cfg Config, s int, numeric bool, opts PipelineOpts) map[int]LayerResult {
 	t.Helper()
 	g := c.WorldGroup()
 	epr := cfg.NumExperts / c.NumRanks
@@ -75,6 +78,9 @@ func runPipeline(t *testing.T, pipeline func(r *simrt.Rank, g *simrt.Group, cfg 
 		x := tensor.Randn(rng, 1, s, cfg.HModel)
 		routing := SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0.7)
 		params := localParams(g.IndexOf(r.ID), epr, cfg.HModel, cfg.HFFN)
+		if !numeric {
+			x, params = nil, nil
+		}
 		res := pipeline(r, g, cfg, s, x, routing, params, opts)
 		mu.Lock()
 		results[r.ID] = res
@@ -111,7 +117,7 @@ func TestSymbolicLayerKeepsCounts(t *testing.T) {
 			c := newMoECluster(t, world)
 			g := c.WorldGroup()
 			opts := tc.opts
-			opts.Numeric, opts.SaveForBackward = numeric, true
+			opts.SaveForBackward = true
 			results := make([]LayerResult, world)
 			ranks, err := c.RunCollect(func(r *simrt.Rank) error {
 				rng := tensor.NewRNG(uint64(700 + r.ID))
@@ -159,9 +165,7 @@ func TestPFTForwardMatchesReference(t *testing.T) {
 		x := tensor.Randn(rng, 1, s, cfg.HModel)
 		routing := SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0.7)
 		params := localParams(g.IndexOf(r.ID), 2, cfg.HModel, cfg.HFFN)
-		res := PFTForward(r, g, cfg, s, x, routing, params, PipelineOpts{
-			Numeric: true, DropPolicy: DropByCapacityWeight,
-		})
+		res := PFTForward(r, g, cfg, s, x, routing, params, PipelineOpts{DropPolicy: DropByCapacityWeight})
 		want := referenceMoE(x, res.PFT, cfg.HModel, cfg.HFFN)
 		if !res.Output.Equal(want, 1e-3) {
 			return fmt.Errorf("rank %d: PFT forward differs from reference", r.ID)
@@ -181,9 +185,9 @@ func TestPaddedForwardMatchesPFTForward(t *testing.T) {
 	c2 := newMoECluster(t, 4)
 	cfg := distConfig(8, 3)
 	const s = 24
-	opts := PipelineOpts{Numeric: true, DropPolicy: DropNegativeThenPosition}
-	pftRes := runPipeline(t, PFTForward, c1, cfg, s, opts)
-	padRes := runPipeline(t, PaddedForward, c2, cfg, s, opts)
+	opts := PipelineOpts{DropPolicy: DropNegativeThenPosition}
+	pftRes := runPipeline(t, PFTForward, c1, cfg, s, true, opts)
+	padRes := runPipeline(t, PaddedForward, c2, cfg, s, true, opts)
 	for rank, pr := range pftRes {
 		qr := padRes[rank]
 		if pr.Output == nil || qr.Output == nil {
@@ -201,7 +205,7 @@ func TestPaddedForwardMatchesPFTForward(t *testing.T) {
 func TestPipelinesTokenConservation(t *testing.T) {
 	c := newMoECluster(t, 8)
 	cfg := distConfig(16, 4)
-	res := runPipeline(t, PFTForward, c, cfg, 32, PipelineOpts{DropPolicy: DropByCapacityWeight})
+	res := runPipeline(t, PFTForward, c, cfg, 32, false, PipelineOpts{DropPolicy: DropByCapacityWeight})
 	var routed, received int
 	for _, r := range res {
 		routed += r.RoutedTokens
@@ -218,11 +222,9 @@ func TestPipelinesTokenConservation(t *testing.T) {
 func TestSymbolicModeMatchesNumericCounts(t *testing.T) {
 	cfg := distConfig(8, 3)
 	const s = 24
-	opts := PipelineOpts{Numeric: true, DropPolicy: DropByCapacityWeight}
-	optsSym := opts
-	optsSym.Numeric = false
-	numRes := runPipeline(t, PFTForward, newMoECluster(t, 4), cfg, s, opts)
-	symRes := runPipeline(t, PFTForward, newMoECluster(t, 4), cfg, s, optsSym)
+	opts := PipelineOpts{DropPolicy: DropByCapacityWeight}
+	numRes := runPipeline(t, PFTForward, newMoECluster(t, 4), cfg, s, true, opts)
+	symRes := runPipeline(t, PFTForward, newMoECluster(t, 4), cfg, s, false, opts)
 	for rank := range numRes {
 		if numRes[rank].RoutedTokens != symRes[rank].RoutedTokens ||
 			numRes[rank].RecvTokens != symRes[rank].RecvTokens {
@@ -242,8 +244,8 @@ func TestPaddedUsesMoreMemoryThanPFT(t *testing.T) {
 	cPad := newMoECluster(t, 4)
 	cPft := newMoECluster(t, 4)
 	opts := PipelineOpts{DropPolicy: DropNegativeThenPosition}
-	runPipeline(t, PaddedForward, cPad, cfg, s, opts)
-	runPipeline(t, PFTForward, cPft, cfg, s, opts)
+	runPipeline(t, PaddedForward, cPad, cfg, s, false, opts)
+	runPipeline(t, PFTForward, cPft, cfg, s, false, opts)
 	if cPad.PeakMemory() <= cPft.PeakMemory() {
 		t.Fatalf("padded peak %d should exceed PFT peak %d", cPad.PeakMemory(), cPft.PeakMemory())
 	}
@@ -256,8 +258,8 @@ func TestPaddedCommunicatesMoreThanPFT(t *testing.T) {
 	cPad := newMoECluster(t, 8)
 	cPft := newMoECluster(t, 8)
 	opts := PipelineOpts{DropPolicy: DropNegativeThenPosition}
-	padRes := runPipeline(t, PaddedForward, cPad, cfg, s, opts)
-	pftRes := runPipeline(t, PFTForward, cPft, cfg, s, opts)
+	padRes := runPipeline(t, PaddedForward, cPad, cfg, s, false, opts)
+	pftRes := runPipeline(t, PFTForward, cPft, cfg, s, false, opts)
 	// Padded RecvTokens includes padding slots; PFT's equals real tokens.
 	var padRecv, pftRecv int
 	for rank := range padRes {
@@ -300,8 +302,8 @@ func TestTutelCombineBytesIncreaseMemory(t *testing.T) {
 	opts16 := PipelineOpts{DropPolicy: DropNegativeThenPosition, Kernels: KernelsVendor}
 	opts32 := opts16
 	opts32.CombineBytes = 4
-	runPipeline(t, PaddedForward, c16, cfg, s, opts16)
-	runPipeline(t, PaddedForward, c32, cfg, s, opts32)
+	runPipeline(t, PaddedForward, c16, cfg, s, false, opts16)
+	runPipeline(t, PaddedForward, c32, cfg, s, false, opts32)
 	if c32.PeakMemory() <= c16.PeakMemory() {
 		t.Fatal("fp32 combine buffers must increase peak memory")
 	}
@@ -310,9 +312,7 @@ func TestTutelCombineBytesIncreaseMemory(t *testing.T) {
 func TestSingleRankEPWorks(t *testing.T) {
 	c := newMoECluster(t, 1)
 	cfg := distConfig(4, 2)
-	res := runPipeline(t, PFTForward, c, cfg, 16, PipelineOpts{
-		Numeric: true, DropPolicy: DropByCapacityWeight,
-	})
+	res := runPipeline(t, PFTForward, c, cfg, 16, true, PipelineOpts{DropPolicy: DropByCapacityWeight})
 	if res[0].RoutedTokens != res[0].RecvTokens {
 		t.Fatal("single-rank EP must keep all tokens local")
 	}

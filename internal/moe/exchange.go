@@ -24,19 +24,20 @@ type Exchange interface {
 	// and whether it reads the layout's rows in a symbolic pass too.
 	Layout() (padded, rows bool)
 	// Forward moves pft's rows for a layer of s local tokens (rows is the
-	// [B, H] layout-ordered buffer, nil when symbolic) to the experts and
-	// back. It lands the expert batches one at a time, charging each one's
-	// reorder or reconstruct pass, hands each to e.Forward, whose output it
-	// recycles once sent, and finishes the combine into the [s, H] output
-	// (nil when symbolic). It charges the output buffer and releases its
-	// own buffers.
+	// [B, H] layout-ordered buffer; nil makes the pass symbolic) to the
+	// experts and back. It lands the expert batches one at a time,
+	// charging each one's reorder or reconstruct pass, hands each to
+	// e.Forward, whose output it recycles once sent, and finishes the
+	// combine into the [s, H] output (nil when symbolic). It charges the
+	// output buffer and releases its own buffers.
 	Forward(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts PipelineOpts, e Experts) *tensor.Tensor
 	// Backward mirrors Forward for the output gradient dOut: it lands each
 	// gradient batch in dst, the full-layout expert-output gradient, hands
 	// it to e.Backward, and returns dX and the combine-weight gradient of
-	// every layout row (dOut, dst and the results nil when symbolic). Once
-	// the last batch's input gradients are on their way it calls e.DW, and
-	// opts.OnDWReady once no blocking collective of its own remains.
+	// every layout row (a nil dOut makes the pass symbolic; dst and the
+	// results are nil then). Once the last batch's input gradients are on
+	// their way it calls e.DW, and opts.OnDWReady once no blocking
+	// collective of its own remains.
 	Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOpts, e Experts) (dx *tensor.Tensor, dWeights []float32)
 }
 
@@ -148,7 +149,7 @@ func (x *flat) Forward(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts
 	}
 	kp, chunks := profileOf(x.padded, opts.Kernels), opts.Chunks()
 	mem, pool := &r.Dev().Mem, r.Pool()
-	b := pft.B()
+	b, numeric := pft.B(), rows != nil
 
 	// --- Uneven all-to-all (dispatch), every chunk issued up front -------
 	// Chunk c of global expert e covers rows ChunkRange(cnt_e, chunks, c)
@@ -219,7 +220,7 @@ func (x *flat) Forward(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts
 		// permute the padded frameworks pay as a fallback op). One chunk
 		// is the whole layout, in its own order.
 		x.reorder(r, kp, bc)
-		if opts.Numeric {
+		if numeric {
 			bt.In = pool.Get(bc, h)
 			landBlocks(bt.In.Data, recv, x.n, x.at, h)
 			if chunks > 1 {
@@ -237,13 +238,13 @@ func (x *flat) Forward(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts
 
 	// --- Drain combine chunks, scatter combine (holes add nothing) --------
 	mem.Alloc("A_combine", int64(b)*int64(h)*combElem)
-	if opts.Numeric {
+	if numeric {
 		x.combineIn = pool.Get(b, h)
 	}
 	x.drain(back, x.combineIn)
 	r.Compute(StageCombine, kp.bufferPass(r.C.Comp, x.cfg, s, b, combElem))
 	var output *tensor.Tensor
-	if opts.Numeric {
+	if numeric {
 		output = pool.Get(s, h)
 		kernels.ScatterCombineInto(output, x.combineIn, pft.TokenIDs, pft.CombineWeights)
 		if !opts.SaveForBackward {
@@ -262,7 +263,7 @@ func (x *flat) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOp
 	kp, chunks := profileOf(x.padded, opts.Kernels), opts.Chunks()
 	fused := fusedBackward(chunks, x.padded)
 	pft, pool := x.pft, r.Pool()
-	b := pft.B()
+	b, numeric := pft.B(), dOut != nil
 
 	// --- Per-chunk scatter-combine backward + reverse combine all-to-all --
 	// The forward saved combineIn (the returned expert outputs in layout
@@ -272,7 +273,7 @@ func (x *flat) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOp
 	// source→experts with the dispatch segmentation.
 	var dCombineIn *tensor.Tensor
 	var dWeights []float32
-	if opts.Numeric {
+	if numeric {
 		dCombineIn = pool.Get(b, h)
 		dWeights = make([]float32, b)
 		for i, tok := range pft.TokenIDs {
@@ -320,7 +321,7 @@ func (x *flat) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOp
 			x.reorder(r, kp, bc)
 		}
 		bt := Batch{Rows: x.rows}
-		if opts.Numeric {
+		if numeric {
 			landBlocks(dst.Data, recv, x.n, x.saveAt, h)
 			bt.N, bt.At = x.n, x.saveAt
 		}
@@ -344,7 +345,7 @@ func (x *flat) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOp
 
 	// --- Drain the reverse dispatch, gather backward (holes add nothing) --
 	var dDispIn *tensor.Tensor
-	if opts.Numeric {
+	if numeric {
 		dDispIn = pool.Get(b, h)
 	}
 	x.drain(back, dDispIn)
@@ -354,7 +355,7 @@ func (x *flat) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOp
 		pool.Put(dCombineIn)
 	}
 	r.Compute(StageBwdDispatch, kp.bufferPass(r.C.Comp, x.cfg, x.s, b, elem))
-	if !opts.Numeric {
+	if !numeric {
 		return nil, nil
 	}
 	dx := pool.Get(x.s, h)

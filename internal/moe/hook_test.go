@@ -38,7 +38,7 @@ func TestOnDWReadyFiresOncePerBackward(t *testing.T) {
 				routing := SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0.6)
 				params := localParams(g.IndexOf(r.ID), epr, cfg.HModel, cfg.HFFN)
 				fwdOpts := PipelineOpts{
-					Numeric: true, DropPolicy: DropByCapacityWeight,
+					DropPolicy:      DropByCapacityWeight,
 					SaveForBackward: true, OverlapChunks: tc.chunks,
 					OnDWReady: func() {
 						mu.Lock()
@@ -54,7 +54,7 @@ func TestOnDWReadyFiresOncePerBackward(t *testing.T) {
 				}
 				dOut := tensor.New(s, cfg.HModel)
 				dOut.Fill(1)
-				bwdOpts := PipelineOpts{Numeric: true, OverlapChunks: tc.chunks}
+				bwdOpts := PipelineOpts{OverlapChunks: tc.chunks}
 				bwdOpts.OnDWReady = func() {
 					mu.Lock()
 					fires[r.ID]++

@@ -190,7 +190,7 @@ func TestChunkedOverlapStrictlyFaster(t *testing.T) {
 func TestPipelineOptsCheck(t *testing.T) {
 	valid := []PipelineOpts{
 		{},
-		{Numeric: true, SaveForBackward: true, OverlapChunks: 8},
+		{SaveForBackward: true, OverlapChunks: 8},
 		{OverlapChunks: 1, Kernels: KernelsVendor, CombineBytes: 4},
 		{SaveForBackward: true}, // symbolic timing-only backward
 	}

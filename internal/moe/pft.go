@@ -30,7 +30,7 @@ const (
 // padding (buildPFT's padded mode): every segment holds C rows, and rows no
 // token took are holes.
 //
-// A symbolic layer's PFT (PFTForward without opts.Numeric) carries counts
+// A symbolic layer's PFT (PFTForward handed no x) carries counts
 // only: TokensPerExpert and Dropped, with nil rows, since no symbolic pass
 // moves a row. A symbolic RBD layer groups its rows by token, so its PFT
 // has TokenIDs and CombineWeights but no ExpertIDs, which only a numeric

@@ -199,7 +199,7 @@ func TestSSMBForwardMatchesUnshardedReference(t *testing.T) {
 			func(lo, hi int, shard *tensor.Tensor) *tensor.Tensor {
 				shardRouting := tokenRange(routing, lo, hi)
 				res := moe.PFTForward(r, g, cfg, hi-lo, shard, shardRouting, params,
-					moe.PipelineOpts{Numeric: true, DropPolicy: moe.DropByCapacityWeight})
+					moe.PipelineOpts{DropPolicy: moe.DropByCapacityWeight})
 				return res.Output
 			})
 		if !out.Equal(want, 1e-3) {
@@ -285,7 +285,7 @@ func TestSSMBBackwardMatchesUnshardedGradient(t *testing.T) {
 			func(lo, hi int, shard *tensor.Tensor) *tensor.Tensor {
 				shardRouting := tokenRange(routing, lo, hi)
 				res := moe.PFTForward(r, g, cfg, hi-lo, shard, shardRouting, params,
-					moe.PipelineOpts{Numeric: true, DropPolicy: moe.DropByCapacityWeight, SaveForBackward: true})
+					moe.PipelineOpts{DropPolicy: moe.DropByCapacityWeight, SaveForBackward: true})
 				states[lo] = res.State
 				return res.Output
 			})
@@ -297,7 +297,7 @@ func TestSSMBBackwardMatchesUnshardedGradient(t *testing.T) {
 		dX := SSMBBackward(r, g, s, cfg.HModel, cfg.BytesPerElem, dOut,
 			func(lo, hi int, dShard *tensor.Tensor) *tensor.Tensor {
 				return moe.PFTBackward(r, g, cfg, states[lo], dShard, params,
-					moe.PipelineOpts{Numeric: true}).DX
+					moe.PipelineOpts{}).DX
 			})
 		dFullGrads[r.ID] = dX
 		return nil

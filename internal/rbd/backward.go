@@ -69,8 +69,8 @@ type bwdS1Meta struct {
 // saved by Forward with opts.SaveForBackward, reversing every stage over
 // the same link classes (see the package comment above). It returns dX, the
 // per-local-expert weight gradients, and the per-PFT-entry combine-weight
-// gradients; in symbolic mode (opts.Numeric false) it charges its modeled
-// times and integer-exact wire volumes only. d and cfg are the forward's,
+// gradients; handed no dOut, it charges its modeled times and
+// integer-exact wire volumes only. d and cfg are the forward's,
 // which the state carries.
 //
 // opts.OverlapChunks changes the schedule (the model of moe/overlap.go):
@@ -114,7 +114,7 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 	pool := r.Pool()
 	nodeGroup := st.nodeGroup
 	chunks := opts.Chunks()
-	numeric := opts.Numeric
+	numeric := dOut != nil
 	parts := make([]simrt.Part, 2*chunks*p)
 	exchanges := make([]simrt.Exchange, 2*chunks)
 	c1X, s1X := exchanges[:chunks], exchanges[chunks:]

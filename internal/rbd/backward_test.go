@@ -36,7 +36,7 @@ func runFwdBwd(t *testing.T, world, s int, cfg moe.Config, fwdChunks, bwdChunks 
 		for le := 0; le < epr; le++ {
 			params.W1[le], params.W2[le] = expertWeights(me*epr+le, cfg.HModel, cfg.HFFN)
 		}
-		fwdOpts := moe.PipelineOpts{Numeric: true, DropPolicy: moe.DropNegativeThenPosition,
+		fwdOpts := moe.PipelineOpts{DropPolicy: moe.DropNegativeThenPosition,
 			SaveForBackward: bwdChunks > 0, OverlapChunks: fwdChunks}
 		res := Forward(r, d, cfg, s, x, routing, params, tensor.NewRNG(42+uint64(r.ID)), fwdOpts)
 		var bwd moe.BackwardResult
@@ -50,7 +50,7 @@ func runFwdBwd(t *testing.T, world, s int, cfg moe.Config, fwdChunks, bwdChunks 
 			for i := range dOut.Data {
 				dOut.Data[i] = float32(i%5)*0.2 - 0.4
 			}
-			bwd = Backward(r, d, cfg, res.State, dOut, params, moe.PipelineOpts{Numeric: true, OverlapChunks: bwdChunks})
+			bwd = Backward(r, d, cfg, res.State, dOut, params, moe.PipelineOpts{OverlapChunks: bwdChunks})
 		}
 		mu.Lock()
 		outs[r.ID], grads[r.ID] = res.Output, bwd
@@ -94,7 +94,7 @@ func TestRBDBackwardMatchesPFTAndPadded(t *testing.T) {
 			for le := 0; le < epr; le++ {
 				params.W1[le], params.W2[le] = expertWeights(me*epr+le, cfg.HModel, cfg.HFFN)
 			}
-			opts := moe.PipelineOpts{Numeric: true, DropPolicy: moe.DropNegativeThenPosition, SaveForBackward: true}
+			opts := moe.PipelineOpts{DropPolicy: moe.DropNegativeThenPosition, SaveForBackward: true}
 			dOut := tensor.New(s, cfg.HModel)
 			for i := range dOut.Data {
 				dOut.Data[i] = float32(i%5)*0.2 - 0.4
@@ -330,8 +330,8 @@ func TestOptionErrorSurvivesRun(t *testing.T) {
 }
 
 // TestRBDCheckOptsRejections exercises the typed rejection paths: the RBD
-// backward has no combine-element override, and a numeric backward cannot
-// consume a symbolically captured forward state.
+// backward has no combine-element override, and a backward handed dOut
+// cannot consume a symbolically captured forward state.
 func TestRBDCheckOptsRejections(t *testing.T) {
 	var oe *moe.OptionError
 	err := CheckOpts(moe.PipelineOpts{CombineBytes: 4})
@@ -345,8 +345,8 @@ func TestRBDCheckOptsRejections(t *testing.T) {
 		t.Fatalf("valid opts rejected: %v", err)
 	}
 
-	// Numeric backward over a symbolic capture must panic with the typed
-	// message, on entry, before any collective is issued.
+	// A backward handed dOut over a symbolic capture must panic with the
+	// typed message, on entry, before any collective is issued.
 	c := newCluster(16)
 	g := c.WorldGroup()
 	cfg := bwdCfg
@@ -360,11 +360,11 @@ func TestRBDCheckOptsRejections(t *testing.T) {
 			p := recover()
 			err, _ := p.(error)
 			var oe *moe.OptionError
-			if !errors.As(err, &oe) || oe.Opt != "Numeric" || !strings.Contains(oe.Error(), "captured symbolically") {
+			if !errors.As(err, &oe) || oe.Opt != "dOut" || !strings.Contains(oe.Error(), "captured symbolically") {
 				t.Errorf("rank %d: want the symbolic-capture *moe.OptionError, got %v", r.ID, p)
 			}
 		}()
-		Backward(r, d, cfg, res.State, nil, nil, moe.PipelineOpts{Numeric: true})
+		Backward(r, d, cfg, res.State, tensor.New(16, cfg.HModel), nil, moe.PipelineOpts{})
 		return nil
 	})
 	if err != nil {

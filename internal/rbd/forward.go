@@ -101,7 +101,7 @@ func (st *State) dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, un
 	}
 
 	st.dispatchPilots(r, pft, dispIn)
-	s2 := r.AlltoAllVChunk(st.nodeGroup, StageS2A2A, d.stageReplicas(r, st, st.opts), st.opts.Chunks())
+	s2 := r.AlltoAllVChunk(st.nodeGroup, StageS2A2A, d.stageReplicas(r, st), st.opts.Chunks())
 	if underS2 != nil {
 		reconstruct(st.pilotRowsTotal)
 		underS2.Forward(moe.Batch{Rows: st.PilotRowsPerLE})
@@ -135,7 +135,7 @@ func (st *State) dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, un
 	} else {
 		reconstruct(totalRows)
 	}
-	if !st.opts.Numeric {
+	if !st.numeric {
 		return nil
 	}
 
@@ -191,7 +191,7 @@ func (st *State) combine(r *simrt.Rank, expertOut *tensor.Tensor) *tensor.Tensor
 	rowBytes := int64(h) * elem
 	p := st.d.EP.Size()
 	chunks := st.opts.Chunks()
-	numeric := st.opts.Numeric
+	numeric := st.numeric
 	mem := &r.Dev().Mem
 	// merge charges the weight-scaled merge pass over n rows.
 	merge := func(n int) {

@@ -36,7 +36,7 @@ func TestForwardMatchesPFTForward(t *testing.T) {
 			for le := 0; le < epr; le++ {
 				params.W1[le], params.W2[le] = expertWeights(me*epr+le, cfg.HModel, cfg.HFFN)
 			}
-			opts := moe.PipelineOpts{Numeric: true, DropPolicy: moe.DropByCapacityWeight}
+			opts := moe.PipelineOpts{DropPolicy: moe.DropByCapacityWeight}
 			var out *tensor.Tensor
 			if useRBD {
 				res := Forward(r, d, cfg, s, x, routing, params, tensor.NewRNG(42+uint64(r.ID)), opts)

@@ -95,7 +95,7 @@ func checkGeometry(t *testing.T, gc geomCase) {
 		}
 		return tensor.Randn(rng, 1, gc.s, cfg.HModel), rt, params
 	}
-	opts := moe.PipelineOpts{Numeric: true, DropPolicy: moe.DropByCapacityWeight, SaveForBackward: true}
+	opts := moe.PipelineOpts{DropPolicy: moe.DropByCapacityWeight, SaveForBackward: true}
 	if gc.firstExpert {
 		opts.PilotPolicy = moe.PilotFirstExpert
 	}

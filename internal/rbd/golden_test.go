@@ -102,7 +102,7 @@ func runBlockingLayer(t *testing.T, transport string, numeric bool, chunks int, 
 				dOut.Data[i] = float32(i%7)*0.15 - 0.4
 			}
 		}
-		fwd := moe.PipelineOpts{Numeric: numeric, DropPolicy: drop, SaveForBackward: true, OverlapChunks: chunks}
+		fwd := moe.PipelineOpts{DropPolicy: drop, SaveForBackward: true, OverlapChunks: chunks}
 		if tutel {
 			fwd.Kernels, fwd.CombineBytes = moe.KernelsVendor, 4
 		}

@@ -97,8 +97,8 @@ func steadyAllocs(t *testing.T, chunks int, numeric bool) float64 {
 	c := newCluster(world)
 	g := c.WorldGroup()
 	d := NewDispatcher(c, g, cfg)
-	fwd := moe.PipelineOpts{Numeric: numeric, DropPolicy: moe.DropByCapacityWeight, SaveForBackward: true, OverlapChunks: chunks}
-	bwd := moe.PipelineOpts{Numeric: numeric, OverlapChunks: chunks}
+	fwd := moe.PipelineOpts{DropPolicy: moe.DropByCapacityWeight, SaveForBackward: true, OverlapChunks: chunks}
+	bwd := moe.PipelineOpts{OverlapChunks: chunks}
 	routings := make([]moe.Routing, world)
 	xs, dOuts := make([]*tensor.Tensor, world), make([]*tensor.Tensor, world)
 	params := make([]*moe.ExpertParams, world)

@@ -137,9 +137,9 @@ func (got pilotSel) equal(want pilotSel) error {
 // after: the same draws, in the same order. A symbolic selection from a
 // third equal generator must make the numeric one's parts and counts.
 func checkPilotsMatchRef(d *Dispatcher, pft *moe.PFT, policy moe.PilotPolicy, seed uint64) error {
-	st, sym := &State{pft: pft}, &State{pft: pft}
+	st, sym := &State{pft: pft, numeric: true}, &State{pft: pft}
 	rng, refRNG, symRNG := tensor.NewRNG(seed), tensor.NewRNG(seed), tensor.NewRNG(seed)
-	opts := moe.PipelineOpts{Numeric: true, SaveForBackward: true, PilotPolicy: policy}
+	opts := moe.PipelineOpts{SaveForBackward: true, PilotPolicy: policy}
 	got := pilotSel{metas: d.selectPilots(st, rng, opts), pilotEntry: st.pilotEntry, replicaEntry: st.replicaEntry}
 	if err := got.equal(selectPilotsRef(d, pft, policy, refRNG)); err != nil {
 		return err

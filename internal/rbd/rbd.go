@@ -199,10 +199,11 @@ type s2Sent struct {
 // any charge reads. The per-row maps — the replica records, merge targets,
 // pilot weights and the row map — are built by numeric passes only.
 type State struct {
-	d    *Dispatcher
-	rng  *tensor.RNG      // drives the randomized pilot selection
-	opts moe.PipelineOpts // the current pass's
-	s    int              // the layer's local tokens
+	d       *Dispatcher
+	rng     *tensor.RNG      // drives the randomized pilot selection
+	opts    moe.PipelineOpts // the current pass's
+	numeric bool             // the forward was handed rows
+	s       int              // the layer's local tokens
 	// Source side.
 	pft        *moe.PFT
 	pilotEntry []int // PFT entry index of each sent pilot, send order
@@ -258,8 +259,9 @@ func (d *Dispatcher) newState(rng *tensor.RNG, opts moe.PipelineOpts) *State {
 
 // dispatchPilots runs RBD stages 0-1 for rank r: pilot selection, pilot
 // buffer instantiation, and the inter-node pilot exchange in
-// opts.Chunks() chunks. It leaves the received pilot payload (numeric) and
-// Stage-1 metadata in st, from which Stage 2 continues.
+// opts.Chunks() chunks. The layer call is numeric exactly when it is
+// handed the layout's rows (dispIn). It leaves the received pilot payload
+// (numeric) and Stage-1 metadata in st, from which Stage 2 continues.
 func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor) {
 	d, opts := st.d, st.opts
 	h := d.Cfg.HModel
@@ -268,7 +270,7 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 	comp := r.C.Comp
 	mem := &r.Dev().Mem
 
-	st.pft, st.nodeGroup = pft, d.nodeGroups[d.nodeOfMember[d.EP.IndexOf(r.ID)]]
+	st.pft, st.numeric, st.nodeGroup = pft, dispIn != nil, d.nodeGroups[d.nodeOfMember[d.EP.IndexOf(r.ID)]]
 	metas := d.selectPilots(st, st.rng, opts)
 	pilotEntry := st.pilotEntry
 
@@ -282,7 +284,7 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 	// same ChunkRange split.
 	chunks := opts.Chunks()
 	var pilotBuf *tensor.Tensor
-	if opts.Numeric {
+	if st.numeric {
 		pilotBuf = tensor.New(len(pilotEntry), h)
 		for sp, ent := range pilotEntry {
 			copy(pilotBuf.Row(sp), dispIn.Row(ent))
@@ -316,11 +318,11 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 			}
 			st.pilotRowsTotal = st.pilotPartOff[p]
 			mem.Alloc("rbd_pilot_recv", int64(st.pilotRowsTotal)*int64(h)*elem)
-			if opts.Numeric {
+			if st.numeric {
 				st.pilotRows = r.Pool().Get(st.pilotRowsTotal, h)
 			}
 		}
-		if !opts.Numeric {
+		if !st.numeric {
 			continue
 		}
 		for src, part := range recv {
@@ -359,7 +361,7 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 // same whatever the routing. Arrays the State keeps are sized to the pilot
 // count, never to the PFT.
 func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineOpts) []s1Meta {
-	pft := st.pft
+	pft, numeric := st.pft, st.numeric
 	p, nodes := d.EP.Size(), d.nodes
 	numTokens := 0
 	for _, t := range pft.TokenIDs {
@@ -431,7 +433,7 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineO
 	}
 	cntFlat := make([]int32, keyOff)
 	var weightsFlat []float32
-	if opts.Numeric {
+	if numeric {
 		weightsFlat = make([]float32, nPilots+1)
 	}
 	np, lo := 0, 0 // np is the next pilot's send position
@@ -448,7 +450,7 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineO
 			isPilot := b2i(lane == 1)
 			mask := -int32(isPilot)
 			pilotEntry[np] = ent
-			if opts.Numeric {
+			if numeric {
 				weightsFlat[np] = pft.CombineWeights[ent]
 			}
 			cntFlat[np+dst+1] = (size - 1) & mask
@@ -477,7 +479,7 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineO
 			repCum:   repCum,
 		}
 	}
-	if opts.Numeric {
+	if numeric {
 		nReplicas := pft.B() - nPilots
 		replicasFlat := make([]replicaMeta, nReplicas)
 		var entryFlat []int
@@ -513,7 +515,7 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineO
 			isPilot := b2i(pilotEntry[next] == ent)
 			next += isPilot
 			cntFlat[keyBase[tab[c]]+key] += int32(1 - isPilot)
-			if opts.Numeric && isPilot == 0 {
+			if numeric && isPilot == 0 {
 				m := &metas[tab[c]]
 				m.replicas = append(m.replicas, replicaMeta{
 					pilotRel: -tab[c+1] - 1,
@@ -543,7 +545,7 @@ func b2i(b bool) int {
 // instantiation pass and returns the parts. Numeric, it also places each
 // replica row and its merge target (st.s2SentByMember) and instantiates
 // the send buffers from the received pilot payload.
-func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State, opts moe.PipelineOpts) []simrt.Part {
+func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State) []simrt.Part {
 	h := d.Cfg.HModel
 	elem := int64(d.Cfg.BytesPerElem)
 	me := d.EP.IndexOf(r.ID)
@@ -559,7 +561,7 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State, opts moe.PipelineOp
 	members := st.nodeGroup.Size()
 	nKeys := members * d.EPR
 	n := nKeys + members
-	if opts.Numeric {
+	if st.numeric {
 		n += nKeys
 	}
 	flat := make([]int, n)
@@ -583,7 +585,7 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State, opts moe.PipelineOp
 
 	var metaFlat []replicaMeta
 	var sentFlat []s2Sent
-	if opts.Numeric {
+	if st.numeric {
 		// One counting sort: placing in (src, ri) visiting order keeps
 		// arrival order within an expert, with no comparison sort.
 		next := flat[nKeys+members:]
@@ -612,7 +614,7 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State, opts moe.PipelineOp
 		hi := lo + n
 		meta := s2Meta{perLE: perKey[slot*d.EPR : (slot+1)*d.EPR]}
 		var data []float32
-		if opts.Numeric {
+		if st.numeric {
 			meta.replicas = metaFlat[lo:hi:hi]
 			sent := sentFlat[lo:hi:hi]
 			data = make([]float32, n*h)

@@ -55,7 +55,7 @@ func runRBDLayer(t *testing.T, c *simrt.Cluster, cfg moe.Config, s int, seedBase
 		dispIn := kernels.Gather(x, pft.TokenIDs)
 
 		pilotRNG := tensor.NewRNG(7777 + uint64(r.ID))
-		st, expertIn := dispatchOnly(d, r, s, pft, dispIn, pilotRNG, moe.PipelineOpts{Numeric: true})
+		st, expertIn := dispatchOnly(d, r, s, pft, dispIn, pilotRNG, moe.PipelineOpts{})
 
 		me := g.IndexOf(r.ID)
 		w1 := make([]*tensor.Tensor, d.EPR)
@@ -175,7 +175,7 @@ func TestRBDExpertInputsMatchPlainDispatch(t *testing.T) {
 		}
 		mu.Unlock()
 
-		st, expertIn := dispatchOnly(d, r, s, pft, dispIn, tensor.NewRNG(99+uint64(r.ID)), moe.PipelineOpts{Numeric: true})
+		st, expertIn := dispatchOnly(d, r, s, pft, dispIn, tensor.NewRNG(99+uint64(r.ID)), moe.PipelineOpts{})
 		me := g.IndexOf(r.ID)
 		mu.Lock()
 		row := 0
@@ -459,9 +459,8 @@ func TestStageReplicasOrder(t *testing.T) {
 	err := c.Run(func(r *simrt.Rank) error {
 		rt := moe.SyntheticRouting(tensor.NewRNG(900+uint64(r.ID)), s, cfg.NumExperts, cfg.TopK, 0.7)
 		pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(s), moe.DropByCapacityWeight)
-		opts := moe.PipelineOpts{Numeric: true}
-		st := pilotsOnly(d, r, pft, tensor.New(pft.B(), cfg.HModel), tensor.NewRNG(50+uint64(r.ID)), opts)
-		parts := d.stageReplicas(r, st, opts)
+		st := pilotsOnly(d, r, pft, tensor.New(pft.B(), cfg.HModel), tensor.NewRNG(50+uint64(r.ID)), moe.PipelineOpts{})
+		parts := d.stageReplicas(r, st)
 
 		members := d.nodeMembers[d.nodeOfMember[g.IndexOf(r.ID)]]
 		incoming, staged := 0, 0

@@ -62,29 +62,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// norm returns a standard normal sample by Marsaglia's polar method, one
-// sample at a time. It is the scalar reference NormBlock reproduces bit
-// for bit; every caller draws through NormBlock.
-func (r *RNG) norm() float64 {
-	if r.hasSpare {
-		r.hasSpare = false
-		return r.spare
-	}
-	var u, v, s float64
-	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
-		if s > 0 && s < 1 {
-			break
-		}
-	}
-	m := math.Sqrt(-2 * math.Log(s) / s)
-	r.spare = v * m
-	r.hasSpare = true
-	return u * m
-}
-
 // NormBlockLen is the number of normals a NormBlock always has room for.
 const NormBlockLen = 2 * normBlockPairs
 

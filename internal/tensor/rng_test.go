@@ -171,3 +171,26 @@ func TestNormBlockFullPanics(t *testing.T) {
 	}()
 	b.Reserve(r)
 }
+
+// norm returns a standard normal sample by Marsaglia's polar method, one
+// sample at a time: the scalar reference NormBlock reproduces bit for bit
+// (the library draws through NormBlock only).
+func (r *RNG) norm() float64 {
+	if r.hasSpare {
+		r.hasSpare = false
+		return r.spare
+	}
+	var u, v, s float64
+	for {
+		u = 2*r.Float64() - 1
+		v = 2*r.Float64() - 1
+		s = u*u + v*v
+		if s > 0 && s < 1 {
+			break
+		}
+	}
+	m := math.Sqrt(-2 * math.Log(s) / s)
+	r.spare = v * m
+	r.hasSpare = true
+	return u * m
+}

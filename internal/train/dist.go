@@ -73,9 +73,10 @@ type DistConfig struct {
 	// capacities). Observations reset on Restore and elastic
 	// rebuilds — the first step after either routes uniformly.
 	Mitigation float64
-	// Opts configures the pipelines; Numeric and SaveForBackward are
-	// forced on (a numeric training step needs both), OverlapChunks and
-	// DropPolicy are honoured in both passes.
+	// Opts configures the pipelines; SaveForBackward is forced on (a
+	// training step runs the backward), OverlapChunks and DropPolicy are
+	// honoured in both passes. Every pass is numeric, as each is handed
+	// its data.
 	Opts moe.PipelineOpts
 }
 
@@ -195,7 +196,6 @@ func NewDistTrainer(cfg DistConfig) (*DistTrainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.Opts.Numeric = true
 	cfg.Opts.SaveForBackward = true
 	t := &DistTrainer{Cfg: cfg, kind: kind}
 	t.build(cfg.World)

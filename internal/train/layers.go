@@ -213,7 +213,7 @@ func NewMoEFFN(rng *tensor.RNG, c *simrt.Cluster, cfg moe.Config, policy moe.Dro
 		Router:  NewLinear(rng, cfg.HModel, cfg.NumExperts, 0.02),
 		experts: moe.NewExpertParams(rng, cfg.NumExperts, cfg.HModel, cfg.HFFN),
 		layer:   transport.New(transport.PFT, c, c.WorldGroup(), cfg),
-		opts:    moe.PipelineOpts{Numeric: true, SaveForBackward: true, DropPolicy: policy},
+		opts:    moe.PipelineOpts{SaveForBackward: true, DropPolicy: policy},
 	}
 	for e := range m.experts.W1 {
 		m.W1 = append(m.W1, NewParam(m.experts.W1[e]))

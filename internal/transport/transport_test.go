@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"xmoe/internal/moe"
@@ -174,8 +175,8 @@ func (rg *layerRig) run(t *testing.T, fwdChunks, bwdChunks int) layerBits {
 		dOut := tensor.Randn(rng, 0.3, s, cfg.HModel)
 		params := moe.NewExpertParams(tensor.NewRNG(77+uint64(r.ID)), cfg.NumExperts/world, cfg.HModel, cfg.HFFN)
 		pilots := tensor.NewRNG(91 + uint64(r.ID))
-		fwd := moe.PipelineOpts{Numeric: true, DropPolicy: drop, SaveForBackward: bwdChunks > 0, OverlapChunks: fwdChunks}
-		bwd := moe.PipelineOpts{Numeric: true, DropPolicy: drop, OverlapChunks: bwdChunks}
+		fwd := moe.PipelineOpts{DropPolicy: drop, SaveForBackward: bwdChunks > 0, OverlapChunks: fwdChunks}
+		bwd := moe.PipelineOpts{DropPolicy: drop, OverlapChunks: bwdChunks}
 		var res moe.LayerResult
 		switch {
 		case rg.layer != nil:
@@ -362,8 +363,9 @@ func TestLayerMatchesDirectCalls(t *testing.T) {
 // TestForwardStateOnlyWhenSaved: a forward without SaveForBackward keeps
 // no state, and reversing it anyway fails with a typed
 // *moe.OptionError{Opt: "SaveForBackward"} rather than a nil dereference;
-// with SaveForBackward the backward runs — for every transport, numeric
-// and symbolic.
+// with SaveForBackward the backward runs — for every transport, handed x
+// and dOut (numeric) or nil (symbolic). Only the forward handed x returns
+// an Output.
 func TestForwardStateOnlyWhenSaved(t *testing.T) {
 	const world, s = 8, 32
 	cfg := moe.Config{NumExperts: 16, TopK: 2, HModel: 8, HFFN: 4, CapacityFactor: 1.25, BytesPerElem: 2}
@@ -382,12 +384,14 @@ func TestForwardStateOnlyWhenSaved(t *testing.T) {
 						x, dOut = tensor.Randn(rng, 1, s, cfg.HModel), tensor.Randn(rng, 1, s, cfg.HModel)
 						params = moe.NewExpertParams(rng, cfg.NumExperts/world, cfg.HModel, cfg.HFFN)
 					}
-					opts := moe.PipelineOpts{Numeric: numeric, SaveForBackward: save}
-					res := layer.Forward(r, s, x, rt, params, tensor.NewRNG(1), opts)
+					res := layer.Forward(r, s, x, rt, params, tensor.NewRNG(1), moe.PipelineOpts{SaveForBackward: save})
+					if (res.Output != nil) != numeric {
+						return fmt.Errorf("output %v after a forward handed x %v", res.Output != nil, numeric)
+					}
 					if (res.State != nil) != save {
 						return fmt.Errorf("state %v after a forward with SaveForBackward %v", res.State != nil, save)
 					}
-					grads := res.State.Backward(r, dOut, params, moe.PipelineOpts{Numeric: numeric})
+					grads := res.State.Backward(r, dOut, params, moe.PipelineOpts{})
 					if numeric && (grads.DX == nil || len(grads.DW1) != cfg.NumExperts/world) {
 						return fmt.Errorf("numeric backward returned no gradients")
 					}
@@ -440,16 +444,19 @@ func TestForwardFreesItsStaging(t *testing.T) {
 }
 
 // priceBits is what one fwd+bwd prices, by bit pattern: every rank's clock
-// and trace breakdown, and the cluster's peak memory.
+// and trace breakdown, and the cluster's peak memory; and how many ranks'
+// forwards returned an Output.
 type priceBits struct {
 	clocks    []uint64
 	breakdown []map[string]uint64
 	peak      int64
+	outputs   int
 }
 
 // runPriced executes one fwd+bwd of kind at chunk count c on a fresh
-// two-node cluster, numeric or symbolic, over routing and pilot draws that
-// do not depend on the mode.
+// two-node cluster, numeric (handed x, params and dOut) or symbolic
+// (handed nil), over routing and pilot draws that do not depend on the
+// mode.
 func runPriced(t *testing.T, kind Kind, chunks int, numeric bool) priceBits {
 	t.Helper()
 	const world, s = 16, 32
@@ -460,6 +467,7 @@ func runPriced(t *testing.T, kind Kind, chunks int, numeric bool) priceBits {
 	if kind == Padded {
 		drop = moe.DropNegativeThenPosition
 	}
+	var outputs atomic.Int64
 	ranks, err := c.RunCollect(func(r *simrt.Rank) error {
 		routing := moe.SyntheticRouting(tensor.NewRNG(8300+uint64(r.ID)), s, cfg.NumExperts, cfg.TopK, 0.6)
 		var x, dOut *tensor.Tensor
@@ -469,16 +477,19 @@ func runPriced(t *testing.T, kind Kind, chunks int, numeric bool) priceBits {
 			x, dOut = tensor.Randn(rng, 1, s, cfg.HModel), tensor.Randn(rng, 0.3, s, cfg.HModel)
 			params = moe.NewExpertParams(rng, cfg.NumExperts/world, cfg.HModel, cfg.HFFN)
 		}
-		fwd := moe.PipelineOpts{Numeric: numeric, DropPolicy: drop, SaveForBackward: true, OverlapChunks: chunks}
-		bwd := moe.PipelineOpts{Numeric: numeric, DropPolicy: drop, OverlapChunks: chunks}
+		fwd := moe.PipelineOpts{DropPolicy: drop, SaveForBackward: true, OverlapChunks: chunks}
+		bwd := moe.PipelineOpts{DropPolicy: drop, OverlapChunks: chunks}
 		res := layer.Forward(r, s, x, routing, params, tensor.NewRNG(91+uint64(r.ID)), fwd)
+		if res.Output != nil {
+			outputs.Add(1)
+		}
 		res.State.Backward(r, dOut, params, bwd)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := priceBits{peak: c.PeakMemory()}
+	got := priceBits{peak: c.PeakMemory(), outputs: int(outputs.Load())}
 	for _, rk := range ranks {
 		got.clocks = append(got.clocks, math.Float64bits(rk.Clock))
 		bd := map[string]uint64{}
@@ -493,12 +504,16 @@ func runPriced(t *testing.T, kind Kind, chunks int, numeric bool) priceBits {
 // TestSymbolicPricesLikeNumeric: a symbolic pass moves no row but must
 // price exactly what the numeric pass over the same routing prices —
 // every rank's clock, every stage of its trace breakdown and the peak
-// memory, bit for bit — for every transport, blocking and chunked.
+// memory, bit for bit — for every transport, blocking and chunked. Only
+// the forwards handed x return an Output.
 func TestSymbolicPricesLikeNumeric(t *testing.T) {
 	for _, kind := range Kinds() {
 		for _, chunks := range []int{1, 2, 4} {
 			sym, num := runPriced(t, kind, chunks, false), runPriced(t, kind, chunks, true)
 			name := fmt.Sprintf("%v C=%d", kind, chunks)
+			if sym.outputs != 0 || num.outputs != len(num.clocks) {
+				t.Errorf("%s: %d symbolic and %d of %d numeric forwards returned an Output", name, sym.outputs, num.outputs, len(num.clocks))
+			}
 			if sym.peak != num.peak {
 				t.Errorf("%s: peak memory %d symbolic, %d numeric", name, sym.peak, num.peak)
 			}
@@ -522,10 +537,11 @@ func TestSymbolicPricesLikeNumeric(t *testing.T) {
 	}
 }
 
-// TestBackwardRejectsUnusableState: a numeric backward over a forward state
-// captured symbolically (SaveForBackward without Numeric) fails every rank
-// on entry, on every transport, with a typed *moe.OptionError that
-// errors.As finds through Cluster.Run; so does a backward with no state.
+// TestBackwardRejectsUnusableState: a backward handed dOut over a forward
+// state captured symbolically (a forward handed no x) fails every rank on
+// entry, on every transport, with a typed *moe.OptionError{Opt: "dOut"}
+// that errors.As finds through Cluster.Run; so does a backward with no
+// state.
 func TestBackwardRejectsUnusableState(t *testing.T) {
 	const world, s = 8, 16
 	cfg := moe.Config{NumExperts: 16, TopK: 4, HModel: 8, HFFN: 4, CapacityFactor: 1.25, BytesPerElem: 2}
@@ -541,11 +557,11 @@ func TestBackwardRejectsUnusableState(t *testing.T) {
 			routing := moe.SyntheticRouting(rng, s, cfg.NumExperts, cfg.TopK, 0.5)
 			res := l.Forward(r, s, nil, routing, nil, rng, moe.PipelineOpts{SaveForBackward: true})
 			params := moe.NewExpertParams(rng, cfg.NumExperts/world, cfg.HModel, cfg.HFFN)
-			res.State.Backward(r, tensor.New(s, cfg.HModel), params, moe.PipelineOpts{Numeric: true})
+			res.State.Backward(r, tensor.New(s, cfg.HModel), params, moe.PipelineOpts{})
 			return nil
 		})
-		if !optionError(err, "Numeric") {
-			t.Errorf("%v: numeric backward over a symbolic state: want *moe.OptionError{Opt: Numeric}, got %v", kind, err)
+		if !optionError(err, "dOut") {
+			t.Errorf("%v: dOut handed to a symbolic state: want *moe.OptionError{Opt: dOut}, got %v", kind, err)
 		}
 	}
 
