@@ -1,6 +1,6 @@
 # Developer workflow for the xmoe reproduction.
 #
-#   make ci      - what the CI job runs: gofmt, the transport-name grep, the one-body grep, the assembly FMA grep, vet, build, the portability builds (the kernels at GOAMD64=v3, every package vetted for arm64), the race gate, fuzz smoke, tests, quick bench
+#   make ci      - what the CI job runs: gofmt, the transport-name grep, the one-body grep (one layer body, one memory setup), the assembly FMA grep, vet, build, the portability builds (the kernels at GOAMD64=v3, every package vetted for arm64), the race gate, fuzz smoke, tests, quick bench
 #   make test    - full test suite (includes the slow sweep tests)
 #   make race    - full race-detector pass (go test -race ./...)
 #   make race-fast - race pass over the concurrency-heavy packages and four named bench/baselines tests
@@ -54,12 +54,17 @@ no-transport-strings:
 # internal/rbd and benchmark/ (whose API pins it) builds an
 # rbd.NewDispatcher: RBD's stages then run only inside a transport.Layer,
 # so a dispatch-only harness that skips the body's gather cannot come back
-# silently either.
+# silently either. And fails on a memmodel.Setup literal in a non-test
+# file outside internal/memmodel and internal/baselines: a system's memory
+# setup is described once, by baselines.Config.MemSetup, so no figure can
+# price a transport or kernel class its system does not run.
 one-body:
 	@out=$$(grep -rnE 'Compute\(moe\.Stage(Gate|Dispatch|Experts|BwdExperts)\b' --include='*.go' . | grep -v _test.go | grep -v '^\./internal/moe/'); \
 	if [ -n "$$out" ]; then echo "MoE layer body stages charged outside internal/moe:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'rbd\.NewDispatcher(' --include='*.go' . | grep -v _test.go | grep -vE '^\./(internal/transport|internal/rbd|benchmark)/'); \
 	if [ -n "$$out" ]; then echo "RBD dispatcher built outside transport.Layer:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn 'memmodel\.Setup{' --include='*.go' . | grep -v _test.go | grep -vE '^\./internal/(memmodel|baselines)/'); \
+	if [ -n "$$out" ]; then echo "memory setup built outside baselines.Config.MemSetup:"; echo "$$out"; exit 1; fi
 
 # Fails on a fused multiply-add or multiply-subtract (VFMADD*, VFMSUB*,
 # VFNMADD*, VFNMSUB*) in any tracked assembly file: the GEMM's AVX2 body

@@ -9,11 +9,11 @@ import (
 	"fmt"
 
 	"xmoe/internal/baselines"
-	"xmoe/internal/memmodel"
 	"xmoe/internal/model"
 	"xmoe/internal/moe"
 	"xmoe/internal/parallel"
 	"xmoe/internal/topology"
+	"xmoe/internal/transport"
 )
 
 func main() {
@@ -25,28 +25,32 @@ func main() {
 	fmt.Println("platform: Frontier, 1024 MI250X GCDs (128 nodes, 4 racks)")
 
 	fmt.Println("\ntrainability across systems (global batch 1024):")
+	var best baselines.SweepResult
 	for _, sys := range baselines.Systems() {
-		cfg := baselines.For(sys, m)
-		sw := baselines.Sweep(cfg, shape, m, 1024, 1024, 42, true)
+		sw := baselines.Sweep(baselines.For(sys, m), shape, m, 1024, 1024, 42, true)
+		if sys == baselines.XMoE {
+			best = sw
+		}
 		if sw.OOM {
-			fmt.Printf("  %-14s OOM — no swept configuration fits 64 GB per GCD\n", cfg.Name)
+			fmt.Printf("  %-14s OOM — no swept configuration fits 64 GB per GCD\n", sys)
 			continue
 		}
 		fmt.Printf("  %-14s %.1f TFLOPs/GPU (%.2f aggregate PFLOPs), iter %.1fs,\n",
-			cfg.Name, sw.Best.TFLOPsPerGPU, sw.Best.AggPFLOPs, sw.Best.IterSeconds)
+			sys, sw.Best.TFLOPsPerGPU, sw.Best.AggPFLOPs, sw.Best.IterSeconds)
 		fmt.Printf("  %-14s config: TP=%d EP=%d ZeRO-%d SSMB=%v micro-batch=%d, peak %.1f GiB/GPU\n",
 			"", sw.Plan.TP, sw.Plan.EP, sw.Plan.ZeROStage, sw.Plan.SSMB, sw.MicroBatch, sw.Best.PeakMemGB)
 	}
+	if best.OOM {
+		return
+	}
 
-	// Show why: per-GPU memory of the best X-MoE plan with each
-	// technique toggled off.
+	// Show why: per-GPU memory of the X-MoE plan the sweep chose with
+	// each technique toggled off.
 	fmt.Println("\nablation: X-MoE memory techniques on the Super model (peak GiB/GPU):")
-	cfg := baselines.For(baselines.XMoE, m)
-	base := parallel.Plan{World: 1024, TP: 4, EP: 256, Placement: cfg.Placement, SSMB: true, ZeROStage: 1}
 	show := func(label string, plan parallel.Plan, c baselines.Config) {
 		r := baselines.SimulateStep(c, baselines.RunSpec{
 			Shape: shape, Machine: m, World: 1024, Plan: plan,
-			MicroBatch: 1, GlobalBatch: 1024, Seed: 42,
+			MicroBatch: best.MicroBatch, GlobalBatch: 1024, Seed: 42, Congestion: true,
 		})
 		verdict := "fits"
 		if r.OOM {
@@ -54,13 +58,14 @@ func main() {
 		}
 		fmt.Printf("  %-28s %6.1f GiB  (%s)\n", label, r.PeakMemGB, verdict)
 	}
-	show("full X-MoE (PFT+SSMB)", base, cfg)
-	noSSMB := base
+	cfg := baselines.For(baselines.XMoE, m)
+	show("full X-MoE (PFT+SSMB)", best.Plan, cfg)
+	noSSMB := best.Plan
 	noSSMB.SSMB = false
 	show("without SSMB", noSSMB, cfg)
 	padded := cfg
-	padded.Pipeline = memmodel.PipelinePadded
+	padded.Transport = transport.Padded
 	padded.Kernels = moe.KernelsFallback
-	show("padded pipeline (DS-style)", base, padded)
+	show("padded pipeline (DS-style)", best.Plan, padded)
 	fmt.Println("\npaper: X-MoE sustains 10.44 aggregate PFLOPs on the 545B model at 1024 GCDs")
 }

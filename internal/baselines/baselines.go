@@ -50,12 +50,14 @@ func (s System) String() string {
 // Systems returns all four systems in the paper's plotting order.
 func Systems() []System { return []System{DeepSpeedMoE, DeepSpeedTED, Tutel, XMoE} }
 
-// Config captures how a system drives the shared machinery.
+// Config captures how a system drives the shared machinery: the transport
+// its MoE layers run and the kernels that build their buffers, which the
+// step simulator and the memory model both read from here.
 type Config struct {
-	Sys  System
-	Name string
-	// Pipeline selects padded vs PFT buffers for memory accounting.
-	Pipeline memmodel.Pipeline
+	Sys System
+	// Transport is the transport the system's MoE layers run: padded for
+	// the baselines, RBD (over the PFT pipeline) for X-MoE.
+	Transport transport.Kind
 	// Kernels selects the gating/dispatch kernel quality class.
 	Kernels moe.KernelProfile
 	// DropPolicy is the system's token-dropping rule.
@@ -66,8 +68,6 @@ type Config struct {
 	SupportsTP bool
 	// SSMB: sequence-sharded MoE blocks (X-MoE only).
 	SSMB bool
-	// RBD: redundancy-bypassing dispatch (X-MoE only).
-	RBD bool
 	// Placement is the EP/DP placement strategy.
 	Placement parallel.Placement
 	// MaxEP caps the expert-parallel group size (X-MoE limits EP to one
@@ -83,16 +83,16 @@ func For(sys System, m *topology.Machine) Config {
 	switch sys {
 	case DeepSpeedMoE:
 		return Config{
-			Sys: sys, Name: sys.String(),
-			Pipeline:   memmodel.PipelinePadded,
+			Sys:        sys,
+			Transport:  transport.Padded,
 			Kernels:    moe.KernelsFallback,
 			DropPolicy: moe.DropNegativeThenPosition,
 			Placement:  parallel.EPFirst,
 		}
 	case DeepSpeedTED:
 		return Config{
-			Sys: sys, Name: sys.String(),
-			Pipeline:   memmodel.PipelinePadded,
+			Sys:        sys,
+			Transport:  transport.Padded,
 			Kernels:    moe.KernelsFallback,
 			DropPolicy: moe.DropNegativeThenPosition,
 			SupportsTP: true,
@@ -104,8 +104,8 @@ func For(sys System, m *topology.Machine) Config {
 			cb = 4
 		}
 		return Config{
-			Sys: sys, Name: sys.String(),
-			Pipeline:     memmodel.PipelinePadded,
+			Sys:          sys,
+			Transport:    transport.Padded,
 			Kernels:      moe.KernelsVendor,
 			DropPolicy:   moe.DropNegativeThenPosition,
 			CombineBytes: cb,
@@ -116,29 +116,16 @@ func For(sys System, m *topology.Machine) Config {
 		// expert co-location; the DP-first replica placement of Appendix
 		// C.1 is analysed separately (it trades away RBD's redundancy).
 		return Config{
-			Sys: sys, Name: sys.String(),
-			Pipeline:   memmodel.PipelinePFT,
+			Sys:        sys,
+			Transport:  transport.RBD,
 			Kernels:    moe.KernelsTriton,
 			DropPolicy: moe.DropByCapacityWeight,
 			SupportsTP: true,
 			SSMB:       true,
-			RBD:        true,
 			Placement:  parallel.EPFirst,
 			MaxEP:      256,
 		}
 	}
-}
-
-// Transport is the transport the system's MoE layers run over: RBD when
-// enabled (it rides the PFT pipeline), else the pipeline's flat exchange.
-func (c Config) Transport() transport.Kind {
-	switch {
-	case c.RBD:
-		return transport.RBD
-	case c.Pipeline == memmodel.PipelinePFT:
-		return transport.PFT
-	}
-	return transport.Padded
 }
 
 // PipelineOpts converts the system config into moe pipeline options.
@@ -150,18 +137,16 @@ func (c Config) PipelineOpts() moe.PipelineOpts {
 	}
 }
 
-// MemSetup converts the system config plus a plan and micro-batch into a
-// memory-model setup. Vendor kernels are Tutel's sparse dispatcher, which
-// builds no dense mask — the same decision the padded pipeline makes from
-// PipelineOpts.Kernels.
+// MemSetup is the system's memory-model setup under a plan and
+// micro-batch: the one place a system's memory accounting is described,
+// priced by the same transport and kernels its MoE layers run.
 func (c Config) MemSetup(plan parallel.Plan, microBatch int) memmodel.Setup {
 	return memmodel.Setup{
 		Plan:           plan,
 		MicroBatch:     microBatch,
-		Pipeline:       c.Pipeline,
+		Transport:      c.Transport,
 		CapacityFactor: 1.25,
-		ElemBytes:      2,
 		CombineBytes:   c.CombineBytes,
-		NoDenseMask:    c.Kernels == moe.KernelsVendor,
+		Kernels:        c.Kernels,
 	}
 }

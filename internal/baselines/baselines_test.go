@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"xmoe/internal/memmodel"
 	"xmoe/internal/model"
 	"xmoe/internal/moe"
 	"xmoe/internal/parallel"
@@ -19,19 +18,14 @@ func TestPresetsDifferentiateSystems(t *testing.T) {
 	tutel := For(Tutel, m)
 	x := For(XMoE, m)
 
-	if ds.Pipeline != memmodel.PipelinePadded || x.Pipeline != memmodel.PipelinePFT {
-		t.Fatal("pipeline presets wrong")
-	}
-	flat := x
-	flat.RBD = false
-	if ds.Transport() != transport.Padded || tutel.Transport() != transport.Padded ||
-		x.Transport() != transport.RBD || flat.Transport() != transport.PFT {
-		t.Fatal("transport derived from Pipeline + RBD wrong")
+	if ds.Transport != transport.Padded || ted.Transport != transport.Padded ||
+		tutel.Transport != transport.Padded || x.Transport != transport.RBD {
+		t.Fatal("transport presets wrong")
 	}
 	if ds.SupportsTP || !ted.SupportsTP || !x.SupportsTP {
 		t.Fatal("TP support presets wrong")
 	}
-	if !x.SSMB || !x.RBD || ds.SSMB || tutel.RBD {
+	if !x.SSMB || ds.SSMB || tutel.SSMB {
 		t.Fatal("X-MoE feature flags wrong")
 	}
 	if tutel.CombineBytes != 4 {

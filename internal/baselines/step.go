@@ -358,7 +358,7 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool, routings *routingStor
 	cfg := moe.LayerOf(spec.Shape)
 	layerOfRank := make([]*transport.Layer, spec.World)
 	for _, ranks := range spec.Plan.EPGroups() {
-		layer := transport.New(sys.Transport(), cluster, cluster.NewGroup(ranks), cfg)
+		layer := transport.New(sys.Transport, cluster, cluster.NewGroup(ranks), cfg)
 		for _, r := range ranks {
 			layerOfRank[r] = layer
 		}

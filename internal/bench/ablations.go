@@ -46,25 +46,26 @@ func AblationPilotSelection(w io.Writer, opts Options) []Row {
 // inflate the padded pipeline's buffers (the waste PFT removes). X-MoE's
 // padding-free memory is insensitive to the factor until capacity binds.
 func AblationCapacityFactor(w io.Writer, opts Options) []Row {
-	const s, e, k = 2048, 64, 6
+	const s = 2048
 	sh := model.Small()
-	rt := moe.SyntheticRouting(tensor.NewRNG(opts.Seed), s, e, k, 0.8)
+	cfg := moe.LayerOf(sh)
+	rt := moe.SyntheticRouting(tensor.NewRNG(opts.Seed), s, cfg.NumExperts, cfg.TopK, 0.8)
 
 	var rows []Row
 	for _, f := range []float64{0.5, 1.0, 1.25, 2.0, 4.0} {
-		capTokens := int(f*float64(s)*float64(k)/float64(e) + 0.999999)
-		pft := moe.BuildPFT(rt, e, capTokens, moe.DropByCapacityWeight)
-		mkMem := func(pipe memmodel.Pipeline) float64 {
+		cfg.CapacityFactor = f
+		pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(s), moe.DropByCapacityWeight)
+		mkMem := func(kind transport.Kind) float64 {
 			st := baselines.For(baselines.DeepSpeedMoE, topology.Frontier()).MemSetup(
 				parallel.Plan{World: 64, TP: 1, EP: 64, ZeROStage: 1}, 1)
 			st.CapacityFactor = f
-			st.Pipeline = pipe
+			st.Transport = kind
 			return gib(memmodel.MoELayer(sh, st, s).Total())
 		}
 		key := fmt.Sprint("factor=", f, "/")
-		rows = append(rows, Row{key + "dropped", "%", float64(pft.Dropped) / float64(s*k) * 100, 0},
-			Row{key + "padded act", "GiB", mkMem(memmodel.PipelinePadded), 0},
-			Row{key + "PFT act", "GiB", mkMem(memmodel.PipelinePFT), 0})
+		rows = append(rows, Row{key + "dropped", "%", float64(pft.Dropped) / float64(s*cfg.TopK) * 100, 0},
+			Row{key + "padded act", "GiB", mkMem(transport.Padded), 0},
+			Row{key + "PFT act", "GiB", mkMem(transport.PFT), 0})
 	}
 	return render(w, "Ablation: expert capacity factor (Small config, skewed routing, activations per layer)", rows,
 		"padded buffers grow linearly with the factor; PFT memory is bounded by the",

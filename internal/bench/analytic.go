@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"xmoe/internal/baselines"
 	"xmoe/internal/memmodel"
 	"xmoe/internal/model"
 	"xmoe/internal/moe"
@@ -19,13 +20,8 @@ import (
 // by the fine-grained factor m and the FFN intermediates stay constant.
 func Table1SizeEquivalence(w io.Writer, _ Options) []Row {
 	conv, spec := model.ConvSpecPair()
-	st := memmodel.Setup{
-		Plan:           parallel.Plan{World: 256, TP: 1, EP: conv.NumExperts, ZeROStage: 1},
-		MicroBatch:     2,
-		Pipeline:       memmodel.PipelinePFT,
-		CapacityFactor: 1.25,
-		ElemBytes:      2,
-	}
+	st := baselines.For(baselines.XMoE, topology.Frontier()).MemSetup(
+		parallel.Plan{World: 256, TP: 1, EP: conv.NumExperts, ZeROStage: 1}, 2)
 	const s = 4096
 	bc := memmodel.MoELayer(conv, st, s)
 	stSpec := st
@@ -57,6 +53,7 @@ func Table1SizeEquivalence(w io.Writer, _ Options) []Row {
 // number of experts), showing the bottleneck shifting from model states /
 // intermediates to dispatch and combine.
 func Figure3MemoryDistribution(w io.Writer, _ Options) []Row {
+	xmoe := baselines.For(baselines.XMoE, topology.Frontier())
 	conv, spec := model.ConvSpecPair()
 	const s = 4096
 	var rows []Row
@@ -65,13 +62,7 @@ func Figure3MemoryDistribution(w io.Writer, _ Options) []Row {
 		sh        model.Shape
 		paperDisp float64 // GiB
 	}{{"Mconv", conv, 0}, {"Mspec", spec, 0.35}} {
-		st := memmodel.Setup{
-			Plan:           parallel.Plan{World: 256, TP: 1, EP: p.sh.NumExperts, ZeROStage: 1},
-			MicroBatch:     2,
-			Pipeline:       memmodel.PipelinePFT,
-			CapacityFactor: 1.25,
-			ElemBytes:      2,
-		}
+		st := xmoe.MemSetup(parallel.Plan{World: 256, TP: 1, EP: p.sh.NumExperts, ZeROStage: 1}, 2)
 		// Single-layer model states per GPU.
 		one := p.sh
 		one.Layers = 1
@@ -121,18 +112,14 @@ func Table4ActivationMemory(w io.Writer, _ Options) []Row {
 	sh := model.Large()
 	const s = 4096
 	plan := parallel.Plan{World: 256, TP: 1, EP: 64, ZeROStage: 1}
-	mk := func(p memmodel.Pipeline, combine int, noMask bool) float64 {
-		st := memmodel.Setup{
-			Plan: plan, MicroBatch: 1, Pipeline: p,
-			CapacityFactor: 1.25, ElemBytes: 2,
-			CombineBytes: combine, NoDenseMask: noMask,
-		}
+	mk := func(sys baselines.System) float64 {
+		st := baselines.For(sys, topology.Frontier()).MemSetup(plan, 1)
 		return gib(memmodel.MoELayer(sh, st, s).Total())
 	}
 	return render(w, "Table 4: per-MoE-layer activation memory, Large model, 256 GPUs", []Row{
-		{"DS-MoE", "GiB", mk(memmodel.PipelinePadded, 0, false), 2.81},
-		{"Tutel", "GiB", mk(memmodel.PipelinePadded, 4, true), 1.95},
-		{"X-MoE", "GiB", mk(memmodel.PipelinePFT, 0, false), 1.21},
+		{"DS-MoE", "GiB", mk(baselines.DeepSpeedMoE), 2.81},
+		{"Tutel", "GiB", mk(baselines.Tutel), 1.95},
+		{"X-MoE", "GiB", mk(baselines.XMoE), 1.21},
 		{"theoretical", "GiB", 4 * 1.25 * 8 * 4096 * 7168 / float64(1<<30), 1.125},
 	})
 }
@@ -142,16 +129,11 @@ func Table4ActivationMemory(w io.Writer, _ Options) []Row {
 // blocks.
 func Figure13SSMBMemory(w io.Writer, _ Options) []Row {
 	sh := model.Large()
+	xmoe := baselines.For(baselines.XMoE, topology.Frontier())
 	var rows []Row
 	for _, tp := range []int{1, 2, 4} {
 		mk := func(ssmb bool) float64 {
-			st := memmodel.Setup{
-				Plan:           parallel.Plan{World: 256, TP: tp, EP: 64, ZeROStage: 1, SSMB: ssmb},
-				MicroBatch:     1,
-				Pipeline:       memmodel.PipelinePFT,
-				CapacityFactor: 1.25,
-				ElemBytes:      2,
-			}
+			st := xmoe.MemSetup(parallel.Plan{World: 256, TP: tp, EP: 64, ZeROStage: 1, SSMB: ssmb}, 1)
 			return float64(memmodel.ModelStates(sh, st)+memmodel.Activations(sh, st)) / (1 << 30)
 		}
 		with, without := mk(true), mk(false)

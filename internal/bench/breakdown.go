@@ -40,7 +40,9 @@ func Figure11LayerBreakdown(w io.Writer, opts Options) []Row {
 		var fwd [2]map[string]float64 // per systems entry
 		for i, sys := range systems {
 			cfg := baselines.For(sys, m)
-			cfg.RBD = false // isolate PFT per the paper's methodology
+			if cfg.Transport == transport.RBD {
+				cfg.Transport = transport.PFT // isolate PFT per the paper's methodology
+			}
 			cfg.SSMB = false
 			plan := parallel.Plan{World: 256, TP: 1, EP: p.ep, Placement: cfg.Placement, ZeROStage: 1}
 			fwd[i] = baselines.SimulateStep(cfg, baselines.RunSpec{

@@ -37,9 +37,8 @@ func Figure9MainResults(w io.Writer, opts Options) []Row {
 	var n int
 	for _, p := range points {
 		for _, sys := range baselines.Systems() {
-			cfg := baselines.For(sys, m)
-			sw := baselines.Sweep(cfg, p.shape, m, p.world, 1024, opts.Seed, true)
-			k := p.shape.Name + "/" + cfg.Name
+			sw := baselines.Sweep(baselines.For(sys, m), p.shape, m, p.world, 1024, opts.Seed, true)
+			k := p.shape.Name + "/" + sys.String()
 			if sw.OOM {
 				rows = append(rows, Row{k, "TFLOPs", 0, p.paper[sys]})
 				continue
@@ -176,13 +175,12 @@ func Table5CrossPlatform(w io.Writer, opts Options) []Row {
 	var rows []Row
 	for _, shape := range []model.Shape{model.Small(), model.SmallSR(), model.SmallLR()} {
 		for i, sys := range systems {
-			cfg := baselines.For(sys, m)
-			sw := baselines.Sweep(cfg, shape, m, 8, 64, opts.Seed, false)
+			sw := baselines.Sweep(baselines.For(sys, m), shape, m, 8, 64, opts.Seed, false)
 			var v float64
 			if !sw.OOM {
 				v = sw.Best.TFLOPsPerGPU
 			}
-			rows = append(rows, Row{shape.Name + "/" + cfg.Name, "TFLOPs", v, paper[shape.Name][i]})
+			rows = append(rows, Row{shape.Name + "/" + sys.String(), "TFLOPs", v, paper[shape.Name][i]})
 		}
 	}
 	return render(w, "Table 5: cross-platform results on 8x A100 40GB (TFLOPs/GPU)", rows)
@@ -207,11 +205,10 @@ func Figure20DepthTopK(w io.Writer, opts Options) []Row {
 	point := func(coord string, shape model.Shape) map[baselines.System]float64 {
 		tflops := map[baselines.System]float64{}
 		for _, sys := range []baselines.System{baselines.DeepSpeedMoE, baselines.Tutel, baselines.XMoE} {
-			cfg := baselines.For(sys, m)
-			if sw := baselines.Sweep(cfg, shape, m, 256, 1024, opts.Seed, true); !sw.OOM {
+			if sw := baselines.Sweep(baselines.For(sys, m), shape, m, 256, 1024, opts.Seed, true); !sw.OOM {
 				tflops[sys] = sw.Best.TFLOPsPerGPU
 			}
-			rows = append(rows, Row{coord + "/" + cfg.Name, "TFLOPs", tflops[sys], 0})
+			rows = append(rows, Row{coord + "/" + sys.String(), "TFLOPs", tflops[sys], 0})
 		}
 		return tflops
 	}

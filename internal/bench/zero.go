@@ -9,6 +9,7 @@ import (
 	"xmoe/internal/model"
 	"xmoe/internal/parallel"
 	"xmoe/internal/topology"
+	"xmoe/internal/transport"
 )
 
 // AblationZeRO measures the effect of bucketed, overlapped gradient sync
@@ -30,11 +31,11 @@ func AblationZeRO(w io.Writer, opts Options) []Row {
 		bucketsMB = []int64{0, 16}
 	}
 	// One system per transport: X-MoE runs the hierarchical RBD transport
-	// fwd+bwd, the flat PFT row is X-MoE with RBD switched off, and
+	// fwd+bwd, the flat PFT row is X-MoE over the PFT transport, and
 	// DeepSpeed-MoE is the padded row.
 	xmoe := baselines.For(baselines.XMoE, m)
 	flatXMoE := xmoe
-	flatXMoE.RBD = false
+	flatXMoE.Transport = transport.PFT
 	systems := []baselines.Config{xmoe, flatXMoE, baselines.For(baselines.DeepSpeedMoE, m)}
 	step := func(cfg baselines.Config, spec baselines.RunSpec) float64 {
 		r := baselines.SimulateStep(cfg, spec)
@@ -62,7 +63,7 @@ func AblationZeRO(w io.Writer, opts Options) []Row {
 				}
 				blocking := step(cfg, spec)
 				states[stage] = gib(memmodel.ModelStatesBreakdown(shape, cfg.MemSetup(plan, 1)).Total())
-				key := fmt.Sprint(cfg.Transport(), "/EP=", ep, "/zero=", stage, "/")
+				key := fmt.Sprint(cfg.Transport, "/EP=", ep, "/zero=", stage, "/")
 				rows = append(rows, Row{key + "blocking", "ms", blocking * 1e3, 0}, Row{key + "states", "GiB", states[stage], 0})
 				for _, mb := range bucketsMB {
 					spec.BlockingGradSync = false
@@ -73,7 +74,7 @@ func AblationZeRO(w io.Writer, opts Options) []Row {
 						Row{bucket + "speedup", "x", blocking / overlap, 0})
 				}
 			}
-			rows = append(rows, Row{fmt.Sprint(cfg.Transport(), "/EP=", ep, "/zero-2 states saving"), "GiB",
+			rows = append(rows, Row{fmt.Sprint(cfg.Transport, "/EP=", ep, "/zero-2 states saving"), "GiB",
 				states[0] - states[2], 0})
 		}
 	}

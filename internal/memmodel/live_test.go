@@ -8,24 +8,27 @@ import (
 	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
 	"xmoe/internal/topology"
+	"xmoe/internal/transport"
 )
 
-// liveLayerTags runs one symbolic forward of an MoE layer of shape sh on an
-// EP group of ep ranks, each holding s tokens of skewed routing, and
-// returns every rank's MemTracker high-water mark by tag: the bytes each
-// buffer held before the forward released it.
-func liveLayerTags(t *testing.T, sh model.Shape, ep, s int, padded bool, opts moe.PipelineOpts) []map[string]int64 {
+// liveLayerTags runs one symbolic forward of the st.Transport layer of
+// shape sh, with st's kernels and combine element size, on an EP group of
+// ep ranks, each holding s tokens of skewed routing, and returns every
+// rank's MemTracker high-water mark by tag: the bytes each buffer held
+// before the forward released it.
+func liveLayerTags(t *testing.T, sh model.Shape, st Setup, ep, s int) []map[string]int64 {
 	t.Helper()
 	c := simrt.NewCluster(topology.Frontier(), ep, 5)
-	g := c.WorldGroup()
 	cfg := moe.LayerOf(sh)
-	forward := moe.PFTForward
-	if padded {
-		forward = moe.PaddedForward
+	cfg.CapacityFactor = st.CapacityFactor
+	layer := transport.New(st.Transport, c, c.WorldGroup(), cfg)
+	opts := moe.PipelineOpts{Kernels: st.Kernels, CombineBytes: st.CombineBytes}
+	if err := layer.Check(opts); err != nil {
+		t.Fatal(err)
 	}
 	ranks, err := c.RunCollect(func(r *simrt.Rank) error {
 		routing := moe.SyntheticRouting(tensor.NewRNG(900+uint64(r.ID)), s, sh.NumExperts, sh.TopK, 0.8)
-		forward(r, g, cfg, s, nil, routing, nil, opts)
+		layer.Forward(r, s, nil, routing, nil, tensor.NewRNG(700+uint64(r.ID)), opts)
 		return nil
 	})
 	if err != nil {
@@ -38,54 +41,62 @@ func liveLayerTags(t *testing.T, sh model.Shape, ep, s int, padded bool, opts mo
 	return tags
 }
 
-// TestMoELayerMatchesLiveMemTracker holds MoELayer to what the simulated
-// pipelines charge their memory trackers. A padded layer's mask, dispatch,
-// combine and intermediate buffers equal the formulas exactly under all
-// three baseline profiles (the fallback frameworks' dense mask, Tutel's
-// sparse dispatcher, and Tutel's fp32 combine buffers on AMD); a PFT
-// layer's dispatch and combine buffers and ERI-arrays stay within the
-// formulas' bound of min(S·k, E·C) rows, whatever the routing skew.
+// liveField is one buffer a layer charged next to the MoELayer term that
+// prices it.
+type liveField struct {
+	name      string
+	got, want int64
+}
+
+// liveFields pairs the tags a transport k layer charges with their
+// MoELayer terms: the padded layer's mask, buffers and intermediates; the
+// padding-free body's dispatch input, intermediates and ERI-arrays, and
+// PFT's combine buffer (RBD combines from its own staging buffers).
+func liveFields(k transport.Kind, got map[string]int64, want MoEBreakdown) []liveField {
+	f := []liveField{{"A0_interm", got["A0_interm"], want.AInterm0}, {"A1_interm", got["A1_interm"], want.AInterm1}}
+	switch k {
+	case transport.Padded:
+		return append(f, liveField{"mask+mask_interm", got["mask"] + got["mask_interm"], want.Mask},
+			liveField{"A_dispatch", got["A_dispatch"], want.ADispatch}, liveField{"A_combine", got["A_combine"], want.ACombine})
+	case transport.PFT:
+		f = append(f, liveField{"A_combine", got["A_combine"], want.ACombine})
+	}
+	return append(f, liveField{"dispatch_in", got["dispatch_in"], want.ADispatch}, liveField{"eri", got["eri"], want.ERI})
+}
+
+// TestMoELayerMatchesLiveMemTracker holds MoELayer to what the layer its
+// Setup names charges its memory trackers. A padded layer's mask,
+// dispatch, combine and intermediate buffers equal the formulas exactly
+// under all three baseline profiles (the fallback frameworks' dense mask,
+// Tutel's sparse dispatcher, and Tutel's fp32 combine buffers on AMD); a
+// PFT or RBD layer's buffers stay within the formulas' bound of
+// min(S·k, E·C) rows, whatever the routing skew. RBD's staging buffers
+// have no term: the model prices RBD as PFT.
 func TestMoELayerMatchesLiveMemTracker(t *testing.T) {
 	sh := model.Shape{HModel: 64, HFFN: 32, NumExperts: 16, TopK: 4}
 	const ep, s = 4, 96
-	setup := func(p Pipeline) Setup {
-		return Setup{Pipeline: p, CapacityFactor: 1.25, ElemBytes: 2}
-	}
 	for _, tc := range []struct {
-		name    string
-		kernels moe.KernelProfile
-		combine int
-	}{{"fallback", moe.KernelsFallback, 0}, {"vendor", moe.KernelsVendor, 0}, {"vendor-fp32-combine", moe.KernelsVendor, 4}} {
-		st := setup(PipelinePadded)
-		st.CombineBytes, st.NoDenseMask = tc.combine, tc.kernels == moe.KernelsVendor
-		want := MoELayer(sh, st, s)
-		opts := moe.PipelineOpts{Kernels: tc.kernels, CombineBytes: tc.combine, DropPolicy: moe.DropNegativeThenPosition}
-		for id, got := range liveLayerTags(t, sh, ep, s, true, opts) {
-			for _, f := range []struct {
-				name      string
-				got, want int64
-			}{
-				{"mask+mask_interm", got["mask"] + got["mask_interm"], want.Mask},
-				{"A_dispatch", got["A_dispatch"], want.ADispatch},
-				{"A_combine", got["A_combine"], want.ACombine},
-				{"A0_interm", got["A0_interm"], want.AInterm0},
-				{"A1_interm", got["A1_interm"], want.AInterm1},
-			} {
-				if f.got != f.want {
-					t.Errorf("padded/%s rank %d: live %s = %d B, MoELayer says %d B", tc.name, id, f.name, f.got, f.want)
+		name string
+		st   Setup
+	}{
+		{"padded/fallback", Setup{Transport: transport.Padded, Kernels: moe.KernelsFallback}},
+		{"padded/vendor", Setup{Transport: transport.Padded, Kernels: moe.KernelsVendor}},
+		{"padded/vendor-fp32-combine", Setup{Transport: transport.Padded, Kernels: moe.KernelsVendor, CombineBytes: 4}},
+		{"pft", Setup{Transport: transport.PFT}},
+		{"rbd", Setup{Transport: transport.RBD}},
+	} {
+		tc.st.CapacityFactor = 1.25
+		padded := tc.st.Transport == transport.Padded
+		want := MoELayer(sh, tc.st, s)
+		for id, got := range liveLayerTags(t, sh, tc.st, ep, s) {
+			for _, f := range liveFields(tc.st.Transport, got, want) {
+				if f.got > f.want || (padded && f.got != f.want) {
+					t.Errorf("%s rank %d: live %s = %d B, MoELayer says %d B", tc.name, id, f.name, f.got, f.want)
 				}
 			}
-		}
-	}
-
-	want := MoELayer(sh, setup(PipelinePFT), s)
-	for id, got := range liveLayerTags(t, sh, ep, s, false, moe.PipelineOpts{}) {
-		if got["dispatch_in"] > want.ADispatch || got["A_combine"] > want.ACombine || got["eri"] > want.ERI {
-			t.Errorf("pft rank %d: live dispatch_in/A_combine/eri %d/%d/%d B exceed MoELayer's %d/%d/%d B", id,
-				got["dispatch_in"], got["A_combine"], got["eri"], want.ADispatch, want.ACombine, want.ERI)
-		}
-		if got["dispatch_in"] == 0 {
-			t.Errorf("pft rank %d: no dispatch_in charged", id)
+			if !padded && got["dispatch_in"] == 0 {
+				t.Errorf("%s rank %d: no dispatch_in charged", tc.name, id)
+			}
 		}
 	}
 }

@@ -1,35 +1,30 @@
 // Package memmodel is the analytic memory model of the reproduction: it
 // computes per-GPU model-state and activation memory for any combination
 // of model shape (internal/model), hybrid-parallel plan
-// (internal/parallel), and pipeline style (padded vs PFT), following the
-// paper's accounting in §3.2 (Tables 1-2), §4.3, Table 4, and Appendix
-// C.2 (the SSMB-vs-TED tradeoff, Eqs. 1-2).
+// (internal/parallel), and the transport a system's MoE layers run
+// (internal/transport) with the kernels that build their buffers,
+// following the paper's accounting in §3.2 (Tables 1-2), §4.3, Table 4,
+// and Appendix C.2 (the SSMB-vs-TED tradeoff, Eqs. 1-2).
 //
 // Every memory-related figure of the paper — the Fig. 3 bottleneck shift,
 // Table 4 per-layer activations, Fig. 13 SSMB savings, Fig. 17 advantage
 // regions, and the OOM verdicts in Figs. 9 and 20 — is derived from these
-// formulas. TestMoELayerMatchesLiveMemTracker holds MoELayer to the
-// simulated pipelines' live MemTracker accounting: a padded layer's mask,
-// dispatch, combine and intermediate buffers match it byte for byte under
-// the fallback, vendor and fp32-combine profiles, and a PFT layer's
-// dispatch and combine buffers and ERI-arrays stay within its bound of
-// min(S·k, E·C) rows. Nothing else here is checked against a simulation.
+// formulas, each from the setup baselines.For(sys, m).MemSetup builds.
+// TestMoELayerMatchesLiveMemTracker holds MoELayer to the live MemTracker
+// accounting of the transport.Layer its Setup names: a padded layer's
+// mask, dispatch, combine and intermediate buffers match it byte for byte
+// under the fallback, vendor and fp32-combine profiles, and a PFT or RBD
+// layer's dispatch buffer, intermediates and ERI-arrays (and PFT's
+// combine buffer) stay within its bound of min(S·k, E·C) rows. RBD's
+// staging buffers are not priced (see Setup.Transport). Nothing else here
+// is checked against a simulation.
 package memmodel
 
 import (
 	"xmoe/internal/model"
+	"xmoe/internal/moe"
 	"xmoe/internal/parallel"
-)
-
-// Pipeline selects the dispatch data layout.
-type Pipeline int
-
-const (
-	// PipelinePadded is the conventional fixed-capacity zero-padded
-	// layout (GShard / DeepSpeed-MoE / DeepSpeed-TED / Tutel).
-	PipelinePadded Pipeline = iota
-	// PipelinePFT is X-MoE's padding-free token buffer layout.
-	PipelinePFT
+	"xmoe/internal/transport"
 )
 
 // Setup combines the knobs that determine memory consumption.
@@ -39,18 +34,24 @@ type Setup struct {
 	// MicroBatch is the number of sequences each GPU processes per
 	// micro-step.
 	MicroBatch int
-	// Pipeline selects padded vs padding-free buffers.
-	Pipeline Pipeline
+	// Transport is the transport the MoE layers run: Padded prices the
+	// capacity-padded buffers, PFT and RBD the padding-free ones. RBD is
+	// priced as PFT, so it is underpriced: its staging buffers
+	// (rbd_pilot_send, rbd_pilot_recv, rbd_s2_send, rbd_s2_recv,
+	// rbd_merged) have no term here. Symbolic forwards at H = 64, F = 32,
+	// routing skew 0.8 put RBD's largest live per-rank peak at 1.30x
+	// PFT's (E = 16, k = 4, EP 4, S = 96), 1.33x (E = 64, k = 8, EP 16,
+	// S = 512) and 1.40x (the same at EP 32).
+	Transport transport.Kind
 	// CapacityFactor is the expert capacity factor c (1.25 in §5.1).
 	CapacityFactor float64
-	// ElemBytes is the activation element size (2 = bf16).
-	ElemBytes int
 	// CombineBytes is the element size of combine-side buffers (4 models
-	// Tutel's forced fp32 A_combine on AMD; 0 = ElemBytes).
+	// Tutel's forced fp32 A_combine on AMD; 0 = bf16).
 	CombineBytes int
-	// NoDenseMask models Tutel's sparse dispatcher: padded buffers
-	// without the dense [S, E, C] mask tensors.
-	NoDenseMask bool
+	// Kernels is the kernel class that builds a padded layer's buffers:
+	// every profile but Tutel's sparse dispatcher builds the dense
+	// [S, E, C] mask (moe.KernelProfile.DenseMask).
+	Kernels moe.KernelProfile
 	// ActCkpt enables activation checkpointing: only layer inputs are
 	// retained; everything else is recomputed in backward.
 	ActCkpt bool
@@ -60,11 +61,12 @@ func (s Setup) combineBytes() int {
 	if s.CombineBytes > 0 {
 		return s.CombineBytes
 	}
-	return s.ElemBytes
+	return actBytes
 }
 
 const (
 	maskBytes  = 4  // fp32 combine-weights mask of the conventional pipeline
+	actBytes   = 2  // bf16 activations
 	paramBytes = 2  // bf16 parameters
 	gradBytes  = 2  // bf16 gradients
 	optBytes   = 12 // fp32 master copy + Adam m/v per parameter
@@ -180,45 +182,34 @@ func (b MoEBreakdown) Total() int64 {
 func MoELayer(sh model.Shape, st Setup, sTokens int) MoEBreakdown {
 	e, k := sh.NumExperts, sh.TopK
 	h, f := int64(sh.HModel), int64(sh.HFFN)
-	elem := int64(st.ElemBytes)
-	comb := int64(st.combineBytes())
-	capacity := int64(float64(sTokens)*float64(k)/float64(e)*st.CapacityFactor + 0.999999)
-	if capacity < 1 {
-		capacity = 1
-	}
+	cfg := moe.LayerOf(sh)
+	cfg.CapacityFactor = st.CapacityFactor
+	rows := int64(e) * int64(cfg.Capacity(sTokens))
 
 	var b MoEBreakdown
-	switch st.Pipeline {
-	case PipelinePadded:
+	if st.Transport == transport.Padded {
 		// DeepSpeed-style gating materialises an fp32 combine-weights
-		// tensor [S, E, C] plus an elem-typed dispatch mask of the same
-		// shape (the einsum operand), plus [S*K, E] one-hot/cumsum
+		// tensor [S, E, C] plus a bf16 dispatch mask of the same shape
+		// (the einsum operand), plus [S*K, E] one-hot/cumsum
 		// intermediates — the ">70% of activation memory" of §3.1. The
 		// padded buffers hold E*C rows per GPU after the even
 		// all-to-all regardless of occupancy. Tutel's sparse dispatcher
-		// (NoDenseMask) skips the dense mask but keeps index arrays.
-		if st.NoDenseMask {
-			b.Mask = int64(sTokens*k) * 16
+		// skips the dense mask but keeps index arrays.
+		if st.Kernels.DenseMask() {
+			b.Mask = int64(sTokens)*rows*(maskBytes+actBytes) + int64(sTokens*k*e)*4
 		} else {
-			b.Mask = int64(sTokens)*int64(e)*capacity*int64(maskBytes+st.ElemBytes) +
-				int64(sTokens*k*e)*4
+			b.Mask = int64(sTokens*k) * 16
 		}
-		rows := int64(e) * capacity
-		b.ADispatch = rows * h * elem
-		b.ACombine = rows * h * comb
-		b.AInterm0 = rows * f * elem
-		b.AInterm1 = rows * f * elem
-	case PipelinePFT:
-		rows := int64(sTokens) * int64(k)
-		if max := int64(e) * capacity; rows > max {
-			rows = max
-		}
-		b.ADispatch = rows * h * elem
-		b.ACombine = rows * h * comb
-		b.AInterm0 = rows * f * elem
-		b.AInterm1 = rows * f * elem
+	} else {
+		// The padding-free buffers hold the routed rows, at most E*C,
+		// described by the ERI-arrays.
+		rows = min(rows, int64(sTokens)*int64(k))
 		b.ERI = rows*12 + int64(e)*4
 	}
+	b.ADispatch = rows * h * actBytes
+	b.ACombine = rows * h * int64(st.combineBytes())
+	b.AInterm0 = rows * f * actBytes
+	b.AInterm1 = rows * f * actBytes
 	return b
 }
 
@@ -227,11 +218,10 @@ func MoELayer(sh model.Shape, st Setup, sTokens int) MoEBreakdown {
 // activations while block inputs/outputs stay duplicated.
 func DenseLayerActivations(sh model.Shape, st Setup, sTokens int) int64 {
 	h := int64(sh.HModel)
-	elem := int64(st.ElemBytes)
 	// The block boundary tensor is counted once (the output is the next
 	// block's input); in-block activations shard over TP.
-	duplicated := int64(sTokens) * h * elem
-	sharded := 8 * int64(sTokens) * h * elem / int64(st.Plan.TP) // qkv, scores-proxy, proj, norms
+	duplicated := int64(sTokens) * h * actBytes
+	sharded := 8 * int64(sTokens) * h * actBytes / int64(st.Plan.TP) // qkv, scores-proxy, proj, norms
 	return duplicated + sharded
 }
 
@@ -247,8 +237,7 @@ func Activations(sh model.Shape, st Setup) int64 {
 	moe := MoELayer(sh, st, sMoE).Total()
 	dense := DenseLayerActivations(sh, st, sTokens)
 	perLayer := moe + dense
-	elem := int64(st.ElemBytes)
-	layerInput := int64(sTokens) * int64(sh.HModel) * elem
+	layerInput := int64(sTokens) * int64(sh.HModel) * actBytes
 
 	if st.ActCkpt {
 		// Keep one checkpoint per layer plus one layer's live

@@ -5,16 +5,17 @@ import (
 	"testing/quick"
 
 	"xmoe/internal/model"
+	"xmoe/internal/moe"
 	"xmoe/internal/parallel"
+	"xmoe/internal/transport"
 )
 
 func baseSetup(world, tp, ep int) Setup {
 	return Setup{
 		Plan:           parallel.Plan{World: world, TP: tp, EP: ep, ZeROStage: 1},
 		MicroBatch:     1,
-		Pipeline:       PipelinePFT,
+		Transport:      transport.PFT,
 		CapacityFactor: 1.25,
-		ElemBytes:      2,
 	}
 }
 
@@ -50,7 +51,7 @@ func TestMoELayerPaddedVsPFT(t *testing.T) {
 	st := baseSetup(256, 1, 64)
 	const s = 4096
 	stPad := st
-	stPad.Pipeline = PipelinePadded
+	stPad.Transport = transport.Padded
 	pad := MoELayer(sh, stPad, s)
 	pft := MoELayer(sh, st, s)
 	if pad.Total() <= pft.Total() {
@@ -102,7 +103,7 @@ func TestFig3BottleneckShift(t *testing.T) {
 func TestTutelCombineBytes(t *testing.T) {
 	sh := model.Large()
 	st := baseSetup(256, 1, 64)
-	st.Pipeline = PipelinePadded
+	st.Transport = transport.Padded
 	st32 := st
 	st32.CombineBytes = 4
 	if MoELayer(sh, st32, 4096).ACombine != 2*MoELayer(sh, st, 4096).ACombine {
@@ -151,12 +152,12 @@ func TestTable4ApproximateMagnitudes(t *testing.T) {
 	gb := func(b int64) float64 { return float64(b) / (1 << 30) }
 
 	ds := baseSetup(256, 1, 64)
-	ds.Pipeline = PipelinePadded
+	ds.Transport = transport.Padded
 	dsGB := gb(MoELayer(sh, ds, s).Total())
 
 	tutel := ds
 	tutel.CombineBytes = 4
-	tutel.NoDenseMask = true
+	tutel.Kernels = moe.KernelsVendor
 	tutelGB := gb(MoELayer(sh, tutel, s).Total())
 
 	xm := baseSetup(256, 1, 64)

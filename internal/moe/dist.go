@@ -36,6 +36,11 @@ const (
 	KernelsVendor
 )
 
+// DenseMask reports whether the profile's padded pipeline builds the dense
+// [S, E, C] dispatch mask: every profile does but Tutel's sparse vendor
+// dispatcher, which keeps index arrays instead.
+func (k KernelProfile) DenseMask() bool { return k != KernelsVendor }
+
 // PilotPolicy selects which member of a (token, destination-node) group
 // becomes the pilot of the RBD transport (paper §4.2).
 type PilotPolicy int
@@ -331,13 +336,13 @@ type kernelProfile struct {
 }
 
 // profileOf picks the profile: X-MoE's Triton suite for the padding-free
-// layout; for the padded one Tutel's sparse vendor kernels under
-// KernelsVendor, else the fallback frameworks' dense mask pipeline.
+// layout; for the padded one the fallback frameworks' dense mask pipeline,
+// or Tutel's sparse vendor kernels where k builds no dense mask.
 func profileOf(padded bool, k KernelProfile) kernelProfile {
 	switch {
 	case !padded:
 		return kernelProfile{class: perfmodel.ClassTriton}
-	case k == KernelsVendor:
+	case !k.DenseMask():
 		return kernelProfile{padded: true, class: perfmodel.ClassVendor}
 	}
 	return kernelProfile{padded: true, class: perfmodel.ClassFallback, einsum: true}

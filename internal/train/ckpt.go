@@ -80,10 +80,10 @@ func (t *DistTrainer) Checkpoint() *Checkpoint {
 
 // Restore rolls the trainer back to ck, resharding the global expert
 // weights onto the trainer's current world size. The world may be smaller
-// than at capture time (elastic recovery after Shrink): surviving rank
+// than at capture time (elastic recovery after a Resize): surviving rank
 // slots keep their data streams, and slots beyond the new world are
 // simply retired with their state still in the checkpoint. The world may
-// also be larger (hot-spare regrow after Grow): slots the checkpoint
+// also be larger (hot-spare regrow after a Resize): slots the checkpoint
 // covers resume their captured streams, and slots beyond the capture —
 // spares promoted into a world wider than the snapshot's — restart their
 // streams from the slot seed, the same deterministic dataSeed(seed, slot)
@@ -144,52 +144,26 @@ func (t *DistTrainer) Restore(ck *Checkpoint) error {
 	return nil
 }
 
-// rebuild reconstructs the trainer for a new world size: build's fresh
+// Resize rebuilds the trainer for a world of newWorld ranks, smaller,
+// equal (a same-size rebuild after a crash with full replacement) or
+// larger (hot spares promoted into dead ranks' slots): build's fresh
 // cluster (a failed Run poisons the old one), layer and per-slot state,
-// with the fault injector carried over. Straggler observations are dropped
-// — they described the old world. Callers (Shrink, Grow) have validated
-// newWorld and follow up with Restore to reshard a checkpoint onto the new
-// layout.
-func (t *DistTrainer) rebuild(newWorld int) {
+// with the fault injector carried over. Straggler observations are
+// dropped — they described the old world. Slot r's weights-init and
+// data-stream seeds are functions of r alone, and expert weights reshard
+// from the checkpoint's global order, so a rank promoted into slot r is
+// indistinguishable from a replacement node and the resized run stays
+// bit-deterministic. It does NOT restore weights — callers follow up with
+// Restore to reshard a checkpoint onto the new layout.
+func (t *DistTrainer) Resize(newWorld int) error {
+	if newWorld < 1 || t.Cfg.MoE.NumExperts%newWorld != 0 {
+		return fmt.Errorf("train: cannot resize world %d to %d: %d experts need a positive divisor",
+			t.Cfg.World, newWorld, t.Cfg.MoE.NumExperts)
+	}
 	inject := t.cluster.Inject
 	t.build(newWorld)
 	t.cluster.Inject = inject
 	t.lastClocks = nil
-}
-
-// Shrink rebuilds the trainer for a smaller (or equal — a same-size
-// rebuild after a crash with full replacement) world. It does NOT restore
-// weights — callers follow up with Restore to reshard a checkpoint onto
-// the new layout.
-func (t *DistTrainer) Shrink(newWorld int) error {
-	if newWorld < 1 || newWorld > t.Cfg.World {
-		return fmt.Errorf("train: cannot shrink world %d to %d", t.Cfg.World, newWorld)
-	}
-	if t.Cfg.MoE.NumExperts%newWorld != 0 {
-		return fmt.Errorf("train: %d experts not divisible by shrunk world %d",
-			t.Cfg.MoE.NumExperts, newWorld)
-	}
-	t.rebuild(newWorld)
-	return nil
-}
-
-// Grow is the inverse of Shrink: rebuild the trainer for a larger (or
-// equal) world, the recovery path that promotes hot spares into dead
-// ranks' slots instead of shrinking for the rest of the run. Slot
-// semantics mirror Shrink exactly — expert weights reshard from the
-// checkpoint's global order, slot r's weights-init and data-stream seeds
-// are functions of r alone — so a spare promoted into slot r is
-// indistinguishable from a replacement node and the grown run stays
-// bit-deterministic. Callers follow up with Restore.
-func (t *DistTrainer) Grow(newWorld int) error {
-	if newWorld < t.Cfg.World {
-		return fmt.Errorf("train: cannot grow world %d to %d", t.Cfg.World, newWorld)
-	}
-	if t.Cfg.MoE.NumExperts%newWorld != 0 {
-		return fmt.Errorf("train: %d experts not divisible by grown world %d",
-			t.Cfg.MoE.NumExperts, newWorld)
-	}
-	t.rebuild(newWorld)
 	return nil
 }
 

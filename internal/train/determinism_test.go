@@ -122,7 +122,7 @@ func growShrink(t *testing.T, kinds []transport.Kind) {
 				cfg := trainerConfig(kind, chunks)
 				losses, tr := runSteps(t, cfg, matrixSteps)
 				ck := tr.Checkpoint()
-				if err := tr.Shrink(cfg.World / 2); err != nil {
+				if err := tr.Resize(cfg.World / 2); err != nil {
 					t.Fatal(err)
 				}
 				if err := tr.Restore(ck); err != nil {
@@ -133,7 +133,7 @@ func growShrink(t *testing.T, kinds []transport.Kind) {
 				if len(ck2.DataRNG) != cfg.World/2 {
 					t.Fatalf("shrunk checkpoint has %d rank slots, want %d", len(ck2.DataRNG), cfg.World/2)
 				}
-				if err := tr.Grow(cfg.World); err != nil {
+				if err := tr.Resize(cfg.World); err != nil {
 					t.Fatal(err)
 				}
 				if err := tr.Restore(ck2); err != nil {

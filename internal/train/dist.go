@@ -134,7 +134,7 @@ type DistTrainer struct {
 	cluster *simrt.Cluster
 	group   *simrt.Group
 	// layer is the MoE layer over the world group; rebuilt alongside the
-	// cluster on Shrink and Grow.
+	// cluster on Resize.
 	layer  *transport.Layer
 	params []*moe.ExpertParams // per rank, local experts
 	// bias is the replicated dense parameter ([H] per rank, kept

@@ -3,9 +3,9 @@ package train
 // The fault-tolerant training loop: run steps under a fault.Injector,
 // checkpoint on an interval (blocking or asynchronously via CkptStream's
 // double buffer), and on a crash roll back to the last *durable*
-// checkpoint, rebuild the cluster — promoting hot spares into the dead
-// ranks' slots when the plan provides them (Grow), else shrinking to the
-// largest expert-divisible world (Shrink) — and continue. Accounting
+// checkpoint, resize the cluster — promoting hot spares into the dead
+// ranks' slots when the plan provides them, else shrinking to the largest
+// expert-divisible world — and continue. Accounting
 // follows the goodput convention: wall-clock accumulates everything —
 // useful steps, uncovered checkpoint-write remainders, failed partial
 // attempts, and replayed steps — while useful time counts each step
@@ -213,14 +213,8 @@ func (t *DistTrainer) RunFaultTolerant(o FTOptions) (FTStats, error) {
 		// previous completed snapshot is the rollback target.
 		ck := cs.Abort(wall)
 		st.ReplayedSteps += step - ck.Step
-		if newWorld >= t.Cfg.World {
-			if gerr := t.Grow(newWorld); gerr != nil {
-				return st, gerr
-			}
-		} else {
-			if serr := t.Shrink(newWorld); serr != nil {
-				return st, serr
-			}
+		if rerr := t.Resize(newWorld); rerr != nil {
+			return st, rerr
 		}
 		if rerr := t.Restore(ck); rerr != nil {
 			return st, rerr

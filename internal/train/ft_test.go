@@ -69,21 +69,15 @@ func TestCheckpointRestoreRejects(t *testing.T) {
 	}
 }
 
-// TestGrowShrinkRejects pins the world-transition validation: Grow only
-// grows, Shrink only shrinks, and both demand expert divisibility.
+// TestGrowShrinkRejects pins the world-transition validation: Resize, which
+// both grows and shrinks the world, takes only a positive divisor of the
+// expert count.
 func TestGrowShrinkRejects(t *testing.T) {
 	a, _ := NewDistTrainer(distTrainerConfig("pft", 1))
-	if err := a.Grow(2); err == nil {
-		t.Fatal("Grow below the current world must be rejected")
-	}
-	if err := a.Grow(5); err == nil {
-		t.Fatal("Grow to a non-divisor of the expert count must be rejected")
-	}
-	if err := a.Shrink(5); err == nil {
-		t.Fatal("Shrink above the current world must be rejected")
-	}
-	if err := a.Shrink(3); err == nil {
-		t.Fatal("Shrink to a non-divisor of the expert count must be rejected")
+	for _, w := range []int{0, -4, 3, 5} {
+		if err := a.Resize(w); err == nil {
+			t.Fatalf("Resize(%d) must be rejected (%d experts)", w, a.Cfg.MoE.NumExperts)
+		}
 	}
 }
 

@@ -148,7 +148,7 @@ func TestDistTrainerZeROShrinkReshards(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck := tr.Checkpoint()
-	if err := tr.Shrink(2); err != nil {
+	if err := tr.Resize(2); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Restore(ck); err != nil {
