@@ -145,7 +145,7 @@ func (c Config) MemSetup(plan parallel.Plan, microBatch int) memmodel.Setup {
 		Plan:           plan,
 		MicroBatch:     microBatch,
 		Transport:      c.Transport,
-		CapacityFactor: 1.25,
+		CapacityFactor: moe.PaperCapacityFactor,
 		CombineBytes:   c.CombineBytes,
 		Kernels:        c.Kernels,
 	}

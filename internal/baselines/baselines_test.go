@@ -36,6 +36,20 @@ func TestPresetsDifferentiateSystems(t *testing.T) {
 	}
 }
 
+// TestMemSetupCapacityIsTheLayers: every system's memory verdicts price
+// the capacity factor its simulated layer runs, for every model shape.
+func TestMemSetupCapacityIsTheLayers(t *testing.T) {
+	m := topology.Frontier()
+	for _, sys := range Systems() {
+		for _, sh := range []model.Shape{model.Small(), model.Medium(), model.Large(), model.Super()} {
+			got := For(sys, m).MemSetup(parallel.Plan{World: 8, TP: 1, EP: 8}, 1).CapacityFactor
+			if want := moe.LayerOf(sh).CapacityFactor; got != want {
+				t.Errorf("%v %s: MemSetup capacity factor %v, LayerOf %v", sys, sh.Name, got, want)
+			}
+		}
+	}
+}
+
 func TestTutelQuirkIsAMDOnly(t *testing.T) {
 	if For(Tutel, topology.DGXA100()).CombineBytes != 0 {
 		t.Fatal("fp32 combine is an AMD-specific quirk (Table 5 vs Table 4)")

@@ -34,11 +34,16 @@ type Config struct {
 	BytesPerElem int
 }
 
+// PaperCapacityFactor is the capacity factor every figure of the paper
+// runs (§5.1): what the step simulator's layer and the memory verdicts for
+// the same step both size the expert capacity by.
+const PaperCapacityFactor = 1.25
+
 // LayerOf is the MoE layer of a model shape as every figure of the paper
-// configures it (§5.1): capacity factor 1.25, bf16 on the wire.
+// configures it (§5.1): PaperCapacityFactor, bf16 on the wire.
 func LayerOf(sh model.Shape) Config {
 	return Config{NumExperts: sh.NumExperts, TopK: sh.TopK, HModel: sh.HModel, HFFN: sh.HFFN,
-		CapacityFactor: 1.25, BytesPerElem: 2}
+		CapacityFactor: PaperCapacityFactor, BytesPerElem: 2}
 }
 
 // Validate checks the configuration for consistency.

@@ -2,12 +2,22 @@ package moe
 
 import (
 	"math"
+	"os"
 	"sync"
 	"testing"
 
 	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
 )
+
+// TestMain runs the package's tests with every lent send buffer filled with
+// NaN at its last release (simrt.PoisonReleased), so a receiver that reads
+// a payload after releasing it, or a buffer recycled before its last
+// receiver is done with it, moves a bit the determinism checks compare.
+func TestMain(m *testing.M) {
+	simrt.PoisonReleased(true)
+	os.Exit(m.Run())
+}
 
 // The flat pipelines' determinism pins: chunking re-times the exchanges
 // and the rank arenas recycle buffers, but neither may move a bit of a

@@ -127,6 +127,7 @@ func (x *flat) drain(back []simrt.Exchange, dst *tensor.Tensor) {
 		got := xc.Wait()
 		if dst != nil {
 			unpackSegments(dst, got, x.pft.TokensPerExpert, x.segStart, len(x.rows), x.cfg.HModel, len(back), c)
+			xc.Release()
 		}
 	}
 }
@@ -172,7 +173,7 @@ func (x *flat) Forward(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts
 	out, back := xs[:chunks], xs[chunks:]
 	for c := range out {
 		send := parts[c*p : (c+1)*p]
-		chunkRows := packSegments(send, rows, pft.TokensPerExpert, x.segStart, epr, h, elem, chunks, c)
+		chunkRows, lent := packSegments(r, send, rows, pft.TokensPerExpert, x.segStart, epr, h, elem, chunks, c)
 		if c == 0 && !x.padded {
 			for dst := range send {
 				send[dst].Meta = pft.TokensPerExpert[dst*epr : (dst+1)*epr]
@@ -184,7 +185,8 @@ func (x *flat) Forward(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts
 			// memory-bound pass; one chunk is sent as contiguous views.
 			r.Compute(StageOthers, r.C.Comp.MemBound(kp.class, 2*int64(chunkRows)*int64(h)*elem))
 		}
-		out[c] = r.AlltoAllVChunk(x.g, StageDispatchA2A, send, chunks)
+		out[c] = r.AlltoAllVChunk(x.g, StageDispatchA2A, send, lent, chunks)
+		lent.Done()
 	}
 
 	// --- Per-chunk expert batch, combine issued as soon as a chunk ends --
@@ -223,6 +225,7 @@ func (x *flat) Forward(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts
 		if numeric {
 			bt.In = pool.Get(bc, h)
 			landBlocks(bt.In.Data, recv, x.n, x.at, h)
+			out[c].Release()
 			if chunks > 1 {
 				bt.N, bt.At, bt.SaveAt = x.n, x.at, x.saveAt
 			}
@@ -231,8 +234,9 @@ func (x *flat) Forward(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts
 		// Reverse reorder to src-major, then this chunk's combine.
 		x.reorder(r, kp, bc)
 		sendBack := parts[(chunks+c)*p : (chunks+c+1)*p]
-		packBlocks(sendBack, y, x.n, x.at, h, wireElem)
-		back[c] = r.AlltoAllVChunk(x.g, StageCombineA2A, sendBack, chunks)
+		lent := packBlocks(r, sendBack, y, x.n, x.at, h, wireElem)
+		back[c] = r.AlltoAllVChunk(x.g, StageCombineA2A, sendBack, lent, chunks)
+		lent.Done()
 		pool.Put(y) // fully staged into the send-back buffers
 	}
 
@@ -295,13 +299,14 @@ func (x *flat) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOp
 	out, back := xs[:chunks], xs[chunks:]
 	for c := range out {
 		send := parts[c*p : (c+1)*p]
-		chunkRows := packSegments(send, dCombineIn, pft.TokensPerExpert, x.segStart, epr, h, elem, chunks, c)
+		chunkRows, lent := packSegments(r, send, dCombineIn, pft.TokensPerExpert, x.segStart, epr, h, elem, chunks, c)
 		r.Compute(StageBwdCombine, kp.bufferPass(r.C.Comp, x.cfg, x.s, chunkRows, elem))
 		if chunks > 1 {
 			// The strided chunk pack; one chunk is sent as contiguous views.
 			r.Compute(StageOthers, r.C.Comp.MemBound(kp.class, 2*int64(chunkRows)*int64(h)*elem))
 		}
-		out[c] = r.AlltoAllVChunk(x.g, StageBwdCombineA2A, send, chunks)
+		out[c] = r.AlltoAllVChunk(x.g, StageBwdCombineA2A, send, lent, chunks)
+		lent.Done()
 	}
 	if chunks > 1 {
 		pool.Put(dCombineIn) // packed chunks are fully staged
@@ -323,6 +328,7 @@ func (x *flat) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOp
 		bt := Batch{Rows: x.rows}
 		if numeric {
 			landBlocks(dst.Data, recv, x.n, x.saveAt, h)
+			out[c].Release()
 			bt.N, bt.At = x.n, x.saveAt
 		}
 		dIn := ex.Backward(bt)
@@ -330,11 +336,12 @@ func (x *flat) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOp
 		// the transfer hides behind the remaining chunks' GEMMs and the
 		// deferred dW computation.
 		sendBack := parts[(chunks+c)*p : (chunks+c+1)*p]
-		packBlocks(sendBack, dIn, x.n, x.saveAt, h, elem)
+		lent := packBlocks(r, sendBack, dIn, x.n, x.saveAt, h, elem)
 		if !fused {
 			x.reorder(r, kp, bc) // the return pack of the sub-blocks
 		}
-		back[c] = r.AlltoAllVChunk(x.g, StageBwdDispA2A, sendBack, chunks)
+		back[c] = r.AlltoAllVChunk(x.g, StageBwdDispA2A, sendBack, lent, chunks)
+		lent.Done()
 	}
 	ex.DW()
 	if opts.OnDWReady != nil {

@@ -62,9 +62,20 @@ import (
 // are the PFT's per-expert row counts and segment offsets. A single chunk
 // is each destination's whole contiguous run and is sent as a view — src
 // must then outlive the exchange; a real chunk is strided per-expert row
-// ranges packed into a fresh buffer.
-func packSegments(send []simrt.Part, src *tensor.Tensor, counts, segStart []int, epr, h int, elem int64, chunks, c int) int {
-	chunkRows := 0
+// ranges packed into one buffer lent from r's arena, returned as lent for
+// the exchange to name and the caller to Done.
+func packSegments(r *simrt.Rank, send []simrt.Part, src *tensor.Tensor, counts, segStart []int, epr, h int, elem int64, chunks, c int) (chunkRows int, lent *simrt.Loan) {
+	if src != nil && chunks > 1 {
+		n := 0
+		for _, cnt := range counts {
+			lo, hi := simrt.ChunkRange(cnt, chunks, c)
+			n += hi - lo
+		}
+		if n > 0 {
+			lent = r.Lend(n * h)
+		}
+	}
+	pos := 0
 	for dst := range send {
 		rows := 0
 		for e := dst * epr; e < (dst+1)*epr; e++ {
@@ -79,16 +90,16 @@ func packSegments(send []simrt.Part, src *tensor.Tensor, counts, segStart []int,
 			lo := segStart[dst*epr]
 			part.Data = src.Data[lo*h : (lo+rows)*h]
 		default:
-			buf := make([]float32, 0, rows*h)
+			start := pos
 			for e := dst * epr; e < (dst+1)*epr; e++ {
 				lo, hi := simrt.ChunkRange(counts[e], chunks, c)
-				buf = append(buf, src.Data[(segStart[e]+lo)*h:(segStart[e]+hi)*h]...)
+				pos += copy(lent.Data[pos:], src.Data[(segStart[e]+lo)*h:(segStart[e]+hi)*h])
 			}
-			part.Data = buf
+			part.Data = lent.Data[start:pos]
 		}
 		send[dst] = part
 	}
-	return chunkRows
+	return chunkRows, lent
 }
 
 // unpackSegments is the inverse on the same rank: parts[m] holds chunk c
@@ -118,24 +129,35 @@ func landBlocks(dst []float32, recv []simrt.Part, n, at []int, w int) {
 
 // packBlocks is the reverse: it fills send (one part per source rank) with
 // that rank's blocks of the expert-major buffer src (nil in symbolic
-// mode), local experts ascending, in fresh buffers.
-func packBlocks(send []simrt.Part, src *tensor.Tensor, n, at []int, w int, elem int64) {
-	p := len(send)
+// mode), local experts ascending, in one buffer lent from r's arena,
+// returned for the exchange to name and the caller to Done.
+func packBlocks(r *simrt.Rank, send []simrt.Part, src *tensor.Tensor, n, at []int, w int, elem int64) (lent *simrt.Loan) {
+	if src != nil {
+		total := 0
+		for _, rows := range n {
+			total += rows
+		}
+		if total > 0 {
+			lent = r.Lend(total * w)
+		}
+	}
+	p, pos := len(send), 0
 	for m := range send {
 		rows := 0
 		for k := m; k < len(n); k += p {
 			rows += n[k]
 		}
 		part := simrt.Part{Bytes: int64(rows) * int64(w) * elem}
-		if src != nil && rows > 0 {
-			buf := make([]float32, 0, rows*w)
+		if lent != nil && rows > 0 {
+			start := pos
 			for k := m; k < len(n); k += p {
-				buf = append(buf, src.Data[at[k]*w:(at[k]+n[k])*w]...)
+				pos += copy(lent.Data[pos:], src.Data[at[k]*w:(at[k]+n[k])*w])
 			}
-			part.Data = buf
+			part.Data = lent.Data[start:pos]
 		}
 		send[m] = part
 	}
+	return lent
 }
 
 // scatterBlocks copies every block of a batch buffer to row saveAt[k] of

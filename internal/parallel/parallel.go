@@ -161,7 +161,7 @@ func SSMBForward(r *simrt.Rank, tpGroup *simrt.Group, s, h, elemBytes int,
 	if out != nil {
 		part.Data = out.Data
 	}
-	parts := r.AllGather(tpGroup, "ssmb_allgather", part)
+	parts := r.AllGather(tpGroup, "ssmb_allgather", part, nil).Wait()
 
 	if x == nil {
 		return nil
@@ -195,7 +195,7 @@ func SSMBBackward(r *simrt.Rank, tpGroup *simrt.Group, s, h, elemBytes int,
 	if dIn != nil {
 		part.Data = dIn.Data
 	}
-	parts := r.AllGather(tpGroup, "ssmb_bwd_allgather", part)
+	parts := r.AllGather(tpGroup, "ssmb_bwd_allgather", part, nil).Wait()
 
 	if dFull == nil {
 		return nil

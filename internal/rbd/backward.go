@@ -123,20 +123,21 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 	// The forward scatter-added each returned merged row into its token's
 	// output row unscaled, so the row gradient is a pure gather of dOut.
 	// It crosses the collective as views (rows are destination-contiguous:
-	// pilot send order is expert-major), so it is allocated fresh.
-	var dRet *tensor.Tensor
+	// pilot send order is expert-major) of a buffer lent from the arena.
+	var dRet *simrt.Loan
 	if numeric {
-		dRet = tensor.New(len(st.pilotEntry), h)
+		dRet = r.Lend(len(st.pilotEntry) * h)
 		for i, ent := range st.pilotEntry {
-			copy(dRet.Row(i), dOut.Row(pft.TokenIDs[ent]))
+			copy(dRet.Data[i*h:(i+1)*h], dOut.Row(pft.TokenIDs[ent]))
 		}
 	}
 	for c := range c1X {
 		send := parts[c*p : (c+1)*p]
 		chunkRows := chunkParts(send, dRet, st.partStart, h, elem, chunks, c)
 		r.Compute(StageBwdCScatter, comp.MemBound(perfmodel.ClassTriton, 2*int64(chunkRows)*int64(h)*elem))
-		c1X[c] = r.AlltoAllVChunk(d.EP, StageBwdC1A2A, send, chunks)
+		c1X[c] = r.AlltoAllVChunk(d.EP, StageBwdC1A2A, send, dRet, chunks)
 	}
+	dRet.Done()
 
 	// --- Per-chunk merge backward + combine-weight gradients ----------------
 	// Pilot scaling and replica weighting differentiate; the weight
@@ -149,20 +150,24 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 	mergeOff, merges := st.mergesByChunk(chunks, numeric)
 	var dMerged *tensor.Tensor
 	var wg []bwdS1Meta
+	var s2Back []simrt.Part
+	// The replica-output gradients cross reverse C2 as views of one lent
+	// buffer, every row written by its merge below.
+	var c2Lent *simrt.Loan
 	c2Send := make([]simrt.Part, len(st.s2SentCount))
-	for slot, n := range st.s2SentCount {
-		c2Send[slot].Bytes = int64(n) * int64(h) * elem
-	}
 	if numeric {
 		dMerged = pool.Get(st.pilotRowsTotal, h)
-		wgAbs := make([]float32, st.pilotRowsTotal)
-		wg = make([]bwdS1Meta, p)
-		for src, m := range st.recvMetas {
-			wg[src] = bwdS1Meta{pilotWG: wgAbs[st.pilotPartOff[src]:st.pilotPartOff[src+1]], replicaWG: make([]float32, len(m.replicas))}
+		wg = st.newBwdS1Metas()
+		s2Back = st.c2.Wait()
+		c2Lent = r.Lend(st.s2SentTotal * h)
+	}
+	lo := 0
+	for slot, n := range st.s2SentCount {
+		c2Send[slot].Bytes = int64(n) * int64(h) * elem
+		if numeric {
+			c2Send[slot].Data = c2Lent.Data[lo*h : (lo+n)*h]
 		}
-		for slot, sent := range st.s2SentByMember {
-			c2Send[slot].Data = make([]float32, len(sent)*h) // crosses reverse C2
-		}
+		lo += n
 	}
 	for c := range c1X {
 		recv := c1X[c].Wait()
@@ -181,11 +186,12 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 			}
 		}
 		if numeric {
+			c1X[c].Release()
 			for _, mr := range merges[mergeOff[c]:mergeOff[c+1]] {
 				slot, pos := mr.slot, mr.pos
 				sRec := st.s2SentByMember[slot][pos]
 				wg[sRec.src].replicaWG[sRec.ri] = gradAndDot(c2Send[slot].Data[pos*h:(pos+1)*h], dMerged.Row(int(sRec.pilotAbs)),
-					st.s2Back[slot][pos*h:(pos+1)*h], sRec.weight)
+					s2Back[slot].Data[pos*h:(pos+1)*h], sRec.weight)
 			}
 		}
 		// Two passes over every merged row and replica row: the gradient
@@ -194,12 +200,16 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 			2*int64(chunkRows+mergeOff[c+1]-mergeOff[c])*int64(h)*elem))
 	}
 	pool.Put(dMerged)
+	if numeric {
+		st.c2.Release() // the dots above were the replica outputs' last read
+	}
 
 	// --- Reverse C2 (intra-node): replica-output gradients to expert ranks --
 	// Chunked, it flies under the pilot rows' dX chain: per-le pilot blocks
 	// are contiguous in the State layout and the chain is row-independent,
 	// so computing them ahead of the replica rows changes no bit.
-	c2X := r.AlltoAllVChunk(nodeGroup, StageBwdC2A2A, c2Send, chunks)
+	c2X := r.AlltoAllVChunk(nodeGroup, StageBwdC2A2A, c2Send, c2Lent, chunks)
+	c2Lent.Done()
 	last := moe.Batch{Rows: st.RowsPerLE, N: st.RowsPerLE, At: st.rowsOff[:d.EPR]}
 	if chunks > 1 {
 		e.Backward(moe.Batch{Rows: st.PilotRowsPerLE, N: st.PilotRowsPerLE, At: st.rowsOff[:d.EPR]})
@@ -208,17 +218,22 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 	c2Recv := c2X.Wait()
 	if numeric {
 		st.toLayout(dst, nil, c2Recv)
+		c2X.Release()
 	}
 	dIn := e.Backward(last)
 
 	// --- Reverse S2 (intra-node): replica-input gradients to pilot holders --
 	// The pilot rows' input gradients stay for reverse S1, which sends
-	// them as per-part views: allocate fresh.
-	var dPilotIn *tensor.Tensor
+	// them as per-part views of a buffer lent from the arena.
+	var dPilotIn *simrt.Loan
+	var dPilots []float32
 	if numeric {
-		dPilotIn = tensor.New(st.pilotRowsTotal, h)
+		dPilotIn = r.Lend(st.pilotRowsTotal * h)
+		dPilots = dPilotIn.Data
 	}
-	s2X := r.AlltoAllVChunk(nodeGroup, StageBwdS2A2A, st.fromLayout(dIn, dPilotIn), chunks)
+	s2Send, s2Lent := st.fromLayout(r, dIn, dPilots)
+	s2X := r.AlltoAllVChunk(nodeGroup, StageBwdS2A2A, s2Send, s2Lent, chunks)
+	s2Lent.Done()
 	e.DW() // hides the in-flight reverse S2
 
 	// --- Replica-gradient reduction onto pilot rows -------------------------
@@ -228,12 +243,13 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 	if numeric {
 		for slot, sent := range st.s2SentByMember {
 			for pos, sRec := range sent {
-				dst := dPilotIn.Row(int(sRec.pilotAbs))
+				dst := dPilots[int(sRec.pilotAbs)*h : (int(sRec.pilotAbs)+1)*h]
 				for j, v := range s2Grad[slot].Data[pos*h : (pos+1)*h] {
 					dst[j] += v
 				}
 			}
 		}
+		s2X.Release()
 	}
 
 	// --- Reverse S1 (inter-node): pilot gradients + weight grads home -------
@@ -250,8 +266,9 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 				}
 			}
 		}
-		s1X[c] = r.AlltoAllVChunk(d.EP, StageBwdS1A2A, send, chunks)
+		s1X[c] = r.AlltoAllVChunk(d.EP, StageBwdS1A2A, send, dPilotIn, chunks)
 	}
+	dPilotIn.Done()
 	if opts.OnDWReady != nil {
 		// No blocking collective remains (one chunk: reverse S1 has
 		// retired; chunked: its chunks are in flight).
@@ -259,27 +276,45 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 	}
 
 	// --- Drain reverse S1, then scatter into dX in pilot send order ---------
-	retData, back := drainReturn(s1X, st.partStart, h, numeric)
+	ret, back := drainReturn(pool, s1X, st.partStart, h, numeric)
 	r.Compute(StageBwdS1Scat, comp.MemBound(perfmodel.ClassTriton, 2*int64(len(st.pilotEntry))*int64(h)*elem))
 	if !numeric {
 		return nil, nil
 	}
 	dx := pool.Get(st.s, h)
-	st.scatterReturn(dx, retData)
-	dWeights := make([]float32, pft.B())
-	for dst := range retData {
+	st.scatterReturn(dx, ret)
+	// The saved expert outputs are consumed: back to the arena for the next
+	// layer's pass, with the reassembled return.
+	pool.PutAll(ret, st.pilotOut)
+	st.pilotOut, st.c2 = nil, simrt.Exchange{}
+	return dx, st.combineWeightGrads(back)
+}
+
+// newBwdS1Metas allocates the combine-weight gradients every source gets
+// back with reverse S1's metadata: one per pilot row of its part and one
+// per replica it announced in its s1Meta.
+func (st *State) newBwdS1Metas() []bwdS1Meta {
+	wgAbs := make([]float32, st.pilotRowsTotal)
+	wg := make([]bwdS1Meta, len(st.recvMetas))
+	for src, m := range st.recvMetas {
+		wg[src] = bwdS1Meta{pilotWG: wgAbs[st.pilotPartOff[src]:st.pilotPartOff[src+1]], replicaWG: make([]float32, len(m.replicas))}
+	}
+	return wg
+}
+
+// combineWeightGrads places the combine-weight gradients reverse S1
+// returned (back[dst].Meta, one per EP member) at their PFT entries.
+func (st *State) combineWeightGrads(back []simrt.Part) []float32 {
+	dWeights := make([]float32, st.pft.B())
+	for dst, part := range back {
 		for pos, ent := range st.pilotEntry[st.partStart[dst]:st.partStart[dst+1]] {
-			dWeights[ent] = back[dst].Meta.(bwdS1Meta).pilotWG[pos]
+			dWeights[ent] = part.Meta.(bwdS1Meta).pilotWG[pos]
 		}
 	}
-	for dst := 0; dst < p && len(st.replicaEntry) > 0; dst++ {
+	for dst := 0; dst < len(back) && len(st.replicaEntry) > 0; dst++ {
 		for ri, ent := range st.replicaEntry[dst] {
 			dWeights[ent] = back[dst].Meta.(bwdS1Meta).replicaWG[ri]
 		}
 	}
-	// The saved expert outputs are consumed: back to the arena for the next
-	// layer's pass.
-	pool.Put(st.pilotOut)
-	st.pilotOut, st.s2Back = nil, nil
-	return dx, dWeights
+	return dWeights
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,15 @@ import (
 	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
 )
+
+// TestMain runs the package's tests with every lent send buffer filled with
+// NaN at its last release (simrt.PoisonReleased), so a receiver that reads
+// a payload after releasing it, or a buffer recycled before its last
+// receiver is done with it, moves a bit the determinism checks compare.
+func TestMain(m *testing.M) {
+	simrt.PoisonReleased(true)
+	os.Exit(m.Run())
+}
 
 // runFwdBwd executes a numeric RBD forward at fwdChunks and, unless
 // bwdChunks is 0, the backward of its saved state at bwdChunks on every

@@ -34,7 +34,7 @@ func BenchmarkStageReplicas(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchParts = d.stageReplicas(ranks[0], states[0])
+		benchParts, _ = d.stageReplicas(ranks[0], states[0])
 	}
 }
 

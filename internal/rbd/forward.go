@@ -101,7 +101,9 @@ func (st *State) dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, un
 	}
 
 	st.dispatchPilots(r, pft, dispIn)
-	s2 := r.AlltoAllVChunk(st.nodeGroup, StageS2A2A, d.stageReplicas(r, st), st.opts.Chunks())
+	s2Send, s2Lent := d.stageReplicas(r, st)
+	s2 := r.AlltoAllVChunk(st.nodeGroup, StageS2A2A, s2Send, s2Lent, st.opts.Chunks())
+	s2Lent.Done()
 	if underS2 != nil {
 		reconstruct(st.pilotRowsTotal)
 		underS2.Forward(moe.Batch{Rows: st.PilotRowsPerLE})
@@ -167,6 +169,7 @@ func (st *State) dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, un
 	}
 	expertIn := r.Pool().Get(totalRows, h)
 	st.toLayout(expertIn, st.pilotRows, s2Recv)
+	s2.Release()
 	// pilotRows is fully consumed (stage-2 staging and the rows just
 	// copied above); return it to the rank arena.
 	r.Pool().Put(st.pilotRows)
@@ -204,18 +207,23 @@ func (st *State) combine(r *simrt.Rank, expertOut *tensor.Tensor) *tensor.Tensor
 	// uncharged). Every held pilot row is scaled by its combine weight
 	// first; replica accumulations follow in (slot, pos) order.
 	var pilotOut *tensor.Tensor
+	var pilots []float32
 	if numeric {
 		pilotOut = r.Pool().Get(st.pilotRowsTotal, h)
+		pilots = pilotOut.Data
 	}
-	c2 := r.AlltoAllVChunk(st.nodeGroup, StageC2A2A, st.fromLayout(expertOut, pilotOut), chunks)
-	var merged *tensor.Tensor
+	c2Send, c2Lent := st.fromLayout(r, expertOut, pilots)
+	c2 := r.AlltoAllVChunk(st.nodeGroup, StageC2A2A, c2Send, c2Lent, chunks)
+	c2Lent.Done()
+	// merged holds the pilot rows' partial sums, which C1 sends as views.
+	var merged *simrt.Loan
 	mem.Alloc("rbd_merged", int64(st.pilotRowsTotal)*rowBytes)
 	if numeric {
-		merged = tensor.New(st.pilotRowsTotal, h)
+		merged = r.Lend(st.pilotRowsTotal * h)
 		for src, m := range st.recvMetas {
 			for pos, w := range m.weights {
 				abs := st.pilotPartOff[src] + pos
-				dst := merged.Row(abs)
+				dst := merged.Data[abs*h : (abs+1)*h]
 				for j, v := range pilotOut.Row(abs) {
 					dst[j] = w * v
 				}
@@ -228,15 +236,12 @@ func (st *State) combine(r *simrt.Rank, expertOut *tensor.Tensor) *tensor.Tensor
 		merge(st.pilotRowsTotal)
 	}
 	s2Back := c2.Wait()
-	if numeric && st.opts.SaveForBackward {
+	keep := numeric && st.opts.SaveForBackward
+	if keep {
 		// The backward dots the merged-row gradients against the
-		// pre-scaling outputs; the replica return payloads are sender-fresh,
-		// so the views stay valid past the rendezvous.
-		st.pilotOut = pilotOut
-		st.s2Back = make([][]float32, len(s2Back))
-		for slot := range s2Back {
-			st.s2Back[slot] = s2Back[slot].Data
-		}
+		// pre-scaling outputs and the replica return payloads, which it
+		// reads in place and releases after.
+		st.pilotOut, st.c2 = pilotOut, c2
 	} else {
 		r.Pool().Put(pilotOut)
 	}
@@ -251,7 +256,7 @@ func (st *State) combine(r *simrt.Rank, expertOut *tensor.Tensor) *tensor.Tensor
 		if numeric {
 			for _, mr := range merges[mergeOff[c]:mergeOff[c+1]] {
 				sRec := st.s2SentByMember[mr.slot][mr.pos]
-				dst := merged.Row(int(sRec.pilotAbs))
+				dst := merged.Data[int(sRec.pilotAbs)*h : (int(sRec.pilotAbs)+1)*h]
 				for j, v := range s2Back[mr.slot].Data[mr.pos*h : (mr.pos+1)*h] {
 					dst[j] += sRec.weight * v
 				}
@@ -265,17 +270,22 @@ func (st *State) combine(r *simrt.Rank, expertOut *tensor.Tensor) *tensor.Tensor
 		}
 		sendBack := sendFlat[c*p : (c+1)*p]
 		chunkParts(sendBack, merged, st.pilotPartOff, h, elem, chunks, c)
-		c1[c] = r.AlltoAllVChunk(st.d.EP, StageC1A2A, sendBack, chunks)
+		c1[c] = r.AlltoAllVChunk(st.d.EP, StageC1A2A, sendBack, merged, chunks)
+	}
+	merged.Done()
+	if !keep {
+		c2.Release() // the merges were the replica returns' last read
 	}
 
 	// --- Source side: the returned merged rows into the [s, H] output ------
-	retData, _ := drainReturn(c1, st.partStart, h, numeric)
+	ret, _ := drainReturn(r.Pool(), c1, st.partStart, h, numeric)
 	r.Compute(StageCScatter, r.C.Comp.MemBound(perfmodel.ClassTriton, 2*int64(len(st.pilotEntry))*rowBytes))
 	mem.Alloc("output", int64(st.s)*rowBytes)
 	if !numeric {
 		return nil
 	}
 	out := r.Pool().Get(st.s, h)
-	st.scatterReturn(out, retData)
+	st.scatterReturn(out, ret)
+	r.Pool().Put(ret)
 	return out
 }

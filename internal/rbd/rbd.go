@@ -241,11 +241,12 @@ type State struct {
 	// back to entries.
 	replicaEntry [][]int
 	// With SaveForBackward, pilotOut keeps every held pilot row's expert
-	// output ([pilotRowsTotal, H], absolute-indexed) and s2Back[slot] the
-	// replica outputs C2 returned, aligned with s2SentByMember[slot]: the
-	// combine-weight gradients dot against them.
+	// output ([pilotRowsTotal, H], absolute-indexed) and c2 the forward's
+	// C2 exchange, whose part from slot holds the replica outputs it
+	// returned, aligned with s2SentByMember[slot]: the combine-weight
+	// gradients dot against them, and the backward releases them after.
 	pilotOut *tensor.Tensor
-	s2Back   [][]float32
+	c2       simrt.Exchange
 }
 
 // partLen is the length of src's pilot part: the rows src sent this rank
@@ -283,11 +284,11 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 	// the chunk count; both ends derive later chunk boundaries from the
 	// same ChunkRange split.
 	chunks := opts.Chunks()
-	var pilotBuf *tensor.Tensor
+	var pilotBuf *simrt.Loan
 	if st.numeric {
-		pilotBuf = tensor.New(len(pilotEntry), h)
+		pilotBuf = r.Lend(len(pilotEntry) * h)
 		for sp, ent := range pilotEntry {
-			copy(pilotBuf.Row(sp), dispIn.Row(ent))
+			copy(pilotBuf.Data[sp*h:(sp+1)*h], dispIn.Row(ent))
 		}
 	}
 	mem.Alloc("rbd_pilot_send", int64(len(pilotEntry))*int64(h)*elem)
@@ -303,8 +304,9 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 			}
 		}
 		r.Compute(StageS1Inst, comp.MemBound(perfmodel.ClassTriton, 2*int64(instRows)*int64(h)*elem))
-		s1[c] = r.AlltoAllVChunk(d.EP, StageS1A2A, send, chunks)
+		s1[c] = r.AlltoAllVChunk(d.EP, StageS1A2A, send, pilotBuf, chunks)
 	}
+	pilotBuf.Done()
 
 	st.pilotPartOff = make([]int, p+1)
 	st.recvMetas = make([]s1Meta, p)
@@ -329,6 +331,7 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 			clo, _ := simrt.ChunkRange(st.partLen(src), chunks, c)
 			copy(st.pilotRows.Data[(st.pilotPartOff[src]+clo)*h:], part.Data)
 		}
+		x.Release()
 	}
 
 	// Pilot segmentation per local expert: known a whole exchange before
@@ -544,8 +547,9 @@ func b2i(b bool) int {
 // and local expert, from the sources' per-key counts, charges the Stage-2
 // instantiation pass and returns the parts. Numeric, it also places each
 // replica row and its merge target (st.s2SentByMember) and instantiates
-// the send buffers from the received pilot payload.
-func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State) []simrt.Part {
+// the payloads from the received pilot rows into one buffer lent from r's
+// arena, which it returns for the exchange to name and the caller to Done.
+func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State) ([]simrt.Part, *simrt.Loan) {
 	h := d.Cfg.HModel
 	elem := int64(d.Cfg.BytesPerElem)
 	me := d.EP.IndexOf(r.ID)
@@ -585,7 +589,9 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State) []simrt.Part {
 
 	var metaFlat []replicaMeta
 	var sentFlat []s2Sent
+	var lent *simrt.Loan
 	if st.numeric {
+		lent = r.Lend(nReplicasIn * h)
 		// One counting sort: placing in (src, ri) visiting order keeps
 		// arrival order within an expert, with no comparison sort.
 		next := flat[nKeys+members:]
@@ -617,7 +623,7 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State) []simrt.Part {
 		if st.numeric {
 			meta.replicas = metaFlat[lo:hi:hi]
 			sent := sentFlat[lo:hi:hi]
-			data = make([]float32, n*h)
+			data = lent.Data[lo*h : hi*h]
 			for pos, sr := range sent {
 				copy(data[pos*h:(pos+1)*h], st.pilotRows.Row(int(sr.pilotAbs)))
 			}
@@ -630,13 +636,14 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State) []simrt.Part {
 		}
 		lo = hi
 	}
-	return s2Send
+	return s2Send, lent
 }
 
-// chunkParts fills send[i] with chunk c of rows [off[i], off[i+1]) of buf
-// (views; sizes only when buf is nil), the member split both ends of an RBD
-// exchange derive from the same ChunkRange, and returns the chunk's rows.
-func chunkParts(send []simrt.Part, buf *tensor.Tensor, off []int, h int, elem int64, chunks, c int) (rows int) {
+// chunkParts fills send[i] with chunk c of rows [off[i], off[i+1]) of the
+// lent buf (views; sizes only when buf is nil), the member split both ends
+// of an RBD exchange derive from the same ChunkRange, and returns the
+// chunk's rows.
+func chunkParts(send []simrt.Part, buf *simrt.Loan, off []int, h int, elem int64, chunks, c int) (rows int) {
 	for i := range send {
 		clo, chi := simrt.ChunkRange(off[i+1]-off[i], chunks, c)
 		rows += chi - clo
@@ -666,55 +673,57 @@ func (st *State) toLayout(dst, pilots *tensor.Tensor, parts []simrt.Part) {
 }
 
 // fromLayout is the reverse of toLayout: it copies src's pilot rows to
-// pilots (absolute-indexed) and returns its replica rows as the Stage-2
-// return parts, one fresh payload per node member (sizes only when src is
-// nil).
-func (st *State) fromLayout(src, pilots *tensor.Tensor) []simrt.Part {
+// pilots (absolute-indexed, h wide) and returns its replica rows as the
+// Stage-2 return parts, one view per node member of a buffer lent from r's
+// arena, and that loan for the exchange to name and the caller to Done
+// (sizes only, and no loan, when src is nil).
+func (st *State) fromLayout(r *simrt.Rank, src *tensor.Tensor, pilots []float32) ([]simrt.Part, *simrt.Loan) {
 	h := st.d.Cfg.HModel
 	parts := make([]simrt.Part, len(st.s2RecvCount))
+	replicas := 0
 	for m, n := range st.s2RecvCount {
 		parts[m].Bytes = int64(n) * int64(h) * int64(st.d.Cfg.BytesPerElem)
+		replicas += n
 	}
 	if src == nil {
-		return parts
+		return parts, nil
 	}
 	for abs, row := range st.pilotRow {
-		copy(pilots.Row(abs), src.Row(row))
+		copy(pilots[abs*h:(abs+1)*h], src.Row(row))
 	}
+	lent := r.Lend(replicas * h)
+	pos := 0
 	for m, rows := range st.replicaRow {
-		parts[m].Data = make([]float32, len(rows)*h)
-		for pos, row := range rows {
-			copy(parts[m].Data[pos*h:(pos+1)*h], src.Row(row))
+		start := pos
+		for _, row := range rows {
+			pos += copy(lent.Data[pos:], src.Row(row))
 		}
+		parts[m].Data = lent.Data[start:pos]
 	}
-	return parts
+	return parts, lent
 }
 
-// scatterReturn clears out and adds the pilot rows every member returned
-// (ret[dst], in pilot send order) into their tokens' rows of it.
-func (st *State) scatterReturn(out *tensor.Tensor, ret [][]float32) {
-	h := out.Cols()
+// scatterReturn clears out and adds the returned pilot rows (ret, in pilot
+// send order) into their tokens' rows of it.
+func (st *State) scatterReturn(out, ret *tensor.Tensor) {
 	clear(out.Data)
-	for dst, rows := range ret {
-		for pos, ent := range st.pilotEntry[st.partStart[dst]:st.partStart[dst+1]] {
-			o := out.Row(st.pft.TokenIDs[ent])
-			for j, v := range rows[pos*h : (pos+1)*h] {
-				o[j] += v
-			}
+	for i, ent := range st.pilotEntry {
+		o := out.Row(st.pft.TokenIDs[ent])
+		for j, v := range ret.Row(i) {
+			o[j] += v
 		}
 	}
 }
 
 // drainReturn waits the chunks of an inter-node return exchange on the
-// source rank and, in numeric mode, reassembles each member's returned
-// rows (partStart[dst+1]-partStart[dst] of them, h wide, in pilot send
-// order; the member chunks its part by the same ChunkRange split): a chunk
-// that is the member's whole part is used as it arrived, smaller ones land
-// at their ChunkRange offsets. It also returns chunk 0's parts, which
-// carry the exchange's metadata.
-func drainReturn(xs []simrt.Exchange, partStart []int, h int, numeric bool) (ret [][]float32, first []simrt.Part) {
+// source rank and, in numeric mode, lands every member's returned rows
+// (partStart[dst+1]-partStart[dst] of them, h wide, chunked by the same
+// ChunkRange split) at their pilot send order rows of ret, a buffer from
+// the rank's own arena, releasing each chunk once landed. It also returns
+// chunk 0's parts, which carry the exchange's metadata.
+func drainReturn(pool *tensor.Pool, xs []simrt.Exchange, partStart []int, h int, numeric bool) (ret *tensor.Tensor, first []simrt.Part) {
 	if numeric {
-		ret = make([][]float32, len(partStart)-1)
+		ret = pool.Get(partStart[len(partStart)-1], h)
 	}
 	for c, x := range xs {
 		back := x.Wait()
@@ -724,19 +733,11 @@ func drainReturn(xs []simrt.Exchange, partStart []int, h int, numeric bool) (ret
 		if !numeric {
 			continue
 		}
-		for dst := range ret {
-			n := partStart[dst+1] - partStart[dst]
-			data := back[dst].Data
-			if len(data) == n*h {
-				ret[dst] = data
-			} else if len(data) > 0 {
-				if ret[dst] == nil {
-					ret[dst] = make([]float32, n*h)
-				}
-				clo, _ := simrt.ChunkRange(n, len(xs), c)
-				copy(ret[dst][clo*h:], data)
-			}
+		for dst, part := range back {
+			clo, _ := simrt.ChunkRange(partStart[dst+1]-partStart[dst], len(xs), c)
+			copy(ret.Data[(partStart[dst]+clo)*h:], part.Data)
 		}
+		x.Release()
 	}
 	return ret, first
 }

@@ -460,7 +460,7 @@ func TestStageReplicasOrder(t *testing.T) {
 		rt := moe.SyntheticRouting(tensor.NewRNG(900+uint64(r.ID)), s, cfg.NumExperts, cfg.TopK, 0.7)
 		pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(s), moe.DropByCapacityWeight)
 		st := pilotsOnly(d, r, pft, tensor.New(pft.B(), cfg.HModel), tensor.NewRNG(50+uint64(r.ID)), moe.PipelineOpts{})
-		parts := d.stageReplicas(r, st)
+		parts, _ := d.stageReplicas(r, st)
 
 		members := d.nodeMembers[d.nodeOfMember[g.IndexOf(r.ID)]]
 		incoming, staged := 0, 0

@@ -46,13 +46,15 @@ func (h *CommHandle) Wait() []Part {
 	return h.fl.parts(h.m)
 }
 
-// Exchange is one all-to-all-v of a pipeline that splits its traffic into
-// chunks: what AlltoAllVChunk issued, to be collected with Wait. It is a
-// value (no allocation) wrapping either an in-flight CommHandle or the
-// parts a blocking exchange already delivered.
+// Exchange is one collective of a pipeline: what AlltoAllVChunk (or
+// AllGather) issued, to be collected with Wait and, where its payload
+// views lent buffers, released with Release. It is a value (no
+// allocation) wrapping either an in-flight CommHandle or the flight a
+// blocking collective already waited.
 type Exchange struct {
-	h    *CommHandle
-	recv []Part
+	h  *CommHandle
+	fl *flight
+	m  int
 }
 
 // AlltoAllVChunk issues one of the chunks exchanges a pipeline stage is
@@ -61,12 +63,25 @@ type Exchange struct {
 // hide behind, so it is the blocking AlltoAllV itself — the same flight
 // waited at issue, fault hooks and single charged span, no overlapped
 // span — and Wait only hands its parts over; with more chunks it is
-// AlltoAllVAsync and Wait charges the uncovered remainder.
-func (r *Rank) AlltoAllVChunk(g *Group, name string, send []Part, chunks int) Exchange {
-	if chunks <= 1 {
-		return Exchange{recv: r.AlltoAllV(g, name, send)}
+// non-blocking — the call returns at the rank's current clock, the
+// exchange may be priced after it returns, so send must not change until
+// Wait — and Wait charges the uncovered remainder. Every member must issue
+// the same collectives in the same order (SPMD discipline), including the
+// interleaving of non-blocking issues and waits with blocking collectives
+// on the same group. lent, when non-nil, is the loan every data part of
+// send views (see Lend): each is one view its receiver drops with
+// Release.
+func (r *Rank) AlltoAllVChunk(g *Group, name string, send []Part, lent *Loan, chunks int) Exchange {
+	d := a2avDeposit(g, "AlltoAllVChunk", send)
+	if lent != nil {
+		d.lent = lent
+		lent.views.Add(int64(lentViews(send)))
 	}
-	return Exchange{h: r.AlltoAllVAsync(g, name, send)}
+	if chunks <= 1 {
+		fl, m := r.block(g, name, d, priceA2AV)
+		return Exchange{fl: fl, m: m}
+	}
+	return Exchange{h: r.async(g, name, d, priceA2AV)}
 }
 
 // Wait returns the received parts (indexed by source member), blocking the
@@ -75,7 +90,23 @@ func (x Exchange) Wait() []Part {
 	if x.h != nil {
 		return x.h.Wait()
 	}
-	return x.recv
+	return x.fl.parts(x.m)
+}
+
+// Release drops this rank's views of the lent parts the exchange delivered
+// to it, after Wait, once the rank has read them for the last time; the
+// last view of a buffer returns it to its sender's arena. It is a no-op
+// for parts no loan backs, so a receiver calls it whatever its senders
+// lent, exactly once.
+func (x Exchange) Release() {
+	if x.h != nil {
+		if !x.h.waited {
+			panic("simrt: " + x.h.name + " released before it was waited")
+		}
+		x.h.fl.release(x.h.m)
+		return
+	}
+	x.fl.release(x.m)
 }
 
 // leakedHandles describes the async collectives this rank issued but

@@ -249,11 +249,13 @@ type Rank struct {
 func (r *Rank) Dev() *Device { return r.C.devices[r.ID] }
 
 // Pool returns this rank's tensor arena (nil when the cluster disables
-// pooling; a nil pool safely degrades to allocate-fresh). A buffer whose
-// data a peer may still read after this rank's last rendezvous in the
-// call must NOT go back to the pool, so pipelines pool rank-local
-// buffers only, and a buffer sent as views only when a later rendezvous
-// of the call shows every peer is done with it.
+// pooling; a nil pool safely degrades to allocate-fresh). What this rank
+// Puts back must be done with on every rank, so a pipeline Puts its
+// rank-local buffers, and a buffer sent as views only when a later
+// rendezvous of the call shows every peer is done with it. A payload
+// that crosses an exchange to be read after it is lent instead (Lend):
+// its receivers' releases return it here, from whichever rank drops the
+// last view.
 func (r *Rank) Pool() *tensor.Pool {
 	if r.C.DisablePools {
 		return nil

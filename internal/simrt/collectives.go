@@ -46,6 +46,8 @@ type deposit struct {
 	send []Part
 	// part is the member's payload of a reduction or all-gather.
 	part Part
+	// lent is the loan the deposit's data parts view, if any (lend.go).
+	lent *Loan
 	// clock is the member's clock at entry and prev the flight it issued
 	// before this one (nil for its first): its comm stream starts this
 	// flight no earlier than either.
@@ -68,6 +70,9 @@ type flight struct {
 	seconds float64
 	// recv[m] is what member m receives (nil for a barrier).
 	recv [][]Part
+	// lent[m] is the loan member m's deposit named (nil when none did):
+	// what the receivers' releases drop views of.
+	lent []*Loan
 
 	resolved   bool
 	start, end float64
@@ -142,13 +147,14 @@ func (r *Rank) await(fl *flight, name string) (start, end float64) {
 }
 
 // block is the blocking ending: the flight waited at once, charged to the
-// clock as one span from the issue clock.
-func (r *Rank) block(g *Group, name string, d deposit, price pricer) []Part {
+// clock as one span from the issue clock. It returns the flight and r's
+// member index in it.
+func (r *Rank) block(g *Group, name string, d deposit, price pricer) (*flight, int) {
 	fl, m := g.fly(r, name, d, price, true)
 	_, end := r.await(fl, name)
 	r.Trace.Record(name, r.Clock, end-r.Clock)
 	r.Clock = end
-	return fl.parts(m)
+	return fl, m
 }
 
 // async is the non-blocking ending: the flight handed to a CommHandle the
@@ -261,26 +267,16 @@ func priceAllGather(g *Group, deps []deposit) (float64, [][]Part) {
 // member. The modeled time is charged to every member's clock; traffic is
 // charged per link class by the cost engine.
 func (r *Rank) AlltoAllV(g *Group, name string, send []Part) []Part {
-	return r.block(g, name, a2avDeposit(g, "AlltoAllV", send), priceA2AV)
-}
-
-// AlltoAllVAsync issues a non-blocking uneven all-to-all among the group:
-// like AlltoAllV, but the call returns immediately at the rank's current
-// clock with a handle whose Wait charges the uncovered remainder. Every
-// member must issue the same collectives in the same order (SPMD
-// discipline), including the interleaving of async issues and waits with
-// blocking collectives on the same group. As with MPI's non-blocking
-// collectives, send must not change until the handle is waited: the
-// exchange may be priced after the call returns.
-func (r *Rank) AlltoAllVAsync(g *Group, name string, send []Part) *CommHandle {
-	return r.async(g, name, a2avDeposit(g, "AlltoAllVAsync", send), priceA2AV)
+	fl, m := r.block(g, name, a2avDeposit(g, "AlltoAllV", send), priceA2AV)
+	return fl.parts(m)
 }
 
 // AllReduce sums each member's data elementwise (when non-nil) and charges
 // the modeled ring-allreduce time for the given per-rank byte size. The
 // returned slice is shared by all members and must not be mutated.
 func (r *Rank) AllReduce(g *Group, name string, data []float32, bytes int64) []float32 {
-	return r.block(g, name, deposit{part: Part{Data: data, Bytes: bytes}}, priceAllReduce)[0].Data
+	fl, m := r.block(g, name, deposit{part: Part{Data: data, Bytes: bytes}}, priceAllReduce)
+	return fl.parts(m)[0].Data
 }
 
 // AllReduceAsync issues a non-blocking AllReduce; Wait yields one Part
@@ -303,10 +299,16 @@ func (r *Rank) ReduceScatterAsync(g *Group, name string, data []float32, bytes i
 }
 
 // AllGather gathers one part from every member; all members receive the
-// full list indexed by member. The returned parts are shared and must not
-// be mutated.
-func (r *Rank) AllGather(g *Group, name string, part Part) []Part {
-	return r.block(g, name, deposit{part: part}, priceAllGather)
+// full list indexed by member, which the returned Exchange holds already
+// delivered. The parts are shared and must not be mutated. When part's
+// data views lent (non-nil), every member's copy of it is one view of the
+// loan, which each member drops with Release.
+func (r *Rank) AllGather(g *Group, name string, part Part, lent *Loan) Exchange {
+	if lent != nil && part.Data != nil {
+		lent.views.Add(int64(g.Size()))
+	}
+	fl, m := r.block(g, name, deposit{part: part, lent: lent}, priceAllGather)
+	return Exchange{fl: fl, m: m}
 }
 
 // ShardRange returns the half-open [lo, hi) range of member i's owned

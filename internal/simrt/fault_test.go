@@ -368,7 +368,7 @@ func TestCrashMidExchangeLeavesNoPricer(t *testing.T) {
 	g := c.WorldGroup()
 	err := c.Run(func(r *Rank) error {
 		for i := 0; i < chunks; i++ {
-			r.AlltoAllVChunk(g, "dispatch", evenParts(world, 1<<16), chunks)
+			r.AlltoAllVChunk(g, "dispatch", evenParts(world, 1<<16), nil, chunks)
 		}
 		r.Compute("gemm", 1) // rank 2's clock passes its crash point
 		r.Compute("gemm", 1) // and it crashes here, its exchanges in flight

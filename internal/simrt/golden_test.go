@@ -105,7 +105,7 @@ func runCollectiveScript(t *testing.T, event bool) collectiveGolden {
 		tick()
 
 		r.Compute("skew", 1e-6*float64(n-r.ID))
-		fold(r.AllGather(g, "ag", simrt.Part{Data: vec(3, 1+r.ID), Bytes: int64(1+r.ID) << 17})...)
+		fold(r.AllGather(g, "ag", simrt.Part{Data: vec(3, 1+r.ID), Bytes: int64(1+r.ID) << 17}, nil).Wait()...)
 		tick()
 		r.Compute("skew", 1e-6*float64(r.ID))
 		r.Barrier(g)
@@ -119,9 +119,9 @@ func runCollectiveScript(t *testing.T, event bool) collectiveGolden {
 		fold(rs.Wait()...)
 		tick()
 
-		one := r.AlltoAllVChunk(g, "chunk1", a2av(6), 1)
+		one := r.AlltoAllVChunk(g, "chunk1", a2av(6), nil, 1)
 		tick()
-		two := r.AlltoAllVChunk(g, "chunk2", a2av(7), 2)
+		two := r.AlltoAllVChunk(g, "chunk2", a2av(7), nil, 2)
 		r.Compute("expert_gemm", 1e-5)
 		fold(one.Wait()...)
 		fold(r.AlltoAllV(g, "a2a", a2av(8))...)

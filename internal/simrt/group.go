@@ -99,6 +99,12 @@ func (g *Group) fly(r *Rank, name string, d deposit, price pricer, blocking bool
 
 	rv.mu.Lock()
 	rv.deps[idx] = d
+	if d.lent != nil {
+		if rv.lent == nil {
+			rv.lent = make([]*Loan, n)
+		}
+		rv.lent[idx] = d.lent
+	}
 	if rv.arrived == n-1 {
 		// The last member to deposit prices the flight. A blocking one,
 		// which every member waits for at once, and any one on an engine

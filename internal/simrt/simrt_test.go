@@ -199,7 +199,7 @@ func TestAllGatherCollectsInOrder(t *testing.T) {
 	c := testCluster(4)
 	g := c.WorldGroup()
 	err := c.Run(func(r *Rank) error {
-		parts := r.AllGather(g, "ag", Part{Data: []float32{float32(r.ID)}, Bytes: 4})
+		parts := r.AllGather(g, "ag", Part{Data: []float32{float32(r.ID)}, Bytes: 4}, nil).Wait()
 		for i, p := range parts {
 			if p.Data[0] != float32(i) {
 				return fmt.Errorf("allgather[%d] = %v", i, p.Data)
@@ -324,7 +324,7 @@ func TestAlltoAllVChunkSingleChunkIsBlocking(t *testing.T) {
 	const bytes = 4 << 20
 	cost := c.Net.AlltoAllV(g.Ranks(), evenMatrix(4, bytes)).Seconds
 	err := c.Run(func(r *Rank) error {
-		x := r.AlltoAllVChunk(g, "one", evenParts(4, bytes), 1)
+		x := r.AlltoAllVChunk(g, "one", evenParts(4, bytes), nil, 1)
 		if r.Clock != cost {
 			return fmt.Errorf("single chunk: clock %.9f after issue, want the blocking cost %.9f", r.Clock, cost)
 		}
@@ -337,7 +337,7 @@ func TestAlltoAllVChunkSingleChunkIsBlocking(t *testing.T) {
 				r.Trace.Total("one"), r.Trace.OverlappedTotal("one"), cost)
 		}
 		before := r.Clock
-		y := r.AlltoAllVChunk(g, "two", evenParts(4, bytes), 2)
+		y := r.AlltoAllVChunk(g, "two", evenParts(4, bytes), nil, 2)
 		r.Compute("gemm", 3*cost)
 		if y.Wait(); r.Clock != before+3*cost || r.Trace.Total("two") != 0 {
 			return fmt.Errorf("chunked: covered exchange charged %.9f", r.Trace.Total("two"))
@@ -434,7 +434,7 @@ func TestCollectiveSteadyStateAllocs(t *testing.T) {
 		{"allreduce", 0.65, func(r *Rank, _ []Part) { r.AllReduce(g, "ar", nil, 1<<20) }},
 		{"allreduce_async", 1.9, func(r *Rank, _ []Part) { r.AllReduceAsync(g, "ar", nil, 1<<20).Wait() }},
 		{"reducescatter_async", 2.05, func(r *Rank, _ []Part) { r.ReduceScatterAsync(g, "rs", nil, 1<<20).Wait() }},
-		{"allgather", 0.75, func(r *Rank, _ []Part) { r.AllGather(g, "ag", Part{Bytes: 1 << 20}) }},
+		{"allgather", 0.75, func(r *Rank, _ []Part) { r.AllGather(g, "ag", Part{Bytes: 1 << 20}, nil) }},
 	} {
 		body := func(n int) func() {
 			return func() {
@@ -680,6 +680,14 @@ func TestLargeScaleSmoke1024Ranks(t *testing.T) {
 	if MaxClock(ranks) <= 0 {
 		t.Fatal("1024-rank collectives should consume simulated time")
 	}
+}
+
+// AlltoAllVAsync issues a non-blocking uneven all-to-all among the group,
+// as AlltoAllVChunk does for more than one chunk, and returns its handle:
+// the call returns at the rank's current clock and Wait charges the
+// uncovered remainder. send must not change until the handle is waited.
+func (r *Rank) AlltoAllVAsync(g *Group, name string, send []Part) *CommHandle {
+	return r.async(g, name, a2avDeposit(g, "AlltoAllVAsync", send), priceA2AV)
 }
 
 // Barrier synchronises all members' clocks: the one collective the tests

@@ -76,7 +76,7 @@ func MatMulTInto(c, a, b *Tensor) {
 	if k != k2 || c.Rows() != m || c.Cols() != n {
 		panic(fmt.Sprintf("tensor: matmulT shape mismatch C%v = A%v x B%vᵀ", c.shape, a.shape, b.shape))
 	}
-	bt := transposeBufs.getBuf(n * k)
+	bt := transposeBufs.GetBuf(n * k)
 	// One closure runs both passes, so a call still allocates once: index
 	// j < n is row j of B, which its worker writes into column j of bt,
 	// and n+i is row i of C, computed once every column is in.
@@ -93,7 +93,7 @@ func MatMulTInto(c, a, b *Tensor) {
 	}
 	parallelFor(0, n, 16, pass)
 	parallelFor(n, m, 8, pass)
-	transposeBufs.putBuf(bt)
+	transposeBufs.PutBuf(bt)
 }
 
 // transposeBufs holds MatMulTInto's transposed-B buffers. It is a Pool

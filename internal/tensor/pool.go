@@ -67,18 +67,18 @@ func (p *Pool) Get(shape ...int) *Tensor {
 	if bucketOf(n) < 0 {
 		return New(shape...)
 	}
-	buf := p.getBuf(n)
+	buf := p.GetBuf(n)
 	s := make([]int, len(shape))
 	copy(s, shape)
 	return &Tensor{Data: buf, shape: s}
 }
 
-// getBuf returns a buffer of n elements with unspecified contents: a
+// GetBuf returns a buffer of n elements with unspecified contents: a
 // pooled one when n is in pooling range and its bucket holds one, else a
-// fresh one.
-func (p *Pool) getBuf(n int) []float32 {
+// fresh one (zero-filled, as on a nil pool).
+func (p *Pool) GetBuf(n int) []float32 {
 	b := bucketOf(n)
-	if b < 0 {
+	if p == nil || b < 0 {
 		return make([]float32, n)
 	}
 	p.mu.Lock()
@@ -104,17 +104,19 @@ func (p *Pool) Put(t *Tensor) {
 	if p == nil || t == nil || t.Data == nil {
 		return
 	}
-	if p.putBuf(t.Data) {
+	if p.PutBuf(t.Data) {
 		t.Data = nil
 	}
 }
 
-// putBuf returns buf to the pool and reports whether it was kept: only a
-// buffer whose capacity is an exact bucket size is; the GC has the rest.
-func (p *Pool) putBuf(buf []float32) bool {
+// PutBuf returns buf to the pool and reports whether it was kept: only a
+// buffer whose capacity is an exact bucket size is; the GC has the rest,
+// and a nil pool keeps nothing. As with Put, nothing may use buf (or a
+// view of it) afterwards.
+func (p *Pool) PutBuf(buf []float32) bool {
 	c := cap(buf)
 	b := bucketOf(c)
-	if b < 0 || 1<<b != c {
+	if p == nil || b < 0 || 1<<b != c {
 		return false
 	}
 	p.mu.Lock()

@@ -180,7 +180,7 @@ func ShrinkWorld(experts, survivors int) int {
 
 // CkptStream models asynchronous checkpointing as a double buffer plus
 // one in-flight off-node write, with the same accounting convention as
-// the CommHandle overlap machinery (simrt.AlltoAllVAsync): issuing a
+// the CommHandle overlap machinery (simrt.AlltoAllVChunk): issuing a
 // write snapshots the state and costs nothing up front; the write
 // completes Cost simulated seconds later on its own stream, and training
 // only pays the *uncovered remainder* — the part of the write the

@@ -3,6 +3,7 @@ package train
 import (
 	"fmt"
 	"math"
+	"os"
 	"testing"
 
 	"xmoe/internal/moe"
@@ -10,6 +11,15 @@ import (
 	"xmoe/internal/tensor"
 	"xmoe/internal/transport"
 )
+
+// TestMain runs the package's tests with every lent send buffer filled with
+// NaN at its last release (simrt.PoisonReleased), so a receiver that reads
+// a payload after releasing it, or a buffer recycled before its last
+// receiver is done with it, moves a bit the determinism checks compare.
+func TestMain(m *testing.M) {
+	simrt.PoisonReleased(true)
+	os.Exit(m.Run())
+}
 
 // The trainer's determinism matrix. Chunked overlap re-times the
 // exchanges, ZeRO shards the optimizer state (stage 1) and the gradients

@@ -396,22 +396,7 @@ func (t *DistTrainer) Step() (DistStepStats, error) {
 			}
 		}
 		if t.zcfg.Stage >= 1 {
-			// Owners publish their updated shards; every rank reassembles
-			// the full bias from the gathered parts. The send buffer
-			// crosses a collective and must be freshly allocated.
-			ownedVals := make([]float32, 0, zero.OwnedCount(t.owned[idx]))
-			for _, rg := range t.owned[idx] {
-				ownedVals = append(ownedVals, bias[rg.Lo:rg.Hi]...)
-			}
-			parts := r.AllGather(t.group, "param_allgather",
-				simrt.Part{Data: ownedVals, Bytes: int64(4 * len(ownedVals))})
-			for m, p := range parts {
-				off := 0
-				for _, rg := range t.owned[m] {
-					copy(bias[rg.Lo:rg.Hi], p.Data[off:off+rg.Len()])
-					off += rg.Len()
-				}
-			}
+			t.gatherBias(r, idx, bias)
 		}
 
 		mu.Lock()
@@ -443,4 +428,27 @@ func (t *DistTrainer) Step() (DistStepStats, error) {
 		}
 	}
 	return stats, nil
+}
+
+// gatherBias is the ZeRO all-gather of the dense parameter: owners publish
+// their updated shards, and every rank reassembles the full bias from the
+// gathered parts. The send buffer is lent from the rank's arena; every
+// member releases the parts once it has copied them.
+func (t *DistTrainer) gatherBias(r *simrt.Rank, idx int, bias []float32) {
+	owned := r.Lend(zero.OwnedCount(t.owned[idx]))
+	off := 0
+	for _, rg := range t.owned[idx] {
+		off += copy(owned.Data[off:], bias[rg.Lo:rg.Hi])
+	}
+	x := r.AllGather(t.group, "param_allgather",
+		simrt.Part{Data: owned.Data, Bytes: int64(4 * len(owned.Data))}, owned)
+	owned.Done()
+	for m, p := range x.Wait() {
+		off := 0
+		for _, rg := range t.owned[m] {
+			copy(bias[rg.Lo:rg.Hi], p.Data[off:off+rg.Len()])
+			off += rg.Len()
+		}
+	}
+	x.Release()
 }

@@ -258,10 +258,15 @@ func TestFig15PoliciesTrackClosely(t *testing.T) {
 		t.Skip("training comparison skipped in -short")
 	}
 	const iters = 250
-	xmoeCfg := DefaultLMConfig(moe.DropByCapacityWeight)
-	dsCfg := DefaultLMConfig(moe.DropNegativeThenPosition)
-	lx := Smooth(LossCurve(xmoeCfg, iters), 40)
-	ld := Smooth(LossCurve(dsCfg, iters), 40)
+	// The two curves share nothing, so they train side by side.
+	var lx, ld []float64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ld = Smooth(LossCurve(DefaultLMConfig(moe.DropNegativeThenPosition), iters), 40)
+	}()
+	lx = Smooth(LossCurve(DefaultLMConfig(moe.DropByCapacityWeight), iters), 40)
+	<-done
 	endX := lx[len(lx)-1]
 	endD := ld[len(ld)-1]
 	if math.Abs(endX-endD) > 0.6 {

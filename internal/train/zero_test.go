@@ -50,6 +50,11 @@ func assertSameTraining(t *testing.T, label string, lossA, lossB []float64, a, b
 		if math.Float64bits(lossA[i]) != math.Float64bits(lossB[i]) {
 			t.Fatalf("%s: step %d loss %v != %v", label, i, lossB[i], lossA[i])
 		}
+		// Equal bits on both sides are not enough when both read a
+		// poisoned (NaN-filled) buffer.
+		if math.IsNaN(lossA[i]) || math.IsInf(lossA[i], 0) {
+			t.Fatalf("%s: step %d loss %v is not finite", label, i, lossA[i])
+		}
 	}
 	weightsEqual(t, a, b, label)
 }

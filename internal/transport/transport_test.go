@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -15,6 +16,15 @@ import (
 	"xmoe/internal/tensor"
 	"xmoe/internal/topology"
 )
+
+// TestMain runs the package's tests with every lent send buffer filled with
+// NaN at its last release (simrt.PoisonReleased), so a receiver that reads
+// a payload after releasing it, or a buffer recycled before its last
+// receiver is done with it, moves a bit the determinism checks compare.
+func TestMain(m *testing.M) {
+	simrt.PoisonReleased(true)
+	os.Exit(m.Run())
+}
 
 // TestParseRoundTrip: every Kind maps to its name and back; names are
 // case-sensitive; the empty and unknown names are rejected with an error
