@@ -222,10 +222,9 @@ type LayerResult struct {
 	Output *tensor.Tensor
 	// PFT is the routing buffer the layer dispatched: the PFT of the PFT
 	// and RBD pipelines, the capacity-padded layout of the padded one
-	// (every segment C rows, a hole's token -1). A symbolic flat pipeline's
-	// carries counts only (TokensPerExpert, Dropped; nil rows); RBD picks
-	// its pilots per row, so its PFT always has TokenIDs and
-	// CombineWeights, and ExpertIDs when numeric.
+	// (every segment C rows, a hole's token -1). A symbolic layer's
+	// carries counts only (TokensPerExpert, Dropped; nil rows), whatever
+	// the transport; a numeric layer's has every row.
 	PFT *PFT
 	// RoutedTokens is the number of retained (token, expert) assignments
 	// sent (holes not counted).
@@ -285,26 +284,21 @@ func sum(xs []int) int {
 
 // RoutedPFT builds the PFT a transport dispatches: the uniform
 // Config.Capacity unless opts.CapacityByExpert rebalances it per expert.
-// Shared by the PFT pipeline and the RBD dispatcher, so both transports
-// see identical routing decisions under mitigation. It carries the rows
+// Every transport's layer builds its PFT this way, so all of them see
+// identical routing decisions under mitigation. It carries the rows
 // (TokenIDs, CombineWeights) but no ExpertIDs.
 func RoutedPFT(routing Routing, cfg Config, s int, opts PipelineOpts) *PFT {
-	return routedPFT(routing, cfg, s, opts, false, true, false)
+	return routedPFT(routing, cfg, s, opts, true, false, nil)
 }
 
-// routedPFT is RoutedPFT, with the rows only when asked for, and the
-// capacity-padded layout when padded. ExpertIDs is built for a numeric
-// layer only: a symbolic one with rows is RBD's, which reads TokenIDs.
-func routedPFT(routing Routing, cfg Config, s int, opts PipelineOpts, numeric, rows, padded bool) *PFT {
+// routedPFT is RoutedPFT, with the rows only when asked for (in sc when it
+// is set), and the capacity-padded layout when padded.
+func routedPFT(routing Routing, cfg Config, s int, opts PipelineOpts, rows, padded bool, sc *Scratch) *PFT {
 	caps, limit := opts.CapacityByExpert, cfg.Capacity(s)
 	if caps != nil {
 		limit, padded = 0, false
 	}
-	pft := buildPFT(routing, cfg.NumExperts, caps, limit, opts.DropPolicy, rows, padded)
-	if numeric {
-		pft.withExpertIDs()
-	}
-	return pft
+	return buildPFT(routing, cfg.NumExperts, caps, limit, opts.DropPolicy, rows, padded, sc)
 }
 
 // epCheck validates the expert-parallel layout and returns experts/rank.
@@ -445,6 +439,9 @@ func Forward(r *simrt.Rank, ex Exchange, cfg Config, s int, x *tensor.Tensor, ro
 	if err := opts.Check(); err != nil {
 		panic(err)
 	}
+	if routing.S != s {
+		panic(fmt.Sprintf("moe: a layer of %d tokens handed a routing of %d", s, routing.S))
+	}
 	padded, rows := ex.Layout()
 	numeric := x != nil
 	h, f := cfg.HModel, cfg.HFFN
@@ -454,8 +451,17 @@ func Forward(r *simrt.Rank, ex Exchange, cfg Config, s int, x *tensor.Tensor, ro
 	comp := r.C.Comp
 
 	// --- Gate + layout construction -------------------------------------
-	// Router GEMM [s,H]x[H,E], then the profile's memory-bound passes.
-	pft := routedPFT(routing, cfg, s, opts, numeric, numeric || rows, padded)
+	// Router GEMM [s,H]x[H,E], then the profile's memory-bound passes. A
+	// symbolic layer whose exchange reads rows builds them in a scratch
+	// set, which the exchange returns once it has counted them.
+	var sc *Scratch
+	if rows && !numeric {
+		sc = scratchPool.Get().(*Scratch)
+	}
+	pft := routedPFT(routing, cfg, s, opts, numeric || rows, padded, sc)
+	if numeric {
+		pft.withExpertIDs()
+	}
 	b := pft.B()
 	launches, gateBytes, live := kp.gate(cfg, s, cfg.Capacity(s), pft)
 	r.Compute(StageGate, comp.GEMM(s, h, cfg.NumExperts)+comp.MemBoundN(kp.class, launches, gateBytes))

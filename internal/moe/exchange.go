@@ -21,7 +21,10 @@ import (
 // State are the two implementations.
 type Exchange interface {
 	// Layout reports whether the exchange moves the capacity-padded layout
-	// and whether it reads the layout's rows in a symbolic pass too.
+	// and whether it reads the layout's rows in a symbolic pass too. A
+	// symbolic pass builds those rows in a Scratch set, which the exchange
+	// returns with PFT.ReleaseScratch once it has read them; the PFT
+	// carries counts only from then on.
 	Layout() (padded, rows bool)
 	// Forward moves pft's rows for a layer of s local tokens (rows is the
 	// [B, H] layout-ordered buffer; nil makes the pass symbolic) to the

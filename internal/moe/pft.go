@@ -30,11 +30,13 @@ const (
 // padding (buildPFT's padded mode): every segment holds C rows, and rows no
 // token took are holes.
 //
-// A symbolic layer's PFT (PFTForward handed no x) carries counts
-// only: TokensPerExpert and Dropped, with nil rows, since no symbolic pass
-// moves a row. A symbolic RBD layer groups its rows by token, so its PFT
-// has TokenIDs and CombineWeights but no ExpertIDs, which only a numeric
-// layer builds. BuildPFT always fills every row.
+// A symbolic layer's PFT (a layer handed no x) carries counts only:
+// TokensPerExpert and Dropped, with nil rows, since no symbolic charge
+// reads a row. That holds for every transport. RBD groups the rows by
+// token to count its pilots, so its symbolic layer builds TokenIDs and
+// CombineWeights in a Scratch set and drops them when the grouping
+// returns (ReleaseScratch); ExpertIDs only a numeric layer builds.
+// BuildPFT always fills every row.
 type PFT struct {
 	// TokenIDs[i] is the original token index of buffer row i, or -1 for
 	// a hole of the padded layout.
@@ -50,6 +52,9 @@ type PFT struct {
 	// Dropped is the number of (token, expert) assignments removed by
 	// the drop policy.
 	Dropped int
+	// scratch is the set TokenIDs and CombineWeights live in while a
+	// symbolic layer groups them (nil: the rows are the PFT's own).
+	scratch *Scratch
 }
 
 // B returns the number of retained routed-token rows.
@@ -60,7 +65,7 @@ func (p *PFT) B() int { return sum(p.TokensPerExpert) }
 // policy against maxTokenCount (the expert capacity), and emit the
 // ERI-arrays. A maxTokenCount <= 0 means unlimited capacity.
 func BuildPFT(r Routing, numExperts, maxTokenCount int, policy DropPolicy) *PFT {
-	return buildPFT(r, numExperts, nil, maxTokenCount, policy, true, false).withExpertIDs()
+	return buildPFT(r, numExperts, nil, maxTokenCount, policy, true, false, nil).withExpertIDs()
 }
 
 // buildPFT makes two passes over the routing, straight into the final
@@ -73,15 +78,16 @@ func BuildPFT(r Routing, numExperts, maxTokenCount int, policy DropPolicy) *PFT 
 // already TokensPerExpert and Dropped, so without rows it stops there.
 // The histogram adds each assignment's keep test as an integer, not a
 // branch: a logit's sign is data the predictor cannot learn. With rows it
-// fills TokenIDs and CombineWeights; ExpertIDs is withExpertIDs' to add.
-// A non-nil caps must have one entry per expert.
+// fills TokenIDs and CombineWeights, in sc when it is set (nil: fresh
+// arrays); ExpertIDs is withExpertIDs' to add. A non-nil caps must have
+// one entry per expert.
 //
 // padded builds the capacity-padded layout of the conventional pipeline
 // (paper §3.1, Fig. 2) instead: every expert segment is maxTokenCount rows
 // long, slots fill first-come-first-served under either policy, and a
 // slot no token took is a hole, token -1 and weight 0. Its TokensPerExpert
 // are the segment lengths, so B counts the holes.
-func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy DropPolicy, rows, padded bool) *PFT {
+func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy DropPolicy, rows, padded bool, sc *Scratch) *PFT {
 	if caps != nil && len(caps) != numExperts {
 		panic(fmt.Sprintf("moe: capacity vector has %d entries for %d experts", len(caps), numExperts))
 	}
@@ -142,12 +148,17 @@ func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy D
 		return &PFT{TokensPerExpert: counts, Dropped: len(r.Experts) - kept}
 	}
 
-	tokenIDs := make([]int, placed)
-	weights := make([]float32, placed)
+	var tokenIDs []int
+	var weights []float32
+	if sc != nil {
+		tokenIDs, weights = sc.rows(placed)
+	} else {
+		tokenIDs, weights = make([]int, placed), make([]float32, placed)
+	}
 	if padded {
-		for i := range tokenIDs {
-			tokenIDs[i] = -1
-		}
+		// Every hole is token -1 and weight 0, whatever sc held.
+		fill(tokenIDs, -1)
+		clear(weights)
 	}
 	for t := 0; t < r.S; t++ {
 		for i := t * k; i < (t+1)*k; i++ {
@@ -208,6 +219,7 @@ func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy D
 		TokensPerExpert: counts,
 		CombineWeights:  weights,
 		Dropped:         len(r.Experts) - kept,
+		scratch:         sc,
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
 )
 
@@ -240,19 +241,23 @@ func (c pftCase) build() (rt Routing, numExperts int, caps []int, limit int) {
 
 // checkPFTCase asserts that buildPFT and the sort-based reference agree
 // field for field (weights by bit pattern) under both drop policies, that
-// the result passes validate, and that the counts-only build a symbolic
-// layer makes has the row build's counts and no rows.
+// the result passes validate, that the counts-only build a symbolic
+// layer makes has the row build's counts and no rows, and that the rows a
+// symbolic RBD layer builds in a scratch set are the row build's.
 func checkPFTCase(t *testing.T, c pftCase) {
 	t.Helper()
 	rt, numExperts, caps, limit := c.build()
 	for _, policy := range []DropPolicy{DropByCapacityWeight, DropNegativeThenPosition} {
-		got := buildPFT(rt, numExperts, caps, limit, policy, true, false).withExpertIDs()
+		got := buildPFT(rt, numExperts, caps, limit, policy, true, false, nil).withExpertIDs()
 		want := buildPFTRef(rt, numExperts, caps, limit, policy)
-		counts := buildPFT(rt, numExperts, caps, limit, policy, false, false)
+		counts := buildPFT(rt, numExperts, caps, limit, policy, false, false, nil)
 		if !slices.Equal(counts.TokensPerExpert, got.TokensPerExpert) || counts.Dropped != got.Dropped ||
 			counts.B() != got.B() || counts.TokenIDs != nil || counts.ExpertIDs != nil || counts.CombineWeights != nil {
 			t.Fatalf("%+v policy %d: counts-only PFT (B %d, %d dropped, per expert %v) differs from the rows (B %d, %d dropped, per expert %v)",
 				c, policy, counts.B(), counts.Dropped, counts.TokensPerExpert, got.B(), got.Dropped, got.TokensPerExpert)
+		}
+		if err := scratchRowsMatch(rt, numExperts, caps, limit, policy, got); err != nil {
+			t.Fatalf("%+v policy %d: %v", c, policy, err)
 		}
 		if !slices.Equal(got.TokenIDs, want.TokenIDs) || !slices.Equal(got.ExpertIDs, want.ExpertIDs) ||
 			!slices.Equal(got.TokensPerExpert, want.TokensPerExpert) || got.Dropped != want.Dropped {
@@ -320,7 +325,7 @@ var oddLogits = []float32{float32(math.Copysign(0, -1)), 0, float32(math.NaN()),
 func TestDropNegativeKeepsSignedZeroAndNaN(t *testing.T) {
 	n := len(oddLogits)
 	rt := Routing{S: n, Experts: make([]int32, n), Weights: make([]float32, n), Logits: oddLogits}
-	counts := buildPFT(rt, 1, nil, 0, DropNegativeThenPosition, false, false)
+	counts := buildPFT(rt, 1, nil, 0, DropNegativeThenPosition, false, false, nil)
 	rows := BuildPFT(rt, 1, 0, DropNegativeThenPosition)
 	ref := buildPFTRef(rt, 1, nil, 0, DropNegativeThenPosition)
 	const kept = "[0 1 2 4]" // -0, +0, NaN, +Inf
@@ -359,4 +364,47 @@ func FuzzBuildPFT(f *testing.F) {
 		}
 		checkPFTCase(t, c)
 	})
+}
+
+// scratchRowsMatch builds the PFT in a scratch set whose cells hold
+// poison (an index no row can have, NaN weights) and compares its rows with
+// want's by bit pattern: the build writes every cell it hands out.
+// Releasing the set must drop the rows from the PFT and, with
+// simrt.PoisonReleased on, poison them again; releasing a set from a PFT
+// whose rows are its own must keep them.
+func scratchRowsMatch(rt Routing, numExperts int, caps []int, limit int, policy DropPolicy, want *PFT) error {
+	simrt.PoisonReleased(true)
+	defer simrt.PoisonReleased(false)
+	sc := new(Scratch)
+	tokens, weights := sc.rows(len(rt.Experts))
+	fill(tokens, math.MinInt)
+	fill(weights, float32(math.NaN()))
+	got := buildPFT(rt, numExperts, caps, limit, policy, true, false, sc)
+	if !slices.Equal(got.TokenIDs, want.TokenIDs) || len(got.CombineWeights) != len(want.CombineWeights) {
+		return fmt.Errorf("scratch rows %v, fresh rows %v", got.TokenIDs, want.TokenIDs)
+	}
+	for i, w := range got.CombineWeights {
+		if math.Float32bits(w) != math.Float32bits(want.CombineWeights[i]) {
+			return fmt.Errorf("scratch CombineWeights[%d] = %x, fresh %x", i, math.Float32bits(w), math.Float32bits(want.CombineWeights[i]))
+		}
+	}
+	if got.Scratch() != sc {
+		return fmt.Errorf("the PFT's grouping does not work in the set its rows live in")
+	}
+	rows := got.TokenIDs
+	got.ReleaseScratch(sc)
+	if got.TokenIDs != nil || got.CombineWeights != nil {
+		return fmt.Errorf("the PFT kept its rows after its scratch set went back")
+	}
+	for i, tok := range rows {
+		if tok != math.MinInt {
+			return fmt.Errorf("released row %d still reads token %d", i, tok)
+		}
+	}
+	own := want.Scratch()
+	want.ReleaseScratch(own)
+	if want.TokenIDs == nil && want.B() > 0 {
+		return fmt.Errorf("a PFT dropped its own rows with a scratch set")
+	}
+	return nil
 }

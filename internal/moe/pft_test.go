@@ -245,7 +245,7 @@ func TestBuildPaddedAssignment(t *testing.T) {
 	}
 	// Capacity-weight dropping would keep tokens 1 and 2; the padded
 	// layout keeps the first two by position.
-	p := buildPFT(r, 2, nil, 2, DropByCapacityWeight, true, true).withExpertIDs()
+	p := buildPFT(r, 2, nil, 2, DropByCapacityWeight, true, true, nil).withExpertIDs()
 	if p.Dropped != 1 { // token 2 overflows expert 0
 		t.Fatalf("dropped = %d, want 1", p.Dropped)
 	}
@@ -262,7 +262,7 @@ func TestBuildPaddedAssignment(t *testing.T) {
 // slots as holes.
 func TestPaddedAssignmentNegativePolicy(t *testing.T) {
 	neg := Routing{S: 2, Experts: []int32{0, 0}, Weights: []float32{0.5, 0.5}, Logits: []float32{-1, 1}}
-	p := buildPFT(neg, 1, nil, 4, DropNegativeThenPosition, true, true)
+	p := buildPFT(neg, 1, nil, 4, DropNegativeThenPosition, true, true, nil)
 	if p.Dropped != 1 || fmt.Sprint(p.TokenIDs) != "[1 -1 -1 -1]" {
 		t.Fatalf("dropped=%d slots=%v", p.Dropped, p.TokenIDs)
 	}
@@ -309,8 +309,8 @@ func TestQuickPaddedVsPFTRetention(t *testing.T) {
 		capTokens := 1 + rng.Intn(s*k)
 		r := SyntheticRouting(rng, s, e, k, 0.7)
 		p := BuildPFT(r, e, capTokens, DropNegativeThenPosition)
-		pad := buildPFT(r, e, nil, capTokens, DropNegativeThenPosition, true, true).withExpertIDs()
-		counts := buildPFT(r, e, nil, capTokens, DropNegativeThenPosition, false, true)
+		pad := buildPFT(r, e, nil, capTokens, DropNegativeThenPosition, true, true, nil).withExpertIDs()
+		counts := buildPFT(r, e, nil, capTokens, DropNegativeThenPosition, false, true, nil)
 		if pad.B() != e*capTokens || pad.Dropped != p.Dropped || counts.Dropped != p.Dropped ||
 			counts.TokenIDs != nil || fmt.Sprint(counts.TokensPerExpert) != fmt.Sprint(pad.TokensPerExpert) {
 			return false

@@ -157,5 +157,5 @@ func TestCapacityByExpertOptionChecks(t *testing.T) {
 // bounds expert e's retained rows (entries <= 0 mean unlimited), as a
 // layer with PipelineOpts.CapacityByExpert builds it.
 func buildPFTCaps(r Routing, numExperts int, caps []int, policy DropPolicy) *PFT {
-	return buildPFT(r, numExperts, caps, 0, policy, true, false).withExpertIDs()
+	return buildPFT(r, numExperts, caps, 0, policy, true, false, nil).withExpertIDs()
 }

@@ -126,7 +126,7 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 	// pilot send order is expert-major) of a buffer lent from the arena.
 	var dRet *simrt.Loan
 	if numeric {
-		dRet = r.Lend(len(st.pilotEntry) * h)
+		dRet = r.Lend(st.pilotsSent() * h)
 		for i, ent := range st.pilotEntry {
 			copy(dRet.Data[i*h:(i+1)*h], dOut.Row(pft.TokenIDs[ent]))
 		}
@@ -277,7 +277,7 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 
 	// --- Drain reverse S1, then scatter into dX in pilot send order ---------
 	ret, back := drainReturn(pool, s1X, st.partStart, h, numeric)
-	r.Compute(StageBwdS1Scat, comp.MemBound(perfmodel.ClassTriton, 2*int64(len(st.pilotEntry))*int64(h)*elem))
+	r.Compute(StageBwdS1Scat, comp.MemBound(perfmodel.ClassTriton, 2*int64(st.pilotsSent())*int64(h)*elem))
 	if !numeric {
 		return nil, nil
 	}

@@ -25,7 +25,7 @@ func BenchmarkStageReplicas(b *testing.B) {
 	ranks, err := c.RunCollect(func(r *simrt.Rank) error {
 		rt := moe.SyntheticRouting(tensor.NewRNG(42+uint64(r.ID)*31), s, cfg.NumExperts, cfg.TopK, 0.6)
 		pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(s), moe.DropByCapacityWeight)
-		states[r.ID] = pilotsOnly(d, r, pft, nil, tensor.NewRNG(uint64(r.ID)), moe.PipelineOpts{})
+		states[r.ID] = pilotsOnly(d, r, s, pft, nil, tensor.NewRNG(uint64(r.ID)), moe.PipelineOpts{})
 		return nil
 	})
 	if err != nil {
@@ -61,7 +61,7 @@ func BenchmarkDispatchPilots(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := c.Run(func(r *simrt.Rank) error {
-			pilotsOnly(d, r, pfts[r.ID], nil, tensor.NewRNG(uint64(r.ID)), opts)
+			pilotsOnly(d, r, sh.SeqLen, pfts[r.ID], nil, tensor.NewRNG(uint64(r.ID)), opts)
 			return nil
 		}); err != nil {
 			b.Fatal(err)
@@ -86,7 +86,7 @@ func BenchmarkSelectPilots(b *testing.B) {
 			rng := tensor.NewRNG(1)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchMetas = d.selectPilots(&State{pft: pft}, rng, moe.PipelineOpts{})
+				benchMetas = d.selectPilots(&State{pft: pft, s: sh.SeqLen}, rng, moe.PipelineOpts{})
 			}
 		})
 	}

@@ -77,7 +77,7 @@ func (st *State) Forward(r *simrt.Rank, s int, pft *moe.PFT, rows *tensor.Tensor
 	mem := &r.Dev().Mem
 	rowBytes := int64(st.d.Cfg.HModel) * int64(st.d.Cfg.BytesPerElem)
 	bExp := st.rowsOff[st.d.EPR]
-	mem.Free("rbd_pilot_send", int64(len(st.pilotEntry))*rowBytes)
+	mem.Free("rbd_pilot_send", int64(st.pilotsSent())*rowBytes)
 	mem.Free("rbd_pilot_recv", int64(st.pilotRowsTotal)*rowBytes)
 	mem.Free("rbd_s2_send", int64(st.s2SentTotal)*rowBytes)
 	mem.Free("rbd_s2_recv", int64(bExp-st.pilotRowsTotal)*rowBytes)
@@ -279,7 +279,7 @@ func (st *State) combine(r *simrt.Rank, expertOut *tensor.Tensor) *tensor.Tensor
 
 	// --- Source side: the returned merged rows into the [s, H] output ------
 	ret, _ := drainReturn(r.Pool(), c1, st.partStart, h, numeric)
-	r.Compute(StageCScatter, r.C.Comp.MemBound(perfmodel.ClassTriton, 2*int64(len(st.pilotEntry))*rowBytes))
+	r.Compute(StageCScatter, r.C.Comp.MemBound(perfmodel.ClassTriton, 2*int64(st.pilotsSent())*rowBytes))
 	mem.Alloc("output", int64(st.s)*rowBytes)
 	if !numeric {
 		return nil

@@ -73,8 +73,9 @@ func TestForwardMatchesPFTForward(t *testing.T) {
 }
 
 // TestForwardSymbolicTraceStages checks the RBD layer emits the Fig. 12
-// trace stages and accounts memory, and that its PFT carries the token ids
-// the pilot selection reads but no expert ids.
+// trace stages and accounts memory, and that its PFT carries counts only,
+// as every transport's symbolic layer does: the token ids and weights the
+// pilot selection read went back with its scratch set.
 func TestForwardSymbolicTraceStages(t *testing.T) {
 	cfg := moe.Config{NumExperts: 32, TopK: 4, HModel: 64, HFFN: 32,
 		CapacityFactor: 1.25, BytesPerElem: 2}
@@ -85,8 +86,9 @@ func TestForwardSymbolicTraceStages(t *testing.T) {
 		rng := tensor.NewRNG(uint64(r.ID))
 		routing := moe.SyntheticRouting(rng, 64, cfg.NumExperts, cfg.TopK, 0.5)
 		res := Forward(r, d, cfg, 64, nil, routing, nil, tensor.NewRNG(uint64(r.ID)), moe.PipelineOpts{})
-		if pft := res.PFT; len(pft.TokenIDs) != pft.B() || pft.ExpertIDs != nil {
-			return fmt.Errorf("symbolic PFT has %d token ids for %d rows and expert ids %v", len(pft.TokenIDs), pft.B(), pft.ExpertIDs != nil)
+		if pft := res.PFT; pft.TokenIDs != nil || pft.CombineWeights != nil || pft.ExpertIDs != nil || pft.B() == 0 {
+			return fmt.Errorf("symbolic PFT of %d rows has token ids %v, weights %v, expert ids %v",
+				pft.B(), pft.TokenIDs != nil, pft.CombineWeights != nil, pft.ExpertIDs != nil)
 		}
 		for _, stage := range []string{StageS1Inst, StageS1A2A, StageS2Inst,
 			StageS2A2A, StageReconstruct, StageC2A2A, StageC1A2A} {

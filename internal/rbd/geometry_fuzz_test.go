@@ -1,6 +1,7 @@
 package rbd
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -64,9 +65,16 @@ func (e *interNodeCounter) AlltoAllV(ranks []int, send [][]int64) netsim.Cost {
 // its pilot selection the per-token grouping reference. The counts every
 // charge reads are the rows': each part's repByKey and repCum, the Stage-2
 // counts, and the merge offsets mergesByChunk takes from repCum, at every
-// chunk count from 1 to 8 whatever the forward's.
+// chunk count from 1 to 8 whatever the forward's. The case's symbolic
+// forward, which keeps counts only, must count what the numeric one does:
+// the parts, each part's counts, repByKey and repCum, the Stage-2 counts
+// and the merge offsets at chunk counts 1 to 8. Every release poisons what
+// it returns (simrt.PoisonReleased), the Stage-0 scratch sets included, so
+// a read after a release shows as a difference or an index out of range.
 func checkGeometry(t *testing.T, gc geomCase) {
 	t.Helper()
+	simrt.PoisonReleased(true)
+	defer simrt.PoisonReleased(false)
 	world := 8
 	if gc.twoNodes {
 		world = 16
@@ -100,7 +108,7 @@ func checkGeometry(t *testing.T, gc geomCase) {
 		opts.PilotPolicy = moe.PilotFirstExpert
 	}
 
-	run := func(chunks int) []*tensor.Tensor {
+	run := func(chunks int) ([]*tensor.Tensor, []*State) {
 		c := newCluster(world)
 		counter := &interNodeCounter{CostEngine: c.CostEngine()}
 		c.Engine = counter
@@ -242,10 +250,46 @@ func checkGeometry(t *testing.T, gc geomCase) {
 		if counter.bytes != wantInter {
 			t.Fatalf("%+v C=%d: %d bytes crossed node boundaries, the pilots and their metadata are %d", gc, chunks, counter.bytes, wantInter)
 		}
-		return outs
+		return outs, states
 	}
 
-	c1, c3 := run(1), run(3)
+	// symbolic runs the case's symbolic forward at the chunk count the
+	// numeric states ran and holds its counts to theirs.
+	symbolic := func(chunks int, numeric []*State) {
+		c := newCluster(world)
+		d := NewDispatcher(c, c.WorldGroup(), cfg)
+		states := make([]*State, world)
+		o := opts
+		o.OverlapChunks = chunks
+		if err := c.Run(func(r *simrt.Rank) error {
+			_, rt, _ := inputs(r)
+			res := Forward(r, d, cfg, gc.s, nil, rt, nil, tensor.NewRNG(gc.seed^uint64(r.ID)), o)
+			if pft := res.PFT; pft.TokenIDs != nil || pft.CombineWeights != nil {
+				return fmt.Errorf("rank %d: the symbolic PFT kept its rows", r.ID)
+			}
+			states[r.ID] = res.State.Ex.(*State)
+			return nil
+		}); err != nil {
+			t.Fatalf("%+v symbolic C=%d: %v", gc, chunks, err)
+		}
+		for rank, sym := range states {
+			num := numeric[rank]
+			if err := symbolicCountsMatch(sym, num); err != nil {
+				t.Fatalf("%+v C=%d rank %d: %v", gc, chunks, rank, err)
+			}
+			for bc := 1; bc <= 8; bc++ {
+				off, _ := sym.mergesByChunk(bc, false)
+				if want, _ := num.mergesByChunk(bc, true); !slices.Equal(off, want) {
+					t.Fatalf("%+v C=%d rank %d: symbolic merge offsets at C=%d are %v, numeric %v", gc, chunks, rank, bc, off, want)
+				}
+			}
+		}
+	}
+
+	c1, states := run(1)
+	symbolic(1, states)
+	c3, states := run(3)
+	symbolic(3, states)
 	c := newCluster(world)
 	g := c.WorldGroup()
 	if err := c.Run(func(r *simrt.Rank) error {
@@ -266,6 +310,38 @@ func checkGeometry(t *testing.T, gc geomCase) {
 			}
 		}
 	}
+}
+
+// symbolicCountsMatch compares a symbolic state's counts with the numeric
+// state's of the same rank and inputs: the pilot parts it sent, the
+// Stage-1 counts it received, the Stage-2 counts, and the per-expert
+// segmentation. The symbolic state keeps no pilot list.
+func symbolicCountsMatch(sym, num *State) error {
+	if sym.pilotEntry != nil {
+		return fmt.Errorf("the symbolic state kept its %d-pilot list", len(sym.pilotEntry))
+	}
+	if !slices.Equal(sym.partStart, num.partStart) {
+		return fmt.Errorf("symbolic parts %v, numeric %v", sym.partStart, num.partStart)
+	}
+	for src, m := range sym.recvMetas {
+		if err := countsEqual(m, num.recvMetas[src]); err != nil {
+			return fmt.Errorf("part from %d: %v", src, err)
+		}
+	}
+	for _, c := range []struct {
+		name     string
+		sym, num []int
+	}{
+		{"Stage-2 sent", sym.s2SentCount, num.s2SentCount},
+		{"Stage-2 received", sym.s2RecvCount, num.s2RecvCount},
+		{"pilot rows per expert", sym.PilotRowsPerLE, num.PilotRowsPerLE},
+		{"replica rows per expert", sym.ReplicaRowsPerLE, num.ReplicaRowsPerLE},
+	} {
+		if !slices.Equal(c.sym, c.num) {
+			return fmt.Errorf("%s: symbolic %v, numeric %v", c.name, c.sym, c.num)
+		}
+	}
+	return nil
 }
 
 // mergesByChunkRef is the merge bucketing as mergesByChunk made it before

@@ -132,12 +132,13 @@ func (got pilotSel) equal(want pilotSel) error {
 	return nil
 }
 
-// checkPilotsMatchRef runs selectPilots and the reference on one PFT from
-// equal generators and compares them field for field, and the generators
-// after: the same draws, in the same order. A symbolic selection from a
-// third equal generator must make the numeric one's parts and counts.
-func checkPilotsMatchRef(d *Dispatcher, pft *moe.PFT, policy moe.PilotPolicy, seed uint64) error {
-	st, sym := &State{pft: pft, numeric: true}, &State{pft: pft}
+// checkPilotsMatchRef runs selectPilots and the reference on one PFT of s
+// tokens from equal generators and compares them field for field, and the
+// generators after: the same draws, in the same order. A symbolic
+// selection from a third equal generator must make the numeric one's parts
+// and counts, and keep no pilot list.
+func checkPilotsMatchRef(d *Dispatcher, pft *moe.PFT, s int, policy moe.PilotPolicy, seed uint64) error {
+	st, sym := &State{pft: pft, numeric: true, s: s}, &State{pft: pft, s: s}
 	rng, refRNG, symRNG := tensor.NewRNG(seed), tensor.NewRNG(seed), tensor.NewRNG(seed)
 	opts := moe.PipelineOpts{SaveForBackward: true, PilotPolicy: policy}
 	got := pilotSel{metas: d.selectPilots(st, rng, opts), pilotEntry: st.pilotEntry, replicaEntry: st.replicaEntry}
@@ -145,14 +146,15 @@ func checkPilotsMatchRef(d *Dispatcher, pft *moe.PFT, policy moe.PilotPolicy, se
 		return err
 	}
 	symMetas := d.selectPilots(sym, symRNG, moe.PipelineOpts{PilotPolicy: policy})
-	if !slices.Equal(sym.partStart, st.partStart) || !slices.Equal(sym.pilotEntry, st.pilotEntry) {
+	if !slices.Equal(sym.partStart, st.partStart) {
 		return fmt.Errorf("symbolic parts %v, numeric %v", sym.partStart, st.partStart)
 	}
+	if sym.pilotEntry != nil {
+		return fmt.Errorf("a symbolic selection kept its %d-pilot list", len(sym.pilotEntry))
+	}
 	for dst, m := range symMetas {
-		w := got.metas[dst]
-		if !slices.Equal(m.counts, w.counts) || !slices.Equal(m.repByKey, w.repByKey) || !slices.Equal(m.repCum, w.repCum) {
-			return fmt.Errorf("member %d: symbolic counts %v, repByKey %v, repCum %v; numeric %v, %v, %v",
-				dst, m.counts, m.repByKey, m.repCum, w.counts, w.repByKey, w.repCum)
+		if err := countsEqual(m, got.metas[dst]); err != nil {
+			return fmt.Errorf("member %d: %v", dst, err)
 		}
 	}
 
@@ -166,6 +168,16 @@ func checkPilotsMatchRef(d *Dispatcher, pft *moe.PFT, policy moe.PilotPolicy, se
 	}
 	if a, b, c := rng.Uint64(), refRNG.Uint64(), symRNG.Uint64(); a != b || c != a {
 		return fmt.Errorf("the generators part after the selection: %x, reference %x, symbolic %x", a, b, c)
+	}
+	return nil
+}
+
+// countsEqual compares a symbolic part's counts with the numeric part's:
+// the per-expert pilot counts, repByKey and repCum.
+func countsEqual(sym, num s1Meta) error {
+	if !slices.Equal(sym.counts, num.counts) || !slices.Equal(sym.repByKey, num.repByKey) || !slices.Equal(sym.repCum, num.repCum) {
+		return fmt.Errorf("symbolic counts %v, repByKey %v, repCum %v; numeric %v, %v, %v",
+			sym.counts, sym.repByKey, sym.repCum, num.counts, num.repByKey, num.repCum)
 	}
 	return nil
 }
@@ -230,7 +242,7 @@ func TestPilotSelectionMatchesReference(t *testing.T) {
 					for seed := uint64(1); seed <= 2; seed++ {
 						rt := moe.SyntheticRouting(tensor.NewRNG(seed*977+uint64(gr.size)), s, drawn, kk, skew)
 						pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(s), moe.DropByCapacityWeight)
-						if err := checkPilotsMatchRef(d, pft, policy, seed); err != nil {
+						if err := checkPilotsMatchRef(d, pft, s, policy, seed); err != nil {
 							t.Fatalf("%s, policy %d, shape %d, skew %.1f, seed %d: %v", gr.name, policy, shape, skew, seed, err)
 						}
 					}
@@ -249,7 +261,7 @@ func TestPilotSelectionMatchesReference(t *testing.T) {
 		for _, skew := range []float64{0, 0.6} {
 			rt := moe.SyntheticRouting(tensor.NewRNG(42), sh.SeqLen, cfg.NumExperts, cfg.TopK, skew)
 			pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(sh.SeqLen), moe.DropByCapacityWeight)
-			if err := checkPilotsMatchRef(d, pft, policy, 3); err != nil {
+			if err := checkPilotsMatchRef(d, pft, sh.SeqLen, policy, 3); err != nil {
 				t.Fatalf("Large EP 64, policy %d, skew %.1f: %v", policy, skew, err)
 			}
 		}

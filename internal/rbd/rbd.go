@@ -197,7 +197,11 @@ type s2Sent struct {
 // A symbolic state carries counts: the Stage-1 metadata's pilot and
 // replica counts, the part offsets and the Stage-2 counts, which are all
 // any charge reads. The per-row maps — the replica records, merge targets,
-// pilot weights and the row map — are built by numeric passes only.
+// pilot weights and the row map — are built by numeric passes only, and
+// the row-sized tables Stage 0 groups with (its table, the pilot list and
+// a symbolic layer's PFT rows) live in a moe.Scratch set that goes back to
+// its pool when Stage 0 returns: a symbolic state keeps no pilot list, and
+// its PFT, like every symbolic layer's, carries counts only.
 type State struct {
 	d       *Dispatcher
 	rng     *tensor.RNG      // drives the randomized pilot selection
@@ -206,10 +210,10 @@ type State struct {
 	s       int              // the layer's local tokens
 	// Source side.
 	pft        *moe.PFT
-	pilotEntry []int // PFT entry index of each sent pilot, send order
-	// partStart[dst]:partStart[dst+1] is EP member dst's part of
-	// pilotEntry: the rows it holds for this rank, and the length of the
-	// part it returns in C1 and reverse S1.
+	pilotEntry []int // PFT entry index of each sent pilot, send order (numeric)
+	// partStart[dst]:partStart[dst+1] is EP member dst's part of the
+	// pilots in send order: the rows it holds for this rank, and the
+	// length of the part it returns in C1 and reverse S1.
 	partStart []int
 	// Destination side.
 	recvMetas []s1Meta // stage-1 metadata per source
@@ -253,6 +257,10 @@ type State struct {
 // in S1, which return to it in C1.
 func (st *State) partLen(src int) int { return st.pilotPartOff[src+1] - st.pilotPartOff[src] }
 
+// pilotsSent is the number of pilots this rank sent in S1, whose merged
+// rows return in C1: one per (token, destination node) group of its PFT.
+func (st *State) pilotsSent() int { return st.partStart[len(st.partStart)-1] }
+
 // newState starts one layer call's exchange on a rank.
 func (d *Dispatcher) newState(rng *tensor.RNG, opts moe.PipelineOpts) *State {
 	return &State{d: d, rng: rng, opts: opts}
@@ -273,7 +281,6 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 
 	st.pft, st.numeric, st.nodeGroup = pft, dispIn != nil, d.nodeGroups[d.nodeOfMember[d.EP.IndexOf(r.ID)]]
 	metas := d.selectPilots(st, st.rng, opts)
-	pilotEntry := st.pilotEntry
 
 	// --- Stage 1: pilot instantiation + inter-node exchange ----------------
 	// Each destination part is split into opts.Chunks() row ranges; chunk
@@ -286,12 +293,12 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 	chunks := opts.Chunks()
 	var pilotBuf *simrt.Loan
 	if st.numeric {
-		pilotBuf = r.Lend(len(pilotEntry) * h)
-		for sp, ent := range pilotEntry {
+		pilotBuf = r.Lend(st.pilotsSent() * h)
+		for sp, ent := range st.pilotEntry {
 			copy(pilotBuf.Data[sp*h:(sp+1)*h], dispIn.Row(ent))
 		}
 	}
-	mem.Alloc("rbd_pilot_send", int64(len(pilotEntry))*int64(h)*elem)
+	mem.Alloc("rbd_pilot_send", int64(st.pilotsSent())*int64(h)*elem)
 	sendFlat := make([]simrt.Part, chunks*p)
 	s1 := make([]simrt.Exchange, chunks)
 	for c := range s1 {
@@ -348,14 +355,17 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 // by (token, destination node), makes one entry of each group its pilot
 // (per opts.PilotPolicy: the first under moe.PilotFirstExpert, a uniform
 // draw from rng under moe.PilotRandom) and the others replicas of it. It
-// fills st.pilotEntry (the pilots in PFT order, which is the send order:
-// expert-major, so each member's part is contiguous and expert-sorted),
-// st.partStart and, numeric with SaveForBackward, st.replicaEntry, and
-// returns each member's Stage-1 metadata: its counts always, its pilot
-// weights and replica records numeric only.
+// fills st.partStart and, numeric, st.pilotEntry (the pilots in PFT
+// order, which is the send order: expert-major, so each member's part is
+// contiguous and expert-sorted) and, with SaveForBackward,
+// st.replicaEntry, and returns each member's Stage-1 metadata: its counts
+// always, its pilot weights and replica records numeric only.
 //
 // Four streaming passes over the PFT's expert segments and one table of
-// numTokens × nodes cells do the grouping; no per-token list is built.
+// st.s × nodes cells (the layer's tokens bound the PFT's token ids) do the
+// grouping; no per-token list is built. The table, and in a symbolic pass
+// the pilot list, are the PFT's scratch set's, which goes back to its pool
+// on return and takes a symbolic layer's PFT rows with it.
 // Groups are drawn in (token, node slot) order, which is (token,
 // first-seen node) order (see Dispatcher.nodeSlot): the order a per-token
 // grouping visits them in, so a seed picks the pilots it would. The passes
@@ -365,17 +375,15 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 // count, never to the PFT.
 func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineOpts) []s1Meta {
 	pft, numeric := st.pft, st.numeric
-	p, nodes := d.EP.Size(), d.nodes
-	numTokens := 0
-	for _, t := range pft.TokenIDs {
-		numTokens = max(numTokens, t+1)
-	}
+	p, nodes, numTokens := d.EP.Size(), d.nodes, st.s
+	sc := pft.Scratch()
 	// Cell (t, slot) is tab[2*(slot*numTokens+t)] and the lane after it:
 	// slot-major, so the ascending tokens of an expert segment walk one
 	// node's strip. Lane 0 holds the group's size until its pilot is found
 	// and the pilot's member after; lane 1 counts down to the pilot (pick+1
-	// entries), then holds -(pilot's row in its member's part)-1.
-	tab := make([]int32, 2*numTokens*nodes)
+	// entries), then holds -(pilot's row in its member's part)-1. Cells of
+	// tokens the PFT does not hold stay empty: no group lists them.
+	tab := sc.Table(2 * numTokens * nodes)
 
 	// Pass 1: group sizes, and the number of groups, which is the number
 	// of pilots.
@@ -396,8 +404,14 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineO
 	// one. moe.PilotRandom then draws the listed picks in list order, the
 	// (token, slot) order of the groups that draw. The list borrows
 	// pilotEntry, which pass 3 fills: it has a slot per group and a spare
-	// one for the write a full list still makes.
-	pilotEntry := make([]int, nPilots+1)
+	// one for the write a full list still makes. Only a numeric pass keeps
+	// it; a symbolic one lists in scratch.
+	var pilotEntry []int
+	if numeric {
+		pilotEntry = make([]int, nPilots+1)
+	} else {
+		pilotEntry = sc.List(nPilots + 1)
+	}
 	multi, nMulti := pilotEntry, 0
 	for t := 0; t < numTokens; t++ {
 		for c := 2 * t; c < len(tab); c += 2 * numTokens {
@@ -465,7 +479,10 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineO
 		lo += n
 	}
 	partStart[p] = np
-	st.pilotEntry, st.partStart = pilotEntry[:nPilots], partStart
+	st.partStart = partStart
+	if numeric {
+		st.pilotEntry = pilotEntry[:nPilots]
+	}
 	metas := make([]s1Meta, p)
 	for dst := range metas {
 		clo, chi := partStart[dst]+dst, partStart[dst+1]+dst+1
@@ -532,6 +549,7 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineO
 		}
 		lo += n
 	}
+	pft.ReleaseScratch(sc)
 	return metas
 }
 

@@ -459,7 +459,7 @@ func TestStageReplicasOrder(t *testing.T) {
 	err := c.Run(func(r *simrt.Rank) error {
 		rt := moe.SyntheticRouting(tensor.NewRNG(900+uint64(r.ID)), s, cfg.NumExperts, cfg.TopK, 0.7)
 		pft := moe.BuildPFT(rt, cfg.NumExperts, cfg.Capacity(s), moe.DropByCapacityWeight)
-		st := pilotsOnly(d, r, pft, tensor.New(pft.B(), cfg.HModel), tensor.NewRNG(50+uint64(r.ID)), moe.PipelineOpts{})
+		st := pilotsOnly(d, r, s, pft, tensor.New(pft.B(), cfg.HModel), tensor.NewRNG(50+uint64(r.ID)), moe.PipelineOpts{})
 		parts, _ := d.stageReplicas(r, st)
 
 		members := d.nodeMembers[d.nodeOfMember[g.IndexOf(r.ID)]]
@@ -529,10 +529,11 @@ func dispatchOnly(d *Dispatcher, r *simrt.Rank, s int, pft *moe.PFT, dispIn *ten
 	return st, st.dispatch(r, pft, dispIn, nil)
 }
 
-// pilotsOnly runs RBD stages 0-1 for rank r and returns the state Stage 2
-// would continue from.
-func pilotsOnly(d *Dispatcher, r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, rng *tensor.RNG, opts moe.PipelineOpts) *State {
+// pilotsOnly runs RBD stages 0-1 for rank r's s tokens and returns the
+// state Stage 2 would continue from.
+func pilotsOnly(d *Dispatcher, r *simrt.Rank, s int, pft *moe.PFT, dispIn *tensor.Tensor, rng *tensor.RNG, opts moe.PipelineOpts) *State {
 	st := d.newState(rng, opts)
+	st.s = s
 	st.dispatchPilots(r, pft, dispIn)
 	return st
 }

@@ -75,9 +75,13 @@ func (l *Loan) drop() {
 // hold.
 var poisonReleased atomic.Bool
 
-// PoisonReleased turns the NaN fill at each loan's last release on or off.
+// PoisonReleased turns the NaN fill at each loan's last release on or off,
+// and with it the poisoning of every moe.Scratch set returned to its pool.
 // It is a test hook: the determinism tests run with it on.
 func PoisonReleased(on bool) { poisonReleased.Store(on) }
+
+// PoisoningReleased reports whether PoisonReleased is on.
+func PoisoningReleased() bool { return poisonReleased.Load() }
 
 // lentViews is how many views of a loan a deposit of send parts delivers:
 // one per part that carries data.
