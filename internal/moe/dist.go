@@ -456,7 +456,7 @@ func Forward(r *simrt.Rank, ex Exchange, cfg Config, s int, x *tensor.Tensor, ro
 	// set, which the exchange returns once it has counted them.
 	var sc *Scratch
 	if rows && !numeric {
-		sc = scratchPool.Get().(*Scratch)
+		sc = drawScratch()
 	}
 	pft := routedPFT(routing, cfg, s, opts, numeric || rows, padded, sc)
 	if numeric {

@@ -52,9 +52,11 @@ type PFT struct {
 	// Dropped is the number of (token, expert) assignments removed by
 	// the drop policy.
 	Dropped int
-	// scratch is the set TokenIDs and CombineWeights live in while a
-	// symbolic layer groups them (nil: the rows are the PFT's own).
-	scratch *Scratch
+	// scratch is the set a grouping of the rows works in, held from
+	// Scratch (or the build) to ReleaseScratch; scratchRows says
+	// TokenIDs and CombineWeights live in it, as a symbolic layer's do.
+	scratch     *Scratch
+	scratchRows bool
 }
 
 // B returns the number of retained routed-token rows.
@@ -220,6 +222,7 @@ func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy D
 		CombineWeights:  weights,
 		Dropped:         len(r.Experts) - kept,
 		scratch:         sc,
+		scratchRows:     sc != nil,
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"xmoe/internal/simrt"
 	"xmoe/internal/tensor"
 )
 
@@ -370,11 +369,10 @@ func FuzzBuildPFT(f *testing.F) {
 // poison (an index no row can have, NaN weights) and compares its rows with
 // want's by bit pattern: the build writes every cell it hands out.
 // Releasing the set must drop the rows from the PFT and, with
-// simrt.PoisonReleased on, poison them again; releasing a set from a PFT
-// whose rows are its own must keep them.
+// simrt.PoisonReleased on (the package's TestMain turns it on), poison
+// them again; releasing a set from a PFT whose rows are its own must keep
+// them.
 func scratchRowsMatch(rt Routing, numExperts int, caps []int, limit int, policy DropPolicy, want *PFT) error {
-	simrt.PoisonReleased(true)
-	defer simrt.PoisonReleased(false)
 	sc := new(Scratch)
 	tokens, weights := sc.rows(len(rt.Experts))
 	fill(tokens, math.MinInt)
@@ -392,7 +390,7 @@ func scratchRowsMatch(rt Routing, numExperts int, caps []int, limit int, policy 
 		return fmt.Errorf("the PFT's grouping does not work in the set its rows live in")
 	}
 	rows := got.TokenIDs
-	got.ReleaseScratch(sc)
+	got.ReleaseScratch()
 	if got.TokenIDs != nil || got.CombineWeights != nil {
 		return fmt.Errorf("the PFT kept its rows after its scratch set went back")
 	}
@@ -401,8 +399,8 @@ func scratchRowsMatch(rt Routing, numExperts int, caps []int, limit int, policy 
 			return fmt.Errorf("released row %d still reads token %d", i, tok)
 		}
 	}
-	own := want.Scratch()
-	want.ReleaseScratch(own)
+	want.Scratch()
+	want.ReleaseScratch()
 	if want.TokenIDs == nil && want.B() > 0 {
 		return fmt.Errorf("a PFT dropped its own rows with a scratch set")
 	}

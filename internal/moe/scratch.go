@@ -52,25 +52,36 @@ func (sc *Scratch) rows(n int) ([]int, []float32) {
 	return sc.tokens, sc.weights
 }
 
+// drawScratch takes a set from the pool: for the rows of a symbolic layer's
+// PFT (moe.Forward) or for a grouping of p's rows (PFT.Scratch).
+func drawScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+
 // Scratch returns the set a layer's grouping of p's rows works in: the one
 // p's rows live in (a symbolic layer whose exchange reads rows builds them
-// there), else one drawn from the pool. ReleaseScratch ends its use.
+// there), else one drawn from the pool, which p holds from then on.
+// ReleaseScratch ends its use.
 func (p *PFT) Scratch() *Scratch {
-	if p.scratch != nil {
-		return p.scratch
+	if p.scratch == nil {
+		p.scratch = drawScratch()
 	}
-	return scratchPool.Get().(*Scratch)
+	return p.scratch
 }
 
-// ReleaseScratch returns sc to the pool. If p's rows live in it, p drops
-// them first and carries counts only from then on, like every symbolic
-// layer's PFT. With simrt.PoisonReleased on, every table of sc is filled
-// with values no reader can use (indices far out of range, NaN weights),
-// so a read after the release fails instead of finding the old contents.
-func (p *PFT) ReleaseScratch(sc *Scratch) {
-	if p.scratch == sc {
-		p.TokenIDs, p.CombineWeights, p.scratch = nil, nil, nil
+// ReleaseScratch returns the set p holds, if any, to the pool. If p's rows
+// live in it, p drops them first and carries counts only from then on,
+// like every symbolic layer's PFT. With simrt.PoisonReleased on, every
+// table of the set is filled with values no reader can use (indices far
+// out of range, NaN weights), so a read after the release fails instead
+// of finding the old contents.
+func (p *PFT) ReleaseScratch() {
+	sc := p.scratch
+	if sc == nil {
+		return
 	}
+	if p.scratchRows {
+		p.TokenIDs, p.CombineWeights = nil, nil
+	}
+	p.scratch, p.scratchRows = nil, false
 	if simrt.PoisoningReleased() {
 		fill(sc.tokens[:cap(sc.tokens)], math.MinInt)
 		fill(sc.weights[:cap(sc.weights)], float32(math.NaN()))

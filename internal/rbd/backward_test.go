@@ -19,6 +19,8 @@ import (
 // NaN at its last release (simrt.PoisonReleased), so a receiver that reads
 // a payload after releasing it, or a buffer recycled before its last
 // receiver is done with it, moves a bit the determinism checks compare.
+// Every Stage-0 scratch set is poisoned at its return the same way. Tests
+// leave the switch on.
 func TestMain(m *testing.M) {
 	simrt.PoisonReleased(true)
 	os.Exit(m.Run())

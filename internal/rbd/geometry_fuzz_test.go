@@ -68,13 +68,12 @@ func (e *interNodeCounter) AlltoAllV(ranks []int, send [][]int64) netsim.Cost {
 // chunk count from 1 to 8 whatever the forward's. The case's symbolic
 // forward, which keeps counts only, must count what the numeric one does:
 // the parts, each part's counts, repByKey and repCum, the Stage-2 counts
-// and the merge offsets at chunk counts 1 to 8. Every release poisons what
-// it returns (simrt.PoisonReleased), the Stage-0 scratch sets included, so
-// a read after a release shows as a difference or an index out of range.
+// and the merge offsets at chunk counts 1 to 8. The package's TestMain
+// turns simrt.PoisonReleased on, so every release poisons what it returns,
+// the Stage-0 scratch sets included, and a read after a release shows as a
+// difference or an index out of range.
 func checkGeometry(t *testing.T, gc geomCase) {
 	t.Helper()
-	simrt.PoisonReleased(true)
-	defer simrt.PoisonReleased(false)
 	world := 8
 	if gc.twoNodes {
 		world = 16

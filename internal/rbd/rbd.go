@@ -549,7 +549,7 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineO
 		}
 		lo += n
 	}
-	pft.ReleaseScratch(sc)
+	pft.ReleaseScratch()
 	return metas
 }
 
