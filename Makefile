@@ -1,9 +1,10 @@
 # Developer workflow for the xmoe reproduction.
 #
-#   make ci      - what the CI job runs: gofmt, the transport-name grep, the one-body grep (one layer body, one memory setup), the assembly FMA grep, vet, build, the portability builds (the kernels at GOAMD64=v3, every package vetted for arm64), the race gate, fuzz smoke, tests, quick bench
+#   make ci      - what the CI job runs: gofmt, the transport-name grep, the one-body grep (one layer body, one memory setup), the assembly FMA grep, the golden-import grep, vet, build, the portability builds (the kernels at GOAMD64=v3, every package vetted for arm64), the race gate, fuzz smoke, tests, quick bench
 #   make test    - full test suite (includes the slow sweep tests)
 #   make race    - full race-detector pass (go test -race ./...)
 #   make race-fast - race pass over the concurrency-heavy packages and four named bench/baselines tests
+#   make rebaseline - re-record the six golden tests' testdata/*.golden files, where DECLARED.md covers each moved key
 #   make fuzz-smoke - every Fuzz target in the tree for 10 s each
 #   make bench   - package microbenchmarks with allocation counts
 #   make bench-figs - paper-figure benchmarks: per-figure host ns/op and allocs (slow)
@@ -11,7 +12,7 @@
 
 GO ?= go
 
-.PHONY: all build loc fmt-check no-transport-strings one-body no-asm-fma vet portability test race race-fast fuzz-smoke bench bench-figs ci
+.PHONY: all build loc fmt-check no-transport-strings one-body no-asm-fma no-golden-import vet portability test race race-fast rebaseline fuzz-smoke bench bench-figs ci
 
 all: build
 
@@ -81,6 +82,13 @@ no-asm-fma:
 	out=$$(grep -nHE 'VFN?M(ADD|SUB)' $$files); \
 	if [ -n "$$out" ]; then echo "fused multiply-add in assembly:"; echo "$$out"; exit 1; fi
 
+# Fails when a non-test file imports internal/golden: the golden helper
+# (and its -update flag) stays in test binaries, out of every program and
+# off every benchmarked path.
+no-golden-import:
+	@out=$$(grep -rn '"xmoe/internal/golden"' --include='*.go' . | grep -v _test.go); \
+	if [ -n "$$out" ]; then echo "internal/golden imported outside tests:"; echo "$$out"; exit 1; fi
+
 # The assembly kernels' other builds: the GEMM's, the polar kernel's and
 # the GeLU kernel's two bodies each (the Go loop, and AVX2 where the CPU
 # has it) tested with GOAMD64=v3 against their bit references (Go must still not contract
@@ -128,6 +136,20 @@ race-fast:
 	if [ "$$n" -ne 4 ]; then echo "race-fast: -run '$(RACE_NAMED)' names $$n tests, want 4"; exit 1; fi
 	$(GO) test -race -run '^($(RACE_NAMED))$$' ./internal/bench ./internal/baselines
 
+# Re-records the six golden tests' testdata/*.golden files with
+# `go test -update`, over exactly the five packages that hold them (no
+# other test binary defines -update). internal/golden refuses to rewrite a
+# key whose value moved or that vanished unless a DECLARED.md entry covers
+# it, and then fails naming the key; new keys are recorded freely. The
+# -list check fails when a rename leaves the pattern naming fewer than the
+# six, so the target cannot pass vacuously.
+GOLDEN_PKGS = ./internal/bench ./internal/baselines ./internal/moe ./internal/rbd ./internal/simrt
+GOLDEN_TESTS = TestExperimentRowsGolden|TestLayerHarnessGoldenBits|TestSimulateStepGoldenBits|TestSyntheticRoutingGoldenBits|TestBlockingGoldenBits|TestCollectiveGoldenBits
+rebaseline:
+	@n=$$($(GO) test -list '^($(GOLDEN_TESTS))$$' $(GOLDEN_PKGS) | grep -c '^Test'); \
+	if [ "$$n" -ne 6 ]; then echo "rebaseline: -run '$(GOLDEN_TESTS)' names $$n tests, want 6"; exit 1; fi
+	$(GO) test -run '^($(GOLDEN_TESTS))$$' $(GOLDEN_PKGS) -update
+
 # Every fuzz target of every package for ten seconds each, against its
 # checked-in seeds and whatever the engine mutates from them: the targets
 # compare rewritten code with the reference it replaced (PFT construction,
@@ -167,10 +189,10 @@ SMOKE_PKGS = ./internal/moe ./internal/train ./internal/devent ./internal/tensor
 
 # Quick CI, and the only definition of it (.github/workflows/ci.yml runs
 # this target): gofmt + the transport-name grep + the one-body grep + the
-# assembly FMA grep + vet + build + the portability builds + the
+# assembly FMA grep + the golden-import grep + vet + build + the portability builds + the
 # race gate + the fuzz smoke + unit tests of every package (benchmark/ and
 # cmd/ included) + a quick microbenchmark smoke run.
-ci: fmt-check no-transport-strings one-body no-asm-fma vet build portability race-fast fuzz-smoke
+ci: fmt-check no-transport-strings one-body no-asm-fma no-golden-import vet build portability race-fast fuzz-smoke
 	$(GO) test ./...
 	@want=$$(echo '$(SMOKE_BENCH)' | tr '|' '\n' | grep -c .); \
 	n=$$($(GO) test -list '^($(SMOKE_BENCH))$$' $(SMOKE_PKGS) | grep -c '^Benchmark'); \

@@ -1,9 +1,11 @@
 package baselines
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
+	"xmoe/internal/golden"
 	"xmoe/internal/model"
 	"xmoe/internal/topology"
 )
@@ -81,31 +83,31 @@ func TestSweepDrawsOncePerLength(t *testing.T) {
 func TestConcurrentStepsMatchSerial(t *testing.T) {
 	systems := []System{XMoE, Tutel}
 	spec := goldenSpec(For(XMoE, topology.Frontier()), 1, false)
-	want := make([]string, len(systems))
+	want := make([]golden.List, len(systems))
 	for i, sys := range systems {
 		dropRoutings()
-		want[i] = stepBits(mustStep(t, sys, spec))
+		want[i] = stepGolden("", mustStep(t, sys, spec))
 	}
 	dropRoutings()
-	got := make([][]string, 4)
+	got := make([][]golden.List, 4)
 	var wg sync.WaitGroup
 	for g := range got {
-		got[g] = make([]string, len(systems))
+		got[g] = make([]golden.List, len(systems))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := range systems {
 				// Half the goroutines start with X-MoE, half with Tutel.
 				i := (g + j) % len(systems)
-				got[g][i] = stepBits(SimulateStep(For(systems[i], spec.Machine), spec))
+				got[g][i] = stepGolden("", SimulateStep(For(systems[i], spec.Machine), spec))
 			}
 		}()
 	}
 	wg.Wait()
 	for g := range got {
 		for i, sys := range systems {
-			if got[g][i] != want[i] {
-				t.Errorf("goroutine %d, %v: bits differ from the serial run\n got: %s\nwant: %s", g, sys, got[g][i], want[i])
+			if !slices.Equal(got[g][i], want[i]) {
+				t.Errorf("goroutine %d, %v: bits differ from the serial run\n got: %v\nwant: %v", g, sys, got[g][i], want[i])
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"reflect"
@@ -10,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"xmoe/internal/golden"
 	"xmoe/internal/transport"
 )
 
@@ -61,36 +61,8 @@ func (s rowSet) sim(key ...any) float64 {
 	return s.row(key...).Sim
 }
 
-// rowsGolden holds, per experiment, the FNV-64a digest of its quick-mode
-// rows at seed 42, in emitted order: key, Float64bits(Sim) and
-// Float64bits(Paper). The digests were recorded from the commit before
-// experiments returned rows, by a test-only adapter that mapped each of
-// its result structs to these keys with the same expressions for derived
-// values; fig12's and abl-rbd-ep's were re-recorded when their RBD stages
-// moved from a dispatch-only harness into the layer body's run, which
-// charges RBD's gather. A mismatch is a model change to declare, not a
-// value to refresh.
-var rowsGolden = map[string]uint64{
-	"table1": 0xee9cd19f38cb1a2c, "fig3": 0x7c53509d311d58f0, "fig4": 0x104c1871a8b565a5,
-	"fig9": 0x785d44becab3ddef, "fig10a": 0x8b555c94d3adce7c, "fig10b": 0x304f9daa75b9bfc2,
-	"fig11": 0x28d780ef3cc85fd2, "fig12": 0xaee2c5783ee70c5f, "table4": 0x1bcec25ee0d8481e,
-	"fig13": 0x0f01ef65af69a4d7, "fig14": 0x46bc66c23c35cb91, "table5": 0x62ca3ccc2423cbe9,
-	"fig15": 0xe630f653934c4733, "fig17": 0x473527782f534825, "fig18": 0x48da8f6a7c377241,
-	"appc1": 0x24a6308aba1e2792, "abl-pilot": 0xbcd2b70c79ac1ad3, "abl-capacity": 0x7e5605c8426c2f82,
-	"abl-rbd-ep": 0xeb9ca953248891e9, "abl-overlap": 0x70f4f5f9ab1ea974, "abl-overlap-bwd": 0x98b5fde43db16e90,
-	"abl-faults": 0x5f0b6acfec0c0d82, "abl-engine-delta": 0xa14ca42b4d278f27, "abl-zero": 0xf621ee1bd952d53f,
-}
-
-func rowsDigest(rows []Row) uint64 {
-	h := fnv.New64a()
-	for _, r := range rows {
-		fmt.Fprintf(h, "%s\x00%016x%016x\n", r.Key, math.Float64bits(r.Sim), math.Float64bits(r.Paper))
-	}
-	return h.Sum64()
-}
-
 // goldenExperiments is every experiment but fig20, whose quick mode takes
-// about three minutes.
+// over a minute (70 s on two cores).
 func goldenExperiments() []Experiment {
 	var out []Experiment
 	for _, e := range Experiments {
@@ -101,13 +73,23 @@ func goldenExperiments() []Experiment {
 	return out
 }
 
+// TestExperimentRowsGolden pins every quick-mode row at seed 42, key and
+// Float64bits of Sim and Paper in emitted order, to
+// testdata/experiment_rows.golden. The rows were first pinned, one digest
+// per experiment, from the commit before experiments returned rows, by a
+// test-only adapter that mapped each of its result structs to these keys
+// with the same expressions for derived values; fig12's and abl-rbd-ep's
+// were re-recorded when their RBD stages moved from a dispatch-only
+// harness into the layer body's run, which charges RBD's gather. A
+// mismatch is a model change to declare, not a value to refresh.
 func TestExperimentRowsGolden(t *testing.T) {
+	var got golden.List
 	for _, e := range goldenExperiments() {
-		want, ok := rowsGolden[e.Name]
-		if got := rowsDigest(quick(t, e.Name).list); !ok || got != want {
-			t.Errorf("%s: rows digest 0x%016x, golden 0x%016x (recorded: %v)", e.Name, got, want, ok)
+		for _, r := range quick(t, e.Name).list {
+			got.Add(e.Name+"/"+r.Key, fmt.Sprintf("sim=%016x paper=%016x", math.Float64bits(r.Sim), math.Float64bits(r.Paper)))
 		}
 	}
+	golden.Check(t, "testdata/experiment_rows.golden", got)
 }
 
 // TestRowInvariants: a duplicate key silently overwrites in the tests'

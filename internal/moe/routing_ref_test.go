@@ -3,6 +3,7 @@ package moe
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"xmoe/internal/tensor"
@@ -116,9 +117,9 @@ func TestSyntheticRoutingMatchesRef(t *testing.T) {
 				tensor.Randn(ref, 1, 1)
 				tensor.Randn(got, 1, 1)
 			}
-			want := routingBits(syntheticRoutingRef(ref, c.s, c.e, c.k, skew))
-			if bits := routingBits(SyntheticRouting(got, c.s, c.e, c.k, skew)); bits != want {
-				t.Errorf("%s: routing bits\n got: %s\nwant: %s", name, bits, want)
+			want := routingGolden(name, syntheticRoutingRef(ref, c.s, c.e, c.k, skew))
+			if bits := routingGolden(name, SyntheticRouting(got, c.s, c.e, c.k, skew)); !slices.Equal(bits, want) {
+				t.Errorf("routing bits\n got: %v\nwant: %v", bits, want)
 			}
 			if got.State() != ref.State() {
 				t.Errorf("%s: generator after the call %+v, want %+v", name, got.State(), ref.State())

@@ -2,71 +2,60 @@ package moe
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"runtime"
 	"strings"
 	"testing"
 
+	"xmoe/internal/golden"
 	"xmoe/internal/tensor"
 )
 
-// routingBits hashes a routing's expert IDs, and the bit patterns of its
-// weights and logits, in token-major order: one FNV-64a per array.
-func routingBits(r Routing) string {
-	he, hw, hl := fnv.New64a(), fnv.New64a(), fnv.New64a()
-	var b [4]byte
-	put := func(h interface{ Write([]byte) (int, error) }, v uint32) {
-		b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		h.Write(b[:])
+// routingGolden lists a routing's hashes: of its expert IDs, and of the
+// bit patterns of its weights and of its logits, each token-major.
+func routingGolden(name string, r Routing) (got golden.List) {
+	experts, weights, logits := golden.NewHash(), golden.NewHash(), golden.NewHash()
+	for _, e := range r.Experts {
+		experts.U64(uint64(e))
 	}
-	for i := range r.Experts {
-		put(he, uint32(r.Experts[i]))
-		put(hw, math.Float32bits(r.Weights[i]))
-		put(hl, math.Float32bits(r.Logits[i]))
-	}
-	return fmt.Sprintf("S=%d K=%d experts=%016x weights=%016x logits=%016x", r.S, r.K(), he.Sum64(), hw.Sum64(), hl.Sum64())
+	weights.F32s(r.Weights)
+	logits.F32s(r.Logits)
+	got.U64(name+"/experts", experts.Sum())
+	got.U64(name+"/weights", weights.Sum())
+	got.U64(name+"/logits", logits.Sum())
+	return got
 }
 
 // TestSyntheticRoutingGoldenBits pins SyntheticRouting's draw, and one
-// Gate routing, bit for bit. The strings were recorded from the
-// per-token-slice layout the flat arrays replaced: the layout must not
-// move the RNG call order or any float expression.
+// Gate routing, bit for bit, to testdata/synthetic_routing.golden. The
+// values were first pinned from the per-token-slice layout the flat arrays
+// replaced: the layout must not move the RNG call order or any float
+// expression.
 func TestSyntheticRoutingGoldenBits(t *testing.T) {
 	cases := []struct {
 		name    string
 		seed    uint64
 		s, e, k int
 		skew    float64
-		want    string
 	}{
 		// The benchmark's Large layer, skewed and uniform.
-		{"layer-skew", 42, 4096, 256, 8, 0.6,
-			"S=4096 K=8 experts=a45cfcd2ce686366 weights=0a23185bdf79ff44 logits=e6ea4a5d2c07e8ed"},
-		{"layer-uniform", 43, 4096, 256, 8, 0,
-			"S=4096 K=8 experts=08fde66d0b6a9665 weights=65c913483d1ef89b logits=f87bd97693aef22c"},
+		{"layer-skew", 42, 4096, 256, 8, 0.6},
+		{"layer-uniform", 43, 4096, 256, 8, 0},
 		// SimulateStep's Small model.
-		{"step", 7, 2048, 64, 6, 0.6,
-			"S=2048 K=6 experts=831ebec5b1adff11 weights=f17178ae1f1c3c76 logits=914ff36f293c3486"},
+		{"step", 7, 2048, 64, 6, 0.6},
 		// Odd k: a spare of the polar method straddles a token's logit and weight draws.
-		{"odd-k", 5, 333, 32, 3, 0.6,
-			"S=333 K=3 experts=aeae65def4dfec48 weights=10faa678f632f4d4 logits=4b83568c996a3de2"},
+		{"odd-k", 5, 333, 32, 3, 0.6},
 		// k = E: every expert per token, the fallback scan included.
-		{"k-equals-e", 9, 64, 8, 8, 1.2,
-			"S=64 K=8 experts=e3589c5a3a9c3a85 weights=6bc17666a0f786df logits=7810bbf4393336d9"},
+		{"k-equals-e", 9, 64, 8, 8, 1.2},
 	}
+	var got golden.List
 	for _, c := range cases {
-		if got := routingBits(SyntheticRouting(tensor.NewRNG(c.seed), c.s, c.e, c.k, c.skew)); got != c.want {
-			t.Errorf("%s: routing bits moved\n got: %s\nwant: %s", c.name, got, c.want)
-		}
+		got = append(got, routingGolden(c.name, SyntheticRouting(tensor.NewRNG(c.seed), c.s, c.e, c.k, c.skew))...)
 	}
 	rng := tensor.NewRNG(123)
 	x := tensor.Randn(rng, 1, 96, 32)
 	wg := tensor.Randn(rng, 0.5, 32, 16)
-	const want = "S=96 K=4 experts=c1a8938fff67877b weights=21aabede7970b3b2 logits=c82d05e9e801ec4a"
-	if got := routingBits(Gate(x, wg, 4)); got != want {
-		t.Errorf("gate: routing bits moved\n got: %s\nwant: %s", got, want)
-	}
+	golden.Check(t, "testdata/synthetic_routing.golden", append(got, routingGolden("gate", Gate(x, wg, 4))...))
 }
 
 // TestSyntheticRoutingBytes bounds one draw's heap to its 12 bytes per

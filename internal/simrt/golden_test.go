@@ -1,14 +1,12 @@
 package simrt_test
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"math"
 	"testing"
 
 	"xmoe/internal/devent"
+	"xmoe/internal/golden"
 	"xmoe/internal/simrt"
 	"xmoe/internal/topology"
 )
@@ -25,24 +23,6 @@ func (g goldenInjector) CollectiveDelay(rank int, name string, _ float64) float6
 
 func (goldenInjector) CrashError(int, float64) error { return nil }
 
-// collectiveGolden is what TestCollectiveGoldenBits pins for one engine:
-// every rank's final clock; FNV-64 hashes of every rank's clock after each
-// step of the script, of every rank's trace events (charged and overlapped
-// spans: name, Float64bits of start and duration) and of every payload the
-// ranks received.
-type collectiveGolden struct {
-	clocks   [8]uint64
-	trail    uint64
-	events   uint64
-	payloads uint64
-}
-
-func (g collectiveGolden) literal() string {
-	return fmt.Sprintf("{clocks: [8]uint64{%#x, %#x, %#x, %#x, %#x, %#x, %#x, %#x}, trail: %#x, events: %#x, payloads: %#x}",
-		g.clocks[0], g.clocks[1], g.clocks[2], g.clocks[3], g.clocks[4], g.clocks[5], g.clocks[6], g.clocks[7],
-		g.trail, g.events, g.payloads)
-}
-
 // goldenMachine is Frontier with four GCDs per node, so eight ranks span
 // two nodes and every collective prices inter-node links too.
 func goldenMachine() *topology.Machine {
@@ -55,27 +35,28 @@ func goldenMachine() *topology.Machine {
 // pipelines and the ZeRO sync use on eight ranks: staggered entry clocks,
 // an all-to-all-v still in flight when a blocking all-reduce is issued
 // behind it on the comm stream, flaky-retry delays injected at entry, and
-// blocking, chunked and non-blocking variants of each kind.
-func runCollectiveScript(t *testing.T, event bool) collectiveGolden {
+// blocking, chunked and non-blocking variants of each kind. It adds, under
+// engine/: every rank's final clock; hashes of every rank's clock after
+// each step of the script, of every rank's trace events (charged and
+// overlapped spans) and of every payload the ranks received.
+func runCollectiveScript(t *testing.T, engine string, got *golden.List) {
 	t.Helper()
 	const n = 8
 	m := goldenMachine()
 	c := simrt.NewCluster(m, n, 7)
-	if event {
+	if engine == "event" {
 		c.Engine = devent.New(topology.RailGraph(m, n, 0))
 	}
 	c.Inject = goldenInjector{"5/ar": 3.5e-5, "2/rs": 1.25e-5, "6/ag": 2e-6}
 	g := c.WorldGroup()
 	payload, trail := make([]uint64, n), make([]uint64, n)
 	ranks, err := c.RunCollect(func(r *simrt.Rank) error {
-		h, clocks := fnv.New64a(), fnv.New64a()
-		tick := func() { put(clocks, math.Float64bits(r.Clock)) }
+		h, clocks := golden.NewHash(), golden.NewHash()
+		tick := func() { clocks.F64(r.Clock) }
 		fold := func(parts ...simrt.Part) {
 			for _, p := range parts {
-				for _, v := range p.Data {
-					h.Write(binary.LittleEndian.AppendUint32(nil, math.Float32bits(v)))
-				}
-				put(h, uint64(p.Bytes))
+				h.F32s(p.Data)
+				h.U64(uint64(p.Bytes))
 			}
 		}
 		vec := func(salt, k int) []float32 {
@@ -128,52 +109,40 @@ func runCollectiveScript(t *testing.T, event bool) collectiveGolden {
 		tick()
 		r.Compute("tail", 1e-6*float64(n-r.ID))
 		fold(two.Wait()...)
-		trail[r.ID] = clocks.Sum64()
-		payload[r.ID] = h.Sum64()
+		trail[r.ID] = clocks.Sum()
+		payload[r.ID] = h.Sum()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got collectiveGolden
-	ev, pl, tr := fnv.New64a(), fnv.New64a(), fnv.New64a()
+	ev, pl, tr := golden.NewHash(), golden.NewHash(), golden.NewHash()
 	for i, r := range ranks {
-		got.clocks[i] = math.Float64bits(r.Clock)
+		got.F64(fmt.Sprintf("%s/clock%d", engine, i), r.Clock)
 		for _, e := range r.Trace.Events() {
-			ev.Write([]byte(e.Name))
-			put(ev, math.Float64bits(e.Start))
-			put(ev, math.Float64bits(e.Dur))
+			ev.Str(e.Name)
+			ev.F64(e.Start)
+			ev.F64(e.Dur)
 			if e.Overlap {
-				ev.Write([]byte{1})
+				ev.U64(1)
 			}
 		}
-		put(pl, payload[i])
-		put(tr, trail[i])
+		pl.U64(payload[i])
+		tr.U64(trail[i])
 	}
-	got.trail, got.events, got.payloads = tr.Sum64(), ev.Sum64(), pl.Sum64()
-	return got
+	got.U64(engine+"/trail", tr.Sum())
+	got.U64(engine+"/events", ev.Sum())
+	got.U64(engine+"/payloads", pl.Sum())
 }
-
-// put writes u to h little-endian.
-func put(h hash.Hash, u uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, u)) }
 
 // TestCollectiveGoldenBits pins the simulated clocks, the charged and
 // overlapped trace spans and the delivered payloads of every collective on
-// both cost engines, bit for bit. A mismatch is a change to the
-// communication model and must be declared; the failure prints the literal
-// only so it can be diffed.
+// both cost engines, bit for bit, to testdata/collectives.golden. A
+// mismatch is a change to the communication model and must be declared.
 func TestCollectiveGoldenBits(t *testing.T) {
+	var got golden.List
 	for _, engine := range []string{"analytic", "event"} {
-		t.Run(engine, func(t *testing.T) {
-			got := runCollectiveScript(t, engine == "event")
-			if w := collectiveGoldens[engine]; got != w {
-				t.Errorf("golden mismatch\n got: %q: %s,\nwant: %q: %s,", engine, got.literal(), engine, w.literal())
-			}
-		})
+		t.Run(engine, func(t *testing.T) { runCollectiveScript(t, engine, &got) })
 	}
-}
-
-var collectiveGoldens = map[string]collectiveGolden{
-	"analytic": {clocks: [8]uint64{0x3f54523bc37c6d3d, 0x3f544e0a05943fc2, 0x3f5449d847ac1246, 0x3f5445a689c3e4cb, 0x3f544174cbdbb750, 0x3f543d430df389d4, 0x3f543911500b5c59, 0x3f5434df92232edd}, trail: 0xbbb2028e7319cd6b, events: 0xc407fa7cce401e3b, payloads: 0xba41ed59d9ec914e},
-	"event":    {clocks: [8]uint64{0x3f5b316c0fbdc9c7, 0x3f5b2d3a51d59c4c, 0x3f5b290893ed6ed0, 0x3f5b24d6d6054155, 0x3f5b20a5181d13da, 0x3f5b1c735a34e65e, 0x3f5b18419c4cb8e3, 0x3f5b140fde648b67}, trail: 0x8b6c9dc6aa392f7d, events: 0x791578f522411548, payloads: 0xba41ed59d9ec914e},
+	golden.Check(t, "testdata/collectives.golden", got)
 }
