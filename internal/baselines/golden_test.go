@@ -32,8 +32,8 @@ func stepGolden(name string, r StepResult) golden.List {
 // must not move any of them. The six cases share seed 11, so they share
 // draws through the routing store, and the SSMB case routes half as many
 // tokens per rank, so it also meets slots of the wrong length: every case
-// runs cold, warm in table order and warm in reverse order against the
-// same file.
+// runs cold, checked against the file, then warm in table order and warm
+// in reverse order, each checked against its cold run.
 func TestSimulateStepGoldenBits(t *testing.T) {
 	m := topology.Frontier()
 	cases := []struct {
@@ -49,9 +49,7 @@ func TestSimulateStepGoldenBits(t *testing.T) {
 		{"xmoe-actckpt", XMoE, 1, true},
 		{"xmoe-tp2-ssmb", XMoE, 2, false},
 	}
-	// Each case fills its own slot, so a phase run in any order checks
-	// the file in table order.
-	run := func(t *testing.T, i int, got []golden.List) {
+	run := func(t *testing.T, i int) golden.List {
 		tc := cases[i]
 		cfg := For(tc.sys, m)
 		r := SimulateStep(cfg, goldenSpec(cfg, tc.tp, tc.actCkpt))
@@ -61,33 +59,34 @@ func TestSimulateStepGoldenBits(t *testing.T) {
 		if r.MicroSteps < 2 {
 			t.Fatalf("MicroSteps = %d: the sync-free micro-steps are not priced", r.MicroSteps)
 		}
-		got[i] = stepGolden(tc.name, r)
+		return stepGolden(tc.name, r)
 	}
-	const file = "testdata/simulate_step.golden"
 	// Cold: every case draws its routing afresh.
 	cold := make([]golden.List, len(cases))
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dropRoutings()
-			run(t, i, cold)
+			cold[i] = run(t, i)
 		})
 	}
-	golden.Check(t, file, slices.Concat(cold...))
+	golden.Check(t, "testdata/simulate_step.golden", slices.Concat(cold...))
 	// Warm, in table order and in reverse: every case reads whatever draws
-	// the case before it left in the routing store.
-	t.Run("warm", func(t *testing.T) {
-		got := make([]golden.List, len(cases))
-		for i, tc := range cases {
-			t.Run(tc.name, func(t *testing.T) { run(t, i, got) })
+	// the case before it left in the routing store, and must match its
+	// cold run.
+	warm := func(t *testing.T, i int) {
+		if got := run(t, i); !slices.Equal(got, cold[i]) {
+			t.Errorf("warm run differs from the cold one:\n got %v\nwant %v", got, cold[i])
 		}
-		golden.Check(t, file, slices.Concat(got...))
+	}
+	t.Run("warm", func(t *testing.T) {
+		for i, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) { warm(t, i) })
+		}
 	})
 	t.Run("warm-reversed", func(t *testing.T) {
-		got := make([]golden.List, len(cases))
 		for i, tc := range slices.Backward(cases) {
-			t.Run(tc.name, func(t *testing.T) { run(t, i, got) })
+			t.Run(tc.name, func(t *testing.T) { warm(t, i) })
 		}
-		golden.Check(t, file, slices.Concat(got...))
 	})
 }
 

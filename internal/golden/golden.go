@@ -23,6 +23,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -138,14 +139,17 @@ func Check(t testing.TB, path string, got List) {
 		}
 		return
 	}
-	covers, err := declared(path)
+	globs, err := declared(path)
 	if err != nil {
 		t.Errorf("%s: %v", path, err)
 		return
 	}
 	refused := false
 	for _, k := range moved {
-		if !covers(k) {
+		if !slices.ContainsFunc(globs, func(g string) bool {
+			glob, prefix := strings.CutSuffix(g, "*")
+			return k == glob || prefix && strings.HasPrefix(k, glob)
+		}) {
 			t.Errorf("%s: key %q moved or vanished, and no DECLARED.md entry covers it", path, k)
 			refused = true
 		}
@@ -166,9 +170,9 @@ func Check(t testing.TB, path string, got List) {
 // is a key, or a prefix of keys followed by `*`.
 var entry = regexp.MustCompile("`([^`]+\\.golden):([^`]+)`")
 
-// declared reports which keys of the golden file at path the nearest
-// DECLARED.md above it covers.
-func declared(path string) (func(key string) bool, error) {
+// declared returns the key globs the nearest DECLARED.md above the golden
+// file at path gives for that file.
+func declared(path string) ([]string, error) {
 	abs, err := filepath.Abs(path)
 	if err != nil {
 		return nil, err
@@ -179,16 +183,11 @@ func declared(path string) (func(key string) bool, error) {
 		dir = filepath.Dir(dir)
 		data, err = os.ReadFile(filepath.Join(dir, "DECLARED.md"))
 	}
-	if err != nil {
-		return nil, err
-	}
-	return func(key string) bool {
-		for _, m := range entry.FindAllStringSubmatch(string(data), -1) {
-			glob, prefix := strings.CutSuffix(m[2], "*")
-			if filepath.Join(dir, m[1]) == abs && (key == glob || prefix && strings.HasPrefix(key, glob)) {
-				return true
-			}
+	var globs []string
+	for _, m := range entry.FindAllStringSubmatch(string(data), -1) {
+		if filepath.Join(dir, m[1]) == abs {
+			globs = append(globs, m[2])
 		}
-		return false
-	}, nil
+	}
+	return globs, err
 }

@@ -11,10 +11,13 @@ import (
 	"xmoe/internal/tensor"
 )
 
-// routingGolden lists a routing's hashes: of its expert IDs, and of the
-// bit patterns of its weights and of its logits, each token-major.
+// routingGolden lists a routing's hashes: of its shape S and K and its
+// expert IDs, and of the bit patterns of its weights and of its logits,
+// each token-major.
 func routingGolden(name string, r Routing) (got golden.List) {
 	experts, weights, logits := golden.NewHash(), golden.NewHash(), golden.NewHash()
+	experts.U64(uint64(r.S))
+	experts.U64(uint64(r.K()))
 	for _, e := range r.Experts {
 		experts.U64(uint64(e))
 	}
