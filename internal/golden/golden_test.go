@@ -89,6 +89,8 @@ func TestUpdateNeedsADeclaredEntry(t *testing.T) {
 	}{
 		{"undeclared", "| 1 | `testdata/x.golden:a` | not b b |\n", false},
 		{"other file", "| 1 | `testdata/y.golden:b b` | |\n", false},
+		// DECLARED.md's History form: file and key in separate backquotes.
+		{"history", "- PR 1, `testdata/x.golden`, key `b b`: why\n", false},
 		{"exact", "| 1 | `testdata/x.golden:b b` | why |\n", true},
 		{"prefix", "| 1 | `testdata/x.golden:b*` | why |\n", true},
 	} {
