@@ -25,8 +25,8 @@ const module = "xmoe"
 // non-test file anywhere in the module (benchmark/, cmd/ and examples/
 // included) or another package's test is a caller. Exempt are methods
 // that satisfy an interface declared in the module, which an interface
-// call reaches without naming them, and String and Error methods, which
-// fmt and errors reach the same way. Struct fields are out of scope:
+// call reaches without naming them, and String, Error and Unwrap methods,
+// which fmt and errors reach the same way. Struct fields are out of scope:
 // encoding/json and fmt read them by reflection.
 func TestEveryExportHasACaller(t *testing.T) {
 	l, paths, canon := loadModule(t)
@@ -95,7 +95,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 			}
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
-				if !m.Exported() || used[key(m)] || m.Name() == "String" || m.Name() == "Error" || satisfies(named, m.Name(), ifaces) {
+				if !m.Exported() || used[key(m)] || m.Name() == "String" || m.Name() == "Error" || m.Name() == "Unwrap" || satisfies(named, m.Name(), ifaces) {
 					continue
 				}
 				t.Errorf("%s: %s.%s.%s has no caller outside its own package's tests", l.where(m), p, name, m.Name())

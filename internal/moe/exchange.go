@@ -178,8 +178,10 @@ func (x *flat) Forward(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts
 		send := parts[c*p : (c+1)*p]
 		chunkRows, lent := packSegments(r, send, rows, pft.TokensPerExpert, x.segStart, epr, h, elem, chunks, c)
 		if c == 0 && !x.padded {
+			// Every part points at the whole counts table, and each
+			// receiver reads its own EPR entries of it.
 			for dst := range send {
-				send[dst].Meta = pft.TokensPerExpert[dst*epr : (dst+1)*epr]
+				send[dst].Meta = &pft.TokensPerExpert
 				send[dst].Bytes += int64(epr) * 8
 			}
 		}
@@ -205,8 +207,9 @@ func (x *flat) Forward(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts
 					x.recvCounts[i] = x.cfg.Capacity(s)
 				}
 			} else {
+				me := x.g.IndexOf(r.ID)
 				for src, part := range recv {
-					copy(x.recvCounts[src*epr:(src+1)*epr], part.Meta.([]int))
+					copy(x.recvCounts[src*epr:(src+1)*epr], (*part.Meta.(*[]int))[me*epr:(me+1)*epr])
 				}
 			}
 			for le := 0; le < epr; le++ {

@@ -262,7 +262,7 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 			for src := range send {
 				send[src].Bytes += int64(st.partLen(src)+st.recvMetas[src].nReplicas()) * 4
 				if numeric {
-					send[src].Meta = wg[src]
+					send[src].Meta = &wg[src]
 				}
 			}
 		}
@@ -292,12 +292,20 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 
 // newBwdS1Metas allocates the combine-weight gradients every source gets
 // back with reverse S1's metadata: one per pilot row of its part and one
-// per replica it announced in its s1Meta.
+// per replica it announced in its s1Meta. The pilot gradients, absolute-
+// indexed, and then every source's replica gradients share one backing, so
+// the count of allocations does not depend on the EP size.
 func (st *State) newBwdS1Metas() []bwdS1Meta {
-	wgAbs := make([]float32, st.pilotRowsTotal)
+	n := st.pilotRowsTotal
+	for _, m := range st.recvMetas {
+		n += len(m.replicas)
+	}
+	flat := make([]float32, n)
 	wg := make([]bwdS1Meta, len(st.recvMetas))
+	off := st.pilotRowsTotal
 	for src, m := range st.recvMetas {
-		wg[src] = bwdS1Meta{pilotWG: wgAbs[st.pilotPartOff[src]:st.pilotPartOff[src+1]], replicaWG: make([]float32, len(m.replicas))}
+		wg[src] = bwdS1Meta{pilotWG: flat[st.pilotPartOff[src]:st.pilotPartOff[src+1]], replicaWG: flat[off : off+len(m.replicas)]}
+		off += len(m.replicas)
 	}
 	return wg
 }
@@ -308,12 +316,12 @@ func (st *State) combineWeightGrads(back []simrt.Part) []float32 {
 	dWeights := make([]float32, st.pft.B())
 	for dst, part := range back {
 		for pos, ent := range st.pilotEntry[st.partStart[dst]:st.partStart[dst+1]] {
-			dWeights[ent] = part.Meta.(bwdS1Meta).pilotWG[pos]
+			dWeights[ent] = part.Meta.(*bwdS1Meta).pilotWG[pos]
 		}
 	}
 	for dst := 0; dst < len(back) && len(st.replicaEntry) > 0; dst++ {
 		for ri, ent := range st.replicaEntry[dst] {
-			dWeights[ent] = back[dst].Meta.(bwdS1Meta).replicaWG[ri]
+			dWeights[ent] = back[dst].Meta.(*bwdS1Meta).replicaWG[ri]
 		}
 	}
 	return dWeights

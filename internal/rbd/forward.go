@@ -119,7 +119,7 @@ func (st *State) dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, un
 	next := ints[4*d.EPR+1:]
 	st.s2RecvCount = make([]int, len(s2Recv))
 	for src, part := range s2Recv {
-		for le, n := range part.Meta.(s2Meta).perLE {
+		for le, n := range part.Meta.(*s2Meta).perLE {
 			st.ReplicaRowsPerLE[le] += n
 			st.s2RecvCount[src] += n
 		}
@@ -161,7 +161,7 @@ func (st *State) dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, un
 	st.replicaRow = make([][]int, len(s2Recv))
 	for src, part := range s2Recv {
 		st.replicaRow[src], rowOf = rowOf[:st.s2RecvCount[src]], rowOf[st.s2RecvCount[src]:]
-		for pos, rm := range part.Meta.(s2Meta).replicas {
+		for pos, rm := range part.Meta.(*s2Meta).replicas {
 			le := int(rm.expert) - me*d.EPR
 			st.replicaRow[src][pos] = next[le]
 			next[le]++

@@ -306,7 +306,7 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 		instRows := chunkParts(send, pilotBuf, st.partStart, h, elem, chunks, c)
 		if c == 0 {
 			for dst := range send {
-				send[dst].Meta = metas[dst]
+				send[dst].Meta = &metas[dst]
 				send[dst].Bytes += metas[dst].bytes()
 			}
 		}
@@ -321,7 +321,7 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 		recv := x.Wait()
 		if c == 0 {
 			for src, part := range recv {
-				m := part.Meta.(s1Meta)
+				m := *part.Meta.(*s1Meta)
 				st.recvMetas[src] = m
 				st.pilotPartOff[src+1] = st.pilotPartOff[src] + m.pilots()
 			}
@@ -632,14 +632,14 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State) ([]simrt.Part, *sim
 		st.s2SentByMember = make([][]s2Sent, members)
 	}
 
-	s2Send := make([]simrt.Part, members)
+	s2Send, metas := make([]simrt.Part, members), make([]s2Meta, members)
 	lo := 0
 	for slot, n := range st.s2SentCount {
 		hi := lo + n
-		meta := s2Meta{perLE: perKey[slot*d.EPR : (slot+1)*d.EPR]}
+		metas[slot].perLE = perKey[slot*d.EPR : (slot+1)*d.EPR]
 		var data []float32
 		if st.numeric {
-			meta.replicas = metaFlat[lo:hi:hi]
+			metas[slot].replicas = metaFlat[lo:hi:hi]
 			sent := sentFlat[lo:hi:hi]
 			data = lent.Data[lo*h : hi*h]
 			for pos, sr := range sent {
@@ -649,7 +649,7 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State) ([]simrt.Part, *sim
 		}
 		s2Send[slot] = simrt.Part{
 			Data:  data,
-			Meta:  meta,
+			Meta:  &metas[slot],
 			Bytes: int64(n)*int64(h)*elem + int64(n)*16,
 		}
 		lo = hi

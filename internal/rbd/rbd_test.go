@@ -468,7 +468,7 @@ func TestStageReplicasOrder(t *testing.T) {
 			incoming += len(m.replicas)
 		}
 		for slot, part := range parts {
-			meta := part.Meta.(s2Meta).replicas
+			meta := part.Meta.(*s2Meta).replicas
 			sent := st.s2SentByMember[slot]
 			if len(meta) != len(sent) || len(sent) != st.s2SentCount[slot] {
 				return fmt.Errorf("slot %d: %d metadata rows, %d merge targets, %d counted", slot, len(meta), len(sent), st.s2SentCount[slot])
@@ -477,8 +477,8 @@ func TestStageReplicasOrder(t *testing.T) {
 			for _, rm := range meta {
 				perLE[int(rm.expert)-members[slot]*d.EPR]++
 			}
-			if !slices.Equal(perLE, part.Meta.(s2Meta).perLE) {
-				return fmt.Errorf("slot %d: per-expert counts %v, its rows %v", slot, part.Meta.(s2Meta).perLE, perLE)
+			if !slices.Equal(perLE, part.Meta.(*s2Meta).perLE) {
+				return fmt.Errorf("slot %d: per-expert counts %v, its rows %v", slot, part.Meta.(*s2Meta).perLE, perLE)
 			}
 			staged += len(meta)
 			for pos, rm := range meta {

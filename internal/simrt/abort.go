@@ -90,9 +90,8 @@ func (c *Cluster) failRank(id int, err error) {
 	if _, dup := c.failed[id]; !dup {
 		c.failed[id] = err
 	}
-	groups := append([]*Group(nil), c.groups...)
 	c.failMu.Unlock()
-	for _, g := range groups {
+	for _, g := range c.groupList() {
 		g.markGone(id, err)
 	}
 }
@@ -103,14 +102,21 @@ func (c *Cluster) failRank(id int, err error) {
 // deposited to are unaffected (the gone mark is sequence-aware), so
 // well-formed SPMD programs never observe it.
 func (c *Cluster) rankDone(id int) {
-	c.failMu.Lock()
-	groups := append([]*Group(nil), c.groups...)
-	c.failMu.Unlock()
-	err := fmt.Errorf("rank %d already returned (collective-count desync): %w", id, ErrPeerFailed)
-	for _, g := range groups {
-		g.markGone(id, err)
+	for _, g := range c.groupList() {
+		g.markGone(id, desyncError(id))
 	}
 }
+
+// desyncError is the gone mark of rank int(e), which returned cleanly. A
+// peer reads it only when a collective the rank will never join fails,
+// so its message is built then, not once per returning rank.
+type desyncError int
+
+func (e desyncError) Error() string {
+	return fmt.Sprintf("rank %d already returned (collective-count desync): %v", int(e), ErrPeerFailed)
+}
+
+func (e desyncError) Unwrap() error { return ErrPeerFailed }
 
 // resetFailures clears the failure registry and every group's gone marks
 // at the start of a Run, so a cluster whose previous Run completed
@@ -122,9 +128,8 @@ func (c *Cluster) rankDone(id int) {
 func (c *Cluster) resetFailures() {
 	c.failMu.Lock()
 	c.failed = nil
-	groups := append([]*Group(nil), c.groups...)
 	c.failMu.Unlock()
-	for _, g := range groups {
+	for _, g := range c.groupList() {
 		g.clearGone()
 	}
 }
@@ -140,6 +145,15 @@ func (c *Cluster) FailedRanks() map[int]error {
 		out[k] = v
 	}
 	return out
+}
+
+// groupList returns the cluster's groups. The list only grows, by append,
+// so the slice read under the lock is a snapshot that later registrations
+// leave alone, and no copy is needed.
+func (c *Cluster) groupList() []*Group {
+	c.failMu.Lock()
+	defer c.failMu.Unlock()
+	return c.groups
 }
 
 // registerGroup adds g to the cluster's group list so rank failures can

@@ -34,6 +34,13 @@ import (
 // Meta carries routing metadata (e.g. ERI-array segments) that travels
 // with the payload; Bytes is the modeled wire size and must always be set
 // (it is what the network simulator charges).
+//
+// Meta is a pointer into an array the sender allocated once for the call
+// (a pointer goes into an interface without a heap box of its own), and
+// the sender writes neither it nor what it views after depositing the
+// part: receivers read the sender's memory, as they read lent Data.
+// TestPartMetaIsPointer, in the root package, holds every assignment to
+// it to an & expression.
 type Part struct {
 	Data  []float32
 	Meta  any

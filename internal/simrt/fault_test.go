@@ -239,8 +239,21 @@ func TestDesyncReturnsErrorNotDeadlock(t *testing.T) {
 	if !errors.Is(err, ErrPeerFailed) {
 		t.Fatalf("desync must surface as ErrPeerFailed, got: %v", err)
 	}
-	if !strings.Contains(err.Error(), "desync") {
-		t.Fatalf("error should call out the desync, got: %v", err)
+	if !strings.Contains(err.Error(), "rank 0 already returned (collective-count desync)") {
+		t.Fatalf("error should call out the desync and name rank 0, got: %v", err)
+	}
+}
+
+// TestDesyncErrorIsPeerFailed: the gone mark a cleanly returned rank
+// leaves builds its message only when read, and still unwraps to
+// ErrPeerFailed and names the rank.
+func TestDesyncErrorIsPeerFailed(t *testing.T) {
+	var err error = desyncError(300)
+	if !errors.Is(err, ErrPeerFailed) {
+		t.Fatalf("desync error %v does not unwrap to ErrPeerFailed", err)
+	}
+	if !strings.Contains(err.Error(), "rank 300 ") || !strings.Contains(err.Error(), ErrPeerFailed.Error()) {
+		t.Fatalf("desync error %q must name rank 300 and ErrPeerFailed", err)
 	}
 }
 

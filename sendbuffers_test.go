@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -55,6 +57,65 @@ func TestSendBuffersAreLent(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestPartMetaIsPointer fails, naming file:line, on an assignment to a
+// Meta field (x.Meta = v, or Meta: v in a literal) in non-test Go whose
+// value is not an & expression. simrt.Part.Meta is an interface, and a
+// non-pointer value put into one is boxed in a heap object of its own, one
+// per part; a pointer into an array the sender allocated once per call is
+// not. It fails too when it finds no assignment, so a rename cannot pass
+// vacuously.
+func TestPartMetaIsPointer(t *testing.T) {
+	fset := token.NewFileSet()
+	sites := 0
+	check := func(v ast.Expr) {
+		sites++
+		if u, ok := v.(*ast.UnaryExpr); !ok || u.Op != token.AND {
+			t.Errorf("%s: Meta is set to a value, which boxes it; point it into an array the sender holds (&a[i])",
+				fset.Position(v.Pos()))
+		}
+	}
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			if path != "." && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Meta" && len(n.Rhs) == len(n.Lhs) {
+						check(n.Rhs[i])
+					}
+				}
+			case *ast.KeyValueExpr:
+				if key, ok := n.Key.(*ast.Ident); ok && key.Name == "Meta" {
+					check(n.Value)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sites == 0 {
+		t.Error("no assignment to a Meta field found: the check would pass vacuously")
 	}
 }
 
