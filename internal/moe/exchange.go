@@ -17,8 +17,11 @@ import (
 // calls back (Experts) once per expert batch it lands.
 //
 // One value serves one layer call on one rank, forward and then backward.
-// The flat all-to-all of the PFT and padded pipelines (this file) and rbd's
-// State are the two implementations.
+// Its index tables come from a CallTables set, drawn when the forward
+// starts and released when the call ends: after the backward's last drain,
+// or the forward's when it saves nothing for a backward. The flat
+// all-to-all of the PFT and padded pipelines (this file) and rbd's State
+// are the two implementations.
 type Exchange interface {
 	// Layout reports whether the exchange moves the capacity-padded layout
 	// and whether it reads the layout's rows in a symbolic pass too. A
@@ -98,6 +101,11 @@ type flat struct {
 	// combineIn (numeric) holds the returned rows in layout order, which the
 	// scatter combine's backward reads.
 	combineIn *tensor.Tensor
+	// ct holds the geometry and the part and exchange lists of both passes,
+	// from the forward's start to the end of the call. No peer reads them
+	// after the pricer has copied the parts, which is before any Wait
+	// returns.
+	ct *CallTables
 }
 
 func (x *flat) Layout() (padded, rows bool) { return x.padded, false }
@@ -161,7 +169,8 @@ func (x *flat) Forward(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts
 	// chunk 0, later chunks are derived by both ends from the same split;
 	// a padded layout's counts are all C, so none cross the wire.
 	nb := epr * p
-	ints := make([]int, e+5*nb+2*epr)
+	x.ct = DrawCallTables()
+	ints := Table[int](x.ct, e+5*nb+2*epr)
 	x.segStart, x.recvCounts, x.fullAt = ints[:e:e], ints[e:e+nb:e+nb], ints[e+nb:e+2*nb:e+2*nb]
 	x.n, x.at, x.saveAt = ints[e+2*nb:e+3*nb:e+3*nb], ints[e+3*nb:e+4*nb:e+4*nb], ints[e+4*nb:e+5*nb:e+5*nb]
 	x.fullRows, x.rows = ints[e+5*nb:e+5*nb+epr:e+5*nb+epr], ints[e+5*nb+epr:]
@@ -172,7 +181,7 @@ func (x *flat) Forward(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts
 	// One part and one exchange backing per pass keep the allocation count
 	// independent of C: chunk c's outbound parts sit at [c*P, (c+1)*P), its
 	// return parts C*P further.
-	parts, xs := make([]simrt.Part, 2*chunks*p), make([]simrt.Exchange, 2*chunks)
+	parts, xs := Table[simrt.Part](x.ct, 2*chunks*p), Table[simrt.Exchange](x.ct, 2*chunks)
 	out, back := xs[:chunks], xs[chunks:]
 	for c := range out {
 		send := parts[c*p : (c+1)*p]
@@ -264,7 +273,18 @@ func (x *flat) Forward(r *simrt.Rank, s int, pft *PFT, rows *tensor.Tensor, opts
 	mem.Alloc("output", int64(s)*int64(h)*elem)
 	mem.Free("A_dispatch", int64(bExp)*int64(h)*elem)
 	mem.Free("A_combine", int64(b)*int64(h)*combElem)
+	if !opts.SaveForBackward {
+		x.release()
+	}
 	return output
+}
+
+// release ends the layer call, after its closing drain (the combine's in
+// a forward that saves nothing, the reverse dispatch's in the backward):
+// the call's tables go back to their pool.
+func (x *flat) release() {
+	x.ct.Release()
+	x.ct = nil
 }
 
 func (x *flat) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOpts, ex Experts) (*tensor.Tensor, []float32) {
@@ -301,7 +321,7 @@ func (x *flat) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOp
 			dWeights[i] = dot
 		}
 	}
-	parts, xs := make([]simrt.Part, 2*chunks*p), make([]simrt.Exchange, 2*chunks)
+	parts, xs := Table[simrt.Part](x.ct, 2*chunks*p), Table[simrt.Exchange](x.ct, 2*chunks)
 	out, back := xs[:chunks], xs[chunks:]
 	for c := range out {
 		send := parts[c*p : (c+1)*p]
@@ -368,6 +388,7 @@ func (x *flat) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts PipelineOp
 		pool.Put(dCombineIn)
 	}
 	r.Compute(StageBwdDispatch, kp.bufferPass(r.C.Comp, x.cfg, x.s, b, elem))
+	x.release()
 	if !numeric {
 		return nil, nil
 	}

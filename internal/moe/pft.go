@@ -182,8 +182,14 @@ func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy D
 		// order (weight desc, flat asc) that set is: every row above the
 		// limit-th largest weight, plus the earliest rows equal to it
 		// until the segment is full — so no sort is needed, only the
-		// threshold. One scratch buffer serves every segment.
-		scratch := make([]float32, maxOver)
+		// threshold. One selection buffer serves every segment: the scratch
+		// set's when the rows live in one.
+		var scratch []float32
+		if sc != nil {
+			scratch = sc.overflow(maxOver)
+		} else {
+			scratch = make([]float32, maxOver)
+		}
 		w, lo := 0, 0
 		for e, keep := range counts {
 			hi := end[e]

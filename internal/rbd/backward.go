@@ -58,7 +58,9 @@ type FwdState = moe.PFTFwdState
 
 // bwdS1Meta carries the combine-weight gradients back to the source rank
 // alongside the reverse-S1 pilot-gradient rows: one float per pilot row of
-// the part and one per replica the source announced in its s1Meta.
+// the part and one per replica the source announced in its s1Meta. The
+// garbage collector owns it, not the call tables: the source reads it
+// after reverse S1, the call's last exchange, has drained.
 type bwdS1Meta struct {
 	pilotWG   []float32
 	replicaWG []float32
@@ -115,8 +117,8 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 	nodeGroup := st.nodeGroup
 	chunks := opts.Chunks()
 	numeric := dOut != nil
-	parts := make([]simrt.Part, 2*chunks*p)
-	exchanges := make([]simrt.Exchange, 2*chunks)
+	parts := moe.Table[simrt.Part](st.ct, 2*chunks*p)
+	exchanges := moe.Table[simrt.Exchange](st.ct, 2*chunks)
 	c1X, s1X := exchanges[:chunks], exchanges[chunks:]
 
 	// --- Reverse CScatter + reverse C1 (inter-node), per chunk --------------
@@ -154,7 +156,7 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 	// The replica-output gradients cross reverse C2 as views of one lent
 	// buffer, every row written by its merge below.
 	var c2Lent *simrt.Loan
-	c2Send := make([]simrt.Part, len(st.s2SentCount))
+	c2Send := moe.Table[simrt.Part](st.ct, len(st.s2SentCount))
 	if numeric {
 		dMerged = pool.Get(st.pilotRowsTotal, h)
 		wg = st.newBwdS1Metas()
@@ -279,6 +281,7 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 	ret, back := drainReturn(pool, s1X, st.partStart, h, numeric)
 	r.Compute(StageBwdS1Scat, comp.MemBound(perfmodel.ClassTriton, 2*int64(st.pilotsSent())*int64(h)*elem))
 	if !numeric {
+		st.release() // the call's closing drain was reverse S1's
 		return nil, nil
 	}
 	dx := pool.Get(st.s, h)
@@ -287,7 +290,9 @@ func (st *State) Backward(r *simrt.Rank, dOut, dst *tensor.Tensor, opts moe.Pipe
 	// layer's pass, with the reassembled return.
 	pool.PutAll(ret, st.pilotOut)
 	st.pilotOut, st.c2 = nil, simrt.Exchange{}
-	return dx, st.combineWeightGrads(back)
+	dWeights := st.combineWeightGrads(back)
+	st.release()
+	return dx, dWeights
 }
 
 // newBwdS1Metas allocates the combine-weight gradients every source gets

@@ -33,8 +33,13 @@ func BenchmarkStageReplicas(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	st := *states[0]
 	for i := 0; i < b.N; i++ {
-		benchParts, _ = d.stageReplicas(ranks[0], states[0])
+		// Each staging cuts its tables from a set of its own, as a layer
+		// call's does.
+		st.ct = moe.DrawCallTables()
+		benchParts, _ = d.stageReplicas(ranks[0], &st)
+		st.release()
 	}
 }
 
@@ -61,7 +66,7 @@ func BenchmarkDispatchPilots(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := c.Run(func(r *simrt.Rank) error {
-			pilotsOnly(d, r, sh.SeqLen, pfts[r.ID], nil, tensor.NewRNG(uint64(r.ID)), opts)
+			pilotsOnly(d, r, sh.SeqLen, pfts[r.ID], nil, tensor.NewRNG(uint64(r.ID)), opts).release()
 			return nil
 		}); err != nil {
 			b.Fatal(err)
@@ -86,7 +91,9 @@ func BenchmarkSelectPilots(b *testing.B) {
 			rng := tensor.NewRNG(1)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchMetas = d.selectPilots(&State{pft: pft, s: sh.SeqLen}, rng, moe.PipelineOpts{})
+				st := &State{pft: pft, s: sh.SeqLen, ct: moe.DrawCallTables()}
+				benchMetas = d.selectPilots(st, rng, moe.PipelineOpts{})
+				st.release()
 			}
 		})
 	}

@@ -83,6 +83,9 @@ func (st *State) Forward(r *simrt.Rank, s int, pft *moe.PFT, rows *tensor.Tensor
 	mem.Free("rbd_s2_recv", int64(bExp-st.pilotRowsTotal)*rowBytes)
 	mem.Free("rbd_expert_in", int64(bExp)*rowBytes)
 	mem.Free("rbd_merged", int64(st.pilotRowsTotal)*rowBytes)
+	if !opts.SaveForBackward {
+		st.release() // combine drained C1
+	}
 	return out
 }
 
@@ -113,11 +116,11 @@ func (st *State) dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, un
 	// Every received pilot is for one of my experts; the replicas Stage 2
 	// delivered join them, grouped per local expert. The segmentations, the
 	// block offsets and (numeric) the row map's cursors share one backing.
-	ints := make([]int, 6*d.EPR+1)
+	ints := moe.Table[int](st.ct, 6*d.EPR+1)
 	st.ReplicaRowsPerLE, st.RowsPerLE = ints[:d.EPR:d.EPR], ints[d.EPR:2*d.EPR:2*d.EPR]
 	st.replicaOff, st.rowsOff = ints[2*d.EPR:3*d.EPR:3*d.EPR], ints[3*d.EPR:4*d.EPR+1:4*d.EPR+1]
 	next := ints[4*d.EPR+1:]
-	st.s2RecvCount = make([]int, len(s2Recv))
+	st.s2RecvCount = moe.Table[int](st.ct, len(s2Recv))
 	for src, part := range s2Recv {
 		for le, n := range part.Meta.(*s2Meta).perLE {
 			st.ReplicaRowsPerLE[le] += n
@@ -145,7 +148,7 @@ func (st *State) dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, un
 	// pilots (sources ascending; a source's part is expert-sorted, so the
 	// absolute pilot rows walk it once) and then its replicas.
 	copy(next, st.rowsOff)
-	rowOf := make([]int, totalRows)
+	rowOf := moe.Table[int](st.ct, totalRows)
 	st.pilotRow, rowOf = rowOf[:st.pilotRowsTotal], rowOf[st.pilotRowsTotal:]
 	abs := 0
 	for _, m := range st.recvMetas {
@@ -158,7 +161,7 @@ func (st *State) dispatch(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tensor, un
 		}
 	}
 	me := d.EP.IndexOf(r.ID)
-	st.replicaRow = make([][]int, len(s2Recv))
+	st.replicaRow = moe.Table[[]int](st.ct, len(s2Recv))
 	for src, part := range s2Recv {
 		st.replicaRow[src], rowOf = rowOf[:st.s2RecvCount[src]], rowOf[st.s2RecvCount[src]:]
 		for pos, rm := range part.Meta.(*s2Meta).replicas {
@@ -250,8 +253,8 @@ func (st *State) combine(r *simrt.Rank, expertOut *tensor.Tensor) *tensor.Tensor
 	// Chunk c's accumulations are charged before its return leaves, so
 	// chunk c+1's hide behind chunk c's transfer.
 	mergeOff, merges := st.mergesByChunk(chunks, numeric)
-	c1 := make([]simrt.Exchange, chunks)
-	sendFlat := make([]simrt.Part, chunks*p)
+	c1 := moe.Table[simrt.Exchange](st.ct, chunks)
+	sendFlat := moe.Table[simrt.Part](st.ct, chunks*p)
 	for c := range c1 {
 		if numeric {
 			for _, mr := range merges[mergeOff[c]:mergeOff[c+1]] {

@@ -138,7 +138,8 @@ func (got pilotSel) equal(want pilotSel) error {
 // selection from a third equal generator must make the numeric one's parts
 // and counts, and keep no pilot list.
 func checkPilotsMatchRef(d *Dispatcher, pft *moe.PFT, s int, policy moe.PilotPolicy, seed uint64) error {
-	st, sym := &State{pft: pft, numeric: true, s: s}, &State{pft: pft, s: s}
+	st := &State{pft: pft, numeric: true, s: s, ct: moe.DrawCallTables()}
+	sym := &State{pft: pft, s: s, ct: moe.DrawCallTables()}
 	rng, refRNG, symRNG := tensor.NewRNG(seed), tensor.NewRNG(seed), tensor.NewRNG(seed)
 	opts := moe.PipelineOpts{SaveForBackward: true, PilotPolicy: policy}
 	got := pilotSel{metas: d.selectPilots(st, rng, opts), pilotEntry: st.pilotEntry, replicaEntry: st.replicaEntry}

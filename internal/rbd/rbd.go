@@ -135,7 +135,10 @@ type replicaMeta struct {
 
 // s1Meta is the metadata attached to each Stage-1 pilot part. Every charge
 // reads its counts, which both modes carry; a symbolic part carries nothing
-// else, and only numeric passes build the per-row fields.
+// else, and only numeric passes build the per-row fields. It and what it
+// views are the sender's call tables, which the sender releases after its
+// closing drain (C1, or reverse S1 with SaveForBackward): every receiver
+// posts both after its last read of them.
 type s1Meta struct {
 	// counts[le] is the number of pilot rows destined to local expert le
 	// of the receiving rank.
@@ -167,7 +170,8 @@ func (m s1Meta) bytes() int64 {
 
 // s2Meta is the metadata of one Stage-2 part: how many of its replicas
 // each local expert of the receiving rank gets and, numeric, the replicas
-// themselves in staging order.
+// themselves in staging order. Like s1Meta it lives in the sender's call
+// tables; receivers read it when they land Stage 2, before they post C2.
 type s2Meta struct {
 	perLE    []int
 	replicas []replicaMeta
@@ -201,7 +205,9 @@ type s2Sent struct {
 // the row-sized tables Stage 0 groups with (its table, the pilot list and
 // a symbolic layer's PFT rows) live in a moe.Scratch set that goes back to
 // its pool when Stage 0 returns: a symbolic state keeps no pilot list, and
-// its PFT, like every symbolic layer's, carries counts only.
+// its PFT, like every symbolic layer's, carries counts only. Every other
+// table of the call, in both modes, is cut from the call's moe.CallTables
+// set, which goes back to its pool when the call ends (release).
 type State struct {
 	d       *Dispatcher
 	rng     *tensor.RNG      // drives the randomized pilot selection
@@ -239,6 +245,9 @@ type State struct {
 	replicaRow [][]int
 	// node group used for stage 2
 	nodeGroup *simrt.Group
+	// ct holds every index table of the call, this rank's and the metadata
+	// it sends, from newState to release.
+	ct *moe.CallTables
 	// replicaEntry[dst][ri] (numeric with SaveForBackward only) is the PFT
 	// entry index of the ri-th replica this rank announced to EP member dst,
 	// mirroring the s1Meta.replicas order so returned weight gradients map
@@ -261,9 +270,26 @@ func (st *State) partLen(src int) int { return st.pilotPartOff[src+1] - st.pilot
 // rows return in C1: one per (token, destination node) group of its PFT.
 func (st *State) pilotsSent() int { return st.partStart[len(st.partStart)-1] }
 
-// newState starts one layer call's exchange on a rank.
+// newState starts one layer call's exchange on a rank, drawing the call's
+// tables.
 func (d *Dispatcher) newState(rng *tensor.RNG, opts moe.PipelineOpts) *State {
-	return &State{d: d, rng: rng, opts: opts}
+	return &State{d: d, rng: rng, opts: opts, ct: moe.DrawCallTables()}
+}
+
+// release ends the layer call: every table of st.ct goes back to its pool.
+// Its callers run it after the call's closing drain, C1 in a forward that
+// saves nothing for a backward, reverse S1 in the backward. Peers read
+// this rank's Stage-1 metadata (counts, replica counts, pilot weights and
+// replica records) at the latest in mergesByChunk, the combine's pilot
+// scaling, the backward's weight-gradient dots and reverse S1's byte
+// count, and its Stage-2 metadata when they land Stage 2; each of those
+// reads comes before the reader posts C1 (forward) or reverse S1
+// (backward), whose every chunk the drain has waited for. The part and
+// exchange lists no peer reads after the pricer copies them, which is
+// before any Wait returns.
+func (st *State) release() {
+	st.ct.Release()
+	st.ct = nil
 }
 
 // dispatchPilots runs RBD stages 0-1 for rank r: pilot selection, pilot
@@ -299,8 +325,8 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 		}
 	}
 	mem.Alloc("rbd_pilot_send", int64(st.pilotsSent())*int64(h)*elem)
-	sendFlat := make([]simrt.Part, chunks*p)
-	s1 := make([]simrt.Exchange, chunks)
+	sendFlat := moe.Table[simrt.Part](st.ct, chunks*p)
+	s1 := moe.Table[simrt.Exchange](st.ct, chunks)
 	for c := range s1 {
 		send := sendFlat[c*p : (c+1)*p]
 		instRows := chunkParts(send, pilotBuf, st.partStart, h, elem, chunks, c)
@@ -315,8 +341,8 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 	}
 	pilotBuf.Done()
 
-	st.pilotPartOff = make([]int, p+1)
-	st.recvMetas = make([]s1Meta, p)
+	st.pilotPartOff = moe.Table[int](st.ct, p+1)
+	st.recvMetas = moe.Table[s1Meta](st.ct, p)
 	for c, x := range s1 {
 		recv := x.Wait()
 		if c == 0 {
@@ -343,7 +369,7 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 
 	// Pilot segmentation per local expert: known a whole exchange before
 	// the replicas', which is what a chunked schedule hides Stage 2 behind.
-	st.PilotRowsPerLE = make([]int, d.EPR)
+	st.PilotRowsPerLE = moe.Table[int](st.ct, d.EPR)
 	for _, m := range st.recvMetas {
 		for le, n := range m.counts {
 			st.PilotRowsPerLE[le] += n
@@ -365,7 +391,8 @@ func (st *State) dispatchPilots(r *simrt.Rank, pft *moe.PFT, dispIn *tensor.Tens
 // st.s × nodes cells (the layer's tokens bound the PFT's token ids) do the
 // grouping; no per-token list is built. The table, and in a symbolic pass
 // the pilot list, are the PFT's scratch set's, which goes back to its pool
-// on return and takes a symbolic layer's PFT rows with it.
+// on return and takes a symbolic layer's PFT rows with it; every other
+// array is cut from the call's tables (st.ct).
 // Groups are drawn in (token, node slot) order, which is (token,
 // first-seen node) order (see Dispatcher.nodeSlot): the order a per-token
 // grouping visits them in, so a seed picks the pilots it would. The passes
@@ -408,7 +435,7 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineO
 	// it; a symbolic one lists in scratch.
 	var pilotEntry []int
 	if numeric {
-		pilotEntry = make([]int, nPilots+1)
+		pilotEntry = moe.Table[int](st.ct, nPilots+1)
 	} else {
 		pilotEntry = sc.List(nPilots + 1)
 	}
@@ -441,17 +468,17 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineO
 	// isPilot, as a mask, also picks the lanes' update: the countdown steps
 	// down while positive, and a pilot stores its member and -row-1.
 	nc := p * d.EPR
-	ints := make([]int, nc+2*p+1) // countsFlat, partStart, keyBase
+	ints := moe.Table[int](st.ct, nc+2*p+1) // countsFlat, partStart, keyBase
 	countsFlat, partStart, keyBase := ints[:nc], ints[nc:nc+p+1], ints[nc+p+1:]
 	keyOff := nPilots + p
 	for dst := range keyBase {
 		keyBase[dst] = keyOff
 		keyOff += d.nodeKeys(dst)
 	}
-	cntFlat := make([]int32, keyOff)
+	cntFlat := moe.Table[int32](st.ct, keyOff)
 	var weightsFlat []float32
 	if numeric {
-		weightsFlat = make([]float32, nPilots+1)
+		weightsFlat = moe.Table[float32](st.ct, nPilots+1)
 	}
 	np, lo := 0, 0 // np is the next pilot's send position
 	for e, n := range pft.TokensPerExpert {
@@ -483,7 +510,7 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineO
 	if numeric {
 		st.pilotEntry = pilotEntry[:nPilots]
 	}
-	metas := make([]s1Meta, p)
+	metas := moe.Table[s1Meta](st.ct, p)
 	for dst := range metas {
 		clo, chi := partStart[dst]+dst, partStart[dst+1]+dst+1
 		repCum := cntFlat[clo:chi:chi]
@@ -501,14 +528,14 @@ func (d *Dispatcher) selectPilots(st *State, rng *tensor.RNG, opts moe.PipelineO
 	}
 	if numeric {
 		nReplicas := pft.B() - nPilots
-		replicasFlat := make([]replicaMeta, nReplicas)
+		replicasFlat := moe.Table[replicaMeta](st.ct, nReplicas)
 		var entryFlat []int
 		if opts.SaveForBackward {
 			// Backward needs the replica -> PFT entry map to land returned
 			// combine-weight gradients; views share one flat backing like
 			// the metadata rows above.
-			entryFlat = make([]int, nReplicas)
-			st.replicaEntry = make([][]int, p)
+			entryFlat = moe.Table[int](st.ct, nReplicas)
+			st.replicaEntry = moe.Table[[]int](st.ct, p)
 		}
 		off := 0
 		for dst := range metas {
@@ -586,7 +613,7 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State) ([]simrt.Part, *sim
 	if st.numeric {
 		n += nKeys
 	}
-	flat := make([]int, n)
+	flat := moe.Table[int](st.ct, n)
 	perKey := flat[:nKeys:nKeys]
 	st.s2SentCount = flat[nKeys : nKeys+members : nKeys+members]
 	for _, m := range st.recvMetas {
@@ -616,8 +643,8 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State) ([]simrt.Part, *sim
 		for key := 1; key < nKeys; key++ {
 			next[key] = next[key-1] + perKey[key-1]
 		}
-		metaFlat = make([]replicaMeta, nReplicasIn)
-		sentFlat = make([]s2Sent, nReplicasIn)
+		metaFlat = moe.Table[replicaMeta](st.ct, nReplicasIn)
+		sentFlat = moe.Table[s2Sent](st.ct, nReplicasIn)
 		lo := d.nodeLo[me]
 		for src, m := range st.recvMetas {
 			for ri, rm := range m.replicas {
@@ -629,10 +656,10 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State) ([]simrt.Part, *sim
 				sentFlat[pos] = s2Sent{pilotAbs: int32(st.pilotPartOff[src]) + rm.pilotRel, weight: rm.weight, src: int32(src), ri: int32(ri)}
 			}
 		}
-		st.s2SentByMember = make([][]s2Sent, members)
+		st.s2SentByMember = moe.Table[[]s2Sent](st.ct, members)
 	}
 
-	s2Send, metas := make([]simrt.Part, members), make([]s2Meta, members)
+	s2Send, metas := moe.Table[simrt.Part](st.ct, members), moe.Table[s2Meta](st.ct, members)
 	lo := 0
 	for slot, n := range st.s2SentCount {
 		hi := lo + n
@@ -697,7 +724,7 @@ func (st *State) toLayout(dst, pilots *tensor.Tensor, parts []simrt.Part) {
 // (sizes only, and no loan, when src is nil).
 func (st *State) fromLayout(r *simrt.Rank, src *tensor.Tensor, pilots []float32) ([]simrt.Part, *simrt.Loan) {
 	h := st.d.Cfg.HModel
-	parts := make([]simrt.Part, len(st.s2RecvCount))
+	parts := moe.Table[simrt.Part](st.ct, len(st.s2RecvCount))
 	replicas := 0
 	for m, n := range st.s2RecvCount {
 		parts[m].Bytes = int64(n) * int64(h) * int64(st.d.Cfg.BytesPerElem)
@@ -771,7 +798,7 @@ type mergeRef struct{ slot, pos int }
 // any chunk count. refs is built numeric only; the symbolic mode needs
 // the offsets alone.
 func (st *State) mergesByChunk(chunks int, numeric bool) (off []int, refs []mergeRef) {
-	off = make([]int, chunks+1)
+	off = moe.Table[int](st.ct, chunks+1)
 	for c := 0; c < chunks; c++ {
 		off[c+1] = off[c]
 		for src, m := range st.recvMetas {
@@ -787,8 +814,9 @@ func (st *State) mergesByChunk(chunks int, numeric bool) (off []int, refs []merg
 		pos := int(sRec.pilotAbs) - st.pilotPartOff[sRec.src]
 		return ((pos+1)*chunks - 1) / st.partLen(int(sRec.src))
 	}
-	refs = make([]mergeRef, off[chunks])
-	next := append([]int(nil), off[:chunks]...)
+	refs = moe.Table[mergeRef](st.ct, off[chunks])
+	next := moe.Table[int](st.ct, chunks)
+	copy(next, off)
 	for slot, sent := range st.s2SentByMember {
 		for pos, sRec := range sent {
 			c := chunkOf(sRec)

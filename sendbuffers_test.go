@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"strings"
@@ -116,6 +117,91 @@ func TestPartMetaIsPointer(t *testing.T) {
 	}
 	if sites == 0 {
 		t.Error("no assignment to a Meta field found: the check would pass vacuously")
+	}
+}
+
+// callTableUsers names every function of the two exchanges, the flat
+// all-to-all and RBD, that builds a layer call's index tables: geometry,
+// part and exchange lists, and the metadata peers read. Each cuts them
+// from the call's moe.CallTables set with moe.Table, which goes back to its
+// pool when the call ends.
+var callTableUsers = []struct{ file, recv, name string }{
+	{"internal/moe/exchange.go", "flat", "Forward"},
+	{"internal/moe/exchange.go", "flat", "Backward"},
+	{"internal/rbd/rbd.go", "State", "dispatchPilots"},
+	{"internal/rbd/rbd.go", "Dispatcher", "selectPilots"},
+	{"internal/rbd/rbd.go", "Dispatcher", "stageReplicas"},
+	{"internal/rbd/rbd.go", "State", "fromLayout"},
+	{"internal/rbd/rbd.go", "State", "mergesByChunk"},
+	{"internal/rbd/forward.go", "State", "dispatch"},
+	{"internal/rbd/forward.go", "State", "combine"},
+	{"internal/rbd/backward.go", "State", "Backward"},
+	{"internal/rbd/backward.go", "State", "newBwdS1Metas"},
+	{"internal/rbd/backward.go", "State", "combineWeightGrads"},
+}
+
+// gcOwnedTables are the slices those functions may still make: what a
+// reader holds after the call ends, keyed by function and element type.
+var gcOwnedTables = []struct{ name, elem, reason string }{
+	{"flat.Backward", "float32", "the combine-weight gradients, returned to the caller"},
+	{"State.combineWeightGrads", "float32", "the combine-weight gradients, returned to the caller"},
+	{"State.newBwdS1Metas", "float32", "reverse S1's combine-weight gradients, which their source reads after its closing drain"},
+	{"State.newBwdS1Metas", "bwdS1Meta", "reverse S1's metadata, which its source reads after its closing drain"},
+}
+
+// TestCallTablesArePooled fails, naming file:line, when a function that
+// builds a layer call's index tables makes a slice (make([]int, …),
+// make([]simrt.Part, …) and the like) instead of cutting it from the
+// call's moe.CallTables set, unless gcOwnedTables lists it. A named
+// function that is missing fails too, and so does an allowlist entry no
+// function uses, so neither list can go stale.
+func TestCallTablesArePooled(t *testing.T) {
+	fset := token.NewFileSet()
+	files := map[string]*ast.File{}
+	used := make([]bool, len(gcOwnedTables))
+	for _, s := range callTableUsers {
+		f := files[s.file]
+		if f == nil {
+			var err error
+			if f, err = parser.ParseFile(fset, filepath.FromSlash(s.file), nil, 0); err != nil {
+				t.Fatal(err)
+			}
+			files[s.file] = f
+		}
+		fn := findFunc(f, s.recv, s.name)
+		if fn == nil {
+			t.Errorf("%s: no func %s (receiver %q): update callTableUsers", s.file, s.name, s.recv)
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			id, ok := call.Fun.(*ast.Ident)
+			if !ok || id.Name != "make" || len(call.Args) == 0 {
+				return true
+			}
+			arr, ok := call.Args[0].(*ast.ArrayType)
+			if !ok || arr.Len != nil {
+				return true
+			}
+			elem := types.ExprString(arr.Elt)
+			for i, g := range gcOwnedTables {
+				if g.name == s.recv+"."+s.name && g.elem == elem {
+					used[i] = true
+					return true
+				}
+			}
+			t.Errorf("%s: %s makes a []%s; cut it from the call's tables (moe.Table) or list it in gcOwnedTables with the reason a reader holds it after the call",
+				fset.Position(call.Pos()), s.name, elem)
+			return true
+		})
+	}
+	for i, g := range gcOwnedTables {
+		if !used[i] {
+			t.Errorf("gcOwnedTables lists a []%s in %s, which makes none: drop the entry", g.elem, g.name)
+		}
 	}
 }
 
